@@ -1,0 +1,164 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
+
+// Frozen inputs: a hash of the first 1,000 rows of the dataset and of the
+// first 100 statements of every workload, for the default seed and for seed
+// 7 (reserved for verifying claims). A change here changes what every later
+// comparison measures; it must be its own benchmark-only PR.
+var pinned = map[int64]map[string]string{
+	defaultSeed: {
+		"rows":         "5f335ebb7cdb099f8e583bb6261be4de846662d49171ca6ae70b53c5a4e6de30",
+		"batches":      "7b239fcdcd78c5807b687fa2bff4e114a64de94c43c673c6dffc5b1dced88b3d",
+		"mdrq_index":   "3506afa2b0d6af0eb8539d8df246a2428c5f4209aa0f005798c0e60a7939c2de",
+		"scan_agg":     "40f4b15e953db862f92d18b03644a76295343ad5482a7a4c6e656fe042490bbc",
+		"cache_hot":    "7fc0ec42af3f9573ef7f206f49f20cf9a59a471b7afc579ad380138916a99298",
+		"ingest_mixed": "54ad2955ffd88d7997423da6b039740f5338df8cd9eb40e8a32f512349bff652",
+	},
+	7: {
+		"rows":         "c338d359234bcb19c883145614e1ab54011931af131a2a53240f8dbc82400e27",
+		"batches":      "c66bd4b51ddc0900241cb8fb71e456717aa1eae710f9ade4ac3196b08e0e74bc",
+		"mdrq_index":   "09096d984c8e0fe90eb59302d846c23a2c8fc64623d2fbccbe9cd21b72508a24",
+		"scan_agg":     "e32231b838cab5a207374f36c7b0bc9bfaca4576933d9b352f3e67d02ba95bd6",
+		"cache_hot":    "030f2caa8460cb9ff5521b611e0737ba582f6c244dd5a1ec82ee0c6e263ef601",
+		"ingest_mixed": "663a5b8dee5e9836ffe4fbcdd5f95d73b25d9ebd4eb49987730cfbb2be5229c3",
+	},
+}
+
+func inputHashes(seed int64) map[string]string {
+	out := map[string]string{}
+	ds := newDataset(seed, 1)
+	h := sha256.New()
+	var line []byte
+	for _, u := range ds.order[0][:1000] {
+		line = ds.csvLine(line[:0], 0, int(u))
+		h.Write(line)
+		fmt.Fprintf(h, "%s\n", vendorName(vendorOf(int(u), 0)))
+	}
+	out["rows"] = hex.EncodeToString(h.Sum(nil))
+
+	ds.extend(baseDays + 1)
+	h = sha256.New()
+	for i := 0; i < 3; i++ {
+		h.Write(ds.loadBody(ingestBatch(i), "meterdata"))
+	}
+	out["batches"] = hex.EncodeToString(h.Sum(nil))
+
+	for _, w := range workloads {
+		h := sha256.New()
+		source := workloadList(w.name, seed)
+		for i := 0; i < 100; i++ {
+			if w.name == "cache_hot" {
+				fmt.Fprintf(h, "%d:", hotDraw(seed, i, hotSetSize))
+			}
+			fmt.Fprintf(h, "%s\n", source(i).SQL)
+		}
+		out[w.name] = hex.EncodeToString(h.Sum(nil))
+	}
+	return out
+}
+
+func TestInputsAreFrozen(t *testing.T) {
+	for seed, want := range pinned {
+		got := inputHashes(seed)
+		for name, hash := range got {
+			if want[name] != hash {
+				t.Errorf("seed %d: %s hash is\n\t%q: %q,", seed, name, name, hash)
+			}
+		}
+	}
+}
+
+func TestStatementsAreDistinctAndKeepTheirShares(t *testing.T) {
+	for _, w := range workloads {
+		if w.name == "cache_hot" {
+			continue // draws from a fixed set by design
+		}
+		source := workloadList(w.name, 7)
+		seen := map[string]bool{}
+		classes := map[string]int{}
+		const n = 400
+		for i := 0; i < n; i++ {
+			s := source(i)
+			if seen[s.SQL] {
+				t.Fatalf("%s: statement %d repeats %q", w.name, i, s.SQL)
+			}
+			seen[s.SQL] = true
+			classes[s.Class]++
+		}
+		want := map[string]map[string]int{
+			"mdrq_index":   {classAgg: 140, classGroupBy: 120, classPoint: 60, classAggNoPre: 40, classJoin: 40},
+			"scan_agg":     {classZone: 200, classDict: 80, classProject: 80, classFull: 40},
+			"ingest_mixed": {classAgg: 160, classGroupBy: 160, classFrontier: 80},
+		}[w.name]
+		for class, count := range want {
+			if classes[class] != count {
+				t.Errorf("%s: %d %s statements in %d, want %d", w.name, classes[class], class, n, count)
+			}
+		}
+	}
+}
+
+func TestGeneratedPredicatesNeverAlignWithCells(t *testing.T) {
+	source := workloadList("mdrq_index", 7)
+	regionless := 0
+	const n = 1000
+	for i := 0; i < n; i++ {
+		s := source(i)
+		if s.Class == classPoint {
+			continue
+		}
+		if (s.UserLo-1)%userCell == 0 || s.UserHi%userCell == 0 {
+			t.Fatalf("statement %d: user bounds [%d, %d] sit on a cell edge", i, s.UserLo, s.UserHi)
+		}
+		if s.TsLo%daySeconds == 0 || s.TsHi%daySeconds == 0 {
+			t.Fatalf("statement %d: ts bounds sit on a cell edge", i)
+		}
+		if s.UserLo < 1 || s.UserHi > numUsers || s.UserLo > s.UserHi {
+			t.Fatalf("statement %d: user bounds [%d, %d]", i, s.UserLo, s.UserHi)
+		}
+		if s.RegionLo == 0 {
+			regionless++
+		}
+	}
+	// One in five omits regionId (Fig. 17's partially specified query).
+	if regionless < n*85/100/5*7/10 || regionless > n*85/100/5*13/10 {
+		t.Errorf("%d of %d range statements omit regionId, want about one in five", regionless, n*85/100)
+	}
+}
+
+func TestIngestBatchesCoverEachDayOnce(t *testing.T) {
+	ds := newDataset(7, baseDays+1)
+	seen := map[int32]bool{}
+	for i := 0; i < batchesInDay; i++ {
+		b := ingestBatch(i)
+		if b.day != baseDays {
+			t.Fatalf("batch %d is for day %d", i, b.day)
+		}
+		users := ds.batchUsers(b)
+		if len(users) != batchRows {
+			t.Fatalf("batch %d has %d rows", i, len(users))
+		}
+		for _, u := range users {
+			if seen[u] {
+				t.Fatalf("user %d is in two batches of one day", u)
+			}
+			seen[u] = true
+			// A collector owns whole index cells.
+			if (int(u)-1)/batchRows != b.block {
+				t.Fatalf("user %d is outside block %d", u, b.block)
+			}
+		}
+	}
+	if len(seen) != numUsers {
+		t.Errorf("%d users in a day of batches, want %d", len(seen), numUsers)
+	}
+	if !ingestBatch(4).sync || ingestBatch(5).sync || !ingestBatch(warmupBatches-1).sync {
+		t.Error("every fifth batch, and the last warm-up batch, must be sync")
+	}
+}
