@@ -43,15 +43,11 @@ func q6OnCompact(t *tpchEnv, ix *hiveindex.Index) (indexSec, dataSec float64, re
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	input, err := ix.BaseInput(t.WC.FS, fr)
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	schema := workload.LineitemSchema()
 	ranges := workload.Q6Ranges()
 	stats, err := mapreduce.Run(t.WC.Cluster, &mapreduce.Job{
 		Name:  "q6-" + ix.Name,
-		Input: input,
+		Input: ix.BaseInput(t.WC.FS, fr),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			row, err := storage.DecodeTextRow(schema, string(rec.Data))
 			if err != nil {

@@ -54,14 +54,6 @@ type Source struct {
 	GroupBytes int64
 }
 
-// input builds the MapReduce input format reading the source's records.
-func (s Source) input(fs *dfs.FS, schema *storage.Schema) mapreduce.InputFormat {
-	if s.Format == storage.RCFile {
-		return &mapreduce.RCInput{FS: fs, Dir: s.Dir, Paths: s.Paths, Schema: schema}
-	}
-	return &mapreduce.TextInput{FS: fs, Dir: s.Dir, Paths: s.Paths}
-}
-
 // Build constructs a DGFIndex over the table described by src, reorganising
 // its records into Slice files under dataDir (Algorithms 1 and 2 of the
 // paper). It returns the opened index.
@@ -99,7 +91,8 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	if err := fs.MkdirAll(dataDir); err != nil {
 		return nil, nil, err
 	}
-	stats, err := ix.runBuildJob(cfg, src.input(fs, schema), true)
+	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema}
+	stats, err := ix.runBuildJob(cfg, input, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,11 +107,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 // always TextFile (loads stage rows as text regardless of the table format);
 // the reorganised output follows the index's format.
 func (ix *Index) Append(cfg *cluster.Config, files []string) (*BuildStats, error) {
-	return ix.runBuildJobFiles(cfg, files)
-}
-
-func (ix *Index) runBuildJobFiles(cfg *cluster.Config, files []string) (*BuildStats, error) {
-	return ix.runBuildJob(cfg, &mapreduce.TextInput{FS: ix.FS, Paths: files}, false)
+	return ix.runBuildJob(cfg, &mapreduce.FileInput{FS: ix.FS, Paths: files}, false)
 }
 
 func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, fresh bool) (*BuildStats, error) {
@@ -313,7 +302,7 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	headers := map[string]Header{}
 	job := &mapreduce.Job{
 		Name:  "dgf-addudf-" + ix.Spec.Name,
-		Input: Source{Dir: ix.DataDir, Format: ix.Format}.input(ix.FS, ix.Schema),
+		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			cells := make([]int64, len(next.dimCols))
 			if err := next.cellsOfLine(rec.Data, cells); err != nil {

@@ -1,8 +1,6 @@
 package dgf
 
 import (
-	"fmt"
-
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -44,27 +42,6 @@ type SliceInput struct {
 	Vector bool
 }
 
-// clippedSlice is a slice byte range clipped to one split, remembering which
-// edges are artificial cuts.
-type clippedSlice struct {
-	Start, End         int64
-	ClipStart, ClipEnd bool
-}
-
-// sliceSplit is one chosen split plus the slice ranges it owns.
-type sliceSplit struct {
-	dfs.Split
-	slices []clippedSlice // ordered by Start
-	// groupOffsets is the file's row-group index (RCFile data only),
-	// loaded once per file in Splits and shared by the file's splits.
-	groupOffsets []int64
-}
-
-// Label implements mapreduce.InputSplit.
-func (s sliceSplit) Label() string {
-	return fmt.Sprintf("%s (%d slices)", s.Split.String(), len(s.slices))
-}
-
 // Splits implements mapreduce.InputFormat (Algorithm 4: choose the splits
 // that contain or overlap plan Slices, then prepare per-split slice lists).
 func (in *SliceInput) Splits() ([]mapreduce.InputSplit, error) {
@@ -78,25 +55,14 @@ func (in *SliceInput) Splits() ([]mapreduce.InputSplit, error) {
 		if err != nil {
 			return nil, err
 		}
-		var groupOffsets []int64
-		if in.Format == storage.RCFile {
-			// The side group index locates the row groups each slice owns
-			// (the model's stand-in for RCFile sync markers); one read
-			// serves every split of the file.
-			groupOffsets, err = storage.ReadGroupIndexCached(in.FS, file)
-			if err != nil {
-				return nil, fmt.Errorf("dgf: SliceInput: missing group index for %s: %w", file, err)
-			}
-		}
 		for _, sp := range fileSplits {
-			var own []clippedSlice
+			var own []mapreduce.Segment
 			for _, sl := range slices {
-				start, end := sl.Start, sl.End
-				cs := clippedSlice{Start: start, End: end}
-				if start < sp.Start {
+				cs := mapreduce.Segment{Start: sl.Start, End: sl.End}
+				if sl.Start < sp.Start {
 					cs.Start, cs.ClipStart = sp.Start, true
 				}
-				if end > sp.End() {
+				if sl.End > sp.End() {
 					cs.End, cs.ClipEnd = sp.End(), true
 				}
 				if cs.Start < cs.End {
@@ -109,118 +75,26 @@ func (in *SliceInput) Splits() ([]mapreduce.InputSplit, error) {
 			if in.Plan.DisableSliceSkip {
 				// Ablation: read the whole chosen split, Compact-Index
 				// style. Hadoop split rules apply at both edges.
-				own = []clippedSlice{{
+				own = []mapreduce.Segment{{
 					Start: sp.Start, End: sp.End(),
 					ClipStart: sp.Start > 0, ClipEnd: true,
 				}}
 			}
-			out = append(out, sliceSplit{Split: sp, slices: own, groupOffsets: groupOffsets})
+			out = append(out, mapreduce.FileSplit{Split: sp, Segments: own})
 		}
 	}
 	return out, nil
 }
 
-// Open implements mapreduce.InputFormat.
+// Open implements mapreduce.InputFormat: the split's slice list goes to the
+// one file reader, with the plan's projection and skip set pushed down.
 func (in *SliceInput) Open(split mapreduce.InputSplit) (mapreduce.RecordReader, error) {
-	s, ok := split.(sliceSplit)
-	if !ok {
-		return nil, fmt.Errorf("dgf: SliceInput cannot open %T", split)
+	fi := &mapreduce.FileInput{
+		FS: in.FS, Format: in.Format, Schema: in.Schema,
+		Project: in.Plan.Project, Vector: in.Vector,
 	}
-	r, err := in.FS.Open(s.Path)
-	if err != nil {
-		return nil, err
+	if skips := in.Plan.SkipGroups; len(skips) > 0 {
+		fi.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
 	}
-	sr := &sliceReader{in: in, file: r, path: s.Path, slices: s.slices, groupOffsets: s.groupOffsets}
-	if skips := in.Plan.SkipGroups[s.Path]; len(skips) > 0 {
-		sr.skipGroup = func(off int64) bool { return skips[off] }
-	}
-	return sr, nil
-}
-
-// sliceReader reads the records of each Slice in turn, skipping the margin
-// between adjacent Slices; each jump across a margin counts as one seek.
-type sliceReader struct {
-	in           *SliceInput
-	file         *dfs.FileReader
-	path         string
-	slices       []clippedSlice
-	groupOffsets []int64 // RCFile only
-
-	idx       int
-	seg       storage.SegmentReader
-	bytesRead int64
-	seeks     int64
-	skipped   int64
-	lastEnd   int64
-	skipGroup func(offset int64) bool
-}
-
-func (sr *sliceReader) Next() (mapreduce.Record, bool, error) {
-	for {
-		if sr.seg == nil {
-			if sr.idx >= len(sr.slices) {
-				return mapreduce.Record{}, false, nil
-			}
-			sl := sr.slices[sr.idx]
-			sr.idx++
-			if sr.idx > 1 && sl.Start != sr.lastEnd {
-				sr.seeks++ // jumping a margin between slices
-			}
-			sr.lastEnd = sl.End
-			sr.seg = storage.NewSegmentReader(sr.file, sr.in.Schema, sr.in.Format, sl.Start, sl.End, storage.SegmentOptions{
-				SkipFirst:    sl.ClipStart,
-				InclusiveEnd: sl.ClipEnd,
-				Project:      sr.in.Plan.Project,
-				GroupOffsets: sr.groupOffsets,
-				Vector:       sr.in.Vector && sr.in.Format == storage.RCFile,
-				SkipGroup:    sr.skipGroup,
-			})
-		}
-		rec, ok, err := sr.seg.Next()
-		if err != nil {
-			return mapreduce.Record{}, false, err
-		}
-		if !ok {
-			sr.drainSeg()
-			continue
-		}
-		return mapreduce.Record{
-			Data: rec.Line, Row: rec.Row, Batch: rec.Batch, Path: sr.path,
-			Offset: rec.Offset, RowInBlock: rec.RowInGroup,
-		}, true, nil
-	}
-}
-
-// drainSeg folds the finished segment's counters into the reader's totals.
-func (sr *sliceReader) drainSeg() {
-	sr.bytesRead += sr.seg.BytesRead()
-	if gs, ok := sr.seg.(storage.GroupSkipper); ok {
-		sr.skipped += gs.GroupsSkipped()
-	}
-	sr.seg = nil
-}
-
-func (sr *sliceReader) BytesRead() int64 {
-	n := sr.bytesRead
-	if sr.seg != nil {
-		n += sr.seg.BytesRead()
-	}
-	return n
-}
-
-func (sr *sliceReader) Seeks() int64 {
-	// Each pruned group forces the reader to jump over its bytes — count it
-	// like a margin jump so seek accounting stays honest.
-	return sr.seeks + sr.GroupsSkipped()
-}
-
-// GroupsSkipped returns the row groups the plan's SkipGroups pruned so far.
-func (sr *sliceReader) GroupsSkipped() int64 {
-	n := sr.skipped
-	if sr.seg != nil {
-		if gs, ok := sr.seg.(storage.GroupSkipper); ok {
-			n += gs.GroupsSkipped()
-		}
-	}
-	return n
+	return fi.Open(split)
 }

@@ -110,19 +110,12 @@ func (w *Warehouse) ExecContext(ctx context.Context, sql string, opts ExecOption
 	return w.ExecParsedContext(ctx, stmt, opts)
 }
 
-// ExecParsed executes an already-parsed statement. Callers that execute the
-// same statement repeatedly (the serving layer's plan cache) parse once and
-// reuse the Stmt; execution never mutates it, so one parsed statement is
-// safe to run from many goroutines.
-//
-//dgflint:compat ctx-free convenience wrapper over ExecParsedContext
-func (w *Warehouse) ExecParsed(stmt Stmt, opts ExecOptions) (*Result, error) {
-	return w.ExecParsedContext(context.Background(), stmt, opts)
-}
-
-// ExecParsedContext is ExecParsed under ctx. SELECT scans honour ctx at
-// split granularity; DDL and LOAD statements only check it on entry (index
-// builds are not interruptible mid-build — aborting one would leave a
+// ExecParsedContext executes an already-parsed statement under ctx. Callers
+// that execute the same statement repeatedly (the serving layer's plan
+// cache) parse once and reuse the Stmt; execution never mutates it, so one
+// parsed statement is safe to run from many goroutines. SELECT scans honour
+// ctx at split granularity; DDL and LOAD statements only check it on entry
+// (index builds are not interruptible mid-build — aborting one would leave a
 // half-reorganised table).
 func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecOptions) (*Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -249,17 +242,11 @@ func (w *Warehouse) createHiveIndexLocked(t *Table, s *CreateIndexStmt, kind hiv
 		kind, s.Name, ix.SizeBytes(w.FS), sec)}, nil
 }
 
-// Select plans and executes a SELECT. Plain SELECTs share the catalog read
-// lock so any number run in parallel; a SELECT with an INSERT OVERWRITE
-// DIRECTORY sink writes to the filesystem and is serialized as a writer.
-//
-//dgflint:compat ctx-free convenience wrapper over SelectContext
-func (w *Warehouse) Select(stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	return w.SelectContext(context.Background(), stmt, opts)
-}
-
-// SelectContext is Select under ctx: a ctx that ends mid-scan aborts the job
-// within one split boundary and returns the (wrapped) ctx error.
+// SelectContext plans and executes a SELECT under ctx: a ctx that ends
+// mid-scan aborts the job within one split boundary and returns the
+// (wrapped) ctx error. Plain SELECTs share the catalog read lock so any
+// number run in parallel; a SELECT with an INSERT OVERWRITE DIRECTORY sink
+// writes to the filesystem and is serialized as a writer.
 func (w *Warehouse) SelectContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	if stmt.InsertDir != "" {
 		w.mu.Lock()
@@ -271,21 +258,13 @@ func (w *Warehouse) SelectContext(ctx context.Context, stmt *SelectStmt, opts Ex
 	return w.selectLocked(ctx, stmt, opts)
 }
 
-// SelectPartial plans and executes a SELECT, returning its result in
-// mergeable partial form — the scatter phase of the shard router's
-// scatter-gather. Aggregates come back as per-group accumulator state, so
-// any number of shards' partials Merge before one Finalize. INSERT
-// OVERWRITE DIRECTORY sinks cannot be executed partially.
-//
-//dgflint:compat ctx-free convenience wrapper over SelectPartialContext
-func (w *Warehouse) SelectPartial(stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
-	return w.SelectPartialContext(context.Background(), stmt, opts)
-}
-
-// SelectPartialContext is SelectPartial under ctx — the scatter phase of a
+// SelectPartialContext plans and executes a SELECT under ctx, returning its
+// result in mergeable partial form — the scatter phase of the shard router's
 // cancellable scatter-gather: the router cancels the shared ctx on the first
 // shard error, and every sibling shard's scan stops at its next split
-// boundary.
+// boundary. Aggregates come back as per-group accumulator state, so any
+// number of shards' partials Merge before one Finalize. INSERT OVERWRITE
+// DIRECTORY sinks cannot be executed partially.
 func (w *Warehouse) SelectPartialContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
 	if stmt.InsertDir != "" {
 		return nil, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be executed partially")
@@ -510,26 +489,24 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 			return nil, err
 		}
 		stats.IndexSimSec += fr.ScanStats.SimTotalSec()
-		p.input, err = ix.BaseInput(w.FS, fr)
-		if err != nil {
-			return nil, err
-		}
-		if rc, ok := p.input.(*mapreduce.RCInput); ok {
-			rc.Project = q.projection()
-		}
+		base := ix.BaseInput(w.FS, fr)
+		base.Project = q.projection()
+		p.input = base
 		stats.AccessPath = "index:" + ix.Name
 	default:
-		p.input, stats.AccessPath, err = q.scanInputLocked(w)
+		var scan *mapreduce.FileInput
+		scan, stats.AccessPath, err = q.scanInputLocked(w)
 		if err != nil {
 			return nil, err
 		}
-		if rc, ok := p.input.(*mapreduce.RCInput); ok && choice.vectorized {
+		p.input = scan
+		if choice.vectorized {
 			// Full-scan double pruning: consult the zone maps under the lock
 			// (the same consultation EXPLAIN performs) and hand the readers
-			// the resulting skip set.
-			files := rc.Paths
+			// the resulting skip set. choosePath vectorises RCFile scans only.
+			files := scan.Paths
 			if files == nil {
-				if files, err = listFilePaths(w, rc.Dir); err != nil {
+				if files, err = listFilePaths(w, scan.Dir); err != nil {
 					return nil, err
 				}
 			}
@@ -538,10 +515,10 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 				return nil, err
 			}
 			if len(skips) > 0 {
-				rc.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
+				scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
 			}
 			stats.BitmapHits = bitmapHits
-			rc.Vector = true
+			scan.Vector = true
 		}
 	}
 	if choice.vectorized {
@@ -653,12 +630,10 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 // pruning reads the catalog), pruning partitions by the
 // predicate on the partition column (Hive's "coarse-grained index",
 // Section 2.2 of the paper).
-func (q *compiledQuery) scanInputLocked(w *Warehouse) (mapreduce.InputFormat, string, error) {
+func (q *compiledQuery) scanInputLocked(w *Warehouse) (*mapreduce.FileInput, string, error) {
+	in := &mapreduce.FileInput{FS: w.FS, Dir: q.left.Dir, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection()}
 	if q.left.PartitionBy == "" {
-		if q.left.Format == hiveindex.RCFile {
-			return &mapreduce.RCInput{FS: w.FS, Dir: q.left.Dir, Schema: q.left.Schema, Project: q.projection()}, "scan", nil
-		}
-		return &mapreduce.TextInput{FS: w.FS, Dir: q.left.Dir}, "scan", nil
+		return in, "scan", nil
 	}
 	var keep func(storage.Value) bool
 	if r, ok := q.leftRanges[strings.ToLower(q.left.PartitionBy)]; ok {
@@ -668,11 +643,8 @@ func (q *compiledQuery) scanInputLocked(w *Warehouse) (mapreduce.InputFormat, st
 	if err != nil {
 		return nil, "", err
 	}
-	label := fmt.Sprintf("scan(partitions %d/%d)", kept, total)
-	if q.left.Format == hiveindex.RCFile {
-		return &mapreduce.RCInput{FS: w.FS, Paths: files, Schema: q.left.Schema, Project: q.projection()}, label, nil
-	}
-	return &mapreduce.TextInput{FS: w.FS, Paths: files}, label, nil
+	in.Dir, in.Paths = "", files
+	return in, fmt.Sprintf("scan(partitions %d/%d)", kept, total), nil
 }
 
 // pickHiveIndex returns the first index whose dimensions intersect the

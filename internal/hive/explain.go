@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -232,22 +231,18 @@ func (w *Warehouse) explainLocked(stmt *SelectStmt, opts ExecOptions) (*ExplainP
 // files (always, below one block per file); a split boundary mid-file adds
 // the few re-read bytes of the boundary line.
 func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
-	input, label, err := q.scanInputLocked(w)
+	in, label, err := q.scanInputLocked(w)
 	if err != nil {
 		return err
 	}
 	ep.AccessPath = label
-	var files []string
-	var project []bool
-	switch in := input.(type) {
-	case *mapreduce.TextInput:
-		files = in.Paths
-		if files == nil {
-			files, err = listFilePaths(w, in.Dir)
-			if err != nil {
-				return err
-			}
+	files := in.Paths
+	if files == nil {
+		if files, err = listFilePaths(w, in.Dir); err != nil {
+			return err
 		}
+	}
+	if in.Format != storage.RCFile {
 		for _, f := range files {
 			fi, err := w.FS.Stat(f)
 			if err != nil {
@@ -256,50 +251,38 @@ func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
 			ep.ProjectedBytes += fi.Size
 		}
 		return nil
-	case *mapreduce.RCInput:
-		files = in.Paths
-		project = in.Project
-		if files == nil {
-			files, err = listFilePaths(w, in.Dir)
-			if err != nil {
-				return err
-			}
-		}
-		// The vectorised scan prunes zone-disjoint (and bitmap-refuted) row
-		// groups, so their bytes never hit the readers: exclude them here the
-		// same way prepareSelectLocked's skip set excludes them from
-		// execution.
-		var skips map[string]map[int64]bool
-		if ep.Vectorized {
-			skips, ep.GroupsSkipped, ep.BitmapHits, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges, q.leftMembers)
-			if err != nil {
-				return err
-			}
-		}
-		for _, f := range files {
-			stats, err := storage.ReadColStatsCached(w.FS, f)
-			if err != nil {
-				return err
-			}
-			var offsets []int64
-			if len(skips[f]) > 0 {
-				if offsets, err = storage.ReadGroupIndexCached(w.FS, f); err != nil {
-					return err
-				}
-			}
-			for gi, g := range stats {
-				if offsets != nil && gi < len(offsets) && skips[f][offsets[gi]] {
-					continue
-				}
-				ep.ProjectedBytes += g.ProjectedSize(project)
-			}
-		}
-		ep.EncodedColumns, err = encodedColumnNames(w, files, q.left.Schema)
-		return err
-	default:
-		ep.ProjectedBytes = -1
-		return nil
 	}
+	// The vectorised scan prunes zone-disjoint (and bitmap-refuted) row
+	// groups, so their bytes never hit the readers: exclude them here the
+	// same way prepareSelectLocked's skip set excludes them from
+	// execution.
+	var skips map[string]map[int64]bool
+	if ep.Vectorized {
+		skips, ep.GroupsSkipped, ep.BitmapHits, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges, q.leftMembers)
+		if err != nil {
+			return err
+		}
+	}
+	for _, f := range files {
+		stats, err := storage.ReadColStatsCached(w.FS, f)
+		if err != nil {
+			return err
+		}
+		var offsets []int64
+		if len(skips[f]) > 0 {
+			if offsets, err = storage.ReadGroupIndexCached(w.FS, f); err != nil {
+				return err
+			}
+		}
+		for gi, g := range stats {
+			if offsets != nil && gi < len(offsets) && skips[f][offsets[gi]] {
+				continue
+			}
+			ep.ProjectedBytes += g.ProjectedSize(in.Project)
+		}
+	}
+	ep.EncodedColumns, err = encodedColumnNames(w, files, q.left.Schema)
+	return err
 }
 
 func listFilePaths(w *Warehouse, dir string) ([]string, error) {

@@ -46,14 +46,10 @@ func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridf
 			}
 		}
 	}
-	input, err := ix.indexInput(fs)
-	if err != nil {
-		return nil, err
-	}
 	bucketCol := len(ix.Cols)
 	job := &mapreduce.Job{
 		Name:  "hiveindex-scan-" + ix.Name,
-		Input: input,
+		Input: ix.indexInput(fs),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			row, err := storage.DecodeTextRow(ix.indexSchema, string(rec.Data))
 			if err != nil {
@@ -113,11 +109,8 @@ func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridf
 }
 
 // indexInput opens the index table for scanning.
-func (ix *Index) indexInput(fs *dfs.FS) (mapreduce.InputFormat, error) {
-	if ix.IndexFormat == RCFile {
-		return &mapreduce.RCInput{FS: fs, Dir: ix.IndexDir, Schema: ix.indexSchema}, nil
-	}
-	return &mapreduce.TextInput{FS: fs, Dir: ix.IndexDir}, nil
+func (ix *Index) indexInput(fs *dfs.FS) *mapreduce.FileInput {
+	return &mapreduce.FileInput{FS: fs, Dir: ix.IndexDir, Format: ix.IndexFormat, Schema: ix.indexSchema}
 }
 
 // SplitFilter implements the getSplits behaviour: keep a split iff it
@@ -162,24 +155,16 @@ func (fr *FilterResult) RowFilter(path string, offset int64, row int) bool {
 // table, with this filter applied the way the real index kind would:
 // Compact and Aggregate filter splits only; Bitmap additionally filters row
 // groups and rows (RCFile base tables only).
-func (ix *Index) BaseInput(fs *dfs.FS, fr *FilterResult) (mapreduce.InputFormat, error) {
-	switch ix.BaseFormat {
-	case RCFile:
-		in := &mapreduce.RCInput{
-			FS: fs, Dir: ix.BaseDir, Schema: ix.Schema,
-			SplitFilter: fr.SplitFilter,
-		}
-		if ix.Kind == Bitmap {
-			in.GroupFilter = fr.GroupFilter
-			in.RowFilter = fr.RowFilter
-		}
-		return in, nil
-	default:
-		return &mapreduce.TextInput{
-			FS: fs, Dir: ix.BaseDir,
-			SplitFilter: fr.SplitFilter,
-		}, nil
+func (ix *Index) BaseInput(fs *dfs.FS, fr *FilterResult) *mapreduce.FileInput {
+	in := &mapreduce.FileInput{
+		FS: fs, Dir: ix.BaseDir, Format: ix.BaseFormat, Schema: ix.Schema,
+		SplitFilter: fr.SplitFilter,
 	}
+	if ix.Kind == Bitmap {
+		in.GroupFilter = fr.GroupFilter
+		in.RowFilter = fr.RowFilter
+	}
+	return in
 }
 
 // AggregateCounts answers a covered GROUP BY count query from the index
@@ -213,14 +198,10 @@ func (ix *Index) AggregateCounts(cfg *cluster.Config, fs *dfs.FS, ranges map[str
 	}
 	counts := map[string]int64{}
 	var mu sync.Mutex
-	input, err := ix.indexInput(fs)
-	if err != nil {
-		return nil, nil, err
-	}
 	countCol := len(ix.Cols) + 2
 	job := &mapreduce.Job{
 		Name:  "hiveindex-aggscan-" + ix.Name,
-		Input: input,
+		Input: ix.indexInput(fs),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			row, err := storage.DecodeTextRow(ix.indexSchema, string(rec.Data))
 			if err != nil {

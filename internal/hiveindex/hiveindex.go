@@ -142,17 +142,13 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 		return nil, nil, err
 	}
 
-	input, err := baseInput(fs, o)
-	if err != nil {
-		return nil, nil, err
-	}
 	numReducers := cfg.ReduceSlots()
 	if numReducers > 32 {
 		numReducers = 32
 	}
 	job := &mapreduce.Job{
 		Name:  "hiveindex-build-" + o.Name,
-		Input: input,
+		Input: &mapreduce.FileInput{FS: fs, Dir: o.BaseDir, Format: o.BaseFormat, Schema: o.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			key, err := ix.groupKey(rec)
 			if err != nil {
@@ -179,17 +175,6 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 		return nil, nil, err
 	}
 	return ix, stats, nil
-}
-
-func baseInput(fs *dfs.FS, o Options) (mapreduce.InputFormat, error) {
-	switch o.BaseFormat {
-	case TextFile:
-		return &mapreduce.TextInput{FS: fs, Dir: o.BaseDir}, nil
-	case RCFile:
-		return &mapreduce.RCInput{FS: fs, Dir: o.BaseDir, Schema: o.Schema}, nil
-	default:
-		return nil, fmt.Errorf("hiveindex: unknown base format %v", o.BaseFormat)
-	}
 }
 
 // groupKey builds the shuffle key: dims + file (+ block offset for bitmaps,

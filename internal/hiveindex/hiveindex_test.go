@@ -89,10 +89,7 @@ func TestCompactBuildAndFilterText(t *testing.T) {
 		t.Fatal("no index entries matched")
 	}
 	// Run the filtered scan; every matching row must appear.
-	input, err := ix.BaseInput(fs, fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	input := ix.BaseInput(fs, fr)
 	got := countMatching(t, input, ranges)
 	want := 0
 	for _, r := range rows {
@@ -151,10 +148,7 @@ func TestCompactOnRCFiltersSplitsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input, err := ix.BaseInput(fs, fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	input := ix.BaseInput(fs, fr)
 	// Correctness: all userId==7 rows found after split filtering.
 	got := countMatching(t, input, ranges)
 	want := 0
@@ -200,10 +194,7 @@ func TestBitmapFiltersRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input, err := ix.BaseInput(fs, fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	input := ix.BaseInput(fs, fr)
 	// The bitmap reader must deliver exactly the matching rows.
 	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
 		Name:  "bitmap-scan",

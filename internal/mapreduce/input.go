@@ -7,254 +7,219 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-// FileSplit adapts a dfs.Split to the InputSplit interface.
+// Segment is one byte range of a split's file. ClipStart and ClipEnd mark
+// edges that are arbitrary byte cuts rather than record boundaries: a
+// TextFile reader then follows Hadoop's pairing rules there (skip through the
+// first newline after a clipped start; own the line straddling, or starting
+// exactly at, a clipped end). Unclipped edges are exact. RCFile ownership is
+// always "row group starts inside [Start, End)", so the flags do not matter.
+type Segment struct {
+	Start, End         int64
+	ClipStart, ClipEnd bool
+}
+
+// FileSplit is the one split shape the file reader knows: an ordered list of
+// byte segments of one file, read in turn by one map task.
 type FileSplit struct {
 	dfs.Split
+	Segments []Segment
 }
 
 // Label implements InputSplit.
-func (s FileSplit) Label() string { return s.Split.String() }
+func (s FileSplit) Label() string {
+	if len(s.Segments) == 1 {
+		return s.Split.String()
+	}
+	return fmt.Sprintf("%s (%d segments)", s.Split.String(), len(s.Segments))
+}
 
-// TextInput reads TextFile tables: every line is one record whose Offset is
-// the line's byte position in its file (BLOCK_OFFSET_INSIDE_FILE for
-// TextFile in Hive).
-type TextInput struct {
+// FileInput reads table files of either storage format, one segment per
+// split under Hadoop's split rules. TextFile: every line is one record whose
+// Offset is the line's byte position (BLOCK_OFFSET_INSIDE_FILE). RCFile:
+// every stored row is one record; Offset is the start offset of the row's
+// row group (what Hive's Compact Index records) and RowInBlock its position
+// within the group (what the Bitmap Index records).
+//
+// Its Open is also the reader behind every other file-backed input format:
+// dgf.SliceInput enumerates multi-segment FileSplits and opens them here.
+type FileInput struct {
 	FS *dfs.FS
 	// Dir is scanned for data files when Paths is empty.
 	Dir string
 	// Paths selects explicit files.
 	Paths []string
+	// Format is the files' storage format (zero value: TextFile).
+	Format storage.Format
+	// Schema decodes RCFile rows (ignored for TextFile).
+	Schema *storage.Schema
+	// Project, when set, fetches only the flagged columns' payloads
+	// (RCFile column-projection pushdown). Records then carry only the
+	// decoded Row — with zero values in unprojected cells — and a nil Data.
+	Project []bool
 	// SplitFilter, when set, keeps only the splits it returns true for.
 	// Hive's index machinery plugs in here (the paper's Algorithm 4 runs in
 	// getSplits).
 	SplitFilter func(dfs.Split) bool
-}
-
-// Splits implements InputFormat.
-func (t *TextInput) Splits() ([]InputSplit, error) {
-	raw, err := rawSplits(t.FS, t.Dir, t.Paths)
-	if err != nil {
-		return nil, err
-	}
-	var out []InputSplit
-	for _, s := range raw {
-		if t.SplitFilter == nil || t.SplitFilter(s) {
-			out = append(out, FileSplit{s})
-		}
-	}
-	return out, nil
-}
-
-// Open implements InputFormat.
-func (t *TextInput) Open(split InputSplit) (RecordReader, error) {
-	fsplit, ok := split.(FileSplit)
-	if !ok {
-		return nil, fmt.Errorf("mapreduce: TextInput cannot open %T", split)
-	}
-	r, err := t.FS.Open(fsplit.Path)
-	if err != nil {
-		return nil, err
-	}
-	return &textReader{
-		path: fsplit.Path,
-		lr:   storage.NewLineReader(r, fsplit.Start, fsplit.End()),
-	}, nil
-}
-
-type textReader struct {
-	path string
-	lr   *storage.LineReader
-}
-
-func (t *textReader) Next() (Record, bool, error) {
-	line, off, ok := t.lr.Next()
-	if !ok {
-		return Record{}, false, nil
-	}
-	return Record{Data: line, Path: t.path, Offset: off}, true, nil
-}
-
-func (t *textReader) BytesRead() int64 { return t.lr.BytesRead() }
-func (t *textReader) Seeks() int64     { return 0 }
-
-func rawSplits(fs *dfs.FS, dir string, paths []string) ([]dfs.Split, error) {
-	if len(paths) > 0 {
-		var out []dfs.Split
-		for _, p := range paths {
-			s, err := fs.Splits(p)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s...)
-		}
-		return out, nil
-	}
-	return fs.DirSplits(dir)
-}
-
-// RCInput reads RCFile tables: every stored row is one record. Record.Offset
-// is the start offset of the row's row group (what Hive's Compact Index
-// records for RCFile tables) and RowInBlock is the row's position within the
-// group (what the Bitmap Index records).
-type RCInput struct {
-	FS     *dfs.FS
-	Dir    string
-	Paths  []string
-	Schema *storage.Schema
-	// SplitFilter filters splits like TextInput.SplitFilter.
-	SplitFilter func(dfs.Split) bool
 	// GroupFilter, when set, skips row groups whose start offset it rejects
-	// (Compact Index offset filtering).
+	// (Compact Index offset filtering; RCFile only).
 	GroupFilter func(path string, offset int64) bool
 	// RowFilter, when set, skips rows by their position in the group
-	// (Bitmap Index row filtering).
+	// (Bitmap Index row filtering; RCFile only).
 	RowFilter func(path string, offset int64, row int) bool
-	// Project, when set, fetches only the flagged columns' payloads
-	// (column-projection pushdown). Records then carry only the decoded
-	// Row — with zero values in unprojected cells — and a nil Data.
-	Project []bool
 	// SkipGroup, when set, prunes row groups by start offset before their
-	// payloads are fetched (zone-map / bitmap pruning). Unlike GroupFilter
-	// rejections, pruned groups are reported via GroupsSkipped.
+	// payloads are fetched (zone-map / bitmap pruning; RCFile only). Unlike
+	// GroupFilter rejections, pruned groups are reported as GroupsSkipped.
 	SkipGroup func(path string, offset int64) bool
-	// Vector switches readers to batch delivery: one Record per row group
-	// with Batch set (Row and Data nil). Ignored when RowFilter is set —
-	// row filtering is inherently per-row.
+	// Vector switches RCFile readers to batch delivery: one Record per row
+	// group with Batch set (Row and Data nil). Ignored when RowFilter is
+	// set — row filtering is inherently per-row.
 	Vector bool
 }
 
 // Splits implements InputFormat.
-func (t *RCInput) Splits() ([]InputSplit, error) {
-	raw, err := rawSplits(t.FS, t.Dir, t.Paths)
-	if err != nil {
-		return nil, err
+func (in *FileInput) Splits() ([]InputSplit, error) {
+	var raw []dfs.Split
+	if len(in.Paths) == 0 {
+		var err error
+		if raw, err = in.FS.DirSplits(in.Dir); err != nil {
+			return nil, err
+		}
+	}
+	for _, p := range in.Paths {
+		s, err := in.FS.Splits(p)
+		if err != nil {
+			return nil, err
+		}
+		raw = append(raw, s...)
 	}
 	var out []InputSplit
 	for _, s := range raw {
-		if t.SplitFilter == nil || t.SplitFilter(s) {
-			out = append(out, FileSplit{s})
+		if in.SplitFilter == nil || in.SplitFilter(s) {
+			out = append(out, FileSplit{Split: s, Segments: []Segment{{
+				Start: s.Start, End: s.End(), ClipStart: s.Start > 0, ClipEnd: true,
+			}}})
 		}
 	}
 	return out, nil
 }
 
 // Open implements InputFormat.
-func (t *RCInput) Open(split InputSplit) (RecordReader, error) {
-	fsplit, ok := split.(FileSplit)
+func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
+	s, ok := split.(FileSplit)
 	if !ok {
-		return nil, fmt.Errorf("mapreduce: RCInput cannot open %T", split)
+		return nil, fmt.Errorf("mapreduce: FileInput cannot open %T", split)
 	}
-	r, err := t.FS.Open(fsplit.Path)
+	f, err := in.FS.Open(s.Path)
 	if err != nil {
 		return nil, err
 	}
-	// A row group belongs to the split its start offset falls into, but a
-	// group may physically straddle a block boundary. The side group index
-	// (the model's stand-in for RCFile sync markers) locates the groups
-	// this split owns.
-	offsets, err := storage.ReadGroupIndexCached(t.FS, fsplit.Path)
-	if err != nil {
-		return nil, fmt.Errorf("mapreduce: RCInput: missing group index for %s: %w", fsplit.Path, err)
-	}
-	var own []int64
-	for _, off := range offsets {
-		if off >= fsplit.Start && off < fsplit.End() {
-			own = append(own, off)
+	r := &fileReader{in: in, file: f, path: s.Path, segments: s.Segments}
+	if in.Format == storage.RCFile {
+		// A row group belongs to the segment its start offset falls into,
+		// but may physically straddle a block boundary. The side group index
+		// (the model's stand-in for RCFile sync markers) locates the groups.
+		if r.groupOffsets, err = storage.ReadGroupIndexCached(in.FS, s.Path); err != nil {
+			return nil, fmt.Errorf("mapreduce: FileInput: missing group index for %s: %w", s.Path, err)
+		}
+		if in.GroupFilter != nil || in.SkipGroup != nil {
+			r.skipGroup = r.rejectGroup
 		}
 	}
-	rr := &rcReader{
-		in:     t,
-		r:      r,
-		path:   fsplit.Path,
-		groups: own,
-		schema: t.Schema,
-	}
-	if t.Vector && t.RowFilter == nil {
-		rr.batch = storage.NewColumnBatch(t.Schema)
-	}
-	return rr, nil
+	return r, nil
 }
 
-type rcReader struct {
-	in     *RCInput
-	r      *dfs.FileReader
-	path   string
-	groups []int64 // start offsets of the groups this reader owns
-	next   int     // next index into groups
-	schema *storage.Schema
+// fileReader reads the records of each segment in turn through a
+// storage.SegmentReader and carries all accounting: bytes fetched, seeks
+// (margin jumps between non-adjacent segments plus every rejected row group,
+// since skipping a group forces a reposition) and the groups SkipGroup
+// pruned.
+type fileReader struct {
+	in           *FileInput
+	file         *dfs.FileReader
+	path         string
+	segments     []Segment
+	groupOffsets []int64 // RCFile only
+	skipGroup    func(offset int64) bool
 
-	group     *storage.RowGroup
-	rows      []storage.Row
-	nextRow   int
+	next      int // next index into segments
+	seg       storage.SegmentReader
+	lastEnd   int64
 	encoded   []byte
-	batch     *storage.ColumnBatch // non-nil selects vectorised delivery
-	bytesRead int64
+	bytesRead int64 // of finished segments
 	seeks     int64
 	skips     int64
 }
 
-func (t *rcReader) Next() (Record, bool, error) {
+func (r *fileReader) rejectGroup(off int64) bool {
+	if r.in.GroupFilter != nil && !r.in.GroupFilter(r.path, off) {
+		r.seeks++
+		return true
+	}
+	if r.in.SkipGroup != nil && r.in.SkipGroup(r.path, off) {
+		r.seeks++
+		r.skips++
+		return true
+	}
+	return false
+}
+
+func (r *fileReader) Next() (Record, bool, error) {
+	in := r.in
 	for {
-		if t.group != nil && t.nextRow < len(t.rows) {
-			i := t.nextRow
-			t.nextRow++
-			if t.in.RowFilter != nil && !t.in.RowFilter(t.path, t.group.Offset, i) {
+		if r.seg == nil {
+			if r.next >= len(r.segments) {
+				return Record{}, false, nil
+			}
+			sg := r.segments[r.next]
+			if r.next > 0 && sg.Start != r.lastEnd {
+				r.seeks++ // jumping the margin between two segments
+			}
+			r.next++
+			r.lastEnd = sg.End
+			r.seg = storage.NewSegmentReader(r.file, in.Schema, in.Format, sg.Start, sg.End, storage.SegmentOptions{
+				SkipFirst:    sg.ClipStart,
+				InclusiveEnd: sg.ClipEnd,
+				Project:      in.Project,
+				GroupOffsets: r.groupOffsets,
+				Vector:       in.Vector && in.RowFilter == nil,
+				SkipGroup:    r.skipGroup,
+			})
+		}
+		rec, ok, err := r.seg.Next()
+		if err != nil {
+			return Record{}, false, err
+		}
+		if !ok {
+			r.bytesRead += r.seg.BytesRead()
+			r.seg = nil
+			continue
+		}
+		out := Record{
+			Data: rec.Line, Row: rec.Row, Batch: rec.Batch, Path: r.path,
+			Offset: rec.Offset, RowInBlock: rec.RowInGroup,
+		}
+		if in.Format == storage.RCFile && rec.Batch == nil {
+			if in.RowFilter != nil && !in.RowFilter(r.path, rec.Offset, rec.RowInGroup) {
 				continue
 			}
-			rec := Record{Row: t.rows[i], Path: t.path, Offset: t.group.Offset, RowInBlock: i}
-			if t.in.Project == nil {
-				// Full-width reads also carry the text rendering, which
+			if in.Project == nil {
+				// Full-width rows also carry the text rendering, which
 				// index-construction mappers field-extract from. Projected
-				// reads cannot: the encoding would misrepresent the
-				// skipped columns.
-				t.encoded = storage.AppendTextRow(t.encoded[:0], t.rows[i])
-				rec.Data = t.encoded[:len(t.encoded)-1] // strip '\n'
+				// rows cannot: the encoding would misrepresent the skipped
+				// columns.
+				r.encoded = storage.AppendTextRow(r.encoded[:0], rec.Row)
+				out.Data = r.encoded[:len(r.encoded)-1] // strip '\n'
 			}
-			return rec, true, nil
 		}
-		// Advance to the next owned group, honouring the filters.
-		var off int64 = -1
-		for t.next < len(t.groups) {
-			candidate := t.groups[t.next]
-			t.next++
-			if t.in.GroupFilter != nil && !t.in.GroupFilter(t.path, candidate) {
-				t.seeks++ // skipping a group forces a reposition
-				continue
-			}
-			if t.in.SkipGroup != nil && t.in.SkipGroup(t.path, candidate) {
-				t.seeks++
-				t.skips++
-				continue
-			}
-			off = candidate
-			break
-		}
-		if off < 0 {
-			return Record{}, false, nil
-		}
-		if t.batch != nil {
-			read, err := storage.ReadGroupColumns(t.r, off, t.schema, t.in.Project, t.batch)
-			if err != nil {
-				return Record{}, false, err
-			}
-			t.bytesRead += read
-			return Record{Batch: t.batch, Path: t.path, Offset: off}, true, nil
-		}
-		g, read, err := storage.ReadGroupProjected(t.r, off, t.in.Project)
-		if err != nil {
-			return Record{}, false, err
-		}
-		rows, err := g.DecodeRowsProjected(t.schema, t.in.Project)
-		if err != nil {
-			return Record{}, false, err
-		}
-		t.bytesRead += read
-		t.group, t.rows, t.nextRow = g, rows, 0
+		return out, true, nil
 	}
 }
 
-func (t *rcReader) BytesRead() int64 { return t.bytesRead }
-func (t *rcReader) Seeks() int64     { return t.seeks }
+func (r *fileReader) BytesRead() int64 {
+	if r.seg != nil {
+		return r.bytesRead + r.seg.BytesRead()
+	}
+	return r.bytesRead
+}
 
-// GroupsSkipped implements storage.GroupSkipper: the groups SkipGroup pruned.
-func (t *rcReader) GroupsSkipped() int64 { return t.skips }
+func (r *fileReader) Seeks() int64 { return r.seeks }

@@ -9,6 +9,14 @@
 // onto reduce slots. The paper's experiment figures are stated in seconds on
 // a 29-node cluster; the simulated seconds reproduce the shapes of those
 // figures at laptop scale.
+//
+// File-backed input has one shape and one reader: a FileSplit is an ordered
+// list of byte segments of one file, and FileInput.Open returns the only
+// RecordReader over file data. It opens each segment through
+// storage.NewSegmentReader (TextFile lines or RCFile row groups) and carries
+// the accounting the cost model reads — bytes, margin seeks, pruned groups.
+// FileInput itself is the one-segment-per-split table scan; dgf.SliceInput
+// supplies multi-segment splits (Algorithm 4) and opens them here.
 package mapreduce
 
 import (
@@ -464,8 +472,8 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 	}
 	res.bytes = reader.BytesRead()
 	res.seeks = reader.Seeks()
-	if gs, ok := reader.(storage.GroupSkipper); ok {
-		res.skips = gs.GroupsSkipped()
+	if fr, ok := reader.(*fileReader); ok {
+		res.skips = fr.skips
 	}
 	if hasReduce && job.Combine != nil {
 		for p := range res.parts {

@@ -47,7 +47,7 @@ func TestWordCount(t *testing.T) {
 	col := NewCollector()
 	job := &Job{
 		Name:  "wordcount",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map: func(rec Record, emit Emit) error {
 			emit(string(rec.Data), []byte("1"))
 			return nil
@@ -98,7 +98,7 @@ func TestCombinerReducesShuffle(t *testing.T) {
 		col := NewCollector()
 		stats, err := Run(testCfg(), &Job{
 			Name:  "combine",
-			Input: &TextInput{FS: fs, Dir: "/in"},
+			Input: &FileInput{FS: fs, Dir: "/in"},
 			Map: func(rec Record, emit Emit) error {
 				emit(string(rec.Data), []byte("1"))
 				return nil
@@ -143,7 +143,7 @@ func TestMapOnlyJob(t *testing.T) {
 	col := NewCollector()
 	stats, err := Run(testCfg(), &Job{
 		Name:  "maponly",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map: func(rec Record, emit Emit) error {
 			emit(strings.ToUpper(string(rec.Data)), nil)
 			return nil
@@ -169,7 +169,7 @@ func TestReduceTaskForm(t *testing.T) {
 	var keys []string
 	_, err := Run(testCfg(), &Job{
 		Name:  "reducetask",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map: func(rec Record, emit Emit) error {
 			emit(string(rec.Data), nil)
 			return nil
@@ -211,9 +211,9 @@ func TestSplitFilter(t *testing.T) {
 		words = append(words, fmt.Sprintf("w%02d", i))
 	}
 	writeWords(t, fs, "/in/f", words)
-	all := &TextInput{FS: fs, Dir: "/in"}
+	all := &FileInput{FS: fs, Dir: "/in"}
 	allSplits, _ := all.Splits()
-	filtered := &TextInput{FS: fs, Dir: "/in", SplitFilter: func(s dfs.Split) bool {
+	filtered := &FileInput{FS: fs, Dir: "/in", SplitFilter: func(s dfs.Split) bool {
 		return s.Start == 0 // keep only the first split
 	}}
 	fSplits, _ := filtered.Splits()
@@ -238,7 +238,7 @@ func TestSplitFilter(t *testing.T) {
 	}
 }
 
-func TestRCInputRowRecords(t *testing.T) {
+func TestFileInputRCRowRecords(t *testing.T) {
 	fs := dfs.New(256)
 	schema := storage.NewSchema(
 		storage.Column{Name: "id", Kind: storage.KindInt64},
@@ -254,7 +254,7 @@ func TestRCInputRowRecords(t *testing.T) {
 	col := NewCollector()
 	stats, err := Run(testCfg(), &Job{
 		Name:  "rcscan",
-		Input: &RCInput{FS: fs, Dir: "/rc", Schema: schema},
+		Input: &FileInput{FS: fs, Dir: "/rc", Format: storage.RCFile, Schema: schema},
 		Map: func(rec Record, emit Emit) error {
 			id, _ := storage.TextFieldBytes(rec.Data, 0)
 			emit(string(id), []byte(fmt.Sprintf("%d:%d", rec.Offset, rec.RowInBlock)))
@@ -273,7 +273,7 @@ func TestRCInputRowRecords(t *testing.T) {
 	}
 }
 
-func TestRCInputGroupAndRowFilter(t *testing.T) {
+func TestFileInputGroupAndRowFilter(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	schema := storage.NewSchema(storage.Column{Name: "id", Kind: storage.KindInt64})
 	rows := make([]storage.Row, 30)
@@ -291,8 +291,8 @@ func TestRCInputGroupAndRowFilter(t *testing.T) {
 	col := NewCollector()
 	_, err = Run(testCfg(), &Job{
 		Name: "rcfiltered",
-		Input: &RCInput{
-			FS: fs, Dir: "/rc", Schema: schema,
+		Input: &FileInput{
+			FS: fs, Dir: "/rc", Format: storage.RCFile, Schema: schema,
 			GroupFilter: func(path string, off int64) bool { return off == keepGroup },
 			RowFilter:   func(path string, off int64, row int) bool { return row%2 == 0 },
 		},
@@ -323,7 +323,7 @@ func TestJobValidation(t *testing.T) {
 	writeWords(t, fs, "/in/f", []string{"x"})
 	job := &Job{
 		Name:       "both-reducers",
-		Input:      &TextInput{FS: fs, Dir: "/in"},
+		Input:      &FileInput{FS: fs, Dir: "/in"},
 		Map:        func(rec Record, emit Emit) error { return nil },
 		Reduce:     func(k string, v [][]byte, e Emit) error { return nil },
 		ReduceTask: func(t int, g []Group, e Emit) error { return nil },
@@ -338,7 +338,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	writeWords(t, fs, "/in/f", []string{"x"})
 	_, err := Run(testCfg(), &Job{
 		Name:  "maperr",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map: func(rec Record, emit Emit) error {
 			return fmt.Errorf("boom")
 		},
@@ -359,7 +359,7 @@ func TestDeterministicOutput(t *testing.T) {
 		col := NewCollector()
 		_, err := Run(testCfg(), &Job{
 			Name:  "det",
-			Input: &TextInput{FS: fs, Dir: "/in"},
+			Input: &FileInput{FS: fs, Dir: "/in"},
 			Map: func(rec Record, emit Emit) error {
 				emit(string(rec.Data), []byte("1"))
 				return nil
@@ -408,7 +408,7 @@ func TestWordCountProperty(t *testing.T) {
 		col := NewCollector()
 		_, err := Run(testCfg(), &Job{
 			Name:  "prop",
-			Input: &TextInput{FS: fs, Dir: "/in"},
+			Input: &FileInput{FS: fs, Dir: "/in"},
 			Map: func(rec Record, emit Emit) error {
 				emit(string(rec.Data), []byte("1"))
 				return nil
@@ -468,7 +468,7 @@ func TestRunContextCancel(t *testing.T) {
 	cancel()
 	stats, err := RunContext(ctx, testCfg(), &Job{
 		Name:  "cancelled",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map:   func(rec Record, emit Emit) error { return nil },
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -496,7 +496,7 @@ func TestStopEarly(t *testing.T) {
 	var stop atomic.Bool
 	stats, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "stop-early",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map: func(rec Record, emit Emit) error {
 			if records.Add(1) >= 5 {
 				stop.Store(true)
@@ -516,7 +516,7 @@ func TestStopEarly(t *testing.T) {
 	}
 	full, err := Run(testCfg(), &Job{
 		Name:  "full",
-		Input: &TextInput{FS: fs, Dir: "/in"},
+		Input: &FileInput{FS: fs, Dir: "/in"},
 		Map:   func(rec Record, emit Emit) error { return nil },
 	})
 	if err != nil {

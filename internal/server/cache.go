@@ -136,16 +136,25 @@ type cachedResult struct {
 // them eagerly so memory is returned and the invalidation counter surfaces
 // in /stats. Entries are accounted by approximate row-payload bytes so the
 // cache can hold a memory budget rather than an entry count.
+//
+// A key's versions are the max across replicas, but the query may have read
+// a replica that had not applied yet, whose apply-time invalidation can run
+// before the result is stored. Every invalidation therefore bumps its
+// tables' epochs, and put refuses a result whose tables were invalidated
+// since its query started executing: an invalidation either evicts the
+// entry or prevents it. mu orders the two (held across the epoch step and
+// the lru step of both).
 type resultCache struct {
 	lru           *lru[cachedResult]
 	mu            sync.Mutex
+	epochs        map[string]uint64 // per table, bumped by invalidateTables
 	invalidations int64
 }
 
 func newResultCache(max int, maxBytes int64) *resultCache {
 	l := newLRU[cachedResult](max)
 	l.maxBytes = maxBytes
-	return &resultCache{lru: l}
+	return &resultCache{lru: l, epochs: map[string]uint64{}}
 }
 
 func (c *resultCache) get(key string) (*hive.Result, bool) {
@@ -156,7 +165,28 @@ func (c *resultCache) get(key string) (*hive.Result, bool) {
 	return e.res, true
 }
 
-func (c *resultCache) put(key string, tables []string, res *hive.Result) {
+// snapshot returns the tables' invalidation epochs; take it before the query
+// executes and hand it to put.
+func (c *resultCache) snapshot(tables []string) []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]uint64, len(tables))
+	for i, t := range tables {
+		out[i] = c.epochs[t]
+	}
+	return out
+}
+
+// put stores res unless one of its tables was invalidated since epochs was
+// snapshotted (the result may predate the rows that invalidation announced).
+func (c *resultCache) put(key string, tables []string, epochs []uint64, res *hive.Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, t := range tables {
+		if c.epochs[t] != epochs[i] {
+			return
+		}
+	}
 	c.lru.putSized(key, cachedResult{tables: tables, res: res}, resultSizeBytes(key, res))
 }
 
@@ -185,8 +215,11 @@ func (c *resultCache) invalidateTables(names []string) int {
 		return 0
 	}
 	doomed := map[string]bool{}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, n := range names {
 		doomed[n] = true
+		c.epochs[n]++
 	}
 	n := c.lru.removeIf(func(e cachedResult) bool {
 		for _, t := range e.tables {
@@ -196,9 +229,7 @@ func (c *resultCache) invalidateTables(names []string) int {
 		}
 		return false
 	})
-	c.mu.Lock()
 	c.invalidations += int64(n)
-	c.mu.Unlock()
 	return n
 }
 

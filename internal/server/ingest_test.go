@@ -12,6 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
+	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
@@ -206,6 +209,147 @@ func TestCacheInvalidationAtApplyTime(t *testing.T) {
 	}
 	if got := s.Stats().RowsApplied; got < 10 {
 		t.Fatalf("rows_applied = %d, want >= 10 (OnApply hook did not run)", got)
+	}
+}
+
+// gatedFleet is a real router with two injection points: every apply-time
+// hook parks until released (an apply barrier: rows have landed on that
+// replica, its invalidation has not fired, and its applier cannot take the
+// next batch), and afterExec runs after a query's scatter has read its
+// replicas but before the server sees the result.
+type gatedFleet struct {
+	*shard.Router
+	entered   chan struct{} // one token per OnApply that parked
+	release   chan struct{} // one token (or close) lets a parked OnApply run
+	done      chan struct{} // one token per OnApply that finished
+	afterExec func()
+}
+
+func (g *gatedFleet) EnableWAL(cfg shard.WALConfig) error {
+	onApply := cfg.OnApply
+	cfg.OnApply = func(table string, rows int) {
+		g.entered <- struct{}{}
+		<-g.release
+		onApply(table, rows)
+		g.done <- struct{}{}
+	}
+	return g.Router.EnableWAL(cfg)
+}
+
+func (g *gatedFleet) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
+	res, err := g.Router.ExecParsedContext(ctx, stmt, opts)
+	if f := g.afterExec; f != nil {
+		g.afterExec = nil
+		f()
+	}
+	return res, err
+}
+
+// TestCacheInvalidationOvertakenPut pins the stale-put race down with an
+// apply barrier instead of waiting for it: the cache key is built from
+// versions that are already final (one replica applied the batch), the
+// scatter reads the replica that has not, that replica's apply and its
+// invalidation fire while the query is still in flight, and only then does
+// the server store the result. Nothing would evict that entry afterwards, so
+// the put itself must be refused: the next query has to miss and count the
+// new rows.
+func TestCacheInvalidationOvertakenPut(t *testing.T) {
+	cc := cluster.Default()
+	cc.Workers = 4
+	r, err := shard.New(shard.Config{Shards: 1, Replicas: 2, Key: "userId"}, func(int, int) *hive.Warehouse {
+		return hive.NewWarehouse(dfs.New(1<<14), cc, "/warehouse")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.LoadRowsByName("meterdata", meterRows(1, 20, 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedFleet{
+		Router:  r,
+		entered: make(chan struct{}, 8), // the test sees four applies in all
+		release: make(chan struct{}),
+		done:    make(chan struct{}, 8),
+	}
+	s := NewWithBackend(g, Config{WALDir: t.TempDir(), FsyncPolicy: "off"})
+	if err := s.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	})
+	arrived := func(ch chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		case <-time.After(10 * time.Second):
+			return false
+		}
+	}
+	await := func(ch chan struct{}, what string) {
+		t.Helper()
+		if !arrived(ch) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	count := func() (float64, bool) {
+		t.Helper()
+		resp := mustQuery(t, s, `SELECT count(*) FROM meterdata`)
+		return resp.Result.Rows[0][0].AsFloat(), resp.Cached
+	}
+	load := func(firstUser int) {
+		t.Helper()
+		if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(firstUser, 5, 4, 1), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, _ := count()
+
+	// Batch 1 lands on both replicas; both appliers park in its OnApply.
+	load(700)
+	await(g.entered, "replica A to apply batch 1")
+	await(g.entered, "replica B to apply batch 1")
+	// Batch 2 is logged on both but cannot apply while the appliers park.
+	load(800)
+	// One replica is let go: it applies batch 2 and parks again. The other
+	// still lacks batch 2, yet the table's version (max across replicas) is
+	// now final.
+	g.release <- struct{}{}
+	await(g.done, "the released replica's batch 1 invalidation")
+	await(g.entered, "the released replica to apply batch 2")
+	version := func(j int) uint64 { return r.Replica(0, j).TableVersions("meterdata")["meterdata"] }
+	ahead := 0
+	if version(1) > version(0) {
+		ahead = 1
+	}
+	if version(ahead) == version(1-ahead) {
+		t.Fatalf("both replicas at version %d: no replica lags", version(0))
+	}
+	r.Kill(0, ahead) // steer the read to the lagging replica
+
+	// The query reads the lagging replica; before the server gets the
+	// result, every parked hook is released, so the lagging replica applies
+	// batch 2 and its invalidation runs: three hooks finish in all.
+	g.afterExec = func() { // on the server's worker goroutine: no t.Fatal
+		close(g.release)
+		for i := 0; i < 3; i++ {
+			if !arrived(g.done) {
+				t.Error("timed out waiting for the apply-time invalidations")
+				return
+			}
+		}
+	}
+	if got, _ := count(); got != base+5 {
+		t.Fatalf("query on the lagging replica counted %v, want %v (batch 1 only)", got, base+5)
+	}
+	got, cached := count()
+	if cached || got != base+10 {
+		t.Fatalf("after the apply: count %v (cached=%v), want %v from a miss: the overtaken put pinned a stale result", got, cached, base+10)
 	}
 }
 

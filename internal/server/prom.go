@@ -86,7 +86,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	}
 
 	if len(snap.WAL) > 0 {
-		p.Counter("dgf_wal_rows_applied_total", "Rows drained from the write-ahead logs into the warehouses.", nil, float64(snap.RowsApplied))
+		p.Counter("dgf_wal_rows_applied_total", "Rows drained from the write-ahead logs into the warehouses, counted once per replica that applied them (R times the loaded rows on an R-replica fleet).", nil, float64(snap.RowsApplied))
 		var replayed, hinted float64
 		for _, sh := range snap.WAL {
 			for _, rep := range sh.Replicas {

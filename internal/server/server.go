@@ -486,8 +486,11 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 
 	// Result cache. The key carries the read tables' versions as of *before*
 	// execution: versions only grow, so a hit proves no mutation happened
-	// between key construction and lookup and the entry is exact.
+	// between key construction and lookup and the entry is exact. On a miss
+	// the invalidation epochs are snapshotted too, so put can refuse a
+	// result that an apply-time invalidation overtook (see resultCache).
 	var key string
+	var epochs []uint64
 	if cacheable {
 		csp := root.Child("result_cache")
 		key = cacheKey(norm, tables, s.b.TableVersions(tables...))
@@ -497,6 +500,9 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 		if hit {
 			return finish(res, true, nil)
 		}
+		// Taken before execution starts: any apply that lands after a
+		// replica was read invalidates after this point.
+		epochs = s.results.snapshot(tables)
 	}
 
 	timeout := req.Timeout
@@ -543,10 +549,6 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	// concurrency-safe and unfinished ones report elapsed time).
 	ectx := trace.NewContext(ctx, root)
 	go func() {
-		defer func() {
-			<-s.sem
-			s.release()
-		}()
 		res, err := s.b.ExecParsedContext(ectx, stmt, req.Opts)
 		if err == nil && s.cfg.SimPacing > 0 {
 			// Model the remote cluster: hold the worker slot for the
@@ -561,6 +563,10 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 				}
 			}
 		}
+		// Free the slot and the reservation before handing the outcome
+		// over: once Query returns, its request is no longer in flight.
+		<-s.sem
+		s.release()
 		ch <- outcome{res, err}
 	}()
 
@@ -570,7 +576,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 			return finish(nil, false, ctxError(out.err))
 		}
 		if cacheable {
-			s.results.put(key, tables, out.res)
+			s.results.put(key, tables, epochs, out.res)
 		}
 		if !readOnly {
 			s.results.invalidateTables(tables)
@@ -1017,9 +1023,11 @@ type Snapshot struct {
 	// replicated shard router (absent otherwise): replicas per shard, how
 	// many are live, and each replica's failure/ejection record.
 	Shards []shard.SetHealth `json:"shards,omitempty"`
-	// RowsApplied counts rows the WAL appliers have drained into the
-	// warehouses, once per replica that applied them (absent without
-	// durable ingest).
+	// RowsApplied counts per-replica applies: every row the WAL appliers
+	// drained into a warehouse, once for each replica that applied it. On
+	// an R-replica fleet it therefore reads R times the loaded rows (less
+	// whatever a down replica still owes); compare it with RowsLoaded × R,
+	// not with RowsLoaded. Absent without durable ingest.
 	RowsApplied int64 `json:"rows_applied,omitempty"`
 	// WAL reports per-shard per-replica log positions — depth, applied LSN
 	// lag, hinted and replayed records — when durable ingest is enabled.

@@ -251,13 +251,12 @@ func (r *Router) meta(table string) *tableMeta {
 	return r.tables[strings.ToLower(table)]
 }
 
-// Exec parses and executes one HiveQL statement across the fleet.
+// Exec parses and executes one HiveQL statement across the fleet. It is
+// ExecContext under context.Background().
+//
+//dgflint:compat ctx-free convenience wrapper over ExecContext
 func (r *Router) Exec(sql string) (*hive.Result, error) {
-	stmt, err := hive.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return r.ExecParsed(stmt, hive.ExecOptions{})
+	return r.ExecContext(context.Background(), sql, hive.ExecOptions{})
 }
 
 // ExecContext is Exec under ctx: a ctx that ends mid-scatter cancels every
@@ -268,14 +267,6 @@ func (r *Router) ExecContext(ctx context.Context, sql string, opts hive.ExecOpti
 		return nil, err
 	}
 	return r.ExecParsedContext(ctx, stmt, opts)
-}
-
-// ExecParsed executes an already-parsed statement. It is ExecParsedContext
-// under context.Background().
-//
-//dgflint:compat ctx-free convenience wrapper over ExecParsedContext
-func (r *Router) ExecParsed(stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
-	return r.ExecParsedContext(context.Background(), stmt, opts)
 }
 
 // ExecParsedContext executes an already-parsed statement: SELECTs
@@ -452,7 +443,7 @@ func (r *Router) routeSelect(s *hive.SelectStmt) (targets []int, passthrough boo
 }
 
 // execSelect is the scatter-gather path: prune shards by the routing-key
-// predicate, run SelectPartial on each target concurrently, merge the
+// predicate, run SelectPartialContext on each target concurrently, merge the
 // partial states, finalize once.
 func (r *Router) execSelect(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.Result, error) {
 	targets, passthrough, err := r.routeSelect(s)

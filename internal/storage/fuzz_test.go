@@ -64,12 +64,12 @@ func FuzzDecodeRowGroup(f *testing.F) {
 			t.Skip()
 		}
 		schema := fuzzSchema(ncols)
-		rc := NewRCReader(r, 0, r.Size())
-		for {
-			g, ok, err := rc.Next()
-			if err != nil || !ok {
+		for pos := int64(0); pos < r.Size(); {
+			g, _, err := ReadGroupProjected(r, pos, nil)
+			if err != nil {
 				break
 			}
+			pos += g.Size
 			rows, err := g.DecodeRows(schema)
 			if err == nil && len(rows) != g.Rows {
 				t.Fatalf("decoded %d rows, group header says %d", len(rows), g.Rows)

@@ -365,48 +365,6 @@ func (g *RowGroup) DecodeRowsProjected(schema *Schema, project []bool) ([]Row, e
 	return rows, nil
 }
 
-// RCReader iterates the row groups of a byte range of an RCFile. Any group
-// that *starts* within [start, end) belongs to this reader, mirroring the
-// TextFile line-ownership rule at row-group granularity.
-type RCReader struct {
-	r         *dfs.FileReader
-	pos       int64
-	end       int64
-	bytesRead int64
-}
-
-// NewRCReader reads the groups starting in [start, end). A start offset that
-// does not fall exactly on a group boundary is advanced to the next group by
-// the caller supplying aligned split boundaries; RCFile groups never span
-// splits in this model because writers flush at group granularity and split
-// filtering works on recorded group offsets.
-func NewRCReader(r *dfs.FileReader, start, end int64) *RCReader {
-	return &RCReader{r: r, pos: start, end: end}
-}
-
-// Next decodes the next row group. ok is false at range end.
-func (rc *RCReader) Next() (g *RowGroup, ok bool, err error) {
-	if rc.pos >= rc.end || rc.pos >= rc.r.Size() {
-		return nil, false, nil
-	}
-	g, read, err := ReadGroupProjected(rc.r, rc.pos, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	rc.bytesRead += read
-	rc.pos += g.Size
-	return g, true, nil
-}
-
-// BytesRead returns the bytes consumed so far.
-func (rc *RCReader) BytesRead() int64 { return rc.bytesRead }
-
-// ReadGroupAt decodes the single row group starting at offset.
-func ReadGroupAt(r *dfs.FileReader, offset int64) (*RowGroup, error) {
-	g, _, err := ReadGroupProjected(r, offset, nil)
-	return g, err
-}
-
 // ReadGroupProjected decodes the row group starting at offset, fetching only
 // the payloads of the columns whose project flag is set (nil fetches all).
 // The second return value is the logical byte volume the read consumed: the
@@ -793,27 +751,25 @@ func WriteRCRowsOpts(fs *dfs.FS, path string, schema *Schema, rows []Row, groupR
 	return rw.GroupOffsets(), nil
 }
 
-// ReadRCRows decodes every row of the RCFile at path.
+// ReadRCRows decodes every row of the RCFile at path, walking its row groups
+// sequentially (each group's encoded size locates the next).
 func ReadRCRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
 	r, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	rc := NewRCReader(r, 0, r.Size())
 	var rows []Row
-	for {
-		g, ok, err := rc.Next()
+	for pos := int64(0); pos < r.Size(); {
+		g, _, err := ReadGroupProjected(r, pos, nil)
 		if err != nil {
 			return nil, err
-		}
-		if !ok {
-			break
 		}
 		rs, err := g.DecodeRows(schema)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, rs...)
+		pos += g.Size
 	}
 	return rows, nil
 }

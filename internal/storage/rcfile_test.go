@@ -40,8 +40,8 @@ func TestRCFileEmptyTable(t *testing.T) {
 		t.Fatalf("column stats have %d entries", len(stats))
 	}
 	r, _ := fs.Open("/tbl/empty")
-	rc := NewRCReader(r, 0, r.Size())
-	if _, ok, err := rc.Next(); ok || err != nil {
+	sr := NewSegmentReader(r, s, RCFile, 0, r.Size(), SegmentOptions{GroupOffsets: idx})
+	if _, ok, err := sr.Next(); ok || err != nil {
 		t.Fatalf("reader on empty file: ok=%v err=%v", ok, err)
 	}
 }
@@ -67,7 +67,7 @@ func TestRCFilePartialFinalGroup(t *testing.T) {
 		t.Fatalf("group row counts = %v, want [4 4 2]", got)
 	}
 	r, _ := fs.Open("/tbl/partial")
-	g, err := ReadGroupAt(r, offsets[2])
+	g, _, err := ReadGroupProjected(r, offsets[2], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

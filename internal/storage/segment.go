@@ -7,14 +7,18 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
-// This file defines the storage-format-agnostic segment abstraction the
-// index I/O path is built on. A "segment" is a byte range of one data file
-// addressed at the format's natural record granularity: the line offset for
-// TextFile, the row-group offset plus in-group row position for RCFile.
-// Index builders write through a SegmentWriter and record slice boundaries
-// from Offset/Cut; index-guided reads go through a SegmentReader, which for
-// RCFile opens only the row groups inside the segment and — with a
-// projection pushed down — fetches only the referenced columns' payloads.
+// This file defines the storage-format-agnostic segment abstraction every
+// record read and every index build goes through. A "segment" is a byte
+// range of one data file addressed at the format's natural record
+// granularity: the line offset for TextFile, the row-group offset plus
+// in-group row position for RCFile. Index builders write through a
+// SegmentWriter and record slice boundaries from Offset/Cut. Every read —
+// whole-split table scans and index-guided slice reads alike — goes through
+// a SegmentReader, opened per segment by mapreduce's one file reader; for
+// RCFile it opens only the row groups starting inside the segment and — with
+// a projection pushed down — fetches only the referenced columns' payloads.
+// A SegmentReader counts bytes only; seek and pruned-group accounting belong
+// to the caller, which sees every SkipGroup decision it makes.
 
 // SegmentRecord is one record delivered by a SegmentReader. Text formats
 // fill Line (the encoded record); columnar formats fill Row (the decoded,
@@ -35,12 +39,6 @@ type SegmentRecord struct {
 	Offset int64
 	// RowInGroup is the record's position within its row group (RCFile).
 	RowInGroup int
-}
-
-// GroupSkipper is implemented by readers that can prune whole row groups
-// (zone maps / bitmap sidecars); GroupsSkipped counts the pruned groups.
-type GroupSkipper interface {
-	GroupsSkipped() int64
 }
 
 // SegmentReader streams the records of one byte range of a data file.
@@ -72,7 +70,8 @@ type SegmentOptions struct {
 	Vector bool
 	// SkipGroup, when non-nil, is consulted before each row group is
 	// fetched (RCFile only); a true return drops the group without reading
-	// its payloads — the zone-map/bitmap pruning hook.
+	// its payloads — the hook index offset filters and zone-map/bitmap
+	// pruning plug into.
 	SkipGroup func(offset int64) bool
 }
 
@@ -129,7 +128,6 @@ type rcSegmentReader struct {
 	rows      []Row
 	nextRow   int
 	bytesRead int64
-	skipped   int64
 }
 
 func (t *rcSegmentReader) Next() (SegmentRecord, bool, error) {
@@ -145,7 +143,6 @@ func (t *rcSegmentReader) Next() (SegmentRecord, bool, error) {
 		off := t.offsets[t.next]
 		t.next++
 		if t.skip != nil && t.skip(off) {
-			t.skipped++
 			continue
 		}
 		if t.batch != nil {
@@ -170,9 +167,6 @@ func (t *rcSegmentReader) Next() (SegmentRecord, bool, error) {
 }
 
 func (t *rcSegmentReader) BytesRead() int64 { return t.bytesRead }
-
-// GroupsSkipped returns how many row groups the SkipGroup hook pruned.
-func (t *rcSegmentReader) GroupsSkipped() int64 { return t.skipped }
 
 // SegmentWriter writes the encoded records of one data file sequentially and
 // exposes positions at the format's slice granularity, so one index-build

@@ -313,7 +313,7 @@ func TestRCFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRCReadGroupAt(t *testing.T) {
+func TestRCReadGroupProjectedFullWidth(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	s := meterSchema()
 	rows := sampleRows(60)
@@ -322,7 +322,7 @@ func TestRCReadGroupAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := fs.Open("/rc")
-	g, err := ReadGroupAt(r, offsets[1])
+	g, _, err := ReadGroupProjected(r, offsets[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRCBadMagic(t *testing.T) {
 	fs := dfs.New(64)
 	fs.WriteFile("/junk", []byte("this is not an rcfile"))
 	r, _ := fs.Open("/junk")
-	if _, err := ReadGroupAt(r, 0); err == nil {
+	if _, _, err := ReadGroupProjected(r, 0, nil); err == nil {
 		t.Error("expected magic error")
 	}
 }

@@ -151,12 +151,12 @@ func (t *TextWriter) Close() error {
 }
 
 // LineReader iterates the lines of one byte range of a text file, following
-// Hadoop's TextInputFormat split semantics: a reader starting at offset 0
-// owns the first line; a reader starting mid-file skips the (possibly
-// partial) line in progress and starts at the next line; a line starting at
-// exactly the range end still belongs to this reader (Hadoop reads while
-// pos <= end), so every reader may read past its range end to finish the
-// lines it owns.
+// the split semantics of Hadoop's text input format: a reader starting at
+// offset 0 owns the first line; a reader starting mid-file skips the
+// (possibly partial) line in progress and starts at the next line; a line
+// starting at exactly the range end still belongs to this reader (Hadoop
+// reads while pos <= end), so every reader may read past its range end to
+// finish the lines it owns.
 type LineReader struct {
 	r         *dfs.FileReader
 	pos       int64 // next byte to fetch from the file
@@ -273,14 +273,6 @@ func (lr *LineReader) Next() (line []byte, offset int64, ok bool) {
 
 // BytesRead returns the raw bytes fetched from the file so far.
 func (lr *LineReader) BytesRead() int64 { return lr.bytesRead }
-
-// NewSliceLineReader reads the lines of [start, end) where start is known to
-// fall exactly on a line boundary and end is exclusive. DGFIndex Slices are
-// written as whole lines, so the slice-skipping record reader uses these
-// exact bounds instead of Hadoop's skip-first/read-past-end split rules.
-func NewSliceLineReader(r *dfs.FileReader, start, end int64) *LineReader {
-	return NewLineReaderOpts(r, start, end, false, false)
-}
 
 // NewLineReaderOpts gives full control over the boundary rules: skipFirst
 // discards everything up to and including the first newline at or after
