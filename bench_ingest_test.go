@@ -17,6 +17,7 @@ import (
 	"time"
 
 	dgfindex "github.com/smartgrid-oss/dgfindex"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // ingestBenchBatches builds the streamed micro-batches: each batch is one
@@ -52,25 +53,25 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := r.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+		if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		cfg := dgfindex.DefaultMeterConfig()
 		cfg.Users = users
 		cfg.OtherMetrics = 0
-		if err := r.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+		if _, err := r.LoadRowsDurable(context.Background(), "meterdata", cfg.AllRows(), false); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := r.Exec(fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+		if _, err := r.ExecContext(context.Background(), fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-			'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, users/50)); err != nil {
+			'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, users/50), dgfindex.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		return r
 	}
 	count := func(r *dgfindex.ShardRouter) int64 {
 		b.Helper()
-		res, err := r.Exec(`SELECT count(*) FROM meterdata`)
+		res, err := r.ExecContext(context.Background(), `SELECT count(*) FROM meterdata`, dgfindex.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,12 +84,12 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	// Path 1: synchronous replicated loads — each ack waits for both
 	// replicas of every touched shard to apply rows and maintain the index.
 	syncFleet := mkFleet()
-	if err := syncFleet.LoadRowsByName("meterdata", warm[0]); err != nil {
+	if _, err := syncFleet.LoadRowsDurable(context.Background(), "meterdata", warm[0], false); err != nil {
 		b.Fatal(err)
 	}
 	t0 := time.Now()
 	for _, batch := range stream {
-		if err := syncFleet.LoadRowsByName("meterdata", batch); err != nil {
+		if _, err := syncFleet.LoadRowsDurable(context.Background(), "meterdata", batch, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +99,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	// records to reach every replica's log (interval fsync); appliers drain
 	// in the background.
 	walFleet := mkFleet()
-	if err := walFleet.EnableWAL(dgfindex.WALConfig{Dir: b.TempDir(), Fsync: dgfindex.FsyncInterval}); err != nil {
+	if err := walFleet.EnableWAL(wal.Options{Dir: b.TempDir(), Fsync: wal.PolicyInterval}); err != nil {
 		b.Fatal(err)
 	}
 	defer walFleet.CloseWAL()

@@ -390,10 +390,10 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := router.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+		if _, err := router.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		if err := router.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+		if _, err := router.LoadRowsDurable(context.Background(), "meterdata", cfg.AllRows(), false); err != nil {
 			b.Fatal(err)
 		}
 		return router

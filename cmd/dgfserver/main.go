@@ -1,7 +1,8 @@
-// Command dgfserver runs DGFServe: the concurrent HTTP query service over an
-// in-process warehouse — or, with -shards N, over a fleet of N warehouse
-// shards behind the scatter-gather router — modelling the State Grid
-// deployment where many operators share one Hive+DGFIndex cluster.
+// Command dgfserver runs DGFServe: the concurrent HTTP query service over a
+// fleet of -shards x -replicas in-process warehouses behind the
+// scatter-gather router (the default 1x1 fleet is a single warehouse the
+// router passes through to) — modelling the State Grid deployment where many
+// operators share one Hive+DGFIndex cluster.
 //
 // Start it with a generated month of smart-meter data and a DGFIndex:
 //
@@ -50,13 +51,6 @@ import (
 	dgfindex "github.com/smartgrid-oss/dgfindex"
 )
 
-// backend is the slice of the serving Backend the demo loader needs; both
-// *dgfindex.Warehouse and *dgfindex.ShardRouter provide it.
-type backend interface {
-	Exec(sql string) (*dgfindex.Result, error)
-	LoadRowsByName(table string, rows []dgfindex.Row) error
-}
-
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	workers := flag.Int("workers", 8, "max queries executing in parallel")
@@ -66,8 +60,8 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 	pacing := flag.Duration("pacing", 0, "wall time per simulated cluster-second (0 disables pacing)")
 	shards := flag.Int("shards", 1, "warehouse shards behind the server (1 = unsharded)")
-	replicas := flag.Int("replicas", 1, "warehouse replicas per shard (sharded mode; reads fail over, writes go to all)")
-	shardKey := flag.String("shard-key", "userId", "routing column for sharded mode")
+	replicas := flag.Int("replicas", 1, "warehouse replicas per shard (reads fail over, writes go to all)")
+	shardKey := flag.String("shard-key", "userId", "routing column when -shards > 1")
 	shardStrategy := flag.String("shard-strategy", "hash", "shard routing: hash or range")
 	shardBounds := flag.String("shard-bounds", "", "comma-separated ascending split points for range routing (shards-1 values; -demo derives them when omitted)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables durable ingest (loads ack once logged, appliers drain in the background, revived replicas catch up by log replay)")
@@ -80,39 +74,28 @@ func main() {
 	traceRing := flag.Int("trace-ring", 64, "flight-recorder capacity in queries (negative disables)")
 	flag.Parse()
 
-	cc := dgfindex.DefaultCluster().Scaled(500000)
-	var be dgfindex.Backend
-	var demoTarget backend
-	if *shards > 1 || *replicas > 1 || *walDir != "" {
-		// Durable ingest needs the shard router's WAL surface, so -wal-dir
-		// forces the fleet path even for a single shard.
-		strategy, err := dgfindex.ParseShardStrategy(*shardStrategy)
+	strategy, err := dgfindex.ParseShardStrategy(*shardStrategy)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := dgfindex.ShardConfig{Shards: *shards, Replicas: *replicas, Key: *shardKey, Strategy: strategy}
+	if strategy == dgfindex.ShardByRange {
+		cfg.Bounds, err = rangeBounds(*shardBounds, *shards, *demo, *demoUsers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := dgfindex.ShardConfig{Shards: *shards, Replicas: *replicas, Key: *shardKey, Strategy: strategy}
-		if strategy == dgfindex.ShardByRange {
-			cfg.Bounds, err = rangeBounds(*shardBounds, *shards, *demo, *demoUsers)
-			if err != nil {
-				log.Fatal(err)
-			}
-		}
-		router, err := dgfindex.NewShardedWithConfig(cfg, cc, 2<<20)
-		if err != nil {
-			log.Fatal(err)
-		}
-		be, demoTarget = router, router
-	} else {
-		w := dgfindex.NewWithConfig(cc, 2<<20)
-		be, demoTarget = w, w
+	}
+	router, err := dgfindex.NewShardedWithConfig(cfg, dgfindex.DefaultCluster().Scaled(500000), 2<<20)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *demo {
-		if err := loadDemo(demoTarget, *demoUsers); err != nil {
+		if err := loadDemo(router, *demoUsers); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	srv := dgfindex.NewServerWithBackend(be, dgfindex.ServerConfig{
+	srv := dgfindex.NewServerWithBackend(router, dgfindex.ServerConfig{
 		MaxConcurrent:  *workers,
 		MaxQueue:       *queue,
 		CacheEntries:   *cache,
@@ -206,27 +189,28 @@ func rangeBounds(spec string, shards int, demo bool, demoUsers int) ([]float64, 
 	return out, nil
 }
 
-func loadDemo(be backend, users int) error {
+func loadDemo(r *dgfindex.ShardRouter, users int) error {
+	ctx := context.Background()
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = users
 	cfg.OtherMetrics = 0
 	log.Printf("loading demo: %d meter readings across %d days...", cfg.Rows(), cfg.Days)
-	if _, err := be.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := r.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{}); err != nil {
 		return err
 	}
-	if err := be.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+	if _, err := r.LoadRowsDurable(ctx, "meterdata", cfg.AllRows(), false); err != nil {
 		return err
 	}
-	if _, err := be.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`); err != nil {
+	if _, err := r.ExecContext(ctx, `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`, dgfindex.ExecOptions{}); err != nil {
 		return err
 	}
-	if err := be.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
+	if _, err := r.LoadRowsDurable(ctx, "userInfo", cfg.UserInfoRows(), false); err != nil {
 		return err
 	}
 	interval := max(users/100, 1)
-	res, err := be.Exec(fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+	res, err := r.ExecContext(ctx, fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval))
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval), dgfindex.ExecOptions{})
 	if err != nil {
 		return err
 	}

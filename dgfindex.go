@@ -204,9 +204,10 @@ var (
 	LineitemSchema     = workload.LineitemSchema
 )
 
-// Serving layer (DGFServe): a concurrent query service over one Warehouse,
-// with admission control, plan/result caching, per-session metrics, and an
-// HTTP front-end. See cmd/dgfserver and examples/concurrent.
+// Serving layer (DGFServe): a concurrent query service over a shard router
+// (one Warehouse is the 1x1 fleet), with admission control, plan/result
+// caching, per-session metrics, and an HTTP front-end. See cmd/dgfserver and
+// examples/concurrent.
 type (
 	// Server is the concurrent query-serving front-end.
 	Server = server.Server
@@ -239,9 +240,10 @@ type (
 
 // Serving-layer constructors and sentinel errors.
 var (
-	// NewServer wraps a Warehouse in a concurrent query service.
+	// NewServer wraps one Warehouse in a concurrent query service, as a
+	// single-shard, single-replica fleet.
 	NewServer = server.New
-	// NewServerWithBackend wraps any Backend (warehouse or shard router).
+	// NewServerWithBackend wraps a ShardRouter in a concurrent query service.
 	NewServerWithBackend = server.NewWithBackend
 	// ErrServerOverloaded: admission queue full, back off and retry.
 	ErrServerOverloaded = server.ErrOverloaded
@@ -253,10 +255,12 @@ var (
 
 // Sharding layer: a router that partitions tables across N independent
 // warehouses and executes SELECTs by scatter-gather over mergeable partial
-// aggregates. The router implements Backend, so a Server fronts a sharded
-// fleet exactly as it fronts one warehouse. See internal/shard.
+// aggregates. Every Server fronts one: NewServer builds the 1x1 router
+// around a single warehouse, which passes statements through bit-identically.
+// See internal/shard.
 type (
-	// Backend is what a Server can front: *Warehouse or *ShardRouter.
+	// Backend is the method set of *ShardRouter a Server calls (an interface
+	// so tests can decorate a router; *ShardRouter is the implementation).
 	Backend = server.Backend
 	// ShardRouter fans statements out across shard warehouses.
 	ShardRouter = shard.Router
@@ -288,12 +292,11 @@ var ParseShardStrategy = shard.ParseStrategy
 // Durable ingest: a per-shard per-replica write-ahead log in front of the
 // fleet. Loads ack once logged on every live replica, background appliers
 // drain the logs in micro-batches, and a revived replica catches up by
-// replaying the records it missed. See ShardRouter.EnableWAL and
-// ServerConfig.WALDir.
+// replaying the records it missed. ServerConfig.WALDir turns it on behind any
+// Server; ShardRouter.EnableWAL (which takes the WAL engine's own options)
+// does for a router used directly.
 type (
-	// WALConfig configures ShardRouter.EnableWAL.
-	WALConfig = shard.WALConfig
-	// LoadAck describes one durably-acknowledged load.
+	// LoadAck describes one acknowledged load (ShardRouter.LoadRowsDurable).
 	LoadAck = shard.LoadAck
 	// LoadResult is the serving-layer load acknowledgement
 	// (Server.LoadRowsCtx).

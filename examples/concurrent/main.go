@@ -1,7 +1,7 @@
 // The concurrent example replays the paper's smart-grid meter workload from
-// many parallel clients against DGFServe, the serving layer in front of one
-// shared warehouse. It demonstrates what the subsystem adds over the bare
-// library:
+// many parallel clients against DGFServe, the serving layer in front of a
+// shard router (by default the 1x1 fleet: one shared warehouse). It
+// demonstrates what the subsystem adds over the bare library:
 //
 //   - N clients issue multidimensional range queries over HTTP at once,
 //     while a background loader appends the next day's readings;
@@ -49,13 +49,6 @@ import (
 	dgfindex "github.com/smartgrid-oss/dgfindex"
 )
 
-// backend is a serving Backend that also parses SQL itself; both
-// *dgfindex.Warehouse and *dgfindex.ShardRouter qualify.
-type backend interface {
-	dgfindex.Backend
-	Exec(sql string) (*dgfindex.Result, error)
-}
-
 func main() {
 	clients := flag.Int("clients", 8, "parallel client sessions")
 	queries := flag.Int("queries", 40, "queries per client")
@@ -71,33 +64,14 @@ func main() {
 		return
 	}
 
-	// --- build the backend: one month of meter data plus a DGFIndex, on
-	// one warehouse or routed across a sharded fleet ---
+	// --- build the fleet: one month of meter data plus a DGFIndex, routed
+	// across -shards x -replicas warehouses (1x1 by default) ---
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = *users
 	cfg.OtherMetrics = 0
-	var be backend
-	var router *dgfindex.ShardRouter
-	if *shards > 1 || *replicas > 1 {
-		var err error
-		router, err = dgfindex.NewSharded(dgfindex.ShardConfig{Shards: *shards, Replicas: *replicas, Key: "userId"})
-		if err != nil {
-			log.Fatal(err)
-		}
-		be = router
-	} else {
-		be = dgfindex.New()
-	}
-	must(be.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`))
-	if err := be.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
-		log.Fatal(err)
-	}
-	res := must(be.Exec(fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
-		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, max(*users/50, 1))))
-	fmt.Println(res.Message)
+	router := buildFleet(cfg, *shards, *replicas)
 
-	srv := dgfindex.NewServerWithBackend(be, dgfindex.ServerConfig{
+	srv := dgfindex.NewServerWithBackend(router, dgfindex.ServerConfig{
 		MaxConcurrent: *clients,
 		SimPacing:     *pacing,
 	})
@@ -144,12 +118,12 @@ func main() {
 	day31 := cfg
 	day31.Days = 1
 	day31.Start = cfg.Start.AddDate(0, 0, cfg.Days)
-	if _, err := srv.LoadRows("meterdata", day31.AllRows()); err != nil {
+	if _, err := srv.LoadRowsCtx(context.Background(), "meterdata", day31.AllRows(), false); err != nil {
 		log.Fatalf("interleaved load: %v", err)
 	}
 	// With a replicated fleet, one replica dies under the parallel traffic:
 	// every read fails over to its shard sibling and no client notices.
-	outage := router != nil && *replicas > 1
+	outage := *replicas > 1
 	if outage {
 		router.Kill(0, 0)
 	}
@@ -180,7 +154,7 @@ func main() {
 	day32 := cfg
 	day32.Days = 1
 	day32.Start = cfg.Start.AddDate(0, 0, cfg.Days+1)
-	invalidated, err := srv.LoadRows("meterdata", day32.AllRows())
+	loaded, err := srv.LoadRowsCtx(context.Background(), "meterdata", day32.AllRows(), false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,7 +163,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("same query after a LOAD      : cached=%v (%d entries invalidated, recomputed against the new day)\n\n",
-		after.Cached, invalidated)
+		after.Cached, loaded.Invalidated)
 
 	// --- server-side accounting ---
 	snap := srv.Stats()
@@ -212,6 +186,25 @@ func main() {
 	}
 }
 
+// buildFleet creates the shards x replicas router and loads it with cfg's
+// meter readings and a DGFIndex over them.
+func buildFleet(cfg dgfindex.MeterConfig, shards, replicas int) *dgfindex.ShardRouter {
+	ctx := context.Background()
+	router, err := dgfindex.NewSharded(dgfindex.ShardConfig{Shards: shards, Replicas: replicas, Key: "userId"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	must(router.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{}))
+	if _, err := router.LoadRowsDurable(ctx, "meterdata", cfg.AllRows(), false); err != nil {
+		log.Fatal(err)
+	}
+	res := must(router.ExecContext(ctx, fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, max(cfg.Users/50, 1)), dgfindex.ExecOptions{}))
+	fmt.Println(res.Message)
+	return router
+}
+
 // runIngestDemo streams durable loads into a 4-shard, 2-replica WAL fleet
 // over HTTP while one replica dies and comes back mid-stream.
 func runIngestDemo(users int) {
@@ -220,17 +213,7 @@ func runIngestDemo(users int) {
 	cfg.Users = users
 	cfg.OtherMetrics = 0
 
-	router, err := dgfindex.NewSharded(dgfindex.ShardConfig{Shards: shards, Replicas: replicas, Key: "userId"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	must(router.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`))
-	if err := router.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
-		log.Fatal(err)
-	}
-	must(router.Exec(fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
-		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, max(users/50, 1))))
+	router := buildFleet(cfg, shards, replicas)
 	base := int64(cfg.Rows())
 
 	walDir, err := os.MkdirTemp("", "dgf-wal-*")
@@ -322,7 +305,7 @@ func runIngestDemo(users int) {
 		}
 		fmt.Println()
 	}
-	res := must(router.Exec(`SELECT count(*) FROM meterdata`))
+	res := must(router.ExecContext(context.Background(), `SELECT count(*) FROM meterdata`, dgfindex.ExecOptions{}))
 	got := int64(res.Rows[0][0].AsFloat())
 	fmt.Printf("\ncount(*) = %d (base %d + %d streamed), %d rows replayed into the revived replica\n",
 		got, base, loaded, replayed)

@@ -331,7 +331,9 @@ func httpStatusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrClosed), errors.Is(err, shard.ErrReplicaDown):
+		// Draining, or a shard with no live replica left: an availability
+		// failure the client can retry elsewhere or later, not a bad request.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueryTimeout):
 		return http.StatusGatewayTimeout
@@ -362,10 +364,9 @@ type loadResponse struct {
 	Table       string `json:"table"`
 	RowsLoaded  int    `json:"rows_loaded"`
 	Invalidated int    `json:"invalidated"`
-	// Durability is "applied" when the rows are queryable at ack time (the
-	// synchronous path, or ?sync=1 on a WAL fleet) and "logged" when they
-	// are durable in the write-ahead log but still draining into the
-	// warehouses.
+	// Durability is "applied" when the rows are queryable at ack time (no
+	// WAL, or ?sync=1 with one) and "logged" when they are durable in the
+	// write-ahead log but still draining into the warehouses.
 	Durability string `json:"durability"`
 	// LSN is the load's highest log sequence number (WAL path only).
 	LSN uint64 `json:"lsn,omitempty"`
@@ -526,10 +527,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// healthzResponse is the /healthz body. For a replicated fleet it carries
-// the per-shard live-replica counts, and DeadShards names shards with no
-// replica left at all — those fail scatters, so the endpoint reports 503
-// "degraded" and a load balancer can stop routing here until they recover.
+// healthzResponse is the /healthz body. It carries the per-shard
+// live-replica counts (a single-warehouse server is one shard with one
+// replica; a draining server reports only its status), and DeadShards names
+// shards with no replica left at all — those fail scatters, so the endpoint
+// reports 503 "degraded" and a load balancer can stop routing here until
+// they recover.
 // A shard whose only unavailable replicas are replaying missed WAL records
 // is listed in CatchingUpShards instead: it is repairing, not dead, and the
 // status is "catching_up" (still 503 when no replica can serve reads, so
@@ -584,11 +587,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, healthzResponse{Status: "draining"})
 		return
 	}
-	health := s.ShardHealth()
-	if len(health) == 0 {
-		writeJSON(w, http.StatusOK, healthzResponse{Status: "ok"})
-		return
-	}
-	resp, code := buildHealthz(health)
+	resp, code := buildHealthz(s.ShardHealth())
 	writeJSON(w, code, resp)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // postLoad POSTs a body to /load and returns the status code and decoded
@@ -225,7 +227,7 @@ type gatedFleet struct {
 	afterExec func()
 }
 
-func (g *gatedFleet) EnableWAL(cfg shard.WALConfig) error {
+func (g *gatedFleet) EnableWAL(cfg wal.Options) error {
 	onApply := cfg.OnApply
 	cfg.OnApply = func(table string, rows int) {
 		g.entered <- struct{}{}
@@ -262,10 +264,10 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadRowsByName("meterdata", meterRows(1, 20, 4, 2)); err != nil {
+	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", meterRows(1, 20, 4, 2), false); err != nil {
 		t.Fatal(err)
 	}
 	g := &gatedFleet{
@@ -546,22 +548,124 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	}
 }
 
-// TestWALRequiresRouterBackend: Config.WALDir on a plain single-warehouse
-// backend defers a clear failure into WALError and every load, instead of
-// silently running without durability.
-func TestWALRequiresRouterBackend(t *testing.T) {
-	s := New(testWarehouse(t), Config{WALDir: t.TempDir()})
-	err := s.WALError()
-	if err == nil || !strings.Contains(err.Error(), "shard-router backend") {
-		t.Fatalf("WALError = %v, want shard-router complaint", err)
-	}
-	if _, err := s.LoadRows("meterdata", meterRows(1, 1, 4, 1)); err == nil || !strings.Contains(err.Error(), "durable ingest unavailable") {
-		t.Fatalf("load on a mis-configured server = %v, want durable-ingest refusal", err)
+// TestWALBehindWarehouseServer: Config.WALDir works behind server.New — the
+// single warehouse is a 1x1 fleet, so its loads are logged and applied like
+// any fleet's, and after Close a fresh warehouse and server over the same
+// directory replay every acknowledged row. A WAL that cannot be enabled is
+// still a deferred boot error that refuses loads.
+func TestWALBehindWarehouseServer(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	count := func(s *Server) float64 {
+		t.Helper()
+		resp, err := s.Query(ctx, Request{SQL: `SELECT count(*) FROM meterdata`, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Result.Rows[0][0].AsFloat()
 	}
 
-	// A bad fsync policy is the same class of boot error.
-	s2, _ := shardedServer(t, Config{WALDir: t.TempDir(), FsyncPolicy: "sometimes"})
-	if err := s2.WALError(); err == nil || !strings.Contains(err.Error(), "sometimes") {
+	s := New(testWarehouse(t), Config{WALDir: dir, FsyncPolicy: "always"})
+	if err := s.WALError(); err != nil {
+		t.Fatalf("WAL behind a single-warehouse server: %v", err)
+	}
+	base := count(s)
+	synced, err := s.LoadRowsCtx(ctx, "meterdata", meterRows(700, 5, 4, 1), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !synced.Durable || !synced.Applied || synced.LSN == 0 {
+		t.Fatalf("sync load ack = %+v, want durable, applied, with an LSN", synced)
+	}
+	if got := count(s); got != base+5 {
+		t.Fatalf("count after a sync load = %v, want %v", got, base+5)
+	}
+	logged, err := s.LoadRowsCtx(ctx, "meterdata", meterRows(800, 3, 4, 1), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !logged.Durable || logged.LSN <= synced.LSN {
+		t.Fatalf("async load ack = %+v, want durable with an LSN past %d", logged, synced.LSN)
+	}
+	if st := s.WALStats(); len(st) != 1 || len(st[0].Replicas) != 1 {
+		t.Fatalf("WALStats = %+v, want one shard with one replica", st)
+	}
+	if err := s.Close(ctx); err != nil { // drains: the async load is applied
+		t.Fatal(err)
+	}
+	if st := s.WALStats(); st != nil {
+		t.Fatalf("WALStats after Close = %+v, want none (logs closed)", st)
+	}
+
+	// Restart: the catalog is not logged, so the boot recreates the table
+	// and its base rows; the log then replays both acknowledged loads.
+	s2 := New(testWarehouse(t), Config{WALDir: dir, FsyncPolicy: "off"})
+	if err := s2.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.b.DrainWAL(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(s2); got != base+8 {
+		t.Fatalf("count after reopen = %v, want %v (5 sync + 3 async rows replayed)", got, base+8)
+	}
+	if err := s2.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// A bad fsync policy is a boot error behind any server, and loads refuse
+	// instead of degrading to non-durable.
+	s3 := New(testWarehouse(t), Config{WALDir: t.TempDir(), FsyncPolicy: "sometimes"})
+	if err := s3.WALError(); err == nil || !strings.Contains(err.Error(), "sometimes") {
 		t.Fatalf("WALError = %v, want bad-policy complaint", err)
+	}
+	if _, err := s3.LoadRowsCtx(ctx, "meterdata", meterRows(1, 1, 4, 1), false); err == nil || !strings.Contains(err.Error(), "durable ingest unavailable") {
+		t.Fatalf("load on a mis-configured server = %v, want durable-ingest refusal", err)
+	}
+}
+
+// TestDeadShardIs503: once every replica of one shard is down, a query that
+// must read that shard and a load that must write it fail as availability
+// errors — 503, not 400 — with and without a WAL (the WAL's "no live replica
+// log accepted the record" wraps the same shard.ErrReplicaDown sentinel).
+func TestDeadShardIs503(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T, Config) (*Server, *shard.Router)
+	}{
+		{"synchronous loads", shardedServer},
+		{"wal", walServer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, r := tc.mk(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			r.Kill(2, 0)
+			r.Kill(2, 1)
+
+			resp, err := http.Post(ts.URL+"/query", "application/json",
+				strings.NewReader(`{"sql":"SELECT count(*) FROM meterdata","no_cache":true}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("/query over a dead shard: status %d, want 503: %s", resp.StatusCode, body)
+			}
+			// 40 consecutive user ids hash across all four shards.
+			code, out := postLoad(t, ts.URL+"/load", "application/json", jsonLoadBody(t, 600, 40))
+			if code != http.StatusServiceUnavailable {
+				t.Fatalf("/load over a dead shard: status %d, want 503: %v", code, out)
+			}
+			if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(600, 40, 4, 1), false); !errors.Is(err, shard.ErrReplicaDown) {
+				t.Fatalf("load error %v does not match shard.ErrReplicaDown", err)
+			}
+			// A bad request is still a 400 on the degraded fleet.
+			if code, _ := postLoad(t, ts.URL+"/load", "application/json", []byte(`{"table":"nosuch","rows":[[1]]}`)); code != http.StatusBadRequest {
+				t.Fatalf("/load into a missing table: status %d, want 400", code)
+			}
+		})
 	}
 }

@@ -305,10 +305,10 @@ func shardedServer(t *testing.T, cfg Config) (*Server, *shard.Router) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadRowsByName("meterdata", meterRows(1, 80, 4, 6)); err != nil {
+	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", meterRows(1, 80, 4, 6), false); err != nil {
 		t.Fatal(err)
 	}
 	return NewWithBackend(r, cfg), r

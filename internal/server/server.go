@@ -1,9 +1,12 @@
 // Package server is the concurrent query-serving subsystem in front of the
-// embedded warehouse: the paper positions DGFIndex as what makes Hive viable
+// warehouse fleet: the paper positions DGFIndex as what makes Hive viable
 // for the State Grid's online analytics, where many operators issue
 // multidimensional range queries against one shared meter table at once.
 //
-// The server adds the three things the bare library lacks for that setting:
+// A Server always fronts a shard router — one warehouse is the 1x1 fleet New
+// builds, which passes statements through bit-identically — so there is one
+// deployment shape: health, durable ingest and streaming work behind every
+// server. On top of the router the server adds three things:
 //
 //   - admission control: a bounded worker pool executes queries with a
 //     configurable parallelism, a bounded wait queue sheds overload, and
@@ -15,6 +18,10 @@
 //   - observability: per-session and server-wide metrics (query counts,
 //     latency histogram, simulated cluster-seconds, records/bytes read,
 //     cache hit rates) in the same terms as the paper's figures.
+//
+// Query, QueryStream and LoadRowsCtx run one request lifecycle (see call):
+// admission, root span, plan cache, deadline, worker slot, and one metrics
+// and flight-recorder epilogue.
 //
 // An optional pacing knob converts each query's simulated cluster-seconds
 // into wall-clock delay, modelling the remote 29-node cluster's latency;
@@ -39,20 +46,23 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
-// Backend is the query store a Server fronts: a single *hive.Warehouse or a
-// sharded fleet behind a *shard.Router. The serving layer only needs
-// statement execution, row loading, version counters for cache keys, and
-// catalog snapshots — everything else (admission, caching, metrics) is
-// backend-agnostic, which is what lets one Server serve one warehouse today
-// and N shards tomorrow without changing its callers.
+// Backend is the method set of *shard.Router the server calls, and
+// *shard.Router is the one implementation: the interface exists so tests can
+// decorate a real router (park its apply hook, observe an execution), not to
+// admit other backend shapes. Everything else — admission, caching, metrics
+// — is the server's own.
 type Backend interface {
 	// ExecParsedContext executes an already-parsed statement under ctx: a
-	// ctx that ends mid-scan must abort the underlying job (both provided
-	// backends stop within one split boundary) and return an error wrapping
-	// ctx.Err(), never a partial result.
+	// ctx that ends mid-scan aborts the underlying job within one split
+	// boundary and returns an error wrapping ctx.Err(), never a partial
+	// result.
 	ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error)
-	// LoadRowsByName appends rows to the named table.
-	LoadRowsByName(table string, rows []storage.Row) error
+	// SelectCursor opens a streaming cursor over one SELECT; cancelling ctx
+	// or closing the cursor aborts the scan.
+	SelectCursor(ctx context.Context, stmt *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error)
+	// LoadRowsDurable appends rows to the named table: logged (and, with
+	// sync, applied) when a WAL is enabled, applied synchronously otherwise.
+	LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (shard.LoadAck, error)
 	// TableVersions snapshots the named tables' mutation counters; the
 	// counters must only ever grow (result-cache keys depend on it).
 	TableVersions(names ...string) map[string]uint64
@@ -60,6 +70,14 @@ type Backend interface {
 	TableSchema(name string) (*storage.Schema, error)
 	// TableInfos snapshots the catalog for /tables.
 	TableInfos() []hive.TableInfo
+	// Health snapshots per-shard replica-set health for /stats and /healthz.
+	Health() []shard.SetHealth
+	// EnableWAL, WALStats, DrainWAL and CloseWAL are the durable-ingest
+	// surface Config.WALDir drives.
+	EnableWAL(opts wal.Options) error
+	WALStats() []wal.ShardStats
+	DrainWAL(ctx context.Context) error
+	CloseWAL() error
 }
 
 // Sentinel errors returned by Query.
@@ -115,8 +133,7 @@ type Config struct {
 	TraceRingSize int
 	// WALDir enables durable streaming ingest when non-empty: loads append
 	// to per-shard write-ahead logs under this directory and background
-	// appliers drain them (the backend must be a shard router). Empty
-	// keeps the synchronous load path.
+	// appliers drain them. Empty applies every load synchronously.
 	WALDir string
 	// FsyncPolicy selects WAL append durability: "always", "interval"
 	// (default), or "off". Ignored without WALDir.
@@ -222,7 +239,7 @@ func (s *Session) Created() time.Time { return s.created }
 // Snapshot returns the session's metrics.
 func (s *Session) Snapshot() MetricsSnapshot { return s.m.snapshot() }
 
-// Server turns a Backend (one warehouse or a sharded fleet) into a
+// Server turns a shard router (one warehouse is the 1x1 fleet) into a
 // concurrent query service.
 type Server struct {
 	b   Backend
@@ -248,26 +265,30 @@ type Server struct {
 	recorder *trace.Recorder // nil when TraceRingSize < 0
 	started  time.Time
 
-	// Durable ingest (Config.WALDir). walBE is the backend's WAL surface
-	// when enabled; walErr records an attach failure — loads then fail with
-	// it instead of silently falling back to a non-durable path.
-	walBE       durableBackend
+	// walErr records why Config.WALDir could not be honoured — loads then
+	// fail with it instead of silently falling back to a non-durable path.
 	walErr      error
 	rowsApplied atomic.Int64 // rows drained by WAL appliers into warehouses
 }
 
-// New wraps a warehouse in a server. The warehouse stays usable directly —
-// its own locking keeps direct access safe — but loads performed behind the
+// New wraps one warehouse in a server, as the 1x1 fleet: a single-shard,
+// single-replica router passes every statement, cursor and load through to
+// the warehouse bit-identically. The warehouse stays usable directly — its
+// own locking keeps direct access safe — but loads performed behind the
 // server's back are only reflected in cache keys (via table versions), not
 // in the server's load metrics.
 func New(w *hive.Warehouse, cfg Config) *Server {
-	return NewWithBackend(w, cfg)
+	r, err := shard.New(shard.Config{Shards: 1}, func(int, int) *hive.Warehouse { return w })
+	if err != nil {
+		panic(err) // a 1x1 config is valid; only a nil warehouse gets here
+	}
+	return NewWithBackend(r, cfg)
 }
 
-// NewWithBackend wraps any Backend — a bare warehouse or a shard router —
-// in a server. With Config.WALDir set it also enables durable ingest on the
-// backend; an attach failure is deferred into WALError (and every load)
-// rather than panicking, because construction has no error return.
+// NewWithBackend wraps a shard router in a server. With Config.WALDir set it
+// also enables durable ingest on the router; a failure to do so is deferred
+// into WALError (and every load) rather than panicking, because construction
+// has no error return.
 func NewWithBackend(b Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -283,34 +304,18 @@ func NewWithBackend(b Backend, cfg Config) *Server {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.WALDir != "" {
-		s.attachWAL(cfg)
+		s.walErr = s.enableWAL()
 	}
 	return s
 }
 
-// durableBackend is the optional Backend extension durable ingest needs —
-// the shard router implements it. A Backend without it cannot take a WAL.
-type durableBackend interface {
-	EnableWAL(shard.WALConfig) error
-	LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (shard.LoadAck, error)
-	WALStats() []wal.ShardStats
-	DrainWAL(ctx context.Context) error
-	CloseWAL() error
-}
-
-func (s *Server) attachWAL(cfg Config) {
-	db, ok := s.b.(durableBackend)
-	if !ok {
-		s.walErr = fmt.Errorf("server: Config.WALDir requires a shard-router backend (got %T); run even a 1-shard fleet through shard.New", s.b)
-		return
-	}
-	policy, err := wal.ParsePolicy(cfg.FsyncPolicy)
+func (s *Server) enableWAL() error {
+	policy, err := wal.ParsePolicy(s.cfg.FsyncPolicy)
 	if err != nil {
-		s.walErr = err
-		return
+		return err
 	}
-	err = db.EnableWAL(shard.WALConfig{
-		Dir:   cfg.WALDir,
+	return s.b.EnableWAL(wal.Options{
+		Dir:   s.cfg.WALDir,
 		Fsync: policy,
 		// Invalidation at apply time: a cached result only goes stale when
 		// rows actually land in the warehouse, which is also the moment
@@ -321,11 +326,6 @@ func (s *Server) attachWAL(cfg Config) {
 		},
 		Recorder: s.recorder,
 	})
-	if err != nil {
-		s.walErr = err
-		return
-	}
-	s.walBE = db
 }
 
 // WALError reports why durable ingest could not be enabled (nil when it is
@@ -333,23 +333,11 @@ func (s *Server) attachWAL(cfg Config) {
 // a boot failure: loads will refuse rather than degrade to non-durable.
 func (s *Server) WALError() error { return s.walErr }
 
-// WALStats snapshots the backend's per-shard WAL state (nil without a WAL).
-func (s *Server) WALStats() []wal.ShardStats {
-	if s.walBE == nil {
-		return nil
-	}
-	return s.walBE.WALStats()
-}
+// WALStats snapshots the router's per-shard WAL state (nil without a WAL).
+func (s *Server) WALStats() []wal.ShardStats { return s.b.WALStats() }
 
-// Backend returns the wrapped backend.
+// Backend returns the wrapped router.
 func (s *Server) Backend() Backend { return s.b }
-
-// Warehouse returns the wrapped warehouse, or nil when the backend is not a
-// bare *hive.Warehouse (e.g. a shard router — use Backend then).
-func (s *Server) Warehouse() *hive.Warehouse {
-	w, _ := s.b.(*hive.Warehouse)
-	return w
-}
 
 // Config returns the effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
@@ -405,23 +393,123 @@ func (s *Server) release() {
 	s.mu.Unlock()
 }
 
+// call is one admitted request on its way through the serving lifecycle
+// Query, QueryStream and LoadRowsCtx share: begin admits it and opens the
+// root span, plan resolves its statement through the plan cache, acquire
+// bounds it with the deadline and waits for a worker slot, and finish is the
+// metrics and flight-recorder epilogue. A load has no statement to plan and
+// is bounded by WAL backpressure instead of the worker pool, so it goes
+// straight from begin to finish.
+type call struct {
+	s      *Server
+	sess   *Session // nil for a load: loads are not attributed to sessions
+	sql    string
+	start  time.Time
+	root   *trace.Span // nil when neither the caller nor the recorder wants the tree
+	queued time.Duration
+}
+
+// begin opens a call: it opens the root span and reserves an admission
+// slot, which the caller owns (and must release) from then on. The root span
+// opens whenever anyone could want the tree: the caller asked (traced), or
+// the flight recorder is armed — it cannot know in advance which requests
+// will turn out slow, so it traces all of them.
+func (s *Server) begin(name string, sess *Session, sql string, traced bool) (*call, error) {
+	c := &call{s: s, sess: sess, sql: sql, start: time.Now()}
+	if traced || s.recorder != nil {
+		c.root = trace.NewAt(name, c.start)
+		if sess != nil {
+			c.root.Set("session", sess.id)
+		}
+	}
+	if err := s.admit(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// plan resolves the call's SQL through the plan cache: parse once per normal
+// form, reuse across sessions.
+func (c *call) plan() (norm string, stmt hive.Stmt, err error) {
+	psp := c.root.Child("plan")
+	defer psp.Finish()
+	norm, err = hive.Normalize(c.sql)
+	if err != nil {
+		return "", nil, err
+	}
+	stmt, ok := c.s.plans.get(norm)
+	psp.Set("plan_cache_hit", ok)
+	if !ok {
+		stmt, err = hive.Parse(c.sql)
+		if err != nil {
+			return "", nil, err
+		}
+		c.s.plans.put(norm, stmt)
+	}
+	return norm, stmt, nil
+}
+
+// acquire bounds the call with its deadline (timeout, else
+// Config.DefaultTimeout; negative disables) and waits for a worker slot. The
+// wait is accounted separately from execution
+// (MetricsSnapshot.QueueWaitSeconds) so a saturated pool shows up as
+// admission pressure, not as slow queries. On success the caller owns the
+// slot and the cancel; the returned context carries the root span, so the
+// router's scatter and each warehouse's execution hang their child spans off
+// this request's tree.
+func (c *call) acquire(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc, error) {
+	if timeout == 0 {
+		timeout = c.s.cfg.DefaultTimeout
+	}
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	asp := c.root.Child("admission")
+	defer asp.Finish()
+	queueStart := time.Now()
+	select {
+	case c.s.sem <- struct{}{}:
+		c.queued = time.Since(queueStart)
+		return trace.NewContext(ctx, c.root), cancel, nil
+	case <-ctx.Done():
+		c.queued = time.Since(queueStart)
+		asp.Eventf("gave up waiting for a worker slot")
+		cancel()
+		return nil, nil, ctx.Err()
+	}
+}
+
+// finish is the one epilogue: it maps a context termination onto the
+// server's sentinels, observes a query in the server and session metrics
+// (res may be nil, or carry only the partial stats of an aborted stream),
+// closes the root span and feeds the flight recorder. It returns the served
+// wall time, the final span tree (nil when untraced) and the mapped error.
+func (c *call) finish(res *hive.Result, cached bool, err error) (time.Duration, *trace.SpanSnapshot, error) {
+	err = ctxError(err)
+	wall := time.Since(c.start)
+	if c.sess != nil {
+		isTimeout := errors.Is(err, ErrQueryTimeout)
+		c.s.metrics.observe(wall, c.queued, res, cached, isTimeout, err != nil)
+		c.sess.m.observe(wall, c.queued, res, cached, isTimeout, err != nil)
+	}
+	if c.root == nil {
+		return wall, nil, err
+	}
+	// Finishing at start+wall makes the root's wall duration equal the
+	// reported wall exactly, not up to a second clock read.
+	c.root.FinishAt(c.start.Add(wall))
+	snap := c.root.Snapshot()
+	c.s.record(c.sql, c.sess, wall, err, snap)
+	return wall, &snap, err
+}
+
 // Query executes one statement under admission control, consulting the plan
 // and result caches. It blocks while waiting for a worker slot (until the
 // request deadline) and is safe to call from any number of goroutines.
 func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
-	start := time.Now()
-	sess := s.Session(req.Session)
-
-	// The root span opens whenever anyone could want the tree: the caller
-	// asked (Trace), or the flight recorder is armed — it cannot know in
-	// advance which queries will turn out slow, so it traces all of them.
-	var root *trace.Span
-	if req.Trace || s.recorder != nil {
-		root = trace.NewAt("query", start)
-		root.Set("session", sess.id)
-	}
-
-	if err := s.admit(); err != nil {
+	c, err := s.begin("query", s.Session(req.Session), req.SQL, req.Trace)
+	if err != nil {
 		return nil, err
 	}
 	handoff := false // true once a worker goroutine owns the admission slot
@@ -430,51 +518,22 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 			s.release()
 		}
 	}()
-
-	var queued time.Duration
-	finish := func(res *hive.Result, cached bool, err error) (*Response, error) {
-		wall := time.Since(start)
-		isTimeout := errors.Is(err, ErrQueryTimeout)
-		s.metrics.observe(wall, queued, res, cached, isTimeout, err != nil)
-		sess.m.observe(wall, queued, res, cached, isTimeout, err != nil)
-		var snap *trace.SpanSnapshot
-		if root != nil {
-			// Finishing at start+wall makes the root's wall duration equal
-			// Response.Wall exactly, not up to a second clock read.
-			root.FinishAt(start.Add(wall))
-			sn := root.Snapshot()
-			snap = &sn
-			s.record(req.SQL, sess.id, wall, err, sn)
-		}
+	reply := func(res *hive.Result, cached bool, err error) (*Response, error) {
+		wall, snap, err := c.finish(res, cached, err)
 		if err != nil {
 			return nil, err
 		}
-		resp := &Response{Result: res, Cached: cached, Session: sess.id, Wall: wall}
+		resp := &Response{Result: res, Cached: cached, Session: c.sess.id, Wall: wall}
 		if req.Trace {
 			resp.Trace = snap
 		}
 		return resp, nil
 	}
 
-	// Plan cache: parse once per normal form, reuse across sessions.
-	psp := root.Child("plan")
-	norm, err := hive.Normalize(req.SQL)
+	norm, stmt, err := c.plan()
 	if err != nil {
-		psp.Finish()
-		return finish(nil, false, err)
+		return reply(nil, false, err)
 	}
-	stmt, ok := s.plans.get(norm)
-	psp.Set("plan_cache_hit", ok)
-	if !ok {
-		stmt, err = hive.Parse(req.SQL)
-		if err != nil {
-			psp.Finish()
-			return finish(nil, false, err)
-		}
-		s.plans.put(norm, stmt)
-	}
-	psp.Finish()
-
 	tables := hive.StatementTables(stmt)
 	readOnly := hive.IsReadOnly(stmt)
 	// Only plain SELECTs are cached: their keys carry the read tables'
@@ -492,64 +551,41 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	var key string
 	var epochs []uint64
 	if cacheable {
-		csp := root.Child("result_cache")
+		csp := c.root.Child("result_cache")
 		key = cacheKey(norm, tables, s.b.TableVersions(tables...))
 		res, hit := s.results.get(key)
 		csp.Set("hit", hit)
 		csp.Finish()
 		if hit {
-			return finish(res, true, nil)
+			return reply(res, true, nil)
 		}
 		// Taken before execution starts: any apply that lands after a
 		// replica was read invalidates after this point.
 		epochs = s.results.snapshot(tables)
 	}
 
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
+	ctx, cancel, err := c.acquire(ctx, req.Timeout)
+	if err != nil {
+		return reply(nil, false, err)
 	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	// Wait for a worker slot; the wait is accounted separately from
-	// execution (MetricsSnapshot.QueueWaitSeconds) so a saturated pool shows
-	// up as admission pressure, not as slow queries.
-	asp := root.Child("admission")
-	queueStart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-		queued = time.Since(queueStart)
-		asp.Finish()
-	case <-ctx.Done():
-		queued = time.Since(queueStart)
-		asp.Eventf("gave up waiting for a worker slot")
-		asp.Finish()
-		return finish(nil, false, ctxError(ctx.Err()))
-	}
+	defer cancel()
 
 	// Execute on a worker goroutine that owns the slot and the admission
 	// reservation. The backend call runs under the request ctx, so a missed
 	// deadline or an abandoning caller actually aborts the scan (within one
 	// split boundary) instead of the job holding its worker slot to
 	// completion; the goroutine frees its resources as soon as the abort
-	// surfaces, keeping drain and admission accounting exact.
+	// surfaces, keeping drain and admission accounting exact. (A timed-out
+	// caller snapshots the span tree mid-flight; spans are concurrency-safe
+	// and unfinished ones report elapsed time.)
 	type outcome struct {
 		res *hive.Result
 		err error
 	}
 	handoff = true
 	ch := make(chan outcome, 1)
-	// The backend call runs under the root span, so the router's scatter and
-	// each warehouse's execution hang their child spans off this request's
-	// tree (a timed-out caller snapshots the tree mid-flight; spans are
-	// concurrency-safe and unfinished ones report elapsed time).
-	ectx := trace.NewContext(ctx, root)
 	go func() {
-		res, err := s.b.ExecParsedContext(ectx, stmt, req.Opts)
+		res, err := s.b.ExecParsedContext(ctx, stmt, req.Opts)
 		if err == nil && s.cfg.SimPacing > 0 {
 			// Model the remote cluster: hold the worker slot for the
 			// query's simulated duration.
@@ -573,7 +609,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	select {
 	case out := <-ch:
 		if out.err != nil {
-			return finish(nil, false, ctxError(out.err))
+			return reply(nil, false, out.err)
 		}
 		if cacheable {
 			s.results.put(key, tables, epochs, out.res)
@@ -581,15 +617,15 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 		if !readOnly {
 			s.results.invalidateTables(tables)
 		}
-		return finish(out.res, false, nil)
+		return reply(out.res, false, nil)
 	case <-ctx.Done():
-		return finish(nil, false, ctxError(ctx.Err()))
+		return reply(nil, false, ctx.Err())
 	}
 }
 
-// record feeds the flight recorder: a finished query whose wall time crossed
-// the slow threshold, or one that errored, has its trace retained.
-func (s *Server) record(sql, session string, wall time.Duration, err error, snap trace.SpanSnapshot) {
+// record feeds the flight recorder: a finished request whose wall time
+// crossed the slow threshold, or one that errored, has its trace retained.
+func (s *Server) record(sql string, sess *Session, wall time.Duration, err error, snap trace.SpanSnapshot) {
 	if s.recorder == nil {
 		return
 	}
@@ -598,12 +634,14 @@ func (s *Server) record(sql, session string, wall time.Duration, err error, snap
 		return
 	}
 	rec := trace.Record{
-		Time:    time.Now(),
-		SQL:     sql,
-		Session: session,
-		WallMs:  float64(wall.Microseconds()) / 1e3,
-		Slow:    slow,
-		Trace:   snap,
+		Time:   time.Now(),
+		SQL:    sql,
+		WallMs: float64(wall.Microseconds()) / 1e3,
+		Slow:   slow,
+		Trace:  snap,
+	}
+	if sess != nil {
+		rec.Session = sess.id
 	}
 	if err != nil {
 		rec.Error = err.Error()
@@ -619,7 +657,7 @@ func (s *Server) SlowTraces() []trace.Record {
 }
 
 // ctxError is the one place a context termination maps onto the server's
-// sentinel errors, shared by Query, QueryStream and the HTTP handlers. It
+// sentinel errors, shared by every entry point through call.finish. It
 // classifies both forms an expired request takes — the request ctx's own
 // Err(), and the wrapped ctx error a mid-scan abort bubbles up through the
 // execution stack — so a missed deadline is always ErrQueryTimeout (counted
@@ -663,29 +701,8 @@ func cacheKey(norm string, tables []string, versions map[string]uint64) string {
 	return b.String()
 }
 
-// replicaHealthReporter is the optional Backend extension a replicated
-// shard router implements: per-shard replica-set health for /stats and
-// /healthz. A Backend without it (a bare warehouse, an unsharded fleet)
-// simply reports no shard section.
-type replicaHealthReporter interface {
-	Health() []shard.SetHealth
-}
-
-// ShardHealth returns the backend's per-shard replica health, or nil when
-// the backend is not a replicated router.
-func (s *Server) ShardHealth() []shard.SetHealth {
-	if hr, ok := s.b.(replicaHealthReporter); ok {
-		return hr.Health()
-	}
-	return nil
-}
-
-// streamer is the optional Backend extension for cursor-driven streaming.
-// Both provided backends (warehouse and shard router) implement it; a
-// Backend without it falls back to full execution replayed through a cursor.
-type streamer interface {
-	SelectCursor(ctx context.Context, stmt *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error)
-}
+// ShardHealth returns the router's per-shard replica health.
+func (s *Server) ShardHealth() []shard.SetHealth { return s.b.Health() }
 
 // Stream is one in-flight streaming query: the cursor plus the serving
 // resources it holds (a worker slot, an admission reservation, the request
@@ -697,36 +714,21 @@ type Stream struct {
 	// Session is the session the query is attributed to.
 	Session string
 
-	s      *Server
-	sess   *Session
+	c      *call
 	cancel context.CancelFunc
-	start  time.Time
-	queued time.Duration
-	sql    string
-	root   *trace.Span // nil when neither tracing nor the recorder is on
 	once   sync.Once
 }
 
-// Close aborts the scan if still running, releases the worker slot and
-// admission reservation, and observes the final (possibly partial) stats in
-// the server and session metrics.
+// Close aborts the scan if still running, observes the final (possibly
+// partial) stats in the server and session metrics, and releases the worker
+// slot and admission reservation.
 func (st *Stream) Close() error {
 	st.once.Do(func() {
 		st.Cursor.Close()
 		st.cancel()
-		stats := st.Cursor.Stats()
-		err := ctxError(st.Cursor.Err())
-		res := &hive.Result{Stats: stats}
-		wall := time.Since(st.start)
-		isTimeout := errors.Is(err, ErrQueryTimeout)
-		st.s.metrics.observe(wall, st.queued, res, false, isTimeout, err != nil)
-		st.sess.m.observe(wall, st.queued, res, false, isTimeout, err != nil)
-		if st.root != nil {
-			st.root.FinishAt(st.start.Add(wall))
-			st.s.record(st.sql, st.sess.id, wall, err, st.root.Snapshot())
-		}
-		<-st.s.sem
-		st.s.release()
+		st.c.finish(&hive.Result{Stats: st.Cursor.Stats()}, false, st.Cursor.Err())
+		<-st.c.s.sem
+		st.c.s.release()
 	})
 	return nil
 }
@@ -735,10 +737,10 @@ func (st *Stream) Close() error {
 // stream is untraced. After Close the tree is final; before it, running
 // spans report their elapsed time.
 func (st *Stream) TraceSnapshot() *trace.SpanSnapshot {
-	if st.root == nil {
+	if st.c.root == nil {
 		return nil
 	}
-	sn := st.root.Snapshot()
+	sn := st.c.root.Snapshot()
 	return &sn
 }
 
@@ -750,122 +752,42 @@ func (st *Stream) Err() error { return ctxError(st.Cursor.Err()) }
 // QueryStream executes one SELECT under admission control and returns a
 // Stream delivering rows as the scan produces them. Streaming queries
 // bypass the result cache in both directions (there is no materialized
-// result to cache) but share the plan cache, the worker pool, and the
-// timeout discipline with Query: the request ctx plus the configured
-// timeout bound the whole stream, and cancelling either aborts the scan
-// within one split boundary.
+// result to cache) but run the same lifecycle as Query: the plan cache, the
+// worker pool, and the timeout discipline — the request ctx plus the
+// configured timeout bound the whole stream, and cancelling either aborts
+// the scan within one split boundary.
 func (s *Server) QueryStream(ctx context.Context, req Request) (*Stream, error) {
-	start := time.Now()
-	sess := s.Session(req.Session)
-
-	var root *trace.Span
-	if req.Trace || s.recorder != nil {
-		root = trace.NewAt("query", start)
-		root.Set("session", sess.id)
-		root.Set("stream", true)
-	}
-
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	admitted := true
-	defer func() {
-		if admitted {
-			s.release()
-		}
-	}()
-	var queued time.Duration
-	// fail observes the error in the metrics exactly as Query's finish
-	// does, so /stats error and timeout rates cannot diverge between the
-	// streaming and non-streaming paths.
-	fail := func(err error) (*Stream, error) {
-		err = ctxError(err)
-		wall := time.Since(start)
-		isTimeout := errors.Is(err, ErrQueryTimeout)
-		s.metrics.observe(wall, queued, nil, false, isTimeout, true)
-		sess.m.observe(wall, queued, nil, false, isTimeout, true)
-		if root != nil {
-			root.FinishAt(start.Add(wall))
-			s.record(req.SQL, sess.id, wall, err, root.Snapshot())
-		}
-		return nil, err
-	}
-
-	psp := root.Child("plan")
-	norm, err := hive.Normalize(req.SQL)
+	c, err := s.begin("query", s.Session(req.Session), req.SQL, req.Trace)
 	if err != nil {
-		psp.Finish()
+		return nil, err
+	}
+	c.root.Set("stream", true)
+	fail := func(err error) (*Stream, error) {
+		_, _, err = c.finish(nil, false, err)
+		s.release()
+		return nil, err
+	}
+
+	_, stmt, err := c.plan()
+	if err != nil {
 		return fail(err)
 	}
-	stmt, ok := s.plans.get(norm)
-	psp.Set("plan_cache_hit", ok)
-	if !ok {
-		stmt, err = hive.Parse(req.SQL)
-		if err != nil {
-			psp.Finish()
-			return fail(err)
-		}
-		s.plans.put(norm, stmt)
-	}
-	psp.Finish()
 	sel, isSelect := stmt.(*hive.SelectStmt)
 	if !isSelect {
 		return fail(fmt.Errorf("server: only SELECT statements can stream (got %T)", stmt))
 	}
-
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
+	// The stream holds the worker slot until Close.
+	ctx, cancel, err := c.acquire(ctx, req.Timeout)
+	if err != nil {
+		return fail(err)
 	}
-	var cancel context.CancelFunc = func() {}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-
-	// Wait for a worker slot; the stream holds it until Close.
-	asp := root.Child("admission")
-	queueStart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-		queued = time.Since(queueStart)
-		asp.Finish()
-	case <-ctx.Done():
-		queued = time.Since(queueStart)
-		asp.Eventf("gave up waiting for a worker slot")
-		asp.Finish()
-		cancel()
-		return fail(ctx.Err())
-	}
-
-	ectx := trace.NewContext(ctx, root)
-	var cur hive.Cursor
-	if sb, ok := s.b.(streamer); ok {
-		cur, err = sb.SelectCursor(ectx, sel, req.Opts)
-	} else {
-		// Fallback for custom backends: run to completion, replay the rows.
-		var res *hive.Result
-		res, err = s.b.ExecParsedContext(ectx, sel, req.Opts)
-		if err == nil {
-			cur = hive.NewRowsCursor(res)
-		}
-	}
+	cur, err := s.b.SelectCursor(ctx, sel, req.Opts)
 	if err != nil {
 		<-s.sem
 		cancel()
 		return fail(err)
 	}
-	admitted = false // the Stream owns the reservation now
-	return &Stream{
-		Cursor:  cur,
-		Session: sess.id,
-		s:       s,
-		sess:    sess,
-		cancel:  cancel,
-		start:   start,
-		queued:  queued,
-		sql:     req.SQL,
-		root:    root,
-	}, nil
+	return &Stream{Cursor: cur, Session: c.sess.id, c: c, cancel: cancel}, nil
 }
 
 // LoadResult describes one acknowledged load.
@@ -875,67 +797,47 @@ type LoadResult struct {
 	Invalidated int
 	// Durable is true when the load went through the write-ahead log.
 	Durable bool
-	// Applied is true once the rows are confirmed queryable: always for the
-	// synchronous path, only for sync=true acks on the WAL path.
+	// Applied is true once the rows are confirmed queryable: always without
+	// a WAL, only for sync=true acks with one.
 	Applied bool
-	// LSN is the highest log sequence number the load was assigned (WAL
-	// path only).
+	// LSN is the highest log sequence number the load was assigned (zero
+	// without a WAL).
 	LSN uint64
 }
 
 // LoadRowsCtx appends rows to the named table through the server, counting
-// the load in the serving metrics and evicting dependent cache entries.
-// With durable ingest enabled the call returns once the rows are logged on
-// every live replica (sync=false) or applied everywhere (sync=true, bounded
-// by ctx); without a WAL it applies synchronously and sync is moot.
+// the load in the serving metrics (Snapshot.Loads, Snapshot.RowsLoaded) and
+// evicting dependent cache entries eagerly. (Loads made directly on the
+// router stay correct — version-qualified keys can never serve stale data —
+// but bypass both.) With durable ingest enabled the call returns once the
+// rows are logged on every live replica (sync=false) or applied everywhere
+// (sync=true, bounded by ctx); without a WAL the router applies them
+// synchronously and sync is moot.
 func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadResult, error) {
-	if err := s.admit(); err != nil {
-		return LoadResult{}, err
-	}
-	defer s.release()
 	if s.walErr != nil {
 		return LoadResult{}, fmt.Errorf("server: durable ingest unavailable: %w", s.walErr)
 	}
-	var out LoadResult
-	if s.walBE != nil {
-		var span *trace.Span
-		if s.recorder != nil && trace.FromContext(ctx) == nil {
-			span = trace.New("load")
-			span.Set("table", table)
-			span.Set("rows", len(rows))
-			ctx = trace.NewContext(ctx, span)
-			defer span.Finish()
-		}
-		ack, err := s.walBE.LoadRowsDurable(ctx, table, rows, sync)
-		if err != nil {
-			return LoadResult{}, err
-		}
-		out = LoadResult{Durable: true, Applied: ack.Applied, LSN: ack.MaxLSN}
-	} else {
-		if err := s.b.LoadRowsByName(table, rows); err != nil {
-			return LoadResult{}, err
-		}
-		out.Applied = true
+	c, err := s.begin("load", nil, "LOAD "+table, false)
+	if err != nil {
+		return LoadResult{}, err
 	}
-	out.Invalidated = s.results.invalidateTables([]string{strings.ToLower(table)})
+	defer s.release()
+	c.root.Set("table", table)
+	c.root.Set("rows", len(rows))
+	ack, err := s.b.LoadRowsDurable(trace.NewContext(ctx, c.root), table, rows, sync)
+	if _, _, err = c.finish(nil, false, err); err != nil {
+		return LoadResult{}, err
+	}
 	s.mu.Lock()
 	s.loads++
 	s.rowsLoaded += int64(len(rows))
 	s.mu.Unlock()
-	return out, nil
-}
-
-// LoadRows appends rows to the named table through the server, so the load
-// is counted in the serving metrics (Snapshot.Loads, Snapshot.RowsLoaded)
-// and dependent cache entries are evicted eagerly. (Loads made directly on
-// the backend stay correct — version-qualified keys can never serve stale
-// data — but bypass both.) It returns how many cached results the load
-// invalidated, so operators can watch invalidation churn under load.
-//
-//dgflint:compat ctx-free convenience wrapper over LoadRowsCtx
-func (s *Server) LoadRows(table string, rows []storage.Row) (int, error) {
-	res, err := s.LoadRowsCtx(context.Background(), table, rows, false)
-	return res.Invalidated, err
+	return LoadResult{
+		Invalidated: s.results.invalidateTables([]string{strings.ToLower(table)}),
+		Durable:     ack.MaxLSN > 0,
+		Applied:     ack.Applied,
+		LSN:         ack.MaxLSN,
+	}, nil
 }
 
 // Invalidate evicts cached results that read any of the named tables. Call
@@ -974,14 +876,14 @@ func (s *Server) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if s.walBE != nil {
-		if err := s.walBE.DrainWAL(ctx); err != nil {
-			s.walBE.CloseWAL() // flushes; undrained records replay on reboot
-			return err
-		}
-		return s.walBE.CloseWAL()
+	if s.cfg.WALDir == "" || s.walErr != nil {
+		return nil // the server only closes a WAL it opened
 	}
-	return nil
+	if err := s.b.DrainWAL(ctx); err != nil {
+		s.b.CloseWAL() // flushes; undrained records replay on reboot
+		return err
+	}
+	return s.b.CloseWAL()
 }
 
 // Draining reports whether Close has been called.
@@ -1019,9 +921,9 @@ type Snapshot struct {
 	Sessions      map[string]MetricsSnapshot `json:"sessions"`
 	ResultCache   CacheStats                 `json:"result_cache"`
 	PlanCache     CacheStats                 `json:"plan_cache"`
-	// Shards reports per-shard replica-set health when the backend is a
-	// replicated shard router (absent otherwise): replicas per shard, how
-	// many are live, and each replica's failure/ejection record.
+	// Shards reports per-shard replica-set health: replicas per shard, how
+	// many are live, and each replica's failure/ejection record. A
+	// single-warehouse server reports its one shard with one replica.
 	Shards []shard.SetHealth `json:"shards,omitempty"`
 	// RowsApplied counts per-replica applies: every row the WAL appliers
 	// drained into a warehouse, once for each replica that applied it. On

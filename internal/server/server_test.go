@@ -101,7 +101,7 @@ func TestConcurrentQueriesWithLoads(t *testing.T) {
 		}(g)
 	}
 	for k := 1; k <= 3; k++ {
-		if _, err := s.LoadRows("meterdata", meterRows(1+k*60, 60, 4, 4)); err != nil {
+		if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(1+k*60, 60, 4, 4), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	}
 
 	// Invalidating LOAD: users 10..50 gain one more day of readings.
-	if _, err := s.LoadRows("meterdata", meterRows(10, 41, 4, 1)); err != nil {
+	if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(10, 41, 4, 1), false); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.ResultCache.Invalidations == 0 {
@@ -309,7 +309,7 @@ func TestSessionOverflow(t *testing.T) {
 // error instead of writing anywhere.
 func TestLoadRowsMissingTable(t *testing.T) {
 	s := New(testWarehouse(t), Config{})
-	if _, err := s.LoadRows("nosuch", meterRows(1, 1, 4, 1)); err == nil || !strings.Contains(err.Error(), "does not exist") {
+	if _, err := s.LoadRowsCtx(context.Background(), "nosuch", meterRows(1, 1, 4, 1), false); err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("want missing-table error, got %v", err)
 	}
 }
@@ -333,7 +333,7 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := s.Query(context.Background(), Request{SQL: `SHOW TABLES`}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed after drain, got %v", err)
 	}
-	if _, err := s.LoadRows("meterdata", meterRows(900, 1, 4, 1)); !errors.Is(err, ErrClosed) {
+	if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(900, 1, 4, 1), false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed for load after drain, got %v", err)
 	}
 }

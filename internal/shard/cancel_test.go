@@ -117,7 +117,7 @@ func TestShardExplainTruthful(t *testing.T) {
 		{`SELECT userId, powerConsumed FROM meterdata WHERE userId>=12 AND userId<=28`, 0},
 	}
 	for _, tc := range suite {
-		plan, err := r.Explain(mustParseSelect(t, tc.sql), hive.ExecOptions{})
+		plan, err := r.ExplainContext(context.Background(), mustParseSelect(t, tc.sql), hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("Explain(%q): %v", tc.sql, err)
 		}

@@ -30,7 +30,7 @@ func runSuite(t *testing.T, r *Router) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, q := range meterQuerySuite(testMeterConfig()) {
-		res, err := r.Exec(q)
+		res, err := exec(r, q)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -77,7 +77,7 @@ func TestFailoverExecKilledReplica(t *testing.T) {
 
 	// Writes require every replica: no hinted handoff, the copies must stay
 	// exactly consistent.
-	err := r.LoadRowsByName("meterdata", []storage.Row{
+	err := loadRows(r, "meterdata", []storage.Row{
 		{storage.Int64(1), storage.Int64(1), storage.TimeUnix(1354320000), storage.Float64(1)},
 	})
 	if !errors.Is(err, ErrReplicaDown) {
@@ -256,7 +256,7 @@ func TestFailoverExplainKilledReplica(t *testing.T) {
 	defer r.Revive(1, 0)
 
 	sql := `SELECT sum(powerConsumed) FROM meterdata WHERE userId>=2 AND userId<=30`
-	plan, err := r.Explain(mustParseSelect(t, sql), hive.ExecOptions{})
+	plan, err := r.ExplainContext(context.Background(), mustParseSelect(t, sql), hive.ExecOptions{})
 	if err != nil {
 		t.Fatalf("Explain with a dead replica: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestFailoverAllReplicasDown(t *testing.T) {
 	r.Kill(2, 0)
 	r.Kill(2, 1)
 
-	_, err := r.Exec(`SELECT count(*) FROM meterdata`)
+	_, err := exec(r, `SELECT count(*) FROM meterdata`)
 	if !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("exec over a dead shard: err = %v, want ErrReplicaDown root cause", err)
 	}
@@ -306,7 +306,7 @@ func TestFailoverAllReplicasDown(t *testing.T) {
 		t.Fatalf("cursor over a dead shard: err = %v, want ErrReplicaDown", err)
 	}
 
-	_, err = r.Explain(mustParseSelect(t, `SELECT userId FROM meterdata`), hive.ExecOptions{})
+	_, err = r.ExplainContext(context.Background(), mustParseSelect(t, `SELECT userId FROM meterdata`), hive.ExecOptions{})
 	if !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("EXPLAIN over a dead shard: err = %v, want ErrReplicaDown", err)
 	}
@@ -341,7 +341,7 @@ func TestFailoverGoroutinesBounded(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		r.Kill(i%4, i%2)
-		if _, err := r.Exec(`SELECT count(*) FROM meterdata`); err != nil {
+		if _, err := exec(r, `SELECT count(*) FROM meterdata`); err != nil {
 			t.Fatal(err)
 		}
 		_ = rowMultiset(t, r, `SELECT userId FROM meterdata WHERE userId<=20`, 0)
@@ -373,7 +373,7 @@ func TestFailoverUserErrorsDontEject(t *testing.T) {
 	setupMeter(t, r, testMeterConfig(), false)
 
 	for i := 0; i < 5; i++ {
-		if _, err := r.Exec(`SELECT * FROM nosuchtable`); err == nil {
+		if _, err := exec(r, `SELECT * FROM nosuchtable`); err == nil {
 			t.Fatal("query over a missing table succeeded")
 		}
 		cur, err := r.SelectCursor(context.Background(), mustParseSelect(t, `SELECT v FROM nosuchtable`), hive.ExecOptions{})
@@ -447,7 +447,7 @@ func TestInsertDirRejectedOnReplicatedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	setupMeter(t, r, testMeterConfig(), false)
-	_, err = r.Exec(`INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`)
+	_, err = exec(r, `INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`)
 	if err == nil || !strings.Contains(err.Error(), "not supported") {
 		t.Fatalf("replicated INSERT OVERWRITE DIRECTORY: err = %v, want rejection", err)
 	}
@@ -457,7 +457,7 @@ func TestInsertDirRejectedOnReplicatedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	setupMeter(t, plain, testMeterConfig(), false)
-	if _, err := plain.Exec(`INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`); err != nil {
+	if _, err := exec(plain, `INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`); err != nil {
 		t.Fatalf("unreplicated single-shard pass-through rejected INSERT DIR: %v", err)
 	}
 }
@@ -516,7 +516,7 @@ func TestBroadcastErrorEnumeratesShards(t *testing.T) {
 	if _, err := r.Shard(2).Exec(`CREATE TABLE t (userId bigint, v double)`); err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.Exec(`CREATE TABLE t (userId bigint, v double)`)
+	_, err = exec(r, `CREATE TABLE t (userId bigint, v double)`)
 	if err == nil {
 		t.Fatal("diverging broadcast returned no error")
 	}
@@ -526,6 +526,17 @@ func TestBroadcastErrorEnumeratesShards(t *testing.T) {
 	}
 	if !strings.Contains(msg, "shards 0,1,3 applied") {
 		t.Fatalf("broadcast error %q does not name the applied shards", msg)
+	}
+
+	// A store that is down fails its slot of the broadcast, and the fold
+	// keeps that cause reachable, exactly as the load path's does.
+	r.Kill(1, 0)
+	_, err = exec(r, `CREATE TABLE u (userId bigint, v double)`)
+	if err == nil || !strings.Contains(err.Error(), "shard 1/4 failed") || !strings.Contains(err.Error(), "shards 0,2,3 applied") {
+		t.Fatalf("broadcast over a dead store = %v, want shard 1/4 failed; shards 0,2,3 applied", err)
+	}
+	if !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("root cause lost: %v", err)
 	}
 }
 
@@ -539,7 +550,7 @@ func TestReplicatedTableVersionConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, r, `CREATE TABLE regions (regionId bigint, name string)`)
-	if err := r.LoadRowsByName("regions", []storage.Row{
+	if err := loadRows(r, "regions", []storage.Row{
 		{storage.Int64(1), storage.Str("north")},
 		{storage.Int64(2), storage.Str("south")},
 	}); err != nil {
@@ -594,7 +605,7 @@ func TestHashRoutingCoercesKeyKinds(t *testing.T) {
 		{storage.Str("05"), storage.Float64(2)},
 		{storage.Float64(5), storage.Float64(3)},
 	}
-	if err := r.LoadRowsByName("readings", rows); err != nil {
+	if err := loadRows(r, "readings", rows); err != nil {
 		t.Fatal(err)
 	}
 	res := mustExec(t, r, `SELECT count(*) FROM readings WHERE userId=5`)

@@ -2,33 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
-	"github.com/smartgrid-oss/dgfindex/internal/trace"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
-
-// WALConfig configures durable ingest for a Router (see EnableWAL).
-type WALConfig struct {
-	// Dir is the log root; each replica logs to Dir/shard-NNN/replica-N.wal.
-	Dir string
-	// Fsync selects the append durability policy (default interval).
-	Fsync wal.Policy
-	// SyncEvery overrides the interval-policy flush period (default 25ms).
-	SyncEvery time.Duration
-	// MaxBatchRows caps rows per apply micro-batch (default 8192).
-	MaxBatchRows int
-	// MaxPendingRows bounds a replica's unapplied backlog before commits
-	// block (default 1<<20).
-	MaxPendingRows int
-	// OnApply runs after each successful apply batch (the serving layer
-	// hooks result-cache invalidation here).
-	OnApply func(table string, rows int)
-	// Recorder receives apply/catch-up trace spans when set.
-	Recorder *trace.Recorder
-}
 
 // EnableWAL turns on durable ingest: every subsequent load appends a
 // checksummed record to each replica's append-only log before it is
@@ -40,12 +19,12 @@ type WALConfig struct {
 // so on restart tables must be recreated before the engine replays loads.
 // Records already in Dir's logs from a previous run are replayed into the
 // (fresh, in-memory) warehouses before new loads commit.
-func (r *Router) EnableWAL(cfg WALConfig) error {
+func (r *Router) EnableWAL(opts wal.Options) error {
 	if r.wal.Load() != nil {
 		return fmt.Errorf("shard: WAL already enabled")
 	}
-	if cfg.Dir == "" {
-		return fmt.Errorf("shard: WALConfig.Dir is required")
+	if opts.Dir == "" {
+		return fmt.Errorf("shard: wal.Options.Dir is required")
 	}
 	stores := make([][]wal.Store, len(r.sets))
 	for i, rs := range r.sets {
@@ -53,15 +32,7 @@ func (r *Router) EnableWAL(cfg WALConfig) error {
 			stores[i] = append(stores[i], rep.w)
 		}
 	}
-	e, err := wal.Open(wal.Options{
-		Dir:            cfg.Dir,
-		Fsync:          cfg.Fsync,
-		SyncEvery:      cfg.SyncEvery,
-		MaxBatchRows:   cfg.MaxBatchRows,
-		MaxPendingRows: cfg.MaxPendingRows,
-		OnApply:        cfg.OnApply,
-		Recorder:       cfg.Recorder,
-	}, stores)
+	e, err := wal.Open(opts, stores)
 	if err != nil {
 		return err
 	}
@@ -87,12 +58,13 @@ type LoadAck struct {
 	Shards int
 }
 
-// LoadRowsDurable is the WAL write path: rows route to their shards, each
-// shard's slice commits to its live replicas' logs (dead replicas are owed
-// the records via hinted handoff), and the call acks at log-durability
-// speed. With sync=true it additionally waits — context-bounded — until
-// every live replica of each touched shard has applied its slice.
-// Without a WAL enabled it falls back to the synchronous replicated load.
+// LoadRowsDurable is the fleet's one load call. With a WAL enabled rows
+// route to their shards, each shard's slice commits to its live replicas'
+// logs (dead replicas are owed the records via hinted handoff), and the
+// call acks at log-durability speed; with sync=true it additionally waits —
+// context-bounded — until every live replica of each touched shard has
+// applied its slice. Without a WAL it writes every replica of each routed
+// shard synchronously (see loadRowsReplicated) and the ack is Applied.
 func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadAck, error) {
 	e := r.wal.Load()
 	if e == nil {
@@ -122,6 +94,11 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 		}
 		ack.Shards++
 		lsn, err := e.Commit(ctx, si, table, batch)
+		if errors.Is(err, wal.ErrNoLiveReplica) {
+			// The same availability failure a read of a fully-dead shard
+			// reports, so callers match one sentinel for both.
+			err = fmt.Errorf("%w: %w", ErrReplicaDown, err)
+		}
 		if err != nil {
 			errs[si] = err
 			continue
@@ -131,7 +108,7 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 			ack.MaxLSN = lsn
 		}
 	}
-	if err := r.loadOutcome(errs); err != nil {
+	if err := fleetOutcome("load", 1, errs); err != nil {
 		return ack, err
 	}
 	if sync {

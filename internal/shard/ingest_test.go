@@ -105,7 +105,7 @@ func waitFleetSettled(t *testing.T, r *Router) {
 // bit-identical comparisons include scan stats, which see part files.
 func enableTestWAL(t *testing.T, r *Router, dir string) {
 	t.Helper()
-	if err := r.EnableWAL(WALConfig{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
+	if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
 		t.Fatalf("enable wal: %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 	load := func(batch int) {
 		t.Helper()
 		rows := extraMeterRows(batch, 6)
-		if err := r.LoadRowsByName("meterdata", rows); err != nil {
+		if err := loadRows(r, "meterdata", rows); err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 		loaded += len(rows)
@@ -136,7 +136,7 @@ func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 		load(b) // loads must keep succeeding with a dead replica
 	}
 	// Reads fail over to the surviving replica meanwhile.
-	if _, err := r.Exec(`SELECT count(*) FROM meterdata`); err != nil {
+	if _, err := exec(r, `SELECT count(*) FROM meterdata`); err != nil {
 		t.Fatalf("query during outage: %v", err)
 	}
 	// The dead replica is owed records in the hint queue.
@@ -251,7 +251,7 @@ func TestIngestSyncAckVisibility(t *testing.T) {
 func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 	r := replicatedRouter(t, 2, 2, false)
 	t.Cleanup(func() { r.CloseWAL() })
-	if err := r.EnableWAL(WALConfig{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
 		t.Fatal(err)
 	}
 	const loaders, batches, rowsPer = 4, 10, 5
@@ -262,7 +262,7 @@ func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 		go func(l int) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
-				if err := r.LoadRowsByName("meterdata", extraMeterRows(l*100+b, rowsPer)); err != nil {
+				if err := loadRows(r, "meterdata", extraMeterRows(l*100+b, rowsPer)); err != nil {
 					errCh <- err
 					return
 				}
@@ -322,13 +322,13 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// Fleet 1: WAL on (fsync always — every batch durable), load batches,
 	// crash without draining.
 	r1 := mkFleet()
-	if err := r1.EnableWAL(WALConfig{Dir: dir, Fsync: wal.PolicyAlways, MaxBatchRows: 1}); err != nil {
+	if err := r1.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyAlways, MaxBatchRows: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var durable [][]storage.Row
 	for b := 0; b < 6; b++ {
 		rows := extraMeterRows(b, 5)
-		if err := r1.LoadRowsByName("meterdata", rows); err != nil {
+		if err := loadRows(r1, "meterdata", rows); err != nil {
 			t.Fatal(err)
 		}
 		durable = append(durable, rows)
@@ -336,7 +336,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// One more load whose record we tear below: a single row with a known
 	// routing target.
 	doomed := storage.Row{storage.Int64(9), storage.Int64(2), storage.TimeUnix(1354500000), storage.Float64(99.5)}
-	if err := r1.LoadRowsByName("meterdata", []storage.Row{doomed}); err != nil {
+	if err := loadRows(r1, "meterdata", []storage.Row{doomed}); err != nil {
 		t.Fatal(err)
 	}
 	m := r1.meta("meterdata")
@@ -352,7 +352,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// Fleet 2: fresh (empty) warehouses, same DDL, same WAL dir — replay.
 	r2 := mkFleet()
 	t.Cleanup(func() { r2.CloseWAL() })
-	if err := r2.EnableWAL(WALConfig{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
+	if err := r2.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitFleetSettled(t, r2)
@@ -360,7 +360,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// Baseline: synchronous loads of exactly the durable batches.
 	baseline := mkFleet()
 	for _, rows := range durable {
-		if err := baseline.LoadRowsByName("meterdata", rows); err != nil {
+		if err := loadRows(baseline, "meterdata", rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +390,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
 	r := replicatedRouter(t, 4, 2, false)
 	r.Kill(2, 0)
-	err := r.LoadRowsByName("meterdata", extraMeterRows(0, 40))
+	err := loadRows(r, "meterdata", extraMeterRows(0, 40))
 	if err == nil {
 		t.Fatal("load with a dead replica succeeded without a WAL")
 	}
@@ -407,7 +407,7 @@ func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
 	for si := 0; si < 4; si++ {
 		r.Kill(si, 1)
 	}
-	err = r.LoadRowsByName("meterdata", extraMeterRows(1, 40))
+	err = loadRows(r, "meterdata", extraMeterRows(1, 40))
 	if err == nil || !strings.Contains(err.Error(), "no shard applied") {
 		t.Fatalf("fully-failed load error = %v, want 'no shard applied'", err)
 	}
@@ -421,9 +421,12 @@ func TestIngestLoadFailsWhenWholeShardDead(t *testing.T) {
 	enableTestWAL(t, r, t.TempDir())
 	r.Kill(0, 0)
 	r.Kill(0, 1)
-	err := r.LoadRowsByName("meterdata", extraMeterRows(0, 40))
+	err := loadRows(r, "meterdata", extraMeterRows(0, 40))
 	if err == nil || !strings.Contains(err.Error(), "no live replica") {
 		t.Fatalf("err = %v, want no-live-replica commit failure", err)
+	}
+	if !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("a load no replica could log must match ErrReplicaDown, like a read of a dead shard: %v", err)
 	}
 }
 

@@ -42,16 +42,16 @@ func itWarehouse(int, int) *hive.Warehouse {
 
 func itSetup(t *testing.T, r *shard.Router, cfg workload.MeterConfig, withIndex bool) {
 	t.Helper()
-	if _, err := r.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", cfg.AllRows(), false); err != nil {
 		t.Fatal(err)
 	}
 	if withIndex {
-		if _, err := r.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+		if _, err := r.ExecContext(context.Background(), `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_8',
-			'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`); err != nil {
+			'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, hive.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,11 +87,11 @@ func TestShardServerIntegration(t *testing.T) {
 	day := cfg
 	day.Days = 1
 	day.Start = cfg.Start.AddDate(0, 0, cfg.Days)
-	invalidated, err := srv.LoadRows("meterdata", day.AllRows())
+	loaded, err := srv.LoadRowsCtx(context.Background(), "meterdata", day.AllRows(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invalidated == 0 {
+	if loaded.Invalidated == 0 {
 		t.Fatal("routed load did not invalidate the cached result")
 	}
 	after, err := srv.Query(context.Background(), server.Request{SQL: q})
@@ -113,8 +113,8 @@ func TestShardServerIntegration(t *testing.T) {
 
 // TestServerReplicaHealthSurfaces: a replicated router's health reaches
 // /stats (per-shard replica detail) and /healthz (degraded + 503 once a
-// shard has no live replica; ok again after revive). An unreplicated
-// warehouse backend reports no shard section at all.
+// shard has no live replica; ok again after revive). A single-warehouse
+// server is the 1x1 fleet and reports its one shard the same way.
 func TestServerReplicaHealthSurfaces(t *testing.T) {
 	cfg := itMeterConfig()
 	router, err := shard.New(shard.Config{Shards: 2, Replicas: 2, Key: "userId"}, itWarehouse)
@@ -180,9 +180,9 @@ func TestServerReplicaHealthSurfaces(t *testing.T) {
 		t.Fatalf("after revive: healthz %d %v", code, body)
 	}
 
-	// A bare warehouse backend has no shard section.
+	// A single warehouse is one shard with one live replica.
 	bare := server.New(itWarehouse(0, 0), server.Config{})
-	if snap := bare.Stats(); snap.Shards != nil {
-		t.Fatalf("bare warehouse reports shard health: %+v", snap.Shards)
+	if snap := bare.Stats(); len(snap.Shards) != 1 || snap.Shards[0].Replicas != 1 || snap.Shards[0].Live != 1 {
+		t.Fatalf("single-warehouse server shard health = %+v, want one shard, 1 live of 1", snap.Shards)
 	}
 }

@@ -79,6 +79,7 @@ type Config struct {
 	// Key names the routing column (case-insensitive). Tables whose schema
 	// lacks the column replicate to every shard instead — which keeps
 	// broadcast-join sides (the paper's userInfo) available shard-locally.
+	// A one-shard fleet partitions nothing and may leave it empty.
 	Key string
 	// Strategy selects hash or range routing. Default HashKey.
 	Strategy Strategy
@@ -122,7 +123,7 @@ func (c Config) validate() error {
 	if c.Replicas < 0 {
 		return fmt.Errorf("shard: negative replica count %d", c.Replicas)
 	}
-	if strings.TrimSpace(c.Key) == "" {
+	if c.Shards > 1 && strings.TrimSpace(c.Key) == "" {
 		return fmt.Errorf("shard: routing key column must be named")
 	}
 	if c.Strategy == RangeKey {
@@ -251,16 +252,9 @@ func (r *Router) meta(table string) *tableMeta {
 	return r.tables[strings.ToLower(table)]
 }
 
-// Exec parses and executes one HiveQL statement across the fleet. It is
-// ExecContext under context.Background().
-//
-//dgflint:compat ctx-free convenience wrapper over ExecContext
-func (r *Router) Exec(sql string) (*hive.Result, error) {
-	return r.ExecContext(context.Background(), sql, hive.ExecOptions{})
-}
-
-// ExecContext is Exec under ctx: a ctx that ends mid-scatter cancels every
-// in-flight shard scan at its next split boundary.
+// ExecContext parses and executes one HiveQL statement across the fleet: a
+// ctx that ends mid-scatter cancels every in-flight shard scan at its next
+// split boundary.
 func (r *Router) ExecContext(ctx context.Context, sql string, opts hive.ExecOptions) (*hive.Result, error) {
 	stmt, err := hive.Parse(sql)
 	if err != nil {
@@ -357,29 +351,39 @@ func (r *Router) broadcast(ctx context.Context, stmt hive.Stmt, opts hive.ExecOp
 		}
 	}
 	wg.Wait()
-	if err := r.broadcastOutcome(errs); err != nil {
+	if err := fleetOutcome("broadcast", nr, errs); err != nil {
 		return nil, err
 	}
 	return results[0], nil
 }
 
-// broadcastOutcome folds the per-store errors of one broadcast into a single
-// error that names every failed store and the shards that applied the
-// statement (nil when everything applied).
-func (r *Router) broadcastOutcome(errs []error) error {
-	nr := r.cfg.replicas()
-	var failed []string
-	var applied []string
-	for i := range r.sets {
+// fleetOutcome folds the per-store errors of one fleet-wide write — a DDL
+// broadcast (perShard stores per shard, shard-major) or a routed load (one
+// outcome per shard) — into a single error that names every failed store and
+// the shards that applied, so an operator knows exactly what needs repair
+// (nil when everything applied). A single store passes its error through
+// untouched, keeping a one-store router's errors identical to a bare
+// warehouse's.
+func fleetOutcome(op string, perShard int, errs []error) error {
+	if len(errs) == 1 {
+		return errs[0]
+	}
+	shards := len(errs) / perShard
+	var failed, applied []string
+	var causes []error
+	for i := 0; i < shards; i++ {
 		ok := true
-		for j := 0; j < nr; j++ {
-			if err := errs[i*nr+j]; err != nil {
-				ok = false
-				if nr > 1 {
-					failed = append(failed, fmt.Sprintf("shard %d/%d replica %d failed: %v", i, len(r.sets), j, err))
-				} else {
-					failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, len(r.sets), err))
-				}
+		for j := 0; j < perShard; j++ {
+			err := errs[i*perShard+j]
+			if err == nil {
+				continue
+			}
+			ok = false
+			causes = append(causes, err)
+			if perShard > 1 {
+				failed = append(failed, fmt.Sprintf("shard %d/%d replica %d failed: %v", i, shards, j, err))
+			} else {
+				failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, shards, err))
 			}
 		}
 		if ok {
@@ -395,8 +399,18 @@ func (r *Router) broadcastOutcome(errs []error) error {
 	} else {
 		msg += "; no shard applied"
 	}
-	return fmt.Errorf("shard: broadcast diverged the fleet: %s", msg)
+	return &fleetError{msg: "shard: " + op + " diverged the fleet: " + msg, causes: causes}
 }
+
+// fleetError enumerates a partially-applied fleet write's per-store failures
+// while keeping every cause reachable through errors.Is/As.
+type fleetError struct {
+	msg    string
+	causes []error
+}
+
+func (e *fleetError) Error() string   { return e.msg }
+func (e *fleetError) Unwrap() []error { return e.causes }
 
 // routeSelect is the one place the fleet decides how a SELECT executes:
 // pass through to one warehouse untouched, or scatter to a target set.
@@ -548,22 +562,14 @@ func (r *Router) scatter(ctx context.Context, s *hive.SelectStmt, opts hive.Exec
 	return res, nil
 }
 
-// Explain plans a SELECT across the fleet without executing it, consuming
-// the same routeSelect decision execution does: pass-through cases return
-// the single answering warehouse's plan untouched; scatter cases merge the
-// target shards' plans (volumes and slice counts sum — exactly how the
+// ExplainContext plans a SELECT across the fleet without executing it,
+// consuming the same routeSelect decision execution does: pass-through cases
+// return the single answering warehouse's plan untouched; scatter cases merge
+// the target shards' plans (volumes and slice counts sum — exactly how the
 // executed stats merge) and prefix the access path with the same
-// "sharded(k/n):" label the gather will report. It is ExplainContext under
-// context.Background().
-//
-//dgflint:compat ctx-free convenience wrapper over ExplainContext
-func (r *Router) Explain(s *hive.SelectStmt, opts hive.ExecOptions) (*hive.ExplainPlan, error) {
-	return r.ExplainContext(context.Background(), s, opts)
-}
-
-// ExplainContext is Explain under ctx: planning reads index KV state from a
-// live replica per target shard, and the caller's cancellation bounds those
-// reads the same way it bounds execution.
+// "sharded(k/n):" label the gather will report. Planning reads index KV state
+// from a live replica per target shard, and ctx bounds those reads the same
+// way it bounds execution.
 func (r *Router) ExplainContext(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.ExplainPlan, error) {
 	targets, passthrough, err := r.routeSelect(s)
 	if err != nil {
@@ -788,39 +794,33 @@ func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row,
 	return batches, nil
 }
 
-// LoadRowsByName appends rows, routing each row to its shard by the key
-// column (tables without the key column replicate the batch to every
-// shard). Without a WAL, a shard's batch is written synchronously to every
-// one of its replicas, so the copies stay exactly consistent — a down
-// replica therefore fails the load. With EnableWAL the load commits to the
-// replicas' logs (skipping dead replicas, which catch up on Revive) and
-// background appliers apply it. Loads run concurrently; each warehouse's
-// own write lock keeps its load atomic.
-//
-//dgflint:compat signature fixed by the server.Backend / wal.Backend interfaces, which are ctx-free
-func (r *Router) LoadRowsByName(table string, rows []storage.Row) error {
-	if r.wal.Load() != nil {
-		_, err := r.LoadRowsDurable(context.Background(), table, rows, false)
-		return err
-	}
-	return r.loadRowsReplicated(table, rows)
-}
-
-// loadRowsReplicated is the non-WAL load: every replica of each routed
-// shard is written synchronously. It takes no Context because the write
-// is not abortable midway — cancelling between replicas would leave the
-// copies of a shard diverged.
+// loadRowsReplicated is the load on a fleet without a WAL: rows route to
+// their shards by the key column (tables without it replicate the batch to
+// every shard) and each shard's batch is written synchronously to every one
+// of its replicas, so the copies stay exactly consistent — a down replica
+// therefore fails the load. Loads run concurrently; each warehouse's own
+// write lock keeps its load atomic. It takes no Context because the write is
+// not abortable midway — cancelling between replicas would leave the copies
+// of a shard diverged.
 func (r *Router) loadRowsReplicated(table string, rows []storage.Row) error {
 	batches, err := r.loadBatches(table, rows)
 	if err != nil {
 		return err
 	}
-	return r.eachShard(func(rs *replicaSet) error {
-		if len(batches[rs.shard]) == 0 {
-			return nil
+	errs := make([]error, len(r.sets))
+	var wg sync.WaitGroup
+	for i, rs := range r.sets {
+		if len(batches[i]) == 0 {
+			continue
 		}
-		return r.loadShardReplicas(rs, table, batches[rs.shard])
-	})
+		wg.Add(1)
+		go func(i int, rs *replicaSet) {
+			defer wg.Done()
+			errs[i] = r.loadShardReplicas(rs, table, batches[i])
+		}(i, rs)
+	}
+	wg.Wait()
+	return fleetOutcome("load", 1, errs)
 }
 
 // loadShardReplicas writes one batch to every replica of one shard
@@ -860,69 +860,6 @@ func (r *Router) loadShardReplicas(rs *replicaSet, table string, rows []storage.
 	}
 	return nil
 }
-
-// eachShard runs fn on every shard's replica set concurrently and folds the
-// per-shard outcomes into one error that enumerates every failed shard and
-// the shards that applied (see loadOutcome) — the same accounting broadcast
-// gives DDL, so a partially-applied load names exactly which shards took it.
-func (r *Router) eachShard(fn func(rs *replicaSet) error) error {
-	errs := make([]error, len(r.sets))
-	var wg sync.WaitGroup
-	for i, rs := range r.sets {
-		wg.Add(1)
-		go func(i int, rs *replicaSet) {
-			defer wg.Done()
-			errs[i] = fn(rs)
-		}(i, rs)
-	}
-	wg.Wait()
-	return r.loadOutcome(errs)
-}
-
-// loadOutcome folds per-shard load errors into a single error naming every
-// failed shard and the shards that applied, mirroring broadcastOutcome. A
-// single-shard fleet passes its error through untouched, keeping a 1-shard
-// router's errors identical to a bare warehouse's.
-func (r *Router) loadOutcome(errs []error) error {
-	if len(errs) == 1 {
-		return errs[0]
-	}
-	var failed []string
-	var applied []string
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, len(errs), err))
-		} else {
-			applied = append(applied, strconv.Itoa(i))
-		}
-	}
-	if failed == nil {
-		return nil
-	}
-	msg := strings.Join(failed, "; ")
-	if len(applied) > 0 {
-		msg += "; shards " + strings.Join(applied, ",") + " applied"
-	} else {
-		msg += "; no shard applied"
-	}
-	var causes []error
-	for _, err := range errs {
-		if err != nil {
-			causes = append(causes, err)
-		}
-	}
-	return &fleetLoadError{msg: "shard: load diverged the fleet: " + msg, causes: causes}
-}
-
-// fleetLoadError enumerates a partially-applied load's per-shard failures
-// while keeping every cause reachable through errors.Is/As.
-type fleetLoadError struct {
-	msg    string
-	causes []error
-}
-
-func (e *fleetLoadError) Error() string   { return e.msg }
-func (e *fleetLoadError) Unwrap() []error { return e.causes }
 
 // TableVersions sums the shards' per-table mutation counters. A shard's
 // counter is the max across its replicas (replicas apply every write, so

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -33,8 +34,23 @@ func newShardWarehouse(int, int) *hive.Warehouse {
 // loader abstracts the direct warehouse and the router so one setup
 // function populates both identically.
 type loader interface {
-	Exec(sql string) (*hive.Result, error)
-	LoadRowsByName(table string, rows []storage.Row) error
+	ExecContext(ctx context.Context, sql string, opts hive.ExecOptions) (*hive.Result, error)
+}
+
+// exec runs one statement to completion on a warehouse or a router.
+func exec(l loader, sql string) (*hive.Result, error) {
+	return l.ExecContext(context.Background(), sql, hive.ExecOptions{})
+}
+
+// loadRows appends rows through the store's own load call: the router's one
+// LoadRowsDurable (synchronous without a WAL, logged with one), or the bare
+// warehouse's LoadRowsByName.
+func loadRows(l loader, table string, rows []storage.Row) error {
+	if r, ok := l.(*Router); ok {
+		_, err := r.LoadRowsDurable(context.Background(), table, rows, false)
+		return err
+	}
+	return l.(*hive.Warehouse).LoadRowsByName(table, rows)
 }
 
 func setupMeter(t *testing.T, l loader, cfg workload.MeterConfig, withIndex bool) {
@@ -46,11 +62,11 @@ func setupMeter(t *testing.T, l loader, cfg workload.MeterConfig, withIndex bool
 func setupMeterStored(t *testing.T, l loader, cfg workload.MeterConfig, withIndex bool, stored string) {
 	t.Helper()
 	mustExec(t, l, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS `+stored)
-	if err := l.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+	if err := loadRows(l, "meterdata", cfg.AllRows()); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, l, `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`)
-	if err := l.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
+	if err := loadRows(l, "userInfo", cfg.UserInfoRows()); err != nil {
 		t.Fatal(err)
 	}
 	if withIndex {
@@ -62,7 +78,7 @@ func setupMeterStored(t *testing.T, l loader, cfg workload.MeterConfig, withInde
 
 func mustExec(t *testing.T, l loader, sql string) *hive.Result {
 	t.Helper()
-	res, err := l.Exec(sql)
+	res, err := exec(l, sql)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}
@@ -125,7 +141,7 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
-		got, err := router.Exec(q)
+		got, err := exec(router, q)
 		if err != nil {
 			t.Fatalf("router %q: %v", q, err)
 		}
@@ -188,7 +204,7 @@ func runEquivalence(t *testing.T, cfg workload.MeterConfig, router *Router, with
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
-		got, err := router.Exec(q)
+		got, err := exec(router, q)
 		if err != nil {
 			t.Fatalf("router %q: %v", q, err)
 		}
@@ -327,14 +343,14 @@ func TestShardCatalogAndVersions(t *testing.T) {
 	day := cfg
 	day.Days = 1
 	day.Start = cfg.Start.AddDate(0, 0, cfg.Days)
-	if err := router.LoadRowsByName("meterdata", day.AllRows()); err != nil {
+	if err := loadRows(router, "meterdata", day.AllRows()); err != nil {
 		t.Fatal(err)
 	}
 	if v1 := router.TableVersions("meterdata")["meterdata"]; v1 <= v0 {
 		t.Fatalf("version did not grow: %d -> %d", v0, v1)
 	}
 
-	if _, err := router.Exec(`DROP TABLE userInfo`); err != nil {
+	if _, err := exec(router, `DROP TABLE userInfo`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < router.NumShards(); i++ {
@@ -354,12 +370,12 @@ func TestShardJoinGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	setupMeter(t, router, cfg, false)
-	_, err = router.Exec(`SELECT t2.address FROM meterdata t1 JOIN userInfo t2 ON t1.regionId=t2.regionId`)
+	_, err = exec(router, `SELECT t2.address FROM meterdata t1 JOIN userInfo t2 ON t1.regionId=t2.regionId`)
 	if err == nil || !strings.Contains(err.Error(), "shard key") {
 		t.Fatalf("want co-partitioning error, got %v", err)
 	}
 	// INSERT OVERWRITE DIRECTORY writes shard-local files: rejected too.
-	_, err = router.Exec(`INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`)
+	_, err = exec(router, `INSERT OVERWRITE DIRECTORY '/tmp/out' SELECT userId FROM meterdata`)
 	if err == nil || !strings.Contains(err.Error(), "not supported") {
 		t.Fatalf("want insert-dir rejection, got %v", err)
 	}
@@ -377,7 +393,7 @@ func TestShardReplicatedTables(t *testing.T) {
 		{storage.Int64(1), storage.Str("north")},
 		{storage.Int64(2), storage.Str("south")},
 	}
-	if err := router.LoadRowsByName("regions", rows); err != nil {
+	if err := loadRows(router, "regions", rows); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < router.NumShards(); i++ {
@@ -425,7 +441,7 @@ func TestShardReplicatedJoinShardedTable(t *testing.T) {
 		for rid := 1; rid <= cfg.Regions; rid++ {
 			rows = append(rows, storage.Row{storage.Int64(int64(rid)), storage.Str(fmt.Sprintf("region-%d", rid))})
 		}
-		if err := l.LoadRowsByName("regions", rows); err != nil {
+		if err := loadRows(l, "regions", rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,7 +453,7 @@ func TestShardReplicatedJoinShardedTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
-		got, err := router.Exec(q)
+		got, err := exec(router, q)
 		if err != nil {
 			t.Fatalf("router %q: %v", q, err)
 		}
@@ -494,11 +510,11 @@ func TestShardRCFileEquivalence(t *testing.T) {
 	}
 
 	for _, q := range meterQuerySuite(cfg) {
-		want, err := textRouter.Exec(q)
+		want, err := exec(textRouter, q)
 		if err != nil {
 			t.Fatalf("text router %q: %v", q, err)
 		}
-		got, err := rcRouter.Exec(q)
+		got, err := exec(rcRouter, q)
 		if err != nil {
 			t.Fatalf("rc router %q: %v", q, err)
 		}
@@ -509,7 +525,7 @@ func TestShardRCFileEquivalence(t *testing.T) {
 		if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
 			t.Fatalf("%q: formats disagree\ntext: %v\nrcfile: %v", q, wr, gr)
 		}
-		base, err := oneShard.Exec(q)
+		base, err := exec(oneShard, q)
 		if err != nil {
 			t.Fatalf("1-shard %q: %v", q, err)
 		}

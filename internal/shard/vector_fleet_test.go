@@ -23,11 +23,11 @@ func setupVectorFleetTable(t *testing.T, l loader, warehouses []*hive.Warehouse,
 		}
 		tbl.RowGroupRows = 16
 	}
-	if err := l.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
+	if err := loadRows(l, "meterdata", cfg.AllRows()); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, l, `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`)
-	if err := l.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
+	if err := loadRows(l, "userInfo", cfg.UserInfoRows()); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, l, `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -17,6 +18,10 @@ import (
 type Store interface {
 	LoadRowsByName(table string, rows []storage.Row) error
 }
+
+// ErrNoLiveReplica fails a Commit that no replica of the shard could log:
+// every one is down or its log refused the append. Nothing was logged.
+var ErrNoLiveReplica = errors.New("no live replica log accepted the record")
 
 // Options configures an Engine.
 type Options struct {
@@ -260,7 +265,7 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 		logged++
 	}
 	if logged == 0 {
-		return 0, fmt.Errorf("wal: shard %d: no live replica log accepted the record", shard)
+		return 0, fmt.Errorf("wal: shard %d: %w", shard, ErrNoLiveReplica)
 	}
 	sw.next++
 	if span != nil {
