@@ -1,6 +1,7 @@
 package dgf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path"
 	"sort"
@@ -65,16 +66,23 @@ type Source struct {
 // output files are written through the storage package's segment writers, so
 // slice boundaries fall at line offsets for TextFile and at row-group
 // boundaries for RCFile.
+//
+// Each stage touches a record once. Map takes the cell coordinates from the
+// row an RCFile reader already decoded, or parses only the dimension fields
+// of a text line, and renders a GFUKey once per distinct cell. Reduce decodes
+// a record at most once: an RCFile index decodes the line into one row that
+// feeds both the header and the row-group writer; a TextFile index writes the
+// line through and parses only the pre-compute factor fields.
 func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	schema *storage.Schema, src Source, dataDir string) (*Index, *BuildStats, error) {
 	if err := spec.Validate(schema); err != nil {
 		return nil, nil, err
 	}
 	ix := &Index{
-		FS:        fs,
-		KV:        kv,
-		Spec:      spec,
-		Schema:    schema,
+		FS:         fs,
+		KV:         kv,
+		Spec:       spec,
+		Schema:     schema,
 		DataDir:    dataDir,
 		Format:     src.Format,
 		GroupRows:  src.GroupRows,
@@ -91,6 +99,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	if err := fs.MkdirAll(dataDir); err != nil {
 		return nil, nil, err
 	}
+	ix.gfuBytes.Store(ix.countGFUBytes()) // pairs a previous index left in kv count, as they always did
 	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema}
 	stats, err := ix.runBuildJob(cfg, input, true)
 	if err != nil {
@@ -105,7 +114,9 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 // dimension in DGFIndex is extended and the DGFIndex construction process is
 // executed on these temporary files" (Section 4.2). The staged files are
 // always TextFile (loads stage rows as text regardless of the table format);
-// the reorganised output follows the index's format.
+// the reorganised output follows the index's format. An append costs O(batch):
+// it reads back only the GFU pairs it merges into, and the returned IndexBytes
+// is a running total rather than a scan of the store.
 func (ix *Index) Append(cfg *cluster.Config, files []string) (*BuildStats, error) {
 	return ix.runBuildJob(cfg, &mapreduce.FileInput{FS: ix.FS, Paths: files}, false)
 }
@@ -117,7 +128,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}
 	kvBefore := ix.KV.Stats()
 
-	var boundsMu sync.Mutex
+	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, entries, droppedCols, ix's bounds
 	boundsInit := !fresh // appends extend existing bounds
 	var entries int
 	droppedCols := map[int]bool{} // bitmap columns overflowed in some output file
@@ -132,32 +143,23 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}
 	ix.KV.Put(metaGen, []byte(strconv.Itoa(gen+1)))
 
+	keys := gfuKeys{policy: &ix.Spec.Policy, byCell: map[string]string{}}
+	columnar := ix.Format == storage.RCFile
 	job := &mapreduce.Job{
 		Name:  "dgf-build-" + ix.Spec.Name,
 		Input: input,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			cells := make([]int64, len(ix.dimCols))
-			if err := ix.cellsOfLine(rec.Data, cells); err != nil {
-				return err
-			}
-			// Track observed bounds for ClampRead and partial queries.
-			boundsMu.Lock()
-			if !boundsInit {
-				copy(ix.minCell, cells)
-				copy(ix.maxCell, cells)
-				boundsInit = true
+			cells := make([]int64, 0, stackDims)
+			if rec.Row != nil {
+				// The reader decoded the record anyway (RCFile).
+				cells = ix.cellsOfRow(rec.Row, cells)
 			} else {
-				for i, c := range cells {
-					if c < ix.minCell[i] {
-						ix.minCell[i] = c
-					}
-					if c > ix.maxCell[i] {
-						ix.maxCell[i] = c
-					}
+				var err error
+				if cells, err = ix.cellsOfLine(rec.Data, cells); err != nil {
+					return err
 				}
 			}
-			boundsMu.Unlock()
-			emit(ix.Spec.Policy.Key(cells), rec.Data)
+			emit(keys.of(cells), rec.Data)
 			return nil
 		},
 		NumReducers: numReducers,
@@ -171,18 +173,47 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			if err != nil {
 				return err
 			}
-			pairs := make(map[string][]byte, len(groups))
+			pairs := make([]gfuPair, 0, len(groups))
+			// Observed bounds (for ClampRead and partial queries) are kept per
+			// task, from one record of every group, and merged once below.
+			var lo, hi []int64
+			var row storage.Row // columnar output: the task's one decoded record
+			if columnar {
+				row = make(storage.Row, ix.Schema.Len())
+			}
 			for _, g := range groups {
 				start := sw.Offset()
 				header := NewHeader(ix.Spec.Precompute)
 				for _, line := range g.Values {
-					if err := ix.foldLine(line, header); err != nil {
-						return err
+					// One decode per record: a columnar writer needs the
+					// row, and the same row feeds the header; a text writer
+					// takes the line as it is and only the pre-compute
+					// factor fields are parsed.
+					var rec storage.SegmentRecord
+					if columnar {
+						if err := storage.DecodeTextRowInto(ix.Schema, string(line), row); err != nil {
+							return err
+						}
+						ix.foldRow(row, header)
+						rec.Row = row
+					} else {
+						if err := ix.foldLine(line, header); err != nil {
+							return err
+						}
+						rec.Line = line
 					}
-					if err := sw.WriteRecord(line); err != nil {
+					if err := sw.WriteRecord(rec); err != nil {
 						return err
 					}
 				}
+				// Every record of a group standardises to the same cell.
+				cells := make([]int64, 0, stackDims)
+				if columnar {
+					cells = ix.cellsOfRow(row, cells)
+				} else if cells, err = ix.cellsOfLine(g.Values[0], cells); err != nil {
+					return err
+				}
+				lo, hi = extendBounds(lo, hi, cells)
 				// Cut at the GFU boundary so the slice covers whole
 				// addressable units (row groups for RCFile).
 				if err := sw.Cut(); err != nil {
@@ -190,7 +221,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				}
 				end := sw.Offset()
 				val := GFUValue{Header: header, Slices: []SliceLoc{{File: name, Start: start, End: end}}}
-				pairs[g.Key] = encodeGFUValue(val)
+				pairs = append(pairs, gfuPair{key: g.Key, value: encodeGFUValue(val)})
 			}
 			if err := sw.Close(); err != nil {
 				return err
@@ -201,12 +232,20 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			}
 			// Merge with any existing pairs (late data for a known cell).
 			ix.mergePairs(pairs)
-			boundsMu.Lock()
+			mu.Lock()
 			entries += len(pairs)
 			for _, c := range overflowed {
 				droppedCols[c] = true
 			}
-			boundsMu.Unlock()
+			if !boundsInit {
+				copy(ix.minCell, lo)
+				copy(ix.maxCell, hi)
+				boundsInit = true
+			} else {
+				extendBounds(ix.minCell, ix.maxCell, lo)
+				extendBounds(ix.minCell, ix.maxCell, hi)
+			}
+			mu.Unlock()
 			return nil
 		},
 	}
@@ -246,19 +285,77 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}, nil
 }
 
+// stackDims is how many cell coordinates the per-record scratch slices hold
+// before they spill to the heap.
+const stackDims = 8
+
+// extendBounds widens the per-dimension bounds [lo, hi] to cover cells and
+// returns them; nil bounds start at cells.
+func extendBounds(lo, hi, cells []int64) ([]int64, []int64) {
+	if lo == nil {
+		return append([]int64(nil), cells...), append([]int64(nil), cells...)
+	}
+	for i, c := range cells {
+		if c < lo[i] {
+			lo[i] = c
+		}
+		if c > hi[i] {
+			hi[i] = c
+		}
+	}
+	return lo, hi
+}
+
+// gfuKeys memoises the GFUKey string of every cell a build job meets: a key is
+// rendered once per distinct cell instead of once per record, and all pairs
+// of a cell share one string. Map tasks share it, so reads take the lock
+// shared.
+type gfuKeys struct {
+	policy *gridfile.Policy
+	mu     sync.RWMutex
+	byCell map[string]string // raw cell coordinates → GFUKey
+}
+
+func (k *gfuKeys) of(cells []int64) string {
+	raw := make([]byte, 0, 8*stackDims)
+	for _, c := range cells {
+		raw = binary.LittleEndian.AppendUint64(raw, uint64(c))
+	}
+	k.mu.RLock()
+	key, ok := k.byCell[string(raw)]
+	k.mu.RUnlock()
+	if ok {
+		return key
+	}
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if key, ok = k.byCell[string(raw)]; !ok {
+		key = k.policy.Key(cells)
+		k.byCell[string(raw)] = key
+	}
+	return key
+}
+
+// gfuPair is one freshly built <GFUKey, GFUValue> pair.
+type gfuPair struct {
+	key   string
+	value []byte
+}
+
 // mergePairs installs freshly built GFU pairs, merging headers and slice
-// lists with existing pairs for the same key.
-func (ix *Index) mergePairs(pairs map[string][]byte) {
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, gfuPrefix+k)
+// lists with existing pairs for the same key, and keeps the SizeBytes total.
+func (ix *Index) mergePairs(pairs []gfuPair) {
+	keys := make([]string, len(pairs))
+	for i, p := range pairs {
+		keys[i] = gfuPrefix + p.key
 	}
 	existing := ix.KV.MultiGet(keys)
 	out := make(map[string][]byte, len(pairs))
-	i := 0
-	for k, enc := range pairs {
-		full := gfuPrefix + k
-		if prev := existing[i]; prev != nil {
+	var grown int64
+	for i, p := range pairs {
+		enc := p.value
+		prev := existing[i]
+		if prev != nil {
 			oldVal, err1 := decodeGFUValue(ix.Spec.Precompute, prev)
 			newVal, err2 := decodeGFUValue(ix.Spec.Precompute, enc)
 			if err1 == nil && err2 == nil {
@@ -266,11 +363,14 @@ func (ix *Index) mergePairs(pairs map[string][]byte) {
 				oldVal.Slices = append(oldVal.Slices, newVal.Slices...)
 				enc = encodeGFUValue(oldVal)
 			}
+			grown += int64(len(enc) - len(prev))
+		} else {
+			grown += int64(len(keys[i]) + len(enc))
 		}
-		out[full] = enc
-		i++
+		out[keys[i]] = enc
 	}
 	ix.KV.PutBatch(out)
+	ix.gfuBytes.Add(grown)
 }
 
 // AddPrecompute registers additional pre-computed aggregations on a live
@@ -304,8 +404,8 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 		Name:  "dgf-addudf-" + ix.Spec.Name,
 		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			cells := make([]int64, len(next.dimCols))
-			if err := next.cellsOfLine(rec.Data, cells); err != nil {
+			cells, err := next.cellsOfLine(rec.Data, make([]int64, 0, stackDims))
+			if err != nil {
 				return err
 			}
 			key := next.Spec.Policy.Key(cells)
@@ -329,6 +429,7 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	}
 	// Rewrite the stored pairs with extended headers, keeping locations.
 	updates := map[string][]byte{}
+	var total int64
 	for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
 		old, err := decodeGFUValue(ix.Spec.Precompute, p.Value)
 		if err != nil {
@@ -339,9 +440,12 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 		if !ok {
 			h = NewHeader(extended)
 		}
-		updates[p.Key] = encodeGFUValue(GFUValue{Header: h, Slices: old.Slices})
+		enc := encodeGFUValue(GFUValue{Header: h, Slices: old.Slices})
+		updates[p.Key] = enc
+		total += int64(len(p.Key) + len(enc))
 	}
 	ix.KV.PutBatch(updates)
+	ix.gfuBytes.Store(total)
 	ix.Spec.Precompute = extended
 	if err := ix.resolveColumns(); err != nil {
 		return nil, err

@@ -1,0 +1,253 @@
+package dgf
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
+	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
+	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
+	"github.com/smartgrid-oss/dgfindex/internal/storage"
+)
+
+// The build job's output is pinned: every reorganised data file and sidecar,
+// every key-value pair and the BuildStats of a TextFile and an RCFile build
+// plus two appends each must hash to what commit fe95d05 (the parent of the
+// hash-grouped shuffle) produced. The constants below were recorded there,
+// before any source changed; a rewrite of the shuffle, the map function, the
+// reducer or the writers has to reproduce them byte for byte, under any split
+// completion order (run with -race -count=20).
+
+const (
+	goldenUsers    = 600
+	goldenReadings = 40         // per user, one every six hours
+	goldenDay0     = 1354320000 // 2012-12-01 00:00:00 UTC
+)
+
+func goldenSchema() *storage.Schema {
+	return storage.NewSchema(
+		storage.Column{Name: "userId", Kind: storage.KindInt64},
+		storage.Column{Name: "regionId", Kind: storage.KindInt64},
+		storage.Column{Name: "ts", Kind: storage.KindTime},
+		storage.Column{Name: "powerConsumed", Kind: storage.KindFloat64},
+		storage.Column{Name: "vendor", Kind: storage.KindString},
+	)
+}
+
+func goldenSpec() Spec {
+	return Spec{
+		Name: "idx_golden",
+		Policy: gridfile.Policy{Dims: []gridfile.Dimension{
+			{Name: "userId", Kind: storage.KindInt64, Min: storage.Int64(0), IntervalI: 50},
+			{Name: "regionId", Kind: storage.KindInt64, Min: storage.Int64(1), IntervalI: 1},
+			{Name: "ts", Kind: storage.KindTime, Min: storage.TimeUnix(goldenDay0), IntervalI: 24 * 3600},
+		}},
+		Precompute: []AggSpec{
+			{Func: AggSum, Col: "powerConsumed"},
+			{Func: AggCount},
+			{Func: AggMax, Col: "powerConsumed"},
+			{Func: AggMin, Col: "ts"},
+			{Func: AggSum, Col: "userId*powerConsumed"},
+		},
+		BitmapCols: []string{"vendor"},
+	}
+}
+
+// splitmix64 keeps the generator independent of math/rand's stream.
+type splitmix64 uint64
+
+func (s *splitmix64) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+var goldenVendors = []string{"acme", "borealis", "cobalt", "dynamo", "everlight", "fluxworks", "gridline", "helios"}
+
+// goldenRows renders readings [from, to) of users [userLo, userHi), reading
+// major like a meter collection: every user reports, then the next reading.
+// Reading r is stamped six hours after r-1, so one in four is a bare date.
+func goldenRows(userLo, userHi, from, to int) []storage.Row {
+	rng := splitmix64(uint64(userLo)<<32 | uint64(from))
+	rows := make([]storage.Row, 0, (userHi-userLo)*(to-from))
+	for r := from; r < to; r++ {
+		for u := userLo; u < userHi; u++ {
+			power := float64(rng.next()%1000000) / 100
+			switch rng.next() % 97 {
+			case 0:
+				power = 1e21 // renders with an exponent
+			case 1:
+				power = 2.5e-7
+			case 2:
+				power = -power
+			}
+			rows = append(rows, storage.Row{
+				storage.Int64(int64(u)),
+				storage.Int64(int64(u%10 + 1)),
+				storage.TimeUnix(goldenDay0 + int64(r)*6*3600 + int64(u%7)*int64(r%2)),
+				storage.Float64(power),
+				storage.Str(goldenVendors[(u+r/4)%len(goldenVendors)]),
+			})
+		}
+	}
+	return rows
+}
+
+// hashTree digests every file under dir (sidecar directories included):
+// path, size and content, in path order.
+func hashTree(t *testing.T, fs *dfs.FS, dir string) string {
+	t.Helper()
+	h := sha256.New()
+	var walk func(dir string)
+	walk = func(dir string) {
+		entries, err := fs.List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir {
+				walk(e.Path)
+				continue
+			}
+			data, err := fs.ReadFile(e.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n [8]byte
+			binary.BigEndian.PutUint64(n[:], uint64(len(data)))
+			h.Write([]byte(e.Path))
+			h.Write([]byte{0})
+			h.Write(n[:])
+			h.Write(data)
+		}
+	}
+	walk(dir)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashKV digests every pair of the store in key order.
+func hashKV(kv *kvstore.Store) string {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range kv.ScanPrefix("") {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
+		h.Write(n[:])
+		h.Write([]byte(p.Key))
+		binary.BigEndian.PutUint64(n[:], uint64(len(p.Value)))
+		h.Write(n[:])
+		h.Write(p.Value)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// renderStats is the BuildStats with the wall clock zeroed.
+func renderStats(s *BuildStats) string {
+	c := *s
+	c.Job.Wall = 0
+	return fmt.Sprintf("%+v", c)
+}
+
+func hashString(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+type goldenStage struct {
+	files, kv, stats string
+}
+
+// golden holds the hashes recorded at the parent commit: per source format,
+// after Build, after an append extending ts and after an append into fresh
+// userId cells.
+var golden = map[storage.Format][3]goldenStage{
+	storage.TextFile: {
+		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "2088ff2f111d03e92bb8141f5839235c6c750cddacd91d1d247ae74b6ccb6d7a", "af8c7b27e7549cd5ce3a21931cd92484896770b32e63c6c13705e82d46e97b05"},
+		{"d9d80d20ae78a650942a3709822de0c038f9201cc028d8b448e468a239c31f84", "b7f08e8c39b5e62ef8da11a83ddba65109ee893b94cd987357c99bdb6030e580", "e0baeb11b23dd55ca00c50720a671e3e3abd7c4b23c756a8133e69fb3d452051"},
+		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "d856c37944a4441fe27b49e5ef17cb5543700d8d27c7ab0929cdeb644ccd67c0", "3aaff7691c890f2dd8fde6e88d5deb8ce70eb3e962ef8e42ea62c2d7ce8ef418"},
+	},
+	storage.RCFile: {
+		{"d655d847179a2da1d51e3a58990e1975a5b41eb7a329b1b87433f0b8f3edcc3a", "a63f7871f2d5865c4efb3dbdcf7e07608a55e8e5a28d5d07a88da51988aba332", "cf5bf35e31e1690512babe8f30a2e19cf54a1b5e79ad586924fa0063b9e4f41c"},
+		{"8a610f18310a0f5dcd40088a29e4fa0dd05bb52526368d757294066dea8ea02e", "5d151dc89745f218399fb49218618bf14db5effbeade1947b453026ac28b2ded", "1f563095c22c6f9c0f528ac6a0f3804aae146d66cb8bd5de2b86f3bf7721a407"},
+		{"1993d451796c608863e8c4667d68fae8903cd07d9ea59e468eafeffe8c3ec4a5", "f647e04c6c1e1aa0f6db076e8f354e16a1ec318dd56db49c071882b244977b58", "688b8755f51b6035fe61658b7c6e53fe864a35263fb3c95681a6f5eec3e8ac12"},
+	},
+}
+
+func TestBuildGolden(t *testing.T) {
+	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
+		t.Run(format.String(), func(t *testing.T) {
+			// 64 KB blocks cut both sources into well over eight splits.
+			fs := dfs.New(1 << 16)
+			schema := goldenSchema()
+			rows := goldenRows(0, goldenUsers, 0, goldenReadings)
+			if len(rows) < 20000 {
+				t.Fatalf("only %d rows", len(rows))
+			}
+			var err error
+			if format == storage.RCFile {
+				_, err = storage.WriteRCRows(fs, "/tbl/data", schema, rows, 128)
+			} else {
+				err = storage.WriteTextRows(fs, "/tbl/data", rows)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Ten more readings (two and a half fresh days), then sixty
+			// fresh users over the first day.
+			if err := storage.WriteTextRows(fs, "/staging/later", goldenRows(0, goldenUsers, goldenReadings, goldenReadings+10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteTextRows(fs, "/staging/newusers", goldenRows(goldenUsers, goldenUsers+60, 0, 4)); err != nil {
+				t.Fatal(err)
+			}
+
+			kv := kvstore.New()
+			src := Source{Dir: "/tbl", Format: format, GroupRows: 16}
+			var got [3]goldenStage
+			var rendered [3]string
+			record := func(i int, stats *BuildStats) {
+				rendered[i] = renderStats(stats)
+				got[i] = goldenStage{files: hashTree(t, fs, "/tbl_dgf"), kv: hashKV(kv), stats: hashString(rendered[i])}
+			}
+			ix, stats, err := Build(testCfg(), fs, kv, goldenSpec(), schema, src, "/tbl_dgf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Job.Splits < 8 {
+				t.Fatalf("build read %d splits, want at least 8", stats.Job.Splits)
+			}
+			record(0, stats)
+			for i, file := range []string{"/staging/later", "/staging/newusers"} {
+				stats, err := ix.Append(testCfg(), []string{file})
+				if err != nil {
+					t.Fatal(err)
+				}
+				record(i+1, stats)
+			}
+
+			want, ok := golden[format]
+			if !ok {
+				for i, g := range got {
+					t.Logf("stage %d: {%q, %q, %q}", i, g.files, g.kv, g.stats)
+					t.Logf("stage %d stats: %s", i, rendered[i])
+				}
+				t.Fatalf("no golden hashes recorded for %v", format)
+			}
+			for i, stage := range []string{"build", "append(ts)", "append(new cells)"} {
+				if got[i].files != want[i].files {
+					t.Errorf("%s: data files and sidecars hash to %s, want %s", stage, got[i].files, want[i].files)
+				}
+				if got[i].kv != want[i].kv {
+					t.Errorf("%s: key-value pairs hash to %s, want %s", stage, got[i].kv, want[i].kv)
+				}
+				if got[i].stats != want[i].stats {
+					t.Errorf("%s: BuildStats hash to %s, want %s\n%s", stage, got[i].stats, want[i].stats, rendered[i])
+				}
+			}
+		})
+	}
+}

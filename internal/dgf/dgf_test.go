@@ -804,9 +804,12 @@ func TestPlanStatsAccounting(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildSmall(b *testing.B) {
+// smallBuild is the BenchmarkBuildSmall workload: 2,000 three-column rows
+// into a 20x4 grid. run writes the source table in the given format and
+// builds the index over it.
+func smallBuild() (rows []storage.Row, run func(format storage.Format) error) {
 	rng := rand.New(rand.NewSource(1))
-	rows := make([]storage.Row, 2000)
+	rows = make([]storage.Row, 2000)
 	for i := range rows {
 		rows[i] = storage.Row{
 			storage.Int64(int64(rng.Intn(1000))),
@@ -814,21 +817,104 @@ func BenchmarkBuildSmall(b *testing.B) {
 			storage.Float64(rng.Float64()),
 		}
 	}
+	spec := Spec{
+		Name: "idx",
+		Policy: gridfile.Policy{Dims: []gridfile.Dimension{
+			{Name: "A", Kind: storage.KindInt64, Min: storage.Int64(0), IntervalI: 50},
+			{Name: "B", Kind: storage.KindInt64, Min: storage.Int64(0), IntervalI: 5},
+		}},
+		Precompute: []AggSpec{{Func: AggSum, Col: "C"}},
+	}
+	return rows, func(format storage.Format) error {
+		fs := dfs.New(1 << 18)
+		var err error
+		if format == storage.RCFile {
+			_, err = storage.WriteRCRows(fs, "/tbl/data", paperSchema(), rows, 0)
+		} else {
+			err = storage.WriteTextRows(fs, "/tbl/data", rows)
+		}
+		if err != nil {
+			return err
+		}
+		_, _, err = Build(testCfg(), fs, kvstore.New(), spec, paperSchema(), Source{Dir: "/tbl", Format: format}, "/d")
+		return err
+	}
+}
+
+func benchmarkBuildSmall(b *testing.B, format storage.Format) {
+	_, run := smallBuild()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fs := dfs.New(1 << 18)
-		storage.WriteTextRows(fs, "/tbl/data", rows)
-		spec := Spec{
-			Name: "idx",
-			Policy: gridfile.Policy{Dims: []gridfile.Dimension{
-				{Name: "A", Kind: storage.KindInt64, Min: storage.Int64(0), IntervalI: 50},
-				{Name: "B", Kind: storage.KindInt64, Min: storage.Int64(0), IntervalI: 5},
-			}},
-			Precompute: []AggSpec{{Func: AggSum, Col: "C"}},
-		}
-		if _, _, err := Build(testCfg(), fs, kvstore.New(), spec, paperSchema(), Source{Dir: "/tbl"}, "/d"); err != nil {
+		if err := run(format); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func BenchmarkBuildSmall(b *testing.B)       { benchmarkBuildSmall(b, storage.TextFile) }
+func BenchmarkBuildSmallRCFile(b *testing.B) { benchmarkBuildSmall(b, storage.RCFile) }
+
+// TestBuildAllocBudget keeps per-record allocations out of the build job:
+// writing the TextFile source and building the index over it may cost at
+// most 3.5 allocations per record (6.3 before the shuffle copied values into
+// per-task arenas and GFUKeys were memoised per cell).
+func TestBuildAllocBudget(t *testing.T) {
+	rows, run := smallBuild()
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := run(storage.TextFile); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := allocs / float64(len(rows)); perRecord > 3.5 {
+		t.Errorf("build costs %.2f allocations per record (%.0f for %d records), budget 3.5", perRecord, allocs, len(rows))
+	}
+}
+
+// TestAppendKeepsSizeWithoutScanning: SizeBytes is a running total, so an
+// Append costs no scan of the key-value store, and after a build, three
+// appends (fresh cells, existing cells, existing cells again) and an added
+// pre-compute the total still equals a full recount — also for a reopened
+// index.
+func TestAppendKeepsSizeWithoutScanning(t *testing.T) {
+	ix, stats, fs := buildPaperIndex(t, 1<<20)
+	if got, want := stats.IndexBytes, ix.countGFUBytes(); got != want || ix.SizeBytes() != want {
+		t.Fatalf("after build: IndexBytes %d, SizeBytes %d, recount %d", got, ix.SizeBytes(), want)
+	}
+	batches := [][]storage.Row{
+		{{storage.Int64(20), storage.Int64(20), storage.Float64(2.0)}, {storage.Int64(30), storage.Int64(12), storage.Float64(1.5)}},
+		{{storage.Int64(8), storage.Int64(14), storage.Float64(0.5)}, {storage.Int64(1), storage.Int64(14), storage.Float64(0.25)}, {storage.Int64(20), storage.Int64(21), storage.Float64(4)}},
+		{{storage.Int64(9), storage.Int64(13), storage.Float64(0.75)}, {storage.Int64(2), storage.Int64(14), storage.Float64(8)}},
+	}
+	for i, rows := range batches {
+		file := "/staging/batch-" + strconv.Itoa(i)
+		if err := storage.WriteTextRows(fs, file, rows); err != nil {
+			t.Fatal(err)
+		}
+		before := ix.KV.Stats()
+		stats, err := ix.Append(testCfg(), []string{file})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta := ix.KV.Stats().Sub(before); delta.Scans != 0 || delta.ScannedKeys != 0 {
+			t.Errorf("append %d scanned the store: %+v", i, delta)
+		}
+		if got, want := stats.IndexBytes, ix.countGFUBytes(); got != want || ix.SizeBytes() != want {
+			t.Errorf("after append %d: IndexBytes %d, SizeBytes %d, recount %d", i, got, ix.SizeBytes(), want)
+		}
+	}
+	if _, err := ix.AddPrecompute(testCfg(), []AggSpec{{Func: AggCount}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ix.SizeBytes(), ix.countGFUBytes(); got != want {
+		t.Errorf("after AddPrecompute: SizeBytes %d, recount %d", got, want)
+	}
+	again, err := Open(fs, ix.KV, ix.Spec.Name, ix.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.SizeBytes(), ix.SizeBytes(); got != want {
+		t.Errorf("reopened index: SizeBytes %d, want %d", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
@@ -17,11 +18,11 @@ import (
 // plus "the minimum and maximum standardized values in every index
 // dimension" (Section 4.2).
 const (
-	gfuPrefix     = "g/"
-	metaPolicy    = "meta/policy"
-	metaPrecomp   = "meta/precompute"
-	metaMinPrefix = "meta/min/"
-	metaMaxPrefix = "meta/max/"
+	gfuPrefix      = "g/"
+	metaPolicy     = "meta/policy"
+	metaPrecomp    = "meta/precompute"
+	metaMinPrefix  = "meta/min/"
+	metaMaxPrefix  = "meta/max/"
 	metaDataDir    = "meta/datadir"
 	metaGen        = "meta/generation"
 	metaFormat     = "meta/format"
@@ -182,6 +183,7 @@ type Index struct {
 	bitmapCols []int   // schema column index per bitmap column
 	minCell    []int64 // observed data bounds per dimension, in cells
 	maxCell    []int64
+	gfuBytes   atomic.Int64 // SizeBytes: key and value bytes of every GFU pair
 }
 
 // BitmapColumns returns the schema column indices carrying bitmap sidecars.
@@ -218,24 +220,50 @@ func (ix *Index) resolveColumns() error {
 }
 
 // cellsOfLine standardises one text record into its GFU cell coordinates
-// (Algorithm 1 lines 1-5).
-func (ix *Index) cellsOfLine(line []byte, cells []int64) error {
+// (Algorithm 1 lines 1-5), parsing only the dimension fields. The coordinates
+// are appended to cells, so a caller passing a slice with spare capacity pays
+// no allocation.
+func (ix *Index) cellsOfLine(line []byte, cells []int64) ([]int64, error) {
 	for i, col := range ix.dimCols {
 		field, ok := storage.TextFieldBytes(line, col)
 		if !ok {
-			return fmt.Errorf("dgf: record has no field %d: %q", col, line)
+			return nil, fmt.Errorf("dgf: record has no field %d: %q", col, line)
 		}
 		v, err := storage.ParseValue(ix.Schema.Col(col).Kind, string(field))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells[i] = ix.Spec.Policy.Dims[i].CellOf(v)
+		cells = append(cells, ix.Spec.Policy.Dims[i].CellOf(v))
 	}
-	return nil
+	return cells, nil
 }
 
-// foldLine folds one record into header h (Algorithm 2 lines 6-12). Product
-// pre-computes multiply their factor columns per record.
+// cellsOfRow is cellsOfLine for a record that is already decoded.
+func (ix *Index) cellsOfRow(row storage.Row, cells []int64) []int64 {
+	for i, col := range ix.dimCols {
+		cells = append(cells, ix.Spec.Policy.Dims[i].CellOf(row[col]))
+	}
+	return cells
+}
+
+// foldRow folds one decoded record into header h (Algorithm 2 lines 6-12).
+// Product pre-computes multiply their factor columns per record.
+func (ix *Index) foldRow(row storage.Row, h Header) {
+	for i := range h {
+		v := 0.0
+		for fi, col := range ix.aggCols[i] {
+			if f := row[col].AsFloat(); fi == 0 {
+				v = f
+			} else {
+				v *= f
+			}
+		}
+		h[i].Fold(v)
+	}
+}
+
+// foldLine is foldRow for a text record, parsing only the pre-compute factor
+// fields.
 func (ix *Index) foldLine(line []byte, h Header) error {
 	for i := range h {
 		v := 0.0
@@ -383,6 +411,7 @@ func Open(fs *dfs.FS, kv *kvstore.Store, name string, schema *storage.Schema) (*
 	if err := ix.resolveColumns(); err != nil {
 		return nil, err
 	}
+	ix.gfuBytes.Store(ix.countGFUBytes())
 	return ix, nil
 }
 
@@ -392,8 +421,12 @@ func (ix *Index) Entries() int {
 }
 
 // SizeBytes returns the index size: all GFU keys and values (Table 2/5's
-// "Size" column for DGFIndex).
-func (ix *Index) SizeBytes() int64 {
+// "Size" column for DGFIndex). It is a running total that every write of GFU
+// pairs adjusts, so asking costs no scan of the store.
+func (ix *Index) SizeBytes() int64 { return ix.gfuBytes.Load() }
+
+// countGFUBytes recounts SizeBytes from the store.
+func (ix *Index) countGFUBytes() int64 {
 	var n int64
 	for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
 		n += int64(len(p.Key) + len(p.Value))

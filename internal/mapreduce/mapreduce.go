@@ -17,14 +17,28 @@
 // the accounting the cost model reads — bytes, margin seeks, pruned groups.
 // FileInput itself is the one-segment-per-split table scan; dgf.SliceInput
 // supplies multi-segment splits (Algorithm 4) and opens them here.
+//
+// The shuffle's ordering contract: a reduce task is handed its keys in
+// ascending order and each key's values in ascending byte order, duplicates
+// kept; a combiner sees the same order over one map task's output. The order
+// never depends on which map task finished first. The engine groups pairs by
+// key through a hash map and sorts the distinct keys and each group's values
+// (groupPairs); values of different keys are never compared.
+//
+// One decode per stage: a record crosses the shuffle as the bytes the mapper
+// emitted, and each stage parses what it needs from a record at most once. A
+// reader that decodes rows anyway hands them over in Record.Row so a mapper
+// does not parse Data again; a reducer that needs typed values decodes a
+// value once and uses the result for everything it does with the record.
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -146,8 +160,8 @@ type Stats struct {
 	// sidecars before their payloads were fetched (vectorised scans).
 	GroupsSkipped int64
 	ShuffleBytes  int64
-	ShufflePairs int64
-	OutputPairs  int64
+	ShufflePairs  int64
+	OutputPairs   int64
 
 	SimStartupSec float64
 	SimMapSec     float64
@@ -356,25 +370,19 @@ feed:
 		return stats, nil
 	}
 
-	// ---- Shuffle: gather, sort, group per reduce partition ----
+	// ---- Shuffle: each reducer groups the map tasks' buffers in place ----
 	stats.SimShuffleSec = cfg.ScaledShuffleSeconds(stats.ShuffleBytes)
-	partitions := make([][]kvPair, numReducers)
+	var ran []mapResult
 	for _, r := range results {
-		if !r.ran {
-			continue
-		}
-		for p := 0; p < numReducers; p++ {
-			partitions[p] = append(partitions[p], r.parts[p]...)
-			stats.ShufflePairs += int64(len(r.parts[p]))
+		if r.ran {
+			ran = append(ran, r)
+			for _, part := range r.parts {
+				stats.ShufflePairs += int64(len(part))
+			}
 		}
 	}
 
 	// ---- Reduce phase ----
-	type reduceResult struct {
-		inBytes int64
-		groups  int64
-		err     error
-	}
 	rResults := make([]reduceResult, numReducers)
 	rPool := runtime.GOMAXPROCS(0)
 	if rPool > numReducers {
@@ -394,7 +402,7 @@ feed:
 					rResults[p] = reduceResult{err: ctx.Err()}
 					continue
 				}
-				rResults[p] = runReduceTask(job, p, partitions[p], output)
+				rResults[p] = runReduceTask(job, p, ran, output)
 			}
 		}()
 	}
@@ -442,13 +450,12 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 	res.parts = make([][]kvPair, numReducers)
 	emit := output
 	if hasReduce {
+		var values arena
 		emit = func(key string, value []byte) {
 			p := partitionOf(key, numReducers)
 			// Copy the value: mappers commonly reuse buffers between emits.
-			v := make([]byte, len(value))
-			copy(v, value)
-			res.parts[p] = append(res.parts[p], kvPair{key: key, value: v})
-			res.emitted += int64(len(key) + len(v))
+			res.parts[p] = append(res.parts[p], kvPair{key: key, value: values.copy(value)})
+			res.emitted += int64(len(key) + len(value))
 		}
 	}
 	for {
@@ -483,51 +490,72 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 	return res
 }
 
+// arena hands out copies of emitted values from a few large chunks, so a map
+// task pays one allocation per chunk instead of one per pair. Chunks double
+// up to arenaMaxChunk; a job that emits a handful of pairs stays small.
+type arena struct {
+	free []byte
+	next int // size of the next chunk
+}
+
+const (
+	arenaMinChunk = 1 << 10
+	arenaMaxChunk = 1 << 20
+)
+
+func (a *arena) copy(value []byte) []byte {
+	n := len(value)
+	if n > len(a.free) {
+		if a.next < arenaMinChunk {
+			a.next = arenaMinChunk
+		}
+		size := a.next
+		if a.next < arenaMaxChunk {
+			a.next *= 2
+		}
+		if n > size {
+			size = n
+		}
+		a.free = make([]byte, size)
+	}
+	// The capacity stops at the copy's end, so appending to a delivered value
+	// cannot run into its neighbour.
+	v := a.free[:n:n]
+	a.free = a.free[n:]
+	copy(v, value)
+	return v
+}
+
 func combinePartition(combine CombineFunc, pairs []kvPair, emitted int64) ([]kvPair, int64) {
 	if len(pairs) == 0 {
 		return pairs, emitted
 	}
-	sortPairs(pairs)
+	groups, inBytes := groupPairs([][]kvPair{pairs})
+	emitted -= inBytes
 	out := pairs[:0]
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].key == pairs[i].key {
-			j++
+	for _, g := range groups {
+		for _, v := range combine(g.Key, g.Values) {
+			out = append(out, kvPair{key: g.Key, value: v})
+			emitted += int64(len(g.Key) + len(v))
 		}
-		values := make([][]byte, 0, j-i)
-		for k := i; k < j; k++ {
-			values = append(values, pairs[k].value)
-			emitted -= int64(len(pairs[i].key) + len(pairs[k].value))
-		}
-		for _, v := range combine(pairs[i].key, values) {
-			out = append(out, kvPair{key: pairs[i].key, value: v})
-			emitted += int64(len(pairs[i].key) + len(v))
-		}
-		i = j
 	}
 	return out, emitted
 }
 
-func runReduceTask(job *Job, task int, pairs []kvPair, output Emit) (res struct {
+type reduceResult struct {
 	inBytes int64
 	groups  int64
 	err     error
-}) {
-	sortPairs(pairs)
-	var groups []Group
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].key == pairs[i].key {
-			j++
-		}
-		g := Group{Key: pairs[i].key, Values: make([][]byte, 0, j-i)}
-		for k := i; k < j; k++ {
-			g.Values = append(g.Values, pairs[k].value)
-			res.inBytes += int64(len(pairs[k].key) + len(pairs[k].value))
-		}
-		groups = append(groups, g)
-		i = j
+}
+
+// runReduceTask reduces partition task of every map task that ran.
+func runReduceTask(job *Job, task int, maps []mapResult, output Emit) (res reduceResult) {
+	parts := make([][]kvPair, len(maps))
+	for i := range maps {
+		parts[i] = maps[i].parts[task]
 	}
+	var groups []Group
+	groups, res.inBytes = groupPairs(parts)
 	res.groups = int64(len(groups))
 	if job.ReduceTask != nil {
 		res.err = job.ReduceTask(task, groups, output)
@@ -542,24 +570,74 @@ func runReduceTask(job *Job, task int, pairs []kvPair, output Emit) (res struct 
 	return res
 }
 
-// sortPairs orders pairs by key, with value bytes as a deterministic
-// tiebreaker so job output does not depend on goroutine scheduling.
-func sortPairs(pairs []kvPair) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].key != pairs[j].key {
-			return pairs[i].key < pairs[j].key
+// groupPairs is the shuffle's one ordering step, shared by combiners and
+// reducers. It groups the pairs of the given buffers by key through a hash
+// map, then sorts the distinct keys and each group's values, so the delivered
+// order — keys ascending, values ascending by bytes — does not depend on
+// which map task finished first, while only values of one key are ever
+// compared with each other. The buffers are read in place. The second result
+// is the key+value byte volume of all pairs.
+func groupPairs(parts [][]kvPair) ([]Group, int64) {
+	total := 0
+	for _, part := range parts {
+		total += len(part)
+	}
+	if total == 0 {
+		return nil, 0
+	}
+	// First pass: number the distinct keys in arrival order and count their
+	// values, remembering each pair's group so the second pass needs no
+	// lookups.
+	index := make(map[string]int32)
+	groupOf := make([]int32, 0, total)
+	var groups []Group
+	var counts []int
+	var volume int64
+	for _, part := range parts {
+		for _, kv := range part {
+			g, ok := index[kv.key]
+			if !ok {
+				g = int32(len(groups))
+				index[kv.key] = g
+				groups = append(groups, Group{Key: kv.key})
+				counts = append(counts, 0)
+			}
+			counts[g]++
+			groupOf = append(groupOf, g)
+			volume += int64(len(kv.key) + len(kv.value))
 		}
-		return string(pairs[i].value) < string(pairs[j].value)
-	})
+	}
+	// Second pass: one backing array for every group's values.
+	backing := make([][]byte, total)
+	for g := range groups {
+		groups[g].Values = backing[:0:counts[g]]
+		backing = backing[counts[g]:]
+	}
+	i := 0
+	for _, part := range parts {
+		for _, kv := range part {
+			g := groupOf[i]
+			groups[g].Values = append(groups[g].Values, kv.value)
+			i++
+		}
+	}
+	slices.SortFunc(groups, func(a, b Group) int { return strings.Compare(a.Key, b.Key) })
+	for _, g := range groups {
+		slices.SortFunc(g.Values, bytes.Compare)
+	}
+	return groups, volume
 }
 
+// partitionOf assigns a key to a reduce partition by its FNV-1a hash.
 func partitionOf(key string, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // Collector is a thread-safe output sink for jobs that return results to the
@@ -591,11 +669,11 @@ func (c *Collector) Emit(key string, value []byte) {
 func (c *Collector) Pairs() []Pair {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sort.Slice(c.pairs, func(i, j int) bool {
-		if c.pairs[i].Key != c.pairs[j].Key {
-			return c.pairs[i].Key < c.pairs[j].Key
+	slices.SortFunc(c.pairs, func(a, b Pair) int {
+		if byKey := strings.Compare(a.Key, b.Key); byKey != 0 {
+			return byKey
 		}
-		return string(c.pairs[i].Value) < string(c.pairs[j].Value)
+		return bytes.Compare(a.Value, b.Value)
 	})
 	out := make([]Pair, len(c.pairs))
 	copy(out, c.pairs)

@@ -70,31 +70,35 @@ func splitRawCells(payload []byte, rows int, dst []rawCell) []rawCell {
 	return dst
 }
 
+// rawRun is a maximal run of identical adjacent cells of a pending payload.
+type rawRun struct {
+	cell  rawCell
+	count int
+}
+
 // encodeColumnBody picks the cheapest encoding for one pending column
 // payload and returns the tag plus the encoded body (the payload itself for
 // EncPlain). Sizes compare encoded bodies only; the one-byte tag is paid by
 // every column of an encoded group alike, so it cancels out of the choice.
-func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell) (byte, []byte) {
+// runs is scratch the caller keeps between calls (an indexed file flushes one
+// small group per GFU); the possibly grown slice is handed back.
+func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs []rawRun) (byte, []byte, []rawRun) {
 	if rows == 0 {
-		return EncPlain, payload
+		return EncPlain, payload, runs
 	}
 	cellText := func(c rawCell) []byte { return payload[c.start : c.start+c.len] }
 
 	// Run-length candidate: collect maximal runs of identical adjacent
 	// cells. ts loads day-major, so a whole group often collapses into a
 	// single run.
-	type run struct {
-		cell  rawCell
-		count int
-	}
-	var runs []run
+	runs = runs[:0]
 	var rleSize int64
 	for _, c := range cells {
 		if n := len(runs); n > 0 && bytes.Equal(cellText(runs[n-1].cell), cellText(c)) {
 			runs[n-1].count++
 			continue
 		}
-		runs = append(runs, run{cell: c, count: 1})
+		runs = append(runs, rawRun{cell: c, count: 1})
 		rleSize += uvarintLen(uint64(c.len)) + int64(c.len)
 	}
 	for _, r := range runs {
@@ -159,7 +163,7 @@ func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell) (byt
 			body = putUv(body, uint64(r.cell.len))
 			body = append(body, cellText(r.cell)...)
 		}
-		return EncRLE, body
+		return EncRLE, body, runs
 	case EncDict:
 		body := make([]byte, 0, bestSize)
 		body = putUv(body, uint64(len(entries)))
@@ -170,9 +174,9 @@ func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell) (byt
 		for _, c := range cells {
 			body = putUv(body, uint64(codeOf[string(cellText(c))]))
 		}
-		return EncDict, body
+		return EncDict, body, runs
 	default:
-		return EncPlain, payload
+		return EncPlain, payload, runs
 	}
 }
 

@@ -55,6 +55,9 @@ type RCWriter struct {
 	bm           *bitmapBuilder // optional per-group value bitmaps
 	noEncode     bool
 	cellScratch  []rawCell
+	runScratch   []rawRun
+	bodyScratch  [][]byte
+	outScratch   []byte
 }
 
 // NewRCWriter creates a writer; groupRows <= 0 selects DefaultRowGroupRows.
@@ -63,13 +66,14 @@ func NewRCWriter(w *dfs.FileWriter, schema *Schema, groupRows int) *RCWriter {
 		groupRows = DefaultRowGroupRows
 	}
 	return &RCWriter{
-		w:         w,
-		schema:    schema,
-		groupRows: groupRows,
-		cols:      make([][]byte, schema.Len()),
-		mins:      make([]Value, schema.Len()),
-		maxs:      make([]Value, schema.Len()),
-		off:       w.Size(),
+		w:           w,
+		schema:      schema,
+		groupRows:   groupRows,
+		cols:        make([][]byte, schema.Len()),
+		bodyScratch: make([][]byte, schema.Len()),
+		mins:        make([]Value, schema.Len()),
+		maxs:        make([]Value, schema.Len()),
+		off:         w.Size(),
 	}
 }
 
@@ -167,29 +171,28 @@ func (w *RCWriter) flushGroup() error {
 	// encodings cannot compress round-trips bit-identically with files
 	// written before encodings existed.
 	tags := make([]byte, len(w.cols))
-	bodies := make([][]byte, len(w.cols))
+	bodies := w.bodyScratch
 	encoded := false
 	for i := range w.cols {
 		tags[i], bodies[i] = EncPlain, w.cols[i]
 		if !w.noEncode {
 			w.cellScratch = splitRawCells(w.cols[i], w.pending, w.cellScratch)
-			tags[i], bodies[i] = encodeColumnBody(w.schema.Col(i).Kind, w.cols[i], w.pending, w.cellScratch)
+			tags[i], bodies[i], w.runScratch = encodeColumnBody(w.schema.Col(i).Kind, w.cols[i], w.pending, w.cellScratch, w.runScratch)
 			if tags[i] != EncPlain {
 				encoded = true
 			}
 		}
 	}
-	var buf bytes.Buffer
+	// The group is assembled in scratch the writer keeps: an indexed file
+	// flushes one small group per GFU, and the file writer copies.
+	buf := w.outScratch[:0]
 	if encoded {
-		buf.WriteByte(rcEncodedMagic)
+		buf = append(buf, rcEncodedMagic)
 	} else {
-		buf.WriteByte(rcMagic)
+		buf = append(buf, rcMagic)
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(w.pending))
-	buf.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], uint64(len(w.cols)))
-	buf.Write(tmp[:n])
+	buf = binary.AppendUvarint(buf, uint64(w.pending))
+	buf = binary.AppendUvarint(buf, uint64(len(w.cols)))
 	stat := GroupStat{
 		Rows:    w.pending,
 		ColLens: make([]int64, len(w.cols)),
@@ -204,26 +207,26 @@ func (w *RCWriter) flushGroup() error {
 		if encoded {
 			plen++ // the encoding tag byte is part of the payload
 		}
-		n = binary.PutUvarint(tmp[:], uint64(plen))
-		buf.Write(tmp[:n])
+		buf = binary.AppendUvarint(buf, uint64(plen))
 		if encoded {
-			buf.WriteByte(tags[i])
+			buf = append(buf, tags[i])
 		}
-		buf.Write(bodies[i])
+		buf = append(buf, bodies[i]...)
 		stat.ColLens[i] = int64(plen)
 		stat.Mins[i] = w.mins[i].String()
 		stat.Maxs[i] = w.maxs[i].String()
 		w.cols[i] = w.cols[i][:0]
 	}
+	w.outScratch = buf
 	w.groupOffsets = append(w.groupOffsets, w.off)
 	w.groupStats = append(w.groupStats, stat)
 	if w.bm != nil {
 		w.bm.cut()
 	}
-	if _, err := w.w.Write(buf.Bytes()); err != nil {
+	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
-	w.off += int64(buf.Len())
+	w.off += int64(len(buf))
 	w.pending = 0
 	w.pendingBytes = 0
 	w.statsInit = false

@@ -178,7 +178,7 @@ func TestSegmentWriterCutAlignsSlices(t *testing.T) {
 			start := sw.Offset()
 			for _, row := range batch {
 				line = AppendTextRow(line[:0], row)
-				if err := sw.WriteRecord(line[:len(line)-1]); err != nil {
+				if err := sw.WriteRecord(SegmentRecord{Line: line[:len(line)-1], Row: row}); err != nil {
 					t.Fatal(err)
 				}
 			}

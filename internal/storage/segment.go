@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -168,14 +167,15 @@ func (t *rcSegmentReader) Next() (SegmentRecord, bool, error) {
 
 func (t *rcSegmentReader) BytesRead() int64 { return t.bytesRead }
 
-// SegmentWriter writes the encoded records of one data file sequentially and
-// exposes positions at the format's slice granularity, so one index-build
-// reducer works for every storage format.
+// SegmentWriter writes the records of one data file sequentially and exposes
+// positions at the format's slice granularity, so one index-build reducer
+// works for every storage format.
 type SegmentWriter interface {
-	// WriteRecord appends one encoded record (a delimited text line
-	// without the trailing newline). Columnar writers parse it back into a
-	// row against the schema.
-	WriteRecord(line []byte) error
+	// WriteRecord appends one record, given in the form the format's
+	// SegmentReader delivers: Line (the delimited text without the trailing
+	// newline) for TextFile, the decoded Row for RCFile. A writer reads only
+	// its own form and copies what it keeps, so the caller may reuse both.
+	WriteRecord(rec SegmentRecord) error
 	// Offset is the position the next record will occupy: the byte offset
 	// of its line for TextFile, the start offset of its row group for
 	// RCFile.
@@ -233,7 +233,7 @@ func NewSegmentWriterOpts(fs *dfs.FS, path string, schema *Schema, format Format
 		if opts.DisableEncoding {
 			rw.DisableEncoding()
 		}
-		return &rcSegmentWriter{fs: fs, path: path, schema: schema, rw: rw}, nil
+		return &rcSegmentWriter{fs: fs, path: path, rw: rw}, nil
 	}
 	return &textSegmentWriter{tw: NewTextWriter(w)}, nil
 }
@@ -242,25 +242,18 @@ type textSegmentWriter struct {
 	tw *TextWriter
 }
 
-func (t *textSegmentWriter) WriteRecord(line []byte) error { return t.tw.WriteLine(line) }
-func (t *textSegmentWriter) Offset() int64                 { return t.tw.Offset() }
-func (t *textSegmentWriter) Cut() error                    { return nil }
-func (t *textSegmentWriter) Close() error                  { return t.tw.Close() }
+func (t *textSegmentWriter) WriteRecord(rec SegmentRecord) error { return t.tw.WriteLine(rec.Line) }
+func (t *textSegmentWriter) Offset() int64                       { return t.tw.Offset() }
+func (t *textSegmentWriter) Cut() error                          { return nil }
+func (t *textSegmentWriter) Close() error                        { return t.tw.Close() }
 
 type rcSegmentWriter struct {
-	fs     *dfs.FS
-	path   string
-	schema *Schema
-	rw     *RCWriter
+	fs   *dfs.FS
+	path string
+	rw   *RCWriter
 }
 
-func (t *rcSegmentWriter) WriteRecord(line []byte) error {
-	row, err := DecodeTextRow(t.schema, string(line))
-	if err != nil {
-		return fmt.Errorf("storage: segment writer %s: %w", t.path, err)
-	}
-	return t.rw.WriteRow(row)
-}
+func (t *rcSegmentWriter) WriteRecord(rec SegmentRecord) error { return t.rw.WriteRow(rec.Row) }
 
 func (t *rcSegmentWriter) Offset() int64 { return t.rw.Offset() }
 func (t *rcSegmentWriter) Cut() error    { return t.rw.Flush() }

@@ -40,6 +40,16 @@ func AppendTextRow(dst []byte, row Row) []byte {
 // DecodeTextRow parses one delimited line according to the schema.
 func DecodeTextRow(schema *Schema, line string) (Row, error) {
 	row := make(Row, schema.Len())
+	if err := DecodeTextRowInto(schema, line, row); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+// DecodeTextRowInto is DecodeTextRow into a row the caller owns (one cell per
+// schema column), for loops that consume each decoded row before the next.
+// String cells alias line.
+func DecodeTextRowInto(schema *Schema, line string, row Row) error {
 	rest := line
 	for i := 0; i < schema.Len(); i++ {
 		var field string
@@ -48,17 +58,17 @@ func DecodeTextRow(schema *Schema, line string) (Row, error) {
 		} else {
 			j := strings.IndexByte(rest, TextDelim)
 			if j < 0 {
-				return nil, fmt.Errorf("storage: line has %d fields, schema wants %d: %q", i+1, schema.Len(), line)
+				return fmt.Errorf("storage: line has %d fields, schema wants %d: %q", i+1, schema.Len(), line)
 			}
 			field, rest = rest[:j], rest[j+1:]
 		}
 		v, err := ParseValue(schema.Col(i).Kind, field)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		row[i] = v
 	}
-	return row, nil
+	return nil
 }
 
 // TextField extracts the i-th delimited field of a line without decoding the

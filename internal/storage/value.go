@@ -126,11 +126,8 @@ func (v Value) String() string {
 	case KindFloat64:
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KindTime:
-		t := time.Unix(v.I, 0).UTC()
-		if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
-			return t.Format(dateLayout)
-		}
-		return t.Format(dateTimeLayout)
+		var buf [len(dateTimeLayout)]byte
+		return string(appendTimeText(buf[:0], v.I))
 	default:
 		return v.S
 	}
@@ -145,14 +142,77 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindFloat64:
 		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KindTime:
-		t := time.Unix(v.I, 0).UTC()
+		return appendTimeText(dst, v.I)
+	default:
+		return append(dst, v.S...)
+	}
+}
+
+const secondsPerDay = 24 * 3600
+
+// Unix seconds of 0000-01-01 00:00:00 and 9999-12-31 23:59:59 UTC: the years
+// the fixed-width layouts can render.
+const (
+	minLayoutUnix = -62167219200
+	maxLayoutUnix = 253402300799
+)
+
+// appendTimeText renders Unix seconds the way the text format stores
+// timestamps: dateLayout at midnight UTC, dateTimeLayout otherwise. Years
+// 0-9999 go through a fixed-layout digit writer; anything else falls back to
+// the time package, whose rendering the writer reproduces byte for byte.
+func appendTimeText(dst []byte, sec int64) []byte {
+	if sec < minLayoutUnix || sec > maxLayoutUnix {
+		t := time.Unix(sec, 0).UTC()
 		if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
 			return t.AppendFormat(dst, dateLayout)
 		}
 		return t.AppendFormat(dst, dateTimeLayout)
-	default:
-		return append(dst, v.S...)
 	}
+	days := sec / secondsPerDay
+	rem := sec % secondsPerDay
+	if rem < 0 {
+		days--
+		rem += secondsPerDay
+	}
+	year, month, day := civilFromDays(days)
+	dst = append(dst,
+		byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '-',
+		byte('0'+month/10), byte('0'+month%10), '-',
+		byte('0'+day/10), byte('0'+day%10))
+	if rem == 0 {
+		return dst
+	}
+	hour, min, s := rem/3600, rem/60%60, rem%60
+	return append(dst, ' ',
+		byte('0'+hour/10), byte('0'+hour%10), ':',
+		byte('0'+min/10), byte('0'+min%10), ':',
+		byte('0'+s/10), byte('0'+s%10))
+}
+
+// civilFromDays converts days since 1970-01-01 to a proleptic Gregorian date
+// (Hinnant's era arithmetic: a 400-year era is 146097 days, years counted
+// from March so the leap day falls last).
+func civilFromDays(z int64) (year, month, day int64) {
+	z += 719468
+	era := z / 146097
+	if z < 0 {
+		era = (z - 146096) / 146097
+	}
+	doe := z - era*146097                                  // [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // [0, 365]
+	mp := (5*doy + 2) / 153                                // [0, 11]
+	day = doy - (153*mp+2)/5 + 1
+	month = mp + 3
+	if month > 12 {
+		month -= 12
+	}
+	year = yoe + era*400
+	if month <= 2 {
+		year++
+	}
+	return year, month, day
 }
 
 // ParseValue parses the textual rendering of a value of the given kind.
@@ -171,6 +231,9 @@ func ParseValue(kind Kind, s string) (Value, error) {
 		}
 		return Float64(f), nil
 	case KindTime:
+		if sec, ok := parseTimeStr(s); ok {
+			return TimeUnix(sec), nil
+		}
 		return ParseTime(s)
 	default:
 		return Str(s), nil
