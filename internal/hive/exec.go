@@ -36,19 +36,21 @@ type QueryStats struct {
 	Splits    int
 	Seeks     int64
 	// GroupsSkipped counts the row groups pruned before their payloads were
-	// fetched — zone maps, or bitmap sidecars on DGF plans (vectorised
-	// executions only; the row path never prunes groups).
+	// fetched — zone maps, or bitmap sidecars on DGF plans (join-free RCFile
+	// scans and DGF plans only; see choosePath).
 	GroupsSkipped int64
 	// BitmapHits counts the pruned groups that only a bitmap sidecar could
 	// rule out (zone maps are consulted first and take the credit).
 	BitmapHits int64
-	// DictProbes counts dictionary binary searches the vectorised kernels
+	// DictProbes counts dictionary binary searches the predicate kernels
 	// performed — each replaces a whole group's per-row string compares.
 	DictProbes int64
 	// RunsSkipped counts the runs of run-length columns the kernels rejected
 	// wholesale (one predicate evaluation per run instead of per row).
 	RunsSkipped int64
-	// Vectorized reports whether the scan ran the batch execution path.
+	// Vectorized reports that a scan job ran — every one runs on column
+	// batches, so it is false only for answers that read no table data (the
+	// aggregate-index rewrite).
 	Vectorized bool
 	RowsOut    int
 	Wall       time.Duration
@@ -69,9 +71,6 @@ type Result struct {
 type ExecOptions struct {
 	// DisableIndexes forces full table scans.
 	DisableIndexes bool
-	// DisableVectorized forces row-at-a-time execution: no batch decoding,
-	// no zone-map or bitmap row-group pruning.
-	DisableVectorized bool
 	// Dgf carries the DGFIndex planner ablation flags.
 	Dgf dgf.PlanOptions
 }
@@ -80,7 +79,7 @@ type ExecOptions struct {
 // the serving layer's result cache keys can safely represent. (PlanOptions
 // carries a slice, so ExecOptions is not comparable with ==.)
 func (o ExecOptions) IsZero() bool {
-	return !o.DisableIndexes && !o.DisableVectorized &&
+	return !o.DisableIndexes &&
 		!o.Dgf.DisablePrecompute && !o.Dgf.DisableSliceSkip && o.Dgf.Project == nil
 }
 
@@ -309,21 +308,21 @@ type pathChoice struct {
 	// aggRewrite marks the "index as data" rewrite.
 	ix         *hiveindex.Index
 	aggRewrite bool
-	// vectorized selects the batch execution path: row groups decoded into
-	// column vectors, WHERE run as kernels, zone maps (and bitmap sidecars
-	// on DGF plans) pruning whole groups.
-	vectorized bool
+	// prune has the zone maps (and, on DGF plans, the bitmap sidecars)
+	// consulted so whole row groups are dropped before they are fetched.
+	prune bool
 }
 
-// choosePath decides the access path for a compiled query.
-//
-// The vectorised path applies to join-free queries over RCFile data on the
-// DGF and full-scan paths; joins, TextFile data, and the hive-index path
-// (whose bitmap RowFilter is inherently per-row) fall back to row-at-a-time
-// execution, as does the slice-skip ablation (whose whole-split reads the
-// plan's skip set does not describe).
+// choosePath decides the access path for a compiled query, and whether its
+// row groups are pruned. Every path runs the same executor; pruning is the
+// one thing that differs. It applies to join-free queries over RCFile data on
+// the DGF and full-scan paths. TextFile has no row groups; a pruned group
+// costs a simulated seek, which the cost model of a join or of the hive-index
+// path (Hive's own indexes filter splits, groups and rows, nothing finer) has
+// never been charged; and the slice-skip ablation reads whole splits, which
+// the plan's skip set does not describe.
 func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
-	vecOK := !opts.DisableVectorized && !opts.Dgf.DisableSliceSkip && q.right == nil
+	pruneOK := !opts.Dgf.DisableSliceSkip && q.right == nil
 	switch {
 	case !opts.DisableIndexes && q.left.Dgf != nil:
 		want := q.dgfWantSpecs()
@@ -343,15 +342,14 @@ func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
 		planOpts := opts.Dgf
 		planOpts.Project = q.projection()
 		planOpts.Members = q.leftMembers
-		vec := vecOK && q.left.Dgf.Format == storage.RCFile
-		planOpts.ZoneSkip = vec
-		return pathChoice{kind: pathDgf, want: want, planOpts: planOpts, vectorized: vec}
+		planOpts.ZoneSkip = pruneOK && q.left.Dgf.Format == storage.RCFile
+		return pathChoice{kind: pathDgf, want: want, planOpts: planOpts, prune: planOpts.ZoneSkip}
 	case !opts.DisableIndexes && len(q.left.HiveIndexes) > 0:
 		if ix := q.pickHiveIndex(); ix != nil {
 			return pathChoice{kind: pathHiveIndex, ix: ix, aggRewrite: q.canAggRewrite(ix)}
 		}
 	}
-	return pathChoice{kind: pathScan, vectorized: vecOK && q.left.Format == hiveindex.RCFile}
+	return pathChoice{kind: pathScan, prune: pruneOK && q.left.Format == hiveindex.RCFile}
 }
 
 func (w *Warehouse) selectLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
@@ -405,17 +403,10 @@ type preparedSelect struct {
 	// aggregate-index rewrite): pr is complete, no job runs.
 	done bool
 	// sideBytes is the broadcast join side's volume and joinMap its loaded
-	// hash map, both resolved under the lock so the job itself touches no
-	// catalog state.
+	// hash map (the rows the right-side predicates keep), both resolved
+	// under the lock so the job itself touches no catalog state.
 	sideBytes int64
 	joinMap   map[string][]storage.Row
-	// vectorized marks the batch execution path; vecFilters are the WHERE
-	// conjunction lowered to selection-vector kernels (compiled under the
-	// lock, applied by the job's mapper); vecStats collects the kernels'
-	// encoding-aware work counters across the job's concurrent map tasks.
-	vectorized bool
-	vecFilters []vecPred
-	vecStats   *vecStats
 }
 
 // prepareSelectLocked compiles the statement, decides the access path via
@@ -448,7 +439,7 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		p.plan = plan
 		p.input = &dgf.SliceInput{
 			FS: w.FS, Plan: plan, Format: q.left.Dgf.Format,
-			Schema: q.left.Schema, Vector: choice.vectorized,
+			Schema: q.left.Schema, Vector: true,
 		}
 		stats.IndexSimSec += plan.KVSimSeconds
 		stats.AccessPath = "dgfindex"
@@ -490,7 +481,7 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		}
 		stats.IndexSimSec += fr.ScanStats.SimTotalSec()
 		base := ix.BaseInput(w.FS, fr)
-		base.Project = q.projection()
+		base.Project, base.Vector = q.projection(), true
 		p.input = base
 		stats.AccessPath = "index:" + ix.Name
 	default:
@@ -499,11 +490,12 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		if err != nil {
 			return nil, err
 		}
+		scan.Vector = true
 		p.input = scan
-		if choice.vectorized {
+		if choice.prune {
 			// Full-scan double pruning: consult the zone maps under the lock
 			// (the same consultation EXPLAIN performs) and hand the readers
-			// the resulting skip set. choosePath vectorises RCFile scans only.
+			// the resulting skip set. choosePath prunes RCFile scans only.
 			files := scan.Paths
 			if files == nil {
 				if files, err = listFilePaths(w, scan.Dir); err != nil {
@@ -518,23 +510,15 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 				scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
 			}
 			stats.BitmapHits = bitmapHits
-			scan.Vector = true
 		}
 	}
-	if choice.vectorized {
-		p.vectorized = true
-		stats.Vectorized = true
-		p.vecStats = &vecStats{}
-		if p.vecFilters, err = q.compileVecFilters(p.vecStats); err != nil {
-			return nil, err
-		}
-	}
+	stats.Vectorized = true
 	if q.right != nil {
 		p.sideBytes = w.tableSizeBytesLocked(q.right)
 		// Broadcast hash join: load the small side once (Hive's map-side
 		// join) while the catalog is stable — the join table's directory
 		// must not move under us.
-		p.joinMap, err = w.readJoinMap(q.right, q.joinRight)
+		p.joinMap, err = w.readJoinMap(q)
 		if err != nil {
 			return nil, err
 		}
@@ -571,7 +555,6 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 	}()
 	sp.Set("table", q.stmt.From.Table)
 	sp.Set("access_path", stats.AccessPath)
-	sp.Set("vectorized", p.vectorized)
 	if p.plan != nil {
 		sp.Set("gfu_slices", len(p.plan.Slices))
 		sp.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
@@ -597,10 +580,8 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 			stats.GroupsSkipped = jobStats.GroupsSkipped
 			stats.Wall = time.Since(p.start)
 		}
-		if p.vecStats != nil {
-			stats.DictProbes = p.vecStats.dictProbes.Load()
-			stats.RunsSkipped = p.vecStats.runsSkipped.Load()
-		}
+		stats.DictProbes = q.vecStats.dictProbes.Load()
+		stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 		return pr, err
 	}
 	pr.Rows, pr.Agg = rows, agg
@@ -609,10 +590,8 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 	stats.Splits = jobStats.Splits
 	stats.Seeks = jobStats.Seeks
 	stats.GroupsSkipped = jobStats.GroupsSkipped
-	if p.vecStats != nil {
-		stats.DictProbes = p.vecStats.dictProbes.Load()
-		stats.RunsSkipped = p.vecStats.runsSkipped.Load()
-	}
+	stats.DictProbes = q.vecStats.dictProbes.Load()
+	stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 	// The paper's stacked bars: job startup counts as "index and other".
 	stats.IndexSimSec += jobStats.SimStartupSec
 	stats.DataSimSec += jobStats.SimTotalSec() - jobStats.SimStartupSec
@@ -780,63 +759,22 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 		}
 	}
 
-	leftSchema := q.left.Schema
-	vecFilters := p.vecFilters
+	// The one mapper: the left-side kernels shrink the batch's selection
+	// vector, and only the surviving positions materialise as rows — emitted
+	// as they are, or once per broadcast row their join key finds. The
+	// scratch row is reused per position; emitRow consumes its cells before
+	// the next iteration overwrites them.
 	job.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error {
-		if rec.Batch != nil {
-			// Vectorised path (join-free by construction): the kernels
-			// shrink a selection vector over the whole decoded group, and
-			// only the surviving positions materialise as rows. The scratch
-			// row is reused per position — emitRow consumes its cells before
-			// the next iteration overwrites them.
-			b := rec.Batch
-			sel := b.Sel()
-			for i := 0; i < b.Rows; i++ {
-				sel = append(sel, i)
+		b := rec.Batch
+		for _, ri := range survivors(b, q.leftPreds) {
+			rec.RowInBlock = ri
+			left := b.MaterialiseRow(ri)
+			if q.right == nil {
+				q.emitRow(left, nil, rec, emit)
+				continue
 			}
-			for _, k := range vecFilters {
-				if sel = k(b, sel); len(sel) == 0 {
-					return nil
-				}
-			}
-			for _, ri := range sel {
-				brec := rec
-				brec.RowInBlock = ri
-				q.emitRow(b.MaterialiseRow(ri), nil, brec, emit)
-			}
-			return nil
-		}
-		// Columnar readers deliver decoded (possibly projected) rows; text
-		// readers deliver encoded lines.
-		leftRow := rec.Row
-		if leftRow == nil {
-			var err error
-			leftRow, err = storage.DecodeTextRow(leftSchema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-		}
-		if q.right == nil {
-			for _, f := range q.filters {
-				if !f(leftRow, nil) {
-					return nil
-				}
-			}
-			q.emitRow(leftRow, nil, rec, emit)
-			return nil
-		}
-		// Join: probe the broadcast map, then filter on the combined row.
-		key := leftRow[q.joinLeft].String()
-		for _, rightRow := range joinMap[key] {
-			ok := true
-			for _, f := range q.filters {
-				if !f(leftRow, rightRow) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				q.emitRow(leftRow, rightRow, rec, emit)
+			for _, right := range joinMap[left[q.joinLeft].String()] {
+				q.emitRow(left, right, rec, emit)
 			}
 		}
 		return nil
@@ -862,27 +800,37 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 	return jobStats, rows, agg, nil
 }
 
-// readJoinMap loads a (small) table into a join hash map keyed by the join
-// column, the broadcast side of Hive's map-side join.
-func (w *Warehouse) readJoinMap(t *Table, keyCol int) (map[string][]storage.Row, error) {
-	files, err := w.FS.ListFiles(t.Dir)
+// readJoinMap loads the join's (small) right table into a hash map keyed by
+// the join column, the broadcast side of Hive's map-side join. The table is
+// read through the same batch reader as any scan, the right-side kernels run
+// once over each batch, and only the rows they keep enter the map.
+func (w *Warehouse) readJoinMap(q *compiledQuery) (map[string][]storage.Row, error) {
+	t := q.right
+	in := &mapreduce.FileInput{FS: w.FS, Dir: t.Dir, Format: t.Format, Schema: t.Schema, Vector: true}
+	splits, err := in.Splits()
 	if err != nil {
 		return nil, err
 	}
 	out := map[string][]storage.Row{}
-	for _, f := range files {
-		var rows []storage.Row
-		if t.Format == hiveindex.RCFile {
-			rows, err = storage.ReadRCRows(w.FS, f.Path, t.Schema)
-		} else {
-			rows, err = storage.ReadTextRows(w.FS, f.Path, t.Schema)
-		}
+	for _, split := range splits {
+		r, err := in.Open(split)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range rows {
-			key := r[keyCol].String()
-			out[key] = append(out[key], r)
+		for {
+			rec, ok, err := r.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			b := rec.Batch
+			for _, ri := range survivors(b, q.rightPreds) {
+				row := b.MaterialiseRow(ri).Clone()
+				key := row[q.joinRight].String()
+				out[key] = append(out[key], row)
+			}
 		}
 	}
 	return out, nil
@@ -978,9 +926,9 @@ func (q *compiledQuery) emitRow(l, r storage.Row, rec mapreduce.Record, emit map
 	for i, it := range q.items {
 		out[i] = it.expr(l, r)
 	}
-	// Keyed by source position so output order is deterministic. RCFile
-	// records share their row group's offset, so the in-group row position
-	// breaks the tie (it is 0 for every text record).
+	// Keyed by source position so output order is deterministic: the rows of
+	// a batch share its offset (the row group's, or its first line's), and
+	// the position within the batch breaks the tie.
 	emit(fmt.Sprintf("%s:%012d:%06d", rec.Path, rec.Offset, rec.RowInBlock), []byte(storage.EncodeTextRow(out)))
 }
 

@@ -47,15 +47,15 @@ type ExplainPlan struct {
 	// PrecomputeHit marks a DGF plan whose inner region is answered from
 	// pre-computed GFU headers alone.
 	PrecomputeHit bool `json:"precompute_hit,omitempty"`
-	// Vectorized reports whether execution will run the batch path: row
-	// groups decoded into column vectors with zone-map (and, on DGF plans,
-	// bitmap-sidecar) row-group pruning. False means row-at-a-time
-	// execution — joins, TextFile data, hive-index paths, or the
-	// DisableVectorized/DisableSliceSkip options.
-	Vectorized bool `json:"vectorized,omitempty"`
-	// GroupsSkipped is the number of row groups the vectorised scan will
-	// prune without fetching; their bytes are excluded from ProjectedBytes.
-	// Execution reports the same number in QueryStats.GroupsSkipped.
+	// GroupPruning reports whether execution will consult zone maps (and, on
+	// DGF plans, bitmap sidecars) to drop row groups before fetching them:
+	// join-free RCFile scans and DGF plans without the DisableSliceSkip
+	// option. Joins, TextFile data and hive-index paths read every group
+	// their plan selects.
+	GroupPruning bool `json:"group_pruning,omitempty"`
+	// GroupsSkipped is the number of row groups the scan will prune without
+	// fetching; their bytes are excluded from ProjectedBytes. Execution
+	// reports the same number in QueryStats.GroupsSkipped.
 	GroupsSkipped int64 `json:"groups_skipped,omitempty"`
 	// BitmapHits is the subset of GroupsSkipped only a bitmap sidecar could
 	// rule out (equality and IN predicates on DGF bitmap columns).
@@ -106,8 +106,7 @@ func (p *ExplainPlan) Render() *Result {
 	} else {
 		add("projected_bytes", "unknown (index scan decides the read set)")
 	}
-	add("vectorized", strconv.FormatBool(p.Vectorized))
-	if p.Vectorized {
+	if p.GroupPruning {
 		add("groups_skipped", strconv.FormatInt(p.GroupsSkipped, 10))
 		add("bitmap_hits", strconv.FormatInt(p.BitmapHits, 10))
 	}
@@ -176,7 +175,7 @@ func (w *Warehouse) explainLocked(stmt *SelectStmt, opts ExecOptions) (*ExplainP
 	// executor consumes in prepareSelectLocked — so the announced plan and
 	// the executed plan cannot diverge.
 	choice := q.choosePath(opts)
-	ep.Vectorized = choice.vectorized
+	ep.GroupPruning = choice.prune
 	switch choice.kind {
 	case pathDgf:
 		plan, err := q.left.Dgf.Plan(w.Cluster, q.leftRanges, choice.want, choice.planOpts)
@@ -252,12 +251,11 @@ func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
 		}
 		return nil
 	}
-	// The vectorised scan prunes zone-disjoint (and bitmap-refuted) row
-	// groups, so their bytes never hit the readers: exclude them here the
-	// same way prepareSelectLocked's skip set excludes them from
-	// execution.
+	// A pruned scan drops zone-disjoint (and bitmap-refuted) row groups, so
+	// their bytes never hit the readers: exclude them here the same way
+	// prepareSelectLocked's skip set excludes them from execution.
 	var skips map[string]map[int64]bool
-	if ep.Vectorized {
+	if ep.GroupPruning {
 		skips, ep.GroupsSkipped, ep.BitmapHits, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges, q.leftMembers)
 		if err != nil {
 			return err

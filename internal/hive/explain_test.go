@@ -67,9 +67,6 @@ func TestExplainTruthful(t *testing.T) {
 		if plan.AccessPath != res.Stats.AccessPath {
 			t.Errorf("%s\n  EXPLAIN access path %q, execution %q", sql, plan.AccessPath, res.Stats.AccessPath)
 		}
-		if plan.Vectorized != res.Stats.Vectorized {
-			t.Errorf("%s\n  EXPLAIN vectorized %v, execution %v", sql, plan.Vectorized, res.Stats.Vectorized)
-		}
 		if plan.GroupsSkipped != res.Stats.GroupsSkipped {
 			t.Errorf("%s\n  EXPLAIN GroupsSkipped %d, execution %d", sql, plan.GroupsSkipped, res.Stats.GroupsSkipped)
 		}

@@ -573,20 +573,14 @@ func TestDgfOnRCFileBitIdentical(t *testing.T) {
 			t.Errorf("%q: records read differ (%d vs %d) without any skipped groups",
 				q, wantRes.Stats.RecordsRead, gotRes.Stats.RecordsRead)
 		}
-		// With vectorisation off, the RCFile row path must match the
-		// TextFile record count exactly (and the rows bit-identically).
-		rowRes, err := rcW.ExecOpts(q, ExecOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatalf("%q (row path): %v", q, err)
-		}
+		// Read unpruned, the RCFile layout must match the TextFile record
+		// count exactly (and the reference rows bit-identically).
+		rowRes := refExec(t, rcW, q, ExecOptions{})
 		if want, got := renderExact(wantRes.Rows), renderExact(rowRes.Rows); want != got {
-			t.Fatalf("%q: row-path results differ\ntext:\n%s\nrcfile:\n%s", q, want, got)
+			t.Fatalf("%q: reference results differ\ntext:\n%s\nrcfile:\n%s", q, want, got)
 		}
 		if rowRes.Stats.RecordsRead != wantRes.Stats.RecordsRead {
-			t.Errorf("%q: row-path records read differ: %d vs %d", q, wantRes.Stats.RecordsRead, rowRes.Stats.RecordsRead)
-		}
-		if rowRes.Stats.GroupsSkipped != 0 || rowRes.Stats.Vectorized {
-			t.Errorf("%q: row path reports vectorised stats: %+v", q, rowRes.Stats)
+			t.Errorf("%q: unpruned records read differ: %d vs %d", q, wantRes.Stats.RecordsRead, rowRes.Stats.RecordsRead)
 		}
 		if gotRes.Stats.BytesRead < wantRes.Stats.BytesRead && wantRes.Stats.RecordsRead > 0 {
 			projectingLower = true

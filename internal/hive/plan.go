@@ -21,9 +21,6 @@ const (
 // cexpr is a compiled scalar expression over a (left, right) row pair.
 type cexpr func(l, r storage.Row) storage.Value
 
-// cfilter is a compiled predicate.
-type cfilter func(l, r storage.Row) bool
-
 // aggKind enumerates the SQL aggregates.
 type aggKind uint8
 
@@ -62,15 +59,21 @@ type compiledItem struct {
 
 // compiledQuery is a fully planned SELECT.
 type compiledQuery struct {
-	stmt       *SelectStmt
-	left       *Table
-	right      *Table // nil unless joined
-	leftRef    TableRef
-	rightRef   TableRef
-	joinLeft   int // join column index in left schema
-	joinRight  int // join column index in right schema
-	filters    []cfilter
-	leftRanges map[string]gridfile.Range
+	stmt      *SelectStmt
+	left      *Table
+	right     *Table // nil unless joined
+	leftRef   TableRef
+	rightRef  TableRef
+	joinLeft  int // join column index in left schema
+	joinRight int // join column index in right schema
+	// leftPreds and rightPreds hold the WHERE conjunction, one kernel per
+	// comparison in statement order, each bound to its own side's schema:
+	// left kernels run on the scanned batches, right kernels once over the
+	// broadcast table. vecStats collects their encoding-aware work counters
+	// across the job's concurrent map tasks.
+	leftPreds, rightPreds []vecPred
+	vecStats              vecStats
+	leftRanges            map[string]gridfile.Range
 	// leftMembers holds, per left column, the coerced value texts of its IN
 	// predicates — the membership sets planners probe against value-bitmap
 	// sidecars (per-value bitsets OR; predicates AND).
@@ -146,13 +149,11 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		}
 	}
 
-	// WHERE: compile filters and accumulate index ranges for left columns.
+	// WHERE: compile kernels and accumulate index ranges for left columns.
 	for _, cmp := range stmt.Where {
-		f, err := q.compileComparison(cmp)
-		if err != nil {
+		if err := q.compileComparison(cmp); err != nil {
 			return nil, err
 		}
-		q.filters = append(q.filters, f)
 	}
 
 	// GROUP BY.
@@ -253,106 +254,60 @@ func (q *compiledQuery) compileExpr(e Expr) (cexpr, string, storage.Kind, error)
 	}
 }
 
-func (q *compiledQuery) compileComparison(cmp Comparison) (cfilter, error) {
+// compileComparison lowers one WHERE comparison: its literals coerce to the
+// column kind once, the kernel joins its side's predicate list, and a
+// left-table constraint folds into the index range map — an IN set as its
+// bounding box (exact for one value, a sound superset otherwise), recorded
+// also as a membership set for bitmap-sidecar probing.
+func (q *compiledQuery) compileComparison(cmp Comparison) error {
 	s, idx, kind, err := q.resolveCol(cmp.Col)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if cmp.Op == "IN" {
-		return q.compileIn(cmp, s, idx, kind)
+	in := cmp.Op == "IN"
+	raws := cmp.Vals
+	if !in {
+		raws = []storage.Value{cmp.Val}
+	} else if len(raws) == 0 {
+		return fmt.Errorf("hive: IN on %s needs at least one value", cmp.Col.String())
 	}
-	val, err := coerce(cmp.Val, kind)
+	vals, err := coerceAll(raws, kind)
 	if err != nil {
-		return nil, fmt.Errorf("hive: predicate on %s: %w", cmp.Col.String(), err)
+		return fmt.Errorf("hive: predicate on %s: %w", cmp.Col.String(), err)
 	}
-	if cmp.Op == "!=" {
-		// != never folds into a range, so leftRanges describes a superset of
-		// the conjunction from here on.
+	pred := compileVecIn(idx, kind, vals, &q.vecStats)
+	if !in {
+		pred = compileVecComparison(idx, kind, cmp.Op, vals[0], &q.vecStats)
+	}
+	if s == sideRight {
+		q.rightPreds = append(q.rightPreds, pred)
+	} else {
+		q.leftPreds = append(q.leftPreds, pred)
+	}
+	if cmp.Op == "!=" || len(vals) > 1 {
+		// != never folds into a range, and a bounding box admits values
+		// between the set's members: leftRanges describes a superset of the
+		// conjunction from here on.
 		q.rangesExact = false
 	}
-	// Fold left-table constraints into the index range map.
-	if s == sideLeft && cmp.Op != "!=" {
-		name := strings.ToLower(q.left.Schema.Col(idx).Name)
-		r := rangeFromOp(cmp.Op, val)
-		if prev, ok := q.leftRanges[name]; ok {
-			r = prev.Intersect(r)
-		}
-		q.leftRanges[name] = r
+	if s == sideRight || cmp.Op == "!=" {
+		return nil
 	}
-	op := cmp.Op
-	get := colExpr(s, idx)
-	return func(l, r storage.Row) bool {
-		c := storage.Compare(get(l, r), val)
-		switch op {
-		case "<":
-			return c < 0
-		case "<=":
-			return c <= 0
-		case ">":
-			return c > 0
-		case ">=":
-			return c >= 0
-		case "=":
-			return c == 0
-		case "!=":
-			return c != 0
-		default:
-			return false
-		}
-	}, nil
-}
-
-// compileIn lowers col IN (v1, ..., vn): the row filter keeps any-equal
-// rows; for index pruning the value set folds to its bounding box (an exact
-// range for one value, a sound superset otherwise) and is recorded as a
-// membership set for bitmap-sidecar probing.
-func (q *compiledQuery) compileIn(cmp Comparison, s side, idx int, kind storage.Kind) (cfilter, error) {
-	if len(cmp.Vals) == 0 {
-		return nil, fmt.Errorf("hive: IN on %s needs at least one value", cmp.Col.String())
+	r := boundingBox(vals)
+	if !in {
+		r = rangeFromOp(cmp.Op, vals[0])
 	}
-	vals := make([]storage.Value, len(cmp.Vals))
-	for i, raw := range cmp.Vals {
-		v, err := coerce(raw, kind)
-		if err != nil {
-			return nil, fmt.Errorf("hive: predicate on %s: %w", cmp.Col.String(), err)
-		}
-		vals[i] = v
+	name := strings.ToLower(q.left.Schema.Col(idx).Name)
+	if prev, ok := q.leftRanges[name]; ok {
+		r = prev.Intersect(r)
 	}
-	if s == sideLeft {
-		lo, hi := vals[0], vals[0]
-		texts := make([]string, len(vals))
-		for i, v := range vals {
-			texts[i] = v.String()
-			if storage.Compare(v, lo) < 0 {
-				lo = v
-			}
-			if storage.Compare(v, hi) > 0 {
-				hi = v
-			}
-		}
-		name := strings.ToLower(q.left.Schema.Col(idx).Name)
-		r := gridfile.Range{Lo: lo, Hi: hi}
-		if prev, ok := q.leftRanges[name]; ok {
-			r = prev.Intersect(r)
-		}
-		q.leftRanges[name] = r
-		q.leftMembers[name] = append(q.leftMembers[name], texts...)
-	}
-	if len(vals) > 1 {
-		// The bounding box admits values between the set's members, so the
-		// ranges are a superset of the predicate.
-		q.rangesExact = false
-	}
-	get := colExpr(s, idx)
-	return func(l, r storage.Row) bool {
-		cell := get(l, r)
+	q.leftRanges[name] = r
+	if in {
 		for _, v := range vals {
-			if storage.Compare(cell, v) == 0 {
-				return true
-			}
+			q.leftMembers[name] = append(q.leftMembers[name], v.String())
 		}
-		return false
-	}, nil
+	}
+	return nil
 }
 
 func rangeFromOp(op string, val storage.Value) gridfile.Range {
@@ -573,11 +528,11 @@ func WhereRanges(stmt *SelectStmt, schema *storage.Schema) map[string]gridfile.R
 		if cmp.Op == "IN" {
 			// Fold the value set to its bounding box — a superset, which only
 			// ever keeps extra shards in the scatter.
-			box, ok := inBox(cmp.Vals, kind)
-			if !ok {
+			vals, err := coerceAll(cmp.Vals, kind)
+			if err != nil || len(vals) == 0 {
 				continue
 			}
-			r = box
+			r = boundingBox(vals)
 		} else {
 			val, err := coerce(cmp.Val, kind)
 			if err != nil {
@@ -593,22 +548,23 @@ func WhereRanges(stmt *SelectStmt, schema *storage.Schema) map[string]gridfile.R
 	return out
 }
 
-// inBox folds an IN value list to its [min, max] bounding range; ok is false
-// when the list is empty or a value fails to coerce.
-func inBox(vals []storage.Value, kind storage.Kind) (gridfile.Range, bool) {
-	if len(vals) == 0 {
-		return gridfile.Range{}, false
-	}
-	var lo, hi storage.Value
-	for i, raw := range vals {
+// coerceAll converts a list of parsed literals to the column kind.
+func coerceAll(raws []storage.Value, kind storage.Kind) ([]storage.Value, error) {
+	vals := make([]storage.Value, len(raws))
+	for i, raw := range raws {
 		v, err := coerce(raw, kind)
 		if err != nil {
-			return gridfile.Range{}, false
+			return nil, err
 		}
-		if i == 0 {
-			lo, hi = v, v
-			continue
-		}
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+// boundingBox folds a non-empty value list to its [min, max] range.
+func boundingBox(vals []storage.Value) gridfile.Range {
+	lo, hi := vals[0], vals[0]
+	for _, v := range vals[1:] {
 		if storage.Compare(v, lo) < 0 {
 			lo = v
 		}
@@ -616,7 +572,7 @@ func inBox(vals []storage.Value, kind storage.Kind) (gridfile.Range, bool) {
 			hi = v
 		}
 	}
-	return gridfile.Range{Lo: lo, Hi: hi}, true
+	return gridfile.Range{Lo: lo, Hi: hi}
 }
 
 // dgfWantSpecs returns the pre-compute specs covering every aggregate, or

@@ -11,18 +11,22 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-// This file is the vectorised half of the executor: the WHERE conjunction
-// lowered to kernels that run over a decoded row group's column vectors and
-// shrink a selection vector, plus the zone-map consultation the full-scan
-// path uses to drop whole row groups before their payloads are fetched.
-// Rows are only materialised for the positions that survive every kernel.
+// This file is the executor's one predicate compiler: every WHERE comparison
+// lowers to a kernel that runs over a batch's column vectors and shrinks a
+// selection vector, and rows are only materialised for the positions that
+// survive every kernel. Each kernel reproduces storage.Compare of the cell
+// against the coerced literal(s) exactly (the tests hold every operator and
+// vector shape to that per-row reference). The file also holds the zone-map
+// consultation the full-scan path uses to drop whole row groups before their
+// payloads are fetched.
 //
 // Kernels are encoding-aware. A dictionary column is never expanded to
 // per-row strings: the literal is binary-searched in the group's sorted
 // dictionary once and every row compares as a code ordinal — an equality or
 // IN probe whose value is absent kills the group on that single search. A
 // run-length column evaluates the predicate once per run and accepts or
-// rejects every selected row of the run wholesale.
+// rejects every selected row of the run wholesale. TextFile batches and
+// unencoded columns arrive as plain vectors and compare cell by cell.
 
 // vecPred narrows sel to the rows of b that satisfy one predicate. Kernels
 // filter in place (the returned slice aliases sel's backing array).
@@ -36,44 +40,20 @@ type vecStats struct {
 	runsSkipped atomic.Int64
 }
 
-// compileVecFilters lowers the statement's WHERE conjunction to vectorised
-// kernels, one per comparison, in the same order the row path applies its
-// filters. Each kernel reproduces compileComparison's semantics exactly —
-// storage.Compare of the cell against the coerced literal(s) — so the two
-// paths keep identical row sets on every input.
-func (q *compiledQuery) compileVecFilters(st *vecStats) ([]vecPred, error) {
-	var out []vecPred
-	for _, cmp := range q.stmt.Where {
-		// The vectorised path only runs join-free, so every column resolves
-		// to the left (and only) table.
-		_, idx, kind, err := q.resolveCol(cmp.Col)
-		if err != nil {
-			return nil, err
+// survivors runs the kernels over the batch's selection vector and returns
+// the positions every one of them keeps.
+func survivors(b *storage.ColumnBatch, preds []vecPred) []int {
+	sel := b.Sel()
+	for _, k := range preds {
+		if sel = k(b, sel); len(sel) == 0 {
+			break
 		}
-		if cmp.Op == "IN" {
-			vals := make([]storage.Value, len(cmp.Vals))
-			for i, raw := range cmp.Vals {
-				v, err := coerce(raw, kind)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			out = append(out, compileVecIn(idx, kind, vals, st))
-			continue
-		}
-		val, err := coerce(cmp.Val, kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, compileVecComparison(idx, kind, cmp.Op, val, st))
 	}
-	return out, nil
+	return sel
 }
 
 // opKeep returns the predicate over storage.Compare's three-way result for
-// one comparison operator (false for every c on an unknown operator, like
-// the row path's default case).
+// one comparison operator (false for every c on an unknown operator).
 func opKeep(op string) func(c int) bool {
 	switch op {
 	case "<":
@@ -107,8 +87,7 @@ func compareFloats(a, b float64) int {
 
 // compileVecComparison builds the kernel for one comparison. The typed fast
 // paths read the column's vector directly; any combination they do not cover
-// falls back to materialising single cells through the exact comparison the
-// row path uses.
+// falls back to storage.Compare on single materialised cells.
 func compileVecComparison(col int, kind storage.Kind, op string, val storage.Value, st *vecStats) vecPred {
 	keep := opKeep(op)
 	switch {
@@ -298,9 +277,9 @@ func rleFilter(v *storage.ColumnVector, sel []int, st *vecStats, keepRow func(r 
 	return out
 }
 
-// genericFilter is the cell-at-a-time fallback: identical to the row path's
-// storage.Compare on the materialised value (also the !Valid case, where the
-// cell is the kind's zero value — the row path sees the same zero cell).
+// genericFilter is the cell-at-a-time fallback: storage.Compare on the
+// materialised value (also the !Valid case, where the cell is the kind's zero
+// value).
 func genericFilter(v *storage.ColumnVector, val storage.Value, keep func(int) bool, sel []int) []int {
 	out := sel[:0]
 	for _, i := range sel {
@@ -311,8 +290,8 @@ func genericFilter(v *storage.ColumnVector, val storage.Value, keep func(int) bo
 	return out
 }
 
-// genericInFilter is the cell-at-a-time IN fallback, the exact semantics of
-// the row path's any-value-equal filter.
+// genericInFilter is the cell-at-a-time IN fallback: keep a row whose cell
+// equals any value.
 func genericInFilter(v *storage.ColumnVector, vals []storage.Value, sel []int) []int {
 	out := sel[:0]
 	for _, i := range sel {

@@ -53,52 +53,46 @@ func setupVectorWarehouse(t *testing.T) (*Warehouse, []storage.Row) {
 
 // TestVectorisedMatchesRowPath is the equivalence half of the acceptance
 // criterion: for every query shape — scans, aggregates, GROUP BY, joins,
-// empty results, SELECT * — the vectorised path answers bit-identically to
-// the row-at-a-time path, and the stats report truthfully which path ran.
+// empty results, SELECT * — the executor answers bit-identically to the
+// row-at-a-time reference, and reports that a batch scan ran.
 func TestVectorisedMatchesRowPath(t *testing.T) {
 	w, _ := setupVectorWarehouse(t)
 
-	queries := []struct {
-		sql     string
-		wantVec bool
-	}{
+	queries := []string{
 		// Full-scan path over the unindexed RCFile table.
-		{`SELECT * FROM plainmeter`, true},
-		{`SELECT userId, powerConsumed FROM plainmeter WHERE userId>=5 AND userId<=12`, true},
-		{`SELECT sum(powerConsumed), count(*) FROM plainmeter WHERE ts>='2012-12-03'`, true},
-		{`SELECT regionId, avg(powerConsumed), max(powerConsumed) FROM plainmeter WHERE userId<=30 GROUP BY regionId`, true},
-		{`SELECT count(*) FROM plainmeter WHERE powerConsumed < 0`, true},
-		{`SELECT userId FROM plainmeter WHERE userId>=1000`, true},
-		{`SELECT userId, powerConsumed FROM plainmeter WHERE userId>=3 LIMIT 7`, true},
+		`SELECT * FROM plainmeter`,
+		`SELECT userId, powerConsumed FROM plainmeter WHERE userId>=5 AND userId<=12`,
+		`SELECT sum(powerConsumed), count(*) FROM plainmeter WHERE ts>='2012-12-03'`,
+		`SELECT regionId, avg(powerConsumed), max(powerConsumed) FROM plainmeter WHERE userId<=30 GROUP BY regionId`,
+		`SELECT count(*) FROM plainmeter WHERE powerConsumed < 0`,
+		`SELECT userId FROM plainmeter WHERE userId>=1000`,
+		`SELECT userId, powerConsumed FROM plainmeter WHERE userId>=3 LIMIT 7`,
 		// DGF index path over the indexed RCFile table.
-		{`SELECT sum(powerConsumed) FROM meterdata WHERE userId>=5 AND userId<=30`, true},
-		{`SELECT regionId, avg(powerConsumed), count(*) FROM meterdata WHERE ts>='2012-12-02' AND ts<'2012-12-06' GROUP BY regionId`, true},
-		{`SELECT userId, powerConsumed FROM meterdata WHERE userId=11 AND ts<'2012-12-03'`, true},
-		{`SELECT * FROM meterdata WHERE userId=19 AND ts='2012-12-04'`, true},
-		{`SELECT count(*) FROM meterdata WHERE userId>=1000`, true},
-		// Broadcast joins stay on the row path.
-		{`SELECT t2.userName, t1.powerConsumed FROM meterdata t1 JOIN userInfo t2
-			ON t1.userId=t2.userId WHERE t1.userId>=5 AND t1.userId<=8`, false},
+		`SELECT sum(powerConsumed) FROM meterdata WHERE userId>=5 AND userId<=30`,
+		`SELECT regionId, avg(powerConsumed), count(*) FROM meterdata WHERE ts>='2012-12-02' AND ts<'2012-12-06' GROUP BY regionId`,
+		`SELECT userId, powerConsumed FROM meterdata WHERE userId=11 AND ts<'2012-12-03'`,
+		`SELECT * FROM meterdata WHERE userId=19 AND ts='2012-12-04'`,
+		`SELECT count(*) FROM meterdata WHERE userId>=1000`,
+		// Broadcast joins probe with the materialised survivors.
+		`SELECT t2.userName, t1.powerConsumed FROM meterdata t1 JOIN userInfo t2
+			ON t1.userId=t2.userId WHERE t1.userId>=5 AND t1.userId<=8`,
+		`SELECT t2.userName, sum(t1.powerConsumed) FROM plainmeter t1 JOIN userInfo t2
+			ON t1.userId=t2.userId WHERE t1.regionId!=2 AND t2.userName>='user-07' AND t2.userName IN ('user-08','user-11','user-30')
+			GROUP BY t2.userName`,
 	}
-	for _, q := range queries {
-		vec := mustExec(t, w, q.sql)
-		row, err := w.ExecOpts(q.sql, ExecOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatalf("%q (row path): %v", q.sql, err)
+	for _, sql := range queries {
+		vec := mustExec(t, w, sql)
+		row := refExec(t, w, sql, ExecOptions{})
+		if !vec.Stats.Vectorized {
+			t.Errorf("%q: Vectorized = false after a scan job ran", sql)
 		}
-		if vec.Stats.Vectorized != q.wantVec {
-			t.Errorf("%q: Vectorized = %v, want %v", q.sql, vec.Stats.Vectorized, q.wantVec)
-		}
-		if row.Stats.Vectorized || row.Stats.GroupsSkipped != 0 || row.Stats.BitmapHits != 0 {
-			t.Errorf("%q: DisableVectorized run reports vectorised stats: %+v", q.sql, row.Stats)
-		}
-		if strings.Contains(q.sql, "LIMIT") {
+		if strings.Contains(sql, "LIMIT") {
 			// LIMIT queries may satisfy the limit from different splits on
 			// the two paths; compare cardinality and membership instead.
 			if len(vec.Rows) != len(row.Rows) {
-				t.Errorf("%q: %d rows vectorised vs %d row-path", q.sql, len(vec.Rows), len(row.Rows))
+				t.Errorf("%q: %d rows vectorised vs %d row-path", sql, len(vec.Rows), len(row.Rows))
 			}
-			full := mustExec(t, w, strings.Split(q.sql, " LIMIT")[0])
+			full := mustExec(t, w, strings.Split(sql, " LIMIT")[0])
 			members := map[string]int{}
 			for _, r := range full.Rows {
 				members[renderExact([]storage.Row{r})]++
@@ -106,45 +100,38 @@ func TestVectorisedMatchesRowPath(t *testing.T) {
 			for _, r := range vec.Rows {
 				key := renderExact([]storage.Row{r})
 				if members[key] == 0 {
-					t.Errorf("%q: vectorised LIMIT row %s not in the full result", q.sql, key)
+					t.Errorf("%q: vectorised LIMIT row %s not in the full result", sql, key)
 				}
 				members[key]--
 			}
 			continue
 		}
 		if want, got := renderExact(row.Rows), renderExact(vec.Rows); want != got {
-			t.Errorf("%q: results differ\nrow path:\n%s\nvectorised:\n%s", q.sql, want, got)
+			t.Errorf("%q: results differ\nrow path:\n%s\nvectorised:\n%s", sql, want, got)
 		}
 	}
 }
 
-// TestVectorisedCursorLimit: a streaming cursor with LIMIT over the
-// vectorised path delivers exactly limit rows, every one a member of the
-// full result set, matching the row path's cardinality.
+// TestVectorisedCursorLimit: a streaming cursor with LIMIT delivers exactly
+// limit rows, every one a member of the full result set.
 func TestVectorisedCursorLimit(t *testing.T) {
 	w, _ := setupVectorWarehouse(t)
 	const sql = `SELECT userId, powerConsumed FROM plainmeter WHERE userId>=3 AND userId<=38 LIMIT 9`
 
-	collect := func(opts ExecOptions) []storage.Row {
-		t.Helper()
-		cur, err := w.SelectCursor(context.Background(), mustParseSelect(t, sql), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cur.Close()
-		var out []storage.Row
-		for cur.Next() {
-			out = append(out, append(storage.Row{}, cur.Row()...))
-		}
-		if err := cur.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return out
+	cur, err := w.SelectCursor(context.Background(), mustParseSelect(t, sql), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	vec := collect(ExecOptions{})
-	row := collect(ExecOptions{DisableVectorized: true})
-	if len(vec) != 9 || len(row) != 9 {
-		t.Fatalf("cursor rows: %d vectorised, %d row-path, want 9 each", len(vec), len(row))
+	defer cur.Close()
+	var vec []storage.Row
+	for cur.Next() {
+		vec = append(vec, append(storage.Row{}, cur.Row()...))
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(vec) != 9 {
+		t.Fatalf("cursor delivered %d rows, want 9", len(vec))
 	}
 	full := mustExec(t, w, `SELECT userId, powerConsumed FROM plainmeter WHERE userId>=3 AND userId<=38`)
 	members := map[string]int{}
@@ -162,15 +149,15 @@ func TestVectorisedCursorLimit(t *testing.T) {
 
 // TestVectorisedZoneSkipTruthfulScan: on the full-scan path, EXPLAIN
 // announces the zone-map pruning the execution then performs — same group
-// count, same bytes — and the row path, which cannot prune, reads strictly
-// more.
+// count, same bytes — and the unpruned reference read is strictly
+// larger.
 func TestVectorisedZoneSkipTruthfulScan(t *testing.T) {
 	w, _ := setupVectorWarehouse(t)
 	const sql = `SELECT powerConsumed FROM plainmeter WHERE ts>='2012-12-07'`
 
 	plan := explainOf(t, w, sql)
-	if !plan.Vectorized {
-		t.Fatal("EXPLAIN does not announce the vectorised path")
+	if !plan.GroupPruning {
+		t.Fatal("EXPLAIN does not announce row-group pruning")
 	}
 	if plan.GroupsSkipped == 0 {
 		t.Fatal("EXPLAIN predicts no zone-map skips on a late-date predicate")
@@ -182,10 +169,7 @@ func TestVectorisedZoneSkipTruthfulScan(t *testing.T) {
 	if plan.ProjectedBytes != res.Stats.BytesRead {
 		t.Errorf("EXPLAIN ProjectedBytes %d, execution BytesRead %d", plan.ProjectedBytes, res.Stats.BytesRead)
 	}
-	row, err := w.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := refExec(t, w, sql, ExecOptions{})
 	if row.Stats.BytesRead <= res.Stats.BytesRead {
 		t.Errorf("row path read %d bytes, vectorised %d: skipping saved nothing",
 			row.Stats.BytesRead, res.Stats.BytesRead)
@@ -203,8 +187,8 @@ func TestVectorisedZoneSkipTruthfulDgf(t *testing.T) {
 	const sql = `SELECT userId, powerConsumed FROM meterdata WHERE userId=11 AND ts<'2012-12-03'`
 
 	plan := explainOf(t, w, sql)
-	if !plan.Vectorized {
-		t.Fatal("EXPLAIN does not announce the vectorised path")
+	if !plan.GroupPruning {
+		t.Fatal("EXPLAIN does not announce row-group pruning")
 	}
 	if plan.GroupsSkipped == 0 {
 		t.Fatal("EXPLAIN predicts no intra-slice zone skips")
@@ -219,10 +203,7 @@ func TestVectorisedZoneSkipTruthfulDgf(t *testing.T) {
 	if plan.ProjectedBytes != res.Stats.BytesRead {
 		t.Errorf("EXPLAIN ProjectedBytes %d, execution BytesRead %d", plan.ProjectedBytes, res.Stats.BytesRead)
 	}
-	row, err := w.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := refExec(t, w, sql, ExecOptions{})
 	if row.Stats.BytesRead <= res.Stats.BytesRead {
 		t.Errorf("row path read %d bytes, vectorised %d: skipping saved nothing",
 			row.Stats.BytesRead, res.Stats.BytesRead)
@@ -276,8 +257,8 @@ func TestBitmapSidecarHits(t *testing.T) {
 
 	const sql = `SELECT sum(v), count(*) FROM tagged WHERE id>=1 AND id<=400 AND tag='x'`
 	plan := explainOf(t, w, sql)
-	if !plan.Vectorized {
-		t.Fatal("EXPLAIN does not announce the vectorised path")
+	if !plan.GroupPruning {
+		t.Fatal("EXPLAIN does not announce row-group pruning")
 	}
 	if plan.BitmapHits == 0 {
 		t.Fatalf("EXPLAIN BitmapHits = 0, want > 0 (GroupsSkipped = %d)", plan.GroupsSkipped)
@@ -292,10 +273,7 @@ func TestBitmapSidecarHits(t *testing.T) {
 	if plan.ProjectedBytes != res.Stats.BytesRead {
 		t.Errorf("EXPLAIN ProjectedBytes %d, execution BytesRead %d", plan.ProjectedBytes, res.Stats.BytesRead)
 	}
-	row, err := w.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := refExec(t, w, sql, ExecOptions{})
 	if want, got := renderExact(row.Rows), renderExact(res.Rows); want != got {
 		t.Errorf("results differ\nrow path:\n%s\nvectorised:\n%s", want, got)
 	}
@@ -323,10 +301,7 @@ func TestBitmapSidecarHits(t *testing.T) {
 	// String-range predicates (not equality) still answer correctly without
 	// bitmap probes — only the generic kernels and zone maps apply.
 	rangeVec := mustExec(t, w, `SELECT count(*) FROM tagged WHERE tag>='y'`)
-	rangeRow, err := w.ExecOpts(`SELECT count(*) FROM tagged WHERE tag>='y'`, ExecOptions{DisableVectorized: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rangeRow := refExec(t, w, `SELECT count(*) FROM tagged WHERE tag>='y'`, ExecOptions{})
 	if renderExact(rangeVec.Rows) != renderExact(rangeRow.Rows) {
 		t.Errorf("string range: vectorised %s vs row path %s", renderExact(rangeVec.Rows), renderExact(rangeRow.Rows))
 	}
@@ -368,10 +343,7 @@ func TestDgfAppendKeepsSidecarsConsistent(t *testing.T) {
 		}
 		// The appended warehouse's skip decisions must still be sound: the
 		// vectorised answer equals its own row-path answer bit-identically.
-		aRow, err := wA.ExecOpts(sql, ExecOptions{DisableVectorized: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		aRow := refExec(t, wA, sql, ExecOptions{})
 		if want, got := sortedExact(aRow.Rows), sortedExact(a.Rows); want != got {
 			t.Errorf("%q: post-append vectorised path diverges from row path\nrow:\n%s\nvectorised:\n%s", sql, want, got)
 		}

@@ -34,11 +34,15 @@ func (s FileSplit) Label() string {
 }
 
 // FileInput reads table files of either storage format, one segment per
-// split under Hadoop's split rules. TextFile: every line is one record whose
-// Offset is the line's byte position (BLOCK_OFFSET_INSIDE_FILE). RCFile:
-// every stored row is one record; Offset is the start offset of the row's
-// row group (what Hive's Compact Index records) and RowInBlock its position
-// within the group (what the Bitmap Index records).
+// split under Hadoop's split rules. In record delivery (index builders) every
+// TextFile line is one record whose Offset is the line's byte position
+// (BLOCK_OFFSET_INSIDE_FILE), and every stored RCFile row is one record whose
+// Offset is the start offset of its row group (what Hive's Compact Index
+// records) and RowInBlock its position within the group (what the Bitmap
+// Index records). With Vector set (every query) a record is a whole
+// storage.ColumnBatch instead: one row group, or up to
+// storage.DefaultRowGroupRows consecutive lines, located by the group's or the
+// first line's Offset.
 //
 // Its Open is also the reader behind every other file-backed input format:
 // dgf.SliceInput enumerates multi-segment FileSplits and opens them here.
@@ -50,10 +54,12 @@ type FileInput struct {
 	Paths []string
 	// Format is the files' storage format (zero value: TextFile).
 	Format storage.Format
-	// Schema decodes RCFile rows (ignored for TextFile).
+	// Schema decodes RCFile rows and TextFile batches (TextFile record
+	// delivery ignores it).
 	Schema *storage.Schema
-	// Project, when set, fetches only the flagged columns' payloads
-	// (RCFile column-projection pushdown). Records then carry only the
+	// Project, when set, keeps only the flagged columns: RCFile readers
+	// fetch only their payloads (column-projection pushdown) and TextFile
+	// batches parse only their cells. RCFile records then carry only the
 	// decoded Row — with zero values in unprojected cells — and a nil Data.
 	Project []bool
 	// SplitFilter, when set, keeps only the splits it returns true for.
@@ -63,16 +69,16 @@ type FileInput struct {
 	// GroupFilter, when set, skips row groups whose start offset it rejects
 	// (Compact Index offset filtering; RCFile only).
 	GroupFilter func(path string, offset int64) bool
-	// RowFilter, when set, skips rows by their position in the group
-	// (Bitmap Index row filtering; RCFile only).
+	// RowFilter, when set, admits rows by their position in the group
+	// (Bitmap Index row filtering; RCFile only): a batch arrives with its
+	// selection narrowed to the admitted rows, a record not at all.
 	RowFilter func(path string, offset int64, row int) bool
 	// SkipGroup, when set, prunes row groups by start offset before their
 	// payloads are fetched (zone-map / bitmap pruning; RCFile only). Unlike
 	// GroupFilter rejections, pruned groups are reported as GroupsSkipped.
 	SkipGroup func(path string, offset int64) bool
-	// Vector switches RCFile readers to batch delivery: one Record per row
-	// group with Batch set (Row and Data nil). Ignored when RowFilter is
-	// set — row filtering is inherently per-row.
+	// Vector selects batch delivery: one Record per row group (RCFile) or
+	// per run of lines (TextFile) with Batch set (Row and Data nil).
 	Vector bool
 }
 
@@ -114,6 +120,9 @@ func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
 		return nil, err
 	}
 	r := &fileReader{in: in, file: f, path: s.Path, segments: s.Segments}
+	if in.Vector {
+		r.batch = storage.NewColumnBatch(in.Schema)
+	}
 	if in.Format == storage.RCFile {
 		// A row group belongs to the segment its start offset falls into,
 		// but may physically straddle a block boundary. The side group index
@@ -140,6 +149,7 @@ type fileReader struct {
 	segments     []Segment
 	groupOffsets []int64 // RCFile only
 	skipGroup    func(offset int64) bool
+	batch        *storage.ColumnBatch // batch delivery: shared by the segments
 
 	next      int // next index into segments
 	seg       storage.SegmentReader
@@ -181,7 +191,7 @@ func (r *fileReader) Next() (Record, bool, error) {
 				InclusiveEnd: sg.ClipEnd,
 				Project:      in.Project,
 				GroupOffsets: r.groupOffsets,
-				Vector:       in.Vector && in.RowFilter == nil,
+				Batch:        r.batch,
 				SkipGroup:    r.skipGroup,
 			})
 		}
@@ -198,18 +208,23 @@ func (r *fileReader) Next() (Record, bool, error) {
 			Data: rec.Line, Row: rec.Row, Batch: rec.Batch, Path: r.path,
 			Offset: rec.Offset, RowInBlock: rec.RowInGroup,
 		}
-		if in.Format == storage.RCFile && rec.Batch == nil {
-			if in.RowFilter != nil && !in.RowFilter(r.path, rec.Offset, rec.RowInGroup) {
+		if in.Format == storage.RCFile && in.RowFilter != nil {
+			if b := rec.Batch; b != nil {
+				b.Select(func(row int) bool { return in.RowFilter(r.path, rec.Offset, row) })
+				if len(b.Sel()) == 0 {
+					continue
+				}
+			} else if !in.RowFilter(r.path, rec.Offset, rec.RowInGroup) {
 				continue
 			}
-			if in.Project == nil {
-				// Full-width rows also carry the text rendering, which
-				// index-construction mappers field-extract from. Projected
-				// rows cannot: the encoding would misrepresent the skipped
-				// columns.
-				r.encoded = storage.AppendTextRow(r.encoded[:0], rec.Row)
-				out.Data = r.encoded[:len(r.encoded)-1] // strip '\n'
-			}
+		}
+		if rec.Row != nil && in.Project == nil {
+			// Full-width rows also carry the text rendering, which
+			// index-construction mappers field-extract from. Projected
+			// rows cannot: the encoding would misrepresent the skipped
+			// columns.
+			r.encoded = storage.AppendTextRow(r.encoded[:0], rec.Row)
+			out.Data = r.encoded[:len(r.encoded)-1] // strip '\n'
 		}
 		return out, true, nil
 	}

@@ -58,15 +58,16 @@ type Record struct {
 	// (RCFile readers). Map functions should prefer it over re-parsing
 	// Data; cells of columns excluded by a projection hold zero values.
 	Row storage.Row
-	// Batch is one whole decoded row group (vectorised RCFile readers; Row
-	// and Data are nil). The reader reuses the batch across records, so a
-	// map function must finish with it before returning.
+	// Batch is one whole decoded row group or run of text lines (batch
+	// delivery; Row and Data are nil), counted as the rows its selection
+	// admits. The reader reuses the batch across records, so a map function
+	// must finish with it before returning.
 	Batch *storage.ColumnBatch
 	// Path is the input file the record came from (INPUT_FILE_NAME in
 	// Hive's index-population query, Listing 1 of the paper).
 	Path string
 	// Offset is the record's BLOCK_OFFSET_INSIDE_FILE: the line start for
-	// TextFile, the row-group start for RCFile.
+	// TextFile (the first line's for a batch), the row-group start for RCFile.
 	Offset int64
 	// RowInBlock is the row's position within its row group (RCFile only;
 	// the Bitmap Index records it).
@@ -157,7 +158,7 @@ type Stats struct {
 	InputRecords int64
 	Seeks        int64
 	// GroupsSkipped counts row groups pruned by zone maps or bitmap
-	// sidecars before their payloads were fetched (vectorised scans).
+	// sidecars before their payloads were fetched.
 	GroupsSkipped int64
 	ShuffleBytes  int64
 	ShufflePairs  int64
@@ -468,7 +469,7 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 			break
 		}
 		if rec.Batch != nil {
-			res.records += int64(rec.Batch.Rows)
+			res.records += int64(len(rec.Batch.Sel()))
 		} else {
 			res.records++
 		}

@@ -516,6 +516,9 @@ func decodeLoadRow(schema *storage.Schema, rec []any) (storage.Row, error) {
 			return nil, fmt.Errorf("column %s: unsupported cell type %T", schema.Col(i).Name, cell)
 		}
 	}
+	if err := storage.CheckTextRow(row); err != nil {
+		return nil, err
+	}
 	return row, nil
 }
 

@@ -669,3 +669,50 @@ func TestDeadShardIs503(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadRejectsCellsTextCannotCarryOverHTTP: POST /load answers 400 — in
+// both body formats, with and without a WAL — for a string cell holding a
+// newline or a delimiter outside the last column, instead of accepting a row
+// that fails every later query of its table; the table stays readable, and a
+// delimiter in the last column loads.
+func TestLoadRejectsCellsTextCannotCarryOverHTTP(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T, Config) (*Server, *shard.Router)
+	}{
+		{"synchronous loads", shardedServer},
+		{"wal", walServer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, r := tc.mk(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			if _, err := r.ExecContext(context.Background(), `CREATE TABLE u (userId bigint, addr string, note string)`, hive.ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range map[string]string{
+				"delimiter": `{"table":"u","rows":[[1,"7 Elm Rd","ok"],[2,"12 Main St, Springfield","x"]]}`,
+				"newline":   `{"table":"u","rows":[[1,"7 Elm Rd","ok"],[2,"a","two\nlines"]]}`,
+			} {
+				code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json", []byte(body))
+				if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "row 2") {
+					t.Errorf("%s: status %d %v, want 400 naming row 2", name, code, out)
+				}
+			}
+			if code, out := postLoad(t, ts.URL+"/load?table=u&sync=1", "text/csv", []byte("3,\"9 Oak Ave, Shelbyville\",x\n")); code != http.StatusBadRequest {
+				t.Errorf("csv delimiter: status %d %v, want 400", code, out)
+			}
+			if code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json",
+				[]byte(`{"table":"u","rows":[[4,"7 Elm Rd","rear door, ring twice"]]}`)); code != http.StatusOK {
+				t.Fatalf("delimiter in the last column: status %d %v, want 200", code, out)
+			}
+			res, err := s.Query(context.Background(), Request{SQL: `SELECT userId, addr, note FROM u`, NoCache: true})
+			if err != nil {
+				t.Fatalf("table unreadable after the rejected loads: %v", err)
+			}
+			if rows := res.Result.Rows; len(rows) != 1 || rows[0][2].S != "rear door, ring twice" {
+				t.Errorf("table holds %v, want the one accepted row", res.Result.Rows)
+			}
+		})
+	}
+}

@@ -66,12 +66,9 @@ type LoadAck struct {
 // applied its slice. Without a WAL it writes every replica of each routed
 // shard synchronously (see loadRowsReplicated) and the ack is Applied.
 func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadAck, error) {
-	e := r.wal.Load()
-	if e == nil {
-		return LoadAck{Applied: true}, r.loadRowsReplicated(table, rows)
-	}
-	// Validate before logging: a record that can never apply would stall
-	// its replica's applier forever.
+	// Validate before writing or logging: a row the table's encoding cannot
+	// carry would poison every later read, and a logged record that can
+	// never apply would stall its replica's applier forever.
 	schema, err := r.TableSchema(table)
 	if err != nil {
 		return LoadAck{}, err
@@ -80,6 +77,13 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 		if len(row) != schema.Len() {
 			return LoadAck{}, fmt.Errorf("shard: row %d has %d columns, table %q has %d", i, len(row), table, schema.Len())
 		}
+		if err := storage.CheckTextRow(row); err != nil {
+			return LoadAck{}, fmt.Errorf("shard: row %d of a load into %q: %w", i, table, err)
+		}
+	}
+	e := r.wal.Load()
+	if e == nil {
+		return LoadAck{Applied: true}, r.loadRowsReplicated(table, rows)
 	}
 	batches, err := r.loadBatches(table, rows)
 	if err != nil {

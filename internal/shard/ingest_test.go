@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -448,6 +449,56 @@ func TestIngestValidatesRowShapeBeforeLogging(t *testing.T) {
 	for _, ss := range st {
 		if ss.NextLSN != 1 {
 			t.Fatalf("invalid load consumed an LSN: %+v", ss)
+		}
+	}
+}
+
+// TestLoadRejectsCellsTextCannotCarry: a string cell holding a newline, or the
+// field delimiter anywhere but the last column, would be written (and, with a
+// WAL, logged) without complaint and then fail every read of its table. Both
+// write paths refuse the load before anything is written or logged; a
+// delimiter in the last column, which runs to the end of the line, loads and
+// reads back.
+func TestLoadRejectsCellsTextCannotCarry(t *testing.T) {
+	for _, withWAL := range []bool{false, true} {
+		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
+			r, err := New(Config{Shards: 2, Replicas: 2, Key: "id"}, newShardWarehouse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if withWAL {
+				t.Cleanup(func() { r.CloseWAL() })
+				if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustExec(t, r, `CREATE TABLE u (id bigint, addr string, note string) STORED AS `+stored)
+			ctx := context.Background()
+			good := []storage.Row{
+				{storage.Int64(1), storage.Str("12 Main St"), storage.Str("rear door, ring twice")},
+				{storage.Int64(2), storage.Str("7 Elm Rd"), storage.Str("")},
+			}
+			if _, err := r.LoadRowsDurable(ctx, "u", good, true); err != nil {
+				t.Fatalf("wal=%v %s: load with a delimiter in the last column: %v", withWAL, stored, err)
+			}
+			logged := fmt.Sprint(r.WALStats())
+			for name, cell := range map[string]storage.Row{
+				"delimiter": {storage.Int64(3), storage.Str("12 Main St, Springfield"), storage.Str("x")},
+				"newline":   {storage.Int64(4), storage.Str("a"), storage.Str("two\nlines")},
+			} {
+				_, err := r.LoadRowsDurable(ctx, "u", []storage.Row{good[0], cell}, true)
+				if err == nil || !strings.Contains(err.Error(), "row 1") {
+					t.Errorf("wal=%v %s: %s load error = %v, want a rejection naming row 1", withWAL, stored, name, err)
+				}
+			}
+			if now := fmt.Sprint(r.WALStats()); now != logged {
+				t.Errorf("wal=%v %s: a rejected load reached the log:\nbefore %s\nafter  %s", withWAL, stored, logged, now)
+			}
+			got := renderRows(mustExec(t, r, `SELECT id, addr, note FROM u`).Rows)
+			sort.Strings(got)
+			if got := strings.Join(got, ";"); got != "1|12 Main St|rear door, ring twice;2|7 Elm Rd|" {
+				t.Errorf("wal=%v %s: table reads back %q", withWAL, stored, got)
+			}
 		}
 	}
 }

@@ -626,7 +626,6 @@ func (r *Router) explainScatter(ctx context.Context, s *hive.SelectStmt, opts hi
 		merged.MissingCells += p.MissingCells
 		merged.GroupsSkipped += p.GroupsSkipped
 		merged.BitmapHits += p.BitmapHits
-		merged.Vectorized = merged.Vectorized && p.Vectorized
 	}
 	return &merged, nil
 }

@@ -364,7 +364,7 @@ func TestGroupBytesBudget(t *testing.T) {
 			t.Errorf("group %d holds %d payload bytes, far over the 2048 budget", gi, raw)
 		}
 	}
-	back, err := ReadRCRows(fs, "/tbl/budget", s)
+	back, err := readRCRows(fs, "/tbl/budget", s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -753,26 +753,3 @@ func WriteRCRowsOpts(fs *dfs.FS, path string, schema *Schema, rows []Row, groupR
 	}
 	return rw.GroupOffsets(), nil
 }
-
-// ReadRCRows decodes every row of the RCFile at path, walking its row groups
-// sequentially (each group's encoded size locates the next).
-func ReadRCRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	for pos := int64(0); pos < r.Size(); {
-		g, _, err := ReadGroupProjected(r, pos, nil)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := g.DecodeRows(schema)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, rs...)
-		pos += g.Size
-	}
-	return rows, nil
-}

@@ -18,7 +18,7 @@ func TestRCFileEmptyTable(t *testing.T) {
 	if len(offsets) != 0 {
 		t.Fatalf("empty table wrote %d groups", len(offsets))
 	}
-	got, err := ReadRCRows(fs, "/tbl/empty", s)
+	got, err := readRCRows(fs, "/tbl/empty", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRCFilePartialFinalGroup(t *testing.T) {
 	if stats[2].EncodedSize() != g.Size {
 		t.Errorf("EncodedSize = %d, group size = %d", stats[2].EncodedSize(), g.Size)
 	}
-	got, err := ReadRCRows(fs, "/tbl/partial", s)
+	got, err := readRCRows(fs, "/tbl/partial", s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,31 @@ import (
 // a SegmentReader, opened per segment by mapreduce's one file reader; for
 // RCFile it opens only the row groups starting inside the segment and — with
 // a projection pushed down — fetches only the referenced columns' payloads.
+// A reader delivers in one of two shapes. Record delivery (index builders)
+// hands over one line or one decoded row at a time. Batch delivery (every
+// query) hands over a ColumnBatch: one whole row group for RCFile, up to
+// DefaultRowGroupRows lines for TextFile, only the projected columns decoded.
 // A SegmentReader counts bytes only; seek and pruned-group accounting belong
 // to the caller, which sees every SkipGroup decision it makes.
 
-// SegmentRecord is one record delivered by a SegmentReader. Text formats
-// fill Line (the encoded record); columnar formats fill Row (the decoded,
-// possibly projected record). Offset and RowInGroup locate the record at the
-// format's granularity.
+// SegmentRecord is one delivery of a SegmentReader. In record mode text
+// formats fill Line (the encoded record) and columnar formats fill Row (the
+// decoded, possibly projected record); in batch mode both fill Batch. Offset
+// and RowInGroup locate the record at the format's granularity.
 type SegmentRecord struct {
 	// Line is the delimited text rendering (TextFile; nil for RCFile).
 	Line []byte
 	// Row is the decoded record (RCFile; nil for TextFile). Cells of
 	// columns excluded by the reader's projection hold zero values.
 	Row Row
-	// Batch is one whole decoded row group (RCFile vectorised mode; nil
-	// otherwise). The reader reuses the batch across groups, so consumers
-	// must finish with it before calling Next again.
+	// Batch is one whole decoded row group (RCFile) or run of consecutive
+	// lines (TextFile) in batch mode; nil otherwise. The reader reuses the
+	// batch from one delivery to the next, so consumers must finish with it
+	// before calling Next again.
 	Batch *ColumnBatch
 	// Offset is the record position Hive's indexes would record: the line
-	// start for TextFile, the row-group start for RCFile.
+	// start for TextFile (a batch's first line), the row-group start for
+	// RCFile.
 	Offset int64
 	// RowInGroup is the record's position within its row group (RCFile).
 	RowInGroup int
@@ -56,17 +62,20 @@ type SegmentOptions struct {
 	// ownership is always "group starts inside the range").
 	SkipFirst    bool
 	InclusiveEnd bool
-	// Project keeps only the flagged columns' payloads (RCFile only; nil
-	// reads everything).
+	// Project keeps only the flagged columns: RCFile readers fetch only
+	// their payloads, TextFile batches parse only their cells (nil keeps
+	// everything).
 	Project []bool
 	// GroupOffsets lists the file's row-group start offsets (RCFile only;
 	// loaded once per file via ReadGroupIndex and shared by the file's
 	// segments).
 	GroupOffsets []int64
-	// Vector switches the RCFile reader to vectorised delivery: one record
-	// per row group with Batch set (Row nil), columns decoded into reusable
-	// typed vectors.
-	Vector bool
+	// Batch, when non-nil, selects batch delivery into it: one record per
+	// row group (RCFile) or per run of up to DefaultRowGroupRows lines
+	// (TextFile) with Batch set (Row and Line nil). A caller reading several
+	// segments in turn shares one batch among them, so small segments do not
+	// each pay for their own vectors.
+	Batch *ColumnBatch
 	// SkipGroup, when non-nil, is consulted before each row group is
 	// fetched (RCFile only); a true return drops the group without reading
 	// its payloads — the hook index offset filters and zone-map/bitmap
@@ -75,8 +84,8 @@ type SegmentOptions struct {
 }
 
 // NewSegmentReader opens the records of [start, end) of file r in the given
-// format. The schema is required for RCFile decoding and ignored for
-// TextFile.
+// format. The schema is required for RCFile decoding and for TextFile batch
+// delivery; TextFile record delivery ignores it.
 func NewSegmentReader(r *dfs.FileReader, schema *Schema, format Format, start, end int64, opts SegmentOptions) SegmentReader {
 	if format == RCFile {
 		// Own the groups starting inside [start, end); a clipped edge can
@@ -85,23 +94,28 @@ func NewSegmentReader(r *dfs.FileReader, schema *Schema, format Format, start, e
 		offs := opts.GroupOffsets
 		lo := sort.Search(len(offs), func(i int) bool { return offs[i] >= start })
 		hi := sort.Search(len(offs), func(i int) bool { return offs[i] >= end })
-		sr := &rcSegmentReader{
+		return &rcSegmentReader{
 			r:       r,
 			schema:  schema,
 			offsets: offs[lo:hi],
 			project: opts.Project,
 			skip:    opts.SkipGroup,
+			batch:   opts.Batch,
 		}
-		if opts.Vector {
-			sr.batch = NewColumnBatch(schema)
-		}
-		return sr
 	}
-	return &textSegmentReader{lr: NewLineReaderOpts(r, start, end, opts.SkipFirst, opts.InclusiveEnd)}
+	return &textSegmentReader{
+		lr:      NewLineReaderOpts(r, start, end, opts.SkipFirst, opts.InclusiveEnd),
+		schema:  schema,
+		project: opts.Project,
+		batch:   opts.Batch,
+	}
 }
 
 type textSegmentReader struct {
-	lr *LineReader
+	lr      *LineReader
+	schema  *Schema
+	project []bool
+	batch   *ColumnBatch // non-nil selects batch delivery
 }
 
 func (t *textSegmentReader) Next() (SegmentRecord, bool, error) {
@@ -109,7 +123,22 @@ func (t *textSegmentReader) Next() (SegmentRecord, bool, error) {
 	if !ok {
 		return SegmentRecord{}, false, nil
 	}
-	return SegmentRecord{Line: line, Offset: off}, true, nil
+	if t.batch == nil {
+		return SegmentRecord{Line: line, Offset: off}, true, nil
+	}
+	b := t.batch
+	b.lines = append(append(b.lines[:0], line...), '\n')
+	rows := 1
+	for ; rows < DefaultRowGroupRows; rows++ {
+		if line, _, ok = t.lr.Next(); !ok {
+			break
+		}
+		b.lines = append(append(b.lines, line...), '\n')
+	}
+	if err := b.decodeTextLines(t.schema, t.project, rows); err != nil {
+		return SegmentRecord{}, false, err
+	}
+	return SegmentRecord{Batch: b, Offset: off}, true, nil
 }
 
 func (t *textSegmentReader) BytesRead() int64 { return t.lr.BytesRead() }
@@ -120,7 +149,7 @@ type rcSegmentReader struct {
 	offsets []int64
 	project []bool
 	skip    func(offset int64) bool
-	batch   *ColumnBatch // non-nil selects vectorised delivery
+	batch   *ColumnBatch // non-nil selects batch delivery
 
 	next      int // next index into offsets
 	group     *RowGroup

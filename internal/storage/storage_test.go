@@ -270,7 +270,7 @@ func TestWriteReadTextRows(t *testing.T) {
 	if err := WriteTextRows(fs, "/tbl/p0", rows); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTextRows(fs, "/tbl/p0", s)
+	got, err := readTextRows(fs, "/tbl/p0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRCFileRoundTrip(t *testing.T) {
 	if wantGroups := (100 + 15) / 16; len(offsets) != wantGroups {
 		t.Errorf("got %d groups, want %d", len(offsets), wantGroups)
 	}
-	got, err := ReadRCRows(fs, "/tbl/rc0", s)
+	got, err := readRCRows(fs, "/tbl/rc0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestRCFileRoundTripProperty(t *testing.T) {
 		if _, err := WriteRCRows(fs, "/f", s, rows, gr); err != nil {
 			return false
 		}
-		got, err := ReadRCRows(fs, "/f", s)
+		got, err := readRCRows(fs, "/f", s)
 		if err != nil || len(got) != len(rows) {
 			return false
 		}
@@ -389,4 +389,48 @@ func TestRCFileRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readTextRows decodes every row of the text file at path.
+func readTextRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
+	r, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	lines, err := ReadAllLines(r)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, 0, len(lines))
+	for _, l := range lines {
+		row, err := DecodeTextRow(schema, l)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
+}
+
+// readRCRows decodes every row of the RCFile at path, walking its row groups
+// sequentially (each group's encoded size locates the next).
+func readRCRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
+	r, err := fs.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Row
+	for pos := int64(0); pos < r.Size(); {
+		g, _, err := ReadGroupProjected(r, pos, nil)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := g.DecodeRows(schema)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, rs...)
+		pos += g.Size
+	}
+	return rows, nil
 }

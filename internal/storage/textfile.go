@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -37,6 +36,27 @@ func AppendTextRow(dst []byte, row Row) []byte {
 	return append(dst, '\n')
 }
 
+// CheckTextRow reports a cell the delimited text encoding cannot carry: a
+// string holding a newline (which also separates the cells of an RCFile
+// column), or holding the field delimiter in any column but the last, whose
+// field runs to the end of the line. Nothing escapes either, so such a row
+// would be written without complaint and then fail every decode of its table;
+// the load paths refuse it up front.
+func CheckTextRow(row Row) error {
+	for i, v := range row {
+		if v.Kind != KindString {
+			continue
+		}
+		if strings.IndexByte(v.S, '\n') >= 0 {
+			return fmt.Errorf("storage: column %d: string cell %q holds a newline", i+1, v.S)
+		}
+		if i < len(row)-1 && strings.IndexByte(v.S, TextDelim) >= 0 {
+			return fmt.Errorf("storage: column %d: string cell %q holds the field delimiter %q outside the last column", i+1, v.S, TextDelim)
+		}
+	}
+	return nil
+}
+
 // DecodeTextRow parses one delimited line according to the schema.
 func DecodeTextRow(schema *Schema, line string) (Row, error) {
 	row := make(Row, schema.Len())
@@ -50,6 +70,13 @@ func DecodeTextRow(schema *Schema, line string) (Row, error) {
 // schema column), for loops that consume each decoded row before the next.
 // String cells alias line.
 func DecodeTextRowInto(schema *Schema, line string, row Row) error {
+	return decodeTextRow(schema, line, nil, row)
+}
+
+// decodeTextRow is DecodeTextRowInto restricted to the flagged columns (nil
+// parses all): the other cells of row are left alone, but the line must still
+// hold every field.
+func decodeTextRow(schema *Schema, line string, project []bool, row Row) error {
 	rest := line
 	for i := 0; i < schema.Len(); i++ {
 		var field string
@@ -61,6 +88,9 @@ func DecodeTextRowInto(schema *Schema, line string, row Row) error {
 				return fmt.Errorf("storage: line has %d fields, schema wants %d: %q", i+1, schema.Len(), line)
 			}
 			field, rest = rest[:j], rest[j+1:]
+		}
+		if project != nil && !project[i] {
+			continue
 		}
 		v, err := ParseValue(schema.Col(i).Kind, field)
 		if err != nil {
@@ -329,25 +359,4 @@ func WriteTextRows(fs *dfs.FS, path string, rows []Row) error {
 		}
 	}
 	return tw.Close()
-}
-
-// ReadTextRows decodes every row of the text file at path.
-func ReadTextRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
-	r, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	lines, err := ReadAllLines(r)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	rows := make([]Row, 0, len(lines))
-	for _, l := range lines {
-		row, err := DecodeTextRow(schema, l)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -8,13 +8,14 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
-// This file is the vectorised half of the RCFile model: instead of
-// materialising one Row per record, a reader decodes a whole row group into
-// typed column vectors (one slice per projected column) and predicate
-// kernels run over those slices before any row exists. The batch and its
-// vectors are reused across groups, so the steady-state decode loop
-// allocates once per column payload (the bytes→string copy cells slice
-// into), never per cell.
+// This file is the batch shape every query mapper reads: instead of
+// materialising one Row per record, a reader decodes a whole RCFile row group
+// — or a run of TextFile lines — into typed column vectors (one slice per
+// projected column), and predicate kernels shrink a selection vector over
+// those slices before any row exists. The batch and its vectors are reused
+// from one delivery to the next, so the steady-state decode loop allocates
+// once per column payload (RCFile) or once per batch of lines (TextFile) —
+// the bytes→string copy cells slice into — never per cell.
 
 // ColumnVector holds one column of a decoded row group in its natural
 // representation: int64 for bigint and timestamp columns, float64 for
@@ -66,43 +67,84 @@ func (v *ColumnVector) Value(row int) Value {
 	}
 }
 
-// ColumnBatch is one row group decoded column-wise. Readers reuse the same
-// batch (and its vectors' backing arrays) for every group they deliver, so a
-// consumer must finish with a batch before asking for the next one.
+// grow sizes the typed slice matching the vector's kind to rows cells,
+// reusing its backing array.
+func (v *ColumnVector) grow(rows int) {
+	switch v.Kind {
+	case KindFloat64:
+		if cap(v.Floats) < rows {
+			v.Floats = make([]float64, rows)
+		}
+		v.Floats = v.Floats[:rows]
+	case KindString:
+		if cap(v.Strs) < rows {
+			v.Strs = make([]string, rows)
+		}
+		v.Strs = v.Strs[:rows]
+	default:
+		if cap(v.Ints) < rows {
+			v.Ints = make([]int64, rows)
+		}
+		v.Ints = v.Ints[:rows]
+	}
+}
+
+// ColumnBatch is one row group (RCFile) or one run of lines (TextFile)
+// decoded column-wise. Readers reuse the same batch (and its vectors' backing
+// arrays) for every delivery, so a consumer must finish with a batch before
+// asking for the next one.
 type ColumnBatch struct {
-	// Rows is the number of rows in the group.
+	// Rows is the number of rows in the batch.
 	Rows int
 	// Cols holds one vector per schema column, aligned by position.
 	Cols []ColumnVector
 
-	sel []int // selection-vector scratch, reused per group
-	row Row   // row-materialisation scratch, reused per group
+	sel   []int  // selection vector, refilled per delivery
+	row   Row    // row-materialisation scratch, reused per delivery
+	lines []byte // a TextFile batch's lines, each '\n'-terminated, as gathered
 }
 
 // NewColumnBatch sizes a batch for the schema (vectors fill lazily).
 func NewColumnBatch(schema *Schema) *ColumnBatch {
-	b := &ColumnBatch{Cols: make([]ColumnVector, schema.Len())}
+	b := &ColumnBatch{Cols: make([]ColumnVector, schema.Len()), row: make(Row, schema.Len())}
 	for i := range b.Cols {
 		b.Cols[i].Kind = schema.Col(i).Kind
 	}
 	return b
 }
 
-// Sel returns the batch's selection-vector scratch reset to length zero.
-func (b *ColumnBatch) Sel() []int {
-	if cap(b.sel) < b.Rows {
-		b.sel = make([]int, 0, b.Rows)
+// Sel returns the batch's selection vector: the row positions still in play,
+// ascending. A decode selects every row, a reader's row filter narrows that
+// (Select), and predicate kernels then shrink the slice in place.
+func (b *ColumnBatch) Sel() []int { return b.sel }
+
+// Select narrows the selection to the positions keep admits.
+func (b *ColumnBatch) Select(keep func(row int) bool) {
+	out := b.sel[:0]
+	for _, i := range b.sel {
+		if keep(i) {
+			out = append(out, i)
+		}
 	}
-	return b.sel[:0]
+	b.sel = out
+}
+
+// selectAll sizes the batch to rows and selects every one of them.
+func (b *ColumnBatch) selectAll(rows int) {
+	b.Rows = rows
+	if cap(b.sel) < rows {
+		b.sel = make([]int, rows)
+	}
+	b.sel = b.sel[:rows]
+	for i := range b.sel {
+		b.sel[i] = i
+	}
 }
 
 // MaterialiseRow fills the batch's scratch row with the cells of row ri
 // (zero values in unprojected columns) and returns it. The same backing
 // slice is returned every call; callers that retain rows must copy.
 func (b *ColumnBatch) MaterialiseRow(ri int) Row {
-	if len(b.row) != len(b.Cols) {
-		b.row = make(Row, len(b.Cols))
-	}
 	for c := range b.Cols {
 		b.row[c] = b.Cols[c].Value(ri)
 	}
@@ -202,12 +244,9 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 	case EncRLE:
 		return v.decodeRLE(text, rows)
 	}
+	v.grow(rows)
 	switch v.Kind {
 	case KindFloat64:
-		if cap(v.Floats) < rows {
-			v.Floats = make([]float64, rows)
-		}
-		v.Floats = v.Floats[:rows]
 		return forEachField(text, rows, func(r int, field string) error {
 			f, err := strconv.ParseFloat(field, 64)
 			if err != nil {
@@ -217,19 +256,11 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 			return nil
 		})
 	case KindString:
-		if cap(v.Strs) < rows {
-			v.Strs = make([]string, rows)
-		}
-		v.Strs = v.Strs[:rows]
 		return forEachField(text, rows, func(r int, field string) error {
 			v.Strs[r] = field
 			return nil
 		})
 	case KindTime:
-		if cap(v.Ints) < rows {
-			v.Ints = make([]int64, rows)
-		}
-		v.Ints = v.Ints[:rows]
 		return forEachField(text, rows, func(r int, field string) error {
 			if n, ok := parseIntStr(field); ok {
 				v.Ints[r] = n
@@ -247,10 +278,6 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 			return nil
 		})
 	default: // KindInt64
-		if cap(v.Ints) < rows {
-			v.Ints = make([]int64, rows)
-		}
-		v.Ints = v.Ints[:rows]
 		return forEachField(text, rows, func(r int, field string) error {
 			n, ok := parseIntStr(field)
 			if !ok {
@@ -265,23 +292,7 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 // decodeRLE expands a run-length body into the vector's typed slice — one
 // parse per run, not per row — and records run boundaries in RunEnds.
 func (v *ColumnVector) decodeRLE(text string, rows int) error {
-	switch v.Kind {
-	case KindFloat64:
-		if cap(v.Floats) < rows {
-			v.Floats = make([]float64, rows)
-		}
-		v.Floats = v.Floats[:rows]
-	case KindString:
-		if cap(v.Strs) < rows {
-			v.Strs = make([]string, rows)
-		}
-		v.Strs = v.Strs[:rows]
-	default:
-		if cap(v.Ints) < rows {
-			v.Ints = make([]int64, rows)
-		}
-		v.Ints = v.Ints[:rows]
-	}
+	v.grow(rows)
 	pos, r := 0, 0
 	for r < rows {
 		count, w := uvarintStr(text, pos)
@@ -353,7 +364,7 @@ func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project [
 	if len(g.columns) != len(batch.Cols) {
 		return 0, fmt.Errorf("storage: group at %d has %d columns, schema wants %d", offset, len(g.columns), len(batch.Cols))
 	}
-	batch.Rows = g.Rows
+	batch.selectAll(g.Rows)
 	for c := range batch.Cols {
 		v := &batch.Cols[c]
 		v.Kind = schema.Col(c).Kind
@@ -369,4 +380,42 @@ func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project [
 		}
 	}
 	return read, nil
+}
+
+// decodeTextLines fills the batch from the rows delimited lines gathered in
+// b.lines: plain vectors for the projected columns (nil projects all), each
+// cell parsed exactly as DecodeTextRow would. Every line's field count is
+// checked whether or not its cells are wanted. String cells alias the one
+// string copy of the lines.
+func (b *ColumnBatch) decodeTextLines(schema *Schema, project []bool, rows int) error {
+	text := string(b.lines)
+	b.selectAll(rows)
+	for c := range b.Cols {
+		v := &b.Cols[c]
+		if v.Valid = project == nil || project[c]; v.Valid {
+			v.grow(rows)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		end := strings.IndexByte(text, '\n')
+		if err := decodeTextRow(schema, text[:end], project, b.row); err != nil {
+			return err
+		}
+		text = text[end+1:]
+		for c := range b.Cols {
+			v := &b.Cols[c]
+			if !v.Valid {
+				continue
+			}
+			switch v.Kind {
+			case KindFloat64:
+				v.Floats[r] = b.row[c].F
+			case KindString:
+				v.Strs[r] = b.row[c].S
+			default:
+				v.Ints[r] = b.row[c].I
+			}
+		}
+	}
+	return nil
 }
