@@ -9,7 +9,7 @@
 //	dgfserver -demo -addr :8080
 //	dgfserver -demo -shards 4 -shard-key userId -addr :8080
 //	dgfserver -demo -shards 4 -replicas 2 -addr :8080   # per-shard failover
-//	dgfserver -demo -shards 4 -replicas 2 -wal-dir /tmp/dgf-wal -fsync interval   # durable ingest
+//	dgfserver -demo -shards 4 -replicas 2 -wal-dir /tmp/dgf-wal -fsync interval   # loads survive restarts
 //
 // then query it:
 //
@@ -25,9 +25,11 @@
 //	curl -s 'localhost:8080/load' --data '{"table":"meterdata",
 //	  "rows":[[17,1,"2013-01-01 00:15:00",1.25]]}'
 //
-// With -wal-dir set, /load acks once the rows are durable in every live
-// replica's log ("durability":"logged"); add ?sync=1 to wait until they are
-// applied and queryable.
+// Loads take one path — commit to the fleet's engine, apply in the
+// background. With -wal-dir set the engine logs to disk and /load acks once
+// the rows are in every live replica's log ("durability":"logged"); add
+// ?sync=1 to wait until they are applied and queryable. Without it nothing
+// is stored and every ack waits for the apply ("durability":"applied").
 //
 // SIGINT/SIGTERM drains in-flight queries before exiting; SIGQUIT dumps the
 // slow-query flight recorder to the log and keeps serving.
@@ -64,8 +66,8 @@ func main() {
 	shardKey := flag.String("shard-key", "userId", "routing column when -shards > 1")
 	shardStrategy := flag.String("shard-strategy", "hash", "shard routing: hash or range")
 	shardBounds := flag.String("shard-bounds", "", "comma-separated ascending split points for range routing (shards-1 values; -demo derives them when omitted)")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables durable ingest (loads ack once logged, appliers drain in the background, revived replicas catch up by log replay)")
-	fsync := flag.String("fsync", "interval", "WAL append durability: always, interval, or off (with -wal-dir)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory: loads survive restarts and ack once logged, a down replica is owed what it misses and catches up by log replay (empty: nothing is stored, an ack means applied, a shard with a replica down refuses loads)")
+	fsync := flag.String("fsync", "interval", "WAL append durability: always, interval, or off (acts on -wal-dir's logs)")
 	maxLoadBytes := flag.Int64("max-load-bytes", 32<<20, "largest accepted POST /load body in bytes (negative = unlimited)")
 	demo := flag.Bool("demo", false, "preload generated meter data with a DGFIndex")
 	demoUsers := flag.Int("demo-users", 2000, "users in the demo dataset")
@@ -112,7 +114,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if *walDir != "" {
-		log.Printf("durable ingest enabled: wal-dir=%s fsync=%s (logged records replayed on boot)", *walDir, *fsync)
+		log.Printf("write path: logging to wal-dir=%s fsync=%s (logged records replayed on boot)", *walDir, *fsync)
+	} else {
+		log.Printf("write path: no -wal-dir, loads ack once applied and do not survive a restart")
 	}
 
 	// SIGQUIT dumps the slow-query flight recorder and keeps serving (this

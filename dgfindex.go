@@ -289,12 +289,15 @@ const (
 // ParseShardStrategy reads "hash" or "range" (CLI flags).
 var ParseShardStrategy = shard.ParseStrategy
 
-// Durable ingest: a per-shard per-replica write-ahead log in front of the
-// fleet. Loads ack once logged on every live replica, background appliers
-// drain the logs in micro-batches, and a revived replica catches up by
-// replaying the records it missed. ServerConfig.WALDir turns it on behind any
-// Server; ShardRouter.EnableWAL (which takes the WAL engine's own options)
-// does for a router used directly.
+// The write path: every load commits to the router's engine — one LSN
+// sequence per shard, one log and one applier per replica — and background
+// appliers write the warehouses in micro-batches. Given a directory
+// (ServerConfig.WALDir behind any Server; ShardRouter.EnableWAL, which takes
+// the engine's own options, for a router used directly) the logs are files:
+// loads survive restarts, ack once logged on every live replica, and a
+// revived replica catches up by replaying the records it missed. Without one
+// the logs store nothing: an ack means applied, and a shard with a replica
+// down refuses loads.
 type (
 	// LoadAck describes one acknowledged load (ShardRouter.LoadRowsDurable).
 	LoadAck = shard.LoadAck

@@ -365,10 +365,10 @@ type loadResponse struct {
 	RowsLoaded  int    `json:"rows_loaded"`
 	Invalidated int    `json:"invalidated"`
 	// Durability is "applied" when the rows are queryable at ack time (no
-	// WAL, or ?sync=1 with one) and "logged" when they are durable in the
-	// write-ahead log but still draining into the warehouses.
+	// log directory, or ?sync=1 with one) and "logged" when they are durable
+	// in the write-ahead log but still draining into the warehouses.
 	Durability string `json:"durability"`
-	// LSN is the load's highest log sequence number (WAL path only).
+	// LSN is the highest sequence number the load engine assigned the load.
 	LSN uint64 `json:"lsn,omitempty"`
 }
 
@@ -393,9 +393,10 @@ func readLoadBody(r io.Reader, limit int64) ([]byte, error) {
 
 // handleLoad is the push half of streaming ingest: collectors POST readings
 // over HTTP instead of going through the CLI, and the server routes them
-// through LoadRowsCtx so metrics and cache invalidation stay exact. With
-// durable ingest enabled the handler acks at log-durability speed;
-// ?sync=1 waits until the rows are applied and queryable.
+// through LoadRowsCtx so metrics and cache invalidation stay exact. Behind
+// a log directory the handler acks at log-durability speed and ?sync=1
+// waits until the rows are applied and queryable; without one every ack
+// waits.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})

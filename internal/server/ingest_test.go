@@ -468,83 +468,94 @@ func TestHealthzCatchingUpEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStatsAndMetricsExposeWAL: /stats carries the per-replica WAL
+// TestStatsAndMetricsExposeWAL: /stats carries the per-replica engine
 // positions and /metrics exposes the WAL families in valid exposition
-// format, agreeing with the snapshot.
+// format, agreeing with the snapshot — with a log directory and without one:
+// every server runs the engine, so neither section is conditional.
 func TestStatsAndMetricsExposeWAL(t *testing.T) {
-	s, r := walServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T, Config) (*Server, *shard.Router)
+	}{
+		{"no directory", shardedServer},
+		{"wal", walServer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, r := tc.mk(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(900, 12, 4, 1), true); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.DrainWAL(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Execute one query so the per-path families have samples (the text
-	// parser rejects a declared family with none).
-	mustQuery(t, s, `SELECT count(*) FROM meterdata`)
-
-	snap := s.Stats()
-	if len(snap.WAL) != 4 {
-		t.Fatalf("/stats wal section has %d shards, want 4", len(snap.WAL))
-	}
-	var committed uint64
-	for _, sh := range snap.WAL {
-		if len(sh.Replicas) != 2 {
-			t.Fatalf("shard %d has %d replica entries, want 2", sh.Shard, len(sh.Replicas))
-		}
-		committed += sh.NextLSN - 1
-		for _, rep := range sh.Replicas {
-			if rep.AppliedLSN != rep.LastLSN {
-				t.Fatalf("drained replica %d/%d lags: applied %d, last %d", sh.Shard, rep.Replica, rep.AppliedLSN, rep.LastLSN)
+			if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(900, 12, 4, 1), true); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if committed == 0 {
-		t.Fatal("no shard committed any WAL record")
-	}
-	// OnApply fires once per replica apply, so each row counts once per
-	// replica that applied it.
-	if snap.RowsApplied != 24 {
-		t.Fatalf("rows_applied = %d, want 24 (12 rows x 2 replicas)", snap.RowsApplied)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	fams, err := trace.ParseMetrics(string(body))
-	if err != nil {
-		t.Fatalf("/metrics is not valid Prometheus exposition: %v\n%s", err, body)
-	}
-	if got := famValue(t, fams, "dgf_wal_rows_applied_total"); got != float64(snap.RowsApplied) {
-		t.Fatalf("dgf_wal_rows_applied_total = %v, /stats says %v", got, snap.RowsApplied)
-	}
-	for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn", "dgf_wal_replica_catching_up"} {
-		fam := fams[name]
-		if fam == nil {
-			t.Fatalf("metric family %s missing", name)
-		}
-		if len(fam.Samples) != 8 {
-			t.Fatalf("%s has %d samples, want 8 (4 shards x 2 replicas)", name, len(fam.Samples))
-		}
-		for _, sm := range fam.Samples {
-			if sm.Labels["shard"] == "" || sm.Labels["replica"] == "" {
-				t.Fatalf("%s sample lacks shard/replica labels: %+v", name, sm)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := r.DrainWAL(ctx); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Every replica drained, so pending depth and lag are zero everywhere.
-	for _, sm := range fams["dgf_wal_pending_records"].Samples {
-		if sm.Value != 0 {
-			t.Fatalf("pending records nonzero after drain: %+v", sm)
-		}
+			// Execute one query so the per-path families have samples (the text
+			// parser rejects a declared family with none).
+			mustQuery(t, s, `SELECT count(*) FROM meterdata`)
+
+			snap := s.Stats()
+			if len(snap.WAL) != 4 {
+				t.Fatalf("/stats wal section has %d shards, want 4", len(snap.WAL))
+			}
+			var committed uint64
+			for _, sh := range snap.WAL {
+				if len(sh.Replicas) != 2 {
+					t.Fatalf("shard %d has %d replica entries, want 2", sh.Shard, len(sh.Replicas))
+				}
+				committed += sh.NextLSN - 1
+				for _, rep := range sh.Replicas {
+					if rep.AppliedLSN != rep.LastLSN {
+						t.Fatalf("drained replica %d/%d lags: applied %d, last %d", sh.Shard, rep.Replica, rep.AppliedLSN, rep.LastLSN)
+					}
+				}
+			}
+			if committed == 0 {
+				t.Fatal("no shard committed any WAL record")
+			}
+			// OnApply fires once per replica apply, so each row counts once per
+			// replica that applied it.
+			if snap.RowsApplied != 24 {
+				t.Fatalf("rows_applied = %d, want 24 (12 rows x 2 replicas)", snap.RowsApplied)
+			}
+
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			fams, err := trace.ParseMetrics(string(body))
+			if err != nil {
+				t.Fatalf("/metrics is not valid Prometheus exposition: %v\n%s", err, body)
+			}
+			if got := famValue(t, fams, "dgf_wal_rows_applied_total"); got != float64(snap.RowsApplied) {
+				t.Fatalf("dgf_wal_rows_applied_total = %v, /stats says %v", got, snap.RowsApplied)
+			}
+			for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn", "dgf_wal_replica_catching_up"} {
+				fam := fams[name]
+				if fam == nil {
+					t.Fatalf("metric family %s missing", name)
+				}
+				if len(fam.Samples) != 8 {
+					t.Fatalf("%s has %d samples, want 8 (4 shards x 2 replicas)", name, len(fam.Samples))
+				}
+				for _, sm := range fam.Samples {
+					if sm.Labels["shard"] == "" || sm.Labels["replica"] == "" {
+						t.Fatalf("%s sample lacks shard/replica labels: %+v", name, sm)
+					}
+				}
+			}
+			// Every replica drained, so pending depth and lag are zero everywhere.
+			for _, sm := range fams["dgf_wal_pending_records"].Samples {
+				if sm.Value != 0 {
+					t.Fatalf("pending records nonzero after drain: %+v", sm)
+				}
+			}
+		})
 	}
 }
 
@@ -594,8 +605,9 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 	if err := s.Close(ctx); err != nil { // drains: the async load is applied
 		t.Fatal(err)
 	}
-	if st := s.WALStats(); st != nil {
-		t.Fatalf("WALStats after Close = %+v, want none (logs closed)", st)
+	// The closed engine still reports where it stopped: Close drained it.
+	if st := s.WALStats(); len(st) != 1 || st[0].Replicas[0].PendingRecords != 0 || st[0].Replicas[0].AppliedLSN != logged.LSN {
+		t.Fatalf("WALStats after Close = %+v, want everything through lsn %d applied", st, logged.LSN)
 	}
 
 	// Restart: the catalog is not logged, so the boot recreates the table

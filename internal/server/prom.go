@@ -85,41 +85,39 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	if len(snap.WAL) > 0 {
-		p.Counter("dgf_wal_rows_applied_total", "Rows drained from the write-ahead logs into the warehouses, counted once per replica that applied them (R times the loaded rows on an R-replica fleet).", nil, float64(snap.RowsApplied))
-		var replayed, hinted float64
-		for _, sh := range snap.WAL {
-			for _, rep := range sh.Replicas {
-				replayed += float64(rep.ReplayedRows)
-				hinted += float64(rep.HintedRecords)
-			}
+	p.Counter("dgf_wal_rows_applied_total", "Rows the load engine's appliers wrote into the warehouses, counted once per replica that applied them (R times the loaded rows on an R-replica fleet).", nil, float64(snap.RowsApplied))
+	var replayed, hinted float64
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			replayed += float64(rep.ReplayedRows)
+			hinted += float64(rep.HintedRecords)
 		}
-		p.Counter("dgf_wal_replayed_rows_total", "Rows replayed into replicas by catch-up after an outage.", nil, replayed)
-		p.Counter("dgf_wal_hinted_records_total", "Log records committed while a replica was down and owed to it.", nil, hinted)
+	}
+	p.Counter("dgf_wal_replayed_rows_total", "Rows replayed into replicas by catch-up after an outage.", nil, replayed)
+	p.Counter("dgf_wal_hinted_records_total", "Log records committed while a replica was down and owed to it.", nil, hinted)
 
-		p.GaugeHead("dgf_wal_pending_records", "Logged records not yet applied on the replica (ingest backlog depth).")
-		for _, sh := range snap.WAL {
-			for _, rep := range sh.Replicas {
-				p.GaugeRow("dgf_wal_pending_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.PendingRecords))
-			}
+	p.GaugeHead("dgf_wal_pending_records", "Committed records not yet applied on the replica (ingest backlog depth).")
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			p.GaugeRow("dgf_wal_pending_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.PendingRecords))
 		}
-		p.GaugeHead("dgf_wal_last_lsn", "Highest log sequence number durable on the replica's log.")
-		for _, sh := range snap.WAL {
-			for _, rep := range sh.Replicas {
-				p.GaugeRow("dgf_wal_last_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.LastLSN))
-			}
+	}
+	p.GaugeHead("dgf_wal_last_lsn", "Highest log sequence number appended to the replica's log.")
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			p.GaugeRow("dgf_wal_last_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.LastLSN))
 		}
-		p.GaugeHead("dgf_wal_applied_lsn", "Highest log sequence number applied on the replica (lag = last_lsn - applied_lsn).")
-		for _, sh := range snap.WAL {
-			for _, rep := range sh.Replicas {
-				p.GaugeRow("dgf_wal_applied_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.AppliedLSN))
-			}
+	}
+	p.GaugeHead("dgf_wal_applied_lsn", "Highest log sequence number applied on the replica (lag = last_lsn - applied_lsn).")
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			p.GaugeRow("dgf_wal_applied_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.AppliedLSN))
 		}
-		p.GaugeHead("dgf_wal_replica_catching_up", "1 while the replica is replaying missed records after a revive.")
-		for _, sh := range snap.WAL {
-			for _, rep := range sh.Replicas {
-				p.GaugeRow("dgf_wal_replica_catching_up", replicaLabels(sh.Shard, rep.Replica), boolGauge(rep.CatchingUp))
-			}
+	}
+	p.GaugeHead("dgf_wal_replica_catching_up", "1 while the replica is replaying missed records after a revive.")
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			p.GaugeRow("dgf_wal_replica_catching_up", replicaLabels(sh.Shard, rep.Replica), boolGauge(rep.CatchingUp))
 		}
 	}
 	return p.Err()

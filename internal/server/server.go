@@ -5,8 +5,8 @@
 //
 // A Server always fronts a shard router — one warehouse is the 1x1 fleet New
 // builds, which passes statements through bit-identically — so there is one
-// deployment shape: health, durable ingest and streaming work behind every
-// server. On top of the router the server adds three things:
+// deployment shape: health, the write path and streaming are the same behind
+// every server. On top of the router the server adds three things:
 //
 //   - admission control: a bounded worker pool executes queries with a
 //     configurable parallelism, a bounded wait queue sheds overload, and
@@ -60,8 +60,9 @@ type Backend interface {
 	// SelectCursor opens a streaming cursor over one SELECT; cancelling ctx
 	// or closing the cursor aborts the scan.
 	SelectCursor(ctx context.Context, stmt *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error)
-	// LoadRowsDurable appends rows to the named table: logged (and, with
-	// sync, applied) when a WAL is enabled, applied synchronously otherwise.
+	// LoadRowsDurable appends rows to the named table through the router's
+	// engine: committed, and — with sync, or always when the engine has no
+	// log directory — applied before the ack.
 	LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (shard.LoadAck, error)
 	// TableVersions snapshots the named tables' mutation counters; the
 	// counters must only ever grow (result-cache keys depend on it).
@@ -72,8 +73,9 @@ type Backend interface {
 	TableInfos() []hive.TableInfo
 	// Health snapshots per-shard replica-set health for /stats and /healthz.
 	Health() []shard.SetHealth
-	// EnableWAL, WALStats, DrainWAL and CloseWAL are the durable-ingest
-	// surface Config.WALDir drives.
+	// EnableWAL, WALStats, DrainWAL and CloseWAL are the engine's lifecycle:
+	// the server opens it with its hooks (over Config.WALDir, if set), reads
+	// its positions for /stats, and drains and closes it in Close.
 	EnableWAL(opts wal.Options) error
 	WALStats() []wal.ShardStats
 	DrainWAL(ctx context.Context) error
@@ -131,12 +133,16 @@ type Config struct {
 	// disables the recorder entirely (queries are then only traced on
 	// request via Request.Trace).
 	TraceRingSize int
-	// WALDir enables durable streaming ingest when non-empty: loads append
-	// to per-shard write-ahead logs under this directory and background
-	// appliers drain them. Empty applies every load synchronously.
+	// WALDir gives the write path a log directory: loads append to
+	// per-replica write-ahead logs under it before they are acknowledged, so
+	// they survive a restart, acks need not wait for the apply, and a down
+	// replica is owed what it misses. Empty runs the same commit → apply
+	// pipeline with nothing stored: an ack means applied, and a shard with a
+	// replica down refuses loads.
 	WALDir string
 	// FsyncPolicy selects WAL append durability: "always", "interval"
-	// (default), or "off". Ignored without WALDir.
+	// (default), or "off". It is validated at boot either way and has
+	// nothing to act on without WALDir.
 	FsyncPolicy string
 	// MaxLoadBytes bounds a POST /load request body; larger bodies are
 	// rejected with 413. Zero uses the default 32 MiB; negative disables
@@ -265,10 +271,11 @@ type Server struct {
 	recorder *trace.Recorder // nil when TraceRingSize < 0
 	started  time.Time
 
-	// walErr records why Config.WALDir could not be honoured — loads then
-	// fail with it instead of silently falling back to a non-durable path.
+	// walErr records why the engine could not be opened as configured —
+	// loads then fail with it instead of silently falling back to whatever
+	// engine the router had.
 	walErr      error
-	rowsApplied atomic.Int64 // rows drained by WAL appliers into warehouses
+	rowsApplied atomic.Int64 // rows the engine's appliers wrote into warehouses
 }
 
 // New wraps one warehouse in a server, as the 1x1 fleet: a single-shard,
@@ -285,10 +292,11 @@ func New(w *hive.Warehouse, cfg Config) *Server {
 	return NewWithBackend(r, cfg)
 }
 
-// NewWithBackend wraps a shard router in a server. With Config.WALDir set it
-// also enables durable ingest on the router; a failure to do so is deferred
-// into WALError (and every load) rather than panicking, because construction
-// has no error return.
+// NewWithBackend wraps a shard router in a server and opens the router's
+// load engine with the server's hooks — over Config.WALDir when set. A
+// failure to do so is deferred into WALError (and every load) rather than
+// panicking, because construction has no error return. Close releases the
+// engine's goroutines.
 func NewWithBackend(b Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -303,9 +311,7 @@ func NewWithBackend(b Backend, cfg Config) *Server {
 		started:  time.Now(),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.WALDir != "" {
-		s.walErr = s.enableWAL()
-	}
+	s.walErr = s.enableWAL()
 	return s
 }
 
@@ -328,12 +334,12 @@ func (s *Server) enableWAL() error {
 	})
 }
 
-// WALError reports why durable ingest could not be enabled (nil when it is
-// working or was never requested). Daemons should treat a non-nil value as
-// a boot failure: loads will refuse rather than degrade to non-durable.
+// WALError reports why the load engine could not be opened as configured
+// (nil when it is working). Daemons should treat a non-nil value as a boot
+// failure: loads will refuse rather than degrade to non-durable.
 func (s *Server) WALError() error { return s.walErr }
 
-// WALStats snapshots the router's per-shard WAL state (nil without a WAL).
+// WALStats snapshots the engine's per-shard per-replica positions.
 func (s *Server) WALStats() []wal.ShardStats { return s.b.WALStats() }
 
 // Backend returns the wrapped router.
@@ -792,16 +798,18 @@ func (s *Server) QueryStream(ctx context.Context, req Request) (*Stream, error) 
 
 // LoadResult describes one acknowledged load.
 type LoadResult struct {
-	// Invalidated is how many cached results the load evicted at ack time
-	// (with a WAL, eviction mostly happens later, at apply time).
+	// Invalidated is how many cached results were evicted between the
+	// load's start and its ack: by its own applies (the engine's hook), by
+	// the ack itself, and by any other load that applied meanwhile. Rows
+	// that apply after the ack evict later and are not counted.
 	Invalidated int
-	// Durable is true when the load went through the write-ahead log.
+	// Durable is true when the load is in a write-ahead log on disk, false
+	// when the engine has no log directory.
 	Durable bool
 	// Applied is true once the rows are confirmed queryable: always without
-	// a WAL, only for sync=true acks with one.
+	// a log directory, only for sync=true acks with one.
 	Applied bool
-	// LSN is the highest log sequence number the load was assigned (zero
-	// without a WAL).
+	// LSN is the highest sequence number the engine assigned the load.
 	LSN uint64
 }
 
@@ -809,10 +817,10 @@ type LoadResult struct {
 // the load in the serving metrics (Snapshot.Loads, Snapshot.RowsLoaded) and
 // evicting dependent cache entries eagerly. (Loads made directly on the
 // router stay correct — version-qualified keys can never serve stale data —
-// but bypass both.) With durable ingest enabled the call returns once the
-// rows are logged on every live replica (sync=false) or applied everywhere
-// (sync=true, bounded by ctx); without a WAL the router applies them
-// synchronously and sync is moot.
+// but bypass both.) Behind a log directory the call returns once the rows
+// are logged on every live replica (sync=false) or applied on them
+// (sync=true); without one it always returns once they are applied. ctx
+// bounds both waits, and the wait for room in a backlogged replica's queue.
 func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadResult, error) {
 	if s.walErr != nil {
 		return LoadResult{}, fmt.Errorf("server: durable ingest unavailable: %w", s.walErr)
@@ -824,6 +832,7 @@ func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.R
 	defer s.release()
 	c.root.Set("table", table)
 	c.root.Set("rows", len(rows))
+	evicted := s.results.stats().Invalidations
 	ack, err := s.b.LoadRowsDurable(trace.NewContext(ctx, c.root), table, rows, sync)
 	if _, _, err = c.finish(nil, false, err); err != nil {
 		return LoadResult{}, err
@@ -832,9 +841,10 @@ func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.R
 	s.loads++
 	s.rowsLoaded += int64(len(rows))
 	s.mu.Unlock()
+	s.results.invalidateTables([]string{strings.ToLower(table)})
 	return LoadResult{
-		Invalidated: s.results.invalidateTables([]string{strings.ToLower(table)}),
-		Durable:     ack.MaxLSN > 0,
+		Invalidated: int(s.results.stats().Invalidations - evicted),
+		Durable:     ack.Durable,
 		Applied:     ack.Applied,
 		LSN:         ack.MaxLSN,
 	}, nil
@@ -853,10 +863,10 @@ func (s *Server) Invalidate(tables ...string) int {
 // Close stops admitting new queries and waits until every admitted query —
 // queued, running, or abandoned by a timed-out caller — has finished, or
 // until ctx expires (the context's error is returned and workers keep
-// draining in the background). With durable ingest enabled it then drains
-// the WAL — every acknowledged load is applied — and closes the logs;
-// records it could not apply before ctx expired stay logged and replay on
-// the next boot.
+// draining in the background). It then drains the load engine — every
+// acknowledged load is applied — and closes it, joining its appliers;
+// records it could not apply before ctx expired stay in the logs (if there
+// is a log directory) and replay on the next boot.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -876,8 +886,8 @@ func (s *Server) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if s.cfg.WALDir == "" || s.walErr != nil {
-		return nil // the server only closes a WAL it opened
+	if s.walErr != nil {
+		return nil // the server only closes an engine it opened
 	}
 	if err := s.b.DrainWAL(ctx); err != nil {
 		s.b.CloseWAL() // flushes; undrained records replay on reboot
@@ -925,15 +935,15 @@ type Snapshot struct {
 	// many are live, and each replica's failure/ejection record. A
 	// single-warehouse server reports its one shard with one replica.
 	Shards []shard.SetHealth `json:"shards,omitempty"`
-	// RowsApplied counts per-replica applies: every row the WAL appliers
-	// drained into a warehouse, once for each replica that applied it. On
-	// an R-replica fleet it therefore reads R times the loaded rows (less
-	// whatever a down replica still owes); compare it with RowsLoaded × R,
-	// not with RowsLoaded. Absent without durable ingest.
-	RowsApplied int64 `json:"rows_applied,omitempty"`
-	// WAL reports per-shard per-replica log positions — depth, applied LSN
-	// lag, hinted and replayed records — when durable ingest is enabled.
-	WAL []wal.ShardStats `json:"wal,omitempty"`
+	// RowsApplied counts per-replica applies: every row the engine's
+	// appliers wrote into a warehouse, once for each replica that applied
+	// it. On an R-replica fleet it therefore reads R times the loaded rows
+	// (less whatever a down replica still owes); compare it with
+	// RowsLoaded × R, not with RowsLoaded.
+	RowsApplied int64 `json:"rows_applied"`
+	// WAL reports per-shard per-replica engine positions — queue depth,
+	// applied LSN lag, hinted and replayed records.
+	WAL []wal.ShardStats `json:"wal"`
 }
 
 // Stats snapshots the server-wide and per-session metrics.

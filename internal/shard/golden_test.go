@@ -1,0 +1,246 @@
+package shard
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"github.com/smartgrid-oss/dgfindex/internal/hive"
+	"github.com/smartgrid-oss/dgfindex/internal/storage"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
+	"github.com/smartgrid-oss/dgfindex/internal/workload"
+)
+
+// The load path's output is pinned: for 1x1, 4x1 and 4x2 fleets without a
+// WAL, over a TextFile and an RCFile meterdata with a DGFIndex plus the
+// replicated userInfo, a fixed sequence of sequential loads must leave on
+// every replica the files, the index key-values, the table versions and the
+// query answers (rows and QueryStats) that commit 433a837 — the parent of the
+// single write path, where such a fleet wrote its replicas synchronously,
+// without an engine — produced. The hashes below were recorded there, before any source changed.
+// The same sequence behind EnableWAL(Fsync: off) must reproduce them too, at
+// that commit and at every later one: which engine carries a load decides
+// nothing a reader can see.
+
+// goldenLoads is the sequence after the index exists, so every meterdata
+// load runs dgf.Append at apply: one user's readings on a day past the base
+// data (one shard, fresh cells), every user on a base day (all shards, cells
+// that exist), and every third user on both days again (a second append into
+// cells the first two created or extended).
+func goldenLoads(cfg workload.MeterConfig) []struct {
+	table string
+	rows  []storage.Row
+} {
+	const day = 24 * 3600
+	base := cfg.Start.Unix()
+	reading := func(user int64, ts int64, power float64) storage.Row {
+		return storage.Row{storage.Int64(user), storage.Int64(cfg.RegionOf(user)), storage.TimeUnix(ts), storage.Float64(power)}
+	}
+	var oneShard, allShards, again []storage.Row
+	for i := 0; i < 12; i++ {
+		oneShard = append(oneShard, reading(7, base+int64(cfg.Days)*day+int64(i)*1800, 3.25+float64(i)))
+	}
+	for u := int64(1); u <= int64(cfg.Users); u++ {
+		allShards = append(allShards, reading(u, base+2*day+int64(u)*60, float64(u)*0.5))
+		if u%3 == 0 {
+			again = append(again, reading(u, base+2*day+int64(u)*90, 100+float64(u)))
+			again = append(again, reading(u, base+int64(cfg.Days)*day+int64(u)*45, 200+float64(u)))
+		}
+	}
+	var users []storage.Row
+	for u := cfg.Users + 1; u <= cfg.Users+4; u++ {
+		users = append(users, storage.Row{
+			storage.Int64(int64(u)), storage.Str(fmt.Sprintf("late-%d", u)),
+			storage.Int64(cfg.RegionOf(int64(u))), storage.Str(fmt.Sprintf("%d Late Rd", u)),
+		})
+	}
+	return []struct {
+		table string
+		rows  []storage.Row
+	}{
+		{"meterdata", oneShard},
+		{"meterdata", allShards},
+		{"userInfo", users},
+		{"meterdata", again},
+	}
+}
+
+// goldenFleetState digests one fleet, replica by replica.
+type goldenFleetState struct {
+	files, kv, answers string
+}
+
+// goldenReplicaFiles lists every file of one replica's filesystem with the
+// SHA-256 of its bytes, in path order.
+func goldenReplicaFiles(t *testing.T, w *hive.Warehouse) []string {
+	t.Helper()
+	var out []string
+	var walk func(dir string)
+	walk = func(dir string) {
+		entries, err := w.FS.List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir {
+				walk(e.Path)
+				continue
+			}
+			data, err := w.FS.ReadFile(e.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			out = append(out, e.Path+" "+hex.EncodeToString(sum[:]))
+		}
+	}
+	walk("/")
+	sort.Strings(out)
+	return out
+}
+
+// goldenReplicaKV is the entry count and content hash of the replica's
+// DGFIndex key-value store.
+func goldenReplicaKV(t *testing.T, w *hive.Warehouse) string {
+	t.Helper()
+	tbl, err := w.Table("meterdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range tbl.DgfKV.ScanPrefix("") {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
+		h.Write(n[:])
+		h.Write([]byte(p.Key))
+		binary.BigEndian.PutUint64(n[:], uint64(len(p.Value)))
+		h.Write(n[:])
+		h.Write(p.Value)
+	}
+	return fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(h.Sum(nil)))
+}
+
+// goldenReplicaAnswers renders the replica's table versions and the meter
+// query suite: exact rows, volumes, splits and both simulated clocks.
+func goldenReplicaAnswers(t *testing.T, w *hive.Warehouse) []string {
+	t.Helper()
+	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	v := w.TableVersions("meterdata", "userinfo")
+	out := []string{fmt.Sprintf("versions meterdata=%d userinfo=%d", v["meterdata"], v["userinfo"])}
+	for _, q := range meterQuerySuite(testMeterConfig()) {
+		res, err := w.ExecContext(context.Background(), q, hive.ExecOptions{})
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		s := res.Stats
+		out = append(out, fmt.Sprintf("%s\n  %s rec=%d bytes=%d splits=%d idx=%s data=%s\n  %s", q,
+			s.AccessPath, s.RecordsRead, s.BytesRead, s.Splits, g(s.IndexSimSec), g(s.DataSimSec),
+			strings.Join(renderRows(res.Rows), ";")))
+	}
+	return out
+}
+
+func goldenHash(lines []string) string {
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return hex.EncodeToString(sum[:])
+}
+
+// goldenRun builds one fleet, runs the load sequence (behind a WAL opened
+// after the base data, as everywhere in this suite, when withWAL is set) and
+// digests every replica. It also returns the rendered lines for a failing
+// comparison to print.
+func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) (goldenFleetState, map[string][]string) {
+	t.Helper()
+	cfg := testMeterConfig()
+	r, err := New(Config{Shards: shards, Replicas: replicas, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.CloseWAL() })
+	setupMeterStored(t, r, cfg, true, stored)
+	if withWAL {
+		if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, l := range goldenLoads(cfg) {
+		ack, err := r.LoadRowsDurable(context.Background(), l.table, l.rows, true)
+		if err != nil {
+			t.Fatalf("load %d into %s: %v", i, l.table, err)
+		}
+		if !ack.Applied {
+			t.Fatalf("load %d into %s: sync ack not applied: %+v", i, l.table, ack)
+		}
+	}
+	fv := r.TableVersions("meterdata", "userinfo")
+	lines := map[string][]string{"answers": {fmt.Sprintf("fleet versions meterdata=%d userinfo=%d", fv["meterdata"], fv["userinfo"])}}
+	for si := 0; si < shards; si++ {
+		var first []string
+		for ri := 0; ri < replicas; ri++ {
+			w := r.Replica(si, ri)
+			head := fmt.Sprintf("shard %d replica %d", si, ri)
+			files := goldenReplicaFiles(t, w)
+			lines["files"] = append(append(lines["files"], head), files...)
+			lines["kv"] = append(lines["kv"], head+" "+goldenReplicaKV(t, w))
+			lines["answers"] = append(append(lines["answers"], head), goldenReplicaAnswers(t, w)...)
+			// Replicas of a shard are copies: same files, byte for byte.
+			if ri == 0 {
+				first = files
+			} else if strings.Join(files, "\n") != strings.Join(first, "\n") {
+				t.Errorf("shard %d: replica %d's files differ from replica 0's", si, ri)
+			}
+		}
+	}
+	return goldenFleetState{
+		files:   goldenHash(lines["files"]),
+		kv:      goldenHash(lines["kv"]),
+		answers: goldenHash(lines["answers"]),
+	}, lines
+}
+
+// loadPathGolden holds the digests recorded at 433a837, keyed
+// "<shards>x<replicas>/<format>".
+var loadPathGolden = map[string]goldenFleetState{
+	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8", "e6a95cbbcca0f4580c84195d6c45f737bab81fd44c1b9391ca05c7baa2666658"},
+	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf", "75bcdcbc170a8cff39ae2856542ceba956cfd813c3453a1599babaffc0e84a56"},
+	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d", "a779bb2e0ff2926b85cc4a3f3265664925099cf1cd55fc035cd3bb3074b0c69a"},
+	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178", "22afef7e5492853629f69853c37e5befdc59fe7ef829180ba2e9dfb108707b08"},
+	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d", "c39b151ed2ddb052ed97b1fe5b7d52d460e71ed76b33029522e18c9d6f5d2460"},
+	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3", "09d74ccaa9a410b691d00204baa32d9d5effcfe32c5790b829a0310f32fdf059"},
+}
+
+func TestLoadPathGolden(t *testing.T) {
+	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
+		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
+			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
+			for _, withWAL := range []bool{false, true} {
+				name := key + "/no-wal"
+				if withWAL {
+					name = key + "/wal"
+				}
+				t.Run(name, func(t *testing.T) {
+					got, lines := goldenRun(t, shape.shards, shape.replicas, stored, withWAL)
+					want, ok := loadPathGolden[key]
+					if !ok {
+						t.Fatalf("no golden recorded for %s: {%q, %q, %q}", key, got.files, got.kv, got.answers)
+					}
+					if got.files != want.files {
+						t.Errorf("files hash to %s, want %s\n%s", got.files, want.files, strings.Join(lines["files"], "\n"))
+					}
+					if got.kv != want.kv {
+						t.Errorf("index key-values hash to %s, want %s\n%s", got.kv, want.kv, strings.Join(lines["kv"], "\n"))
+					}
+					if got.answers != want.answers {
+						t.Errorf("versions and answers hash to %s, want %s\n%s", got.answers, want.answers, strings.Join(lines["answers"], "\n"))
+					}
+				})
+			}
+		}
+	}
+}

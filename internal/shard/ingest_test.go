@@ -502,3 +502,216 @@ func TestLoadRejectsCellsTextCannotCarry(t *testing.T) {
 		}
 	}
 }
+
+// applyGate is an OnApply hook that parks appliers: while held, every applier
+// stops after its next apply — the rows have landed and the watermark has
+// moved, but it cannot take its next batch — until released.
+type applyGate struct {
+	mu      sync.Mutex
+	hold    chan struct{}
+	entered chan struct{} // one token per applier that parked
+}
+
+func (g *applyGate) hook(string, int) {
+	g.mu.Lock()
+	hold := g.hold
+	g.mu.Unlock()
+	if hold != nil {
+		g.entered <- struct{}{}
+		<-hold
+	}
+}
+
+func (g *applyGate) park() {
+	g.mu.Lock()
+	g.hold = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *applyGate) release() {
+	g.mu.Lock()
+	if g.hold != nil {
+		close(g.hold)
+		g.hold = nil
+	}
+	g.mu.Unlock()
+}
+
+// TestLoadPathOutage: what a fleet without a log directory does around a
+// dead replica, now that it runs the engine's commit → apply pipeline. A
+// load touching the degraded shard is refused before anything is queued, so
+// the surviving sibling stays an exact copy; a record queued before the kill
+// is applied exactly once after the revive, with health passing through
+// catching_up; a cancelled ctx releases a load from the apply wait and from
+// backpressure (the old path took no ctx); and EnableWAL with a directory
+// afterwards keeps every row and can be done once.
+func TestLoadPathOutage(t *testing.T) {
+	r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &applyGate{entered: make(chan struct{}, 16)}
+	t.Cleanup(func() {
+		gate.release()
+		r.CloseWAL()
+	})
+	mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
+	// One record per apply, so a parked applier holds back exactly the
+	// records behind the one it applied; eight rows of backlog per replica.
+	if err := r.EnableWAL(wal.Options{MaxBatchRows: 1, MaxPendingRows: 8, OnApply: gate.hook}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	next := [2]int64{}
+	rowsFor := func(shard, n int) []storage.Row { // n fresh rows that route to shard
+		var out []storage.Row
+		for len(out) < n {
+			next[shard]++
+			if u := next[shard]; r.route(storage.Int64(u), storage.KindInt64) == shard {
+				out = append(out, storage.Row{storage.Int64(u), storage.Float64(float64(u))})
+			}
+		}
+		return out
+	}
+	count := func(si, ri int) float64 {
+		t.Helper()
+		res, err := r.Replica(si, ri).ExecContext(ctx, `SELECT count(*) FROM late`, hive.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsFloat()
+	}
+	parked := func(n int, what string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-gate.entered:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	pendingRows := func(si, ri int) int { return r.WALStats()[si].Replicas[ri].PendingRows }
+	short := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(ctx, 30*time.Millisecond)
+	}
+
+	// Park shard 0's two appliers behind a first load.
+	gate.park()
+	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 2), false); err != nil || !ack.Applied || ack.Durable {
+		t.Fatalf("load without a directory: ack %+v, err %v; want applied, not durable", ack, err)
+	}
+	parked(2, "shard 0's appliers to park")
+
+	// A load whose records sit behind the parked appliers waits for them,
+	// and a cancelled ctx lets it go. Its record stays queued.
+	cctx, cancel := short()
+	_, err = r.LoadRowsDurable(cctx, "late", rowsFor(0, 2), false)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("load blocked in the apply wait: err = %v, want the ctx deadline", err)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		_, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 6), false)
+		queued <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); pendingRows(0, 1) < 8; {
+		if time.Now().After(deadline) {
+			t.Fatalf("second load never queued: %+v", r.WALStats()[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Eight rows are queued per replica: the next load waits for room, and a
+	// cancelled ctx lets that go too, with nothing queued.
+	lsn := r.WALStats()[0].NextLSN
+	cctx, cancel = short()
+	_, err = r.LoadRowsDurable(cctx, "late", rowsFor(0, 1), false)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "backpressure") {
+		t.Fatalf("load blocked in backpressure: err = %v, want the ctx deadline from the backpressure wait", err)
+	}
+	if got := r.WALStats()[0].NextLSN; got != lsn {
+		t.Fatalf("a load that gave up in backpressure consumed an LSN: next %d, was %d", got, lsn)
+	}
+
+	// Replica 1 dies with two records queued; its sibling applies them.
+	r.Kill(0, 1)
+	gate.release()
+	if err := <-queued; err != nil {
+		t.Fatalf("load queued before the kill: %v", err)
+	}
+	ctxDrain, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := r.DrainWAL(ctxDrain); err != nil {
+		t.Fatal(err)
+	}
+	if live, dead := count(0, 0), count(0, 1); live != 10 || dead != 2 {
+		t.Fatalf("after the kill: live replica holds %v rows, dead one %v; want 10 and 2", live, dead)
+	}
+
+	// During the outage a load touching shard 0 is refused before anything
+	// is queued: the survivor applies nothing.
+	version := r.Replica(0, 0).TableVersions("late")["late"]
+	stats := fmt.Sprint(r.WALStats())
+	_, err = r.LoadRowsDurable(ctx, "late", rowsFor(0, 3), false)
+	if !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("load during the outage: err = %v, want ErrReplicaDown", err)
+	}
+	_, err = r.LoadRowsDurable(ctx, "late", append(rowsFor(0, 1), rowsFor(1, 2)...), false)
+	if !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("load spanning the degraded shard: err = %v, want ErrReplicaDown", err)
+	}
+	for _, want := range []string{"shard 0/2 failed", "shards 1 applied"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("load spanning the degraded shard: error %q does not contain %q", err, want)
+		}
+	}
+	if a, b := count(1, 0), count(1, 1); a != 2 || b != 2 {
+		t.Fatalf("the healthy shard's slice: replicas hold %v and %v rows, want 2 and 2", a, b)
+	}
+	if got := r.Replica(0, 0).TableVersions("late")["late"]; got != version || count(0, 0) != 10 {
+		t.Fatalf("the survivor applied part of a refused load: version %d → %d, %v rows", version, got, count(0, 0))
+	}
+	if now := fmt.Sprint(r.WALStats()[0]); !strings.Contains(stats, now) {
+		t.Fatalf("a refused load moved shard 0's engine state:\nbefore %s\nafter  %s", stats, now)
+	}
+
+	// Revive: the replica is catching up — out of read selection, not dead —
+	// while its own queue drains (held here after the first of its two
+	// records), then live, with every record applied exactly once.
+	gate.park()
+	r.Revive(0, 1)
+	parked(1, "the revived replica to apply its first queued record")
+	if h := r.Health()[0]; h.CatchingUp != 1 || h.Live != 1 || !h.Detail[1].CatchingUp || h.Detail[1].Killed {
+		t.Fatalf("health while the revived replica drains its queue = %+v, want replica 1 catching up", h)
+	}
+	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 12 {
+		t.Fatalf("count during catch-up = %v, want 12 (served by the sibling)", n)
+	}
+	gate.release()
+	waitFleetSettled(t, r)
+	if h := r.Health()[0]; h.Live != 2 {
+		t.Fatalf("revived replica is not live after catch-up: %+v", h)
+	}
+	if a, b := count(0, 0), count(0, 1); a != 10 || b != 10 {
+		t.Fatalf("after catch-up the replicas hold %v and %v rows, want 10 and 10", a, b)
+	}
+	if _, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 1), false); err != nil {
+		t.Fatalf("load after the revive: %v", err)
+	}
+
+	// A directory, given now, keeps every row; there is no second one.
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(1, 1), true); err != nil || !ack.Durable || !ack.Applied {
+		t.Fatalf("load behind the directory: ack %+v, err %v; want durable and applied", ack, err)
+	}
+	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 14 {
+		t.Fatalf("count behind the directory = %v, want 14", n)
+	}
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err == nil || !strings.Contains(err.Error(), "already enabled") {
+		t.Fatalf("second EnableWAL = %v, want an already-enabled error", err)
+	}
+}

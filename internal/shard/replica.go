@@ -47,7 +47,7 @@ type replica struct {
 	ejectedUntil time.Time // zero when not ejected
 	killed       bool
 	killCh       chan struct{} // closed while killed; replaced on Revive
-	// catchingUp: revived but still replaying the WAL records it missed.
+	// catchingUp: revived but still applying the records it is behind by.
 	// Excluded from read selection (its data is stale) yet distinct from
 	// killed in health reporting — the replica is repairing, not dead.
 	catchingUp bool
@@ -72,28 +72,15 @@ func (rep *replica) kill() {
 	rep.catchingUp = false // dead trumps repairing
 }
 
-// revive brings a killed replica back and clears its health record, modelling
-// a restarted store that is immediately eligible again.
-func (rep *replica) revive() {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.killed {
-		rep.killed = false
-		rep.killCh = make(chan struct{})
-	}
-	rep.fails = 0
-	rep.ejectedUntil = time.Time{}
-}
-
 func (rep *replica) isKilled() bool {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	return rep.killed
 }
 
-// beginCatchUp revives the replica into the catching-up state: back in the
-// fleet (commits append to its WAL again) but excluded from reads until the
-// replay completes.
+// beginCatchUp revives the replica into the catching-up state with a clean
+// health record: back in the fleet (commits append to its log again) but
+// excluded from reads until the engine reports it caught up.
 func (rep *replica) beginCatchUp() {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()

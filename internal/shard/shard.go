@@ -157,8 +157,9 @@ type Router struct {
 	cfg  Config
 	sets []*replicaSet
 
-	// wal, when set by EnableWAL, makes loads durable: commits append to
-	// per-replica logs and background appliers drain them (see ingest.go).
+	// wal is the engine every load commits to and whose appliers write the
+	// warehouses (see ingest.go): opened without a directory by New, swapped
+	// by EnableWAL, never nil.
 	wal atomic.Pointer[wal.Engine]
 
 	mu     sync.RWMutex
@@ -169,6 +170,7 @@ type Router struct {
 // warehouses each, produced by mk (called once per (shard, replica) pair).
 // Every warehouse must get its own filesystem: shards are independent
 // stores, not views of one, and a shard's replicas are independent copies.
+// The router starts one applier goroutine per replica; CloseWAL joins them.
 func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -185,6 +187,11 @@ func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, erro
 		}
 		r.sets = append(r.sets, newReplicaSet(i, cfg.ejectAfter(), cfg.reprobe(), reps))
 	}
+	e, err := wal.Open(wal.Options{}, r.stores())
+	if err != nil {
+		return nil, err
+	}
+	r.wal.Store(e)
 	return r, nil
 }
 
@@ -205,33 +212,28 @@ func (r *Router) Shard(i int) *hive.Warehouse { return r.sets[i].reps[0].w }
 func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w }
 
 // Kill marks one replica down, as if the store crashed: new requests to it
-// fail immediately, and in-flight reads and DDL abort at their next split
-// boundary (an in-flight load runs to completion — loads are not
-// context-aware). Reads fail over to the shard's surviving replicas. Writes:
-// without a WAL the whole load fails until Revive (replicas are kept exactly
-// consistent); with EnableWAL the load commits to the surviving replicas'
-// logs and the dead one is owed the records (hinted handoff).
+// fail immediately, in-flight reads and DDL abort at their next split
+// boundary, and its applier pauses — a batch it is already writing runs to
+// completion, what is queued behind it waits for Revive. Reads fail over to
+// the shard's surviving replicas. Writes: behind a log directory the load
+// commits to the surviving replicas' logs and the dead one is owed the
+// records (hinted handoff); without one there is nothing to hand off from,
+// so loads touching the shard are refused until Revive and the replicas
+// stay exact copies.
 func (r *Router) Kill(shard, replica int) {
 	r.sets[shard].reps[replica].kill()
-	if e := r.wal.Load(); e != nil {
-		e.MarkDown(shard, replica)
-	}
+	r.wal.Load().MarkDown(shard, replica)
 }
 
-// Revive brings a killed replica back into selection with a clean health
-// record. With the WAL enabled the replica first replays every record it
-// missed (health reports it catching_up, not live, until the replay's
-// high-water mark is reached) — the divergence fail-fast loads used to
-// leave behind is repaired instead.
+// Revive brings a killed replica back with a clean health record. It first
+// applies what it is behind by — the records its siblings logged while it
+// was down, copied into its own log, and whatever was queued for it when it
+// died — and health reports it catching_up, not live, until then. A replica
+// that is behind by nothing is live when Revive returns.
 func (r *Router) Revive(shard, replica int) {
 	rep := r.sets[shard].reps[replica]
-	e := r.wal.Load()
-	if e == nil {
-		rep.revive()
-		return
-	}
 	rep.beginCatchUp()
-	e.CatchUp(shard, replica, rep.endCatchUp)
+	r.wal.Load().CatchUp(shard, replica, rep.endCatchUp)
 }
 
 // Health snapshots every shard's replica-set health (the serving layer's
@@ -791,73 +793,6 @@ func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row,
 		batches[si] = append(batches[si], row)
 	}
 	return batches, nil
-}
-
-// loadRowsReplicated is the load on a fleet without a WAL: rows route to
-// their shards by the key column (tables without it replicate the batch to
-// every shard) and each shard's batch is written synchronously to every one
-// of its replicas, so the copies stay exactly consistent — a down replica
-// therefore fails the load. Loads run concurrently; each warehouse's own
-// write lock keeps its load atomic. It takes no Context because the write is
-// not abortable midway — cancelling between replicas would leave the copies
-// of a shard diverged.
-func (r *Router) loadRowsReplicated(table string, rows []storage.Row) error {
-	batches, err := r.loadBatches(table, rows)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, len(r.sets))
-	var wg sync.WaitGroup
-	for i, rs := range r.sets {
-		if len(batches[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, rs *replicaSet) {
-			defer wg.Done()
-			errs[i] = r.loadShardReplicas(rs, table, batches[i])
-		}(i, rs)
-	}
-	wg.Wait()
-	return fleetOutcome("load", 1, errs)
-}
-
-// loadShardReplicas writes one batch to every replica of one shard
-// concurrently, failing with the store's identity if any copy rejects it.
-// A replica known to be down fails the load before any copy is written, so
-// the surviving replicas do not silently diverge from the dead one (a
-// replica dying mid-load can still leave copies diverged; the returned
-// error names the store to rebuild — or enable the WAL, whose log replay
-// repairs exactly this).
-func (r *Router) loadShardReplicas(rs *replicaSet, table string, rows []storage.Row) error {
-	for _, rep := range rs.reps {
-		if rep.isKilled() {
-			return fmt.Errorf("load rejected: %w", rep.downErr())
-		}
-	}
-	errs := make([]error, len(rs.reps))
-	var wg sync.WaitGroup
-	for j, rep := range rs.reps {
-		wg.Add(1)
-		go func(j int, rep *replica) {
-			defer wg.Done()
-			if rep.isKilled() {
-				errs[j] = rep.downErr()
-				return
-			}
-			errs[j] = rep.w.LoadRowsByName(table, rows)
-		}(j, rep)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			if len(rs.reps) > 1 {
-				return fmt.Errorf("replica %d: load failed: %w", j, err)
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // TableVersions sums the shards' per-table mutation counters. A shard's

@@ -43,8 +43,8 @@ func exec(l loader, sql string) (*hive.Result, error) {
 }
 
 // loadRows appends rows through the store's own load call: the router's one
-// LoadRowsDurable (synchronous without a WAL, logged with one), or the bare
-// warehouse's LoadRowsByName.
+// LoadRowsDurable (acked once applied without a log directory, once logged
+// with one), or the bare warehouse's LoadRowsByName.
 func loadRows(l loader, table string, rows []storage.Row) error {
 	if r, ok := l.(*Router); ok {
 		_, err := r.LoadRowsDurable(context.Background(), table, rows, false)

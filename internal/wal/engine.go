@@ -20,12 +20,16 @@ type Store interface {
 }
 
 // ErrNoLiveReplica fails a Commit that no replica of the shard could log:
-// every one is down or its log refused the append. Nothing was logged.
+// every one is down or its log refused the append — or, on an engine without
+// a directory, any one is down (see Commit). Nothing was logged or queued.
 var ErrNoLiveReplica = errors.New("no live replica log accepted the record")
 
 // Options configures an Engine.
 type Options struct {
-	// Dir is the WAL root; logs live at Dir/shard-NNN/replica-N.wal.
+	// Dir is the WAL root; logs live at Dir/shard-NNN/replica-N.wal. Empty
+	// runs the same engine over logs that store nothing: records live only
+	// in the apply queues, so nothing survives a restart and there is no
+	// hinted handoff (see Commit).
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
@@ -112,7 +116,8 @@ type replicaWAL struct {
 }
 
 // Open recovers (or initialises) the WAL under opts.Dir for a fleet shaped
-// like stores: stores[shard][replica]. Recovered records are queued for
+// like stores: stores[shard][replica]; without a Dir every log is one with
+// no file and there is nothing to recover. Recovered records are queued for
 // re-apply — the stores are in-memory, so a process restart means every
 // logged record replays from LSN 1. Replica logs of the same shard are
 // repaired to a common tail before appliers start, so even a fleet that
@@ -126,7 +131,10 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 		maxLast := uint64(0)
 		donor := -1
 		for ri, st := range reps {
-			path := filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", si), fmt.Sprintf("replica-%d.wal", ri))
+			path := ""
+			if opts.Dir != "" {
+				path = filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", si), fmt.Sprintf("replica-%d.wal", ri))
+			}
 			l, recs, err := OpenLog(path)
 			if err != nil {
 				e.closeLogs()
@@ -170,7 +178,7 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 			go rw.run()
 		}
 	}
-	if opts.Fsync == PolicyInterval {
+	if opts.Fsync == PolicyInterval && opts.Dir != "" {
 		e.wg.Add(1)
 		go e.syncLoop()
 	}
@@ -203,11 +211,14 @@ func (e *Engine) syncLoop() {
 	}
 }
 
-// Commit durably logs one shard's slice of a load and queues it for apply,
+// Commit logs one shard's slice of a load and queues it for apply,
 // returning the assigned LSN. Replicas marked down are skipped and owed
 // the record via hinted handoff; if no replica is live the commit fails
-// (nothing was logged). ctx gates only the backpressure wait — once
-// appending starts the commit always completes.
+// (nothing was logged). Handoff copies the record from a sibling's log, so
+// an engine without a directory has nothing to hand off from: it refuses
+// the commit while any replica of the shard is down, before anything is
+// queued, and the replicas stay exact copies. ctx gates only the
+// backpressure wait — once appending starts the commit always completes.
 func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []storage.Row) (uint64, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return 0, fmt.Errorf("wal: commit to unknown shard %d", shard)
@@ -235,6 +246,16 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 	}
 	e.mu.Unlock()
 
+	if e.opts.Dir == "" {
+		for _, rw := range sw.reps {
+			rw.mu.Lock()
+			down := !rw.active
+			rw.mu.Unlock()
+			if down {
+				return 0, fmt.Errorf("wal: shard %d: replica %d is down and there is no log to hand the record off from: %w", shard, rw.idx, ErrNoLiveReplica)
+			}
+		}
+	}
 	rec := Record{LSN: sw.next, Table: table, Rows: rows}
 	logged := 0
 	for _, rw := range sw.reps {
@@ -383,6 +404,10 @@ func (rw *replicaWAL) run() {
 		backoff = 10 * time.Millisecond
 
 		rw.mu.Lock()
+		// Zero the consumed records before reslicing: the backing array
+		// outlives them, and through Record.Rows it would keep every applied
+		// batch reachable until a later append happened to reallocate it.
+		clear(rw.pending[:n])
 		rw.pending = rw.pending[n:]
 		rw.pendingRows -= rows
 		rw.applied = lastLSN
@@ -439,8 +464,10 @@ func (e *Engine) MarkDown(shard, replica int) {
 // siblings committed while it was down (LSN > its log tail) are copied
 // from the most advanced sibling's log into its own log and pending
 // queue, the applier resumes, and onDone fires once the replica's applied
-// high-water mark reaches the repair target. The catching-up window is
-// observable via Stats (CatchingUp=true). Runs asynchronously.
+// high-water mark reaches the repair target. The log repair runs before
+// CatchUp returns; the wait for the applier runs in the background, and its
+// window is observable via Stats (CatchingUp=true). A replica that missed
+// nothing and has nothing queued is back by the time CatchUp returns.
 func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 	rw := e.replica(shard, replica)
 	if rw == nil {
@@ -450,74 +477,75 @@ func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 		return
 	}
 	sw := e.shards[shard]
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		span := trace.New("catchup")
-		span.Set("shard", shard)
-		span.Set("replica", replica)
+	span := trace.New("catchup")
+	span.Set("shard", shard)
+	span.Set("replica", replica)
 
-		// Under the shard commit lock: no new LSNs can land mid-repair, so
-		// "donor tail" is a stable target.
-		sw.mu.Lock()
-		var donor *replicaWAL
-		for _, sib := range sw.reps {
-			if sib == rw {
-				continue
-			}
-			sib.mu.Lock()
-			ok := sib.active
-			sib.mu.Unlock()
-			if ok && (donor == nil || sib.log.LastLSN() > donor.log.LastLSN()) {
-				donor = sib
-			}
+	// Under the shard commit lock: no new LSNs can land mid-repair, so
+	// "donor tail" is a stable target.
+	sw.mu.Lock()
+	var donor *replicaWAL
+	for _, sib := range sw.reps {
+		if sib == rw {
+			continue
 		}
-		mine := rw.log.LastLSN()
-		var missed []Record
-		var scanErr error
-		if donor != nil && donor.log.LastLSN() > mine {
-			missed, scanErr = donor.log.ScanFrom(mine)
+		sib.mu.Lock()
+		ok := sib.active
+		sib.mu.Unlock()
+		if ok && (donor == nil || sib.log.LastLSN() > donor.log.LastLSN()) {
+			donor = sib
 		}
-		if scanErr == nil {
-			for _, rec := range missed {
-				if err := rw.log.Append(rec, PolicyOff); err != nil {
-					scanErr = err
-					break
-				}
-			}
-		}
-		rw.mu.Lock()
-		if scanErr != nil {
-			rw.stalled = scanErr.Error()
-		}
+	}
+	mine := rw.log.LastLSN()
+	var missed []Record
+	var scanErr error
+	if donor != nil && donor.log.LastLSN() > mine {
+		missed, scanErr = donor.log.ScanFrom(mine)
+	}
+	if scanErr == nil {
 		for _, rec := range missed {
-			rw.pending = append(rw.pending, rec)
-			rw.pendingRows += len(rec.Rows)
+			if err := rw.log.Append(rec, PolicyOff); err != nil {
+				scanErr = err
+				break
+			}
 		}
-		target := mine
-		if n := len(missed); n > 0 {
-			target = missed[n-1].LSN
-		}
-		if target > rw.replayTarget {
-			rw.replayTarget = target
-		}
-		rw.active = true
-		rw.catchingUp = true
-		rw.hinted = 0
-		rw.cond.Broadcast()
-		rw.mu.Unlock()
-		sw.mu.Unlock()
+	}
+	rw.mu.Lock()
+	if scanErr != nil {
+		rw.stalled = scanErr.Error()
+	}
+	for _, rec := range missed {
+		rw.pending = append(rw.pending, rec)
+		rw.pendingRows += len(rec.Rows)
+	}
+	target := mine
+	if n := len(missed); n > 0 {
+		target = missed[n-1].LSN
+	}
+	if target > rw.replayTarget {
+		rw.replayTarget = target
+	}
+	rw.active = true
+	rw.catchingUp = true
+	rw.hinted = 0
+	caughtUp := rw.applied >= target
+	rw.cond.Broadcast()
+	rw.mu.Unlock()
+	sw.mu.Unlock()
 
-		span.Set("from_lsn", mine)
-		span.Set("to_lsn", target)
-		span.Set("records", len(missed))
-		span.Set("rows", recordRows(missed))
-		if scanErr != nil {
-			span.Eventf("log repair failed: %v", scanErr)
-		}
+	span.Set("from_lsn", mine)
+	span.Set("to_lsn", target)
+	span.Set("records", len(missed))
+	span.Set("rows", recordRows(missed))
+	if scanErr != nil {
+		span.Eventf("log repair failed: %v", scanErr)
+	}
 
-		// Wait until the replica has applied the full repaired history (or
-		// went down / closed again first).
+	// Wait until the replica has applied the full repaired history (or
+	// went down / closed again first). It references none of the scan's
+	// records: the queue holds its own copies, and the donor's decoded log
+	// is garbage once CatchUp returns.
+	wait := func() {
 		rw.mu.Lock()
 		for rw.applied < target && rw.active && !rw.closed {
 			rw.cond.Wait()
@@ -532,11 +560,21 @@ func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 		if reached && onDone != nil {
 			onDone()
 		}
+	}
+	if caughtUp {
+		wait()
+		return
+	}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		wait()
 	}()
 }
 
 // WaitApplied blocks until every live replica of shard has applied through
-// lsn, the context expires, or the engine closes. Used for ?sync=1 acks.
+// lsn; it fails if the context expires or the engine closes first. Used for
+// ?sync=1 acks, and for every ack of an engine without a directory.
 func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("wal: wait on unknown shard %d", shard)
@@ -548,6 +586,9 @@ func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 			rw.cond.Wait()
 		}
 		err := ctx.Err()
+		if err == nil && rw.closed && rw.active && rw.applied < lsn {
+			err = fmt.Errorf("engine closed with shard %d replica %d applied through lsn %d of %d", shard, rw.idx, rw.applied, lsn)
+		}
 		rw.mu.Unlock()
 		stop()
 		if err != nil {
@@ -584,8 +625,14 @@ func (e *Engine) SyncAll() error {
 	return first
 }
 
+// Durable reports whether the engine was opened over a directory: its
+// records survive a restart, a down replica is owed what it misses, and an
+// ack need not wait for the apply.
+func (e *Engine) Durable() bool { return e.opts.Dir != "" }
+
 // Close stops appliers and the fsync ticker, flushes, and closes the logs.
-// Pending-but-unapplied records stay in the logs and replay on next Open.
+// Pending-but-unapplied records stay in the logs and replay on next Open
+// (without a directory they are dropped, and their WaitApplied fails).
 func (e *Engine) Close() error {
 	return e.shutdown(true)
 }

@@ -52,8 +52,12 @@ func ParsePolicy(s string) (Policy, error) {
 // Log is one replica's append-only record file. Appends are serialised by
 // an internal mutex; reads of historical records (ScanFrom) open their own
 // descriptor so they never disturb the append offset.
+//
+// A Log opened with an empty path has no file: it keeps the sequence (Append
+// advances LastLSN) and stores nothing, so there is nothing to sync, scan or
+// close. An Engine opened without a directory runs over such logs.
 type Log struct {
-	path string
+	path string // "" for a log with no file
 
 	mu      sync.Mutex
 	f       *os.File
@@ -64,8 +68,12 @@ type Log struct {
 
 // OpenLog opens (creating if needed) the log at path, validates every
 // record, truncates any torn tail, and returns the log positioned for
-// appends plus every intact record in LSN order.
+// appends plus every intact record in LSN order. An empty path opens a log
+// with no file.
 func OpenLog(path string) (*Log, []Record, error) {
+	if path == "" {
+		return &Log{}, nil, nil
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: create log dir: %w", err)
 	}
@@ -157,6 +165,10 @@ func readPayload(r io.Reader, buf []byte, n uint32) ([]byte, bool) {
 func (l *Log) Append(rec Record, p Policy) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.path == "" {
+		l.lastLSN = rec.LSN
+		return nil
+	}
 	l.buf = encodeFrame(l.buf[:0], rec)
 	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: append lsn %d: %w", rec.LSN, err)
@@ -176,7 +188,7 @@ func (l *Log) Append(rec Record, p Policy) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.dirty {
+	if !l.dirty || l.f == nil {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
@@ -198,6 +210,9 @@ func (l *Log) LastLSN() uint64 {
 // same *Log are safe (callers serialise against commits at a higher level
 // to get a stable upper bound).
 func (l *Log) ScanFrom(after uint64) ([]Record, error) {
+	if l.path == "" {
+		return nil, nil
+	}
 	f, err := os.Open(l.path)
 	if err != nil {
 		return nil, fmt.Errorf("wal: reopen for replay: %w", err)

@@ -2,11 +2,14 @@ package wal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -440,4 +443,127 @@ func TestWALBackpressureRespectsContext(t *testing.T) {
 	}
 	stores[0][0].setFail(false)
 	e.Close()
+}
+
+// dropStore discards what it is handed; applies park on gate until it closes.
+type dropStore struct{ gate chan struct{} }
+
+func (d dropStore) LoadRowsByName(string, []storage.Row) error {
+	<-d.gate
+	return nil
+}
+
+// TestWALApplierReleasesAppliedRows: once a backlog has been applied and
+// drained, nothing in the engine still references its rows. The consumed
+// prefix of the pending queue used to stay in the queue's backing array — as
+// long as the deepest backlog — until a later append reallocated it.
+func TestWALApplierReleasesAppliedRows(t *testing.T) {
+	gate := make(chan struct{})
+	e, err := Open(Options{}, [][]Store{{dropStore{gate}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	var freed atomic.Int64
+	const batches = 8
+	var last uint64
+	for i := 0; i < batches; i++ {
+		rows := testRows(i*10, 4)
+		runtime.SetFinalizer(&rows[0][0], func(*storage.Value) { freed.Add(1) })
+		if last, err = e.Commit(ctx, 0, "meter", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(gate) // the first apply was parked: the other seven queued behind it
+	if err := e.WaitApplied(ctx, 0, last); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < batches {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d applied batches are collectable after a drain and a GC; the engine still references the rest", freed.Load(), batches)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWALWithoutDirectory: Options.Dir == "" is the same engine over logs
+// that store nothing. Sequencing, appliers, WaitApplied, MarkDown/CatchUp and
+// Stats behave as behind a directory; the two consequences of having no log
+// are that a commit is refused — before anything is queued — while a replica
+// of the shard is down, and that records die with the engine.
+func TestWALWithoutDirectory(t *testing.T) {
+	stores := [][]*memStore{{{}, {}}}
+	e, err := Open(Options{MaxBatchRows: 1}, [][]Store{{stores[0][0], stores[0][1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Durable() {
+		t.Fatal("an engine without a directory reports itself durable")
+	}
+	ctx := context.Background()
+	lsn, err := e.Commit(ctx, 0, "meter", testRows(0, 3))
+	if err != nil || lsn != 1 {
+		t.Fatalf("first commit: lsn %d, err %v", lsn, err)
+	}
+	if err := e.WaitApplied(ctx, 0, lsn); err != nil {
+		t.Fatal(err)
+	}
+
+	// A record queued on a replica that then goes down waits for it.
+	stores[0][1].setFail(true)
+	if lsn, err = e.Commit(ctx, 0, "meter", testRows(10, 2)); err != nil {
+		t.Fatal(err)
+	}
+	e.MarkDown(0, 1)
+	stores[0][1].setFail(false)
+	if err := e.WaitApplied(ctx, 0, lsn); err != nil { // the live replica applied it
+		t.Fatal(err)
+	}
+
+	// While it is down there is no log to owe it records from: refused, with
+	// nothing queued on the survivor and no LSN consumed.
+	before := e.Stats()[0]
+	if _, err := e.Commit(ctx, 0, "meter", testRows(20, 1)); !errors.Is(err, ErrNoLiveReplica) {
+		t.Fatalf("commit with a replica down = %v, want ErrNoLiveReplica", err)
+	}
+	if after := e.Stats()[0]; !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused commit moved the engine:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := len(stores[0][0].snapshot()); got != 5 {
+		t.Fatalf("survivor holds %d rows, want 5", got)
+	}
+
+	// Catch-up has nothing to copy; it ends when the replica's own queue
+	// has drained, and the record applies exactly once.
+	done := make(chan struct{})
+	e.CatchUp(0, 1, func() { close(done) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("catch-up never finished: %+v", e.Stats())
+	}
+	if got := stores[0][1].snapshot(); !reflect.DeepEqual(got, stores[0][0].snapshot()) {
+		t.Fatalf("revived replica holds %d rows, survivor %d", len(got), len(stores[0][0].snapshot()))
+	}
+	// A replica that is behind by nothing is back before CatchUp returns.
+	e.MarkDown(0, 0)
+	back := false
+	e.CatchUp(0, 0, func() { back = true })
+	if !back {
+		t.Fatal("catch-up of a replica with nothing missed and nothing queued did not finish inline")
+	}
+
+	// A record the engine closes over is gone, and its waiter is told so.
+	stores[0][0].setFail(true)
+	stores[0][1].setFail(true)
+	if lsn, err = e.Commit(ctx, 0, "meter", testRows(30, 1)); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if err := e.WaitApplied(ctx, 0, lsn); err == nil {
+		t.Fatal("WaitApplied reported a record applied that the closed engine dropped")
+	}
 }
