@@ -52,8 +52,13 @@ type QueryStats struct {
 	// batches, so it is false only for answers that read no table data (the
 	// aggregate-index rewrite).
 	Vectorized bool
-	RowsOut    int
-	Wall       time.Duration
+	// ShufflePairs and ShuffleBytes are the intermediate pairs (and their
+	// key+value bytes) the scan job's map tasks handed to its reducers: one
+	// per group per split for an aggregate, zero for a projection (map-only).
+	ShufflePairs int64
+	ShuffleBytes int64
+	RowsOut      int
+	Wall         time.Duration
 }
 
 // SimTotalSec is the simulated end-to-end query time.
@@ -551,6 +556,9 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 		if stats.RunsSkipped > 0 {
 			sp.Set("runs_skipped", stats.RunsSkipped)
 		}
+		if stats.ShufflePairs > 0 {
+			sp.Set("shuffle_pairs", stats.ShufflePairs)
+		}
 		sp.Finish()
 	}()
 	sp.Set("table", q.stmt.From.Table)
@@ -590,6 +598,8 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 	stats.Splits = jobStats.Splits
 	stats.Seeks = jobStats.Seeks
 	stats.GroupsSkipped = jobStats.GroupsSkipped
+	stats.ShufflePairs = jobStats.ShufflePairs
+	stats.ShuffleBytes = jobStats.ShuffleBytes
 	stats.DictProbes = q.vecStats.dictProbes.Load()
 	stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 	// The paper's stacked bars: job startup counts as "index and other".
@@ -741,43 +751,19 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 		}
 		job.StopEarly = stop.Load
 	}
+	// The one map task shape: the left-side kernels shrink the batch's
+	// selection vector, the join (if any) expands it to pairs, and the task's
+	// mapper projects the pairs or folds them (fold.go).
+	job.NewMapper = func() mapreduce.TaskMapper { return q.newProjector(joinMap) }
 	if q.isAgg {
-		// Map-side partial aggregation, Hive style: per-record partials,
-		// combiner merge per map task, reducers finalise per group.
-		job.Combine = q.combinePartials
-		job.Reduce = func(key string, values [][]byte, emit mapreduce.Emit) error {
-			merged, err := q.mergeValues(values)
-			if err != nil {
-				return err
-			}
-			emit(key, encodePartials(merged))
-			return nil
-		}
+		// Map-side aggregation, Hive style: each map task folds its split
+		// into one partial per group, reducers merge them per group.
+		job.NewMapper = func() mapreduce.TaskMapper { return q.newSplitFold(joinMap) }
+		job.Reduce = q.reducePartials
 		job.NumReducers = 1
 		if len(q.groupBy) > 0 {
 			job.NumReducers = 4
 		}
-	}
-
-	// The one mapper: the left-side kernels shrink the batch's selection
-	// vector, and only the surviving positions materialise as rows — emitted
-	// as they are, or once per broadcast row their join key finds. The
-	// scratch row is reused per position; emitRow consumes its cells before
-	// the next iteration overwrites them.
-	job.Map = func(rec mapreduce.Record, emit mapreduce.Emit) error {
-		b := rec.Batch
-		for _, ri := range survivors(b, q.leftPreds) {
-			rec.RowInBlock = ri
-			left := b.MaterialiseRow(ri)
-			if q.right == nil {
-				q.emitRow(left, nil, rec, emit)
-				continue
-			}
-			for _, right := range joinMap[left[q.joinLeft].String()] {
-				q.emitRow(left, right, rec, emit)
-			}
-		}
-		return nil
 	}
 
 	jobStats, err := mapreduce.RunContext(ctx, w.Cluster, job)
@@ -838,22 +824,24 @@ func (w *Warehouse) readJoinMap(q *compiledQuery) (map[string][]storage.Row, err
 
 // --- aggregation pipeline ---
 
-// partial encodes one accumulator vector contribution.
-func encodePartials(accs []dgf.Accumulator) []byte {
-	var b strings.Builder
+// encodePartials renders one accumulator vector as a shuffle value: one
+// value:count cell per slot, "-" for an empty one, joined by commas.
+func encodePartials(accs []dgf.Accumulator) []byte { return appendPartials(nil, accs) }
+
+func appendPartials(dst []byte, accs []dgf.Accumulator) []byte {
 	for i, a := range accs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		if a.N == 0 {
-			b.WriteByte('-')
+			dst = append(dst, '-')
 			continue
 		}
-		b.WriteString(strconv.FormatFloat(a.Value, 'g', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(a.N, 10))
+		dst = strconv.AppendFloat(dst, a.Value, 'g', -1, 64)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, a.N, 10)
 	}
-	return []byte(b.String())
+	return dst
 }
 
 func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error) {
@@ -881,63 +869,14 @@ func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error)
 	return accs, nil
 }
 
-func (q *compiledQuery) recordPartials(l, r storage.Row) []dgf.Accumulator {
-	accs := make([]dgf.Accumulator, len(q.slotFuncs))
-	for i, f := range q.slotFuncs {
-		accs[i].Func = f
-	}
-	for _, a := range q.aggs {
-		switch a.kind {
-		case aggCount:
-			accs[a.slots[0]].Fold(0)
-		case aggAvg:
-			v := a.arg(l, r).AsFloat()
-			accs[a.slots[0]].Fold(v)
-			accs[a.slots[1]].Fold(0)
-		default:
-			accs[a.slots[0]].Fold(a.arg(l, r).AsFloat())
-		}
-	}
-	return accs
-}
-
-func (q *compiledQuery) groupKeyOf(l, r storage.Row) string {
-	if len(q.groupBy) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, g := range q.groupBy {
-		if i > 0 {
-			b.WriteByte('\x01')
-		}
-		b.WriteString(g(l, r).String())
-	}
-	return b.String()
-}
-
-// emitRow routes one qualifying (joined) row into the aggregation or
-// projection encoding.
-func (q *compiledQuery) emitRow(l, r storage.Row, rec mapreduce.Record, emit mapreduce.Emit) {
-	if q.isAgg {
-		emit(q.groupKeyOf(l, r), encodePartials(q.recordPartials(l, r)))
-		return
-	}
-	out := make(storage.Row, len(q.items))
-	for i, it := range q.items {
-		out[i] = it.expr(l, r)
-	}
-	// Keyed by source position so output order is deterministic: the rows of
-	// a batch share its offset (the row group's, or its first line's), and
-	// the position within the batch breaks the tie.
-	emit(fmt.Sprintf("%s:%012d:%06d", rec.Path, rec.Offset, rec.RowInBlock), []byte(storage.EncodeTextRow(out)))
-}
-
-func (q *compiledQuery) combinePartials(key string, values [][]byte) [][]byte {
+// reducePartials is the aggregate job's reducer: one merged partial per group.
+func (q *compiledQuery) reducePartials(key string, values [][]byte, emit mapreduce.Emit) error {
 	merged, err := q.mergeValues(values)
 	if err != nil {
-		return values
+		return err
 	}
-	return [][]byte{encodePartials(merged)}
+	emit(key, encodePartials(merged))
+	return nil
 }
 
 func (q *compiledQuery) mergeValues(values [][]byte) ([]dgf.Accumulator, error) {

@@ -36,6 +36,10 @@ const (
 type compiledAgg struct {
 	kind aggKind
 	arg  cexpr // nil for count
+	// argCol is the left-schema column the argument reads when it is a bare
+	// numeric column of the scanned table (-1 otherwise): the fold then takes
+	// the values from the batch's vector instead of evaluating arg per row.
+	argCol int
 	// slots into the shared accumulator vector: one for sum/count/min/max,
 	// two (sum, count) for avg.
 	slots []int
@@ -90,9 +94,12 @@ type compiledQuery struct {
 	items       []compiledItem
 	groupBy     []cexpr
 	groupKinds  []storage.Kind
-	aggs        []*compiledAgg
-	slotFuncs   []dgf.AggFunc // accumulator vector layout
-	isAgg       bool
+	// groupCols holds, per GROUP BY column, its left-schema position, or -1
+	// for a column of the join side.
+	groupCols []int
+	aggs      []*compiledAgg
+	slotFuncs []dgf.AggFunc // accumulator vector layout
+	isAgg     bool
 }
 
 // projection renders the referenced-column set as a schema-aligned flag
@@ -164,6 +171,10 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		}
 		q.groupBy = append(q.groupBy, colExpr(s, idx))
 		q.groupKinds = append(q.groupKinds, kind)
+		if s == sideRight {
+			idx = -1
+		}
+		q.groupCols = append(q.groupCols, idx)
 	}
 
 	// SELECT items.
@@ -424,15 +435,18 @@ func exprName(e Expr) string {
 // compileAgg binds an aggregate call to accumulator slots and derives its
 // DGFIndex pre-compute form when possible.
 func (q *compiledQuery) compileAgg(call AggCall) (*compiledAgg, error) {
-	agg := &compiledAgg{name: exprName(call)}
+	agg := &compiledAgg{name: exprName(call), argCol: -1}
 	var canon string
 	if !call.Star && call.Arg != nil {
-		ce, c, _, err := q.compileExpr(call.Arg)
+		ce, c, kind, err := q.compileExpr(call.Arg)
 		if err != nil {
 			return nil, err
 		}
 		agg.arg = ce
 		canon = c
+		if ref, ok := call.Arg.(ColRef); ok && c != "" && kind != storage.KindString {
+			agg.argCol = q.left.Schema.ColIndex(ref.Name)
+		}
 	}
 	newSlot := func(f dgf.AggFunc) int {
 		q.slotFuncs = append(q.slotFuncs, f)

@@ -3,6 +3,7 @@ package hive
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
@@ -16,8 +17,9 @@ import (
 // same access path, same splits, so float aggregates fold in the same order —
 // but reads it unpruned and record by record, decodes every row in full,
 // evaluates WHERE with storage.Compare per cell (its own compilation of the
-// statement, no kernels), probes an unfiltered join map, and shares only
-// emitRow, combinePartials/mergeValues and gather with production.
+// statement, no kernels), probes an unfiltered join map, renders a group key
+// and folds a string-keyed accumulator map per qualifying row, and shares only
+// the projection's emitRow, the reducer and gather with production.
 
 // refRowFilter is one WHERE comparison over a (left, right) row pair.
 type refRowFilter func(l, r storage.Row) bool
@@ -148,37 +150,13 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 		Name:   "reference-" + q.left.Name,
 		Input:  refRecordInput(p.input),
 		Output: collector.Emit,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			left, err := refRow(q.left.Schema, rec)
-			if err != nil {
-				return err
-			}
-			rights := []storage.Row{nil}
-			if q.right != nil {
-				rights = joinMap[left[q.joinLeft].String()]
-			}
-		pairs:
-			for _, right := range rights {
-				for _, f := range filters {
-					if !f(left, right) {
-						continue pairs
-					}
-				}
-				q.emitRow(left, right, rec, emit)
-			}
-			return nil
+		NewMapper: func() mapreduce.TaskMapper {
+			return &refMapper{q: q, filters: filters, joinMap: joinMap,
+				proj: q.newProjector(nil), groups: map[string][]dgf.Accumulator{}}
 		},
 	}
 	if q.isAgg {
-		job.Combine = q.combinePartials
-		job.Reduce = func(key string, values [][]byte, emit mapreduce.Emit) error {
-			merged, err := q.mergeValues(values)
-			if err != nil {
-				return err
-			}
-			emit(key, encodePartials(merged))
-			return nil
-		}
+		job.Reduce = q.reducePartials
 		job.NumReducers = 4
 	}
 	jobStats, err := mapreduce.RunContext(context.Background(), w.Cluster, job)
@@ -195,4 +173,73 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	res.Stats.BytesRead = jobStats.InputBytes
 	res.Stats.GroupsSkipped = jobStats.GroupsSkipped
 	return res, nil
+}
+
+// refMapper is the reference's map task: one row, one joined pair, one
+// accumulator fold at a time, groups keyed by their rendered key. Like the
+// production fold it hands over one partial per group when its split ends, so
+// both sum a split's floats in row order.
+type refMapper struct {
+	q       *compiledQuery
+	filters []refRowFilter
+	joinMap map[string][]storage.Row
+	proj    *projector
+	groups  map[string][]dgf.Accumulator
+	order   []string
+}
+
+func (m *refMapper) Map(rec mapreduce.Record, emit mapreduce.Emit) error {
+	q := m.q
+	left, err := refRow(q.left.Schema, rec)
+	if err != nil {
+		return err
+	}
+	rights := []storage.Row{nil}
+	if q.right != nil {
+		rights = m.joinMap[left[q.joinLeft].String()]
+	}
+pairs:
+	for _, right := range rights {
+		for _, f := range m.filters {
+			if !f(left, right) {
+				continue pairs
+			}
+		}
+		if !q.isAgg {
+			m.proj.emitRow(left, right, rec, emit)
+			continue
+		}
+		var key strings.Builder
+		for i, g := range q.groupBy {
+			if i > 0 {
+				key.WriteByte('\x01')
+			}
+			key.WriteString(g(left, right).String())
+		}
+		accs, ok := m.groups[key.String()]
+		if !ok {
+			accs = q.layout().newAccs()
+			m.groups[key.String()] = accs
+			m.order = append(m.order, key.String())
+		}
+		for _, a := range q.aggs {
+			switch a.kind {
+			case aggCount:
+				accs[a.slots[0]].Fold(0)
+			case aggAvg:
+				accs[a.slots[0]].Fold(a.arg(left, right).AsFloat())
+				accs[a.slots[1]].Fold(0)
+			default:
+				accs[a.slots[0]].Fold(a.arg(left, right).AsFloat())
+			}
+		}
+	}
+	return nil
+}
+
+func (m *refMapper) Close(emit mapreduce.Emit) error {
+	for _, key := range m.order {
+		emit(key, encodePartials(m.groups[key]))
+	}
+	return nil
 }

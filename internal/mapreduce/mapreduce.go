@@ -25,6 +25,12 @@
 // key through a hash map and sorts the distinct keys and each group's values
 // (groupPairs); values of different keys are never compared.
 //
+// A mapper may be scoped to its map task (Job.NewMapper): it sees its split's
+// records in order and emits what it holds when the split ends. That is how a
+// query aggregates where the rows are — one pair per group per split reaches
+// the shuffle instead of one per record — and the volumes the cost model reads
+// (ShuffleBytes, ShufflePairs, reduce input) are what such a mapper emitted.
+//
 // One decode per stage: a record crosses the shuffle as the bytes the mapper
 // emitted, and each stage parses what it needs from a record at most once. A
 // reader that decodes rows anyway hands them over in Record.Row so a mapper
@@ -80,6 +86,16 @@ type Emit func(key string, value []byte)
 // MapFunc processes one record.
 type MapFunc func(rec Record, emit Emit) error
 
+// TaskMapper is a map function with state scoped to one map task: Map sees
+// every record of the task's split in order, and Close runs once after the
+// last one with the same emit — the place a mapper that aggregates inside its
+// split (Hive's map-side hash aggregation) hands over what it holds. Pairs
+// emitted from Close are accounted exactly like pairs emitted from Map.
+type TaskMapper interface {
+	Map(rec Record, emit Emit) error
+	Close(emit Emit) error
+}
+
 // ReduceFunc processes one key group.
 type ReduceFunc func(key string, values [][]byte, emit Emit) error
 
@@ -128,6 +144,9 @@ type Job struct {
 	Name  string
 	Input InputFormat
 	Map   MapFunc
+	// NewMapper, set instead of Map, is called once per map task for that
+	// task's own mapper.
+	NewMapper func() TaskMapper
 	// Combine, if set, runs per map task on its buffered output.
 	Combine CombineFunc
 	// Exactly one of Reduce and ReduceTask may be set; if both are nil the
@@ -235,8 +254,8 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if job.Input == nil || job.Map == nil {
-		return nil, fmt.Errorf("mapreduce: job %q needs Input and Map", job.Name)
+	if job.Input == nil || (job.Map == nil) == (job.NewMapper == nil) {
+		return nil, fmt.Errorf("mapreduce: job %q needs Input and exactly one of Map and NewMapper", job.Name)
 	}
 	if job.Reduce != nil && job.ReduceTask != nil {
 		return nil, fmt.Errorf("mapreduce: job %q sets both Reduce and ReduceTask", job.Name)
@@ -459,6 +478,12 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 			res.emitted += int64(len(key) + len(value))
 		}
 	}
+	mapRec := job.Map
+	var mapper TaskMapper
+	if job.NewMapper != nil {
+		mapper = job.NewMapper()
+		mapRec = mapper.Map
+	}
 	for {
 		rec, ok, err := reader.Next()
 		if err != nil {
@@ -473,7 +498,13 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 		} else {
 			res.records++
 		}
-		if err := job.Map(rec, emit); err != nil {
+		if err := mapRec(rec, emit); err != nil {
+			res.err = err
+			return res
+		}
+	}
+	if mapper != nil {
+		if err := mapper.Close(emit); err != nil {
 			res.err = err
 			return res
 		}

@@ -137,6 +137,85 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	}
 }
 
+// countingMapper counts its split's words and emits the totals from Close.
+type countingMapper struct {
+	counts map[string]int
+	closed *atomic.Int64
+}
+
+func (m *countingMapper) Map(rec Record, _ Emit) error {
+	m.counts[string(rec.Data)]++
+	return nil
+}
+
+func (m *countingMapper) Close(emit Emit) error {
+	m.closed.Add(1)
+	for _, w := range []string{"a", "b"} {
+		if n := m.counts[w]; n > 0 {
+			emit(w, []byte(strconv.Itoa(n)))
+		}
+	}
+	return nil
+}
+
+// TestTaskMapperFoldsPerSplit: every map task gets its own mapper, Close runs
+// once per split, and what Close emits is accounted like any map output —
+// the same shuffle volume a combiner over per-record pairs leaves, and the
+// same answer.
+func TestTaskMapperFoldsPerSplit(t *testing.T) {
+	fs := dfs.New(16) // several splits
+	var words []string
+	for i := 0; i < 60; i++ {
+		words = append(words, []string{"a", "b", "a"}[i%3])
+	}
+	writeWords(t, fs, "/in/f", words)
+	sum := func(key string, values [][]byte) [][]byte {
+		total := 0
+		for _, v := range values {
+			n, _ := strconv.Atoi(string(v))
+			total += n
+		}
+		return [][]byte{[]byte(strconv.Itoa(total))}
+	}
+	run := func(job *Job) (*Stats, string) {
+		col := NewCollector()
+		job.Input = &FileInput{FS: fs, Dir: "/in"}
+		job.Reduce = func(key string, values [][]byte, emit Emit) error {
+			emit(key, sum(key, values)[0])
+			return nil
+		}
+		job.Output = col.Emit
+		stats, err := Run(testCfg(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, fmt.Sprint(col.Pairs())
+	}
+	var made, closed atomic.Int64
+	folded, foldedOut := run(&Job{Name: "fold", NewMapper: func() TaskMapper {
+		made.Add(1)
+		return &countingMapper{counts: map[string]int{}, closed: &closed}
+	}})
+	combined, combinedOut := run(&Job{Name: "combine", Combine: sum, Map: func(rec Record, emit Emit) error {
+		emit(string(rec.Data), []byte("1"))
+		return nil
+	}})
+	if foldedOut != combinedOut {
+		t.Errorf("folded answer %s, combined answer %s", foldedOut, combinedOut)
+	}
+	if folded.Splits < 2 || made.Load() != int64(folded.Splits) || closed.Load() != int64(folded.Splits) {
+		t.Errorf("%d splits, %d mappers made, %d closed", folded.Splits, made.Load(), closed.Load())
+	}
+	if folded.ShufflePairs != combined.ShufflePairs || folded.ShuffleBytes != combined.ShuffleBytes || folded.SimTotalSec() != combined.SimTotalSec() {
+		t.Errorf("folded job shuffled %d pairs / %d bytes in %v sim-seconds, combined job %d / %d in %v",
+			folded.ShufflePairs, folded.ShuffleBytes, folded.SimTotalSec(),
+			combined.ShufflePairs, combined.ShuffleBytes, combined.SimTotalSec())
+	}
+	if folded.ShufflePairs > int64(2*folded.Splits) {
+		t.Errorf("%d shuffle pairs from %d splits of two words", folded.ShufflePairs, folded.Splits)
+	}
+}
+
 func TestMapOnlyJob(t *testing.T) {
 	fs := dfs.New(64)
 	writeWords(t, fs, "/in/f", []string{"x", "y", "z"})
@@ -330,6 +409,15 @@ func TestJobValidation(t *testing.T) {
 	}
 	if _, err := Run(cfg, job); err == nil {
 		t.Error("job with both reduce forms accepted")
+	}
+	job.ReduceTask = nil
+	job.NewMapper = func() TaskMapper { return nil }
+	if _, err := Run(cfg, job); err == nil {
+		t.Error("job with both Map and NewMapper accepted")
+	}
+	job.Map, job.NewMapper = nil, nil
+	if _, err := Run(cfg, job); err == nil {
+		t.Error("job with neither Map nor NewMapper accepted")
 	}
 }
 

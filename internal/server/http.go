@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -53,6 +54,8 @@ type queryStatsJSON struct {
 	BitmapHits    int64   `json:"bitmap_hits,omitempty"`
 	DictProbes    int64   `json:"dict_probes,omitempty"`
 	RunsSkipped   int64   `json:"runs_skipped,omitempty"`
+	ShufflePairs  int64   `json:"shuffle_pairs,omitempty"`
+	ShuffleBytes  int64   `json:"shuffle_bytes,omitempty"`
 }
 
 func newQueryStatsJSON(s hive.QueryStats) queryStatsJSON {
@@ -72,6 +75,8 @@ func newQueryStatsJSON(s hive.QueryStats) queryStatsJSON {
 		BitmapHits:    s.BitmapHits,
 		DictProbes:    s.DictProbes,
 		RunsSkipped:   s.RunsSkipped,
+		ShufflePairs:  s.ShufflePairs,
+		ShuffleBytes:  s.ShuffleBytes,
 	}
 }
 
@@ -112,12 +117,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before it commits to a status, so a value encoding/json
+// refuses is a 500 with a message, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		enc.Encode(errorResponse{Error: "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	w.Write(body.Bytes())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -309,7 +322,8 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 }
 
 // jsonRow converts one storage.Row into JSON-encodable cells: numbers stay
-// numbers, timestamps render as RFC 3339.
+// numbers, timestamps render as RFC 3339, and a float JSON has no number for
+// (NaN, the average of no rows; an infinity) is null.
 func jsonRow(row storage.Row) []any {
 	cells := make([]any, len(row))
 	for i, v := range row {
@@ -317,7 +331,9 @@ func jsonRow(row storage.Row) []any {
 		case storage.KindInt64:
 			cells[i] = v.I
 		case storage.KindFloat64:
-			cells[i] = v.F
+			if !math.IsNaN(v.F) && !math.IsInf(v.F, 0) {
+				cells[i] = v.F
+			}
 		case storage.KindTime:
 			cells[i] = time.Unix(v.I, 0).UTC().Format(time.RFC3339)
 		default:

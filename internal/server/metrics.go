@@ -57,8 +57,12 @@ type metricSet struct {
 	recordsRead int64
 	bytesRead   int64
 	rowsOut     int64
-	simSeconds  float64
-	wallSeconds float64
+	// shufflePairs/shuffleBytes sum what executed scan jobs handed their
+	// reducers; over queries it reads as shuffle pairs per statement.
+	shufflePairs int64
+	shuffleBytes int64
+	simSeconds   float64
+	wallSeconds  float64
 	// queueSeconds is time spent waiting for a worker-pool slot, recorded
 	// separately so admission pressure is not conflated with execution cost
 	// (wallSeconds still covers the full request, queue wait included).
@@ -117,6 +121,8 @@ func (m *metricSet) observe(wall, queued time.Duration, res *hive.Result, cached
 		if !cached {
 			m.recordsRead += res.Stats.RecordsRead
 			m.bytesRead += res.Stats.BytesRead
+			m.shufflePairs += res.Stats.ShufflePairs
+			m.shuffleBytes += res.Stats.ShuffleBytes
 			m.simSeconds += res.Stats.SimTotalSec()
 			key := pathKey(res.Stats.AccessPath)
 			pm := m.paths[key]
@@ -157,6 +163,10 @@ type MetricsSnapshot struct {
 	RecordsRead int64 `json:"records_read"`
 	BytesRead   int64 `json:"bytes_read"`
 	RowsOut     int64 `json:"rows_out"`
+	// ShufflePairs and ShuffleBytes total the map-to-reduce volume of the
+	// executed scan jobs (cache hits excluded).
+	ShufflePairs int64 `json:"shuffle_pairs"`
+	ShuffleBytes int64 `json:"shuffle_bytes"`
 	// SimClusterSeconds is the paper's currency: total simulated cluster
 	// time spent answering this scope's queries.
 	SimClusterSeconds float64 `json:"sim_cluster_seconds"`
@@ -196,6 +206,8 @@ func (m *metricSet) snapshot() MetricsSnapshot {
 		RecordsRead:       m.recordsRead,
 		BytesRead:         m.bytesRead,
 		RowsOut:           m.rowsOut,
+		ShufflePairs:      m.shufflePairs,
+		ShuffleBytes:      m.shuffleBytes,
 		SimClusterSeconds: m.simSeconds,
 		WallSeconds:       m.wallSeconds,
 		QueueWaitSeconds:  m.queueSeconds,

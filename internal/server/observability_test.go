@@ -216,6 +216,8 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		"dgf_cache_hits_total":        float64(m.CacheHits),
 		"dgf_records_read_total":      float64(m.RecordsRead),
 		"dgf_bytes_read_total":        float64(m.BytesRead),
+		"dgf_shuffle_pairs_total":     float64(m.ShufflePairs),
+		"dgf_shuffle_bytes_total":     float64(m.ShuffleBytes),
 		"dgf_rows_out_total":          float64(m.RowsOut),
 		"dgf_result_cache_hits_total": float64(snap.ResultCache.Hits),
 		"dgf_in_flight":               0,
@@ -223,6 +225,12 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		if got := famValue(t, fams, name); got != want {
 			t.Errorf("%s = %v, /stats says %v", name, got, want)
 		}
+	}
+
+	// One aggregate ran (the repeat was a cache hit): its map tasks handed
+	// the reducer one pair per split.
+	if m.ShufflePairs <= 0 || m.ShuffleBytes <= 0 {
+		t.Errorf("shuffle totals %d pairs, %d bytes after an executed aggregate", m.ShufflePairs, m.ShuffleBytes)
 	}
 
 	// The latency histogram's _count must equal the query counter (the

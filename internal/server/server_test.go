@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -378,9 +380,12 @@ func TestHTTPEndpoints(t *testing.T) {
 		Session  string   `json:"session"`
 		Cached   bool     `json:"cached"`
 		Stats    struct {
-			AccessPath  string  `json:"access_path"`
-			SimTotalSec float64 `json:"sim_total_sec"`
-			RecordsRead int64   `json:"records_read"`
+			AccessPath   string  `json:"access_path"`
+			SimTotalSec  float64 `json:"sim_total_sec"`
+			RecordsRead  int64   `json:"records_read"`
+			Splits       int64   `json:"splits"`
+			ShufflePairs int64   `json:"shuffle_pairs"`
+			ShuffleBytes int64   `json:"shuffle_bytes"`
 		} `json:"stats"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
@@ -389,6 +394,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if qr.RowCount != 1 || qr.Session != "ops-1" || qr.Stats.AccessPath == "" || qr.Stats.SimTotalSec <= 0 {
 		t.Fatalf("bad query response: %+v", qr)
+	}
+	// A scalar aggregate shuffles one pair per split, not one per row.
+	if qr.Stats.ShufflePairs != qr.Stats.Splits || qr.Stats.ShuffleBytes <= 0 {
+		t.Errorf("shuffle stats %+v, want one pair per split", qr.Stats)
 	}
 	if n, ok := qr.Rows[0][0].(float64); !ok || n != 240 {
 		t.Fatalf("count cell = %v, want 240", qr.Rows[0][0])
@@ -466,6 +475,75 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("query after drain %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestHTTPAggregatesOverEmptySelection: an average of no rows is NaN, which
+// JSON has no number for. The reply carries null in that cell — buffered and
+// streamed — instead of a 200 with an empty body, and a grouped aggregate
+// over no rows is an empty result.
+func TestHTTPAggregatesOverEmptySelection(t *testing.T) {
+	s := New(testWarehouse(t), Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(sql, stream string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/query?no_cache=1" + stream + "&q=" + url.QueryEscape(sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("%q: status %d, %d-byte body", sql, resp.StatusCode, len(body))
+		}
+		return string(body)
+	}
+
+	const scalar = `SELECT avg(powerConsumed), min(powerConsumed), sum(powerConsumed), count(*) FROM meterdata WHERE userId>=1000`
+	const grouped = `SELECT regionId, avg(powerConsumed), min(powerConsumed), sum(powerConsumed) FROM meterdata WHERE userId>=1000 GROUP BY regionId`
+	var qr struct {
+		Rows     [][]any `json:"rows"`
+		RowCount int     `json:"row_count"`
+	}
+	if err := json.Unmarshal([]byte(get(scalar, "")), &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.RowCount != 1 || len(qr.Rows) != 1 || fmt.Sprint(qr.Rows[0]) != "[<nil> 0 0 0]" {
+		t.Errorf("scalar aggregates over nothing: %+v, want one row [null 0 0 0]", qr)
+	}
+	qr.Rows = nil
+	if err := json.Unmarshal([]byte(get(grouped, "")), &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.RowCount != 0 || len(qr.Rows) != 0 {
+		t.Errorf("grouped aggregates over nothing: %+v, want no rows", qr)
+	}
+
+	lines := strings.Split(strings.TrimSpace(get(scalar, "&stream=ndjson")), "\n")
+	if len(lines) != 3 || lines[1] != "[null,0,0,0]" || !strings.Contains(lines[2], `"done":true`) {
+		t.Errorf("streamed scalar aggregates over nothing: %q", lines)
+	}
+	lines = strings.Split(strings.TrimSpace(get(grouped, "&stream=ndjson")), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[1], `"row_count":0`) {
+		t.Errorf("streamed grouped aggregates over nothing: %q", lines)
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500: a value encoding/json refuses must not
+// leave the client with a success status and no body.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"cell": math.NaN()})
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(e.Error, "NaN") {
+		t.Errorf("status %d, error %q; want 500 naming the unsupported value", rec.Code, e.Error)
+	}
 }
 
 func TestSimPacingStretchesWallTime(t *testing.T) {

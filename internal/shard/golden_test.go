@@ -205,14 +205,17 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 }
 
 // loadPathGolden holds the digests recorded at 433a837, keyed
-// "<shards>x<replicas>/<format>".
+// "<shards>x<replicas>/<format>". The files and key-value digests are those
+// still; the answers digests were re-recorded when aggregates began folding
+// inside their split (sums differ in their last bit, data= in its sixth
+// decimal — hive's TestQueryStatsGoldenMovedAsDescribed bounds the move).
 var loadPathGolden = map[string]goldenFleetState{
-	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8", "e6a95cbbcca0f4580c84195d6c45f737bab81fd44c1b9391ca05c7baa2666658"},
-	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf", "75bcdcbc170a8cff39ae2856542ceba956cfd813c3453a1599babaffc0e84a56"},
-	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d", "a779bb2e0ff2926b85cc4a3f3265664925099cf1cd55fc035cd3bb3074b0c69a"},
-	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178", "22afef7e5492853629f69853c37e5befdc59fe7ef829180ba2e9dfb108707b08"},
-	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d", "c39b151ed2ddb052ed97b1fe5b7d52d460e71ed76b33029522e18c9d6f5d2460"},
-	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3", "09d74ccaa9a410b691d00204baa32d9d5effcfe32c5790b829a0310f32fdf059"},
+	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad"},
+	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d"},
+	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33"},
+	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0"},
+	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d"},
+	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd"},
 }
 
 func TestLoadPathGolden(t *testing.T) {

@@ -642,6 +642,8 @@ func mergeStats(dst *hive.QueryStats, s hive.QueryStats) {
 	dst.Seeks += s.Seeks
 	dst.GroupsSkipped += s.GroupsSkipped
 	dst.BitmapHits += s.BitmapHits
+	dst.ShufflePairs += s.ShufflePairs
+	dst.ShuffleBytes += s.ShuffleBytes
 	dst.Vectorized = dst.Vectorized && s.Vectorized
 	if s.SimTotalSec() > dst.SimTotalSec() {
 		dst.IndexSimSec, dst.DataSimSec = s.IndexSimSec, s.DataSimSec

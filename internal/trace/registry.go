@@ -27,6 +27,8 @@ const (
 	MetricCacheHitsTotal       = "dgf_cache_hits_total"
 	MetricRecordsReadTotal     = "dgf_records_read_total"
 	MetricBytesReadTotal       = "dgf_bytes_read_total"
+	MetricShufflePairsTotal    = "dgf_shuffle_pairs_total"
+	MetricShuffleBytesTotal    = "dgf_shuffle_bytes_total"
 	MetricRowsOutTotal         = "dgf_rows_out_total"
 	MetricSimClusterSeconds    = "dgf_sim_cluster_seconds_total"
 	MetricQueryLatencyMs       = "dgf_query_latency_ms"
