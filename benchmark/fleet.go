@@ -321,8 +321,9 @@ func (f *fleet) stopServing(ctx context.Context) error {
 }
 
 // freshServer replaces the Server (and so its plan and result caches) with a
-// new one over the same router and data. Not for WAL fleets: the log is
-// attached to the Server it was opened by.
+// new one over the same router and data. The old Server closes the load
+// engine it opened and the new one opens its own, from the zero config: so not
+// for a fleet with a WAL directory, which would go on without its log.
 func (f *fleet) freshServer() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

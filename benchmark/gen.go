@@ -58,6 +58,7 @@ func (r *rng) between(lo, hi int) int { return lo + r.intn(hi-lo+1) }
 const (
 	streamStatements = 1 << 32
 	streamCacheDraw  = 1<<32 + 1
+	streamSubCent    = 1<<32 + 2
 )
 
 // dataset is the generated meter data in the compact form the oracle reads:
@@ -289,6 +290,7 @@ type stmt struct {
 	TsLo, TsHi         int64 // ts >= TsLo AND ts < TsHi (Unix seconds)
 	MinCents           int   // powerConsumed >= MinCents/100 (with HasMin)
 	HasMin             bool
+	SubCent            int   // 1..999: the bound is written off the cents grid (see where)
 	Vendors            []int // vendor IN (...)
 }
 
@@ -329,37 +331,46 @@ var (
 // ranges fall, not by which shapes a seed happened to draw.
 type stmtGen struct {
 	r      *rng
+	sub    *rng // SubCent's own stream: r yields what sets a statement's cost, as it did without SubCent
 	n      int
 	seen   map[string]bool
 	made   map[string]int // statements handed out so far, by class
 	make   func(g *stmtGen, i int) stmt
 	tables []string // alternated per statement
+	// redraws counts the draws thrown away for repeating earlier SQL.
+	redraws int
 }
 
 func newStmtGen(seed int64, make func(*stmtGen, int) stmt, tables ...string) *stmtGen {
-	return &stmtGen{r: newRNG(seed, streamStatements), seen: map[string]bool{}, made: map[string]int{}, make: make, tables: tables}
+	return &stmtGen{r: newRNG(seed, streamStatements), sub: newRNG(seed, streamSubCent), seen: map[string]bool{}, made: map[string]int{}, make: make, tables: tables}
 }
+
+// maxRedraws is how many consecutive draws may repeat earlier SQL before next
+// declares the statement's class exhausted. Every class's space is sized so
+// that a list of minStatements never comes near it (README, "Dataset").
+const (
+	maxRedraws    = 1000
+	minStatements = 50000
+)
 
 // next returns statement number g.n. Parameters are redrawn until the SQL is
 // new, so every statement of a run misses the result cache by construction.
-func (g *stmtGen) next() stmt {
-	for {
-		s := g.make(g, g.n)
+// A class that has run out of new statements is an error, not a longer wait:
+// the redraws are bounded.
+func (g *stmtGen) next() (stmt, error) {
+	var s stmt
+	for redraws := 0; redraws < maxRedraws; redraws++ {
+		s = g.make(g, g.n)
 		if !g.seen[s.SQL] {
 			g.seen[s.SQL] = true
 			g.made[s.Class]++
 			g.n++
-			return s
+			return s, nil
 		}
+		g.redraws++
 	}
-}
-
-func (g *stmtGen) take(n int) []stmt {
-	out := make([]stmt, n)
-	for i := range out {
-		out[i] = g.next()
-	}
-	return out
+	return stmt{}, fmt.Errorf("statement %d: class %s is exhausted: it made %d distinct statements, then %d draws in a row repeated one of them (widen the class in gen.go)",
+		g.n, s.Class, g.made[s.Class], maxRedraws)
 }
 
 // table alternates the target tables so that each class slot of a schedule
@@ -436,7 +447,14 @@ func (s *stmt) where() string {
 		c = append(c, "ts<'"+sqlTime(s.TsHi)+"'")
 	}
 	if s.HasMin {
-		c = append(c, "powerConsumed>="+strconv.FormatFloat(float64(s.MinCents)/100, 'f', 2, 64))
+		bound := strconv.FormatFloat(float64(s.MinCents)/100, 'f', 2, 64)
+		if s.SubCent > 0 {
+			// Readings are whole cents, so a bound SubCent thousandths of a
+			// cent above MinCents-1 selects exactly the rows MinCents selects
+			// (the oracle keeps comparing integer cents): 999 texts, one cost.
+			bound = milliCents((s.MinCents-1)*1000 + s.SubCent)
+		}
+		c = append(c, "powerConsumed>="+bound)
 	}
 	if len(s.Vendors) > 0 {
 		names := make([]string, len(s.Vendors))
@@ -446,6 +464,16 @@ func (s *stmt) where() string {
 		c = append(c, "vendor IN ("+strings.Join(names, ", ")+")")
 	}
 	return strings.Join(c, " AND ")
+}
+
+// milliCents writes t thousandths of a cent as a power literal, digit by
+// digit: no float formatting decides where an off-grid bound lands.
+func milliCents(t int) string {
+	sign := ""
+	if t < 0 {
+		sign, t = "-", -t
+	}
+	return fmt.Sprintf("%s%d.%05d", sign, t/100000, t%100000)
 }
 
 func sqlTime(unix int64) string {
@@ -555,10 +583,16 @@ func scanStmt(g *stmtGen, i int) stmt {
 				s.Vendors = append(s.Vendors, v)
 			}
 		}
+		// One vendor has 64 values. A bound below every reading, on the column
+		// the sum reads anyway, gives each vendor list 999 texts and removes
+		// no row.
+		s.HasMin, s.SubCent = true, g.sub.between(1, 999)
 	case classProject:
-		// About 0.25 % of the rows, ~1.5k, come back as rows.
+		// About 0.25 % of the rows, ~1.5k, come back as rows. The bound has 50
+		// values per selectivity band; SubCent gives each 999 texts.
 		s.Select = selProject
 		s.HasMin, s.MinCents = true, 99650+50*digit(&k, 4)+g.r.intn(50)
+		s.SubCent = g.sub.between(1, 999)
 	case classFull:
 		// 90-100 % of the rows qualify and fold into 11 groups.
 		s.Select, s.GroupBy = selCountAvg, "regionId"

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +18,7 @@ var pinned = map[int64]map[string]string{
 		"rows":         "5f335ebb7cdb099f8e583bb6261be4de846662d49171ca6ae70b53c5a4e6de30",
 		"batches":      "7b239fcdcd78c5807b687fa2bff4e114a64de94c43c673c6dffc5b1dced88b3d",
 		"mdrq_index":   "3506afa2b0d6af0eb8539d8df246a2428c5f4209aa0f005798c0e60a7939c2de",
-		"scan_agg":     "40f4b15e953db862f92d18b03644a76295343ad5482a7a4c6e656fe042490bbc",
+		"scan_agg":     "f0de706dd33c958742b94c9eecff143aba7a77f8cfe0470a8805e24f3e856f35",
 		"cache_hot":    "7fc0ec42af3f9573ef7f206f49f20cf9a59a471b7afc579ad380138916a99298",
 		"ingest_mixed": "54ad2955ffd88d7997423da6b039740f5338df8cd9eb40e8a32f512349bff652",
 	},
@@ -24,7 +26,7 @@ var pinned = map[int64]map[string]string{
 		"rows":         "c338d359234bcb19c883145614e1ab54011931af131a2a53240f8dbc82400e27",
 		"batches":      "c66bd4b51ddc0900241cb8fb71e456717aa1eae710f9ade4ac3196b08e0e74bc",
 		"mdrq_index":   "09096d984c8e0fe90eb59302d846c23a2c8fc64623d2fbccbe9cd21b72508a24",
-		"scan_agg":     "e32231b838cab5a207374f36c7b0bc9bfaca4576933d9b352f3e67d02ba95bd6",
+		"scan_agg":     "6964fefe49d1c9f9c8ec64acf818fb3c065c4d04bad48beb87922288587874a2",
 		"cache_hot":    "030f2caa8460cb9ff5521b611e0737ba582f6c244dd5a1ec82ee0c6e263ef601",
 		"ingest_mixed": "663a5b8dee5e9836ffe4fbcdd5f95d73b25d9ebd4eb49987730cfbb2be5229c3",
 	},
@@ -74,32 +76,72 @@ func TestInputsAreFrozen(t *testing.T) {
 	}
 }
 
-func TestStatementsAreDistinctAndKeepTheirShares(t *testing.T) {
+// Every workload's generator yields minStatements statements — far more than
+// a run can send — all distinct, with the class shares exact in every 20, and
+// throws away few enough draws that generating stays out of the measured
+// pass. cache_hot's generator is held to the same: it is the requests drawn
+// from its first 64 statements that repeat.
+func TestGeneratorsNeverExhaust(t *testing.T) {
+	per20 := map[string]map[string]int{
+		"mdrq_index":   {classAgg: 7, classGroupBy: 6, classPoint: 3, classAggNoPre: 2, classJoin: 2},
+		"scan_agg":     {classZone: 10, classDict: 4, classProject: 4, classFull: 2},
+		"cache_hot":    {classAgg: 10, classGroupBy: 10},
+		"ingest_mixed": {classAgg: 8, classGroupBy: 8, classFrontier: 4},
+	}
 	for _, w := range workloads {
-		if w.name == "cache_hot" {
-			continue // draws from a fixed set by design
-		}
-		source := workloadList(w.name, 7)
-		seen := map[string]bool{}
-		classes := map[string]int{}
-		const n = 400
-		for i := 0; i < n; i++ {
-			s := source(i)
-			if seen[s.SQL] {
-				t.Fatalf("%s: statement %d repeats %q", w.name, i, s.SQL)
+		for _, seed := range []int64{defaultSeed, 7} {
+			g := w.generator(seed)
+			seen := make(map[string]bool, minStatements)
+			classes := map[string]int{}
+			for i := 0; i < minStatements; i++ {
+				s, err := g.next()
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", w.name, seed, err)
+				}
+				if seen[s.SQL] {
+					t.Fatalf("%s seed %d: statement %d repeats %q", w.name, seed, i, s.SQL)
+				}
+				seen[s.SQL] = true
+				classes[s.Class]++
+				if i%20 != 19 {
+					continue
+				}
+				if !maps.Equal(classes, per20[w.name]) {
+					t.Fatalf("%s seed %d: classes %v in the 20 ending at %d, want %v", w.name, seed, classes, i, per20[w.name])
+				}
+				clear(classes)
 			}
-			seen[s.SQL] = true
-			classes[s.Class]++
-		}
-		want := map[string]map[string]int{
-			"mdrq_index":   {classAgg: 140, classGroupBy: 120, classPoint: 60, classAggNoPre: 40, classJoin: 40},
-			"scan_agg":     {classZone: 200, classDict: 80, classProject: 80, classFull: 40},
-			"ingest_mixed": {classAgg: 160, classGroupBy: 160, classFrontier: 80},
-		}[w.name]
-		for class, count := range want {
-			if classes[class] != count {
-				t.Errorf("%s: %d %s statements in %d, want %d", w.name, classes[class], class, n, count)
+			if g.redraws > minStatements/4 {
+				t.Errorf("%s seed %d: %d redraws for %d statements: a class is close to exhausted", w.name, seed, g.redraws, minStatements)
 			}
+		}
+	}
+}
+
+// A class with no new statement left is reported within the redraw bound; at
+// the parent commit this call never returned.
+func TestExhaustionIsAnError(t *testing.T) {
+	draws := 0
+	g := newStmtGen(7, func(g *stmtGen, i int) stmt {
+		draws++
+		return stmt{Class: "tiny", SQL: fmt.Sprint("SELECT ", g.r.intn(3))}
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := g.next(); err != nil {
+			t.Fatalf("statement %d of a space of 3: %v", i, err)
+		}
+	}
+	before := draws
+	_, err := g.next()
+	if err == nil {
+		t.Fatal("a fourth statement came out of a space of 3")
+	}
+	if draws-before != maxRedraws {
+		t.Errorf("gave up after %d draws, want %d", draws-before, maxRedraws)
+	}
+	for _, want := range []string{"statement 3", "class tiny", "3 distinct"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
 		}
 	}
 }

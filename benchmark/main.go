@@ -13,9 +13,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"time"
 )
@@ -65,6 +67,27 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
+// A run's context expires at runDeadline, which fails whatever HTTP calls are
+// still out and lets the run end by itself with those failures counted. The
+// context reaches nothing that is not waiting on the network, so a watchdog
+// stands behind it: a run still going unwindGrace later is ended from outside,
+// inside the driver's 180 s.
+const (
+	runDeadline = 170 * time.Second
+	unwindGrace = 5 * time.Second
+)
+
+// watchdog ends a run that is still going after d: every goroutine's stack
+// goes to w, so the hang can be found, and the process exits 2. One hung run
+// then costs one run. stop calls it off.
+func watchdog(d time.Duration, workload string, w io.Writer, exit func(code int)) (stop func() bool) {
+	return time.AfterFunc(d, func() {
+		fmt.Fprintf(w, "benchmark: %s: still running after %v; every goroutine's stack follows\n", workload, d)
+		pprof.Lookup("goroutine").WriteTo(w, 2)
+		exit(2)
+	}).Stop
+}
+
 type runConfig struct {
 	seed    int64
 	seconds float64
@@ -80,8 +103,9 @@ func (c runConfig) run(def *workloadDef) (r *run, err error) {
 	}
 	r = &run{def: def, seed: c.seed, seconds: c.seconds, traced: c.traced, outDir: c.outDir, m: newMetricSet()}
 	r.ds = newDataset(c.seed, baseDays)
-	ctx, cancel := context.WithTimeout(context.Background(), 170*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
 	defer cancel()
+	defer watchdog(runDeadline+unwindGrace, def.name, os.Stderr, os.Exit)()
 	defer func() {
 		if r.f != nil {
 			if cerr := r.f.close(); err == nil {

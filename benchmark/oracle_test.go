@@ -106,3 +106,55 @@ func mustFloat(t *testing.T, s string) float64 {
 	}
 	return f
 }
+
+// project and dict write their bound off the cents grid (stmt.SubCent). The
+// engine compares a reading, the float64 of whole cents, with that literal;
+// the oracle compares integer cents. For every bound the generator can write,
+// the two must select the same readings.
+func TestOffGridBoundsSelectWhatWholeCentsSelect(t *testing.T) {
+	literal := func(s *stmt) float64 {
+		t.Helper()
+		s.render()
+		_, lit, found := strings.Cut(s.SQL, "powerConsumed>=")
+		if !found {
+			t.Fatalf("no powerConsumed bound in %q", s.SQL)
+		}
+		lit, _, _ = strings.Cut(lit, " ")
+		return mustFloat(t, lit)
+	}
+	minCents := []int{0} // dict: below every reading
+	for c := 99650; c < 99850; c++ {
+		minCents = append(minCents, c) // project
+	}
+	for _, m := range minCents {
+		for sub := 1; sub <= 999; sub++ {
+			s := stmt{Table: "meterlog", Select: selProject, HasMin: true, MinCents: m, SubCent: sub}
+			bound := literal(&s)
+			// The two readings the bound must fall between.
+			if m > 0 && power(int32(m-1)) >= bound {
+				t.Fatalf("%q selects %v, below MinCents %d", s.SQL, power(int32(m-1)), m)
+			}
+			if power(int32(m)) < bound {
+				t.Fatalf("%q leaves out %v, MinCents is %d", s.SQL, power(int32(m)), m)
+			}
+		}
+	}
+
+	ds := newDataset(7, 1)
+	for _, s := range []stmt{
+		{Table: "meterlog", Select: selProject, HasMin: true, MinCents: 99650, SubCent: 1},
+		{Table: "meterlog", Select: selProject, HasMin: true, MinCents: 99849, SubCent: 999},
+		{Table: "meterlog", Select: selCountSum, HasMin: true, SubCent: 500, Vendors: []int{3}},
+	} {
+		bound := literal(&s)
+		var want int64
+		for user, c := range ds.cents[0] {
+			if power(c) >= bound && (len(s.Vendors) == 0 || vendorOf(user+1, 0) == s.Vendors[0]) {
+				want++
+			}
+		}
+		if got := ds.answer(&s, 1).qualifying; got != want || want == 0 {
+			t.Errorf("%q: the oracle counts %d readings, the literal selects %d", s.SQL, got, want)
+		}
+	}
+}

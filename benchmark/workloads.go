@@ -56,7 +56,7 @@ var workloads = []*workloadDef{
 	},
 	{
 		name:    "scan_agg",
-		why:     "same engine, opposite layer mix: an RCFile table with no DGFIndex, so decode, predicate kernels, per-row aggregation and the text shuffle do the work and dgf/kvstore do none",
+		why:     "same engine, opposite layer mix: an RCFile table with no DGFIndex, so decode, predicate kernels, the typed per-split fold and projection do the work and dgf/kvstore do none",
 		tables:  []tableSpec{{name: "meterlog", format: "RCFILE", vendor: true}},
 		clients: 1, setups: 3, warmup: 20, simStatements: 40, stmts: scanStmt, execute: (*run).readWorkload,
 	},
@@ -84,18 +84,33 @@ func findWorkload(name string) *workloadDef {
 	return nil
 }
 
-// stmtList hands out statement i of a generator to any number of clients.
-type stmtList struct {
-	mu   sync.Mutex
-	g    *stmtGen
-	list []*stmt
+// generator yields the workload's statements for a seed.
+func (w *workloadDef) generator(seed int64) *stmtGen {
+	names := make([]string, len(w.tables))
+	for i, t := range w.tables {
+		names[i] = t.name
+	}
+	return newStmtGen(seed, w.stmts, names...)
 }
 
+// stmtList hands out statement i of a generator to any number of clients.
+type stmtList struct {
+	mu       sync.Mutex
+	workload string
+	g        *stmtGen
+	list     []*stmt
+}
+
+// at ends the run, with exit code 2, when the generator is exhausted: a run
+// that outpaces its statement space has no result to report.
 func (l *stmtList) at(i int) *stmt {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.list) <= i {
-		s := l.g.next()
+		s, err := l.g.next()
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", l.workload, err))
+		}
 		l.list = append(l.list, &s)
 	}
 	return l.list[i]
@@ -270,11 +285,7 @@ type run struct {
 
 // listSource is the statement list of the workload for a seed.
 func (r *run) listSource(seed int64) func(int) *stmt {
-	names := make([]string, len(r.def.tables))
-	for i, t := range r.def.tables {
-		names[i] = t.name
-	}
-	l := &stmtList{g: newStmtGen(seed, r.def.stmts, names...)}
+	l := &stmtList{workload: r.def.name, g: r.def.generator(seed)}
 	return l.at
 }
 
