@@ -8,8 +8,6 @@ package dgf
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 )
 
@@ -229,53 +227,4 @@ func (h Header) Merge(other Header) {
 			h[i].Merge(other[i])
 		}
 	}
-}
-
-// encodeHeader renders the header compactly: func:value:n fields joined by
-// commas. NaN guards empty accumulators.
-func encodeHeader(h Header) string {
-	var b strings.Builder
-	for i, a := range h {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if a.N == 0 {
-			b.WriteString("-")
-			continue
-		}
-		b.WriteString(strconv.FormatFloat(a.Value, 'g', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(a.N, 10))
-	}
-	return b.String()
-}
-
-func decodeHeader(specs []AggSpec, s string) (Header, error) {
-	h := NewHeader(specs)
-	if s == "" {
-		return h, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) != len(specs) {
-		return nil, fmt.Errorf("dgf: header has %d fields, index has %d precomputes", len(parts), len(specs))
-	}
-	for i, p := range parts {
-		if p == "-" {
-			continue
-		}
-		j := strings.IndexByte(p, ':')
-		if j < 0 {
-			return nil, fmt.Errorf("dgf: bad header field %q", p)
-		}
-		v, err := strconv.ParseFloat(p[:j], 64)
-		if err != nil || math.IsNaN(v) {
-			return nil, fmt.Errorf("dgf: bad header value %q", p)
-		}
-		n, err := strconv.ParseInt(p[j+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dgf: bad header count %q", p)
-		}
-		h[i].Value, h[i].N = v, n
-	}
-	return h, nil
 }

@@ -3,7 +3,6 @@ package dgf
 import (
 	"encoding/binary"
 	"fmt"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,7 +98,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	if err := fs.MkdirAll(dataDir); err != nil {
 		return nil, nil, err
 	}
-	ix.gfuBytes.Store(ix.countGFUBytes()) // pairs a previous index left in kv count, as they always did
+	ix.recountGFUs() // pairs a previous index left in kv count, as they always did
 	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema}
 	stats, err := ix.runBuildJob(cfg, input, true)
 	if err != nil {
@@ -128,9 +127,9 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}
 	kvBefore := ix.KV.Stats()
 
-	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, entries, droppedCols, ix's bounds
+	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, merged, droppedCols, ix's bounds
 	boundsInit := !fresh // appends extend existing bounds
-	var entries int
+	var merged []mergedPairs
 	droppedCols := map[int]bool{} // bitmap columns overflowed in some output file
 
 	// A distinct file-name generation per build run keeps append output
@@ -167,7 +166,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			if len(groups) == 0 {
 				return nil
 			}
-			name := path.Join(ix.DataDir, fmt.Sprintf("part-%d-r-%05d", gen, task))
+			name := ix.partFile(int64(gen), int64(task))
 			sw, err := storage.NewSegmentWriterOpts(ix.FS, name, ix.Schema, ix.Format, ix.GroupRows,
 				storage.SegmentWriterOptions{BitmapCols: ix.bitmapCols, GroupBytes: ix.GroupBytes})
 			if err != nil {
@@ -219,9 +218,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				if err := sw.Cut(); err != nil {
 					return err
 				}
-				end := sw.Offset()
-				val := GFUValue{Header: header, Slices: []SliceLoc{{File: name, Start: start, End: end}}}
-				pairs = append(pairs, gfuPair{key: g.Key, value: encodeGFUValue(val)})
+				pairs = append(pairs, gfuPair{key: g.Key, header: header, start: start, end: sw.Offset()})
 			}
 			if err := sw.Close(); err != nil {
 				return err
@@ -231,9 +228,12 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				overflowed = rep.BitmapOverflows()
 			}
 			// Merge with any existing pairs (late data for a known cell).
-			ix.mergePairs(pairs)
+			m, err := ix.mergePairs(gen, task, pairs)
+			if err != nil {
+				return err
+			}
 			mu.Lock()
-			entries += len(pairs)
+			merged = append(merged, m)
 			for _, c := range overflowed {
 				droppedCols[c] = true
 			}
@@ -252,6 +252,15 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	jobStats, err := mapreduce.Run(cfg, job)
 	if err != nil {
 		return nil, err
+	}
+	// Every reduce task succeeded: only now do the pairs reach the store, so a
+	// failed run leaves every GFU pair as it was.
+	var entries int
+	for _, m := range merged {
+		ix.KV.PutBatch(m.pairs)
+		ix.gfuBytes.Add(m.grownBytes)
+		ix.gfuEntries.Add(m.fresh)
+		entries += len(m.pairs)
 	}
 	// Fold this run's overflowed bitmap columns into the index's persistent
 	// disabled set (sorted column names, deduplicated across runs).
@@ -336,41 +345,63 @@ func (k *gfuKeys) of(cells []int64) string {
 	return key
 }
 
-// gfuPair is one freshly built <GFUKey, GFUValue> pair.
+// gfuPair is one freshly built <GFUKey, GFUValue> pair: the header and the one
+// Slice the reduce task wrote for the cell.
 type gfuPair struct {
-	key   string
-	value []byte
+	key        string
+	header     Header
+	start, end int64
 }
 
-// mergePairs installs freshly built GFU pairs, merging headers and slice
-// lists with existing pairs for the same key, and keeps the SizeBytes total.
-func (ix *Index) mergePairs(pairs []gfuPair) {
+// mergedPairs is one reduce task's pairs ready for the store, with what
+// putting them adds to the SizeBytes and Entries totals.
+type mergedPairs struct {
+	pairs             map[string][]byte
+	grownBytes, fresh int64
+}
+
+// mergePairs encodes the pairs reduce task `task` of run `gen` built, merging
+// header and slice list with the stored pair of the same key. A stored value
+// that does not decode fails the run: overwriting it would drop the cell's
+// earlier Slices from every later query.
+func (ix *Index) mergePairs(gen, task int, pairs []gfuPair) (mergedPairs, error) {
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = gfuPrefix + p.key
 	}
-	existing := ix.KV.MultiGet(keys)
-	out := make(map[string][]byte, len(pairs))
-	var grown int64
-	for i, p := range pairs {
-		enc := p.value
-		prev := existing[i]
+	m := mergedPairs{pairs: make(map[string][]byte, len(pairs))}
+	var scratch []byte
+	var stored []SliceLoc // decoded only to check the stored value
+	for i, prev := range ix.KV.MultiGet(keys) {
+		p := pairs[i]
+		slices, oldLocs := uint64(1), []byte(nil)
 		if prev != nil {
-			oldVal, err1 := decodeGFUValue(ix.Spec.Precompute, prev)
-			newVal, err2 := decodeGFUValue(ix.Spec.Precompute, enc)
-			if err1 == nil && err2 == nil {
-				oldVal.Header.Merge(newVal.Header)
-				oldVal.Slices = append(oldVal.Slices, newVal.Slices...)
-				enc = encodeGFUValue(oldVal)
+			old := NewHeader(ix.Spec.Precompute)
+			locs, err := readHeader(old, prev)
+			if err == nil {
+				stored, err = ix.readSlices(stored[:0], locs)
 			}
-			grown += int64(len(enc) - len(prev))
-		} else {
-			grown += int64(len(keys[i]) + len(enc))
+			if err != nil {
+				return mergedPairs{}, ix.badGFU(keys[i], err)
+			}
+			old.Merge(p.header)
+			p.header = old
+			count, n := binary.Uvarint(locs)
+			slices, oldLocs = count+1, locs[n:]
 		}
-		out[keys[i]] = enc
+		scratch = appendHeader(scratch[:0], p.header)
+		scratch = append(binary.AppendUvarint(scratch, slices), oldLocs...)
+		scratch = appendLoc(scratch, gen, task, p.start, p.end)
+		enc := append([]byte(nil), scratch...) // the store keeps it: no spare capacity
+		if prev != nil {
+			m.grownBytes += int64(len(enc) - len(prev))
+		} else {
+			m.grownBytes += int64(len(keys[i]) + len(enc))
+			m.fresh++
+		}
+		m.pairs[keys[i]] = enc
 	}
-	ix.KV.PutBatch(out)
-	ix.gfuBytes.Add(grown)
+	return m, nil
 }
 
 // AddPrecompute registers additional pre-computed aggregations on a live
@@ -430,17 +461,18 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	// Rewrite the stored pairs with extended headers, keeping locations.
 	updates := map[string][]byte{}
 	var total int64
+	old := NewHeader(ix.Spec.Precompute)
 	for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
-		old, err := decodeGFUValue(ix.Spec.Precompute, p.Value)
-		if err != nil {
-			return nil, err
-		}
 		key := p.Key[len(gfuPrefix):]
+		locs, err := readHeader(old, p.Value)
+		if err != nil {
+			return nil, ix.badGFU(p.Key, err)
+		}
 		h, ok := headers[key]
 		if !ok {
 			h = NewHeader(extended)
 		}
-		enc := encodeGFUValue(GFUValue{Header: h, Slices: old.Slices})
+		enc := append(appendHeader(nil, h), locs...)
 		updates[p.Key] = enc
 		total += int64(len(p.Key) + len(enc))
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -130,11 +131,11 @@ func hashTree(t *testing.T, fs *dfs.FS, dir string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// hashKV digests every pair of the store in key order.
-func hashKV(kv *kvstore.Store) string {
+// hashKV digests pairs in the order given (a scan's: by key).
+func hashKV(pairs []kvstore.Pair) string {
 	h := sha256.New()
 	var n [8]byte
-	for _, p := range kv.ScanPrefix("") {
+	for _, p := range pairs {
 		binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
 		h.Write(n[:])
 		h.Write([]byte(p.Key))
@@ -161,74 +162,100 @@ type goldenStage struct {
 	files, kv, stats string
 }
 
-// golden holds the hashes recorded at the parent commit: per source format,
-// after Build, after an append extending ts and after an append into fresh
-// userId cells.
+// goldenStages names the three pinned stages: Build, an append extending ts
+// and an append into fresh userId cells.
+var goldenStages = [3]string{"build", "append(ts)", "append(new cells)"}
+
+// golden holds the hashes per source format and stage. The files hashes are
+// those recorded at fe95d05. The kv and stats hashes were re-recorded when the
+// GFUValue became binary: the pair bytes changed and, with them,
+// BuildStats.IndexBytes — TestBuildGoldenMovedAsDescribed holds the move to
+// exactly that.
 var golden = map[storage.Format][3]goldenStage{
 	storage.TextFile: {
-		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "2088ff2f111d03e92bb8141f5839235c6c750cddacd91d1d247ae74b6ccb6d7a", "af8c7b27e7549cd5ce3a21931cd92484896770b32e63c6c13705e82d46e97b05"},
-		{"d9d80d20ae78a650942a3709822de0c038f9201cc028d8b448e468a239c31f84", "b7f08e8c39b5e62ef8da11a83ddba65109ee893b94cd987357c99bdb6030e580", "e0baeb11b23dd55ca00c50720a671e3e3abd7c4b23c756a8133e69fb3d452051"},
-		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "d856c37944a4441fe27b49e5ef17cb5543700d8d27c7ab0929cdeb644ccd67c0", "3aaff7691c890f2dd8fde6e88d5deb8ce70eb3e962ef8e42ea62c2d7ce8ef418"},
+		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "5ee1768161008d35e8fe5aa82f7648dbdc7db7e8be95c5dad4fca8d0ca34129a", "12ca76c21bce485c18764fd03f352e7ff4e889b7b4a3fbfee2b5ca66e089ea87"},
+		{"d9d80d20ae78a650942a3709822de0c038f9201cc028d8b448e468a239c31f84", "bb9190e292c371195a56845f990dcbac3a21ed6bc3d6d635f98790e737c08a9a", "4cbb7c62fed3da47f6f919286e94bd4daab54b12b0876dd07826ed858399436a"},
+		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "bfe1ede97c238737f7971c3f48b0f9adeaf0a8c0e5c240753eb1d6858f9420a7", "73e721f0d59fbaf656c32ebc5e645487ef10f4067fcaf5e0c7d2e15a3e48b3e9"},
 	},
 	storage.RCFile: {
-		{"d655d847179a2da1d51e3a58990e1975a5b41eb7a329b1b87433f0b8f3edcc3a", "a63f7871f2d5865c4efb3dbdcf7e07608a55e8e5a28d5d07a88da51988aba332", "cf5bf35e31e1690512babe8f30a2e19cf54a1b5e79ad586924fa0063b9e4f41c"},
-		{"8a610f18310a0f5dcd40088a29e4fa0dd05bb52526368d757294066dea8ea02e", "5d151dc89745f218399fb49218618bf14db5effbeade1947b453026ac28b2ded", "1f563095c22c6f9c0f528ac6a0f3804aae146d66cb8bd5de2b86f3bf7721a407"},
-		{"1993d451796c608863e8c4667d68fae8903cd07d9ea59e468eafeffe8c3ec4a5", "f647e04c6c1e1aa0f6db076e8f354e16a1ec318dd56db49c071882b244977b58", "688b8755f51b6035fe61658b7c6e53fe864a35263fb3c95681a6f5eec3e8ac12"},
+		{"d655d847179a2da1d51e3a58990e1975a5b41eb7a329b1b87433f0b8f3edcc3a", "4a9c3c0ee12550404c2114e36037e96d6be19bb47f6f348077676d46c8a7f019", "a8e57267e732c55c7e8a278964b4449f4a7e798f16ed40070da54feff6410f6a"},
+		{"8a610f18310a0f5dcd40088a29e4fa0dd05bb52526368d757294066dea8ea02e", "50c3f5489c77dbee383c005e7bc3bd90fd9e832a68b139521c36ad8f27eaaf8b", "4a704401c13f7894f95bc5e120f9056cef85df64fdcce231a1ee1bbcafd78862"},
+		{"1993d451796c608863e8c4667d68fae8903cd07d9ea59e468eafeffe8c3ec4a5", "97c42677696ee4c91c72204fa3d9cb263ec1ef9ba9355029fd6dd3c248fc9347", "37c2bd0c208a614ecacf9927a16a3ae815f30336f4cd86bb4f52763914de9ca8"},
 	},
+}
+
+// goldenText holds the kv and stats hashes the text-form GFUValue produced
+// (recorded at fe95d05, unchanged until the binary codec).
+var goldenText = map[storage.Format][3]goldenStage{
+	storage.TextFile: {
+		{kv: "2088ff2f111d03e92bb8141f5839235c6c750cddacd91d1d247ae74b6ccb6d7a", stats: "af8c7b27e7549cd5ce3a21931cd92484896770b32e63c6c13705e82d46e97b05"},
+		{kv: "b7f08e8c39b5e62ef8da11a83ddba65109ee893b94cd987357c99bdb6030e580", stats: "e0baeb11b23dd55ca00c50720a671e3e3abd7c4b23c756a8133e69fb3d452051"},
+		{kv: "d856c37944a4441fe27b49e5ef17cb5543700d8d27c7ab0929cdeb644ccd67c0", stats: "3aaff7691c890f2dd8fde6e88d5deb8ce70eb3e962ef8e42ea62c2d7ce8ef418"},
+	},
+	storage.RCFile: {
+		{kv: "a63f7871f2d5865c4efb3dbdcf7e07608a55e8e5a28d5d07a88da51988aba332", stats: "cf5bf35e31e1690512babe8f30a2e19cf54a1b5e79ad586924fa0063b9e4f41c"},
+		{kv: "5d151dc89745f218399fb49218618bf14db5effbeade1947b453026ac28b2ded", stats: "1f563095c22c6f9c0f528ac6a0f3804aae146d66cb8bd5de2b86f3bf7721a407"},
+		{kv: "f647e04c6c1e1aa0f6db076e8f354e16a1ec318dd56db49c071882b244977b58", stats: "688b8755f51b6035fe61658b7c6e53fe864a35263fb3c95681a6f5eec3e8ac12"},
+	},
+}
+
+// goldenBuild runs the pinned sequence for one source format — a build over
+// 24,000 readings, ten more readings of every user, sixty fresh users — and
+// calls record after each stage.
+func goldenBuild(t *testing.T, format storage.Format, record func(stage int, ix *Index, stats *BuildStats)) {
+	t.Helper()
+	// 64 KB blocks cut both sources into well over eight splits.
+	fs := dfs.New(1 << 16)
+	schema := goldenSchema()
+	rows := goldenRows(0, goldenUsers, 0, goldenReadings)
+	if len(rows) < 20000 {
+		t.Fatalf("only %d rows", len(rows))
+	}
+	var err error
+	if format == storage.RCFile {
+		_, err = storage.WriteRCRows(fs, "/tbl/data", schema, rows, 128)
+	} else {
+		err = storage.WriteTextRows(fs, "/tbl/data", rows)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ten more readings (two and a half fresh days), then sixty
+	// fresh users over the first day.
+	if err := storage.WriteTextRows(fs, "/staging/later", goldenRows(0, goldenUsers, goldenReadings, goldenReadings+10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := storage.WriteTextRows(fs, "/staging/newusers", goldenRows(goldenUsers, goldenUsers+60, 0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	src := Source{Dir: "/tbl", Format: format, GroupRows: 16}
+	ix, stats, err := Build(testCfg(), fs, kvstore.New(), goldenSpec(), schema, src, "/tbl_dgf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Job.Splits < 8 {
+		t.Fatalf("build read %d splits, want at least 8", stats.Job.Splits)
+	}
+	record(0, ix, stats)
+	for i, file := range []string{"/staging/later", "/staging/newusers"} {
+		stats, err := ix.Append(testCfg(), []string{file})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(i+1, ix, stats)
+	}
 }
 
 func TestBuildGolden(t *testing.T) {
 	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
 		t.Run(format.String(), func(t *testing.T) {
-			// 64 KB blocks cut both sources into well over eight splits.
-			fs := dfs.New(1 << 16)
-			schema := goldenSchema()
-			rows := goldenRows(0, goldenUsers, 0, goldenReadings)
-			if len(rows) < 20000 {
-				t.Fatalf("only %d rows", len(rows))
-			}
-			var err error
-			if format == storage.RCFile {
-				_, err = storage.WriteRCRows(fs, "/tbl/data", schema, rows, 128)
-			} else {
-				err = storage.WriteTextRows(fs, "/tbl/data", rows)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Ten more readings (two and a half fresh days), then sixty
-			// fresh users over the first day.
-			if err := storage.WriteTextRows(fs, "/staging/later", goldenRows(0, goldenUsers, goldenReadings, goldenReadings+10)); err != nil {
-				t.Fatal(err)
-			}
-			if err := storage.WriteTextRows(fs, "/staging/newusers", goldenRows(goldenUsers, goldenUsers+60, 0, 4)); err != nil {
-				t.Fatal(err)
-			}
-
-			kv := kvstore.New()
-			src := Source{Dir: "/tbl", Format: format, GroupRows: 16}
 			var got [3]goldenStage
 			var rendered [3]string
-			record := func(i int, stats *BuildStats) {
+			goldenBuild(t, format, func(i int, ix *Index, stats *BuildStats) {
 				rendered[i] = renderStats(stats)
-				got[i] = goldenStage{files: hashTree(t, fs, "/tbl_dgf"), kv: hashKV(kv), stats: hashString(rendered[i])}
-			}
-			ix, stats, err := Build(testCfg(), fs, kv, goldenSpec(), schema, src, "/tbl_dgf")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Job.Splits < 8 {
-				t.Fatalf("build read %d splits, want at least 8", stats.Job.Splits)
-			}
-			record(0, stats)
-			for i, file := range []string{"/staging/later", "/staging/newusers"} {
-				stats, err := ix.Append(testCfg(), []string{file})
-				if err != nil {
-					t.Fatal(err)
-				}
-				record(i+1, stats)
-			}
-
+				got[i] = goldenStage{files: hashTree(t, ix.FS, "/tbl_dgf"), kv: hashKV(ix.KV.ScanPrefix("")), stats: hashString(rendered[i])}
+				checkSliceTiling(t, ix)
+			})
 			want, ok := golden[format]
 			if !ok {
 				for i, g := range got {
@@ -237,7 +264,7 @@ func TestBuildGolden(t *testing.T) {
 				}
 				t.Fatalf("no golden hashes recorded for %v", format)
 			}
-			for i, stage := range []string{"build", "append(ts)", "append(new cells)"} {
+			for i, stage := range goldenStages {
 				if got[i].files != want[i].files {
 					t.Errorf("%s: data files and sidecars hash to %s, want %s", stage, got[i].files, want[i].files)
 				}
@@ -248,6 +275,49 @@ func TestBuildGolden(t *testing.T) {
 					t.Errorf("%s: BuildStats hash to %s, want %s\n%s", stage, got[i].stats, want[i].stats, rendered[i])
 				}
 			}
+		})
+	}
+}
+
+// TestBuildGoldenMovedAsDescribed bounds what re-recording golden's kv and
+// stats hashes let through. With every GFUValue decoded and rendered back in
+// the text form (textGFUValue), the store hashes to what the text codec
+// stored — so every key, every metadata entry and every pair's header and
+// SliceLocs are what they were; and with IndexBytes swapped for the size of
+// that rendering, BuildStats hashes to the old recording — so Entries, every
+// Job field and KVSimSeconds did not move. What did move, the size of the
+// pairs, falls to about half (the golden index stores four float64
+// pre-computes a pair; the keys stay text).
+func TestBuildGoldenMovedAsDescribed(t *testing.T) {
+	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
+		t.Run(format.String(), func(t *testing.T) {
+			goldenBuild(t, format, func(i int, ix *Index, stats *BuildStats) {
+				pairs := ix.KV.ScanPrefix("")
+				var textBytes int64
+				for pi, p := range pairs {
+					if !strings.HasPrefix(p.Key, gfuPrefix) {
+						continue
+					}
+					v, err := ix.DecodeGFUValue(p.Value)
+					if err != nil {
+						t.Fatalf("%s: %s: %v", goldenStages[i], p.Key, err)
+					}
+					pairs[pi].Value = textGFUValue(v)
+					textBytes += int64(len(p.Key) + len(pairs[pi].Value))
+				}
+				if got, want := hashKV(pairs), goldenText[format][i].kv; got != want {
+					t.Errorf("%s: with values rendered as text the store hashes to %s, the text codec's hashed to %s", goldenStages[i], got, want)
+				}
+				asText := *stats
+				asText.IndexBytes = textBytes
+				if got, want := hashString(renderStats(&asText)), goldenText[format][i].stats; got != want {
+					t.Errorf("%s: with IndexBytes %d the BuildStats hash to %s, the text codec's hashed to %s\n%s",
+						goldenStages[i], textBytes, got, want, renderStats(&asText))
+				}
+				if 100*stats.IndexBytes >= 55*textBytes {
+					t.Errorf("%s: IndexBytes %d, %d as text: want under 55%%", goldenStages[i], stats.IndexBytes, textBytes)
+				}
+			})
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -101,7 +102,7 @@ func checkSliceTiling(t *testing.T, ix *Index) {
 	t.Helper()
 	byFile := map[string][]SliceLoc{}
 	for _, p := range ix.KV.ScanPrefix("g/") {
-		v, err := decodeGFUValue(ix.Spec.Precompute, p.Value)
+		v, err := ix.DecodeGFUValue(p.Value)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -542,47 +543,81 @@ func TestAccumulatorMergeMatchesFold(t *testing.T) {
 }
 
 func TestHeaderEncodeDecode(t *testing.T) {
-	specs := []AggSpec{{Func: AggSum, Col: "x"}, {Func: AggCount}, {Func: AggMin, Col: "y"}}
+	specs := []AggSpec{{Func: AggSum, Col: "x"}, {Func: AggCount}, {Func: AggMin, Col: "y"}, {Func: AggCount}}
 	h := NewHeader(specs)
 	h[0].Fold(1.5)
 	h[0].Fold(2.5)
 	h[2].Fold(-3)
+	h[3].Fold(0)
+	h[3].Fold(0)
 	// h[1] stays empty.
-	enc := encodeHeader(h)
-	back, err := decodeHeader(specs, enc)
+	enc := appendHeader(nil, h)
+	// uvarint N + 8 value bytes for sum and min, one byte each for the empty
+	// count and for the count of two.
+	if want := 9 + 1 + 9 + 1; len(enc) != want {
+		t.Errorf("header is %d bytes (% x), want %d", len(enc), enc, want)
+	}
+	back := NewHeader(specs)
+	rest, err := readHeader(back, append(enc, 0xAB))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rest) != 1 || rest[0] != 0xAB {
+		t.Errorf("readHeader left % x, want the one byte after the header", rest)
 	}
 	for i := range h {
 		if back[i] != h[i] {
 			t.Errorf("field %d: %+v != %+v", i, back[i], h[i])
 		}
 	}
-	if _, err := decodeHeader(specs, "1:1"); err == nil {
+	// A reused scratch header keeps nothing of the value it held before.
+	if _, err := readHeader(back, appendHeader(nil, NewHeader(specs))); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range back {
+		if a != (Accumulator{Func: specs[i].Func}) {
+			t.Errorf("field %d after decoding an empty header: %+v", i, a)
+		}
+	}
+	if _, err := readHeader(back, enc[:len(enc)-2]); err == nil {
 		t.Error("short header accepted")
 	}
 }
 
 func TestGFUValueEncodeDecode(t *testing.T) {
-	specs := []AggSpec{{Func: AggSum, Col: "c"}}
-	h := NewHeader(specs)
+	ix := &Index{DataDir: "/tbl_dgf", Spec: Spec{Precompute: []AggSpec{{Func: AggSum, Col: "c"}}}}
+	h := NewHeader(ix.Spec.Precompute)
 	h[0].Fold(4.5)
 	v := GFUValue{Header: h, Slices: []SliceLoc{
 		{File: "/tbl_dgf/part-0-r-00000", Start: 0, End: 90},
 		{File: "/tbl_dgf/part-1-r-00003", Start: 450, End: 540},
 	}}
-	back, err := decodeGFUValue(specs, encodeGFUValue(v))
+	enc := encodeGFUValue(t, v)
+	// 9 header bytes, the slice count, then (0,0,0,90) and (1,3,450,90) with
+	// 450 the one two-byte uvarint: the text form of this value was 59 bytes.
+	if want := 9 + 1 + 4 + 5; len(enc) != want {
+		t.Errorf("value is %d bytes (% x), want %d", len(enc), enc, want)
+	}
+	back, err := ix.DecodeGFUValue(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Slices) != 2 || back.Slices[1] != v.Slices[1] {
+	if len(back.Slices) != 2 || back.Slices[0] != v.Slices[0] || back.Slices[1] != v.Slices[1] {
 		t.Errorf("slices = %+v", back.Slices)
 	}
 	if back.Header[0] != h[0] {
 		t.Errorf("header = %+v", back.Header[0])
 	}
-	if _, err := decodeGFUValue(specs, []byte("no-bar")); err == nil {
-		t.Error("bad value accepted")
+	// Every Slice of a file names it with the index's one string.
+	again, err := ix.DecodeGFUValue(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(again.Slices[1].File) != unsafe.StringData(back.Slices[1].File) {
+		t.Error("two decodes of one location made two file-name strings")
+	}
+	if _, err := ix.DecodeGFUValue([]byte("1750.59:3|/warehouse/meterdata_dgf/part-0-r-00031:0:80")); err == nil {
+		t.Error("a text-form value accepted")
 	}
 }
 
@@ -706,23 +741,41 @@ func scanCount(t *testing.T, ix *Index, plan *Plan, ranges map[string]gridfile.R
 }
 
 // Property: header encode/decode round-trips for arbitrary accumulator
-// contents.
+// contents — infinities and negative zero included, bit for bit.
 func TestHeaderRoundTripProperty(t *testing.T) {
 	specs := []AggSpec{{Func: AggSum, Col: "a"}, {Func: AggMax, Col: "b"}}
-	f := func(v1, v2 float64, n1, n2 uint16) bool {
-		if math.IsNaN(v1) || math.IsNaN(v2) || math.IsInf(v1, 0) || math.IsInf(v2, 0) {
+	f := func(v1, v2 float64, n1, n2 uint16, special uint8) bool {
+		switch special % 8 {
+		case 0:
+			v1 = math.Inf(1)
+		case 1:
+			v2 = math.Inf(-1)
+		case 2:
+			v1 = math.Copysign(0, -1)
+		}
+		if math.IsNaN(v1) || math.IsNaN(v2) {
 			return true
 		}
 		h := NewHeader(specs)
-		h[0] = Accumulator{Func: AggSum, Value: v1, N: int64(n1)}
-		h[1] = Accumulator{Func: AggMax, Value: v2, N: int64(n2)}
-		back, err := decodeHeader(specs, encodeHeader(h))
-		if err != nil {
+		if n1 > 0 {
+			h[0] = Accumulator{Func: AggSum, Value: v1, N: int64(n1)}
+		}
+		if n2 > 0 {
+			h[1] = Accumulator{Func: AggMax, Value: v2, N: int64(n2)}
+		}
+		back := NewHeader(specs)
+		rest, err := readHeader(back, appendHeader(nil, h))
+		if err != nil || len(rest) != 0 {
 			return false
 		}
-		return back[0] == h[0] && back[1] == h[1]
+		for i := range h {
+			if back[i].N != h[i].N || math.Float64bits(back[i].Value) != math.Float64bits(h[i].Value) {
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -878,9 +931,21 @@ func TestBuildAllocBudget(t *testing.T) {
 // index.
 func TestAppendKeepsSizeWithoutScanning(t *testing.T) {
 	ix, stats, fs := buildPaperIndex(t, 1<<20)
-	if got, want := stats.IndexBytes, ix.countGFUBytes(); got != want || ix.SizeBytes() != want {
-		t.Fatalf("after build: IndexBytes %d, SizeBytes %d, recount %d", got, ix.SizeBytes(), want)
+	// check holds the running totals to a recount of the store (which scans,
+	// so it runs outside the windows the appends are watched in).
+	check := func(when string, indexBytes int64) {
+		t.Helper()
+		var entries, bytes int64
+		for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
+			entries++
+			bytes += int64(len(p.Key) + len(p.Value))
+		}
+		if indexBytes != bytes || ix.SizeBytes() != bytes || int64(ix.Entries()) != entries {
+			t.Errorf("%s: IndexBytes %d, SizeBytes %d, Entries %d; the store holds %d bytes in %d pairs",
+				when, indexBytes, ix.SizeBytes(), ix.Entries(), bytes, entries)
+		}
 	}
+	check("after build", stats.IndexBytes)
 	batches := [][]storage.Row{
 		{{storage.Int64(20), storage.Int64(20), storage.Float64(2.0)}, {storage.Int64(30), storage.Int64(12), storage.Float64(1.5)}},
 		{{storage.Int64(8), storage.Int64(14), storage.Float64(0.5)}, {storage.Int64(1), storage.Int64(14), storage.Float64(0.25)}, {storage.Int64(20), storage.Int64(21), storage.Float64(4)}},
@@ -899,22 +964,18 @@ func TestAppendKeepsSizeWithoutScanning(t *testing.T) {
 		if delta := ix.KV.Stats().Sub(before); delta.Scans != 0 || delta.ScannedKeys != 0 {
 			t.Errorf("append %d scanned the store: %+v", i, delta)
 		}
-		if got, want := stats.IndexBytes, ix.countGFUBytes(); got != want || ix.SizeBytes() != want {
-			t.Errorf("after append %d: IndexBytes %d, SizeBytes %d, recount %d", i, got, ix.SizeBytes(), want)
-		}
+		check("after append "+strconv.Itoa(i), stats.IndexBytes)
 	}
 	if _, err := ix.AddPrecompute(testCfg(), []AggSpec{{Func: AggCount}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := ix.SizeBytes(), ix.countGFUBytes(); got != want {
-		t.Errorf("after AddPrecompute: SizeBytes %d, recount %d", got, want)
-	}
+	check("after AddPrecompute", ix.SizeBytes())
 	again, err := Open(fs, ix.KV, ix.Spec.Name, ix.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := again.SizeBytes(), ix.SizeBytes(); got != want {
-		t.Errorf("reopened index: SizeBytes %d, want %d", got, want)
+	if again.SizeBytes() != ix.SizeBytes() || again.Entries() != ix.Entries() {
+		t.Errorf("reopened index: SizeBytes %d, Entries %d, want %d and %d", again.SizeBytes(), again.Entries(), ix.SizeBytes(), ix.Entries())
 	}
 }
 

@@ -1,9 +1,14 @@
 package dgf
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"path"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -12,11 +17,13 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-// Key-value store layout. GFU pairs live under the "g/" prefix; metadata
-// (splitting policy, pre-compute list, per-dimension data bounds) under
-// "meta/". The paper stores the same information in HBase: the GFU pairs
-// plus "the minimum and maximum standardized values in every index
-// dimension" (Section 4.2).
+// Key-value store layout. GFU pairs live under the "g/" prefix: the key is
+// the paper's readable GFUKey ("g/10_10001_2012-12-03"), the value the binary
+// GFUValue described at appendHeader and appendLoc. Metadata (splitting
+// policy, pre-compute list, per-dimension data bounds) lives under "meta/" as
+// text. The paper stores the same information in HBase: the GFU pairs plus
+// "the minimum and maximum standardized values in every index dimension"
+// (Section 4.2).
 const (
 	gfuPrefix      = "g/"
 	metaPolicy     = "meta/policy"
@@ -53,57 +60,126 @@ type GFUValue struct {
 	Slices []SliceLoc
 }
 
-// encodeGFUValue renders "header|file:start:end;file:start:end".
-func encodeGFUValue(v GFUValue) []byte {
-	var b strings.Builder
-	b.WriteString(encodeHeader(v.Header))
-	b.WriteByte('|')
-	for i, s := range v.Slices {
-		if i > 0 {
-			b.WriteByte(';')
+// errBadGFUValue is what every decoder below reports; callers name the key.
+var errBadGFUValue = errors.New("malformed GFUValue")
+
+// appendHeader appends the header half of a GFUValue: per accumulator, in
+// pre-compute order, a uvarint N and — when N > 0 and the function is not
+// count — the eight little-endian bytes of the float64 value. A count stores N
+// alone (Fold and Merge keep its Value equal to N); an empty accumulator is
+// the single byte 0.
+func appendHeader(b []byte, h Header) []byte {
+	for _, a := range h {
+		b = binary.AppendUvarint(b, uint64(a.N))
+		if a.N > 0 && a.Func != AggCount {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Value))
 		}
-		b.WriteString(s.File)
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(s.Start, 10))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(s.End, 10))
 	}
-	return []byte(b.String())
+	return b
 }
 
-func decodeGFUValue(specs []AggSpec, data []byte) (GFUValue, error) {
-	s := string(data)
-	bar := strings.IndexByte(s, '|')
-	if bar < 0 {
-		return GFUValue{}, fmt.Errorf("dgf: bad GFUValue %q", s)
+// appendLoc appends one Slice location: uvarint generation, reduce task,
+// start and length. The first two are the numbers partFile names the data file
+// from, so a location names its file without storing a path. The location
+// half of a GFUValue is a uvarint slice count followed by that many locations.
+func appendLoc(b []byte, gen, task int, start, end int64) []byte {
+	b = binary.AppendUvarint(b, uint64(gen))
+	b = binary.AppendUvarint(b, uint64(task))
+	b = binary.AppendUvarint(b, uint64(start))
+	return binary.AppendUvarint(b, uint64(end-start))
+}
+
+// badGFU names the index and the GFUKey of a stored value that did not decode.
+func (ix *Index) badGFU(storeKey string, err error) error {
+	return fmt.Errorf("dgf: index %q: stored GFU %s: %w", ix.Spec.Name, storeKey[len(gfuPrefix):], err)
+}
+
+// gfuReader walks an encoded GFUValue in place. A malformed field empties
+// the reader and sets bad, so callers check once, at the end.
+type gfuReader struct {
+	b   []byte
+	bad bool
+}
+
+// uvarint reads one number: in int64 range and minimally encoded, so that
+// whatever decodes re-encodes to the same bytes.
+func (r *gfuReader) uvarint() int64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) || v > math.MaxInt64 {
+		r.b, r.bad = nil, true
+		return 0
 	}
-	h, err := decodeHeader(specs, s[:bar])
-	if err != nil {
-		return GFUValue{}, err
-	}
-	v := GFUValue{Header: h}
-	rest := s[bar+1:]
-	if rest == "" {
-		return v, nil
-	}
-	for _, part := range strings.Split(rest, ";") {
-		// File paths contain '/', never ':'; split from the right.
-		j2 := strings.LastIndexByte(part, ':')
-		if j2 < 0 {
-			return GFUValue{}, fmt.Errorf("dgf: bad slice %q", part)
+	r.b = r.b[n:]
+	return int64(v)
+}
+
+// readHeader decodes the header at the front of an encoded GFUValue into h,
+// whose length and functions the index's pre-compute list fixes, and returns
+// the location half.
+func readHeader(h Header, data []byte) ([]byte, error) {
+	r := gfuReader{b: data}
+	for i := range h {
+		n := r.uvarint()
+		h[i].N, h[i].Value = n, float64(n)
+		if n > 0 && h[i].Func != AggCount {
+			if len(r.b) < 8 {
+				return nil, errBadGFUValue
+			}
+			h[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+			r.b = r.b[8:]
+			r.bad = r.bad || math.IsNaN(h[i].Value)
 		}
-		j1 := strings.LastIndexByte(part[:j2], ':')
-		if j1 < 0 {
-			return GFUValue{}, fmt.Errorf("dgf: bad slice %q", part)
-		}
-		start, err1 := strconv.ParseInt(part[j1+1:j2], 10, 64)
-		end, err2 := strconv.ParseInt(part[j2+1:], 10, 64)
-		if err1 != nil || err2 != nil {
-			return GFUValue{}, fmt.Errorf("dgf: bad slice offsets %q", part)
-		}
-		v.Slices = append(v.Slices, SliceLoc{File: part[:j1], Start: start, End: end})
 	}
-	return v, nil
+	if r.bad {
+		return nil, errBadGFUValue
+	}
+	return r.b, nil
+}
+
+// readSlices appends the Slices of a GFUValue's location half to dst; locs
+// must hold exactly the count it announces.
+func (ix *Index) readSlices(dst []SliceLoc, locs []byte) ([]SliceLoc, error) {
+	r := gfuReader{b: locs}
+	for n := r.uvarint(); n > 0 && !r.bad; n-- {
+		gen, task, start, length := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+		if start+length < start {
+			r.bad = true
+		}
+		dst = append(dst, SliceLoc{File: ix.partFile(gen, task), Start: start, End: start + length})
+	}
+	if r.bad || len(r.b) > 0 {
+		return nil, errBadGFUValue
+	}
+	return dst, nil
+}
+
+// DecodeGFUValue decodes one stored GFUValue of this index.
+func (ix *Index) DecodeGFUValue(data []byte) (GFUValue, error) {
+	v := GFUValue{Header: NewHeader(ix.Spec.Precompute)}
+	locs, err := readHeader(v.Header, data)
+	if err == nil {
+		v.Slices, err = ix.readSlices(nil, locs)
+	}
+	return v, err
+}
+
+// partFile names the reorganised data file reduce task `task` of build run
+// `gen` writes. Every Slice of a file shares one string.
+func (ix *Index) partFile(gen, task int64) string {
+	id := [2]int64{gen, task}
+	ix.filesMu.RLock()
+	name, ok := ix.files[id]
+	ix.filesMu.RUnlock()
+	if !ok {
+		name = path.Join(ix.DataDir, fmt.Sprintf("part-%d-r-%05d", gen, task))
+		ix.filesMu.Lock()
+		if ix.files == nil {
+			ix.files = map[[2]int64]string{}
+		}
+		ix.files[id] = name
+		ix.filesMu.Unlock()
+	}
+	return name
 }
 
 // Spec describes a DGFIndex to build: the grid splitting policy over the
@@ -184,6 +260,10 @@ type Index struct {
 	minCell    []int64 // observed data bounds per dimension, in cells
 	maxCell    []int64
 	gfuBytes   atomic.Int64 // SizeBytes: key and value bytes of every GFU pair
+	gfuEntries atomic.Int64 // Entries: number of GFU pairs
+
+	filesMu sync.RWMutex
+	files   map[[2]int64]string // partFile: (generation, task) → data file path
 }
 
 // BitmapColumns returns the schema column indices carrying bitmap sidecars.
@@ -405,33 +485,38 @@ func Open(fs *dfs.FS, kv *kvstore.Store, name string, schema *storage.Schema) (*
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("dgf: index %q missing bounds for dimension %d", name, i)
 		}
-		ix.minCell[i], _ = strconv.ParseInt(string(lo), 10, 64)
-		ix.maxCell[i], _ = strconv.ParseInt(string(hi), 10, 64)
+		var errLo, errHi error
+		ix.minCell[i], errLo = strconv.ParseInt(string(lo), 10, 64)
+		ix.maxCell[i], errHi = strconv.ParseInt(string(hi), 10, 64)
+		if errLo != nil || errHi != nil {
+			return nil, fmt.Errorf("dgf: index %q has corrupt bounds [%q, %q] for dimension %d", name, lo, hi, i)
+		}
 	}
 	if err := ix.resolveColumns(); err != nil {
 		return nil, err
 	}
-	ix.gfuBytes.Store(ix.countGFUBytes())
+	ix.recountGFUs()
 	return ix, nil
 }
 
 // Entries returns the number of GFU pairs (the paper's index-record count).
-func (ix *Index) Entries() int {
-	return len(ix.KV.ScanPrefix(gfuPrefix))
-}
+// Like SizeBytes it is a running total.
+func (ix *Index) Entries() int { return int(ix.gfuEntries.Load()) }
 
 // SizeBytes returns the index size: all GFU keys and values (Table 2/5's
 // "Size" column for DGFIndex). It is a running total that every write of GFU
 // pairs adjusts, so asking costs no scan of the store.
 func (ix *Index) SizeBytes() int64 { return ix.gfuBytes.Load() }
 
-// countGFUBytes recounts SizeBytes from the store.
-func (ix *Index) countGFUBytes() int64 {
-	var n int64
-	for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
-		n += int64(len(p.Key) + len(p.Value))
+// recountGFUs resets the Entries and SizeBytes totals from the store.
+func (ix *Index) recountGFUs() {
+	pairs := ix.KV.ScanPrefix(gfuPrefix)
+	var bytes int64
+	for _, p := range pairs {
+		bytes += int64(len(p.Key) + len(p.Value))
 	}
-	return n
+	ix.gfuEntries.Store(int64(len(pairs)))
+	ix.gfuBytes.Store(bytes)
 }
 
 // Bounds returns the observed per-dimension data bounds in cell coordinates.
@@ -449,9 +534,6 @@ func (ix *Index) lookupGFU(key string) (GFUValue, bool, error) {
 	if !ok {
 		return GFUValue{}, false, nil
 	}
-	v, err := decodeGFUValue(ix.Spec.Precompute, data)
-	if err != nil {
-		return GFUValue{}, false, err
-	}
-	return v, true, nil
+	v, err := ix.DecodeGFUValue(data)
+	return v, err == nil, err
 }

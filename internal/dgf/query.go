@@ -1,7 +1,9 @@
 package dgf
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -150,62 +152,56 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 
 	// Step 2: enumerate the query-related GFUs. For aggregation queries the
 	// inner region is answered from headers; otherwise every read cell's
-	// slices are fetched.
-	var innerKeys, scanKeys []string
+	// slices are fetched. Values are decoded in place: an inner cell folds its
+	// header into PreHeader and its locations are never read, a scanned cell
+	// contributes only its SliceLocs.
+	scanCells := dec.EachReadCell
+	header := NewHeader(ix.Spec.Precompute) // scratch, one cell at a time
 	if aggregation {
-		dec.EachInnerCell(func(c []int64) {
-			innerKeys = append(innerKeys, gfuPrefix+ix.Spec.Policy.Key(c))
-		})
-		dec.EachBoundaryCell(func(c []int64) {
-			scanKeys = append(scanKeys, gfuPrefix+ix.Spec.Policy.Key(c))
-		})
+		scanCells = dec.EachBoundaryCell
+		innerKeys := ix.cellKeys(dec.EachInnerCell)
 		plan.InnerCells = int64(len(innerKeys))
-		plan.BoundaryCells = int64(len(scanKeys))
-	} else {
-		dec.EachReadCell(func(c []int64) {
-			scanKeys = append(scanKeys, gfuPrefix+ix.Spec.Policy.Key(c))
-		})
-		plan.BoundaryCells = int64(len(scanKeys))
-	}
-
-	// Inner headers: merged into the pre-computed sub-result.
-	if aggregation {
 		plan.PreSpecs = wantAggs
 		plan.PreHeader = NewHeader(wantAggs)
+		specOf := make([]int, len(wantAggs))
+		for wi, w := range wantAggs {
+			specOf[wi] = ix.findSpec(w)
+		}
 		kvOps.Gets += int64(len(innerKeys))
-		for _, data := range ix.KV.MultiGet(innerKeys) {
+		for i, data := range ix.KV.MultiGet(innerKeys) {
 			if data == nil {
 				plan.MissingCells++
 				continue
 			}
-			v, err := decodeGFUValue(ix.Spec.Precompute, data)
-			if err != nil {
-				return nil, err
+			if _, err := readHeader(header, data); err != nil {
+				return nil, ix.badGFU(innerKeys[i], err)
 			}
-			for wi, w := range wantAggs {
-				plan.PreHeader[wi].Merge(v.Header[ix.findSpec(w)])
+			for wi, si := range specOf {
+				plan.PreHeader[wi].Merge(header[si])
 			}
 		}
 	}
-
-	// Slice locations of the cells that must be scanned.
+	scanKeys := ix.cellKeys(scanCells)
+	plan.BoundaryCells = int64(len(scanKeys))
 	kvOps.Gets += int64(len(scanKeys))
-	for _, data := range ix.KV.MultiGet(scanKeys) {
+	for i, data := range ix.KV.MultiGet(scanKeys) {
 		if data == nil {
 			plan.MissingCells++
 			continue
 		}
-		v, err := decodeGFUValue(ix.Spec.Precompute, data)
+		locs, err := readHeader(header, data)
+		if err == nil {
+			plan.Slices, err = ix.readSlices(plan.Slices, locs)
+		}
 		if err != nil {
-			return nil, err
+			return nil, ix.badGFU(scanKeys[i], err)
 		}
-		plan.Slices = append(plan.Slices, v.Slices...)
 	}
-	sort.Slice(plan.Slices, func(i, j int) bool {
-		if plan.Slices[i].File != plan.Slices[j].File {
-			return plan.Slices[i].File < plan.Slices[j].File
+	slices.SortFunc(plan.Slices, func(a, b SliceLoc) int {
+		if c := strings.Compare(a.File, b.File); c != 0 {
+			return c
 		}
-		return plan.Slices[i].Start < plan.Slices[j].Start
+		return cmp.Compare(a.Start, b.Start)
 	})
 	for _, s := range plan.Slices {
 		plan.SliceBytes += s.Len()
@@ -218,6 +214,22 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	}
 	plan.KVSimSeconds = kvOps.SimSeconds(cfg)
 	return plan, nil
+}
+
+// cellKeys renders the store key of every cell `each` enumerates. The keys of
+// one plan are substrings of a single string.
+func (ix *Index) cellKeys(each func(func(cells []int64))) []string {
+	var buf []byte
+	var ends []int
+	each(func(cells []int64) {
+		buf = ix.Spec.Policy.AppendKey(append(buf, gfuPrefix...), cells)
+		ends = append(ends, len(buf))
+	})
+	all, keys, start := string(buf), make([]string, len(ends)), 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
+	}
+	return keys
 }
 
 // fullProjection reports whether project keeps every one of n columns (a

@@ -224,15 +224,17 @@ const KeySeparator = "_"
 
 // Key renders cell coordinates as a GFUKey: the underscore-joined cell-start
 // coordinates, exactly as in the paper's Figure 5 ("7_13").
-func (p *Policy) Key(cells []int64) string {
-	var buf []byte
+func (p *Policy) Key(cells []int64) string { return string(p.AppendKey(nil, cells)) }
+
+// AppendKey appends the GFUKey of cells to buf.
+func (p *Policy) AppendKey(buf []byte, cells []int64) []byte {
 	for i, d := range p.Dims {
 		if i > 0 {
 			buf = append(buf, KeySeparator...)
 		}
 		buf = d.CellStart(cells[i]).AppendText(buf)
 	}
-	return string(buf)
+	return buf
 }
 
 // ParseKey recovers cell coordinates from a GFUKey.

@@ -137,9 +137,13 @@ type TableInfo struct {
 	Format      string       `json:"format"`
 	PartitionBy string       `json:"partition_by,omitempty"`
 	HasDgfIndex bool         `json:"has_dgf_index"`
-	HiveIndexes []string     `json:"hive_indexes,omitempty"`
-	SizeBytes   int64        `json:"size_bytes"`
-	Version     uint64       `json:"version"`
+	// DgfIndexBytes and DgfEntries are the DGFIndex's size (GFU keys and
+	// values, Tables 2/5's "Size") and pair count, from its running totals.
+	DgfIndexBytes int64    `json:"dgf_index_bytes,omitempty"`
+	DgfEntries    int64    `json:"dgf_entries,omitempty"`
+	HiveIndexes   []string `json:"hive_indexes,omitempty"`
+	SizeBytes     int64    `json:"size_bytes"`
+	Version       uint64   `json:"version"`
 }
 
 // TableInfos snapshots the whole catalog in one consistent read, sorted by
@@ -161,6 +165,9 @@ func (w *Warehouse) TableInfos() []TableInfo {
 			HasDgfIndex: t.Dgf != nil,
 			SizeBytes:   w.tableSizeBytesLocked(t),
 			Version:     w.versions[key],
+		}
+		if t.Dgf != nil {
+			info.DgfIndexBytes, info.DgfEntries = t.Dgf.SizeBytes(), int64(t.Dgf.Entries())
 		}
 		for name := range t.HiveIndexes {
 			info.HiveIndexes = append(info.HiveIndexes, name)

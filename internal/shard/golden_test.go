@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
@@ -71,9 +72,11 @@ func goldenLoads(cfg workload.MeterConfig) []struct {
 	}
 }
 
-// goldenFleetState digests one fleet, replica by replica.
+// goldenFleetState digests one fleet, replica by replica. kvAsText is the kv
+// digest over the same stores with every GFUValue decoded and rendered in the
+// text form values had before the binary codec.
 type goldenFleetState struct {
-	files, kv, answers string
+	files, kv, answers, kvAsText string
 }
 
 // goldenReplicaFiles lists every file of one replica's filesystem with the
@@ -106,24 +109,62 @@ func goldenReplicaFiles(t *testing.T, w *hive.Warehouse) []string {
 }
 
 // goldenReplicaKV is the entry count and content hash of the replica's
-// DGFIndex key-value store.
-func goldenReplicaKV(t *testing.T, w *hive.Warehouse) string {
+// DGFIndex key-value store, as stored and with the GFU values as text.
+func goldenReplicaKV(t *testing.T, w *hive.Warehouse) (stored, asText string) {
 	t.Helper()
 	tbl, err := w.Table("meterdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
+	h, ht := sha256.New(), sha256.New()
 	var n [8]byte
 	for _, p := range tbl.DgfKV.ScanPrefix("") {
+		text := p.Value
+		if strings.HasPrefix(p.Key, "g/") {
+			v, err := tbl.Dgf.DecodeGFUValue(p.Value)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Key, err)
+			}
+			text = goldenTextGFUValue(v)
+		}
 		binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
 		h.Write(n[:])
 		h.Write([]byte(p.Key))
+		ht.Write(n[:])
+		ht.Write([]byte(p.Key))
 		binary.BigEndian.PutUint64(n[:], uint64(len(p.Value)))
 		h.Write(n[:])
 		h.Write(p.Value)
+		binary.BigEndian.PutUint64(n[:], uint64(len(text)))
+		ht.Write(n[:])
+		ht.Write(text)
 	}
-	return fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(h.Sum(nil)))
+	return fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(h.Sum(nil))),
+		fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(ht.Sum(nil)))
+}
+
+// goldenTextGFUValue renders a GFUValue as commit 433a837 stored it:
+// "sum:n,-|file:start:end;file:start:end", floats in shortest decimal.
+func goldenTextGFUValue(v dgf.GFUValue) []byte {
+	var b []byte
+	for i, a := range v.Header {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if a.N == 0 {
+			b = append(b, '-')
+			continue
+		}
+		b = strconv.AppendInt(append(strconv.AppendFloat(b, a.Value, 'g', -1, 64), ':'), a.N, 10)
+	}
+	b = append(b, '|')
+	for i, s := range v.Slices {
+		if i > 0 {
+			b = append(b, ';')
+		}
+		b = fmt.Appendf(b, "%s:%d:%d", s.File, s.Start, s.End)
+	}
+	return b
 }
 
 // goldenReplicaAnswers renders the replica's table versions and the meter
@@ -187,7 +228,9 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 			head := fmt.Sprintf("shard %d replica %d", si, ri)
 			files := goldenReplicaFiles(t, w)
 			lines["files"] = append(append(lines["files"], head), files...)
-			lines["kv"] = append(lines["kv"], head+" "+goldenReplicaKV(t, w))
+			kv, kvAsText := goldenReplicaKV(t, w)
+			lines["kv"] = append(lines["kv"], head+" "+kv)
+			lines["kvAsText"] = append(lines["kvAsText"], head+" "+kvAsText)
 			lines["answers"] = append(append(lines["answers"], head), goldenReplicaAnswers(t, w)...)
 			// Replicas of a shard are copies: same files, byte for byte.
 			if ri == 0 {
@@ -198,24 +241,29 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 		}
 	}
 	return goldenFleetState{
-		files:   goldenHash(lines["files"]),
-		kv:      goldenHash(lines["kv"]),
-		answers: goldenHash(lines["answers"]),
+		files:    goldenHash(lines["files"]),
+		kv:       goldenHash(lines["kv"]),
+		answers:  goldenHash(lines["answers"]),
+		kvAsText: goldenHash(lines["kvAsText"]),
 	}, lines
 }
 
 // loadPathGolden holds the digests recorded at 433a837, keyed
-// "<shards>x<replicas>/<format>". The files and key-value digests are those
-// still; the answers digests were re-recorded when aggregates began folding
-// inside their split (sums differ in their last bit, data= in its sixth
-// decimal — hive's TestQueryStatsGoldenMovedAsDescribed bounds the move).
+// "<shards>x<replicas>/<format>". The files digests are those still. The
+// answers digests were re-recorded when aggregates began folding inside their
+// split (sums differ in their last bit, data= in its sixth decimal — hive's
+// TestQueryStatsGoldenMovedAsDescribed bounds the move). The kv digests were
+// re-recorded when the GFUValue became binary; the digests 433a837 recorded
+// for kv are now kvAsText, so every key, every metadata entry and every pair's
+// header and SliceLocs — file names included — are what that commit stored,
+// with and without a log directory: only the values' bytes moved.
 var loadPathGolden = map[string]goldenFleetState{
-	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad"},
-	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d"},
-	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33"},
-	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0"},
-	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d"},
-	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd"},
+	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
+	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
+	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
+	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
+	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
+	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
 }
 
 func TestLoadPathGolden(t *testing.T) {
@@ -231,7 +279,7 @@ func TestLoadPathGolden(t *testing.T) {
 					got, lines := goldenRun(t, shape.shards, shape.replicas, stored, withWAL)
 					want, ok := loadPathGolden[key]
 					if !ok {
-						t.Fatalf("no golden recorded for %s: {%q, %q, %q}", key, got.files, got.kv, got.answers)
+						t.Fatalf("no golden recorded for %s: {%q, %q, %q, %q}", key, got.files, got.kv, got.answers, got.kvAsText)
 					}
 					if got.files != want.files {
 						t.Errorf("files hash to %s, want %s\n%s", got.files, want.files, strings.Join(lines["files"], "\n"))
@@ -244,6 +292,25 @@ func TestLoadPathGolden(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestLoadPathGoldenMovedAsDescribed bounds what re-recording the kv digests
+// let through: with every GFUValue decoded and rendered back as text, every
+// replica's store hashes to what 433a837 recorded. TestLoadPathGolden holds
+// the fleets with a log directory to the same stored bytes as those without.
+func TestLoadPathGoldenMovedAsDescribed(t *testing.T) {
+	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
+		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
+			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
+			t.Run(key, func(t *testing.T) {
+				got, lines := goldenRun(t, shape.shards, shape.replicas, stored, false)
+				if want := loadPathGolden[key].kvAsText; got.kvAsText != want {
+					t.Errorf("index key-values, GFU values rendered as text, hash to %s, the text codec's hashed to %s\n%s",
+						got.kvAsText, want, strings.Join(lines["kvAsText"], "\n"))
+				}
+			})
 		}
 	}
 }

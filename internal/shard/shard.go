@@ -830,8 +830,9 @@ func (r *Router) TableSchema(name string) (*storage.Schema, error) {
 }
 
 // TableInfos merges the shards' catalog snapshots: partitioned tables sum
-// sizes across shards; replicated tables report shard 0's size (each shard
-// holds a full copy — summing would overstate the logical table N-fold).
+// sizes — data and DGFIndex — across shards; replicated tables report shard
+// 0's (each shard holds a full copy — summing would overstate the logical
+// table N-fold).
 // Every table's Version is the same summed counter TableVersions reports —
 // replicated tables included — so the version /tables shows is exactly the
 // version the serving layer's result-cache keys carry; the two views cannot
@@ -850,6 +851,8 @@ func (r *Router) TableInfos() []hive.TableInfo {
 			}
 			if o, ok := byName[infos[i].Name]; ok {
 				infos[i].SizeBytes += o.SizeBytes
+				infos[i].DgfIndexBytes += o.DgfIndexBytes
+				infos[i].DgfEntries += o.DgfEntries
 			}
 		}
 	}

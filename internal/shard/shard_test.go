@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -314,6 +315,62 @@ func TestShardPruning(t *testing.T) {
 	res = mustExec(t, rng, `SELECT count(*) FROM meterdata WHERE userId>=12 AND userId<=25`)
 	if !strings.HasPrefix(res.Stats.AccessPath, "sharded(2/4)") {
 		t.Fatalf("range access path %q, want sharded(2/4)", res.Stats.AccessPath)
+	}
+}
+
+// TestTableInfosReportDgfIndex: /tables reports a DGFIndex's size and pair
+// count — the fleet's total for a partitioned table, from each index's running
+// totals — and they equal what walking every shard's store finds, before and
+// after a load.
+func TestTableInfosReportDgfIndex(t *testing.T) {
+	cfg := testMeterConfig()
+	router, err := New(Config{Shards: 4, Replicas: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { router.CloseWAL() })
+	setupMeter(t, router, cfg, true)
+	check := func(when string) (entries int64) {
+		t.Helper()
+		var wantBytes, wantEntries int64
+		for si := 0; si < 4; si++ {
+			tbl, err := router.Replica(si, 0).Table("meterdata")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tbl.DgfKV.ScanPrefix("g/") {
+				wantBytes += int64(len(p.Key) + len(p.Value))
+				wantEntries++
+			}
+		}
+		for _, info := range router.TableInfos() {
+			if info.Name != "meterdata" {
+				if info.DgfIndexBytes != 0 || info.DgfEntries != 0 {
+					t.Errorf("%s: %s has no DGFIndex but reports %d bytes, %d entries", when, info.Name, info.DgfIndexBytes, info.DgfEntries)
+				}
+				continue
+			}
+			if info.DgfIndexBytes != wantBytes || info.DgfEntries != wantEntries || wantEntries == 0 {
+				t.Errorf("%s: /tables reports %d bytes in %d GFU pairs, the stores hold %d in %d", when, info.DgfIndexBytes, info.DgfEntries, wantBytes, wantEntries)
+			}
+			js, err := json.Marshal(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf(`"dgf_index_bytes":%d,"dgf_entries":%d`, wantBytes, wantEntries); !strings.Contains(string(js), want) {
+				t.Errorf("%s: %s lacks %s", when, js, want)
+			}
+		}
+		return wantEntries
+	}
+	before := check("after CREATE INDEX")
+	for _, l := range goldenLoads(cfg)[:2] { // fresh cells on one shard, existing cells on all
+		if _, err := router.LoadRowsDurable(context.Background(), l.table, l.rows, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := check("after two loads"); after <= before {
+		t.Errorf("the loads into fresh cells left %d GFU pairs, %d before", after, before)
 	}
 }
 
