@@ -220,21 +220,13 @@ func loadDemo(w *dgfindex.Warehouse, users int) error {
 		powerConsumed double, pate1 double, pate2 double)`); err != nil {
 		return err
 	}
-	t, err := w.Table("meterdata")
-	if err != nil {
-		return err
-	}
-	if err := w.LoadRows(t, cfg.AllRows()); err != nil {
+	if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
 		return err
 	}
 	if _, err := w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`); err != nil {
 		return err
 	}
-	u, err := w.Table("userInfo")
-	if err != nil {
-		return err
-	}
-	if err := w.LoadRows(u, cfg.UserInfoRows()); err != nil {
+	if err := w.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
 		return err
 	}
 	interval := users / 100

@@ -60,7 +60,6 @@ func main() {
 	cache := flag.Int("cache", 256, "result cache entries (negative disables)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache payload budget in bytes (0 = uncapped)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
-	pacing := flag.Duration("pacing", 0, "wall time per simulated cluster-second (0 disables pacing)")
 	shards := flag.Int("shards", 1, "warehouse shards behind the server (1 = unsharded)")
 	replicas := flag.Int("replicas", 1, "warehouse replicas per shard (reads fail over, writes go to all)")
 	shardKey := flag.String("shard-key", "userId", "routing column when -shards > 1")
@@ -103,7 +102,6 @@ func main() {
 		CacheEntries:   *cache,
 		MaxResultBytes: *cacheBytes,
 		DefaultTimeout: *timeout,
-		SimPacing:      *pacing,
 		SlowQueryMs:    *slowMs,
 		TraceRingSize:  *traceRing,
 		WALDir:         *walDir,

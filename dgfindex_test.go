@@ -15,10 +15,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := w.Table("meterdata")
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
 	var rows []dgfindex.Row
 	var want float64
@@ -36,7 +32,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("meterdata", rows); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)

@@ -17,10 +17,6 @@ func main() {
 	must(w.Exec(`CREATE TABLE example (A bigint, B bigint, C double)`))
 
 	// The nine records of the paper's Figure 6.
-	tbl, err := w.Table("example")
-	if err != nil {
-		log.Fatal(err)
-	}
 	data := [][3]float64{
 		{1, 14, 0.1}, {5, 18, 0.5}, {7, 12, 1.2}, {2, 11, 0.5}, {9, 14, 0.8},
 		{11, 16, 1.3}, {3, 18, 0.9}, {12, 12, 0.3}, {8, 13, 0.2},
@@ -33,7 +29,7 @@ func main() {
 			dgfindex.Float64(d[2]),
 		}
 	}
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("example", rows); err != nil {
 		log.Fatal(err)
 	}
 

@@ -30,13 +30,11 @@ func main() {
 	fmt.Printf("generating %d meter readings (%d users x %d days)...\n", cfg.Rows(), cfg.Users, cfg.Days)
 	must(w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
 		powerConsumed double, pate1 double, pate2 double)`))
-	meter, _ := w.Table("meterdata")
-	if err := w.LoadRows(meter, cfg.AllRows()); err != nil {
+	if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
 		log.Fatal(err)
 	}
 	must(w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`))
-	userInfo, _ := w.Table("userInfo")
-	if err := w.LoadRows(userInfo, cfg.UserInfoRows()); err != nil {
+	if err := w.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
 		log.Fatal(err)
 	}
 

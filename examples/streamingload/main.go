@@ -20,7 +20,6 @@ func main() {
 	w := dgfindex.New()
 	must(w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
 		powerConsumed double, pate1 double, pate2 double)`))
-	tbl, _ := w.Table("meterdata")
 
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = 2000
@@ -30,7 +29,7 @@ func main() {
 	base := cfg
 	base.Days = 7
 	fmt.Printf("loading base week: %d readings\n", base.Rows())
-	if err := w.LoadRows(tbl, base.AllRows()); err != nil {
+	if err := w.LoadRowsByName("meterdata", base.AllRows()); err != nil {
 		log.Fatal(err)
 	}
 	res := must(w.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
@@ -52,7 +51,7 @@ func main() {
 		dayCfg.Seed = cfg.Seed + int64(day)
 		rows := dayCfg.AllRows()
 		start := time.Now()
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName("meterdata", rows); err != nil {
 			log.Fatal(err)
 		}
 		date := dayCfg.Start.Format("2006-01-02")

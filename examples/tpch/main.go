@@ -30,10 +30,9 @@ func main() {
 		l_suppkey bigint, l_linenumber bigint, l_quantity double,
 		l_extendedprice double, l_discount double, l_tax double,
 		l_shipdate timestamp, l_commitdate timestamp)`))
-	tbl, _ := w.Table("lineitem")
 	cfg := dgfindex.TPCHConfig{Rows: *rows, Seed: 19920101}
 	fmt.Printf("generating %d lineitem rows (uniformly scattered)...\n", cfg.Rows)
-	if err := w.LoadRows(tbl, cfg.AllLineitemRows()); err != nil {
+	if err := w.LoadRowsByName("lineitem", cfg.AllLineitemRows()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -37,12 +37,10 @@ func TestFullLifecycle(t *testing.T) {
 		if _, err := w.Exec(userDDL); err != nil {
 			t.Fatal(err)
 		}
-		mt, _ := w.Table("meterdata")
-		if err := w.LoadRows(mt, cfg.AllRows()); err != nil {
+		if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
 			t.Fatal(err)
 		}
-		ut, _ := w.Table("userInfo")
-		if err := w.LoadRows(ut, cfg.UserInfoRows()); err != nil {
+		if err := w.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
 			t.Fatal(err)
 		}
 		return w
@@ -132,8 +130,7 @@ func TestFullLifecycle(t *testing.T) {
 	dayCfg.Seed = cfg.Seed + 1
 	newRows := dayCfg.AllRows()
 	for _, w := range []*dgfindex.Warehouse{indexed, plain} {
-		tb, _ := w.Table("meterdata")
-		if err := w.LoadRows(tb, newRows); err != nil {
+		if err := w.LoadRowsByName("meterdata", newRows); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -248,7 +248,7 @@ func (e *Env) Meter() (*meterEnv, error) {
 	}
 	tc, _ := m.WC.Table("meterdata")
 	tc.RowGroupRows = s.RowGroupRows
-	if err := loadMeterRows(m.WC, tc, m.rows); err != nil {
+	if err := m.WC.LoadRowsByName("meterdata", m.rows); err != nil {
 		return nil, err
 	}
 	if err := loadUserInfo(m.WC, cfg); err != nil {
@@ -288,23 +288,17 @@ func loadMeter(w *hive.Warehouse, cfg workload.MeterConfig, rows []storage.Row) 
 	if _, err := w.Exec(meterDDL(cfg.OtherMetrics, "TEXTFILE")); err != nil {
 		return err
 	}
-	t, _ := w.Table("meterdata")
-	if err := loadMeterRows(w, t, rows); err != nil {
+	if err := w.LoadRowsByName("meterdata", rows); err != nil {
 		return err
 	}
 	return loadUserInfo(w, cfg)
-}
-
-func loadMeterRows(w *hive.Warehouse, t *hive.Table, rows []storage.Row) error {
-	return w.LoadRows(t, rows)
 }
 
 func loadUserInfo(w *hive.Warehouse, cfg workload.MeterConfig) error {
 	if _, err := w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`); err != nil {
 		return err
 	}
-	t, _ := w.Table("userInfo")
-	return w.LoadRows(t, cfg.UserInfoRows())
+	return w.LoadRowsByName("userInfo", cfg.UserInfoRows())
 }
 
 // TPCH builds (once) and returns the lineitem fixtures.
@@ -338,7 +332,7 @@ func (e *Env) TPCH() (*tpchEnv, error) {
 		return nil, err
 	}
 	tl, _ := t.WDgf.Table("lineitem")
-	if err := t.WDgf.LoadRows(tl, t.rows); err != nil {
+	if err := t.WDgf.LoadRowsByName("lineitem", t.rows); err != nil {
 		return nil, err
 	}
 	spec, err := dgf.ParseIdxProperties("idx_dgf", []string{"l_discount", "l_quantity", "l_shipdate"}, tl.Schema,
@@ -364,7 +358,7 @@ func (e *Env) TPCH() (*tpchEnv, error) {
 	}
 	tc, _ := t.WC.Table("lineitem")
 	tc.RowGroupRows = s.RowGroupRows
-	if err := t.WC.LoadRows(tc, t.rows); err != nil {
+	if err := t.WC.LoadRowsByName("lineitem", t.rows); err != nil {
 		return nil, err
 	}
 	ix2, sec2, err := t.WC.BuildHiveIndexStats(tc, "idx_compact2", hiveindex.Compact,

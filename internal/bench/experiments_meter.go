@@ -92,7 +92,7 @@ func expTab2(e *Env) (*Report, error) {
 	// low-cardinality key columns) ~4x and distort the comparison against
 	// the DGF index, whose KV bytes are unencoded either way.
 	t3.DisableEncoding = true
-	if err := w3.LoadRows(t3, m.rows); err != nil {
+	if err := w3.LoadRowsByName("meterdata", m.rows); err != nil {
 		return nil, err
 	}
 	ix3, sec3, err := w3.BuildHiveIndexStats(t3, "c3", hiveindex.Compact,

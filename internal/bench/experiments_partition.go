@@ -32,8 +32,7 @@ func expPartition(e *Env) (*Report, error) {
 	if _, err := wp.Exec(ddl); err != nil {
 		return nil, err
 	}
-	tp, _ := wp.Table("meterdata")
-	if err := wp.LoadRows(tp, m.rows); err != nil {
+	if err := wp.LoadRowsByName("meterdata", m.rows); err != nil {
 		return nil, err
 	}
 

@@ -22,10 +22,6 @@ func setupManySplits(t testing.TB, w *Warehouse, rowsPerFile int) (files, totalR
 	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := w.Table("meterdata")
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
 	for f := 0; f < files; f++ {
 		rows := make([]storage.Row, rowsPerFile)
@@ -38,7 +34,7 @@ func setupManySplits(t testing.TB, w *Warehouse, rowsPerFile int) (files, totalR
 				storage.Float64(float64(u) / 7),
 			}
 		}
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName("meterdata", rows); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,12 +15,11 @@ import (
 func TestConcurrentSelectsDuringLoads(t *testing.T) {
 	w := testWarehouse(1 << 20)
 	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
-	tbl, _ := w.Table("meterdata")
 
 	const batch = 40
 	const batches = 5
 	initial := meterRows(batch, 4, 1)
-	if err := w.LoadRows(tbl, initial); err != nil {
+	if err := w.LoadRowsByName("meterdata", initial); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +60,7 @@ func TestConcurrentSelectsDuringLoads(t *testing.T) {
 		for i := range rows {
 			rows[i][0] = storage.Int64(int64(k*batch + i + 1))
 		}
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName("meterdata", rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,8 +128,7 @@ func TestTableVersions(t *testing.T) {
 		t.Fatal("version after create+load still 0")
 	}
 	cat := w.CatalogVersion()
-	tbl, _ := w.Table("meterdata")
-	if err := w.LoadRows(tbl, meterRows(5, 2, 1)); err != nil {
+	if err := w.LoadRowsByName("meterdata", meterRows(5, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if v2 := w.TableVersion("meterdata"); v2 != v1+1 {

@@ -41,14 +41,14 @@ func TestDgfAppendTwiceIntoExistingCells(t *testing.T) {
 			for d := 0; d < days; d++ {
 				first = append(first, readings(d, 0)...)
 			}
-			if err := w.LoadRows(tbl, first); err != nil {
+			if err := w.LoadRowsByName("meterdata", first); err != nil {
 				t.Fatal(err)
 			}
 			createDgf(t, w)
 			// Two late loads, each into 32 existing cells (days 2 and 5).
 			for _, hour := range []int{6, 12} {
 				late := append(readings(2, hour), readings(5, hour)...)
-				if err := w.LoadRows(tbl, late); err != nil {
+				if err := w.LoadRowsByName("meterdata", late); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -34,7 +34,7 @@ func setupCityTable(t *testing.T, w *Warehouse, n int) []storage.Row {
 	rows := cityRows(n)
 	tbl, _ := w.Table("cities")
 	tbl.RowGroupRows = 16
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("cities", rows); err != nil {
 		t.Fatal(err)
 	}
 	return rows
@@ -109,12 +109,11 @@ func TestExplainEncodedColumns(t *testing.T) {
 
 	// An unencoded table reports no encoded columns.
 	mustExec(t, w, `CREATE TABLE flat (id bigint, note string) STORED AS RCFILE`)
-	flat, _ := w.Table("flat")
 	var rows []storage.Row
 	for i := 0; i < 50; i++ {
 		rows = append(rows, storage.Row{storage.Int64(int64(i)), storage.Str(fmt.Sprintf("unique-%d", i))})
 	}
-	if err := w.LoadRows(flat, rows); err != nil {
+	if err := w.LoadRowsByName("flat", rows); err != nil {
 		t.Fatal(err)
 	}
 	if plan := explainOf(t, w, `SELECT count(*) FROM flat`); len(plan.EncodedColumns) != 0 {
@@ -209,7 +208,7 @@ func TestBitmapOverflowSurfaced(t *testing.T) {
 			storage.Int64(int64(i)), storage.Str(fmt.Sprintf("tag-%06d", i)), storage.Float64(float64(i)),
 		})
 	}
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("uniq", rows); err != nil {
 		t.Fatal(err)
 	}
 	// One coarse cell keeps all rows in a single segment file, so the tag
@@ -245,7 +244,7 @@ func TestAdaptiveGroupBytes(t *testing.T) {
 		mustExec(t, w, `CREATE TABLE cities (id bigint, city string, ts timestamp, v double) STORED AS RCFILE`)
 		tbl, _ := w.Table("cities")
 		tbl.RowGroupBytes = 1 << 10
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName("cities", rows); err != nil {
 			t.Fatal(err)
 		}
 		mustExec(t, w, `CREATE INDEX idx_cities ON TABLE cities(id)
@@ -258,7 +257,7 @@ func TestAdaptiveGroupBytes(t *testing.T) {
 	if tbl.Dgf.GroupBytes != 1<<10 {
 		t.Fatalf("index GroupBytes = %d, want %d", tbl.Dgf.GroupBytes, 1<<10)
 	}
-	if err := wA.LoadRows(tbl, all[200:]); err != nil {
+	if err := wA.LoadRowsByName("cities", all[200:]); err != nil {
 		t.Fatal(err)
 	}
 	wB := setup(all)

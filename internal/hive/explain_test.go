@@ -37,7 +37,7 @@ func TestExplainTruthful(t *testing.T) {
 		// Small row groups give the RCFile copy several zone-map candidates
 		// per file, so the suite covers plans that prune groups.
 		tbl.RowGroupRows = 16
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName(name, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,12 +117,11 @@ func TestExplainStatement(t *testing.T) {
 
 	// EXPLAIN of an index-path query reports an honest "unknown" volume.
 	mustExec(t, w, `CREATE TABLE ct (a bigint, b double)`)
-	tbl, _ := w.Table("ct")
 	var rows []storage.Row
 	for i := 0; i < 50; i++ {
 		rows = append(rows, storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))})
 	}
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("ct", rows); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, w, `CREATE INDEX cidx ON TABLE ct(a) AS 'compact'`)

@@ -21,7 +21,7 @@ func foldWarehouse(t *testing.T, stored string, disableEncoding bool) *Warehouse
 	mustExec(t, w, `CREATE TABLE m (userId bigint, regionId bigint, ts timestamp, powerConsumed double, vendor string) STORED AS `+stored)
 	tbl, _ := w.Table("m")
 	tbl.RowGroupRows, tbl.DisableEncoding = 16, disableEncoding
-	if err := w.LoadRows(tbl, goldenMeterRows(60, 4, 10)); err != nil {
+	if err := w.LoadRowsByName("m", goldenMeterRows(60, 4, 10)); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, w, `CREATE TABLE u (userId bigint, tier string, weight double) STORED AS `+stored)
@@ -33,7 +33,7 @@ func foldWarehouse(t *testing.T, stored string, disableEncoding bool) *Warehouse
 			storage.Int64(int64(id)), storage.Str([]string{"gold", "silver", "bronze"}[id%3]), storage.Float64(1 + float64(id%7)/4),
 		})
 	}
-	if err := w.LoadRows(users, rows); err != nil {
+	if err := w.LoadRowsByName("u", rows); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -221,7 +221,7 @@ func scanAggWarehouse(t testing.TB, scale int) (*Warehouse, int) {
 	tbl, _ := w.Table("scanlog")
 	tbl.RowGroupRows = 500 * scale
 	rows := meterRows(1000*scale, 8, 20)
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("scanlog", rows); err != nil {
 		t.Fatal(err)
 	}
 	return w, len(rows)

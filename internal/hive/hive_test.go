@@ -54,8 +54,7 @@ func setupMeterTable(t *testing.T, w *Warehouse, users, regions, days int) []sto
 	t.Helper()
 	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
 	rows := meterRows(users, regions, days)
-	tbl, _ := w.Table("meterdata")
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("meterdata", rows); err != nil {
 		t.Fatal(err)
 	}
 	return rows
@@ -272,14 +271,13 @@ func TestJoinQueryListing6(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	rows := setupMeterTable(t, w, 40, 4, 5)
 	mustExec(t, w, `CREATE TABLE userInfo (userId bigint, userName string)`)
-	users, _ := w.Table("userInfo")
 	var userRows []storage.Row
 	for u := 1; u <= 40; u++ {
 		userRows = append(userRows, storage.Row{
 			storage.Int64(int64(u)), storage.Str(fmt.Sprintf("user-%02d", u)),
 		})
 	}
-	if err := w.LoadRows(users, userRows); err != nil {
+	if err := w.LoadRowsByName("userInfo", userRows); err != nil {
 		t.Fatal(err)
 	}
 	createDgf(t, w)
@@ -435,7 +433,7 @@ func TestRCFileTableScan(t *testing.T) {
 	tbl, _ := w.Table("rcmeter")
 	tbl.RowGroupRows = 16
 	rows := meterRows(20, 4, 5)
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("rcmeter", rows); err != nil {
 		t.Fatal(err)
 	}
 	res := mustExec(t, w, `SELECT count(*) FROM rcmeter WHERE regionId=1`)
@@ -465,9 +463,8 @@ func TestLoadRowsThroughDgfAppend(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	rows := setupMeterTable(t, w, 20, 2, 2)
 	createDgf(t, w)
-	tbl, _ := w.Table("meterdata")
 	extra := meterRows(20, 2, 1) // one more day (same dates, but fine)
-	if err := w.LoadRows(tbl, extra); err != nil {
+	if err := w.LoadRowsByName("meterdata", extra); err != nil {
 		t.Fatal(err)
 	}
 	res := mustExec(t, w, `SELECT count(*) FROM meterdata`)
@@ -504,7 +501,7 @@ func setupMeterTableFormat(t *testing.T, w *Warehouse, users, regions, days int,
 	rows := meterRows(users, regions, days)
 	tbl, _ := w.Table("meterdata")
 	tbl.RowGroupRows = 16
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("meterdata", rows); err != nil {
 		t.Fatal(err)
 	}
 	return rows
@@ -619,9 +616,8 @@ func TestLoadRowsThroughDgfAppendRCFile(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	rows := setupMeterTableFormat(t, w, 20, 2, 2, "RCFILE")
 	createDgf(t, w)
-	tbl, _ := w.Table("meterdata")
 	extra := meterRows(20, 2, 1)
-	if err := w.LoadRows(tbl, extra); err != nil {
+	if err := w.LoadRowsByName("meterdata", extra); err != nil {
 		t.Fatal(err)
 	}
 	all := mustExec(t, w, `SELECT count(*) FROM meterdata`)

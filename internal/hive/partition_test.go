@@ -23,7 +23,7 @@ func TestPartitionedLoadAndLayout(t *testing.T) {
 		powerConsumed double) PARTITIONED BY (regionId)`)
 	tbl, _ := w.Table("pm")
 	rows := meterRows(40, 4, 3)
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("pm", rows); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := w.Partitions(tbl)
@@ -48,9 +48,8 @@ func TestPartitionPruning(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	mustExec(t, w, `CREATE TABLE pm (userId bigint, regionId bigint, ts timestamp,
 		powerConsumed double) PARTITIONED BY (regionId)`)
-	tbl, _ := w.Table("pm")
 	rows := meterRows(60, 6, 4)
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("pm", rows); err != nil {
 		t.Fatal(err)
 	}
 	// Query constrained to two of six regions must prune the rest.
@@ -88,7 +87,7 @@ func TestPartitionedRCFile(t *testing.T) {
 	tbl, _ := w.Table("pm")
 	tbl.RowGroupRows = 16
 	rows := meterRows(30, 3, 4)
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("pm", rows); err != nil {
 		t.Fatal(err)
 	}
 	res := mustExec(t, w, `SELECT count(*) FROM pm WHERE regionId=1`)

@@ -46,8 +46,7 @@ func TestProjectDelimiterCell(t *testing.T) {
 	for _, stored := range []string{"TEXTFILE", "RCFILE"} {
 		w := testWarehouse(1 << 12)
 		mustExec(t, w, `CREATE TABLE u (uid bigint, addr string) STORED AS `+stored)
-		tbl, _ := w.Table("u")
-		if err := w.LoadRows(tbl, delimiterRows()); err != nil {
+		if err := w.LoadRowsByName("u", delimiterRows()); err != nil {
 			t.Fatal(err)
 		}
 		var want []storage.Row
@@ -115,7 +114,7 @@ func TestProjectJoinTieOrder(t *testing.T) {
 		meter, _ := w.Table("m")
 		meter.RowGroupRows = 8
 		rows := meterRows(12, 3, 4)
-		if err := w.LoadRows(meter, rows); err != nil {
+		if err := w.LoadRowsByName("m", rows); err != nil {
 			t.Fatal(err)
 		}
 		mustExec(t, w, `CREATE TABLE tags (userId bigint, tag string) STORED AS `+stored)
@@ -125,8 +124,7 @@ func TestProjectJoinTieOrder(t *testing.T) {
 				tagRows = append(tagRows, storage.Row{storage.Int64(u), storage.Str(tag)})
 			}
 		}
-		side, _ := w.Table("tags")
-		if err := w.LoadRows(side, tagRows); err != nil {
+		if err := w.LoadRowsByName("tags", tagRows); err != nil {
 			t.Fatal(err)
 		}
 
@@ -193,7 +191,7 @@ func TestAggregateIndexCountsRows(t *testing.T) {
 		mustExec(t, w, `CREATE TABLE m (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS `+stored)
 		tbl, _ := w.Table("m")
 		tbl.RowGroupRows = 16
-		if err := w.LoadRows(tbl, meterRows(60, 4, 10)); err != nil {
+		if err := w.LoadRowsByName("m", meterRows(60, 4, 10)); err != nil {
 			t.Fatal(err)
 		}
 		mustExec(t, w, `CREATE INDEX mx ON TABLE m(regionId) AS 'org.apache.hadoop.hive.ql.index.AggregateIndexHandler'`)

@@ -53,7 +53,7 @@ func goldenWarehouse(t *testing.T, stored string) *Warehouse {
 		mustExec(t, w, ddl+` STORED AS `+stored)
 		tbl, _ := w.Table(name)
 		tbl.RowGroupRows = 16
-		if err := w.LoadRows(tbl, rows); err != nil {
+		if err := w.LoadRowsByName(name, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func goldenWarehouse(t *testing.T, stored string) *Warehouse {
 			storage.Int64(int64(u)), storage.Str(fmt.Sprintf("user-%02d", u)),
 		})
 	}
-	if err := w.LoadRows(users, userRows); err != nil {
+	if err := w.LoadRowsByName("userInfo", userRows); err != nil {
 		t.Fatal(err)
 	}
 	return w

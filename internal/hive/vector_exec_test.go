@@ -33,19 +33,18 @@ func setupVectorWarehouse(t *testing.T) (*Warehouse, []storage.Row) {
 		ts timestamp, powerConsumed double) STORED AS RCFILE`)
 	plain, _ := w.Table("plainmeter")
 	plain.RowGroupRows = 16
-	if err := w.LoadRows(plain, rows); err != nil {
+	if err := w.LoadRowsByName("plainmeter", rows); err != nil {
 		t.Fatal(err)
 	}
 
 	mustExec(t, w, `CREATE TABLE userInfo (userId bigint, userName string)`)
-	users, _ := w.Table("userInfo")
 	var userRows []storage.Row
 	for u := 1; u <= 40; u++ {
 		userRows = append(userRows, storage.Row{
 			storage.Int64(int64(u)), storage.Str(fmt.Sprintf("user-%02d", u)),
 		})
 	}
-	if err := w.LoadRows(users, userRows); err != nil {
+	if err := w.LoadRowsByName("userInfo", userRows); err != nil {
 		t.Fatal(err)
 	}
 	return w, rows
@@ -238,7 +237,7 @@ func setupTaggedTable(t *testing.T, w *Warehouse, rows []storage.Row) {
 	mustExec(t, w, `CREATE TABLE tagged (id bigint, tag string, v double) STORED AS RCFILE`)
 	tbl, _ := w.Table("tagged")
 	tbl.RowGroupRows = 8
-	if err := w.LoadRows(tbl, rows); err != nil {
+	if err := w.LoadRowsByName("tagged", rows); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, w, `CREATE INDEX idx_tagged ON TABLE tagged(id)
@@ -318,8 +317,7 @@ func TestDgfAppendKeepsSidecarsConsistent(t *testing.T) {
 	// Warehouse A: index half the data, then append the other half.
 	wA := testWarehouse(1 << 14)
 	setupTaggedTable(t, wA, all[:200])
-	tbl, _ := wA.Table("tagged")
-	if err := wA.LoadRows(tbl, all[200:]); err != nil {
+	if err := wA.LoadRowsByName("tagged", all[200:]); err != nil {
 		t.Fatal(err)
 	}
 	// Warehouse B: one build over the combined data — the rebuild baseline.

@@ -269,14 +269,20 @@ func (w *Warehouse) tableNamesLocked() []string {
 	return names
 }
 
-// LoadRows appends rows to the table as one new data file. When the table
-// has a DGFIndex, the rows are first staged and then run through the index's
-// append pipeline so that the reorganised layout and the GFU pairs stay
-// consistent (the data-load flow of Section 4.2). Partitioned tables route
-// each row into its partition's directory.
-func (w *Warehouse) LoadRows(t *Table, rows []storage.Row) error {
+// LoadRowsByName appends rows to the named table as one new data file. When
+// the table has a DGFIndex, the rows are first staged and then run through
+// the index's append pipeline so that the reorganised layout and the GFU
+// pairs stay consistent (the data-load flow of Section 4.2). Partitioned
+// tables route each row into its partition's directory. The table is
+// resolved and loaded under one write-lock acquisition, so the load can never
+// interleave with a concurrent DROP or CREATE of the same table.
+func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	t, err := w.tableLocked(name)
+	if err != nil {
+		return err
+	}
 	return w.loadRowsLocked(t, rows)
 }
 
@@ -337,20 +343,6 @@ func (w *Warehouse) loadPartitionedLocked(t *Table, rows []storage.Row) error {
 		}
 	}
 	return nil
-}
-
-// LoadRowsByName resolves the table and appends rows under one write-lock
-// acquisition, so the load can never interleave with a concurrent DROP or
-// CREATE of the same table (LoadRows with a previously fetched *Table
-// could).
-func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t, err := w.tableLocked(name)
-	if err != nil {
-		return err
-	}
-	return w.loadRowsLocked(t, rows)
 }
 
 // Partitions lists the table's partition values, sorted.
@@ -478,17 +470,12 @@ func (w *Warehouse) buildDgfIndexLocked(t *Table, spec dgf.Spec) (*dgf.BuildStat
 	return stats, nil
 }
 
-// BuildHiveIndex builds a Compact/Aggregate/Bitmap index on the table.
-// Indexing partitioned tables (the per-partition indexes Section 6 calls
-// "the best way to improve Hive performance") is not implemented; combine
-// partitioning with an index by indexing an unpartitioned copy.
-func (w *Warehouse) BuildHiveIndex(t *Table, name string, kind hiveindex.Kind, cols []string, indexFormat hiveindex.Format) (*hiveindex.Index, error) {
-	ix, _, err := w.BuildHiveIndexStats(t, name, kind, cols, indexFormat)
-	return ix, err
-}
-
-// BuildHiveIndexStats is BuildHiveIndex returning the build job statistics
-// (Table 2 and Table 5 report construction times).
+// BuildHiveIndexStats builds a Compact/Aggregate/Bitmap index on the table
+// and returns the build job's simulated seconds (Table 2 and Table 5 report
+// construction times). Indexing partitioned tables (the per-partition
+// indexes Section 6 calls "the best way to improve Hive performance") is not
+// implemented; combine partitioning with an index by indexing an
+// unpartitioned copy.
 func (w *Warehouse) BuildHiveIndexStats(t *Table, name string, kind hiveindex.Kind, cols []string, indexFormat hiveindex.Format) (*hiveindex.Index, float64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -17,6 +17,7 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
+	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
@@ -724,6 +725,57 @@ func TestLoadRejectsCellsTextCannotCarryOverHTTP(t *testing.T) {
 			}
 			if rows := res.Result.Rows; len(rows) != 1 || rows[0][2].S != "rear door, ring twice" {
 				t.Errorf("table holds %v, want the one accepted row", res.Result.Rows)
+			}
+		})
+	}
+}
+
+// TestLoadRejectsGroupKeySeparator: a string cell holding \x01, the byte a
+// multi-column GROUP BY key joins its cells with, is refused in any column by
+// the router's load and by POST /load, with an error naming the cell. Such a
+// cell used to load, and `SELECT name, userId, count(*) ... GROUP BY name,
+// userId` over ("a\x01", 7), ("a", 8) and ("b\x019", 5) then answered
+// ("a", ""), ("a", 8) and ("b", 9): the key split at the cell's separator.
+func TestLoadRejectsGroupKeySeparator(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*testing.T, Config) (*Server, *shard.Router)
+	}{
+		{"synchronous loads", shardedServer},
+		{"wal", walServer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, r := tc.mk(t, Config{})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			ctx := context.Background()
+			if _, err := r.ExecContext(ctx, `CREATE TABLE u (userId bigint, name string)`, hive.ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			good := storage.Row{storage.Int64(8), storage.Str("a")}
+			for _, bad := range []storage.Row{
+				{storage.Int64(7), storage.Str("a\x01")},
+				{storage.Int64(5), storage.Str("b\x019")},
+			} {
+				_, err := r.LoadRowsDurable(ctx, "u", []storage.Row{good, bad}, true)
+				if cell := fmt.Sprintf("%q", bad[1].S); err == nil || !strings.Contains(err.Error(), cell) {
+					t.Errorf("router load of %s: error %v, want a rejection naming the cell", cell, err)
+				}
+			}
+			code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json",
+				[]byte(`{"table":"u","rows":[[8,"a"],[7,"a\u0001"]]}`))
+			if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), `"a\x01"`) {
+				t.Errorf("POST /load: status %d %v, want 400 naming the cell", code, out)
+			}
+			if _, err := r.LoadRowsDurable(ctx, "u", []storage.Row{good}, true); err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Query(ctx, Request{SQL: `SELECT name, userId, count(*) FROM u GROUP BY name, userId`, NoCache: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(res.Result.Rows); got != "[[a 8 1]]" {
+				t.Errorf("GROUP BY name, userId answers %s, want [[a 8 1]]", got)
 			}
 		})
 	}

@@ -22,11 +22,6 @@
 // Query, QueryStream and LoadRowsCtx run one request lifecycle (see call):
 // admission, root span, plan cache, deadline, worker slot, and one metrics
 // and flight-recorder epilogue.
-//
-// An optional pacing knob converts each query's simulated cluster-seconds
-// into wall-clock delay, modelling the remote 29-node cluster's latency;
-// with pacing on, concurrent sessions overlap their cluster waits exactly
-// the way concurrent Hive clients share a real cluster.
 package server
 
 import (
@@ -119,11 +114,6 @@ type Config struct {
 	// PlanCacheEntries sizes the parsed-statement cache (0 uses the
 	// default 512; negative disables).
 	PlanCacheEntries int
-	// SimPacing stretches each query by its simulated cluster time: a
-	// query costing S simulated cluster-seconds sleeps S*SimPacing of
-	// wall time inside its worker slot. Zero (the default) disables
-	// pacing. Cache hits never pace — no cluster work happens.
-	SimPacing time.Duration
 	// SlowQueryMs is the flight recorder's slow threshold in milliseconds:
 	// a query at or above it (or one that errors) has its trace retained.
 	// Zero uses the default 500; negative records errored queries only.
@@ -592,19 +582,6 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	ch := make(chan outcome, 1)
 	go func() {
 		res, err := s.b.ExecParsedContext(ctx, stmt, req.Opts)
-		if err == nil && s.cfg.SimPacing > 0 {
-			// Model the remote cluster: hold the worker slot for the
-			// query's simulated duration.
-			pace := time.Duration(res.Stats.SimTotalSec() * float64(s.cfg.SimPacing))
-			if pace > 0 {
-				timer := time.NewTimer(pace)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-				}
-			}
-		}
 		// Free the slot and the reservation before handing the outcome
 		// over: once Query returns, its request is no longer in flight.
 		<-s.sem

@@ -19,6 +19,7 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
+	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -30,11 +31,7 @@ func testWarehouse(t *testing.T) *hive.Warehouse {
 	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := w.Table("meterdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.LoadRows(tbl, meterRows(1, 60, 4, 4)); err != nil {
+	if err := w.LoadRowsByName("meterdata", meterRows(1, 60, 4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -183,8 +180,7 @@ func TestDirectLoadCannotServeStale(t *testing.T) {
 	s := New(w, Config{})
 	const q = `SELECT count(*) FROM meterdata`
 	before := mustQuery(t, s, q)
-	tbl, _ := w.Table("meterdata")
-	if err := w.LoadRows(tbl, meterRows(500, 10, 4, 4)); err != nil {
+	if err := w.LoadRowsByName("meterdata", meterRows(500, 10, 4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	after := mustQuery(t, s, q)
@@ -246,11 +242,26 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// stalledFleet is a router whose queries never finish on their own: each one
+// waits for its ctx to end and returns the ctx's error, as a scan aborted at
+// a split boundary does.
+type stalledFleet struct{ *shard.Router }
+
+func (stalledFleet) ExecParsedContext(ctx context.Context, _ hive.Stmt, _ hive.ExecOptions) (*hive.Result, error) {
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
 func TestQueryTimeoutDuringExecution(t *testing.T) {
-	// Pacing stretches the query far past the deadline, so the timeout
-	// fires mid-execution deterministically.
-	s := New(testWarehouse(t), Config{SimPacing: time.Second})
-	_, err := s.Query(context.Background(), Request{
+	// The backend outlives any deadline, so the timeout fires mid-execution
+	// deterministically.
+	w := testWarehouse(t)
+	r, err := shard.New(shard.Config{Shards: 1}, func(int, int) *hive.Warehouse { return w })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithBackend(stalledFleet{r}, Config{})
+	_, err = s.Query(context.Background(), Request{
 		SQL:     `SELECT sum(powerConsumed) FROM meterdata`,
 		Timeout: 30 * time.Millisecond,
 	})
@@ -543,23 +554,6 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 	}
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(e.Error, "NaN") {
 		t.Errorf("status %d, error %q; want 500 naming the unsupported value", rec.Code, e.Error)
-	}
-}
-
-func TestSimPacingStretchesWallTime(t *testing.T) {
-	s := New(testWarehouse(t), Config{SimPacing: 2 * time.Millisecond})
-	resp := mustQuery(t, s, `SELECT sum(powerConsumed) FROM meterdata`)
-	wantMin := time.Duration(resp.Result.Stats.SimTotalSec() * float64(2*time.Millisecond))
-	if resp.Wall < wantMin {
-		t.Fatalf("wall %v < paced minimum %v", resp.Wall, wantMin)
-	}
-	// Cache hits skip pacing.
-	again := mustQuery(t, s, `SELECT sum(powerConsumed) FROM meterdata`)
-	if !again.Cached {
-		t.Fatal("repeat should hit cache")
-	}
-	if again.Wall > wantMin {
-		t.Fatalf("cached wall %v should be below paced %v", again.Wall, wantMin)
 	}
 }
 

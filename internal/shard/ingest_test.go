@@ -518,7 +518,8 @@ func TestProjectDelimiterCellSharded(t *testing.T) {
 		mustExec(t, r, `CREATE TABLE u (uid bigint, addr string) STORED AS `+stored)
 		var rows []storage.Row
 		var want []string
-		for i, addr := range []string{"12 Main St, Springfield", "b|c\x01d,1", "", ",,", "x,y"} {
+		// No \x01: the router's load refuses it (TestLoadRejectsGroupKeySeparator).
+		for i, addr := range []string{"12 Main St, Springfield", "b|c,d,1", "", ",,", "x,y"} {
 			rows = append(rows, storage.Row{storage.Int64(int64(i + 1)), storage.Str(addr)})
 			want = append(want, fmt.Sprintf("%s|%d", addr, i+1))
 		}

@@ -591,3 +591,51 @@ func TestShardRCFileEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestShardingCutsSimulatedTime: scatter-gather over four shards answers the
+// benchmark's scan-heavy meter statements as one shard does (within the
+// float-merge tolerance: cross-shard sums reorder additions) in at most
+// 1/1.5 of the simulated cluster time. The cluster model is scaled, as
+// cmd/dgfserver scales it, so ~90 KB of generated rows model a ~70 GB table
+// whose full scan spans ~8 map waves on the 140-slot cluster; four shards
+// divide the waves.
+func TestShardingCutsSimulatedTime(t *testing.T) {
+	cfg := workload.DefaultMeterConfig()
+	cfg.Users = 100
+	cfg.OtherMetrics = 0
+	statements := []string{
+		`SELECT sum(powerConsumed) FROM meterdata`,
+		`SELECT count(*), avg(powerConsumed) FROM meterdata WHERE regionId >= 2`,
+		`SELECT regionId, sum(powerConsumed) FROM meterdata GROUP BY regionId`,
+		"SELECT sum(powerConsumed) FROM meterdata WHERE " + cfg.Selective(0.5).WhereClause(),
+	}
+	cc := cluster.Default().Scaled(800000)
+	run := func(shards int) (answers []*hive.Result, simSec float64) {
+		r, err := New(Config{Shards: shards, Key: "userId"}, func(int, int) *hive.Warehouse {
+			return hive.NewWarehouse(dfs.New(2<<20), cc, "/warehouse")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, r, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
+		if err := loadRows(r, "meterdata", cfg.AllRows()); err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range statements {
+			res := mustExec(t, r, sql)
+			answers = append(answers, res)
+			simSec += res.Stats.SimTotalSec()
+		}
+		return answers, simSec
+	}
+	one, oneSec := run(1)
+	four, fourSec := run(4)
+	for i, sql := range statements {
+		if err := closeRows(one[i].Rows, four[i].Rows); err != nil {
+			t.Errorf("%q: 4 shards vs 1: %v", sql, err)
+		}
+	}
+	if fourSec*1.5 > oneSec {
+		t.Errorf("4 shards cost %.1f simulated s, 1 shard %.1f s: %.2fx, want >= 1.5x", fourSec, oneSec, oneSec/fourSec)
+	}
+}

@@ -42,6 +42,11 @@ func AppendTextRow(dst []byte, row Row) []byte {
 // field runs to the end of the line. Nothing escapes either, so such a row
 // would be written without complaint and then fail every decode of its table;
 // the load paths refuse it up front.
+//
+// It also refuses a string holding \x01 in any column. A multi-column GROUP
+// BY key, and a Compact/Aggregate index key, joins its cells' text with that
+// byte and splits it back to render the answer, so such a cell would shift
+// every cell after it and the group would come back with the wrong values.
 func CheckTextRow(row Row) error {
 	for i, v := range row {
 		if v.Kind != KindString {
@@ -49,6 +54,9 @@ func CheckTextRow(row Row) error {
 		}
 		if strings.IndexByte(v.S, '\n') >= 0 {
 			return fmt.Errorf("storage: column %d: string cell %q holds a newline", i+1, v.S)
+		}
+		if strings.IndexByte(v.S, '\x01') >= 0 {
+			return fmt.Errorf("storage: column %d: string cell %q holds the group-key separator \\x01", i+1, v.S)
 		}
 		if i < len(row)-1 && strings.IndexByte(v.S, TextDelim) >= 0 {
 			return fmt.Errorf("storage: column %d: string cell %q holds the field delimiter %q outside the last column", i+1, v.S, TextDelim)
