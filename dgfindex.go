@@ -40,6 +40,10 @@
 // the terms of the paper's figures: simulated cluster seconds split into
 // "read index and other" versus "read data and process", records read,
 // bytes read, splits and seeks.
+//
+// A DGFIndex's IDXPROPERTIES take one splitting policy per index column and
+// an optional 'precompute'; any other key fails the CREATE INDEX. Row groups
+// of RCFile data are pruned by their zone maps (per-column min/max) alone.
 package dgfindex
 
 import (

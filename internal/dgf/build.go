@@ -22,10 +22,6 @@ type BuildStats struct {
 	Entries      int   // GFU pairs written by this run
 	IndexBytes   int64 // index size after the run
 	KVSimSeconds float64
-	// BitmapDisabled names the bitmap columns this run dropped for exceeding
-	// storage.BitmapCardinalityCap in some output file (no pruning there,
-	// still correct) — CREATE INDEX surfaces them instead of failing.
-	BitmapDisabled []string
 }
 
 // SimTotalSec is the simulated construction time: the reorganisation job
@@ -49,9 +45,6 @@ type Source struct {
 	// GroupRows sizes the reorganised data's RCFile row groups (<= 0
 	// selects storage.DefaultRowGroupRows). Ignored for TextFile.
 	GroupRows int
-	// GroupBytes, when positive, switches row-group sizing to a byte budget
-	// (GroupRows stays the row-count cap). Ignored for TextFile.
-	GroupBytes int64
 }
 
 // Build constructs a DGFIndex over the table described by src, reorganising
@@ -78,16 +71,15 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		return nil, nil, err
 	}
 	ix := &Index{
-		FS:         fs,
-		KV:         kv,
-		Spec:       spec,
-		Schema:     schema,
-		DataDir:    dataDir,
-		Format:     src.Format,
-		GroupRows:  src.GroupRows,
-		GroupBytes: src.GroupBytes,
-		minCell:    make([]int64, len(spec.Policy.Dims)),
-		maxCell:    make([]int64, len(spec.Policy.Dims)),
+		FS:        fs,
+		KV:        kv,
+		Spec:      spec,
+		Schema:    schema,
+		DataDir:   dataDir,
+		Format:    src.Format,
+		GroupRows: src.GroupRows,
+		minCell:   make([]int64, len(spec.Policy.Dims)),
+		maxCell:   make([]int64, len(spec.Policy.Dims)),
 	}
 	if ix.Format == storage.RCFile && ix.GroupRows <= 0 {
 		ix.GroupRows = storage.DefaultRowGroupRows
@@ -127,10 +119,9 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}
 	kvBefore := ix.KV.Stats()
 
-	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, merged, droppedCols, ix's bounds
+	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, merged, ix's bounds
 	boundsInit := !fresh // appends extend existing bounds
 	var merged []mergedPairs
-	droppedCols := map[int]bool{} // bitmap columns overflowed in some output file
 
 	// A distinct file-name generation per build run keeps append output
 	// separate from prior runs.
@@ -167,8 +158,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				return nil
 			}
 			name := ix.partFile(int64(gen), int64(task))
-			sw, err := storage.NewSegmentWriterOpts(ix.FS, name, ix.Schema, ix.Format, ix.GroupRows,
-				storage.SegmentWriterOptions{BitmapCols: ix.bitmapCols, GroupBytes: ix.GroupBytes})
+			sw, err := storage.NewSegmentWriter(ix.FS, name, ix.Schema, ix.Format, ix.GroupRows)
 			if err != nil {
 				return err
 			}
@@ -223,10 +213,6 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			if err := sw.Close(); err != nil {
 				return err
 			}
-			var overflowed []int
-			if rep, ok := sw.(storage.BitmapOverflowReporter); ok {
-				overflowed = rep.BitmapOverflows()
-			}
 			// Merge with any existing pairs (late data for a known cell).
 			m, err := ix.mergePairs(gen, task, pairs)
 			if err != nil {
@@ -234,9 +220,6 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			}
 			mu.Lock()
 			merged = append(merged, m)
-			for _, c := range overflowed {
-				droppedCols[c] = true
-			}
 			if !boundsInit {
 				copy(ix.minCell, lo)
 				copy(ix.maxCell, hi)
@@ -256,7 +239,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 		// of the directory.
 		for task := 0; task < numReducers; task++ {
 			name := ix.partFile(int64(gen), int64(task))
-			for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name), storage.BitmapPath(name)} {
+			for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
 				ix.FS.RemoveAll(p)
 			}
 		}
@@ -271,35 +254,13 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 		ix.gfuEntries.Add(m.fresh)
 		entries += len(m.pairs)
 	}
-	// Fold this run's overflowed bitmap columns into the index's persistent
-	// disabled set (sorted column names, deduplicated across runs).
-	var runDropped []string
-	if len(droppedCols) > 0 {
-		seen := map[string]bool{}
-		for _, name := range ix.BitmapDisabled {
-			seen[name] = true
-		}
-		for c := range droppedCols {
-			name := ix.Schema.Col(c).Name
-			runDropped = append(runDropped, name)
-			seen[name] = true
-		}
-		sort.Strings(runDropped)
-		all := make([]string, 0, len(seen))
-		for name := range seen {
-			all = append(all, name)
-		}
-		sort.Strings(all)
-		ix.BitmapDisabled = all
-	}
 	ix.saveMeta()
 	kvDelta := ix.KV.Stats().Sub(kvBefore)
 	return &BuildStats{
-		Job:            *jobStats,
-		Entries:        entries,
-		IndexBytes:     ix.SizeBytes(),
-		KVSimSeconds:   kvDelta.SimSeconds(cfg),
-		BitmapDisabled: runDropped,
+		Job:          *jobStats,
+		Entries:      entries,
+		IndexBytes:   ix.SizeBytes(),
+		KVSimSeconds: kvDelta.SimSeconds(cfg),
 	}, nil
 }
 
@@ -497,14 +458,32 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 
 // ParseIdxProperties translates the paper's Listing 3 CREATE INDEX property
 // map into a Spec: one 'col'='min_interval' entry per dimension (ordered by
-// the cols argument) plus an optional 'precompute'='sum(x);count(*)'.
+// the cols argument, keys matched case-insensitively) plus an optional
+// 'precompute'='sum(x);count(*)'. Any other key is an error, so a misspelt
+// key cannot build a different index than the one asked for.
 func ParseIdxProperties(name string, cols []string, schema *storage.Schema, props map[string]string) (Spec, error) {
-	spec := Spec{Name: name}
+	indexCols := map[int]bool{}
 	for _, col := range cols {
 		ci := schema.ColIndex(col)
 		if ci < 0 {
 			return Spec{}, fmt.Errorf("dgf: index column %q is not a table column", col)
 		}
+		indexCols[ci] = true
+	}
+	var unknown []string
+	for k := range props {
+		if k != "precompute" && !indexCols[schema.ColIndex(k)] {
+			unknown = append(unknown, strconv.Quote(k))
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return Spec{}, fmt.Errorf("dgf: unknown IDXPROPERTIES key %s: the accepted keys are the index columns (%s) and 'precompute'",
+			strings.Join(unknown, ", "), strings.Join(cols, ", "))
+	}
+	spec := Spec{Name: name}
+	for _, col := range cols {
+		ci := schema.ColIndex(col)
 		raw, ok := props[col]
 		if !ok {
 			// Tolerate case differences between the column list and the
@@ -531,15 +510,6 @@ func ParseIdxProperties(name string, cols []string, schema *storage.Schema, prop
 			return Spec{}, err
 		}
 		spec.Precompute = specs
-	}
-	if raw, ok := props["bitmap"]; ok && raw != "" {
-		for _, col := range strings.Split(raw, ";") {
-			col = strings.TrimSpace(col)
-			if col == "" {
-				continue
-			}
-			spec.BitmapCols = append(spec.BitmapCols, col)
-		}
 	}
 	if err := spec.Validate(schema); err != nil {
 		return Spec{}, err

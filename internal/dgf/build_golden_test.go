@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,7 +54,6 @@ func goldenSpec() Spec {
 			{Func: AggMin, Col: "ts"},
 			{Func: AggSum, Col: "userId*powerConsumed"},
 		},
-		BitmapCols: []string{"vendor"},
 	}
 }
 
@@ -166,21 +166,41 @@ type goldenStage struct {
 // and an append into fresh userId cells.
 var goldenStages = [3]string{"build", "append(ts)", "append(new cells)"}
 
-// golden holds the hashes per source format and stage. The files hashes are
-// those recorded at fe95d05. The kv and stats hashes were re-recorded when the
-// GFUValue became binary: the pair bytes changed and, with them,
-// BuildStats.IndexBytes — TestBuildGoldenMovedAsDescribed holds the move to
-// exactly that.
+// golden holds the hashes per source format and stage. The TextFile files
+// hashes are those recorded at fe95d05. The RCFile ones are what c084951
+// computes over the same trees with their value-bitmap sidecar directories
+// left out: the build stopped writing them, and nothing else on disk moved.
+// The kv and stats hashes were re-recorded twice. When the GFUValue became
+// binary the pair bytes changed and, with them, BuildStats.IndexBytes —
+// TestBuildGoldenMovedAsDescribed holds the move to exactly that. When the
+// sidecars and byte-budget row groups went, three metadata entries and the
+// three puts that stored them went too —
+// TestBuildGoldenRetiredMetaMovedAsDescribed holds that move.
 var golden = map[storage.Format][3]goldenStage{
 	storage.TextFile: {
-		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "5ee1768161008d35e8fe5aa82f7648dbdc7db7e8be95c5dad4fca8d0ca34129a", "12ca76c21bce485c18764fd03f352e7ff4e889b7b4a3fbfee2b5ca66e089ea87"},
-		{"d9d80d20ae78a650942a3709822de0c038f9201cc028d8b448e468a239c31f84", "bb9190e292c371195a56845f990dcbac3a21ed6bc3d6d635f98790e737c08a9a", "4cbb7c62fed3da47f6f919286e94bd4daab54b12b0876dd07826ed858399436a"},
-		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "bfe1ede97c238737f7971c3f48b0f9adeaf0a8c0e5c240753eb1d6858f9420a7", "73e721f0d59fbaf656c32ebc5e645487ef10f4067fcaf5e0c7d2e15a3e48b3e9"},
+		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "012a6b11901ac728978f34dcc56ef363d7dbef5e5f78fbf9cb8a10bf9b573d01", "df9281ff92951a4ac5067093aa61b00af1073188f0f39dfa937d1433ef54a8f4"},
+		{"d9d80d20ae78a650942a3709822de0c038f9201cc028d8b448e468a239c31f84", "1dcff1387e071809c628136cfd0ddc155d8460d2e8befcd582b334682662d1a1", "d2cd8f3fce9921dd7f230a247b927bcd2eb63afd01dae9e2a66518b0ee5257db"},
+		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "7f533632bc7c079242aadff56b191b3e55c37dfdeb1c278a4a96a72c010ce6ec", "51e62bfe74353a084b1ed4748a9a0a11a203db330d54fddeb86e8dce87b3ed29"},
 	},
 	storage.RCFile: {
-		{"d655d847179a2da1d51e3a58990e1975a5b41eb7a329b1b87433f0b8f3edcc3a", "4a9c3c0ee12550404c2114e36037e96d6be19bb47f6f348077676d46c8a7f019", "a8e57267e732c55c7e8a278964b4449f4a7e798f16ed40070da54feff6410f6a"},
-		{"8a610f18310a0f5dcd40088a29e4fa0dd05bb52526368d757294066dea8ea02e", "50c3f5489c77dbee383c005e7bc3bd90fd9e832a68b139521c36ad8f27eaaf8b", "4a704401c13f7894f95bc5e120f9056cef85df64fdcce231a1ee1bbcafd78862"},
-		{"1993d451796c608863e8c4667d68fae8903cd07d9ea59e468eafeffe8c3ec4a5", "97c42677696ee4c91c72204fa3d9cb263ec1ef9ba9355029fd6dd3c248fc9347", "37c2bd0c208a614ecacf9927a16a3ae815f30336f4cd86bb4f52763914de9ca8"},
+		{"3d5ba9f19beb045ce3f5f4b67feaa4969b9493b9c4da60cc5879f7013bbf3169", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
+		{"1dd190142aaf345abdee82abc9a9dd0ad1a455ec8b1977179569feea720c9031", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
+		{"2813a1b67db9b4d4bfea43698cf13d6a793e137d7d304ee4ca5e84006d240859", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
+	},
+}
+
+// goldenRetiredMeta holds the kv and stats hashes c084951 recorded, with the
+// three metadata entries still stored.
+var goldenRetiredMeta = map[storage.Format][3]goldenStage{
+	storage.TextFile: {
+		{kv: "5ee1768161008d35e8fe5aa82f7648dbdc7db7e8be95c5dad4fca8d0ca34129a", stats: "12ca76c21bce485c18764fd03f352e7ff4e889b7b4a3fbfee2b5ca66e089ea87"},
+		{kv: "bb9190e292c371195a56845f990dcbac3a21ed6bc3d6d635f98790e737c08a9a", stats: "4cbb7c62fed3da47f6f919286e94bd4daab54b12b0876dd07826ed858399436a"},
+		{kv: "bfe1ede97c238737f7971c3f48b0f9adeaf0a8c0e5c240753eb1d6858f9420a7", stats: "73e721f0d59fbaf656c32ebc5e645487ef10f4067fcaf5e0c7d2e15a3e48b3e9"},
+	},
+	storage.RCFile: {
+		{kv: "4a9c3c0ee12550404c2114e36037e96d6be19bb47f6f348077676d46c8a7f019", stats: "a8e57267e732c55c7e8a278964b4449f4a7e798f16ed40070da54feff6410f6a"},
+		{kv: "50c3f5489c77dbee383c005e7bc3bd90fd9e832a68b139521c36ad8f27eaaf8b", stats: "4a704401c13f7894f95bc5e120f9056cef85df64fdcce231a1ee1bbcafd78862"},
+		{kv: "97c42677696ee4c91c72204fa3d9cb263ec1ef9ba9355029fd6dd3c248fc9347", stats: "37c2bd0c208a614ecacf9927a16a3ae815f30336f4cd86bb4f52763914de9ca8"},
 	},
 }
 
@@ -279,20 +299,96 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
+// retiredMeta is what c084951 stored for the golden spec under the three
+// metadata keys the value-bitmap sidecars and byte-budget row groups used.
+var retiredMeta = []kvstore.Pair{
+	{Key: "meta/bitmapcols", Value: []byte("vendor")},
+	{Key: "meta/bitmapdisabled", Value: []byte{}},
+	{Key: "meta/groupbytes", Value: []byte("0")},
+}
+
+// withRetiredMeta returns the store's pairs as c084951 left them: with
+// retiredMeta put back, in key order.
+func withRetiredMeta(pairs []kvstore.Pair) []kvstore.Pair {
+	out := append(append([]kvstore.Pair(nil), pairs...), retiredMeta...)
+	slices.SortFunc(out, func(a, b kvstore.Pair) int { return strings.Compare(a.Key, b.Key) })
+	return out
+}
+
+// retiredStatsField is the last field c084951's BuildStats printed: the
+// overflowed sidecar columns, always empty on the golden data.
+const retiredStatsField = "BitmapDisabled:[]"
+
+// renderStatsWithRetiredMeta renders the BuildStats as c084951 did: with
+// KVSimSeconds charged for the run's gets and puts plus the puts that stored
+// retiredMeta, and ending in retiredStatsField. run holds the store
+// operations the stage made; the build makes no scans, so gets and puts are
+// its whole store cost.
+func renderStatsWithRetiredMeta(t *testing.T, s *BuildStats, run kvstore.Stats) string {
+	t.Helper()
+	if got, want := s.KVSimSeconds, (kvstore.Stats{Gets: run.Gets, Puts: run.Puts}).SimSeconds(testCfg()); got != want {
+		t.Fatalf("KVSimSeconds %v, but %d gets and %d puts cost %v", got, run.Gets, run.Puts, want)
+	}
+	c := *s
+	c.KVSimSeconds = kvstore.Stats{Gets: run.Gets, Puts: run.Puts + int64(len(retiredMeta))}.SimSeconds(testCfg())
+	r := renderStats(&c)
+	return r[:len(r)-1] + " " + retiredStatsField + "}"
+}
+
+// goldenBuildRuns is goldenBuild that also hands record the store operations
+// each stage made. Only the stages get and put; record's own reads are scans.
+func goldenBuildRuns(t *testing.T, format storage.Format, record func(stage int, ix *Index, stats *BuildStats, run kvstore.Stats)) {
+	t.Helper()
+	var prev kvstore.Stats
+	goldenBuild(t, format, func(i int, ix *Index, stats *BuildStats) {
+		now := ix.KV.Stats()
+		record(i, ix, stats, now.Sub(prev))
+		prev = ix.KV.Stats()
+	})
+}
+
+// TestBuildGoldenRetiredMetaMovedAsDescribed bounds the re-recording of
+// golden's kv and stats hashes when the value-bitmap sidecars and
+// byte-budget row groups were removed. The index stopped storing three
+// metadata entries, and saveMeta stopped making the three puts that stored
+// them. With the entries put back, the store hashes to what c084951
+// recorded, so every GFU pair and every other metadata entry is unchanged.
+// With KVSimSeconds recharged for those three puts and the retired field
+// restored, BuildStats hashes to its recording too, so Entries, IndexBytes
+// and every Job field are unchanged.
+func TestBuildGoldenRetiredMetaMovedAsDescribed(t *testing.T) {
+	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
+		t.Run(format.String(), func(t *testing.T) {
+			goldenBuildRuns(t, format, func(i int, ix *Index, stats *BuildStats, run kvstore.Stats) {
+				want := goldenRetiredMeta[format][i]
+				if got := hashKV(withRetiredMeta(ix.KV.ScanPrefix(""))); got != want.kv {
+					t.Errorf("%s: with the retired metadata put back the store hashes to %s, c084951's hashed to %s", goldenStages[i], got, want.kv)
+				}
+				rendered := renderStatsWithRetiredMeta(t, stats, run)
+				if got := hashString(rendered); got != want.stats {
+					t.Errorf("%s: recharged for the retired puts the BuildStats hash to %s, c084951's hashed to %s\n%s", goldenStages[i], got, want.stats, rendered)
+				}
+			})
+		})
+	}
+}
+
 // TestBuildGoldenMovedAsDescribed bounds what re-recording golden's kv and
-// stats hashes let through. With every GFUValue decoded and rendered back in
-// the text form (textGFUValue), the store hashes to what the text codec
-// stored — so every key, every metadata entry and every pair's header and
-// SliceLocs are what they were; and with IndexBytes swapped for the size of
-// that rendering, BuildStats hashes to the old recording — so Entries, every
-// Job field and KVSimSeconds did not move. What did move, the size of the
-// pairs, falls to about half (the golden index stores four float64
-// pre-computes a pair; the keys stay text).
+// stats hashes for the binary GFUValue let through. With the retired
+// metadata put back as TestBuildGoldenRetiredMetaMovedAsDescribed does, and
+// every GFUValue decoded and rendered back in the text form (textGFUValue),
+// the store hashes to what the text codec stored — so every key, every
+// metadata entry and every pair's header and SliceLocs are what they were;
+// and with IndexBytes swapped for the size of that rendering, BuildStats
+// hashes to the old recording — so Entries, every Job field and KVSimSeconds
+// did not move. What did move, the size of the pairs, falls to about half
+// (the golden index stores four float64 pre-computes a pair; the keys stay
+// text).
 func TestBuildGoldenMovedAsDescribed(t *testing.T) {
 	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
 		t.Run(format.String(), func(t *testing.T) {
-			goldenBuild(t, format, func(i int, ix *Index, stats *BuildStats) {
-				pairs := ix.KV.ScanPrefix("")
+			goldenBuildRuns(t, format, func(i int, ix *Index, stats *BuildStats, run kvstore.Stats) {
+				pairs := withRetiredMeta(ix.KV.ScanPrefix(""))
 				var textBytes int64
 				for pi, p := range pairs {
 					if !strings.HasPrefix(p.Key, gfuPrefix) {
@@ -310,9 +406,10 @@ func TestBuildGoldenMovedAsDescribed(t *testing.T) {
 				}
 				asText := *stats
 				asText.IndexBytes = textBytes
-				if got, want := hashString(renderStats(&asText)), goldenText[format][i].stats; got != want {
+				rendered := renderStatsWithRetiredMeta(t, &asText, run)
+				if got, want := hashString(rendered), goldenText[format][i].stats; got != want {
 					t.Errorf("%s: with IndexBytes %d the BuildStats hash to %s, the text codec's hashed to %s\n%s",
-						goldenStages[i], textBytes, got, want, renderStats(&asText))
+						goldenStages[i], textBytes, got, want, rendered)
 				}
 				if 100*stats.IndexBytes >= 55*textBytes {
 					t.Errorf("%s: IndexBytes %d, %d as text: want under 55%%", goldenStages[i], stats.IndexBytes, textBytes)

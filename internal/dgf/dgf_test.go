@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -306,23 +307,6 @@ func TestOpenRoundTrip(t *testing.T) {
 			t.Errorf("bounds dim %d: [%d,%d] want [%d,%d]", i, lo[i], hi[i], wantLo[i], wantHi[i])
 		}
 	}
-
-	// The adaptive group budget and the bitmap-overflow column list persist
-	// through the metadata, so Appends cut segments identically and EXPLAIN
-	// keeps reporting disabled sidecars after a reopen.
-	ix.GroupBytes = 4096
-	ix.BitmapDisabled = []string{"B"}
-	ix.saveMeta()
-	again, err := Open(ix.FS, ix.KV, ix.Spec.Name, ix.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.GroupBytes != 4096 {
-		t.Errorf("GroupBytes = %d, want 4096", again.GroupBytes)
-	}
-	if len(again.BitmapDisabled) != 1 || again.BitmapDisabled[0] != "B" {
-		t.Errorf("BitmapDisabled = %v, want [B]", again.BitmapDisabled)
-	}
 }
 
 func TestAppendExtendsIndex(t *testing.T) {
@@ -482,6 +466,17 @@ func TestParseIdxProperties(t *testing.T) {
 	}
 	if _, err := ParseIdxProperties("x", []string{"A"}, schema, map[string]string{"A": "1_1", "precompute": "median(C)"}); err == nil {
 		t.Error("non-additive precompute accepted")
+	}
+	// Index-column keys match case-insensitively; every other key but
+	// 'precompute' is refused by name, a non-index table column included.
+	if _, err := ParseIdxProperties("x", []string{"A"}, schema, map[string]string{"a": "1_1"}); err != nil {
+		t.Errorf("lower-case index column key refused: %v", err)
+	}
+	for _, key := range []string{"precomptue", "bitmap", "C"} {
+		_, err := ParseIdxProperties("x", []string{"A"}, schema, map[string]string{"A": "1_1", key: "sum(C)"})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) {
+			t.Errorf("key %q: err = %v, want one naming the key", key, err)
+		}
 	}
 }
 

@@ -25,18 +25,15 @@ import (
 // "the minimum and maximum standardized values in every index dimension"
 // (Section 4.2).
 const (
-	gfuPrefix      = "g/"
-	metaPolicy     = "meta/policy"
-	metaPrecomp    = "meta/precompute"
-	metaMinPrefix  = "meta/min/"
-	metaMaxPrefix  = "meta/max/"
-	metaDataDir    = "meta/datadir"
-	metaGen        = "meta/generation"
-	metaFormat     = "meta/format"
-	metaGroupRows  = "meta/grouprows"
-	metaGroupBytes = "meta/groupbytes"
-	metaBitmapCols = "meta/bitmapcols"
-	metaBitmapDrop = "meta/bitmapdisabled"
+	gfuPrefix     = "g/"
+	metaPolicy    = "meta/policy"
+	metaPrecomp   = "meta/precompute"
+	metaMinPrefix = "meta/min/"
+	metaMaxPrefix = "meta/max/"
+	metaDataDir   = "meta/datadir"
+	metaGen       = "meta/generation"
+	metaFormat    = "meta/format"
+	metaGroupRows = "meta/grouprows"
 )
 
 // SliceLoc locates one Slice: a contiguous run of records of a single GFU
@@ -191,11 +188,6 @@ type Spec struct {
 	Policy gridfile.Policy
 	// Precompute lists the additive aggregations stored per GFU.
 	Precompute []AggSpec
-	// BitmapCols names low-cardinality columns to build per-row-group value
-	// bitmaps for at index-build time (the 'bitmap' IDXPROPERTIES key);
-	// equality predicates on them prune row groups inside selected slices.
-	// RCFile-format indexes only.
-	BitmapCols []string
 }
 
 // Validate checks the spec against a table schema.
@@ -220,11 +212,6 @@ func (s *Spec) Validate(schema *storage.Schema) error {
 			}
 		}
 	}
-	for _, b := range s.BitmapCols {
-		if schema.ColIndex(b) < 0 {
-			return fmt.Errorf("dgf: bitmap column %q is not a table column", b)
-		}
-	}
 	return nil
 }
 
@@ -244,19 +231,9 @@ type Index struct {
 	Format storage.Format
 	// GroupRows sizes the reorganised data's RCFile row groups.
 	GroupRows int
-	// GroupBytes, when positive, switches the reorganised data's row-group
-	// sizing to a byte budget measured from the incoming rows' column widths
-	// (GroupRows stays the row-count cap). Persisted so appends cut groups
-	// the same way the build did.
-	GroupBytes int64
-	// BitmapDisabled names the bitmap columns dropped during builds for
-	// exceeding storage.BitmapCardinalityCap in some data file — they prune
-	// nothing there, which EXPLAIN surfaces as bitmap_disabled.
-	BitmapDisabled []string
 
 	dimCols    []int   // schema column index per policy dimension
 	aggCols    [][]int // schema column indexes (product factors) per precompute spec; nil for count
-	bitmapCols []int   // schema column index per bitmap column
 	minCell    []int64 // observed data bounds per dimension, in cells
 	maxCell    []int64
 	gfuBytes   atomic.Int64 // SizeBytes: key and value bytes of every GFU pair
@@ -265,9 +242,6 @@ type Index struct {
 	filesMu sync.RWMutex
 	files   map[[2]int64]string // partFile: (generation, task) → data file path
 }
-
-// BitmapColumns returns the schema column indices carrying bitmap sidecars.
-func (ix *Index) BitmapColumns() []int { return ix.bitmapCols }
 
 func (ix *Index) resolveColumns() error {
 	ix.dimCols = make([]int, len(ix.Spec.Policy.Dims))
@@ -287,14 +261,6 @@ func (ix *Index) resolveColumns() error {
 			}
 			ix.aggCols[i] = append(ix.aggCols[i], c)
 		}
-	}
-	ix.bitmapCols = ix.bitmapCols[:0]
-	for _, b := range ix.Spec.BitmapCols {
-		c := ix.Schema.ColIndex(b)
-		if c < 0 {
-			return fmt.Errorf("dgf: bitmap column %q missing from schema", b)
-		}
-		ix.bitmapCols = append(ix.bitmapCols, c)
 	}
 	return nil
 }
@@ -420,9 +386,6 @@ func (ix *Index) saveMeta() {
 	ix.KV.Put(metaDataDir, []byte(ix.DataDir))
 	ix.KV.Put(metaFormat, []byte(strings.ToLower(ix.Format.String())))
 	ix.KV.Put(metaGroupRows, []byte(strconv.Itoa(ix.GroupRows)))
-	ix.KV.Put(metaGroupBytes, []byte(strconv.FormatInt(ix.GroupBytes, 10)))
-	ix.KV.Put(metaBitmapCols, []byte(strings.Join(ix.Spec.BitmapCols, ";")))
-	ix.KV.Put(metaBitmapDrop, []byte(strings.Join(ix.BitmapDisabled, ";")))
 	for i := range ix.Spec.Policy.Dims {
 		ix.KV.Put(metaMinPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.minCell[i], 10)))
 		ix.KV.Put(metaMaxPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.maxCell[i], 10)))
@@ -466,18 +429,6 @@ func Open(fs *dfs.FS, kv *kvstore.Store, name string, schema *storage.Schema) (*
 		if err != nil {
 			return nil, fmt.Errorf("dgf: index %q has corrupt group-rows metadata %q", name, gData)
 		}
-	}
-	if gData, ok := kv.Get(metaGroupBytes); ok && len(gData) > 0 {
-		ix.GroupBytes, err = strconv.ParseInt(string(gData), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dgf: index %q has corrupt group-bytes metadata %q", name, gData)
-		}
-	}
-	if bData, ok := kv.Get(metaBitmapCols); ok && len(bData) > 0 {
-		ix.Spec.BitmapCols = strings.Split(string(bData), ";")
-	}
-	if bData, ok := kv.Get(metaBitmapDrop); ok && len(bData) > 0 {
-		ix.BitmapDisabled = strings.Split(string(bData), ";")
 	}
 	for i := range policy.Dims {
 		lo, ok1 := kv.Get(metaMinPrefix + strconv.Itoa(i))

@@ -27,18 +27,12 @@ type PlanOptions struct {
 	// only those columns' payloads; ProjectedBytes reports the resulting
 	// exact read volume. Nil (or all-true) reads full records.
 	Project []bool
-	// ZoneSkip consults per-row-group zone maps (and value-bitmap sidecars
-	// where built) to drop whole row groups inside selected slices — double
-	// pruning: cells first, groups within their slices second. RCFile data
-	// only (the warehouse asks for it on join-free plans); the pruned
-	// groups are recorded in Plan.SkipGroups so executed skips match the
-	// plan exactly.
+	// ZoneSkip consults per-row-group zone maps to drop whole row groups
+	// inside selected slices — double pruning: cells first, groups within
+	// their slices second. RCFile data only (the warehouse asks for it on
+	// join-free plans); the pruned groups are recorded in Plan.SkipGroups so
+	// executed skips match the plan exactly.
 	ZoneSkip bool
-	// Members holds, per column name, the value texts of the query's IN
-	// predicates. With ZoneSkip set they probe value-bitmap sidecars: a
-	// group none of whose member values' bitsets mark it is pruned (the
-	// per-value bitsets OR together; separate predicates AND).
-	Members map[string][]string
 }
 
 // Plan is the outcome of Algorithm 3: the pre-aggregated inner result (for
@@ -76,12 +70,9 @@ type Plan struct {
 	// Project propagates the referenced-column set to the input format.
 	Project []bool
 	// GroupsSkipped counts the row groups inside selected slices that zone
-	// maps or bitmap sidecars pruned (ZoneSkip planning only). Their bytes
-	// are excluded from ProjectedBytes.
+	// maps pruned (ZoneSkip planning only). Their bytes are excluded from
+	// ProjectedBytes.
 	GroupsSkipped int64
-	// BitmapHits counts the pruned groups that only a bitmap sidecar could
-	// rule out (the zone map alone would have kept them).
-	BitmapHits int64
 	// SkipGroups records the pruned groups as file → group-offset set; the
 	// slice readers consult it so executed skips match the plan.
 	SkipGroups map[string]map[int64]bool
@@ -209,7 +200,7 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	if !fullProjection(opts.Project, ix.Schema.Len()) {
 		plan.Project = opts.Project
 	}
-	if err := ix.attributeProjectedBytes(plan, ranges, opts.Members, opts.ZoneSkip); err != nil {
+	if err := ix.attributeProjectedBytes(plan, ranges, opts.ZoneSkip); err != nil {
 		return nil, err
 	}
 	plan.KVSimSeconds = kvOps.SimSeconds(cfg)
@@ -246,9 +237,7 @@ func fullProjection(project []bool, n int) bool {
 	return true
 }
 
-// ZoneDisjoint reports whether the zone [minV, maxV] cannot intersect r —
-// the row-group pruning predicate, shared with the full-scan path so both
-// prune identically from the same column statistics.
+// ZoneDisjoint reports whether the zone [minV, maxV] cannot intersect r.
 func ZoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
 	if !r.LoUnbounded {
 		if c := storage.Compare(maxV, r.Lo); c < 0 || (c == 0 && r.LoOpen) {
@@ -263,15 +252,56 @@ func ZoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
 	return false
 }
 
+// ZoneRange is a predicate range resolved to a schema column: what row-group
+// pruning checks a group's zone map against.
+type ZoneRange struct {
+	Col  int
+	Kind storage.Kind
+	R    gridfile.Range
+}
+
+// ZoneRanges resolves per-column predicate ranges against schema, dropping
+// ranges on names the schema does not have.
+func ZoneRanges(schema *storage.Schema, ranges map[string]gridfile.Range) []ZoneRange {
+	var out []ZoneRange
+	for name, r := range ranges {
+		if c := schema.ColIndex(name); c >= 0 {
+			out = append(out, ZoneRange{Col: c, Kind: schema.Col(c).Kind, R: r})
+		}
+	}
+	return out
+}
+
+// GroupDisjoint is the row-group pruning predicate, shared by the DGF planner
+// and the full-scan path so both prune identically from the same column
+// statistics: it reports whether some range misses its column's zone
+// [min, max] in the group, so no row of the group can match. A group without
+// a zone map, or a zone that does not parse, rules nothing out.
+func GroupDisjoint(stat storage.GroupStat, zones []ZoneRange) bool {
+	if !stat.HasZone() {
+		return false
+	}
+	for _, z := range zones {
+		if z.Col >= len(stat.Mins) {
+			continue
+		}
+		minV, err1 := storage.ParseValue(z.Kind, stat.Mins[z.Col])
+		maxV, err2 := storage.ParseValue(z.Kind, stat.Maxs[z.Col])
+		if err1 == nil && err2 == nil && ZoneDisjoint(minV, maxV, z.R) {
+			return true
+		}
+	}
+	return false
+}
+
 // attributeProjectedBytes computes Plan.ProjectedBytes: for TextFile data it
 // is the slice volume itself; for RCFile data it is derived, exactly, from
 // the per-group column statistics the build wrote next to each data file —
 // the same numbers the projected readers will report having fetched. With
 // zoneSkip set it additionally drops every row group whose zone map is
-// disjoint from a predicate range — or, for equality and IN predicates on
-// bitmap columns, whose value bitmaps rule the group out — recording the
-// pruned groups in plan.SkipGroups for the readers.
-func (ix *Index) attributeProjectedBytes(plan *Plan, ranges map[string]gridfile.Range, members map[string][]string, zoneSkip bool) error {
+// disjoint from a predicate range, recording the pruned groups in
+// plan.SkipGroups for the readers.
+func (ix *Index) attributeProjectedBytes(plan *Plan, ranges map[string]gridfile.Range, zoneSkip bool) error {
 	if ix.Format != storage.RCFile || (plan.Project == nil && !zoneSkip) {
 		// Full-width reads fetch the slices whole; the build's Cut
 		// invariant aligns every slice on row-group boundaries, so the
@@ -280,53 +310,13 @@ func (ix *Index) attributeProjectedBytes(plan *Plan, ranges map[string]gridfile.
 		plan.ProjectedBytes = plan.SliceBytes
 		return nil
 	}
-	// Resolve the predicate ranges to schema columns once. Equality ranges
-	// on bitmap-sidecar columns double as bitmap probes, keyed by the
-	// value's text rendering (what the builder indexed).
-	type colRange struct {
-		col  int
-		kind storage.Kind
-		r    gridfile.Range
-	}
-	type bitmapProbe struct {
-		col   int
-		texts []string // a group survives when any text's bitset marks it
-	}
-	var zones []colRange
-	var probes []bitmapProbe
+	var zones []ZoneRange
 	if zoneSkip {
-		for name, r := range ranges {
-			c := ix.Schema.ColIndex(name)
-			if c < 0 {
-				continue
-			}
-			zones = append(zones, colRange{col: c, kind: ix.Schema.Col(c).Kind, r: r})
-			if !r.LoUnbounded && !r.HiUnbounded && !r.LoOpen && !r.HiOpen && storage.Compare(r.Lo, r.Hi) == 0 {
-				for _, bc := range ix.bitmapCols {
-					if bc == c {
-						probes = append(probes, bitmapProbe{col: c, texts: []string{r.Lo.String()}})
-					}
-				}
-			}
-		}
-		// IN membership sets probe the sidecars too: within one set the
-		// per-value bitsets OR, and the set ANDs with every other predicate.
-		for name, texts := range members {
-			c := ix.Schema.ColIndex(name)
-			if c < 0 || len(texts) == 0 {
-				continue
-			}
-			for _, bc := range ix.bitmapCols {
-				if bc == c {
-					probes = append(probes, bitmapProbe{col: c, texts: texts})
-				}
-			}
-		}
+		zones = ZoneRanges(ix.Schema, ranges)
 	}
 	type fileStats struct {
 		offsets []int64
 		groups  []storage.GroupStat
-		bitmaps *storage.BitmapSidecar
 	}
 	cache := map[string]*fileStats{}
 	for _, sl := range plan.Slices {
@@ -341,76 +331,25 @@ func (ix *Index) attributeProjectedBytes(plan *Plan, ranges map[string]gridfile.
 				return fmt.Errorf("dgf: plan: column stats for %s: %w", sl.File, err)
 			}
 			fs = &fileStats{offsets: offsets, groups: groups}
-			if len(probes) > 0 {
-				sc, ok, err := storage.ReadBitmapSidecarCached(ix.FS, sl.File)
-				if err != nil {
-					return fmt.Errorf("dgf: plan: bitmap sidecar for %s: %w", sl.File, err)
-				}
-				if ok {
-					fs.bitmaps = sc
-				}
-			}
 			cache[sl.File] = fs
 		}
 		lo := sort.Search(len(fs.offsets), func(i int) bool { return fs.offsets[i] >= sl.Start })
 		hi := sort.Search(len(fs.offsets), func(i int) bool { return fs.offsets[i] >= sl.End })
 		for g := lo; g < hi && g < len(fs.groups); g++ {
-			stat := fs.groups[g]
-			skip, byBitmap := false, false
-			if zoneSkip && stat.HasZone() {
-				for _, z := range zones {
-					if z.col >= len(stat.Mins) {
-						continue
-					}
-					minV, err1 := storage.ParseValue(z.kind, stat.Mins[z.col])
-					maxV, err2 := storage.ParseValue(z.kind, stat.Maxs[z.col])
-					if err1 != nil || err2 != nil {
-						continue // unparseable zone: never skip on it
-					}
-					if ZoneDisjoint(minV, maxV, z.r) {
-						skip = true
-						break
-					}
-				}
-			}
-			if !skip && fs.bitmaps != nil {
-				for _, p := range probes {
-					hit, covered := false, false
-					for _, text := range p.texts {
-						bs, ok := fs.bitmaps.Lookup(p.col, text)
-						if !ok {
-							covered = false
-							break
-						}
-						covered = true
-						if bs.Has(g) {
-							hit = true
-							break
-						}
-					}
-					if covered && !hit {
-						skip, byBitmap = true, true
-						break
-					}
-				}
-			}
-			if skip {
-				plan.GroupsSkipped++
-				if byBitmap {
-					plan.BitmapHits++
-				}
-				if plan.SkipGroups == nil {
-					plan.SkipGroups = map[string]map[int64]bool{}
-				}
-				fileSkips := plan.SkipGroups[sl.File]
-				if fileSkips == nil {
-					fileSkips = map[int64]bool{}
-					plan.SkipGroups[sl.File] = fileSkips
-				}
-				fileSkips[fs.offsets[g]] = true
+			if !GroupDisjoint(fs.groups[g], zones) {
+				plan.ProjectedBytes += fs.groups[g].ProjectedSize(plan.Project)
 				continue
 			}
-			plan.ProjectedBytes += stat.ProjectedSize(plan.Project)
+			plan.GroupsSkipped++
+			if plan.SkipGroups == nil {
+				plan.SkipGroups = map[string]map[int64]bool{}
+			}
+			fileSkips := plan.SkipGroups[sl.File]
+			if fileSkips == nil {
+				fileSkips = map[int64]bool{}
+				plan.SkipGroups[sl.File] = fileSkips
+			}
+			fileSkips[fs.offsets[g]] = true
 		}
 	}
 	return nil

@@ -35,13 +35,10 @@ type QueryStats struct {
 	BytesRead int64
 	Splits    int
 	Seeks     int64
-	// GroupsSkipped counts the row groups pruned before their payloads were
-	// fetched — zone maps, or bitmap sidecars on DGF plans (join-free RCFile
-	// scans and DGF plans only; see choosePath).
+	// GroupsSkipped counts the row groups zone maps pruned before their
+	// payloads were fetched (join-free RCFile scans and DGF plans only; see
+	// choosePath).
 	GroupsSkipped int64
-	// BitmapHits counts the pruned groups that only a bitmap sidecar could
-	// rule out (zone maps are consulted first and take the credit).
-	BitmapHits int64
 	// DictProbes counts dictionary binary searches the predicate kernels
 	// performed — each replaces a whole group's per-row string compares.
 	DictProbes int64
@@ -211,13 +208,8 @@ func (w *Warehouse) execCreateIndexLocked(s *CreateIndexStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		msg := fmt.Sprintf("built DGFIndex %s: %d GFU pairs, %d bytes, %.1f sim-seconds",
-			s.Name, stats.Entries, stats.IndexBytes, stats.SimTotalSec())
-		if len(stats.BitmapDisabled) > 0 {
-			msg += fmt.Sprintf("; bitmap sidecars disabled for %s (over %d distinct values)",
-				strings.Join(stats.BitmapDisabled, ","), storage.BitmapCardinalityCap)
-		}
-		return &Result{Message: msg}, nil
+		return &Result{Message: fmt.Sprintf("built DGFIndex %s: %d GFU pairs, %d bytes, %.1f sim-seconds",
+			s.Name, stats.Entries, stats.IndexBytes, stats.SimTotalSec())}, nil
 	case strings.Contains(handler, "bitmap"):
 		return w.createHiveIndexLocked(t, s, hiveindex.Bitmap)
 	case strings.Contains(handler, "aggregate"):
@@ -313,8 +305,8 @@ type pathChoice struct {
 	// aggRewrite marks the "index as data" rewrite.
 	ix         *hiveindex.Index
 	aggRewrite bool
-	// prune has the zone maps (and, on DGF plans, the bitmap sidecars)
-	// consulted so whole row groups are dropped before they are fetched.
+	// prune has the zone maps consulted so whole row groups are dropped
+	// before they are fetched.
 	prune bool
 }
 
@@ -346,7 +338,6 @@ func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
 		// columnar slice reads fetch only those payloads.
 		planOpts := opts.Dgf
 		planOpts.Project = q.projection()
-		planOpts.Members = q.leftMembers
 		planOpts.ZoneSkip = pruneOK && q.left.Dgf.Format == storage.RCFile
 		return pathChoice{kind: pathDgf, want: want, planOpts: planOpts, prune: planOpts.ZoneSkip}
 	case !opts.DisableIndexes && len(q.left.HiveIndexes) > 0:
@@ -451,10 +442,6 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		if plan.Aggregation {
 			stats.AccessPath = "dgfindex(precompute)"
 		}
-		// The planner attributes each pruned group to the structure that
-		// ruled it out; execution reports the skips it actually performed
-		// (copied from job stats after the run).
-		stats.BitmapHits = plan.BitmapHits
 	case pathHiveIndex:
 		ix := choice.ix
 		// Aggregate Index rewrite: covered GROUP BY count queries read the
@@ -507,14 +494,13 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 					return nil, err
 				}
 			}
-			skips, _, bitmapHits, err := scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges, q.leftMembers)
+			skips, _, err := scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges)
 			if err != nil {
 				return nil, err
 			}
 			if len(skips) > 0 {
 				scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
 			}
-			stats.BitmapHits = bitmapHits
 		}
 	}
 	stats.Vectorized = true
@@ -546,9 +532,6 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 		sp.Set("sim_sec", stats.IndexSimSec+stats.DataSimSec)
 		if stats.GroupsSkipped > 0 {
 			sp.Set("groups_skipped", stats.GroupsSkipped)
-		}
-		if stats.BitmapHits > 0 {
-			sp.Set("bitmap_hits", stats.BitmapHits)
 		}
 		if stats.DictProbes > 0 {
 			sp.Set("dict_probes", stats.DictProbes)

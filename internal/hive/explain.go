@@ -47,28 +47,20 @@ type ExplainPlan struct {
 	// PrecomputeHit marks a DGF plan whose inner region is answered from
 	// pre-computed GFU headers alone.
 	PrecomputeHit bool `json:"precompute_hit,omitempty"`
-	// GroupPruning reports whether execution will consult zone maps (and, on
-	// DGF plans, bitmap sidecars) to drop row groups before fetching them:
-	// join-free RCFile scans and DGF plans without the DisableSliceSkip
-	// option. Joins, TextFile data and hive-index paths read every group
-	// their plan selects.
+	// GroupPruning reports whether execution will consult zone maps to drop
+	// row groups before fetching them: join-free RCFile scans and DGF plans
+	// without the DisableSliceSkip option. Joins, TextFile data and
+	// hive-index paths read every group their plan selects.
 	GroupPruning bool `json:"group_pruning,omitempty"`
 	// GroupsSkipped is the number of row groups the scan will prune without
 	// fetching; their bytes are excluded from ProjectedBytes. Execution
 	// reports the same number in QueryStats.GroupsSkipped.
 	GroupsSkipped int64 `json:"groups_skipped,omitempty"`
-	// BitmapHits is the subset of GroupsSkipped only a bitmap sidecar could
-	// rule out (equality and IN predicates on DGF bitmap columns).
-	BitmapHits int64 `json:"bitmap_hits,omitempty"`
 	// EncodedColumns lists the table columns stored encoded in at least one
 	// row group, with the encodings seen ("regionId(dict)", "ts(rle)");
 	// kernels over them compare dictionary codes or whole runs instead of
 	// cells. RCFile paths only.
 	EncodedColumns []string `json:"encoded_columns,omitempty"`
-	// BitmapDisabled names the DGF bitmap columns dropped at build time for
-	// exceeding storage.BitmapCardinalityCap — declared in IDXPROPERTIES but
-	// pruning nothing.
-	BitmapDisabled []string `json:"bitmap_disabled,omitempty"`
 	// ShardsTotal/ShardsTargeted/TargetShards describe a router plan: how
 	// many shards exist, how many the routing-key predicate left in the
 	// fan-out, and which. Zero ShardsTotal means the plan came from a bare
@@ -108,13 +100,9 @@ func (p *ExplainPlan) Render() *Result {
 	}
 	if p.GroupPruning {
 		add("groups_skipped", strconv.FormatInt(p.GroupsSkipped, 10))
-		add("bitmap_hits", strconv.FormatInt(p.BitmapHits, 10))
 	}
 	if len(p.EncodedColumns) > 0 {
 		add("encoded_columns", strings.Join(p.EncodedColumns, ","))
-	}
-	if len(p.BitmapDisabled) > 0 {
-		add("bitmap_disabled", strings.Join(p.BitmapDisabled, ","))
 	}
 	if strings.HasPrefix(p.AccessPath, "dgfindex") || strings.Contains(p.AccessPath, ":dgfindex") {
 		add("gfu_slices", strconv.Itoa(p.GFUSlices))
@@ -191,8 +179,6 @@ func (w *Warehouse) explainLocked(stmt *SelectStmt, opts ExecOptions) (*ExplainP
 		ep.InnerCells, ep.BoundaryCells, ep.MissingCells = plan.InnerCells, plan.BoundaryCells, plan.MissingCells
 		ep.ProjectedBytes = plan.ProjectedBytes
 		ep.GroupsSkipped = plan.GroupsSkipped
-		ep.BitmapHits = plan.BitmapHits
-		ep.BitmapDisabled = q.left.Dgf.BitmapDisabled
 		if q.left.Dgf.Format == storage.RCFile {
 			files, err := listFilePaths(w, q.left.Dgf.DataDir)
 			if err != nil {
@@ -251,12 +237,12 @@ func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
 		}
 		return nil
 	}
-	// A pruned scan drops zone-disjoint (and bitmap-refuted) row groups, so
-	// their bytes never hit the readers: exclude them here the same way
-	// prepareSelectLocked's skip set excludes them from execution.
+	// A pruned scan drops zone-disjoint row groups, so their bytes never hit
+	// the readers: exclude them here the same way prepareSelectLocked's skip
+	// set excludes them from execution.
 	var skips map[string]map[int64]bool
 	if ep.GroupPruning {
-		skips, ep.GroupsSkipped, ep.BitmapHits, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges, q.leftMembers)
+		skips, ep.GroupsSkipped, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges)
 		if err != nil {
 			return err
 		}

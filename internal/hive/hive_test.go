@@ -459,6 +459,26 @@ func TestDgfOnlyOnePerTable(t *testing.T) {
 	}
 }
 
+// TestCreateDgfIndexRejectsUnknownProperties: a DGF IDXPROPERTIES key that
+// is neither an index column nor 'precompute' fails CREATE INDEX by name
+// instead of building an index without it — a misspelt 'precompute' would
+// otherwise pre-compute nothing, and 'bitmap' no longer means anything. The
+// table is left unindexed.
+func TestCreateDgfIndexRejectsUnknownProperties(t *testing.T) {
+	w := testWarehouse(1 << 16)
+	setupMeterTable(t, w, 10, 2, 2)
+	for _, p := range []struct{ key, value string }{{"precomptue", "sum(powerConsumed)"}, {"bitmap", "regionId"}} {
+		_, err := w.Exec(fmt.Sprintf(`CREATE INDEX idx_dgf ON TABLE meterdata(regionId, userId)
+			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_5', '%s'='%s')`, p.key, p.value))
+		if err == nil || !strings.Contains(err.Error(), p.key) {
+			t.Errorf("CREATE INDEX with '%s': err = %v, want one naming the key", p.key, err)
+		}
+	}
+	if tbl, _ := w.Table("meterdata"); tbl.Dgf != nil {
+		t.Error("a refused CREATE INDEX left an index behind")
+	}
+}
+
 func TestLoadRowsThroughDgfAppend(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	rows := setupMeterTable(t, w, 20, 2, 2)

@@ -78,10 +78,6 @@ type compiledQuery struct {
 	leftPreds, rightPreds []vecPred
 	vecStats              vecStats
 	leftRanges            map[string]gridfile.Range
-	// leftMembers holds, per left column, the coerced value texts of its IN
-	// predicates — the membership sets planners probe against value-bitmap
-	// sidecars (per-value bitsets OR; predicates AND).
-	leftMembers map[string][]string
 	// rangesExact reports that leftRanges carries the WHERE conjunction
 	// exactly. A != predicate (never folded) or a multi-value IN (folded to
 	// its bounding box, a superset) clears it; header-precompute and
@@ -128,7 +124,6 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		left:        left,
 		leftRef:     stmt.From,
 		leftRanges:  map[string]gridfile.Range{},
-		leftMembers: map[string][]string{},
 		rangesExact: true,
 		leftRefCols: map[int]bool{},
 	}
@@ -268,8 +263,7 @@ func (q *compiledQuery) compileExpr(e Expr) (cexpr, string, storage.Kind, error)
 // compileComparison lowers one WHERE comparison: its literals coerce to the
 // column kind once, the kernel joins its side's predicate list, and a
 // left-table constraint folds into the index range map — an IN set as its
-// bounding box (exact for one value, a sound superset otherwise), recorded
-// also as a membership set for bitmap-sidecar probing.
+// bounding box (exact for one value, a sound superset otherwise).
 func (q *compiledQuery) compileComparison(cmp Comparison) error {
 	s, idx, kind, err := q.resolveCol(cmp.Col)
 	if err != nil {
@@ -313,11 +307,6 @@ func (q *compiledQuery) compileComparison(cmp Comparison) error {
 		r = prev.Intersect(r)
 	}
 	q.leftRanges[name] = r
-	if in {
-		for _, v := range vals {
-			q.leftMembers[name] = append(q.leftMembers[name], v.String())
-		}
-	}
 	return nil
 }
 

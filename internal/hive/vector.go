@@ -306,125 +306,40 @@ func genericInFilter(v *storage.ColumnVector, vals []storage.Value, sel []int) [
 	return out
 }
 
-// scanZoneCol is one WHERE range resolved against the scanned table's schema.
-type scanZoneCol struct {
-	col  int
-	kind storage.Kind
-	r    gridfile.Range
-}
-
-// scanMemberCol is one IN value set resolved against the scanned table's
-// schema, probed against value-bitmap sidecars where built.
-type scanMemberCol struct {
-	col   int
-	texts []string
-}
-
-// scanGroupSkips consults the per-row-group zone maps — and, for IN
-// predicates, the value-bitmap sidecars — of the given RCFile data files and
-// returns, per file, the start offsets of the groups that cannot contain a
-// matching row: zones disjoint from a predicate range, or membership sets
-// none of whose values' bitsets mark the group (the per-value bitsets OR
-// together; predicates AND). The counts are the total planned skips and how
-// many of them only a bitmap could rule out. Files whose column statistics
-// predate zone maps, or that carry no sidecar, contribute nothing (their
-// groups are never skipped), so results stay correct on mixed data.
-func scanGroupSkips(fs *dfs.FS, files []string, schema *storage.Schema, ranges map[string]gridfile.Range, members map[string][]string) (map[string]map[int64]bool, int64, int64, error) {
-	var zones []scanZoneCol
-	for name, r := range ranges {
-		idx := schema.ColIndex(name)
-		if idx < 0 {
-			continue
-		}
-		zones = append(zones, scanZoneCol{col: idx, kind: schema.Col(idx).Kind, r: r})
-	}
-	var probes []scanMemberCol
-	for name, texts := range members {
-		idx := schema.ColIndex(name)
-		if idx < 0 {
-			continue
-		}
-		probes = append(probes, scanMemberCol{col: idx, texts: texts})
-	}
-	if len(zones) == 0 && len(probes) == 0 {
-		return nil, 0, 0, nil
+// scanGroupSkips consults the per-row-group zone maps of the given RCFile
+// data files and returns, per file, the start offsets of the groups whose
+// zones are disjoint from a predicate range, plus the total number of such
+// groups. Files whose column statistics predate zone maps contribute nothing
+// (their groups are never skipped), so results stay correct on mixed data.
+func scanGroupSkips(fs *dfs.FS, files []string, schema *storage.Schema, ranges map[string]gridfile.Range) (map[string]map[int64]bool, int64, error) {
+	zones := dgf.ZoneRanges(schema, ranges)
+	if len(zones) == 0 {
+		return nil, 0, nil
 	}
 	var skips map[string]map[int64]bool
-	var skipped, bitmapHits int64
+	var skipped int64
 	for _, f := range files {
 		stats, err := storage.ReadColStatsCached(fs, f)
 		if err != nil {
-			return nil, 0, 0, err
+			return nil, 0, err
 		}
 		offsets, err := storage.ReadGroupIndexCached(fs, f)
 		if err != nil {
-			return nil, 0, 0, err
-		}
-		var bitmaps *storage.BitmapSidecar
-		if len(probes) > 0 {
-			if sc, ok, err := storage.ReadBitmapSidecarCached(fs, f); err != nil {
-				return nil, 0, 0, err
-			} else if ok {
-				bitmaps = sc
-			}
+			return nil, 0, err
 		}
 		for g, stat := range stats {
-			if g >= len(offsets) {
+			if g >= len(offsets) || !dgf.GroupDisjoint(stat, zones) {
 				continue
 			}
-			skip, byBitmap := false, false
-			if stat.HasZone() {
-				for _, z := range zones {
-					if z.col >= len(stat.Mins) {
-						continue
-					}
-					minV, err1 := storage.ParseValue(z.kind, stat.Mins[z.col])
-					maxV, err2 := storage.ParseValue(z.kind, stat.Maxs[z.col])
-					if err1 != nil || err2 != nil {
-						continue // unparseable zone: never skip on it
-					}
-					if dgf.ZoneDisjoint(minV, maxV, z.r) {
-						skip = true
-						break
-					}
-				}
+			if skips == nil {
+				skips = map[string]map[int64]bool{}
 			}
-			if !skip && bitmaps != nil {
-				for _, p := range probes {
-					hit := false
-					covered := false
-					for _, text := range p.texts {
-						bs, ok := bitmaps.Lookup(p.col, text)
-						if !ok {
-							covered = false
-							break
-						}
-						covered = true
-						if bs.Has(g) {
-							hit = true
-							break
-						}
-					}
-					if covered && !hit {
-						skip, byBitmap = true, true
-						break
-					}
-				}
+			if skips[f] == nil {
+				skips[f] = map[int64]bool{}
 			}
-			if skip {
-				if skips == nil {
-					skips = map[string]map[int64]bool{}
-				}
-				if skips[f] == nil {
-					skips[f] = map[int64]bool{}
-				}
-				skips[f][offsets[g]] = true
-				skipped++
-				if byBitmap {
-					bitmapHits++
-				}
-			}
+			skips[f][offsets[g]] = true
+			skipped++
 		}
 	}
-	return skips, skipped, bitmapHits, nil
+	return skips, skipped, nil
 }

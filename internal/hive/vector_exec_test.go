@@ -212,9 +212,9 @@ func TestVectorisedZoneSkipTruthfulDgf(t *testing.T) {
 	}
 }
 
-// taggedRows builds the bitmap-sidecar dataset: ids 1..n; tag is 'x' only
-// for ids in [xLo, xHi] and alternates 'a'/'z' elsewhere, so every mixed
-// group's tag zone [a,z] straddles 'x' and zone maps alone cannot prune it.
+// taggedRows builds the interleaved-string dataset: ids 1..n; tag is 'x'
+// only for ids in [xLo, xHi] and alternates 'a'/'z' elsewhere, so every mixed
+// group's tag zone [a,z] straddles 'x' and zone maps cannot prune it.
 func taggedRows(n, xLo, xHi int) []storage.Row {
 	var rows []storage.Row
 	for i := 1; i <= n; i++ {
@@ -242,76 +242,14 @@ func setupTaggedTable(t *testing.T, w *Warehouse, rows []storage.Row) {
 	}
 	mustExec(t, w, `CREATE INDEX idx_tagged ON TABLE tagged(id)
 		AS 'org.apache.hadoop.hive.ql.index.dgf.DgfIndexHandler'
-		IDXPROPERTIES ('id'='1_10', 'bitmap'='tag')`)
+		IDXPROPERTIES ('id'='1_10')`)
 }
 
-// TestBitmapSidecarHits: an equality predicate on a bitmap-tracked string
-// column prunes row groups the tag zone maps cannot (alternating 'a'/'z'
-// values straddle the probed 'x'), the plan attributes those prunes to
-// BitmapHits, and the answer stays bit-identical to the row path.
-func TestBitmapSidecarHits(t *testing.T) {
-	w := testWarehouse(1 << 14)
-	rows := taggedRows(400, 151, 170)
-	setupTaggedTable(t, w, rows)
-
-	const sql = `SELECT sum(v), count(*) FROM tagged WHERE id>=1 AND id<=400 AND tag='x'`
-	plan := explainOf(t, w, sql)
-	if !plan.GroupPruning {
-		t.Fatal("EXPLAIN does not announce row-group pruning")
-	}
-	if plan.BitmapHits == 0 {
-		t.Fatalf("EXPLAIN BitmapHits = 0, want > 0 (GroupsSkipped = %d)", plan.GroupsSkipped)
-	}
-	res := mustExec(t, w, sql)
-	if res.Stats.BitmapHits != plan.BitmapHits {
-		t.Errorf("EXPLAIN BitmapHits %d, execution %d", plan.BitmapHits, res.Stats.BitmapHits)
-	}
-	if res.Stats.GroupsSkipped != plan.GroupsSkipped {
-		t.Errorf("EXPLAIN GroupsSkipped %d, execution %d", plan.GroupsSkipped, res.Stats.GroupsSkipped)
-	}
-	if plan.ProjectedBytes != res.Stats.BytesRead {
-		t.Errorf("EXPLAIN ProjectedBytes %d, execution BytesRead %d", plan.ProjectedBytes, res.Stats.BytesRead)
-	}
-	row := refExec(t, w, sql, ExecOptions{})
-	if want, got := renderExact(row.Rows), renderExact(res.Rows); want != got {
-		t.Errorf("results differ\nrow path:\n%s\nvectorised:\n%s", want, got)
-	}
-	if row.Stats.BytesRead <= res.Stats.BytesRead {
-		t.Errorf("row path read %d bytes, vectorised %d: bitmap pruning saved nothing",
-			row.Stats.BytesRead, res.Stats.BytesRead)
-	}
-	// Sanity: the answer is the closed-form sum over ids 151..170.
-	var wantSum float64
-	for i := 151; i <= 170; i++ {
-		wantSum += float64(i) * 1.5
-	}
-	if got := res.Rows[0][0].F; got != wantSum {
-		t.Errorf("sum(v) = %v, want %v", got, wantSum)
-	}
-	if got := res.Rows[0][1].F; got != 20 {
-		t.Errorf("count(*) = %v, want 20", got)
-	}
-
-	// A probe for a value no group holds lets the bitmaps prune everything.
-	empty := mustExec(t, w, `SELECT count(*) FROM tagged WHERE id>=1 AND id<=400 AND tag='q'`)
-	if empty.Rows[0][0].F != 0 {
-		t.Errorf("tag='q' count = %v, want 0", empty.Rows[0][0].F)
-	}
-	// String-range predicates (not equality) still answer correctly without
-	// bitmap probes — only the generic kernels and zone maps apply.
-	rangeVec := mustExec(t, w, `SELECT count(*) FROM tagged WHERE tag>='y'`)
-	rangeRow := refExec(t, w, `SELECT count(*) FROM tagged WHERE tag>='y'`, ExecOptions{})
-	if renderExact(rangeVec.Rows) != renderExact(rangeRow.Rows) {
-		t.Errorf("string range: vectorised %s vs row path %s", renderExact(rangeVec.Rows), renderExact(rangeRow.Rows))
-	}
-}
-
-// TestDgfAppendKeepsSidecarsConsistent is the append-consistency criterion:
-// loading more rows into an indexed RCFile table must extend the zone maps
-// and bitmap sidecars, so post-append queries still skip groups and probe
-// bitmaps correctly, and answer exactly like an index rebuilt from scratch
-// over the combined data.
-func TestDgfAppendKeepsSidecarsConsistent(t *testing.T) {
+// TestDgfAppendKeepsZoneMapsConsistent is the append-consistency criterion:
+// loading more rows into an indexed RCFile table must extend the zone maps,
+// so post-append queries still skip groups correctly, and answer exactly
+// like an index rebuilt from scratch over the combined data.
+func TestDgfAppendKeepsZoneMapsConsistent(t *testing.T) {
 	all := taggedRows(400, 151, 170)
 
 	// Warehouse A: index half the data, then append the other half.
@@ -348,17 +286,9 @@ func TestDgfAppendKeepsSidecarsConsistent(t *testing.T) {
 	}
 
 	// Zone maps cover the appended segments: a predicate selecting only
-	// appended ids still skips groups, and a bitmap probe over the combined
-	// range still lands hits (the 'x' run lives in the original half).
+	// appended ids still skips groups.
 	late := mustExec(t, wA, `SELECT sum(v) FROM tagged WHERE id>=390`)
 	if late.Stats.GroupsSkipped == 0 {
 		t.Error("no groups skipped on an appended-range predicate: appended segments lack zone maps")
-	}
-	probe := mustExec(t, wA, `SELECT count(*) FROM tagged WHERE id>=1 AND id<=400 AND tag='x'`)
-	if probe.Stats.BitmapHits == 0 {
-		t.Error("no bitmap hits after append: appended segments broke the sidecar probes")
-	}
-	if probe.Rows[0][0].F != 20 {
-		t.Errorf("post-append tag='x' count = %v, want 20", probe.Rows[0][0].F)
 	}
 }

@@ -49,12 +49,6 @@ type Table struct {
 	Dir string
 	// RowGroupRows sizes RCFile row groups.
 	RowGroupRows int
-	// RowGroupBytes, when positive, switches RCFile row-group sizing to a
-	// byte budget: a group is cut when its encoded payload reaches the
-	// budget, so dense (well-encoded) data packs more rows per group. The
-	// budget is inherited by a DGFIndex built on the table, persisted in its
-	// metadata, and honoured by later Appends.
-	RowGroupBytes int64
 	// DisableEncoding forces plain-text row groups (no dictionary/RLE column
 	// encoding); benchmarks use it to measure the unencoded baseline.
 	DisableEncoding bool
@@ -310,7 +304,7 @@ func (w *Warehouse) loadRowsLocked(t *Table, rows []storage.Row) error {
 	switch t.Format {
 	case hiveindex.RCFile:
 		_, err := storage.WriteRCRowsOpts(w.FS, name, t.Schema, rows, t.RowGroupRows,
-			storage.RCWriteOptions{GroupBytes: t.RowGroupBytes, DisableEncoding: t.DisableEncoding})
+			storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
 		return err
 	default:
 		return storage.WriteTextRows(w.FS, name, rows)
@@ -334,7 +328,7 @@ func (w *Warehouse) loadPartitionedLocked(t *Table, rows []storage.Row) error {
 		var err error
 		if t.Format == hiveindex.RCFile {
 			_, err = storage.WriteRCRowsOpts(w.FS, name, t.Schema, part, t.RowGroupRows,
-				storage.RCWriteOptions{GroupBytes: t.RowGroupBytes, DisableEncoding: t.DisableEncoding})
+				storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
 		} else {
 			err = storage.WriteTextRows(w.FS, name, part)
 		}
@@ -453,7 +447,7 @@ func (w *Warehouse) buildDgfIndexLocked(t *Table, spec dgf.Spec) (*dgf.BuildStat
 	// row-group-granular slices and its reads push column projections down.
 	kv := kvstore.New()
 	dataDir := t.Dir + "_dgf"
-	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows, GroupBytes: t.RowGroupBytes}
+	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows}
 	ix, stats, err := dgf.Build(w.Cluster, w.FS, kv, spec, t.Schema, src, dataDir)
 	if err != nil {
 		return nil, err

@@ -74,7 +74,7 @@ type FileInput struct {
 	// selection narrowed to the admitted rows, a record not at all.
 	RowFilter func(path string, offset int64, row int) bool
 	// SkipGroup, when set, prunes row groups by start offset before their
-	// payloads are fetched (zone-map / bitmap pruning; RCFile only). Unlike
+	// payloads are fetched (zone-map pruning; RCFile only). Unlike
 	// GroupFilter rejections, pruned groups are reported as GroupsSkipped.
 	SkipGroup func(path string, offset int64) bool
 	// Vector selects batch delivery: one Record per row group (RCFile) or

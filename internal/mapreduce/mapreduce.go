@@ -179,8 +179,8 @@ type Stats struct {
 	InputBytes   int64
 	InputRecords int64
 	Seeks        int64
-	// GroupsSkipped counts row groups pruned by zone maps or bitmap
-	// sidecars before their payloads were fetched.
+	// GroupsSkipped counts row groups pruned by zone maps before their
+	// payloads were fetched.
 	GroupsSkipped int64
 	ShuffleBytes  int64
 	ShufflePairs  int64

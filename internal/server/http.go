@@ -51,7 +51,6 @@ type queryStatsJSON struct {
 	WallMs        float64 `json:"wall_ms"`
 	Vectorized    bool    `json:"vectorized,omitempty"`
 	GroupsSkipped int64   `json:"groups_skipped,omitempty"`
-	BitmapHits    int64   `json:"bitmap_hits,omitempty"`
 	DictProbes    int64   `json:"dict_probes,omitempty"`
 	RunsSkipped   int64   `json:"runs_skipped,omitempty"`
 	ShufflePairs  int64   `json:"shuffle_pairs,omitempty"`
@@ -72,7 +71,6 @@ func newQueryStatsJSON(s hive.QueryStats) queryStatsJSON {
 		WallMs:        float64(s.Wall.Microseconds()) / 1e3,
 		Vectorized:    s.Vectorized,
 		GroupsSkipped: s.GroupsSkipped,
-		BitmapHits:    s.BitmapHits,
 		DictProbes:    s.DictProbes,
 		RunsSkipped:   s.RunsSkipped,
 		ShufflePairs:  s.ShufflePairs,

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
+	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
 	"github.com/smartgrid-oss/dgfindex/internal/workload"
@@ -72,11 +74,12 @@ func goldenLoads(cfg workload.MeterConfig) []struct {
 	}
 }
 
-// goldenFleetState digests one fleet, replica by replica. kvAsText is the kv
-// digest over the same stores with every GFUValue decoded and rendered in the
-// text form values had before the binary codec.
+// goldenFleetState digests one fleet, replica by replica. kvRetiredMeta is
+// the kv digest over the same stores with goldenRetiredMeta put back, and
+// kvAsText that with every GFUValue also decoded and rendered in the text
+// form values had before the binary codec.
 type goldenFleetState struct {
-	files, kv, answers, kvAsText string
+	files, kv, answers, kvRetiredMeta, kvAsText string
 }
 
 // goldenReplicaFiles lists every file of one replica's filesystem with the
@@ -108,39 +111,53 @@ func goldenReplicaFiles(t *testing.T, w *hive.Warehouse) []string {
 	return out
 }
 
+// goldenRetiredMeta is what c084951 stored in every replica's index under
+// the three metadata keys the value-bitmap sidecars and byte-budget row
+// groups used.
+var goldenRetiredMeta = []kvstore.Pair{
+	{Key: "meta/bitmapcols", Value: []byte{}},
+	{Key: "meta/bitmapdisabled", Value: []byte{}},
+	{Key: "meta/groupbytes", Value: []byte("0")},
+}
+
 // goldenReplicaKV is the entry count and content hash of the replica's
-// DGFIndex key-value store, as stored and with the GFU values as text.
-func goldenReplicaKV(t *testing.T, w *hive.Warehouse) (stored, asText string) {
+// DGFIndex key-value store: as stored, with goldenRetiredMeta put back, and
+// with that and the GFU values as text.
+func goldenReplicaKV(t *testing.T, w *hive.Warehouse) (stored, retiredMeta, asText string) {
 	t.Helper()
 	tbl, err := w.Table("meterdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, ht := sha256.New(), sha256.New()
-	var n [8]byte
-	for _, p := range tbl.DgfKV.ScanPrefix("") {
-		text := p.Value
-		if strings.HasPrefix(p.Key, "g/") {
-			v, err := tbl.Dgf.DecodeGFUValue(p.Value)
-			if err != nil {
-				t.Fatalf("%s: %v", p.Key, err)
-			}
-			text = goldenTextGFUValue(v)
+	digest := func(pairs []kvstore.Pair, value func(kvstore.Pair) []byte) string {
+		h := sha256.New()
+		var n [8]byte
+		for _, p := range pairs {
+			v := value(p)
+			binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
+			h.Write(n[:])
+			h.Write([]byte(p.Key))
+			binary.BigEndian.PutUint64(n[:], uint64(len(v)))
+			h.Write(n[:])
+			h.Write(v)
 		}
-		binary.BigEndian.PutUint64(n[:], uint64(len(p.Key)))
-		h.Write(n[:])
-		h.Write([]byte(p.Key))
-		ht.Write(n[:])
-		ht.Write([]byte(p.Key))
-		binary.BigEndian.PutUint64(n[:], uint64(len(p.Value)))
-		h.Write(n[:])
-		h.Write(p.Value)
-		binary.BigEndian.PutUint64(n[:], uint64(len(text)))
-		ht.Write(n[:])
-		ht.Write(text)
+		return fmt.Sprintf("%d entries %s", len(pairs), hex.EncodeToString(h.Sum(nil)))
 	}
-	return fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(h.Sum(nil))),
-		fmt.Sprintf("%d entries %s", tbl.DgfKV.Len(), hex.EncodeToString(ht.Sum(nil)))
+	asStored := func(p kvstore.Pair) []byte { return p.Value }
+	text := func(p kvstore.Pair) []byte {
+		if !strings.HasPrefix(p.Key, "g/") {
+			return p.Value
+		}
+		v, err := tbl.Dgf.DecodeGFUValue(p.Value)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Key, err)
+		}
+		return goldenTextGFUValue(v)
+	}
+	pairs := tbl.DgfKV.ScanPrefix("")
+	retired := append(append([]kvstore.Pair(nil), pairs...), goldenRetiredMeta...)
+	slices.SortFunc(retired, func(a, b kvstore.Pair) int { return strings.Compare(a.Key, b.Key) })
+	return digest(pairs, asStored), digest(retired, asStored), digest(retired, text)
 }
 
 // goldenTextGFUValue renders a GFUValue as commit 433a837 stored it:
@@ -228,8 +245,9 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 			head := fmt.Sprintf("shard %d replica %d", si, ri)
 			files := goldenReplicaFiles(t, w)
 			lines["files"] = append(append(lines["files"], head), files...)
-			kv, kvAsText := goldenReplicaKV(t, w)
+			kv, kvRetiredMeta, kvAsText := goldenReplicaKV(t, w)
 			lines["kv"] = append(lines["kv"], head+" "+kv)
+			lines["kvRetiredMeta"] = append(lines["kvRetiredMeta"], head+" "+kvRetiredMeta)
 			lines["kvAsText"] = append(lines["kvAsText"], head+" "+kvAsText)
 			lines["answers"] = append(append(lines["answers"], head), goldenReplicaAnswers(t, w)...)
 			// Replicas of a shard are copies: same files, byte for byte.
@@ -241,10 +259,11 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 		}
 	}
 	return goldenFleetState{
-		files:    goldenHash(lines["files"]),
-		kv:       goldenHash(lines["kv"]),
-		answers:  goldenHash(lines["answers"]),
-		kvAsText: goldenHash(lines["kvAsText"]),
+		files:         goldenHash(lines["files"]),
+		kv:            goldenHash(lines["kv"]),
+		answers:       goldenHash(lines["answers"]),
+		kvRetiredMeta: goldenHash(lines["kvRetiredMeta"]),
+		kvAsText:      goldenHash(lines["kvAsText"]),
 	}, lines
 }
 
@@ -253,17 +272,21 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 // answers digests were re-recorded when aggregates began folding inside their
 // split (sums differ in their last bit, data= in its sixth decimal — hive's
 // TestQueryStatsGoldenMovedAsDescribed bounds the move). The kv digests were
-// re-recorded when the GFUValue became binary; the digests 433a837 recorded
-// for kv are now kvAsText, so every key, every metadata entry and every pair's
-// header and SliceLocs — file names included — are what that commit stored,
-// with and without a log directory: only the values' bytes moved.
+// re-recorded twice. When the GFUValue became binary, the digests 433a837
+// recorded for kv became kvAsText, so every key, every metadata entry and
+// every pair's header and SliceLocs — file names included — are what that
+// commit stored, with and without a log directory: only the values' bytes
+// moved. When the value-bitmap sidecars and byte-budget row groups were
+// removed, the digests c084951 recorded for kv became kvRetiredMeta: the
+// index stopped storing the three goldenRetiredMeta entries, and nothing
+// else in the store moved.
 var loadPathGolden = map[string]goldenFleetState{
-	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
-	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
-	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
-	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
-	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
-	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "58d977326f9cdbf74974967c6f1b4dbb22849690959740d9699d38e7555abbfe", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
+	"1x1/rcfile":   {"2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
+	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "db26e71d209a92dbf37bfb4272743744bec072dafc735fe346f6f62b14137064", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
+	"4x1/rcfile":   {"c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
+	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "a136a0039f70fbe0f5ce19e89a966b3d2fdb1a2d82e00d839d19be2752e0f0f4", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
+	"4x2/rcfile":   {"bb709b629f7ee030abcd1bcd114fc61e13aff777e6422c7c849d19c219ea5841", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
 }
 
 func TestLoadPathGolden(t *testing.T) {
@@ -279,7 +302,7 @@ func TestLoadPathGolden(t *testing.T) {
 					got, lines := goldenRun(t, shape.shards, shape.replicas, stored, withWAL)
 					want, ok := loadPathGolden[key]
 					if !ok {
-						t.Fatalf("no golden recorded for %s: {%q, %q, %q, %q}", key, got.files, got.kv, got.answers, got.kvAsText)
+						t.Fatalf("no golden recorded for %s: {%q, %q, %q, %q, %q}", key, got.files, got.kv, got.answers, got.kvRetiredMeta, got.kvAsText)
 					}
 					if got.files != want.files {
 						t.Errorf("files hash to %s, want %s\n%s", got.files, want.files, strings.Join(lines["files"], "\n"))
@@ -297,15 +320,20 @@ func TestLoadPathGolden(t *testing.T) {
 }
 
 // TestLoadPathGoldenMovedAsDescribed bounds what re-recording the kv digests
-// let through: with every GFUValue decoded and rendered back as text, every
-// replica's store hashes to what 433a837 recorded. TestLoadPathGolden holds
-// the fleets with a log directory to the same stored bytes as those without.
+// let through: with goldenRetiredMeta put back, every replica's store hashes
+// to what c084951 recorded, and with every GFUValue also decoded and rendered
+// back as text, to what 433a837 recorded. TestLoadPathGolden holds the fleets
+// with a log directory to the same stored bytes as those without.
 func TestLoadPathGoldenMovedAsDescribed(t *testing.T) {
 	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
 		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
 			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
 			t.Run(key, func(t *testing.T) {
 				got, lines := goldenRun(t, shape.shards, shape.replicas, stored, false)
+				if want := loadPathGolden[key].kvRetiredMeta; got.kvRetiredMeta != want {
+					t.Errorf("index key-values, retired metadata put back, hash to %s, c084951's hashed to %s\n%s",
+						got.kvRetiredMeta, want, strings.Join(lines["kvRetiredMeta"], "\n"))
+				}
 				if want := loadPathGolden[key].kvAsText; got.kvAsText != want {
 					t.Errorf("index key-values, GFU values rendered as text, hash to %s, the text codec's hashed to %s\n%s",
 						got.kvAsText, want, strings.Join(lines["kvAsText"], "\n"))

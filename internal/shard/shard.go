@@ -627,7 +627,6 @@ func (r *Router) explainScatter(ctx context.Context, s *hive.SelectStmt, opts hi
 		merged.BoundaryCells += p.BoundaryCells
 		merged.MissingCells += p.MissingCells
 		merged.GroupsSkipped += p.GroupsSkipped
-		merged.BitmapHits += p.BitmapHits
 	}
 	return &merged, nil
 }
@@ -641,7 +640,6 @@ func mergeStats(dst *hive.QueryStats, s hive.QueryStats) {
 	dst.Splits += s.Splits
 	dst.Seeks += s.Seeks
 	dst.GroupsSkipped += s.GroupsSkipped
-	dst.BitmapHits += s.BitmapHits
 	dst.ShufflePairs += s.ShufflePairs
 	dst.ShuffleBytes += s.ShuffleBytes
 	dst.Vectorized = dst.Vectorized && s.Vectorized

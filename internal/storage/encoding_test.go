@@ -329,57 +329,6 @@ func TestLegacyColStatsWithEncodedData(t *testing.T) {
 	}
 }
 
-// TestGroupBytesBudget: a byte budget cuts groups when the pending payload
-// reaches it, regardless of the row-count ceiling, and the file reads back
-// complete.
-func TestGroupBytesBudget(t *testing.T) {
-	fs := dfs.New(1 << 20)
-	s := encodableSchema()
-	rows := encodableRows(256)
-	if _, err := WriteRCRowsOpts(fs, "/tbl/budget", s, rows, 1<<20, RCWriteOptions{GroupBytes: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ReadColStats(fs, "/tbl/budget")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) < 2 {
-		t.Fatalf("byte budget produced %d groups, want several", len(stats))
-	}
-	total := 0
-	for _, g := range stats {
-		total += g.Rows
-	}
-	if total != len(rows) {
-		t.Fatalf("groups hold %d rows, want %d", total, len(rows))
-	}
-	// Every full group stays in the budget's neighbourhood: the cut happens
-	// at the first row that reaches the budget, so no group doubles it.
-	for gi, g := range stats[:len(stats)-1] {
-		var raw int64
-		for _, l := range g.ColLens {
-			raw += l
-		}
-		if raw > 2*2048 {
-			t.Errorf("group %d holds %d payload bytes, far over the 2048 budget", gi, raw)
-		}
-	}
-	back, err := readRCRows(fs, "/tbl/budget", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("read %d rows, want %d", len(back), len(rows))
-	}
-	for i := range back {
-		for c := range back[i] {
-			if Compare(back[i][c], rows[i][c]) != 0 {
-				t.Fatalf("row %d col %d: %v vs %v", i, c, back[i][c], rows[i][c])
-			}
-		}
-	}
-}
-
 // BenchmarkEncodedDecode compares the vectorised group decode over encoded
 // and plain layouts of the same low-cardinality data.
 func BenchmarkEncodedDecode(b *testing.B) {

@@ -43,16 +43,13 @@ type RCWriter struct {
 	w            *dfs.FileWriter
 	schema       *Schema
 	groupRows    int
-	groupBytes   int64    // flush when pending payload bytes reach this (0 = rows only)
 	cols         [][]byte // pending column payloads
 	pending      int      // rows buffered
-	pendingBytes int64    // plain payload bytes buffered
 	off          int64    // file offset of the next group to be flushed
 	groupOffsets []int64
 	groupStats   []GroupStat
 	mins, maxs   []Value // running per-column min/max of the pending group
 	statsInit    bool
-	bm           *bitmapBuilder // optional per-group value bitmaps
 	noEncode     bool
 	cellScratch  []rawCell
 	runScratch   []rawRun
@@ -77,45 +74,9 @@ func NewRCWriter(w *dfs.FileWriter, schema *Schema, groupRows int) *RCWriter {
 	}
 }
 
-// SetGroupBytes switches the writer to adaptive row-group sizing: a group
-// flushes once its buffered plain payload reaches budget bytes (measured
-// column widths, not a fixed row count), with groupRows still capping the
-// row count. Readers need no signal — the exact group boundaries are
-// persisted in the "_groups" side file as always. budget <= 0 keeps the
-// row-count-only behaviour.
-func (w *RCWriter) SetGroupBytes(budget int64) { w.groupBytes = budget }
-
 // DisableEncoding forces every flushed group into the legacy plain-text 'R'
 // layout (benchmark baselines and compatibility tests).
 func (w *RCWriter) DisableEncoding() { w.noEncode = true }
-
-// TrackBitmaps turns on per-group value-bitmap accumulation for the given
-// column indices; the collected BitmapSidecar is available after Close.
-func (w *RCWriter) TrackBitmaps(cols []int) {
-	if len(cols) > 0 {
-		w.bm = newBitmapBuilder(cols)
-	}
-}
-
-// BitmapSidecar returns the accumulated per-group value bitmaps, or ok=false
-// when TrackBitmaps was never called or every tracked column overflowed the
-// cardinality cap.
-func (w *RCWriter) BitmapSidecar() (*BitmapSidecar, bool) {
-	if w.bm == nil {
-		return nil, false
-	}
-	return w.bm.sidecar()
-}
-
-// BitmapOverflows returns the tracked column indices whose distinct-value
-// count exceeded BitmapCardinalityCap: their sidecars were dropped and
-// equality/membership probes on them fall back to zone maps only.
-func (w *RCWriter) BitmapOverflows() []int {
-	if w.bm == nil {
-		return nil
-	}
-	return w.bm.dropped
-}
 
 // Offset returns the file offset of the row group that the *next* written
 // row will belong to. This is the offset Hive's indexes record for a row.
@@ -131,12 +92,10 @@ func (w *RCWriter) WriteRow(row Row) error {
 		return fmt.Errorf("storage: row has %d fields, schema wants %d", len(row), w.schema.Len())
 	}
 	for i, v := range row {
-		before := len(w.cols[i])
 		if w.pending > 0 {
 			w.cols[i] = append(w.cols[i], '\n')
 		}
 		w.cols[i] = v.AppendText(w.cols[i])
-		w.pendingBytes += int64(len(w.cols[i]) - before)
 	}
 	if !w.statsInit {
 		copy(w.mins, row)
@@ -152,11 +111,8 @@ func (w *RCWriter) WriteRow(row Row) error {
 			}
 		}
 	}
-	if w.bm != nil {
-		w.bm.observe(row)
-	}
 	w.pending++
-	if w.pending >= w.groupRows || (w.groupBytes > 0 && w.pendingBytes >= w.groupBytes) {
+	if w.pending >= w.groupRows {
 		return w.flushGroup()
 	}
 	return nil
@@ -220,15 +176,11 @@ func (w *RCWriter) flushGroup() error {
 	w.outScratch = buf
 	w.groupOffsets = append(w.groupOffsets, w.off)
 	w.groupStats = append(w.groupStats, stat)
-	if w.bm != nil {
-		w.bm.cut()
-	}
 	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
 	w.off += int64(len(buf))
 	w.pending = 0
-	w.pendingBytes = 0
 	w.statsInit = false
 	return nil
 }
@@ -713,8 +665,6 @@ func ReadColStats(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
 
 // RCWriteOptions tunes WriteRCRowsOpts.
 type RCWriteOptions struct {
-	// GroupBytes switches row-group sizing to a byte budget (0 = row count).
-	GroupBytes int64
 	// DisableEncoding writes plain-text row groups unconditionally.
 	DisableEncoding bool
 }
@@ -731,9 +681,6 @@ func WriteRCRowsOpts(fs *dfs.FS, path string, schema *Schema, rows []Row, groupR
 		return nil, err
 	}
 	rw := NewRCWriter(w, schema, groupRows)
-	if opts.GroupBytes > 0 {
-		rw.SetGroupBytes(opts.GroupBytes)
-	}
 	if opts.DisableEncoding {
 		rw.DisableEncoding()
 	}

@@ -78,8 +78,8 @@ type SegmentOptions struct {
 	Batch *ColumnBatch
 	// SkipGroup, when non-nil, is consulted before each row group is
 	// fetched (RCFile only); a true return drops the group without reading
-	// its payloads — the hook index offset filters and zone-map/bitmap
-	// pruning plug into.
+	// its payloads — the hook index offset filters and zone-map pruning
+	// plug into.
 	SkipGroup func(offset int64) bool
 }
 
@@ -219,50 +219,15 @@ type SegmentWriter interface {
 	Close() error
 }
 
-// SegmentWriterOptions tunes optional side metadata a segment writer emits.
-type SegmentWriterOptions struct {
-	// BitmapCols lists the column indices to build per-group value bitmaps
-	// for (RCFile only; persisted as a "_bitmaps" sidecar on Close).
-	BitmapCols []int
-	// GroupBytes switches RCFile row-group sizing to a byte budget measured
-	// from the incoming rows' column widths; Cut still lands slice
-	// boundaries exactly, and the resulting variable group boundaries are
-	// persisted in "_groups" as always. 0 keeps row-count sizing.
-	GroupBytes int64
-	// DisableEncoding writes plain-text row groups even where dictionary or
-	// run-length encoding would be smaller (baselines, compat tests).
-	DisableEncoding bool
-}
-
-// BitmapOverflowReporter is implemented by segment writers that can report,
-// after Close, which bitmap-tracked columns were dropped for exceeding
-// BitmapCardinalityCap.
-type BitmapOverflowReporter interface {
-	BitmapOverflows() []int
-}
-
 // NewSegmentWriter creates the file at path and returns a writer for the
 // format. groupRows sizes RCFile row groups (<= 0 selects the default).
 func NewSegmentWriter(fs *dfs.FS, path string, schema *Schema, format Format, groupRows int) (SegmentWriter, error) {
-	return NewSegmentWriterOpts(fs, path, schema, format, groupRows, SegmentWriterOptions{})
-}
-
-// NewSegmentWriterOpts is NewSegmentWriter with side-metadata options.
-func NewSegmentWriterOpts(fs *dfs.FS, path string, schema *Schema, format Format, groupRows int, opts SegmentWriterOptions) (SegmentWriter, error) {
 	w, err := fs.Create(path)
 	if err != nil {
 		return nil, err
 	}
 	if format == RCFile {
-		rw := NewRCWriter(w, schema, groupRows)
-		rw.TrackBitmaps(opts.BitmapCols)
-		if opts.GroupBytes > 0 {
-			rw.SetGroupBytes(opts.GroupBytes)
-		}
-		if opts.DisableEncoding {
-			rw.DisableEncoding()
-		}
-		return &rcSegmentWriter{fs: fs, path: path, rw: rw}, nil
+		return &rcSegmentWriter{fs: fs, path: path, rw: NewRCWriter(w, schema, groupRows)}, nil
 	}
 	return &textSegmentWriter{tw: NewTextWriter(w)}, nil
 }
@@ -287,10 +252,6 @@ func (t *rcSegmentWriter) WriteRecord(rec SegmentRecord) error { return t.rw.Wri
 func (t *rcSegmentWriter) Offset() int64 { return t.rw.Offset() }
 func (t *rcSegmentWriter) Cut() error    { return t.rw.Flush() }
 
-// BitmapOverflows reports the bitmap columns the writer dropped for
-// exceeding the cardinality cap.
-func (t *rcSegmentWriter) BitmapOverflows() []int { return t.rw.BitmapOverflows() }
-
 func (t *rcSegmentWriter) Close() error {
 	if err := t.rw.Close(); err != nil {
 		return err
@@ -298,11 +259,5 @@ func (t *rcSegmentWriter) Close() error {
 	if err := WriteGroupIndex(t.fs, t.path, t.rw.GroupOffsets()); err != nil {
 		return err
 	}
-	if err := WriteColStats(t.fs, t.path, t.rw.GroupStats()); err != nil {
-		return err
-	}
-	if sc, ok := t.rw.BitmapSidecar(); ok {
-		return WriteBitmapSidecar(t.fs, t.path, sc)
-	}
-	return nil
+	return WriteColStats(t.fs, t.path, t.rw.GroupStats())
 }

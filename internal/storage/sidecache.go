@@ -3,11 +3,10 @@ package storage
 import "github.com/smartgrid-oss/dgfindex/internal/dfs"
 
 // Cached variants of the side-file readers. Planners consult row-group
-// indexes, column statistics and bitmap sidecars on every query; the files
-// themselves change only when a segment is written or appended, so their
-// parsed forms live in the filesystem's CachedParse cache and decode once.
-// The returned slices and sidecars are shared across callers and must not
-// be mutated.
+// indexes and column statistics on every query; the files themselves change
+// only when a segment is written or appended, so their parsed forms live in
+// the filesystem's CachedParse cache and decode once. The returned slices are
+// shared across callers and must not be mutated.
 
 // ReadGroupIndexCached is ReadGroupIndex through the parse cache.
 func ReadGroupIndexCached(fs *dfs.FS, dataPath string) ([]int64, error) {
@@ -29,24 +28,4 @@ func ReadColStatsCached(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
 		return nil, err
 	}
 	return v.([]GroupStat), nil
-}
-
-// ReadBitmapSidecarCached is ReadBitmapSidecar through the parse cache; a
-// missing sidecar caches as absent (nil, false, nil) like the uncached read.
-func ReadBitmapSidecarCached(fs *dfs.FS, dataPath string) (*BitmapSidecar, bool, error) {
-	v, err := fs.CachedParse(BitmapPath(dataPath), func() (any, error) {
-		sc, ok, err := ReadBitmapSidecar(fs, dataPath)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return (*BitmapSidecar)(nil), nil
-		}
-		return sc, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	sc := v.(*BitmapSidecar)
-	return sc, sc != nil, nil
 }

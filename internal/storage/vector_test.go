@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -95,102 +94,6 @@ func TestColStatsLegacyFallback(t *testing.T) {
 		if g.HasZone() {
 			t.Errorf("legacy group %d claims a zone map", gi)
 		}
-	}
-}
-
-// TestBitmapSidecarRoundTrip: per-group value bitmaps built by the writer
-// persist and answer lookups — present values map to exactly the groups that
-// hold them, absent values on a covered column yield an empty (all-pruning)
-// bitset, and uncovered columns report not-covered.
-func TestBitmapSidecarRoundTrip(t *testing.T) {
-	fs := dfs.New(1 << 20)
-	s := NewSchema(Column{"id", KindInt64}, Column{"tag", KindString})
-	w, err := fs.Create("/tbl/bm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw := NewRCWriter(w, s, 2)
-	rw.TrackBitmaps([]int{1})
-	// Groups of 2: {a,a} {a,b} {b,b}.
-	for _, tag := range []string{"a", "a", "a", "b", "b", "b"} {
-		if err := rw.WriteRow(Row{Int64(1), Str(tag)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := rw.BitmapSidecar()
-	if !ok {
-		t.Fatal("no sidecar despite TrackBitmaps")
-	}
-	if err := WriteBitmapSidecar(fs, "/tbl/bm", sc); err != nil {
-		t.Fatal(err)
-	}
-	back, ok, err := ReadBitmapSidecar(fs, "/tbl/bm")
-	if err != nil || !ok {
-		t.Fatalf("ReadBitmapSidecar: ok=%v err=%v", ok, err)
-	}
-	if back.Groups != 3 {
-		t.Fatalf("sidecar covers %d groups, want 3", back.Groups)
-	}
-	checks := []struct {
-		val  string
-		want []bool // per group
-	}{
-		{"a", []bool{true, true, false}},
-		{"b", []bool{false, true, true}},
-		{"z", []bool{false, false, false}}, // absent value: prunes everything
-	}
-	for _, c := range checks {
-		bs, ok := back.Lookup(1, c.val)
-		if !ok {
-			t.Fatalf("column 1 not covered for %q", c.val)
-		}
-		for g, want := range c.want {
-			if bs.Has(g) != want {
-				t.Errorf("Lookup(1,%q).Has(%d) = %v, want %v", c.val, g, bs.Has(g), want)
-			}
-		}
-	}
-	if _, ok := back.Lookup(0, "1"); ok {
-		t.Error("untracked column reports covered")
-	}
-	// Absence of the side file is normal, not an error.
-	if _, ok, err := ReadBitmapSidecar(fs, "/tbl/missing"); ok || err != nil {
-		t.Fatalf("missing sidecar: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestBitmapCardinalityCap: a column exceeding the per-file cardinality cap
-// is dropped from the sidecar rather than ballooning it; when it was the only
-// tracked column the writer reports no sidecar at all.
-func TestBitmapCardinalityCap(t *testing.T) {
-	fs := dfs.New(1 << 24)
-	s := NewSchema(Column{"id", KindInt64}, Column{"tag", KindString})
-	w, err := fs.Create("/tbl/cap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rw := NewRCWriter(w, s, 64)
-	rw.TrackBitmaps([]int{0, 1}) // id is unique per row → overflows the cap
-	for i := 0; i < bitmapCardinalityCap+10; i++ {
-		if err := rw.WriteRow(Row{Int64(int64(i)), Str(fmt.Sprintf("t%d", i%3))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sc, ok := rw.BitmapSidecar()
-	if !ok {
-		t.Fatal("sidecar dropped entirely; tag column should survive")
-	}
-	if _, ok := sc.Lookup(0, "0"); ok {
-		t.Error("over-cardinality column kept its bitmaps")
-	}
-	if _, ok := sc.Lookup(1, "t0"); !ok {
-		t.Error("low-cardinality column lost its bitmaps")
 	}
 }
 
