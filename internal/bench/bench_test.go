@@ -2,6 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,7 +14,20 @@ import (
 // sharedEnv is built once for the whole test binary.
 var sharedEnv = NewEnv(TestScale())
 
+// reports memoises each experiment's latest report. TestPaperTablesGolden
+// runs first and runs every experiment afresh; the shape tests after it read
+// those runs.
+var reports = map[string]*Report{}
+
 func runExp(t *testing.T, id string) *Report {
+	t.Helper()
+	if rep, ok := reports[id]; ok {
+		return rep
+	}
+	return runFresh(t, id)
+}
+
+func runFresh(t *testing.T, id string) *Report {
 	t.Helper()
 	exp, ok := Get(id)
 	if !ok {
@@ -20,6 +37,7 @@ func runExp(t *testing.T, id string) *Report {
 	if err != nil {
 		t.Fatalf("experiment %s: %v", id, err)
 	}
+	reports[id] = rep
 	if len(rep.Rows) == 0 {
 		t.Fatalf("experiment %s produced no rows", id)
 	}
@@ -82,6 +100,39 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(All()) < len(want) {
 		t.Errorf("registry has %d experiments, want at least %d", len(All()), len(want))
+	}
+}
+
+var update = flag.Bool("update", false, "re-record the paper tables under testdata/")
+
+// wallSpeed matches the one wall-clock figure a report prints (fig3's note).
+var wallSpeed = regexp.MustCompile(`[0-9]+ MB/s wall speed`)
+
+// TestPaperTablesGolden pins every registered experiment's rendered table at
+// TestScale() to testdata/<id>.txt, so any move of a simulated second, byte
+// or record count in a paper table fails here. fig3's wall-clock append speed
+// is masked. A deliberate move is re-recorded with -update.
+func TestPaperTablesGolden(t *testing.T) {
+	for _, exp := range All() {
+		t.Run(exp.ID, func(t *testing.T) {
+			var buf bytes.Buffer
+			runFresh(t, exp.ID).WriteText(&buf)
+			got := wallSpeed.ReplaceAll(buf.Bytes(), []byte("N MB/s wall speed"))
+			path := filepath.Join("testdata", exp.ID+".txt")
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (record with -update)", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s moved; recorded:\n%s\ngot:\n%s", exp.ID, want, got)
+			}
+		})
 	}
 }
 

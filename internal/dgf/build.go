@@ -59,12 +59,12 @@ type Source struct {
 // slice boundaries fall at line offsets for TextFile and at row-group
 // boundaries for RCFile.
 //
-// Each stage touches a record once. Map takes the cell coordinates from the
-// row an RCFile reader already decoded, or parses only the dimension fields
-// of a text line, and renders a GFUKey once per distinct cell. Reduce decodes
-// a record at most once: an RCFile index decodes the line into one row that
-// feeds both the header and the row-group writer; a TextFile index writes the
-// line through and parses only the pre-compute factor fields.
+// Each stage touches a record once. Map reads the cell coordinates from the
+// column batch the reader decoded — for a TextFile source only the dimension
+// columns are parsed — shuffles each row's text line, and renders a GFUKey
+// once per distinct cell. Reduce decodes each line once into a row that feeds
+// the header, and the row-group writer for RCFile; a TextFile index writes
+// the line through and parses only the pre-compute factor fields.
 func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	schema *storage.Schema, src Source, dataDir string) (*Index, *BuildStats, error) {
 	if err := spec.Validate(schema); err != nil {
@@ -91,7 +91,8 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		return nil, nil, err
 	}
 	ix.recountGFUs() // pairs a previous index left in kv count, as they always did
-	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema}
+	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema,
+		Project: ix.readColumns(src.Format, ix.dimCols)}
 	stats, err := ix.runBuildJob(cfg, input, true)
 	if err != nil {
 		return nil, nil, err
@@ -109,7 +110,27 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 // it reads back only the GFU pairs it merges into, and the returned IndexBytes
 // is a running total rather than a scan of the store.
 func (ix *Index) Append(cfg *cluster.Config, files []string) (*BuildStats, error) {
-	return ix.runBuildJob(cfg, &mapreduce.FileInput{FS: ix.FS, Paths: files}, false)
+	return ix.runBuildJob(cfg, &mapreduce.FileInput{FS: ix.FS, Paths: files, Schema: ix.Schema,
+		Project: ix.readColumns(storage.TextFile, ix.dimCols)}, false)
+}
+
+// readColumns is the projection a build job parses rows in the given format
+// through. TextFile rows parse only the listed columns: a projection does not
+// change the bytes a text reader fetches, and a row's line is the stored
+// text. RCFile rows decode every column, so the bytes a reader fetches stay
+// those of the whole row groups, a row's line renders every cell, and the
+// reducer has the whole row its writer stores.
+func (ix *Index) readColumns(format storage.Format, cols ...[]int) []bool {
+	if format == storage.RCFile {
+		return nil
+	}
+	project := make([]bool, ix.Schema.Len())
+	for _, cs := range cols {
+		for _, c := range cs {
+			project[c] = true
+		}
+	}
+	return project
 }
 
 func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, fresh bool) (*BuildStats, error) {
@@ -134,22 +155,21 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	ix.KV.Put(metaGen, []byte(strconv.Itoa(gen+1)))
 
 	keys := gfuKeys{policy: &ix.Spec.Policy, byCell: map[string]string{}}
-	columnar := ix.Format == storage.RCFile
+	// What the reducer parses of a shuffled line: the dimensions of one line
+	// per group, and of every line the pre-compute factors, or the whole row
+	// an RCFile writer stores.
+	dims := ix.readColumns(storage.TextFile, ix.dimCols)
+	fold := ix.readColumns(ix.Format, ix.aggCols...)
 	job := &mapreduce.Job{
 		Name:  "dgf-build-" + ix.Spec.Name,
 		Input: input,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
+			b := rec.Batch
 			cells := make([]int64, 0, stackDims)
-			if rec.Row != nil {
-				// The reader decoded the record anyway (RCFile).
-				cells = ix.cellsOfRow(rec.Row, cells)
-			} else {
-				var err error
-				if cells, err = ix.cellsOfLine(rec.Data, cells); err != nil {
-					return err
-				}
+			for _, ri := range b.Sel() {
+				cells = ix.cellsOfRow(b.MaterialiseRow(ri), cells[:0])
+				emit(keys.of(cells), b.Line(ri))
 			}
-			emit(keys.of(cells), rec.Data)
 			return nil
 		},
 		NumReducers: numReducers,
@@ -166,41 +186,27 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			// Observed bounds (for ClampRead and partial queries) are kept per
 			// task, from one record of every group, and merged once below.
 			var lo, hi []int64
-			var row storage.Row // columnar output: the task's one decoded record
-			if columnar {
-				row = make(storage.Row, ix.Schema.Len())
-			}
+			row := make(storage.Row, ix.Schema.Len()) // the task's one decoded record
+			cells := make([]int64, 0, stackDims)
 			for _, g := range groups {
+				// Every record of a group standardises to the same cell.
+				if err := storage.DecodeTextRowInto(ix.Schema, string(g.Values[0]), dims, row); err != nil {
+					return err
+				}
+				cells = ix.cellsOfRow(row, cells[:0])
 				start := sw.Offset()
 				header := NewHeader(ix.Spec.Precompute)
 				for _, line := range g.Values {
-					// One decode per record: a columnar writer needs the
-					// row, and the same row feeds the header; a text writer
-					// takes the line as it is and only the pre-compute
-					// factor fields are parsed.
-					var rec storage.SegmentRecord
-					if columnar {
-						if err := storage.DecodeTextRowInto(ix.Schema, string(line), row); err != nil {
-							return err
-						}
-						ix.foldRow(row, header)
-						rec.Row = row
-					} else {
-						if err := ix.foldLine(line, header); err != nil {
-							return err
-						}
-						rec.Line = line
-					}
-					if err := sw.WriteRecord(rec); err != nil {
+					// One decode per record feeds the header and, for
+					// RCFile, the row-group writer; a text writer takes the
+					// line as it is.
+					if err := storage.DecodeTextRowInto(ix.Schema, string(line), fold, row); err != nil {
 						return err
 					}
-				}
-				// Every record of a group standardises to the same cell.
-				cells := make([]int64, 0, stackDims)
-				if columnar {
-					cells = ix.cellsOfRow(row, cells)
-				} else if cells, err = ix.cellsOfLine(g.Values[0], cells); err != nil {
-					return err
+					ix.foldRow(row, header)
+					if err := sw.WriteRecord(storage.SegmentRecord{Line: line, Row: row}); err != nil {
+						return err
+					}
 				}
 				lo, hi = extendBounds(lo, hi, cells)
 				// Cut at the GFU boundary so the slice covers whole
@@ -402,25 +408,26 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	var mu sync.Mutex
 	headers := map[string]Header{}
 	job := &mapreduce.Job{
-		Name:  "dgf-addudf-" + ix.Spec.Name,
-		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema},
+		Name: "dgf-addudf-" + ix.Spec.Name,
+		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema,
+			Project: next.readColumns(ix.Format, append([][]int{next.dimCols}, next.aggCols...)...)},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			cells, err := next.cellsOfLine(rec.Data, make([]int64, 0, stackDims))
-			if err != nil {
-				return err
+			b := rec.Batch
+			cells := make([]int64, 0, stackDims)
+			for _, ri := range b.Sel() {
+				row := b.MaterialiseRow(ri)
+				cells = next.cellsOfRow(row, cells[:0])
+				key := next.Spec.Policy.Key(cells)
+				h := NewHeader(extended)
+				next.foldRow(row, h)
+				mu.Lock()
+				if prev, ok := headers[key]; ok {
+					prev.Merge(h)
+				} else {
+					headers[key] = h
+				}
+				mu.Unlock()
 			}
-			key := next.Spec.Policy.Key(cells)
-			h := NewHeader(extended)
-			if err := next.foldLine(rec.Data, h); err != nil {
-				return err
-			}
-			mu.Lock()
-			if prev, ok := headers[key]; ok {
-				prev.Merge(h)
-			} else {
-				headers[key] = h
-			}
-			mu.Unlock()
 			return nil
 		},
 	}

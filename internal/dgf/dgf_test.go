@@ -179,23 +179,15 @@ func scanSum(t *testing.T, ix *Index, plan *Plan, ranges map[string]gridfile.Ran
 		Name:  "scan",
 		Input: &SliceInput{FS: ix.FS, Plan: plan, Format: ix.Format, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			row := rec.Row
-			if row == nil {
-				var err error
-				row, err = storage.DecodeTextRow(ix.Schema, string(rec.Data))
-				if err != nil {
-					return err
+			b := rec.Batch
+		rows:
+			for _, ri := range b.Sel() {
+				row := b.MaterialiseRow(ri)
+				for name, r := range ranges {
+					if !r.Contains(row[ix.Schema.ColIndex(name)]) {
+						continue rows
+					}
 				}
-			}
-			match := true
-			for name, r := range ranges {
-				ci := ix.Schema.ColIndex(name)
-				if !r.Contains(row[ci]) {
-					match = false
-					break
-				}
-			}
-			if match {
 				mu.Lock()
 				sum += row[col].AsFloat()
 				mu.Unlock()
@@ -388,6 +380,39 @@ func TestAddPrecompute(t *testing.T) {
 	if !ix.CanPrecompute([]AggSpec{{Func: AggCount}, {Func: AggMax, Col: "C"}}) {
 		t.Error("extended precompute not usable")
 	}
+
+	// Over the same rows, an index reorganised as RCFile and one as TextFile
+	// extend every header to the same accumulators, cell for cell.
+	added := []AggSpec{{Func: AggCount}, {Func: AggMax, Col: "C"}, {Func: AggMin, Col: "A"}, {Func: AggSum, Col: "A*C"}}
+	headers := map[storage.Format]map[string]Header{}
+	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
+		fix, _ := buildFormatIndex(t, 1<<12, format)
+		if _, err := fix.AddPrecompute(testCfg(), added); err != nil {
+			t.Fatalf("%v: %v", format, err)
+		}
+		headers[format] = map[string]Header{}
+		for _, p := range fix.KV.ScanPrefix(gfuPrefix) {
+			v, err := fix.DecodeGFUValue(p.Value)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", format, p.Key, err)
+			}
+			headers[format][p.Key] = v.Header
+		}
+	}
+	text, rc := headers[storage.TextFile], headers[storage.RCFile]
+	if len(text) < 10 || len(text) != len(rc) {
+		t.Fatalf("%d TextFile GFUs, %d RCFile GFUs: want the same, and several", len(text), len(rc))
+	}
+	for key, h := range text {
+		if len(h) != 1+len(added) || len(rc[key]) != len(h) {
+			t.Fatalf("%s: TextFile header %v, RCFile header %v", key, h, rc[key])
+		}
+		for i := range h {
+			if h[i] != rc[key][i] {
+				t.Errorf("%s cell %d: TextFile %+v, RCFile %+v", key, i, h[i], rc[key][i])
+			}
+		}
+	}
 }
 
 func TestSliceSkippingAcrossTinyBlocks(t *testing.T) {
@@ -422,7 +447,7 @@ func TestDisableSliceSkipReadsMore(t *testing.T) {
 		var records int64
 		stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
 			Name:  "scan",
-			Input: &SliceInput{FS: ix.FS, Plan: plan},
+			Input: &SliceInput{FS: ix.FS, Plan: plan, Schema: ix.Schema},
 			Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 				return nil
 			},
@@ -709,18 +734,19 @@ func scanCount(t *testing.T, ix *Index, plan *Plan, ranges map[string]gridfile.R
 	var count int64
 	_, err := mapreduce.Run(testCfg(), &mapreduce.Job{
 		Name:  "count",
-		Input: &SliceInput{FS: ix.FS, Plan: plan},
+		Input: &SliceInput{FS: ix.FS, Plan: plan, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			row, err := storage.DecodeTextRow(ix.Schema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-			for name, r := range ranges {
-				if !r.Contains(row[ix.Schema.ColIndex(name)]) {
-					return nil
+			b := rec.Batch
+		rows:
+			for _, ri := range b.Sel() {
+				row := b.MaterialiseRow(ri)
+				for name, r := range ranges {
+					if !r.Contains(row[ix.Schema.ColIndex(name)]) {
+						continue rows
+					}
 				}
+				emit("n", []byte("1"))
 			}
-			emit("n", []byte("1"))
 			return nil
 		},
 		Output: func(k string, v []byte) { count++ },

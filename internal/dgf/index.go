@@ -265,26 +265,9 @@ func (ix *Index) resolveColumns() error {
 	return nil
 }
 
-// cellsOfLine standardises one text record into its GFU cell coordinates
-// (Algorithm 1 lines 1-5), parsing only the dimension fields. The coordinates
-// are appended to cells, so a caller passing a slice with spare capacity pays
-// no allocation.
-func (ix *Index) cellsOfLine(line []byte, cells []int64) ([]int64, error) {
-	for i, col := range ix.dimCols {
-		field, ok := storage.TextFieldBytes(line, col)
-		if !ok {
-			return nil, fmt.Errorf("dgf: record has no field %d: %q", col, line)
-		}
-		v, err := storage.ParseValue(ix.Schema.Col(col).Kind, string(field))
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, ix.Spec.Policy.Dims[i].CellOf(v))
-	}
-	return cells, nil
-}
-
-// cellsOfRow is cellsOfLine for a record that is already decoded.
+// cellsOfRow standardises one record into its GFU cell coordinates
+// (Algorithm 1 lines 1-5). The coordinates are appended to cells, so a caller
+// passing a slice with spare capacity pays no allocation.
 func (ix *Index) cellsOfRow(row storage.Row, cells []int64) []int64 {
 	for i, col := range ix.dimCols {
 		cells = append(cells, ix.Spec.Policy.Dims[i].CellOf(row[col]))
@@ -306,36 +289,6 @@ func (ix *Index) foldRow(row storage.Row, h Header) {
 		}
 		h[i].Fold(v)
 	}
-}
-
-// foldLine is foldRow for a text record, parsing only the pre-compute factor
-// fields.
-func (ix *Index) foldLine(line []byte, h Header) error {
-	for i := range h {
-		v := 0.0
-		for fi, col := range ix.aggCols[i] {
-			field, ok := storage.TextFieldBytes(line, col)
-			if !ok {
-				return fmt.Errorf("dgf: record has no field %d: %q", col, line)
-			}
-			f, err := strconv.ParseFloat(string(field), 64)
-			if err != nil {
-				// Time columns aggregate by their Unix value.
-				pv, perr := storage.ParseValue(ix.Schema.Col(col).Kind, string(field))
-				if perr != nil {
-					return fmt.Errorf("dgf: non-numeric value %q for %s", field, ix.Spec.Precompute[i])
-				}
-				f = pv.AsFloat()
-			}
-			if fi == 0 {
-				v = f
-			} else {
-				v *= f
-			}
-		}
-		h[i].Fold(v)
-	}
-	return nil
 }
 
 // --- metadata persistence ---

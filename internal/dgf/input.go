@@ -11,10 +11,11 @@ import (
 // each chosen split the ordered list of its Slices so the record reader can
 // skip the margins between them (step 3 of the query pipeline).
 //
-// The reader is storage-format-agnostic: slices over TextFile data are read
-// line by line, slices over RCFile data open only the row groups the
-// GridFile selected, decoding only the columns the plan's projection kept
-// (column-projection pushdown).
+// The reader is storage-format-agnostic and delivers column batches (see
+// mapreduce.FileInput): slices over TextFile data are read line by line,
+// slices over RCFile data open only the row groups the GridFile selected and
+// not in the plan's SkipGroups, decoding only the columns the plan's
+// projection kept (column-projection pushdown).
 //
 // A Slice may stretch across two splits; in that case it is divided at the
 // boundary and the two parts are processed by the two splits' mappers,
@@ -35,12 +36,8 @@ type SliceInput struct {
 	// Format is the storage format of the reorganised data files (the
 	// owning Index's Format).
 	Format storage.Format
-	// Schema decodes RCFile rows and TextFile batches.
+	// Schema decodes the data files' rows.
 	Schema *storage.Schema
-	// Vector selects batch delivery (every query; see mapreduce.FileInput):
-	// one Record per row group or run of lines with Batch set, honouring
-	// the plan's SkipGroups.
-	Vector bool
 }
 
 // Splits implements mapreduce.InputFormat (Algorithm 4: choose the splits
@@ -92,7 +89,7 @@ func (in *SliceInput) Splits() ([]mapreduce.InputSplit, error) {
 func (in *SliceInput) Open(split mapreduce.InputSplit) (mapreduce.RecordReader, error) {
 	fi := &mapreduce.FileInput{
 		FS: in.FS, Format: in.Format, Schema: in.Schema,
-		Project: in.Plan.Project, Vector: in.Vector,
+		Project: in.Plan.Project,
 	}
 	if skips := in.Plan.SkipGroups; len(skips) > 0 {
 		fi.SkipGroup = func(path string, off int64) bool { return skips[path][off] }

@@ -40,13 +40,14 @@ func wholeFileSlices(fs *dfs.FS, path string, format storage.Format) *SliceInput
 	}
 }
 
-// recID locates one delivered record at its format's granularity.
+// recID locates one delivered row: its offset at the format's granularity
+// and its position in the batch.
 type recID struct {
 	off int64
 	row int
 }
 
-// readSplits opens every split of in and returns, per split, the records it
+// readSplits opens every split of in and returns, per split, the rows it
 // delivered.
 func readSplits(t *testing.T, in mapreduce.InputFormat) [][]recID {
 	t.Helper()
@@ -68,7 +69,9 @@ func readSplits(t *testing.T, in mapreduce.InputFormat) [][]recID {
 			if !ok {
 				break
 			}
-			out[i] = append(out[i], recID{rec.Offset, rec.RowInBlock})
+			for _, ri := range rec.Batch.Sel() {
+				out[i] = append(out[i], recID{rec.Batch.RowOffset(ri), ri})
+			}
 		}
 	}
 	return out
@@ -156,10 +159,11 @@ func TestReaderSplitOwnership(t *testing.T) {
 
 // TestReaderAccounting: what the simulated cost model and the index builders
 // read off the one reader, case by case. Seeks counts margin jumps plus
-// GroupFilter and SkipGroup rejections; GroupsSkipped only the latter;
-// full-width RCFile rows carry the text rendering in Data, projected rows
-// and batches do not; a RowFilter narrows a batch's selection, which is what
-// the batch counts as, and a batch it empties is not delivered.
+// GroupFilter and SkipGroup rejections; GroupsSkipped only the latter; every
+// record is a whole row group located by its start, which is every row's
+// RowOffset, and a full-width row's Line is its text rendering; a RowFilter
+// narrows a batch's selection, which is what the batch counts as, and a batch
+// it empties is not delivered.
 func TestReaderAccounting(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	rows := readerRows(30)
@@ -176,74 +180,62 @@ func TestReaderAccounting(t *testing.T) {
 		in.FS, in.Dir, in.Format, in.Schema = fs, "/rc", storage.RCFile, readerSchema
 		return &in
 	}
-	slices := func(plan Plan, vector bool) *SliceInput {
+	slices := func(plan Plan) *SliceInput {
 		if plan.Slices == nil {
 			plan.Slices = []SliceLoc{{File: path, Start: 0, End: fi.Size}}
 		}
-		return &SliceInput{FS: fs, Plan: &plan, Format: storage.RCFile, Schema: readerSchema, Vector: vector}
+		return &SliceInput{FS: fs, Plan: &plan, Format: storage.RCFile, Schema: readerSchema}
 	}
 	onlyID := []bool{true, false}
 	cases := []struct {
-		name    string
-		in      mapreduce.InputFormat
-		records int64 // Stats.InputRecords (batches count their rows)
-		seeks   int64
-		skipped int64
-		data    bool // Record.Data carries the row's text rendering
-		row     bool // Record.Row set
-		batch   bool // Record.Batch set
-		// admit, for batch cases, names the rows the delivered selection
-		// must hold (nil: every row of the group).
+		name     string
+		in       mapreduce.InputFormat
+		records  int64 // Stats.InputRecords (batches count their rows)
+		seeks    int64
+		skipped  int64
+		projects bool // the read is projected: Line renders zero values
+		// admit names the rows the delivered selection must hold (nil:
+		// every row of the group).
 		admit func(off int64, row int) bool
 	}{
-		{name: "FileInput full width", in: file(mapreduce.FileInput{}), records: 30, data: true, row: true},
-		{name: "FileInput projected", in: file(mapreduce.FileInput{Project: onlyID}), records: 30, row: true},
+		{name: "FileInput full width", in: file(mapreduce.FileInput{}), records: 30},
+		{name: "FileInput projected", in: file(mapreduce.FileInput{Project: onlyID}), records: 30, projects: true},
 		{name: "FileInput GroupFilter", in: file(mapreduce.FileInput{
 			GroupFilter: func(_ string, off int64) bool { return off == offs[1] },
-		}), records: 10, seeks: 2, data: true, row: true},
+		}), records: 10, seeks: 2},
 		{name: "FileInput SkipGroup", in: file(mapreduce.FileInput{
 			SkipGroup: func(_ string, off int64) bool { return off == offs[1] },
-		}), records: 20, seeks: 1, skipped: 1, data: true, row: true},
+		}), records: 20, seeks: 1, skipped: 1},
 		{name: "FileInput GroupFilter and SkipGroup", in: file(mapreduce.FileInput{
 			GroupFilter: func(_ string, off int64) bool { return off != offs[0] },
 			SkipGroup:   func(_ string, off int64) bool { return off == offs[2] },
-		}), records: 10, seeks: 2, skipped: 1, data: true, row: true},
-		{name: "FileInput Vector", in: file(mapreduce.FileInput{Vector: true}), records: 30, batch: true},
-		{name: "FileInput Vector SkipGroup", in: file(mapreduce.FileInput{
-			Vector:    true,
-			SkipGroup: func(_ string, off int64) bool { return off != offs[1] },
-		}), records: 10, seeks: 2, skipped: 2, batch: true},
+		}), records: 10, seeks: 2, skipped: 1},
 		{name: "FileInput RowFilter", in: file(mapreduce.FileInput{
 			RowFilter: func(_ string, _ int64, row int) bool { return row%2 == 0 },
-		}), records: 15, data: true, row: true},
-		{name: "FileInput Vector RowFilter", in: file(mapreduce.FileInput{
-			Vector:    true,
-			RowFilter: func(_ string, _ int64, row int) bool { return row%2 == 0 },
-		}), records: 15, batch: true, admit: func(_ int64, row int) bool { return row%2 == 0 }},
-		{name: "FileInput Vector RowFilter empties a group", in: file(mapreduce.FileInput{
-			Vector:    true,
+		}), records: 15, admit: func(_ int64, row int) bool { return row%2 == 0 }},
+		{name: "FileInput RowFilter empties a group", in: file(mapreduce.FileInput{
 			RowFilter: func(_ string, off int64, row int) bool { return off != offs[1] && row < 3 },
-		}), records: 6, batch: true, admit: func(off int64, row int) bool { return off != offs[1] && row < 3 }},
-		{name: "SliceInput full width", in: slices(Plan{}, false), records: 30, data: true, row: true},
-		{name: "SliceInput projected", in: slices(Plan{Project: onlyID}, false), records: 30, row: true},
+		}), records: 6, admit: func(off int64, row int) bool { return off != offs[1] && row < 3 }},
+		{name: "SliceInput full width", in: slices(Plan{}), records: 30},
+		{name: "SliceInput projected", in: slices(Plan{Project: onlyID}), records: 30, projects: true},
 		{name: "SliceInput SkipGroups", in: slices(Plan{
 			SkipGroups: map[string]map[int64]bool{path: {offs[1]: true}},
-		}, false), records: 20, seeks: 1, skipped: 1, data: true, row: true},
+		}), records: 20, seeks: 1, skipped: 1},
 		{name: "SliceInput margin", in: slices(Plan{Slices: []SliceLoc{
 			{File: path, Start: offs[0], End: offs[1]},
 			{File: path, Start: offs[2], End: fi.Size},
-		}}, false), records: 20, seeks: 1, data: true, row: true},
+		}}), records: 20, seeks: 1},
 		{name: "SliceInput adjacent slices", in: slices(Plan{Slices: []SliceLoc{
 			{File: path, Start: offs[0], End: offs[1]},
 			{File: path, Start: offs[1], End: offs[2]},
-		}}, false), records: 20, data: true, row: true},
-		{name: "SliceInput Vector margin and skip", in: slices(Plan{
+		}}), records: 20},
+		{name: "SliceInput margin and skip", in: slices(Plan{
 			Slices: []SliceLoc{
 				{File: path, Start: offs[0], End: offs[1]},
 				{File: path, Start: offs[2], End: fi.Size},
 			},
 			SkipGroups: map[string]map[int64]bool{path: {offs[2]: true}},
-		}, true), records: 10, seeks: 2, skipped: 1, batch: true},
+		}), records: 10, seeks: 2, skipped: 1},
 	}
 	cfg := cluster.Default()
 	for _, tc := range cases {
@@ -252,21 +244,34 @@ func TestReaderAccounting(t *testing.T) {
 			Name:  tc.name,
 			Input: tc.in,
 			Map: func(rec mapreduce.Record, _ mapreduce.Emit) error {
-				if (rec.Data != nil) != tc.data || (rec.Row != nil) != tc.row || (rec.Batch != nil) != tc.batch {
-					shapeErr = fmt.Errorf("record shape data=%v row=%v batch=%v", rec.Data != nil, rec.Row != nil, rec.Batch != nil)
-				}
-				if tc.data && string(rec.Data) != storage.EncodeTextRow(rec.Row) {
-					shapeErr = fmt.Errorf("Data %q is not the text rendering of %v", rec.Data, rec.Row)
-				}
-				if b := rec.Batch; b != nil {
-					var want []int
-					for ri := 0; ri < b.Rows; ri++ {
-						if tc.admit == nil || tc.admit(rec.Offset, ri) {
-							want = append(want, ri)
-						}
+				b := rec.Batch
+				var want []int
+				for ri := 0; ri < b.Rows; ri++ {
+					if tc.admit == nil || tc.admit(rec.Offset, ri) {
+						want = append(want, ri)
 					}
-					if fmt.Sprint(b.Sel()) != fmt.Sprint(want) || len(want) == 0 {
-						shapeErr = fmt.Errorf("batch at %d selects %v, want %v (non-empty)", rec.Offset, b.Sel(), want)
+				}
+				if fmt.Sprint(b.Sel()) != fmt.Sprint(want) || len(want) == 0 {
+					shapeErr = fmt.Errorf("batch at %d selects %v, want %v (non-empty)", rec.Offset, b.Sel(), want)
+				}
+				group := -1
+				for g, off := range offs {
+					if off == rec.Offset {
+						group = g
+					}
+				}
+				if group < 0 {
+					return fmt.Errorf("batch at %d, not a row-group start", rec.Offset)
+				}
+				for _, ri := range b.Sel() {
+					id := group*10 + ri // ten rows a group
+					wantLine := storage.EncodeTextRow(rows[id])
+					if tc.projects {
+						wantLine = storage.EncodeTextRow(storage.Row{rows[id][0], storage.Float64(0)})
+					}
+					if b.RowOffset(ri) != rec.Offset || string(b.Line(ri)) != wantLine {
+						shapeErr = fmt.Errorf("row %d of the batch at %d: offset %d, line %q; want %d, %q",
+							ri, rec.Offset, b.RowOffset(ri), b.Line(ri), rec.Offset, wantLine)
 					}
 				}
 				return nil
@@ -286,13 +291,14 @@ func TestReaderAccounting(t *testing.T) {
 }
 
 // delivery is what one read of an input hands its map tasks, split by split:
-// the id column of every admitted row in delivery order, plus the accounting.
+// the id column of every admitted row in delivery order, with each row's
+// offset and line, plus the accounting.
 type delivery struct {
 	ids     [][]int64
-	offsets [][]int64 // Record.Offset of every record (one per batch in batch mode)
-	counts  [][]int   // rows of every record
-	bytes   []int64
-	seeks   []int64
+	rowOffs [][]int64  // RowOffset of every admitted row
+	lines   [][]string // Line of every admitted row
+	offsets [][]int64  // Record.Offset of every batch
+	counts  [][]int    // rows of every batch
 }
 
 func deliver(t *testing.T, in mapreduce.InputFormat) delivery {
@@ -307,7 +313,8 @@ func deliver(t *testing.T, in mapreduce.InputFormat) delivery {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ids, offs []int64
+		var ids, rowOffs, offs []int64
+		var lines []string
 		var counts []int
 		for {
 			rec, ok, err := r.Next()
@@ -317,36 +324,33 @@ func deliver(t *testing.T, in mapreduce.InputFormat) delivery {
 			if !ok {
 				break
 			}
+			b := rec.Batch
+			if b.Rows > storage.DefaultRowGroupRows {
+				t.Errorf("batch of %d rows, cap is %d", b.Rows, storage.DefaultRowGroupRows)
+			}
 			offs = append(offs, rec.Offset)
-			if b := rec.Batch; b != nil {
-				if b.Rows > storage.DefaultRowGroupRows {
-					t.Errorf("batch of %d rows, cap is %d", b.Rows, storage.DefaultRowGroupRows)
-				}
-				for _, ri := range b.Sel() {
-					ids = append(ids, b.Cols[0].Ints[ri])
-				}
-				counts = append(counts, len(b.Sel()))
-				continue
+			for _, ri := range b.Sel() {
+				ids = append(ids, b.Cols[0].Ints[ri])
+				rowOffs = append(rowOffs, b.RowOffset(ri))
+				lines = append(lines, string(b.Line(ri)))
 			}
-			counts = append(counts, 1)
-			f, _ := storage.TextFieldBytes(rec.Data, 0)
-			id, err := storage.ParseValue(storage.KindInt64, string(f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id.I)
+			counts = append(counts, len(b.Sel()))
 		}
-		d.ids, d.offsets, d.counts = append(d.ids, ids), append(d.offsets, offs), append(d.counts, counts)
-		d.bytes, d.seeks = append(d.bytes, r.BytesRead()), append(d.seeks, r.Seeks())
+		d.ids, d.rowOffs, d.lines = append(d.ids, ids), append(d.rowOffs, rowOffs), append(d.lines, lines)
+		d.offsets, d.counts = append(d.offsets, offs), append(d.counts, counts)
 	}
 	return d
 }
 
-// TestTextBatchDelivery: a TextFile read in batch delivery hands each split
-// exactly the rows record delivery hands it, in the same order, for the same
-// bytes and seeks — so a line straddling a split cut is owned once and a
-// clipped or exact DGF slice edge admits the same lines — in batches of at
-// most DefaultRowGroupRows lines located by their first line's offset.
+// TestTextBatchDelivery: a TextFile read hands each split exactly the lines
+// Hadoop's rules give it — a clipped segment start skips through the first
+// newline at or after it, a clipped end owns a line starting exactly there,
+// exact edges own [start, end) — in file order, so a line straddling a split
+// cut is owned once and an exact DGF slice edge never spills into an excluded
+// neighbour. Each row's RowOffset is its line's start and its Line the stored
+// bytes; batches hold at most DefaultRowGroupRows lines and are located by
+// their first line's offset. (The bytes and seeks a text read is charged are
+// pinned by TestBuildGolden and TestQueryStatsGolden.)
 func TestTextBatchDelivery(t *testing.T) {
 	const blockSize = 16 << 10
 	fs := dfs.New(blockSize)
@@ -363,61 +367,72 @@ func TestTextBatchDelivery(t *testing.T) {
 	for i, s := range starts[:len(rows)] {
 		lineAt[s] = i
 	}
-	slices := func(vector bool) *SliceInput {
+	// owned lists, per split of in, the rows Hadoop's rules hand it.
+	owned := func(in mapreduce.InputFormat) [][]int64 {
+		splits, err := in.Splits()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]int64, len(splits))
+		for si, sp := range splits {
+			for _, seg := range sp.(mapreduce.FileSplit).Segments {
+				for i, s := range starts[:len(rows)] {
+					after := s >= seg.Start && !(seg.ClipStart && s == seg.Start)
+					before := s < seg.End || (seg.ClipEnd && s == seg.End)
+					if after && before {
+						out[si] = append(out[si], int64(i))
+					}
+				}
+			}
+		}
+		return out
+	}
+	slices := &SliceInput{FS: fs, Format: storage.TextFile, Schema: readerSchema, Plan: &Plan{Slices: []SliceLoc{
 		// Exact line-boundary slices: one inside the first split, one across
 		// the first split cut (clipped there), one more than a batch long,
 		// and two adjacent ones separated from the rest by excluded lines.
-		return &SliceInput{FS: fs, Format: storage.TextFile, Schema: readerSchema, Vector: vector, Plan: &Plan{Slices: []SliceLoc{
-			{File: path, Start: starts[10], End: starts[20]},
-			{File: path, Start: starts[1500], End: starts[1700]},
-			{File: path, Start: starts[1800], End: starts[2950]},
-			{File: path, Start: starts[2960], End: starts[2970]},
-			{File: path, Start: starts[2970], End: starts[2990]},
-		}}}
-	}
-	whole := func(vector bool) *SliceInput {
-		in := wholeFileSlices(fs, path, storage.TextFile)
-		in.Vector = vector
-		return in
-	}
+		{File: path, Start: starts[10], End: starts[20]},
+		{File: path, Start: starts[1500], End: starts[1700]},
+		{File: path, Start: starts[1800], End: starts[2950]},
+		{File: path, Start: starts[2960], End: starts[2970]},
+		{File: path, Start: starts[2970], End: starts[2990]},
+	}}}
 	cases := []struct {
-		name          string
-		record, batch mapreduce.InputFormat
-		rows          int
+		name string
+		in   mapreduce.InputFormat
+		rows int
 	}{
-		{"FileInput",
-			&mapreduce.FileInput{FS: fs, Paths: []string{path}, Schema: readerSchema},
-			&mapreduce.FileInput{FS: fs, Paths: []string{path}, Schema: readerSchema, Vector: true}, 3000},
-		{"SliceInput whole file", whole(false), whole(true), 3000},
-		{"SliceInput slices", slices(false), slices(true), 10 + 200 + 1150 + 10 + 20},
+		{"FileInput", &mapreduce.FileInput{FS: fs, Paths: []string{path}, Schema: readerSchema}, 3000},
+		{"SliceInput whole file", wholeFileSlices(fs, path, storage.TextFile), 3000},
+		{"SliceInput slices", slices, 10 + 200 + 1150 + 10 + 20},
 	}
 	for _, tc := range cases {
-		rec, bat := deliver(t, tc.record), deliver(t, tc.batch)
-		if len(rec.ids) < 2 {
-			t.Fatalf("%s: %d splits, want several", tc.name, len(rec.ids))
+		got, want := deliver(t, tc.in), owned(tc.in)
+		if len(got.ids) < 2 {
+			t.Fatalf("%s: %d splits, want several", tc.name, len(got.ids))
 		}
-		if fmt.Sprint(rec.ids) != fmt.Sprint(bat.ids) {
-			t.Errorf("%s: batch delivery hands the splits different rows than record delivery", tc.name)
-		}
-		if fmt.Sprint(rec.bytes) != fmt.Sprint(bat.bytes) || fmt.Sprint(rec.seeks) != fmt.Sprint(bat.seeks) {
-			t.Errorf("%s: bytes/seeks %v/%v in batch delivery, %v/%v in record delivery", tc.name, bat.bytes, bat.seeks, rec.bytes, rec.seeks)
+		if fmt.Sprint(got.ids) != fmt.Sprint(want) {
+			t.Errorf("%s: the splits were handed rows other than the ones Hadoop's rules give them", tc.name)
 		}
 		seen, multi := map[int64]bool{}, false
-		for si, ids := range bat.ids {
-			for _, id := range ids {
+		for si, ids := range got.ids {
+			for ri, id := range ids {
 				if seen[id] {
 					t.Errorf("%s: row %d delivered twice", tc.name, id)
 				}
 				seen[id] = true
+				if got.rowOffs[si][ri] != starts[id] || got.lines[si][ri] != storage.EncodeTextRow(rows[id]) {
+					t.Errorf("%s: row %d at offset %d with line %q, want %d and its stored line", tc.name, id, got.rowOffs[si][ri], got.lines[si][ri], starts[id])
+				}
 			}
-			multi = multi || len(bat.offsets[si]) > 1
+			multi = multi || len(got.offsets[si]) > 1
 			// A batch is located by its first line.
 			next := 0
-			for bi, off := range bat.offsets[si] {
+			for bi, off := range got.offsets[si] {
 				if line, ok := lineAt[off]; !ok || int64(line) != ids[next] {
 					t.Errorf("%s: split %d batch %d at offset %d, want the start of row %d", tc.name, si, bi, off, ids[next])
 				}
-				next += bat.counts[si][bi]
+				next += got.counts[si][bi]
 			}
 		}
 		if len(seen) != tc.rows {
@@ -437,13 +452,13 @@ func TestTextBatchDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	onlyID := []bool{true, false}
-	proj := deliver(t, &mapreduce.FileInput{FS: fs, Dir: "/p", Schema: readerSchema, Project: onlyID, Vector: true})
-	if fmt.Sprint(proj.ids) != "[[1 2]]" {
-		t.Errorf("projected read delivered %v, want [[1 2]]", proj.ids)
+	proj := deliver(t, &mapreduce.FileInput{FS: fs, Dir: "/p", Schema: readerSchema, Project: onlyID})
+	if fmt.Sprint(proj.ids) != "[[1 2]]" || fmt.Sprint(proj.lines) != "[[1,oops 2,2.5]]" {
+		t.Errorf("projected read delivered %v with lines %q, want [[1 2]] and the stored lines", proj.ids, proj.lines)
 	}
 	for name, in := range map[string]*mapreduce.FileInput{
-		"unprojected malformed cell": {FS: fs, Dir: "/p", Schema: readerSchema, Vector: true},
-		"short line":                 {FS: fs, Dir: "/q", Schema: readerSchema, Project: onlyID, Vector: true},
+		"unprojected malformed cell": {FS: fs, Dir: "/p", Schema: readerSchema},
+		"short line":                 {FS: fs, Dir: "/q", Schema: readerSchema, Project: onlyID},
 	} {
 		splits, err := in.Splits()
 		if err != nil {

@@ -435,7 +435,7 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		p.plan = plan
 		p.input = &dgf.SliceInput{
 			FS: w.FS, Plan: plan, Format: q.left.Dgf.Format,
-			Schema: q.left.Schema, Vector: true,
+			Schema: q.left.Schema,
 		}
 		stats.IndexSimSec += plan.KVSimSeconds
 		stats.AccessPath = "dgfindex"
@@ -473,7 +473,7 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		}
 		stats.IndexSimSec += fr.ScanStats.SimTotalSec()
 		base := ix.BaseInput(w.FS, fr)
-		base.Project, base.Vector = q.projection(), true
+		base.Project = q.projection()
 		p.input = base
 		stats.AccessPath = "index:" + ix.Name
 	default:
@@ -482,7 +482,6 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 		if err != nil {
 			return nil, err
 		}
-		scan.Vector = true
 		p.input = scan
 		if choice.prune {
 			// Full-scan double pruning: consult the zone maps under the lock
@@ -755,7 +754,7 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 // once over each batch, and only the rows they keep enter the map.
 func (w *Warehouse) readJoinMap(q *compiledQuery) (map[string][]storage.Row, error) {
 	t := q.right
-	in := &mapreduce.FileInput{FS: w.FS, Dir: t.Dir, Format: t.Format, Schema: t.Schema, Vector: true}
+	in := &mapreduce.FileInput{FS: w.FS, Dir: t.Dir, Format: t.Format, Schema: t.Schema}
 	splits, err := in.Splits()
 	if err != nil {
 		return nil, err

@@ -165,7 +165,7 @@ func TestFoldMatchesReference(t *testing.T) {
 func firstBatchEncodings(t *testing.T, w *Warehouse, table string, colA, colB int) (byte, byte) {
 	t.Helper()
 	tbl, _ := w.Table(table)
-	in := &mapreduce.FileInput{FS: w.FS, Dir: tbl.Dir, Format: tbl.Format, Schema: tbl.Schema, Vector: true}
+	in := &mapreduce.FileInput{FS: w.FS, Dir: tbl.Dir, Format: tbl.Format, Schema: tbl.Schema}
 	splits, err := in.Splits()
 	if err != nil {
 		t.Fatal(err)

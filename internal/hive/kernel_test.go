@@ -111,15 +111,15 @@ func (kc *kernelCheck) read(shape string, text bool, rows []storage.Row, project
 		}
 		sr := storage.NewSegmentReader(r, kernelSchema, storage.TextFile, 0, r.Size(), storage.SegmentOptions{Project: project, Batch: storage.NewColumnBatch(kernelSchema)})
 		for at := 0; ; {
-			rec, ok, err := sr.Next()
+			b, ok, err := sr.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				return
 			}
-			kc.check(shape, rec.Batch, rows[at:at+rec.Batch.Rows], project)
-			at += rec.Batch.Rows
+			kc.check(shape, b, rows[at:at+b.Rows], project)
+			at += b.Rows
 		}
 	}
 	offs, err := storage.WriteRCRowsOpts(fs, path, kernelSchema, rows, groupRows, storage.RCWriteOptions{DisableEncoding: shape == "plain"})

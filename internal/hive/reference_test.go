@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -18,7 +19,7 @@ import (
 // used to carry beside its kernels, kept here so the equivalence suites still
 // have an independent answer to compare with. It takes the production plan —
 // same access path, same splits, so float aggregates fold in the same order —
-// but reads it unpruned and record by record, decodes every row in full,
+// but reads it unpruned, decodes every row in full with its own decoder,
 // evaluates WHERE with storage.Compare per cell (its own compilation of the
 // statement, no kernels), probes an unfiltered join map, renders a group key
 // and folds a string-keyed accumulator map per qualifying row, projects each
@@ -66,33 +67,60 @@ func refCompile(q *compiledQuery) ([]refRowFilter, error) {
 	return out, nil
 }
 
-// refRow decodes one record-mode record in full.
-func refRow(schema *storage.Schema, rec mapreduce.Record) (storage.Row, error) {
-	if rec.Row != nil {
-		return rec.Row, nil
+// refRows decodes in full, without the batch decoder it checks, every row
+// rec's batch selects: a TextFile row from its stored line with
+// DecodeTextRow, an RCFile row by re-reading its row group (at rec.Offset)
+// with ReadGroupProjected and RowGroup.DecodeRows.
+func refRows(fs *dfs.FS, format storage.Format, schema *storage.Schema, rec mapreduce.Record) ([]storage.Row, error) {
+	b := rec.Batch
+	var out []storage.Row
+	if format == storage.RCFile {
+		r, err := fs.Open(rec.Path)
+		if err != nil {
+			return nil, err
+		}
+		g, _, err := storage.ReadGroupProjected(r, rec.Offset, nil)
+		if err != nil {
+			return nil, err
+		}
+		all, err := g.DecodeRows(schema)
+		if err != nil {
+			return nil, err
+		}
+		for _, ri := range b.Sel() {
+			out = append(out, all[ri])
+		}
+		return out, nil
 	}
-	return storage.DecodeTextRow(schema, string(rec.Data))
+	for _, ri := range b.Sel() {
+		row, err := storage.DecodeTextRow(schema, string(b.Line(ri)))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, row)
+	}
+	return out, nil
 }
 
-// refRecordInput turns a prepared query's input into its unpruned
-// record-delivery twin: same files, same splits, no skip set.
-func refRecordInput(in mapreduce.InputFormat) mapreduce.InputFormat {
+// refUnprunedInput turns a prepared query's input into its unpruned twin —
+// same files, same splits, no skip set — and names the files' format.
+func refUnprunedInput(in mapreduce.InputFormat) (mapreduce.InputFormat, storage.Format) {
 	switch in := in.(type) {
 	case *mapreduce.FileInput:
 		c := *in
-		c.Vector, c.SkipGroup = false, nil
-		return &c
+		c.SkipGroup = nil
+		return &c, c.Format
 	case *dgf.SliceInput:
 		c, plan := *in, *in.Plan
 		plan.SkipGroups = nil
-		c.Vector, c.Plan = false, &plan
-		return &c
+		c.Plan = &plan
+		return &c, c.Format
 	}
 	panic(fmt.Sprintf("reference: unknown input %T", in))
 }
 
 // refExec answers a SELECT through the reference evaluator. Its stats carry
-// the access path and the volumes of the unpruned record-mode read.
+// the access path and the volumes of the unpruned read.
 func refExec(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Result {
 	t.Helper()
 	res, err := refSelect(w, mustParseSelect(t, sql), opts)
@@ -139,13 +167,14 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 				if !ok {
 					break
 				}
-				row, err := refRow(q.right.Schema, rec)
+				rows, err := refRows(w.FS, q.right.Format, q.right.Schema, rec)
 				if err != nil {
 					return nil, err
 				}
-				row = row.Clone()
-				key := row[q.joinRight].String()
-				joinMap[key] = append(joinMap[key], row)
+				for _, row := range rows {
+					key := row[q.joinRight].String()
+					joinMap[key] = append(joinMap[key], row)
+				}
 			}
 		}
 	}
@@ -153,11 +182,12 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	var mu sync.Mutex
 	var rows []refOut
 	agg := q.layout().NewPartial()
+	input, format := refUnprunedInput(p.input)
 	job := &mapreduce.Job{
 		Name:  "reference-" + q.left.Name,
-		Input: refRecordInput(p.input),
+		Input: input,
 		NewMapper: func() mapreduce.TaskMapper {
-			return &refMapper{q: q, filters: filters, joinMap: joinMap, groups: map[string][]dgf.Accumulator{},
+			return &refMapper{q: q, fs: w.FS, format: format, filters: filters, joinMap: joinMap, groups: map[string][]dgf.Accumulator{},
 				out: func(r refOut) {
 					mu.Lock()
 					rows = append(rows, r)
@@ -180,9 +210,9 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 		}
 		pr.Agg = agg
 	} else {
-		// Source order: a TextFile record's offset is its line's, an RCFile
-		// record's its row group's with the row in the group after it; one
-		// record's joined rows keep the order they were projected in.
+		// Source order: a TextFile row's offset is its line's, an RCFile
+		// row's its row group's with the row in the group after it; one
+		// row's joined rows keep the order they were projected in.
 		slices.SortStableFunc(rows, func(a, b refOut) int {
 			return cmp.Or(strings.Compare(a.path, b.path), cmp.Compare(a.off, b.off), cmp.Compare(a.pos, b.pos))
 		})
@@ -198,7 +228,7 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	return res, nil
 }
 
-// refOut is one projected row of the reference and the record it came from.
+// refOut is one projected row of the reference and the row it came from.
 type refOut struct {
 	path string
 	off  int64
@@ -212,6 +242,8 @@ type refOut struct {
 // both sum a split's floats in row order.
 type refMapper struct {
 	q       *compiledQuery
+	fs      *dfs.FS
+	format  storage.Format // of the files the input reads
 	filters []refRowFilter
 	joinMap map[string][]storage.Row
 	out     func(refOut)
@@ -220,11 +252,19 @@ type refMapper struct {
 }
 
 func (m *refMapper) Map(rec mapreduce.Record, emit mapreduce.Emit) error {
-	q := m.q
-	left, err := refRow(q.left.Schema, rec)
+	lefts, err := refRows(m.fs, m.format, m.q.left.Schema, rec)
 	if err != nil {
 		return err
 	}
+	for i, ri := range rec.Batch.Sel() {
+		m.row(rec.Path, rec.Batch.RowOffset(ri), ri, lefts[i])
+	}
+	return nil
+}
+
+// row joins, filters and folds or projects one decoded left row.
+func (m *refMapper) row(path string, off int64, pos int, left storage.Row) {
+	q := m.q
 	rights := []storage.Row{nil}
 	if q.right != nil {
 		rights = m.joinMap[left[q.joinLeft].String()]
@@ -241,7 +281,7 @@ pairs:
 			for i, it := range q.items {
 				row[i] = it.expr(left, right)
 			}
-			m.out(refOut{path: rec.Path, off: rec.Offset, pos: rec.RowInBlock, row: row})
+			m.out(refOut{path: path, off: off, pos: pos, row: row})
 			continue
 		}
 		var key strings.Builder
@@ -269,7 +309,6 @@ pairs:
 			}
 		}
 	}
-	return nil
 }
 
 func (m *refMapper) Close(emit mapreduce.Emit) error {

@@ -47,54 +47,60 @@ func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridf
 		}
 	}
 	bucketCol := len(ix.Cols)
+	// match folds one index-table row into res when the predicate admits it.
+	match := func(row storage.Row) error {
+		for i, r := range dimRanges {
+			if r != nil && !r.Contains(row[i]) {
+				return nil
+			}
+		}
+		file := row[bucketCol].S
+		mu.Lock()
+		defer mu.Unlock()
+		ff := res.Files[file]
+		if ff == nil {
+			ff = &FileFilter{Offsets: map[int64]bool{}}
+			res.Files[file] = ff
+		}
+		res.Entries++
+		switch ix.Kind {
+		case Bitmap:
+			off, err := strconv.ParseInt(row[bucketCol+1].S, 10, 64)
+			if err != nil {
+				return err
+			}
+			bm, err := decodeBitmap(row[bucketCol+2].S)
+			if err != nil {
+				return err
+			}
+			ff.Offsets[off] = true
+			if ff.Rows == nil {
+				ff.Rows = map[int64]*bitmapT{}
+			}
+			if prev, ok := ff.Rows[off]; ok {
+				prev.union(bm)
+			} else {
+				ff.Rows[off] = bm
+			}
+		default:
+			offs, err := decodeOffsets(row[bucketCol+1].S)
+			if err != nil {
+				return err
+			}
+			for _, o := range offs {
+				ff.Offsets[o] = true
+			}
+		}
+		return nil
+	}
 	job := &mapreduce.Job{
 		Name:  "hiveindex-scan-" + ix.Name,
 		Input: ix.indexInput(fs),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			row, err := storage.DecodeTextRow(ix.indexSchema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-			for i, r := range dimRanges {
-				if r != nil && !r.Contains(row[i]) {
-					return nil
-				}
-			}
-			file := row[bucketCol].S
-			mu.Lock()
-			defer mu.Unlock()
-			ff := res.Files[file]
-			if ff == nil {
-				ff = &FileFilter{Offsets: map[int64]bool{}}
-				res.Files[file] = ff
-			}
-			res.Entries++
-			switch ix.Kind {
-			case Bitmap:
-				off, err := strconv.ParseInt(row[bucketCol+1].S, 10, 64)
-				if err != nil {
+			b := rec.Batch
+			for _, ri := range b.Sel() {
+				if err := match(b.MaterialiseRow(ri)); err != nil {
 					return err
-				}
-				bm, err := decodeBitmap(row[bucketCol+2].S)
-				if err != nil {
-					return err
-				}
-				ff.Offsets[off] = true
-				if ff.Rows == nil {
-					ff.Rows = map[int64]*bitmapT{}
-				}
-				if prev, ok := ff.Rows[off]; ok {
-					prev.union(bm)
-				} else {
-					ff.Rows[off] = bm
-				}
-			default:
-				offs, err := decodeOffsets(row[bucketCol+1].S)
-				if err != nil {
-					return err
-				}
-				for _, o := range offs {
-					ff.Offsets[o] = true
 				}
 			}
 			return nil
@@ -203,22 +209,23 @@ func (ix *Index) AggregateCounts(cfg *cluster.Config, fs *dfs.FS, ranges map[str
 		Name:  "hiveindex-aggscan-" + ix.Name,
 		Input: ix.indexInput(fs),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			row, err := storage.DecodeTextRow(ix.indexSchema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-			for i, r := range dimRanges {
-				if r != nil && !r.Contains(row[i]) {
-					return nil
+			b := rec.Batch
+		rows:
+			for _, ri := range b.Sel() {
+				row := b.MaterialiseRow(ri)
+				for i, r := range dimRanges {
+					if r != nil && !r.Contains(row[i]) {
+						continue rows
+					}
 				}
+				var key []string
+				for _, gi := range groupIdx {
+					key = append(key, row[gi].String())
+				}
+				mu.Lock()
+				counts[strings.Join(key, "\x01")] += row[countCol].I
+				mu.Unlock()
 			}
-			var key []string
-			for _, gi := range groupIdx {
-				key = append(key, row[gi].String())
-			}
-			mu.Lock()
-			counts[strings.Join(key, "\x01")] += row[countCol].I
-			mu.Unlock()
 			return nil
 		},
 	}

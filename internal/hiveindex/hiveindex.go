@@ -146,20 +146,35 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 	if numReducers > 32 {
 		numReducers = 32
 	}
+	// The keys are cut from each row's text line, so a TextFile base parses
+	// no cells; an RCFile base decodes whole rows to render the line.
+	var project []bool
+	if o.BaseFormat != RCFile {
+		project = make([]bool, o.Schema.Len())
+	}
 	job := &mapreduce.Job{
 		Name:  "hiveindex-build-" + o.Name,
-		Input: &mapreduce.FileInput{FS: fs, Dir: o.BaseDir, Format: o.BaseFormat, Schema: o.Schema},
+		Input: &mapreduce.FileInput{FS: fs, Dir: o.BaseDir, Format: o.BaseFormat, Schema: o.Schema, Project: project},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			key, err := ix.groupKey(rec)
-			if err != nil {
-				return err
+			b := rec.Batch
+			for _, ri := range b.Sel() {
+				off := b.RowOffset(ri)
+				key, err := ix.groupKey(b.Line(ri), rec.Path, off)
+				if err != nil {
+					return err
+				}
+				// Value: the row's offset (plus, for bitmaps, its position
+				// in its RCFile row group; a text line is its own block).
+				val := strconv.FormatInt(off, 10)
+				if o.Kind == Bitmap {
+					pos := 0
+					if o.BaseFormat == RCFile {
+						pos = ri
+					}
+					val += ":" + strconv.Itoa(pos)
+				}
+				emit(key, []byte(val))
 			}
-			// Value: the record's offset (plus row position for bitmaps).
-			val := strconv.FormatInt(rec.Offset, 10)
-			if o.Kind == Bitmap {
-				val += ":" + strconv.Itoa(rec.RowInBlock)
-			}
-			emit(key, []byte(val))
 			return nil
 		},
 		NumReducers: numReducers,
@@ -179,22 +194,23 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 	return ix, stats, nil
 }
 
-// groupKey builds the shuffle key: dims + file (+ block offset for bitmaps,
-// which index per block rather than per file).
-func (ix *Index) groupKey(rec mapreduce.Record) (string, error) {
+// groupKey builds the shuffle key of the row with the given text line: dims +
+// file (+ block offset for bitmaps, which index per block rather than per
+// file).
+func (ix *Index) groupKey(line []byte, path string, offset int64) (string, error) {
 	var b strings.Builder
 	for _, ci := range ix.dimCols {
-		f, ok := storage.TextFieldBytes(rec.Data, ci)
+		f, ok := storage.TextFieldBytes(line, ci)
 		if !ok {
-			return "", fmt.Errorf("hiveindex: record lacks field %d: %q", ci, rec.Data)
+			return "", fmt.Errorf("hiveindex: record lacks field %d: %q", ci, line)
 		}
 		b.Write(f)
 		b.WriteByte('\x01')
 	}
-	b.WriteString(rec.Path)
+	b.WriteString(path)
 	if ix.Kind == Bitmap {
 		b.WriteByte('\x01')
-		b.WriteString(strconv.FormatInt(rec.Offset, 10))
+		b.WriteString(strconv.FormatInt(offset, 10))
 	}
 	return b.String(), nil
 }

@@ -110,16 +110,17 @@ func countMatching(t *testing.T, input mapreduce.InputFormat, ranges map[string]
 		Name:  "probe",
 		Input: input,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			row, err := storage.DecodeTextRow(schema, string(rec.Data))
-			if err != nil {
-				return err
-			}
-			for name, r := range ranges {
-				if !r.Contains(row[schema.ColIndex(name)]) {
-					return nil
+			b := rec.Batch
+		rows:
+			for _, ri := range b.Sel() {
+				row := b.MaterialiseRow(ri)
+				for name, r := range ranges {
+					if !r.Contains(row[schema.ColIndex(name)]) {
+						continue rows
+					}
 				}
+				emit("1", nil)
 			}
-			emit("1", nil)
 			return nil
 		},
 		Output: func(k string, v []byte) { count++ },

@@ -34,15 +34,15 @@ func (s FileSplit) Label() string {
 }
 
 // FileInput reads table files of either storage format, one segment per
-// split under Hadoop's split rules. In record delivery (index builders) every
-// TextFile line is one record whose Offset is the line's byte position
-// (BLOCK_OFFSET_INSIDE_FILE), and every stored RCFile row is one record whose
-// Offset is the start offset of its row group (what Hive's Compact Index
-// records) and RowInBlock its position within the group (what the Bitmap
-// Index records). With Vector set (every query) a record is a whole
-// storage.ColumnBatch instead: one row group, or up to
-// storage.DefaultRowGroupRows consecutive lines, located by the group's or the
-// first line's Offset.
+// split under Hadoop's split rules. Every record is a whole
+// storage.ColumnBatch: one RCFile row group, or up to
+// storage.DefaultRowGroupRows consecutive TextFile lines, located by the
+// group's or the first line's Offset. Per row, the batch gives what Hive's
+// index population reads (Listing 1 of the paper): RowOffset is the
+// BLOCK_OFFSET_INSIDE_FILE — the line's byte position for TextFile, its row
+// group's start for RCFile (what the Compact Index records), where the row's
+// position in the batch is its position in the group (what the Bitmap Index
+// records) — and Line its delimited text.
 //
 // Its Open is also the reader behind every other file-backed input format:
 // dgf.SliceInput enumerates multi-segment FileSplits and opens them here.
@@ -54,13 +54,11 @@ type FileInput struct {
 	Paths []string
 	// Format is the files' storage format (zero value: TextFile).
 	Format storage.Format
-	// Schema decodes RCFile rows and TextFile batches (TextFile record
-	// delivery ignores it).
+	// Schema decodes the files' rows (required).
 	Schema *storage.Schema
 	// Project, when set, keeps only the flagged columns: RCFile readers
 	// fetch only their payloads (column-projection pushdown) and TextFile
-	// batches parse only their cells. RCFile records then carry only the
-	// decoded Row — with zero values in unprojected cells — and a nil Data.
+	// batches parse only their cells. Unprojected cells read as zero values.
 	Project []bool
 	// SplitFilter, when set, keeps only the splits it returns true for.
 	// Hive's index machinery plugs in here (the paper's Algorithm 4 runs in
@@ -71,15 +69,12 @@ type FileInput struct {
 	GroupFilter func(path string, offset int64) bool
 	// RowFilter, when set, admits rows by their position in the group
 	// (Bitmap Index row filtering; RCFile only): a batch arrives with its
-	// selection narrowed to the admitted rows, a record not at all.
+	// selection narrowed to the admitted rows, and not at all if none is.
 	RowFilter func(path string, offset int64, row int) bool
 	// SkipGroup, when set, prunes row groups by start offset before their
 	// payloads are fetched (zone-map pruning; RCFile only). Unlike
 	// GroupFilter rejections, pruned groups are reported as GroupsSkipped.
 	SkipGroup func(path string, offset int64) bool
-	// Vector selects batch delivery: one Record per row group (RCFile) or
-	// per run of lines (TextFile) with Batch set (Row and Data nil).
-	Vector bool
 }
 
 // Splits implements InputFormat.
@@ -119,10 +114,7 @@ func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &fileReader{in: in, file: f, path: s.Path, segments: s.Segments}
-	if in.Vector {
-		r.batch = storage.NewColumnBatch(in.Schema)
-	}
+	r := &fileReader{in: in, file: f, path: s.Path, segments: s.Segments, batch: storage.NewColumnBatch(in.Schema)}
 	if in.Format == storage.RCFile {
 		// A row group belongs to the segment its start offset falls into,
 		// but may physically straddle a block boundary. The side group index
@@ -149,12 +141,11 @@ type fileReader struct {
 	segments     []Segment
 	groupOffsets []int64 // RCFile only
 	skipGroup    func(offset int64) bool
-	batch        *storage.ColumnBatch // batch delivery: shared by the segments
+	batch        *storage.ColumnBatch // shared by the segments
 
 	next      int // next index into segments
 	seg       storage.SegmentReader
 	lastEnd   int64
-	encoded   []byte
 	bytesRead int64 // of finished segments
 	seeks     int64
 	skips     int64
@@ -195,7 +186,7 @@ func (r *fileReader) Next() (Record, bool, error) {
 				SkipGroup:    r.skipGroup,
 			})
 		}
-		rec, ok, err := r.seg.Next()
+		b, ok, err := r.seg.Next()
 		if err != nil {
 			return Record{}, false, err
 		}
@@ -204,29 +195,14 @@ func (r *fileReader) Next() (Record, bool, error) {
 			r.seg = nil
 			continue
 		}
-		out := Record{
-			Data: rec.Line, Row: rec.Row, Batch: rec.Batch, Path: r.path,
-			Offset: rec.Offset, RowInBlock: rec.RowInGroup,
-		}
+		off := b.RowOffset(0)
 		if in.Format == storage.RCFile && in.RowFilter != nil {
-			if b := rec.Batch; b != nil {
-				b.Select(func(row int) bool { return in.RowFilter(r.path, rec.Offset, row) })
-				if len(b.Sel()) == 0 {
-					continue
-				}
-			} else if !in.RowFilter(r.path, rec.Offset, rec.RowInGroup) {
+			b.Select(func(row int) bool { return in.RowFilter(r.path, off, row) })
+			if len(b.Sel()) == 0 {
 				continue
 			}
 		}
-		if rec.Row != nil && in.Project == nil {
-			// Full-width rows also carry the text rendering, which
-			// index-construction mappers field-extract from. Projected
-			// rows cannot: the encoding would misrepresent the skipped
-			// columns.
-			r.encoded = storage.AppendTextRow(r.encoded[:0], rec.Row)
-			out.Data = r.encoded[:len(r.encoded)-1] // strip '\n'
-		}
-		return out, true, nil
+		return Record{Batch: b, Path: r.path, Offset: off}, true, nil
 	}
 }
 

@@ -13,10 +13,11 @@
 // File-backed input has one shape and one reader: a FileSplit is an ordered
 // list of byte segments of one file, and FileInput.Open returns the only
 // RecordReader over file data. It opens each segment through
-// storage.NewSegmentReader (TextFile lines or RCFile row groups) and carries
-// the accounting the cost model reads — bytes, margin seeks, pruned groups.
-// FileInput itself is the one-segment-per-split table scan; dgf.SliceInput
-// supplies multi-segment splits (Algorithm 4) and opens them here.
+// storage.NewSegmentReader, hands the map task one storage.ColumnBatch per
+// RCFile row group or run of TextFile lines, and carries the accounting the
+// cost model reads — bytes, margin seeks, pruned groups. FileInput itself is
+// the one-segment-per-split table scan; dgf.SliceInput supplies
+// multi-segment splits (Algorithm 4) and opens them here.
 //
 // The shuffle's ordering contract: a reduce task is handed its keys in
 // ascending order and each key's values in ascending byte order, duplicates
@@ -31,14 +32,14 @@
 // the shuffle instead of one per record — and the volumes the cost model reads
 // (ShuffleBytes, ShufflePairs, reduce input) are what such a mapper emitted.
 //
-// Bytes only where the shuffle needs them: a record crosses the shuffle as the
-// bytes the mapper emitted, and each stage parses what it needs from a record
-// at most once. A reader that decodes rows anyway hands them over in
-// Record.Row so a mapper does not parse Data again; a reducer that needs typed
-// values decodes a value once. What a job hands back to its driver need not be
-// bytes at all: a query's map-only projection and its aggregate reducers
-// deliver typed rows and accumulators to a sink the driver owns, and Output —
-// the pairs a job emits after its last stage — is for jobs that want them.
+// Bytes only where the shuffle needs them: a reader hands a mapper decoded
+// column vectors — and, for the index builds that shuffle text, each row's
+// line — and a record crosses the shuffle as the bytes the mapper emitted; a
+// reducer that needs typed values decodes a value once. What a job hands back
+// to its driver need not be bytes at all: a query's map-only projection and
+// its aggregate reducers deliver typed rows and accumulators to a sink the
+// driver owns, and Output — the pairs a job emits after its last stage — is
+// for jobs that want them.
 package mapreduce
 
 import (
@@ -58,29 +59,18 @@ import (
 
 // Record is one input record presented to a map function.
 type Record struct {
-	// Data is the record payload (a text line for TextFile input; an
-	// encoded row for RCFile input). Columnar readers with a column
-	// projection pushed down leave Data nil — the partial record only
-	// exists in decoded form.
-	Data []byte
-	// Row is the decoded record, when the input format decodes rows anyway
-	// (RCFile readers). Map functions should prefer it over re-parsing
-	// Data; cells of columns excluded by a projection hold zero values.
-	Row storage.Row
-	// Batch is one whole decoded row group or run of text lines (batch
-	// delivery; Row and Data are nil), counted as the rows its selection
-	// admits. The reader reuses the batch across records, so a map function
-	// must finish with it before returning.
+	// Batch is one whole decoded row group or run of text lines, counted as
+	// the rows its selection admits; a record without one (an input that
+	// is not file-backed) counts as one. The reader reuses the batch across
+	// records, so a map function must finish with it before returning.
 	Batch *storage.ColumnBatch
 	// Path is the input file the record came from (INPUT_FILE_NAME in
 	// Hive's index-population query, Listing 1 of the paper).
 	Path string
-	// Offset is the record's BLOCK_OFFSET_INSIDE_FILE: the line start for
-	// TextFile (the first line's for a batch), the row-group start for RCFile.
+	// Offset is the batch's BLOCK_OFFSET_INSIDE_FILE: its first line's start
+	// for TextFile, its row group's start for RCFile. Batch.RowOffset gives
+	// each row's.
 	Offset int64
-	// RowInBlock is the row's position within its row group (RCFile only;
-	// the Bitmap Index records it).
-	RowInBlock int
 }
 
 // Emit passes one intermediate or output pair onward.

@@ -52,6 +52,24 @@ func (c *collector) Pairs() []pair {
 	return slices.Clone(c.pairs)
 }
 
+// lineSchema reads a text file one whole line a row: the last column of a
+// schema takes the rest of the line.
+var lineSchema = storage.NewSchema(storage.Column{Name: "line", Kind: storage.KindString})
+
+// textInput reads the text files under dir one line a row.
+func textInput(fs *dfs.FS, dir string) *FileInput {
+	return &FileInput{FS: fs, Dir: dir, Schema: lineSchema}
+}
+
+// lines returns the lines a textInput record's batch selects.
+func lines(rec Record) []string {
+	var out []string
+	for _, ri := range rec.Batch.Sel() {
+		out = append(out, rec.Batch.Cols[0].Strs[ri])
+	}
+	return out
+}
+
 // writeWords writes one file of word lines split across tiny blocks.
 func writeWords(t *testing.T, fs *dfs.FS, path string, words []string) {
 	t.Helper()
@@ -78,9 +96,11 @@ func TestWordCount(t *testing.T) {
 	col := &collector{}
 	job := &Job{
 		Name:  "wordcount",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
-			emit(string(rec.Data), []byte("1"))
+			for _, line := range lines(rec) {
+				emit(line, []byte("1"))
+			}
 			return nil
 		},
 		Reduce: func(key string, values [][]byte, emit Emit) error {
@@ -129,9 +149,11 @@ func TestCombinerReducesShuffle(t *testing.T) {
 		col := &collector{}
 		stats, err := Run(testCfg(), &Job{
 			Name:  "combine",
-			Input: &FileInput{FS: fs, Dir: "/in"},
+			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
-				emit(string(rec.Data), []byte("1"))
+				for _, line := range lines(rec) {
+					emit(line, []byte("1"))
+				}
 				return nil
 			},
 			Combine: combine,
@@ -175,7 +197,9 @@ type countingMapper struct {
 }
 
 func (m *countingMapper) Map(rec Record, _ Emit) error {
-	m.counts[string(rec.Data)]++
+	for _, line := range lines(rec) {
+		m.counts[line]++
+	}
 	return nil
 }
 
@@ -210,7 +234,7 @@ func TestTaskMapperFoldsPerSplit(t *testing.T) {
 	}
 	run := func(job *Job) (*Stats, string) {
 		col := &collector{}
-		job.Input = &FileInput{FS: fs, Dir: "/in"}
+		job.Input = textInput(fs, "/in")
 		job.Reduce = func(key string, values [][]byte, emit Emit) error {
 			emit(key, sum(key, values)[0])
 			return nil
@@ -228,7 +252,9 @@ func TestTaskMapperFoldsPerSplit(t *testing.T) {
 		return &countingMapper{counts: map[string]int{}, closed: &closed}
 	}})
 	combined, combinedOut := run(&Job{Name: "combine", Combine: sum, Map: func(rec Record, emit Emit) error {
-		emit(string(rec.Data), []byte("1"))
+		for _, line := range lines(rec) {
+			emit(line, []byte("1"))
+		}
 		return nil
 	}})
 	if foldedOut != combinedOut {
@@ -253,9 +279,11 @@ func TestMapOnlyJob(t *testing.T) {
 	col := &collector{}
 	stats, err := Run(testCfg(), &Job{
 		Name:  "maponly",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
-			emit(strings.ToUpper(string(rec.Data)), nil)
+			for _, line := range lines(rec) {
+				emit(strings.ToUpper(line), nil)
+			}
 			return nil
 		},
 		Output: col.Emit,
@@ -279,9 +307,11 @@ func TestReduceTaskForm(t *testing.T) {
 	var keys []string
 	_, err := Run(testCfg(), &Job{
 		Name:  "reducetask",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
-			emit(string(rec.Data), nil)
+			for _, line := range lines(rec) {
+				emit(line, nil)
+			}
 			return nil
 		},
 		ReduceTask: func(task int, groups []Group, emit Emit) error {
@@ -321,11 +351,12 @@ func TestSplitFilter(t *testing.T) {
 		words = append(words, fmt.Sprintf("w%02d", i))
 	}
 	writeWords(t, fs, "/in/f", words)
-	all := &FileInput{FS: fs, Dir: "/in"}
+	all := textInput(fs, "/in")
 	allSplits, _ := all.Splits()
-	filtered := &FileInput{FS: fs, Dir: "/in", SplitFilter: func(s dfs.Split) bool {
+	filtered := textInput(fs, "/in")
+	filtered.SplitFilter = func(s dfs.Split) bool {
 		return s.Start == 0 // keep only the first split
-	}}
+	}
 	fSplits, _ := filtered.Splits()
 	if len(fSplits) != 1 || len(allSplits) <= 1 {
 		t.Fatalf("filtering failed: %d of %d", len(fSplits), len(allSplits))
@@ -335,7 +366,9 @@ func TestSplitFilter(t *testing.T) {
 		Name:  "filtered",
 		Input: filtered,
 		Map: func(rec Record, emit Emit) error {
-			emit(string(rec.Data), nil)
+			for _, line := range lines(rec) {
+				emit(line, nil)
+			}
 			return nil
 		},
 		Output: col.Emit,
@@ -348,6 +381,9 @@ func TestSplitFilter(t *testing.T) {
 	}
 }
 
+// TestFileInputRCRowRecords: every stored RCFile row reaches the map task
+// once, located by its row group's start and its position in the group, with
+// its text rendering as its line.
 func TestFileInputRCRowRecords(t *testing.T) {
 	fs := dfs.New(256)
 	schema := storage.NewSchema(
@@ -358,7 +394,8 @@ func TestFileInputRCRowRecords(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i) / 2)}
 	}
-	if _, err := storage.WriteRCRows(fs, "/rc/f", schema, rows, 8); err != nil {
+	groups, err := storage.WriteRCRows(fs, "/rc/f", schema, rows, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
 	col := &collector{}
@@ -366,8 +403,11 @@ func TestFileInputRCRowRecords(t *testing.T) {
 		Name:  "rcscan",
 		Input: &FileInput{FS: fs, Dir: "/rc", Format: storage.RCFile, Schema: schema},
 		Map: func(rec Record, emit Emit) error {
-			id, _ := storage.TextFieldBytes(rec.Data, 0)
-			emit(string(id), []byte(fmt.Sprintf("%d:%d", rec.Offset, rec.RowInBlock)))
+			b := rec.Batch
+			for _, ri := range b.Sel() {
+				id, _ := storage.TextFieldBytes(b.Line(ri), 0)
+				emit(string(id), []byte(fmt.Sprintf("%d:%d", b.RowOffset(ri), ri)))
+			}
 			return nil
 		},
 		Output: col.Emit,
@@ -378,8 +418,15 @@ func TestFileInputRCRowRecords(t *testing.T) {
 	if stats.InputRecords != 50 {
 		t.Errorf("InputRecords = %d, want 50", stats.InputRecords)
 	}
-	if len(col.Pairs()) != 50 {
-		t.Errorf("pairs = %d, want 50", len(col.Pairs()))
+	pairs := col.Pairs()
+	if len(pairs) != 50 {
+		t.Fatalf("pairs = %d, want 50", len(pairs))
+	}
+	for _, p := range pairs {
+		id, _ := strconv.Atoi(p.Key)
+		if want := fmt.Sprintf("%d:%d", groups[id/8], id%8); string(p.Value) != want {
+			t.Errorf("row %d at %s, want %s", id, p.Value, want)
+		}
 	}
 }
 
@@ -407,7 +454,9 @@ func TestFileInputGroupAndRowFilter(t *testing.T) {
 			RowFilter:   func(path string, off int64, row int) bool { return row%2 == 0 },
 		},
 		Map: func(rec Record, emit Emit) error {
-			emit(string(rec.Data), nil)
+			for _, ri := range rec.Batch.Sel() {
+				emit(string(rec.Batch.Line(ri)), nil)
+			}
 			return nil
 		},
 		Output: col.Emit,
@@ -433,7 +482,7 @@ func TestJobValidation(t *testing.T) {
 	writeWords(t, fs, "/in/f", []string{"x"})
 	job := &Job{
 		Name:       "both-reducers",
-		Input:      &FileInput{FS: fs, Dir: "/in"},
+		Input:      textInput(fs, "/in"),
 		Map:        func(rec Record, emit Emit) error { return nil },
 		Reduce:     func(k string, v [][]byte, e Emit) error { return nil },
 		ReduceTask: func(t int, g []Group, e Emit) error { return nil },
@@ -457,7 +506,7 @@ func TestMapErrorPropagates(t *testing.T) {
 	writeWords(t, fs, "/in/f", []string{"x"})
 	_, err := Run(testCfg(), &Job{
 		Name:  "maperr",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
 			return fmt.Errorf("boom")
 		},
@@ -478,9 +527,11 @@ func TestDeterministicOutput(t *testing.T) {
 		col := &collector{}
 		_, err := Run(testCfg(), &Job{
 			Name:  "det",
-			Input: &FileInput{FS: fs, Dir: "/in"},
+			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
-				emit(string(rec.Data), []byte("1"))
+				for _, line := range lines(rec) {
+					emit(line, []byte("1"))
+				}
 				return nil
 			},
 			Reduce: func(key string, values [][]byte, emit Emit) error {
@@ -527,9 +578,11 @@ func TestWordCountProperty(t *testing.T) {
 		col := &collector{}
 		_, err := Run(testCfg(), &Job{
 			Name:  "prop",
-			Input: &FileInput{FS: fs, Dir: "/in"},
+			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
-				emit(string(rec.Data), []byte("1"))
+				for _, line := range lines(rec) {
+					emit(line, []byte("1"))
+				}
 				return nil
 			},
 			Reduce: func(key string, values [][]byte, emit Emit) error {
@@ -587,7 +640,7 @@ func TestRunContextCancel(t *testing.T) {
 	cancel()
 	stats, err := RunContext(ctx, testCfg(), &Job{
 		Name:  "cancelled",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map:   func(rec Record, emit Emit) error { return nil },
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -615,7 +668,7 @@ func TestStopEarly(t *testing.T) {
 	var stop atomic.Bool
 	stats, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "stop-early",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
 			if records.Add(1) >= 5 {
 				stop.Store(true)
@@ -635,7 +688,7 @@ func TestStopEarly(t *testing.T) {
 	}
 	full, err := Run(testCfg(), &Job{
 		Name:  "full",
-		Input: &FileInput{FS: fs, Dir: "/in"},
+		Input: textInput(fs, "/in"),
 		Map:   func(rec Record, emit Emit) error { return nil },
 	})
 	if err != nil {

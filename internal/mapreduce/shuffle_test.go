@@ -6,13 +6,15 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// memInput is an in-memory InputFormat: one split per line slice. Records
-// carry their split's number in Path so a test can tell map tasks apart.
+// memInput is an in-memory InputFormat: one split per line slice. A record
+// carries no batch: its split's number is in Path, so a test can tell map
+// tasks apart, and its line's index in Offset.
 type memInput struct{ splits [][]string }
 
 type memSplit int
@@ -35,15 +37,21 @@ func (in *memInput) Open(split InputSplit) (RecordReader, error) {
 type memReader struct {
 	lines []string
 	path  string
+	next  int
 }
 
 func (r *memReader) Next() (Record, bool, error) {
-	if len(r.lines) == 0 {
+	if r.next == len(r.lines) {
 		return Record{}, false, nil
 	}
-	line := r.lines[0]
-	r.lines = r.lines[1:]
-	return Record{Data: []byte(line), Path: r.path}, true, nil
+	r.next++
+	return Record{Path: r.path, Offset: int64(r.next - 1)}, true, nil
+}
+
+// line is the line rec stands for.
+func (in *memInput) line(rec Record) string {
+	s, _ := strconv.Atoi(rec.Path)
+	return in.splits[s][rec.Offset]
 }
 
 func (r *memReader) BytesRead() int64 { return 0 }
@@ -74,7 +82,7 @@ func TestShuffleOrderContract(t *testing.T) {
 	}
 	// One buffer for every emitted value: the engine must copy.
 	mapFn := func(rec Record, emit Emit) error {
-		key, payload, _ := strings.Cut(string(rec.Data), "\t")
+		key, payload, _ := strings.Cut(in.line(rec), "\t")
 		buf := make([]byte, 0, 16)
 		buf = append(buf, payload...)
 		buf = append(buf, 1)

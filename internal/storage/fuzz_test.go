@@ -80,7 +80,7 @@ func FuzzDecodeRowGroup(f *testing.F) {
 			project := make([]bool, schema.Len())
 			project[0] = true
 			if pg, _, err := ReadGroupProjected(r, g.Offset, project); err == nil {
-				_, _ = pg.DecodeRowsProjected(schema, project)
+				_, _ = pg.decodeRowsProjected(schema, project)
 			}
 		}
 	})

@@ -82,10 +82,6 @@ func (w *RCWriter) DisableEncoding() { w.noEncode = true }
 // row will belong to. This is the offset Hive's indexes record for a row.
 func (w *RCWriter) Offset() int64 { return w.off }
 
-// RowInGroup returns the position the next written row will occupy within
-// its row group (used by the Bitmap Index).
-func (w *RCWriter) RowInGroup() int { return w.pending }
-
 // WriteRow buffers one row, flushing a full row group if needed.
 func (w *RCWriter) WriteRow(row Row) error {
 	if len(row) != w.schema.Len() {
@@ -223,7 +219,7 @@ func (g *RowGroup) Enc(i int) byte {
 }
 
 // Column returns the text values of column i, one per row. Column panics for
-// a column skipped by a projected read; use DecodeRowsProjected instead.
+// a column skipped by a projected read; use DecodeRows instead.
 func (g *RowGroup) Column(i int) []string {
 	if g.Rows == 0 {
 		return nil
@@ -242,12 +238,14 @@ func (g *RowGroup) Column(i int) []string {
 	return out
 }
 
-// DecodeRows materialises all rows of the group using the schema.
+// DecodeRows materialises all rows of the group using the schema. Readers
+// decode through ReadGroupColumns; this row decoder is the independent
+// reference tests check it against.
 func (g *RowGroup) DecodeRows(schema *Schema) ([]Row, error) {
-	return g.DecodeRowsProjected(schema, nil)
+	return g.decodeRowsProjected(schema, nil)
 }
 
-// DecodeRowsProjected materialises the group's rows, decoding only the
+// decodeRowsProjected materialises the group's rows, decoding only the
 // columns whose project flag is set (nil keeps every column). Cells of
 // unprojected columns carry the column kind's zero value — callers that push
 // a projection down promise never to read them.
@@ -256,7 +254,7 @@ func (g *RowGroup) DecodeRows(schema *Schema) ([]Row, error) {
 // is copied into a single string the cells slice into, so decoding a group
 // costs a fixed handful of allocations — rows, arena, one string per decoded
 // column — independent of the row count.
-func (g *RowGroup) DecodeRowsProjected(schema *Schema, project []bool) ([]Row, error) {
+func (g *RowGroup) decodeRowsProjected(schema *Schema, project []bool) ([]Row, error) {
 	width := schema.Len()
 	if len(g.columns) < width {
 		return nil, fmt.Errorf("storage: row group has %d columns, schema wants %d", len(g.columns), width)
@@ -387,7 +385,7 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 		}
 		if project != nil && (c >= len(project) || !project[c]) {
 			// Column-projection pushdown: skip the payload entirely; the
-			// nil marker tells DecodeRowsProjected the column is absent.
+			// nil marker tells decodeRowsProjected the column is absent.
 			pos += int64(plen)
 			continue
 		}

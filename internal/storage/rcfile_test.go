@@ -40,7 +40,7 @@ func TestRCFileEmptyTable(t *testing.T) {
 		t.Fatalf("column stats have %d entries", len(stats))
 	}
 	r, _ := fs.Open("/tbl/empty")
-	sr := NewSegmentReader(r, s, RCFile, 0, r.Size(), SegmentOptions{GroupOffsets: idx})
+	sr := NewSegmentReader(r, s, RCFile, 0, r.Size(), SegmentOptions{GroupOffsets: idx, Batch: NewColumnBatch(s)})
 	if _, ok, err := sr.Next(); ok || err != nil {
 		t.Fatalf("reader on empty file: ok=%v err=%v", ok, err)
 	}
@@ -138,7 +138,7 @@ func TestRCFileProjectionReadsFewerBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj, err := gProj.DecodeRowsProjected(s, project)
+		proj, err := gProj.decodeRowsProjected(s, project)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,24 +210,19 @@ func TestSegmentWriterCutAlignsSlices(t *testing.T) {
 		}
 		r, _ := fs.Open("/seg/data")
 		for bi, sp := range spans {
-			sr := NewSegmentReader(r, s, format, sp.start, sp.end, SegmentOptions{GroupOffsets: groupOffsets})
+			sr := NewSegmentReader(r, s, format, sp.start, sp.end, SegmentOptions{GroupOffsets: groupOffsets, Batch: NewColumnBatch(s)})
 			var got []Row
 			for {
-				rec, ok, err := sr.Next()
+				b, ok, err := sr.Next()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ok {
 					break
 				}
-				row := rec.Row
-				if row == nil {
-					row, err = DecodeTextRow(s, string(rec.Line))
-					if err != nil {
-						t.Fatal(err)
-					}
+				for _, ri := range b.Sel() {
+					got = append(got, b.MaterialiseRow(ri).Clone())
 				}
-				got = append(got, row)
 			}
 			if len(got) != len(batches[bi]) {
 				t.Fatalf("%v: slice %d read %d rows, want %d", format, bi, len(got), len(batches[bi]))

@@ -12,44 +12,24 @@ import (
 // granularity: the line offset for TextFile, the row-group offset plus
 // in-group row position for RCFile. Index builders write through a
 // SegmentWriter and record slice boundaries from Offset/Cut. Every read —
-// whole-split table scans and index-guided slice reads alike — goes through
-// a SegmentReader, opened per segment by mapreduce's one file reader; for
-// RCFile it opens only the row groups starting inside the segment and — with
-// a projection pushed down — fetches only the referenced columns' payloads.
-// A reader delivers in one of two shapes. Record delivery (index builders)
-// hands over one line or one decoded row at a time. Batch delivery (every
-// query) hands over a ColumnBatch: one whole row group for RCFile, up to
-// DefaultRowGroupRows lines for TextFile, only the projected columns decoded.
+// whole-split table scans, index builds and index-guided slice reads alike —
+// goes through a SegmentReader, opened per segment by mapreduce's one file
+// reader; for RCFile it opens only the row groups starting inside the segment
+// and — with a projection pushed down — fetches only the referenced columns'
+// payloads. A reader delivers one shape: a ColumnBatch holding one whole row
+// group for RCFile, or up to DefaultRowGroupRows lines for TextFile, with only
+// the projected columns decoded. The batch also answers, per row, the text
+// line and the offset Hive's indexes record (ColumnBatch.Line, RowOffset).
 // A SegmentReader counts bytes only; seek and pruned-group accounting belong
 // to the caller, which sees every SkipGroup decision it makes.
 
-// SegmentRecord is one delivery of a SegmentReader. In record mode text
-// formats fill Line (the encoded record) and columnar formats fill Row (the
-// decoded, possibly projected record); in batch mode both fill Batch. Offset
-// and RowInGroup locate the record at the format's granularity.
-type SegmentRecord struct {
-	// Line is the delimited text rendering (TextFile; nil for RCFile).
-	Line []byte
-	// Row is the decoded record (RCFile; nil for TextFile). Cells of
-	// columns excluded by the reader's projection hold zero values.
-	Row Row
-	// Batch is one whole decoded row group (RCFile) or run of consecutive
-	// lines (TextFile) in batch mode; nil otherwise. The reader reuses the
-	// batch from one delivery to the next, so consumers must finish with it
-	// before calling Next again.
-	Batch *ColumnBatch
-	// Offset is the record position Hive's indexes would record: the line
-	// start for TextFile (a batch's first line), the row-group start for
-	// RCFile.
-	Offset int64
-	// RowInGroup is the record's position within its row group (RCFile).
-	RowInGroup int
-}
-
-// SegmentReader streams the records of one byte range of a data file.
+// SegmentReader streams the batches of one byte range of a data file.
 type SegmentReader interface {
-	// Next returns the next record; ok is false at segment end.
-	Next() (rec SegmentRecord, ok bool, err error)
+	// Next decodes the next row group (RCFile) or run of lines (TextFile)
+	// into the reader's batch and returns it; ok is false at segment end.
+	// The batch is reused from one delivery to the next, so a consumer must
+	// finish with it before calling Next again.
+	Next() (batch *ColumnBatch, ok bool, err error)
 	// BytesRead is the logical byte volume fetched so far (projected
 	// column payloads only for columnar formats).
 	BytesRead() int64
@@ -70,11 +50,9 @@ type SegmentOptions struct {
 	// loaded once per file via ReadGroupIndex and shared by the file's
 	// segments).
 	GroupOffsets []int64
-	// Batch, when non-nil, selects batch delivery into it: one record per
-	// row group (RCFile) or per run of up to DefaultRowGroupRows lines
-	// (TextFile) with Batch set (Row and Line nil). A caller reading several
-	// segments in turn shares one batch among them, so small segments do not
-	// each pay for their own vectors.
+	// Batch is the batch every delivery decodes into (required). A caller
+	// reading several segments in turn shares one batch among them, so
+	// small segments do not each pay for their own vectors.
 	Batch *ColumnBatch
 	// SkipGroup, when non-nil, is consulted before each row group is
 	// fetched (RCFile only); a true return drops the group without reading
@@ -83,9 +61,8 @@ type SegmentOptions struct {
 	SkipGroup func(offset int64) bool
 }
 
-// NewSegmentReader opens the records of [start, end) of file r in the given
-// format. The schema is required for RCFile decoding and for TextFile batch
-// delivery; TextFile record delivery ignores it.
+// NewSegmentReader opens the batches of [start, end) of file r in the given
+// format, decoded under schema.
 func NewSegmentReader(r *dfs.FileReader, schema *Schema, format Format, start, end int64, opts SegmentOptions) SegmentReader {
 	if format == RCFile {
 		// Own the groups starting inside [start, end); a clipped edge can
@@ -115,30 +92,29 @@ type textSegmentReader struct {
 	lr      *LineReader
 	schema  *Schema
 	project []bool
-	batch   *ColumnBatch // non-nil selects batch delivery
+	batch   *ColumnBatch
 }
 
-func (t *textSegmentReader) Next() (SegmentRecord, bool, error) {
-	line, off, ok := t.lr.Next()
-	if !ok {
-		return SegmentRecord{}, false, nil
-	}
-	if t.batch == nil {
-		return SegmentRecord{Line: line, Offset: off}, true, nil
-	}
+func (t *textSegmentReader) Next() (*ColumnBatch, bool, error) {
 	b := t.batch
-	b.lines = append(append(b.lines[:0], line...), '\n')
-	rows := 1
-	for ; rows < DefaultRowGroupRows; rows++ {
-		if line, _, ok = t.lr.Next(); !ok {
+	b.lines, b.ends, b.offsets = b.lines[:0], b.ends[:0], b.offsets[:0]
+	for len(b.ends) < DefaultRowGroupRows {
+		line, off, ok := t.lr.Next()
+		if !ok {
 			break
 		}
-		b.lines = append(append(b.lines, line...), '\n')
+		b.lines = append(b.lines, line...)
+		b.ends = append(b.ends, len(b.lines))
+		b.offsets = append(b.offsets, off)
+		b.lines = append(b.lines, '\n')
 	}
-	if err := b.decodeTextLines(t.schema, t.project, rows); err != nil {
-		return SegmentRecord{}, false, err
+	if len(b.ends) == 0 {
+		return nil, false, nil
 	}
-	return SegmentRecord{Batch: b, Offset: off}, true, nil
+	if err := b.decodeTextLines(t.schema, t.project); err != nil {
+		return nil, false, err
+	}
+	return b, true, nil
 }
 
 func (t *textSegmentReader) BytesRead() int64 { return t.lr.BytesRead() }
@@ -149,61 +125,46 @@ type rcSegmentReader struct {
 	offsets []int64
 	project []bool
 	skip    func(offset int64) bool
-	batch   *ColumnBatch // non-nil selects batch delivery
+	batch   *ColumnBatch
 
 	next      int // next index into offsets
-	group     *RowGroup
-	rows      []Row
-	nextRow   int
 	bytesRead int64
 }
 
-func (t *rcSegmentReader) Next() (SegmentRecord, bool, error) {
-	for {
-		if t.group != nil && t.nextRow < len(t.rows) {
-			i := t.nextRow
-			t.nextRow++
-			return SegmentRecord{Row: t.rows[i], Offset: t.group.Offset, RowInGroup: i}, true, nil
-		}
-		if t.next >= len(t.offsets) {
-			return SegmentRecord{}, false, nil
-		}
+func (t *rcSegmentReader) Next() (*ColumnBatch, bool, error) {
+	for t.next < len(t.offsets) {
 		off := t.offsets[t.next]
 		t.next++
 		if t.skip != nil && t.skip(off) {
 			continue
 		}
-		if t.batch != nil {
-			read, err := ReadGroupColumns(t.r, off, t.schema, t.project, t.batch)
-			if err != nil {
-				return SegmentRecord{}, false, err
-			}
-			t.bytesRead += read
-			return SegmentRecord{Batch: t.batch, Offset: off}, true, nil
-		}
-		g, read, err := ReadGroupProjected(t.r, off, t.project)
+		read, err := ReadGroupColumns(t.r, off, t.schema, t.project, t.batch)
 		if err != nil {
-			return SegmentRecord{}, false, err
-		}
-		rows, err := g.DecodeRowsProjected(t.schema, t.project)
-		if err != nil {
-			return SegmentRecord{}, false, err
+			return nil, false, err
 		}
 		t.bytesRead += read
-		t.group, t.rows, t.nextRow = g, rows, 0
+		return t.batch, true, nil
 	}
+	return nil, false, nil
 }
 
 func (t *rcSegmentReader) BytesRead() int64 { return t.bytesRead }
+
+// SegmentRecord is one record handed to a SegmentWriter, in the form the
+// format stores: Line (the delimited text without the trailing newline) for
+// TextFile, the decoded Row for RCFile.
+type SegmentRecord struct {
+	Line []byte
+	Row  Row
+}
 
 // SegmentWriter writes the records of one data file sequentially and exposes
 // positions at the format's slice granularity, so one index-build reducer
 // works for every storage format.
 type SegmentWriter interface {
-	// WriteRecord appends one record, given in the form the format's
-	// SegmentReader delivers: Line (the delimited text without the trailing
-	// newline) for TextFile, the decoded Row for RCFile. A writer reads only
-	// its own form and copies what it keeps, so the caller may reuse both.
+	// WriteRecord appends one record. A writer reads only its own format's
+	// form (Line or Row) and copies what it keeps, so the caller may reuse
+	// both.
 	WriteRecord(rec SegmentRecord) error
 	// Offset is the position the next record will occupy: the byte offset
 	// of its line for TextFile, the start offset of its row group for

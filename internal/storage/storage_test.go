@@ -144,17 +144,13 @@ func TestTextField(t *testing.T) {
 		want string
 	}{{0, "100"}, {1, "11"}, {2, "2012-12-30"}, {4, "ok"}}
 	for _, c := range cases {
-		got, ok := TextField(line, c.i)
-		if !ok || got != c.want {
-			t.Errorf("TextField(%d) = %q,%v want %q", c.i, got, ok, c.want)
-		}
-		gotB, ok := TextFieldBytes([]byte(line), c.i)
-		if !ok || string(gotB) != c.want {
-			t.Errorf("TextFieldBytes(%d) = %q,%v", c.i, gotB, ok)
+		got, ok := TextFieldBytes([]byte(line), c.i)
+		if !ok || string(got) != c.want {
+			t.Errorf("TextFieldBytes(%d) = %q,%v want %q", c.i, got, ok, c.want)
 		}
 	}
-	if _, ok := TextField(line, 9); ok {
-		t.Error("TextField out of range returned ok")
+	if _, ok := TextFieldBytes([]byte(line), 9); ok {
+		t.Error("TextFieldBytes out of range returned ok")
 	}
 }
 

@@ -68,23 +68,18 @@ func CheckTextRow(row Row) error {
 // DecodeTextRow parses one delimited line according to the schema.
 func DecodeTextRow(schema *Schema, line string) (Row, error) {
 	row := make(Row, schema.Len())
-	if err := DecodeTextRowInto(schema, line, row); err != nil {
+	if err := DecodeTextRowInto(schema, line, nil, row); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
 // DecodeTextRowInto is DecodeTextRow into a row the caller owns (one cell per
-// schema column), for loops that consume each decoded row before the next.
-// String cells alias line.
-func DecodeTextRowInto(schema *Schema, line string, row Row) error {
-	return decodeTextRow(schema, line, nil, row)
-}
-
-// decodeTextRow is DecodeTextRowInto restricted to the flagged columns (nil
-// parses all): the other cells of row are left alone, but the line must still
-// hold every field.
-func decodeTextRow(schema *Schema, line string, project []bool, row Row) error {
+// schema column), for loops that consume each decoded row before the next,
+// restricted to the flagged columns (nil parses all): the other cells of row
+// are left alone, but the line must still hold every field. String cells
+// alias line.
+func DecodeTextRowInto(schema *Schema, line string, project []bool, row Row) error {
 	rest := line
 	for i := 0; i < schema.Len(); i++ {
 		var field string
@@ -109,24 +104,8 @@ func decodeTextRow(schema *Schema, line string, project []bool, row Row) error {
 	return nil
 }
 
-// TextField extracts the i-th delimited field of a line without decoding the
-// whole row. Index construction map tasks use this on the hot path.
-func TextField(line string, i int) (string, bool) {
-	start := 0
-	for ; i > 0; i-- {
-		j := strings.IndexByte(line[start:], TextDelim)
-		if j < 0 {
-			return "", false
-		}
-		start += j + 1
-	}
-	if j := strings.IndexByte(line[start:], TextDelim); j >= 0 {
-		return line[start : start+j], true
-	}
-	return line[start:], true
-}
-
-// TextFieldBytes is TextField over a byte slice.
+// TextFieldBytes extracts the i-th delimited field of a line without decoding
+// the whole row.
 func TextFieldBytes(line []byte, i int) ([]byte, bool) {
 	start := 0
 	for ; i > 0; i-- {

@@ -99,9 +99,17 @@ type ColumnBatch struct {
 	// Cols holds one vector per schema column, aligned by position.
 	Cols []ColumnVector
 
-	sel   []int  // selection vector, refilled per delivery
-	row   Row    // row-materialisation scratch, reused per delivery
-	lines []byte // a TextFile batch's lines, each '\n'-terminated, as gathered
+	sel []int // selection vector, refilled per delivery
+	row Row   // row-materialisation scratch, reused per delivery
+
+	// A TextFile batch keeps its lines as stored, each '\n'-terminated, with
+	// where each ends in lines (at its '\n') and the file offset it starts
+	// at; an RCFile batch (ends empty) keeps its row group's start offset.
+	lines   []byte
+	ends    []int
+	offsets []int64
+	group   int64
+	text    []byte // Line's rendering scratch (RCFile)
 }
 
 // NewColumnBatch sizes a batch for the schema (vectors fill lazily).
@@ -149,6 +157,32 @@ func (b *ColumnBatch) MaterialiseRow(ri int) Row {
 		b.row[c] = b.Cols[c].Value(ri)
 	}
 	return b.row
+}
+
+// Line returns row ri's delimited text without the trailing newline: the
+// stored bytes for a TextFile batch, the rendering of the decoded row
+// (AppendTextRow) for an RCFile one — where cells of unprojected columns
+// render as zero values. The slice is valid until the next call or delivery.
+func (b *ColumnBatch) Line(ri int) []byte {
+	if len(b.ends) == 0 {
+		b.text = AppendTextRow(b.text[:0], b.MaterialiseRow(ri))
+		return b.text[:len(b.text)-1]
+	}
+	start := 0
+	if ri > 0 {
+		start = b.ends[ri-1] + 1
+	}
+	return b.lines[start:b.ends[ri]]
+}
+
+// RowOffset returns row ri's BLOCK_OFFSET_INSIDE_FILE, the offset Hive's
+// indexes record: its line start for TextFile, its row group's start for
+// RCFile (where ri is then the row's position in the group).
+func (b *ColumnBatch) RowOffset(ri int) int64 {
+	if len(b.ends) == 0 {
+		return b.group
+	}
+	return b.offsets[ri]
 }
 
 // parseIntStr parses a decimal int64 from field without allocating; ok is
@@ -365,6 +399,7 @@ func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project [
 		return 0, fmt.Errorf("storage: group at %d has %d columns, schema wants %d", offset, len(g.columns), len(batch.Cols))
 	}
 	batch.selectAll(g.Rows)
+	batch.group, batch.ends, batch.offsets = offset, batch.ends[:0], batch.offsets[:0]
 	for c := range batch.Cols {
 		v := &batch.Cols[c]
 		v.Kind = schema.Col(c).Kind
@@ -382,13 +417,14 @@ func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project [
 	return read, nil
 }
 
-// decodeTextLines fills the batch from the rows delimited lines gathered in
-// b.lines: plain vectors for the projected columns (nil projects all), each
-// cell parsed exactly as DecodeTextRow would. Every line's field count is
-// checked whether or not its cells are wanted. String cells alias the one
-// string copy of the lines.
-func (b *ColumnBatch) decodeTextLines(schema *Schema, project []bool, rows int) error {
+// decodeTextLines fills the batch from the lines gathered in b.lines (one per
+// entry of b.ends): plain vectors for the projected columns (nil projects
+// all), each cell parsed exactly as DecodeTextRow would. Every line's field
+// count is checked whether or not its cells are wanted. String cells alias
+// the one string copy of the lines.
+func (b *ColumnBatch) decodeTextLines(schema *Schema, project []bool) error {
 	text := string(b.lines)
+	rows := len(b.ends)
 	b.selectAll(rows)
 	for c := range b.Cols {
 		v := &b.Cols[c]
@@ -396,12 +432,12 @@ func (b *ColumnBatch) decodeTextLines(schema *Schema, project []bool, rows int) 
 			v.grow(rows)
 		}
 	}
-	for r := 0; r < rows; r++ {
-		end := strings.IndexByte(text, '\n')
-		if err := decodeTextRow(schema, text[:end], project, b.row); err != nil {
+	start := 0
+	for r, end := range b.ends {
+		if err := DecodeTextRowInto(schema, text[start:end], project, b.row); err != nil {
 			return err
 		}
-		text = text[end+1:]
+		start = end + 1
 		for c := range b.Cols {
 			v := &b.Cols[c]
 			if !v.Valid {

@@ -130,7 +130,7 @@ func TestReadGroupColumnsMatchesRowDecode(t *testing.T) {
 			if read != wantRead {
 				t.Errorf("group %d: vector read %d bytes, row read %d", off, read, wantRead)
 			}
-			want, err := g.DecodeRowsProjected(s, project)
+			want, err := g.decodeRowsProjected(s, project)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,9 +149,10 @@ func TestReadGroupColumnsMatchesRowDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeRowsProjectedAllocs guards the hot decode loop's allocation
-// profile: a numeric-only projection must allocate a constant handful of
-// slices (rows header plus the flat cell arena), not one Value box per cell.
+// TestDecodeRowsProjectedAllocs guards the allocation profiles of the
+// reference row decoder — a numeric-only projection must allocate a constant
+// handful of slices (rows header plus the flat cell arena), not one Value box
+// per cell — and of the batch decoder every reader uses.
 func TestDecodeRowsProjectedAllocs(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	s := meterSchema()
@@ -168,14 +169,14 @@ func TestDecodeRowsProjectedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := g.DecodeRowsProjected(s, project); err != nil {
+		if _, err := g.decodeRowsProjected(s, project); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// rows slice + cell arena + small fixed overhead; anything near one
 	// alloc per row (64) means the per-cell fast paths regressed.
 	if allocs > 8 {
-		t.Errorf("DecodeRowsProjected allocates %.0f times per 64-row group, want <= 8", allocs)
+		t.Errorf("decodeRowsProjected allocates %.0f times per 64-row group, want <= 8", allocs)
 	}
 
 	// The vectorised decode into a reused batch must likewise stay near
@@ -193,31 +194,6 @@ func TestDecodeRowsProjectedAllocs(t *testing.T) {
 	// itself must not add per-row allocations.
 	if allocs > 12 {
 		t.Errorf("ReadGroupColumns allocates %.0f times per 64-row group, want <= 12", allocs)
-	}
-}
-
-// BenchmarkDecodeRowsProjected reports allocs/op for the hot decode loop.
-func BenchmarkDecodeRowsProjected(b *testing.B) {
-	fs := dfs.New(1 << 24)
-	s := meterSchema()
-	if _, err := WriteRCRows(fs, "/tbl/bench", s, sampleRows(1024), 1024); err != nil {
-		b.Fatal(err)
-	}
-	r, err := fs.Open("/tbl/bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	project := []bool{true, true, true, true, false}
-	g, _, err := ReadGroupProjected(r, 0, project)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.DecodeRowsProjected(s, project); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
