@@ -60,11 +60,13 @@ type Source struct {
 // boundaries for RCFile.
 //
 // Each stage touches a record once. Map reads the cell coordinates from the
-// column batch the reader decoded — for a TextFile source only the dimension
-// columns are parsed — shuffles each row's text line, and renders a GFUKey
-// once per distinct cell. Reduce decodes each line once into a row that feeds
-// the header, and the row-group writer for RCFile; a TextFile index writes
-// the line through and parses only the pre-compute factor fields.
+// dimension vectors of the column batch the reader decoded — for a TextFile
+// source only those columns are parsed — shuffles each row's text line, and
+// renders a GFUKey once per distinct cell. Reduce decodes each line once into
+// a row that feeds the header, and the row-group writer for RCFile; a
+// TextFile index writes the line through and parses only the pre-compute
+// factor fields. Each reduce task encodes its GFUValues back to back into one
+// buffer, which the store copies.
 func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	schema *storage.Schema, src Source, dataDir string) (*Index, *BuildStats, error) {
 	if err := spec.Validate(schema); err != nil {
@@ -167,7 +169,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			b := rec.Batch
 			cells := make([]int64, 0, stackDims)
 			for _, ri := range b.Sel() {
-				cells = ix.cellsOfRow(b.MaterialiseRow(ri), cells[:0])
+				cells = ix.cellsOfBatchRow(b, ri, cells[:0])
 				emit(keys.of(cells), b.Line(ri))
 			}
 			return nil
@@ -329,24 +331,26 @@ type gfuPair struct {
 	start, end int64
 }
 
-// mergedPairs is one reduce task's pairs ready for the store, with what
-// putting them adds to the SizeBytes and Entries totals.
+// mergedPairs is one reduce task's pairs ready for the store, in key order,
+// with what putting them adds to the SizeBytes and Entries totals.
 type mergedPairs struct {
-	pairs             map[string][]byte
+	pairs             []kvstore.Pair
 	grownBytes, fresh int64
 }
 
 // mergePairs encodes the pairs reduce task `task` of run `gen` built, merging
 // header and slice list with the stored pair of the same key. A stored value
 // that does not decode fails the run: overwriting it would drop the cell's
-// earlier Slices from every later query.
+// earlier Slices from every later query. The task's groups arrive in key
+// order, so the pairs leave in it.
 func (ix *Index) mergePairs(gen, task int, pairs []gfuPair) (mergedPairs, error) {
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = gfuPrefix + p.key
 	}
-	m := mergedPairs{pairs: make(map[string][]byte, len(pairs))}
-	var scratch []byte
+	m := mergedPairs{pairs: make([]kvstore.Pair, len(pairs))}
+	var enc []byte // every encoded value, back to back
+	ends := make([]int, len(pairs))
 	var stored []SliceLoc // decoded only to check the stored value
 	for i, prev := range ix.KV.MultiGet(keys) {
 		p := pairs[i]
@@ -365,19 +369,31 @@ func (ix *Index) mergePairs(gen, task int, pairs []gfuPair) (mergedPairs, error)
 			count, n := binary.Uvarint(locs)
 			slices, oldLocs = count+1, locs[n:]
 		}
-		scratch = appendHeader(scratch[:0], p.header)
-		scratch = append(binary.AppendUvarint(scratch, slices), oldLocs...)
-		scratch = appendLoc(scratch, gen, task, p.start, p.end)
-		enc := append([]byte(nil), scratch...) // the store keeps it: no spare capacity
+		start := len(enc)
+		enc = appendHeader(enc, p.header)
+		enc = append(binary.AppendUvarint(enc, slices), oldLocs...)
+		enc = appendLoc(enc, gen, task, p.start, p.end)
+		ends[i] = len(enc)
 		if prev != nil {
-			m.grownBytes += int64(len(enc) - len(prev))
+			m.grownBytes += int64(ends[i] - start - len(prev))
 		} else {
-			m.grownBytes += int64(len(keys[i]) + len(enc))
+			m.grownBytes += int64(len(keys[i]) + ends[i] - start)
 			m.fresh++
 		}
-		m.pairs[keys[i]] = enc
+		m.pairs[i].Key = keys[i]
 	}
+	setValues(m.pairs, enc, ends)
 	return m, nil
+}
+
+// setValues points pair i's Value at enc[ends[i-1]:ends[i]], once enc has
+// stopped growing.
+func setValues(pairs []kvstore.Pair, enc []byte, ends []int) {
+	start := 0
+	for i, end := range ends {
+		pairs[i].Value = enc[start:end]
+		start = end
+	}
 }
 
 // AddPrecompute registers additional pre-computed aggregations on a live
@@ -436,10 +452,12 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 		return nil, err
 	}
 	// Rewrite the stored pairs with extended headers, keeping locations.
-	updates := map[string][]byte{}
+	pairs := ix.KV.ScanPrefix(gfuPrefix)
+	var enc []byte // every new value, back to back
+	ends := make([]int, len(pairs))
 	var total int64
 	old := NewHeader(ix.Spec.Precompute)
-	for _, p := range ix.KV.ScanPrefix(gfuPrefix) {
+	for i, p := range pairs {
 		key := p.Key[len(gfuPrefix):]
 		locs, err := readHeader(old, p.Value)
 		if err != nil {
@@ -449,11 +467,13 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 		if !ok {
 			h = NewHeader(extended)
 		}
-		enc := append(appendHeader(nil, h), locs...)
-		updates[p.Key] = enc
-		total += int64(len(p.Key) + len(enc))
+		start := len(enc)
+		enc = append(appendHeader(enc, h), locs...)
+		ends[i] = len(enc)
+		total += int64(len(p.Key) + ends[i] - start)
 	}
-	ix.KV.PutBatch(updates)
+	setValues(pairs, enc, ends)
+	ix.KV.PutBatch(pairs)
 	ix.gfuBytes.Store(total)
 	ix.Spec.Precompute = extended
 	if err := ix.resolveColumns(); err != nil {
