@@ -212,18 +212,19 @@ func printStats(showStats bool, st dgfindex.QueryStats) {
 }
 
 func loadDemo(w *dgfindex.Warehouse, users int) error {
+	ctx := context.Background()
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = users
 	cfg.OtherMetrics = 2
 	fmt.Printf("loading demo: %d meter readings across %d days...\n", cfg.Rows(), cfg.Days)
-	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
-		powerConsumed double, pate1 double, pate2 double)`); err != nil {
+	if _, err := w.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
+		powerConsumed double, pate1 double, pate2 double)`, dgfindex.ExecOptions{}); err != nil {
 		return err
 	}
 	if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
 		return err
 	}
-	if _, err := w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`); err != nil {
+	if _, err := w.ExecContext(ctx, `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`, dgfindex.ExecOptions{}); err != nil {
 		return err
 	}
 	if err := w.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
@@ -233,9 +234,9 @@ func loadDemo(w *dgfindex.Warehouse, users int) error {
 	if interval < 1 {
 		interval = 1
 	}
-	res, err := w.Exec(fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+	res, err := w.ExecContext(ctx, fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval))
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval), dgfindex.ExecOptions{})
 	if err != nil {
 		return err
 	}

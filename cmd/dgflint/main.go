@@ -15,8 +15,7 @@
 //
 // Suppressions: a finding is silenced by a same-line or line-above
 // comment "//dgflint:ignore <analyzer> <reason>"; the reason is
-// mandatory. Compat wrappers that may mint context.Background() are
-// marked "//dgflint:compat <reason>" on their doc comment.
+// mandatory. It is the only escape hatch, ctxflow's included.
 //
 // Exit status is 1 when any finding survives suppression.
 package main

@@ -8,29 +8,29 @@
 // distributed grid file index (DGFIndex), plus the Compact/Aggregate/Bitmap
 // index and HadoopDB baselines the paper evaluates against.
 //
-// Quick start:
+// Quick start — every statement is HiveQL through ExecContext, the one
+// entry point, and a ctx that expires mid-scan aborts the MapReduce job
+// within one split boundary:
 //
 //	w := dgfindex.New()
-//	w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint,
-//	        ts timestamp, powerConsumed double)`)
+//	ctx := context.Background()
+//	w.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint,
+//	        ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{})
 //	w.LoadRowsByName("meterdata", rows)
-//	w.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+//	w.ExecContext(ctx, `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 //	        AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_1000',
-//	        'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed)')`)
+//	        'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed)')`, dgfindex.ExecOptions{})
 //
-//	// Queries are context-first: a ctx that expires mid-scan aborts the
-//	// MapReduce job within one split boundary (Exec is the
-//	// context.Background() shorthand).
-//	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+//	qctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 //	defer cancel()
-//	res, _ := w.ExecContext(ctx, `SELECT sum(powerConsumed) FROM meterdata
+//	res, _ := w.ExecContext(qctx, `SELECT sum(powerConsumed) FROM meterdata
 //	        WHERE userId>=100 AND userId<=5000 AND regionId=3
 //	        AND ts>='2012-12-05' AND ts<'2012-12-12'`, dgfindex.ExecOptions{})
 //
 //	// EXPLAIN reports the access path and exact read volume the execution
 //	// would have; cursors stream rows as splits complete and stop a LIMIT
 //	// scan early.
-//	plan, _ := w.Exec(`EXPLAIN SELECT * FROM meterdata WHERE userId=42`)
+//	plan, _ := w.ExecContext(ctx, `EXPLAIN SELECT * FROM meterdata WHERE userId=42`, dgfindex.ExecOptions{})
 //	stmt, _ := dgfindex.ParseSQL(`SELECT * FROM meterdata LIMIT 10`)
 //	cur, _ := w.SelectCursor(ctx, stmt.(*dgfindex.SelectStmt), dgfindex.ExecOptions{})
 //	for cur.Next() { _ = cur.Row() }
@@ -101,8 +101,6 @@ func DefaultCluster() *ClusterConfig { return cluster.Default() }
 
 // Index machinery, exposed for direct (non-SQL) use.
 type (
-	// DGFPlanOptions carries the planner ablation flags.
-	DGFPlanOptions = dgf.PlanOptions
 	// AdvisorConfig bounds SuggestPolicy, the splitting-policy advisor
 	// implementing the paper's stated future work.
 	AdvisorConfig = dgf.AdvisorConfig

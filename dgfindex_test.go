@@ -1,6 +1,7 @@
 package dgfindex_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ import (
 // re-exported API only.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	w := dgfindex.New()
-	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, dgfindex.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
@@ -35,14 +36,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err := w.LoadRowsByName("meterdata", rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+	if _, err := w.ExecContext(context.Background(), `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_20',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`); err != nil {
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, dgfindex.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Exec(`SELECT sum(powerConsumed) FROM meterdata
+	res, err := w.ExecContext(context.Background(), `SELECT sum(powerConsumed) FROM meterdata
 		WHERE userId>=20 AND userId<=120 AND regionId=2
-		AND ts>='2012-12-03' AND ts<'2012-12-07'`)
+		AND ts>='2012-12-03' AND ts<'2012-12-07'`, dgfindex.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +80,10 @@ func TestNewWithConfig(t *testing.T) {
 	cfg := dgfindex.DefaultCluster()
 	cfg.Workers = 2
 	w := dgfindex.NewWithConfig(cfg, 1<<16)
-	if _, err := w.Exec(`CREATE TABLE t (x bigint)`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE t (x bigint)`, dgfindex.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Exec(`SHOW TABLES`)
+	res, err := w.ExecContext(context.Background(), `SHOW TABLES`, dgfindex.ExecOptions{})
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("SHOW TABLES: %v %v", res, err)
 	}

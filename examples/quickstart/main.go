@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,9 +13,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w := dgfindex.New()
 
-	must(w.Exec(`CREATE TABLE example (A bigint, B bigint, C double)`))
+	must(w.ExecContext(ctx, `CREATE TABLE example (A bigint, B bigint, C double)`, dgfindex.ExecOptions{}))
 
 	// The nine records of the paper's Figure 6.
 	data := [][3]float64{
@@ -35,16 +37,16 @@ func main() {
 
 	// Listing 3: the index DDL with the splitting policy and the
 	// pre-computed aggregation.
-	res := must(w.Exec(`CREATE INDEX idx_a_b ON TABLE example(A, B)
+	res := must(w.ExecContext(ctx, `CREATE INDEX idx_a_b ON TABLE example(A, B)
 		AS 'org.apache.hadoop.hive.ql.index.dgf.DgfIndexHandler'
-		IDXPROPERTIES ('A'='1_3', 'B'='11_2', 'precompute'='sum(C)')`))
+		IDXPROPERTIES ('A'='1_3', 'B'='11_2', 'precompute'='sum(C)')`, dgfindex.ExecOptions{}))
 	fmt.Println(res.Message)
 
 	// Listing 2: the multidimensional range aggregation. The inner GFU
 	// (7_13) is answered from its pre-computed header; only the boundary
 	// region is scanned.
-	res = must(w.Exec(`SELECT SUM(C) FROM example
-		WHERE A>=5 AND A<12 AND B>=12 AND B<16`))
+	res = must(w.ExecContext(ctx, `SELECT SUM(C) FROM example
+		WHERE A>=5 AND A<12 AND B>=12 AND B<16`, dgfindex.ExecOptions{}))
 	fmt.Printf("sum(C) over {5<=A<12, 12<=B<16} = %v  (expected 2.2)\n", res.Rows[0][0].F)
 	fmt.Printf("access path: %s\n", res.Stats.AccessPath)
 	fmt.Printf("records scanned: %d (boundary only; the inner GFU came from its header)\n",

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	users := flag.Int("users", 5000, "number of smart meters")
 	days := flag.Int("days", 30, "collection days")
 	flag.Parse()
@@ -28,12 +30,12 @@ func main() {
 	cfg.OtherMetrics = 2
 
 	fmt.Printf("generating %d meter readings (%d users x %d days)...\n", cfg.Rows(), cfg.Users, cfg.Days)
-	must(w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
-		powerConsumed double, pate1 double, pate2 double)`))
+	must(w.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
+		powerConsumed double, pate1 double, pate2 double)`, dgfindex.ExecOptions{}))
 	if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
 		log.Fatal(err)
 	}
-	must(w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`))
+	must(w.ExecContext(ctx, `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`, dgfindex.ExecOptions{}))
 	if err := w.LoadRowsByName("userInfo", cfg.UserInfoRows()); err != nil {
 		log.Fatal(err)
 	}
@@ -42,9 +44,9 @@ func main() {
 	if interval < 1 {
 		interval = 1
 	}
-	res := must(w.Exec(fmt.Sprintf(`CREATE INDEX idx_meter ON TABLE meterdata(regionId, userId, ts)
+	res := must(w.ExecContext(ctx, fmt.Sprintf(`CREATE INDEX idx_meter ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_%d',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval)))
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, interval), dgfindex.ExecOptions{}))
 	fmt.Println(res.Message)
 
 	queries := []struct{ title, sql string }{
@@ -72,7 +74,7 @@ func main() {
 	}
 	for _, q := range queries {
 		fmt.Printf("\n--- %s ---\n", q.title)
-		res := must(w.Exec(q.sql))
+		res := must(w.ExecContext(ctx, q.sql, dgfindex.ExecOptions{}))
 		for i, row := range res.Rows {
 			if i == 5 {
 				fmt.Printf("  ... (%d more rows)\n", len(res.Rows)-5)

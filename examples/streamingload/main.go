@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,9 +18,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w := dgfindex.New()
-	must(w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
-		powerConsumed double, pate1 double, pate2 double)`))
+	must(w.ExecContext(ctx, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp,
+		powerConsumed double, pate1 double, pate2 double)`, dgfindex.ExecOptions{}))
 
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = 2000
@@ -32,13 +34,13 @@ func main() {
 	if err := w.LoadRowsByName("meterdata", base.AllRows()); err != nil {
 		log.Fatal(err)
 	}
-	res := must(w.Exec(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+	res := must(w.ExecContext(ctx, `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_50',
-		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`))
+		'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`, dgfindex.ExecOptions{}))
 	fmt.Println(res.Message)
 
 	countSQL := `SELECT count(*) FROM meterdata`
-	fmt.Printf("records indexed: %v\n\n", must(w.Exec(countSQL)).Rows[0][0].AsInt())
+	fmt.Printf("records indexed: %v\n\n", must(w.ExecContext(ctx, countSQL, dgfindex.ExecOptions{})).Rows[0][0].AsInt())
 
 	// Streaming phase: each new day arrives, is verified, and is appended.
 	// Loading through the warehouse runs the DGFIndex construction job on
@@ -65,14 +67,14 @@ func main() {
 			sql := fmt.Sprintf(`SELECT sum(powerConsumed), count(*) FROM meterdata
 				WHERE regionId>=2 AND regionId<=5 AND userId>=100 AND userId<=900
 				AND ts>='%s' AND ts<'%s'`, from, to)
-			r := must(w.Exec(sql))
+			r := must(w.ExecContext(ctx, sql, dgfindex.ExecOptions{}))
 			fmt.Printf("  window [%s, %s): sum=%.1f over %v readings  [%s, %.1fs sim]\n",
 				from, to, r.Rows[0][0].F, r.Rows[0][1].AsInt(),
 				r.Stats.AccessPath, r.Stats.SimTotalSec())
 		}
 	}
 
-	total := must(w.Exec(countSQL)).Rows[0][0].AsInt()
+	total := must(w.ExecContext(ctx, countSQL, dgfindex.ExecOptions{})).Rows[0][0].AsInt()
 	fmt.Printf("\nfinal record count: %d (base %d + 7 appended days)\n", total, base.Rows())
 }
 

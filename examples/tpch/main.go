@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,16 +21,17 @@ AND l_discount >= 0.05 AND l_discount <= 0.07
 AND l_quantity < 24`
 
 func main() {
+	ctx := context.Background()
 	rows := flag.Int("rows", 200000, "lineitem rows to generate")
 	flag.Parse()
 
 	// Scale simulated costs to the paper's 518 GB lineitem table so the
 	// scan-vs-index gap shows at its real proportions.
 	w := dgfindex.NewWithConfig(dgfindex.DefaultCluster().Scaled(80000), 2<<20)
-	must(w.Exec(`CREATE TABLE lineitem (l_orderkey bigint, l_partkey bigint,
+	must(w.ExecContext(ctx, `CREATE TABLE lineitem (l_orderkey bigint, l_partkey bigint,
 		l_suppkey bigint, l_linenumber bigint, l_quantity double,
 		l_extendedprice double, l_discount double, l_tax double,
-		l_shipdate timestamp, l_commitdate timestamp)`))
+		l_shipdate timestamp, l_commitdate timestamp)`, dgfindex.ExecOptions{}))
 	cfg := dgfindex.TPCHConfig{Rows: *rows, Seed: 19920101}
 	fmt.Printf("generating %d lineitem rows (uniformly scattered)...\n", cfg.Rows)
 	if err := w.LoadRowsByName("lineitem", cfg.AllLineitemRows()); err != nil {
@@ -37,21 +39,21 @@ func main() {
 	}
 
 	// Q6 against the raw table.
-	scan := must(w.Exec(q6))
+	scan := must(w.ExecContext(ctx, q6, dgfindex.ExecOptions{}))
 	fmt.Printf("\nfull scan:          revenue=%.2f  sim=%.0fs  records=%d\n",
 		scan.Rows[0][0].F, scan.Stats.SimTotalSec(), scan.Stats.RecordsRead)
 
 	// Build the paper's DGFIndex (Section 5.4 splitting policy) with the
 	// Q6 product pre-computed per GFU.
-	res := must(w.Exec(`CREATE INDEX idx_q6 ON TABLE lineitem(l_discount, l_quantity, l_shipdate)
+	res := must(w.ExecContext(ctx, `CREATE INDEX idx_q6 ON TABLE lineitem(l_discount, l_quantity, l_shipdate)
 		AS 'dgf' IDXPROPERTIES ('l_discount'='0_0.01', 'l_quantity'='0_1',
 		'l_shipdate'='1992-01-01_100d',
-		'precompute'='sum(l_extendedprice*l_discount);count(*)')`))
+		'precompute'='sum(l_extendedprice*l_discount);count(*)')`, dgfindex.ExecOptions{}))
 	fmt.Println(res.Message)
 
 	// Q6 with slice skipping only (how the paper ran it: Table 6 reads all
 	// query-related GFUs).
-	noPre, err := w.ExecOpts(q6, dgfindex.ExecOptions{Dgf: dgfindex.DGFPlanOptions{DisablePrecompute: true}})
+	noPre, err := w.ExecContext(ctx, q6, dgfindex.ExecOptions{DisablePrecompute: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 
 	// Q6 with the pre-computed product headers: the inner region costs no
 	// I/O at all.
-	pre := must(w.Exec(q6))
+	pre := must(w.ExecContext(ctx, q6, dgfindex.ExecOptions{}))
 	fmt.Printf("dgf, precompute:    revenue=%.2f  sim=%.0fs  records=%d  (%s)\n",
 		pre.Rows[0][0].F, pre.Stats.SimTotalSec(), pre.Stats.RecordsRead, pre.Stats.AccessPath)
 

@@ -1,6 +1,7 @@
 package dgfindex_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -31,10 +32,10 @@ func TestFullLifecycle(t *testing.T) {
 
 	newWarehouse := func() *dgfindex.Warehouse {
 		w := dgfindex.New()
-		if _, err := w.Exec(ddl); err != nil {
+		if _, err := w.ExecContext(context.Background(), ddl, dgfindex.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Exec(userDDL); err != nil {
+		if _, err := w.ExecContext(context.Background(), userDDL, dgfindex.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.LoadRowsByName("meterdata", cfg.AllRows()); err != nil {
@@ -66,7 +67,7 @@ func TestFullLifecycle(t *testing.T) {
 	create := fmt.Sprintf(`CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
 		AS 'dgf' IDXPROPERTIES (%s, 'precompute'='sum(powerConsumed);count(*)')`,
 		advice.String())
-	if _, err := indexed.Exec(create); err != nil {
+	if _, err := indexed.ExecContext(context.Background(), create, dgfindex.ExecOptions{}); err != nil {
 		t.Fatalf("CREATE INDEX with advised policy %q: %v", advice.String(), err)
 	}
 
@@ -102,11 +103,11 @@ func TestFullLifecycle(t *testing.T) {
 	compare := func(phase string) {
 		t.Helper()
 		for _, sql := range queries {
-			a, err := indexed.Exec(sql)
+			a, err := indexed.ExecContext(context.Background(), sql, dgfindex.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s: indexed %q: %v", phase, sql, err)
 			}
-			b, err := plain.Exec(sql)
+			b, err := plain.ExecContext(context.Background(), sql, dgfindex.ExecOptions{})
 			if err != nil {
 				t.Fatalf("%s: plain %q: %v", phase, sql, err)
 			}
@@ -146,22 +147,22 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT min(powerConsumed) FROM meterdata WHERE " + q5.WhereClause()
-	a, err := indexed.Exec(sql)
+	a, err := indexed.ExecContext(context.Background(), sql, dgfindex.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Stats.AccessPath != "dgfindex(precompute)" {
 		t.Errorf("min() after AddPrecompute uses %s", a.Stats.AccessPath)
 	}
-	b, _ := plain.Exec(sql)
+	b, _ := plain.ExecContext(context.Background(), sql, dgfindex.ExecOptions{})
 	if math.Abs(a.Rows[0][0].F-b.Rows[0][0].F) > 1e-9 {
 		t.Errorf("min = %v, want %v", a.Rows[0][0].F, b.Rows[0][0].F)
 	}
 
 	// Phase 5: simulated economics stay sane — the indexed aggregation is
 	// far cheaper than the plain scan.
-	res, _ := indexed.Exec(queries[0])
-	scan, _ := plain.Exec(queries[0])
+	res, _ := indexed.ExecContext(context.Background(), queries[0], dgfindex.ExecOptions{})
+	scan, _ := plain.ExecContext(context.Background(), queries[0], dgfindex.ExecOptions{})
 	if res.Stats.SimTotalSec() >= scan.Stats.SimTotalSec() {
 		t.Errorf("indexed query %v s not below scan %v s",
 			res.Stats.SimTotalSec(), scan.Stats.SimTotalSec())

@@ -45,8 +45,8 @@ type Pass struct {
 	PkgPath   string
 	TypesInfo *types.Info
 	// World holds cross-package state gathered by the driver's prescan:
-	// compat-marked functions, the metric-name registry, and every
-	// loaded package (for one-level helper resolution).
+	// the metric-name registry and every loaded package (for one-level
+	// helper resolution).
 	World *World
 	// Report records one finding. The driver applies suppression
 	// directives afterwards, so analyzers always report.
@@ -68,11 +68,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // It is assembled by the driver before any analyzer runs, so analyzers
 // never depend on package visit order.
 type World struct {
-	// CompatFuncs holds the *types.Func objects of functions marked
-	// "//dgflint:compat <reason>": context-free compatibility wrappers
-	// that are allowed to mint context.Background(), and that
-	// context-bearing functions must not call.
-	CompatFuncs map[types.Object]string
 	// MetricFamilies is the closed set of Prometheus family names
 	// declared in const blocks marked "//dgflint:metric-registry".
 	MetricFamilies map[string]bool
@@ -98,29 +93,6 @@ func FuncFor(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	f, _ := obj.(*types.Func)
 	return f
-}
-
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// HasContextParam reports whether sig takes a context.Context anywhere.
-func HasContextParam(sig *types.Signature) bool {
-	if sig == nil {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if IsContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
 }
 
 // PathHasSegment reports whether pkgPath contains seg as a whole

@@ -1,21 +1,14 @@
-// Package ctxflow enforces the context-first execution contract
-// introduced by the PR 4 API redesign: library code under
-// internal/{hive,shard,server,mapreduce,wal} never mints its own
-// root context — it threads the caller's.
+// Package ctxflow enforces the context-first execution contract:
+// library code under internal/{hive,shard,server,mapreduce,wal} never
+// mints its own root context — it threads the caller's.
 //
-// Two rules:
-//
-//  1. context.Background() and context.TODO() are forbidden outside
-//     functions marked "//dgflint:compat <reason>" (the documented
-//     ctx-free compatibility wrappers, e.g. Warehouse.Exec).
-//  2. A function that receives a context.Context must not call a
-//     compat wrapper: that would silently drop the caller's
-//     cancellation. Call the Context variant instead.
+// The rule: context.Background() and context.TODO() are forbidden there.
+// Every operation has one ctx-first entry point, so the only exception is
+// a call site carrying "//dgflint:ignore ctxflow <reason>".
 package ctxflow
 
 import (
 	"go/ast"
-	"go/types"
 
 	"github.com/smartgrid-oss/dgfindex/internal/analysis"
 )
@@ -27,9 +20,8 @@ var scope = []string{"hive", "shard", "server", "mapreduce", "wal"}
 
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "forbids context.Background()/TODO() in library code outside //dgflint:compat wrappers, " +
-		"and forbids ctx-bearing functions from calling those ctx-free wrappers",
-	Run: run,
+	Doc:  "forbids context.Background()/TODO() in library code",
+	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
@@ -44,76 +36,17 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if ok {
-				_, compat := pass.World.CompatFuncs[pass.TypesInfo.Defs[fd.Name]]
-				checkFunc(pass, fd.Body, compat, declHasCtx(pass, fd))
-				continue
-			}
-			// Package-level initialisers can hide a Background() too.
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					checkCall(pass, call, false, false)
-				}
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			f := analysis.FuncFor(pass.TypesInfo, call)
+			if f != nil && f.Pkg() != nil && f.Pkg().Path() == "context" && (f.Name() == "Background" || f.Name() == "TODO") {
+				pass.Reportf(call.Pos(), "context.%s() in library code: thread the caller's ctx", f.Name())
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-func declHasCtx(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	return ok && analysis.HasContextParam(sig)
-}
-
-// checkFunc walks one function body. hasCtx widens (a closure inside a
-// ctx-bearing function captures that ctx); compat applies to the whole
-// declaration including its closures.
-func checkFunc(pass *analysis.Pass, body ast.Node, compat, hasCtx bool) {
-	if body == nil {
-		return
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			lit := hasCtx
-			if sig, ok := pass.TypesInfo.Types[n].Type.(*types.Signature); ok && analysis.HasContextParam(sig) {
-				lit = true
-			}
-			checkFunc(pass, n.Body, compat, lit)
-			return false
-		case *ast.CallExpr:
-			checkCall(pass, n, compat, hasCtx)
-		}
-		return true
-	})
-}
-
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, compat, hasCtx bool) {
-	f := analysis.FuncFor(pass.TypesInfo, call)
-	if f == nil {
-		return
-	}
-	if f.Pkg() != nil && f.Pkg().Path() == "context" && (f.Name() == "Background" || f.Name() == "TODO") {
-		if !compat {
-			pass.Reportf(call.Pos(),
-				"context.%s() in library code: thread the caller's ctx, or mark the enclosing wrapper //dgflint:compat with a reason",
-				f.Name())
-		}
-		return
-	}
-	if hasCtx {
-		if reason, ok := pass.World.CompatFuncs[f]; ok {
-			_ = reason
-			pass.Reportf(call.Pos(),
-				"context-bearing function calls ctx-free compat wrapper %s, dropping the caller's cancellation: call its Context variant",
-				f.Name())
-		}
-	}
 }

@@ -33,16 +33,15 @@ type suppression struct {
 
 const (
 	directiveIgnore   = "dgflint:ignore"
-	directiveCompat   = "dgflint:compat"
 	directiveRegistry = "dgflint:metric-registry"
 	directiveLabels   = "dgflint:metric-labels"
 )
 
 // Run executes every analyzer over every package, applies suppression
 // directives, and returns the surviving findings sorted by position.
-// Malformed directives (a dgflint:ignore or dgflint:compat with no
-// reason) are themselves findings: unexplained suppressions defeat the
-// point of machine-checked invariants.
+// Malformed directives (a dgflint:ignore with no reason) are themselves
+// findings: unexplained suppressions defeat the point of machine-checked
+// invariants.
 func Run(analyzers []*Analyzer, fset *token.FileSet, pkgs []*Package) ([]Finding, error) {
 	world := buildWorld(pkgs)
 	var sups []suppression
@@ -106,11 +105,10 @@ func suppressed(sups []suppression, analyzer string, pos token.Position) bool {
 	return false
 }
 
-// buildWorld assembles the cross-package state every pass shares:
-// compat-marked functions, the metric registries, and the package map.
+// buildWorld assembles the cross-package state every pass shares: the
+// metric registries and the package map.
 func buildWorld(pkgs []*Package) *World {
 	w := &World{
-		CompatFuncs:    map[types.Object]string{},
 		MetricFamilies: map[string]bool{},
 		MetricLabels:   map[string]bool{},
 		Packages:       map[string]*Package{},
@@ -119,33 +117,25 @@ func buildWorld(pkgs []*Package) *World {
 		w.Packages[pkg.Path] = pkg
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if reason, ok := directiveIn(d.Doc, directiveCompat); ok {
-						if obj := pkg.Info.Defs[d.Name]; obj != nil {
-							w.CompatFuncs[obj] = reason
-						}
-					}
-				case *ast.GenDecl:
-					if d.Tok != token.CONST {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok || d.Tok != token.CONST {
+					continue
+				}
+				into := w.MetricFamilies
+				if hasDirective(d.Doc, directiveLabels) {
+					into = w.MetricLabels
+				} else if !hasDirective(d.Doc, directiveRegistry) {
+					continue
+				}
+				for _, spec := range d.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
 						continue
 					}
-					into := w.MetricFamilies
-					if _, ok := directiveIn(d.Doc, directiveLabels); ok {
-						into = w.MetricLabels
-					} else if _, ok := directiveIn(d.Doc, directiveRegistry); !ok {
-						continue
-					}
-					for _, spec := range d.Specs {
-						vs, ok := spec.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						for _, name := range vs.Names {
-							c, ok := pkg.Info.Defs[name].(*types.Const)
-							if ok && c.Val().Kind() == constant.String {
-								into[constant.StringVal(c.Val())] = true
-							}
+					for _, name := range vs.Names {
+						c, ok := pkg.Info.Defs[name].(*types.Const)
+						if ok && c.Val().Kind() == constant.String {
+							into[constant.StringVal(c.Val())] = true
 						}
 					}
 				}
@@ -155,19 +145,17 @@ func buildWorld(pkgs []*Package) *World {
 	return w
 }
 
-// directiveIn reports whether a comment group carries the given
-// directive and returns the rest of that line (the reason).
-func directiveIn(doc *ast.CommentGroup, directive string) (string, bool) {
+// hasDirective reports whether a comment group carries the given directive.
+func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
-		return "", false
+		return false
 	}
 	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(text), directive); ok {
-			return strings.TrimSpace(rest), true
+		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), directive) {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // scanDirectives collects the suppression directives of one package and
@@ -182,13 +170,6 @@ func scanDirectives(fset *token.FileSet, pkg *Package) ([]suppression, []Finding
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
 				rest, ok := strings.CutPrefix(text, directiveIgnore)
 				if !ok {
-					if r, ok := strings.CutPrefix(text, directiveCompat); ok && strings.TrimSpace(r) == "" {
-						bad = append(bad, Finding{
-							Analyzer: "dgflint",
-							Pos:      fset.Position(c.Pos()),
-							Message:  "dgflint:compat directive needs a reason explaining why the wrapper may mint its own context",
-						})
-					}
 					continue
 				}
 				fields := strings.Fields(rest)

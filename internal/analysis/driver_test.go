@@ -50,21 +50,6 @@ var c int
 	}
 }
 
-func TestScanDirectivesCompatNeedsReason(t *testing.T) {
-	fset, pkg := parseOne(t, `package fixture
-
-//dgflint:compat
-func Exec() {}
-
-//dgflint:compat documented ctx-free wrapper
-func ExecOpts() {}
-`)
-	_, bad := scanDirectives(fset, pkg)
-	if len(bad) != 1 {
-		t.Fatalf("malformed findings = %d, want 1 (bare dgflint:compat)", len(bad))
-	}
-}
-
 func TestSuppressedMatchesSameAndPreviousLine(t *testing.T) {
 	sups := []suppression{{file: "x.go", line: 9, analyzer: "errwrap"}}
 	cases := []struct {

@@ -9,13 +9,6 @@ func work(ctx context.Context) error {
 	return nil
 }
 
-// Exec is the documented ctx-free wrapper: allowed to mint Background.
-//
-//dgflint:compat fixture wrapper; run-to-completion is the documented contract
-func Exec() error {
-	return work(context.Background()) // ok: inside a compat wrapper
-}
-
 func mintsBackground() error {
 	ctx := context.Background() // want `context\.Background\(\) in library code`
 	return work(ctx)
@@ -25,22 +18,11 @@ func mintsTODO() error {
 	return work(context.TODO()) // want `context\.TODO\(\) in library code`
 }
 
-func dropsCtx(ctx context.Context) error {
-	_ = ctx
-	return Exec() // want `calls ctx-free compat wrapper Exec, dropping the caller's cancellation`
-}
+// Package-level initialisers can hide a Background() too.
+var _ = work(context.Background()) // want `context\.Background\(\) in library code`
 
 func threadsCtx(ctx context.Context) error {
 	return work(ctx) // ok: ctx threaded through
-}
-
-// Closures capture the enclosing context, so calling a compat wrapper
-// from one still drops the caller's cancellation.
-func closureDropsCtx(ctx context.Context) func() error {
-	_ = ctx
-	return func() error {
-		return Exec() // want `calls ctx-free compat wrapper Exec`
-	}
 }
 
 func suppressed() error {

@@ -16,6 +16,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -243,7 +244,7 @@ func (e *Env) Meter() (*meterEnv, error) {
 
 	// RCFile warehouse with Compact-2D (regionId, ts), per Section 5.3.1.
 	m.WC = hive.NewWarehouse(dfs.New(s.BlockSize), clusterCfg, "/warehouse")
-	if _, err := m.WC.Exec(meterDDL(s.OtherMetrics, "RCFILE")); err != nil {
+	if _, err := m.WC.ExecContext(context.Background(), meterDDL(s.OtherMetrics, "RCFILE"), hive.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	tc, _ := m.WC.Table("meterdata")
@@ -285,7 +286,7 @@ func (e *Env) Meter() (*meterEnv, error) {
 }
 
 func loadMeter(w *hive.Warehouse, cfg workload.MeterConfig, rows []storage.Row) error {
-	if _, err := w.Exec(meterDDL(cfg.OtherMetrics, "TEXTFILE")); err != nil {
+	if _, err := w.ExecContext(context.Background(), meterDDL(cfg.OtherMetrics, "TEXTFILE"), hive.ExecOptions{}); err != nil {
 		return err
 	}
 	if err := w.LoadRowsByName("meterdata", rows); err != nil {
@@ -295,7 +296,7 @@ func loadMeter(w *hive.Warehouse, cfg workload.MeterConfig, rows []storage.Row) 
 }
 
 func loadUserInfo(w *hive.Warehouse, cfg workload.MeterConfig) error {
-	if _, err := w.Exec(`CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE userInfo (userId bigint, userName string, regionId bigint, address string)`, hive.ExecOptions{}); err != nil {
 		return err
 	}
 	return w.LoadRowsByName("userInfo", cfg.UserInfoRows())
@@ -328,7 +329,7 @@ func (e *Env) TPCH() (*tpchEnv, error) {
 	// DGFIndex warehouse: the paper's splitting policy (0.01 / 1.0 /
 	// 100 days) with the Q6 product pre-computed.
 	t.WDgf = hive.NewWarehouse(dfs.New(s.BlockSize), clusterCfg, "/warehouse")
-	if _, err := t.WDgf.Exec(lineitemDDL); err != nil {
+	if _, err := t.WDgf.ExecContext(context.Background(), lineitemDDL, hive.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	tl, _ := t.WDgf.Table("lineitem")
@@ -353,7 +354,7 @@ func (e *Env) TPCH() (*tpchEnv, error) {
 
 	// RCFile warehouse with Compact-2D and Compact-3D.
 	t.WC = hive.NewWarehouse(dfs.New(s.BlockSize), clusterCfg, "/warehouse")
-	if _, err := t.WC.Exec(lineitemDDL + " STORED AS RCFILE"); err != nil {
+	if _, err := t.WC.ExecContext(context.Background(), lineitemDDL+" STORED AS RCFILE", hive.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	tc, _ := t.WC.Table("lineitem")

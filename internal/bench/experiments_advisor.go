@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
@@ -72,7 +74,7 @@ func expAdvisor(e *Env) (*Report, error) {
 		cells = append(cells, v.Name, bytesHuman(tb.Dgf.SizeBytes()))
 		var rec5 int64
 		for _, k := range []selKind{selPoint, sel5, sel12} {
-			res, err := v.W.Exec(aggSQL(m.query(k)))
+			res, err := v.W.ExecContext(context.Background(), aggSQL(m.query(k)), hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}

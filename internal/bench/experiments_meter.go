@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -82,7 +83,7 @@ func expTab2(e *Env) (*Report, error) {
 	// Compact-3D on a throwaway RCFile copy (the paper built it once, found
 	// the index table as large as the base table, and dropped it).
 	w3 := hive.NewWarehouse(dfs.New(e.Scale.BlockSize), e.Base.Scaled(m.sf), "/warehouse")
-	if _, err := w3.Exec(meterDDL(e.Scale.OtherMetrics, "RCFILE")); err != nil {
+	if _, err := w3.ExecContext(context.Background(), meterDDL(e.Scale.OtherMetrics, "RCFILE"), hive.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	t3, _ := w3.Table("meterdata")
@@ -133,14 +134,14 @@ func expTab3(e *Env) (*Report, error) {
 		q := m.query(k)
 		sql := aggSQL(q)
 		// Compact.
-		res, err := m.WC.Exec(sql)
+		res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
 		compactCells = append(compactCells, count(res.Stats.RecordsRead))
 		// DGF variants.
 		for _, v := range m.dgfVariants() {
-			res, err := v.W.Exec(sql)
+			res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -197,13 +198,13 @@ func figAgg(id, ref string, k selKind) func(*Env) (*Report, error) {
 			return nil, err
 		}
 		for _, v := range m.dgfVariants() {
-			res, err := v.W.Exec(sql)
+			res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}
 			addQueryRow(r, "DGF-"+v.Name, res, scanSec)
 		}
-		res, err := m.WC.Exec(sql)
+		res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +221,7 @@ func figAgg(id, ref string, k selKind) func(*Env) (*Report, error) {
 }
 
 func addScanRow(r *Report, m *meterEnv, sql string) (float64, error) {
-	res, err := m.WScan.ExecOpts(sql, hive.ExecOptions{DisableIndexes: true})
+	res, err := m.WScan.ExecContext(context.Background(), sql, hive.ExecOptions{DisableIndexes: true})
 	if err != nil {
 		return 0, err
 	}
@@ -252,13 +253,13 @@ func expTab4(e *Env) (*Report, error) {
 	for _, k := range sels {
 		q := m.query(k)
 		sql := groupBySQL(q)
-		res, err := m.WC.Exec(sql)
+		res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
 		compactCells = append(compactCells, count(res.Stats.RecordsRead))
 		for _, v := range m.dgfVariants() {
-			res, err := v.W.Exec(sql)
+			res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -298,13 +299,13 @@ func figGroupBy(id, ref string, k selKind) func(*Env) (*Report, error) {
 			return nil, err
 		}
 		for _, v := range m.dgfVariants() {
-			res, err := v.W.Exec(sql)
+			res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}
 			addQueryRow(r, "DGF-"+v.Name, res, scanSec)
 		}
-		res, err := m.WC.Exec(sql)
+		res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -336,13 +337,13 @@ func figJoin(id, ref string, k selKind) func(*Env) (*Report, error) {
 			return nil, err
 		}
 		for _, v := range m.dgfVariants() {
-			res, err := v.W.Exec(sql)
+			res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}
 			addQueryRow(r, "DGF-"+v.Name, res, scanSec)
 		}
-		res, err := m.WC.Exec(sql)
+		res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -374,20 +375,20 @@ func expFig17(e *Env) (*Report, error) {
 	r := &Report{ID: "fig17", Title: "Partially specified query (userId unconstrained)", PaperRef: "Figure 17",
 		Header: []string{"system", "interval", "read index+other (s)", "read data+process (s)", "total (s)", "records"}}
 	for _, v := range m.dgfVariants() {
-		res, err := v.W.Exec(sql)
+		res, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
 		st := res.Stats
 		r.AddRow("DGF-precompute", v.Name, secs(st.IndexSimSec), secs(st.DataSimSec), secs(st.SimTotalSec()), count(st.RecordsRead))
-		resNo, err := v.W.ExecOpts(sql, hive.ExecOptions{Dgf: dgfNoPrecompute()})
+		resNo, err := v.W.ExecContext(context.Background(), sql, hive.ExecOptions{DisablePrecompute: true})
 		if err != nil {
 			return nil, err
 		}
 		stn := resNo.Stats
 		r.AddRow("DGF-noprecompute", v.Name, secs(stn.IndexSimSec), secs(stn.DataSimSec), secs(stn.SimTotalSec()), count(stn.RecordsRead))
 	}
-	res, err := m.WC.Exec(sql)
+	res, err := m.WC.ExecContext(context.Background(), sql, hive.ExecOptions{})
 	if err != nil {
 		return nil, err
 	}

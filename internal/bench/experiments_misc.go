@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -105,11 +106,11 @@ func expAblationPrecompute(e *Env) (*Report, error) {
 	for _, frac := range []float64{0.01, 0.03, 0.05, 0.08, 0.12, 0.20} {
 		q := m.cfg.Selective(frac)
 		sql := aggSQL(q)
-		with, err := m.WM.Exec(sql)
+		with, err := m.WM.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
-		without, err := m.WM.ExecOpts(sql, hive.ExecOptions{Dgf: dgfNoPrecompute()})
+		without, err := m.WM.ExecContext(context.Background(), sql, hive.ExecOptions{DisablePrecompute: true})
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +131,11 @@ func expAblationSliceSkip(e *Env) (*Report, error) {
 	sql := groupBySQL(q)
 	r := &Report{ID: "ablation-sliceskip", Title: "Slice-skipping ablation (5% group-by)", PaperRef: "DESIGN.md ablation 2",
 		Header: []string{"mode", "total (s)", "records read", "bytes read", "seeks"}}
-	normal, err := m.WM.Exec(sql)
+	normal, err := m.WM.ExecContext(context.Background(), sql, hive.ExecOptions{})
 	if err != nil {
 		return nil, err
 	}
-	noskip, err := m.WM.ExecOpts(sql, hive.ExecOptions{Dgf: dgfSliceSkipOff()})
+	noskip, err := m.WM.ExecContext(context.Background(), sql, hive.ExecOptions{DisableSliceSkip: true})
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func expAblationKVStore(e *Env) (*Report, error) {
 		entries := int64(t.Dgf.Entries())
 		for _, k := range []selKind{selPoint, sel5} {
 			q := m.query(k)
-			res, err := v.W.Exec(aggSQL(q))
+			res, err := v.W.ExecContext(context.Background(), aggSQL(q), hive.ExecOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 )
@@ -29,7 +31,7 @@ func expPartition(e *Env) (*Report, error) {
 	wp := hive.NewWarehouse(dfs.New(e.Scale.BlockSize), e.Base.Scaled(m.sf), "/warehouse")
 	ddl := meterDDL(e.Scale.OtherMetrics, "TEXTFILE")
 	ddl = ddl[:len(ddl)-len(" STORED AS TEXTFILE")] + " PARTITIONED BY (regionId) STORED AS TEXTFILE"
-	if _, err := wp.Exec(ddl); err != nil {
+	if _, err := wp.ExecContext(context.Background(), ddl, hive.ExecOptions{}); err != nil {
 		return nil, err
 	}
 	if err := wp.LoadRowsByName("meterdata", m.rows); err != nil {
@@ -41,17 +43,17 @@ func expPartition(e *Env) (*Report, error) {
 	for _, k := range []selKind{selPoint, sel5, sel12} {
 		q := m.query(k)
 		sql := aggSQL(q)
-		scan, err := m.WScan.ExecOpts(sql, hive.ExecOptions{DisableIndexes: true})
+		scan, err := m.WScan.ExecContext(context.Background(), sql, hive.ExecOptions{DisableIndexes: true})
 		if err != nil {
 			return nil, err
 		}
 		r.AddRow("ScanTable", k.String(), scan.Stats.AccessPath, secs(scan.Stats.SimTotalSec()), count(scan.Stats.RecordsRead))
-		part, err := wp.Exec(sql)
+		part, err := wp.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
 		r.AddRow("Partition(regionId)", k.String(), part.Stats.AccessPath, secs(part.Stats.SimTotalSec()), count(part.Stats.RecordsRead))
-		dgfRes, err := m.WM.Exec(sql)
+		dgfRes, err := m.WM.ExecContext(context.Background(), sql, hive.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}

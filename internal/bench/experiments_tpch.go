@@ -1,7 +1,8 @@
 package bench
 
 import (
-	"github.com/smartgrid-oss/dgfindex/internal/dgf"
+	"context"
+
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/hiveindex"
 	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
@@ -13,10 +14,6 @@ func init() {
 	register(Experiment{ID: "tab6", Title: "TPC-H records read (Q6)", PaperRef: "Table 6", Run: expTab6})
 	register(Experiment{ID: "fig18", Title: "TPC-H Q6 query time", PaperRef: "Figure 18", Run: expFig18})
 }
-
-func dgfNoPrecompute() dgf.PlanOptions { return dgf.PlanOptions{DisablePrecompute: true} }
-
-func dgfSliceSkipOff() dgf.PlanOptions { return dgf.PlanOptions{DisableSliceSkip: true} }
 
 func expTab5(e *Env) (*Report, error) {
 	t, err := e.TPCH()
@@ -44,7 +41,7 @@ func q6OnCompact(t *tpchEnv, ix *hiveindex.Index) (indexSec, dataSec float64, re
 	}
 	// The table reports what the chosen splits cost to read; the reader
 	// decodes and counts every row, so the map task has nothing to add.
-	stats, err := mapreduce.Run(t.WC.Cluster, &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), t.WC.Cluster, &mapreduce.Job{
 		Name:  "q6-" + ix.Name,
 		Input: ix.BaseInput(t.WC.FS, fr),
 		Map:   func(mapreduce.Record, mapreduce.Emit) error { return nil },
@@ -65,7 +62,7 @@ func expTab6(e *Env) (*Report, error) {
 	r := &Report{ID: "tab6", Title: "TPC-H records read (Q6)", PaperRef: "Table 6",
 		Header: []string{"index", "records read", "paper"}}
 
-	res, err := t.WC.ExecOpts(workload.Q6SQL, hive.ExecOptions{DisableIndexes: true})
+	res, err := t.WC.ExecContext(context.Background(), workload.Q6SQL, hive.ExecOptions{DisableIndexes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +83,7 @@ func expTab6(e *Env) (*Report, error) {
 	// (Table 6 reads slightly more than the accurate set), so the
 	// pre-computed product header is disabled here; the ablation
 	// experiment shows the header-assisted variant.
-	resDgf, err := t.WDgf.ExecOpts(workload.Q6SQL, hive.ExecOptions{Dgf: dgfNoPrecompute()})
+	resDgf, err := t.WDgf.ExecContext(context.Background(), workload.Q6SQL, hive.ExecOptions{DisablePrecompute: true})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +111,7 @@ func expFig18(e *Env) (*Report, error) {
 	// The scan baseline reads the RCFile copy — the same bytes the Compact
 	// variants scan — so the paper's "Compact slower than scanning" result
 	// is measured on equal footing.
-	resScan, err := t.WC.ExecOpts(workload.Q6SQL, hive.ExecOptions{DisableIndexes: true})
+	resScan, err := t.WC.ExecContext(context.Background(), workload.Q6SQL, hive.ExecOptions{DisableIndexes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +119,7 @@ func expFig18(e *Env) (*Report, error) {
 	r.AddRow("ScanTable", secs(resScan.Stats.IndexSimSec), secs(resScan.Stats.DataSimSec), secs(scanSec),
 		count(resScan.Stats.RecordsRead), "1.0x")
 
-	resDgf, err := t.WDgf.ExecOpts(workload.Q6SQL, hive.ExecOptions{Dgf: dgfNoPrecompute()})
+	resDgf, err := t.WDgf.ExecContext(context.Background(), workload.Q6SQL, hive.ExecOptions{DisablePrecompute: true})
 	if err != nil {
 		return nil, err
 	}

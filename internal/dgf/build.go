@@ -1,6 +1,7 @@
 package dgf
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -35,10 +36,8 @@ func (b BuildStats) SimTotalSec() float64 { return b.Job.SimTotalSec() + b.KVSim
 // written in the same format, so an index over an RCFile table records
 // row-group-granular slices.
 type Source struct {
-	// Dir is scanned for data files when Paths is empty.
+	// Dir holds the table's data files.
 	Dir string
-	// Paths selects explicit files.
-	Paths []string
 	// Format is the storage format of both the input files and the
 	// reorganised data (zero value: TextFile).
 	Format storage.Format
@@ -93,7 +92,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		return nil, nil, err
 	}
 	ix.recountGFUs() // pairs a previous index left in kv count, as they always did
-	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Paths: src.Paths, Format: src.Format, Schema: schema,
+	input := &mapreduce.FileInput{FS: fs, Dir: src.Dir, Format: src.Format, Schema: schema,
 		Project: ix.readColumns(src.Format, ix.dimCols)}
 	stats, err := ix.runBuildJob(cfg, input, true)
 	if err != nil {
@@ -240,7 +239,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			return nil
 		},
 	}
-	jobStats, err := mapreduce.Run(cfg, job)
+	jobStats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		// A failed run leaves no data behind: the files its finished reduce
 		// tasks wrote, and their sidecars, would be read by every full scan
@@ -447,7 +446,7 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 			return nil
 		},
 	}
-	stats, err := mapreduce.Run(cfg, job)
+	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package dgf
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -273,7 +274,7 @@ func gfuPairs(ix *Index) map[string]string {
 // — what count(*) over the table reads with indexes disabled.
 func fullScanCount(t *testing.T, ix *Index) int64 {
 	t.Helper()
-	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "count",
 		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema},
 		Map:   func(mapreduce.Record, mapreduce.Emit) error { return nil },

@@ -1,6 +1,7 @@
 package dgf
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -175,7 +176,7 @@ func scanSum(t *testing.T, ix *Index, plan *Plan, ranges map[string]gridfile.Ran
 	t.Helper()
 	var mu sync.Mutex
 	var sum float64
-	_, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	_, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "scan",
 		Input: &SliceInput{FS: ix.FS, Plan: plan, Format: ix.Format, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -445,7 +446,7 @@ func TestDisableSliceSkipReadsMore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var records int64
-		stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+		stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 			Name:  "scan",
 			Input: &SliceInput{FS: ix.FS, Plan: plan, Schema: ix.Schema},
 			Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -732,7 +733,7 @@ func TestQueryEquivalenceRandomised(t *testing.T) {
 func scanCount(t *testing.T, ix *Index, plan *Plan, ranges map[string]gridfile.Range) int64 {
 	t.Helper()
 	var count int64
-	_, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	_, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "count",
 		Input: &SliceInput{FS: ix.FS, Plan: plan, Schema: ix.Schema},
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -1110,7 +1111,7 @@ func TestRCFileBuildMatchesTextFile(t *testing.T) {
 	}
 
 	// Reader-reported bytes must equal the plan's exact attribution.
-	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "volume",
 		Input: &SliceInput{FS: rcIx.FS, Plan: rcPlan, Format: rcIx.Format, Schema: rcIx.Schema},
 		Map:   func(rec mapreduce.Record, emit mapreduce.Emit) error { return nil },

@@ -1,6 +1,7 @@
 package dgf
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -240,7 +241,7 @@ func TestReaderAccounting(t *testing.T) {
 	cfg := cluster.Default()
 	for _, tc := range cases {
 		var shapeErr error
-		stats, err := mapreduce.Run(cfg, &mapreduce.Job{
+		stats, err := mapreduce.RunContext(context.Background(), cfg, &mapreduce.Job{
 			Name:  tc.name,
 			Input: tc.in,
 			Map: func(rec mapreduce.Record, _ mapreduce.Emit) error {

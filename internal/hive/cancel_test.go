@@ -19,7 +19,7 @@ import (
 func setupManySplits(t testing.TB, w *Warehouse, rowsPerFile int) (files, totalRows int) {
 	t.Helper()
 	files = 4*runtime.GOMAXPROCS(0) + 8
-	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)

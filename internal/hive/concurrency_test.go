@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -11,7 +12,10 @@ import (
 // TestConcurrentSelectsDuringLoads hammers one shared Warehouse with
 // parallel COUNT(*) queries while a loader appends batches. Loads are
 // serialized as writers, so every query must observe a row count that is
-// exactly a batch boundary — any other value is a torn read.
+// exactly a batch boundary — any other value is a torn read. Half the
+// readers go through ExecContext, which holds the read lock for the whole
+// query, and half through SelectCursor, which plans under the lock and runs
+// its job after releasing it.
 func TestConcurrentSelectsDuringLoads(t *testing.T) {
 	w := testWarehouse(1 << 20)
 	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
@@ -28,12 +32,33 @@ func TestConcurrentSelectsDuringLoads(t *testing.T) {
 		valid[int64((k+1)*batch)] = true
 	}
 
+	const sql = `SELECT count(*) FROM meterdata`
+	stmt := mustParseSelect(t, sql)
+	count := func(ctx context.Context, cursor bool) (int64, error) {
+		if !cursor {
+			res, err := w.ExecContext(ctx, sql, ExecOptions{})
+			if err != nil {
+				return 0, err
+			}
+			return int64(res.Rows[0][0].AsFloat()), nil
+		}
+		cur, err := w.SelectCursor(ctx, stmt, ExecOptions{})
+		if err != nil {
+			return 0, err
+		}
+		defer cur.Close()
+		if !cur.Next() {
+			return 0, fmt.Errorf("cursor delivered no row: %v", cur.Err())
+		}
+		return int64(cur.Row()[0].AsFloat()), cur.Err()
+	}
+
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	stop := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(cursor bool) {
 			defer wg.Done()
 			for {
 				select {
@@ -41,18 +66,17 @@ func TestConcurrentSelectsDuringLoads(t *testing.T) {
 					return
 				default:
 				}
-				res, err := w.Exec(`SELECT count(*) FROM meterdata`)
+				n, err := count(context.Background(), cursor)
 				if err != nil {
 					errs <- err
 					return
 				}
-				n := int64(res.Rows[0][0].AsFloat())
 				if !valid[n] {
-					errs <- fmt.Errorf("torn read: count %d is not a batch boundary", n)
+					errs <- fmt.Errorf("torn read (cursor %v): count %d is not a batch boundary", cursor, n)
 					return
 				}
 			}
-		}()
+		}(g%2 == 1)
 	}
 
 	for k := 1; k <= batches; k++ {
@@ -71,9 +95,44 @@ func TestConcurrentSelectsDuringLoads(t *testing.T) {
 		t.Error(err)
 	}
 
-	res := mustExec(t, w, `SELECT count(*) FROM meterdata`)
+	res := mustExec(t, w, sql)
 	if got := int64(res.Rows[0][0].AsFloat()); got != int64((batches+1)*batch) {
 		t.Fatalf("final count = %d, want %d", got, (batches+1)*batch)
+	}
+}
+
+// TestPreparedSelectReadsOnlyPlannedFiles: a cursor plans under the read
+// lock and runs its job after releasing it. A file a load creates in that
+// window must not be read — dfs shows a file from Create on, so it may hold
+// half a line. The scan's file list is fixed when the plan is made.
+func TestPreparedSelectReadsOnlyPlannedFiles(t *testing.T) {
+	w := testWarehouse(1 << 20)
+	rows := setupMeterTable(t, w, 20, 2, 2)
+	stmt := mustParseSelect(t, `SELECT count(*) FROM meterdata`)
+
+	w.mu.RLock()
+	p, err := w.prepareSelectLocked(stmt, ExecOptions{}, nil)
+	w.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tbl, err := w.Table("meterdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := storage.AppendTextRow(nil, rows[0])
+	late := append(append([]byte{}, line...), line[:len(line)/2]...)
+	if err := w.FS.WriteFile(tbl.Dir+"/part-99999", late); err != nil {
+		t.Fatal(err)
+	}
+
+	pr, err := w.runPreparedSelect(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := int64(pr.Finalize(0).Rows[0][0].AsFloat()); got != int64(len(rows)) {
+		t.Fatalf("count = %d, want the %d rows planned against: the late file was read", got, len(rows))
 	}
 }
 
@@ -91,17 +150,15 @@ func TestConcurrentDDLAndQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				name := fmt.Sprintf("scratch_%d_%d", g, i)
-				if _, err := w.Exec(fmt.Sprintf("CREATE TABLE %s (a bigint, b double)", name)); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := w.Exec(`SELECT sum(powerConsumed) FROM meterdata WHERE userId >= 5`); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := w.Exec("DROP TABLE " + name); err != nil {
-					errs <- err
-					return
+				for _, sql := range []string{
+					fmt.Sprintf("CREATE TABLE %s (a bigint, b double)", name),
+					`SELECT sum(powerConsumed) FROM meterdata WHERE userId >= 5`,
+					"DROP TABLE " + name,
+				} {
+					if _, err := w.ExecContext(context.Background(), sql, ExecOptions{}); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}
 		}(g)
@@ -111,42 +168,38 @@ func TestConcurrentDDLAndQueries(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if names := w.TableNames(); len(names) != 1 || names[0] != "meterdata" {
-		t.Fatalf("leftover tables: %v", names)
+	res := mustExec(t, w, `SHOW TABLES`)
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "meterdata" {
+		t.Fatalf("leftover tables: %v", res.Rows)
 	}
 }
 
 // TestTableVersions checks the mutation counters the result cache keys on.
 func TestTableVersions(t *testing.T) {
 	w := testWarehouse(1 << 20)
-	if v := w.TableVersion("meterdata"); v != 0 {
+	version := func() uint64 { return w.TableVersions("meterdata")["meterdata"] }
+	if v := version(); v != 0 {
 		t.Fatalf("version before create = %d, want 0", v)
 	}
 	setupMeterTable(t, w, 10, 2, 1)
-	v1 := w.TableVersion("meterdata")
+	v1 := version()
 	if v1 == 0 {
 		t.Fatal("version after create+load still 0")
 	}
-	cat := w.CatalogVersion()
 	if err := w.LoadRowsByName("meterdata", meterRows(5, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if v2 := w.TableVersion("meterdata"); v2 != v1+1 {
+	if v2 := version(); v2 != v1+1 {
 		t.Fatalf("version after load = %d, want %d", v2, v1+1)
 	}
-	if w.CatalogVersion() != cat+1 {
-		t.Fatal("catalog version did not advance with load")
-	}
 	// Drop must not reset the counter: a recreated table continues it.
-	if err := w.DropTable("meterdata"); err != nil {
-		t.Fatal(err)
-	}
-	v3 := w.TableVersion("meterdata")
+	mustExec(t, w, `DROP TABLE meterdata`)
+	v3 := version()
 	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, x double)`)
-	if v4 := w.TableVersion("meterdata"); v4 <= v3 {
+	if v4 := version(); v4 <= v3 {
 		t.Fatalf("version after recreate = %d, want > %d", v4, v3)
 	}
-	vs := w.TableVersions("meterdata", "nosuch")
+	vs := w.TableVersions("MeterData", "nosuch")
 	if vs["meterdata"] == 0 || vs["nosuch"] != 0 {
 		t.Fatalf("TableVersions snapshot wrong: %v", vs)
 	}

@@ -13,7 +13,7 @@ import (
 
 // Cursor is an incremental view of one SELECT's result. Plain projections
 // stream rows as their batches are projected (row order is completion order,
-// not the source order of Exec); aggregations deliver their rows
+// not the source order of ExecContext); aggregations deliver their rows
 // once the reduce phase finalizes. A cursor over `LIMIT n` stops consuming
 // input at the next split boundary once n rows have been delivered, so a
 // limited scan reads strictly less data than a full one.

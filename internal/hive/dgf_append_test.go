@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -74,7 +75,7 @@ func TestDgfAppendTwiceIntoExistingCells(t *testing.T) {
 				if !strings.HasPrefix(idx.Stats.AccessPath, "dgfindex") {
 					t.Fatalf("%q: access path %q, want dgfindex", sql, idx.Stats.AccessPath)
 				}
-				scan, err := w.ExecOpts(sql, ExecOptions{DisableIndexes: true})
+				scan, err := w.ExecContext(context.Background(), sql, ExecOptions{DisableIndexes: true})
 				if err != nil {
 					t.Fatal(err)
 				}

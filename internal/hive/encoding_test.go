@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -156,7 +157,7 @@ func TestInAndNotEqualNeverUsePrecomputedHeaders(t *testing.T) {
 		if strings.Contains(idx.Stats.AccessPath, "precompute") {
 			t.Errorf("%q answered from precomputed headers despite a non-range predicate", sql)
 		}
-		scan, err := w.ExecOpts(sql, ExecOptions{DisableIndexes: true})
+		scan, err := w.ExecContext(context.Background(), sql, ExecOptions{DisableIndexes: true})
 		if err != nil {
 			t.Fatal(err)
 		}

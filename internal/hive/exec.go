@@ -69,35 +69,16 @@ type Result struct {
 	Message string
 }
 
-// ExecOptions tunes query execution (ablations).
+// ExecOptions tunes query execution (ablations); the zero value is the
+// paper's behaviour, and the only value the serving layer's result cache
+// keys represent.
 type ExecOptions struct {
 	// DisableIndexes forces full table scans.
 	DisableIndexes bool
-	// Dgf carries the DGFIndex planner ablation flags.
-	Dgf dgf.PlanOptions
-}
-
-// IsZero reports whether the options request default behaviour — the case
-// the serving layer's result cache keys can safely represent. (PlanOptions
-// carries a slice, so ExecOptions is not comparable with ==.)
-func (o ExecOptions) IsZero() bool {
-	return !o.DisableIndexes &&
-		!o.Dgf.DisablePrecompute && !o.Dgf.DisableSliceSkip && o.Dgf.Project == nil
-}
-
-// Exec parses and executes one HiveQL statement. It is ExecContext under
-// context.Background(): the statement always runs to completion.
-//
-//dgflint:compat ctx-free convenience wrapper; run-to-completion is the documented contract
-func (w *Warehouse) Exec(sql string) (*Result, error) {
-	return w.ExecContext(context.Background(), sql, ExecOptions{})
-}
-
-// ExecOpts is Exec with explicit options.
-//
-//dgflint:compat ctx-free convenience wrapper; run-to-completion is the documented contract
-func (w *Warehouse) ExecOpts(sql string, opts ExecOptions) (*Result, error) {
-	return w.ExecContext(context.Background(), sql, opts)
+	// DisablePrecompute and DisableSliceSkip are the DGFIndex planner
+	// ablations of the same names in dgf.PlanOptions.
+	DisablePrecompute bool
+	DisableSliceSkip  bool
 }
 
 // ExecContext parses and executes one HiveQL statement under ctx. A ctx that
@@ -124,7 +105,7 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 	}
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return w.SelectContext(ctx, s, opts)
+		return w.selectContext(ctx, s, opts)
 	case *ExplainStmt:
 		plan, err := w.Explain(s.Select, opts)
 		if err != nil {
@@ -238,12 +219,12 @@ func (w *Warehouse) createHiveIndexLocked(t *Table, s *CreateIndexStmt, kind hiv
 		kind, s.Name, ix.SizeBytes(w.FS), sec)}, nil
 }
 
-// SelectContext plans and executes a SELECT under ctx: a ctx that ends
+// selectContext plans and executes a SELECT under ctx: a ctx that ends
 // mid-scan aborts the job within one split boundary and returns the
 // (wrapped) ctx error. Plain SELECTs share the catalog read lock so any
 // number run in parallel; a SELECT with an INSERT OVERWRITE DIRECTORY sink
 // writes to the filesystem and is serialized as a writer.
-func (w *Warehouse) SelectContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
+func (w *Warehouse) selectContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	if stmt.InsertDir != "" {
 		w.mu.Lock()
 		defer w.mu.Unlock()
@@ -319,7 +300,7 @@ type pathChoice struct {
 // never been charged; and the slice-skip ablation reads whole splits, which
 // the plan's skip set does not describe.
 func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
-	pruneOK := !opts.Dgf.DisableSliceSkip && q.right == nil
+	pruneOK := !opts.DisableSliceSkip && q.right == nil
 	switch {
 	case !opts.DisableIndexes && q.left.Dgf != nil:
 		want := q.dgfWantSpecs()
@@ -336,9 +317,12 @@ func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
 		}
 		// Push the SELECT's referenced-column set into the planner so
 		// columnar slice reads fetch only those payloads.
-		planOpts := opts.Dgf
-		planOpts.Project = q.projection()
-		planOpts.ZoneSkip = pruneOK && q.left.Dgf.Format == storage.RCFile
+		planOpts := dgf.PlanOptions{
+			DisablePrecompute: opts.DisablePrecompute,
+			DisableSliceSkip:  opts.DisableSliceSkip,
+			Project:           q.projection(),
+			ZoneSkip:          pruneOK && q.left.Dgf.Format == storage.RCFile,
+		}
 		return pathChoice{kind: pathDgf, want: want, planOpts: planOpts, prune: planOpts.ZoneSkip}
 	case !opts.DisableIndexes && len(q.left.HiveIndexes) > 0:
 		if ix := q.pickHiveIndex(); ix != nil {
@@ -487,13 +471,7 @@ func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stre
 			// Full-scan double pruning: consult the zone maps under the lock
 			// (the same consultation EXPLAIN performs) and hand the readers
 			// the resulting skip set. choosePath prunes RCFile scans only.
-			files := scan.Paths
-			if files == nil {
-				if files, err = listFilePaths(w, scan.Dir); err != nil {
-					return nil, err
-				}
-			}
-			skips, _, err := scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges)
+			skips, _, err := scanGroupSkips(w.FS, scan.Paths, q.left.Schema, q.leftRanges)
 			if err != nil {
 				return nil, err
 			}
@@ -597,14 +575,17 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 	return pr, nil
 }
 
-// scanInputLocked builds the table-scan input (caller holds w.mu; partition
-// pruning reads the catalog), pruning partitions by the
-// predicate on the partition column (Hive's "coarse-grained index",
-// Section 2.2 of the paper).
+// scanInputLocked builds the table-scan input (caller holds w.mu), pruning
+// partitions by the predicate on the partition column (Hive's
+// "coarse-grained index", Section 2.2 of the paper). The input names its
+// files: a cursor runs the job after releasing the lock, and must read the
+// files the plan saw, not one a concurrent load is still writing.
 func (q *compiledQuery) scanInputLocked(w *Warehouse) (*mapreduce.FileInput, string, error) {
-	in := &mapreduce.FileInput{FS: w.FS, Dir: q.left.Dir, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection()}
+	in := &mapreduce.FileInput{FS: w.FS, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection()}
 	if q.left.PartitionBy == "" {
-		return in, "scan", nil
+		var err error
+		in.Paths, err = listFilePaths(w, q.left.Dir)
+		return in, "scan", err
 	}
 	var keep func(storage.Value) bool
 	if r, ok := q.leftRanges[strings.ToLower(q.left.PartitionBy)]; ok {
@@ -614,7 +595,7 @@ func (q *compiledQuery) scanInputLocked(w *Warehouse) (*mapreduce.FileInput, str
 	if err != nil {
 		return nil, "", err
 	}
-	in.Dir, in.Paths = "", files
+	in.Paths = files
 	return in, fmt.Sprintf("scan(partitions %d/%d)", kept, total), nil
 }
 

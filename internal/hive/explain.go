@@ -222,11 +222,6 @@ func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
 	}
 	ep.AccessPath = label
 	files := in.Paths
-	if files == nil {
-		if files, err = listFilePaths(w, in.Dir); err != nil {
-			return err
-		}
-	}
 	if in.Format != storage.RCFile {
 		for _, f := range files {
 			fi, err := w.FS.Stat(f)

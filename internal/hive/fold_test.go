@@ -215,7 +215,7 @@ func sameAggRows(got, want []storage.Row, exact func(col int) bool) error {
 func scanAggWarehouse(t testing.TB, scale int) (*Warehouse, int) {
 	t.Helper()
 	w := testWarehouse(int64(scale) << 16)
-	if _, err := w.Exec(`CREATE TABLE scanlog (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS RCFILE`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE scanlog (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS RCFILE`, ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := w.Table("scanlog")
@@ -238,10 +238,7 @@ func TestFoldShuffleBudget(t *testing.T) {
 	var splits [2]int
 	for i, scale := range []int{1, 4} {
 		w, rows := scanAggWarehouse(t, scale)
-		res, err := w.Exec(scanAggGroupBy)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustExec(t, w, scanAggGroupBy)
 		s := res.Stats
 		if s.RecordsRead != int64(rows) || len(res.Rows) != 8 {
 			t.Fatalf("scale %d: read %d of %d rows into %d groups, want all into 8", scale, s.RecordsRead, rows, len(res.Rows))
@@ -257,7 +254,7 @@ func TestFoldShuffleBudget(t *testing.T) {
 		}
 		splits[i] = s.Splits
 		allocs[i] = testing.AllocsPerRun(5, func() {
-			if _, err := w.Exec(scanAggGroupBy); err != nil {
+			if _, err := w.ExecContext(context.Background(), scanAggGroupBy, ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -281,7 +278,7 @@ func BenchmarkFullScanAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := w.Exec(sql)
+		res, err := w.ExecContext(context.Background(), sql, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -291,7 +288,7 @@ func BenchmarkFullScanAggregate(b *testing.B) {
 	}
 	b.StopTimer()
 	const ceiling = 2000
-	if allocs := testing.AllocsPerRun(3, func() { w.Exec(sql) }); allocs > ceiling {
+	if allocs := testing.AllocsPerRun(3, func() { w.ExecContext(context.Background(), sql, ExecOptions{}) }); allocs > ceiling {
 		b.Fatalf("%.0f allocs/op over %d rows, ceiling %d", allocs, rows, ceiling)
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")

@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -43,7 +44,7 @@ func meterRows(users, regions, days int) []storage.Row {
 
 func mustExec(t *testing.T, w *Warehouse, sql string) *Result {
 	t.Helper()
-	res, err := w.Exec(sql)
+	res, err := w.ExecContext(context.Background(), sql, ExecOptions{})
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}
@@ -134,10 +135,10 @@ func TestDDLAndCatalog(t *testing.T) {
 		t.Errorf("DESCRIBE = %v", res.Rows)
 	}
 	mustExec(t, w, "DROP TABLE a")
-	if _, err := w.Exec("DESCRIBE a"); err == nil {
+	if _, err := w.ExecContext(context.Background(), "DESCRIBE a", ExecOptions{}); err == nil {
 		t.Error("dropped table still described")
 	}
-	if _, err := w.Exec("CREATE TABLE b (x bigint)"); err == nil {
+	if _, err := w.ExecContext(context.Background(), "CREATE TABLE b (x bigint)", ExecOptions{}); err == nil {
 		t.Error("duplicate table accepted")
 	}
 }
@@ -363,7 +364,7 @@ func TestDisableIndexesOption(t *testing.T) {
 	w := testWarehouse(1 << 14)
 	setupMeterTable(t, w, 30, 3, 4)
 	createDgf(t, w)
-	res, err := w.ExecOpts(`SELECT count(*) FROM meterdata WHERE userId<10`, ExecOptions{DisableIndexes: true})
+	res, err := w.ExecContext(context.Background(), `SELECT count(*) FROM meterdata WHERE userId<10`, ExecOptions{DisableIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestCompileErrors(t *testing.T) {
 		`SELECT t2.x FROM meterdata t1 JOIN ghost t2 ON t1.userId=t2.userId`,
 	}
 	for _, sql := range bad {
-		if _, err := w.Exec(sql); err == nil {
+		if _, err := w.ExecContext(context.Background(), sql, ExecOptions{}); err == nil {
 			t.Errorf("Exec(%q) succeeded, want error", sql)
 		}
 	}
@@ -452,8 +453,8 @@ func TestDgfOnlyOnePerTable(t *testing.T) {
 	w := testWarehouse(1 << 16)
 	setupMeterTable(t, w, 10, 2, 2)
 	createDgf(t, w)
-	_, err := w.Exec(`CREATE INDEX idx2 ON TABLE meterdata(userId)
-		AS 'dgf' IDXPROPERTIES ('userId'='1_5')`)
+	_, err := w.ExecContext(context.Background(), `CREATE INDEX idx2 ON TABLE meterdata(userId)
+		AS 'dgf' IDXPROPERTIES ('userId'='1_5')`, ExecOptions{})
 	if err == nil || !strings.Contains(err.Error(), "only one") {
 		t.Errorf("second DGFIndex: %v", err)
 	}
@@ -468,8 +469,8 @@ func TestCreateDgfIndexRejectsUnknownProperties(t *testing.T) {
 	w := testWarehouse(1 << 16)
 	setupMeterTable(t, w, 10, 2, 2)
 	for _, p := range []struct{ key, value string }{{"precomptue", "sum(powerConsumed)"}, {"bitmap", "regionId"}} {
-		_, err := w.Exec(fmt.Sprintf(`CREATE INDEX idx_dgf ON TABLE meterdata(regionId, userId)
-			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_5', '%s'='%s')`, p.key, p.value))
+		_, err := w.ExecContext(context.Background(), fmt.Sprintf(`CREATE INDEX idx_dgf ON TABLE meterdata(regionId, userId)
+			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_5', '%s'='%s')`, p.key, p.value), ExecOptions{})
 		if err == nil || !strings.Contains(err.Error(), p.key) {
 			t.Errorf("CREATE INDEX with '%s': err = %v, want one naming the key", p.key, err)
 		}
@@ -651,8 +652,8 @@ func TestLoadRowsThroughDgfAppendRCFile(t *testing.T) {
 func TestCreateIndexBadFormatProperty(t *testing.T) {
 	w := testWarehouse(1 << 16)
 	setupMeterTable(t, w, 10, 2, 2)
-	_, err := w.Exec(`CREATE INDEX ic ON TABLE meterdata(userId) AS 'compact'
-		IDXPROPERTIES ('format'='orcfile')`)
+	_, err := w.ExecContext(context.Background(), `CREATE INDEX ic ON TABLE meterdata(userId) AS 'compact'
+		IDXPROPERTIES ('format'='orcfile')`, ExecOptions{})
 	if err == nil {
 		t.Fatal("unknown format accepted")
 	}

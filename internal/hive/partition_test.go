@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestPartitionedTableDDL(t *testing.T) {
 	if !strings.Contains(res.Message, "partitioned by regionId") {
 		t.Errorf("message = %q", res.Message)
 	}
-	if _, err := w.Exec(`CREATE TABLE bad (x bigint) PARTITIONED BY (ghost)`); err == nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE bad (x bigint) PARTITIONED BY (ghost)`, ExecOptions{}); err == nil {
 		t.Error("unknown partition column accepted")
 	}
 }
@@ -26,7 +27,9 @@ func TestPartitionedLoadAndLayout(t *testing.T) {
 	if err := w.LoadRowsByName("pm", rows); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := w.Partitions(tbl)
+	w.mu.RLock()
+	parts, err := w.partitionsLocked(tbl)
+	w.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +112,10 @@ func TestIndexesRejectPartitionedTables(t *testing.T) {
 	w := testWarehouse(1 << 16)
 	mustExec(t, w, `CREATE TABLE pm (userId bigint, regionId bigint, ts timestamp,
 		powerConsumed double) PARTITIONED BY (regionId)`)
-	if _, err := w.Exec(`CREATE INDEX i ON TABLE pm(userId) AS 'dgf' IDXPROPERTIES ('userId'='1_10')`); err == nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE INDEX i ON TABLE pm(userId) AS 'dgf' IDXPROPERTIES ('userId'='1_10')`, ExecOptions{}); err == nil {
 		t.Error("DGFIndex on partitioned table accepted")
 	}
-	if _, err := w.Exec(`CREATE INDEX i2 ON TABLE pm(userId) AS 'compact'`); err == nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE INDEX i2 ON TABLE pm(userId) AS 'compact'`, ExecOptions{}); err == nil {
 		t.Error("Compact index on partitioned table accepted")
 	}
 }
@@ -121,7 +124,9 @@ func TestPartitionsOnUnpartitionedTable(t *testing.T) {
 	w := testWarehouse(1 << 16)
 	mustExec(t, w, `CREATE TABLE plain (x bigint)`)
 	tbl, _ := w.Table("plain")
-	if _, err := w.Partitions(tbl); err == nil {
-		t.Error("Partitions on unpartitioned table succeeded")
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	if _, err := w.partitionsLocked(tbl); err == nil {
+		t.Error("partitionsLocked on unpartitioned table succeeded")
 	}
 }

@@ -81,7 +81,7 @@ func TestProjectOrderUnderReversedSplits(t *testing.T) {
 				}
 				sql := strings.Replace(shape.sql, "%s", p.table, 1)
 				key := stored + "/" + p.name + "/" + shape.name
-				res, err := w.ExecOpts(sql, p.opts)
+				res, err := w.ExecContext(context.Background(), sql, p.opts)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
@@ -163,15 +163,12 @@ func TestProjectAllocBudget(t *testing.T) {
 	const sql = `SELECT userId, ts, powerConsumed FROM scanlog WHERE powerConsumed >= 0`
 	const budget = 0.1 // allocations per qualifying row
 	w, rows := scanAggWarehouse(t, 1)
-	res, err := w.Exec(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustExec(t, w, sql)
 	if len(res.Rows) != rows {
 		t.Fatalf("projected %d of %d rows", len(res.Rows), rows)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := w.Exec(sql); err != nil {
+		if _, err := w.ExecContext(context.Background(), sql, ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -199,7 +196,7 @@ func TestAggregateIndexCountsRows(t *testing.T) {
 		if !strings.HasPrefix(got.Stats.AccessPath, "aggindex-rewrite:") {
 			t.Fatalf("%s: access path %q, want the rewrite", stored, got.Stats.AccessPath)
 		}
-		want, err := w.ExecOpts(sql, ExecOptions{DisableIndexes: true})
+		want, err := w.ExecContext(context.Background(), sql, ExecOptions{DisableIndexes: true})
 		if err != nil {
 			t.Fatal(err)
 		}

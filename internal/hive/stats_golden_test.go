@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -92,8 +92,8 @@ var goldenPaths = []struct {
 	{"scan", "g_scan", ExecOptions{}},
 	{"part", "g_part", ExecOptions{}},
 	{"dgf", "g_dgf", ExecOptions{}},
-	{"dgf-noskip", "g_dgf", ExecOptions{Dgf: dgf.PlanOptions{DisableSliceSkip: true}}},
-	{"dgf-nopre", "g_dgf", ExecOptions{Dgf: dgf.PlanOptions{DisablePrecompute: true}}},
+	{"dgf-noskip", "g_dgf", ExecOptions{DisableSliceSkip: true}},
+	{"dgf-nopre", "g_dgf", ExecOptions{DisablePrecompute: true}},
 	{"compact", "g_compact", ExecOptions{}},
 	{"bitmap", "g_bitmap", ExecOptions{}},
 	{"aggregate", "g_agg", ExecOptions{}},
@@ -129,7 +129,7 @@ func TestQueryStatsGolden(t *testing.T) {
 		for _, p := range goldenPaths {
 			for _, shape := range goldenShapes {
 				key := strings.ToLower(stored[:len(stored)-4]) + "/" + p.name + "/" + shape.name
-				res, err := w.ExecOpts(fmt.Sprintf(shape.sql, p.table), p.opts)
+				res, err := w.ExecContext(context.Background(), fmt.Sprintf(shape.sql, p.table), p.opts)
 				if err != nil {
 					t.Errorf("%s: %v", key, err)
 					continue

@@ -16,7 +16,7 @@ import (
 func (w *Warehouse) traceSelect(ctx context.Context, s *TraceStmt, opts ExecOptions) (*Result, error) {
 	root := trace.New("query")
 	root.Set("sql", "TRACE SELECT")
-	res, err := w.SelectContext(trace.NewContext(ctx, root), s.Select, opts)
+	res, err := w.selectContext(trace.NewContext(ctx, root), s.Select, opts)
 	root.Finish()
 	if err != nil {
 		return nil, err

@@ -21,8 +21,8 @@ import (
 // A Warehouse is safe for concurrent use: DDL and LOAD statements are
 // serialized as writers while SELECTs share a read lock, so any number of
 // queries run in parallel and each sees either all of a load or none of it.
-// Mutate tables only through Warehouse methods (or Exec); writing Table
-// fields directly is not synchronized.
+// Mutate tables only through Warehouse methods (HiveQL statements run through
+// ExecContext); writing Table fields directly is not synchronized.
 type Warehouse struct {
 	FS      *dfs.FS
 	Cluster *cluster.Config
@@ -35,7 +35,6 @@ type Warehouse struct {
 	// counter so that drop+recreate never repeats a version — cache keys
 	// built from versions stay unique across the table's whole history.
 	versions map[string]uint64
-	catalog  uint64
 }
 
 // Table is one catalog entry.
@@ -84,29 +83,12 @@ func NewWarehouse(fs *dfs.FS, cfg *cluster.Config, root string) *Warehouse {
 // bumpLocked records a mutation of the named table. Caller holds w.mu.
 func (w *Warehouse) bumpLocked(key string) {
 	w.versions[key]++
-	w.catalog++
-}
-
-// CatalogVersion returns a counter incremented by every catalog or data
-// mutation (DDL, LOAD, index build). Equal versions imply an identical
-// catalog state, so the value anchors coarse cache keys.
-func (w *Warehouse) CatalogVersion() uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.catalog
-}
-
-// TableVersion returns the named table's mutation counter (0 for a table
-// never touched). The counter survives DROP so recreated tables never reuse
-// a version.
-func (w *Warehouse) TableVersion(name string) uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.versions[strings.ToLower(name)]
 }
 
 // TableVersions snapshots the mutation counters of the named tables in one
-// consistent read (result cache keys combine several tables' versions).
+// consistent read (result cache keys combine several tables' versions). A
+// table never touched reads 0, and a counter survives DROP, so a recreated
+// table never reuses a version.
 func (w *Warehouse) TableVersions(names ...string) map[string]uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -173,13 +155,6 @@ func (w *Warehouse) TableInfos() []TableInfo {
 	return out
 }
 
-// CreateTable registers a new table and creates its directory.
-func (w *Warehouse) CreateTable(name string, schema *storage.Schema, format hiveindex.Format) (*Table, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.createTableLocked(name, schema, format)
-}
-
 func (w *Warehouse) createTableLocked(name string, schema *storage.Schema, format hiveindex.Format) (*Table, error) {
 	key := strings.ToLower(name)
 	if _, ok := w.tables[key]; ok {
@@ -229,13 +204,6 @@ func (w *Warehouse) TableSchema(name string) (*storage.Schema, error) {
 	return t.Schema, nil
 }
 
-// DropTable removes the table and its data.
-func (w *Warehouse) DropTable(name string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dropTableLocked(name)
-}
-
 func (w *Warehouse) dropTableLocked(name string) error {
 	key := strings.ToLower(name)
 	t, ok := w.tables[key]
@@ -245,13 +213,6 @@ func (w *Warehouse) dropTableLocked(name string) error {
 	delete(w.tables, key)
 	w.bumpLocked(key)
 	return w.FS.RemoveAll(t.Dir)
-}
-
-// TableNames lists the catalog, sorted.
-func (w *Warehouse) TableNames() []string {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.tableNamesLocked()
 }
 
 func (w *Warehouse) tableNamesLocked() []string {
@@ -339,13 +300,8 @@ func (w *Warehouse) loadPartitionedLocked(t *Table, rows []storage.Row) error {
 	return nil
 }
 
-// Partitions lists the table's partition values, sorted.
-func (w *Warehouse) Partitions(t *Table) ([]string, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.partitionsLocked(t)
-}
-
+// partitionsLocked lists the table's partition values, sorted. Caller holds
+// w.mu (either mode).
 func (w *Warehouse) partitionsLocked(t *Table) ([]string, error) {
 	if t.PartitionBy == "" {
 		return nil, fmt.Errorf("hive: table %q is not partitioned", t.Name)

@@ -1,6 +1,7 @@
 package hiveindex
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -188,7 +189,7 @@ func readBase(t *testing.T, in *mapreduce.FileInput) ([]baseRow, *mapreduce.Stat
 	t.Helper()
 	var mu sync.Mutex
 	var rows []baseRow
-	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "golden-base",
 		Input: in,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {

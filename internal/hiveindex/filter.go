@@ -1,6 +1,8 @@
 package hiveindex
 
 import (
+	"context"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,7 +108,7 @@ func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridf
 			return nil
 		},
 	}
-	stats, err := mapreduce.Run(cfg, job)
+	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		return nil, err
 	}
@@ -160,10 +162,17 @@ func (fr *FilterResult) RowFilter(path string, offset int64, row int) bool {
 // BaseInput builds the input format for the main query job over the base
 // table, with this filter applied the way the real index kind would:
 // Compact and Aggregate filter splits only; Bitmap additionally filters row
-// groups and rows (RCFile base tables only).
+// groups and rows (RCFile base tables only). The input names the matched
+// files rather than the base directory, so it reads the files the filter saw
+// even when it runs after a load has started writing a new one.
 func (ix *Index) BaseInput(fs *dfs.FS, fr *FilterResult) *mapreduce.FileInput {
+	files := make([]string, 0, len(fr.Files))
+	for f := range fr.Files {
+		files = append(files, f)
+	}
+	sort.Strings(files)
 	in := &mapreduce.FileInput{
-		FS: fs, Dir: ix.BaseDir, Format: ix.BaseFormat, Schema: ix.Schema,
+		FS: fs, Paths: files, Format: ix.BaseFormat, Schema: ix.Schema,
 		SplitFilter: fr.SplitFilter,
 	}
 	if ix.Kind == Bitmap {
@@ -229,7 +238,7 @@ func (ix *Index) AggregateCounts(cfg *cluster.Config, fs *dfs.FS, ranges map[str
 			return nil
 		},
 	}
-	stats, err := mapreduce.Run(cfg, job)
+	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,6 +27,7 @@
 package hiveindex
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -187,7 +188,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 		// group records the same offset: it keeps its duplicates.
 		job.Combine = func(key string, values [][]byte) [][]byte { return dedupe(values) }
 	}
-	stats, err := mapreduce.Run(cfg, job)
+	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package hiveindex
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -106,7 +107,7 @@ func countMatching(t *testing.T, input mapreduce.InputFormat, ranges map[string]
 	t.Helper()
 	schema := testSchema()
 	count := 0
-	_, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	_, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "probe",
 		Input: input,
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
@@ -164,7 +165,7 @@ func TestCompactOnRCFiltersSplitsOnly(t *testing.T) {
 	// Compact on RC does NOT filter row groups: the scan reads rows beyond
 	// the matches (userId 7 appears in every 50-row stripe, i.e. most
 	// groups, but the point is whole splits are read).
-	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "volume",
 		Input: input,
 		Map:   func(rec mapreduce.Record, emit mapreduce.Emit) error { return nil },
@@ -197,7 +198,7 @@ func TestBitmapFiltersRows(t *testing.T) {
 	}
 	input := ix.BaseInput(fs, fr)
 	// The bitmap reader must deliver exactly the matching rows.
-	stats, err := mapreduce.Run(testCfg(), &mapreduce.Job{
+	stats, err := mapreduce.RunContext(context.Background(), testCfg(), &mapreduce.Job{
 		Name:  "bitmap-scan",
 		Input: input,
 		Map:   func(rec mapreduce.Record, emit mapreduce.Emit) error { return nil },

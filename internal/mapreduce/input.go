@@ -48,9 +48,11 @@ func (s FileSplit) Label() string {
 // dgf.SliceInput enumerates multi-segment FileSplits and opens them here.
 type FileInput struct {
 	FS *dfs.FS
-	// Dir is scanned for data files when Paths is empty.
+	// Dir, when set, contributes every data file directly under it, listed
+	// when the job asks for its splits.
 	Dir string
-	// Paths selects explicit files.
+	// Paths names further files explicitly. With Dir empty they are the
+	// whole input, so an empty list reads nothing.
 	Paths []string
 	// Format is the files' storage format (zero value: TextFile).
 	Format storage.Format
@@ -80,7 +82,7 @@ type FileInput struct {
 // Splits implements InputFormat.
 func (in *FileInput) Splits() ([]InputSplit, error) {
 	var raw []dfs.Split
-	if len(in.Paths) == 0 {
+	if in.Dir != "" {
 		var err error
 		if raw, err = in.FS.DirSplits(in.Dir); err != nil {
 			return nil, err

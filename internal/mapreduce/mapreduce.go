@@ -227,18 +227,11 @@ type mapResult struct {
 	ran     bool
 }
 
-// Run executes the job and returns its statistics. It is RunContext under
-// context.Background(): the job always runs to completion.
-//
-//dgflint:compat ctx-free convenience wrapper; run-to-completion is the documented contract
-func Run(cfg *cluster.Config, job *Job) (*Stats, error) {
-	return RunContext(context.Background(), cfg, job)
-}
-
-// RunContext executes the job under ctx. Cancellation is honoured at split
-// granularity: a cancelled ctx stops the scheduler from handing out further
-// splits and lets the splits already running finish, so the abort lands
-// within one split boundary per worker. The returned error then wraps
+// RunContext executes the job under ctx and returns its statistics.
+// Cancellation is honoured at split granularity: a cancelled ctx stops the
+// scheduler from handing out further splits and lets the splits already
+// running finish, so the abort lands within one split boundary per worker.
+// The returned error then wraps
 // ctx.Err() and names the position the scan stopped at; the returned Stats
 // are non-nil and describe the work done before the abort (callers that
 // surface partial progress — a cursor reporting how far a cancelled scan

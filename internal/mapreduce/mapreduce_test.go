@@ -110,7 +110,7 @@ func TestWordCount(t *testing.T) {
 		NumReducers: 3,
 		Output:      col.Emit,
 	}
-	stats, err := Run(testCfg(), job)
+	stats, err := RunContext(context.Background(), testCfg(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	writeWords(t, fs, "/in/f", words)
 	run := func(combine CombineFunc) *Stats {
 		col := &collector{}
-		stats, err := Run(testCfg(), &Job{
+		stats, err := RunContext(context.Background(), testCfg(), &Job{
 			Name:  "combine",
 			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
@@ -240,7 +240,7 @@ func TestTaskMapperFoldsPerSplit(t *testing.T) {
 			return nil
 		}
 		job.Output = col.Emit
-		stats, err := Run(testCfg(), job)
+		stats, err := RunContext(context.Background(), testCfg(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestMapOnlyJob(t *testing.T) {
 	fs := dfs.New(64)
 	writeWords(t, fs, "/in/f", []string{"x", "y", "z"})
 	col := &collector{}
-	stats, err := Run(testCfg(), &Job{
+	stats, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "maponly",
 		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
@@ -305,7 +305,7 @@ func TestReduceTaskForm(t *testing.T) {
 	writeWords(t, fs, "/in/f", []string{"b", "a", "c", "a"})
 	var seenTasks []int
 	var keys []string
-	_, err := Run(testCfg(), &Job{
+	_, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "reducetask",
 		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
@@ -362,7 +362,7 @@ func TestSplitFilter(t *testing.T) {
 		t.Fatalf("filtering failed: %d of %d", len(fSplits), len(allSplits))
 	}
 	col := &collector{}
-	stats, err := Run(testCfg(), &Job{
+	stats, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "filtered",
 		Input: filtered,
 		Map: func(rec Record, emit Emit) error {
@@ -399,7 +399,7 @@ func TestFileInputRCRowRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := &collector{}
-	stats, err := Run(testCfg(), &Job{
+	stats, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "rcscan",
 		Input: &FileInput{FS: fs, Dir: "/rc", Format: storage.RCFile, Schema: schema},
 		Map: func(rec Record, emit Emit) error {
@@ -446,7 +446,7 @@ func TestFileInputGroupAndRowFilter(t *testing.T) {
 	}
 	keepGroup := offsets[1]
 	col := &collector{}
-	_, err = Run(testCfg(), &Job{
+	_, err = RunContext(context.Background(), testCfg(), &Job{
 		Name: "rcfiltered",
 		Input: &FileInput{
 			FS: fs, Dir: "/rc", Format: storage.RCFile, Schema: schema,
@@ -475,7 +475,7 @@ func TestFileInputGroupAndRowFilter(t *testing.T) {
 
 func TestJobValidation(t *testing.T) {
 	cfg := testCfg()
-	if _, err := Run(cfg, &Job{Name: "nil-input"}); err == nil {
+	if _, err := RunContext(context.Background(), cfg, &Job{Name: "nil-input"}); err == nil {
 		t.Error("job without input accepted")
 	}
 	fs := dfs.New(64)
@@ -487,16 +487,16 @@ func TestJobValidation(t *testing.T) {
 		Reduce:     func(k string, v [][]byte, e Emit) error { return nil },
 		ReduceTask: func(t int, g []Group, e Emit) error { return nil },
 	}
-	if _, err := Run(cfg, job); err == nil {
+	if _, err := RunContext(context.Background(), cfg, job); err == nil {
 		t.Error("job with both reduce forms accepted")
 	}
 	job.ReduceTask = nil
 	job.NewMapper = func() TaskMapper { return nil }
-	if _, err := Run(cfg, job); err == nil {
+	if _, err := RunContext(context.Background(), cfg, job); err == nil {
 		t.Error("job with both Map and NewMapper accepted")
 	}
 	job.Map, job.NewMapper = nil, nil
-	if _, err := Run(cfg, job); err == nil {
+	if _, err := RunContext(context.Background(), cfg, job); err == nil {
 		t.Error("job with neither Map nor NewMapper accepted")
 	}
 }
@@ -504,7 +504,7 @@ func TestJobValidation(t *testing.T) {
 func TestMapErrorPropagates(t *testing.T) {
 	fs := dfs.New(64)
 	writeWords(t, fs, "/in/f", []string{"x"})
-	_, err := Run(testCfg(), &Job{
+	_, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "maperr",
 		Input: textInput(fs, "/in"),
 		Map: func(rec Record, emit Emit) error {
@@ -525,7 +525,7 @@ func TestDeterministicOutput(t *testing.T) {
 	writeWords(t, fs, "/in/f", words)
 	runOnce := func() string {
 		col := &collector{}
-		_, err := Run(testCfg(), &Job{
+		_, err := RunContext(context.Background(), testCfg(), &Job{
 			Name:  "det",
 			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
@@ -576,7 +576,7 @@ func TestWordCountProperty(t *testing.T) {
 		}
 		tw.Close()
 		col := &collector{}
-		_, err := Run(testCfg(), &Job{
+		_, err := RunContext(context.Background(), testCfg(), &Job{
 			Name:  "prop",
 			Input: textInput(fs, "/in"),
 			Map: func(rec Record, emit Emit) error {
@@ -686,7 +686,7 @@ func TestStopEarly(t *testing.T) {
 	if stats.Splits == 0 || stats.InputRecords == 0 {
 		t.Fatalf("no work recorded: %+v", stats)
 	}
-	full, err := Run(testCfg(), &Job{
+	full, err := RunContext(context.Background(), testCfg(), &Job{
 		Name:  "full",
 		Input: textInput(fs, "/in"),
 		Map:   func(rec Record, emit Emit) error { return nil },

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -172,7 +173,7 @@ func TestShuffleOrderContract(t *testing.T) {
 
 	t.Run("Reduce", func(t *testing.T) {
 		var rec recorder
-		stats, err := Run(testCfg(), &Job{Name: "order-reduce", Input: in, Map: mapFn, Reduce: reduceInto(&rec), NumReducers: reducers})
+		stats, err := RunContext(context.Background(), testCfg(), &Job{Name: "order-reduce", Input: in, Map: mapFn, Reduce: reduceInto(&rec), NumReducers: reducers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestShuffleOrderContract(t *testing.T) {
 	t.Run("ReduceTask", func(t *testing.T) {
 		var mu sync.Mutex
 		var parts [reducers][]Group
-		_, err := Run(testCfg(), &Job{Name: "order-task", Input: in, Map: mapFn, NumReducers: reducers,
+		_, err := RunContext(context.Background(), testCfg(), &Job{Name: "order-task", Input: in, Map: mapFn, NumReducers: reducers,
 			ReduceTask: func(task int, groups []Group, emit Emit) error {
 				mu.Lock()
 				defer mu.Unlock()
@@ -208,7 +209,7 @@ func TestShuffleOrderContract(t *testing.T) {
 		var mu sync.Mutex
 		calls := map[[2]int][]Group{} // (split, partition) → calls in order
 		var rec recorder
-		_, err := Run(testCfg(), &Job{Name: "order-combine", Input: in, Map: mapFn, Reduce: reduceInto(&rec), NumReducers: reducers,
+		_, err := RunContext(context.Background(), testCfg(), &Job{Name: "order-combine", Input: in, Map: mapFn, Reduce: reduceInto(&rec), NumReducers: reducers,
 			Combine: func(key string, values [][]byte) [][]byte {
 				_, split, _ := bytes.Cut(values[0], []byte{1})
 				at := [2]int{int(split[0] - '0'), partitionOf(key, reducers)}

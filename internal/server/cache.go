@@ -209,10 +209,10 @@ func resultSizeBytes(key string, res *hive.Result) int64 {
 }
 
 // invalidateTables evicts every entry that read one of the named tables
-// (lower-cased) and returns how many were dropped.
-func (c *resultCache) invalidateTables(names []string) int {
+// (lower-cased).
+func (c *resultCache) invalidateTables(names []string) {
 	if len(names) == 0 {
-		return 0
+		return
 	}
 	doomed := map[string]bool{}
 	c.mu.Lock()
@@ -230,7 +230,6 @@ func (c *resultCache) invalidateTables(names []string) int {
 		return false
 	})
 	c.invalidations += int64(n)
-	return n
 }
 
 // CacheStats is the JSON-ready counter snapshot of one cache.

@@ -685,9 +685,10 @@ func TestDeadShardIs503(t *testing.T) {
 
 // TestLoadRejectsCellsTextCannotCarryOverHTTP: POST /load answers 400 — in
 // both body formats, with and without a WAL — for a string cell holding a
-// newline or a delimiter outside the last column, instead of accepting a row
-// that fails every later query of its table; the table stays readable, and a
-// delimiter in the last column loads.
+// newline or a delimiter outside the last column, or a timestamp outside the
+// years 0000-9999, instead of accepting a row that fails every later query
+// of its table; the table stays readable, and a delimiter in the last column
+// and a timestamp at the last second of 9999 load.
 func TestLoadRejectsCellsTextCannotCarryOverHTTP(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -700,23 +701,29 @@ func TestLoadRejectsCellsTextCannotCarryOverHTTP(t *testing.T) {
 			s, r := tc.mk(t, Config{})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
-			if _, err := r.ExecContext(context.Background(), `CREATE TABLE u (userId bigint, addr string, note string)`, hive.ExecOptions{}); err != nil {
+			if _, err := r.ExecContext(context.Background(), `CREATE TABLE u (userId bigint, addr string, ts timestamp, note string)`, hive.ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			for name, body := range map[string]string{
-				"delimiter": `{"table":"u","rows":[[1,"7 Elm Rd","ok"],[2,"12 Main St, Springfield","x"]]}`,
-				"newline":   `{"table":"u","rows":[[1,"7 Elm Rd","ok"],[2,"a","two\nlines"]]}`,
+				"delimiter":  `{"table":"u","rows":[[1,"7 Elm Rd",0,"ok"],[2,"12 Main St, Springfield",0,"x"]]}`,
+				"newline":    `{"table":"u","rows":[[1,"7 Elm Rd",0,"ok"],[2,"a",0,"two\nlines"]]}`,
+				"year 10000": `{"table":"u","rows":[[1,"7 Elm Rd",0,"ok"],[2,"a",253402300800,"x"]]}`,
 			} {
 				code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json", []byte(body))
 				if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "row 2") {
 					t.Errorf("%s: status %d %v, want 400 naming row 2", name, code, out)
 				}
 			}
-			if code, out := postLoad(t, ts.URL+"/load?table=u&sync=1", "text/csv", []byte("3,\"9 Oak Ave, Shelbyville\",x\n")); code != http.StatusBadRequest {
-				t.Errorf("csv delimiter: status %d %v, want 400", code, out)
+			for name, body := range map[string]string{
+				"delimiter":  "3,\"9 Oak Ave, Shelbyville\",0,x\n",
+				"year 10000": "3,a,253402300800,x\n",
+			} {
+				if code, out := postLoad(t, ts.URL+"/load?table=u&sync=1", "text/csv", []byte(body)); code != http.StatusBadRequest {
+					t.Errorf("csv %s: status %d %v, want 400", name, code, out)
+				}
 			}
 			if code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json",
-				[]byte(`{"table":"u","rows":[[4,"7 Elm Rd","rear door, ring twice"]]}`)); code != http.StatusOK {
+				[]byte(`{"table":"u","rows":[[4,"7 Elm Rd",253402300799,"rear door, ring twice"]]}`)); code != http.StatusOK {
 				t.Fatalf("delimiter in the last column: status %d %v, want 200", code, out)
 			}
 			res, err := s.Query(context.Background(), Request{SQL: `SELECT userId, addr, note FROM u`, NoCache: true})
@@ -725,6 +732,9 @@ func TestLoadRejectsCellsTextCannotCarryOverHTTP(t *testing.T) {
 			}
 			if rows := res.Result.Rows; len(rows) != 1 || rows[0][2].S != "rear door, ring twice" {
 				t.Errorf("table holds %v, want the one accepted row", res.Result.Rows)
+			}
+			if _, err := s.Query(context.Background(), Request{SQL: `SELECT ts, count(*) FROM u GROUP BY ts`, NoCache: true}); err != nil {
+				t.Errorf("grouping on the timestamp after the rejected loads: %v", err)
 			}
 		})
 	}

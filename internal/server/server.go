@@ -221,16 +221,12 @@ type Response struct {
 
 // Session carries per-session serving metrics.
 type Session struct {
-	id      string
-	created time.Time
-	m       *metricSet
+	id string
+	m  *metricSet
 }
 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
-
-// Created returns the session creation time.
-func (s *Session) Created() time.Time { return s.created }
 
 // Snapshot returns the session's metrics.
 func (s *Session) Snapshot() MetricsSnapshot { return s.m.snapshot() }
@@ -332,12 +328,6 @@ func (s *Server) WALError() error { return s.walErr }
 // WALStats snapshots the engine's per-shard per-replica positions.
 func (s *Server) WALStats() []wal.ShardStats { return s.b.WALStats() }
 
-// Backend returns the wrapped router.
-func (s *Server) Backend() Backend { return s.b }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // maxSessions bounds the session map: ids arrive from untrusted HTTP
 // parameters, and per-session metric sets must not grow memory (or the
 // /stats payload) without limit. Past the cap, new ids share one overflow
@@ -361,7 +351,7 @@ func (s *Server) Session(id string) *Session {
 				return sess
 			}
 		}
-		sess = &Session{id: id, created: time.Now(), m: newMetricSet()}
+		sess = &Session{id: id, m: newMetricSet()}
 		s.sessions[id] = sess
 	}
 	return sess
@@ -537,7 +527,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	// (SHOW TABLES, DESCRIBE) reference no versioned table — caching them
 	// could serve a stale catalog — and they cost nothing to re-run.
 	_, isSelect := stmt.(*hive.SelectStmt)
-	cacheable := readOnly && isSelect && !req.NoCache && req.Opts.IsZero() && s.cfg.CacheEntries > 0
+	cacheable := readOnly && isSelect && !req.NoCache && req.Opts == hive.ExecOptions{} && s.cfg.CacheEntries > 0
 
 	// Result cache. The key carries the read tables' versions as of *before*
 	// execution: versions only grow, so a hit proves no mutation happened
@@ -827,16 +817,6 @@ func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.R
 	}, nil
 }
 
-// Invalidate evicts cached results that read any of the named tables. Call
-// it after mutating the warehouse directly (not through the server).
-func (s *Server) Invalidate(tables ...string) int {
-	lowered := make([]string, len(tables))
-	for i, t := range tables {
-		lowered[i] = strings.ToLower(t)
-	}
-	return s.results.invalidateTables(lowered)
-}
-
 // Close stops admitting new queries and waits until every admitted query —
 // queued, running, or abandoned by a timed-out caller — has finished, or
 // until ctx expires (the context's error is returned and workers keep
@@ -896,8 +876,8 @@ type Snapshot struct {
 	Loads         int64   `json:"loads"`
 	RowsLoaded    int64   `json:"rows_loaded"`
 	// ResultInvalidations counts cached results evicted because a table
-	// they read mutated (LOAD, DDL, or explicit Invalidate) — the
-	// invalidation churn of the serving fleet.
+	// they read mutated (LOAD or DDL) — the invalidation churn of the
+	// serving fleet.
 	ResultInvalidations int64 `json:"result_invalidations"`
 	// SlowTraces counts flight-recorder records ever taken (including
 	// records the ring has since evicted).

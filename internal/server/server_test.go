@@ -28,7 +28,7 @@ func testWarehouse(t *testing.T) *hive.Warehouse {
 	cfg := cluster.Default()
 	cfg.Workers = 4
 	w := hive.NewWarehouse(dfs.New(1<<20), cfg, "/warehouse")
-	if _, err := w.Exec(`CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`); err != nil {
+	if _, err := w.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LoadRowsByName("meterdata", meterRows(1, 60, 4, 4)); err != nil {

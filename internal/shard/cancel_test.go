@@ -154,7 +154,7 @@ func TestShardExplainTruthful(t *testing.T) {
 	setupMeter(t, bare, testMeterConfig(), true)
 	sql := `EXPLAIN SELECT sum(powerConsumed) FROM meterdata WHERE userId>=2 AND userId<=9`
 	viaRouter := mustExec(t, one, sql)
-	viaBare, err := bare.Exec(sql)
+	viaBare, err := bare.ExecContext(context.Background(), sql, hive.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

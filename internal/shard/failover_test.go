@@ -108,7 +108,7 @@ func TestFailoverExecBrokenReplica(t *testing.T) {
 	want := mustExec(t, r, `SELECT count(*) FROM meterdata`)
 
 	// Break shard 1 replica 1: its scan now fails with a real error.
-	if err := r.Replica(1, 1).DropTable("meterdata"); err != nil {
+	if _, err := r.Replica(1, 1).ExecContext(context.Background(), "DROP TABLE meterdata", hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -513,7 +513,7 @@ func TestBroadcastErrorEnumeratesShards(t *testing.T) {
 	}
 	// Pre-create the table on shard 2 only: the broadcast CREATE then fails
 	// there and applies everywhere else.
-	if _, err := r.Shard(2).Exec(`CREATE TABLE t (userId bigint, v double)`); err != nil {
+	if _, err := r.Shard(2).ExecContext(context.Background(), `CREATE TABLE t (userId bigint, v double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = exec(r, `CREATE TABLE t (userId bigint, v double)`)
@@ -567,7 +567,7 @@ func TestReplicatedTableVersionConsistency(t *testing.T) {
 	if got != want {
 		t.Fatalf("TableInfos version %d != TableVersions %d for a replicated table", got, want)
 	}
-	if want <= r.Shard(0).TableVersion("regions")-1 {
+	if want <= r.Shard(0).TableVersions("regions")["regions"]-1 {
 		t.Fatalf("summed version %d not above one shard's counter", want)
 	}
 }

@@ -67,7 +67,7 @@ func runSuiteWarehouse(t *testing.T, w *hive.Warehouse) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	for _, q := range meterQuerySuite(testMeterConfig()) {
-		res, err := w.Exec(q)
+		res, err := w.ExecContext(context.Background(), q, hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -290,7 +290,7 @@ func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 	for si := 0; si < r.NumShards(); si++ {
 		var counts [2]string
 		for ri := 0; ri < 2; ri++ {
-			res, err := r.Replica(si, ri).Exec(`SELECT count(*), sum(powerConsumed) FROM meterdata`)
+			res, err := r.Replica(si, ri).ExecContext(context.Background(), `SELECT count(*), sum(powerConsumed) FROM meterdata`, hive.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -195,9 +195,6 @@ func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, erro
 	return r, nil
 }
 
-// Config returns the router's partitioning configuration.
-func (r *Router) Config() Config { return r.cfg }
-
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.sets) }
 

@@ -138,7 +138,7 @@ func TestShardSingleShardByteIdentical(t *testing.T) {
 	setupMeter(t, router, cfg, true)
 
 	for _, q := range meterQuerySuite(cfg) {
-		want, err := direct.Exec(q)
+		want, err := direct.ExecContext(context.Background(), q, hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
@@ -201,7 +201,7 @@ func runEquivalence(t *testing.T, cfg workload.MeterConfig, router *Router, with
 	setupMeter(t, router, cfg, withIndex)
 
 	for _, q := range meterQuerySuite(cfg) {
-		want, err := direct.Exec(q)
+		want, err := direct.ExecContext(context.Background(), q, hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}
@@ -454,7 +454,7 @@ func TestShardReplicatedTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < router.NumShards(); i++ {
-		res, err := router.Shard(i).Exec(`SELECT count(*) FROM regions`)
+		res, err := router.Shard(i).ExecContext(context.Background(), `SELECT count(*) FROM regions`, hive.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func TestShardReplicatedJoinShardedTable(t *testing.T) {
 		`SELECT count(*) FROM regions r JOIN meterdata m ON r.regionId = m.regionId`,
 		`SELECT r.name, sum(m.powerConsumed) FROM regions r JOIN meterdata m ON r.regionId = m.regionId GROUP BY r.name`,
 	} {
-		want, err := direct.Exec(q)
+		want, err := direct.ExecContext(context.Background(), q, hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}

@@ -71,7 +71,7 @@ func TestShardVectorisedFleetEquivalence(t *testing.T) {
 		}
 		sawSkips = sawSkips || vec.Stats.GroupsSkipped > 0
 
-		want, err := direct.Exec(q)
+		want, err := direct.ExecContext(context.Background(), q, hive.ExecOptions{})
 		if err != nil {
 			t.Fatalf("direct %q: %v", q, err)
 		}

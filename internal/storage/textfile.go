@@ -47,8 +47,15 @@ func AppendTextRow(dst []byte, row Row) []byte {
 // BY key, and a Compact/Aggregate index key, joins its cells' text with that
 // byte and splits it back to render the answer, so such a cell would shift
 // every cell after it and the group would come back with the wrong values.
+//
+// And it refuses a timestamp outside the years 0000-9999: the text renders
+// such a year with more than four digits ("10000-01-01"), which no decode
+// reads back.
 func CheckTextRow(row Row) error {
 	for i, v := range row {
+		if v.Kind == KindTime && (v.I < minLayoutUnix || v.I > maxLayoutUnix) {
+			return fmt.Errorf("storage: column %d: timestamp %d (Unix seconds) is outside the years 0000-9999 the text format can carry", i+1, v.I)
+		}
 		if v.Kind != KindString {
 			continue
 		}

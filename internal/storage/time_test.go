@@ -2,6 +2,8 @@ package storage
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -93,6 +95,41 @@ func TestParseValueTimeMatchesParseTime(t *testing.T) {
 		}
 		if sec, ok := parseTimeStr(in); ok && (wantErr != nil || sec != want.I) {
 			t.Errorf("parseTimeStr(%q) = %d, ParseTime gives %+v, %v", in, sec, want, wantErr)
+		}
+	}
+}
+
+// TestCheckTextRowTimestampBounds: the text format carries the years
+// 0000-9999 only, so CheckTextRow admits a timestamp at either bound — and
+// the row reads back — and refuses one a second past it, naming the cell. A
+// timestamp of year 10000 used to load and then fail every decode of its
+// column with `parse timestamp "10000-01-01"`.
+func TestCheckTextRowTimestampBounds(t *testing.T) {
+	schema := NewSchema(Column{Name: "id", Kind: KindInt64}, Column{Name: "ts", Kind: KindTime})
+	for _, c := range []struct {
+		sec int64
+		ok  bool
+	}{
+		{minLayoutUnix - 1, false},
+		{minLayoutUnix, true},
+		{maxLayoutUnix, true},
+		{maxLayoutUnix + 1, false},
+	} {
+		row := Row{Int64(1), TimeUnix(c.sec)}
+		err := CheckTextRow(row)
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "column 2") || !strings.Contains(err.Error(), strconv.FormatInt(c.sec, 10)) {
+				t.Errorf("CheckTextRow(ts=%d) = %v, want a refusal naming column 2 and the value", c.sec, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("CheckTextRow(ts=%d) = %v, want nil", c.sec, err)
+			continue
+		}
+		line := strings.TrimSuffix(string(AppendTextRow(nil, row)), "\n")
+		if got, err := DecodeTextRow(schema, line); err != nil || got[1] != row[1] {
+			t.Errorf("DecodeTextRow(%q) = %v, %v, want %v", line, got, err, row)
 		}
 	}
 }
