@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -36,7 +37,10 @@ type PlanOptions struct {
 }
 
 // Plan is the outcome of Algorithm 3: the pre-aggregated inner result (for
-// aggregation queries) and the Slices that must be scanned.
+// aggregation queries), the Slices that must be scanned and their read set.
+// Making it reads GFU pairs and the data files' side statistics, never table
+// data, so a warehouse's EXPLAIN renders the same Plan its execution then
+// binds to a SliceInput and runs.
 type Plan struct {
 	// Aggregation is true when the query was planned as a pre-computable
 	// aggregation: PreHeader then carries the inner region's result and
@@ -59,8 +63,9 @@ type Plan struct {
 	// projection pushed down will actually fetch. Equal to SliceBytes for
 	// TextFile data (no pushdown) and for full-width projections; strictly
 	// lower over RCFile data when the query references a column subset.
-	// Computed exactly from the reorganised files' per-group column
-	// statistics, so cost attribution matches the readers byte for byte.
+	// Computed exactly by PlanReads from the reorganised files' per-group
+	// column statistics, so cost attribution matches the readers byte for
+	// byte.
 	ProjectedBytes int64
 	// KVSimSeconds is the simulated index-access time of planning (the
 	// "read index" part of the paper's stacked bars).
@@ -105,7 +110,9 @@ func (ix *Index) findSpec(w AggSpec) int {
 // Plan runs Algorithm 3 for the given per-column ranges. Columns absent from
 // ranges are completed with the stored per-dimension data bounds (the
 // partially-specified-query rule of Section 5.3.4). wantAggs describes the
-// query's aggregations; pass nil for non-aggregation queries.
+// query's aggregations; pass nil for non-aggregation queries. The read set
+// comes from PlanReads over the plan's slices, the same planner a full scan
+// uses over whole files. Plan reads no table data.
 func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wantAggs []AggSpec, opts PlanOptions) (*Plan, error) {
 	// kvOps counts this plan's own store operations. Counting locally (not
 	// as a delta of the store's global counters) keeps the attributed
@@ -200,9 +207,11 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	if !fullProjection(opts.Project, ix.Schema.Len()) {
 		plan.Project = opts.Project
 	}
-	if err := ix.attributeProjectedBytes(plan, ranges, opts.ZoneSkip); err != nil {
+	rs, err := PlanReads(ix.FS, ix.Format, ix.Schema, plan.Slices, plan.Project, ranges, opts.ZoneSkip)
+	if err != nil {
 		return nil, err
 	}
+	plan.ProjectedBytes, plan.GroupsSkipped, plan.SkipGroups = rs.Bytes, rs.GroupsSkipped, rs.SkipGroups
 	plan.KVSimSeconds = kvOps.SimSeconds(cfg)
 	return plan, nil
 }
@@ -237,8 +246,8 @@ func fullProjection(project []bool, n int) bool {
 	return true
 }
 
-// ZoneDisjoint reports whether the zone [minV, maxV] cannot intersect r.
-func ZoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
+// zoneDisjoint reports whether the zone [minV, maxV] cannot intersect r.
+func zoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
 	if !r.LoUnbounded {
 		if c := storage.Compare(maxV, r.Lo); c < 0 || (c == 0 && r.LoOpen) {
 			return true
@@ -252,107 +261,118 @@ func ZoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
 	return false
 }
 
-// ZoneRange is a predicate range resolved to a schema column: what row-group
+// zoneRange is a predicate range resolved to a schema column: what row-group
 // pruning checks a group's zone map against.
-type ZoneRange struct {
-	Col  int
-	Kind storage.Kind
-	R    gridfile.Range
+type zoneRange struct {
+	col  int
+	kind storage.Kind
+	r    gridfile.Range
 }
 
-// ZoneRanges resolves per-column predicate ranges against schema, dropping
+// zoneRanges resolves per-column predicate ranges against schema, dropping
 // ranges on names the schema does not have.
-func ZoneRanges(schema *storage.Schema, ranges map[string]gridfile.Range) []ZoneRange {
-	var out []ZoneRange
+func zoneRanges(schema *storage.Schema, ranges map[string]gridfile.Range) []zoneRange {
+	var out []zoneRange
 	for name, r := range ranges {
 		if c := schema.ColIndex(name); c >= 0 {
-			out = append(out, ZoneRange{Col: c, Kind: schema.Col(c).Kind, R: r})
+			out = append(out, zoneRange{col: c, kind: schema.Col(c).Kind, r: r})
 		}
 	}
 	return out
 }
 
-// GroupDisjoint is the row-group pruning predicate, shared by the DGF planner
-// and the full-scan path so both prune identically from the same column
-// statistics: it reports whether some range misses its column's zone
-// [min, max] in the group, so no row of the group can match. A group without
-// a zone map, or a zone that does not parse, rules nothing out.
-func GroupDisjoint(stat storage.GroupStat, zones []ZoneRange) bool {
+// groupDisjoint is the row-group pruning predicate: it reports whether some
+// range misses its column's zone [min, max] in the group, so no row of the
+// group can match. A group without a zone map, or a zone that does not parse,
+// rules nothing out.
+func groupDisjoint(stat storage.GroupStat, zones []zoneRange) bool {
 	if !stat.HasZone() {
 		return false
 	}
 	for _, z := range zones {
-		if z.Col >= len(stat.Mins) {
+		if z.col >= len(stat.Mins) {
 			continue
 		}
-		minV, err1 := storage.ParseValue(z.Kind, stat.Mins[z.Col])
-		maxV, err2 := storage.ParseValue(z.Kind, stat.Maxs[z.Col])
-		if err1 == nil && err2 == nil && ZoneDisjoint(minV, maxV, z.R) {
+		minV, err1 := storage.ParseValue(z.kind, stat.Mins[z.col])
+		maxV, err2 := storage.ParseValue(z.kind, stat.Maxs[z.col])
+		if err1 == nil && err2 == nil && zoneDisjoint(minV, maxV, z.r) {
 			return true
 		}
 	}
 	return false
 }
 
-// attributeProjectedBytes computes Plan.ProjectedBytes: for TextFile data it
-// is the slice volume itself; for RCFile data it is derived, exactly, from
-// the per-group column statistics the build wrote next to each data file —
-// the same numbers the projected readers will report having fetched. With
-// zoneSkip set it additionally drops every row group whose zone map is
-// disjoint from a predicate range, recording the pruned groups in
-// plan.SkipGroups for the readers.
-func (ix *Index) attributeProjectedBytes(plan *Plan, ranges map[string]gridfile.Range, zoneSkip bool) error {
-	if ix.Format != storage.RCFile || (plan.Project == nil && !zoneSkip) {
-		// Full-width reads fetch the slices whole; the build's Cut
-		// invariant aligns every slice on row-group boundaries, so the
-		// slice volume already is the exact read volume — no need to
-		// touch the side statistics.
-		plan.ProjectedBytes = plan.SliceBytes
-		return nil
-	}
-	var zones []ZoneRange
-	if zoneSkip {
-		zones = ZoneRanges(ix.Schema, ranges)
-	}
-	type fileStats struct {
-		offsets []int64
-		groups  []storage.GroupStat
-	}
-	cache := map[string]*fileStats{}
-	for _, sl := range plan.Slices {
-		fs, ok := cache[sl.File]
-		if !ok {
-			offsets, err := storage.ReadGroupIndexCached(ix.FS, sl.File)
-			if err != nil {
-				return fmt.Errorf("dgf: plan: group index for %s: %w", sl.File, err)
-			}
-			groups, err := storage.ReadColStatsCached(ix.FS, sl.File)
-			if err != nil {
-				return fmt.Errorf("dgf: plan: column stats for %s: %w", sl.File, err)
-			}
-			fs = &fileStats{offsets: offsets, groups: groups}
-			cache[sl.File] = fs
+// ReadSet is what a scan of a list of slices will fetch: the exact byte
+// volume and the row groups zone maps prune before their payloads are read.
+type ReadSet struct {
+	// Bytes is the volume the readers will report having fetched.
+	Bytes int64
+	// GroupsSkipped counts the pruned row groups; their bytes are not in
+	// Bytes. SkipGroups records them as file → group-offset set, the form
+	// the readers consult.
+	GroupsSkipped int64
+	SkipGroups    map[string]map[int64]bool
+}
+
+// PlanReads is the one read-set planner, for the slices of a DGF plan and
+// for a full scan alike (one whole-file slice per file). For TextFile data
+// the volume is the slices' length. For RCFile data it is derived, exactly,
+// from the per-group column statistics written next to each data file, with
+// project (nil keeps every column) pushed down — the same numbers the readers
+// will report; with zoneSkip set, every row group whose zone map is disjoint
+// from a range is pruned. Only side files are read, never table data.
+func PlanReads(fs *dfs.FS, format storage.Format, schema *storage.Schema, slices []SliceLoc, project []bool, ranges map[string]gridfile.Range, zoneSkip bool) (ReadSet, error) {
+	var rs ReadSet
+	if format != storage.RCFile || (project == nil && !zoneSkip) {
+		// Full-width reads fetch the slices whole; the build's Cut invariant
+		// aligns every slice on row-group boundaries (and a whole file is a
+		// run of groups), so the slice volume already is the exact read
+		// volume — no need to touch the side statistics.
+		for _, sl := range slices {
+			rs.Bytes += sl.Len()
 		}
-		lo := sort.Search(len(fs.offsets), func(i int) bool { return fs.offsets[i] >= sl.Start })
-		hi := sort.Search(len(fs.offsets), func(i int) bool { return fs.offsets[i] >= sl.End })
-		for g := lo; g < hi && g < len(fs.groups); g++ {
-			if !GroupDisjoint(fs.groups[g], zones) {
-				plan.ProjectedBytes += fs.groups[g].ProjectedSize(plan.Project)
+		return rs, nil
+	}
+	var zones []zoneRange
+	if zoneSkip {
+		zones = zoneRanges(schema, ranges)
+	}
+	// Slices come grouped by file (a Plan's are sorted), so each file's side
+	// statistics are looked up once per run of its slices.
+	var file string
+	var offsets []int64
+	var groups []storage.GroupStat
+	for _, sl := range slices {
+		if sl.File != file {
+			var err error
+			if offsets, err = storage.ReadGroupIndexCached(fs, sl.File); err != nil {
+				return ReadSet{}, fmt.Errorf("dgf: plan: group index for %s: %w", sl.File, err)
+			}
+			if groups, err = storage.ReadColStatsCached(fs, sl.File); err != nil {
+				return ReadSet{}, fmt.Errorf("dgf: plan: column stats for %s: %w", sl.File, err)
+			}
+			file = sl.File
+		}
+		lo := sort.Search(len(offsets), func(i int) bool { return offsets[i] >= sl.Start })
+		hi := sort.Search(len(offsets), func(i int) bool { return offsets[i] >= sl.End })
+		for g := lo; g < hi && g < len(groups); g++ {
+			if !groupDisjoint(groups[g], zones) {
+				rs.Bytes += groups[g].ProjectedSize(project)
 				continue
 			}
-			plan.GroupsSkipped++
-			if plan.SkipGroups == nil {
-				plan.SkipGroups = map[string]map[int64]bool{}
+			rs.GroupsSkipped++
+			if rs.SkipGroups == nil {
+				rs.SkipGroups = map[string]map[int64]bool{}
 			}
-			fileSkips := plan.SkipGroups[sl.File]
+			fileSkips := rs.SkipGroups[sl.File]
 			if fileSkips == nil {
 				fileSkips = map[int64]bool{}
-				plan.SkipGroups[sl.File] = fileSkips
+				rs.SkipGroups[sl.File] = fileSkips
 			}
-			fileSkips[fs.offsets[g]] = true
+			fileSkips[offsets[g]] = true
 		}
 	}
-	return nil
+	return rs, nil
 }
 
 func lookupRange(ranges map[string]gridfile.Range, name string) (gridfile.Range, bool) {

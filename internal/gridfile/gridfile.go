@@ -237,25 +237,6 @@ func (p *Policy) AppendKey(buf []byte, cells []int64) []byte {
 	return buf
 }
 
-// ParseKey recovers cell coordinates from a GFUKey.
-func (p *Policy) ParseKey(key string) ([]int64, error) {
-	parts := strings.Split(key, KeySeparator)
-	// Time coordinates may themselves not contain the separator (dates use
-	// dashes), so a plain split is unambiguous.
-	if len(parts) != len(p.Dims) {
-		return nil, fmt.Errorf("gridfile: key %q has %d parts, want %d", key, len(parts), len(p.Dims))
-	}
-	cells := make([]int64, len(p.Dims))
-	for i, d := range p.Dims {
-		v, err := storage.ParseValue(d.Kind, parts[i])
-		if err != nil {
-			return nil, fmt.Errorf("gridfile: key %q part %d: %w", key, i, err)
-		}
-		cells[i] = d.CellOf(v)
-	}
-	return cells, nil
-}
-
 // Range is a per-dimension query constraint: Lo OP v OP Hi, where the OPs
 // are > / >= and < / <= according to the open flags. A nil-bound side is
 // expressed by Unbounded low/high values supplied by the caller (the planner

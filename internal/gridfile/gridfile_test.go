@@ -217,29 +217,6 @@ func TestParseDimensionForms(t *testing.T) {
 	}
 }
 
-func TestKeyParseRoundTrip(t *testing.T) {
-	min := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
-	p := &Policy{Dims: []Dimension{
-		{Name: "u", Kind: storage.KindInt64, Min: storage.Int64(1), IntervalI: 1000},
-		{Name: "d", Kind: storage.KindFloat64, Min: storage.Float64(0), IntervalF: 0.01},
-		DayInterval("ts", min, 1),
-	}}
-	cells := []int64{7, 3, 29}
-	key := p.Key(cells)
-	back, err := p.ParseKey(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cells {
-		if back[i] != cells[i] {
-			t.Errorf("cell %d: %d != %d (key %q)", i, back[i], cells[i], key)
-		}
-	}
-	if _, err := p.ParseKey("1"); err == nil {
-		t.Error("short key accepted")
-	}
-}
-
 func TestClampRead(t *testing.T) {
 	p := paperPolicy()
 	dec, _ := p.Decompose([]Range{

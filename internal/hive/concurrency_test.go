@@ -111,7 +111,7 @@ func TestPreparedSelectReadsOnlyPlannedFiles(t *testing.T) {
 	stmt := mustParseSelect(t, `SELECT count(*) FROM meterdata`)
 
 	w.mu.RLock()
-	p, err := w.prepareSelectLocked(stmt, ExecOptions{}, nil)
+	p, err := w.prepareSelectLocked(context.Background(), stmt, ExecOptions{})
 	w.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type Cursor interface {
 	// call to Next.
 	Row() storage.Row
 	// Columns returns the output column names. It blocks until the
-	// statement is compiled (immediately after the cursor opens, before any
+	// statement is planned (shortly after the cursor opens, before any table
 	// data is read).
 	Columns() []string
 	// Stats returns the query's cost breakdown: final stats after a
@@ -85,7 +85,7 @@ type streamCursor struct {
 	ch     chan storage.Row
 	cancel context.CancelFunc
 	done   chan struct{}
-	ready  chan struct{} // closed once cols is set (or compilation failed)
+	ready  chan struct{} // closed once cols is set (or planning failed)
 
 	readyOnce sync.Once
 	closed    atomic.Bool // caller called Close; suppress the self-inflicted ctx error
@@ -102,32 +102,33 @@ func (c *streamCursor) run(w *Warehouse, ctx context.Context, stmt *SelectStmt, 
 	start := time.Now()
 	limit := stmt.Limit
 	sent := 0
-	sink := &rowStream{
-		columns: func(cols []string) {
-			c.cols = cols
-			c.readyOnce.Do(func() { close(c.ready) })
-		},
-		row: func(row storage.Row) bool {
-			select {
-			case c.ch <- row:
-			case <-ctx.Done():
-				return false
-			}
-			sent++
-			return limit <= 0 || sent < limit
-		},
+	sink := func(row storage.Row) bool {
+		select {
+		case c.ch <- row:
+		case <-ctx.Done():
+			return false
+		}
+		sent++
+		return limit <= 0 || sent < limit
 	}
 
-	// Plan under the catalog lock, then release it before the job runs: the
-	// scan phase is paced by the consumer (possibly a slow HTTP client),
-	// and holding a read lock across it would let one stalled stream block
-	// every writer — and then every other query — on the warehouse. The
-	// job reads a snapshot of the file layout; a concurrent DROP surfaces
-	// as a read error through Err, never as a hang.
+	// Plan and bind under the catalog lock, then release it before the job
+	// runs: the scan phase is paced by the consumer (possibly a slow HTTP
+	// client), and holding a read lock across it would let one stalled
+	// stream block every writer — and then every other query — on the
+	// warehouse. Columns unblocks as soon as the plan is made. The job reads
+	// the files the plan named; a concurrent DROP surfaces as a read error
+	// through Err, never as a hang.
 	w.mu.RLock()
-	p, err := w.prepareSelectLocked(stmt, opts, sink)
+	sp, err := w.planSelectLocked(stmt, opts)
+	var p *preparedSelect
+	if err == nil {
+		c.cols = sp.q.columns()
+		c.readyOnce.Do(func() { close(c.ready) })
+		p, err = w.bindSelectLocked(ctx, sp)
+	}
 	w.mu.RUnlock()
-	c.readyOnce.Do(func() { close(c.ready) }) // compilation failed: unblock Columns
+	c.readyOnce.Do(func() { close(c.ready) }) // planning failed: unblock Columns
 	var pr *PartialResult
 	if err == nil {
 		pr, err = w.runPreparedSelect(ctx, p, sink)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hiveindex"
 	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
@@ -37,7 +38,7 @@ type QueryStats struct {
 	Seeks     int64
 	// GroupsSkipped counts the row groups zone maps pruned before their
 	// payloads were fetched (join-free RCFile scans and DGF plans only; see
-	// choosePath).
+	// planSelectLocked).
 	GroupsSkipped int64
 	// DictProbes counts dictionary binary searches the predicate kernels
 	// performed — each replaces a whole group's per-row string compares.
@@ -248,20 +249,11 @@ func (w *Warehouse) SelectPartialContext(ctx context.Context, stmt *SelectStmt, 
 	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	pr, err := w.selectPartialLocked(ctx, stmt, opts, nil)
+	pr, err := w.selectPartialLocked(ctx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
 	return pr, nil
-}
-
-// rowStream is the streaming half of a cursor-driven SELECT: columns fires
-// once after compilation (before any input is read), row receives each
-// output row of a plain projection as its batch is projected and stops the
-// scan by returning false. Calls to row are serialized.
-type rowStream struct {
-	columns func(cols []string)
-	row     func(r storage.Row) bool
 }
 
 // pathKind enumerates the access paths the planner can choose.
@@ -273,33 +265,57 @@ const (
 	pathScan
 )
 
-// pathChoice is the planner's access-path decision plus the inputs the
-// chosen path needs. Execution and EXPLAIN both consume this one decision,
-// which is what keeps the announced plan truthful: they cannot diverge on
-// which path runs.
-type pathChoice struct {
-	kind pathKind
-	// want/planOpts parameterize the DGF plan (pathDgf).
-	want     []dgf.AggSpec
-	planOpts dgf.PlanOptions
+// selectPlan is one SELECT planned under the catalog lock without reading
+// table data: compiled, access path chosen, the DGF plan made or the scan's
+// files listed, the read set known. EXPLAIN renders it and execution binds
+// it; both consume this one value, so the announced plan cannot diverge from
+// the executed one.
+type selectPlan struct {
+	q     *compiledQuery
+	start time.Time
+	path  pathKind
+	// accessPath is the label QueryStats and EXPLAIN report.
+	accessPath string
+	// plan is the DGF plan (pathDgf).
+	plan *dgf.Plan
 	// ix is the chosen Compact/Aggregate/Bitmap index (pathHiveIndex);
 	// aggRewrite marks the "index as data" rewrite.
 	ix         *hiveindex.Index
 	aggRewrite bool
+	// scan is the full-scan input (pathScan). It names its files: a cursor
+	// runs the job after releasing the lock, and must read the files the
+	// plan saw, not one a concurrent load is still writing.
+	scan *mapreduce.FileInput
 	// prune has the zone maps consulted so whole row groups are dropped
-	// before they are fetched.
+	// before they are fetched, and reads is the resulting read set. On the
+	// hive-index path reads.Bytes is -1: the base read set only exists once
+	// the index scan has run.
 	prune bool
+	reads dgf.ReadSet
+	// sideBytes is the broadcast join side's volume.
+	sideBytes int64
 }
 
-// choosePath decides the access path for a compiled query, and whether its
-// row groups are pruned. Every path runs the same executor; pruning is the
-// one thing that differs. It applies to join-free queries over RCFile data on
-// the DGF and full-scan paths. TextFile has no row groups; a pruned group
-// costs a simulated seek, which the cost model of a join or of the hive-index
-// path (Hive's own indexes filter splits, groups and rows, nothing finer) has
-// never been charged; and the slice-skip ablation reads whole splits, which
-// the plan's skip set does not describe.
-func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
+// planSelectLocked compiles the statement and decides its access path, and
+// whether its row groups are pruned. Every path runs the same executor;
+// pruning is the one thing that differs. It applies to join-free queries over
+// RCFile data on the DGF and full-scan paths. TextFile has no row groups; a
+// pruned group costs a simulated seek, which the cost model of a join or of
+// the hive-index path (Hive's own indexes filter splits, groups and rows,
+// nothing finer) has never been charged; and the slice-skip ablation reads
+// whole splits, which the plan's skip set does not describe. Planning reads
+// the index's key-value pairs and the data files' side statistics, never
+// table data. Caller holds w.mu.
+func (w *Warehouse) planSelectLocked(stmt *SelectStmt, opts ExecOptions) (*selectPlan, error) {
+	start := time.Now()
+	q, err := w.compileLocked(stmt)
+	if err != nil {
+		return nil, err
+	}
+	p := &selectPlan{q: q, start: start}
+	if q.right != nil {
+		p.sideBytes = w.tableSizeBytesLocked(q.right)
+	}
 	pruneOK := !opts.DisableSliceSkip && q.right == nil
 	switch {
 	case !opts.DisableIndexes && q.left.Dgf != nil:
@@ -315,26 +331,166 @@ func (q *compiledQuery) choosePath(opts ExecOptions) pathChoice {
 			// predicate rejects, so inner cells must be scanned and filtered.
 			want = nil
 		}
+		p.path = pathDgf
+		p.prune = pruneOK && q.left.Dgf.Format == storage.RCFile
 		// Push the SELECT's referenced-column set into the planner so
 		// columnar slice reads fetch only those payloads.
-		planOpts := dgf.PlanOptions{
+		p.plan, err = q.left.Dgf.Plan(w.Cluster, q.leftRanges, want, dgf.PlanOptions{
 			DisablePrecompute: opts.DisablePrecompute,
 			DisableSliceSkip:  opts.DisableSliceSkip,
 			Project:           q.projection(),
-			ZoneSkip:          pruneOK && q.left.Dgf.Format == storage.RCFile,
+			ZoneSkip:          p.prune,
+		})
+		if err != nil {
+			return nil, err
 		}
-		return pathChoice{kind: pathDgf, want: want, planOpts: planOpts, prune: planOpts.ZoneSkip}
+		p.accessPath = "dgfindex"
+		if p.plan.Aggregation {
+			p.accessPath = "dgfindex(precompute)"
+		}
+		p.reads = dgf.ReadSet{Bytes: p.plan.ProjectedBytes, GroupsSkipped: p.plan.GroupsSkipped, SkipGroups: p.plan.SkipGroups}
+		return p, nil
 	case !opts.DisableIndexes && len(q.left.HiveIndexes) > 0:
 		if ix := q.pickHiveIndex(); ix != nil {
-			return pathChoice{kind: pathHiveIndex, ix: ix, aggRewrite: q.canAggRewrite(ix)}
+			p.path, p.ix, p.aggRewrite = pathHiveIndex, ix, q.canAggRewrite(ix)
+			p.accessPath = "index:" + ix.Name
+			if p.aggRewrite {
+				p.accessPath = "aggindex-rewrite:" + ix.Name
+			}
+			p.reads.Bytes = -1
+			return p, nil
 		}
 	}
-	return pathChoice{kind: pathScan, prune: pruneOK && q.left.Format == hiveindex.RCFile}
+	p.path = pathScan
+	p.prune = pruneOK && q.left.Format == hiveindex.RCFile
+	var files []dfs.FileInfo
+	if files, p.accessPath, err = q.scanFilesLocked(w); err != nil {
+		return nil, err
+	}
+	p.scan = &mapreduce.FileInput{FS: w.FS, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection(),
+		Paths: make([]string, len(files))}
+	whole := make([]dgf.SliceLoc, len(files))
+	for i, f := range files {
+		p.scan.Paths[i] = f.Path
+		whole[i] = dgf.SliceLoc{File: f.Path, End: f.Size}
+	}
+	p.reads, err = dgf.PlanReads(w.FS, q.left.Format, q.left.Schema, whole, p.scan.Project, q.leftRanges, p.prune)
+	if err != nil {
+		return nil, err
+	}
+	if skips := p.reads.SkipGroups; len(skips) > 0 {
+		p.scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
+	}
+	return p, nil
 }
 
+// preparedSelect is a plan bound under the query's ctx, ready to run its
+// main query job: the hive-index filter or aggregate rewrite has run and the
+// join map is loaded, so the job touches no catalog state. Cursors run that
+// job after releasing the lock, so a consumer pacing a stream never blocks
+// writers; the job reads the files the plan named (the model filesystem is
+// internally synchronized), and a concurrent DROP surfaces as a read error,
+// not a hang.
+type preparedSelect struct {
+	*selectPlan
+	pr    *PartialResult
+	input mapreduce.InputFormat
+	// done marks a query answered entirely while binding (the aggregate-index
+	// rewrite): pr is complete, no job runs.
+	done bool
+	// joinMap is the broadcast join side's hash map: the rows the
+	// right-side predicates keep.
+	joinMap map[string][]storage.Row
+	// span is the query's warehouse span. It opens at the plan's start, so
+	// planning and binding are attributed to it, and the index scans binding
+	// runs are its children.
+	span *trace.Span
+}
+
+// prepareSelectLocked plans and binds one SELECT. Caller holds w.mu.
+func (w *Warehouse) prepareSelectLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*preparedSelect, error) {
+	p, err := w.planSelectLocked(stmt, opts)
+	if err != nil {
+		return nil, err
+	}
+	return w.bindSelectLocked(ctx, p)
+}
+
+// bindSelectLocked performs, under ctx, the steps of a plan that read index
+// tables or the join side: the hive-index Filter or the aggregate-index
+// rewrite, and the broadcast join map. Caller holds w.mu: the join table's
+// directory must not move under the read.
+func (w *Warehouse) bindSelectLocked(ctx context.Context, p *selectPlan) (_ *preparedSelect, err error) {
+	q := p.q
+	b := &preparedSelect{selectPlan: p, pr: &PartialResult{Columns: q.columns()}}
+	stats := &b.pr.Stats
+	stats.AccessPath = p.accessPath
+	b.span = trace.FromContext(ctx).ChildAt("warehouse", p.start)
+	b.span.Set("table", q.stmt.From.Table)
+	b.span.Set("access_path", p.accessPath)
+	defer func() {
+		if err != nil {
+			b.span.Finish()
+		}
+	}()
+	ctx = trace.NewContext(ctx, b.span)
+	switch p.path {
+	case pathDgf:
+		b.span.Set("gfu_slices", len(p.plan.Slices))
+		b.span.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
+		b.span.Set("projected_bytes", p.plan.ProjectedBytes)
+		stats.IndexSimSec = p.plan.KVSimSeconds
+		b.input = &dgf.SliceInput{FS: w.FS, Plan: p.plan, Format: q.left.Dgf.Format, Schema: q.left.Schema}
+	case pathHiveIndex:
+		if p.aggRewrite {
+			// Aggregate Index rewrite: covered GROUP BY count queries read
+			// the index table only. The per-group counts become partial
+			// COUNT state so the rewrite also merges across shards.
+			counts, st, err := p.ix.AggregateCounts(ctx, w.Cluster, w.FS, q.leftRanges, q.groupByNames())
+			if err != nil {
+				return nil, err
+			}
+			b.pr.Agg = q.layout().NewPartial()
+			for key, n := range counts {
+				accs := b.pr.Agg.Layout.newAccs()
+				for _, a := range q.aggs {
+					accs[a.slots[0]].Value = float64(n)
+					accs[a.slots[0]].N = n
+				}
+				b.pr.Agg.fold(key, accs)
+			}
+			stats.IndexSimSec = st.SimTotalSec()
+			stats.RecordsRead = st.InputRecords
+			stats.BytesRead = st.InputBytes
+			b.done = true
+			return b, nil
+		}
+		fr, err := p.ix.Filter(ctx, w.Cluster, w.FS, q.leftRanges)
+		if err != nil {
+			return nil, err
+		}
+		stats.IndexSimSec = fr.ScanStats.SimTotalSec()
+		base := p.ix.BaseInput(w.FS, fr)
+		base.Project = q.projection()
+		b.input = base
+	default:
+		b.input = p.scan
+	}
+	stats.Vectorized = true
+	if q.right != nil {
+		// Broadcast hash join: load the small side once (Hive's map-side
+		// join).
+		if b.joinMap, err = w.readJoinMap(ctx, q); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// selectLocked plans, binds and runs one SELECT under the catalog lock.
 func (w *Warehouse) selectLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	start := time.Now()
-	pr, err := w.selectPartialLocked(ctx, stmt, opts, nil)
+	pr, err := w.selectPartialLocked(ctx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -351,157 +507,29 @@ func (w *Warehouse) selectLocked(ctx context.Context, stmt *SelectStmt, opts Exe
 	return res, nil
 }
 
-// selectPartialLocked plans and runs one SELECT under the catalog lock.
-// stream, when non-nil and the query is a plain projection (no aggregates),
-// receives each output row as its batch is projected instead of the rows being
-// materialized into the PartialResult; a false return stops the scan at the
-// next split boundary (LIMIT cursors). On a mid-scan abort the returned
-// error wraps ctx.Err() and the PartialResult still carries the stats of
-// the work done so far — callers that want all-or-nothing semantics must
-// check the error first.
-func (w *Warehouse) selectPartialLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions, stream *rowStream) (*PartialResult, error) {
-	p, err := w.prepareSelectLocked(stmt, opts, stream)
+// selectPartialLocked plans, binds and runs one SELECT under the catalog
+// lock, returning its result in mergeable partial form.
+func (w *Warehouse) selectPartialLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
+	p, err := w.prepareSelectLocked(ctx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
-	return w.runPreparedSelect(ctx, p, stream)
+	return w.runPreparedSelect(ctx, p, nil)
 }
 
-// preparedSelect is a SELECT planned under the catalog lock — compiled,
-// access path chosen, index planning and filtering done — ready to run its
-// main query job. Cursors run that job after releasing the lock, so a
-// consumer pacing a stream never blocks writers; the job reads a snapshot
-// of the file layout (the model filesystem is internally synchronized), and
-// a concurrent DROP surfaces as a read error, not a hang.
-type preparedSelect struct {
-	q     *compiledQuery
-	pr    *PartialResult
-	input mapreduce.InputFormat
-	plan  *dgf.Plan
-	start time.Time
-	// done marks a query answered entirely during preparation (the
-	// aggregate-index rewrite): pr is complete, no job runs.
-	done bool
-	// sideBytes is the broadcast join side's volume and joinMap its loaded
-	// hash map (the rows the right-side predicates keep), both resolved
-	// under the lock so the job itself touches no catalog state.
-	sideBytes int64
-	joinMap   map[string][]storage.Row
-}
-
-// prepareSelectLocked compiles the statement, decides the access path via
-// choosePath (the same decision EXPLAIN reports), and performs every step
-// that must see a consistent catalog: DGF planning, hive-index filtering,
-// the aggregate-index rewrite, partition pruning. Caller holds w.mu.
-func (w *Warehouse) prepareSelectLocked(stmt *SelectStmt, opts ExecOptions, stream *rowStream) (*preparedSelect, error) {
-	start := time.Now()
-	q, err := w.compileLocked(stmt)
-	if err != nil {
-		return nil, err
-	}
-	pr := &PartialResult{}
-	for _, it := range q.items {
-		pr.Columns = append(pr.Columns, it.name)
-	}
-	if stream != nil && stream.columns != nil {
-		stream.columns(pr.Columns)
-	}
-	p := &preparedSelect{q: q, pr: pr, start: start}
+// runPreparedSelect executes the prepared query's main job and finishes its
+// warehouse span. It touches no catalog state, so callers may invoke it with
+// or without the lock held. stream, when non-nil and the query is a plain
+// projection (no aggregates), receives each output row as its batch is
+// projected instead of the rows being materialized into the PartialResult; a
+// false return stops the scan at the next split boundary (LIMIT cursors).
+// Calls to stream are serialized. On a mid-scan abort the returned error
+// wraps ctx.Err() and the PartialResult still carries the stats of the work
+// done so far — callers that want all-or-nothing semantics must check the
+// error first.
+func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, stream func(storage.Row) bool) (*PartialResult, error) {
+	q, pr, sp := p.q, p.pr, p.span
 	stats := &pr.Stats
-
-	choice := q.choosePath(opts)
-	switch choice.kind {
-	case pathDgf:
-		plan, err := q.left.Dgf.Plan(w.Cluster, q.leftRanges, choice.want, choice.planOpts)
-		if err != nil {
-			return nil, err
-		}
-		p.plan = plan
-		p.input = &dgf.SliceInput{
-			FS: w.FS, Plan: plan, Format: q.left.Dgf.Format,
-			Schema: q.left.Schema,
-		}
-		stats.IndexSimSec += plan.KVSimSeconds
-		stats.AccessPath = "dgfindex"
-		if plan.Aggregation {
-			stats.AccessPath = "dgfindex(precompute)"
-		}
-	case pathHiveIndex:
-		ix := choice.ix
-		// Aggregate Index rewrite: covered GROUP BY count queries read the
-		// index table only. The per-group counts become partial COUNT state
-		// so the rewrite also merges across shards.
-		if choice.aggRewrite {
-			if counts, st, ok := w.tryAggRewrite(q, ix); ok {
-				pr.Agg = q.layout().NewPartial()
-				for key, n := range counts {
-					accs := pr.Agg.Layout.newAccs()
-					for _, a := range q.aggs {
-						accs[a.slots[0]].Value = float64(n)
-						accs[a.slots[0]].N = n
-					}
-					pr.Agg.fold(key, accs)
-				}
-				stats.AccessPath = "aggindex-rewrite:" + ix.Name
-				stats.IndexSimSec = st.SimTotalSec()
-				stats.RecordsRead = st.InputRecords
-				stats.BytesRead = st.InputBytes
-				stats.Wall = time.Since(start)
-				p.done = true
-				return p, nil
-			}
-		}
-		fr, err := ix.Filter(w.Cluster, w.FS, q.leftRanges)
-		if err != nil {
-			return nil, err
-		}
-		stats.IndexSimSec += fr.ScanStats.SimTotalSec()
-		base := ix.BaseInput(w.FS, fr)
-		base.Project = q.projection()
-		p.input = base
-		stats.AccessPath = "index:" + ix.Name
-	default:
-		var scan *mapreduce.FileInput
-		scan, stats.AccessPath, err = q.scanInputLocked(w)
-		if err != nil {
-			return nil, err
-		}
-		p.input = scan
-		if choice.prune {
-			// Full-scan double pruning: consult the zone maps under the lock
-			// (the same consultation EXPLAIN performs) and hand the readers
-			// the resulting skip set. choosePath prunes RCFile scans only.
-			skips, _, err := scanGroupSkips(w.FS, scan.Paths, q.left.Schema, q.leftRanges)
-			if err != nil {
-				return nil, err
-			}
-			if len(skips) > 0 {
-				scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
-			}
-		}
-	}
-	stats.Vectorized = true
-	if q.right != nil {
-		p.sideBytes = w.tableSizeBytesLocked(q.right)
-		// Broadcast hash join: load the small side once (Hive's map-side
-		// join) while the catalog is stable — the join table's directory
-		// must not move under us.
-		p.joinMap, err = w.readJoinMap(q)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// runPreparedSelect executes the prepared query's main job. It touches no
-// catalog state, so callers may invoke it with or without the lock held.
-func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, stream *rowStream) (*PartialResult, error) {
-	q, pr := p.q, p.pr
-	stats := &pr.Stats
-	// The warehouse span opens at the prepare timestamp so planning time is
-	// attributed here, not lost between the parent span and this one.
-	sp := trace.FromContext(ctx).ChildAt("warehouse", p.start)
 	defer func() {
 		sp.Set("records_read", stats.RecordsRead)
 		sp.Set("bytes_read", stats.BytesRead)
@@ -521,22 +549,12 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 		}
 		sp.Finish()
 	}()
-	sp.Set("table", q.stmt.From.Table)
-	sp.Set("access_path", stats.AccessPath)
-	if p.plan != nil {
-		sp.Set("gfu_slices", len(p.plan.Slices))
-		sp.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
-		sp.Set("projected_bytes", p.plan.ProjectedBytes)
-	}
 	if p.done {
+		stats.Wall = time.Since(p.start)
 		return pr, nil
 	}
 	ctx = trace.NewContext(ctx, sp)
-	var rowSink func(storage.Row) bool
-	if stream != nil {
-		rowSink = stream.row
-	}
-	jobStats, rows, agg, err := w.runQueryJob(ctx, p, rowSink)
+	jobStats, rows, agg, err := w.runQueryJob(ctx, p, stream)
 	if err != nil {
 		// A cancelled scan still reports how far it got (cursors surface
 		// this as partial stats); the result itself is the error.
@@ -575,17 +593,14 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, st
 	return pr, nil
 }
 
-// scanInputLocked builds the table-scan input (caller holds w.mu), pruning
-// partitions by the predicate on the partition column (Hive's
-// "coarse-grained index", Section 2.2 of the paper). The input names its
-// files: a cursor runs the job after releasing the lock, and must read the
-// files the plan saw, not one a concurrent load is still writing.
-func (q *compiledQuery) scanInputLocked(w *Warehouse) (*mapreduce.FileInput, string, error) {
-	in := &mapreduce.FileInput{FS: w.FS, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection()}
+// scanFilesLocked lists the files a table scan reads (caller holds w.mu),
+// pruning partitions by the predicate on the partition column (Hive's
+// "coarse-grained index", Section 2.2 of the paper), and the access-path
+// label that reports the pruning.
+func (q *compiledQuery) scanFilesLocked(w *Warehouse) ([]dfs.FileInfo, string, error) {
 	if q.left.PartitionBy == "" {
-		var err error
-		in.Paths, err = listFilePaths(w, q.left.Dir)
-		return in, "scan", err
+		files, err := w.FS.ListFiles(q.left.Dir)
+		return files, "scan", err
 	}
 	var keep func(storage.Value) bool
 	if r, ok := q.leftRanges[strings.ToLower(q.left.PartitionBy)]; ok {
@@ -595,8 +610,7 @@ func (q *compiledQuery) scanInputLocked(w *Warehouse) (*mapreduce.FileInput, str
 	if err != nil {
 		return nil, "", err
 	}
-	in.Paths = files
-	return in, fmt.Sprintf("scan(partitions %d/%d)", kept, total), nil
+	return files, fmt.Sprintf("scan(partitions %d/%d)", kept, total), nil
 }
 
 // pickHiveIndex returns the first index whose dimensions intersect the
@@ -657,22 +671,14 @@ func (q *compiledQuery) canAggRewrite(ix *hiveindex.Index) bool {
 	return true
 }
 
-// tryAggRewrite applies the Aggregate Index "index as data" rewrite when
-// the query is a covered GROUP BY count, returning raw per-group counts for
-// the caller to fold into partial state.
-func (w *Warehouse) tryAggRewrite(q *compiledQuery, ix *hiveindex.Index) (map[string]int64, *mapreduce.Stats, bool) {
-	if !q.canAggRewrite(ix) {
-		return nil, nil, false
+// groupByNames lists the GROUP BY column names, the dimensions the
+// aggregate-index rewrite groups by.
+func (q *compiledQuery) groupByNames() []string {
+	names := make([]string, len(q.stmt.GroupBy))
+	for i, g := range q.stmt.GroupBy {
+		names[i] = g.Name
 	}
-	var groupCols []string
-	for _, g := range q.stmt.GroupBy {
-		groupCols = append(groupCols, g.Name)
-	}
-	counts, stats, err := ix.AggregateCounts(w.Cluster, w.FS, q.leftRanges, groupCols)
-	if err != nil {
-		return nil, nil, false
-	}
-	return counts, stats, true
+	return names
 }
 
 // runQueryJob executes the main MapReduce job of the query and returns its
@@ -732,8 +738,9 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 // readJoinMap loads the join's (small) right table into a hash map keyed by
 // the join column, the broadcast side of Hive's map-side join. The table is
 // read through the same batch reader as any scan, the right-side kernels run
-// once over each batch, and only the rows they keep enter the map.
-func (w *Warehouse) readJoinMap(q *compiledQuery) (map[string][]storage.Row, error) {
+// once over each batch, and only the rows they keep enter the map. A ctx that
+// ends stops the read at the next split.
+func (w *Warehouse) readJoinMap(ctx context.Context, q *compiledQuery) (map[string][]storage.Row, error) {
 	t := q.right
 	in := &mapreduce.FileInput{FS: w.FS, Dir: t.Dir, Format: t.Format, Schema: t.Schema}
 	splits, err := in.Splits()
@@ -742,6 +749,9 @@ func (w *Warehouse) readJoinMap(q *compiledQuery) (map[string][]storage.Row, err
 	}
 	out := map[string][]storage.Row{}
 	for _, split := range splits {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("hive: join side not read: %w", err)
+		}
 		r, err := in.Open(split)
 		if err != nil {
 			return nil, err

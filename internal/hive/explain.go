@@ -11,10 +11,10 @@ import (
 // ExplainPlan is the structured outcome of EXPLAIN SELECT: the access path
 // the executor will choose, the exact data volume the chosen path will
 // fetch, and — when produced by a shard router — the shard target set. Every
-// field is derived from the same planning code the executor runs, so a plan
-// followed immediately by the real execution reports matching numbers
-// (AccessPath equals QueryStats.AccessPath; ProjectedBytes, where known,
-// equals QueryStats.BytesRead).
+// field is rendered from the plan the executor binds, so a plan followed
+// immediately by the real execution reports matching numbers (AccessPath
+// equals QueryStats.AccessPath; ProjectedBytes, where known, equals
+// QueryStats.BytesRead).
 type ExplainPlan struct {
 	// Table is the FROM table; JoinTable the broadcast side, if any.
 	Table     string `json:"table"`
@@ -134,134 +134,61 @@ func (p *ExplainPlan) Render() *Result {
 	return res
 }
 
-// Explain plans the SELECT without executing it, reporting the access path
-// and read volume the immediately following execution would have. It runs
-// the same compilation and (for DGF tables) the same index planning as the
-// executor — index KV reads happen, data reads do not.
+// Explain plans the SELECT without executing it and renders the plan: the
+// same plan value the executor binds, so the access path and read volume it
+// reports are those of the immediately following execution. Planning reads
+// index key-value pairs and side statistics; EXPLAIN reads no table data and
+// runs no index-table scan.
 func (w *Warehouse) Explain(stmt *SelectStmt, opts ExecOptions) (*ExplainPlan, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.explainLocked(stmt, opts)
-}
-
-func (w *Warehouse) explainLocked(stmt *SelectStmt, opts ExecOptions) (*ExplainPlan, error) {
-	q, err := w.compileLocked(stmt)
+	p, err := w.planSelectLocked(stmt, opts)
 	if err != nil {
 		return nil, err
 	}
+	return w.explainLocked(p)
+}
+
+// explainLocked renders a plan. The broadcast join side is read in full
+// alongside any access path whose volume is known.
+func (w *Warehouse) explainLocked(p *selectPlan) (*ExplainPlan, error) {
+	q := p.q
 	ep := &ExplainPlan{
 		Table:            q.left.Name,
 		Format:           q.left.Format.String(),
+		AccessPath:       p.accessPath,
 		ProjectedColumns: projectedColumnNames(q),
-		Limit:            stmt.Limit,
+		ProjectedBytes:   p.reads.Bytes,
+		GroupPruning:     p.prune,
+		GroupsSkipped:    p.reads.GroupsSkipped,
+		Limit:            q.stmt.Limit,
 	}
 	if q.right != nil {
 		ep.JoinTable = q.right.Name
+		if ep.ProjectedBytes >= 0 {
+			ep.ProjectedBytes += p.sideBytes
+		}
 	}
-
-	// The access path comes from choosePath — the same decision the
-	// executor consumes in prepareSelectLocked — so the announced plan and
-	// the executed plan cannot diverge.
-	choice := q.choosePath(opts)
-	ep.GroupPruning = choice.prune
-	switch choice.kind {
-	case pathDgf:
-		plan, err := q.left.Dgf.Plan(w.Cluster, q.leftRanges, choice.want, choice.planOpts)
-		if err != nil {
-			return nil, err
-		}
-		ep.AccessPath = "dgfindex"
-		if plan.Aggregation {
-			ep.AccessPath = "dgfindex(precompute)"
-		}
-		ep.PrecomputeHit = plan.Aggregation
-		ep.GFUSlices = len(plan.Slices)
-		ep.InnerCells, ep.BoundaryCells, ep.MissingCells = plan.InnerCells, plan.BoundaryCells, plan.MissingCells
-		ep.ProjectedBytes = plan.ProjectedBytes
-		ep.GroupsSkipped = plan.GroupsSkipped
+	// Encodings are a property of the files the path reads from: the
+	// scan's, or every file of the DGF's reorganised data.
+	var files []string
+	if p.scan != nil && p.scan.Format == storage.RCFile {
+		files = p.scan.Paths
+	}
+	if pl := p.plan; pl != nil {
+		ep.PrecomputeHit = pl.Aggregation
+		ep.GFUSlices = len(pl.Slices)
+		ep.InnerCells, ep.BoundaryCells, ep.MissingCells = pl.InnerCells, pl.BoundaryCells, pl.MissingCells
 		if q.left.Dgf.Format == storage.RCFile {
-			files, err := listFilePaths(w, q.left.Dgf.DataDir)
-			if err != nil {
-				return nil, err
-			}
-			if ep.EncodedColumns, err = encodedColumnNames(w, files, q.left.Schema); err != nil {
+			var err error
+			if files, err = listFilePaths(w, q.left.Dgf.DataDir); err != nil {
 				return nil, err
 			}
 		}
-	case pathHiveIndex:
-		if choice.aggRewrite {
-			ep.AccessPath = "aggindex-rewrite:" + choice.ix.Name
-		} else {
-			ep.AccessPath = "index:" + choice.ix.Name
-		}
-		// The base read set (matched offsets) only exists once the index
-		// scan has run; the volume is unknowable without executing.
-		ep.ProjectedBytes = -1
-	default:
-		if err := w.explainScanLocked(q, ep); err != nil {
-			return nil, err
-		}
 	}
-
-	// The broadcast join side is read in full alongside any access path.
-	if q.right != nil && ep.ProjectedBytes >= 0 {
-		ep.ProjectedBytes += w.tableSizeBytesLocked(q.right)
-	}
-	return ep, nil
-}
-
-// explainScanLocked fills the plan for the full-scan path, computing the
-// exact read volume: per-row-group (projected) column stats for RCFile, file
-// sizes for TextFile. TextFile volumes are exact when splits align with
-// files (always, below one block per file); a split boundary mid-file adds
-// the few re-read bytes of the boundary line.
-func (w *Warehouse) explainScanLocked(q *compiledQuery, ep *ExplainPlan) error {
-	in, label, err := q.scanInputLocked(w)
-	if err != nil {
-		return err
-	}
-	ep.AccessPath = label
-	files := in.Paths
-	if in.Format != storage.RCFile {
-		for _, f := range files {
-			fi, err := w.FS.Stat(f)
-			if err != nil {
-				return err
-			}
-			ep.ProjectedBytes += fi.Size
-		}
-		return nil
-	}
-	// A pruned scan drops zone-disjoint row groups, so their bytes never hit
-	// the readers: exclude them here the same way prepareSelectLocked's skip
-	// set excludes them from execution.
-	var skips map[string]map[int64]bool
-	if ep.GroupPruning {
-		skips, ep.GroupsSkipped, err = scanGroupSkips(w.FS, files, q.left.Schema, q.leftRanges)
-		if err != nil {
-			return err
-		}
-	}
-	for _, f := range files {
-		stats, err := storage.ReadColStatsCached(w.FS, f)
-		if err != nil {
-			return err
-		}
-		var offsets []int64
-		if len(skips[f]) > 0 {
-			if offsets, err = storage.ReadGroupIndexCached(w.FS, f); err != nil {
-				return err
-			}
-		}
-		for gi, g := range stats {
-			if offsets != nil && gi < len(offsets) && skips[f][offsets[gi]] {
-				continue
-			}
-			ep.ProjectedBytes += g.ProjectedSize(in.Project)
-		}
-	}
+	var err error
 	ep.EncodedColumns, err = encodedColumnNames(w, files, q.left.Schema)
-	return err
+	return ep, err
 }
 
 func listFilePaths(w *Warehouse, dir string) ([]string, error) {

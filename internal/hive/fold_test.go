@@ -56,7 +56,7 @@ func execReversed(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Res
 	stmt := mustParseSelect(t, sql)
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	p, err := w.prepareSelectLocked(stmt, opts, nil)
+	p, err := w.prepareSelectLocked(context.Background(), stmt, opts)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}

@@ -112,8 +112,18 @@ func (q *compiledQuery) projection() []bool {
 	return out
 }
 
+// columns lists the output column names.
+func (q *compiledQuery) columns() []string {
+	cols := make([]string, len(q.items))
+	for i, it := range q.items {
+		cols[i] = it.name
+	}
+	return cols
+}
+
 // compileLocked resolves names, folds the WHERE conjunction into per-column
-// ranges, and binds aggregates to accumulator slots. Caller holds w.mu.
+// ranges (WhereRanges), and binds aggregates to accumulator slots. Caller
+// holds w.mu.
 func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 	left, err := w.tableLocked(stmt.From.Table)
 	if err != nil {
@@ -123,7 +133,7 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		stmt:        stmt,
 		left:        left,
 		leftRef:     stmt.From,
-		leftRanges:  map[string]gridfile.Range{},
+		leftRanges:  WhereRanges(stmt, left.Schema),
 		rangesExact: true,
 		leftRefCols: map[int]bool{},
 	}
@@ -151,7 +161,7 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		}
 	}
 
-	// WHERE: compile kernels and accumulate index ranges for left columns.
+	// WHERE: one kernel per comparison.
 	for _, cmp := range stmt.Where {
 		if err := q.compileComparison(cmp); err != nil {
 			return nil, err
@@ -261,9 +271,9 @@ func (q *compiledQuery) compileExpr(e Expr) (cexpr, string, storage.Kind, error)
 }
 
 // compileComparison lowers one WHERE comparison: its literals coerce to the
-// column kind once, the kernel joins its side's predicate list, and a
-// left-table constraint folds into the index range map — an IN set as its
-// bounding box (exact for one value, a sound superset otherwise).
+// column kind once and the kernel joins its side's predicate list. The
+// comparison's range is WhereRanges' to fold; what is recorded here is
+// whether that fold stays exact.
 func (q *compiledQuery) compileComparison(cmp Comparison) error {
 	s, idx, kind, err := q.resolveCol(cmp.Col)
 	if err != nil {
@@ -292,21 +302,9 @@ func (q *compiledQuery) compileComparison(cmp Comparison) error {
 	if cmp.Op == "!=" || len(vals) > 1 {
 		// != never folds into a range, and a bounding box admits values
 		// between the set's members: leftRanges describes a superset of the
-		// conjunction from here on.
+		// conjunction.
 		q.rangesExact = false
 	}
-	if s == sideRight || cmp.Op == "!=" {
-		return nil
-	}
-	r := boundingBox(vals)
-	if !in {
-		r = rangeFromOp(cmp.Op, vals[0])
-	}
-	name := strings.ToLower(q.left.Schema.Col(idx).Name)
-	if prev, ok := q.leftRanges[name]; ok {
-		r = prev.Intersect(r)
-	}
-	q.leftRanges[name] = r
 	return nil
 }
 
@@ -508,10 +506,12 @@ func (q *compiledQuery) layout() AggLayout {
 }
 
 // WhereRanges folds the WHERE conjunction of stmt into per-column ranges
-// over the FROM table's schema; literals coerce to the column kind.
-// Predicates on the join side, on unknown columns, or using != are skipped
-// (they never narrow a range). The shard router uses this to prune shards
-// without compiling the full query.
+// over the FROM table's schema; literals coerce to the column kind and an IN
+// set folds to its bounding box (exact for one value, a sound superset
+// otherwise). Predicates on the join side, on unknown columns, or using !=
+// are skipped (they never narrow a range). It is the one range fold: the
+// compiler takes the index ranges from it, and the shard router prunes shards
+// with it without compiling the full query.
 func WhereRanges(stmt *SelectStmt, schema *storage.Schema) map[string]gridfile.Range {
 	out := map[string]gridfile.Range{}
 	for _, cmp := range stmt.Where {

@@ -133,7 +133,7 @@ func refExec(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Result {
 func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	p, err := w.prepareSelectLocked(stmt, opts, nil)
+	p, err := w.prepareSelectLocked(context.Background(), stmt, opts)
 	if err != nil {
 		return nil, err
 	}

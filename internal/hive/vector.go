@@ -5,9 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"github.com/smartgrid-oss/dgfindex/internal/dfs"
-	"github.com/smartgrid-oss/dgfindex/internal/dgf"
-	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -16,9 +13,7 @@ import (
 // selection vector, and rows are only materialised for the positions that
 // survive every kernel. Each kernel reproduces storage.Compare of the cell
 // against the coerced literal(s) exactly (the tests hold every operator and
-// vector shape to that per-row reference). The file also holds the zone-map
-// consultation the full-scan path uses to drop whole row groups before their
-// payloads are fetched.
+// vector shape to that per-row reference).
 //
 // Kernels are encoding-aware. A dictionary column is never expanded to
 // per-row strings: the literal is binary-searched in the group's sorted
@@ -304,42 +299,4 @@ func genericInFilter(v *storage.ColumnVector, vals []storage.Value, sel []int) [
 		}
 	}
 	return out
-}
-
-// scanGroupSkips consults the per-row-group zone maps of the given RCFile
-// data files and returns, per file, the start offsets of the groups whose
-// zones are disjoint from a predicate range, plus the total number of such
-// groups. Files whose column statistics predate zone maps contribute nothing
-// (their groups are never skipped), so results stay correct on mixed data.
-func scanGroupSkips(fs *dfs.FS, files []string, schema *storage.Schema, ranges map[string]gridfile.Range) (map[string]map[int64]bool, int64, error) {
-	zones := dgf.ZoneRanges(schema, ranges)
-	if len(zones) == 0 {
-		return nil, 0, nil
-	}
-	var skips map[string]map[int64]bool
-	var skipped int64
-	for _, f := range files {
-		stats, err := storage.ReadColStatsCached(fs, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		offsets, err := storage.ReadGroupIndexCached(fs, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		for g, stat := range stats {
-			if g >= len(offsets) || !dgf.GroupDisjoint(stat, zones) {
-				continue
-			}
-			if skips == nil {
-				skips = map[string]map[int64]bool{}
-			}
-			if skips[f] == nil {
-				skips[f] = map[int64]bool{}
-			}
-			skips[f][offsets[g]] = true
-			skipped++
-		}
-	}
-	return skips, skipped, nil
 }

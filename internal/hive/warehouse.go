@@ -322,9 +322,9 @@ func (w *Warehouse) partitionsLocked(t *Table) ([]string, error) {
 }
 
 // partitionFilesLocked returns the data files of the partitions whose value
-// satisfies keep (nil keeps all), plus how many partitions were pruned.
-// Caller holds w.mu (either mode).
-func (w *Warehouse) partitionFilesLocked(t *Table, keep func(storage.Value) bool) (files []string, kept, total int, err error) {
+// satisfies keep (nil keeps all), plus how many partitions were kept of how
+// many. Caller holds w.mu (either mode).
+func (w *Warehouse) partitionFilesLocked(t *Table, keep func(storage.Value) bool) (files []dfs.FileInfo, kept, total int, err error) {
 	vals, err := w.partitionsLocked(t)
 	if err != nil {
 		return nil, 0, 0, err
@@ -345,9 +345,7 @@ func (w *Warehouse) partitionFilesLocked(t *Table, keep func(storage.Value) bool
 		if lerr != nil {
 			return nil, 0, 0, lerr
 		}
-		for _, fi := range fis {
-			files = append(files, fi.Path)
-		}
+		files = append(files, fis...)
 	}
 	return files, kept, total, nil
 }
@@ -360,23 +358,17 @@ func (w *Warehouse) TableSizeBytes(t *Table) int64 {
 }
 
 func (w *Warehouse) tableSizeBytesLocked(t *Table) int64 {
-	var n int64
+	var files []dfs.FileInfo
+	var err error
 	if t.PartitionBy != "" {
-		files, _, _, err := w.partitionFilesLocked(t, nil)
-		if err != nil {
-			return 0
-		}
-		for _, f := range files {
-			if fi, err := w.FS.Stat(f); err == nil {
-				n += fi.Size
-			}
-		}
-		return n
+		files, _, _, err = w.partitionFilesLocked(t, nil)
+	} else {
+		files, err = w.FS.ListFiles(t.Dir)
 	}
-	files, err := w.FS.ListFiles(t.Dir)
 	if err != nil {
 		return 0
 	}
+	var n int64
 	for _, f := range files {
 		n += f.Size
 	}

@@ -273,7 +273,7 @@ func TestHiveIndexBuildGolden(t *testing.T) {
 					if stats.Splits < 4 {
 						t.Fatalf("build read %d splits, want at least 4", stats.Splits)
 					}
-					fr, err := ix.Filter(testCfg(), fs, ranges)
+					fr, err := ix.Filter(context.Background(), testCfg(), fs, ranges)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -282,7 +282,7 @@ func TestHiveIndexBuildGolden(t *testing.T) {
 					}
 					counts := "not an aggregate index"
 					if kind == Aggregate {
-						c, st, err := ix.AggregateCounts(testCfg(), fs, ranges, []string{"regionId"})
+						c, st, err := ix.AggregateCounts(context.Background(), testCfg(), fs, ranges, []string{"regionId"})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -34,8 +34,10 @@ type FilterResult struct {
 
 // Filter scans the whole index table with the query predicate, like Hive
 // does before launching the real job. ranges constrains the indexed
-// dimensions (missing dimensions are unconstrained).
-func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range) (*FilterResult, error) {
+// dimensions (missing dimensions are unconstrained). The scan is a job of
+// the query: it runs under ctx, stops at a split boundary when ctx ends, and
+// traces under ctx's span.
+func (ix *Index) Filter(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range) (*FilterResult, error) {
 	res := &FilterResult{Files: map[string]*FileFilter{}}
 	var mu sync.Mutex
 
@@ -108,7 +110,7 @@ func (ix *Index) Filter(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridf
 			return nil
 		},
 	}
-	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
+	stats, err := mapreduce.RunContext(ctx, cfg, job)
 	if err != nil {
 		return nil, err
 	}
@@ -184,8 +186,9 @@ func (ix *Index) BaseInput(fs *dfs.FS, fr *FilterResult) *mapreduce.FileInput {
 
 // AggregateCounts answers a covered GROUP BY count query from the index
 // table alone (the Aggregate Index "index as data" rewrite): groups by the
-// named index dimensions and sums the pre-computed _count column.
-func (ix *Index) AggregateCounts(cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range, groupBy []string) (map[string]int64, *mapreduce.Stats, error) {
+// named index dimensions and sums the pre-computed _count column. Like
+// Filter, the scan runs under ctx.
+func (ix *Index) AggregateCounts(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range, groupBy []string) (map[string]int64, *mapreduce.Stats, error) {
 	if ix.Kind != Aggregate {
 		return nil, nil, errNotAggregate
 	}
@@ -238,7 +241,7 @@ func (ix *Index) AggregateCounts(cfg *cluster.Config, fs *dfs.FS, ranges map[str
 			return nil
 		},
 	}
-	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
+	stats, err := mapreduce.RunContext(ctx, cfg, job)
 	if err != nil {
 		return nil, nil, err
 	}

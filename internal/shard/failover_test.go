@@ -420,6 +420,9 @@ func TestFailoverPassthroughCursorMidStream(t *testing.T) {
 		}()
 		got := rowMultiset(t, r, sql, 0)
 		r.Revive(0, rep)
+		// The next round kills the other replica of the same shard: this
+		// one must be back in read selection first, not still catching up.
+		waitFleetSettled(t, r)
 		if err := multisetEqual(want, got); err != nil {
 			t.Fatalf("kill(0,%d) after %v: %v", rep, delay, err)
 		}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -242,90 +241,6 @@ func TestColStatsV3EncodingRoundTrip(t *testing.T) {
 		if g.HasZone() != mixed[gi].HasZone() {
 			t.Errorf("group %d: zone flag flipped", gi)
 		}
-	}
-}
-
-// TestLegacyColStatsWithEncodedData is the compatibility criterion: a legacy
-// v1 sidecar (no zones, no encodings) paired with an encoded data file still
-// reads exactly — the data file is self-describing — and reports no zones, so
-// planners can never skip on stale metadata.
-func TestLegacyColStatsWithEncodedData(t *testing.T) {
-	fs := dfs.New(1 << 20)
-	s := encodableSchema()
-	rows := encodableRows(48)
-	if _, err := WriteRCRows(fs, "/tbl/enc", s, rows, 16); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ReadColStats(fs, "/tbl/enc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the sidecar in the v1 layout: rows, colCount, lens — no magic,
-	// no zones, no encodings.
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	for _, g := range stats {
-		put(uint64(g.Rows))
-		put(uint64(len(g.ColLens)))
-		for _, l := range g.ColLens {
-			put(uint64(l))
-		}
-	}
-	if err := fs.Remove(ColStatsPath("/tbl/enc")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile(ColStatsPath("/tbl/enc"), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := ReadColStats(fs, "/tbl/enc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi, g := range legacy {
-		if g.HasZone() {
-			t.Errorf("v1 group %d claims a zone map", gi)
-		}
-		if g.Encs != nil {
-			t.Errorf("v1 group %d claims encodings", gi)
-		}
-		if g.Rows != stats[gi].Rows {
-			t.Errorf("v1 group %d rows %d, want %d", gi, g.Rows, stats[gi].Rows)
-		}
-	}
-	// The data still decodes bit-identically: encodings live in the file.
-	offsets, err := ReadGroupIndex(fs, "/tbl/enc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fs.Open("/tbl/enc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for _, off := range offsets {
-		g, _, err := ReadGroupProjected(r, off, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := g.DecodeRows(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range got {
-			for c := range row {
-				if Compare(row[c], rows[next][c]) != 0 {
-					t.Fatalf("row %d col %d: %v vs %v", next, c, row[c], rows[next][c])
-				}
-			}
-			next++
-		}
-	}
-	if next != len(rows) {
-		t.Fatalf("decoded %d rows, want %d", next, len(rows))
 	}
 }
 

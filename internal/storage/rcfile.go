@@ -466,16 +466,15 @@ func ReadGroupIndex(fs *dfs.FS, dataPath string) ([]int64, error) {
 // max value, stored as their text renderings). Together with the group's
 // offset it makes the cost of a projected read exactly computable without
 // touching the data file, and lets planners skip groups whose zone is
-// disjoint from a predicate's range. Mins/Maxs are nil for stats written
-// before zone maps existed; such groups are never skipped.
+// disjoint from a predicate's range. Mins/Maxs are nil for a group without
+// a zone map; such groups are never skipped.
 type GroupStat struct {
 	Rows    int
 	ColLens []int64
 	Mins    []string
 	Maxs    []string
 	// Encs holds the group's per-column encoding tags (EncPlain/EncDict/
-	// EncRLE); nil for plain 'R' groups and stats written before encodings
-	// existed (colstats v1/v2).
+	// EncRLE); nil for plain 'R' groups.
 	Encs []byte
 }
 
@@ -522,15 +521,14 @@ func (g GroupStat) ProjectedSize(project []bool) int64 {
 // statistics of the RCFile at dataPath (sibling of the "_groups" index).
 func ColStatsPath(dataPath string) string { return sideFilePath(dataPath, "_colstats") }
 
-// colStatsV2Magic opens the versioned colstats encoding. It is unambiguous
-// against the legacy stream, whose first varint is a group's row count and
-// therefore never zero.
-const colStatsV2Magic = 0x00
+// colStatsMagic and colStatsVersion open the colstats stream. Version 3 is
+// the only one: it carries per-group zone maps and column encoding tags.
+const (
+	colStatsMagic   = 0x00
+	colStatsVersion = 3
+)
 
 // WriteColStats persists the per-group statistics of the RCFile at dataPath.
-// The v3 encoding carries zone maps (added in v2) plus per-group column
-// encoding tags; ReadColStats still understands v2 and the legacy
-// (lengths-only) v1 stream for files written before either existed.
 func WriteColStats(fs *dfs.FS, dataPath string, stats []GroupStat) error {
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
@@ -542,8 +540,8 @@ func WriteColStats(fs *dfs.FS, dataPath string, stats []GroupStat) error {
 		put(uint64(len(s)))
 		buf.WriteString(s)
 	}
-	buf.WriteByte(colStatsV2Magic)
-	buf.WriteByte(3) // version
+	buf.WriteByte(colStatsMagic)
+	buf.WriteByte(colStatsVersion)
 	for _, g := range stats {
 		put(uint64(g.Rows))
 		put(uint64(len(g.ColLens)))
@@ -570,21 +568,17 @@ func WriteColStats(fs *dfs.FS, dataPath string, stats []GroupStat) error {
 }
 
 // ReadColStats loads the per-group statistics of the RCFile at dataPath, in
-// group order (aligned with ReadGroupIndex). Stats from legacy files carry
-// no zone maps (Mins/Maxs nil).
+// group order (aligned with ReadGroupIndex). It accepts only the stream
+// WriteColStats emits.
 func ReadColStats(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
 	data, err := fs.ReadFile(ColStatsPath(dataPath))
 	if err != nil {
 		return nil, err
 	}
-	version := byte(1)
-	if len(data) > 0 && data[0] == colStatsV2Magic {
-		if len(data) < 2 || data[1] < 2 || data[1] > 3 {
-			return nil, fmt.Errorf("storage: unknown column stats version for %s", dataPath)
-		}
-		version = data[1]
-		data = data[2:]
+	if len(data) < 2 || data[0] != colStatsMagic || data[1] != colStatsVersion {
+		return nil, fmt.Errorf("storage: unknown column stats version for %s", dataPath)
 	}
+	data = data[2:]
 	next := func() (uint64, error) {
 		v, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -623,38 +617,34 @@ func ReadColStats(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
 			}
 			g.ColLens[c] = int64(l)
 		}
-		if version >= 2 {
-			if len(data) == 0 {
-				return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-			}
-			hasZone := data[0] == 1
-			data = data[1:]
-			if hasZone {
-				g.Mins = make([]string, cols)
-				g.Maxs = make([]string, cols)
-				for c := range g.ColLens {
-					if g.Mins[c], err = nextStr(); err != nil {
-						return nil, err
-					}
-					if g.Maxs[c], err = nextStr(); err != nil {
-						return nil, err
-					}
+		if len(data) == 0 {
+			return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
+		}
+		hasZone := data[0] == 1
+		data = data[1:]
+		if hasZone {
+			g.Mins = make([]string, cols)
+			g.Maxs = make([]string, cols)
+			for c := range g.ColLens {
+				if g.Mins[c], err = nextStr(); err != nil {
+					return nil, err
+				}
+				if g.Maxs[c], err = nextStr(); err != nil {
+					return nil, err
 				}
 			}
 		}
-		if version >= 3 {
-			if len(data) == 0 {
+		if len(data) == 0 {
+			return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
+		}
+		hasEncs := data[0] == 1
+		data = data[1:]
+		if hasEncs {
+			if uint64(len(data)) < cols {
 				return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
 			}
-			hasEncs := data[0] == 1
-			data = data[1:]
-			if hasEncs {
-				if uint64(len(data)) < cols {
-					return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-				}
-				g.Encs = append([]byte(nil), data[:cols]...)
-				data = data[cols:]
-			}
+			g.Encs = append([]byte(nil), data[:cols]...)
+			data = data[cols:]
 		}
 		out = append(out, g)
 	}

@@ -3,13 +3,14 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
 // TestColStatsV2ZoneRoundTrip: zone maps written by the RCFile writer come
-// back exactly through the v2 colstats encoding, including a zone-less group
+// back exactly through the colstats encoding, including a zone-less group
 // interleaved with zoned ones.
 func TestColStatsV2ZoneRoundTrip(t *testing.T) {
 	fs := dfs.New(1 << 20)
@@ -60,39 +61,48 @@ func TestColStatsV2ZoneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColStatsLegacyFallback: a legacy (pre-zone-map) colstats stream still
-// parses, yielding stats without zones so planners never skip on them.
-func TestColStatsLegacyFallback(t *testing.T) {
+// TestColStatsRefusesOtherVersions: only the v3 stream WriteColStats emits
+// is read. An older v2 stream, a magic-less v1 stream and an unknown version
+// are refused with an error naming the file.
+func TestColStatsRefusesOtherVersions(t *testing.T) {
 	fs := dfs.New(1 << 20)
+	if _, err := WriteRCRows(fs, "/tbl/v3", meterSchema(), sampleRows(4), 4); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := fs.ReadFile(ColStatsPath("/tbl/v3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v3[0] != colStatsMagic || v3[1] != colStatsVersion {
+		t.Fatalf("writer emitted header %x, want %x %x", v3[:2], colStatsMagic, colStatsVersion)
+	}
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
 		buf.Write(tmp[:n])
 	}
-	// Two groups, two columns each: the legacy layout is just
-	// rows, colCount, lens... with no magic and no zone flag.
-	for _, g := range [][]uint64{{5, 2, 40, 40}, {3, 2, 24, 30}} {
-		for _, v := range g {
-			put(v)
+	// One two-column group with no zone map: rows, colCount, lens, zone flag.
+	buf.Write([]byte{colStatsMagic, 2})
+	for _, v := range []uint64{5, 2, 40, 40, 0} {
+		put(v)
+	}
+	v2 := buf.Bytes()
+	for name, data := range map[string][]byte{
+		"v2":      v2,
+		"v1":      v2[2:],
+		"v4":      append([]byte{colStatsMagic, 4}, v3[2:]...),
+		"no body": {colStatsMagic},
+	} {
+		path := "/tbl/" + strings.ReplaceAll(name, " ", "")
+		if err := fs.WriteFile(ColStatsPath(path), data); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := fs.WriteFile(ColStatsPath("/tbl/legacy"), buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ReadColStats(fs, "/tbl/legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 {
-		t.Fatalf("got %d groups, want 2", len(stats))
-	}
-	if stats[0].Rows != 5 || stats[0].ColLens[1] != 40 || stats[1].Rows != 3 || stats[1].ColLens[1] != 30 {
-		t.Fatalf("legacy stats decoded wrong: %+v", stats)
-	}
-	for gi, g := range stats {
-		if g.HasZone() {
-			t.Errorf("legacy group %d claims a zone map", gi)
+		_, err := ReadColStats(fs, path)
+		if err == nil {
+			t.Errorf("%s stream accepted", name)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s stream: error %q does not name %s", name, err, path)
 		}
 	}
 }
