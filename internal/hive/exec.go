@@ -798,6 +798,10 @@ func appendPartials(dst []byte, accs []dgf.Accumulator) []byte {
 }
 
 func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error) {
+	if len(funcs) == 0 && len(data) == 0 {
+		// A GROUP BY without aggregates: the shuffle key is the whole partial.
+		return nil, nil
+	}
 	parts := strings.Split(string(data), ",")
 	if len(parts) != len(funcs) {
 		return nil, fmt.Errorf("hive: partial has %d slots, want %d", len(parts), len(funcs))

@@ -121,6 +121,22 @@ func (q *compiledQuery) columns() []string {
 	return cols
 }
 
+// IsAggregate reports whether a SELECT aggregates: it has an aggregate call
+// or a GROUP BY. A GROUP BY without an aggregate answers its distinct
+// groups. The compiler and the shard router both classify with it, so a
+// warehouse and a fleet agree on which statements fold.
+func IsAggregate(s *SelectStmt) bool {
+	if len(s.GroupBy) > 0 {
+		return true
+	}
+	for _, item := range s.Select {
+		if _, ok := item.Expr.(AggCall); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // compileLocked resolves names, folds the WHERE conjunction into per-column
 // ranges (WhereRanges), and binds aggregates to accumulator slots. Caller
 // holds w.mu.
@@ -136,6 +152,7 @@ func (w *Warehouse) compileLocked(stmt *SelectStmt) (*compiledQuery, error) {
 		leftRanges:  WhereRanges(stmt, left.Schema),
 		rangesExact: true,
 		leftRefCols: map[int]bool{},
+		isAgg:       IsAggregate(stmt),
 	}
 	if stmt.Join != nil {
 		right, err := w.tableLocked(stmt.Join.Table.Table)
@@ -375,7 +392,6 @@ func (q *compiledQuery) compileItem(item SelectItem) error {
 		if name == "" {
 			name = agg.name
 		}
-		q.isAgg = true
 		q.aggs = append(q.aggs, agg)
 		q.items = append(q.items, compiledItem{name: name, groupIdx: -1, agg: agg, kind: storage.KindFloat64})
 		return nil

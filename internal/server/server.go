@@ -90,6 +90,9 @@ var (
 	ErrQueryTimeout = errors.New("server: query timeout")
 )
 
+// planCacheEntries sizes the parsed-statement cache.
+const planCacheEntries = 512
+
 // Config tunes a Server. The zero value selects the documented defaults.
 type Config struct {
 	// MaxConcurrent is the worker-pool size: how many queries execute in
@@ -111,9 +114,6 @@ type Config struct {
 	// Zero means no byte cap (the entry cap still applies); negative
 	// disables result caching entirely.
 	MaxResultBytes int64
-	// PlanCacheEntries sizes the parsed-statement cache (0 uses the
-	// default 512; negative disables).
-	PlanCacheEntries int
 	// SlowQueryMs is the flight recorder's slow threshold in milliseconds:
 	// a query at or above it (or one that errors) has its trace retained.
 	// Zero uses the default 500; negative records errored queries only.
@@ -155,12 +155,6 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 256
 	case c.CacheEntries < 0:
 		c.CacheEntries = 0
-	}
-	switch {
-	case c.PlanCacheEntries == 0:
-		c.PlanCacheEntries = 512
-	case c.PlanCacheEntries < 0:
-		c.PlanCacheEntries = 0
 	}
 	if c.MaxResultBytes < 0 {
 		c.CacheEntries = 0
@@ -290,7 +284,7 @@ func NewWithBackend(b Backend, cfg Config) *Server {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		results:  newResultCache(cfg.CacheEntries, cfg.MaxResultBytes),
-		plans:    newLRU[hive.Stmt](cfg.PlanCacheEntries),
+		plans:    newLRU[hive.Stmt](planCacheEntries),
 		sessions: map[string]*Session{},
 		metrics:  newMetricSet(),
 		recorder: trace.NewRecorder(cfg.TraceRingSize),

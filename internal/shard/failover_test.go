@@ -11,6 +11,7 @@ import (
 
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
+	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
 
 // replicatedRouter builds a Shards x Replicas fleet loaded with the meter
@@ -618,4 +619,78 @@ func TestHashRoutingCoercesKeyKinds(t *testing.T) {
 	if n := res.Rows[0][0].AsFloat(); n != 3 {
 		t.Fatalf("point query found %v of the 3 renderings of key 5", n)
 	}
+}
+
+// TestFailoverCursorStatsAfterKill: a replica killed under a scatter cursor
+// leaves the cursor's volumes those of a healthy fleet. RecordsRead,
+// BytesRead and Splits are the stats of the attempt that delivered each
+// shard's rows — not the aborted attempt's partial progress, nor a sum over
+// attempts.
+func TestFailoverCursorStatsAfterKill(t *testing.T) {
+	r := replicatedRouter(t, 4, 2, false)
+	sql := `SELECT userId, powerConsumed FROM meterdata WHERE userId>=3 AND userId<=38`
+	read := func(ctx context.Context) (map[string]int, hive.QueryStats) {
+		t.Helper()
+		cur, err := r.SelectCursor(ctx, mustParseSelect(t, sql), hive.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		rows := map[string]int{}
+		for cur.Next() {
+			rows[renderRows([]storage.Row{cur.Row()})[0]]++
+		}
+		if err := cur.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rows, cur.Stats()
+	}
+	wantRows, want := read(context.Background())
+
+	aborted := 0
+	for round := 0; round < 8; round++ {
+		// Kill whichever replica of the shard picks the stream up, as soon
+		// as it is in flight: its scan is then aborted part-way.
+		rs := r.sets[round%4]
+		stop, killed := make(chan struct{}), make(chan int, 1)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					killed <- -1
+					return
+				default:
+				}
+				for j, rep := range rs.reps {
+					if rep.inflight.Load() > 0 {
+						r.Kill(rs.shard, j)
+						killed <- j
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+		root := trace.New("query")
+		gotRows, got := read(trace.NewContext(context.Background(), root))
+		close(stop)
+		j := <-killed
+		for _, ev := range root.Snapshot().Events {
+			if strings.Contains(ev.Msg, "aborted in flight") {
+				aborted++
+			}
+		}
+		if j >= 0 {
+			r.Revive(rs.shard, j)
+			waitFleetSettled(t, r)
+		}
+		if err := multisetEqual(wantRows, gotRows); err != nil {
+			t.Fatalf("round %d, shard %d replica %d killed: %v", round, rs.shard, j, err)
+		}
+		if got.RecordsRead != want.RecordsRead || got.BytesRead != want.BytesRead || got.Splits != want.Splits {
+			t.Fatalf("round %d, shard %d replica %d killed: records/bytes/splits %d/%d/%d, healthy fleet %d/%d/%d",
+				round, rs.shard, j, got.RecordsRead, got.BytesRead, got.Splits, want.RecordsRead, want.BytesRead, want.Splits)
+		}
+	}
+	t.Logf("%d of 8 kills aborted a scan in flight", aborted)
 }

@@ -3,7 +3,10 @@
 // replica so the copies never diverge; reads pick one live replica per shard
 // — least-loaded first, round-robin among ties — and fail over to the next
 // replica when the chosen one errors, so a down replica degrades a shard's
-// read capacity instead of failing the whole scatter.
+// read capacity instead of failing the whole scatter. Every read — a
+// partial, a pass-through statement, a plan, a cursor's stream — is one
+// withFailover call: the only loop over pick, running each attempt under
+// replica.do's kill supervision.
 //
 // Health is tracked per replica: consecutive failures past a threshold eject
 // the replica from selection, and a timed re-probe lets it earn its way back
@@ -184,49 +187,6 @@ func (rep *replica) noteSuccess() {
 	rep.mu.Unlock()
 }
 
-// openCursor opens a streaming cursor on this replica under kill
-// supervision: a kill after the open aborts the scan at its next split
-// boundary, and the returned cursor reports it as a replica failure rather
-// than a bare cancellation. Closing the cursor releases the kill watcher.
-func (rep *replica) openCursor(parent context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error) {
-	if rep.isKilled() {
-		return nil, rep.downErr()
-	}
-	kctx, cancel, killCh := rep.watchCtx(parent)
-	cur, err := rep.w.SelectCursor(kctx, s, opts)
-	if err != nil {
-		cancel()
-		return nil, rep.classify(parent, killCh, err)
-	}
-	rep.inflight.Add(1)
-	return &replicaCursor{Cursor: cur, rep: rep, parent: parent, killCh: killCh, cancel: cancel}, nil
-}
-
-// replicaCursor decorates a warehouse cursor with its replica's kill
-// supervision: Err reclassifies a kill-induced abort as ErrReplicaDown, and
-// Close releases the watcher and the inflight slot exactly once.
-type replicaCursor struct {
-	hive.Cursor
-	rep    *replica
-	parent context.Context
-	killCh <-chan struct{}
-	cancel context.CancelFunc
-	once   sync.Once
-}
-
-func (c *replicaCursor) Err() error {
-	return c.rep.classify(c.parent, c.killCh, c.Cursor.Err())
-}
-
-func (c *replicaCursor) Close() error {
-	err := c.Cursor.Close()
-	c.once.Do(func() {
-		c.cancel()
-		c.rep.inflight.Add(-1)
-	})
-	return err
-}
-
 // isCtxErr reports whether err is a context termination (cancel or deadline).
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -359,14 +319,31 @@ func (rs *replicaSet) exhaustedErr(last error) error {
 	return fmt.Errorf("shard %d: all %d replicas failed: %w", rs.shard, len(rs.reps), last)
 }
 
-// withFailover runs fn against replicas of the shard until one succeeds: a
-// replica failure (including a kill that aborted the request in flight)
-// moves on to the next live replica; a caller cancellation propagates
-// immediately; exhausting every replica returns the last root cause.
-func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica) error) error {
+// withFailover is the one loop over a shard's replicas: it runs fn under
+// replica.do's kill supervision against replicas of the shard until one
+// succeeds. A replica failure (including a kill that aborted the request in
+// flight) moves on to the next live replica; a caller cancellation
+// propagates immediately; exhausting every replica returns the last root
+// cause. fn learns whether its replica is the shard's last candidate, after
+// which no retry can follow.
+//
+// Health penalties wait until the query proves a sibling could serve it: a
+// replica that fails where another then succeeds earns its strike, while a
+// query that fails on every replica penalizes no one — the query itself is
+// bad (unknown table, bad column), and ejecting healthy replicas over user
+// errors would flip /healthz to degraded on a healthy fleet. A down replica
+// (ErrReplicaDown) is penalized immediately: refusing requests is never the
+// query's fault.
+func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica, last bool) error) error {
 	tried := make([]bool, len(rs.reps))
-	fl := failureLog{rs: rs}
+	untried := len(rs.reps)
+	var deferred []*replica
 	sp := trace.FromContext(ctx)
+	strike := func(rep *replica) {
+		if rs.noteFailure(rep) {
+			sp.Eventf("replica %d ejected", rep.idx)
+		}
+	}
 	var last error
 	for {
 		rep := rs.pick(tried)
@@ -374,85 +351,24 @@ func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Cont
 			return rs.exhaustedErr(last)
 		}
 		tried[rs.index(rep)] = true
-		err := rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep) })
-		if err == nil {
-			for _, idx := range fl.succeeded() {
-				sp.Eventf("replica %d ejected", idx)
+		untried--
+		err := rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep, untried == 0) })
+		switch {
+		case err == nil:
+			for _, failed := range deferred {
+				strike(failed)
 			}
 			return nil
-		}
-		if isCtxErr(err) {
+		case isCtxErr(err):
 			// The caller's own cancellation (do already reclassified a kill
 			// as ErrReplicaDown): not a replica failure, nothing to retry.
 			return err
 		}
 		sp.Eventf("replica %d failed: %v", rep.idx, err)
-		if fl.observe(rep, err) {
-			sp.Eventf("replica %d ejected", rep.idx)
-		}
-		last = err
-	}
-}
-
-// failureLog defers health penalties until the query proves a sibling could
-// serve it: a replica that fails where another then succeeds earns its
-// strike, while a query that fails on every replica penalizes no one — the
-// query itself is bad (unknown table, bad column), and ejecting healthy
-// replicas over user errors would flip /healthz to degraded on a healthy
-// fleet. A down replica (ErrReplicaDown) is penalized immediately: refusing
-// requests is never the query's fault.
-type failureLog struct {
-	rs     *replicaSet
-	failed []*replica
-}
-
-// observe logs one failure, reporting whether it ejected the replica on the
-// spot (only ErrReplicaDown strikes immediately; other failures defer).
-func (fl *failureLog) observe(rep *replica, err error) bool {
-	if errors.Is(err, ErrReplicaDown) {
-		return fl.rs.noteFailure(rep)
-	}
-	fl.failed = append(fl.failed, rep)
-	return false
-}
-
-// succeeded reports that a later replica served the query, proving every
-// deferred failure was replica-specific after all. It returns the indices of
-// replicas the deferred strikes ejected.
-func (fl *failureLog) succeeded() []int {
-	var ejected []int
-	for _, rep := range fl.failed {
-		if fl.rs.noteFailure(rep) {
-			ejected = append(ejected, rep.idx)
-		}
-	}
-	fl.failed = nil
-	return ejected
-}
-
-// openCursor opens a streaming cursor on the next live replica, failing
-// over past replicas that refuse one. tried persists across a pump's
-// attempts (a replica is never retried within one query), fl accumulates
-// the health strikes, and last seeds the root cause reported if the set is
-// already exhausted.
-func (rs *replicaSet) openCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, tried []bool, fl *failureLog, last error) (hive.Cursor, *replica, error) {
-	sp := trace.FromContext(ctx)
-	for {
-		rep := rs.pick(tried)
-		if rep == nil {
-			return nil, nil, rs.exhaustedErr(last)
-		}
-		tried[rs.index(rep)] = true
-		cur, err := rep.openCursor(ctx, s, opts)
-		if err == nil {
-			return cur, rep, nil
-		}
-		if isCtxErr(err) {
-			return nil, nil, err
-		}
-		sp.Eventf("replica %d failed: %v", rep.idx, err)
-		if fl.observe(rep, err) {
-			sp.Eventf("replica %d ejected", rep.idx)
+		if errors.Is(err, ErrReplicaDown) {
+			strike(rep)
+		} else {
+			deferred = append(deferred, rep)
 		}
 		last = err
 	}
@@ -462,7 +378,7 @@ func (rs *replicaSet) openCursor(ctx context.Context, s *hive.SelectStmt, opts h
 func (rs *replicaSet) execPartial(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.PartialResult, int, error) {
 	var part *hive.PartialResult
 	chosen := -1
-	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica) error {
+	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
 		p, err := rep.w.SelectPartialContext(kctx, s, opts)
 		if err != nil {
 			return err
@@ -477,7 +393,7 @@ func (rs *replicaSet) execPartial(ctx context.Context, s *hive.SelectStmt, opts 
 // pass-through and catalog paths).
 func (rs *replicaSet) execStmt(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
 	var res *hive.Result
-	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica) error {
+	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
 		r, err := rep.w.ExecParsedContext(kctx, stmt, opts)
 		if err != nil {
 			return err
@@ -493,7 +409,7 @@ func (rs *replicaSet) execStmt(ctx context.Context, stmt hive.Stmt, opts hive.Ex
 func (rs *replicaSet) explain(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (*hive.ExplainPlan, int, error) {
 	var plan *hive.ExplainPlan
 	chosen := -1
-	err := rs.withFailover(ctx, func(_ context.Context, rep *replica) error {
+	err := rs.withFailover(ctx, func(_ context.Context, rep *replica, _ bool) error {
 		p, err := rep.w.Explain(s, opts)
 		if err != nil {
 			return err

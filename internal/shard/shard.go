@@ -469,70 +469,71 @@ func (r *Router) execSelect(ctx context.Context, s *hive.SelectStmt, opts hive.E
 	return r.scatter(ctx, s, opts, targets)
 }
 
-// scatterPartials fans the SELECT out to the target shards under a
-// cancellable group. A replica error inside one shard does NOT touch the
-// sibling shards: the failed shard's partial is retried against its next
-// live replica (least-loaded first), and only when a shard has exhausted
-// every replica does the group cancel — the sibling scans then abort at
-// their next split boundary instead of running to completion. The goroutines
-// are always joined before returning; a non-nil error is the root cause (a
-// sibling's ctx.Canceled never masks the shard error that triggered the
-// cancellation).
-func (r *Router) scatterPartials(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) ([]*hive.PartialResult, error) {
-	sctx, cancel := context.WithCancel(ctx)
+// fanOut is the one per-shard scatter: it runs fn for every target on its
+// own goroutine under a cancellable child of ctx (i is the target's
+// position, si its shard). A replica error inside one shard does not touch
+// its siblings — fn fails over within the shard — and only a non-context
+// error, a shard whose replicas are all exhausted, cancels the group: the
+// sibling scans then abort at their next split boundary instead of running
+// to completion. Every goroutine is joined before fanOut returns. The error
+// is the root cause: the first real failure in target order outranks the
+// context errors its cancellation induced; only a caller cancellation (or
+// deadline) leaves a context error, the first target's to report one.
+func fanOut(ctx context.Context, targets []int, fn func(ctx context.Context, i, si int) error) error {
+	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ssp := trace.FromContext(ctx).Child("scatter")
-	ssp.Set("targets", fmt.Sprintf("%d/%d", len(targets), len(r.sets)))
-	defer ssp.Finish()
-	parts := make([]*hive.PartialResult, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, si := range targets {
 		wg.Add(1)
-		go func(i, si int) {
+		go func() {
 			defer wg.Done()
-			shsp := ssp.Child(fmt.Sprintf("shard %d", si))
-			defer shsp.Finish()
-			var chosen int
-			parts[i], chosen, errs[i] = r.sets[si].execPartial(trace.NewContext(sctx, shsp), s, opts)
-			if errs[i] != nil {
-				shsp.Set("error", errs[i].Error())
-				// All of this shard's replicas are exhausted (or the caller
-				// cancelled): now, and only now, stop the siblings.
+			if errs[i] = fn(fctx, i, si); errs[i] != nil && !isCtxErr(errs[i]) {
 				cancel()
-				return
 			}
-			st := parts[i].Stats
-			shsp.Set("replica", chosen)
-			shsp.Set("access_path", st.AccessPath)
-			shsp.Set("records_read", st.RecordsRead)
-			shsp.Set("bytes_read", st.BytesRead)
-			shsp.Set("splits", st.Splits)
-			shsp.Set("sim_sec", st.IndexSimSec+st.DataSimSec)
-		}(i, si)
+		}()
 	}
 	wg.Wait()
-	// Prefer the root cause: a real shard failure outranks the ctx errors
-	// its cancellation induced in siblings; a caller cancel surfaces as the
-	// caller ctx's own error.
 	var ctxErr error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		switch {
+		case err == nil:
+		case !isCtxErr(err):
+			return err
+		case ctxErr == nil:
+			ctxErr = err
 		}
-		if isCtxErr(err) {
-			if ctxErr == nil {
-				ctxErr = err
-			}
-			continue
-		}
-		return nil, err
 	}
-	if ctxErr != nil {
-		if cause := ctx.Err(); cause != nil {
-			return nil, fmt.Errorf("shard: scatter canceled: %w", cause)
+	return ctxErr
+}
+
+// scatterPartials runs the SELECT's partial on every target shard through
+// fanOut, each under failover and its own trace span.
+func (r *Router) scatterPartials(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) ([]*hive.PartialResult, error) {
+	ssp := trace.FromContext(ctx).Child("scatter")
+	ssp.Set("targets", fmt.Sprintf("%d/%d", len(targets), len(r.sets)))
+	defer ssp.Finish()
+	parts := make([]*hive.PartialResult, len(targets))
+	err := fanOut(ctx, targets, func(ctx context.Context, i, si int) error {
+		shsp := ssp.Child(fmt.Sprintf("shard %d", si))
+		defer shsp.Finish()
+		part, chosen, err := r.sets[si].execPartial(trace.NewContext(ctx, shsp), s, opts)
+		if err != nil {
+			shsp.Set("error", err.Error())
+			return err
 		}
-		return nil, ctxErr
+		parts[i] = part
+		st := part.Stats
+		shsp.Set("replica", chosen)
+		shsp.Set("access_path", st.AccessPath)
+		shsp.Set("records_read", st.RecordsRead)
+		shsp.Set("bytes_read", st.BytesRead)
+		shsp.Set("splits", st.Splits)
+		shsp.Set("sim_sec", st.IndexSimSec+st.DataSimSec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return parts, nil
 }
@@ -588,20 +589,12 @@ func (r *Router) ExplainContext(ctx context.Context, s *hive.SelectStmt, opts hi
 func (r *Router) explainScatter(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int) (*hive.ExplainPlan, error) {
 	plans := make([]*hive.ExplainPlan, len(targets))
 	chosen := make([]int, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, si := range targets {
-		wg.Add(1)
-		go func(i, si int) {
-			defer wg.Done()
-			plans[i], chosen[i], errs[i] = r.sets[si].explain(ctx, s, opts)
-		}(i, si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := fanOut(ctx, targets, func(ctx context.Context, i, si int) (err error) {
+		plans[i], chosen[i], err = r.sets[si].explain(ctx, s, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The gather reports the first target's access path; so does the plan.
 	merged := *plans[0]

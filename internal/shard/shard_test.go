@@ -639,3 +639,58 @@ func TestShardingCutsSimulatedTime(t *testing.T) {
 		t.Errorf("4 shards cost %.1f simulated s, 1 shard %.1f s: %.2fx, want >= 1.5x", fourSec, oneSec, oneSec/fourSec)
 	}
 }
+
+// TestGroupByWithoutAggregateAnswersGroups: a GROUP BY with no aggregate
+// answers its distinct groups — on a warehouse and through a 4-shard fleet,
+// by exec and by cursor — not one row per input row (nor one group list per
+// shard). A column beside it that is neither grouped nor aggregated is
+// rejected, as it is next to an aggregate.
+func TestGroupByWithoutAggregateAnswersGroups(t *testing.T) {
+	cfg := testMeterConfig()
+	w := newShardWarehouse(0, 0)
+	setupMeter(t, w, cfg, false)
+	r := testRouter(t, 4, HashKey, false)
+
+	type store interface {
+		loader
+		SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error)
+	}
+	cases := []struct{ sql, ref string }{
+		{`SELECT regionId FROM meterdata GROUP BY regionId`,
+			`SELECT regionId, count(*) FROM meterdata GROUP BY regionId`},
+		{`SELECT regionId, userId FROM meterdata WHERE userId<=9 GROUP BY regionId, userId`,
+			`SELECT regionId, userId, count(*) FROM meterdata WHERE userId<=9 GROUP BY regionId, userId`},
+	}
+	for name, st := range map[string]store{"warehouse": w, "4 shards": r} {
+		for _, tc := range cases {
+			// The groups an aggregate over the same GROUP BY reports, minus
+			// its count column.
+			var want []string
+			for _, row := range mustExec(t, st, tc.ref).Rows {
+				want = append(want, renderRows([]storage.Row{row[:len(row)-1]})[0])
+			}
+			if got := renderRows(mustExec(t, st, tc.sql).Rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s exec %q: %d rows %v, want the %d groups %v", name, tc.sql, len(got), got, len(want), want)
+			}
+			cur, err := st.SelectCursor(context.Background(), mustParseSelect(t, tc.sql), hive.ExecOptions{})
+			if err != nil {
+				t.Fatalf("%s cursor %q: %v", name, tc.sql, err)
+			}
+			var rows []storage.Row
+			for cur.Next() {
+				rows = append(rows, cur.Row())
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatalf("%s cursor %q: %v", name, tc.sql, err)
+			}
+			cur.Close()
+			if got := renderRows(rows); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s cursor %q: %d rows %v, want the %d groups %v", name, tc.sql, len(got), got, len(want), want)
+			}
+		}
+		_, err := exec(st, `SELECT regionId, userId FROM meterdata GROUP BY regionId`)
+		if err == nil || !strings.Contains(err.Error(), "must appear in GROUP BY or an aggregate") {
+			t.Errorf("%s: ungrouped column beside a GROUP BY: err = %v, want rejection", name, err)
+		}
+	}
+}

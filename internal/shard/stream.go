@@ -1,20 +1,20 @@
 // Scatter streaming: the router's cursor fans a plain-projection SELECT out
-// to the target shards' warehouse cursors and forwards rows into one merged
-// stream. With replication, each shard's stream runs under failover: while a
-// shard still has untried replicas, its rows are held back until its scan
-// completes cleanly, so a replica that dies mid-scan can be replayed on a
-// sibling replica without duplicating rows already delivered; the shard's
-// final replica (always, when Replicas is 1) streams rows the moment they
-// arrive, exactly as an unreplicated fleet does. Aggregations cannot stream
-// before the gather (no row exists until every shard's partial state
-// merges), so their cursor materializes the scatter-gather result and
-// replays it.
+// to the target shards through fanOut and forwards rows into one merged
+// stream. Each shard's stream is one withFailover call, the same loop every
+// other read uses: its attempt opens the replica's warehouse cursor under
+// kill supervision and drains it. While the shard still has another
+// candidate, the attempt buffers its rows and they reach the merged stream
+// only once the scan completed cleanly, so a replica that dies mid-scan
+// replays on a sibling without duplicating rows already delivered; the
+// shard's last candidate (always, when Replicas is 1) forwards rows the
+// moment they arrive. Aggregations cannot stream before the gather (no row
+// exists until every shard's partial state merges), so their cursor
+// materializes the scatter-gather result and replays it.
 package shard
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,31 +23,22 @@ import (
 )
 
 // SelectCursor opens a streaming cursor over one SELECT across the fleet,
-// consuming the same routeSelect decision execution does: single-shard
-// fleets and shard-0-only tables pass through to one warehouse's cursor
-// (the replicated pass-through keeps mid-stream failover via the same pump
-// the scatter uses); partitioned tables scatter. Cancelling ctx (or closing
-// the cursor) aborts every shard's scan at its next split boundary.
+// consuming the same routeSelect decision execution does. A pass-through
+// (one-shard fleets, shard-0-only tables) streams shard 0 alone, keeping the
+// warehouse's own stats; an aggregate (hive.IsAggregate) replays the merged
+// scatter-gather result; any other SELECT streams every target shard. It
+// returns once every stream has opened its cursor, or with the root cause
+// of the shard that could not open one. Cancelling ctx (or closing the
+// cursor) aborts every shard's scan at its next split boundary.
 func (r *Router) SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error) {
 	targets, passthrough, err := r.routeSelect(s)
 	if err != nil {
 		return nil, err
 	}
-	if passthrough {
-		rs := r.sets[0]
-		if len(rs.reps) == 1 {
-			// True pass-through, byte-for-byte the warehouse cursor.
-			fl := failureLog{rs: rs}
-			cur, _, err := rs.openCursor(ctx, s, opts, make([]bool, 1), &fl, nil)
-			return cur, err
-		}
-		// Replicated pass-through: the same pump machinery the scatter uses,
-		// over a single stream, so a replica dying mid-scan replays on its
-		// sibling here too. The stats stay the warehouse's own (no sharded
-		// prefix — nothing was scattered).
+	switch {
+	case passthrough:
 		return r.newMergeCursor(ctx, s, opts, []int{0}, false)
-	}
-	if stmtIsAggregate(s) {
+	case hive.IsAggregate(s):
 		res, err := r.scatter(ctx, s, opts, targets)
 		if err != nil {
 			return nil, err
@@ -57,59 +48,15 @@ func (r *Router) SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive
 	return r.newMergeCursor(ctx, s, opts, targets, true)
 }
 
-// stmtIsAggregate mirrors the compiler's isAgg classification: the statement
-// aggregates iff a SELECT item is an aggregate call.
-func stmtIsAggregate(s *hive.SelectStmt) bool {
-	for _, item := range s.Select {
-		if _, ok := item.Expr.(hive.AggCall); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// shardStream is one target shard's slot in a scatter cursor: the replica
-// set it reads from, which replicas its pump has tried, the cursor of the
-// current attempt, and the stats of the last attempt (the one the merged
-// totals report).
-type shardStream struct {
-	rs    *replicaSet
-	tried []bool
-	fl    failureLog
-	rep   *replica
-	cur   hive.Cursor
-	stats hive.QueryStats
-}
-
-// untried reports whether the pump still has a failover candidate left.
-func (ss *shardStream) untried() bool {
-	for _, t := range ss.tried {
-		if !t {
-			return true
-		}
-	}
-	return false
-}
-
 // scatterCursor merges the target shards' row streams. Rows arrive in shard
 // completion order; a LIMIT is enforced globally at delivery and cancels the
 // shard scans once satisfied.
 type scatterCursor struct {
-	cctx    context.Context
-	cancel  context.CancelFunc
-	stmt    *hive.SelectStmt
-	opts    hive.ExecOptions
-	streams []*shardStream
-	nShards int
-	cols    []string
+	cancel context.CancelFunc
+	cols   []string
 
 	ch   chan storage.Row
 	done chan struct{}
-
-	// prefix marks a real scatter: the merged stats get the "sharded(k/n)"
-	// access-path label. A replicated pass-through reports its single
-	// stream's stats untouched.
-	prefix bool
 
 	limit     int
 	delivered int
@@ -123,155 +70,109 @@ type scatterCursor struct {
 	err   error
 }
 
+// newMergeCursor starts one stream per target and waits until each has
+// opened. prefix marks a real scatter: the merged stats get the
+// "sharded(k/n)" access-path label, while a pass-through reports its single
+// stream's stats untouched.
 func (r *Router) newMergeCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int, prefix bool) (hive.Cursor, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	c := &scatterCursor{
-		cctx:    cctx,
-		cancel:  cancel,
-		stmt:    s,
-		opts:    opts,
-		nShards: len(r.sets),
-		prefix:  prefix,
-		ch:      make(chan storage.Row, 64),
-		done:    make(chan struct{}),
-		limit:   s.Limit,
+		cancel: cancel,
+		// The warehouse cursor's depth: deep enough to decouple the shard
+		// scans from a briefly slow consumer, shallow enough that an
+		// abandoned cursor applies backpressure.
+		ch:    make(chan storage.Row, 64),
+		done:  make(chan struct{}),
+		limit: s.Limit,
 	}
-	for _, si := range targets {
-		rs := r.sets[si]
-		ss := &shardStream{rs: rs, tried: make([]bool, len(rs.reps)), fl: failureLog{rs: rs}}
-		cur, rep, err := rs.openCursor(cctx, s, opts, ss.tried, &ss.fl, nil)
+	// Each stream reports its open exactly once: nil when a replica's cursor
+	// opened (the first target hands over the column set first), or the
+	// error its failover loop ended with when none did.
+	opens := make(chan error, len(targets))
+	stats := make([]hive.QueryStats, len(targets))
+	stream := func(ctx context.Context, i, si int) error {
+		var buf []storage.Row
+		opened := false
+		err := r.sets[si].withFailover(ctx, func(kctx context.Context, rep *replica, last bool) error {
+			cur, err := rep.w.SelectCursor(kctx, s, opts)
+			if err != nil {
+				return err
+			}
+			if !opened {
+				if i == 0 {
+					c.cols = cur.Columns()
+				}
+				opened = true
+				opens <- nil
+			}
+			buf = buf[:0]
+			if last {
+				err = forwardRows(kctx, cur, c.ch)
+			} else {
+				// Another candidate remains: hold the rows back until the
+				// scan completed cleanly, so a replay on the next replica
+				// cannot duplicate any (a warehouse cursor's row order is
+				// split-completion order, so skipping the rows already
+				// delivered would be unsound).
+				for cur.Next() {
+					buf = append(buf, cur.Row())
+				}
+				err = cur.Err()
+			}
+			cur.Close()
+			stats[i] = cur.Stats()
+			return err
+		})
+		if !opened {
+			opens <- err
+		}
 		if err != nil {
-			cancel()
-			for _, open := range c.streams {
-				open.cur.Close()
-			}
-			return nil, err
-		}
-		ss.cur, ss.rep = cur, rep
-		c.streams = append(c.streams, ss)
-	}
-	// Capture the column set now: the per-shard cursors rotate under
-	// failover, so the consumer must not reach into them.
-	c.cols = c.streams[0].cur.Columns()
-	// The pump is joined structurally, not locally: run defers
-	// close(c.done), and Close drains c.ch then blocks on <-c.done.
-	//dgflint:ignore goroutinejoin joined by scatterCursor.Close via c.done
-	go c.run()
-	return c, nil
-}
-
-func (c *scatterCursor) run() {
-	defer close(c.done)
-	start := time.Now()
-	errs := make([]error, len(c.streams))
-	var wg sync.WaitGroup
-	for i := range c.streams {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.pump(c.streams[i])
-			if errs[i] != nil && !isCtxErr(errs[i]) {
-				// This shard's replicas are all exhausted: only now do the
-				// sibling scans stop.
-				c.cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Merge costs the way the gather does: volumes sum, the slowest shard
-	// bounds the simulated time, the first target names the access path.
-	stats := c.streams[0].stats
-	first := stats.AccessPath
-	for _, ss := range c.streams[1:] {
-		mergeStats(&stats, ss.stats)
-	}
-	if c.prefix {
-		stats.AccessPath = fmt.Sprintf("sharded(%d/%d):%s", len(c.streams), c.nShards, first)
-	}
-	stats.Wall = time.Since(start)
-	c.stats = stats
-
-	deliberate := c.stopped.Load()
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		isCtx := isCtxErr(err)
-		if isCtx && deliberate {
-			continue // our own LIMIT/Close shutdown, not a failure
-		}
-		if !isCtx {
-			c.err = err
-			break
-		}
-		if c.err == nil {
-			c.err = err
-		}
-	}
-	close(c.ch)
-}
-
-// pump drives one shard's stream to completion, failing over across the
-// shard's replicas: each failed attempt closes its cursor, marks the replica
-// unhealthy and reopens on the next live one; the terminal error is either
-// nil, a context termination (caller cancel or deliberate stop), or the
-// shard's root cause once every replica has been tried.
-func (c *scatterCursor) pump(ss *shardStream) error {
-	for {
-		final := !ss.untried()
-		err := c.drain(ss, final)
-		ss.stats = ss.cur.Stats()
-		ss.cur.Close()
-		if err == nil {
-			ss.fl.succeeded()
-			return nil
-		}
-		if isCtxErr(err) {
 			return err
 		}
-		ss.fl.observe(ss.rep, err)
-		cur, rep, oerr := ss.rs.openCursor(c.cctx, c.stmt, c.opts, ss.tried, &ss.fl, err)
-		if oerr != nil {
-			return oerr
+		for _, row := range buf {
+			select {
+			case c.ch <- row:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
 		}
-		ss.cur, ss.rep = cur, rep
+		return nil
 	}
-}
 
-// drain consumes the current attempt's cursor. While failover is still
-// possible (final=false) the rows buffer in memory and reach the merged
-// stream only after the scan completed cleanly — a replica that fails
-// mid-scan then contributes nothing, and its replacement replays the shard
-// from scratch without duplicating rows. This is a deliberate exactness
-// trade-off the replicated fleet pays even when no replica fails: a shard's
-// first rows arrive at shard-completion rather than split-completion, and
-// the buffer holds up to that shard's full result (the same shard-at-a-time
-// materialization the non-streaming gather does — replaying a failed shard
-// by skipping N already-delivered rows instead would be unsound, because a
-// warehouse cursor's row order is split-completion order, not
-// deterministic). The final attempt streams rows directly: no retry can
-// follow, so nothing needs to be replayable — and at Replicas:1 every
-// attempt is final, keeping the unreplicated fast path byte-for-byte.
-func (c *scatterCursor) drain(ss *shardStream, final bool) error {
-	if final {
-		return forwardRows(c.cctx, ss.cur, c.ch)
-	}
-	var buf []storage.Row
-	for ss.cur.Next() {
-		buf = append(buf, ss.cur.Row())
-	}
-	if err := ss.cur.Err(); err != nil {
-		return err
-	}
-	for _, row := range buf {
-		select {
-		case c.ch <- row:
-		case <-c.cctx.Done():
-			return c.cctx.Err()
+	// The merging goroutine is joined structurally, not locally: it closes
+	// c.ch and then c.done, and Close drains c.ch then blocks on <-c.done.
+	//dgflint:ignore goroutinejoin joined by scatterCursor.Close via c.done
+	go func() {
+		defer close(c.done)
+		start := time.Now()
+		err := fanOut(cctx, targets, stream)
+		// Merge costs the way the gather does: volumes sum, the slowest
+		// shard bounds the simulated time, the first target names the
+		// access path.
+		c.stats = stats[0]
+		for _, st := range stats[1:] {
+			mergeStats(&c.stats, st)
+		}
+		if prefix {
+			c.stats.AccessPath = fmt.Sprintf("sharded(%d/%d):%s", len(targets), len(r.sets), stats[0].AccessPath)
+		}
+		c.stats.Wall = time.Since(start)
+		if err != nil && !(isCtxErr(err) && c.stopped.Load()) {
+			// Our own LIMIT/Close shutdown is not a failure.
+			c.err = err
+		}
+		close(c.ch)
+	}()
+
+	for range targets {
+		if err := <-opens; err != nil {
+			// Report fanOut's root cause, not this stream's error: a real
+			// failure outranks the cancellations it induced in siblings.
+			c.shutdown()
+			return nil, c.err
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // forwardRows pumps rows from cur into ch until the cursor ends or ctx is
@@ -331,10 +232,15 @@ func (c *scatterCursor) Err() error {
 
 func (c *scatterCursor) Close() error {
 	c.stopped.Store(true)
+	c.shutdown()
+	return nil
+}
+
+// shutdown cancels the streams, drains the rows so none blocks on a send,
+// and joins them.
+func (c *scatterCursor) shutdown() {
 	c.cancel()
 	for range c.ch {
-		// Drain so the pumps never block on a send.
 	}
 	<-c.done
-	return nil
 }

@@ -33,17 +33,12 @@ type Options struct {
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
-	// SyncEvery is the PolicyInterval flush period. Default 25ms.
-	SyncEvery time.Duration
 	// MaxBatchRows caps rows coalesced into one apply call. Default 8192.
 	MaxBatchRows int
 	// MaxPendingRows is the per-replica backpressure bound: commits block
 	// (context-aware) while a live replica has this many unapplied rows.
 	// Default 1<<20.
 	MaxPendingRows int
-	// SlowApplyMs: applies slower than this are recorded in the flight
-	// recorder (errored applies and catch-ups always are). Default 500.
-	SlowApplyMs float64
 	// OnApply, when set, runs after every successful apply batch — the
 	// server hooks result-cache invalidation here so cached answers are
 	// evicted when rows land, not when they are enqueued.
@@ -53,18 +48,20 @@ type Options struct {
 	Recorder *trace.Recorder
 }
 
+const (
+	// syncEvery is the PolicyInterval flush period.
+	syncEvery = 25 * time.Millisecond
+	// slowApply is the apply wall time past which the flight recorder keeps
+	// the apply's span (errored applies and catch-ups are always kept).
+	slowApply = 500 * time.Millisecond
+)
+
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 25 * time.Millisecond
-	}
 	if o.MaxBatchRows <= 0 {
 		o.MaxBatchRows = 8192
 	}
 	if o.MaxPendingRows <= 0 {
 		o.MaxPendingRows = 1 << 20
-	}
-	if o.SlowApplyMs <= 0 {
-		o.SlowApplyMs = 500
 	}
 	return o
 }
@@ -195,7 +192,7 @@ func (e *Engine) closeLogs() {
 
 func (e *Engine) syncLoop() {
 	defer e.wg.Done()
-	t := time.NewTicker(e.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -420,7 +417,7 @@ func (rw *replicaWAL) run() {
 		if cb := rw.eng.opts.OnApply; cb != nil {
 			cb(table, rows)
 		}
-		if wall := span.Wall(); float64(wall)/float64(time.Millisecond) >= rw.eng.opts.SlowApplyMs {
+		if span.Wall() >= slowApply {
 			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, table), nil)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 type Policy uint8
 
 const (
-	// PolicyInterval fsyncs on a background ticker (Engine.Options.SyncEvery).
+	// PolicyInterval fsyncs on a background ticker, every 25ms.
 	// A crash can lose at most the last interval's acks. The default.
 	PolicyInterval Policy = iota
 	// PolicyAlways fsyncs every append before the load is acknowledged.
