@@ -440,9 +440,18 @@ func (w *FileWriter) WriteString(s string) (int, error) {
 	return w.Write([]byte(s))
 }
 
-// Close finalises the file. Further writes fail.
+// Close finalises the file. Further writes fail. A block Write grew by
+// append keeps its spare capacity only while the file can still grow: Close
+// copies it to its length, so a closed file holds its bytes and no more.
 func (w *FileWriter) Close() error {
+	w.fs.mu.Lock()
+	defer w.fs.mu.Unlock()
 	w.closed = true
+	for i, b := range w.f.blocks {
+		if cap(b) > len(b) {
+			w.f.blocks[i] = append(make([]byte, 0, len(b)), b...)
+		}
+	}
 	return nil
 }
 

@@ -70,6 +70,39 @@ func TestWriteAfterClose(t *testing.T) {
 	}
 }
 
+// TestCloseTrimsBlocks: small writes grow a file's last block by append,
+// with spare capacity; once the file is closed no block holds more than its
+// bytes, and the bytes are unchanged.
+func TestCloseTrimsBlocks(t *testing.T) {
+	fs := New(1000)
+	w, err := fs.Create("/t/part-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := 0; i < 700; i++ {
+		line := []byte{byte(i), ',', byte(i >> 8), '\n'}
+		want = append(want, line...)
+		if _, err := w.Write(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.f.blocks) != 3 {
+		t.Fatalf("%d blocks, want 3", len(w.f.blocks))
+	}
+	for i, b := range w.f.blocks {
+		if cap(b) != len(b) {
+			t.Fatalf("block %d of a closed file: cap %d, len %d", i, cap(b), len(b))
+		}
+	}
+	if got, err := fs.ReadFile("/t/part-0"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("ReadFile after Close: %d bytes, want %d (%v)", len(got), len(want), err)
+	}
+}
+
 func TestReadAt(t *testing.T) {
 	fs := New(4)
 	w, _ := fs.Create("/f")

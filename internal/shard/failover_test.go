@@ -415,11 +415,16 @@ func TestFailoverPassthroughCursorMidStream(t *testing.T) {
 
 	for i, delay := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
 		rep := i % 2
+		killed := make(chan struct{})
 		go func() {
+			defer close(killed)
 			time.Sleep(delay)
 			r.Kill(0, rep)
 		}()
 		got := rowMultiset(t, r, sql, 0)
+		// The kill may land after the query: it must land before the revive,
+		// or it carries over into the next round's kill of the other replica.
+		<-killed
 		r.Revive(0, rep)
 		// The next round kills the other replica of the same shard: this
 		// one must be back in read selection first, not still catching up.

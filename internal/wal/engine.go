@@ -83,10 +83,11 @@ type Engine struct {
 // every replica's log holds the same records in the same order (modulo a
 // suffix missing while a replica is down).
 type shardWAL struct {
-	idx  int
-	mu   sync.Mutex // serialises commit + catch-up log repair
-	next uint64     // next LSN to assign (1-based)
-	reps []*replicaWAL
+	idx   int
+	mu    sync.Mutex // serialises commit + catch-up log repair
+	next  uint64     // next LSN to assign (1-based)
+	reps  []*replicaWAL
+	frame []byte // a commit's encoded record, written to every replica's log
 }
 
 // replicaWAL is one replica's log, pending queue, and applier state.
@@ -254,6 +255,9 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 		}
 	}
 	rec := Record{LSN: sw.next, Table: table, Rows: rows}
+	if e.opts.Dir != "" {
+		sw.frame = encodeFrame(sw.frame[:0], rec)
+	}
 	logged := 0
 	for _, rw := range sw.reps {
 		rw.mu.Lock()
@@ -263,7 +267,7 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 			continue
 		}
 		rw.mu.Unlock()
-		if err := rw.log.Append(rec, e.opts.Fsync); err != nil {
+		if err := rw.log.appendFrame(sw.frame, rec.LSN, e.opts.Fsync); err != nil {
 			// A replica whose log cannot take writes is as good as down:
 			// demote it (it will be owed the record like any dead replica)
 			// and keep the commit alive on its siblings.

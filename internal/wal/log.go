@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,7 +71,8 @@ type Log struct {
 // OpenLog opens (creating if needed) the log at path, validates every
 // record, truncates any torn tail, and returns the log positioned for
 // appends plus every intact record in LSN order. An empty path opens a log
-// with no file.
+// with no file. A checksummed frame that does not decode fails the open and
+// leaves the file as it was (see scanFrom).
 func OpenLog(path string) (*Log, []Record, error) {
 	if path == "" {
 		return &Log{}, nil, nil
@@ -84,7 +87,7 @@ func OpenLog(path string) (*Log, []Record, error) {
 	recs, goodEnd, err := scanRecords(f)
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
 	}
 	if fi, err := f.Stat(); err == nil && fi.Size() > goodEnd {
 		// Torn tail from a crash mid-append: drop it so the next append
@@ -105,16 +108,24 @@ func OpenLog(path string) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// scanRecords reads records from the start of f, stopping at the first
-// frame that is short, oversized, or fails its checksum. It returns the
-// intact records and the byte offset just past the last good frame.
-func scanRecords(r io.Reader) ([]Record, int64, error) {
+// scanRecords reads every record of a log stream: scanFrom(r, 0).
+func scanRecords(r io.Reader) ([]Record, int64, error) { return scanFrom(r, 0) }
+
+// scanFrom reads the frames of a log stream from its start and decodes
+// those whose LSN is at least from. It stops at the first frame that is
+// short, oversized, or fails its checksum — a torn write — and returns the
+// decoded records and the byte offset just past the last good frame. A
+// frame that passes its checksum but does not decode is a format mismatch
+// or a bug, not a torn write: that is an error naming the frame's offset
+// and LSN, so recovery never cuts acknowledged records off behind it.
+func scanFrom(r io.Reader, from uint64) ([]Record, int64, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var recs []Record
 	var off int64
 	header := make([]byte, frameHeaderLen)
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(r, header); err != nil {
+		if _, err := io.ReadFull(br, header); err != nil {
 			return recs, off, nil // clean EOF or torn header — stop here
 		}
 		n := binary.LittleEndian.Uint32(header)
@@ -123,17 +134,19 @@ func scanRecords(r io.Reader) ([]Record, int64, error) {
 			return recs, off, nil
 		}
 		var ok bool
-		if payload, ok = readPayload(r, payload, n); !ok {
+		if payload, ok = readPayload(br, payload, n); !ok {
 			return recs, off, nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, off, nil // corrupt frame
 		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, off, nil // framing ok but body mangled — treat as torn
+		if len(payload) < 8 || binary.LittleEndian.Uint64(payload) >= from {
+			rec, err := decodePayload(payload)
+			if err != nil {
+				return recs, off, fmt.Errorf("record at byte %d (lsn %d) passes its checksum but does not decode: %w", off, rec.LSN, err)
+			}
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
 		off += frameHeaderLen + int64(n)
 	}
 }
@@ -165,18 +178,32 @@ func readPayload(r io.Reader, buf []byte, n uint32) ([]byte, bool) {
 func (l *Log) Append(rec Record, p Policy) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.path != "" {
+		l.buf = encodeFrame(l.buf[:0], rec)
+	}
+	return l.appendLocked(l.buf, rec.LSN, p)
+}
+
+// appendFrame is Append of a record encodeFrame has already rendered, so a
+// commit encodes its record once for every replica's log.
+func (l *Log) appendFrame(frame []byte, lsn uint64, p Policy) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendLocked(frame, lsn, p)
+}
+
+func (l *Log) appendLocked(frame []byte, lsn uint64, p Policy) error {
 	if l.path == "" {
-		l.lastLSN = rec.LSN
+		l.lastLSN = lsn
 		return nil
 	}
-	l.buf = encodeFrame(l.buf[:0], rec)
-	if _, err := l.f.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: append lsn %d: %w", rec.LSN, err)
+	if _, err := l.f.Write(frame); err != nil {
+		return fmt.Errorf("wal: append lsn %d: %w", lsn, err)
 	}
-	l.lastLSN = rec.LSN
+	l.lastLSN = lsn
 	if p == PolicyAlways {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync lsn %d: %w", rec.LSN, err)
+			return fmt.Errorf("wal: fsync lsn %d: %w", lsn, err)
 		}
 		return nil
 	}
@@ -206,11 +233,12 @@ func (l *Log) LastLSN() uint64 {
 }
 
 // ScanFrom re-reads the log from disk and returns every intact record with
-// LSN > after. It opens a private descriptor, so concurrent appends to the
-// same *Log are safe (callers serialise against commits at a higher level
-// to get a stable upper bound).
+// LSN > after; frames at or below it are checksummed but not decoded. It
+// opens a private descriptor, so concurrent appends to the same *Log are
+// safe (callers serialise against commits at a higher level to get a stable
+// upper bound).
 func (l *Log) ScanFrom(after uint64) ([]Record, error) {
-	if l.path == "" {
+	if l.path == "" || after == math.MaxUint64 {
 		return nil, nil
 	}
 	f, err := os.Open(l.path)
@@ -218,15 +246,11 @@ func (l *Log) ScanFrom(after uint64) ([]Record, error) {
 		return nil, fmt.Errorf("wal: reopen for replay: %w", err)
 	}
 	defer f.Close()
-	recs, _, err := scanRecords(f)
+	recs, _, err := scanFrom(f, after+1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: %s: %w", l.path, err)
 	}
-	i := 0
-	for i < len(recs) && recs[i].LSN <= after {
-		i++
-	}
-	return recs[i:], nil
+	return recs, nil
 }
 
 // Close fsyncs pending bytes (unless the policy is off) and releases the

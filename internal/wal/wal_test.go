@@ -1,13 +1,17 @@
 package wal
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,6 +135,62 @@ func TestWALCorruptMiddleStopsReplay(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Fatalf("corrupt first record should stop replay, got %d records", len(recs))
+	}
+}
+
+// TestWALUndecodableRecordRefusesLog: a frame whose checksum holds but
+// whose body does not decode is no torn write — a format mismatch or a bug.
+// OpenLog must fail naming the file, the frame's offset and its LSN, and
+// leave the log as it was: truncating there would destroy acknowledged
+// records 2 and 3.
+func TestWALUndecodableRecordRefusesLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for lsn := uint64(1); lsn <= 3; lsn++ {
+		recs = append(recs, Record{LSN: lsn, Table: "meter", Rows: testRows(int(lsn)*10, 2)})
+		if err := l.Append(recs[lsn-1], PolicyOff); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close(PolicyOff)
+
+	// Record 2 gains a trailing byte, and a checksum to match.
+	payload := append(encodePayload(nil, recs[1]), 0)
+	data := encodeFrame(nil, recs[0])
+	second := len(data)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+	data = append(data, payload...)
+	data = encodeFrame(data, recs[2])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, got, err := OpenLog(path)
+	if err == nil {
+		t.Fatalf("OpenLog accepted a log with an undecodable record and returned %d records", len(got))
+	}
+	for _, want := range []string{path, fmt.Sprintf("byte %d", second), "lsn 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused log was rewritten: %d bytes, want %d (%v)", len(after), len(data), err)
+	}
+
+	// ScanFrom decodes only the records it returns: from past record 2 the
+	// log reads on, from before it the same refusal.
+	lg := &Log{path: path}
+	if tail, err := lg.ScanFrom(2); err != nil || len(tail) != 1 || tail[0].LSN != 3 {
+		t.Fatalf("ScanFrom(2) = %d records, %v; want record 3", len(tail), err)
+	}
+	if _, err := lg.ScanFrom(1); err == nil || !strings.Contains(err.Error(), "lsn 2") {
+		t.Fatalf("ScanFrom(1) = %v, want the undecodable record 2", err)
 	}
 }
 
