@@ -27,7 +27,7 @@
 //
 // Loads take one path — commit to the fleet's engine, apply in the
 // background. With -wal-dir set the engine logs to disk and /load acks once
-// the rows are in every live replica's log ("durability":"logged"); add
+// the rows are in each touched shard's log ("durability":"logged"); add
 // ?sync=1 to wait until they are applied and queryable. Without it nothing
 // is stored and every ack waits for the apply ("durability":"applied").
 //

@@ -536,7 +536,7 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 			if got := famValue(t, fams, "dgf_wal_rows_applied_total"); got != float64(snap.RowsApplied) {
 				t.Fatalf("dgf_wal_rows_applied_total = %v, /stats says %v", got, snap.RowsApplied)
 			}
-			for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn", "dgf_wal_replica_catching_up"} {
+			for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_owed_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn", "dgf_wal_replica_catching_up"} {
 				fam := fams[name]
 				if fam == nil {
 					t.Fatalf("metric family %s missing", name)
@@ -557,6 +557,58 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsOwedRecordsGauge: dgf_wal_owed_records is a per-replica gauge
+// of what a down replica is owed from its shard's log — N after N commits to
+// the shard while it was down — and drops to 0 when it catches up.
+func TestMetricsOwedRecordsGauge(t *testing.T) {
+	s, r := walServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	owed := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		fams, err := trace.ParseMetrics(string(body))
+		if err != nil {
+			t.Fatalf("/metrics is not valid Prometheus exposition: %v", err)
+		}
+		if fam := fams["dgf_wal_owed_records"]; fam != nil && fam.Type == "gauge" {
+			for _, sm := range fam.Samples {
+				if sm.Labels["shard"] == "0" && sm.Labels["replica"] == "1" {
+					return sm.Value
+				}
+			}
+		}
+		t.Fatalf("no dgf_wal_owed_records gauge for shard 0 replica 1:\n%s", body)
+		return 0
+	}
+
+	mustQuery(t, s, `SELECT count(*) FROM meterdata`) // the parser rejects a per-path family with no samples
+	ctx := context.Background()
+	r.Kill(0, 1)
+	from := r.WALStats()[0].NextLSN
+	for i := 0; i < 3; i++ {
+		if _, err := s.LoadRowsCtx(ctx, "meterdata", meterRows(2000+100*i, 40, 4, 1), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := r.WALStats()[0].NextLSN - from
+	if n == 0 {
+		t.Fatal("no load reached shard 0")
+	}
+	if got := owed(); got != float64(n) {
+		t.Fatalf("owed records while down = %v, want %d", got, n)
+	}
+	r.Revive(0, 1)
+	if got := owed(); got != 0 {
+		t.Fatalf("owed records after catch-up = %v, want 0", got)
 	}
 }
 

@@ -88,15 +88,13 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	}
 
 	p.Counter("dgf_wal_rows_applied_total", "Rows the load engine's appliers wrote into the warehouses, counted once per replica that applied them (R times the loaded rows on an R-replica fleet).", nil, float64(snap.RowsApplied))
-	var replayed, hinted float64
+	var replayed float64
 	for _, sh := range snap.WAL {
 		for _, rep := range sh.Replicas {
 			replayed += float64(rep.ReplayedRows)
-			hinted += float64(rep.HintedRecords)
 		}
 	}
 	p.Counter("dgf_wal_replayed_rows_total", "Rows replayed into replicas by catch-up after an outage.", nil, replayed)
-	p.Counter("dgf_wal_hinted_records_total", "Log records committed while a replica was down and owed to it.", nil, hinted)
 
 	p.GaugeHead("dgf_wal_pending_records", "Committed records not yet applied on the replica (ingest backlog depth).")
 	for _, sh := range snap.WAL {
@@ -104,7 +102,13 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 			p.GaugeRow("dgf_wal_pending_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.PendingRecords))
 		}
 	}
-	p.GaugeHead("dgf_wal_last_lsn", "Highest log sequence number appended to the replica's log.")
+	p.GaugeHead("dgf_wal_owed_records", "Records the shard's log took while the replica was down, replayed into it on revive (0 while live).")
+	for _, sh := range snap.WAL {
+		for _, rep := range sh.Replicas {
+			p.GaugeRow("dgf_wal_owed_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.HintedRecords))
+		}
+	}
+	p.GaugeHead("dgf_wal_last_lsn", "Highest log sequence number appended to the shard's log.")
 	for _, sh := range snap.WAL {
 		for _, rep := range sh.Replicas {
 			p.GaugeRow("dgf_wal_last_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.LastLSN))

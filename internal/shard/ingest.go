@@ -24,10 +24,11 @@ func (r *Router) stores() [][]wal.Store {
 // pipeline over a log that stores nothing — with one opened from opts:
 // whatever the old engine still has queued is applied, it is closed, and
 // every later load commits to the new one. With opts.Dir set that makes
-// ingest durable: a load appends a checksummed record to each live replica's
-// log before it is acknowledged, the ack no longer waits for the apply
-// unless asked to, and Kill/Revive turn from "a down replica refuses loads"
-// into hinted handoff with catch-up by log replay. Without a Dir it only
+// ingest durable: a load appends a checksummed record to each touched
+// shard's one log before it is acknowledged, the ack no longer waits for the
+// apply unless asked to, and Kill/Revive turn from "a down replica refuses
+// loads" into hinted handoff: the revived replica replays what it missed
+// from the shard's log. Without a Dir it only
 // installs opts' hooks and tuning. A router takes one directory: enabling
 // again over a durable engine is an error.
 //
@@ -71,7 +72,7 @@ type LoadAck struct {
 	// across the shards it touched.
 	MaxLSN uint64
 	// Durable is true when the engine that took the load has a directory:
-	// the rows are in every live replica's log.
+	// the rows are in the log of every shard they touched.
 	Durable bool
 	// Applied is true when the rows were confirmed applied on every live
 	// replica of every shard they touched: sync acks, and every ack of a
@@ -82,9 +83,10 @@ type LoadAck struct {
 }
 
 // LoadRowsDurable is the fleet's one load call: rows route to their shards,
-// each shard's slice commits to the engine — appended to its live replicas'
-// logs and queued for their appliers — and the call acks. A durable engine
-// acks at log speed (dead replicas are owed the records via hinted handoff);
+// each shard's slice commits to the engine — appended to the shard's log and
+// queued for its live replicas' appliers — and the call acks. A durable
+// engine acks at log speed (dead replicas are owed the records and replay
+// them from the shard's log on revive);
 // with sync=true it additionally waits — context-bounded — until every live
 // replica of each touched shard has applied its slice. An engine without a
 // directory has only the queue, so its ack always waits for the apply, and
@@ -152,7 +154,8 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 	return ack, outcome
 }
 
-// WALStats snapshots the engine's per-shard per-replica log positions.
+// WALStats snapshots the engine's per-shard log tails and per-replica
+// positions.
 func (r *Router) WALStats() []wal.ShardStats { return r.wal.Load().Stats() }
 
 // DrainWAL blocks until every live replica has applied everything

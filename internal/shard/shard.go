@@ -213,19 +213,19 @@ func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w 
 // boundary, and its applier pauses — a batch it is already writing runs to
 // completion, what is queued behind it waits for Revive. Reads fail over to
 // the shard's surviving replicas. Writes: behind a log directory the load
-// commits to the surviving replicas' logs and the dead one is owed the
-// records (hinted handoff); without one there is nothing to hand off from,
-// so loads touching the shard are refused until Revive and the replicas
-// stay exact copies.
+// commits to the shard's log and is queued on the surviving replicas, and
+// the dead one is owed the records (hinted handoff); without one there is
+// nothing to hand off from, so loads touching the shard are refused until
+// Revive and the replicas stay exact copies.
 func (r *Router) Kill(shard, replica int) {
 	r.sets[shard].reps[replica].kill()
 	r.wal.Load().MarkDown(shard, replica)
 }
 
 // Revive brings a killed replica back with a clean health record. It first
-// applies what it is behind by — the records its siblings logged while it
-// was down, copied into its own log, and whatever was queued for it when it
-// died — and health reports it catching_up, not live, until then. A replica
+// applies what it is behind by — whatever was queued for it when it died,
+// then the records the shard's log took while it was down, read from that
+// log — and health reports it catching_up, not live, until then. A replica
 // that is behind by nothing is live when Revive returns.
 func (r *Router) Revive(shard, replica int) {
 	rep := r.sets[shard].reps[replica]

@@ -51,7 +51,7 @@ const (
 	MetricPathSimSeconds       = "dgf_path_sim_seconds_total"
 	MetricWALRowsApplied       = "dgf_wal_rows_applied_total"
 	MetricWALReplayedRows      = "dgf_wal_replayed_rows_total"
-	MetricWALHintedRecords     = "dgf_wal_hinted_records_total"
+	MetricWALOwedRecords       = "dgf_wal_owed_records"
 	MetricWALPendingRecords    = "dgf_wal_pending_records"
 	MetricWALLastLSN           = "dgf_wal_last_lsn"
 	MetricWALAppliedLSN        = "dgf_wal_applied_lsn"

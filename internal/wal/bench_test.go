@@ -77,8 +77,9 @@ func BenchmarkLogAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkCommit: Engine.Commit of one meter record at two replicas over
-// stores that drop the rows — the log's share of an ack.
+// BenchmarkCommit: Engine.Commit of one meter record on a two-replica shard
+// over stores that drop the rows — the log's share of an ack: one frame
+// appended to the shard's one log, queued on both replicas.
 func BenchmarkCommit(b *testing.B) {
 	dir := b.TempDir()
 	e, err := Open(Options{Dir: dir, Fsync: PolicyOff}, [][]Store{{discardStore{}, discardStore{}}})
@@ -102,9 +103,9 @@ func BenchmarkCommit(b *testing.B) {
 	if err := e.Drain(ctx); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(fileSize(b, filepath.Join(dir, "shard-000", "replica-0.wal")))/float64(b.N*benchRecordRows), "bytes/row")
+	b.ReportMetric(float64(fileSize(b, filepath.Join(dir, "shard-000", shardLogName)))/float64(b.N*benchRecordRows), "bytes/row")
 	// With the appliers parked on their first batch, a commit allocates
-	// nothing of its own: one frame, encoded into the shard's buffer.
+	// nothing of its own: one frame, encoded into the shard log's buffer.
 	gate := make(chan struct{})
 	parked, err := Open(Options{Dir: b.TempDir(), Fsync: PolicyOff}, [][]Store{{dropStore{gate}, dropStore{gate}}})
 	if err != nil {
@@ -120,7 +121,7 @@ func BenchmarkCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	if a != 0 {
-		b.Fatalf("Commit allocates %.0f times a record; it encodes into the shard's frame buffer", a)
+		b.Fatalf("Commit allocates %.0f times a record; it encodes into the shard log's frame buffer", a)
 	}
 }
 

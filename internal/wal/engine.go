@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,17 +20,19 @@ type Store interface {
 	LoadRowsByName(table string, rows []storage.Row) error
 }
 
-// ErrNoLiveReplica fails a Commit that no replica of the shard could log:
-// every one is down or its log refused the append — or, on an engine without
-// a directory, any one is down (see Commit). Nothing was logged or queued.
+// ErrNoLiveReplica fails a Commit the shard cannot take: every replica is
+// down, the shard's log refused the append — or, on an engine without a
+// directory, any replica is down (see Commit). Nothing was queued and no LSN
+// was consumed.
 var ErrNoLiveReplica = errors.New("no live replica log accepted the record")
 
 // Options configures an Engine.
 type Options struct {
-	// Dir is the WAL root; logs live at Dir/shard-NNN/replica-N.wal. Empty
-	// runs the same engine over logs that store nothing: records live only
-	// in the apply queues, so nothing survives a restart and there is no
-	// hinted handoff (see Commit).
+	// Dir is the WAL root; each shard's one log lives at
+	// Dir/shard-NNN/replica-0.wal (see shardLogName), shared by all its
+	// replicas. Empty runs the same engine over logs that store nothing:
+	// records live only in the apply queues, so nothing survives a restart
+	// and there is no hinted handoff (see Commit).
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
@@ -49,6 +52,11 @@ type Options struct {
 }
 
 const (
+	// shardLogName is the file of a shard's one log inside its shard-NNN
+	// directory. The benchmark harness reads the WAL at exactly this path
+	// (benchmark/workloads.go, benchmark/probes.go), so a rename goes with
+	// a change to those two lines.
+	shardLogName = "replica-0.wal"
 	// syncEvery is the PolicyInterval flush period.
 	syncEvery = 25 * time.Millisecond
 	// slowApply is the apply wall time past which the flight recorder keeps
@@ -66,8 +74,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine owns the logs and appliers for a whole fleet: one LSN sequencer
-// per shard, one log + applier goroutine per replica.
+// Engine owns the logs and appliers for a whole fleet: one log and LSN
+// sequencer per shard, one pending queue + applier goroutine per replica.
 type Engine struct {
 	opts   Options
 	shards []*shardWAL
@@ -79,35 +87,34 @@ type Engine struct {
 	closed bool
 }
 
-// shardWAL sequences commits for one shard. All replicas share nextLSN, so
-// every replica's log holds the same records in the same order (modulo a
-// suffix missing while a replica is down).
+// shardWAL sequences commits for one shard into its one log. Every replica
+// applies that log's records in LSN order; a down replica's queue stops at
+// its queued cursor, and catch-up reads the rest from the log.
 type shardWAL struct {
-	idx   int
-	mu    sync.Mutex // serialises commit + catch-up log repair
-	next  uint64     // next LSN to assign (1-based)
-	reps  []*replicaWAL
-	frame []byte // a commit's encoded record, written to every replica's log
+	idx  int
+	mu   sync.Mutex // serialises commit + catch-up's read of the log
+	log  *Log
+	next uint64 // next LSN to assign (1-based)
+	reps []*replicaWAL
 }
 
-// replicaWAL is one replica's log, pending queue, and applier state.
+// replicaWAL is one replica's pending queue and applier state.
 type replicaWAL struct {
 	eng   *Engine
 	shard int
 	idx   int
 	store Store
-	log   *Log
 
 	mu           sync.Mutex
 	cond         *sync.Cond
 	pending      []Record
 	pendingRows  int
 	applied      uint64 // LSN high-water mark: everything <= is in the store
-	replayTarget uint64 // records <= this were recovered/backfilled, not live commits
+	queued       uint64 // highest LSN ever queued: everything <= is applied or pending
+	replayTarget uint64 // records <= this were recovered or caught up, not live commits
 	active       bool   // false while the replica is down: no appends, no applies
 	catchingUp   bool
 	closed       bool
-	hinted       int64 // records skipped while down (owed via catch-up)
 	replayedRows int64 // rows applied via recovery or catch-up replay
 	batches      int64 // successful apply batches
 	stalled      string
@@ -115,59 +122,38 @@ type replicaWAL struct {
 
 // Open recovers (or initialises) the WAL under opts.Dir for a fleet shaped
 // like stores: stores[shard][replica]; without a Dir every log is one with
-// no file and there is nothing to recover. Recovered records are queued for
-// re-apply — the stores are in-memory, so a process restart means every
-// logged record replays from LSN 1. Replica logs of the same shard are
-// repaired to a common tail before appliers start, so even a fleet that
-// crashed mid-commit comes back prefix-identical.
+// no file and there is nothing to recover. Each shard has one log, and every
+// record recovered from it is queued on every replica — the stores are
+// in-memory, so a process restart means every logged record replays from
+// LSN 1. A shard directory holding any other *.wal (a per-replica log from an
+// older layout, whose copies may differ in length) fails the open before any
+// file is touched.
 func Open(opts Options, stores [][]Store) (*Engine, error) {
 	opts = opts.withDefaults()
-	e := &Engine{opts: opts, stopSync: make(chan struct{})}
-	for si, reps := range stores {
-		sw := &shardWAL{idx: si}
-		recovered := make([][]Record, len(reps))
-		maxLast := uint64(0)
-		donor := -1
-		for ri, st := range reps {
-			path := ""
-			if opts.Dir != "" {
-				path = filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", si), fmt.Sprintf("replica-%d.wal", ri))
-			}
-			l, recs, err := OpenLog(path)
-			if err != nil {
-				e.closeLogs()
+	paths := make([]string, len(stores))
+	if opts.Dir != "" {
+		for si := range stores {
+			paths[si] = filepath.Join(opts.Dir, fmt.Sprintf("shard-%03d", si), shardLogName)
+			if err := refuseStrayLogs(paths[si]); err != nil {
 				return nil, err
 			}
-			rw := &replicaWAL{eng: e, shard: si, idx: ri, store: st, log: l, active: true}
+		}
+	}
+	e := &Engine{opts: opts, stopSync: make(chan struct{})}
+	for si, reps := range stores {
+		l, recs, err := OpenLog(paths[si])
+		if err != nil {
+			e.closeLogs()
+			return nil, err
+		}
+		last := l.LastLSN()
+		sw := &shardWAL{idx: si, log: l, next: last + 1}
+		for ri, st := range reps {
+			rw := &replicaWAL{eng: e, shard: si, idx: ri, store: st, active: true,
+				pending: slices.Clone(recs), pendingRows: recordRows(recs), queued: last, replayTarget: last}
 			rw.cond = sync.NewCond(&rw.mu)
 			sw.reps = append(sw.reps, rw)
-			recovered[ri] = recs
-			if last := l.LastLSN(); last > maxLast {
-				maxLast, donor = last, ri
-			}
 		}
-		// Repair short logs from the longest sibling: a crash between
-		// per-replica appends of one commit leaves tails of different
-		// lengths; all replicas must replay the same history.
-		for ri, rw := range sw.reps {
-			last := rw.log.LastLSN()
-			if donor >= 0 && last < maxLast {
-				for _, rec := range recovered[donor] {
-					if rec.LSN <= last {
-						continue
-					}
-					if err := rw.log.Append(rec, PolicyOff); err != nil {
-						e.closeLogs()
-						return nil, err
-					}
-					recovered[ri] = append(recovered[ri], rec)
-				}
-			}
-			rw.pending = recovered[ri]
-			rw.pendingRows = recordRows(rw.pending)
-			rw.replayTarget = maxLast
-		}
-		sw.next = maxLast + 1
 		e.shards = append(e.shards, sw)
 	}
 	for _, sw := range e.shards {
@@ -183,11 +169,25 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 	return e, nil
 }
 
+// refuseStrayLogs fails when the directory of a shard log holds any other
+// *.wal file, naming it: only the shard log is read, so another log's records
+// would be silently dropped.
+func refuseStrayLogs(path string) error {
+	logs, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*.wal"))
+	if err != nil {
+		return fmt.Errorf("wal: list logs: %w", err)
+	}
+	for _, other := range logs {
+		if other != path {
+			return fmt.Errorf("wal: %s: a shard keeps one log, %s; move the other log away or recover it with the build that wrote it", other, path)
+		}
+	}
+	return nil
+}
+
 func (e *Engine) closeLogs() {
 	for _, sw := range e.shards {
-		for _, rw := range sw.reps {
-			rw.log.Close(PolicyOff)
-		}
+		sw.log.Close(PolicyOff)
 	}
 }
 
@@ -201,21 +201,20 @@ func (e *Engine) syncLoop() {
 			return
 		case <-t.C:
 			for _, sw := range e.shards {
-				for _, rw := range sw.reps {
-					rw.log.Sync() // best-effort; append errors surface on commit
-				}
+				sw.log.Sync() // best-effort; a failure refuses the next commit
 			}
 		}
 	}
 }
 
 // Commit logs one shard's slice of a load and queues it for apply,
-// returning the assigned LSN. Replicas marked down are skipped and owed
-// the record via hinted handoff; if no replica is live the commit fails
-// (nothing was logged). Handoff copies the record from a sibling's log, so
-// an engine without a directory has nothing to hand off from: it refuses
-// the commit while any replica of the shard is down, before anything is
-// queued, and the replicas stay exact copies. ctx gates only the
+// returning the assigned LSN. The record is appended to the shard's log
+// once and queued on every live replica; a replica marked down is skipped
+// and catches up from the log (hinted handoff). If no replica is live, or
+// the log refuses the append, the commit fails with nothing logged or
+// queued. An engine without a directory has no log to catch up from: it
+// refuses the commit while any replica of the shard is down, before
+// anything is queued, and the replicas stay exact copies. ctx gates only the
 // backpressure wait — once appending starts the commit always completes.
 func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []storage.Row) (uint64, error) {
 	if shard < 0 || shard >= len(e.shards) {
@@ -244,57 +243,43 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 	}
 	e.mu.Unlock()
 
-	if e.opts.Dir == "" {
-		for _, rw := range sw.reps {
-			rw.mu.Lock()
-			down := !rw.active
-			rw.mu.Unlock()
-			if down {
-				return 0, fmt.Errorf("wal: shard %d: replica %d is down and there is no log to hand the record off from: %w", shard, rw.idx, ErrNoLiveReplica)
-			}
-		}
-	}
-	rec := Record{LSN: sw.next, Table: table, Rows: rows}
-	if e.opts.Dir != "" {
-		sw.frame = encodeFrame(sw.frame[:0], rec)
-	}
-	logged := 0
+	durable := e.opts.Dir != ""
+	live := 0
 	for _, rw := range sw.reps {
 		rw.mu.Lock()
-		if !rw.active {
-			rw.hinted++
-			rw.mu.Unlock()
-			continue
-		}
+		up := rw.active
 		rw.mu.Unlock()
-		if err := rw.log.appendFrame(sw.frame, rec.LSN, e.opts.Fsync); err != nil {
-			// A replica whose log cannot take writes is as good as down:
-			// demote it (it will be owed the record like any dead replica)
-			// and keep the commit alive on its siblings.
-			rw.mu.Lock()
-			rw.active = false
-			rw.hinted++
-			rw.stalled = err.Error()
-			rw.cond.Broadcast()
-			rw.mu.Unlock()
-			continue
+		if up {
+			live++
+		} else if !durable {
+			return 0, fmt.Errorf("wal: shard %d: replica %d is down and there is no log to hand the record off from: %w", shard, rw.idx, ErrNoLiveReplica)
 		}
-		rw.mu.Lock()
-		rw.pending = append(rw.pending, rec)
-		rw.pendingRows += len(rows)
-		rw.cond.Broadcast()
-		rw.mu.Unlock()
-		logged++
 	}
-	if logged == 0 {
+	if live == 0 {
 		return 0, fmt.Errorf("wal: shard %d: %w", shard, ErrNoLiveReplica)
 	}
+	rec := Record{LSN: sw.next, Table: table, Rows: rows}
+	if err := sw.log.Append(rec, e.opts.Fsync); err != nil {
+		return 0, fmt.Errorf("wal: shard %d: %w: %w", shard, ErrNoLiveReplica, err)
+	}
 	sw.next++
+	for _, rw := range sw.reps {
+		rw.mu.Lock()
+		// Without a log a replica that went down since the check above
+		// still needs the record: nothing else could give it back.
+		if rw.active || !durable {
+			rw.pending = append(rw.pending, rec)
+			rw.pendingRows += len(rows)
+			rw.queued = rec.LSN
+			rw.cond.Broadcast()
+		}
+		rw.mu.Unlock()
+	}
 	if span != nil {
 		span.Set("shard", shard)
 		span.Set("lsn", rec.LSN)
 		span.Set("rows", len(rows))
-		span.Set("replicas_logged", logged)
+		span.Set("replicas_live", live)
 		span.Set("fsync", e.opts.Fsync.String())
 	}
 	return rec.LSN, nil
@@ -446,9 +431,9 @@ func (rw *replicaWAL) record(span *trace.Span, what string, err error) {
 	rec.Add(tr)
 }
 
-// MarkDown pauses a replica: commits stop appending to its log (hinting
-// instead) and its applier idles. Pending records stay queued so an
-// in-process revive never replays a record twice.
+// MarkDown pauses a replica: commits stop queueing records on it (it is
+// owed them from the shard's log) and its applier idles. Pending records
+// stay queued so an in-process revive never replays a record twice.
 func (e *Engine) MarkDown(shard, replica int) {
 	rw := e.replica(shard, replica)
 	if rw == nil {
@@ -461,14 +446,14 @@ func (e *Engine) MarkDown(shard, replica int) {
 	rw.mu.Unlock()
 }
 
-// CatchUp repairs a revived replica by log replay: records the live
-// siblings committed while it was down (LSN > its log tail) are copied
-// from the most advanced sibling's log into its own log and pending
-// queue, the applier resumes, and onDone fires once the replica's applied
-// high-water mark reaches the repair target. The log repair runs before
+// CatchUp revives a replica by log replay: the records committed while it
+// was down (LSN > its queued cursor) are read from the shard's log into its
+// pending queue, the applier resumes, and onDone fires once the replica's
+// applied high-water mark reaches the last of them. The read runs before
 // CatchUp returns; the wait for the applier runs in the background, and its
 // window is observable via Stats (CatchingUp=true). A replica that missed
-// nothing and has nothing queued is back by the time CatchUp returns.
+// nothing and has nothing queued is back by the time CatchUp returns. If the
+// log cannot be read the replica stays down, with the error in Stats.
 func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 	rw := e.replica(shard, replica)
 	if rw == nil {
@@ -482,70 +467,54 @@ func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 	span.Set("shard", shard)
 	span.Set("replica", replica)
 
-	// Under the shard commit lock: no new LSNs can land mid-repair, so
-	// "donor tail" is a stable target.
+	// Under the shard commit lock: no commit lands between the read of the
+	// log and the replica going live, so it misses nothing.
 	sw.mu.Lock()
-	var donor *replicaWAL
-	for _, sib := range sw.reps {
-		if sib == rw {
-			continue
-		}
-		sib.mu.Lock()
-		ok := sib.active
-		sib.mu.Unlock()
-		if ok && (donor == nil || sib.log.LastLSN() > donor.log.LastLSN()) {
-			donor = sib
-		}
-	}
-	mine := rw.log.LastLSN()
+	rw.mu.Lock()
+	from := rw.queued
+	rw.mu.Unlock()
 	var missed []Record
 	var scanErr error
-	if donor != nil && donor.log.LastLSN() > mine {
-		missed, scanErr = donor.log.ScanFrom(mine)
-	}
-	if scanErr == nil {
-		for _, rec := range missed {
-			if err := rw.log.Append(rec, PolicyOff); err != nil {
-				scanErr = err
-				break
-			}
-		}
+	if from < sw.log.LastLSN() {
+		missed, scanErr = sw.log.ScanFrom(from)
 	}
 	rw.mu.Lock()
+	target := from
 	if scanErr != nil {
 		rw.stalled = scanErr.Error()
+	} else {
+		for _, rec := range missed {
+			rw.pending = append(rw.pending, rec)
+			rw.pendingRows += len(rec.Rows)
+		}
+		if n := len(missed); n > 0 {
+			target = missed[n-1].LSN
+		}
+		rw.queued = target
+		if target > rw.replayTarget {
+			rw.replayTarget = target
+		}
+		rw.active = true
+		rw.catchingUp = true
 	}
-	for _, rec := range missed {
-		rw.pending = append(rw.pending, rec)
-		rw.pendingRows += len(rec.Rows)
-	}
-	target := mine
-	if n := len(missed); n > 0 {
-		target = missed[n-1].LSN
-	}
-	if target > rw.replayTarget {
-		rw.replayTarget = target
-	}
-	rw.active = true
-	rw.catchingUp = true
-	rw.hinted = 0
 	caughtUp := rw.applied >= target
 	rw.cond.Broadcast()
 	rw.mu.Unlock()
 	sw.mu.Unlock()
 
-	span.Set("from_lsn", mine)
+	span.Set("from_lsn", from)
 	span.Set("to_lsn", target)
 	span.Set("records", len(missed))
 	span.Set("rows", recordRows(missed))
 	if scanErr != nil {
-		span.Eventf("log repair failed: %v", scanErr)
+		span.Eventf("log read failed: %v", scanErr)
+		span.Finish()
+		rw.record(span, fmt.Sprintf("WAL catchup shard %d replica %d", shard, replica), scanErr)
+		return
 	}
 
-	// Wait until the replica has applied the full repaired history (or
-	// went down / closed again first). It references none of the scan's
-	// records: the queue holds its own copies, and the donor's decoded log
-	// is garbage once CatchUp returns.
+	// Wait until the replica has applied everything it was owed (or went
+	// down / closed again first).
 	wait := func() {
 		rw.mu.Lock()
 		for rw.applied < target && rw.active && !rw.closed {
@@ -557,7 +526,7 @@ func (e *Engine) CatchUp(shard, replica int, onDone func()) {
 		}
 		rw.mu.Unlock()
 		span.Finish()
-		rw.record(span, fmt.Sprintf("WAL catchup shard %d replica %d", shard, replica), scanErr)
+		rw.record(span, fmt.Sprintf("WAL catchup shard %d replica %d", shard, replica), nil)
 		if reached && onDone != nil {
 			onDone()
 		}
@@ -617,10 +586,8 @@ func (e *Engine) Drain(ctx context.Context) error {
 func (e *Engine) SyncAll() error {
 	var first error
 	for _, sw := range e.shards {
-		for _, rw := range sw.reps {
-			if err := rw.log.Sync(); err != nil && first == nil {
-				first = err
-			}
+		if err := sw.log.Sync(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -669,10 +636,8 @@ func (e *Engine) shutdown(flush bool) error {
 		policy = PolicyOff
 	}
 	for _, sw := range e.shards {
-		for _, rw := range sw.reps {
-			if err := rw.log.Close(policy); err != nil && first == nil {
-				first = err
-			}
+		if err := sw.log.Close(policy); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
@@ -690,6 +655,9 @@ func (e *Engine) replica(shard, rep int) *replicaWAL {
 }
 
 // ReplicaStats is one replica's WAL position for /stats and /metrics.
+// LastLSN is the shard log's tail, the same for every replica of a shard;
+// HintedRecords is what a down replica is owed from it (tail − queued
+// cursor), 0 for a live one.
 type ReplicaStats struct {
 	Replica        int    `json:"replica"`
 	LastLSN        uint64 `json:"last_lsn"`
@@ -717,18 +685,23 @@ func (e *Engine) Stats() []ShardStats {
 	for _, sw := range e.shards {
 		sw.mu.Lock()
 		ss := ShardStats{Shard: sw.idx, NextLSN: sw.next}
+		tail := sw.log.LastLSN()
 		sw.mu.Unlock()
 		for _, rw := range sw.reps {
 			rw.mu.Lock()
+			var owed int64
+			if !rw.active && rw.queued < tail {
+				owed = int64(tail - rw.queued)
+			}
 			ss.Replicas = append(ss.Replicas, ReplicaStats{
 				Replica:        rw.idx,
-				LastLSN:        rw.log.LastLSN(),
+				LastLSN:        tail,
 				AppliedLSN:     rw.applied,
 				PendingRecords: len(rw.pending),
 				PendingRows:    rw.pendingRows,
 				Active:         rw.active,
 				CatchingUp:     rw.catchingUp,
-				HintedRecords:  rw.hinted,
+				HintedRecords:  owed,
 				ReplayedRows:   rw.replayedRows,
 				AppliedBatches: rw.batches,
 				Stalled:        rw.stalled,

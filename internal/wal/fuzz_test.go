@@ -15,7 +15,7 @@ import (
 // crashed process leaves behind). Neither may panic — recovery runs on
 // whatever a torn write left on disk — and any payload that decodes must
 // survive a re-encode/re-decode round trip byte-identically, since the
-// encoder is the canonical form replicas repair each other from. (That a
+// encoder's output is the one form every log holds. (That a
 // decode gives back exactly what was encoded is TestRecordRoundTripBitIdentical's.)
 func FuzzWALRecordDecode(f *testing.F) {
 	sample := Record{

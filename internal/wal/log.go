@@ -51,9 +51,14 @@ func ParsePolicy(s string) (Policy, error) {
 	return PolicyInterval, fmt.Errorf("wal: unknown fsync policy %q (want always, interval, or off)", s)
 }
 
-// Log is one replica's append-only record file. Appends are serialised by
+// Log is one shard's append-only record file. Appends are serialised by
 // an internal mutex; reads of historical records (ScanFrom) open their own
 // descriptor so they never disturb the append offset.
+//
+// A failed write or fsync is sticky: it may have left a partial frame at the
+// tail, and a record appended behind that frame would be cut off with it
+// when OpenLog truncates the torn tail. So once one fails, every later
+// Append returns that error until the log is reopened.
 //
 // A Log opened with an empty path has no file: it keeps the sequence (Append
 // advances LastLSN) and stores nothing, so there is nothing to sync, scan or
@@ -65,6 +70,7 @@ type Log struct {
 	f       *os.File
 	lastLSN uint64 // highest LSN ever appended (0 when empty)
 	dirty   bool   // bytes written since the last fsync
+	failed  error  // the write or fsync failure that closed the log to appends
 	buf     []byte // reusable frame scratch
 }
 
@@ -174,40 +180,32 @@ func readPayload(r io.Reader, buf []byte, n uint32) ([]byte, bool) {
 }
 
 // Append writes rec at the log tail. With PolicyAlways the record is
-// fsynced before Append returns; other policies only buffer in the OS.
+// fsynced before Append returns; other policies only buffer in the OS. A
+// failed Append leaves the log refusing every later one (see Log).
 func (l *Log) Append(rec Record, p Policy) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.path != "" {
-		l.buf = encodeFrame(l.buf[:0], rec)
-	}
-	return l.appendLocked(l.buf, rec.LSN, p)
-}
-
-// appendFrame is Append of a record encodeFrame has already rendered, so a
-// commit encodes its record once for every replica's log.
-func (l *Log) appendFrame(frame []byte, lsn uint64, p Policy) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(frame, lsn, p)
-}
-
-func (l *Log) appendLocked(frame []byte, lsn uint64, p Policy) error {
 	if l.path == "" {
-		l.lastLSN = lsn
+		l.lastLSN = rec.LSN
 		return nil
 	}
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal: append lsn %d: %w", lsn, err)
+	if l.failed != nil {
+		return fmt.Errorf("wal: append lsn %d: log refuses appends until reopened: %w", rec.LSN, l.failed)
 	}
-	l.lastLSN = lsn
+	l.buf = encodeFrame(l.buf[:0], rec)
+	if _, err := l.f.Write(l.buf); err != nil {
+		l.failed = fmt.Errorf("append lsn %d: %w", rec.LSN, err)
+		return fmt.Errorf("wal: %w", l.failed)
+	}
 	if p == PolicyAlways {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync lsn %d: %w", lsn, err)
+			l.failed = fmt.Errorf("fsync lsn %d: %w", rec.LSN, err)
+			return fmt.Errorf("wal: %w", l.failed)
 		}
-		return nil
+	} else {
+		l.dirty = true
 	}
-	l.dirty = true
+	l.lastLSN = rec.LSN
 	return nil
 }
 
@@ -219,7 +217,8 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		l.failed = fmt.Errorf("fsync: %w", err)
+		return fmt.Errorf("wal: %w", l.failed)
 	}
 	l.dirty = false
 	return nil
@@ -271,6 +270,3 @@ func (l *Log) Close(p Policy) error {
 	l.f = nil
 	return err
 }
-
-// Path reports the log's file path (for stats and error messages).
-func (l *Log) Path() string { return l.path }

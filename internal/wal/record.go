@@ -1,13 +1,13 @@
-// Package wal implements durable streaming ingest: a per-shard-per-replica
-// append-only write-ahead log plus a micro-batching applier engine.
+// Package wal implements durable streaming ingest: one append-only
+// write-ahead log per shard plus a micro-batching applier per replica.
 //
 // A load is acknowledged once its record — a monotonic LSN, the target
 // table, and the encoded rows — is appended (and, policy permitting,
-// fsynced) to the log of every live replica of each shard it touches.
-// Background appliers drain the logs into the warehouses afterwards, so
-// acks run at log-durability speed while index maintenance happens at
-// apply time. Replicas that were down during a commit are repaired by
-// log replay (hinted handoff): see Engine.CatchUp.
+// fsynced) to the log of each shard it touches and queued on the shard's
+// live replicas. Background appliers drain the queues into the warehouses
+// afterwards, so acks run at log-durability speed while index maintenance
+// happens at apply time. A replica that was down during a commit replays
+// what it missed from the shard's log (hinted handoff): see Engine.CatchUp.
 package wal
 
 import (
@@ -22,8 +22,7 @@ import (
 
 // Record is one durable ingest unit: every row of one load that routed to
 // one shard, stamped with that shard's next log sequence number. All
-// replicas of a shard share a single LSN sequence, so any replica's log is
-// a prefix-complete history the others can be repaired from.
+// replicas of a shard apply the one LSN sequence of the shard's log.
 type Record struct {
 	LSN   uint64
 	Table string

@@ -385,42 +385,180 @@ func TestWALRecoveryReplaysLoggedRecords(t *testing.T) {
 	e2.Close()
 }
 
-func TestWALRecoveryRepairsShortLog(t *testing.T) {
+// TestWALOneLogPerShard: behind a directory each shard keeps one log, and a
+// commit writes its frame once whatever the replica count. A replica that
+// was down replays what it missed from that log, so after catch-up the
+// three stores are identical.
+func TestWALOneLogPerShard(t *testing.T) {
+	dir := t.TempDir()
+	e, stores := openTestEngine(t, dir, 2, 3, Options{Fsync: PolicyOff})
+	ctx := context.Background()
+	var frames [2]int
+	missedRows := 0
+	for i := 1; i <= 10; i++ {
+		if i == 4 {
+			if err := e.WaitApplied(ctx, 0, 3); err != nil {
+				t.Fatal(err)
+			}
+			e.MarkDown(0, 2)
+		}
+		if i == 8 {
+			if h := e.Stats()[0].Replicas[2].HintedRecords; h != 4 {
+				t.Fatalf("replica 2 is owed %d records, want 4", h)
+			}
+			done := make(chan struct{})
+			e.CatchUp(0, 2, func() { close(done) })
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("catch-up never completed: %+v", e.Stats()[0])
+			}
+		}
+		for si := range frames {
+			rows := testRows(si*1000+i*10, 1+i%3)
+			lsn, err := e.Commit(ctx, si, "meter", rows)
+			if err != nil {
+				t.Fatalf("shard %d commit %d: %v", si, i, err)
+			}
+			frames[si] += len(encodeFrame(nil, Record{LSN: lsn, Table: "meter", Rows: rows}))
+			if si == 0 && i >= 4 && i <= 7 {
+				missedRows += len(rows)
+			}
+		}
+	}
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for si, want := range frames {
+		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%03d", si))
+		files, err := os.ReadDir(shardDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 1 {
+			t.Fatalf("shard %d directory holds %d files, want its one log", si, len(files))
+		}
+		if fi, err := os.Stat(filepath.Join(shardDir, files[0].Name())); err != nil || fi.Size() != int64(want) {
+			t.Fatalf("shard %d log: %v, %v; want %d bytes, one frame per commit", si, fi, err, want)
+		}
+		for ri, ms := range stores[si][1:] {
+			if !reflect.DeepEqual(ms.snapshot(), stores[si][0].snapshot()) {
+				t.Fatalf("shard %d replica %d differs from replica 0 after catch-up", si, ri+1)
+			}
+		}
+	}
+	if r2 := e.Stats()[0].Replicas[2]; r2.ReplayedRows != int64(missedRows) || r2.HintedRecords != 0 {
+		t.Fatalf("caught-up replica: %+v; want %d replayed rows and nothing owed", r2, missedRows)
+	}
+	e.Close()
+}
+
+// TestWALLogFailureIsSticky: a write the shard log refuses fails the commit
+// with ErrNoLiveReplica, consumes no LSN and queues nothing, and the log
+// refuses every later append — even once its file could take writes again —
+// so no acknowledged record lands behind a partial frame. A reopen holds
+// exactly the acknowledged records.
+func TestWALLogFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openTestEngine(t, dir, 1, 2, Options{Fsync: PolicyAlways})
 	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := e.Commit(ctx, 0, "meter", testRows(i*10, 2)); err != nil {
+	var acked []Record
+	for i := 1; i <= 3; i++ {
+		rows := testRows(i*10, 2)
+		lsn, err := e.Commit(ctx, 0, "meter", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, Record{LSN: lsn, Table: "meter", Rows: rows})
+	}
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "shard-000", shardLogName)
+	l := e.shards[0].log
+	l.mu.Lock()
+	l.f.Close()
+	l.mu.Unlock()
+
+	before := e.Stats()[0]
+	if _, err := e.Commit(ctx, 0, "meter", testRows(100, 1)); !errors.Is(err, ErrNoLiveReplica) {
+		t.Fatalf("commit onto a failed log = %v, want ErrNoLiveReplica", err)
+	}
+	// Give the log a working descriptor: it must still refuse.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	l.f = f
+	l.mu.Unlock()
+	if _, err := e.Commit(ctx, 0, "meter", testRows(200, 1)); !errors.Is(err, ErrNoLiveReplica) {
+		t.Fatalf("commit after a log failure = %v, want ErrNoLiveReplica", err)
+	}
+	if after := e.Stats()[0]; !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused commit moved the engine:\nbefore %+v\nafter  %+v", before, after)
+	}
+	e.Abort()
+
+	rl, got, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl.Close(PolicyOff)
+	if !reflect.DeepEqual(got, acked) {
+		t.Fatalf("reopened log holds %d records, want the %d acknowledged", len(got), len(acked))
+	}
+}
+
+// TestWALOpenRefusesStrayLog: a shard directory holding a log besides the
+// shard's own — a per-replica log of the old layout, possibly longer than
+// the shard log — fails Open naming it, before any file is opened, so
+// nothing is created or truncated.
+func TestWALOpenRefusesStrayLog(t *testing.T) {
+	dir := t.TempDir()
+	e, _ := openTestEngine(t, dir, 2, 1, Options{Fsync: PolicyOff})
+	for si := 0; si < 2; si++ {
+		if _, err := e.Commit(context.Background(), si, "meter", testRows(si*10, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Abort()
-	// Simulate a crash that tore replica 1's log one whole record short
-	// (e.g. died between the two per-replica appends of a commit).
-	path := filepath.Join(dir, "shard-000", "replica-1.wal")
-	f, _ := os.Open(path)
-	recs, _, _ := scanRecords(f)
-	f.Close()
-	if len(recs) != 5 {
-		t.Fatalf("sanity: %d", len(recs))
-	}
-	frame := encodeFrame(nil, recs[4])
-	fi, _ := os.Stat(path)
-	os.Truncate(path, fi.Size()-int64(len(frame)))
-
-	e2, stores2 := openTestEngine(t, dir, 1, 2, Options{Fsync: PolicyOff})
-	if err := e2.Drain(ctx); err != nil {
+	e.Close()
+	// A torn tail on shard 0's log, which an open would truncate, and a
+	// stray log next to shard 1's.
+	shard0 := filepath.Join(dir, "shard-000", shardLogName)
+	data, err := os.ReadFile(shard0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := stores2[0][0].snapshot(), stores2[0][1].snapshot()
-	if len(a) != 10 || !reflect.DeepEqual(a, b) {
-		t.Fatalf("log repair failed: %d vs %d rows", len(a), len(b))
+	if err := os.WriteFile(shard0, append(data, 1, 2, 3), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// The repaired log must now be byte-readable with all 5 records.
-	if last := e2.shards[0].reps[1].log.LastLSN(); last != 5 {
-		t.Fatalf("repaired log tail LSN %d, want 5", last)
+	stray := filepath.Join(dir, "shard-001", "replica-1.wal")
+	if err := os.WriteFile(stray, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	e2.Close()
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				b, rerr := os.ReadFile(p)
+				files[p] = string(b)
+				err = rerr
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	was := snapshot()
+	if _, err := Open(Options{Dir: dir}, [][]Store{{&memStore{}}, {&memStore{}}}); err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("Open over a stray log = %v, want an error naming %s", err, stray)
+	}
+	if now := snapshot(); !reflect.DeepEqual(now, was) {
+		t.Fatal("a refused Open changed the directory")
+	}
 }
 
 func TestWALApplyErrorRetriesWithoutLoss(t *testing.T) {
