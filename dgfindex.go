@@ -29,12 +29,16 @@
 //
 //	// EXPLAIN reports the access path and exact read volume the execution
 //	// would have; cursors stream rows as splits complete and stop a LIMIT
-//	// scan early.
+//	// scan early. SelectCursor returns a planning error (unknown table or
+//	// column) itself; later errors arrive through cur.Err, and
+//	// cur.Stats().RowsOut counts the rows Next delivered.
 //	plan, _ := w.ExecContext(ctx, `EXPLAIN SELECT * FROM meterdata WHERE userId=42`, dgfindex.ExecOptions{})
 //	stmt, _ := dgfindex.ParseSQL(`SELECT * FROM meterdata LIMIT 10`)
-//	cur, _ := w.SelectCursor(ctx, stmt.(*dgfindex.SelectStmt), dgfindex.ExecOptions{})
-//	for cur.Next() { _ = cur.Row() }
-//	_ = cur.Close()
+//	cur, err := w.SelectCursor(ctx, stmt.(*dgfindex.SelectStmt), dgfindex.ExecOptions{})
+//	if err == nil {
+//		for cur.Next() { _ = cur.Row() }
+//		_ = cur.Close()
+//	}
 //
 // Every query reports both its result rows and a QueryStats breakdown in
 // the terms of the paper's figures: simulated cluster seconds split into

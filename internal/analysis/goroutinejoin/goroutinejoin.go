@@ -15,8 +15,8 @@
 //     created by a context.With* call in the enclosing function (the
 //     returned CancelFunc is the join handle).
 //
-// Goroutines joined structurally elsewhere (e.g. a cursor pump joined
-// by Close) carry "//dgflint:ignore goroutinejoin <join point>".
+// Goroutines joined structurally elsewhere (e.g. a cursor's producer
+// joined by Close) carry "//dgflint:ignore goroutinejoin <join point>".
 package goroutinejoin
 
 import (

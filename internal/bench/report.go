@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -110,16 +109,6 @@ func All() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
 	return out
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for _, e := range registry {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Get finds an experiment by id.

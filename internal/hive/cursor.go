@@ -12,11 +12,12 @@ import (
 )
 
 // Cursor is an incremental view of one SELECT's result. Plain projections
-// stream rows as their batches are projected (row order is completion order,
-// not the source order of ExecContext); aggregations deliver their rows
-// once the reduce phase finalizes. A cursor over `LIMIT n` stops consuming
-// input at the next split boundary once n rows have been delivered, so a
-// limited scan reads strictly less data than a full one.
+// stream rows as their batches are projected: row order is split-completion
+// order (shard completion order on a router), not the source order of
+// ExecContext. Aggregations deliver their rows once the reduce phase (or the
+// router's gather) finalizes. A cursor over `LIMIT n` stops consuming input
+// at the next split boundary once n rows have been delivered, so a limited
+// scan reads strictly less data than a full one.
 //
 // The usage contract is the database/sql one: call Next until it returns
 // false, then inspect Err; Stats carries the final QueryStats (partial
@@ -31,18 +32,18 @@ type Cursor interface {
 	// Row returns the current row. Valid after a true Next, until the next
 	// call to Next.
 	Row() storage.Row
-	// Columns returns the output column names. It blocks until the
-	// statement is planned (shortly after the cursor opens, before any table
-	// data is read).
+	// Columns returns the output column names, known once the cursor opened.
 	Columns() []string
 	// Stats returns the query's cost breakdown: final stats after a
 	// complete scan, partial progress (records and splits consumed before
-	// the abort) after a cancelled one. It blocks until the scan goroutine
-	// finishes, so call it after Next returned false or after Close.
+	// the abort) after a cancelled one. RowsOut is the number of rows Next
+	// delivered. It blocks until the scan goroutine finishes, so call it
+	// after Next returned false or after Close.
 	Stats() QueryStats
-	// Err returns the terminal error: nil after a clean end-of-rows or a
-	// caller Close, the (wrapped) ctx error after a cancellation or missed
-	// deadline, or the execution error that stopped the scan.
+	// Err returns the terminal error: nil after a clean end-of-rows, a
+	// satisfied LIMIT or a caller Close, the (wrapped) ctx error after a
+	// cancellation or missed deadline, or the execution error that stopped
+	// the scan.
 	Err() error
 	// Close aborts the scan if still running, drains and releases the
 	// cursor. Always returns nil; inspect Err for the scan's outcome.
@@ -55,183 +56,191 @@ type Cursor interface {
 // result.
 const cursorBuffer = 64
 
-// SelectCursor opens a streaming cursor over one SELECT. The scan runs on a
-// background goroutine holding the catalog read lock; cancelling ctx (or
-// closing the cursor) aborts it within one split boundary. INSERT OVERWRITE
-// DIRECTORY sinks cannot stream.
+// SelectCursor opens a streaming cursor over one SELECT: SelectStream on the
+// cursor's goroutine. It returns once the statement is planned and bound, or
+// with the error that stopped it before then (an unknown table or column).
+// Cancelling ctx (or closing the cursor) aborts the scan within one split
+// boundary. INSERT OVERWRITE DIRECTORY sinks cannot stream.
 func (w *Warehouse) SelectCursor(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (Cursor, error) {
+	return NewCursor(ctx, stmt.Limit, func(ctx context.Context, cols func([]string), sink func(storage.Row) bool) (QueryStats, error) {
+		return w.SelectStream(ctx, stmt, opts, cols, sink)
+	})
+}
+
+// SelectStream runs one SELECT, pushing its rows into sink instead of
+// collecting them. It plans and binds under the catalog read lock, releases
+// the lock, reports the output columns through cols, and then runs the job:
+// a plain projection pushes each row as its batch is projected (sink calls
+// are serialized), an aggregation pushes its finalized rows. A false return
+// from sink stops the scan at the next split boundary. An error returned
+// before cols is called means the statement did not plan or bind; the
+// returned stats are the run's, partial after an abort.
+//
+// The lock is not held across the job: the scan phase is paced by the sink
+// (possibly a slow HTTP client), and holding a read lock across it would let
+// one stalled stream block every writer — and then every other query — on
+// the warehouse. The job reads the files the plan named; a concurrent DROP
+// surfaces as a read error, never as a hang.
+func (w *Warehouse) SelectStream(ctx context.Context, stmt *SelectStmt, opts ExecOptions, cols func([]string), sink func(storage.Row) bool) (QueryStats, error) {
 	if stmt.InsertDir != "" {
-		return nil, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be streamed through a cursor")
+		return QueryStats{}, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be streamed through a cursor")
 	}
+	w.mu.RLock()
+	p, err := w.prepareSelectLocked(ctx, stmt, opts)
+	w.mu.RUnlock()
+	if err != nil {
+		return QueryStats{}, err
+	}
+	cols(p.pr.Columns)
+	pr, err := w.runPreparedSelect(ctx, p, sink)
+	if err != nil || (pr.Agg == nil && pr.Rows == nil) {
+		return pr.Stats, err
+	}
+	// Aggregations (and the agg-index rewrite) only have rows after the
+	// merge: finalize, then push them.
+	res := pr.Finalize(stmt.Limit)
+	for _, row := range res.Rows {
+		if !sink(row) {
+			return res.Stats, ctx.Err()
+		}
+	}
+	return res.Stats, nil
+}
+
+// NewCursor runs produce on the cursor's goroutine and delivers the rows it
+// pushes into sink. produce reports the output columns through cols before
+// its first row; NewCursor returns once it has, or with the error produce
+// returned without calling it. The sink is safe for concurrent use: it
+// blocks while the row buffer is full, and returns false once limit (if
+// positive) rows were pushed or the cursor's ctx ended. The cursor owns the
+// LIMIT (Next stops at limit rows and cancels produce), the drain on Close,
+// and the self-cancel filter: the ctx error its own LIMIT stop or Close
+// induced is not reported through Err. Stats are produce's, with RowsOut the
+// rows Next delivered and Wall the producer's run time.
+func NewCursor(ctx context.Context, limit int, produce func(ctx context.Context, cols func([]string), sink func(storage.Row) bool) (QueryStats, error)) (Cursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hive: cursor not opened: %w", err)
 	}
 	cctx, cancel := context.WithCancel(ctx)
-	c := &streamCursor{
+	c := &cursor{
 		ch:     make(chan storage.Row, cursorBuffer),
 		cancel: cancel,
 		done:   make(chan struct{}),
-		ready:  make(chan struct{}),
+		limit:  limit,
 	}
-	go c.run(w, cctx, stmt, opts)
+	ready := make(chan struct{})
+	var once sync.Once
+	cols := func(names []string) {
+		once.Do(func() {
+			c.cols = names
+			close(ready)
+		})
+	}
+	var sent atomic.Int64
+	sink := func(row storage.Row) bool {
+		if limit > 0 && sent.Load() >= int64(limit) {
+			return false
+		}
+		select {
+		case c.ch <- row:
+		case <-cctx.Done():
+			return false
+		}
+		return limit <= 0 || sent.Add(1) < int64(limit)
+	}
+	// The goroutine is joined through c.done: it closes c.ch and then
+	// c.done, and Close drains c.ch and then blocks on <-c.done.
+	//dgflint:ignore goroutinejoin joined by cursor.Close via c.done
+	go func() {
+		defer close(c.done)
+		start := time.Now()
+		c.stats, c.err = produce(cctx, cols, sink)
+		c.stats.Wall = time.Since(start)
+		if c.stopped.Load() && errors.Is(c.err, context.Canceled) {
+			// The cursor cancelled itself (LIMIT satisfied or Close): a
+			// clean shutdown, not an error.
+			c.err = nil
+		}
+		close(c.ch)
+	}()
+	select {
+	case <-ready:
+	case <-c.done:
+		select {
+		case <-ready:
+		default:
+			if c.err != nil {
+				cancel()
+				return nil, c.err
+			}
+		}
+	}
 	return c, nil
 }
 
-// streamCursor is the Warehouse cursor: a bounded row channel fed by the
-// scan goroutine. Fields below ch/cancel/done/ready are written by the scan
-// goroutine before done closes and read by the consumer after it — the
-// channel close orders them.
-type streamCursor struct {
+// cursor is the one Cursor: a bounded row channel fed by the producer
+// goroutine. cols is written before ready closes and read after NewCursor
+// returns; stats and err are written by the producer before done closes and
+// read after it.
+type cursor struct {
 	ch     chan storage.Row
 	cancel context.CancelFunc
 	done   chan struct{}
-	ready  chan struct{} // closed once cols is set (or planning failed)
+	limit  int
 
-	readyOnce sync.Once
-	closed    atomic.Bool // caller called Close; suppress the self-inflicted ctx error
+	// stopped marks a deliberate shutdown (LIMIT satisfied or Close): the
+	// ctx errors it induces are not failures.
+	stopped atomic.Bool
 
 	cols  []string
 	stats QueryStats
 	err   error
 
-	row storage.Row // consumer-side current row
+	row       storage.Row // consumer-side current row
+	delivered int
 }
 
-func (c *streamCursor) run(w *Warehouse, ctx context.Context, stmt *SelectStmt, opts ExecOptions) {
-	defer close(c.done)
-	start := time.Now()
-	limit := stmt.Limit
-	sent := 0
-	sink := func(row storage.Row) bool {
-		select {
-		case c.ch <- row:
-		case <-ctx.Done():
-			return false
-		}
-		sent++
-		return limit <= 0 || sent < limit
+func (c *cursor) Next() bool {
+	c.row = nil
+	if c.limit > 0 && c.delivered >= c.limit {
+		c.stop()
+		return false
 	}
-
-	// Plan and bind under the catalog lock, then release it before the job
-	// runs: the scan phase is paced by the consumer (possibly a slow HTTP
-	// client), and holding a read lock across it would let one stalled
-	// stream block every writer — and then every other query — on the
-	// warehouse. Columns unblocks as soon as the plan is made. The job reads
-	// the files the plan named; a concurrent DROP surfaces as a read error
-	// through Err, never as a hang.
-	w.mu.RLock()
-	sp, err := w.planSelectLocked(stmt, opts)
-	var p *preparedSelect
-	if err == nil {
-		c.cols = sp.q.columns()
-		c.readyOnce.Do(func() { close(c.ready) })
-		p, err = w.bindSelectLocked(ctx, sp)
-	}
-	w.mu.RUnlock()
-	c.readyOnce.Do(func() { close(c.ready) }) // planning failed: unblock Columns
-	var pr *PartialResult
-	if err == nil {
-		pr, err = w.runPreparedSelect(ctx, p, sink)
-	}
-
-	if err == nil && pr != nil && (pr.Agg != nil || pr.Rows != nil) {
-		// Aggregations (and the agg-index rewrite) only have rows after the
-		// merge: finalize, then stream them out.
-		res := pr.Finalize(stmt.Limit)
-		for _, row := range res.Rows {
-			select {
-			case c.ch <- row:
-				sent++
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-			if err != nil {
-				break
-			}
-		}
-		c.stats = res.Stats
-	} else if pr != nil {
-		c.stats = pr.Stats
-	}
-	c.stats.RowsOut = sent
-	c.stats.Wall = time.Since(start)
-	if c.closed.Load() && errors.Is(err, context.Canceled) {
-		// The caller closed the cursor; the resulting self-cancellation is
-		// a clean shutdown, not an error.
-		err = nil
-	}
-	c.err = err
-	close(c.ch)
-}
-
-func (c *streamCursor) Next() bool {
 	row, ok := <-c.ch
 	if !ok {
-		c.row = nil
 		return false
 	}
 	c.row = row
+	c.delivered++
 	return true
 }
 
-func (c *streamCursor) Row() storage.Row { return c.row }
+func (c *cursor) Row() storage.Row  { return c.row }
+func (c *cursor) Columns() []string { return c.cols }
 
-func (c *streamCursor) Columns() []string {
-	<-c.ready
-	return c.cols
-}
-
-func (c *streamCursor) Stats() QueryStats {
+func (c *cursor) Stats() QueryStats {
 	<-c.done
-	return c.stats
+	stats := c.stats
+	stats.RowsOut = c.delivered
+	return stats
 }
 
-func (c *streamCursor) Err() error {
+func (c *cursor) Err() error {
 	<-c.done
 	return c.err
 }
 
-func (c *streamCursor) Close() error {
-	c.closed.Store(true)
-	c.cancel()
+func (c *cursor) Close() error {
+	c.stop()
 	for range c.ch {
-		// Drain so the scan goroutine never blocks on a send.
+		// Drain so the producer never blocks on a send.
 	}
 	<-c.done
 	return nil
 }
 
-// rowsCursor replays an already-materialized result as a Cursor — the
-// adapter backends without a native streaming path (or fully merged
-// scatter-gather aggregations) hand to streaming consumers.
-type rowsCursor struct {
-	cols  []string
-	rows  []storage.Row
-	stats QueryStats
-	pos   int
+// stop cancels the producer as a deliberate shutdown.
+func (c *cursor) stop() {
+	c.stopped.Store(true)
+	c.cancel()
 }
-
-// NewRowsCursor wraps a finished Result in a Cursor.
-func NewRowsCursor(res *Result) Cursor {
-	return &rowsCursor{cols: res.Columns, rows: res.Rows, stats: res.Stats}
-}
-
-func (c *rowsCursor) Next() bool {
-	if c.pos >= len(c.rows) {
-		return false
-	}
-	c.pos++
-	return true
-}
-
-func (c *rowsCursor) Row() storage.Row {
-	if c.pos == 0 || c.pos > len(c.rows) {
-		return nil
-	}
-	return c.rows[c.pos-1]
-}
-
-func (c *rowsCursor) Columns() []string { return c.cols }
-func (c *rowsCursor) Stats() QueryStats { return c.stats }
-func (c *rowsCursor) Err() error        { return nil }
-func (c *rowsCursor) Close() error      { c.pos = len(c.rows); return nil }

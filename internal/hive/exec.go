@@ -114,7 +114,9 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 		}
 		return plan.Render(), nil
 	case *TraceStmt:
-		return w.traceSelect(ctx, s, opts)
+		return TraceSelect(ctx, func(ctx context.Context) (*Result, error) {
+			return w.selectContext(ctx, s.Select, opts)
+		})
 	case *ShowTablesStmt:
 		w.mu.RLock()
 		defer w.mu.RUnlock()

@@ -9,28 +9,28 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
 
-// traceSelect runs TRACE SELECT against this warehouse: execute the query
-// under a fresh root span and return the rendered tree instead of the rows.
-// The shard router intercepts TraceStmt before it reaches a warehouse, so
-// this path serves the single-warehouse deployments.
-func (w *Warehouse) traceSelect(ctx context.Context, s *TraceStmt, opts ExecOptions) (*Result, error) {
+// TraceSelect runs TRACE SELECT: run executes the SELECT under a fresh root
+// span, and the rendered span tree is returned instead of its rows, with the
+// query's stats. A warehouse and the shard router both answer TRACE through
+// it, each passing its own SELECT path.
+func TraceSelect(ctx context.Context, run func(context.Context) (*Result, error)) (*Result, error) {
 	root := trace.New("query")
 	root.Set("sql", "TRACE SELECT")
-	res, err := w.selectContext(trace.NewContext(ctx, root), s.Select, opts)
+	res, err := run(trace.NewContext(ctx, root))
 	root.Finish()
 	if err != nil {
 		return nil, err
 	}
-	out := RenderTrace(root.Snapshot())
+	out := renderTrace(root.Snapshot())
 	out.Stats = res.Stats
 	return out, nil
 }
 
-// RenderTrace flattens a span tree into the two-column tabular shape EXPLAIN
+// renderTrace flattens a span tree into the two-column tabular shape EXPLAIN
 // established: one row per span, depth-indented, wall duration alongside the
 // span's annotations; events render as their own indented rows. The same
 // tree that /query?trace=1 returns as JSON, readable from a SQL client.
-func RenderTrace(root trace.SpanSnapshot) *Result {
+func renderTrace(root trace.SpanSnapshot) *Result {
 	res := &Result{Columns: []string{"span", "wall_ms", "detail"}}
 	var walk func(sn trace.SpanSnapshot, depth int)
 	walk = func(sn trace.SpanSnapshot, depth int) {

@@ -192,3 +192,40 @@ func TestHTTPStreamClientDisconnect(t *testing.T) {
 	}
 	mustQuery(t, s, `SELECT count(*) FROM meterdata`)
 }
+
+// TestHTTPStreamPlanErrorFailsAtOpen: a SELECT that fails to plan fails
+// before the stream opens, so /query?stream=ndjson answers with the status
+// and JSON error body the non-streaming /query gives the same statement,
+// not a 200 header followed by an error trailer.
+func TestHTTPStreamPlanErrorFailsAtOpen(t *testing.T) {
+	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	get := func(params string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + `/query?q=SELECT+v+FROM+nosuchtable` + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s: body is not a JSON error: %v", params, err)
+		}
+		return resp.StatusCode, body.Error
+	}
+	status, msg := get("")
+	if status != http.StatusBadRequest || msg == "" {
+		t.Fatalf("/query: status %d, error %q; want 400 with an error", status, msg)
+	}
+	streamStatus, streamMsg := get("&stream=ndjson")
+	if streamStatus != status || streamMsg != msg {
+		t.Fatalf("stream: status %d, error %q; /query: status %d, error %q", streamStatus, streamMsg, status, msg)
+	}
+	// The one worker slot came back.
+	if got := s.InFlight(); got != 0 {
+		t.Fatalf("InFlight = %d after a stream that failed to open", got)
+	}
+	mustQuery(t, s, `SELECT count(*) FROM meterdata`)
+}

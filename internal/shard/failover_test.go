@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,42 +474,59 @@ func TestInsertDirRejectedOnReplicatedFleet(t *testing.T) {
 
 // --- satellite regressions -------------------------------------------------
 
-type fakeCursor struct {
-	rows int
-	err  error
-}
-
-func (f *fakeCursor) Next() bool {
-	if f.rows == 0 {
-		return false
-	}
-	f.rows--
-	return true
-}
-func (f *fakeCursor) Row() storage.Row       { return storage.Row{storage.Int64(1)} }
-func (f *fakeCursor) Columns() []string      { return []string{"c"} }
-func (f *fakeCursor) Stats() hive.QueryStats { return hive.QueryStats{} }
-func (f *fakeCursor) Err() error             { return f.err }
-func (f *fakeCursor) Close() error           { return nil }
-
-// TestForwardRowsReportsRealErrorOnCancel: the pump used to exit its
-// ctx-done branch with `cur.Close(); return` and never read cur.Err(), so a
-// real shard failure racing a cancellation was lost or reported as a bare
-// cancel. forwardRows must surface the cursor's real error from that exact
-// branch (and still report plain cancellations as ctx errors).
-func TestForwardRowsReportsRealErrorOnCancel(t *testing.T) {
+// TestFanOutRootCause: fanOut, which carries every cursor's per-shard
+// streams, reports a real failure of one target over the context errors its
+// cancellation induced in the siblings — wherever the failing target sits in
+// target order — reports a caller cancellation as a context error, and joins
+// every goroutine before it returns.
+func TestFanOutRootCause(t *testing.T) {
 	boom := errors.New("disk exploded")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// No consumer on ch: the send blocks and the pump exits via ctx.Done.
-	err := forwardRows(ctx, &fakeCursor{rows: 3, err: boom}, make(chan storage.Row))
-	if !errors.Is(err, boom) {
-		t.Fatalf("forwardRows = %v, want the cursor's real error", err)
+	targets := []int{0, 1, 2, 3}
+	for failing := range targets {
+		var running atomic.Int64
+		started := make(chan struct{}, len(targets))
+		err := fanOut(context.Background(), targets, func(ctx context.Context, i, si int) error {
+			running.Add(1)
+			defer running.Add(-1)
+			started <- struct{}{}
+			if i == failing {
+				// Fail only once every sibling is in flight, so the cancel
+				// reaches them all.
+				for range targets {
+					<-started
+				}
+				return boom
+			}
+			<-ctx.Done()
+			time.Sleep(2 * time.Millisecond) // a sibling slow to unwind
+			return fmt.Errorf("shard %d: %w", si, ctx.Err())
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("target %d failed: fanOut = %v, want the real error", failing, err)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("target %d failed: %d goroutines still running after fanOut returned", failing, n)
+		}
 	}
-	// A clean cursor racing the same cancel reports the cancellation.
-	err = forwardRows(ctx, &fakeCursor{rows: 3}, make(chan storage.Row))
+
+	// A caller cancellation is reported as the context error.
+	ctx, cancel := context.WithCancel(context.Background())
+	var running atomic.Int64
+	err := fanOut(ctx, targets, func(ctx context.Context, i, si int) error {
+		running.Add(1)
+		defer running.Add(-1)
+		if i == len(targets)-1 {
+			cancel()
+		}
+		<-ctx.Done()
+		time.Sleep(2 * time.Millisecond)
+		return ctx.Err()
+	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("forwardRows with clean cursor = %v, want ctx error", err)
+		t.Fatalf("cancelled fanOut = %v, want context.Canceled", err)
+	}
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d goroutines still running after a cancelled fanOut returned", n)
 	}
 }
 

@@ -280,18 +280,9 @@ func (r *Router) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hiv
 		}
 		return plan.Render(), nil
 	case *hive.TraceStmt:
-		// TRACE SELECT: run the query under a fresh root span and return its
-		// rendered timing tree — the runtime twin of EXPLAIN's static plan.
-		root := trace.New("query")
-		root.Set("sql", "TRACE SELECT")
-		res, err := r.execSelect(trace.NewContext(ctx, root), s.Select, opts)
-		root.Finish()
-		if err != nil {
-			return nil, err
-		}
-		out := hive.RenderTrace(root.Snapshot())
-		out.Stats = res.Stats
-		return out, nil
+		return hive.TraceSelect(ctx, func(ctx context.Context) (*hive.Result, error) {
+			return r.execSelect(ctx, s.Select, opts)
+		})
 	case *hive.ShowTablesStmt, *hive.DescribeStmt:
 		// Catalog reads: any replica of shard 0 answers (identical catalogs
 		// everywhere by DDL broadcast), with failover.
