@@ -58,14 +58,16 @@ type Source struct {
 // slice boundaries fall at line offsets for TextFile and at row-group
 // boundaries for RCFile.
 //
-// Each stage touches a record once. Map reads the cell coordinates from the
-// dimension vectors of the column batch the reader decoded — for a TextFile
-// source only those columns are parsed — shuffles each row's text line, and
-// renders a GFUKey once per distinct cell. Reduce decodes each line once into
-// a row that feeds the header, and the row-group writer for RCFile; a
-// TextFile index writes the line through and parses only the pre-compute
-// factor fields. Each reduce task encodes its GFUValues back to back into one
-// buffer, which the store copies.
+// Each stage does a record's text work once. Map computes the cell
+// coordinates a dimension vector at a time from the column batch the reader
+// decoded — for a TextFile source only those columns are parsed — shuffles
+// each row's text line as stored (ColumnBatch.Line: a TextFile's line, an
+// RCFile group's cells), and renders a GFUKey once per distinct cell it
+// meets. Reduce parses each line once, from the shuffled bytes, into a row
+// that feeds the header and, for RCFile, the row group's zone map; both
+// writers store the line's text as it is — a TextFile index parses only the
+// pre-compute factor fields. Each reduce task encodes its GFUValues back to
+// back into one buffer, which the store copies.
 func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	schema *storage.Schema, src Source, dataDir string) (*Index, *BuildStats, error) {
 	if err := spec.Validate(schema); err != nil {
@@ -119,8 +121,8 @@ func (ix *Index) Append(cfg *cluster.Config, files []string) (*BuildStats, error
 // through. TextFile rows parse only the listed columns: a projection does not
 // change the bytes a text reader fetches, and a row's line is the stored
 // text. RCFile rows decode every column, so the bytes a reader fetches stay
-// those of the whole row groups, a row's line renders every cell, and the
-// reducer has the whole row its writer stores.
+// those of the whole row groups, a row's line holds every stored cell, and
+// the reducer has the whole row whose zone map its writer keeps.
 func (ix *Index) readColumns(format storage.Format, cols ...[]int) []bool {
 	if format == storage.RCFile {
 		return nil
@@ -155,23 +157,16 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	}
 	ix.KV.Put(metaGen, []byte(strconv.Itoa(gen+1)))
 
-	keys := gfuKeys{policy: &ix.Spec.Policy, byCell: map[string]string{}}
 	// What the reducer parses of a shuffled line: the dimensions of one line
 	// per group, and of every line the pre-compute factors, or the whole row
-	// an RCFile writer stores.
+	// whose zone map an RCFile writer keeps.
 	dims := ix.readColumns(storage.TextFile, ix.dimCols)
 	fold := ix.readColumns(ix.Format, ix.aggCols...)
 	job := &mapreduce.Job{
 		Name:  "dgf-build-" + ix.Spec.Name,
 		Input: input,
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			b := rec.Batch
-			cells := make([]int64, 0, stackDims)
-			for _, ri := range b.Sel() {
-				cells = ix.cellsOfBatchRow(b, ri, cells[:0])
-				emit(keys.of(cells), b.Line(ri))
-			}
-			return nil
+		NewMapper: func() mapreduce.TaskMapper {
+			return &buildMapper{ix: ix, cell: make([]int64, len(ix.dimCols)), keys: map[string]string{}}
 		},
 		NumReducers: numReducers,
 		ReduceTask: func(task int, groups []mapreduce.Group, emit mapreduce.Emit) error {
@@ -191,7 +186,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			cells := make([]int64, 0, stackDims)
 			for _, g := range groups {
 				// Every record of a group standardises to the same cell.
-				if err := storage.DecodeTextRowInto(ix.Schema, string(g.Values[0]), dims, row); err != nil {
+				if err := storage.DecodeTextLineInto(ix.Schema, g.Values[0], dims, row); err != nil {
 					return err
 				}
 				cells = ix.cellsOfRow(row, cells[:0])
@@ -199,9 +194,9 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				header := NewHeader(ix.Spec.Precompute)
 				for _, line := range g.Values {
 					// One decode per record feeds the header and, for
-					// RCFile, the row-group writer; a text writer takes the
-					// line as it is.
-					if err := storage.DecodeTextRowInto(ix.Schema, string(line), fold, row); err != nil {
+					// RCFile, the row group's zone map; both writers store
+					// the line's text as it is.
+					if err := storage.DecodeTextLineInto(ix.Schema, line, fold, row); err != nil {
 						return err
 					}
 					ix.foldRow(row, header)
@@ -292,35 +287,53 @@ func extendBounds(lo, hi, cells []int64) ([]int64, []int64) {
 	return lo, hi
 }
 
-// gfuKeys memoises the GFUKey string of every cell a build job meets: a key is
-// rendered once per distinct cell instead of once per record, and all pairs
-// of a cell share one string. Map tasks share it, so reads take the lock
-// shared.
-type gfuKeys struct {
-	policy *gridfile.Policy
-	mu     sync.RWMutex
-	byCell map[string]string // raw cell coordinates → GFUKey
+// buildMapper is one map task of a build job: it standardises each row of a
+// batch to its GFU cell and emits <GFUKey, line>. Cell coordinates are
+// computed a column at a time, and the task renders the GFUKey of each
+// distinct cell it meets once, keeping it in its own cache, so map tasks
+// share nothing and all pairs of a cell from one task share one string.
+type buildMapper struct {
+	ix    *Index
+	cells []int64           // the batch's coordinates, dimension-major
+	cell  []int64           // the current row's coordinates
+	raw   []byte            // the current cell as a cache key
+	keys  map[string]string // raw cell coordinates → GFUKey
 }
 
-func (k *gfuKeys) of(cells []int64) string {
-	raw := make([]byte, 0, 8*stackDims)
-	for _, c := range cells {
-		raw = binary.LittleEndian.AppendUint64(raw, uint64(c))
+func (m *buildMapper) Map(rec mapreduce.Record, emit mapreduce.Emit) error {
+	b := rec.Batch
+	sel := b.Sel()
+	if n := len(m.ix.dimCols) * len(sel); cap(m.cells) < n {
+		m.cells = make([]int64, 0, n)
 	}
-	k.mu.RLock()
-	key, ok := k.byCell[string(raw)]
-	k.mu.RUnlock()
-	if ok {
-		return key
+	m.cells = m.cells[:0]
+	for d, col := range m.ix.dimCols {
+		m.cells = m.ix.Spec.Policy.Dims[d].AppendCells(m.cells, &b.Cols[col], sel)
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if key, ok = k.byCell[string(raw)]; !ok {
-		key = k.policy.Key(cells)
-		k.byCell[string(raw)] = key
+	for k, ri := range sel {
+		for d := range m.cell {
+			m.cell[d] = m.cells[d*len(sel)+k]
+		}
+		emit(m.key(), b.Line(ri))
+	}
+	return nil
+}
+
+// key returns the GFUKey of the current cell, rendering it on a miss.
+func (m *buildMapper) key() string {
+	m.raw = m.raw[:0]
+	for _, c := range m.cell {
+		m.raw = binary.LittleEndian.AppendUint64(m.raw, uint64(c))
+	}
+	key, ok := m.keys[string(m.raw)]
+	if !ok {
+		key = m.ix.Spec.Policy.Key(m.cell)
+		m.keys[string(m.raw)] = key
 	}
 	return key
 }
+
+func (m *buildMapper) Close(mapreduce.Emit) error { return nil }
 
 // gfuPair is one freshly built <GFUKey, GFUValue> pair: the header and the one
 // Slice the reduce task wrote for the cell.

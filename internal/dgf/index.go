@@ -275,15 +275,6 @@ func (ix *Index) cellsOfRow(row storage.Row, cells []int64) []int64 {
 	return cells
 }
 
-// cellsOfBatchRow is cellsOfRow for row ri of a column batch. It reads only
-// the dimension vectors, so no row is materialised.
-func (ix *Index) cellsOfBatchRow(b *storage.ColumnBatch, ri int, cells []int64) []int64 {
-	for i, col := range ix.dimCols {
-		cells = append(cells, ix.Spec.Policy.Dims[i].CellOf(b.Cols[col].Value(ri)))
-	}
-	return cells
-}
-
 // foldRow folds one decoded record into header h (Algorithm 2 lines 6-12).
 // Product pre-computes multiply their factor columns per record.
 func (ix *Index) foldRow(row storage.Row, h Header) {

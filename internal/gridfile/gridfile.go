@@ -50,6 +50,31 @@ func (d Dimension) CellOf(v storage.Value) int64 {
 	}
 }
 
+// AppendCells appends CellOf of the cells at positions rows of column v, a
+// whole column at a time: an integer dimension divides the vector's Ints, a
+// float one its Floats, and any other pairing of kinds goes through CellOf.
+func (d Dimension) AppendCells(dst []int64, v *storage.ColumnVector, rows []int) []int64 {
+	switch {
+	case !v.Valid:
+	case d.Kind != storage.KindFloat64 && (v.Kind == storage.KindInt64 || v.Kind == storage.KindTime):
+		min := d.Min.AsInt()
+		for _, r := range rows {
+			dst = append(dst, floorDivInt(v.Ints[r]-min, d.IntervalI))
+		}
+		return dst
+	case d.Kind == storage.KindFloat64 && v.Kind == storage.KindFloat64:
+		min := d.Min.AsFloat()
+		for _, r := range rows {
+			dst = append(dst, int64(floorDiv(v.Floats[r]-min, d.IntervalF)))
+		}
+		return dst
+	}
+	for _, r := range rows {
+		dst = append(dst, d.CellOf(v.Value(r)))
+	}
+	return dst
+}
+
 func floorDiv(num, den float64) float64 {
 	q := num/den + floatEps
 	f := float64(int64(q))

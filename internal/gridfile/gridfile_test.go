@@ -352,3 +352,44 @@ func TestDecomposePartitionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendCellsMatchesCellOf: standardising a column at a time gives every
+// row the cell CellOf gives its value, for integer, time and float
+// dimensions over vectors of their own kind, of another kind, and skipped by
+// a projection.
+func TestAppendCellsMatchesCellOf(t *testing.T) {
+	ints := []int64{-1001, -1000, -999, -1, 0, 1, 399, 400, 401, 1354320000, 1354406399, 1 << 40}
+	floats := []float64{-2.5, -0.01, 0, 0.01, 0.0299999, 0.03, 1.7, 1e9}
+	dims := []Dimension{
+		{Name: "u", Kind: storage.KindInt64, Min: storage.Int64(1), IntervalI: 400},
+		{Name: "r", Kind: storage.KindInt64, Min: storage.Int64(-3), IntervalI: 1},
+		{Name: "ts", Kind: storage.KindTime, Min: storage.TimeUnix(1354320000), IntervalI: 24 * 3600},
+		{Name: "f", Kind: storage.KindFloat64, Min: storage.Float64(0), IntervalF: 0.01},
+	}
+	vectors := []storage.ColumnVector{
+		{Kind: storage.KindInt64, Valid: true, Ints: ints},
+		{Kind: storage.KindTime, Valid: true, Ints: ints},
+		{Kind: storage.KindFloat64, Valid: true, Floats: floats},
+		{Kind: storage.KindInt64},
+		{Kind: storage.KindFloat64},
+	}
+	for _, d := range dims {
+		for vi := range vectors {
+			v := &vectors[vi]
+			n := max(len(v.Ints), len(v.Floats), 3)
+			rows := make([]int, 0, n)
+			for r := n - 1; r >= 0; r -= 2 { // a sparse selection, descending
+				rows = append(rows, r)
+			}
+			got := d.AppendCells([]int64{42}, v, rows)
+			if len(got) != len(rows)+1 || got[0] != 42 {
+				t.Fatalf("%s over vector %d: appended %v to [42] for %d rows", d.Name, vi, got, len(rows))
+			}
+			for k, r := range rows {
+				if want := d.CellOf(v.Value(r)); got[k+1] != want {
+					t.Errorf("%s over vector %d row %d (%v): cell %d, CellOf %d", d.Name, vi, r, v.Value(r), got[k+1], want)
+				}
+			}
+		}
+	}
+}

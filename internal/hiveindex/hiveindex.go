@@ -148,7 +148,8 @@ func Build(cfg *cluster.Config, fs *dfs.FS, o Options) (*Index, *mapreduce.Stats
 		numReducers = 32
 	}
 	// The keys are cut from each row's text line, so a TextFile base parses
-	// no cells; an RCFile base decodes whole rows to render the line.
+	// no cells; an RCFile base decodes whole row groups, whose stored cells
+	// make the line.
 	var project []bool
 	if o.BaseFormat != RCFile {
 		project = make([]bool, o.Schema.Len())

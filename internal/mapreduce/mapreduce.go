@@ -34,8 +34,10 @@
 //
 // Bytes only where the shuffle needs them: a reader hands a mapper decoded
 // column vectors — and, for the index builds that shuffle text, each row's
-// line — and a record crosses the shuffle as the bytes the mapper emitted; a
-// reducer that needs typed values decodes a value once. What a job hands back
+// line, which is the text as stored (a TextFile's line, or an RCFile group's
+// cells joined) and never a rendering of decoded values — and a record
+// crosses the shuffle as the bytes the mapper emitted; a reducer that needs
+// typed values decodes a value once, from the bytes where they lie. What a job hands back
 // to its driver need not be bytes at all: a query's map-only projection and
 // its aggregate reducers deliver typed rows and accumulators to a sink the
 // driver owns, and Output — the pairs a job emits after its last stage — is

@@ -228,14 +228,14 @@ func dictHeader(text string, dst []string) ([]string, int, error) {
 	return dst, pos, nil
 }
 
-// forEachCell walks the logical cells of one column payload body under its
-// encoding tag, delivering each cell's text rendering in row order. It is
-// the row-at-a-time decode path; vectorised decoding has encoding-specific
-// fast paths in decodeColumn.
-func forEachCell(enc byte, body []byte, rows int, fn func(r int, field string) error) error {
+// forEachCell walks the logical cells of one column payload body, handed in
+// as a string, under its encoding tag, delivering each cell's stored text in
+// row order; the cells share text's backing. It is the row-at-a-time decode
+// path and how ColumnBatch.Line indexes a numeric column's cells; vectorised
+// decoding has encoding-specific fast paths in decodeColumn.
+func forEachCell(enc byte, text string, rows int, fn func(r int, field string) error) error {
 	switch enc {
 	case EncDict:
-		text := string(body)
 		dict, pos, err := dictHeader(text, nil)
 		if err != nil {
 			return err
@@ -252,7 +252,6 @@ func forEachCell(enc byte, body []byte, rows int, fn func(r int, field string) e
 		}
 		return nil
 	case EncRLE:
-		text := string(body)
 		pos, r := 0, 0
 		for r < rows {
 			count, w := uvarintStr(text, pos)
@@ -279,6 +278,6 @@ func forEachCell(enc byte, body []byte, rows int, fn func(r int, field string) e
 		}
 		return nil
 	default:
-		return forEachField(string(body), rows, fn)
+		return forEachField(text, rows, fn)
 	}
 }

@@ -39,7 +39,9 @@ func rcBytes(t testing.TB, rows []Row, groupRows int, opts RCWriteOptions) []byt
 // and decoder. Scans run over whatever the filesystem serves, so a corrupt
 // or truncated group must surface as an error — never a panic or an
 // attacker-sized allocation (counts and payload lengths are bounded against
-// the file before anything is sized by them).
+// the file before anything is sized by them). The values a group decodes to,
+// written again through the RCWriter, must read back with every Line equal
+// to the rendering of its row.
 func FuzzDecodeRowGroup(f *testing.F) {
 	seedRows := []Row{
 		{Int64(1), Str("cq"), Float64(3.25)},
@@ -74,6 +76,15 @@ func FuzzDecodeRowGroup(f *testing.F) {
 			if err == nil && len(rows) != g.Rows {
 				t.Fatalf("decoded %d rows, group header says %d", len(rows), g.Rows)
 			}
+			if err == nil && textCarries(rows) {
+				// Whatever the group held, the RCWriter stores its values
+				// as cells that read back as their renderings.
+				out := dfs.New(1 << 20)
+				if _, err := WriteRCRows(out, "/t/rewritten", schema, rows, 0); err != nil {
+					t.Fatal(err)
+				}
+				checkLinesAreRenderings(t, out, "/t/rewritten", schema)
+			}
 			// Projected read of the same group: only the first column is
 			// fetched; the others must come back as zero values, not reads
 			// past the projection.
@@ -84,4 +95,15 @@ func FuzzDecodeRowGroup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// textCarries reports whether every row passes CheckTextRow, the rule the
+// load paths hold rows to before any writer sees them.
+func textCarries(rows []Row) bool {
+	for _, r := range rows {
+		if CheckTextRow(r) != nil {
+			return false
+		}
+	}
+	return true
 }

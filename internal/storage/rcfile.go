@@ -93,6 +93,39 @@ func (w *RCWriter) WriteRow(row Row) error {
 		}
 		w.cols[i] = v.AppendText(w.cols[i])
 	}
+	return w.rowDone(row)
+}
+
+// WriteRowText buffers one row whose cells are given as its text line (the
+// row's AppendTextRow rendering without the newline), stored cell by cell as
+// it is, so a row that arrives as text is not rendered again; row, the same
+// record decoded, feeds only the group's zone map.
+func (w *RCWriter) WriteRowText(line []byte, row Row) error {
+	if len(row) != w.schema.Len() {
+		return fmt.Errorf("storage: row has %d fields, schema wants %d", len(row), w.schema.Len())
+	}
+	rest := line
+	last := len(w.cols) - 1
+	for i := range w.cols {
+		field := rest
+		if i < last {
+			j := bytes.IndexByte(rest, TextDelim)
+			if j < 0 {
+				return fmt.Errorf("storage: line has %d fields, schema wants %d: %q", i+1, len(w.cols), line)
+			}
+			field, rest = rest[:j], rest[j+1:]
+		}
+		if w.pending > 0 {
+			w.cols[i] = append(w.cols[i], '\n')
+		}
+		w.cols[i] = append(w.cols[i], field...)
+	}
+	return w.rowDone(row)
+}
+
+// rowDone folds a buffered row into the pending group's zone map and flushes
+// the group once it is full.
+func (w *RCWriter) rowDone(row Row) error {
 	if !w.statsInit {
 		copy(w.mins, row)
 		copy(w.maxs, row)
@@ -228,7 +261,7 @@ func (g *RowGroup) Column(i int) []string {
 		panic(fmt.Sprintf("storage: column %d was not read (projected row group)", i))
 	}
 	out := make([]string, 0, g.Rows)
-	err := forEachCell(g.Enc(i), g.columns[i], g.Rows, func(r int, field string) error {
+	err := forEachCell(g.Enc(i), string(g.columns[i]), g.Rows, func(r int, field string) error {
 		out = append(out, field)
 		return nil
 	})
@@ -279,7 +312,7 @@ func (g *RowGroup) decodeRowsProjected(schema *Schema, project []bool) ([]Row, e
 		if g.columns[c] == nil {
 			panic(fmt.Sprintf("storage: column %d was not read (projected row group)", c))
 		}
-		err := forEachCell(g.Enc(c), g.columns[c], g.Rows, func(r int, field string) error {
+		err := forEachCell(g.Enc(c), string(g.columns[c]), g.Rows, func(r int, field string) error {
 			switch kind {
 			case KindInt64:
 				if n, ok := parseIntStr(field); ok {

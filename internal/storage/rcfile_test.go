@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -235,5 +236,54 @@ func TestSegmentWriterCutAlignsSlices(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWriteRowTextStoresWhatWriteRowRenders: a row handed over as its text
+// line is stored cell for cell as WriteRow renders it, zone maps included, so
+// the bytes and sidecars of the two writes are identical; a line short of a
+// field is refused.
+func TestWriteRowTextStoresWhatWriteRowRenders(t *testing.T) {
+	s := meterSchema()
+	rows := sampleRows(50)
+	rows[7][4] = Str("a, b") // the last column may hold the delimiter
+	write := func(fs *dfs.FS, asText bool) []byte {
+		w, err := fs.Create("/t/data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := NewRCWriter(w, s, 8)
+		var line []byte
+		for _, row := range rows {
+			if asText {
+				line = AppendTextRow(line[:0], row)
+				err = rw.WriteRowText(line[:len(line)-1], row)
+			} else {
+				err = rw.WriteRow(row)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteColStats(fs, "/t/data", rw.GroupStats()); err != nil {
+			t.Fatal(err)
+		}
+		data, _ := fs.ReadFile("/t/data")
+		stats, _ := fs.ReadFile(ColStatsPath("/t/data"))
+		return append(data, stats...)
+	}
+	if rendered, stored := write(dfs.New(1<<20), false), write(dfs.New(1<<20), true); !bytes.Equal(rendered, stored) {
+		t.Errorf("WriteRowText wrote %d bytes unlike WriteRow's %d", len(stored), len(rendered))
+	}
+
+	w, err := dfs.New(1 << 20).Create("/t/short")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewRCWriter(w, s, 8).WriteRowText([]byte("1,2,2012-12-01,0.5"), rows[0]); err == nil {
+		t.Error("a line of four fields was accepted for a five-column schema")
 	}
 }

@@ -150,9 +150,15 @@ func (t *rcSegmentReader) Next() (*ColumnBatch, bool, error) {
 
 func (t *rcSegmentReader) BytesRead() int64 { return t.bytesRead }
 
-// SegmentRecord is one record handed to a SegmentWriter, in the form the
-// format stores: Line (the delimited text without the trailing newline) for
-// TextFile, the decoded Row for RCFile.
+// SegmentRecord is one record handed to a SegmentWriter: Line, the delimited
+// text without the trailing newline, and Row, the same record decoded. Both
+// formats store Line's text — a TextFile writer the line as it is, an RCFile
+// writer each cell of it in its column — so a record is never rendered again
+// on the way out. Line must therefore be the text form of Row's values (what
+// AppendTextRow renders), which every line a build shuffles is: a TextFile's
+// stored line, or ColumnBatch.Line over an RCFile group. Only the RCFile
+// writer reads Row, for the group's zone-map minimum and maximum, which
+// compare typed values.
 type SegmentRecord struct {
 	Line []byte
 	Row  Row
@@ -162,9 +168,8 @@ type SegmentRecord struct {
 // positions at the format's slice granularity, so one index-build reducer
 // works for every storage format.
 type SegmentWriter interface {
-	// WriteRecord appends one record. A writer reads only its own format's
-	// form (Line or Row) and copies what it keeps, so the caller may reuse
-	// both.
+	// WriteRecord appends one record. A writer copies what it keeps, so the
+	// caller may reuse both Line and Row.
 	WriteRecord(rec SegmentRecord) error
 	// Offset is the position the next record will occupy: the byte offset
 	// of its line for TextFile, the start offset of its row group for
@@ -208,7 +213,9 @@ type rcSegmentWriter struct {
 	rw   *RCWriter
 }
 
-func (t *rcSegmentWriter) WriteRecord(rec SegmentRecord) error { return t.rw.WriteRow(rec.Row) }
+func (t *rcSegmentWriter) WriteRecord(rec SegmentRecord) error {
+	return t.rw.WriteRowText(rec.Line, rec.Row)
+}
 
 func (t *rcSegmentWriter) Offset() int64 { return t.rw.Offset() }
 func (t *rcSegmentWriter) Cut() error    { return t.rw.Flush() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -68,6 +69,34 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseBigintMatchesStrconv holds every bigint parse (ParseValue, the
+// byte-view parse the build's reducer uses, and the RCFile column decode's
+// parseIntStr) to strconv.ParseInt: the same value where it parses, an error
+// where it refuses, overflow included.
+func TestParseBigintMatchesStrconv(t *testing.T) {
+	for _, s := range []string{
+		"0", "-0", "+3", "7", "-42", "007", "+", "-", "", " 1", "1 ", "1_000", "0x10", "1.5", "1e3",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"922337203685477580", "9223372036854775810", "18446744073709551615", "18446744073709551616",
+		"18446744073709551620", "-18446744073709551620", "99999999999999999999", "100000000000000000000",
+	} {
+		want, werr := strconv.ParseInt(s, 10, 64)
+		got, gerr := ParseValue(KindInt64, s)
+		if (gerr != nil) != (werr != nil) || (werr == nil && (got.Kind != KindInt64 || got.I != want)) {
+			t.Errorf("ParseValue(bigint, %q) = %v, %v; strconv says %d, %v", s, got, gerr, want, werr)
+		}
+		gotB, gerrB := parseCell(KindInt64, []byte(s))
+		if (gerrB != nil) != (werr != nil) || (werr == nil && gotB.I != want) {
+			t.Errorf("parseCell(bigint, []byte(%q)) = %v, %v; strconv says %d, %v", s, gotB, gerrB, want, werr)
+		}
+		if n, ok := parseIntStr(s); ok && (werr != nil || n != want) {
+			t.Errorf("parseIntStr(%q) = %d, true; strconv says %d, %v", s, n, want, werr)
+		} else if !ok && werr == nil {
+			t.Errorf("parseIntStr(%q) refused what strconv parses as %d", s, want)
+		}
+	}
+}
+
 func TestParseTimeForms(t *testing.T) {
 	want := time.Date(2012, 12, 30, 0, 0, 0, 0, time.UTC).Unix()
 	for _, s := range []string{"2012-12-30", "2012-12-30 00:00:00", fmt.Sprint(want)} {
@@ -91,6 +120,25 @@ func TestCompare(t *testing.T) {
 	// Mixed numeric kinds compare by value, like Hive's lenient coercion.
 	if Compare(Int64(3), Float64(3.0)) != 0 {
 		t.Error("mixed numeric compare wrong")
+	}
+	// Integers compare as their float64 conversions do, at every magnitude:
+	// past 2^53 neighbours convert to the same float and compare equal.
+	ints := []int64{0, 1, -1, 1<<53 - 1, 1 << 53, 1<<53 + 1, -(1 << 53), -(1 << 53) - 1, 1<<62 + 1, 1 << 62, math.MaxInt64, math.MinInt64, 1354320000}
+	for _, a := range ints {
+		for _, b := range ints {
+			want := 0
+			if af, bf := float64(a), float64(b); af < bf {
+				want = -1
+			} else if af > bf {
+				want = 1
+			}
+			if got := Compare(Int64(a), Int64(b)); got != want {
+				t.Errorf("Compare(%d, %d) = %d, float order %d", a, b, got, want)
+			}
+			if got := Compare(TimeUnix(a), TimeUnix(b)); got != want {
+				t.Errorf("Compare(time %d, time %d) = %d, float order %d", a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -134,6 +182,50 @@ func TestDecodeTextRowBadFieldCount(t *testing.T) {
 	s := meterSchema()
 	if _, err := DecodeTextRow(s, "1,2"); err == nil {
 		t.Error("short line decoded without error")
+	}
+}
+
+// TestDecodeTextLineMatchesRowDecode: decoding a line held as bytes yields
+// the cells, and the errors, of decoding it as a string; its string cells
+// keep nothing of the bytes; and a meter line parses without allocating.
+func TestDecodeTextLineMatchesRowDecode(t *testing.T) {
+	s := meterSchema()
+	lines := []string{
+		"1,2,2012-12-01,0.5,note",
+		"-7,+3,2012-12-01 06:30:00,-1e-07,a, b",
+		"9223372036854775807,0,1354320000,NaN,",
+		"-9223372036854775808,1,2012-12-01,-0,x",
+		"007,1,2012-02-30,1,x", // a calendar day time.Parse refuses
+		"1,2,2012-12-01,zero,x",
+		"1,2,2012-12-01",
+		"1.5,2,2012-12-01,1,x",
+	}
+	for _, line := range lines {
+		for _, project := range [][]bool{nil, {true, false, true, false, true}} {
+			want := make(Row, s.Len())
+			wantErr := DecodeTextRowInto(s, line, project, want)
+			buf := []byte(line)
+			got := make(Row, s.Len())
+			gotErr := DecodeTextLineInto(s, buf, project, got)
+			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+				t.Errorf("%q: error %v, string decode %v", line, gotErr, wantErr)
+				continue
+			}
+			for i := range buf {
+				buf[i] = '#'
+			}
+			if wantErr == nil && fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%q project %v: cells %v, string decode %v", line, project, got, want)
+			}
+		}
+	}
+	line, row := []byte("123456,7,2012-12-03 11:22:33,12.345678,"), make(Row, s.Len())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeTextLineInto(s, line, nil, row); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a meter line allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -111,6 +111,35 @@ func DecodeTextRowInto(schema *Schema, line string, project []bool, row Row) err
 	return nil
 }
 
+// DecodeTextLineInto is DecodeTextRowInto over a line held as bytes, such as
+// a shuffled value: numeric cells parse from the bytes where they lie, and
+// only the string cells of flagged columns are copied, so row keeps nothing
+// of line. It is its own field walk, not a generic one shared with
+// DecodeTextRowInto, so that the TextFile query decode keeps its string-only
+// loop (a per-field type-parameter dispatch slowed it on wide rows).
+func DecodeTextLineInto(schema *Schema, line []byte, project []bool, row Row) error {
+	rest := line
+	for i := 0; i < schema.Len(); i++ {
+		field := rest
+		if i < schema.Len()-1 {
+			j := bytes.IndexByte(rest, TextDelim)
+			if j < 0 {
+				return fmt.Errorf("storage: line has %d fields, schema wants %d: %q", i+1, schema.Len(), line)
+			}
+			field, rest = rest[:j], rest[j+1:]
+		}
+		if project != nil && !project[i] {
+			continue
+		}
+		v, err := parseCell(schema.Col(i).Kind, field)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+	}
+	return nil
+}
+
 // TextFieldBytes extracts the i-th delimited field of a line without decoding
 // the whole row.
 func TextFieldBytes(line []byte, i int) ([]byte, bool) {

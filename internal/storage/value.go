@@ -216,27 +216,35 @@ func civilFromDays(z int64) (year, month, day int64) {
 }
 
 // ParseValue parses the textual rendering of a value of the given kind.
-func ParseValue(kind Kind, s string) (Value, error) {
+func ParseValue(kind Kind, s string) (Value, error) { return parseCell(kind, s) }
+
+// parseCell is ParseValue over a field held as a string or as bytes: the
+// layouts the writers emit parse where they lie, and only a string cell, or
+// a field the fast paths turn down, converts the bytes.
+func parseCell[T string | []byte](kind Kind, field T) (Value, error) {
 	switch kind {
 	case KindInt64:
-		i, err := strconv.ParseInt(s, 10, 64)
+		if n, ok := parseIntStr(field); ok {
+			return Int64(n), nil
+		}
+		i, err := strconv.ParseInt(string(field), 10, 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("storage: parse bigint %q: %w", s, err)
+			return Value{}, fmt.Errorf("storage: parse bigint %q: %w", field, err)
 		}
 		return Int64(i), nil
 	case KindFloat64:
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := strconv.ParseFloat(string(field), 64)
 		if err != nil {
-			return Value{}, fmt.Errorf("storage: parse double %q: %w", s, err)
+			return Value{}, fmt.Errorf("storage: parse double %q: %w", field, err)
 		}
 		return Float64(f), nil
 	case KindTime:
-		if sec, ok := parseTimeStr(s); ok {
+		if sec, ok := parseTimeStr(field); ok {
 			return TimeUnix(sec), nil
 		}
-		return ParseTime(s)
+		return ParseTime(string(field))
 	default:
-		return Str(s), nil
+		return Str(string(field)), nil
 	}
 }
 
@@ -261,7 +269,7 @@ func ParseTime(s string) (Value, error) {
 // anything the fast path cannot prove equivalent (wrong shape, invalid
 // calendar date); callers fall back to ParseTime, which keeps its exact
 // semantics for arbitrary input.
-func parseTimeStr(s string) (int64, bool) {
+func parseTimeStr[T string | []byte](s T) (int64, bool) {
 	if len(s) != len(dateLayout) && len(s) != len(dateTimeLayout) {
 		return 0, false
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -45,6 +46,14 @@ type ColumnVector struct {
 	// RunEnds holds the exclusive end row of each run of a run-length
 	// column (empty otherwise).
 	RunEnds []int32
+
+	// body is the column payload body the vector was decoded from, as one
+	// string; every cell, dictionary entry and run value slices into it.
+	// cells holds each row's stored text for a plain or run-length numeric
+	// column, indexed from body on the batch's first Line call (string
+	// columns already keep theirs in Strs and Dict).
+	body  string
+	cells []string
 }
 
 // Value materialises cell row of the vector (zero value when !Valid).
@@ -109,7 +118,8 @@ type ColumnBatch struct {
 	ends    []int
 	offsets []int64
 	group   int64
-	text    []byte // Line's rendering scratch (RCFile)
+	text    []byte // Line's assembly scratch (RCFile)
+	indexed bool   // the vectors' cells are indexed for Line (RCFile)
 }
 
 // NewColumnBatch sizes a batch for the schema (vectors fill lazily).
@@ -160,13 +170,31 @@ func (b *ColumnBatch) MaterialiseRow(ri int) Row {
 }
 
 // Line returns row ri's delimited text without the trailing newline: the
-// stored bytes for a TextFile batch, the rendering of the decoded row
-// (AppendTextRow) for an RCFile one — where cells of unprojected columns
-// render as zero values. The slice is valid until the next call or delivery.
+// stored bytes for a TextFile batch, the row group's stored cell texts joined
+// by TextDelim for an RCFile one. The RCFile writer stores each cell as
+// AppendText renders it, so either way the line is the text form of the
+// row's values (AppendTextRow without the newline): the index builds shuffle
+// it, and the RCFile segment writer stores its cells as they are. A cell of
+// an unprojected column renders as its kind's zero value. The first call on
+// an RCFile delivery indexes its numeric columns' cells, so a reader that
+// never asks for a line pays nothing. The slice is valid until the next call
+// or delivery.
 func (b *ColumnBatch) Line(ri int) []byte {
 	if len(b.ends) == 0 {
-		b.text = AppendTextRow(b.text[:0], b.MaterialiseRow(ri))
-		return b.text[:len(b.text)-1]
+		if !b.indexed {
+			for c := range b.Cols {
+				b.Cols[c].indexCells(b.Rows)
+			}
+			b.indexed = true
+		}
+		b.text = b.text[:0]
+		for c := range b.Cols {
+			if c > 0 {
+				b.text = append(b.text, TextDelim)
+			}
+			b.text = b.Cols[c].appendCell(b.text, ri)
+		}
+		return b.text
 	}
 	start := 0
 	if ri > 0 {
@@ -185,9 +213,46 @@ func (b *ColumnBatch) RowOffset(ri int) int64 {
 	return b.offsets[ri]
 }
 
+// appendCell appends the stored text of row ri: the dictionary entry, the
+// string cell, or the indexed cell of a numeric column. A column the
+// projection skipped, or one whose cells did not index, renders the value.
+func (v *ColumnVector) appendCell(dst []byte, ri int) []byte {
+	switch {
+	case !v.Valid:
+		return v.Value(ri).AppendText(dst)
+	case v.Enc == EncDict:
+		return append(dst, v.Dict[v.Codes[ri]]...)
+	case v.Kind == KindString:
+		return append(dst, v.Strs[ri]...)
+	case ri < len(v.cells):
+		return append(dst, v.cells[ri]...)
+	default:
+		return v.Value(ri).AppendText(dst)
+	}
+}
+
+// indexCells points cells at each row's stored text for a plain or
+// run-length numeric column decoded from text, reusing the slice. The decode
+// already checked the payload's shape, so a body that does not split into
+// rows cells leaves cells short and appendCell renders instead.
+func (v *ColumnVector) indexCells(rows int) {
+	v.cells = v.cells[:0]
+	if !v.Valid || v.Kind == KindString || v.Enc == EncDict {
+		return
+	}
+	if cap(v.cells) < rows {
+		v.cells = make([]string, 0, rows)
+	}
+	_ = forEachCell(v.Enc, v.body, rows, func(r int, field string) error {
+		v.cells = append(v.cells, field)
+		return nil
+	})
+}
+
 // parseIntStr parses a decimal int64 from field without allocating; ok is
-// false for anything that is not a plain optionally-signed integer.
-func parseIntStr(field string) (int64, bool) {
+// false for anything that is not a plain optionally-signed integer, or that
+// does not fit an int64. Where ok, the result is strconv.ParseInt's.
+func parseIntStr[T string | []byte](field T) (int64, bool) {
 	if len(field) == 0 {
 		return 0, false
 	}
@@ -200,21 +265,24 @@ func parseIntStr(field string) (int64, bool) {
 			return 0, false
 		}
 	}
-	var n int64
+	// The magnitude accumulates unsigned so that -2^63 fits, and each digit
+	// is refused before it could carry the magnitude past limit.
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var n uint64
 	for ; i < len(field); i++ {
-		d := field[i]
-		if d < '0' || d > '9' {
+		d := uint64(field[i]) - '0'
+		if d > 9 || n > (limit-d)/10 {
 			return 0, false
 		}
-		n = n*10 + int64(d-'0')
-		if n < 0 {
-			return 0, false // overflow
-		}
+		n = n*10 + d
 	}
 	if neg {
-		n = -n
+		return -int64(n), true
 	}
-	return n, true
+	return int64(n), true
 }
 
 // forEachField walks the '\n'-joined cells of one column payload. The
@@ -248,8 +316,9 @@ func forEachField(payload string, rows int, fn func(r int, field string) error) 
 func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 	v.Valid = true
 	v.Enc = enc
-	v.Dict, v.Codes, v.RunEnds = v.Dict[:0], v.Codes[:0], v.RunEnds[:0]
+	v.Dict, v.Codes, v.RunEnds, v.cells = v.Dict[:0], v.Codes[:0], v.RunEnds[:0], v.cells[:0]
 	text := string(payload)
+	v.body = text
 	switch enc {
 	case EncDict:
 		if v.Kind != KindString {
@@ -400,14 +469,15 @@ func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project [
 	}
 	batch.selectAll(g.Rows)
 	batch.group, batch.ends, batch.offsets = offset, batch.ends[:0], batch.offsets[:0]
+	batch.indexed = false
 	for c := range batch.Cols {
 		v := &batch.Cols[c]
 		v.Kind = schema.Col(c).Kind
 		if g.columns[c] == nil {
 			v.Valid = false
-			v.Enc = EncPlain
+			v.Enc, v.body = EncPlain, ""
 			v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
-			v.Dict, v.Codes, v.RunEnds = v.Dict[:0], v.Codes[:0], v.RunEnds[:0]
+			v.Dict, v.Codes, v.RunEnds, v.cells = v.Dict[:0], v.Codes[:0], v.RunEnds[:0], v.cells[:0]
 			continue
 		}
 		if err := decodeColumn(v, g.Enc(c), g.columns[c], g.Rows); err != nil {

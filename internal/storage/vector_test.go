@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
@@ -226,5 +228,154 @@ func BenchmarkReadGroupColumns(b *testing.B) {
 		if _, err := ReadGroupColumns(r, 0, s, project, batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// lineSchema has a cell of every kind, a string column in the middle (which
+// may be empty but hold no delimiter) and one last (which may hold it).
+func lineSchema() *Schema {
+	return NewSchema(
+		Column{"id", KindInt64},
+		Column{"tag", KindString},
+		Column{"f", KindFloat64},
+		Column{"ts", KindTime},
+		Column{"note", KindString},
+	)
+}
+
+// checkLinesAreRenderings reads every group of the RCFile at path and holds
+// each row's Line to the rendering of its decoded values, for the full read
+// and a projected one (whose skipped cells render as zero values). It
+// returns the encodings the groups' columns were stored in.
+func checkLinesAreRenderings(t testing.TB, fs *dfs.FS, path string, s *Schema) map[byte]bool {
+	t.Helper()
+	r, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets, err := ReadGroupIndex(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encs := map[byte]bool{}
+	project := make([]bool, s.Len())
+	project[0] = true
+	for _, proj := range [][]bool{nil, project} {
+		batch := NewColumnBatch(s)
+		for _, off := range offsets {
+			g, _, err := ReadGroupProjected(r, off, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < s.Len(); c++ {
+				encs[g.Enc(c)] = true
+			}
+			if _, err := ReadGroupColumns(r, off, s, proj, batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, ri := range batch.Sel() {
+				want := AppendTextRow(nil, batch.MaterialiseRow(ri))
+				if got := batch.Line(ri); !bytes.Equal(got, want[:len(want)-1]) {
+					t.Fatalf("group %d row %d (project %v): Line = %q, rendering %q", off, ri, proj, got, want[:len(want)-1])
+				}
+			}
+		}
+	}
+	return encs
+}
+
+// TestLineIsRenderingOfStoredCells pins what ColumnBatch.Line and the
+// RCFile segment writer rest on: a cell the RCWriter stored reads back as
+// exactly the text AppendText renders of its decoded value, whichever
+// encoding holds it, so a line assembled from stored cells is the row's
+// rendering.
+func TestLineIsRenderingOfStoredCells(t *testing.T) {
+	day := time.Date(2012, 12, 3, 0, 0, 0, 0, time.UTC)
+	floats := []float64{-1.5, 1e21, 1.2345e-7, 0.1 + 0.2, 3.141592653589793, math.Copysign(0, -1), -123456789.125, 4}
+	var varied []Row
+	for i := 0; i < 40; i++ {
+		ts := day.Add(time.Duration(i) * 7 * time.Hour) // bare dates and full timestamps
+		varied = append(varied, Row{
+			Int64(int64(i*37) - 500),
+			Str([]string{"", "cq", "bj-north"}[i%3]),
+			Float64(floats[i%len(floats)]),
+			Time(ts),
+			Str([]string{"", "a, b", "12 Main St, Springfield", "plain"}[i%4]),
+		})
+	}
+	var runs []Row // long runs: run-length floats and timestamps, a dictionary tag
+	for i := 0; i < 64; i++ {
+		runs = append(runs, Row{
+			Int64(int64(i)),
+			Str([]string{"cq", "bj"}[i%2]),
+			Float64(floats[i/16]),
+			Time(day.Add(time.Duration(i/32) * 90 * time.Minute)),
+			Str("x, y"),
+		})
+	}
+	cases := []struct {
+		name   string
+		rows   []Row
+		opts   RCWriteOptions
+		encs   []byte // encodings some column must be stored in
+		groups int
+	}{
+		{"plain", varied, RCWriteOptions{DisableEncoding: true}, []byte{EncPlain}, 16},
+		{"encoded", varied, RCWriteOptions{}, []byte{EncPlain, EncDict}, 16},
+		{"runs", runs, RCWriteOptions{}, []byte{EncRLE, EncDict}, 64},
+		{"one-row groups", varied[:5], RCWriteOptions{}, []byte{EncPlain}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := dfs.New(1 << 20)
+			if _, err := WriteRCRowsOpts(fs, "/t/data", lineSchema(), tc.rows, tc.groups, tc.opts); err != nil {
+				t.Fatal(err)
+			}
+			encs := checkLinesAreRenderings(t, fs, "/t/data", lineSchema())
+			for _, e := range tc.encs {
+				if !encs[e] {
+					t.Errorf("no column stored as %s (got %v): the case does not cover it", EncodingName(e), encs)
+				}
+			}
+		})
+	}
+}
+
+// TestReadGroupColumnsLeavesCellsUnindexed guards the query decode path: a
+// read indexes no cell text until something asks the batch for a line, and
+// costs the same allocations per group (10, at the 1,024-row meter group of
+// BenchmarkReadGroupColumns) whether or not the previous delivery's lines
+// were read.
+func TestReadGroupColumnsLeavesCellsUnindexed(t *testing.T) {
+	fs := dfs.New(1 << 24)
+	s := meterSchema()
+	if _, err := WriteRCRows(fs, "/tbl/vec", s, sampleRows(1024), 1024); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open("/tbl/vec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := []bool{true, true, true, true, false}
+	batch := NewColumnBatch(s)
+	read := func() {
+		if _, err := ReadGroupColumns(r, 0, s, project, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	plain := testing.AllocsPerRun(20, read)
+	batch.Line(0)
+	afterLine := testing.AllocsPerRun(20, func() {
+		read()
+		for c := range batch.Cols {
+			if n := len(batch.Cols[c].cells); n != 0 {
+				t.Fatalf("column %d has %d cells indexed by a read", c, n)
+			}
+		}
+		batch.Line(batch.Rows - 1)
+	})
+	if plain > 10 || afterLine > plain {
+		t.Errorf("ReadGroupColumns allocates %.0f times per group (%.0f with lines read), want <= 10 both", plain, afterLine)
 	}
 }
