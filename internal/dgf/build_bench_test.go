@@ -81,8 +81,9 @@ func meterSchema() *storage.Schema {
 }
 
 // benchmarkBuildShard reports the build's ns/row and allocs/row and fails
-// above budget allocs/row (it measures 0.73 over TextFile and 2.28 over
-// RCFile, against 1.83 and 3.39 before each row's text work was done once).
+// above budget allocs/row (it measures 0.73 over TextFile and 1.19 over
+// RCFile; RCFile measured 2.28 while zone bounds were rendered as text, and
+// 1.83 and 3.39 before each row's text work was done once).
 func benchmarkBuildShard(b *testing.B, format storage.Format, budget float64) {
 	fs := shardSource(b, format)
 	spec, err := ParseIdxProperties("idx", []string{"regionId", "userId", "ts"}, meterSchema(), map[string]string{
@@ -117,4 +118,4 @@ func benchmarkBuildShard(b *testing.B, format storage.Format, budget float64) {
 }
 
 func BenchmarkBuildShardText(b *testing.B)   { benchmarkBuildShard(b, storage.TextFile, 0.9) }
-func BenchmarkBuildShardRCFile(b *testing.B) { benchmarkBuildShard(b, storage.RCFile, 2.6) }
+func BenchmarkBuildShardRCFile(b *testing.B) { benchmarkBuildShard(b, storage.RCFile, 1.4) }

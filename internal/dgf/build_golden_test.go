@@ -103,6 +103,13 @@ func goldenRows(userLo, userHi, from, to int) []storage.Row {
 // path, size and content, in path order.
 func hashTree(t *testing.T, fs *dfs.FS, dir string) string {
 	t.Helper()
+	return hashTreeAs(t, fs, dir, nil)
+}
+
+// hashTreeAs is hashTree with each file's content replaced by what as
+// returns for it (nil as keeps every file as stored).
+func hashTreeAs(t *testing.T, fs *dfs.FS, dir string, as func(path string, data []byte) []byte) string {
+	t.Helper()
 	h := sha256.New()
 	var walk func(dir string)
 	walk = func(dir string) {
@@ -118,6 +125,9 @@ func hashTree(t *testing.T, fs *dfs.FS, dir string) string {
 			data, err := fs.ReadFile(e.Path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if as != nil {
+				data = as(e.Path, data)
 			}
 			var n [8]byte
 			binary.BigEndian.PutUint64(n[:], uint64(len(data)))
@@ -175,7 +185,11 @@ var goldenStages = [3]string{"build", "append(ts)", "append(new cells)"}
 // TestBuildGoldenMovedAsDescribed holds the move to exactly that. When the
 // sidecars and byte-budget row groups went, three metadata entries and the
 // three puts that stored them went too —
-// TestBuildGoldenRetiredMetaMovedAsDescribed holds that move.
+// TestBuildGoldenRetiredMetaMovedAsDescribed holds that move. The RCFile
+// files hashes were re-recorded when the column statistics side files began
+// storing typed, delta-coded zone maps: goldenColStatsV3 holds the ones
+// recorded before, and TestBuildGoldenColStatsMovedAsDescribed holds the
+// move to the side files' new spelling of the same statistics.
 var golden = map[storage.Format][3]goldenStage{
 	storage.TextFile: {
 		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "012a6b11901ac728978f34dcc56ef363d7dbef5e5f78fbf9cb8a10bf9b573d01", "df9281ff92951a4ac5067093aa61b00af1073188f0f39dfa937d1433ef54a8f4"},
@@ -183,10 +197,19 @@ var golden = map[storage.Format][3]goldenStage{
 		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "7f533632bc7c079242aadff56b191b3e55c37dfdeb1c278a4a96a72c010ce6ec", "51e62bfe74353a084b1ed4748a9a0a11a203db330d54fddeb86e8dce87b3ed29"},
 	},
 	storage.RCFile: {
-		{"3d5ba9f19beb045ce3f5f4b67feaa4969b9493b9c4da60cc5879f7013bbf3169", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
-		{"1dd190142aaf345abdee82abc9a9dd0ad1a455ec8b1977179569feea720c9031", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
-		{"2813a1b67db9b4d4bfea43698cf13d6a793e137d7d304ee4ca5e84006d240859", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
+		{"581c780b8a51c2d94abb87577e033737912d308a55e4fe65a53f26f0ccda12f7", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
+		{"3a25ef844d9454e963d1a67ce0337229beb61d10b0a3e6d7be7590310e949469", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
+		{"d1ebb1ebd6f685f045661ee97049ceca3dfd37df23312aca4d8043366248aa85", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
 	},
+}
+
+// goldenColStatsV3 holds the RCFile files hashes recorded while every
+// "_colstats" side file was a version 3 stream, its zone bounds stored as
+// text.
+var goldenColStatsV3 = [3]string{
+	"3d5ba9f19beb045ce3f5f4b67feaa4969b9493b9c4da60cc5879f7013bbf3169",
+	"1dd190142aaf345abdee82abc9a9dd0ad1a455ec8b1977179569feea720c9031",
+	"2813a1b67db9b4d4bfea43698cf13d6a793e137d7d304ee4ca5e84006d240859",
 }
 
 // goldenRetiredMeta holds the kv and stats hashes c084951 recorded, with the
@@ -417,4 +440,67 @@ func TestBuildGoldenMovedAsDescribed(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestBuildGoldenColStatsMovedAsDescribed bounds the re-recording of the
+// RCFile files hashes when the column statistics became typed and
+// delta-coded. With every "_colstats" side file read back and written again
+// as the version 3 stream (v3ColStats), the trees hash to what was recorded
+// before: so every data file, group index, row count, column length,
+// encoding tag and zone bound is what it was, and only the side files'
+// spelling moved. The kv and stats hashes did not move at all.
+func TestBuildGoldenColStatsMovedAsDescribed(t *testing.T) {
+	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
+		asV3 := func(path string, data []byte) []byte {
+			dataPath, ok := strings.CutPrefix(path, "/tbl_dgf/_colstats/")
+			if !ok {
+				return data
+			}
+			stats, err := storage.ReadColStats(ix.FS, "/tbl_dgf/"+dataPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v3ColStats(t, stats)
+		}
+		if got, want := hashTreeAs(t, ix.FS, "/tbl_dgf", asV3), goldenColStatsV3[i]; got != want {
+			t.Errorf("%s: with the column statistics written as version 3 the files hash to %s, version 3 hashed to %s", goldenStages[i], got, want)
+		}
+	})
+}
+
+// v3ColStats renders groups as the version 3 column statistics stream did:
+// magic 0 and version 3, then per group uvarint rows, column count and
+// column lengths, a zone flag byte and each column's min and max text
+// (uvarint length and bytes), and an encodings flag byte and the tags.
+func v3ColStats(t *testing.T, stats []storage.GroupStat) []byte {
+	t.Helper()
+	b := []byte{0, 3}
+	for _, g := range stats {
+		b = binary.AppendUvarint(b, uint64(g.Rows))
+		b = binary.AppendUvarint(b, uint64(len(g.ColLens)))
+		for _, l := range g.ColLens {
+			b = binary.AppendUvarint(b, uint64(l))
+		}
+		if g.HasZone() {
+			b = append(b, 1)
+			for c := range g.ColLens {
+				lo, hi, ok := g.Zone(c)
+				if !ok {
+					t.Fatalf("column %d has no zone, whose text version 3 would have stored", c)
+				}
+				for _, v := range []storage.Value{lo, hi} {
+					text := v.String()
+					b = append(binary.AppendUvarint(b, uint64(len(text))), text...)
+				}
+			}
+		} else {
+			b = append(b, 0)
+		}
+		if len(g.Encs) == len(g.ColLens) && len(g.Encs) > 0 {
+			b = append(append(b, 1), g.Encs...)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
 }

@@ -264,9 +264,8 @@ func zoneDisjoint(minV, maxV storage.Value, r gridfile.Range) bool {
 // zoneRange is a predicate range resolved to a schema column: what row-group
 // pruning checks a group's zone map against.
 type zoneRange struct {
-	col  int
-	kind storage.Kind
-	r    gridfile.Range
+	col int
+	r   gridfile.Range
 }
 
 // zoneRanges resolves per-column predicate ranges against schema, dropping
@@ -275,7 +274,7 @@ func zoneRanges(schema *storage.Schema, ranges map[string]gridfile.Range) []zone
 	var out []zoneRange
 	for name, r := range ranges {
 		if c := schema.ColIndex(name); c >= 0 {
-			out = append(out, zoneRange{col: c, kind: schema.Col(c).Kind, r: r})
+			out = append(out, zoneRange{col: c, r: r})
 		}
 	}
 	return out
@@ -283,19 +282,11 @@ func zoneRanges(schema *storage.Schema, ranges map[string]gridfile.Range) []zone
 
 // groupDisjoint is the row-group pruning predicate: it reports whether some
 // range misses its column's zone [min, max] in the group, so no row of the
-// group can match. A group without a zone map, or a zone that does not parse,
+// group can match. A group without a zone map, or a column without a zone,
 // rules nothing out.
 func groupDisjoint(stat storage.GroupStat, zones []zoneRange) bool {
-	if !stat.HasZone() {
-		return false
-	}
 	for _, z := range zones {
-		if z.col >= len(stat.Mins) {
-			continue
-		}
-		minV, err1 := storage.ParseValue(z.kind, stat.Mins[z.col])
-		maxV, err2 := storage.ParseValue(z.kind, stat.Maxs[z.col])
-		if err1 == nil && err2 == nil && zoneDisjoint(minV, maxV, z.r) {
+		if minV, maxV, ok := stat.Zone(z.col); ok && zoneDisjoint(minV, maxV, z.r) {
 			return true
 		}
 	}

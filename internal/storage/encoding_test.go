@@ -205,10 +205,10 @@ func TestUnencodableDataBitIdentical(t *testing.T) {
 	}
 }
 
-// TestColStatsV3EncodingRoundTrip: the v3 colstats sidecar carries the
-// per-group encoding tags through a write/read cycle, including groups
-// without encodings interleaved with encoded ones.
-func TestColStatsV3EncodingRoundTrip(t *testing.T) {
+// TestColStatsEncodingRoundTrip: the colstats sidecar carries the per-group
+// encoding tags and zone maps through a write/read cycle, including groups
+// without encodings or zones interleaved with encoded, zoned ones.
+func TestColStatsEncodingRoundTrip(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	s := encodableSchema()
 	if _, err := WriteRCRows(fs, "/tbl/enc", s, encodableRows(48), 16); err != nil {
@@ -221,7 +221,7 @@ func TestColStatsV3EncodingRoundTrip(t *testing.T) {
 	// Append a hand-built plain group (nil Encs) and round-trip the mix.
 	mixed := append(append([]GroupStat{}, stats...),
 		GroupStat{Rows: 4, ColLens: []int64{1, 2, 3, 4}})
-	if err := WriteColStats(fs, "/tbl/mixed", mixed); err != nil {
+	if err := WriteColStats(fs, "/tbl/mixed", s, mixed); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadColStats(fs, "/tbl/mixed")
@@ -240,6 +240,13 @@ func TestColStatsV3EncodingRoundTrip(t *testing.T) {
 		}
 		if g.HasZone() != mixed[gi].HasZone() {
 			t.Errorf("group %d: zone flag flipped", gi)
+		}
+		for c := 0; c < s.Len(); c++ {
+			lo, hi, ok := g.Zone(c)
+			wantLo, wantHi, wantOK := mixed[gi].Zone(c)
+			if lo != wantLo || hi != wantHi || ok != wantOK {
+				t.Errorf("group %d col %d: zone [%v, %v] %v, want [%v, %v] %v", gi, c, lo, hi, ok, wantLo, wantHi, wantOK)
+			}
 		}
 	}
 }

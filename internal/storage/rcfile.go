@@ -48,7 +48,8 @@ type RCWriter struct {
 	off          int64    // file offset of the next group to be flushed
 	groupOffsets []int64
 	groupStats   []GroupStat
-	mins, maxs   []Value // running per-column min/max of the pending group
+	zones        *zoneMaps // the flushed groups' zone maps
+	mins, maxs   []Value   // running per-column min/max of the pending group
 	statsInit    bool
 	noEncode     bool
 	cellScratch  []rawCell
@@ -65,6 +66,7 @@ func NewRCWriter(w *dfs.FileWriter, schema *Schema, groupRows int) *RCWriter {
 	return &RCWriter{
 		w:           w,
 		schema:      schema,
+		zones:       newZoneMaps(kindsOf(schema)),
 		groupRows:   groupRows,
 		cols:        make([][]byte, schema.Len()),
 		bodyScratch: make([][]byte, schema.Len()),
@@ -181,8 +183,8 @@ func (w *RCWriter) flushGroup() error {
 	stat := GroupStat{
 		Rows:    w.pending,
 		ColLens: make([]int64, len(w.cols)),
-		Mins:    make([]string, len(w.cols)),
-		Maxs:    make([]string, len(w.cols)),
+		zones:   w.zones,
+		zone:    w.zones.add(),
 	}
 	if encoded {
 		stat.Encs = tags
@@ -198,8 +200,9 @@ func (w *RCWriter) flushGroup() error {
 		}
 		buf = append(buf, bodies[i]...)
 		stat.ColLens[i] = int64(plen)
-		stat.Mins[i] = w.mins[i].String()
-		stat.Maxs[i] = w.maxs[i].String()
+		if lo, hi, ok := zoneOf(w.schema.Col(i).Kind, w.mins[i], w.maxs[i]); ok {
+			w.zones.set(stat.zone, i, lo, hi)
+		}
 		w.cols[i] = w.cols[i][:0]
 	}
 	w.outScratch = buf
@@ -222,8 +225,8 @@ func (w *RCWriter) Flush() error { return w.flushGroup() }
 // GroupOffsets returns the start offsets of the groups flushed so far.
 func (w *RCWriter) GroupOffsets() []int64 { return w.groupOffsets }
 
-// GroupStats returns the per-group row counts and column payload sizes of
-// the groups flushed so far.
+// GroupStats returns the per-group row counts, column payload sizes,
+// encoding tags and zone maps of the groups flushed so far.
 func (w *RCWriter) GroupStats() []GroupStat { return w.groupStats }
 
 // Close flushes the final partial group and closes the file.
@@ -494,196 +497,6 @@ func ReadGroupIndex(fs *dfs.FS, dataPath string) ([]int64, error) {
 	return out, nil
 }
 
-// GroupStat records the shape of one flushed row group: its row count, the
-// payload size of every column, and the group's per-column zone map (min and
-// max value, stored as their text renderings). Together with the group's
-// offset it makes the cost of a projected read exactly computable without
-// touching the data file, and lets planners skip groups whose zone is
-// disjoint from a predicate's range. Mins/Maxs are nil for a group without
-// a zone map; such groups are never skipped.
-type GroupStat struct {
-	Rows    int
-	ColLens []int64
-	Mins    []string
-	Maxs    []string
-	// Encs holds the group's per-column encoding tags (EncPlain/EncDict/
-	// EncRLE); nil for plain 'R' groups.
-	Encs []byte
-}
-
-// HasZone reports whether the group carries a zone map.
-func (g GroupStat) HasZone() bool { return len(g.Mins) == len(g.ColLens) && len(g.Mins) > 0 }
-
-// Enc returns column c's encoding tag (EncPlain when the group is plain).
-func (g GroupStat) Enc(c int) byte {
-	if g.Encs == nil {
-		return EncPlain
-	}
-	return g.Encs[c]
-}
-
-func uvarintLen(v uint64) int64 {
-	var tmp [binary.MaxVarintLen64]byte
-	return int64(binary.PutUvarint(tmp[:], v))
-}
-
-// EncodedSize returns the on-disk byte size of the group.
-func (g GroupStat) EncodedSize() int64 {
-	n := 1 + uvarintLen(uint64(g.Rows)) + uvarintLen(uint64(len(g.ColLens)))
-	for _, l := range g.ColLens {
-		n += uvarintLen(uint64(l)) + l
-	}
-	return n
-}
-
-// ProjectedSize returns the logical bytes a reader fetching only the flagged
-// columns consumes: the header and every length varint plus the kept
-// payloads. A nil projection keeps everything (== EncodedSize).
-func (g GroupStat) ProjectedSize(project []bool) int64 {
-	n := 1 + uvarintLen(uint64(g.Rows)) + uvarintLen(uint64(len(g.ColLens)))
-	for c, l := range g.ColLens {
-		n += uvarintLen(uint64(l))
-		if project == nil || (c < len(project) && project[c]) {
-			n += l
-		}
-	}
-	return n
-}
-
-// ColStatsPath returns the side-file path holding the per-group column
-// statistics of the RCFile at dataPath (sibling of the "_groups" index).
-func ColStatsPath(dataPath string) string { return sideFilePath(dataPath, "_colstats") }
-
-// colStatsMagic and colStatsVersion open the colstats stream. Version 3 is
-// the only one: it carries per-group zone maps and column encoding tags.
-const (
-	colStatsMagic   = 0x00
-	colStatsVersion = 3
-)
-
-// WriteColStats persists the per-group statistics of the RCFile at dataPath.
-func WriteColStats(fs *dfs.FS, dataPath string, stats []GroupStat) error {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putStr := func(s string) {
-		put(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	buf.WriteByte(colStatsMagic)
-	buf.WriteByte(colStatsVersion)
-	for _, g := range stats {
-		put(uint64(g.Rows))
-		put(uint64(len(g.ColLens)))
-		for _, l := range g.ColLens {
-			put(uint64(l))
-		}
-		if g.HasZone() {
-			buf.WriteByte(1)
-			for c := range g.ColLens {
-				putStr(g.Mins[c])
-				putStr(g.Maxs[c])
-			}
-		} else {
-			buf.WriteByte(0)
-		}
-		if len(g.Encs) == len(g.ColLens) && len(g.Encs) > 0 {
-			buf.WriteByte(1)
-			buf.Write(g.Encs)
-		} else {
-			buf.WriteByte(0)
-		}
-	}
-	return fs.WriteFile(ColStatsPath(dataPath), buf.Bytes())
-}
-
-// ReadColStats loads the per-group statistics of the RCFile at dataPath, in
-// group order (aligned with ReadGroupIndex). It accepts only the stream
-// WriteColStats emits.
-func ReadColStats(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
-	data, err := fs.ReadFile(ColStatsPath(dataPath))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 2 || data[0] != colStatsMagic || data[1] != colStatsVersion {
-		return nil, fmt.Errorf("storage: unknown column stats version for %s", dataPath)
-	}
-	data = data[2:]
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-		}
-		data = data[n:]
-		return v, nil
-	}
-	nextStr := func() (string, error) {
-		l, err := next()
-		if err != nil {
-			return "", err
-		}
-		if uint64(len(data)) < l {
-			return "", fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-		}
-		s := string(data[:l])
-		data = data[l:]
-		return s, nil
-	}
-	var out []GroupStat
-	for len(data) > 0 {
-		rows, err := next()
-		if err != nil {
-			return nil, err
-		}
-		cols, err := next()
-		if err != nil {
-			return nil, err
-		}
-		g := GroupStat{Rows: int(rows), ColLens: make([]int64, cols)}
-		for c := range g.ColLens {
-			l, err := next()
-			if err != nil {
-				return nil, err
-			}
-			g.ColLens[c] = int64(l)
-		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-		}
-		hasZone := data[0] == 1
-		data = data[1:]
-		if hasZone {
-			g.Mins = make([]string, cols)
-			g.Maxs = make([]string, cols)
-			for c := range g.ColLens {
-				if g.Mins[c], err = nextStr(); err != nil {
-					return nil, err
-				}
-				if g.Maxs[c], err = nextStr(); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if len(data) == 0 {
-			return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-		}
-		hasEncs := data[0] == 1
-		data = data[1:]
-		if hasEncs {
-			if uint64(len(data)) < cols {
-				return nil, fmt.Errorf("storage: corrupt column stats for %s", dataPath)
-			}
-			g.Encs = append([]byte(nil), data[:cols]...)
-			data = data[cols:]
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
 // RCWriteOptions tunes WriteRCRowsOpts.
 type RCWriteOptions struct {
 	// DisableEncoding writes plain-text row groups unconditionally.
@@ -716,7 +529,7 @@ func WriteRCRowsOpts(fs *dfs.FS, path string, schema *Schema, rows []Row, groupR
 	if err := WriteGroupIndex(fs, path, rw.GroupOffsets()); err != nil {
 		return nil, err
 	}
-	if err := WriteColStats(fs, path, rw.GroupStats()); err != nil {
+	if err := WriteColStats(fs, path, schema, rw.GroupStats()); err != nil {
 		return nil, err
 	}
 	return rw.GroupOffsets(), nil

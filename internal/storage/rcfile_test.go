@@ -268,7 +268,7 @@ func TestWriteRowTextStoresWhatWriteRowRenders(t *testing.T) {
 		if err := rw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteColStats(fs, "/t/data", rw.GroupStats()); err != nil {
+		if err := WriteColStats(fs, "/t/data", s, rw.GroupStats()); err != nil {
 			t.Fatal(err)
 		}
 		data, _ := fs.ReadFile("/t/data")

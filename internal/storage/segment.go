@@ -227,5 +227,5 @@ func (t *rcSegmentWriter) Close() error {
 	if err := WriteGroupIndex(t.fs, t.path, t.rw.GroupOffsets()); err != nil {
 		return err
 	}
-	return WriteColStats(t.fs, t.path, t.rw.GroupStats())
+	return WriteColStats(t.fs, t.path, t.rw.schema, t.rw.GroupStats())
 }

@@ -11,10 +11,10 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
-// TestColStatsV2ZoneRoundTrip: zone maps written by the RCFile writer come
-// back exactly through the colstats encoding, including a zone-less group
-// interleaved with zoned ones.
-func TestColStatsV2ZoneRoundTrip(t *testing.T) {
+// TestColStatsZoneRoundTrip: zone maps written by the RCFile writer are
+// typed in their columns' kinds and come back exactly through the colstats
+// encoding, including a zone-less group interleaved with zoned ones.
+func TestColStatsZoneRoundTrip(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	s := meterSchema()
 	rows := sampleRows(10)
@@ -33,22 +33,22 @@ func TestColStatsV2ZoneRoundTrip(t *testing.T) {
 			t.Fatalf("group %d lost its zone map", gi)
 		}
 	}
+	zoneIs := func(gi, c int, wantLo, wantHi Value) {
+		t.Helper()
+		if lo, hi, ok := stats[gi].Zone(c); !ok || lo != wantLo || hi != wantHi {
+			t.Errorf("group %d column %d zone = [%v, %v] %v, want [%v, %v]", gi, c, lo, hi, ok, wantLo, wantHi)
+		}
+	}
 	// Group 0 holds rows 0..3: userId 1..4, note meter-0..meter-3.
-	if stats[0].Mins[0] != "1" || stats[0].Maxs[0] != "4" {
-		t.Errorf("group 0 userId zone = [%s,%s], want [1,4]", stats[0].Mins[0], stats[0].Maxs[0])
-	}
-	if stats[0].Mins[4] != "meter-0" || stats[0].Maxs[4] != "meter-3" {
-		t.Errorf("group 0 note zone = [%s,%s]", stats[0].Mins[4], stats[0].Maxs[4])
-	}
+	zoneIs(0, 0, Int64(1), Int64(4))
+	zoneIs(0, 4, Str("meter-0"), Str("meter-3"))
 	// Final short group holds rows 8..9: userId 9..10.
-	if stats[2].Mins[0] != "9" || stats[2].Maxs[0] != "10" {
-		t.Errorf("group 2 userId zone = [%s,%s], want [9,10]", stats[2].Mins[0], stats[2].Maxs[0])
-	}
+	zoneIs(2, 0, Int64(9), Int64(10))
 
-	// A zone-less stat (hand-built, Mins/Maxs nil) survives the round trip
-	// as zone-less rather than growing empty zones.
+	// A zone-less stat (hand-built) survives the round trip as zone-less
+	// rather than growing empty zones.
 	mixed := []GroupStat{stats[0], {Rows: 4, ColLens: []int64{1, 1, 1, 1, 1}}}
-	if err := WriteColStats(fs, "/tbl/mixed", mixed); err != nil {
+	if err := WriteColStats(fs, "/tbl/mixed", s, mixed); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadColStats(fs, "/tbl/mixed")
@@ -58,25 +58,28 @@ func TestColStatsV2ZoneRoundTrip(t *testing.T) {
 	if len(back) != 2 || !back[0].HasZone() || back[1].HasZone() {
 		t.Fatalf("mixed zone flags wrong: %+v", back)
 	}
-	if back[0].Mins[0] != stats[0].Mins[0] || back[0].Maxs[4] != stats[0].Maxs[4] {
-		t.Errorf("zones did not round-trip: %+v", back[0])
+	for c := 0; c < s.Len(); c++ {
+		lo, hi, _ := stats[0].Zone(c)
+		if gotLo, gotHi, ok := back[0].Zone(c); !ok || gotLo != lo || gotHi != hi {
+			t.Errorf("column %d zone did not round-trip: [%v, %v] %v, want [%v, %v]", c, gotLo, gotHi, ok, lo, hi)
+		}
 	}
 }
 
-// TestColStatsRefusesOtherVersions: only the v3 stream WriteColStats emits
-// is read. An older v2 stream, a magic-less v1 stream and an unknown version
-// are refused with an error naming the file.
+// TestColStatsRefusesOtherVersions: only the v4 stream WriteColStats emits
+// is read. The text-zoned v3 stream, an older v2 stream, a magic-less v1
+// stream and an unknown version are refused with an error naming the file.
 func TestColStatsRefusesOtherVersions(t *testing.T) {
 	fs := dfs.New(1 << 20)
-	if _, err := WriteRCRows(fs, "/tbl/v3", meterSchema(), sampleRows(4), 4); err != nil {
+	if _, err := WriteRCRows(fs, "/tbl/v4", meterSchema(), sampleRows(4), 4); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := fs.ReadFile(ColStatsPath("/tbl/v3"))
+	v4, err := fs.ReadFile(ColStatsPath("/tbl/v4"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3[0] != colStatsMagic || v3[1] != colStatsVersion {
-		t.Fatalf("writer emitted header %x, want %x %x", v3[:2], colStatsMagic, colStatsVersion)
+	if v4[0] != colStatsMagic || v4[1] != colStatsVersion || colStatsVersion != 4 {
+		t.Fatalf("writer emitted header %x, want %x 04", v4[:2], colStatsMagic)
 	}
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
@@ -90,10 +93,13 @@ func TestColStatsRefusesOtherVersions(t *testing.T) {
 		put(v)
 	}
 	v2 := buf.Bytes()
+	// The same group as v3 wrote it, with its encoding flag.
+	v3 := append(append([]byte{colStatsMagic, 3}, v2[2:]...), 0)
 	for name, data := range map[string][]byte{
+		"v3":      v3,
 		"v2":      v2,
 		"v1":      v2[2:],
-		"v4":      append([]byte{colStatsMagic, 4}, v3[2:]...),
+		"v5":      append([]byte{colStatsMagic, 5}, v4[2:]...),
 		"no body": {colStatsMagic},
 	} {
 		path := "/tbl/" + strings.ReplaceAll(name, " ", "")

@@ -82,10 +82,6 @@ const maxPayloadLen = 1 << 30
 // then encodes without runs, where every cell and row costs a byte.
 const maxCellsPerByte = 16
 
-// maxDecimalExp is the largest e of a tagDecimal column: every 10^e up to
-// it is exact in a float64.
-const maxDecimalExp = 18
-
 // Row shapes.
 const (
 	shapeFull byte = iota
@@ -101,14 +97,6 @@ const (
 	tagString
 	tagMixed
 )
-
-var pow10 = func() (p [maxDecimalExp + 1]float64) {
-	p[0] = 1
-	for i := 1; i < len(p); i++ {
-		p[i] = p[i-1] * 10
-	}
-	return p
-}()
 
 // encodePayload renders rec's payload (without framing) into dst.
 func encodePayload(dst []byte, rec Record) []byte {
@@ -281,14 +269,14 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // appendFloats appends double column c in one pass: the exponent e is
 // guessed from the first cell, and every cell is checked through the
 // integer actually written. A cell that needs a larger e restarts the
-// column with it; a cell no e up to maxDecimalExp carries makes the column
-// raw bits.
+// column with it; a cell no e up to storage.MaxDecimalExp carries makes the
+// column raw bits.
 func appendFloats(dst []byte, rows []storage.Row, c int) []byte {
 	start := len(dst)
 	e := -1
 	for _, row := range rows {
 		if c < len(row) {
-			e = decimalExp(row[c].F, 0)
+			e = storage.DecimalExp(row[c].F, 0)
 			break
 		}
 	}
@@ -299,9 +287,9 @@ encode:
 			if c >= len(row) {
 				continue
 			}
-			m, ok := decimal(row[c].F, e)
+			m, ok := storage.Decimal(row[c].F, e)
 			if !ok {
-				e = decimalExp(row[c].F, e+1)
+				e = storage.DecimalExp(row[c].F, e+1)
 				continue encode
 			}
 			dst = binary.AppendVarint(dst, m)
@@ -315,28 +303,6 @@ encode:
 		}
 	}
 	return dst
-}
-
-// decimal returns the m with float64(m)/10^e bit-identical to f, if any.
-func decimal(f float64, e int) (int64, bool) {
-	// RoundToEven, unlike Round, is one instruction on amd64.
-	x := math.RoundToEven(f * pow10[e])
-	if !(math.Abs(x) <= 1<<53) { // also false for NaN
-		return 0, false
-	}
-	m := int64(x)
-	return m, math.Float64bits(float64(m)/pow10[e]) == math.Float64bits(f)
-}
-
-// decimalExp returns the smallest e ≥ from that decimal accepts for f, or
-// -1 if none up to maxDecimalExp does.
-func decimalExp(f float64, from int) int {
-	for e := from; e <= maxDecimalExp; e++ {
-		if _, ok := decimal(f, e); ok {
-			return e
-		}
-	}
-	return -1
 }
 
 // appendCell appends one cell of a tagMixed column.
@@ -511,11 +477,11 @@ func (d *decoder) column(rows []storage.Row, c int) {
 		d.runs(rows, c, kind, lo)
 	case tagDecimal:
 		e := d.u8()
-		if e > maxDecimalExp {
-			d.fail("column %d: decimal exponent %d exceeds %d", c, e, maxDecimalExp)
+		if e > storage.MaxDecimalExp {
+			d.fail("column %d: decimal exponent %d exceeds %d", c, e, storage.MaxDecimalExp)
 			return
 		}
-		p := pow10[e]
+		p := storage.Pow10(int(e))
 		for _, row := range rows {
 			if c < len(row) {
 				row[c] = storage.Float64(float64(d.varint()) / p)
