@@ -191,7 +191,10 @@ func NewSharded(cfg ShardConfig) (*ShardRouter, error) {
 // NewShardedWithConfig creates a shard router whose warehouses share a
 // cluster model and block size (the sharded sibling of NewWithConfig). Each
 // shard — and each replica of each shard — still gets its own filesystem:
-// they are independent stores.
+// they are independent stores. The replicas of a shard share only a record
+// of DGFIndex build jobs, so a build runs on one of them; the others write
+// its output files into their own filesystems and merge its pairs into
+// their own key-value stores, and none reads another's.
 func NewShardedWithConfig(cfg ShardConfig, cc *ClusterConfig, blockSize int64) (*ShardRouter, error) {
 	return shard.New(cfg, func(int, int) *Warehouse {
 		return hive.NewWarehouse(dfs.New(blockSize), cc, "/warehouse")

@@ -44,6 +44,10 @@ type Source struct {
 	// GroupRows sizes the reorganised data's RCFile row groups (<= 0
 	// selects storage.DefaultRowGroupRows). Ignored for TextFile.
 	GroupRows int
+	// Jobs, when set, is this replica's handle on its replica set's shared
+	// record of reorganisation jobs: the built index keeps it, so this build
+	// and every later Append run once per set (see SharedJobs).
+	Jobs *SharedJobs
 }
 
 // Build constructs a DGFIndex over the table described by src, reorganising
@@ -81,6 +85,7 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		DataDir:   dataDir,
 		Format:    src.Format,
 		GroupRows: src.GroupRows,
+		shared:    src.Jobs,
 		minCell:   make([]int64, len(spec.Policy.Dims)),
 		maxCell:   make([]int64, len(spec.Policy.Dims)),
 	}
@@ -136,16 +141,12 @@ func (ix *Index) readColumns(format storage.Format, cols ...[]int) []bool {
 	return project
 }
 
-func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, fresh bool) (*BuildStats, error) {
+func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fresh bool) (*BuildStats, error) {
 	numReducers := cfg.ReduceSlots()
 	if numReducers > 64 {
 		numReducers = 64
 	}
 	kvBefore := ix.KV.Stats()
-
-	var mu sync.Mutex    // guards what reduce tasks merge into: boundsInit, merged, ix's bounds
-	boundsInit := !fresh // appends extend existing bounds
-	var merged []mergedPairs
 
 	// A distinct file-name generation per build run keeps append output
 	// separate from prior runs.
@@ -156,6 +157,35 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 		}
 	}
 	ix.KV.Put(metaGen, []byte(strconv.Itoa(gen+1)))
+
+	// A replica with siblings installs the output of a job one of them ran
+	// with the same description instead of running it (see SharedJobs), and
+	// publishes its own run's output when a sibling may still install it.
+	var publish *sharedJob
+	if ix.shared != nil {
+		desc, err := ix.describeJob(cfg, input, numReducers, gen)
+		if err != nil {
+			return nil, err
+		}
+		var install *sharedJob
+		publish, install = ix.shared.start(ix.DataDir, gen, desc)
+		if install != nil {
+			<-install.done
+			if install.out != nil {
+				ix.shared.count(true)
+				return ix.installJob(cfg, gen, numReducers, fresh, install.out, kvBefore)
+			}
+		}
+		if publish != nil {
+			defer ix.shared.finish(ix.DataDir, publish, nil) // a no-op once published
+		}
+		ix.shared.count(false)
+	}
+
+	var mu sync.Mutex // guards what reduce tasks report: merged, tasks and the job's bounds
+	var merged []mergedPairs
+	var tasks []taskPairs
+	var lo, hi []int64
 
 	// What the reducer parses of a shuffled line: the dimensions of one line
 	// per group, and of every line the pre-compute factors, or the whole row
@@ -181,7 +211,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 			pairs := make([]gfuPair, 0, len(groups))
 			// Observed bounds (for ClampRead and partial queries) are kept per
 			// task, from one record of every group, and merged once below.
-			var lo, hi []int64
+			var taskLo, taskHi []int64
 			row := make(storage.Row, ix.Schema.Len()) // the task's one decoded record
 			cells := make([]int64, 0, stackDims)
 			for _, g := range groups {
@@ -204,7 +234,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 						return err
 					}
 				}
-				lo, hi = extendBounds(lo, hi, cells)
+				taskLo, taskHi = extendBounds(taskLo, taskHi, cells)
 				// Cut at the GFU boundary so the slice covers whole
 				// addressable units (row groups for RCFile).
 				if err := sw.Cut(); err != nil {
@@ -221,34 +251,62 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 				return err
 			}
 			mu.Lock()
+			defer mu.Unlock()
 			merged = append(merged, m)
-			if !boundsInit {
-				copy(ix.minCell, lo)
-				copy(ix.maxCell, hi)
-				boundsInit = true
-			} else {
-				extendBounds(ix.minCell, ix.maxCell, lo)
-				extendBounds(ix.minCell, ix.maxCell, hi)
+			if publish != nil {
+				tasks = append(tasks, taskPairs{task: task, pairs: pairs})
 			}
-			mu.Unlock()
+			lo, hi = extendBounds(lo, hi, taskLo)
+			extendBounds(lo, hi, taskHi)
 			return nil
 		},
 	}
 	jobStats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
-		// A failed run leaves no data behind: the files its finished reduce
-		// tasks wrote, and their sidecars, would be read by every full scan
-		// of the directory.
-		for task := 0; task < numReducers; task++ {
-			name := ix.partFile(int64(gen), int64(task))
-			for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
-				ix.FS.RemoveAll(p)
-			}
-		}
+		ix.removeRun(gen, numReducers)
 		return nil, err
 	}
-	// Every reduce task succeeded: only now do the pairs reach the store, so a
-	// failed run leaves every GFU pair as it was.
+	if publish != nil {
+		// A run whose output cannot be read back still succeeded here; the
+		// deferred finish then tells the siblings to run the job themselves.
+		if out, err := ix.collectOutput(gen, tasks, lo, hi, *jobStats); err == nil {
+			ix.shared.finish(ix.DataDir, publish, out)
+		}
+	}
+	ix.extendCellBounds(fresh, lo, hi)
+	return ix.commitRun(cfg, *jobStats, merged, kvBefore), nil
+}
+
+// removeRun deletes what a failed run of generation gen wrote: the files its
+// finished reduce tasks wrote, and their sidecars, would be read by every
+// full scan of the directory.
+func (ix *Index) removeRun(gen, reducers int) {
+	for task := 0; task < reducers; task++ {
+		name := ix.partFile(int64(gen), int64(task))
+		for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
+			ix.FS.RemoveAll(p)
+		}
+	}
+}
+
+// extendCellBounds folds a successful run's observed cell bounds into the
+// index's: a fresh build starts from them, an append widens what is there.
+func (ix *Index) extendCellBounds(fresh bool, lo, hi []int64) {
+	switch {
+	case lo == nil:
+	case fresh:
+		copy(ix.minCell, lo)
+		copy(ix.maxCell, hi)
+	default:
+		extendBounds(ix.minCell, ix.maxCell, lo)
+		extendBounds(ix.minCell, ix.maxCell, hi)
+	}
+}
+
+// commitRun puts a successful run's merged pairs into the store — only now,
+// so a failed run leaves every GFU pair as it was — saves the metadata and
+// reports the run's cost.
+func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, kvBefore kvstore.Stats) *BuildStats {
 	var entries int
 	for _, m := range merged {
 		ix.KV.PutBatch(m.pairs)
@@ -259,11 +317,11 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input mapreduce.InputFormat, f
 	ix.saveMeta()
 	kvDelta := ix.KV.Stats().Sub(kvBefore)
 	return &BuildStats{
-		Job:          *jobStats,
+		Job:          job,
 		Entries:      entries,
 		IndexBytes:   ix.SizeBytes(),
 		KVSimSeconds: kvDelta.SimSeconds(cfg),
-	}, nil
+	}
 }
 
 // stackDims is how many cell coordinates the per-record scratch slices hold

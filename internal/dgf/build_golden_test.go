@@ -247,6 +247,38 @@ var goldenText = map[storage.Format][3]goldenStage{
 // calls record after each stage.
 func goldenBuild(t *testing.T, format storage.Format, record func(stage int, ix *Index, stats *BuildStats)) {
 	t.Helper()
+	fs := goldenInputs(t, format)
+	ix, stats, err := Build(testCfg(), fs, kvstore.New(), goldenSpec(), goldenSchema(), goldenSource(format), "/tbl_dgf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Job.Splits < 8 {
+		t.Fatalf("build read %d splits, want at least 8", stats.Job.Splits)
+	}
+	record(0, ix, stats)
+	for i, file := range goldenAppends {
+		stats, err := ix.Append(testCfg(), []string{file})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(i+1, ix, stats)
+	}
+}
+
+// goldenAppends are the staged files the two append stages read: ten more
+// readings (two and a half fresh days), then sixty fresh users over the
+// first day.
+var goldenAppends = []string{"/staging/later", "/staging/newusers"}
+
+// goldenSource is the base table the golden build reads.
+func goldenSource(format storage.Format) Source {
+	return Source{Dir: "/tbl", Format: format, GroupRows: 16}
+}
+
+// goldenInputs writes the golden sequence's base table and staged files into
+// a fresh filesystem.
+func goldenInputs(t *testing.T, format storage.Format) *dfs.FS {
+	t.Helper()
 	// 64 KB blocks cut both sources into well over eight splits.
 	fs := dfs.New(1 << 16)
 	schema := goldenSchema()
@@ -263,30 +295,13 @@ func goldenBuild(t *testing.T, format storage.Format, record func(stage int, ix 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Ten more readings (two and a half fresh days), then sixty
-	// fresh users over the first day.
-	if err := storage.WriteTextRows(fs, "/staging/later", goldenRows(0, goldenUsers, goldenReadings, goldenReadings+10)); err != nil {
+	if err := storage.WriteTextRows(fs, goldenAppends[0], goldenRows(0, goldenUsers, goldenReadings, goldenReadings+10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := storage.WriteTextRows(fs, "/staging/newusers", goldenRows(goldenUsers, goldenUsers+60, 0, 4)); err != nil {
+	if err := storage.WriteTextRows(fs, goldenAppends[1], goldenRows(goldenUsers, goldenUsers+60, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	src := Source{Dir: "/tbl", Format: format, GroupRows: 16}
-	ix, stats, err := Build(testCfg(), fs, kvstore.New(), goldenSpec(), schema, src, "/tbl_dgf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Job.Splits < 8 {
-		t.Fatalf("build read %d splits, want at least 8", stats.Job.Splits)
-	}
-	record(0, ix, stats)
-	for i, file := range []string{"/staging/later", "/staging/newusers"} {
-		stats, err := ix.Append(testCfg(), []string{file})
-		if err != nil {
-			t.Fatal(err)
-		}
-		record(i+1, ix, stats)
-	}
+	return fs
 }
 
 func TestBuildGolden(t *testing.T) {

@@ -1,0 +1,324 @@
+package dgf
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"io"
+	"sort"
+	"sync"
+
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
+	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
+	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
+	"github.com/smartgrid-oss/dgfindex/internal/storage"
+)
+
+// The replicas of a shard hold the same base data and apply the same DDL and
+// loads, so every reorganisation job (Build, Append) a replica runs, its
+// siblings run over the same bytes. The paper runs that job once and lets
+// HDFS replicate its output; SharedJobs does the same for a replica set. The
+// first replica to start a job runs it and publishes what it produced that
+// does not depend on its own store: the output files, each reduce task's
+// pairs before they merge with stored ones, the observed cell bounds and the
+// job's statistics. A sibling that then starts the same job — one whose
+// description (describeJob) has the same SHA-256 digest — waits for it,
+// writes the files into its own filesystem and merges the pairs into its own
+// key-value store, task by task, as its own reduce tasks would have. Replicas
+// stay independent stores: nothing reads another replica's filesystem or
+// store, and a sibling whose job differs in any byte, or whose publisher
+// failed, runs the job itself.
+
+// SharedJobs is one replica's handle on its replica set's shared record of
+// reorganisation jobs. A nil *SharedJobs is a replica without siblings: every
+// job runs where it is started.
+type SharedJobs struct {
+	rec     *jobRecord
+	replica int
+}
+
+// NewSharedJobs creates the record of a set of n replicas and returns each
+// replica's handle on it, indexed by replica.
+func NewSharedJobs(n int) []*SharedJobs {
+	rec := &jobRecord{n: n, indexes: map[string]*indexJobs{}}
+	out := make([]*SharedJobs, n)
+	for i := range out {
+		out[i] = &SharedJobs{rec: rec, replica: i}
+	}
+	return out
+}
+
+// Held returns how many job results the record keeps, finished or still
+// running: at most one per index.
+func (s *SharedJobs) Held() int {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	n := 0
+	for _, ij := range s.rec.indexes {
+		if ij.job != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Counts returns how many jobs the set's replicas ran under the record, and
+// how many they installed from a sibling instead of running.
+func (s *SharedJobs) Counts() (ran, installed int) {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	return s.rec.ran, s.rec.installed
+}
+
+// jobRecord is what the handles of one replica set share.
+type jobRecord struct {
+	mu      sync.Mutex
+	n       int
+	indexes map[string]*indexJobs // by the index's data directory
+
+	ran, installed int // jobs run and results installed under the record
+}
+
+// indexJobs is the record of one index: the generation each replica last
+// started a job at, and the one job result the set may hold for it.
+type indexJobs struct {
+	began []int // per replica; -1 before its first job
+	job   *sharedJob
+}
+
+// sharedJob is one job a replica runs for its siblings. It is held until
+// every sibling it was published for has taken it or started another job of
+// the index at its generation or a later one.
+type sharedJob struct {
+	desc    [sha256.Size]byte
+	gen     int
+	pending []bool        // per replica: may still install this job
+	done    chan struct{} // closed once out is final
+	closed  bool
+	out     *jobOutput // nil when the job failed
+}
+
+// jobOutput is what a job produced that does not depend on the store of the
+// replica that ran it.
+type jobOutput struct {
+	files  []outputFile
+	tasks  []taskPairs // in task order
+	lo, hi []int64     // observed cell bounds, nil when no record was read
+	stats  mapreduce.Stats
+}
+
+// outputFile is one file the job wrote: a Slice file or one of its sidecars.
+type outputFile struct {
+	path string
+	data []byte
+}
+
+// taskPairs is one reduce task's pairs before they merge with stored ones.
+type taskPairs struct {
+	task  int
+	pairs []gfuPair
+}
+
+// start records that this replica starts the job with description desc at
+// generation gen of the index whose data lives in dir. It returns either the
+// job to publish into — this replica runs it and a sibling may install it —
+// or a sibling's job with the same description to wait for and install; both
+// nil means run alone.
+func (s *SharedJobs) start(dir string, gen int, desc [sha256.Size]byte) (publish, install *sharedJob) {
+	rec, me := s.rec, s.replica
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	ij := rec.indexes[dir]
+	if ij == nil {
+		ij = &indexJobs{began: make([]int, rec.n)}
+		for i := range ij.began {
+			ij.began[i] = -1
+		}
+		rec.indexes[dir] = ij
+	}
+	ij.began[me] = gen
+	if j := ij.job; j != nil && j.pending[me] {
+		switch {
+		case j.desc == desc:
+			ij.release(me)
+			return nil, j
+		case gen >= j.gen:
+			// This replica has passed the job's generation: it will never
+			// start that job again.
+			ij.release(me)
+		}
+	}
+	if ij.job != nil {
+		return nil, nil
+	}
+	// Publish only for siblings that have yet to start this generation.
+	pending, some := make([]bool, rec.n), false
+	for i, g := range ij.began {
+		if i != me && g < gen {
+			pending[i], some = true, true
+		}
+	}
+	if !some {
+		return nil, nil
+	}
+	ij.job = &sharedJob{desc: desc, gen: gen, pending: pending, done: make(chan struct{})}
+	return ij.job, nil
+}
+
+// release marks the held job used or passed by replica r, dropping it once no
+// sibling is left to install it.
+func (ij *indexJobs) release(r int) {
+	ij.job.pending[r] = false
+	for _, p := range ij.job.pending {
+		if p {
+			return
+		}
+	}
+	ij.job = nil
+}
+
+// finish publishes the outcome of job j: out, or nil for a failed job, which
+// the record then stops holding. Only the first call counts, so a publisher
+// may defer finish(nil) as its failure path.
+func (s *SharedJobs) finish(dir string, j *sharedJob, out *jobOutput) {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	if j.closed {
+		return
+	}
+	j.closed, j.out = true, out
+	if ij := s.rec.indexes[dir]; out == nil && ij.job == j {
+		ij.job = nil
+	}
+	close(j.done)
+}
+
+// count tallies one job this replica ran, or installed from a sibling.
+func (s *SharedJobs) count(installed bool) {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	if installed {
+		s.rec.installed++
+	} else {
+		s.rec.ran++
+	}
+}
+
+// describeJob digests everything a build job's output is a function of: the
+// index spec and schema, the formats, the group rows, the reducer count, the
+// generation, the data directory, the cluster model and the filesystem block
+// size (which fix the splits and the statistics), and the input files' bytes
+// in the order the job reads them. Two replicas whose descriptions match run
+// the same job.
+func (ix *Index) describeJob(cfg *cluster.Config, in *mapreduce.FileInput, reducers, gen int) ([sha256.Size]byte, error) {
+	h := sha256.New()
+	field := func(b []byte) {
+		h.Write(binary.AppendUvarint(nil, uint64(len(b))))
+		h.Write(b)
+	}
+	field([]byte(ix.Spec.Name))
+	field(encodePolicy(ix.Spec.Policy))
+	field(encodeSpecs(ix.Spec.Precompute))
+	for _, c := range ix.Schema.Cols {
+		field([]byte(c.Name + "\x00" + c.Kind.String()))
+	}
+	field([]byte(fmt.Sprintf("%d %d %d %d %d %d %+v", ix.Format, in.Format, ix.GroupRows, reducers, gen,
+		ix.FS.BlockSize(), *cfg)))
+	field([]byte(ix.DataDir))
+	files := in.Paths
+	if in.Dir != "" {
+		fis, err := ix.FS.ListFiles(in.Dir)
+		if err != nil {
+			return [sha256.Size]byte{}, err
+		}
+		files = make([]string, 0, len(fis)+len(in.Paths))
+		for _, fi := range fis {
+			files = append(files, fi.Path)
+		}
+		files = append(files, in.Paths...)
+	}
+	for _, p := range files {
+		if err := hashFile(h, ix.FS, p); err != nil {
+			return [sha256.Size]byte{}, err
+		}
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum, nil
+}
+
+// hashFile feeds one input file to h, length first.
+func hashFile(h hash.Hash, fs *dfs.FS, p string) error {
+	f, err := fs.Open(p)
+	if err != nil {
+		return err
+	}
+	h.Write(binary.AppendUvarint(nil, uint64(f.Size())))
+	_, err = io.Copy(h, f)
+	return err
+}
+
+// collectOutput reads back the files the job's reduce tasks wrote, with
+// their sidecars, for a sibling to install.
+func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats mapreduce.Stats) (*jobOutput, error) {
+	sort.Slice(tasks, func(a, b int) bool { return tasks[a].task < tasks[b].task })
+	out := &jobOutput{tasks: tasks, lo: lo, hi: hi, stats: stats}
+	for _, t := range tasks {
+		name := ix.partFile(int64(gen), int64(t.task))
+		for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
+			if !ix.FS.Exists(p) {
+				continue
+			}
+			data, err := ix.FS.ReadFile(p)
+			if err != nil {
+				return nil, err
+			}
+			out.files = append(out.files, outputFile{path: p, data: data})
+		}
+	}
+	return out, nil
+}
+
+// installJob finishes generation gen on this replica from a sibling's output
+// of the same job: it writes the files into this replica's filesystem and
+// merges each task's pairs with this replica's store, in task order, as its
+// own reduce tasks would have. A pair that fails to merge fails the run and
+// removes the files, as a failed job does.
+func (ix *Index) installJob(cfg *cluster.Config, gen, reducers int, fresh bool, out *jobOutput, kvBefore kvstore.Stats) (*BuildStats, error) {
+	merged := make([]mergedPairs, 0, len(out.tasks))
+	err := func() error {
+		for _, f := range out.files {
+			if err := f.writeTo(ix.FS); err != nil {
+				return err
+			}
+		}
+		for _, t := range out.tasks {
+			m, err := ix.mergePairs(gen, t.task, t.pairs)
+			if err != nil {
+				return err
+			}
+			merged = append(merged, m)
+		}
+		return nil
+	}()
+	if err != nil {
+		ix.removeRun(gen, reducers)
+		return nil, err
+	}
+	ix.extendCellBounds(fresh, out.lo, out.hi)
+	return ix.commitRun(cfg, out.stats, merged, kvBefore), nil
+}
+
+// writeTo creates the file in fs.
+func (f outputFile) writeTo(fs *dfs.FS) error {
+	w, err := fs.Create(f.path)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(f.data); err != nil {
+		return err
+	}
+	return w.Close()
+}

@@ -86,3 +86,39 @@ func TestDgfAppendTwiceIntoExistingCells(t *testing.T) {
 		})
 	}
 }
+
+// TestDgfAppendFailureRemovesStaging: a load into an indexed table stages its
+// rows as a file under the warehouse root before the index append reads
+// them. An append that fails — here every time, on a stored GFU value that
+// does not decode — must still remove that file: the WAL applier retries a
+// failed apply under a new staging name each time, so a kept file would pile
+// up once per retry.
+func TestDgfAppendFailureRemovesStaging(t *testing.T) {
+	w := testWarehouse(1 << 14)
+	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
+	row := storage.Row{storage.Int64(7), storage.Int64(2),
+		storage.Time(time.Date(2012, 12, 3, 0, 0, 0, 0, time.UTC)), storage.Float64(1.5)}
+	if err := w.LoadRowsByName("meterdata", []storage.Row{row}); err != nil {
+		t.Fatal(err)
+	}
+	createDgf(t, w)
+	tbl, _ := w.Table("meterdata")
+	pairs := tbl.DgfKV.ScanPrefix("g/")
+	if len(pairs) != 1 {
+		t.Fatalf("index over one row holds %d GFU pairs, want 1", len(pairs))
+	}
+	tbl.DgfKV.Put(pairs[0].Key, []byte{0xff})
+	for i := 0; i < 3; i++ {
+		err := w.LoadRowsByName("meterdata", []storage.Row{row})
+		if err == nil || !strings.Contains(err.Error(), "stored GFU") {
+			t.Fatalf("load %d into the corrupt cell: %v, want a stored-GFU error", i, err)
+		}
+	}
+	staged, err := w.FS.List("/warehouse/_staging")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range staged {
+		t.Errorf("%s is left under _staging", f.Path)
+	}
+}

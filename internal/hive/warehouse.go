@@ -28,6 +28,12 @@ type Warehouse struct {
 	Cluster *cluster.Config
 	// Root is the warehouse directory ("/warehouse").
 	Root string
+	// DgfJobs, when set, is this warehouse's handle on its replica set's
+	// shared record of DGFIndex reorganisation jobs: a replica whose sibling
+	// already ran a build or append over the same bytes installs that job's
+	// output instead of running it again. Set it before the warehouse is
+	// used; nil (a bare warehouse, or one without siblings) runs every job.
+	DgfJobs *dgf.SharedJobs
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -252,13 +258,17 @@ func (w *Warehouse) loadRowsLocked(t *Table, rows []storage.Row) error {
 	if t.Dgf != nil {
 		staging := path.Join(w.Root, "_staging", fmt.Sprintf("%s-%d", strings.ToLower(t.Name), t.fileSeq))
 		t.fileSeq++
-		if err := storage.WriteTextRows(w.FS, staging, rows); err != nil {
-			return err
+		err := storage.WriteTextRows(w.FS, staging, rows)
+		if err == nil {
+			_, err = t.Dgf.Append(w.Cluster, []string{staging})
 		}
-		if _, err := t.Dgf.Append(w.Cluster, []string{staging}); err != nil {
-			return err
+		// The staging file goes whatever happened: a failed apply is retried
+		// under a new sequence number, so a kept file would pile up once per
+		// retry under the warehouse root.
+		if rmErr := w.FS.RemoveAll(staging); err == nil {
+			err = rmErr
 		}
-		return w.FS.Remove(staging)
+		return err
 	}
 	name := path.Join(t.Dir, fmt.Sprintf("part-%05d", t.fileSeq))
 	t.fileSeq++
@@ -395,7 +405,7 @@ func (w *Warehouse) buildDgfIndexLocked(t *Table, spec dgf.Spec) (*dgf.BuildStat
 	// row-group-granular slices and its reads push column projections down.
 	kv := kvstore.New()
 	dataDir := t.Dir + "_dgf"
-	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows}
+	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows, Jobs: w.DgfJobs}
 	ix, stats, err := dgf.Build(w.Cluster, w.FS, kv, spec, t.Schema, src, dataDir)
 	if err != nil {
 		return nil, err

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -170,6 +171,9 @@ type Router struct {
 // warehouses each, produced by mk (called once per (shard, replica) pair).
 // Every warehouse must get its own filesystem: shards are independent
 // stores, not views of one, and a shard's replicas are independent copies.
+// The replicas of a shard share one record of DGFIndex reorganisation jobs
+// (dgf.SharedJobs), so a build or append over the same bytes runs once per
+// shard and the siblings install its output into their own stores.
 // The router starts one applier goroutine per replica; CloseWAL joins them.
 func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
@@ -178,10 +182,17 @@ func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, erro
 	r := &Router{cfg: cfg, tables: map[string]*tableMeta{}}
 	for i := 0; i < cfg.Shards; i++ {
 		reps := make([]*replica, cfg.replicas())
+		var jobs []*dgf.SharedJobs
+		if len(reps) > 1 {
+			jobs = dgf.NewSharedJobs(len(reps))
+		}
 		for j := range reps {
 			w := mk(i, j)
 			if w == nil {
 				return nil, fmt.Errorf("shard: nil warehouse for shard %d replica %d", i, j)
+			}
+			if jobs != nil {
+				w.DgfJobs = jobs[j]
 			}
 			reps[j] = newReplica(i, j, w)
 		}
@@ -209,8 +220,9 @@ func (r *Router) Shard(i int) *hive.Warehouse { return r.sets[i].reps[0].w }
 func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w }
 
 // Kill marks one replica down, as if the store crashed: new requests to it
-// fail immediately, in-flight reads and DDL abort at their next split
-// boundary, and its applier pauses — a batch it is already writing runs to
+// fail immediately, in-flight reads abort at their next split boundary (DDL
+// already running, an index build included, runs to completion), and its
+// applier pauses — a batch it is already writing runs to
 // completion, what is queued behind it waits for Revive. Reads fail over to
 // the shard's surviving replicas. Writes: behind a log directory the load
 // commits to the shard's log and is queued on the surviving replicas, and
@@ -330,8 +342,11 @@ func (r *Router) broadcast(ctx context.Context, stmt hive.Stmt, opts hive.ExecOp
 			go func(slot int, rep *replica) {
 				defer wg.Done()
 				// The same kill supervision the read paths get via do(): a
-				// replica killed mid-DDL aborts at its next split boundary
-				// and the outcome names the dead store, not a bare cancel.
+				// replica killed before the statement starts refuses it, and
+				// the outcome names the dead store. One killed mid-statement
+				// gets no abort: DDL only checks its context on entry, and an
+				// index build runs to completion (aborting one would leave a
+				// half-reorganised table), so the replica reports success.
 				errs[slot] = rep.do(ctx, func(kctx context.Context) error {
 					res, err := rep.w.ExecParsedContext(kctx, stmt, opts)
 					results[slot] = res

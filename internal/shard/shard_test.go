@@ -54,13 +54,13 @@ func loadRows(l loader, table string, rows []storage.Row) error {
 	return l.(*hive.Warehouse).LoadRowsByName(table, rows)
 }
 
-func setupMeter(t *testing.T, l loader, cfg workload.MeterConfig, withIndex bool) {
+func setupMeter(t testing.TB, l loader, cfg workload.MeterConfig, withIndex bool) {
 	t.Helper()
 	setupMeterStored(t, l, cfg, withIndex, "TEXTFILE")
 }
 
 // setupMeterStored is setupMeter with an explicit meterdata storage format.
-func setupMeterStored(t *testing.T, l loader, cfg workload.MeterConfig, withIndex bool, stored string) {
+func setupMeterStored(t testing.TB, l loader, cfg workload.MeterConfig, withIndex bool, stored string) {
 	t.Helper()
 	mustExec(t, l, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS `+stored)
 	if err := loadRows(l, "meterdata", cfg.AllRows()); err != nil {
@@ -71,13 +71,16 @@ func setupMeterStored(t *testing.T, l loader, cfg workload.MeterConfig, withInde
 		t.Fatal(err)
 	}
 	if withIndex {
-		mustExec(t, l, `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
-			AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_8',
-			'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`)
+		mustExec(t, l, meterIndexSQL)
 	}
 }
 
-func mustExec(t *testing.T, l loader, sql string) *hive.Result {
+// meterIndexSQL is the DGFIndex every indexed meter setup builds.
+const meterIndexSQL = `CREATE INDEX idx ON TABLE meterdata(regionId, userId, ts)
+	AS 'dgf' IDXPROPERTIES ('regionId'='1_1', 'userId'='1_8',
+	'ts'='2012-12-01_1d', 'precompute'='sum(powerConsumed);count(*)')`
+
+func mustExec(t testing.TB, l loader, sql string) *hive.Result {
 	t.Helper()
 	res, err := exec(l, sql)
 	if err != nil {
