@@ -100,8 +100,8 @@ func (fs *FS) ResetCounters() {
 }
 
 // CachedParse memoises the parsed form of a file, so metadata consulted on
-// every query plan — row-group indexes, column statistics — is decoded once
-// instead of per query. The cache key is the path; an entry
+// every query plan — column statistics and the row groups they locate — is
+// decoded once instead of per query. The cache key is the path; an entry
 // is valid while the file keeps the size it had when parsed — appends (the
 // only in-place mutation this DFS offers) grow the size, and every
 // truncating or namespace operation (Create, Remove, RemoveAll, Rename)

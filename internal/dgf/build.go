@@ -283,9 +283,8 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 func (ix *Index) removeRun(gen, reducers int) {
 	for task := 0; task < reducers; task++ {
 		name := ix.partFile(int64(gen), int64(task))
-		for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
-			ix.FS.RemoveAll(p)
-		}
+		ix.FS.RemoveAll(name)
+		ix.FS.RemoveAll(storage.ColStatsPath(name))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -103,14 +104,13 @@ func goldenRows(userLo, userHi, from, to int) []storage.Row {
 // path, size and content, in path order.
 func hashTree(t *testing.T, fs *dfs.FS, dir string) string {
 	t.Helper()
-	return hashTreeAs(t, fs, dir, nil)
+	return hashFiles(treeFiles(t, fs, dir))
 }
 
-// hashTreeAs is hashTree with each file's content replaced by what as
-// returns for it (nil as keeps every file as stored).
-func hashTreeAs(t *testing.T, fs *dfs.FS, dir string, as func(path string, data []byte) []byte) string {
+// treeFiles reads every file under dir, keyed by path.
+func treeFiles(t *testing.T, fs *dfs.FS, dir string) map[string][]byte {
 	t.Helper()
-	h := sha256.New()
+	files := map[string][]byte{}
 	var walk func(dir string)
 	walk = func(dir string) {
 		entries, err := fs.List(dir)
@@ -126,19 +126,56 @@ func hashTreeAs(t *testing.T, fs *dfs.FS, dir string, as func(path string, data 
 			if err != nil {
 				t.Fatal(err)
 			}
-			if as != nil {
-				data = as(e.Path, data)
-			}
-			var n [8]byte
-			binary.BigEndian.PutUint64(n[:], uint64(len(data)))
-			h.Write([]byte(e.Path))
-			h.Write([]byte{0})
-			h.Write(n[:])
-			h.Write(data)
+			files[e.Path] = data
 		}
 	}
 	walk(dir)
+	return files
+}
+
+// hashFiles digests files as hashTree does, in the order a walk of their
+// tree visits them: each directory's entries by name.
+func hashFiles(files map[string][]byte) string {
+	paths := slices.Collect(maps.Keys(files))
+	slices.SortFunc(paths, func(a, b string) int {
+		return slices.Compare(strings.Split(a, "/"), strings.Split(b, "/"))
+	})
+	h := sha256.New()
+	for _, p := range paths {
+		var n [8]byte
+		binary.BigEndian.PutUint64(n[:], uint64(len(files[p])))
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+		h.Write(n[:])
+		h.Write(files[p])
+	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// withGroupIndexes adds to files, for every RCFile data file (every one with
+// a "_colstats" side file), the "_groups/<base>" side file that held its
+// row-group start offsets before they came from the column statistics: each
+// offset as a uvarint. It returns files.
+func withGroupIndexes(t *testing.T, fs *dfs.FS, files map[string][]byte) map[string][]byte {
+	t.Helper()
+	groups := map[string][]byte{}
+	for p := range files {
+		dir, base, ok := strings.Cut(p, "/_colstats/")
+		if !ok {
+			continue
+		}
+		offsets, err := storage.ReadGroupIndex(fs, dir+"/"+base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old []byte
+		for _, off := range offsets {
+			old = binary.AppendUvarint(old, uint64(off))
+		}
+		groups[dir+"/_groups/"+base] = old
+	}
+	maps.Copy(files, groups)
+	return files
 }
 
 // hashKV digests pairs in the order given (a scan's: by key).
@@ -186,10 +223,12 @@ var goldenStages = [3]string{"build", "append(ts)", "append(new cells)"}
 // sidecars and byte-budget row groups went, three metadata entries and the
 // three puts that stored them went too —
 // TestBuildGoldenRetiredMetaMovedAsDescribed holds that move. The RCFile
-// files hashes were re-recorded when the column statistics side files began
-// storing typed, delta-coded zone maps: goldenColStatsV3 holds the ones
+// files hashes were re-recorded twice. When the column statistics side files
+// began storing typed, delta-coded zone maps, goldenColStatsV3 kept the ones
 // recorded before, and TestBuildGoldenColStatsMovedAsDescribed holds the
-// move to the side files' new spelling of the same statistics.
+// move to the side files' new spelling of the same statistics. When the
+// "_groups" side files were deleted, goldenGroups kept the ones recorded
+// before, and TestBuildGoldenGroupsMovedAsDescribed holds that move.
 var golden = map[storage.Format][3]goldenStage{
 	storage.TextFile: {
 		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "012a6b11901ac728978f34dcc56ef363d7dbef5e5f78fbf9cb8a10bf9b573d01", "df9281ff92951a4ac5067093aa61b00af1073188f0f39dfa937d1433ef54a8f4"},
@@ -197,15 +236,23 @@ var golden = map[storage.Format][3]goldenStage{
 		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "7f533632bc7c079242aadff56b191b3e55c37dfdeb1c278a4a96a72c010ce6ec", "51e62bfe74353a084b1ed4748a9a0a11a203db330d54fddeb86e8dce87b3ed29"},
 	},
 	storage.RCFile: {
-		{"581c780b8a51c2d94abb87577e033737912d308a55e4fe65a53f26f0ccda12f7", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
-		{"3a25ef844d9454e963d1a67ce0337229beb61d10b0a3e6d7be7590310e949469", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
-		{"d1ebb1ebd6f685f045661ee97049ceca3dfd37df23312aca4d8043366248aa85", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
+		{"b73ebd452aa0c984fbaf62b81d2a1d064c5c183203d94af4034cbd9d2eb1ff70", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
+		{"318b84f3dce763288202c332549889df8ab7afdec22f02982534752a9bd084f2", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
+		{"25c5d1947b86942a7a73fbe8ffa86271c604e079ab64becc2ce12bf0faa9e494", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
 	},
+}
+
+// goldenGroups holds the RCFile files hashes recorded while every data file
+// had a "_groups" side file holding its row-group offsets.
+var goldenGroups = [3]string{
+	"581c780b8a51c2d94abb87577e033737912d308a55e4fe65a53f26f0ccda12f7",
+	"3a25ef844d9454e963d1a67ce0337229beb61d10b0a3e6d7be7590310e949469",
+	"d1ebb1ebd6f685f045661ee97049ceca3dfd37df23312aca4d8043366248aa85",
 }
 
 // goldenColStatsV3 holds the RCFile files hashes recorded while every
 // "_colstats" side file was a version 3 stream, its zone bounds stored as
-// text.
+// text, and every data file had a "_groups" side file.
 var goldenColStatsV3 = [3]string{
 	"3d5ba9f19beb045ce3f5f4b67feaa4969b9493b9c4da60cc5879f7013bbf3169",
 	"1dd190142aaf345abdee82abc9a9dd0ad1a455ec8b1977179569feea720c9031",
@@ -460,25 +507,43 @@ func TestBuildGoldenMovedAsDescribed(t *testing.T) {
 // TestBuildGoldenColStatsMovedAsDescribed bounds the re-recording of the
 // RCFile files hashes when the column statistics became typed and
 // delta-coded. With every "_colstats" side file read back and written again
-// as the version 3 stream (v3ColStats), the trees hash to what was recorded
-// before: so every data file, group index, row count, column length,
-// encoding tag and zone bound is what it was, and only the side files'
-// spelling moved. The kv and stats hashes did not move at all.
+// as the version 3 stream (v3ColStats), and the "_groups" side files written
+// back as TestBuildGoldenGroupsMovedAsDescribed does, the trees hash to what
+// was recorded before: so every data file, group index, row count, column
+// length, encoding tag and zone bound is what it was, and only the side
+// files' spelling moved. The kv and stats hashes did not move at all.
 func TestBuildGoldenColStatsMovedAsDescribed(t *testing.T) {
 	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
-		asV3 := func(path string, data []byte) []byte {
+		files := withGroupIndexes(t, ix.FS, treeFiles(t, ix.FS, "/tbl_dgf"))
+		for path := range files {
 			dataPath, ok := strings.CutPrefix(path, "/tbl_dgf/_colstats/")
 			if !ok {
-				return data
+				continue
 			}
 			stats, err := storage.ReadColStats(ix.FS, "/tbl_dgf/"+dataPath)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return v3ColStats(t, stats)
+			files[path] = v3ColStats(t, stats)
 		}
-		if got, want := hashTreeAs(t, ix.FS, "/tbl_dgf", asV3), goldenColStatsV3[i]; got != want {
+		if got, want := hashFiles(files), goldenColStatsV3[i]; got != want {
 			t.Errorf("%s: with the column statistics written as version 3 the files hash to %s, version 3 hashed to %s", goldenStages[i], got, want)
+		}
+	})
+}
+
+// TestBuildGoldenGroupsMovedAsDescribed bounds the re-recording of the
+// RCFile files hashes when the "_groups" side files were deleted and the
+// row-group offsets came from the column statistics instead. With a
+// "_groups/<base>" file written back beside every data file, from the
+// offsets ReadGroupIndex derives, in the old encoding, the trees hash to
+// what was recorded before: so every data file and every "_colstats" file
+// is what it was, the derived offsets are the ones the deleted files held,
+// and only those files went.
+func TestBuildGoldenGroupsMovedAsDescribed(t *testing.T) {
+	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
+		if got, want := hashFiles(withGroupIndexes(t, ix.FS, treeFiles(t, ix.FS, "/tbl_dgf"))), goldenGroups[i]; got != want {
+			t.Errorf("%s: with the group index files written back the files hash to %s, they hashed to %s", goldenStages[i], got, want)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
+	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -88,8 +89,8 @@ func TestColStatsBytesPerGroup(t *testing.T) {
 // the powerConsumed range prunes the groups whose readings all fall below
 // it. It reports ns/group over the groups the slices cover (about 450 on
 // two cores; 630–770 when each check parsed the bounds' text) and fails
-// above its allocs/op budget (35 measured: the skip set and the side-file
-// lookups, none per zone check).
+// above its allocs/op budget (25 measured: the skip set and one side-file
+// lookup a file, none per zone check).
 func BenchmarkPlanReads(b *testing.B) {
 	ix := meterRCIndex(b, 2)
 	ranges := map[string]gridfile.Range{
@@ -139,5 +140,64 @@ func BenchmarkPlanReads(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groups), "ns/group")
 	if allocs := testing.AllocsPerRun(5, func() { run() }); allocs > 40 {
 		b.Fatalf("%.0f allocs/op, budget 40", allocs)
+	}
+}
+
+// TestSideFileMismatchNamesTheDataFile: a column statistics side file that
+// describes one row group too few or too many does not add up to its data
+// file, so FileInput.Open and PlanReads both refuse it, naming the data
+// file, rather than read or count a different set of groups.
+func TestSideFileMismatchNamesTheDataFile(t *testing.T) {
+	const path = "/tbl/data"
+	for _, tc := range []struct {
+		name  string
+		alter func([]storage.GroupStat) []storage.GroupStat
+	}{
+		{"one group too few", func(g []storage.GroupStat) []storage.GroupStat { return g[:len(g)-1] }},
+		{"one group too many", func(g []storage.GroupStat) []storage.GroupStat { return append(g, g[len(g)-1]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := dfs.New(1 << 12)
+			if _, err := storage.WriteRCRows(fs, path, goldenSchema(), goldenRows(0, 40, 0, 4), 16); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := fs.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := &mapreduce.FileInput{FS: fs, Paths: []string{path}, Format: storage.RCFile, Schema: goldenSchema()}
+			splits, err := in.Splits()
+			if err != nil {
+				t.Fatal(err)
+			}
+			open := func() error {
+				_, err := in.Open(splits[0])
+				return err
+			}
+			plan := func() error {
+				project := []bool{true, false, false, true, false}
+				_, err := PlanReads(fs, storage.RCFile, goldenSchema(), []SliceLoc{{File: path, End: fi.Size}}, project, nil, false)
+				return err
+			}
+			if err := open(); err != nil {
+				t.Fatalf("FileInput.Open on the side file as written: %v", err)
+			}
+			if err := plan(); err != nil {
+				t.Fatalf("PlanReads on the side file as written: %v", err)
+			}
+
+			stats, err := storage.ReadColStats(fs, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := storage.WriteColStats(fs, path, goldenSchema(), tc.alter(append([]storage.GroupStat(nil), stats...))); err != nil {
+				t.Fatal(err)
+			}
+			for what, err := range map[string]error{"FileInput.Open": open(), "PlanReads": plan()} {
+				if err == nil || !strings.Contains(err.Error(), "column stats for "+path+" ") {
+					t.Errorf("%s: %v, want the data file %s named", what, err, path)
+				}
+			}
+		})
 	}
 }

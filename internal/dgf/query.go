@@ -328,25 +328,22 @@ func PlanReads(fs *dfs.FS, format storage.Format, schema *storage.Schema, slices
 	if zoneSkip {
 		zones = zoneRanges(schema, ranges)
 	}
-	// Slices come grouped by file (a Plan's are sorted), so each file's side
-	// statistics are looked up once per run of its slices.
+	// Slices come grouped by file (a Plan's are sorted), so each file's row
+	// groups are looked up once per run of its slices.
 	var file string
 	var offsets []int64
 	var groups []storage.GroupStat
 	for _, sl := range slices {
 		if sl.File != file {
 			var err error
-			if offsets, err = storage.ReadGroupIndexCached(fs, sl.File); err != nil {
-				return ReadSet{}, fmt.Errorf("dgf: plan: group index for %s: %w", sl.File, err)
-			}
-			if groups, err = storage.ReadColStatsCached(fs, sl.File); err != nil {
-				return ReadSet{}, fmt.Errorf("dgf: plan: column stats for %s: %w", sl.File, err)
+			if offsets, groups, err = storage.ReadGroups(fs, sl.File); err != nil {
+				return ReadSet{}, fmt.Errorf("dgf: plan: row groups of %s: %w", sl.File, err)
 			}
 			file = sl.File
 		}
 		lo := sort.Search(len(offsets), func(i int) bool { return offsets[i] >= sl.Start })
 		hi := sort.Search(len(offsets), func(i int) bool { return offsets[i] >= sl.End })
-		for g := lo; g < hi && g < len(groups); g++ {
+		for g := lo; g < hi; g++ {
 			if !groupDisjoint(groups[g], zones) {
 				rs.Bytes += groups[g].ProjectedSize(project)
 				continue

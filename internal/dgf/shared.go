@@ -267,7 +267,7 @@ func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats
 	out := &jobOutput{tasks: tasks, lo: lo, hi: hi, stats: stats}
 	for _, t := range tasks {
 		name := ix.partFile(int64(gen), int64(t.task))
-		for _, p := range []string{name, storage.GroupIndexPath(name), storage.ColStatsPath(name)} {
+		for _, p := range []string{name, storage.ColStatsPath(name)} {
 			if !ix.FS.Exists(p) {
 				continue
 			}

@@ -211,7 +211,7 @@ func encodedColumnNames(w *Warehouse, files []string, schema *storage.Schema) ([
 	nCols := len(schema.Cols)
 	seen := make(map[int]map[byte]bool)
 	for _, f := range files {
-		stats, err := storage.ReadColStatsCached(w.FS, f)
+		_, stats, err := storage.ReadGroups(w.FS, f)
 		if err != nil {
 			return nil, err
 		}

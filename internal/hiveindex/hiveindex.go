@@ -268,7 +268,7 @@ func (ix *Index) writeIndexFile(fs *dfs.FS, task int, groups []mapreduce.Group) 
 		if err := rw.Close(); err != nil {
 			return err
 		}
-		return storage.WriteGroupIndex(fs, name, rw.GroupOffsets())
+		return storage.WriteColStats(fs, name, ix.indexSchema, rw.GroupStats())
 	}
 	return tw.Close()
 }

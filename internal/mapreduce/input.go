@@ -119,10 +119,11 @@ func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
 	r := &fileReader{in: in, file: f, path: s.Path, segments: s.Segments, batch: storage.NewColumnBatch(in.Schema)}
 	if in.Format == storage.RCFile {
 		// A row group belongs to the segment its start offset falls into,
-		// but may physically straddle a block boundary. The side group index
-		// (the model's stand-in for RCFile sync markers) locates the groups.
-		if r.groupOffsets, err = storage.ReadGroupIndexCached(in.FS, s.Path); err != nil {
-			return nil, fmt.Errorf("mapreduce: FileInput: missing group index for %s: %w", s.Path, err)
+		// but may physically straddle a block boundary. The column
+		// statistics side file (the model's stand-in for RCFile sync
+		// markers) locates the groups.
+		if r.groupOffsets, err = storage.ReadGroupIndex(in.FS, s.Path); err != nil {
+			return nil, fmt.Errorf("mapreduce: FileInput: row groups of %s: %w", s.Path, err)
 		}
 		if in.GroupFilter != nil || in.SkipGroup != nil {
 			r.skipGroup = r.rejectGroup

@@ -7,8 +7,8 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 )
 
-// lru is a minimal mutex-guarded LRU map. Both caches in the serving layer
-// (parsed plans, query results) are built on it. Entries may carry a byte
+// lru is a minimal mutex-guarded LRU map; the serving layer's result cache
+// is built on it. Entries may carry a byte
 // size; when maxBytes > 0 the cache also evicts oldest-first until the
 // total size fits the budget.
 type lru[V any] struct {
@@ -48,8 +48,6 @@ func (c *lru[V]) get(key string) (V, bool) {
 	c.ll.MoveToFront(el)
 	return el.Value.(*lruEntry[V]).val, true
 }
-
-func (c *lru[V]) put(key string, val V) { c.putSized(key, val, 0) }
 
 // putSized inserts val accounting size bytes against the cache's byte
 // budget. A value larger than the whole budget is not cached at all (it

@@ -57,10 +57,6 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Counter("dgf_result_cache_hits_total", "Result-cache lookups that hit.", nil, float64(snap.ResultCache.Hits))
 	p.Counter("dgf_result_cache_misses_total", "Result-cache lookups that missed.", nil, float64(snap.ResultCache.Misses))
 	p.Counter("dgf_result_cache_evictions_total", "Results evicted by capacity pressure.", nil, float64(snap.ResultCache.Evictions))
-	p.Gauge("dgf_plan_cache_entries", "Parsed statements currently cached.", nil, float64(snap.PlanCache.Entries))
-	p.Counter("dgf_plan_cache_hits_total", "Plan-cache lookups that hit.", nil, float64(snap.PlanCache.Hits))
-	p.Counter("dgf_plan_cache_misses_total", "Plan-cache lookups that missed.", nil, float64(snap.PlanCache.Misses))
-	p.Counter("dgf_plan_cache_evictions_total", "Parsed statements evicted by capacity pressure.", nil, float64(snap.PlanCache.Evictions))
 
 	if len(snap.Shards) > 0 {
 		p.GaugeHead("dgf_shard_live_replicas", "Live replicas per shard.")

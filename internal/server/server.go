@@ -11,8 +11,7 @@
 //   - admission control: a bounded worker pool executes queries with a
 //     configurable parallelism, a bounded wait queue sheds overload, and
 //     shutdown drains in-flight work gracefully;
-//   - caching: parsed statements are reused via an LRU plan cache, and
-//     SELECT results are served from an LRU result cache keyed by
+//   - caching: SELECT results are served from an LRU result cache keyed by
 //     normalized SQL plus the read tables' version counters, so any DDL or
 //     LOAD invalidates exactly the dependent entries;
 //   - observability: per-session and server-wide metrics (query counts,
@@ -20,7 +19,7 @@
 //     cache hit rates) in the same terms as the paper's figures.
 //
 // Query, QueryStream and LoadRowsCtx run one request lifecycle (see call):
-// admission, root span, plan cache, deadline, worker slot, and one metrics
+// admission, root span, parse, deadline, worker slot, and one metrics
 // and flight-recorder epilogue.
 package server
 
@@ -89,9 +88,6 @@ var (
 	// then returned to the pool.
 	ErrQueryTimeout = errors.New("server: query timeout")
 )
-
-// planCacheEntries sizes the parsed-statement cache.
-const planCacheEntries = 512
 
 // Config tunes a Server. The zero value selects the documented defaults.
 type Config struct {
@@ -242,7 +238,6 @@ type Server struct {
 	rowsLoaded int64
 
 	results *resultCache
-	plans   *lru[hive.Stmt]
 
 	sessMu   sync.Mutex
 	sessions map[string]*Session
@@ -284,7 +279,6 @@ func NewWithBackend(b Backend, cfg Config) *Server {
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		results:  newResultCache(cfg.CacheEntries, cfg.MaxResultBytes),
-		plans:    newLRU[hive.Stmt](planCacheEntries),
 		sessions: map[string]*Session{},
 		metrics:  newMetricSet(),
 		recorder: trace.NewRecorder(cfg.TraceRingSize),
@@ -375,9 +369,9 @@ func (s *Server) release() {
 
 // call is one admitted request on its way through the serving lifecycle
 // Query, QueryStream and LoadRowsCtx share: begin admits it and opens the
-// root span, plan resolves its statement through the plan cache, acquire
-// bounds it with the deadline and waits for a worker slot, and finish is the
-// metrics and flight-recorder epilogue. A load has no statement to plan and
+// root span, plan parses its statement, acquire bounds it with the deadline
+// and waits for a worker slot, and finish is the metrics and flight-recorder
+// epilogue. A load has no statement to plan and
 // is bounded by WAL backpressure instead of the worker pool, so it goes
 // straight from begin to finish.
 type call struct {
@@ -408,8 +402,8 @@ func (s *Server) begin(name string, sess *Session, sql string, traced bool) (*ca
 	return c, nil
 }
 
-// plan resolves the call's SQL through the plan cache: parse once per normal
-// form, reuse across sessions.
+// plan parses the call's SQL and returns its normal form, the result
+// cache's key.
 func (c *call) plan() (norm string, stmt hive.Stmt, err error) {
 	psp := c.root.Child("plan")
 	defer psp.Finish()
@@ -417,14 +411,9 @@ func (c *call) plan() (norm string, stmt hive.Stmt, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	stmt, ok := c.s.plans.get(norm)
-	psp.Set("plan_cache_hit", ok)
-	if !ok {
-		stmt, err = hive.Parse(c.sql)
-		if err != nil {
-			return "", nil, err
-		}
-		c.s.plans.put(norm, stmt)
+	stmt, err = hive.Parse(c.sql)
+	if err != nil {
+		return "", nil, err
 	}
 	return norm, stmt, nil
 }
@@ -484,8 +473,8 @@ func (c *call) finish(res *hive.Result, cached bool, err error) (time.Duration, 
 	return wall, &snap, err
 }
 
-// Query executes one statement under admission control, consulting the plan
-// and result caches. It blocks while waiting for a worker slot (until the
+// Query executes one statement under admission control, consulting the
+// result cache. It blocks while waiting for a worker slot (until the
 // request deadline) and is safe to call from any number of goroutines.
 func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	c, err := s.begin("query", s.Session(req.Session), req.SQL, req.Trace)
@@ -719,7 +708,7 @@ func (st *Stream) Err() error { return ctxError(st.Cursor.Err()) }
 // QueryStream executes one SELECT under admission control and returns a
 // Stream delivering rows as the scan produces them. Streaming queries
 // bypass the result cache in both directions (there is no materialized
-// result to cache) but run the same lifecycle as Query: the plan cache, the
+// result to cache) but run the same lifecycle as Query: the parse, the
 // worker pool, and the timeout discipline — the request ctx plus the
 // configured timeout bound the whole stream, and cancelling either aborts
 // the scan within one split boundary.
@@ -881,7 +870,6 @@ type Snapshot struct {
 	Server        MetricsSnapshot            `json:"server"`
 	Sessions      map[string]MetricsSnapshot `json:"sessions"`
 	ResultCache   CacheStats                 `json:"result_cache"`
-	PlanCache     CacheStats                 `json:"plan_cache"`
 	// Shards reports per-shard replica-set health: replicas per shard, how
 	// many are live, and each replica's failure/ejection record. A
 	// single-warehouse server reports its one shard with one replica.
@@ -909,7 +897,6 @@ func (s *Server) Stats() Snapshot {
 		sessions[id] = sess.m.snapshot()
 	}
 	s.sessMu.Unlock()
-	ph, pm, pe := s.plans.stats()
 	rc := s.results.stats()
 	return Snapshot{
 		UptimeSeconds:       time.Since(s.started).Seconds(),
@@ -925,7 +912,6 @@ func (s *Server) Stats() Snapshot {
 		Server:              s.metrics.snapshot(),
 		Sessions:            sessions,
 		ResultCache:         rc,
-		PlanCache:           CacheStats{Entries: s.plans.len(), Hits: ph, Misses: pm, Evictions: pe},
 		Shards:              s.ShardHealth(),
 		RowsApplied:         s.rowsApplied.Load(),
 		WAL:                 s.WALStats(),

@@ -144,8 +144,8 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 		t.Fatal("cached rows differ from computed rows")
 	}
 	st := s.Stats()
-	if st.ResultCache.Hits == 0 || st.PlanCache.Hits == 0 {
-		t.Fatalf("expected cache hits, got %+v %+v", st.ResultCache, st.PlanCache)
+	if st.ResultCache.Hits == 0 {
+		t.Fatalf("expected cache hits, got %+v", st.ResultCache)
 	}
 	// A cache hit re-serves rows without cluster work: sim-seconds and
 	// records must reflect one execution, not two.

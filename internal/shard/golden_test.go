@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -82,19 +83,47 @@ type goldenFleetState struct {
 	files, kv, answers, kvRetiredMeta, kvAsText string
 }
 
-// goldenColStatsV3 returns a replica's file bytes with every "_colstats"
-// side file read back and written as the version 3 stream.
-func goldenColStatsV3(t *testing.T, w *hive.Warehouse) func(path string, data []byte) []byte {
-	return func(path string, data []byte) []byte {
+// goldenColStatsV3 returns files with every "_colstats" side file read back
+// from the replica and written as the version 3 stream.
+func goldenColStatsV3(t *testing.T, w *hive.Warehouse, files map[string][]byte) map[string][]byte {
+	t.Helper()
+	for path := range files {
 		if !strings.Contains(path, "/_colstats/") {
-			return data
+			continue
 		}
 		stats, err := storage.ReadColStats(w.FS, strings.Replace(path, "/_colstats/", "/", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v3ColStats(t, stats)
+		files[path] = v3ColStats(t, stats)
 	}
+	return files
+}
+
+// goldenGroupIndexes adds to files, for every RCFile data file (every one
+// with a "_colstats" side file), the "_groups/<base>" side file that held
+// its row-group start offsets before they came from the column statistics:
+// each offset as a uvarint. It returns files.
+func goldenGroupIndexes(t *testing.T, w *hive.Warehouse, files map[string][]byte) map[string][]byte {
+	t.Helper()
+	groups := map[string][]byte{}
+	for path := range files {
+		dir, base, ok := strings.Cut(path, "/_colstats/")
+		if !ok {
+			continue
+		}
+		offsets, err := storage.ReadGroupIndex(w.FS, dir+"/"+base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old []byte
+		for _, off := range offsets {
+			old = binary.AppendUvarint(old, uint64(off))
+		}
+		groups[dir+"/_groups/"+base] = old
+	}
+	maps.Copy(files, groups)
+	return files
 }
 
 // v3ColStats renders groups as the version 3 column statistics stream did:
@@ -134,18 +163,11 @@ func v3ColStats(t *testing.T, stats []storage.GroupStat) []byte {
 	return b
 }
 
-// goldenReplicaFiles lists every file of one replica's filesystem with the
-// SHA-256 of its bytes, in path order.
-func goldenReplicaFiles(t *testing.T, w *hive.Warehouse) []string {
+// goldenReplicaTree reads every file of one replica's filesystem, keyed by
+// path.
+func goldenReplicaTree(t *testing.T, w *hive.Warehouse) map[string][]byte {
 	t.Helper()
-	return goldenReplicaFilesAs(t, w, nil)
-}
-
-// goldenReplicaFilesAs is goldenReplicaFiles with each file's bytes
-// replaced by what as returns for them (nil as keeps every file as stored).
-func goldenReplicaFilesAs(t *testing.T, w *hive.Warehouse, as func(path string, data []byte) []byte) []string {
-	t.Helper()
-	var out []string
+	files := map[string][]byte{}
 	var walk func(dir string)
 	walk = func(dir string) {
 		entries, err := w.FS.List(dir)
@@ -161,14 +183,21 @@ func goldenReplicaFilesAs(t *testing.T, w *hive.Warehouse, as func(path string, 
 			if err != nil {
 				t.Fatal(err)
 			}
-			if as != nil {
-				data = as(e.Path, data)
-			}
-			sum := sha256.Sum256(data)
-			out = append(out, e.Path+" "+hex.EncodeToString(sum[:]))
+			files[e.Path] = data
 		}
 	}
 	walk("/")
+	return files
+}
+
+// goldenFileLines renders files as "<path> <SHA-256 of the bytes>", in path
+// order.
+func goldenFileLines(files map[string][]byte) []string {
+	out := make([]string, 0, len(files))
+	for path, data := range files {
+		sum := sha256.Sum256(data)
+		out = append(out, path+" "+hex.EncodeToString(sum[:]))
+	}
 	sort.Strings(out)
 	return out
 }
@@ -305,9 +334,13 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 		for ri := 0; ri < replicas; ri++ {
 			w := r.Replica(si, ri)
 			head := fmt.Sprintf("shard %d replica %d", si, ri)
-			files := goldenReplicaFiles(t, w)
+			tree := goldenReplicaTree(t, w)
+			files := goldenFileLines(tree)
 			lines["files"] = append(append(lines["files"], head), files...)
-			lines["filesColStatsV3"] = append(append(lines["filesColStatsV3"], head), goldenReplicaFilesAs(t, w, goldenColStatsV3(t, w))...)
+			tree = goldenGroupIndexes(t, w, tree)
+			lines["filesGroups"] = append(append(lines["filesGroups"], head), goldenFileLines(tree)...)
+			tree = goldenColStatsV3(t, w, tree)
+			lines["filesColStatsV3"] = append(append(lines["filesColStatsV3"], head), goldenFileLines(tree)...)
 			kv, kvRetiredMeta, kvAsText := goldenReplicaKV(t, w)
 			lines["kv"] = append(lines["kv"], head+" "+kv)
 			lines["kvRetiredMeta"] = append(lines["kvRetiredMeta"], head+" "+kvRetiredMeta)
@@ -332,9 +365,11 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 
 // loadPathGolden holds the digests recorded at 433a837, keyed
 // "<shards>x<replicas>/<format>". The TextFile files digests are those
-// still; the RCFile ones were re-recorded when the column statistics side
-// files began storing typed, delta-coded zone maps, and
-// loadPathGoldenColStatsV3 holds the ones recorded before. The
+// still; the RCFile ones were re-recorded twice: when the column statistics
+// side files began storing typed, delta-coded zone maps
+// (loadPathGoldenColStatsV3 holds the ones recorded before), and when the
+// "_groups" side files were deleted (loadPathGoldenGroups holds the ones
+// recorded before). The
 // answers digests were re-recorded when aggregates began folding inside their
 // split (sums differ in their last bit, data= in its sixth decimal — hive's
 // TestQueryStatsGoldenMovedAsDescribed bounds the move). The kv digests were
@@ -348,16 +383,24 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 // else in the store moved.
 var loadPathGolden = map[string]goldenFleetState{
 	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "58d977326f9cdbf74974967c6f1b4dbb22849690959740d9699d38e7555abbfe", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
-	"1x1/rcfile":   {"0aba58c2beacbf8d7e1616f3e9dee9824187d09e36bc8e6b4b1223937b88d7b1", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
+	"1x1/rcfile":   {"9e1e477af40cee2dddc2620c7677ba191afc08c06b5e149bdee3b34a5b995fbe", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
 	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "db26e71d209a92dbf37bfb4272743744bec072dafc735fe346f6f62b14137064", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
-	"4x1/rcfile":   {"4020fc4063b726e253d755b0e5da316cd961abaa7c736cf2d187c6455b041d20", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
+	"4x1/rcfile":   {"6636dc779ac332373e4d39be73f419b5aed1d10191afff2758f2f7f9b022d090", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
 	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "a136a0039f70fbe0f5ce19e89a966b3d2fdb1a2d82e00d839d19be2752e0f0f4", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
-	"4x2/rcfile":   {"5cd399fd73bcba0a2545ddd75d16d99fff997a8e50acbbbee47c66f8e81eb391", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+	"4x2/rcfile":   {"1eb97797ad2e7df63d1f45cacd2ab57394d881d03aa50ba0e06354ce161ffb5c", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+}
+
+// loadPathGoldenGroups holds the RCFile files digests recorded while every
+// data file had a "_groups" side file holding its row-group offsets.
+var loadPathGoldenGroups = map[string]string{
+	"1x1/rcfile": "0aba58c2beacbf8d7e1616f3e9dee9824187d09e36bc8e6b4b1223937b88d7b1",
+	"4x1/rcfile": "4020fc4063b726e253d755b0e5da316cd961abaa7c736cf2d187c6455b041d20",
+	"4x2/rcfile": "5cd399fd73bcba0a2545ddd75d16d99fff997a8e50acbbbee47c66f8e81eb391",
 }
 
 // loadPathGoldenColStatsV3 holds the RCFile files digests recorded while
 // every "_colstats" side file was a version 3 stream, its zone bounds stored
-// as text.
+// as text, and every data file had a "_groups" side file.
 var loadPathGoldenColStatsV3 = map[string]string{
 	"1x1/rcfile": "2c5ea0cb2cd45ce383e489102ecb3580b863881ae3a6929cb2669393efe25430",
 	"4x1/rcfile": "c0d3f593225f47c967b992223d482cc23dc2bc6a38146a4d0a3219732f4ead1d",
@@ -418,13 +461,37 @@ func TestLoadPathGoldenMovedAsDescribed(t *testing.T) {
 	}
 }
 
+// TestLoadPathGoldenGroupsMovedAsDescribed bounds the re-recording of the
+// RCFile files digests when the "_groups" side files were deleted and the
+// row-group offsets came from the column statistics instead. With a
+// "_groups/<base>" file written back beside every RCFile data file, from the
+// offsets ReadGroupIndex derives, in the old encoding, every replica's files
+// hash to what was recorded before: so every data file and every
+// "_colstats" file is what it was, the derived offsets are the ones the
+// deleted files held, and only those files went. TestLoadPathGolden holds
+// the kv and answers digests unmoved.
+func TestLoadPathGoldenGroupsMovedAsDescribed(t *testing.T) {
+	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
+		key := fmt.Sprintf("%dx%d/rcfile", shape.shards, shape.replicas)
+		t.Run(key, func(t *testing.T) {
+			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false)
+			if got, want := goldenHash(lines["filesGroups"]), loadPathGoldenGroups[key]; got != want {
+				t.Errorf("files, group index files written back, hash to %s, they hashed to %s\n%s",
+					got, want, strings.Join(lines["filesGroups"], "\n"))
+			}
+		})
+	}
+}
+
 // TestLoadPathGoldenColStatsMovedAsDescribed bounds the re-recording of the
 // RCFile files digests when the column statistics became typed and
 // delta-coded: with every "_colstats" side file read back and written as
-// the version 3 stream, every replica's files hash to what was recorded
-// before. So every data file, group index, row count, column length,
-// encoding tag and zone bound is what it was; only the side files' spelling
-// moved. TestLoadPathGolden holds the kv and answers digests unmoved.
+// the version 3 stream, and the "_groups" side files written back as
+// TestLoadPathGoldenGroupsMovedAsDescribed does, every replica's files hash
+// to what was recorded before. So every data file, group index, row count,
+// column length, encoding tag and zone bound is what it was; only the side
+// files' spelling moved. TestLoadPathGolden holds the kv and answers digests
+// unmoved.
 func TestLoadPathGoldenColStatsMovedAsDescribed(t *testing.T) {
 	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
 		key := fmt.Sprintf("%dx%d/rcfile", shape.shards, shape.replicas)

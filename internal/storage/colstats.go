@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
@@ -185,8 +186,11 @@ func (g GroupStat) ProjectedSize(project []bool) int64 {
 }
 
 // ColStatsPath returns the side-file path holding the per-group column
-// statistics of the RCFile at dataPath (sibling of the "_groups" index).
-func ColStatsPath(dataPath string) string { return sideFilePath(dataPath, "_colstats") }
+// statistics of the RCFile at dataPath: "<dir>/_colstats/<base>".
+func ColStatsPath(dataPath string) string {
+	i := strings.LastIndexByte(dataPath, '/')
+	return dataPath[:i+1] + "_colstats/" + dataPath[i+1:]
+}
 
 // The column statistics side file, n columns wide:
 //
@@ -375,8 +379,8 @@ var (
 )
 
 // ReadColStats loads the per-group statistics of the RCFile at dataPath, in
-// group order (aligned with ReadGroupIndex). It accepts only the stream
-// WriteColStats emits.
+// group order, without checking them against the data file (ReadGroups
+// does). It accepts only the stream WriteColStats emits.
 func ReadColStats(fs *dfs.FS, dataPath string) ([]GroupStat, error) {
 	data, err := fs.ReadFile(ColStatsPath(dataPath))
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
@@ -449,53 +448,12 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 
 // Real RCFile interleaves sync markers so readers can find row-group
 // boundaries from an arbitrary split offset. The model keeps the equivalent
-// information in a side file: the sorted list of group start offsets, stored
-// under "<dir>/_groups/<base>". The underscore directory is skipped by
+// information in the column statistics side file, "<dir>/_colstats/<base>":
+// it records each group's row count and column payload lengths, which fix the
+// group's exact size, so the groups' start offsets are the running sums of
+// those sizes (ReadGroups). The underscore directory is skipped by
 // dfs.DirSplits (it only lists regular files directly under the table
 // directory), exactly like Hadoop ignores "_logs"-style side directories.
-
-// sideFilePath places a side file for dataPath under a sibling underscore
-// directory: "<dir>/<sideDir>/<base>".
-func sideFilePath(dataPath, sideDir string) string {
-	i := strings.LastIndexByte(dataPath, '/')
-	if i < 0 {
-		return sideDir + "/" + dataPath
-	}
-	return dataPath[:i] + "/" + sideDir + dataPath[i:]
-}
-
-// GroupIndexPath returns the side-file path holding the group offsets of the
-// RCFile at dataPath.
-func GroupIndexPath(dataPath string) string { return sideFilePath(dataPath, "_groups") }
-
-// WriteGroupIndex persists the group offsets of the RCFile at dataPath.
-func WriteGroupIndex(fs *dfs.FS, dataPath string, offsets []int64) error {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	for _, off := range offsets {
-		n := binary.PutUvarint(tmp[:], uint64(off))
-		buf.Write(tmp[:n])
-	}
-	return fs.WriteFile(GroupIndexPath(dataPath), buf.Bytes())
-}
-
-// ReadGroupIndex loads the group offsets of the RCFile at dataPath.
-func ReadGroupIndex(fs *dfs.FS, dataPath string) ([]int64, error) {
-	data, err := fs.ReadFile(GroupIndexPath(dataPath))
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for len(data) > 0 {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("storage: corrupt group index for %s", dataPath)
-		}
-		out = append(out, int64(v))
-		data = data[n:]
-	}
-	return out, nil
-}
 
 // RCWriteOptions tunes WriteRCRowsOpts.
 type RCWriteOptions struct {
@@ -524,9 +482,6 @@ func WriteRCRowsOpts(fs *dfs.FS, path string, schema *Schema, rows []Row, groupR
 		}
 	}
 	if err := rw.Close(); err != nil {
-		return nil, err
-	}
-	if err := WriteGroupIndex(fs, path, rw.GroupOffsets()); err != nil {
 		return nil, err
 	}
 	if err := WriteColStats(fs, path, schema, rw.GroupStats()); err != nil {

@@ -180,8 +180,8 @@ type SegmentWriter interface {
 	// group for RCFile and is a no-op for TextFile, where every line
 	// already starts an addressable position.
 	Cut() error
-	// Close flushes the data and any side metadata (group index and column
-	// statistics for RCFile).
+	// Close flushes the data and any side metadata (the column statistics
+	// for RCFile).
 	Close() error
 }
 
@@ -222,9 +222,6 @@ func (t *rcSegmentWriter) Cut() error    { return t.rw.Flush() }
 
 func (t *rcSegmentWriter) Close() error {
 	if err := t.rw.Close(); err != nil {
-		return err
-	}
-	if err := WriteGroupIndex(t.fs, t.path, t.rw.GroupOffsets()); err != nil {
 		return err
 	}
 	return WriteColStats(t.fs, t.path, t.rw.schema, t.rw.GroupStats())

@@ -37,10 +37,6 @@ const (
 	MetricResultCacheHits      = "dgf_result_cache_hits_total"
 	MetricResultCacheMisses    = "dgf_result_cache_misses_total"
 	MetricResultCacheEvictions = "dgf_result_cache_evictions_total"
-	MetricPlanCacheEntries     = "dgf_plan_cache_entries"
-	MetricPlanCacheHits        = "dgf_plan_cache_hits_total"
-	MetricPlanCacheMisses      = "dgf_plan_cache_misses_total"
-	MetricPlanCacheEvictions   = "dgf_plan_cache_evictions_total"
 	MetricShardLiveReplicas    = "dgf_shard_live_replicas"
 	MetricReplicaLive          = "dgf_replica_live"
 	MetricReplicaInflight      = "dgf_replica_inflight"
