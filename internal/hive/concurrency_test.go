@@ -13,9 +13,8 @@ import (
 // parallel COUNT(*) queries while a loader appends batches. Loads are
 // serialized as writers, so every query must observe a row count that is
 // exactly a batch boundary — any other value is a torn read. Half the
-// readers go through ExecContext, which holds the read lock for the whole
-// query, and half through SelectCursor, which plans under the lock and runs
-// its job after releasing it.
+// readers go through ExecContext and half through SelectCursor; both plan
+// under the lock and run their job after releasing it.
 func TestConcurrentSelectsDuringLoads(t *testing.T) {
 	w := testWarehouse(1 << 20)
 	mustExec(t, w, `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
@@ -101,7 +100,17 @@ func TestConcurrentSelectsDuringLoads(t *testing.T) {
 	}
 }
 
-// TestPreparedSelectReadsOnlyPlannedFiles: a cursor plans under the read
+// prepareSelect plans and binds stmt as runSelect does, for tests that act
+// between binding and running.
+func prepareSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*selectPlan, error) {
+	p, err := w.planSelect(stmt, opts)
+	if err != nil {
+		return nil, err
+	}
+	return p, w.bindSelect(context.Background(), p)
+}
+
+// TestPreparedSelectReadsOnlyPlannedFiles: a SELECT plans under the read
 // lock and runs its job after releasing it. A file a load creates in that
 // window must not be read — dfs shows a file from Create on, so it may hold
 // half a line. The scan's file list is fixed when the plan is made.
@@ -110,9 +119,7 @@ func TestPreparedSelectReadsOnlyPlannedFiles(t *testing.T) {
 	rows := setupMeterTable(t, w, 20, 2, 2)
 	stmt := mustParseSelect(t, `SELECT count(*) FROM meterdata`)
 
-	w.mu.RLock()
-	p, err := w.prepareSelectLocked(context.Background(), stmt, ExecOptions{})
-	w.mu.RUnlock()
+	p, err := prepareSelect(w, stmt, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

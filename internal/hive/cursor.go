@@ -68,31 +68,23 @@ func (w *Warehouse) SelectCursor(ctx context.Context, stmt *SelectStmt, opts Exe
 }
 
 // SelectStream runs one SELECT, pushing its rows into sink instead of
-// collecting them. It plans and binds under the catalog read lock, releases
-// the lock, reports the output columns through cols, and then runs the job:
-// a plain projection pushes each row as its batch is projected (sink calls
-// are serialized), an aggregation pushes its finalized rows. A false return
-// from sink stops the scan at the next split boundary. An error returned
-// before cols is called means the statement did not plan or bind; the
-// returned stats are the run's, partial after an abort.
-//
-// The lock is not held across the job: the scan phase is paced by the sink
-// (possibly a slow HTTP client), and holding a read lock across it would let
-// one stalled stream block every writer — and then every other query — on
-// the warehouse. The job reads the files the plan named; a concurrent DROP
-// surfaces as a read error, never as a hang.
+// collecting them. It is runSelect with a sink: the catalog read lock covers
+// planning only, the output columns are reported through cols once the plan
+// is bound, and then the job runs: a plain projection pushes each row as its
+// batch is projected (sink calls are serialized), an aggregation pushes its
+// finalized rows. A false return from sink stops the scan at the next split
+// boundary. An error returned before cols is called means the statement did
+// not plan or bind; the returned stats are the run's, partial after an abort.
+// The scan is paced by the sink (possibly a slow HTTP client), and no lock
+// is held across it, so one stalled stream never blocks a writer.
 func (w *Warehouse) SelectStream(ctx context.Context, stmt *SelectStmt, opts ExecOptions, cols func([]string), sink func(storage.Row) bool) (QueryStats, error) {
 	if stmt.InsertDir != "" {
 		return QueryStats{}, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be streamed through a cursor")
 	}
-	w.mu.RLock()
-	p, err := w.prepareSelectLocked(ctx, stmt, opts)
-	w.mu.RUnlock()
-	if err != nil {
+	pr, err := w.runSelect(ctx, stmt, opts, cols, sink)
+	if pr == nil {
 		return QueryStats{}, err
 	}
-	cols(p.pr.Columns)
-	pr, err := w.runPreparedSelect(ctx, p, sink)
 	if err != nil || (pr.Agg == nil && pr.Rows == nil) {
 		return pr.Stats, err
 	}

@@ -38,7 +38,7 @@ type QueryStats struct {
 	Seeks     int64
 	// GroupsSkipped counts the row groups zone maps pruned before their
 	// payloads were fetched (join-free RCFile scans and DGF plans only; see
-	// planSelectLocked).
+	// planSelect).
 	GroupsSkipped int64
 	// DictProbes counts dictionary binary searches the predicate kernels
 	// performed — each replaces a whole group's per-row string compares.
@@ -106,7 +106,7 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 	}
 	switch s := stmt.(type) {
 	case *SelectStmt:
-		return w.selectContext(ctx, s, opts)
+		return w.execSelect(ctx, s, opts)
 	case *ExplainStmt:
 		plan, err := w.Explain(s.Select, opts)
 		if err != nil {
@@ -115,7 +115,7 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 		return plan.Render(), nil
 	case *TraceStmt:
 		return TraceSelect(ctx, func(ctx context.Context) (*Result, error) {
-			return w.selectContext(ctx, s.Select, opts)
+			return w.execSelect(ctx, s.Select, opts)
 		})
 	case *ShowTablesStmt:
 		w.mu.RLock()
@@ -222,20 +222,27 @@ func (w *Warehouse) createHiveIndexLocked(t *Table, s *CreateIndexStmt, kind hiv
 		kind, s.Name, ix.SizeBytes(w.FS), sec)}, nil
 }
 
-// selectContext plans and executes a SELECT under ctx: a ctx that ends
-// mid-scan aborts the job within one split boundary and returns the
-// (wrapped) ctx error. Plain SELECTs share the catalog read lock so any
-// number run in parallel; a SELECT with an INSERT OVERWRITE DIRECTORY sink
-// writes to the filesystem and is serialized as a writer.
-func (w *Warehouse) selectContext(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
+// execSelect runs one SELECT and finalizes its rows. An INSERT OVERWRITE
+// DIRECTORY sink (Listing 6) is the one step of a SELECT that writes: it
+// takes the catalog write lock around the sink write alone.
+func (w *Warehouse) execSelect(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
+	start := time.Now()
+	pr, err := w.runSelect(ctx, stmt, opts, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	res := pr.Finalize(stmt.Limit)
 	if stmt.InsertDir != "" {
 		w.mu.Lock()
-		defer w.mu.Unlock()
-	} else {
-		w.mu.RLock()
-		defer w.mu.RUnlock()
+		w.FS.RemoveAll(stmt.InsertDir)
+		err := storage.WriteTextRows(w.FS, path.Join(stmt.InsertDir, "000000_0"), res.Rows)
+		w.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
 	}
-	return w.selectLocked(ctx, stmt, opts)
+	res.Stats.Wall = time.Since(start)
+	return res, nil
 }
 
 // SelectPartialContext plans and executes a SELECT under ctx, returning its
@@ -249,13 +256,32 @@ func (w *Warehouse) SelectPartialContext(ctx context.Context, stmt *SelectStmt, 
 	if stmt.InsertDir != "" {
 		return nil, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY cannot be executed partially")
 	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	pr, err := w.selectPartialLocked(ctx, stmt, opts)
+	pr, err := w.runSelect(ctx, stmt, opts, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return pr, nil
+}
+
+// runSelect is every SELECT's one lifecycle: planSelect holds the catalog
+// read lock, then the plan is bound and run with no lock held. The plan
+// names every file the query reads, so no writer waits for a scan, and a
+// DROP that removes a planned file surfaces as a read error naming it,
+// never as a partial answer. cols, when non-nil, receives the output
+// columns once bound; stream is runPreparedSelect's. A nil PartialResult
+// means the statement did not plan or bind.
+func (w *Warehouse) runSelect(ctx context.Context, stmt *SelectStmt, opts ExecOptions, cols func([]string), stream func(storage.Row) bool) (*PartialResult, error) {
+	p, err := w.planSelect(stmt, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.bindSelect(ctx, p); err != nil {
+		return nil, err
+	}
+	if cols != nil {
+		cols(p.pr.Columns)
+	}
+	return w.runPreparedSelect(ctx, p, stream)
 }
 
 // pathKind enumerates the access paths the planner can choose.
@@ -269,9 +295,10 @@ const (
 
 // selectPlan is one SELECT planned under the catalog lock without reading
 // table data: compiled, access path chosen, the DGF plan made or the scan's
-// files listed, the read set known. EXPLAIN renders it and execution binds
-// it; both consume this one value, so the announced plan cannot diverge from
-// the executed one.
+// files listed, the read set known, the join side's files listed. EXPLAIN
+// renders it and execution binds it; both consume this one value, so the
+// announced plan cannot diverge from the executed one. Nothing after
+// planning reads a mutable Table field.
 type selectPlan struct {
 	q     *compiledQuery
 	start time.Time
@@ -284,31 +311,46 @@ type selectPlan struct {
 	// aggRewrite marks the "index as data" rewrite.
 	ix         *hiveindex.Index
 	aggRewrite bool
-	// scan is the full-scan input (pathScan). It names its files: a cursor
-	// runs the job after releasing the lock, and must read the files the
-	// plan saw, not one a concurrent load is still writing.
-	scan *mapreduce.FileInput
+	// input is the main job's input: the DGF slices or the scan's files,
+	// named at plan time so the job reads the files the plan saw, not one a
+	// concurrent load is still writing. The hive-index path's is bound from
+	// the index scan (hiveindex.BaseInput).
+	input mapreduce.InputFormat
 	// prune has the zone maps consulted so whole row groups are dropped
 	// before they are fetched, and reads is the resulting read set. On the
 	// hive-index path reads.Bytes is -1: the base read set only exists once
 	// the index scan has run.
 	prune bool
 	reads dgf.ReadSet
-	// sideBytes is the broadcast join side's volume.
+	// sideFiles are the broadcast join side's data files, every partition's,
+	// and sideBytes their volume.
+	sideFiles []string
 	sideBytes int64
+
+	// Binding fills in the rest under the query's ctx. pr receives the
+	// answer; done marks one answered while binding (the aggregate-index
+	// rewrite: no job runs). joinMap holds the join-side rows the right-side
+	// predicates keep. span is the query's warehouse span: it opens at the
+	// plan's start, and the index scans binding runs are its children.
+	pr      *PartialResult
+	done    bool
+	joinMap map[string][]storage.Row
+	span    *trace.Span
 }
 
-// planSelectLocked compiles the statement and decides its access path, and
-// whether its row groups are pruned. Every path runs the same executor;
-// pruning is the one thing that differs. It applies to join-free queries over
-// RCFile data on the DGF and full-scan paths. TextFile has no row groups; a
-// pruned group costs a simulated seek, which the cost model of a join or of
-// the hive-index path (Hive's own indexes filter splits, groups and rows,
-// nothing finer) has never been charged; and the slice-skip ablation reads
-// whole splits, which the plan's skip set does not describe. Planning reads
-// the index's key-value pairs and the data files' side statistics, never
-// table data. Caller holds w.mu.
-func (w *Warehouse) planSelectLocked(stmt *SelectStmt, opts ExecOptions) (*selectPlan, error) {
+// planSelect compiles the statement under the catalog read lock and decides
+// its access path, and whether its row groups are pruned. Every path runs
+// the same executor; pruning is the one thing that differs. It applies to
+// join-free queries over RCFile data on the DGF and full-scan paths.
+// TextFile has no row groups; a pruned group costs a simulated seek, which
+// the cost model of a join or of the hive-index path (Hive's own indexes
+// filter splits, groups and rows, nothing finer) has never been charged; and
+// the slice-skip ablation reads whole splits, which the plan's skip set does
+// not describe. Planning reads the index's key-value pairs and the data
+// files' side statistics, never table data.
+func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
 	start := time.Now()
 	q, err := w.compileLocked(stmt)
 	if err != nil {
@@ -316,7 +358,13 @@ func (w *Warehouse) planSelectLocked(stmt *SelectStmt, opts ExecOptions) (*selec
 	}
 	p := &selectPlan{q: q, start: start}
 	if q.right != nil {
-		p.sideBytes = w.tableSizeBytesLocked(q.right)
+		var files []dfs.FileInfo
+		if files, p.sideBytes, err = w.tableFilesLocked(q.right); err != nil {
+			return nil, err
+		}
+		for _, f := range files {
+			p.sideFiles = append(p.sideFiles, f.Path)
+		}
 	}
 	pruneOK := !opts.DisableSliceSkip && q.right == nil
 	switch {
@@ -350,6 +398,7 @@ func (w *Warehouse) planSelectLocked(stmt *SelectStmt, opts ExecOptions) (*selec
 		if p.plan.Aggregation {
 			p.accessPath = "dgfindex(precompute)"
 		}
+		p.input = &dgf.SliceInput{FS: w.FS, Plan: p.plan, Format: q.left.Dgf.Format, Schema: q.left.Schema}
 		p.reads = dgf.ReadSet{Bytes: p.plan.ProjectedBytes, GroupsSkipped: p.plan.GroupsSkipped, SkipGroups: p.plan.SkipGroups}
 		return p, nil
 	case !opts.DisableIndexes && len(q.left.HiveIndexes) > 0:
@@ -369,80 +418,48 @@ func (w *Warehouse) planSelectLocked(stmt *SelectStmt, opts ExecOptions) (*selec
 	if files, p.accessPath, err = q.scanFilesLocked(w); err != nil {
 		return nil, err
 	}
-	p.scan = &mapreduce.FileInput{FS: w.FS, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection(),
+	scan := &mapreduce.FileInput{FS: w.FS, Format: q.left.Format, Schema: q.left.Schema, Project: q.projection(),
 		Paths: make([]string, len(files))}
 	whole := make([]dgf.SliceLoc, len(files))
 	for i, f := range files {
-		p.scan.Paths[i] = f.Path
+		scan.Paths[i] = f.Path
 		whole[i] = dgf.SliceLoc{File: f.Path, End: f.Size}
 	}
-	p.reads, err = dgf.PlanReads(w.FS, q.left.Format, q.left.Schema, whole, p.scan.Project, q.leftRanges, p.prune)
+	p.reads, err = dgf.PlanReads(w.FS, q.left.Format, q.left.Schema, whole, scan.Project, q.leftRanges, p.prune)
 	if err != nil {
 		return nil, err
 	}
 	if skips := p.reads.SkipGroups; len(skips) > 0 {
-		p.scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
+		scan.SkipGroup = func(path string, off int64) bool { return skips[path][off] }
 	}
+	p.input = scan
 	return p, nil
 }
 
-// preparedSelect is a plan bound under the query's ctx, ready to run its
-// main query job: the hive-index filter or aggregate rewrite has run and the
-// join map is loaded, so the job touches no catalog state. Cursors run that
-// job after releasing the lock, so a consumer pacing a stream never blocks
-// writers; the job reads the files the plan named (the model filesystem is
-// internally synchronized), and a concurrent DROP surfaces as a read error,
-// not a hang.
-type preparedSelect struct {
-	*selectPlan
-	pr    *PartialResult
-	input mapreduce.InputFormat
-	// done marks a query answered entirely while binding (the aggregate-index
-	// rewrite): pr is complete, no job runs.
-	done bool
-	// joinMap is the broadcast join side's hash map: the rows the
-	// right-side predicates keep.
-	joinMap map[string][]storage.Row
-	// span is the query's warehouse span. It opens at the plan's start, so
-	// planning and binding are attributed to it, and the index scans binding
-	// runs are its children.
-	span *trace.Span
-}
-
-// prepareSelectLocked plans and binds one SELECT. Caller holds w.mu.
-func (w *Warehouse) prepareSelectLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*preparedSelect, error) {
-	p, err := w.planSelectLocked(stmt, opts)
-	if err != nil {
-		return nil, err
-	}
-	return w.bindSelectLocked(ctx, p)
-}
-
-// bindSelectLocked performs, under ctx, the steps of a plan that read index
-// tables or the join side: the hive-index Filter or the aggregate-index
-// rewrite, and the broadcast join map. Caller holds w.mu: the join table's
-// directory must not move under the read.
-func (w *Warehouse) bindSelectLocked(ctx context.Context, p *selectPlan) (_ *preparedSelect, err error) {
+// bindSelect performs, under ctx and with no lock held, the steps of a plan
+// that read index tables or the join side: the hive-index Filter or the
+// aggregate-index rewrite, and the broadcast join map over the join side's
+// planned files. The bound plan's job touches no catalog state.
+func (w *Warehouse) bindSelect(ctx context.Context, p *selectPlan) (err error) {
 	q := p.q
-	b := &preparedSelect{selectPlan: p, pr: &PartialResult{Columns: q.columns()}}
-	stats := &b.pr.Stats
+	p.pr = &PartialResult{Columns: q.columns()}
+	stats := &p.pr.Stats
 	stats.AccessPath = p.accessPath
-	b.span = trace.FromContext(ctx).ChildAt("warehouse", p.start)
-	b.span.Set("table", q.stmt.From.Table)
-	b.span.Set("access_path", p.accessPath)
+	p.span = trace.FromContext(ctx).ChildAt("warehouse", p.start)
+	p.span.Set("table", q.stmt.From.Table)
+	p.span.Set("access_path", p.accessPath)
 	defer func() {
 		if err != nil {
-			b.span.Finish()
+			p.span.Finish()
 		}
 	}()
-	ctx = trace.NewContext(ctx, b.span)
+	ctx = trace.NewContext(ctx, p.span)
 	switch p.path {
 	case pathDgf:
-		b.span.Set("gfu_slices", len(p.plan.Slices))
-		b.span.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
-		b.span.Set("projected_bytes", p.plan.ProjectedBytes)
+		p.span.Set("gfu_slices", len(p.plan.Slices))
+		p.span.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
+		p.span.Set("projected_bytes", p.plan.ProjectedBytes)
 		stats.IndexSimSec = p.plan.KVSimSeconds
-		b.input = &dgf.SliceInput{FS: w.FS, Plan: p.plan, Format: q.left.Dgf.Format, Schema: q.left.Schema}
 	case pathHiveIndex:
 		if p.aggRewrite {
 			// Aggregate Index rewrite: covered GROUP BY count queries read
@@ -450,78 +467,45 @@ func (w *Warehouse) bindSelectLocked(ctx context.Context, p *selectPlan) (_ *pre
 			// COUNT state so the rewrite also merges across shards.
 			counts, st, err := p.ix.AggregateCounts(ctx, w.Cluster, w.FS, q.leftRanges, q.groupByNames())
 			if err != nil {
-				return nil, err
+				return err
 			}
-			b.pr.Agg = q.layout().NewPartial()
+			p.pr.Agg = q.layout().NewPartial()
 			for key, n := range counts {
-				accs := b.pr.Agg.Layout.newAccs()
+				accs := p.pr.Agg.Layout.newAccs()
 				for _, a := range q.aggs {
 					accs[a.slots[0]].Value = float64(n)
 					accs[a.slots[0]].N = n
 				}
-				b.pr.Agg.fold(key, accs)
+				p.pr.Agg.fold(key, accs)
 			}
 			stats.IndexSimSec = st.SimTotalSec()
 			stats.RecordsRead = st.InputRecords
 			stats.BytesRead = st.InputBytes
-			b.done = true
-			return b, nil
+			p.done = true
+			return nil
 		}
 		fr, err := p.ix.Filter(ctx, w.Cluster, w.FS, q.leftRanges)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		stats.IndexSimSec = fr.ScanStats.SimTotalSec()
 		base := p.ix.BaseInput(w.FS, fr)
 		base.Project = q.projection()
-		b.input = base
-	default:
-		b.input = p.scan
+		p.input = base
 	}
 	stats.Vectorized = true
 	if q.right != nil {
 		// Broadcast hash join: load the small side once (Hive's map-side
 		// join).
-		if b.joinMap, err = w.readJoinMap(ctx, q); err != nil {
-			return nil, err
+		if p.joinMap, err = w.readJoinMap(ctx, p); err != nil {
+			return err
 		}
 	}
-	return b, nil
+	return nil
 }
 
-// selectLocked plans, binds and runs one SELECT under the catalog lock.
-func (w *Warehouse) selectLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	start := time.Now()
-	pr, err := w.selectPartialLocked(ctx, stmt, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := pr.Finalize(stmt.Limit)
-
-	// INSERT OVERWRITE DIRECTORY sink (Listing 6).
-	if stmt.InsertDir != "" {
-		w.FS.RemoveAll(stmt.InsertDir)
-		if err := storage.WriteTextRows(w.FS, path.Join(stmt.InsertDir, "000000_0"), res.Rows); err != nil {
-			return nil, err
-		}
-	}
-	res.Stats.Wall = time.Since(start)
-	return res, nil
-}
-
-// selectPartialLocked plans, binds and runs one SELECT under the catalog
-// lock, returning its result in mergeable partial form.
-func (w *Warehouse) selectPartialLocked(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*PartialResult, error) {
-	p, err := w.prepareSelectLocked(ctx, stmt, opts)
-	if err != nil {
-		return nil, err
-	}
-	return w.runPreparedSelect(ctx, p, nil)
-}
-
-// runPreparedSelect executes the prepared query's main job and finishes its
-// warehouse span. It touches no catalog state, so callers may invoke it with
-// or without the lock held. stream, when non-nil and the query is a plain
+// runPreparedSelect executes the bound plan's main job and finishes its
+// warehouse span. It touches no catalog state. stream, when non-nil and the query is a plain
 // projection (no aggregates), receives each output row as its batch is
 // projected instead of the rows being materialized into the PartialResult; a
 // false return stops the scan at the next split boundary (LIMIT cursors).
@@ -529,7 +513,7 @@ func (w *Warehouse) selectPartialLocked(ctx context.Context, stmt *SelectStmt, o
 // wraps ctx.Err() and the PartialResult still carries the stats of the work
 // done so far — callers that want all-or-nothing semantics must check the
 // error first.
-func (w *Warehouse) runPreparedSelect(ctx context.Context, p *preparedSelect, stream func(storage.Row) bool) (*PartialResult, error) {
+func (w *Warehouse) runPreparedSelect(ctx context.Context, p *selectPlan, stream func(storage.Row) bool) (*PartialResult, error) {
 	q, pr, sp := p.q, p.pr, p.span
 	stats := &pr.Stats
 	defer func() {
@@ -615,14 +599,18 @@ func (q *compiledQuery) scanFilesLocked(w *Warehouse) ([]dfs.FileInfo, string, e
 	return files, fmt.Sprintf("scan(partitions %d/%d)", kept, total), nil
 }
 
-// pickHiveIndex returns the first index whose dimensions intersect the
-// constrained columns, preferring more matching dimensions.
+// pickHiveIndex returns the first fresh index whose dimensions intersect
+// the constrained columns, preferring more matching dimensions. An index a
+// load has made stale is never picked: it does not cover the new files.
+// Caller holds w.mu.
 func (q *compiledQuery) pickHiveIndex() *hiveindex.Index {
 	var best *hiveindex.Index
 	bestScore := 0
 	names := make([]string, 0, len(q.left.HiveIndexes))
 	for n := range q.left.HiveIndexes {
-		names = append(names, n)
+		if q.left.indexedAt[n] == q.left.fileSeq {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	for _, n := range names {
@@ -691,7 +679,7 @@ func (q *compiledQuery) groupByNames() []string {
 // batch is projected instead of the rows being collected, and a false return
 // stops split consumption early. On a cancelled ctx the returned stats are
 // non-nil partial progress alongside the error.
-func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream func(storage.Row) bool) (*mapreduce.Stats, []storage.Row, *PartialAgg, error) {
+func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(storage.Row) bool) (*mapreduce.Stats, []storage.Row, *PartialAgg, error) {
 	q, joinMap := p.q, p.joinMap
 	job := &mapreduce.Job{Name: "query-" + q.left.Name, Input: p.input}
 	// The one map task shape: the left-side kernels shrink the batch's
@@ -738,13 +726,14 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *preparedSelect, stream f
 }
 
 // readJoinMap loads the join's (small) right table into a hash map keyed by
-// the join column, the broadcast side of Hive's map-side join. The table is
-// read through the same batch reader as any scan, the right-side kernels run
-// once over each batch, and only the rows they keep enter the map. A ctx that
-// ends stops the read at the next split.
-func (w *Warehouse) readJoinMap(ctx context.Context, q *compiledQuery) (map[string][]storage.Row, error) {
-	t := q.right
-	in := &mapreduce.FileInput{FS: w.FS, Dir: t.Dir, Format: t.Format, Schema: t.Schema}
+// the join column, the broadcast side of Hive's map-side join. It reads the
+// side's files the plan named, every partition's, through the same batch
+// reader as any scan; the right-side kernels run once over each batch, and
+// only the rows they keep enter the map. A ctx that ends stops the read at
+// the next split.
+func (w *Warehouse) readJoinMap(ctx context.Context, p *selectPlan) (map[string][]storage.Row, error) {
+	q := p.q
+	in := &mapreduce.FileInput{FS: w.FS, Paths: p.sideFiles, Format: q.right.Format, Schema: q.right.Schema}
 	splits, err := in.Splits()
 	if err != nil {
 		return nil, err

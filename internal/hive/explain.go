@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dgf"
+	"github.com/smartgrid-oss/dgfindex/internal/mapreduce"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -57,7 +59,8 @@ type ExplainPlan struct {
 	// reports the same number in QueryStats.GroupsSkipped.
 	GroupsSkipped int64 `json:"groups_skipped,omitempty"`
 	// EncodedColumns lists the table columns stored encoded in at least one
-	// row group, with the encodings seen ("regionId(dict)", "ts(rle)");
+	// row group of the files the plan reads (the scan's files, or the DGF
+	// slices'), with the encodings seen ("regionId(dict)", "ts(rle)");
 	// kernels over them compare dictionary codes or whole runs instead of
 	// cells. RCFile paths only.
 	EncodedColumns []string `json:"encoded_columns,omitempty"`
@@ -140,18 +143,16 @@ func (p *ExplainPlan) Render() *Result {
 // index key-value pairs and side statistics; EXPLAIN reads no table data and
 // runs no index-table scan.
 func (w *Warehouse) Explain(stmt *SelectStmt, opts ExecOptions) (*ExplainPlan, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	p, err := w.planSelectLocked(stmt, opts)
+	p, err := w.planSelect(stmt, opts)
 	if err != nil {
 		return nil, err
 	}
-	return w.explainLocked(p)
+	return w.explain(p)
 }
 
-// explainLocked renders a plan. The broadcast join side is read in full
-// alongside any access path whose volume is known.
-func (w *Warehouse) explainLocked(p *selectPlan) (*ExplainPlan, error) {
+// explain renders a plan. The broadcast join side is read in full alongside
+// any access path whose volume is known.
+func (w *Warehouse) explain(p *selectPlan) (*ExplainPlan, error) {
 	q := p.q
 	ep := &ExplainPlan{
 		Table:            q.left.Name,
@@ -169,38 +170,30 @@ func (w *Warehouse) explainLocked(p *selectPlan) (*ExplainPlan, error) {
 			ep.ProjectedBytes += p.sideBytes
 		}
 	}
-	// Encodings are a property of the files the path reads from: the
-	// scan's, or every file of the DGF's reorganised data.
+	// Encodings are a property of the files the path reads: the scan's, or
+	// the ones the DGF plan's slices name.
 	var files []string
-	if p.scan != nil && p.scan.Format == storage.RCFile {
-		files = p.scan.Paths
-	}
-	if pl := p.plan; pl != nil {
+	switch in := p.input.(type) {
+	case *mapreduce.FileInput:
+		if in.Format == storage.RCFile {
+			files = in.Paths
+		}
+	case *dgf.SliceInput:
+		pl := p.plan
 		ep.PrecomputeHit = pl.Aggregation
 		ep.GFUSlices = len(pl.Slices)
 		ep.InnerCells, ep.BoundaryCells, ep.MissingCells = pl.InnerCells, pl.BoundaryCells, pl.MissingCells
-		if q.left.Dgf.Format == storage.RCFile {
-			var err error
-			if files, err = listFilePaths(w, q.left.Dgf.DataDir); err != nil {
-				return nil, err
+		if in.Format == storage.RCFile {
+			for i, s := range pl.Slices {
+				if i == 0 || s.File != pl.Slices[i-1].File {
+					files = append(files, s.File)
+				}
 			}
 		}
 	}
 	var err error
 	ep.EncodedColumns, err = encodedColumnNames(w, files, q.left.Schema)
 	return ep, err
-}
-
-func listFilePaths(w *Warehouse, dir string) ([]string, error) {
-	fis, err := w.FS.ListFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, len(fis))
-	for i, fi := range fis {
-		paths[i] = fi.Path
-	}
-	return paths, nil
 }
 
 // encodedColumnNames unions the per-column encodings recorded in the files'

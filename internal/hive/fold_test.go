@@ -54,9 +54,7 @@ func (r reversedSplits) Splits() ([]mapreduce.InputSplit, error) {
 func execReversed(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Result {
 	t.Helper()
 	stmt := mustParseSelect(t, sql)
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	p, err := w.prepareSelectLocked(context.Background(), stmt, opts)
+	p, err := prepareSelect(w, stmt, opts)
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)
 	}

@@ -131,9 +131,7 @@ func refExec(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Result {
 }
 
 func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	p, err := w.prepareSelectLocked(context.Background(), stmt, opts)
+	p, err := prepareSelect(w, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +147,7 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	joinMap := map[string][]storage.Row{}
 	if q.right != nil {
 		// Read serially, outside the engine, so the map needs no lock.
-		side := &mapreduce.FileInput{FS: w.FS, Dir: q.right.Dir, Format: q.right.Format, Schema: q.right.Schema}
+		side := &mapreduce.FileInput{FS: w.FS, Paths: p.sideFiles, Format: q.right.Format, Schema: q.right.Schema}
 		splits, err := side.Splits()
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -19,10 +20,13 @@ import (
 // filesystem plus the cluster cost model every job runs under.
 //
 // A Warehouse is safe for concurrent use: DDL and LOAD statements are
-// serialized as writers while SELECTs share a read lock, so any number of
-// queries run in parallel and each sees either all of a load or none of it.
-// Mutate tables only through Warehouse methods (HiveQL statements run through
-// ExecContext); writing Table fields directly is not synchronized.
+// serialized as writers. A SELECT holds the read lock only while it plans;
+// the plan names every file the query reads, and binding and the jobs run
+// with no lock held. So a writer never waits for a scan, each query sees all
+// of a load or none of it, and one whose planned files a DROP or a DGF build
+// removes fails with a read error naming a file. Mutate tables only through
+// Warehouse methods (HiveQL statements run through ExecContext); writing
+// Table fields directly is not synchronized.
 type Warehouse struct {
 	FS      *dfs.FS
 	Cluster *cluster.Config
@@ -70,7 +74,11 @@ type Table struct {
 	// HiveIndexes are the Compact/Aggregate/Bitmap indexes by name.
 	HiveIndexes map[string]*hiveindex.Index
 
-	fileSeq int
+	// fileSeq numbers data files; every load advances it. indexedAt holds it
+	// as each Hive index was built: loads do not maintain those, so the
+	// planner uses one only while fileSeq has not moved (fresh-index rule).
+	fileSeq   int
+	indexedAt map[string]int
 }
 
 // NewWarehouse creates an empty warehouse rooted at root ("/warehouse" when
@@ -145,9 +153,9 @@ func (w *Warehouse) TableInfos() []TableInfo {
 			Format:      t.Format.String(),
 			PartitionBy: t.PartitionBy,
 			HasDgfIndex: t.Dgf != nil,
-			SizeBytes:   w.tableSizeBytesLocked(t),
 			Version:     w.versions[key],
 		}
+		_, info.SizeBytes, _ = w.tableFilesLocked(t)
 		if t.Dgf != nil {
 			info.DgfIndexBytes, info.DgfEntries = t.Dgf.SizeBytes(), int64(t.Dgf.Entries())
 		}
@@ -166,13 +174,20 @@ func (w *Warehouse) createTableLocked(name string, schema *storage.Schema, forma
 	if _, ok := w.tables[key]; ok {
 		return nil, fmt.Errorf("hive: table %q already exists", name)
 	}
+	// A re-created table gets a directory of its own: a query planned
+	// against the dropped one may still be reading that one's files by path.
+	dir := path.Join(w.Root, key)
+	if v := w.versions[key]; v > 0 {
+		dir += "." + strconv.FormatUint(v, 10)
+	}
 	t := &Table{
 		Name:         name,
 		Schema:       schema,
 		Format:       format,
-		Dir:          path.Join(w.Root, key),
+		Dir:          dir,
 		RowGroupRows: storage.DefaultRowGroupRows,
 		HiveIndexes:  map[string]*hiveindex.Index{},
+		indexedAt:    map[string]int{},
 	}
 	if err := w.FS.MkdirAll(t.Dir); err != nil {
 		return nil, err
@@ -218,6 +233,9 @@ func (w *Warehouse) dropTableLocked(name string) error {
 	}
 	delete(w.tables, key)
 	w.bumpLocked(key)
+	for _, ix := range t.HiveIndexes {
+		w.FS.RemoveAll(ix.IndexDir)
+	}
 	return w.FS.RemoveAll(t.Dir)
 }
 
@@ -364,25 +382,22 @@ func (w *Warehouse) partitionFilesLocked(t *Table, keep func(storage.Value) bool
 func (w *Warehouse) TableSizeBytes(t *Table) int64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.tableSizeBytesLocked(t)
+	_, size, _ := w.tableFilesLocked(t)
+	return size
 }
 
-func (w *Warehouse) tableSizeBytesLocked(t *Table) int64 {
-	var files []dfs.FileInfo
-	var err error
+// tableFilesLocked lists every data file of the table, across all its
+// partitions, and their total size. Caller holds w.mu (either mode).
+func (w *Warehouse) tableFilesLocked(t *Table) (files []dfs.FileInfo, size int64, err error) {
 	if t.PartitionBy != "" {
 		files, _, _, err = w.partitionFilesLocked(t, nil)
 	} else {
 		files, err = w.FS.ListFiles(t.Dir)
 	}
-	if err != nil {
-		return 0
-	}
-	var n int64
 	for _, f := range files {
-		n += f.Size
+		size += f.Size
 	}
-	return n
+	return files, size, err
 }
 
 // BuildDgfIndex builds the table's DGFIndex from a spec, reorganising the
@@ -445,7 +460,9 @@ func (w *Warehouse) buildHiveIndexStatsLocked(t *Table, name string, kind hivein
 		Name: name, Kind: kind,
 		BaseDir: t.Dir, BaseFormat: t.Format,
 		Schema: t.Schema, Cols: cols,
-		IndexDir:        path.Join(w.Root, "_idx_"+strings.ToLower(t.Name)+"_"+strings.ToLower(name)),
+		// Named after the table's own directory (less a DGF build's
+		// suffix), so a re-created table's indexes get directories of their own.
+		IndexDir:        path.Join(w.Root, "_idx_"+strings.TrimSuffix(path.Base(t.Dir), "_dgf")+"_"+strings.ToLower(name)),
 		IndexFormat:     indexFormat,
 		RowGroupRows:    t.RowGroupRows,
 		DisableEncoding: t.DisableEncoding,
@@ -454,6 +471,7 @@ func (w *Warehouse) buildHiveIndexStatsLocked(t *Table, name string, kind hivein
 		return nil, 0, err
 	}
 	t.HiveIndexes[strings.ToLower(name)] = ix
+	t.indexedAt[strings.ToLower(name)] = t.fileSeq
 	w.bumpLocked(strings.ToLower(t.Name))
 	return ix, stats.SimTotalSec(), nil
 }

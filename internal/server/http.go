@@ -443,8 +443,16 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 			cells = append(cells, row)
 		}
 	} else {
+		// UseNumber keeps each number's literal: a cell parses exactly, as a
+		// CSV field does.
 		var req loadRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.UseNumber()
+		err := dec.Decode(&req)
+		if err == nil && dec.More() {
+			err = errors.New("data after the top-level value")
+		}
+		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad JSON body: " + err.Error()})
 			return
 		}
@@ -497,28 +505,22 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeLoadRow coerces one wire row (JSON cells or CSV fields) to the
-// table schema.
+// table schema. A JSON number arrives as its literal (json.Number) and
+// parses for its column's kind like a string cell: a bigint keeps every
+// digit, a fraction sent to a bigint column is an error, and a string
+// column keeps the literal's text.
 func decodeLoadRow(schema *storage.Schema, rec []any) (storage.Row, error) {
 	if len(rec) != schema.Len() {
 		return nil, fmt.Errorf("has %d cells, schema wants %d", len(rec), schema.Len())
 	}
 	row := make(storage.Row, len(rec))
 	for i, cell := range rec {
-		kind := schema.Col(i).Kind
+		if n, ok := cell.(json.Number); ok {
+			cell = string(n)
+		}
 		switch v := cell.(type) {
-		case float64: // every JSON number decodes to float64
-			switch kind {
-			case storage.KindInt64:
-				row[i] = storage.Int64(int64(v))
-			case storage.KindTime:
-				row[i] = storage.TimeUnix(int64(v))
-			case storage.KindFloat64:
-				row[i] = storage.Float64(v)
-			default:
-				row[i] = storage.Str(strconv.FormatFloat(v, 'g', -1, 64))
-			}
 		case string:
-			val, err := storage.ParseValue(kind, v)
+			val, err := storage.ParseValue(schema.Col(i).Kind, v)
 			if err != nil {
 				return nil, fmt.Errorf("column %s: %w", schema.Col(i).Name, err)
 			}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -840,5 +841,66 @@ func TestLoadRejectsGroupKeySeparator(t *testing.T) {
 				t.Errorf("GROUP BY name, userId answers %s, want [[a 8 1]]", got)
 			}
 		})
+	}
+}
+
+// TestLoadJSONNumbersParseExactly: a JSON number in a /load body parses from
+// its literal for its column's kind, exactly as a CSV field does: a bigint
+// keeps every digit past 2^53, a fraction sent to a bigint column is
+// refused, a string column keeps the literal's text, and doubles and
+// timestamps round-trip. The benchmark's bodies (integers, Unix-second
+// timestamps, two-decimal doubles) decode to the rows its generator builds.
+func TestLoadJSONNumbersParseExactly(t *testing.T) {
+	s, r := shardedServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, err := r.ExecContext(context.Background(), `CREATE TABLE n (userId bigint, v double, ts timestamp, note string)`, hive.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"table":"n","rows":[[9007199254740993,0.1,1354492800,1.50],[-9223372036854775808,1e-7,0,2]]}`
+	if code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json", []byte(body)); code != http.StatusOK {
+		t.Fatalf("status %d %v", code, out)
+	}
+	if code, out := postLoad(t, ts.URL+"/load?sync=1", "application/json", []byte(`{"table":"n","rows":[[1.9,0,0,"x"]]}`)); code != http.StatusBadRequest ||
+		!strings.Contains(fmt.Sprint(out["error"]), "userId") {
+		t.Errorf("1.9 into a bigint: status %d %v, want 400 naming the column", code, out)
+	}
+	want := map[int64]storage.Row{
+		9007199254740993:     {storage.Int64(9007199254740993), storage.Float64(0.1), storage.TimeUnix(1354492800), storage.Str("1.50")},
+		-9223372036854775808: {storage.Int64(-9223372036854775808), storage.Float64(1e-7), storage.TimeUnix(0), storage.Str("2")},
+	}
+	res, err := s.Query(context.Background(), Request{SQL: `SELECT userId, v, ts, note FROM n`, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Result.Rows) != len(want) {
+		t.Fatalf("table holds %v, want %d rows", res.Result.Rows, len(want))
+	}
+	for _, row := range res.Result.Rows {
+		if w := want[row[0].I]; fmt.Sprintf("%#v", row) != fmt.Sprintf("%#v", w) {
+			t.Errorf("stored %#v, want %#v", row, w)
+		}
+	}
+
+	// The benchmark's body shape, against the rows it is generated from.
+	schema := storage.NewSchema(
+		storage.Column{Name: "userId", Kind: storage.KindInt64}, storage.Column{Name: "regionId", Kind: storage.KindInt64},
+		storage.Column{Name: "ts", Kind: storage.KindTime}, storage.Column{Name: "powerConsumed", Kind: storage.KindFloat64})
+	for cents := int64(0); cents < 100000; cents += 7 {
+		gen := storage.Row{storage.Int64(cents), storage.Int64(cents % 11), storage.TimeUnix(1354492800 + cents*86400), storage.Float64(float64(cents) / 100)}
+		var cells []any
+		dec := json.NewDecoder(strings.NewReader(fmt.Sprintf("[%d,%d,%d,%s]", cents, cents%11, 1354492800+cents*86400,
+			strconv.FormatFloat(float64(cents)/100, 'f', 2, 64))))
+		dec.UseNumber()
+		if err := dec.Decode(&cells); err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeLoadRow(schema, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", gen) {
+			t.Fatalf("body cells %v decode to %#v, want %#v", cells, got, gen)
+		}
 	}
 }

@@ -184,9 +184,6 @@ type Request struct {
 	// NoCache bypasses the result cache for this request (both lookup and
 	// fill).
 	NoCache bool
-	// Opts carries planner ablation flags. Results are cached only for
-	// zero-valued Opts.
-	Opts hive.ExecOptions
 	// Trace asks for the query's span tree in Response.Trace. Traced
 	// requests skip the result cache's fast path only in the sense that a
 	// cache hit still produces a (shallow) trace showing the hit.
@@ -510,7 +507,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	// (SHOW TABLES, DESCRIBE) reference no versioned table — caching them
 	// could serve a stale catalog — and they cost nothing to re-run.
 	_, isSelect := stmt.(*hive.SelectStmt)
-	cacheable := readOnly && isSelect && !req.NoCache && req.Opts == hive.ExecOptions{} && s.cfg.CacheEntries > 0
+	cacheable := readOnly && isSelect && !req.NoCache && s.cfg.CacheEntries > 0
 
 	// Result cache. The key carries the read tables' versions as of *before*
 	// execution: versions only grow, so a hit proves no mutation happened
@@ -554,7 +551,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 	handoff = true
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := s.b.ExecParsedContext(ctx, stmt, req.Opts)
+		res, err := s.b.ExecParsedContext(ctx, stmt, hive.ExecOptions{})
 		// Free the slot and the reservation before handing the outcome
 		// over: once Query returns, its request is no longer in flight.
 		<-s.sem
@@ -737,7 +734,7 @@ func (s *Server) QueryStream(ctx context.Context, req Request) (*Stream, error) 
 	if err != nil {
 		return fail(err)
 	}
-	cur, err := s.b.SelectCursor(ctx, sel, req.Opts)
+	cur, err := s.b.SelectCursor(ctx, sel, hive.ExecOptions{})
 	if err != nil {
 		<-s.sem
 		cancel()

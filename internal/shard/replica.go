@@ -103,12 +103,6 @@ func (rep *replica) endCatchUp() {
 	rep.catchingUp = false
 }
 
-func (rep *replica) isCatchingUp() bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.catchingUp
-}
-
 // downErr is the immediate failure a killed replica returns without touching
 // its warehouse (the "connection refused" of the model).
 func (rep *replica) downErr() error {
