@@ -35,7 +35,11 @@ func expTab5(e *Env) (*Report, error) {
 // SQL planner would always pick the most selective index, but Figure 18
 // compares both widths).
 func q6OnCompact(t *tpchEnv, ix *hiveindex.Index) (indexSec, dataSec float64, records int64, err error) {
-	fr, err := ix.Filter(context.Background(), t.WC.Cluster, t.WC.FS, workload.Q6Ranges())
+	files, err := ix.Files(t.WC.FS)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	fr, err := ix.Filter(context.Background(), t.WC.Cluster, t.WC.FS, files, workload.Q6Ranges())
 	if err != nil {
 		return 0, 0, 0, err
 	}

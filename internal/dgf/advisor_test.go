@@ -170,7 +170,7 @@ func TestSuggestedPolicyBuildsWorkingIndex(t *testing.T) {
 	}
 	got := scanSum(t, ix, plan, q, 3)
 	if plan.Aggregation {
-		got += plan.PreHeader[0].Value
+		got += preHeader(plan)[0].Value
 	}
 	var want float64
 	for _, r := range sample {

@@ -158,16 +158,26 @@ func TestAggregationQueryPaperListing2(t *testing.T) {
 		t.Errorf("inner cells = %d, want 1 (GFU 7_13)", plan.InnerCells)
 	}
 	// Inner pre-result is sum(C) of 7_13 = 1.0.
-	if math.Abs(plan.PreHeader[0].Value-1.0) > 1e-12 {
-		t.Errorf("pre-computed inner sum = %v, want 1.0", plan.PreHeader[0].Value)
+	if math.Abs(preHeader(plan)[0].Value-1.0) > 1e-12 {
+		t.Errorf("pre-computed inner sum = %v, want 1.0", preHeader(plan)[0].Value)
 	}
 	// Scan the boundary slices and add matching records: full answer is
 	// sum over records with 5<=A<12, 12<=B<16: records (7,12,1.2), (9,14,0.8),
 	// (8,13,0.2), (11,16?) no (16 excluded), (5,18?) no -> 1.2+0.8+0.2 = 2.2.
-	got := plan.PreHeader[0].Value + scanSum(t, ix, plan, ranges, 2)
+	got := preHeader(plan)[0].Value + scanSum(t, ix, plan, ranges, 2)
 	if math.Abs(got-2.2) > 1e-12 {
 		t.Errorf("query answer = %v, want 2.2", got)
 	}
+}
+
+// preHeader merges a plan's pre-computed groups into one header: the inner
+// region's result of a scalar aggregation.
+func preHeader(plan *Plan) Header {
+	h := NewHeader(plan.PreSpecs)
+	for _, g := range plan.PreGroups {
+		h.Merge(g.Header)
+	}
+	return h
 }
 
 // scanSum runs the boundary scan of a plan, filtering by predicate, summing
@@ -238,7 +248,7 @@ func TestPartialQueryUsesStoredBounds(t *testing.T) {
 	}
 	got := scanSum(t, ix, plan, ranges, 2)
 	if plan.Aggregation {
-		got += plan.PreHeader[0].Value
+		got += preHeader(plan)[0].Value
 	}
 	if math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("partial query sum = %v, want 1.5", got)
@@ -346,7 +356,7 @@ func TestAppendExtendsIndex(t *testing.T) {
 	}
 	got := scanSum(t, ix, plan, map[string]gridfile.Range{}, 2)
 	if plan.Aggregation {
-		got += plan.PreHeader[0].Value
+		got += preHeader(plan)[0].Value
 	}
 	if math.Abs(got-8.3) > 1e-9 {
 		t.Errorf("total sum after append = %v, want 8.3", got)
@@ -428,7 +438,7 @@ func TestSliceSkippingAcrossTinyBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := plan.PreHeader[0].Value + scanSum(t, ix, plan, ranges, 2)
+	got := preHeader(plan)[0].Value + scanSum(t, ix, plan, ranges, 2)
 	if math.Abs(got-2.2) > 1e-12 {
 		t.Errorf("tiny-block query = %v, want 2.2", got)
 	}
@@ -719,8 +729,8 @@ func TestQueryEquivalenceRandomised(t *testing.T) {
 			gotSum := scanSum(t, ix, plan, ranges, 2)
 			gotCount := scanCount(t, ix, plan, ranges)
 			if plan.Aggregation {
-				gotSum += plan.PreHeader[0].Value
-				gotCount += int64(plan.PreHeader[1].Value)
+				gotSum += preHeader(plan)[0].Value
+				gotCount += int64(preHeader(plan)[1].Value)
 			}
 			if math.Abs(gotSum-wantSum) > 1e-6 || gotCount != wantCount {
 				t.Fatalf("trial %d query %d: got (%v, %d), want (%v, %d)",
@@ -1101,8 +1111,8 @@ func TestRCFileBuildMatchesTextFile(t *testing.T) {
 		t.Errorf("cell decomposition differs: text %d/%d, rc %d/%d",
 			textPlan.InnerCells, textPlan.BoundaryCells, rcPlan.InnerCells, rcPlan.BoundaryCells)
 	}
-	if textPlan.PreHeader[0].Value != rcPlan.PreHeader[0].Value {
-		t.Errorf("pre-computed inner result differs: %v vs %v", textPlan.PreHeader[0].Value, rcPlan.PreHeader[0].Value)
+	if preHeader(textPlan)[0].Value != preHeader(rcPlan)[0].Value {
+		t.Errorf("pre-computed inner result differs: %v vs %v", preHeader(textPlan)[0].Value, preHeader(rcPlan)[0].Value)
 	}
 	if textPlan.ProjectedBytes != textPlan.SliceBytes {
 		t.Errorf("text ProjectedBytes = %d, want SliceBytes %d", textPlan.ProjectedBytes, textPlan.SliceBytes)

@@ -14,9 +14,15 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-// PlanOptions tune the query planner; the zero value is the paper's
-// behaviour. The Disable flags exist for the ablation experiments.
+// PlanOptions describe the query to the planner beyond its ranges and
+// aggregations; the zero value plans a scalar query the paper's way. The
+// Disable flags exist for the ablation experiments.
 type PlanOptions struct {
+	// GroupBy names the query's GROUP BY columns, in order. Headers answer the
+	// inner region of a grouped aggregation only when every one is a grid
+	// dimension of unit interval (see groupDims); the plan then holds one
+	// merged header per group instead of one in all.
+	GroupBy []string
 	// DisablePrecompute forces the planner to scan inner GFUs instead of
 	// answering them from headers (the "DGF-noprecompute" bar of Fig. 17).
 	DisablePrecompute bool
@@ -37,19 +43,23 @@ type PlanOptions struct {
 }
 
 // Plan is the outcome of Algorithm 3: the pre-aggregated inner result (for
-// aggregation queries), the Slices that must be scanned and their read set.
+// aggregation queries), per group, the Slices that must be scanned and their
+// read set.
 // Making it reads GFU pairs and the data files' side statistics, never table
 // data, so a warehouse's EXPLAIN renders the same Plan its execution then
 // binds to a SliceInput and runs.
 type Plan struct {
 	// Aggregation is true when the query was planned as a pre-computable
-	// aggregation: PreHeader then carries the inner region's result and
+	// aggregation: PreGroups then carries the inner region's result and
 	// only boundary slices appear in Slices.
 	Aggregation bool
-	// PreSpecs aligns PreHeader with the requested aggregations.
+	// PreSpecs aligns every PreGroups header with the requested aggregations.
 	PreSpecs []AggSpec
-	// PreHeader is the merged header of all inner GFUs.
-	PreHeader Header
+	// PreGroups holds the inner region's result, one entry per group that
+	// has at least one inner GFU, in the order the cells were enumerated. A
+	// scalar aggregation is the case of zero group dimensions: at most one
+	// entry, with an empty Key.
+	PreGroups []PreGroup
 	// Slices lists the byte ranges to scan, sorted by file then offset.
 	Slices []SliceLoc
 	// InnerCells, BoundaryCells and MissingCells count the decomposed
@@ -83,6 +93,17 @@ type Plan struct {
 	SkipGroups map[string]map[int64]bool
 }
 
+// PreGroup is the pre-computed result of one group's inner GFUs.
+type PreGroup struct {
+	// Key holds, per GROUP BY column in order, the lower bound of the
+	// group's cells on that dimension. A unit interval holds one value, so
+	// it is the value every row of the group has.
+	Key []storage.Value
+	// Header is the merged header of the group's inner GFUs, aligned with
+	// Plan.PreSpecs.
+	Header Header
+}
+
 // CanPrecompute reports whether every requested aggregation is derivable
 // from the index's pre-computed header (the paper's condition for the
 // header-only inner path). avg(col) derives from sum(col)+count(*).
@@ -110,9 +131,14 @@ func (ix *Index) findSpec(w AggSpec) int {
 // Plan runs Algorithm 3 for the given per-column ranges. Columns absent from
 // ranges are completed with the stored per-dimension data bounds (the
 // partially-specified-query rule of Section 5.3.4). wantAggs describes the
-// query's aggregations; pass nil for non-aggregation queries. The read set
-// comes from PlanReads over the plan's slices, the same planner a full scan
-// uses over whole files. Plan reads no table data.
+// query's aggregations; pass nil for non-aggregation queries. Pre-computation
+// (Section 4.3) is grouping by zero or more grid dimensions: when every
+// aggregation is pre-computed, every opts.GroupBy column is a unit-interval
+// dimension and the region has inner cells, each inner cell belongs to one
+// group, its header is merged into that group's PreGroups entry, and only
+// boundary cells are scanned. Any other query scans every cell it reads. The
+// read set comes from PlanReads over the plan's slices, the same planner a
+// full scan uses over whole files. Plan reads no table data.
 func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wantAggs []AggSpec, opts PlanOptions) (*Plan, error) {
 	// kvOps counts this plan's own store operations. Counting locally (not
 	// as a delta of the store's global counters) keeps the attributed
@@ -145,13 +171,14 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	dec.ClampRead(ix.minCell, ix.maxCell)
 
 	plan := &Plan{DisableSliceSkip: opts.DisableSliceSkip}
-	aggregation := !opts.DisablePrecompute && ix.CanPrecompute(wantAggs) && dec.HasInner()
+	groupDims, unit := ix.groupDims(opts.GroupBy)
+	aggregation := !opts.DisablePrecompute && unit && ix.CanPrecompute(wantAggs) && dec.HasInner()
 	plan.Aggregation = aggregation
 
 	// Step 2: enumerate the query-related GFUs. For aggregation queries the
 	// inner region is answered from headers; otherwise every read cell's
 	// slices are fetched. Values are decoded in place: an inner cell folds its
-	// header into PreHeader and its locations are never read, a scanned cell
+	// header into its group's and its locations are never read, a scanned cell
 	// contributes only its SliceLocs.
 	scanCells := dec.EachReadCell
 	header := NewHeader(ix.Spec.Precompute) // scratch, one cell at a time
@@ -160,23 +187,64 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 		innerKeys := ix.cellKeys(dec.EachInnerCell)
 		plan.InnerCells = int64(len(innerKeys))
 		plan.PreSpecs = wantAggs
-		plan.PreHeader = NewHeader(wantAggs)
 		specOf := make([]int, len(wantAggs))
 		for wi, w := range wantAggs {
 			specOf[wi] = ix.findSpec(w)
 		}
+		// The inner region is a box, so a group's coordinates index a dense
+		// table of the box's extent on the group dimensions (a column named
+		// twice adds no coordinate): slot holds each group's position in
+		// PreGroups, -1 until one of its cells is found.
+		strides := make([]int64, len(groupDims))
+		extent := int64(1)
+		for k := len(groupDims) - 1; k >= 0; k-- {
+			if !slices.Contains(groupDims[:k], groupDims[k]) {
+				strides[k] = extent
+				extent *= dec.Inner[groupDims[k]].Count()
+			}
+		}
+		slot := make([]int32, extent)
+		for g := range slot {
+			slot[g] = -1
+		}
 		kvOps.Gets += int64(len(innerKeys))
-		for i, data := range ix.KV.MultiGet(innerKeys) {
+		values := ix.KV.MultiGet(innerKeys)
+		i := 0
+		// EachInnerCell enumerates the cells in the order cellKeys rendered
+		// their keys, so the i-th cell's value is values[i].
+		dec.EachInnerCell(func(cells []int64) {
+			data, key := values[i], innerKeys[i]
+			i++
+			if err != nil {
+				return
+			}
 			if data == nil {
 				plan.MissingCells++
-				continue
+				return
 			}
-			if _, err := readHeader(header, data); err != nil {
-				return nil, ix.badGFU(innerKeys[i], err)
+			if _, err = readHeader(header, data); err != nil {
+				err = ix.badGFU(key, err)
+				return
 			}
+			var g int64
+			for k, di := range groupDims {
+				g += (cells[di] - dec.Inner[di].Lo) * strides[k]
+			}
+			if slot[g] < 0 {
+				slot[g] = int32(len(plan.PreGroups))
+				pg := PreGroup{Key: make([]storage.Value, len(groupDims)), Header: NewHeader(wantAggs)}
+				for k, di := range groupDims {
+					pg.Key[k] = ix.Spec.Policy.Dims[di].CellStart(cells[di])
+				}
+				plan.PreGroups = append(plan.PreGroups, pg)
+			}
+			pre := plan.PreGroups[slot[g]].Header
 			for wi, si := range specOf {
-				plan.PreHeader[wi].Merge(header[si])
+				pre[wi].Merge(header[si])
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	scanKeys := ix.cellKeys(scanCells)
@@ -214,6 +282,26 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	plan.ProjectedBytes, plan.GroupsSkipped, plan.SkipGroups = rs.Bytes, rs.GroupsSkipped, rs.SkipGroups
 	plan.KVSimSeconds = kvOps.SimSeconds(cfg)
 	return plan, nil
+}
+
+// groupDims resolves GROUP BY column names to grid dimensions, and reports
+// whether every one is a dimension whose interval holds exactly one value: a
+// bigint dimension of interval 1, or a timestamp one of 1 s. Only then does
+// each cell lie in one group. A float dimension never qualifies. No columns
+// is the scalar case, which always does.
+func (ix *Index) groupDims(names []string) ([]int, bool) {
+	dims := make([]int, len(names))
+	for k, name := range names {
+		di := ix.Spec.Policy.DimIndex(name)
+		if di < 0 {
+			return nil, false
+		}
+		if d := ix.Spec.Policy.Dims[di]; d.Kind == storage.KindFloat64 || d.IntervalI != 1 {
+			return nil, false
+		}
+		dims[k] = di
+	}
+	return dims, true
 }
 
 // cellKeys renders the store key of every cell `each` enumerates. The keys of

@@ -143,6 +143,74 @@ func TestPreparedSelectReadsOnlyPlannedFiles(t *testing.T) {
 	}
 }
 
+// TestPreparedSelectReadsOnlyPlannedIndexFiles: a Compact or Aggregate index
+// scan reads the index table files its plan listed. An index file that
+// appears after planning is not read by that plan, while a statement planned
+// after it does read it, so the file would have moved the answer.
+func TestPreparedSelectReadsOnlyPlannedIndexFiles(t *testing.T) {
+	w := testWarehouse(1 << 20)
+	setupMeterTable(t, w, 20, 3, 2)
+	mustExec(t, w, `CREATE INDEX agg_region ON TABLE meterdata(regionId) AS 'aggregate'`)
+	mustExec(t, w, `CREATE TABLE compacted (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`)
+	if err := w.LoadRowsByName("compacted", meterRows(20, 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, w, `CREATE INDEX ci ON TABLE compacted(userId) AS 'compact'`)
+	for _, c := range []struct{ table, index, sql, path string }{
+		{"meterdata", "agg_region", `SELECT regionId, count(*) FROM meterdata WHERE regionId>=2 GROUP BY regionId`, "aggindex-rewrite:agg_region"},
+		{"compacted", "ci", `SELECT count(*) FROM compacted WHERE userId>=3 AND userId<=8`, "index:ci"},
+	} {
+		stmt := mustParseSelect(t, c.sql)
+		before := mustExec(t, w, c.sql)
+		if before.Stats.AccessPath != c.path {
+			t.Fatalf("%s: access path %q, want %q", c.sql, before.Stats.AccessPath, c.path)
+		}
+		p, err := w.planSelect(stmt, ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A second copy of the index table: every entry twice.
+		tbl, err := w.Table(c.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := tbl.HiveIndexes[c.index].Files(w.FS)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("index %s has files %v: %v", c.index, files, err)
+		}
+		for i, f := range files {
+			data, err := w.FS.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.FS.WriteFile(fmt.Sprintf("%s/late-%05d", tbl.HiveIndexes[c.index].IndexDir, i), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		if err := w.bindSelect(context.Background(), p); err != nil {
+			t.Fatal(err)
+		}
+		pr, err := w.runPreparedSelect(context.Background(), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// What the index scan decides: the answer, the records it hands over
+		// and the simulated cost of scanning the index table.
+		seen := func(res *Result) string {
+			return fmt.Sprintf("rows %s rec=%d idx=%v", renderExact(res.Rows), res.Stats.RecordsRead, res.Stats.IndexSimSec)
+		}
+		planned, after := seen(pr.Finalize(0)), seen(mustExec(t, w, c.sql))
+		if planned != seen(before) {
+			t.Errorf("%s: planned before the late index files, saw %s; before them the statement saw %s", c.sql, planned, seen(before))
+		}
+		if after == seen(before) {
+			t.Errorf("%s: a statement planned after the late index files did not read them: %s", c.sql, after)
+		}
+	}
+}
+
 // TestConcurrentDDLAndQueries interleaves CREATE/DROP of scratch tables with
 // queries over a stable table; the catalog map itself is under contention.
 func TestConcurrentDDLAndQueries(t *testing.T) {

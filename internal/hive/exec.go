@@ -295,10 +295,10 @@ const (
 
 // selectPlan is one SELECT planned under the catalog lock without reading
 // table data: compiled, access path chosen, the DGF plan made or the scan's
-// files listed, the read set known, the join side's files listed. EXPLAIN
-// renders it and execution binds it; both consume this one value, so the
-// announced plan cannot diverge from the executed one. Nothing after
-// planning reads a mutable Table field.
+// or the hive index table's files listed, the read set known, the join
+// side's files listed. EXPLAIN renders it and execution binds it; both
+// consume this one value, so the announced plan cannot diverge from the
+// executed one. Nothing after planning reads a mutable Table field.
 type selectPlan struct {
 	q     *compiledQuery
 	start time.Time
@@ -307,9 +307,11 @@ type selectPlan struct {
 	accessPath string
 	// plan is the DGF plan (pathDgf).
 	plan *dgf.Plan
-	// ix is the chosen Compact/Aggregate/Bitmap index (pathHiveIndex);
-	// aggRewrite marks the "index as data" rewrite.
+	// ix is the chosen Compact/Aggregate/Bitmap index (pathHiveIndex) and
+	// indexFiles its index table's files, the input of its Filter or
+	// AggregateCounts scan; aggRewrite marks the "index as data" rewrite.
 	ix         *hiveindex.Index
+	indexFiles []string
 	aggRewrite bool
 	// input is the main job's input: the DGF slices or the scan's files,
 	// named at plan time so the job reads the files the plan saw, not one a
@@ -369,17 +371,16 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 	pruneOK := !opts.DisableSliceSkip && q.right == nil
 	switch {
 	case !opts.DisableIndexes && q.left.Dgf != nil:
-		want := q.dgfWantSpecs()
-		if q.right != nil || len(q.groupBy) > 0 {
-			// Join and GROUP BY queries cannot be answered from headers
-			// (the paper's "non-aggregation" cases): scan all related GFUs.
-			want = nil
-		}
-		if !q.rangesExact {
-			// The range map is a superset of the WHERE conjunction (!= or a
-			// multi-value IN): headers would aggregate rows the residual
-			// predicate rejects, so inner cells must be scanned and filtered.
-			want = nil
+		// Headers answer the inner region only of a join-free aggregate whose
+		// every aggregate is pre-computed and whose range map is the WHERE
+		// conjunction exactly: a join's rows exist only after the join, and
+		// a != or multi-value IN leaves ranges a superset, whose headers would
+		// count rows the residual predicate rejects. dgf.Plan decides the
+		// GROUP BY: headers serve it when each column is a unit-interval grid
+		// dimension, so every inner cell holds one group.
+		var want []dgf.AggSpec
+		if q.right == nil && q.rangesExact {
+			want = q.dgfWantSpecs()
 		}
 		p.path = pathDgf
 		p.prune = pruneOK && q.left.Dgf.Format == storage.RCFile
@@ -390,6 +391,7 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 			DisableSliceSkip:  opts.DisableSliceSkip,
 			Project:           q.projection(),
 			ZoneSkip:          p.prune,
+			GroupBy:           q.groupByNames(),
 		})
 		if err != nil {
 			return nil, err
@@ -407,6 +409,9 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 			p.accessPath = "index:" + ix.Name
 			if p.aggRewrite {
 				p.accessPath = "aggindex-rewrite:" + ix.Name
+			}
+			if p.indexFiles, err = ix.Files(w.FS); err != nil {
+				return nil, err
 			}
 			p.reads.Bytes = -1
 			return p, nil
@@ -438,8 +443,9 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 
 // bindSelect performs, under ctx and with no lock held, the steps of a plan
 // that read index tables or the join side: the hive-index Filter or the
-// aggregate-index rewrite, and the broadcast join map over the join side's
-// planned files. The bound plan's job touches no catalog state.
+// aggregate-index rewrite over the index table's planned files, and the
+// broadcast join map over the join side's planned files. The bound plan's
+// job touches no catalog state.
 func (w *Warehouse) bindSelect(ctx context.Context, p *selectPlan) (err error) {
 	q := p.q
 	p.pr = &PartialResult{Columns: q.columns()}
@@ -465,7 +471,7 @@ func (w *Warehouse) bindSelect(ctx context.Context, p *selectPlan) (err error) {
 			// Aggregate Index rewrite: covered GROUP BY count queries read
 			// the index table only. The per-group counts become partial
 			// COUNT state so the rewrite also merges across shards.
-			counts, st, err := p.ix.AggregateCounts(ctx, w.Cluster, w.FS, q.leftRanges, q.groupByNames())
+			counts, st, err := p.ix.AggregateCounts(ctx, w.Cluster, w.FS, p.indexFiles, q.leftRanges, q.groupByNames())
 			if err != nil {
 				return err
 			}
@@ -484,7 +490,7 @@ func (w *Warehouse) bindSelect(ctx context.Context, p *selectPlan) (err error) {
 			p.done = true
 			return nil
 		}
-		fr, err := p.ix.Filter(ctx, w.Cluster, w.FS, q.leftRanges)
+		fr, err := p.ix.Filter(ctx, w.Cluster, w.FS, p.indexFiles, q.leftRanges)
 		if err != nil {
 			return err
 		}
@@ -710,19 +716,40 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(
 	}
 	switch {
 	case agg != nil:
-		// Fold in the pre-computed inner result (scalar aggregation only: the
-		// planner never uses precompute with GROUP BY). Finalization (group
-		// sort, AVG division, scalar empty-input row) happens later through
-		// PartialAgg.Finalize, shared with the shard router's merge path.
-		if p.plan != nil && p.plan.Aggregation {
-			agg.fold("", p.plan.PreHeader)
-		}
+		// Fold in the pre-computed inner result, one entry per group.
+		// Finalization (group sort, AVG division, scalar empty-input row)
+		// happens later through PartialAgg.Finalize, shared with the shard
+		// router's merge path.
+		agg.foldPrecomputed(p.plan)
 		return jobStats, nil, agg, nil
 	case stream != nil:
 		// Streamed rows were delivered as their batches were projected.
 		return jobStats, nil, nil, nil
 	}
 	return jobStats, out.sorted(), nil, nil
+}
+
+// foldPrecomputed folds a DGF plan's pre-computed inner result into agg, one
+// entry per group. An entry's key is its cells' lower bounds, each rendered
+// as the split fold renders that value of the column and joined in GROUP BY
+// order, so a group answered partly from headers and partly by a scan
+// merges into one entry. A plan that scanned its inner cells, or none,
+// contributes nothing.
+func (agg *PartialAgg) foldPrecomputed(plan *dgf.Plan) {
+	if plan == nil || !plan.Aggregation {
+		return
+	}
+	var key []byte
+	for _, g := range plan.PreGroups {
+		key = key[:0]
+		for i, v := range g.Key {
+			if i > 0 {
+				key = append(key, '\x01')
+			}
+			key = v.AppendText(key)
+		}
+		agg.fold(string(key), g.Header)
+	}
 }
 
 // readJoinMap loads the join's (small) right table into a hash map keyed by

@@ -1,6 +1,7 @@
 package hive
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -47,7 +48,8 @@ func TestExplainTruthful(t *testing.T) {
 		`SELECT sum(powerConsumed), count(*) FROM meterdata WHERE userId>=3 AND userId<=15 AND ts>='2012-12-02' AND ts<'2012-12-05'`,
 		// DGF slice scan (projection is not precomputable).
 		`SELECT userId, powerConsumed FROM meterdata WHERE userId>=3 AND userId<=9`,
-		// DGF with GROUP BY (headers cannot answer it).
+		// DGF with GROUP BY (no cell lies wholly inside userId 2-18, so no
+		// header answers it; TestExplainTruthfulGroupHeaders has those that do).
 		`SELECT regionId, avg(powerConsumed) FROM meterdata WHERE userId>=2 AND userId<=18 GROUP BY regionId`,
 		// TextFile full scan.
 		`SELECT sum(powerConsumed) FROM rawmeter WHERE userId>=3`,
@@ -81,6 +83,53 @@ func TestExplainTruthful(t *testing.T) {
 	}
 	if !sawSkips {
 		t.Error("no suite query skipped a row group; the zone-map case covers nothing")
+	}
+}
+
+// TestExplainTruthfulGroupHeaders: which GROUP BYs read the pre-computed
+// headers is decided once, by the plan, and EXPLAIN reports it. A GROUP BY
+// of the unit-interval regionId dimension with pre-computed aggregates does;
+// a GROUP BY of the day-wide ts dimension, one with min() (not pre-computed
+// by the index) and one with a != predicate (its ranges are a superset of the
+// WHERE) do not. For each, EXPLAIN's access path and precompute_hit equal the
+// executed ones, its volume equals the bytes read, and the answer equals the
+// one without pre-computation.
+func TestExplainTruthfulGroupHeaders(t *testing.T) {
+	w := testWarehouse(1 << 12)
+	setupMeterTable(t, w, 40, 4, 6)
+	createDgf(t, w)
+	const where = `WHERE userId>=1 AND userId<=25 AND ts>='2012-12-02' AND ts<'2012-12-06'`
+	for _, c := range []struct {
+		sql        string
+		precompute bool
+	}{
+		{`SELECT regionId, sum(powerConsumed), count(*), avg(powerConsumed) FROM meterdata ` + where + ` GROUP BY regionId`, true},
+		{`SELECT ts, sum(powerConsumed) FROM meterdata ` + where + ` GROUP BY ts`, false},
+		{`SELECT regionId, min(powerConsumed), count(*) FROM meterdata ` + where + ` GROUP BY regionId`, false},
+		{`SELECT regionId, count(*) FROM meterdata ` + where + ` AND regionId != 2 GROUP BY regionId`, false},
+	} {
+		plan := explainOf(t, w, c.sql)
+		res := mustExec(t, w, c.sql)
+		hit := res.Stats.AccessPath == "dgfindex(precompute)"
+		if plan.AccessPath != res.Stats.AccessPath || plan.PrecomputeHit != hit {
+			t.Errorf("%s\n  EXPLAIN %q precompute_hit=%v, execution %q", c.sql, plan.AccessPath, plan.PrecomputeHit, res.Stats.AccessPath)
+		}
+		if hit != c.precompute {
+			t.Errorf("%s\n  precompute hit %v, want %v", c.sql, hit, c.precompute)
+		}
+		if plan.ProjectedBytes != res.Stats.BytesRead {
+			t.Errorf("%s\n  EXPLAIN ProjectedBytes %d, execution BytesRead %d", c.sql, plan.ProjectedBytes, res.Stats.BytesRead)
+		}
+		scanned, err := w.ExecContext(context.Background(), c.sql, ExecOptions{DisablePrecompute: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rowsEqual(res.Rows, scanned.Rows) {
+			t.Errorf("%s\n  answers %s, without pre-computation %s", c.sql, fmtRows(res.Rows), fmtRows(scanned.Rows))
+		}
+		if c.precompute && res.Stats.RecordsRead >= scanned.Stats.RecordsRead {
+			t.Errorf("%s\n  read %d records, %d without pre-computation", c.sql, res.Stats.RecordsRead, scanned.Stats.RecordsRead)
+		}
 	}
 }
 

@@ -203,9 +203,7 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	}
 	pr := &PartialResult{Columns: p.pr.Columns}
 	if q.isAgg {
-		if p.plan != nil && p.plan.Aggregation {
-			agg.fold("", p.plan.PreHeader)
-		}
+		agg.foldPrecomputed(p.plan)
 		pr.Agg = agg
 	} else {
 		// Source order: a TextFile row's offset is its line's, an RCFile

@@ -23,9 +23,10 @@ import (
 // change) produced. The table below was recorded there, before any source
 // changed; a rewrite of the readers, the predicate compiler or the mapper has
 // to reproduce it exactly, under any split completion order (CI runs this with
-// -race -count=20). It was re-recorded three times since, deliberately: see
-// queryStatsGoldenBeforeFold, queryStatsGoldenBeforeAggCount and
-// queryStatsGoldenBeforeZoneOnly at the end of the file. Every table here has
+// -race -count=20). It was re-recorded four times since, deliberately: see
+// queryStatsGoldenBeforeFold, queryStatsGoldenBeforeAggCount,
+// queryStatsGoldenBeforeZoneOnly and queryStatsGoldenBeforeGroupHeaders at
+// the end of the file. Every table here has
 // lost the bitmap= field the lines once carried between skipped= and idx=, so
 // the companions compare like with like.
 
@@ -247,6 +248,45 @@ func TestQueryStatsGoldenZoneOnlyMovedAsDescribed(t *testing.T) {
 	}
 }
 
+// TestQueryStatsGoldenGroupHeadersMovedAsDescribed holds the fourth
+// re-recording to what answering a GROUP BY's inner cells from their headers
+// can change. Only the groupcount lines of the two DGF option sets that allow
+// pre-computation may move. Before the move each dgf line read what the
+// unmoved dgf-nopre line still reads, so the old plan was the plan without
+// headers. Each new line is a precompute hit that keeps the rows and their
+// hash, and reads no more records and no more bytes than before.
+func TestQueryStatsGoldenGroupHeadersMovedAsDescribed(t *testing.T) {
+	rows := regexp.MustCompile(` rows=\S+$`)
+	volume := regexp.MustCompile(` rec=(\d+) bytes=(\d+) `)
+	for key, before := range queryStatsGoldenBeforeGroupHeaders {
+		now := queryStatsGolden[key]
+		if !strings.HasSuffix(key, "/groupcount") || !strings.Contains(key, "/dgf") || strings.Contains(key, "nopre") || now == before {
+			t.Errorf("%s: listed as moved by group headers, which move the pre-computing DGF groupcount lines only", key)
+			continue
+		}
+		if strings.Contains(key, "/dgf/") {
+			nopre := strings.Replace(key, "/dgf/", "/dgf-nopre/", 1)
+			if before != queryStatsGolden[nopre] {
+				t.Errorf("%s was %q, %s is %q: the old plan was not the header-free one", key, before, nopre, queryStatsGolden[nopre])
+			}
+		}
+		if !strings.HasPrefix(now, "dgfindex(precompute) ") {
+			t.Errorf("%s: %q is not a precompute hit", key, now)
+		}
+		if rows.FindString(before) != rows.FindString(now) {
+			t.Errorf("%s: rows moved\n was: %q\n now: %q", key, before, now)
+		}
+		b, n := volume.FindStringSubmatch(before), volume.FindStringSubmatch(now)
+		for i, field := range []string{"rec", "bytes"} {
+			was, _ := strconv.ParseInt(b[i+1], 10, 64)
+			is, _ := strconv.ParseInt(n[i+1], 10, 64)
+			if is > was {
+				t.Errorf("%s: %s= rose from %d to %d", key, field, was, is)
+			}
+		}
+	}
+}
+
 var queryStatsGolden = map[string]string{
 	"text/scan/agg":              "scan rec=600 bytes=19050 splits=5 seeks=0 skipped=0 idx=10 data=2.001143164056778 rows=1:e831f6786c7f32c1",
 	"text/scan/groupby":          "scan rec=600 bytes=19050 splits=5 seeks=0 skipped=0 idx=10 data=2.0011546737136836 rows=4:bee59fe12bdc35f8",
@@ -264,14 +304,14 @@ var queryStatsGolden = map[string]string{
 	"text/part/ne":               "scan(partitions 4/4) rec=600 bytes=17620 splits=8 seeks=0 skipped=0 idx=10 data=1.0010634885915124 rows=8:f90dd7ea70c7ddbf",
 	"text/dgf/agg":               "dgfindex(precompute) rec=72 bytes=2010 splits=8 seeks=16 skipped=0 idx=10.0044 data=2.024104450526556 rows=1:e02e7f33f47652ce",
 	"text/dgf/groupby":           "dgfindex rec=300 bytes=8498 splits=12 seeks=58 skipped=0 idx=10.00688 data=2.0562813302288063 rows=4:d34e88d455542870",
-	"text/dgf/groupcount":        "dgfindex rec=450 bytes=12754 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.000385464499155 rows=3:a002430d599285f3",
+	"text/dgf/groupcount":        "dgfindex(precompute) rec=0 bytes=0 splits=0 seeks=0 skipped=0 idx=10.00936 data=1 rows=3:a002430d599285f3",
 	"text/dgf/project":           "dgfindex rec=90 bytes=2544 splits=11 seeks=8 skipped=0 idx=10.00344 data=1.01610475440979 rows=7:41f32bb84270caa3",
 	"text/dgf/join":              "dgfindex rec=48 bytes=2000 splits=11 seeks=6 skipped=0 idx=10.00272 data=1.0161931086629234 rows=33:4bc80aebd921152a",
 	"text/dgf/in":                "dgfindex rec=450 bytes=12748 splits=12 seeks=0 skipped=0 idx=10.00928 data=2.000355096284231 rows=1:f14e14e69dca3d43",
 	"text/dgf/ne":                "dgfindex rec=20 bytes=561 splits=7 seeks=1 skipped=0 idx=10.0024 data=1.008035911547342 rows=8:71676513f0f36ba5",
 	"text/dgf-noskip/agg":        "dgfindex(precompute) rec=428 bytes=12099 splits=8 seeks=0 skipped=0 idx=10.0044 data=2.000458386356353 rows=1:4b8481689bd9c9f6",
 	"text/dgf-noskip/groupby":    "dgfindex rec=600 bytes=17002 splits=12 seeks=0 skipped=0 idx=10.00688 data=2.0004857627696992 rows=4:d34e88d455542870",
-	"text/dgf-noskip/groupcount": "dgfindex rec=600 bytes=17002 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.0004486350364683 rows=3:a002430d599285f3",
+	"text/dgf-noskip/groupcount": "dgfindex(precompute) rec=0 bytes=0 splits=0 seeks=0 skipped=0 idx=10.00936 data=1 rows=3:a002430d599285f3",
 	"text/dgf-noskip/project":    "dgfindex rec=557 bytes=15773 splits=11 seeks=0 skipped=0 idx=10.00344 data=1.0004381108932492 rows=7:41f32bb84270caa3",
 	"text/dgf-noskip/join":       "dgfindex rec=561 bytes=16539 splits=11 seeks=0 skipped=0 idx=10.00272 data=1.0005674529724118 rows=33:4bc80aebd921152a",
 	"text/dgf-noskip/in":         "dgfindex rec=600 bytes=17002 splits=12 seeks=0 skipped=0 idx=10.00928 data=2.000468900615692 rows=1:f14e14e69dca3d43",
@@ -320,14 +360,14 @@ var queryStatsGolden = map[string]string{
 	"rc/part/ne":                 "scan(partitions 4/4) rec=128 bytes=1738 splits=4 seeks=32 skipped=32 idx=10 data=1.0641346254170738 rows=8:f90dd7ea70c7ddbf",
 	"rc/dgf/agg":                 "dgfindex(precompute) rec=72 bytes=1136 splits=8 seeks=16 skipped=0 idx=10.0044 data=2.0240746482041683 rows=1:e02e7f33f47652ce",
 	"rc/dgf/groupby":             "dgfindex rec=300 bytes=5318 splits=12 seeks=58 skipped=0 idx=10.00688 data=2.056212586205165 rows=4:d34e88d455542870",
-	"rc/dgf/groupcount":          "dgfindex rec=450 bytes=2160 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.0001400920448305 rows=3:a002430d599285f3",
+	"rc/dgf/groupcount":          "dgfindex(precompute) rec=0 bytes=0 splits=0 seeks=0 skipped=0 idx=10.00936 data=1 rows=3:a002430d599285f3",
 	"rc/dgf/project":             "dgfindex rec=90 bytes=1590 splits=11 seeks=8 skipped=0 idx=10.00344 data=1.0160749520874024 rows=7:41f32bb84270caa3",
 	"rc/dgf/join":                "dgfindex rec=48 bytes=1476 splits=11 seeks=6 skipped=0 idx=10.00272 data=1.0161734391301476 rows=33:4bc80aebd921152a",
 	"rc/dgf/in":                  "dgfindex rec=408 bytes=8186 splits=12 seeks=21 skipped=21 idx=10.00928 data=2.0242479473025004 rows=1:f14e14e69dca3d43",
 	"rc/dgf/ne":                  "dgfindex rec=16 bytes=388 splits=7 seeks=3 skipped=2 idx=10.0024 data=1.0080329313151033 rows=8:71676513f0f36ba5",
 	"rc/dgf-noskip/agg":          "dgfindex(precompute) rec=428 bytes=7552 splits=8 seeks=0 skipped=0 idx=10.0044 data=2.0003318258272813 rows=1:4b8481689bd9c9f6",
 	"rc/dgf-noskip/groupby":      "dgfindex rec=600 bytes=10641 splits=12 seeks=0 skipped=0 idx=10.00688 data=2.0003592022406274 rows=4:d34e88d455542870",
-	"rc/dgf-noskip/groupcount":   "dgfindex rec=600 bytes=2880 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.000163128787994 rows=3:a002430d599285f3",
+	"rc/dgf-noskip/groupcount":   "dgfindex(precompute) rec=0 bytes=0 splits=0 seeks=0 skipped=0 idx=10.00936 data=1 rows=3:a002430d599285f3",
 	"rc/dgf-noskip/project":      "dgfindex rec=557 bytes=9856 splits=11 seeks=0 skipped=0 idx=10.00344 data=1.0003115503641773 rows=7:41f32bb84270caa3",
 	"rc/dgf-noskip/join":         "dgfindex rec=561 bytes=10625 splits=11 seeks=0 skipped=0 idx=10.00272 data=1.000443276629131 rows=33:4bc80aebd921152a",
 	"rc/dgf-noskip/in":           "dgfindex rec=600 bytes=12081 splits=12 seeks=0 skipped=0 idx=10.00928 data=2.0003681687660215 rows=1:f14e14e69dca3d43",
@@ -415,6 +455,21 @@ var queryStatsGoldenBeforeFold = map[string]string{
 	"rc/bitmap/groupby":       "index:gx_bitmap rec=360 bytes=4136 splits=2 seeks=12 skipped=0 idx=21.00011631750997 data=2.0566568327102672 rows=4:7f1fd9f4f504ac11",
 	"rc/aggregate/agg":        "index:gx_agg rec=600 bytes=6724 splits=3 seeks=0 skipped=0 idx=21.000045210072834 data=2.0010771447302496 rows=1:e02e7f33f47652ce",
 	"rc/aggregate/groupby":    "scan rec=368 bytes=4136 splits=3 seeks=15 skipped=15 idx=10 data=2.056668832710267 rows=4:7f1fd9f4f504ac11",
+}
+
+// queryStatsGoldenBeforeGroupHeaders holds the lines of queryStatsGolden
+// that moved when a GROUP BY over unit-interval grid dimensions began reading
+// its inner cells' pre-computed headers, as the parent commit recorded them:
+// the groupcount shape (GROUP BY regionId, indexed at '1_1', counting) on the
+// DGF paths that allow pre-computation. Its box covers whole cells on every
+// dimension, so no cell is scanned any more.
+// TestQueryStatsGoldenGroupHeadersMovedAsDescribed holds the re-recording to
+// that.
+var queryStatsGoldenBeforeGroupHeaders = map[string]string{
+	"text/dgf/groupcount":        "dgfindex rec=450 bytes=12754 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.000385464499155 rows=3:a002430d599285f3",
+	"text/dgf-noskip/groupcount": "dgfindex rec=600 bytes=17002 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.0004486350364683 rows=3:a002430d599285f3",
+	"rc/dgf/groupcount":          "dgfindex rec=450 bytes=2160 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.0001400920448305 rows=3:a002430d599285f3",
+	"rc/dgf-noskip/groupcount":   "dgfindex rec=600 bytes=2880 splits=12 seeks=0 skipped=0 idx=10.00936 data=2.000163128787994 rows=3:a002430d599285f3",
 }
 
 // queryStatsGoldenBeforeAggCount holds the lines of queryStatsGolden that moved

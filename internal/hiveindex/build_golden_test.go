@@ -318,7 +318,7 @@ func TestHiveIndexBuildGolden(t *testing.T) {
 				name := fmt.Sprintf("%v/%v/%v", base, kind, idxFormat)
 				t.Run(name, func(t *testing.T) {
 					fs, ix, stats := goldenIndex(t, base, kind, idxFormat)
-					fr, err := ix.Filter(context.Background(), testCfg(), fs, ranges)
+					fr, err := ix.Filter(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -327,7 +327,7 @@ func TestHiveIndexBuildGolden(t *testing.T) {
 					}
 					counts := "not an aggregate index"
 					if kind == Aggregate {
-						c, st, err := ix.AggregateCounts(context.Background(), testCfg(), fs, ranges, []string{"regionId"})
+						c, st, err := ix.AggregateCounts(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges, []string{"regionId"})
 						if err != nil {
 							t.Fatal(err)
 						}

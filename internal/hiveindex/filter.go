@@ -32,12 +32,27 @@ type FilterResult struct {
 	Entries int64
 }
 
-// Filter scans the whole index table with the query predicate, like Hive
-// does before launching the real job. ranges constrains the indexed
-// dimensions (missing dimensions are unconstrained). The scan is a job of
-// the query: it runs under ctx, stops at a split boundary when ctx ends, and
-// traces under ctx's span.
-func (ix *Index) Filter(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range) (*FilterResult, error) {
+// Files lists the index table's data files. A query lists them when it is
+// planned and hands them to Filter or AggregateCounts, so its index scan
+// reads the files the plan saw.
+func (ix *Index) Files(fs *dfs.FS) ([]string, error) {
+	infos, err := fs.ListFiles(ix.IndexDir)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]string, len(infos))
+	for i, fi := range infos {
+		files[i] = fi.Path
+	}
+	return files, nil
+}
+
+// Filter scans the whole index table, the given files (Files), with the
+// query predicate, like Hive does before launching the real job. ranges
+// constrains the indexed dimensions (missing dimensions are unconstrained).
+// The scan is a job of the query: it runs under ctx, stops at a split
+// boundary when ctx ends, and traces under ctx's span.
+func (ix *Index) Filter(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, files []string, ranges map[string]gridfile.Range) (*FilterResult, error) {
 	res := &FilterResult{Files: map[string]*FileFilter{}}
 	var mu sync.Mutex
 
@@ -99,7 +114,7 @@ func (ix *Index) Filter(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ra
 	}
 	job := &mapreduce.Job{
 		Name:  "hiveindex-scan-" + ix.Name,
-		Input: ix.indexInput(fs),
+		Input: ix.indexInput(fs, files),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			b := rec.Batch
 			for _, ri := range b.Sel() {
@@ -118,9 +133,9 @@ func (ix *Index) Filter(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ra
 	return res, nil
 }
 
-// indexInput opens the index table for scanning.
-func (ix *Index) indexInput(fs *dfs.FS) *mapreduce.FileInput {
-	return &mapreduce.FileInput{FS: fs, Dir: ix.IndexDir, Format: ix.IndexFormat, Schema: ix.indexSchema}
+// indexInput opens the given index table files for scanning.
+func (ix *Index) indexInput(fs *dfs.FS, files []string) *mapreduce.FileInput {
+	return &mapreduce.FileInput{FS: fs, Paths: files, Format: ix.IndexFormat, Schema: ix.indexSchema}
 }
 
 // SplitFilter implements the getSplits behaviour: keep a split iff it
@@ -185,10 +200,10 @@ func (ix *Index) BaseInput(fs *dfs.FS, fr *FilterResult) *mapreduce.FileInput {
 }
 
 // AggregateCounts answers a covered GROUP BY count query from the index
-// table alone (the Aggregate Index "index as data" rewrite): groups by the
-// named index dimensions and sums the pre-computed _count column. Like
-// Filter, the scan runs under ctx.
-func (ix *Index) AggregateCounts(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, ranges map[string]gridfile.Range, groupBy []string) (map[string]int64, *mapreduce.Stats, error) {
+// table's given files (Files) alone (the Aggregate Index "index as data"
+// rewrite): groups by the named index dimensions and sums the pre-computed
+// _count column. Like Filter, the scan runs under ctx.
+func (ix *Index) AggregateCounts(ctx context.Context, cfg *cluster.Config, fs *dfs.FS, files []string, ranges map[string]gridfile.Range, groupBy []string) (map[string]int64, *mapreduce.Stats, error) {
 	if ix.Kind != Aggregate {
 		return nil, nil, errNotAggregate
 	}
@@ -219,7 +234,7 @@ func (ix *Index) AggregateCounts(ctx context.Context, cfg *cluster.Config, fs *d
 	countCol := len(ix.Cols) + 2
 	job := &mapreduce.Job{
 		Name:  "hiveindex-aggscan-" + ix.Name,
-		Input: ix.indexInput(fs),
+		Input: ix.indexInput(fs, files),
 		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
 			b := rec.Batch
 		rows:

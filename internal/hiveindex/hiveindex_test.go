@@ -18,6 +18,16 @@ func testCfg() *cluster.Config {
 	return c
 }
 
+// indexFiles lists the index table's files, as a query's plan does.
+func indexFiles(t testing.TB, ix *Index, fs *dfs.FS) []string {
+	t.Helper()
+	files, err := ix.Files(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 func testSchema() *storage.Schema {
 	return storage.NewSchema(
 		storage.Column{Name: "userId", Kind: storage.KindInt64},
@@ -82,7 +92,7 @@ func TestCompactBuildAndFilterText(t *testing.T) {
 	ranges := map[string]gridfile.Range{
 		"userId": {Lo: storage.Int64(10), Hi: storage.Int64(12)},
 	}
-	fr, err := ix.Filter(context.Background(), testCfg(), fs, ranges)
+	fr, err := ix.Filter(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestCompactOnRCFiltersSplitsOnly(t *testing.T) {
 	ranges := map[string]gridfile.Range{
 		"userId": {Lo: storage.Int64(7), Hi: storage.Int64(7)},
 	}
-	fr, err := ix.Filter(context.Background(), testCfg(), fs, ranges)
+	fr, err := ix.Filter(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestBitmapFiltersRows(t *testing.T) {
 	ranges := map[string]gridfile.Range{
 		"userId": {Lo: storage.Int64(7), Hi: storage.Int64(7)},
 	}
-	fr, err := ix.Filter(context.Background(), testCfg(), fs, ranges)
+	fr, err := ix.Filter(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,7 @@ func TestAggregateIndexRewrite(t *testing.T) {
 	ranges := map[string]gridfile.Range{
 		"regionId": {Lo: storage.Int64(1), Hi: storage.Int64(3)},
 	}
-	counts, _, err := ix.AggregateCounts(context.Background(), testCfg(), fs, ranges, []string{"regionId"})
+	counts, _, err := ix.AggregateCounts(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges, []string{"regionId"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +260,12 @@ func TestAggregateIndexRewrite(t *testing.T) {
 		}
 	}
 	// Rewrite restrictions: non-indexed GROUP BY column is rejected.
-	if _, _, err := ix.AggregateCounts(context.Background(), testCfg(), fs, ranges, []string{"power"}); err == nil {
+	if _, _, err := ix.AggregateCounts(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), ranges, []string{"power"}); err == nil {
 		t.Error("uncovered GROUP BY accepted")
 	}
 	// Compact index cannot answer it at all.
 	cix := &Index{Options: Options{Kind: Compact}}
-	if _, _, err := cix.AggregateCounts(context.Background(), testCfg(), fs, ranges, nil); err == nil {
+	if _, _, err := cix.AggregateCounts(context.Background(), testCfg(), fs, indexFiles(t, cix, fs), ranges, nil); err == nil {
 		t.Error("compact index answered aggregate rewrite")
 	}
 }
@@ -311,7 +321,7 @@ func TestSplitFilterPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := ix.Filter(context.Background(), testCfg(), fs, map[string]gridfile.Range{
+	fr, err := ix.Filter(context.Background(), testCfg(), fs, indexFiles(t, ix, fs), map[string]gridfile.Range{
 		"userId": {Lo: storage.Int64(3), Hi: storage.Int64(3)},
 	})
 	if err != nil {

@@ -276,23 +276,36 @@ func goldenTextGFUValue(v dgf.GFUValue) []byte {
 }
 
 // goldenReplicaAnswers renders the replica's table versions and the meter
-// query suite: exact rows, volumes, splits and both simulated clocks.
-func goldenReplicaAnswers(t *testing.T, w *hive.Warehouse) []string {
+// query suite: exact rows, volumes, splits and both simulated clocks. Its
+// second result renders the suite as it was before a GROUP BY over the
+// unit-interval regionId dimension read its inner cells' headers: those
+// statements are run again with DisablePrecompute, every other line is
+// shared.
+func goldenReplicaAnswers(t *testing.T, w *hive.Warehouse) (answers, withoutGroupHeaders []string) {
 	t.Helper()
 	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	v := w.TableVersions("meterdata", "userinfo")
-	out := []string{fmt.Sprintf("versions meterdata=%d userinfo=%d", v["meterdata"], v["userinfo"])}
-	for _, q := range meterQuerySuite(testMeterConfig()) {
-		res, err := w.ExecContext(context.Background(), q, hive.ExecOptions{})
+	render := func(q string, opts hive.ExecOptions) string {
+		res, err := w.ExecContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 		s := res.Stats
-		out = append(out, fmt.Sprintf("%s\n  %s rec=%d bytes=%d splits=%d idx=%s data=%s\n  %s", q,
+		return fmt.Sprintf("%s\n  %s rec=%d bytes=%d splits=%d idx=%s data=%s\n  %s", q,
 			s.AccessPath, s.RecordsRead, s.BytesRead, s.Splits, g(s.IndexSimSec), g(s.DataSimSec),
-			strings.Join(renderRows(res.Rows), ";")))
+			strings.Join(renderRows(res.Rows), ";"))
 	}
-	return out
+	v := w.TableVersions("meterdata", "userinfo")
+	answers = []string{fmt.Sprintf("versions meterdata=%d userinfo=%d", v["meterdata"], v["userinfo"])}
+	withoutGroupHeaders = slices.Clone(answers)
+	for _, q := range meterQuerySuite(testMeterConfig()) {
+		line := render(q, hive.ExecOptions{})
+		answers = append(answers, line)
+		if strings.HasSuffix(q, "GROUP BY regionId") {
+			line = render(q, hive.ExecOptions{DisablePrecompute: true})
+		}
+		withoutGroupHeaders = append(withoutGroupHeaders, line)
+	}
+	return answers, withoutGroupHeaders
 }
 
 func goldenHash(lines []string) string {
@@ -328,7 +341,8 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 		}
 	}
 	fv := r.TableVersions("meterdata", "userinfo")
-	lines := map[string][]string{"answers": {fmt.Sprintf("fleet versions meterdata=%d userinfo=%d", fv["meterdata"], fv["userinfo"])}}
+	head := fmt.Sprintf("fleet versions meterdata=%d userinfo=%d", fv["meterdata"], fv["userinfo"])
+	lines := map[string][]string{"answers": {head}, "answersWithoutGroupHeaders": {head}}
 	for si := 0; si < shards; si++ {
 		var first []string
 		for ri := 0; ri < replicas; ri++ {
@@ -345,7 +359,9 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 			lines["kv"] = append(lines["kv"], head+" "+kv)
 			lines["kvRetiredMeta"] = append(lines["kvRetiredMeta"], head+" "+kvRetiredMeta)
 			lines["kvAsText"] = append(lines["kvAsText"], head+" "+kvAsText)
-			lines["answers"] = append(append(lines["answers"], head), goldenReplicaAnswers(t, w)...)
+			answers, withoutGroupHeaders := goldenReplicaAnswers(t, w)
+			lines["answers"] = append(append(lines["answers"], head), answers...)
+			lines["answersWithoutGroupHeaders"] = append(append(lines["answersWithoutGroupHeaders"], head), withoutGroupHeaders...)
 			// Replicas of a shard are copies: same files, byte for byte.
 			if ri == 0 {
 				first = files
@@ -370,9 +386,12 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 // (loadPathGoldenColStatsV3 holds the ones recorded before), and when the
 // "_groups" side files were deleted (loadPathGoldenGroups holds the ones
 // recorded before). The
-// answers digests were re-recorded when aggregates began folding inside their
-// split (sums differ in their last bit, data= in its sixth decimal — hive's
-// TestQueryStatsGoldenMovedAsDescribed bounds the move). The kv digests were
+// answers digests were re-recorded twice: when aggregates began folding
+// inside their split (sums differ in their last bit, data= in its sixth
+// decimal — hive's TestQueryStatsGoldenMovedAsDescribed bounds the move), and
+// when a GROUP BY over unit-interval grid dimensions began reading its inner
+// cells' headers (loadPathGoldenAnswersBeforeGroupHeaders holds the ones
+// recorded before). The kv digests were
 // re-recorded twice. When the GFUValue became binary, the digests 433a837
 // recorded for kv became kvAsText, so every key, every metadata entry and
 // every pair's header and SliceLocs — file names included — are what that
@@ -382,12 +401,25 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 // index stopped storing the three goldenRetiredMeta entries, and nothing
 // else in the store moved.
 var loadPathGolden = map[string]goldenFleetState{
-	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "58d977326f9cdbf74974967c6f1b4dbb22849690959740d9699d38e7555abbfe", "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
-	"1x1/rcfile":   {"9e1e477af40cee2dddc2620c7677ba191afc08c06b5e149bdee3b34a5b995fbe", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
-	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "db26e71d209a92dbf37bfb4272743744bec072dafc735fe346f6f62b14137064", "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
-	"4x1/rcfile":   {"6636dc779ac332373e4d39be73f419b5aed1d10191afff2758f2f7f9b022d090", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
-	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "a136a0039f70fbe0f5ce19e89a966b3d2fdb1a2d82e00d839d19be2752e0f0f4", "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
-	"4x2/rcfile":   {"1eb97797ad2e7df63d1f45cacd2ab57394d881d03aa50ba0e06354ce161ffb5c", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "58d977326f9cdbf74974967c6f1b4dbb22849690959740d9699d38e7555abbfe", "3646c8ca6e5bc689739187a55756adaa0c68a2617a76c64b363397b29a9c8679", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
+	"1x1/rcfile":   {"9e1e477af40cee2dddc2620c7677ba191afc08c06b5e149bdee3b34a5b995fbe", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "965230a37654333f19c933a8b7a34e926439d8a2f1505e0d3991caf75ad5bd07", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
+	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "db26e71d209a92dbf37bfb4272743744bec072dafc735fe346f6f62b14137064", "757e5fd4584c6b8d28ffd41060a9ba28fcd1f79c4667d17c6a3bf559e03c537a", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
+	"4x1/rcfile":   {"6636dc779ac332373e4d39be73f419b5aed1d10191afff2758f2f7f9b022d090", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "01a992db4caefc055da509e4bd563d66665907e26eade2a4b833a71c20eddd9e", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
+	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "a136a0039f70fbe0f5ce19e89a966b3d2fdb1a2d82e00d839d19be2752e0f0f4", "5343daa5d542084015e41a2ccb1f3b5ba699978d51d5f75916997cfc380ad51b", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
+	"4x2/rcfile":   {"1eb97797ad2e7df63d1f45cacd2ab57394d881d03aa50ba0e06354ce161ffb5c", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "e7cdaecb13c087d03e833296df494408891eb0f2515746568c25b58e71a9507a", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+}
+
+// loadPathGoldenAnswersBeforeGroupHeaders holds the answers digests recorded
+// before a GROUP BY over unit-interval grid dimensions read its inner cells'
+// pre-computed headers. Of the meter suite only the two GROUP BY regionId
+// statements moved.
+var loadPathGoldenAnswersBeforeGroupHeaders = map[string]string{
+	"1x1/textfile": "656964444c4bbdf49a3742db2b3c547c2accfdb072db43fedbfe8c59c31cb5ad",
+	"1x1/rcfile":   "c886b85d3ea64f5cf967c53c9b6df390036b4f49bd814f23fcafa7ee5bf19c6d",
+	"4x1/textfile": "5c8a08d627a43318afe1e397cf2dc36a12a1c5dd9f91c351fd97216d17b27c33",
+	"4x1/rcfile":   "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0",
+	"4x2/textfile": "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d",
+	"4x2/rcfile":   "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd",
 }
 
 // loadPathGoldenGroups holds the RCFile files digests recorded while every
@@ -455,6 +487,28 @@ func TestLoadPathGoldenMovedAsDescribed(t *testing.T) {
 				if want := loadPathGolden[key].kvAsText; got.kvAsText != want {
 					t.Errorf("index key-values, GFU values rendered as text, hash to %s, the text codec's hashed to %s\n%s",
 						got.kvAsText, want, strings.Join(lines["kvAsText"], "\n"))
+				}
+			})
+		}
+	}
+}
+
+// TestLoadPathGoldenGroupHeadersMovedAsDescribed bounds the re-recording of
+// the answers digests when a GROUP BY over unit-interval grid dimensions began
+// reading its inner cells' headers: with the two GROUP BY regionId statements
+// of the meter suite run with DisablePrecompute, every replica's answers hash
+// to what was recorded before, so no other statement's answer, volume or
+// simulated clock moved. TestLoadPathGolden holds the files and kv digests
+// unmoved.
+func TestLoadPathGoldenGroupHeadersMovedAsDescribed(t *testing.T) {
+	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
+		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
+			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
+			t.Run(key, func(t *testing.T) {
+				_, lines := goldenRun(t, shape.shards, shape.replicas, stored, false)
+				if got, want := goldenHash(lines["answersWithoutGroupHeaders"]), loadPathGoldenAnswersBeforeGroupHeaders[key]; got != want {
+					t.Errorf("answers, GROUP BY regionId without pre-computation, hash to %s, they hashed to %s\n%s",
+						got, want, strings.Join(lines["answersWithoutGroupHeaders"], "\n"))
 				}
 			})
 		}
