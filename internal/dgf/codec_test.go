@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"path"
@@ -403,7 +404,9 @@ func planBenchIndex(b testing.TB) (*Index, map[string]gridfile.Range) {
 // slices as the scalar plan, and splits the inner result into one header per
 // region, keyed by the region. A GROUP BY column that is not a unit-interval
 // dimension (a wider bigint interval, a day-wide timestamp, a double or a
-// column the grid does not have) plans like DisablePrecompute.
+// column the grid does not have) plans like DisablePrecompute, and so does a
+// scalar or grouped plan whose ranges constrain a column that is no
+// dimension: the headers count rows that range rejects.
 func TestPlanGroupsInnerHeaders(t *testing.T) {
 	ix, ranges := planBenchIndex(t)
 	want := []AggSpec{{Func: AggSum, Col: "powerConsumed"}, {Func: AggCount}}
@@ -449,6 +452,18 @@ func TestPlanGroupsInnerHeaders(t *testing.T) {
 		p := plan(PlanOptions{GroupBy: cols})
 		if p.Aggregation || p.PreGroups != nil || p.InnerCells != 0 || !slices.Equal(p.Slices, noPre.Slices) {
 			t.Errorf("GROUP BY %v: aggregation %v, %d groups, %d inner cells, %d slices; want the %d slices of a plan without headers",
+				cols, p.Aggregation, len(p.PreGroups), p.InnerCells, len(p.Slices), len(noPre.Slices))
+		}
+	}
+	filtered := maps.Clone(ranges)
+	filtered["powerConsumed"] = gridfile.Range{Lo: storage.Float64(5), HiUnbounded: true}
+	for _, cols := range [][]string{nil, {"regionId"}} {
+		p, err := ix.Plan(testCfg(), filtered, want, PlanOptions{GroupBy: cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Aggregation || p.PreGroups != nil || p.InnerCells != 0 || !slices.Equal(p.Slices, noPre.Slices) {
+			t.Errorf("GROUP BY %v with a range on powerConsumed: aggregation %v, %d groups, %d inner cells, %d slices; want the %d slices of a plan without headers",
 				cols, p.Aggregation, len(p.PreGroups), p.InnerCells, len(p.Slices), len(noPre.Slices))
 		}
 	}

@@ -134,7 +134,9 @@ func (ix *Index) findSpec(w AggSpec) int {
 // query's aggregations; pass nil for non-aggregation queries. Pre-computation
 // (Section 4.3) is grouping by zero or more grid dimensions: when every
 // aggregation is pre-computed, every opts.GroupBy column is a unit-interval
-// dimension and the region has inner cells, each inner cell belongs to one
+// dimension, every range is on a dimension (the caller passes nil wantAggs
+// when ranges do not carry its whole predicate) and the region has inner
+// cells, each inner cell belongs to one
 // group, its header is merged into that group's PreGroups entry, and only
 // boundary cells are scanned. Any other query scans every cell it reads. The
 // read set comes from PlanReads over the plan's slices, the same planner a
@@ -172,7 +174,7 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 
 	plan := &Plan{DisableSliceSkip: opts.DisableSliceSkip}
 	groupDims, unit := ix.groupDims(opts.GroupBy)
-	aggregation := !opts.DisablePrecompute && unit && ix.CanPrecompute(wantAggs) && dec.HasInner()
+	aggregation := !opts.DisablePrecompute && unit && ix.rangesOnDims(ranges) && ix.CanPrecompute(wantAggs) && dec.HasInner()
 	plan.Aggregation = aggregation
 
 	// Step 2: enumerate the query-related GFUs. For aggregation queries the
@@ -302,6 +304,19 @@ func (ix *Index) groupDims(names []string) ([]int, bool) {
 		dims[k] = di
 	}
 	return dims, true
+}
+
+// rangesOnDims reports whether every range constrains a grid dimension. A
+// header counts every row of its cell, and the cells are chosen by the
+// dimension ranges alone, so a range on any other column is a filter the
+// headers never apply.
+func (ix *Index) rangesOnDims(ranges map[string]gridfile.Range) bool {
+	for name := range ranges {
+		if ix.Spec.Policy.DimIndex(name) < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // cellKeys renders the store key of every cell `each` enumerates. The keys of

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -376,8 +377,10 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 		// conjunction exactly: a join's rows exist only after the join, and
 		// a != or multi-value IN leaves ranges a superset, whose headers would
 		// count rows the residual predicate rejects. dgf.Plan decides the
-		// GROUP BY: headers serve it when each column is a unit-interval grid
-		// dimension, so every inner cell holds one group.
+		// rest: every range must be on a grid dimension (a filter on another
+		// column is one headers never apply), and headers serve a GROUP BY
+		// when each column is a unit-interval grid dimension, so every inner
+		// cell holds one group.
 		var want []dgf.AggSpec
 		if q.right == nil && q.rangesExact {
 			want = q.dgfWantSpecs()
@@ -647,20 +650,23 @@ func (q *compiledQuery) canAggRewrite(ix *hiveindex.Index) bool {
 		// multi-value IN predicate would never be applied to them.
 		return false
 	}
-	// Every aggregate must be COUNT and every GROUP BY column indexed.
+	// Every aggregate must be COUNT, and every GROUP BY and WHERE column
+	// indexed: the index rows carry no other column to filter on.
 	for _, a := range q.aggs {
 		if a.kind != aggCount {
 			return false
 		}
 	}
+	indexed := func(name string) bool {
+		return slices.ContainsFunc(ix.Cols, func(c string) bool { return strings.EqualFold(c, name) })
+	}
 	for _, g := range q.stmt.GroupBy {
-		covered := false
-		for _, c := range ix.Cols {
-			if strings.EqualFold(c, g.Name) {
-				covered = true
-			}
+		if !indexed(g.Name) {
+			return false
 		}
-		if !covered {
+	}
+	for name := range q.leftRanges {
+		if !indexed(name) {
 			return false
 		}
 	}

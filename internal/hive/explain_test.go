@@ -90,8 +90,9 @@ func TestExplainTruthful(t *testing.T) {
 // headers is decided once, by the plan, and EXPLAIN reports it. A GROUP BY
 // of the unit-interval regionId dimension with pre-computed aggregates does;
 // a GROUP BY of the day-wide ts dimension, one with min() (not pre-computed
-// by the index) and one with a != predicate (its ranges are a superset of the
-// WHERE) do not. For each, EXPLAIN's access path and precompute_hit equal the
+// by the index), one with a != predicate (its ranges are a superset of the
+// WHERE) and one filtering powerConsumed, which is no grid dimension, do not;
+// nor does a scalar aggregate with that filter. For each, EXPLAIN's access path and precompute_hit equal the
 // executed ones, its volume equals the bytes read, and the answer equals the
 // one without pre-computation.
 func TestExplainTruthfulGroupHeaders(t *testing.T) {
@@ -107,6 +108,8 @@ func TestExplainTruthfulGroupHeaders(t *testing.T) {
 		{`SELECT ts, sum(powerConsumed) FROM meterdata ` + where + ` GROUP BY ts`, false},
 		{`SELECT regionId, min(powerConsumed), count(*) FROM meterdata ` + where + ` GROUP BY regionId`, false},
 		{`SELECT regionId, count(*) FROM meterdata ` + where + ` AND regionId != 2 GROUP BY regionId`, false},
+		{`SELECT regionId, sum(powerConsumed), count(*) FROM meterdata ` + where + ` AND powerConsumed>=5 GROUP BY regionId`, false},
+		{`SELECT sum(powerConsumed), count(*) FROM meterdata ` + where + ` AND powerConsumed>=5`, false},
 	} {
 		plan := explainOf(t, w, c.sql)
 		res := mustExec(t, w, c.sql)
@@ -185,7 +188,8 @@ func TestExplainStatement(t *testing.T) {
 }
 
 // TestExplainAggRewrite: the announced aggregate-index rewrite matches the
-// executed access path.
+// executed access path, and a filter on a column the index lacks rules the
+// rewrite out.
 func TestExplainAggRewrite(t *testing.T) {
 	w := testWarehouse(1 << 20)
 	setupMeterTable(t, w, 16, 4, 3)
@@ -199,5 +203,22 @@ func TestExplainAggRewrite(t *testing.T) {
 	}
 	if !strings.HasPrefix(plan.AccessPath, "aggindex-rewrite:") {
 		t.Fatalf("access path %q, want aggindex-rewrite:*", plan.AccessPath)
+	}
+
+	// A filter on a column the index does not hold cannot be applied to its
+	// counts, so that query scans and answers what a scan without indexes
+	// answers.
+	sql = `SELECT regionId, count(*) FROM meterdata WHERE regionId>=2 AND regionId<=4 AND powerConsumed>=5 GROUP BY regionId`
+	plan = explainOf(t, w, sql)
+	res = mustExec(t, w, sql)
+	if plan.AccessPath != res.Stats.AccessPath || strings.HasPrefix(res.Stats.AccessPath, "aggindex-rewrite:") {
+		t.Fatalf("EXPLAIN %q, execution %q; want no aggindex rewrite", plan.AccessPath, res.Stats.AccessPath)
+	}
+	scanned, err := w.ExecContext(context.Background(), sql, ExecOptions{DisableIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowsEqual(res.Rows, scanned.Rows) {
+		t.Fatalf("answers %s, without indexes %s", fmtRows(res.Rows), fmtRows(scanned.Rows))
 	}
 }

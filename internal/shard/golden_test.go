@@ -276,36 +276,27 @@ func goldenTextGFUValue(v dgf.GFUValue) []byte {
 }
 
 // goldenReplicaAnswers renders the replica's table versions and the meter
-// query suite: exact rows, volumes, splits and both simulated clocks. Its
-// second result renders the suite as it was before a GROUP BY over the
-// unit-interval regionId dimension read its inner cells' headers: those
-// statements are run again with DisablePrecompute, every other line is
-// shared.
-func goldenReplicaAnswers(t *testing.T, w *hive.Warehouse) (answers, withoutGroupHeaders []string) {
+// query suite: exact rows, volumes, splits and both simulated clocks. With
+// withoutGroupHeaders it renders the suite as it was before a GROUP BY over
+// the unit-interval regionId dimension read its inner cells' headers: those
+// statements run with DisablePrecompute.
+func goldenReplicaAnswers(t *testing.T, w *hive.Warehouse, withoutGroupHeaders bool) []string {
 	t.Helper()
 	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-	render := func(q string, opts hive.ExecOptions) string {
+	v := w.TableVersions("meterdata", "userinfo")
+	out := []string{fmt.Sprintf("versions meterdata=%d userinfo=%d", v["meterdata"], v["userinfo"])}
+	for _, q := range meterQuerySuite(testMeterConfig()) {
+		opts := hive.ExecOptions{DisablePrecompute: withoutGroupHeaders && strings.HasSuffix(q, "GROUP BY regionId")}
 		res, err := w.ExecContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
 		s := res.Stats
-		return fmt.Sprintf("%s\n  %s rec=%d bytes=%d splits=%d idx=%s data=%s\n  %s", q,
+		out = append(out, fmt.Sprintf("%s\n  %s rec=%d bytes=%d splits=%d idx=%s data=%s\n  %s", q,
 			s.AccessPath, s.RecordsRead, s.BytesRead, s.Splits, g(s.IndexSimSec), g(s.DataSimSec),
-			strings.Join(renderRows(res.Rows), ";"))
+			strings.Join(renderRows(res.Rows), ";")))
 	}
-	v := w.TableVersions("meterdata", "userinfo")
-	answers = []string{fmt.Sprintf("versions meterdata=%d userinfo=%d", v["meterdata"], v["userinfo"])}
-	withoutGroupHeaders = slices.Clone(answers)
-	for _, q := range meterQuerySuite(testMeterConfig()) {
-		line := render(q, hive.ExecOptions{})
-		answers = append(answers, line)
-		if strings.HasSuffix(q, "GROUP BY regionId") {
-			line = render(q, hive.ExecOptions{DisablePrecompute: true})
-		}
-		withoutGroupHeaders = append(withoutGroupHeaders, line)
-	}
-	return answers, withoutGroupHeaders
+	return out
 }
 
 func goldenHash(lines []string) string {
@@ -315,9 +306,10 @@ func goldenHash(lines []string) string {
 
 // goldenRun builds one fleet, runs the load sequence (behind a WAL opened
 // after the base data, as everywhere in this suite, when withWAL is set) and
-// digests every replica. It also returns the rendered lines for a failing
+// digests every replica; withoutGroupHeaders is passed to
+// goldenReplicaAnswers. It also returns the rendered lines for a failing
 // comparison to print.
-func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) (goldenFleetState, map[string][]string) {
+func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, withoutGroupHeaders bool) (goldenFleetState, map[string][]string) {
 	t.Helper()
 	cfg := testMeterConfig()
 	r, err := New(Config{Shards: shards, Replicas: replicas, Key: "userId"}, newShardWarehouse)
@@ -341,8 +333,7 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 		}
 	}
 	fv := r.TableVersions("meterdata", "userinfo")
-	head := fmt.Sprintf("fleet versions meterdata=%d userinfo=%d", fv["meterdata"], fv["userinfo"])
-	lines := map[string][]string{"answers": {head}, "answersWithoutGroupHeaders": {head}}
+	lines := map[string][]string{"answers": {fmt.Sprintf("fleet versions meterdata=%d userinfo=%d", fv["meterdata"], fv["userinfo"])}}
 	for si := 0; si < shards; si++ {
 		var first []string
 		for ri := 0; ri < replicas; ri++ {
@@ -359,9 +350,7 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL bool) 
 			lines["kv"] = append(lines["kv"], head+" "+kv)
 			lines["kvRetiredMeta"] = append(lines["kvRetiredMeta"], head+" "+kvRetiredMeta)
 			lines["kvAsText"] = append(lines["kvAsText"], head+" "+kvAsText)
-			answers, withoutGroupHeaders := goldenReplicaAnswers(t, w)
-			lines["answers"] = append(append(lines["answers"], head), answers...)
-			lines["answersWithoutGroupHeaders"] = append(append(lines["answersWithoutGroupHeaders"], head), withoutGroupHeaders...)
+			lines["answers"] = append(append(lines["answers"], head), goldenReplicaAnswers(t, w, withoutGroupHeaders)...)
 			// Replicas of a shard are copies: same files, byte for byte.
 			if ri == 0 {
 				first = files
@@ -449,7 +438,7 @@ func TestLoadPathGolden(t *testing.T) {
 					name = key + "/wal"
 				}
 				t.Run(name, func(t *testing.T) {
-					got, lines := goldenRun(t, shape.shards, shape.replicas, stored, withWAL)
+					got, lines := goldenRun(t, shape.shards, shape.replicas, stored, withWAL, false)
 					want, ok := loadPathGolden[key]
 					if !ok {
 						t.Fatalf("no golden recorded for %s: {%q, %q, %q, %q, %q}", key, got.files, got.kv, got.answers, got.kvRetiredMeta, got.kvAsText)
@@ -479,7 +468,7 @@ func TestLoadPathGoldenMovedAsDescribed(t *testing.T) {
 		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
 			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
 			t.Run(key, func(t *testing.T) {
-				got, lines := goldenRun(t, shape.shards, shape.replicas, stored, false)
+				got, lines := goldenRun(t, shape.shards, shape.replicas, stored, false, false)
 				if want := loadPathGolden[key].kvRetiredMeta; got.kvRetiredMeta != want {
 					t.Errorf("index key-values, retired metadata put back, hash to %s, c084951's hashed to %s\n%s",
 						got.kvRetiredMeta, want, strings.Join(lines["kvRetiredMeta"], "\n"))
@@ -505,10 +494,10 @@ func TestLoadPathGoldenGroupHeadersMovedAsDescribed(t *testing.T) {
 		for _, stored := range []string{"TEXTFILE", "RCFILE"} {
 			key := fmt.Sprintf("%dx%d/%s", shape.shards, shape.replicas, strings.ToLower(stored))
 			t.Run(key, func(t *testing.T) {
-				_, lines := goldenRun(t, shape.shards, shape.replicas, stored, false)
-				if got, want := goldenHash(lines["answersWithoutGroupHeaders"]), loadPathGoldenAnswersBeforeGroupHeaders[key]; got != want {
+				got, lines := goldenRun(t, shape.shards, shape.replicas, stored, false, true)
+				if want := loadPathGoldenAnswersBeforeGroupHeaders[key]; got.answers != want {
 					t.Errorf("answers, GROUP BY regionId without pre-computation, hash to %s, they hashed to %s\n%s",
-						got, want, strings.Join(lines["answersWithoutGroupHeaders"], "\n"))
+						got.answers, want, strings.Join(lines["answers"], "\n"))
 				}
 			})
 		}
@@ -528,7 +517,7 @@ func TestLoadPathGoldenGroupsMovedAsDescribed(t *testing.T) {
 	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
 		key := fmt.Sprintf("%dx%d/rcfile", shape.shards, shape.replicas)
 		t.Run(key, func(t *testing.T) {
-			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false)
+			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false, false)
 			if got, want := goldenHash(lines["filesGroups"]), loadPathGoldenGroups[key]; got != want {
 				t.Errorf("files, group index files written back, hash to %s, they hashed to %s\n%s",
 					got, want, strings.Join(lines["filesGroups"], "\n"))
@@ -550,7 +539,7 @@ func TestLoadPathGoldenColStatsMovedAsDescribed(t *testing.T) {
 	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
 		key := fmt.Sprintf("%dx%d/rcfile", shape.shards, shape.replicas)
 		t.Run(key, func(t *testing.T) {
-			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false)
+			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false, false)
 			if got, want := goldenHash(lines["filesColStatsV3"]), loadPathGoldenColStatsV3[key]; got != want {
 				t.Errorf("files, column statistics written as version 3, hash to %s, version 3 hashed to %s\n%s",
 					got, want, strings.Join(lines["filesColStatsV3"], "\n"))

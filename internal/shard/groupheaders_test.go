@@ -48,16 +48,18 @@ func groupHeaderTables(t *testing.T, l loader, stored string, rows []storage.Row
 }
 
 // groupHeaderQuery is one randomised statement: unit marks a grouping by
-// unit-interval dimensions only, inner a box with inner cells. It must read
-// the pre-computed headers when both hold.
+// unit-interval dimensions only, inner a box with inner cells, filtered a
+// predicate on powerConsumed, which is no grid dimension. It must read the
+// pre-computed headers when unit and inner hold and filtered does not.
 type groupHeaderQuery struct {
-	sql         string
-	unit, inner bool
+	sql                   string
+	unit, inner, filtered bool
 }
 
 // groupHeaderQueries draws GROUP BY statements over both tables: one or two
-// group columns, sum, count and avg, and a box that has inner cells on every
-// dimension or lacks them on one.
+// group columns, sum, count and avg, a box that has inner cells on every
+// dimension or lacks them on one, and in a quarter of them a filter on a
+// column the grid does not index.
 func groupHeaderQueries(rng *rand.Rand, base time.Time, n int) []groupHeaderQuery {
 	groupings := []struct {
 		table string
@@ -118,12 +120,17 @@ func groupHeaderQueries(rng *rand.Rand, base time.Time, n int) []groupHeaderQuer
 				where = append(where, "voltage>=205 AND voltage<230")
 			}
 		}
+		filtered := rng.Intn(4) == 0
+		if filtered {
+			where = append(where, fmt.Sprintf("powerConsumed>=%d", rng.Intn(800)+100))
+		}
 		cols := strings.Join(g.cols, ", ")
 		out = append(out, groupHeaderQuery{
 			sql: fmt.Sprintf("SELECT %s, %s FROM %s WHERE %s GROUP BY %s",
 				cols, strings.Join(sel, ", "), g.table, strings.Join(where, " AND "), cols),
-			unit:  g.unit,
-			inner: inner,
+			unit:     g.unit,
+			inner:    inner,
+			filtered: filtered,
 		})
 	}
 	return out
@@ -136,7 +143,8 @@ func groupHeaderQueries(rng *rand.Rand, base time.Time, n int) []groupHeaderQuer
 // merge tolerance. Qualifying statements report the precompute path and read
 // fewer records; the others report the scan of every cell. The suite runs on
 // 1x1 and 4x2 fleets over TextFile and RCFile data, and covers boxes with
-// inner cells, without them, and with missing cells.
+// inner cells, without them, and with missing cells, and filters on a column
+// that is no grid dimension, which headers cannot apply.
 func TestGroupHeadersEquivalenceRandomised(t *testing.T) {
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
 	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 2}} {
@@ -149,7 +157,7 @@ func TestGroupHeadersEquivalenceRandomised(t *testing.T) {
 				}
 				groupHeaderTables(t, r, stored, groupHeaderRows(rng, base))
 				ctx := context.Background()
-				var hits, misses, noInner, missing int
+				var hits, misses, noInner, missing, filtered int
 				for _, q := range groupHeaderQueries(rng, base, 60) {
 					got, err := r.ExecContext(ctx, q.sql, hive.ExecOptions{})
 					if err != nil {
@@ -171,10 +179,11 @@ func TestGroupHeadersEquivalenceRandomised(t *testing.T) {
 						t.Fatal(err)
 					}
 					hit := strings.HasSuffix(got.Stats.AccessPath, "dgfindex(precompute)")
+					qualifies := q.unit && q.inner && !q.filtered
 					switch {
-					case hit != (q.unit && q.inner) || plan.AccessPath != got.Stats.AccessPath || plan.PrecomputeHit != hit:
+					case hit != qualifies || plan.AccessPath != got.Stats.AccessPath || plan.PrecomputeHit != hit:
 						t.Errorf("%s: executed %q, EXPLAIN %q (precompute_hit %v); want a precompute hit: %v",
-							q.sql, got.Stats.AccessPath, plan.AccessPath, plan.PrecomputeHit, q.unit && q.inner)
+							q.sql, got.Stats.AccessPath, plan.AccessPath, plan.PrecomputeHit, qualifies)
 					case hit && got.Stats.RecordsRead >= want.Stats.RecordsRead:
 						t.Errorf("%s: read %d records, %d without pre-computation", q.sql, got.Stats.RecordsRead, want.Stats.RecordsRead)
 					case !hit && (got.Stats.RecordsRead != want.Stats.RecordsRead || got.Stats.BytesRead != want.Stats.BytesRead):
@@ -187,15 +196,19 @@ func TestGroupHeadersEquivalenceRandomised(t *testing.T) {
 						if plan.MissingCells > 0 {
 							missing++
 						}
+					case q.filtered:
+						if q.unit && q.inner {
+							filtered++
+						}
 					case q.unit:
 						noInner++
 					default:
 						misses++
 					}
 				}
-				if hits == 0 || misses == 0 || noInner == 0 || missing == 0 {
-					t.Errorf("the suite had %d precompute hits (%d with missing cells), %d qualifying groupings without inner cells and %d non-qualifying statements; each must occur",
-						hits, missing, noInner, misses)
+				if hits == 0 || misses == 0 || noInner == 0 || missing == 0 || filtered == 0 {
+					t.Errorf("the suite had %d precompute hits (%d with missing cells), %d qualifying groupings without inner cells, %d with inner cells and a filter off the grid, and %d non-qualifying statements; each must occur",
+						hits, missing, noInner, filtered, misses)
 				}
 			})
 		}

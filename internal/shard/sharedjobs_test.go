@@ -180,8 +180,8 @@ func TestReplicaSetBuildKilledReplicaBuildsAlone(t *testing.T) {
 	if ran, installed := r.Replica(1, 1).DgfJobs.Counts(); ran != 1 || installed != 0 {
 		t.Errorf("shard 1: %d jobs ran and %d were installed, want the survivor's own run only", ran, installed)
 	}
-	want, _ := goldenReplicaAnswers(t, healthy.Replica(1, 1))
-	got, _ := goldenReplicaAnswers(t, r.Replica(1, 1))
+	want := goldenReplicaAnswers(t, healthy.Replica(1, 1), false)
+	got := goldenReplicaAnswers(t, r.Replica(1, 1), false)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("shard 1 replica 1 answers\n%s\nwant (healthy fleet)\n%s", got[i], want[i])
