@@ -168,7 +168,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 			return nil, err
 		}
 		var install *sharedJob
-		publish, install = ix.shared.start(ix.DataDir, gen, desc)
+		publish, install = ix.shared.start(jobKey{dir: ix.DataDir}, gen, desc)
 		if install != nil {
 			<-install.done
 			if install.out != nil {
@@ -177,7 +177,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 			}
 		}
 		if publish != nil {
-			defer ix.shared.finish(ix.DataDir, publish, nil) // a no-op once published
+			defer ix.shared.finish(jobKey{dir: ix.DataDir}, publish, nil) // a no-op once published
 		}
 		ix.shared.count(false)
 	}
@@ -270,7 +270,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 		// A run whose output cannot be read back still succeeded here; the
 		// deferred finish then tells the siblings to run the job themselves.
 		if out, err := ix.collectOutput(gen, tasks, lo, hi, *jobStats); err == nil {
-			ix.shared.finish(ix.DataDir, publish, out)
+			ix.shared.finish(jobKey{dir: ix.DataDir}, publish, out)
 		}
 	}
 	ix.extendCellBounds(fresh, lo, hi)

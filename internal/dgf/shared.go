@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
@@ -17,19 +19,22 @@ import (
 )
 
 // The replicas of a shard hold the same base data and apply the same DDL and
-// loads, so every reorganisation job (Build, Append) a replica runs, its
-// siblings run over the same bytes. The paper runs that job once and lets
-// HDFS replicate its output; SharedJobs does the same for a replica set. The
-// first replica to start a job runs it and publishes what it produced that
-// does not depend on its own store: the output files, each reduce task's
-// pairs before they merge with stored ones, the observed cell bounds and the
-// job's statistics. A sibling that then starts the same job — one whose
-// description (describeJob) has the same SHA-256 digest — waits for it,
-// writes the files into its own filesystem and merges the pairs into its own
-// key-value store, task by task, as its own reduce tasks would have. Replicas
-// stay independent stores: nothing reads another replica's filesystem or
-// store, and a sibling whose job differs in any byte, or whose publisher
-// failed, runs the job itself.
+// loads, so every reorganisation job (Build, Append) a replica runs, and
+// every data file a load writes, its siblings produce from the same bytes.
+// The paper writes a file once and lets HDFS replicate it; SharedJobs does
+// the same for a replica set. The first replica to start a job runs it and
+// publishes what it produced that does not depend on its own store: the
+// output files, each reduce task's pairs before they merge with stored ones,
+// the observed cell bounds and the job's statistics. A sibling that then
+// starts the same job — one whose description (describeJob) has the same
+// SHA-256 digest — waits for it, writes the files into its own filesystem and
+// merges the pairs into its own key-value store, task by task, as its own
+// reduce tasks would have. A load (Load) is a job too: the first replica to
+// apply it encodes its rows into the table's files and publishes their bytes,
+// and a sibling applying the same rows to the same files copies those bytes
+// instead of encoding the rows again. Replicas stay independent stores:
+// nothing reads another replica's filesystem or store, and a sibling whose
+// job differs in any byte, or whose publisher failed, runs the job itself.
 
 // SharedJobs is one replica's handle on its replica set's shared record of
 // reorganisation jobs. A nil *SharedJobs is a replica without siblings: every
@@ -42,7 +47,7 @@ type SharedJobs struct {
 // NewSharedJobs creates the record of a set of n replicas and returns each
 // replica's handle on it, indexed by replica.
 func NewSharedJobs(n int) []*SharedJobs {
-	rec := &jobRecord{n: n, indexes: map[string]*indexJobs{}}
+	rec := &jobRecord{n: n, indexes: map[jobKey]*indexJobs{}}
 	out := make([]*SharedJobs, n)
 	for i := range out {
 		out[i] = &SharedJobs{rec: rec, replica: i}
@@ -50,35 +55,58 @@ func NewSharedJobs(n int) []*SharedJobs {
 	return out
 }
 
-// Held returns how many job results the record keeps, finished or still
-// running: at most one per index.
-func (s *SharedJobs) Held() int {
+// Held returns how many reorganisation job results the record keeps,
+// finished or still running: at most one per index.
+func (s *SharedJobs) Held() int { return s.held(false) }
+
+// HeldLoads returns how many loads' files the record keeps, written or still
+// being written: at most one per table.
+func (s *SharedJobs) HeldLoads() int { return s.held(true) }
+
+func (s *SharedJobs) held(loads bool) int {
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
 	n := 0
-	for _, ij := range s.rec.indexes {
-		if ij.job != nil {
+	for k, ij := range s.rec.indexes {
+		if k.load == loads && ij.job != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// Counts returns how many jobs the set's replicas ran under the record, and
-// how many they installed from a sibling instead of running.
+// Counts returns how many reorganisation jobs the set's replicas ran under
+// the record, and how many they installed from a sibling instead of running.
 func (s *SharedJobs) Counts() (ran, installed int) {
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
 	return s.rec.ran, s.rec.installed
 }
 
+// LoadCounts returns how many loads the set's replicas wrote under the
+// record, and how many they installed from a sibling instead of writing.
+func (s *SharedJobs) LoadCounts() (written, installed int) {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	return s.rec.loadsWritten, s.rec.loadsInstalled
+}
+
 // jobRecord is what the handles of one replica set share.
 type jobRecord struct {
 	mu      sync.Mutex
 	n       int
-	indexes map[string]*indexJobs // by the index's data directory
+	indexes map[jobKey]*indexJobs
 
-	ran, installed int // jobs run and results installed under the record
+	ran, installed               int // reorganisation jobs run and installed
+	loadsWritten, loadsInstalled int // loads written and installed
+}
+
+// jobKey names the jobs that follow one another at rising generations: an
+// index's reorganisation jobs, by its data directory, or a table's loads, by
+// the table's directory (which an index's data directory may equal).
+type jobKey struct {
+	load bool
+	dir  string
 }
 
 // indexJobs is the record of one index: the generation each replica last
@@ -107,6 +135,7 @@ type jobOutput struct {
 	tasks  []taskPairs // in task order
 	lo, hi []int64     // observed cell bounds, nil when no record was read
 	stats  mapreduce.Stats
+	rows   []storage.Row // a load's rows, which a sibling's must equal
 }
 
 // outputFile is one file the job wrote: a Slice file or one of its sidecars.
@@ -122,21 +151,21 @@ type taskPairs struct {
 }
 
 // start records that this replica starts the job with description desc at
-// generation gen of the index whose data lives in dir. It returns either the
-// job to publish into — this replica runs it and a sibling may install it —
-// or a sibling's job with the same description to wait for and install; both
-// nil means run alone.
-func (s *SharedJobs) start(dir string, gen int, desc [sha256.Size]byte) (publish, install *sharedJob) {
+// generation gen of the index or table key names. It returns either the job
+// to publish into — this replica runs it and a sibling may install it — or a
+// sibling's job with the same description to wait for and install; both nil
+// means run alone.
+func (s *SharedJobs) start(key jobKey, gen int, desc [sha256.Size]byte) (publish, install *sharedJob) {
 	rec, me := s.rec, s.replica
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	ij := rec.indexes[dir]
+	ij := rec.indexes[key]
 	if ij == nil {
 		ij = &indexJobs{began: make([]int, rec.n)}
 		for i := range ij.began {
 			ij.began[i] = -1
 		}
-		rec.indexes[dir] = ij
+		rec.indexes[key] = ij
 	}
 	ij.began[me] = gen
 	if j := ij.job; j != nil && j.pending[me] {
@@ -182,14 +211,14 @@ func (ij *indexJobs) release(r int) {
 // finish publishes the outcome of job j: out, or nil for a failed job, which
 // the record then stops holding. Only the first call counts, so a publisher
 // may defer finish(nil) as its failure path.
-func (s *SharedJobs) finish(dir string, j *sharedJob, out *jobOutput) {
+func (s *SharedJobs) finish(key jobKey, j *sharedJob, out *jobOutput) {
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
 	if j.closed {
 		return
 	}
 	j.closed, j.out = true, out
-	if ij := s.rec.indexes[dir]; out == nil && ij.job == j {
+	if ij := s.rec.indexes[key]; out == nil && ij.job == j {
 		ij.job = nil
 	}
 	close(j.done)
@@ -204,6 +233,96 @@ func (s *SharedJobs) count(installed bool) {
 	} else {
 		s.rec.ran++
 	}
+}
+
+// Load writes the files of one load on this replica, once per replica set.
+// dir is the table's directory and gen its file sequence number before the
+// load; paths lists every file write creates, sidecars included, and desc
+// the rest the files' bytes are a function of besides the rows (the table's
+// storage settings). The first replica to apply a load runs write and
+// publishes the files' bytes with its rows; a sibling applying a load with
+// the same description and paths at the same generation, whose rows equal
+// those cell for cell, writes those bytes into fs instead. A
+// sibling whose rows differ, or whose publisher failed, runs write itself. A
+// nil *SharedJobs runs write. On an error the caller removes what paths
+// names, as a failed write leaves it. A sibling waits for its publisher with
+// its own warehouse locked; a publisher never waits for a sibling.
+func (s *SharedJobs) Load(fs *dfs.FS, dir string, gen int, desc string, rows []storage.Row, paths []string, write func() error) error {
+	if s == nil {
+		return write()
+	}
+	key := jobKey{load: true, dir: dir}
+	digest := sha256.Sum256([]byte(fmt.Sprintf("%d\x00%s\x00%s", gen, desc, strings.Join(paths, "\x00"))))
+	publish, install := s.start(key, gen, digest)
+	if install != nil {
+		<-install.done
+		if out := install.out; out != nil && sameRows(out.rows, rows) {
+			s.countLoad(true)
+			for _, f := range out.files {
+				if err := f.writeTo(fs); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if publish != nil {
+		defer s.finish(key, publish, nil) // a no-op once published
+	}
+	s.countLoad(false)
+	if err := write(); err != nil {
+		return err
+	}
+	if publish != nil {
+		out := &jobOutput{rows: rows, files: make([]outputFile, len(paths))}
+		for i, p := range paths {
+			data, err := fs.ReadFile(p)
+			if err != nil {
+				// The load succeeded here; the deferred finish tells the
+				// siblings to write their own files.
+				return nil
+			}
+			out.files[i] = outputFile{path: p, data: data}
+		}
+		s.finish(key, publish, out)
+	}
+	return nil
+}
+
+// countLoad tallies one load this replica wrote, or installed from a sibling.
+func (s *SharedJobs) countLoad(installed bool) {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	if installed {
+		s.rec.loadsInstalled++
+	} else {
+		s.rec.loadsWritten++
+	}
+}
+
+// sameRows reports whether two loads' rows are equal cell for cell: kind, I,
+// the bits of F, and S. Rows that share their cells — every replica of a
+// shard applies the same committed record — match without a look at them.
+func sameRows(a, b []storage.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if len(x) != len(y) {
+			return false
+		}
+		if len(x) == 0 || &x[0] == &y[0] {
+			continue
+		}
+		for j, v := range x {
+			w := y[j]
+			if v.Kind != w.Kind || v.I != w.I || math.Float64bits(v.F) != math.Float64bits(w.F) || v.S != w.S {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // describeJob digests everything a build job's output is a function of: the

@@ -165,3 +165,71 @@ func TestSharedJobsFailedRunsStayPerReplica(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedJobsLoadThreeReplicas: in a set of three replicas applying the
+// same loads at once, each load is written once and installed twice, and
+// every replica ends with the writer's bytes. A load whose first writer
+// fails publishes nothing: the next sibling to start it writes its own and
+// publishes that for the last. Loads and reorganisation jobs are counted
+// apart, and nothing is held afterwards.
+func TestSharedJobsLoadThreeReplicas(t *testing.T) {
+	jobs := NewSharedJobs(3)
+	fss := []*dfs.FS{dfs.New(1 << 12), dfs.New(1 << 12), dfs.New(1 << 12)}
+	rows := goldenRows(0, 2, 0, 3)
+	load := func(r, gen int, fail bool) error {
+		p := fmt.Sprintf("/tbl/part-%05d", gen)
+		return jobs[r].Load(fss[r], "/tbl", gen, p, rows, []string{p}, func() error {
+			if err := storage.WriteTextRows(fss[r], p, rows); err != nil {
+				return err
+			}
+			if fail {
+				fss[r].RemoveAll(p)
+				return fmt.Errorf("replica %d fails its write", r)
+			}
+			return nil
+		})
+	}
+	for gen := 0; gen < 4; gen++ {
+		errs := make([]error, 3)
+		var wg sync.WaitGroup
+		if gen == 3 {
+			// Replica 0 starts first and fails; the others wait for it.
+			errs[0] = load(0, gen, true)
+		}
+		for r := range fss {
+			if gen == 3 && r == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[r] = load(r, gen, false)
+			}()
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if (err != nil) != (gen == 3 && r == 0) {
+				t.Fatalf("load %d on replica %d: %v", gen, r, err)
+			}
+		}
+	}
+	if written, installed := jobs[0].LoadCounts(); written != 3+2 || installed != 2*3+1 {
+		t.Errorf("%d loads written and %d installed, want 5 and 7", written, installed)
+	}
+	if ran, installed := jobs[0].Counts(); ran != 0 || installed != 0 {
+		t.Errorf("loads counted as %d jobs run and %d installed", ran, installed)
+	}
+	if held := jobs[0].HeldLoads(); held != 0 {
+		t.Errorf("the record holds %d loads, want none", held)
+	}
+	want, err := fss[1].ReadFile("/tbl/part-00000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, fs := range fss {
+		got, err := fs.ReadFile("/tbl/part-00000")
+		if err != nil || string(got) != string(want) {
+			t.Errorf("replica %d holds %q (%v), want %q", r, got, err, want)
+		}
+	}
+}

@@ -254,7 +254,14 @@ func (w *Warehouse) tableNamesLocked() []string {
 // pairs stay consistent (the data-load flow of Section 4.2). Partitioned
 // tables route each row into its partition's directory. The table is
 // resolved and loaded under one write-lock acquisition, so the load can never
-// interleave with a concurrent DROP or CREATE of the same table.
+// interleave with a concurrent DROP or CREATE of the same table. Rows are
+// checked (storage.CheckRows) before any file is created, and a load that
+// fails removes every file it created: the table answers as it did before
+// (its version still moves).
+//
+// With DgfJobs set, the load's files are written once per replica set: the
+// first replica to apply a load encodes them, and a sibling applying the
+// same rows copies their bytes (see dgf.SharedJobs.Load).
 func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -269,63 +276,121 @@ func (w *Warehouse) loadRowsLocked(t *Table, rows []storage.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
+	files, err := w.loadFilesLocked(t, rows)
+	if err != nil {
+		return err
+	}
 	w.bumpLocked(strings.ToLower(t.Name))
-	if t.PartitionBy != "" {
-		return w.loadPartitionedLocked(t, rows)
+	gen := t.fileSeq
+	t.fileSeq += len(files)
+	// An indexed table's load stages its rows as text for the index append.
+	rc := t.Format == hiveindex.RCFile && t.Dgf == nil
+	var paths []string
+	for _, f := range files {
+		paths = append(paths, f.path)
+		if rc {
+			paths = append(paths, storage.ColStatsPath(f.path))
+		}
 	}
-	if t.Dgf != nil {
-		staging := path.Join(w.Root, "_staging", fmt.Sprintf("%s-%d", strings.ToLower(t.Name), t.fileSeq))
-		t.fileSeq++
-		err := storage.WriteTextRows(w.FS, staging, rows)
-		if err == nil {
-			_, err = t.Dgf.Append(w.Cluster, []string{staging})
+	desc := fmt.Sprintf("%s\x00%d\x00%s\x00%d\x00%t\x00%s", t.Dir, t.Format, t.Schema,
+		t.RowGroupRows, t.DisableEncoding, t.PartitionBy)
+	err = w.DgfJobs.Load(w.FS, t.Dir, gen, desc, rows, paths, func() error {
+		// Checked by the replica that writes the files: a sibling installs
+		// them only for rows equal to these.
+		if err := storage.CheckRows(t.Schema, rows); err != nil {
+			return fmt.Errorf("hive: load into %q: %w", t.Name, err)
 		}
-		// The staging file goes whatever happened: a failed apply is retried
-		// under a new sequence number, so a kept file would pile up once per
-		// retry under the warehouse root.
-		if rmErr := w.FS.RemoveAll(staging); err == nil {
-			err = rmErr
+		for _, f := range files {
+			var err error
+			if rc {
+				_, err = storage.WriteRCRowsOpts(w.FS, f.path, t.Schema, f.rows, t.RowGroupRows,
+					storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
+			} else {
+				err = storage.WriteTextRows(w.FS, f.path, f.rows)
+			}
+			if err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		w.removeLoadLocked(t, paths)
 		return err
 	}
-	name := path.Join(t.Dir, fmt.Sprintf("part-%05d", t.fileSeq))
-	t.fileSeq++
-	switch t.Format {
-	case hiveindex.RCFile:
-		_, err := storage.WriteRCRowsOpts(w.FS, name, t.Schema, rows, t.RowGroupRows,
-			storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
-		return err
+	if t.Dgf == nil {
+		return nil
+	}
+	staging := files[0].path
+	_, err = t.Dgf.Append(w.Cluster, []string{staging})
+	// The staging file goes whatever happened: a failed apply is retried
+	// under a new sequence number, so a kept file would pile up once per
+	// retry under the warehouse root.
+	if rmErr := w.FS.RemoveAll(staging); err == nil {
+		err = rmErr
+	}
+	return err
+}
+
+// loadFile is one file a load writes, and the rows it holds.
+type loadFile struct {
+	path string
+	rows []storage.Row
+}
+
+// loadFilesLocked names the files a load of rows into t writes, numbered
+// from t.fileSeq: one data file, a staging file for a DGF-indexed table's
+// append, or one data file per touched partition in the partitions' sorted
+// order — so every run, and every replica of a shard, gives a partition the
+// same file.
+func (w *Warehouse) loadFilesLocked(t *Table, rows []storage.Row) ([]loadFile, error) {
+	switch {
+	case t.PartitionBy != "":
+		ci := t.Schema.ColIndex(t.PartitionBy)
+		if ci < 0 {
+			return nil, fmt.Errorf("hive: partition column %q not in schema of %q", t.PartitionBy, t.Name)
+		}
+		byPart := map[string][]storage.Row{}
+		for _, r := range rows {
+			var val string
+			if ci < len(r) { // a short row fails the load's check before a file is written
+				val = r[ci].String()
+			}
+			byPart[val] = append(byPart[val], r)
+		}
+		vals := make([]string, 0, len(byPart))
+		for val := range byPart {
+			vals = append(vals, val)
+		}
+		sort.Strings(vals)
+		files := make([]loadFile, len(vals))
+		for i, val := range vals {
+			files[i] = loadFile{
+				path: path.Join(t.Dir, t.PartitionBy+"="+val, fmt.Sprintf("part-%05d", t.fileSeq+i)),
+				rows: byPart[val],
+			}
+		}
+		return files, nil
+	case t.Dgf != nil:
+		return []loadFile{{path: path.Join(w.Root, "_staging", fmt.Sprintf("%s-%d", strings.ToLower(t.Name), t.fileSeq)), rows: rows}}, nil
 	default:
-		return storage.WriteTextRows(w.FS, name, rows)
+		return []loadFile{{path: path.Join(t.Dir, fmt.Sprintf("part-%05d", t.fileSeq)), rows: rows}}, nil
 	}
 }
 
-// loadPartitionedLocked splits the batch into one file per touched partition.
-func (w *Warehouse) loadPartitionedLocked(t *Table, rows []storage.Row) error {
-	ci := t.Schema.ColIndex(t.PartitionBy)
-	if ci < 0 {
-		return fmt.Errorf("hive: partition column %q not in schema of %q", t.PartitionBy, t.Name)
-	}
-	byPart := map[string][]storage.Row{}
-	for _, r := range rows {
-		byPart[r[ci].String()] = append(byPart[r[ci].String()], r)
-	}
-	for val, part := range byPart {
-		dir := path.Join(t.Dir, t.PartitionBy+"="+val)
-		name := path.Join(dir, fmt.Sprintf("part-%05d", t.fileSeq))
-		t.fileSeq++
-		var err error
-		if t.Format == hiveindex.RCFile {
-			_, err = storage.WriteRCRowsOpts(w.FS, name, t.Schema, part, t.RowGroupRows,
-				storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
-		} else {
-			err = storage.WriteTextRows(w.FS, name, part)
-		}
-		if err != nil {
-			return err
+// removeLoadLocked deletes the files a failed load may have created — names
+// at sequence numbers no earlier load used — and a partition directory that
+// leaves empty: it would still count as a partition.
+func (w *Warehouse) removeLoadLocked(t *Table, paths []string) {
+	for _, p := range paths {
+		w.FS.RemoveAll(p)
+		for dir := path.Dir(p); t.PartitionBy != "" && dir != t.Dir; dir = path.Dir(dir) {
+			if fis, err := w.FS.List(dir); err != nil || len(fis) > 0 {
+				break
+			}
+			w.FS.RemoveAll(dir)
 		}
 	}
-	return nil
 }
 
 // partitionsLocked lists the table's partition values, sorted. Caller holds

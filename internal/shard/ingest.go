@@ -101,13 +101,8 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 	if err != nil {
 		return LoadAck{}, err
 	}
-	for i, row := range rows {
-		if len(row) != schema.Len() {
-			return LoadAck{}, fmt.Errorf("shard: row %d has %d columns, table %q has %d", i, len(row), table, schema.Len())
-		}
-		if err := storage.CheckTextRow(row); err != nil {
-			return LoadAck{}, fmt.Errorf("shard: row %d of a load into %q: %w", i, table, err)
-		}
+	if err := storage.CheckIngestRows(schema, rows); err != nil {
+		return LoadAck{}, fmt.Errorf("shard: load into %q: %w", table, err)
 	}
 	batches, err := r.loadBatches(table, rows)
 	if err != nil {

@@ -172,8 +172,9 @@ type Router struct {
 // Every warehouse must get its own filesystem: shards are independent
 // stores, not views of one, and a shard's replicas are independent copies.
 // The replicas of a shard share one record of DGFIndex reorganisation jobs
-// (dgf.SharedJobs), so a build or append over the same bytes runs once per
-// shard and the siblings install its output into their own stores.
+// and loads (dgf.SharedJobs), so a build or append over the same bytes runs
+// once per shard, and so does the encoding of a load's files; the siblings
+// install the output into their own stores.
 // The router starts one applier goroutine per replica; CloseWAL joins them.
 func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {

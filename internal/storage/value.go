@@ -140,11 +140,37 @@ func (v Value) AppendText(dst []byte) []byte {
 	case KindInt64:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat64:
+		if v.F > 0 && v.F < maxCentsText {
+			if c := int64(v.F*100 + 0.5); float64(c)/100 == v.F {
+				return appendCents(dst, c)
+			}
+		}
 		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KindTime:
 		return appendTimeText(dst, v.I)
 	default:
 		return append(dst, v.S...)
+	}
+}
+
+// maxCentsText bounds appendCents: from 1e6 up, 'g' with the shortest
+// precision switches to exponent form ("1.1666145821e+08").
+const maxCentsText = 1e6
+
+// appendCents renders c/100 the way strconv.AppendFloat(dst, f, 'g', -1, 64)
+// renders the double f nearest to it, for 0 < c/100 < maxCentsText: that
+// decimal reads back as f, and no decimal with fewer digits lies as near, so
+// it is the shortest rendering; trailing zeros of the fraction are dropped.
+// Meter readings are whole cents, and this skips the shortest-digit search.
+func appendCents(dst []byte, c int64) []byte {
+	dst = strconv.AppendInt(dst, c/100, 10)
+	switch frac := c % 100; {
+	case frac == 0:
+		return dst
+	case frac%10 == 0:
+		return append(dst, '.', byte('0'+frac/10))
+	default:
+		return append(dst, '.', byte('0'+frac/10), byte('0'+frac%10))
 	}
 }
 
