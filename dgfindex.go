@@ -191,10 +191,11 @@ func NewSharded(cfg ShardConfig) (*ShardRouter, error) {
 // NewShardedWithConfig creates a shard router whose warehouses share a
 // cluster model and block size (the sharded sibling of NewWithConfig). Each
 // shard — and each replica of each shard — still gets its own filesystem:
-// they are independent stores. The replicas of a shard share only a record
-// of DGFIndex build jobs, so a build runs on one of them; the others write
-// its output files into their own filesystems and merge its pairs into
-// their own key-value stores, and none reads another's.
+// namespaces, key-value stores and file lifetimes are per replica. The
+// replicas of a shard share a record of DGFIndex jobs and loads, so a build
+// or a load's encoding runs on one of them; the others install its sealed
+// output files into their own filesystems, holding the same payloads rather
+// than copies, and merge its pairs into their own key-value stores.
 func NewShardedWithConfig(cfg ShardConfig, cc *ClusterConfig, blockSize int64) (*ShardRouter, error) {
 	return shard.New(cfg, func(int, int) *Warehouse {
 		return hive.NewWarehouse(dfs.New(blockSize), cc, "/warehouse")

@@ -14,6 +14,15 @@
 // The implementation is in-process and thread-safe. Block payloads live in
 // memory; at the scales the benchmarks use (hundreds of MB) this is both the
 // fastest and the simplest faithful substitute for a real HDFS cluster.
+//
+// Files are write-once, as in HDFS. Closing a file's writer seals the file,
+// and nothing in this package writes into a sealed file's blocks again: Write
+// refuses a sealed file, WriteFile replaces the node rather than rewriting
+// it, RemoveAll drops nodes, and reads copy bytes out. So a sealed file's
+// payloads may be held by more than one filesystem: Sealed hands them out as
+// a value, and Install creates a file from one without copying them when
+// the two filesystems' block sizes agree. Every file still has its own node
+// and block list; only the payloads are shared.
 package dfs
 
 import (
@@ -37,11 +46,12 @@ const NameNodeBytesPerObject = 150
 
 // Common errors returned by the filesystem.
 var (
-	ErrNotExist = errors.New("dfs: no such file or directory")
-	ErrExist    = errors.New("dfs: file already exists")
-	ErrIsDir    = errors.New("dfs: is a directory")
-	ErrNotDir   = errors.New("dfs: not a directory")
-	ErrNotEmpty = errors.New("dfs: directory not empty")
+	ErrNotExist  = errors.New("dfs: no such file or directory")
+	ErrExist     = errors.New("dfs: file already exists")
+	ErrIsDir     = errors.New("dfs: is a directory")
+	ErrNotDir    = errors.New("dfs: not a directory")
+	ErrNotEmpty  = errors.New("dfs: directory not empty")
+	ErrNotSealed = errors.New("dfs: file is still open for writing")
 )
 
 // FS is an in-process model of an HDFS namespace plus datanode storage.
@@ -69,6 +79,7 @@ type node struct {
 	children map[string]*node // directories only
 	blocks   [][]byte         // files only
 	size     int64            // files only
+	sealed   bool             // files only: the writer has closed
 }
 
 // New creates an empty filesystem with the given block size. A non-positive
@@ -103,12 +114,11 @@ func (fs *FS) ResetCounters() {
 // every query plan — column statistics and the row groups they locate — is
 // decoded once instead of per query. The cache key is the path; an entry
 // is valid while the file keeps the size it had when parsed — appends (the
-// only in-place mutation this DFS offers) grow the size, and every
-// truncating or namespace operation (Create, Remove, RemoveAll, Rename)
-// evicts the affected entries outright. A missing file caches too (size
-// -1), so repeated probes for an absent side file cost one Stat. Callers
-// must treat the returned value as immutable — it is shared with every
-// other caller.
+// only in-place mutation this DFS offers) grow the size, and Remove and
+// RemoveAll evict the affected entries outright. A missing file caches too
+// (size -1), so repeated probes for an absent side file cost one Stat.
+// Callers must treat the returned value as immutable — it is shared with
+// every other caller.
 func (fs *FS) CachedParse(p string, parse func() (any, error)) (any, error) {
 	key := path.Clean("/" + p)
 	size := int64(-1)
@@ -326,39 +336,6 @@ func (fs *FS) RemoveAll(p string) error {
 	return nil
 }
 
-// Rename moves the entry at oldPath to newPath. The destination must not
-// already exist; destination parents are created.
-func (fs *FS) Rename(oldPath, newPath string) error {
-	newDir, newBase := path.Split(path.Clean("/" + newPath))
-	if err := fs.MkdirAll(newDir); err != nil {
-		return err
-	}
-	oldDir, oldBase := path.Split(path.Clean("/" + oldPath))
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	oldParent, err := fs.lookup(oldDir)
-	if err != nil {
-		return err
-	}
-	n, ok := oldParent.children[oldBase]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotExist, oldPath)
-	}
-	newParent, err := fs.lookup(newDir)
-	if err != nil {
-		return err
-	}
-	if _, exists := newParent.children[newBase]; exists {
-		return fmt.Errorf("%w: %s", ErrExist, newPath)
-	}
-	delete(oldParent.children, oldBase)
-	n.name = newBase
-	newParent.children[newBase] = n
-	fs.invalidateParseTree(oldPath)
-	fs.invalidateParseTree(newPath)
-	return nil
-}
-
 // NameNodeStats summarises NameNode metadata usage.
 type NameNodeStats struct {
 	Dirs, Files, Blocks int
@@ -391,10 +368,9 @@ func (fs *FS) NameNodeUsage() NameNodeStats {
 
 // FileWriter appends data to a file, splitting it into blocks.
 type FileWriter struct {
-	fs     *FS
-	f      *node
-	path   string
-	closed bool
+	fs   *FS
+	f    *node
+	path string
 }
 
 // Path returns the file's absolute path.
@@ -409,16 +385,16 @@ func (w *FileWriter) Size() int64 {
 
 // Write appends p to the file.
 func (w *FileWriter) Write(p []byte) (int, error) {
-	if w.closed {
-		return 0, errors.New("dfs: write to closed file")
-	}
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
+	if w.f.sealed {
+		return 0, errors.New("dfs: write to closed file")
+	}
 	bs := w.fs.blockSize
 	remaining := p
 	for len(remaining) > 0 {
 		if n := len(w.f.blocks); n == 0 || int64(len(w.f.blocks[n-1])) >= bs {
-			w.f.blocks = append(w.f.blocks, make([]byte, 0, min64(bs, int64(len(remaining)))))
+			w.f.blocks = append(w.f.blocks, make([]byte, 0, min(bs, int64(len(remaining)))))
 		}
 		last := len(w.f.blocks) - 1
 		room := bs - int64(len(w.f.blocks[last]))
@@ -434,19 +410,22 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteString appends s to the file.
+// WriteString appends s to the file. It converts s to bytes, which copies
+// it, before Write copies those into the file's blocks.
 func (w *FileWriter) WriteString(s string) (int, error) {
-	// Avoid a copy for the common case of line-at-a-time writers.
 	return w.Write([]byte(s))
 }
 
-// Close finalises the file. Further writes fail. A block Write grew by
-// append keeps its spare capacity only while the file can still grow: Close
-// copies it to its length, so a closed file holds its bytes and no more.
+// Close seals the file. Further writes fail. A block Write grew by append
+// keeps its spare capacity only while the file can still grow: Close copies
+// it to its length, so a sealed file holds its bytes and no more.
 func (w *FileWriter) Close() error {
 	w.fs.mu.Lock()
 	defer w.fs.mu.Unlock()
-	w.closed = true
+	if w.f.sealed {
+		return nil
+	}
+	w.f.sealed = true
 	for i, b := range w.f.blocks {
 		if cap(b) > len(b) {
 			w.f.blocks[i] = append(make([]byte, 0, len(b)), b...)
@@ -455,11 +434,96 @@ func (w *FileWriter) Close() error {
 	return nil
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// SealedFile is the contents of a sealed file as an immutable value: its
+// block payloads, its size and the block size they were cut at. It holds the
+// payloads themselves, not a copy; its fields are unexported, so no caller
+// can write into them.
+type SealedFile struct {
+	blocks    [][]byte
+	size      int64
+	blockSize int64
+}
+
+// Shares reports whether f and g hold their bytes in the same memory: the
+// same number of blocks, each the same payload. Two files one of which was
+// installed from the other share; two files written apart do not.
+func (f SealedFile) Shares(g SealedFile) bool {
+	if len(f.blocks) != len(g.blocks) {
+		return false
 	}
-	return b
+	for i, b := range f.blocks {
+		if len(b) != len(g.blocks[i]) || len(b) > 0 && &b[0] != &g.blocks[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// Sealed returns the contents of the file at p, whose writer must have
+// closed (else ErrNotSealed).
+func (fs *FS) Sealed(p string) (SealedFile, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, err := fs.lookup(p)
+	switch {
+	case err != nil:
+		return SealedFile{}, err
+	case n.dir:
+		return SealedFile{}, fmt.Errorf("%w: %s", ErrIsDir, p)
+	case !n.sealed:
+		return SealedFile{}, fmt.Errorf("%w: %s", ErrNotSealed, p)
+	}
+	return SealedFile{blocks: n.blocks, size: n.size, blockSize: fs.blockSize}, nil
+}
+
+// Install creates the sealed file p with f's contents. Like Create, it makes
+// missing parents and fails if p exists. The file appears whole: a
+// concurrent List or Stat sees no file or all of it. The new file gets its
+// own block list; when fs has f's block size the blocks are f's payloads,
+// not copies, else the bytes are copied into blocks of fs's size.
+// BytesWritten grows by the file's size, as it does for a written file.
+func (fs *FS) Install(p string, f SealedFile) error {
+	dir, base := path.Split(path.Clean("/" + p))
+	if base == "" {
+		return fmt.Errorf("%w: empty file name", ErrNotExist)
+	}
+	n := &node{name: base, size: f.size, sealed: true, blocks: f.blocksAt(fs.blockSize)}
+	if err := fs.MkdirAll(dir); err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	parent, err := fs.lookup(dir)
+	if err != nil {
+		return err
+	}
+	if _, ok := parent.children[base]; ok {
+		return fmt.Errorf("%w: %s", ErrExist, p)
+	}
+	parent.children[base] = n
+	fs.bytesWritten.Add(f.size)
+	return nil
+}
+
+// blocksAt returns a new block list over f's bytes cut at block size bs: f's
+// payloads when f was cut at bs, else one copy of the bytes.
+func (f SealedFile) blocksAt(bs int64) [][]byte {
+	if f.size == 0 {
+		return nil
+	}
+	if f.blockSize == bs {
+		return append([][]byte(nil), f.blocks...)
+	}
+	data := make([]byte, 0, f.size)
+	for _, b := range f.blocks {
+		data = append(data, b...)
+	}
+	blocks := make([][]byte, 0, (f.size+bs-1)/bs)
+	for off := int64(0); off < f.size; off += bs {
+		end := min(off+bs, f.size)
+		blocks = append(blocks, data[off:end:end])
+	}
+	return blocks
 }
 
 // Open returns a reader positioned at the start of file p.

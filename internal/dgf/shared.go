@@ -3,6 +3,7 @@ package dgf
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -24,17 +25,19 @@ import (
 // The paper writes a file once and lets HDFS replicate it; SharedJobs does
 // the same for a replica set. The first replica to start a job runs it and
 // publishes what it produced that does not depend on its own store: the
-// output files, each reduce task's pairs before they merge with stored ones,
-// the observed cell bounds and the job's statistics. A sibling that then
-// starts the same job — one whose description (describeJob) has the same
-// SHA-256 digest — waits for it, writes the files into its own filesystem and
-// merges the pairs into its own key-value store, task by task, as its own
-// reduce tasks would have. A load (Load) is a job too: the first replica to
-// apply it encodes its rows into the table's files and publishes their bytes,
-// and a sibling applying the same rows to the same files copies those bytes
-// instead of encoding the rows again. Replicas stay independent stores:
-// nothing reads another replica's filesystem or store, and a sibling whose
-// job differs in any byte, or whose publisher failed, runs the job itself.
+// output files, sealed (dfs.SealedFile), each reduce task's pairs before
+// they merge with stored ones, the observed cell bounds and the job's
+// statistics. A sibling that then starts the same job — one whose
+// description (describeJob) has the same SHA-256 digest — waits for it,
+// installs the files into its own filesystem and merges the pairs into its
+// own key-value store, task by task, as its own reduce tasks would have. A
+// load (Load) is a job too: the first replica to apply it encodes its rows
+// into the table's files and publishes them, and a sibling applying the same
+// rows to the same files installs them instead of encoding the rows again.
+// Each replica keeps its own namespace, key-value store and file lifetimes;
+// what the set holds once is the sealed payloads of the files, which no
+// filesystem writes into (see package dfs). A sibling whose job differs in
+// any byte, or whose publisher failed, runs the job itself.
 
 // SharedJobs is one replica's handle on its replica set's shared record of
 // reorganisation jobs. A nil *SharedJobs is a replica without siblings: every
@@ -73,6 +76,22 @@ func (s *SharedJobs) held(loads bool) int {
 		}
 	}
 	return n
+}
+
+// HeldFiles returns, by path, the sealed files of every published result the
+// record holds, so a test can tell whose bytes a held result pins.
+func (s *SharedJobs) HeldFiles() map[string]dfs.SealedFile {
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	out := map[string]dfs.SealedFile{}
+	for _, ij := range s.rec.indexes {
+		if j := ij.job; j != nil && j.out != nil {
+			for _, f := range j.out.files {
+				out[f.path] = f.file
+			}
+		}
+	}
+	return out
 }
 
 // Counts returns how many reorganisation jobs the set's replicas ran under
@@ -141,7 +160,7 @@ type jobOutput struct {
 // outputFile is one file the job wrote: a Slice file or one of its sidecars.
 type outputFile struct {
 	path string
-	data []byte
+	file dfs.SealedFile
 }
 
 // taskPairs is one reduce task's pairs before they merge with stored ones.
@@ -240,12 +259,12 @@ func (s *SharedJobs) count(installed bool) {
 // load; paths lists every file write creates, sidecars included, and desc
 // the rest the files' bytes are a function of besides the rows (the table's
 // storage settings). The first replica to apply a load runs write and
-// publishes the files' bytes with its rows; a sibling applying a load with
+// publishes the sealed files with its rows; a sibling applying a load with
 // the same description and paths at the same generation, whose rows equal
-// those cell for cell, writes those bytes into fs instead. A
-// sibling whose rows differ, or whose publisher failed, runs write itself. A
-// nil *SharedJobs runs write. On an error the caller removes what paths
-// names, as a failed write leaves it. A sibling waits for its publisher with
+// those cell for cell, installs those files into fs instead. A sibling
+// whose rows differ, or whose publisher failed or left a file open, runs
+// write itself. A nil *SharedJobs runs write. On an error the caller removes
+// what paths names, as a failed write leaves it. A sibling waits for its publisher with
 // its own warehouse locked; a publisher never waits for a sibling.
 func (s *SharedJobs) Load(fs *dfs.FS, dir string, gen int, desc string, rows []storage.Row, paths []string, write func() error) error {
 	if s == nil {
@@ -259,7 +278,7 @@ func (s *SharedJobs) Load(fs *dfs.FS, dir string, gen int, desc string, rows []s
 		if out := install.out; out != nil && sameRows(out.rows, rows) {
 			s.countLoad(true)
 			for _, f := range out.files {
-				if err := f.writeTo(fs); err != nil {
+				if err := fs.Install(f.path, f.file); err != nil {
 					return err
 				}
 			}
@@ -276,13 +295,13 @@ func (s *SharedJobs) Load(fs *dfs.FS, dir string, gen int, desc string, rows []s
 	if publish != nil {
 		out := &jobOutput{rows: rows, files: make([]outputFile, len(paths))}
 		for i, p := range paths {
-			data, err := fs.ReadFile(p)
+			f, err := fs.Sealed(p)
 			if err != nil {
 				// The load succeeded here; the deferred finish tells the
 				// siblings to write their own files.
 				return nil
 			}
-			out.files[i] = outputFile{path: p, data: data}
+			out.files[i] = outputFile{path: p, file: f}
 		}
 		s.finish(key, publish, out)
 	}
@@ -379,7 +398,7 @@ func hashFile(h hash.Hash, fs *dfs.FS, p string) error {
 	return err
 }
 
-// collectOutput reads back the files the job's reduce tasks wrote, with
+// collectOutput gathers the sealed files the job's reduce tasks wrote, with
 // their sidecars, for a sibling to install.
 func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats mapreduce.Stats) (*jobOutput, error) {
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].task < tasks[b].task })
@@ -387,21 +406,21 @@ func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats
 	for _, t := range tasks {
 		name := ix.partFile(int64(gen), int64(t.task))
 		for _, p := range []string{name, storage.ColStatsPath(name)} {
-			if !ix.FS.Exists(p) {
+			f, err := ix.FS.Sealed(p)
+			if errors.Is(err, dfs.ErrNotExist) {
 				continue
 			}
-			data, err := ix.FS.ReadFile(p)
 			if err != nil {
 				return nil, err
 			}
-			out.files = append(out.files, outputFile{path: p, data: data})
+			out.files = append(out.files, outputFile{path: p, file: f})
 		}
 	}
 	return out, nil
 }
 
 // installJob finishes generation gen on this replica from a sibling's output
-// of the same job: it writes the files into this replica's filesystem and
+// of the same job: it installs the files into this replica's filesystem and
 // merges each task's pairs with this replica's store, in task order, as its
 // own reduce tasks would have. A pair that fails to merge fails the run and
 // removes the files, as a failed job does.
@@ -409,7 +428,7 @@ func (ix *Index) installJob(cfg *cluster.Config, gen, reducers int, fresh bool, 
 	merged := make([]mergedPairs, 0, len(out.tasks))
 	err := func() error {
 		for _, f := range out.files {
-			if err := f.writeTo(ix.FS); err != nil {
+			if err := ix.FS.Install(f.path, f.file); err != nil {
 				return err
 			}
 		}
@@ -428,16 +447,4 @@ func (ix *Index) installJob(cfg *cluster.Config, gen, reducers int, fresh bool, 
 	}
 	ix.extendCellBounds(fresh, out.lo, out.hi)
 	return ix.commitRun(cfg, out.stats, merged, kvBefore), nil
-}
-
-// writeTo creates the file in fs.
-func (f outputFile) writeTo(fs *dfs.FS) error {
-	w, err := fs.Create(f.path)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(f.data); err != nil {
-		return err
-	}
-	return w.Close()
 }

@@ -261,7 +261,8 @@ func (w *Warehouse) tableNamesLocked() []string {
 //
 // With DgfJobs set, the load's files are written once per replica set: the
 // first replica to apply a load encodes them, and a sibling applying the
-// same rows copies their bytes (see dgf.SharedJobs.Load).
+// same rows installs them, sharing their sealed payloads (see
+// dgf.SharedJobs.Load).
 func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

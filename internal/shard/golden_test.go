@@ -165,7 +165,7 @@ func v3ColStats(t *testing.T, stats []storage.GroupStat) []byte {
 
 // goldenReplicaTree reads every file of one replica's filesystem, keyed by
 // path.
-func goldenReplicaTree(t *testing.T, w *hive.Warehouse) map[string][]byte {
+func goldenReplicaTree(t testing.TB, w *hive.Warehouse) map[string][]byte {
 	t.Helper()
 	files := map[string][]byte{}
 	var walk func(dir string)

@@ -21,7 +21,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,11 +169,13 @@ type Router struct {
 // New builds a router over cfg.Shards shards of cfg.Replicas fresh
 // warehouses each, produced by mk (called once per (shard, replica) pair).
 // Every warehouse must get its own filesystem: shards are independent
-// stores, not views of one, and a shard's replicas are independent copies.
-// The replicas of a shard share one record of DGFIndex reorganisation jobs
-// and loads (dgf.SharedJobs), so a build or append over the same bytes runs
-// once per shard, and so does the encoding of a load's files; the siblings
-// install the output into their own stores.
+// stores, not views of one, and each replica of a shard has its own
+// namespace, key-value store and file lifetimes. The replicas of a shard
+// share one record of DGFIndex reorganisation jobs and loads
+// (dgf.SharedJobs), so a build or append over the same bytes runs once per
+// shard, and so does the encoding of a load's files; the siblings install
+// the sealed output files into their own filesystems, so the set holds each
+// file's payloads once (dfs.FS.Install).
 // The router starts one applier goroutine per replica; CloseWAL joins them.
 func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
@@ -735,9 +736,15 @@ func (r *Router) route(v storage.Value, kind storage.Kind) int {
 		}
 		return len(r.sets) - 1
 	}
-	h := fnv.New64a()
-	h.Write([]byte(v.String()))
-	return int(h.Sum64() % uint64(len(r.sets)))
+	// FNV-1a over the value's text (hash/fnv's New64a, without its
+	// allocations: this runs once per loaded row).
+	var buf [32]byte
+	h := uint64(14695981039346656037)
+	for _, c := range v.AppendText(buf[:0]) {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return int(h % uint64(len(r.sets)))
 }
 
 // coerceKey canonicalizes a routing-key value to its schema kind before it
@@ -765,9 +772,10 @@ func coerceKey(v storage.Value, kind storage.Kind) storage.Value {
 	}
 }
 
-// loadBatches routes rows into per-shard batches by the key column. An
-// unrouted table (created behind the router) batches everything to shard 0;
-// a table without the key column replicates the full batch to every shard.
+// loadBatches routes rows into per-shard batches by the key column, each in
+// load order and allocated at its size. An unrouted table (created behind
+// the router) batches everything to shard 0; a table without the key column
+// replicates the full batch to every shard.
 func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row, error) {
 	batches := make([][]storage.Row, len(r.sets))
 	m := r.meta(table)
@@ -782,12 +790,22 @@ func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row,
 		return batches, nil
 	}
 	kind := m.schema.Col(m.keyIdx).Kind
-	for _, row := range rows {
+	dest, counts := make([]int32, len(rows)), make([]int, len(r.sets))
+	for i, row := range rows {
 		if m.keyIdx >= len(row) {
 			return nil, fmt.Errorf("shard: row has %d columns; routing key %q is column %d", len(row), r.cfg.Key, m.keyIdx+1)
 		}
 		si := r.route(row[m.keyIdx], kind)
-		batches[si] = append(batches[si], row)
+		dest[i] = int32(si)
+		counts[si]++
+	}
+	for si, n := range counts {
+		if n > 0 {
+			batches[si] = make([]storage.Row, 0, n)
+		}
+	}
+	for i, row := range rows {
+		batches[dest[i]] = append(batches[dest[i]], row)
 	}
 	return batches, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -191,14 +192,18 @@ func TestReplicaSetBuildKilledReplicaBuildsAlone(t *testing.T) {
 
 // BenchmarkReplicaSetBuild is the layer number of the shared reorganisation
 // jobs: one CREATE INDEX through a 4x2 router over 76,800 meter rows (the
-// fleet's creation and loads are outside the timer). It fails unless every
-// shard ran the job once and installed it once.
+// fleet's creation and loads are outside the timer). It also reports
+// retained-B/set, the live heap a replica set holds after the build. It
+// fails unless every shard ran the job once and installed it once, and
+// unless each sibling's files hold their publisher's bytes.
 func BenchmarkReplicaSetBuild(b *testing.B) {
 	cfg := testMeterConfig()
 	cfg.Users, cfg.ReadingsPerDay = 400, 24
 	b.ReportAllocs()
+	var retained float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		before := liveHeap()
 		r, err := New(Config{Shards: 4, Replicas: 2, Key: "userId"}, newShardWarehouse)
 		if err != nil {
 			b.Fatal(err)
@@ -207,12 +212,26 @@ func BenchmarkReplicaSetBuild(b *testing.B) {
 		b.StartTimer()
 		mustExec(b, r, meterIndexSQL)
 		b.StopTimer()
+		retained += float64(int64(liveHeap())-int64(before)) / float64(r.NumShards())
 		for s := 0; s < r.NumShards(); s++ {
 			if ran, installed := r.Replica(s, 0).DgfJobs.Counts(); ran != 1 || installed != 1 {
 				b.Fatalf("shard %d: %d jobs ran and %d were installed, want 1 and 1", s, ran, installed)
 			}
 		}
+		checkSiblingsShare(b, r, true)
+		if b.Failed() {
+			b.FailNow()
+		}
 		r.CloseWAL()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Rows()), "ns/row")
+	b.ReportMetric(retained/float64(b.N), "retained-B/set")
+}
+
+// liveHeap returns the bytes of heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

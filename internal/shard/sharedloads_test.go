@@ -164,8 +164,10 @@ func TestReplicaSetLoadKilledSiblingHoldsOneLoadPerTable(t *testing.T) {
 
 // BenchmarkReplicaSetLoad is the layer number of the shared loads: 30 sync
 // day loads of 4,800 rows into a 4x2 fleet's table (the fleet's creation is
-// outside the timer), per storage format. It reports ns/row and fails unless
-// each load was written once and installed once per set.
+// outside the timer), per storage format. It reports ns/row and
+// retained-B/set, the live heap a replica set holds after the loads, and
+// fails unless each load was written once and installed once per set and
+// each sibling's files hold their publisher's bytes.
 func BenchmarkReplicaSetLoad(b *testing.B) {
 	for _, stored := range []string{"TEXTFILE", "RCFILE"} {
 		b.Run(stored, func(b *testing.B) {
@@ -178,8 +180,10 @@ func BenchmarkReplicaSetLoad(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			var retained float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				before := liveHeap()
 				r, err := New(Config{Shards: 4, Replicas: 2, Key: "userId"}, newShardWarehouse)
 				if err != nil {
 					b.Fatal(err)
@@ -192,9 +196,11 @@ func BenchmarkReplicaSetLoad(b *testing.B) {
 					}
 				}
 				b.StopTimer()
+				retained += float64(int64(liveHeap())-int64(before)) / float64(r.NumShards())
 				for s := 0; s < r.NumShards(); s++ {
 					checkLoadCounts(b, r, s, len(days), len(days))
 				}
+				checkSiblingsShare(b, r, true)
 				if b.Failed() {
 					b.FailNow()
 				}
@@ -202,6 +208,7 @@ func BenchmarkReplicaSetLoad(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(all)), "ns/row")
+			b.ReportMetric(retained/float64(b.N), "retained-B/set")
 		})
 	}
 }

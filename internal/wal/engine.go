@@ -15,7 +15,9 @@ import (
 
 // Store is the apply target for one replica — in production the replica's
 // *hive.Warehouse, whose LoadRowsByName already bumps table versions and
-// runs incremental DGF index maintenance (dgf.Append) per batch.
+// runs incremental DGF index maintenance (dgf.Append) per batch. A store only
+// reads the rows it is given: every replica of a shard may be handed the
+// same record's rows.
 type Store interface {
 	LoadRowsByName(table string, rows []storage.Row) error
 }
@@ -357,9 +359,13 @@ func (rw *replicaWAL) run() {
 			lastLSN = rw.pending[n].LSN
 			n++
 		}
-		batch := make([]storage.Row, 0, rows)
-		for i := 0; i < n; i++ {
-			batch = append(batch, rw.pending[i].Rows...)
+		// One record is applied as it is (a Store only reads its rows).
+		batch := rw.pending[0].Rows
+		if n > 1 {
+			batch = make([]storage.Row, 0, rows)
+			for i := 0; i < n; i++ {
+				batch = append(batch, rw.pending[i].Rows...)
+			}
 		}
 		rw.mu.Unlock()
 
