@@ -158,11 +158,12 @@ var NewServerWithBackend = server.NewWithBackend
 // Sharding layer: a router that partitions tables across N independent
 // warehouses and executes SELECTs by scatter-gather over mergeable partial
 // aggregates; a 1x1 router passes statements through bit-identically. Every
-// load commits to the router's engine — one LSN sequence per shard, one log
-// and one applier per replica — and background appliers write the
-// warehouses in micro-batches. Given a directory (ServerConfig.WALDir) the
-// logs are files: loads survive restarts, ack once logged on every live
-// replica, and a revived replica catches up by replaying what it missed.
+// load commits to the router's engine — one LSN sequence and one log per
+// shard, one applier per replica — and each replica's applier writes its
+// warehouse one logged record at a time, in LSN order. Given a directory
+// (ServerConfig.WALDir) the logs are files: loads survive restarts, ack once
+// appended to the shard's log and queued on its live replicas, and a revived
+// replica catches up by replaying what it missed.
 // Without one an ack means applied. See internal/shard and internal/wal.
 type (
 	// ShardRouter fans statements out across shard warehouses.

@@ -119,8 +119,8 @@ type Config struct {
 	// disables the recorder entirely (queries are then only traced on
 	// request via Request.Trace).
 	TraceRingSize int
-	// WALDir gives the write path a log directory: loads append to
-	// per-replica write-ahead logs under it before they are acknowledged, so
+	// WALDir gives the write path a log directory: loads append to one
+	// write-ahead log per shard under it before they are acknowledged, so
 	// they survive a restart, acks need not wait for the apply, and a down
 	// replica is owed what it misses. Empty runs the same commit → apply
 	// pipeline with nothing stored: an ack means applied, and a shard with a

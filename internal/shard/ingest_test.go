@@ -102,12 +102,9 @@ func waitFleetSettled(t *testing.T, r *Router) {
 	}
 }
 
-// enableTestWAL turns on the WAL with single-record apply batches so the
-// applier's file layout matches a synchronous load's exactly — the
-// bit-identical comparisons include scan stats, which see part files.
 func enableTestWAL(t *testing.T, r *Router, dir string) {
 	t.Helper()
-	if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
+	if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff}); err != nil {
 		t.Fatalf("enable wal: %v", err)
 	}
 }
@@ -248,8 +245,7 @@ func TestIngestSyncAckVisibility(t *testing.T) {
 
 // TestIngestConcurrentLoadersWithKill hammers the WAL from concurrent
 // loaders while a replica dies and revives mid-stream; afterwards both
-// replicas of every shard agree on count and sum (default micro-batching,
-// so coalescing itself is exercised under -race).
+// replicas of every shard agree on count and sum.
 func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 	r := replicatedRouter(t, 2, 2, false)
 	t.Cleanup(func() { r.CloseWAL() })
@@ -324,7 +320,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// Fleet 1: WAL on (fsync always — every batch durable), load batches,
 	// crash without draining.
 	r1 := mkFleet()
-	if err := r1.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyAlways, MaxBatchRows: 1}); err != nil {
+	if err := r1.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyAlways}); err != nil {
 		t.Fatal(err)
 	}
 	var durable [][]storage.Row
@@ -352,7 +348,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// Fleet 2: fresh (empty) warehouses, same DDL, same WAL dir — replay.
 	r2 := mkFleet()
 	t.Cleanup(func() { r2.CloseWAL() })
-	if err := r2.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxBatchRows: 1}); err != nil {
+	if err := r2.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff}); err != nil {
 		t.Fatal(err)
 	}
 	waitFleetSettled(t, r2)
@@ -603,9 +599,7 @@ func TestLoadPathOutage(t *testing.T) {
 		r.CloseWAL()
 	})
 	mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
-	// One record per apply, so a parked applier holds back exactly the
-	// records behind the one it applied; eight rows of backlog per replica.
-	if err := r.EnableWAL(wal.Options{MaxBatchRows: 1, MaxPendingRows: 8, OnApply: gate.hook}); err != nil {
+	if err := r.EnableWAL(wal.Options{MaxPendingRows: 8, OnApply: gate.hook}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

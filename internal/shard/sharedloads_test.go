@@ -3,8 +3,10 @@ package shard
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
+	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -158,6 +160,52 @@ func TestReplicaSetLoadKilledSiblingHoldsOneLoadPerTable(t *testing.T) {
 		want, got := mustExec(t, oracle, q), mustExec(t, r, q)
 		if err := closeRows(want.Rows, got.Rows); err != nil {
 			t.Errorf("%s: %v", q, err)
+		}
+	}
+}
+
+// TestReplicaSetRevivedReplicaHoldsItsSiblingsFiles: a replica revived
+// behind a log directory replays the records it missed one load each, as its
+// live sibling applied them, so both hold the same files and answer with the
+// same stats — three async loads per table committed while it was down
+// become three part files on both replicas, not one merged file on it.
+func TestReplicaSetRevivedReplicaHoldsItsSiblingsFiles(t *testing.T) {
+	r := replicatedRouter(t, 1, 2, true)
+	t.Cleanup(func() { r.CloseWAL() })
+	mustExec(t, r, `CREATE TABLE rc (userId bigint, regionId bigint, ts timestamp, powerConsumed double) STORED AS RCFILE`)
+	enableTestWAL(t, r, t.TempDir())
+
+	r.Kill(0, 1)
+	for _, table := range []string{"meterdata", "rc"} {
+		for day := 10; day < 13; day++ {
+			if _, err := r.LoadRowsDurable(context.Background(), table, lateReadings(day), false); err != nil {
+				t.Fatalf("day %d into %s: %v", day, table, err)
+			}
+			// The live replica applies each load before the next one
+			// arrives; the killed one is owed all six from the log.
+			waitFleetSettled(t, r)
+		}
+	}
+	r.Revive(0, 1)
+	waitFleetSettled(t, r)
+
+	checkReplicasIdentical(t, r)
+	for _, table := range []string{"meterdata", "rc"} {
+		q := `SELECT regionId, sum(powerConsumed), count(*) FROM ` + table + ` WHERE userId>=3 AND userId<=30 GROUP BY regionId`
+		var res [2]*hive.Result
+		for i := range res {
+			var err error
+			if res[i], err = r.Replica(0, i).ExecContext(context.Background(), q, hive.ExecOptions{}); err != nil {
+				t.Fatalf("replica %d: %q: %v", i, q, err)
+			}
+		}
+		if a, b := renderRows(res[0].Rows), renderRows(res[1].Rows); !slices.Equal(a, b) {
+			t.Errorf("%s: replicas answer %v and %v", q, a, b)
+		}
+		a, b := res[0].Stats, res[1].Stats
+		if a.Splits != b.Splits || a.RecordsRead != b.RecordsRead || a.BytesRead != b.BytesRead ||
+			a.IndexSimSec != b.IndexSimSec || a.DataSimSec != b.DataSimSec {
+			t.Errorf("%s: replica stats differ:\n%+v\n%+v", q, a, b)
 		}
 	}
 }

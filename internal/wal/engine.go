@@ -38,13 +38,11 @@ type Options struct {
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
-	// MaxBatchRows caps rows coalesced into one apply call. Default 8192.
-	MaxBatchRows int
 	// MaxPendingRows is the per-replica backpressure bound: commits block
 	// (context-aware) while a live replica has this many unapplied rows.
 	// Default 1<<20.
 	MaxPendingRows int
-	// OnApply, when set, runs after every successful apply batch — the
+	// OnApply, when set, runs after every applied record — the
 	// server hooks result-cache invalidation here so cached answers are
 	// evicted when rows land, not when they are enqueued.
 	OnApply func(table string, rows int)
@@ -67,9 +65,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatchRows <= 0 {
-		o.MaxBatchRows = 8192
-	}
 	if o.MaxPendingRows <= 0 {
 		o.MaxPendingRows = 1 << 20
 	}
@@ -118,7 +113,7 @@ type replicaWAL struct {
 	catchingUp   bool
 	closed       bool
 	replayedRows int64 // rows applied via recovery or catch-up replay
-	batches      int64 // successful apply batches
+	batches      int64 // applied records
 	stalled      string
 }
 
@@ -327,10 +322,11 @@ func watchCtx(ctx context.Context, cond *sync.Cond) func() {
 	return func() { close(quit) }
 }
 
-// run is the per-replica applier: it drains pending records in LSN order,
-// coalescing contiguous same-table records into micro-batches, and applies
-// them to the store. Strict order keeps part-file naming — and therefore
-// scan row order — identical across replicas.
+// run is the per-replica applier: it applies pending records in LSN order,
+// one logged record per store call, passing the record's rows as they are
+// (a Store only reads them). Every replica of a shard therefore makes the
+// same loads in the same order, live, recovered or caught up, so its part
+// files, and therefore scan row order, depend only on the log.
 func (rw *replicaWAL) run() {
 	defer rw.eng.wg.Done()
 	backoff := 10 * time.Millisecond
@@ -343,40 +339,17 @@ func (rw *replicaWAL) run() {
 			rw.mu.Unlock()
 			return
 		}
-		table := rw.pending[0].Table
-		maxRows := rw.eng.opts.MaxBatchRows
-		n, rows, replay := 0, 0, 0
-		var lastLSN uint64
-		for n < len(rw.pending) && rw.pending[n].Table == table {
-			r := len(rw.pending[n].Rows)
-			if n > 0 && rows+r > maxRows {
-				break
-			}
-			rows += r
-			if rw.pending[n].LSN <= rw.replayTarget {
-				replay += r
-			}
-			lastLSN = rw.pending[n].LSN
-			n++
-		}
-		// One record is applied as it is (a Store only reads its rows).
-		batch := rw.pending[0].Rows
-		if n > 1 {
-			batch = make([]storage.Row, 0, rows)
-			for i := 0; i < n; i++ {
-				batch = append(batch, rw.pending[i].Rows...)
-			}
-		}
+		rec := rw.pending[0]
+		replay := rec.LSN <= rw.replayTarget
 		rw.mu.Unlock()
 
 		span := trace.New("apply")
 		span.Set("shard", rw.shard)
 		span.Set("replica", rw.idx)
-		span.Set("table", table)
-		span.Set("records", n)
-		span.Set("rows", rows)
-		span.Set("lsn", lastLSN)
-		err := rw.store.LoadRowsByName(table, batch)
+		span.Set("table", rec.Table)
+		span.Set("rows", len(rec.Rows))
+		span.Set("lsn", rec.LSN)
+		err := rw.store.LoadRowsByName(rec.Table, rec.Rows)
 		span.Finish()
 
 		if err != nil {
@@ -386,7 +359,7 @@ func (rw *replicaWAL) run() {
 			rw.mu.Lock()
 			rw.stalled = err.Error()
 			rw.mu.Unlock()
-			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, table), err)
+			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, rec.Table), err)
 			time.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2
@@ -396,24 +369,26 @@ func (rw *replicaWAL) run() {
 		backoff = 10 * time.Millisecond
 
 		rw.mu.Lock()
-		// Zero the consumed records before reslicing: the backing array
-		// outlives them, and through Record.Rows it would keep every applied
-		// batch reachable until a later append happened to reallocate it.
-		clear(rw.pending[:n])
-		rw.pending = rw.pending[n:]
-		rw.pendingRows -= rows
-		rw.applied = lastLSN
+		// Zero the consumed record before reslicing: the backing array
+		// outlives it, and through Record.Rows it would keep every applied
+		// record reachable until a later append happened to reallocate it.
+		rw.pending[0] = Record{}
+		rw.pending = rw.pending[1:]
+		rw.pendingRows -= len(rec.Rows)
+		rw.applied = rec.LSN
 		rw.batches++
-		rw.replayedRows += int64(replay)
+		if replay {
+			rw.replayedRows += int64(len(rec.Rows))
+		}
 		rw.stalled = ""
 		rw.cond.Broadcast()
 		rw.mu.Unlock()
 
 		if cb := rw.eng.opts.OnApply; cb != nil {
-			cb(table, rows)
+			cb(rec.Table, len(rec.Rows))
 		}
 		if span.Wall() >= slowApply {
-			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, table), nil)
+			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, rec.Table), nil)
 		}
 	}
 }
@@ -663,7 +638,8 @@ func (e *Engine) replica(shard, rep int) *replicaWAL {
 // ReplicaStats is one replica's WAL position for /stats and /metrics.
 // LastLSN is the shard log's tail, the same for every replica of a shard;
 // HintedRecords is what a down replica is owed from it (tail − queued
-// cursor), 0 for a live one.
+// cursor), 0 for a live one. AppliedBatches counts the records the replica
+// has applied, one store call each.
 type ReplicaStats struct {
 	Replica        int    `json:"replica"`
 	LastLSN        uint64 `json:"last_lsn"`

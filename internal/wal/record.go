@@ -1,5 +1,6 @@
 // Package wal implements durable streaming ingest: one append-only
-// write-ahead log per shard plus a micro-batching applier per replica.
+// write-ahead log per shard plus an applier per replica that applies the
+// log's records one at a time, in LSN order.
 //
 // A load is acknowledged once its record — a monotonic LSN, the target
 // table, and the encoded rows — is appended (and, policy permitting,

@@ -206,15 +206,21 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// memStore is a Store that records applies and can fail on demand.
+// memStore is a Store that records applies and can fail on demand. A
+// non-nil gate parks every apply until the gate closes.
 type memStore struct {
+	gate   chan struct{}
 	mu     sync.Mutex
 	rows   []storage.Row
 	tables []string
+	calls  [][]storage.Row // the rows slice of each successful apply
 	fail   bool
 }
 
 func (m *memStore) LoadRowsByName(table string, rows []storage.Row) error {
+	if m.gate != nil {
+		<-m.gate
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.fail {
@@ -222,6 +228,7 @@ func (m *memStore) LoadRowsByName(table string, rows []storage.Row) error {
 	}
 	m.rows = append(m.rows, rows...)
 	m.tables = append(m.tables, table)
+	m.calls = append(m.calls, rows)
 	return nil
 }
 
@@ -286,6 +293,53 @@ func TestWALEngineAppliesInOrder(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestWALAppliesOneRecordPerCall: an applier hands each logged record to its
+// store in its own call, in LSN order, with the committed rows slice as it
+// is, even when several records of one table are queued behind a parked
+// apply. Replicas therefore make the same loads whatever their timing.
+func TestWALAppliesOneRecordPerCall(t *testing.T) {
+	gate := make(chan struct{})
+	stores := []*memStore{{}, {gate: gate}}
+	e, err := Open(Options{}, [][]Store{{stores[0], stores[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var release sync.Once
+	unblock := func() { release.Do(func() { close(gate) }) }
+	defer unblock() // before Close, which waits for the parked applier
+	ctx := context.Background()
+	var committed [][]storage.Row
+	var last uint64
+	for i := 0; i < 3; i++ {
+		rows := testRows(i*10, 4)
+		if last, err = e.Commit(ctx, 0, "meter", rows); err != nil {
+			t.Fatal(err)
+		}
+		committed = append(committed, rows)
+	}
+	unblock()
+	if err := e.WaitApplied(ctx, 0, last); err != nil {
+		t.Fatal(err)
+	}
+	for ri, ms := range stores {
+		ms.mu.Lock()
+		calls := ms.calls
+		ms.mu.Unlock()
+		if len(calls) != len(committed) {
+			t.Fatalf("replica %d: %d store calls for %d records", ri, len(calls), len(committed))
+		}
+		for i, got := range calls {
+			if len(got) != len(committed[i]) || &got[0] != &committed[i][0] {
+				t.Errorf("replica %d call %d: got %d rows, not record %d's own rows slice", ri, i, len(got), i+1)
+			}
+		}
+		if n := e.Stats()[0].Replicas[ri].AppliedBatches; n != 3 {
+			t.Errorf("replica %d: AppliedBatches = %d, want 3", ri, n)
+		}
 	}
 }
 
@@ -694,7 +748,7 @@ func TestWALApplierReleasesAppliedRows(t *testing.T) {
 // of the shard is down, and that records die with the engine.
 func TestWALWithoutDirectory(t *testing.T) {
 	stores := [][]*memStore{{{}, {}}}
-	e, err := Open(Options{MaxBatchRows: 1}, [][]Store{{stores[0][0], stores[0][1]}})
+	e, err := Open(Options{}, [][]Store{{stores[0][0], stores[0][1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
