@@ -266,15 +266,16 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 		ix.removeRun(gen, numReducers)
 		return nil, err
 	}
+	ix.extendCellBounds(fresh, lo, hi)
+	stats, run := ix.commitRun(cfg, *jobStats, merged, nil, kvBefore)
 	if publish != nil {
 		// A run whose output cannot be read back still succeeded here; the
 		// deferred finish then tells the siblings to run the job themselves.
-		if out, err := ix.collectOutput(gen, tasks, lo, hi, *jobStats); err == nil {
+		if out, err := ix.collectOutput(gen, tasks, run, lo, hi, *jobStats); err == nil {
 			ix.shared.finish(jobKey{dir: ix.DataDir}, publish, out)
 		}
 	}
-	ix.extendCellBounds(fresh, lo, hi)
-	return ix.commitRun(cfg, *jobStats, merged, kvBefore), nil
+	return stats, nil
 }
 
 // removeRun deletes what a failed run of generation gen wrote: the files its
@@ -304,15 +305,27 @@ func (ix *Index) extendCellBounds(fresh bool, lo, hi []int64) {
 
 // commitRun puts a successful run's merged pairs into the store — only now,
 // so a failed run leaves every GFU pair as it was — saves the metadata and
-// reports the run's cost.
-func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, kvBefore kvstore.Stats) *BuildStats {
-	var entries int
+// reports the run's cost. The pairs go in as one kvstore.Run, in task order:
+// published, a sibling's run of the same job, when it holds exactly these
+// pairs (the store then shares its bytes), and one encoded here otherwise.
+// commitRun returns the run it put.
+func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, published *kvstore.Run, kvBefore kvstore.Stats) (*BuildStats, *kvstore.Run) {
+	sort.Slice(merged, func(a, b int) bool { return merged[a].task < merged[b].task })
+	entries := 0
 	for _, m := range merged {
-		ix.KV.PutBatch(m.pairs)
-		ix.gfuBytes.Add(m.grownBytes)
-		ix.gfuEntries.Add(m.fresh)
 		entries += len(m.pairs)
 	}
+	pairs := make([]kvstore.Pair, 0, entries)
+	for _, m := range merged {
+		pairs = append(pairs, m.pairs...)
+		ix.gfuBytes.Add(m.grownBytes)
+		ix.gfuEntries.Add(m.fresh)
+	}
+	run := published
+	if run == nil || !run.Equal(pairs) {
+		run = kvstore.NewRun(pairs)
+	}
+	ix.KV.PutRun(run)
 	ix.saveMeta()
 	kvDelta := ix.KV.Stats().Sub(kvBefore)
 	return &BuildStats{
@@ -320,7 +333,7 @@ func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []me
 		Entries:      entries,
 		IndexBytes:   ix.SizeBytes(),
 		KVSimSeconds: kvDelta.SimSeconds(cfg),
-	}
+	}, run
 }
 
 // stackDims is how many cell coordinates the per-record scratch slices hold
@@ -403,6 +416,7 @@ type gfuPair struct {
 // mergedPairs is one reduce task's pairs ready for the store, in key order,
 // with what putting them adds to the SizeBytes and Entries totals.
 type mergedPairs struct {
+	task              int
 	pairs             []kvstore.Pair
 	grownBytes, fresh int64
 }
@@ -417,7 +431,7 @@ func (ix *Index) mergePairs(gen, task int, pairs []gfuPair) (mergedPairs, error)
 	for i, p := range pairs {
 		keys[i] = gfuPrefix + p.key
 	}
-	m := mergedPairs{pairs: make([]kvstore.Pair, len(pairs))}
+	m := mergedPairs{task: task, pairs: make([]kvstore.Pair, len(pairs))}
 	var enc []byte // every encoded value, back to back
 	ends := make([]int, len(pairs))
 	var stored []SliceLoc // decoded only to check the stored value

@@ -8,6 +8,7 @@ import (
 	"hash"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,20 +25,32 @@ import (
 // every data file a load writes, its siblings produce from the same bytes.
 // The paper writes a file once and lets HDFS replicate it; SharedJobs does
 // the same for a replica set. The first replica to start a job runs it and
-// publishes what it produced that does not depend on its own store: the
-// output files, sealed (dfs.SealedFile), each reduce task's pairs before
-// they merge with stored ones, the observed cell bounds and the job's
-// statistics. A sibling that then starts the same job — one whose
-// description (describeJob) has the same SHA-256 digest — waits for it,
-// installs the files into its own filesystem and merges the pairs into its
-// own key-value store, task by task, as its own reduce tasks would have. A
-// load (Load) is a job too: the first replica to apply it encodes its rows
-// into the table's files and publishes them, and a sibling applying the same
-// rows to the same files installs them instead of encoding the rows again.
-// Each replica keeps its own namespace, key-value store and file lifetimes;
-// what the set holds once is the sealed payloads of the files, which no
-// filesystem writes into (see package dfs). A sibling whose job differs in
-// any byte, or whose publisher failed, runs the job itself.
+// publishes what it produced: the output files, sealed (dfs.SealedFile),
+// each reduce task's pairs before they merge with stored ones, the merged
+// pairs it put into its own store as one kvstore.Run, the observed cell
+// bounds and the job's statistics. A sibling that then starts the same job —
+// one whose description (describeJob) has the same SHA-256 digest — waits
+// for it, installs the files into its own filesystem and merges the task
+// pairs with its own key-value store, task by task, as its own reduce tasks
+// would have; when that yields exactly the published run's pairs it puts the
+// run itself, else its own pairs. A load (Load) is a job too: the first
+// replica to apply it encodes its rows into the table's files and publishes
+// them, and a sibling applying the same rows to the same files installs them
+// instead of encoding the rows again. Each replica keeps its own namespace,
+// key-value store (slot table and metadata) and file lifetimes; what the set
+// holds once is the sealed payloads of the files, which no filesystem writes
+// into (see package dfs), and each job's merged pairs, which no store writes
+// into (see package kvstore). A sibling whose job differs in any byte, or
+// whose publisher failed, runs the job itself.
+//
+// The record holds one result per generation of an index or table, so a
+// replica may run ahead of a sibling by several loads and appends and the
+// sibling still installs each. It holds only as many as the sibling is known
+// to follow (jobRecord.follows): a few loads, which every live replica
+// applies; the appends those loads run; and one result of each index or
+// table for a sibling that is down (SetDown), so an outage pins no more than
+// that and the sibling writes what it missed itself. An index job that only
+// one replica runs — an append no load led to — is held once.
 
 // SharedJobs is one replica's handle on its replica set's shared record of
 // reorganisation jobs. A nil *SharedJobs is a replica without siblings: every
@@ -50,7 +63,7 @@ type SharedJobs struct {
 // NewSharedJobs creates the record of a set of n replicas and returns each
 // replica's handle on it, indexed by replica.
 func NewSharedJobs(n int) []*SharedJobs {
-	rec := &jobRecord{n: n, indexes: map[jobKey]*indexJobs{}}
+	rec := &jobRecord{n: n, down: make([]bool, n), indexes: map[jobKey]*indexJobs{}}
 	out := make([]*SharedJobs, n)
 	for i := range out {
 		out[i] = &SharedJobs{rec: rec, replica: i}
@@ -58,12 +71,29 @@ func NewSharedJobs(n int) []*SharedJobs {
 	return out
 }
 
+// maxAhead is how many results of one index or table the record holds for a
+// live sibling that has yet to take them: how far a replica may run ahead of
+// its sibling and still have the sibling install what it ran.
+const maxAhead = 4
+
+// SetDown tells the record whether this replica is down. While it is, the
+// record holds at most one result of each index or table for it, the first
+// it will replay. A nil *SharedJobs ignores it.
+func (s *SharedJobs) SetDown(down bool) {
+	if s == nil {
+		return
+	}
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	s.rec.down[s.replica] = down
+}
+
 // Held returns how many reorganisation job results the record keeps,
-// finished or still running: at most one per index.
+// finished or still running.
 func (s *SharedJobs) Held() int { return s.held(false) }
 
 // HeldLoads returns how many loads' files the record keeps, written or still
-// being written: at most one per table.
+// being written.
 func (s *SharedJobs) HeldLoads() int { return s.held(true) }
 
 func (s *SharedJobs) held(loads bool) int {
@@ -71,8 +101,8 @@ func (s *SharedJobs) held(loads bool) int {
 	defer s.rec.mu.Unlock()
 	n := 0
 	for k, ij := range s.rec.indexes {
-		if k.load == loads && ij.job != nil {
-			n++
+		if k.load == loads {
+			n += len(ij.jobs)
 		}
 	}
 	return n
@@ -85,9 +115,11 @@ func (s *SharedJobs) HeldFiles() map[string]dfs.SealedFile {
 	defer s.rec.mu.Unlock()
 	out := map[string]dfs.SealedFile{}
 	for _, ij := range s.rec.indexes {
-		if j := ij.job; j != nil && j.out != nil {
-			for _, f := range j.out.files {
-				out[f.path] = f.file
+		for _, j := range ij.jobs {
+			if j.out != nil {
+				for _, f := range j.out.files {
+					out[f.path] = f.file
+				}
 			}
 		}
 	}
@@ -114,6 +146,7 @@ func (s *SharedJobs) LoadCounts() (written, installed int) {
 type jobRecord struct {
 	mu      sync.Mutex
 	n       int
+	down    []bool // per replica: down (SetDown)
 	indexes map[jobKey]*indexJobs
 
 	ran, installed               int // reorganisation jobs run and installed
@@ -129,10 +162,11 @@ type jobKey struct {
 }
 
 // indexJobs is the record of one index: the generation each replica last
-// started a job at, and the one job result the set may hold for it.
+// started a job at, and the job results the set holds for it, one per
+// generation, oldest first.
 type indexJobs struct {
 	began []int // per replica; -1 before its first job
-	job   *sharedJob
+	jobs  []*sharedJob
 }
 
 // sharedJob is one job a replica runs for its siblings. It is held until
@@ -151,8 +185,9 @@ type sharedJob struct {
 // replica that ran it.
 type jobOutput struct {
 	files  []outputFile
-	tasks  []taskPairs // in task order
-	lo, hi []int64     // observed cell bounds, nil when no record was read
+	tasks  []taskPairs  // in task order
+	run    *kvstore.Run // the merged pairs the publisher put, in task order
+	lo, hi []int64      // observed cell bounds, nil when no record was read
 	stats  mapreduce.Stats
 	rows   []storage.Row // a load's rows, which a sibling's must equal
 }
@@ -187,44 +222,85 @@ func (s *SharedJobs) start(key jobKey, gen int, desc [sha256.Size]byte) (publish
 		rec.indexes[key] = ij
 	}
 	ij.began[me] = gen
-	if j := ij.job; j != nil && j.pending[me] {
-		switch {
-		case j.desc == desc:
-			ij.release(me)
-			return nil, j
-		case gen >= j.gen:
-			// This replica has passed the job's generation: it will never
-			// start that job again.
-			ij.release(me)
+	for i := len(ij.jobs) - 1; i >= 0; i-- {
+		j := ij.jobs[i]
+		if !j.pending[me] || gen < j.gen {
+			continue
 		}
+		if j.desc == desc {
+			install = j
+		}
+		// This replica takes the job or has passed its generation: it will
+		// never start that job again.
+		ij.release(j, me)
 	}
-	if ij.job != nil {
-		return nil, nil
+	if install != nil || slices.ContainsFunc(ij.jobs, func(j *sharedJob) bool { return j.gen == gen }) {
+		return nil, install
 	}
-	// Publish only for siblings that have yet to start this generation.
+	// Publish only for siblings that have yet to start this generation and
+	// are not already as far behind as the record follows them.
 	pending, some := make([]bool, rec.n), false
 	for i, g := range ij.began {
-		if i != me && g < gen {
+		if i != me && g < gen && ij.pendingFor(i) < rec.follows(key, i) {
 			pending[i], some = true, true
 		}
 	}
 	if !some {
 		return nil, nil
 	}
-	ij.job = &sharedJob{desc: desc, gen: gen, pending: pending, done: make(chan struct{})}
-	return ij.job, nil
+	j := &sharedJob{desc: desc, gen: gen, pending: pending, done: make(chan struct{})}
+	at := len(ij.jobs)
+	for at > 0 && ij.jobs[at-1].gen > gen {
+		at--
+	}
+	ij.jobs = slices.Insert(ij.jobs, at, j)
+	return j, nil
 }
 
-// release marks the held job used or passed by replica r, dropping it once no
-// sibling is left to install it.
-func (ij *indexJobs) release(r int) {
-	ij.job.pending[r] = false
-	for _, p := range ij.job.pending {
-		if p {
-			return
+// follows returns how many results of the index or table key names the
+// record holds for replica r at most: one while r is down; maxAhead loads,
+// which a live replica applies in order; and one job of an index, plus one
+// for each load of its table held for r, since each load applied runs one
+// append. (An index's data directory is its table's directory.)
+func (rec *jobRecord) follows(key jobKey, r int) int {
+	switch {
+	case rec.down[r]:
+		return 1
+	case key.load:
+		return maxAhead
+	}
+	n := 1
+	if loads := rec.indexes[jobKey{load: true, dir: key.dir}]; loads != nil {
+		n += loads.pendingFor(r)
+	}
+	return n
+}
+
+// pendingFor returns how many held jobs replica r may still install.
+func (ij *indexJobs) pendingFor(r int) int {
+	n := 0
+	for _, j := range ij.jobs {
+		if j.pending[r] {
+			n++
 		}
 	}
-	ij.job = nil
+	return n
+}
+
+// release marks held job j used or passed by replica r, dropping it once no
+// sibling is left to install it.
+func (ij *indexJobs) release(j *sharedJob, r int) {
+	j.pending[r] = false
+	if !slices.Contains(j.pending, true) {
+		ij.drop(j)
+	}
+}
+
+// drop stops holding job j.
+func (ij *indexJobs) drop(j *sharedJob) {
+	if i := slices.Index(ij.jobs, j); i >= 0 {
+		ij.jobs = slices.Delete(ij.jobs, i, i+1)
+	}
 }
 
 // finish publishes the outcome of job j: out, or nil for a failed job, which
@@ -237,8 +313,8 @@ func (s *SharedJobs) finish(key jobKey, j *sharedJob, out *jobOutput) {
 		return
 	}
 	j.closed, j.out = true, out
-	if ij := s.rec.indexes[key]; out == nil && ij.job == j {
-		ij.job = nil
+	if out == nil {
+		s.rec.indexes[key].drop(j)
 	}
 	close(j.done)
 }
@@ -399,10 +475,11 @@ func hashFile(h hash.Hash, fs *dfs.FS, p string) error {
 }
 
 // collectOutput gathers the sealed files the job's reduce tasks wrote, with
-// their sidecars, for a sibling to install.
-func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats mapreduce.Stats) (*jobOutput, error) {
+// their sidecars, for a sibling to install, beside the run of merged pairs
+// this replica put.
+func (ix *Index) collectOutput(gen int, tasks []taskPairs, run *kvstore.Run, lo, hi []int64, stats mapreduce.Stats) (*jobOutput, error) {
 	sort.Slice(tasks, func(a, b int) bool { return tasks[a].task < tasks[b].task })
-	out := &jobOutput{tasks: tasks, lo: lo, hi: hi, stats: stats}
+	out := &jobOutput{tasks: tasks, run: run, lo: lo, hi: hi, stats: stats}
 	for _, t := range tasks {
 		name := ix.partFile(int64(gen), int64(t.task))
 		for _, p := range []string{name, storage.ColStatsPath(name)} {
@@ -423,7 +500,9 @@ func (ix *Index) collectOutput(gen int, tasks []taskPairs, lo, hi []int64, stats
 // of the same job: it installs the files into this replica's filesystem and
 // merges each task's pairs with this replica's store, in task order, as its
 // own reduce tasks would have. A pair that fails to merge fails the run and
-// removes the files, as a failed job does.
+// removes the files, as a failed job does. The merge is what checks the
+// sibling's run: the store puts that run only if it holds exactly the merged
+// pairs, and its own pairs otherwise.
 func (ix *Index) installJob(cfg *cluster.Config, gen, reducers int, fresh bool, out *jobOutput, kvBefore kvstore.Stats) (*BuildStats, error) {
 	merged := make([]mergedPairs, 0, len(out.tasks))
 	err := func() error {
@@ -446,5 +525,6 @@ func (ix *Index) installJob(cfg *cluster.Config, gen, reducers int, fresh bool, 
 		return nil, err
 	}
 	ix.extendCellBounds(fresh, out.lo, out.hi)
-	return ix.commitRun(cfg, out.stats, merged, kvBefore), nil
+	stats, _ := ix.commitRun(cfg, out.stats, merged, out.run, kvBefore)
+	return stats, nil
 }

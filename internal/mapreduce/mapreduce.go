@@ -215,11 +215,44 @@ type kvPair struct {
 	value []byte
 }
 
+// partition is one map task's pairs for one reduce task, in arrival order, in
+// blocks that are filled and never copied or grown: the first holds
+// minBlock pairs, each later one twice as many as the one before, up to
+// maxBlock. The reduce task reads the blocks in place (groupPairs).
+type partition [][]kvPair
+
+const (
+	minBlock = 16
+	maxBlock = 1024
+)
+
+func (p *partition) add(kv kvPair) {
+	n := len(*p)
+	if n == 0 || len((*p)[n-1]) == cap((*p)[n-1]) {
+		size := minBlock
+		if n > 0 {
+			size = min(2*cap((*p)[n-1]), maxBlock)
+		}
+		*p = append(*p, make([]kvPair, 0, size))
+		n++
+	}
+	(*p)[n-1] = append((*p)[n-1], kv)
+}
+
+// pairs returns how many pairs the partition holds.
+func (p partition) pairs() int {
+	n := 0
+	for _, b := range p {
+		n += len(b)
+	}
+	return n
+}
+
 // mapResult is one split's map-task outcome. ran distinguishes a processed
 // split from one skipped by cancellation or StopEarly (whose zero value must
 // stay out of the job accounting).
 type mapResult struct {
-	parts   [][]kvPair // per-reducer partition buffers
+	parts   []partition // per reduce task
 	bytes   int64
 	records int64
 	seeks   int64
@@ -385,7 +418,7 @@ feed:
 		if r.ran {
 			ran = append(ran, r)
 			for _, part := range r.parts {
-				stats.ShufflePairs += int64(len(part))
+				stats.ShufflePairs += int64(part.pairs())
 			}
 		}
 	}
@@ -455,14 +488,13 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 		res.err = err
 		return res
 	}
-	res.parts = make([][]kvPair, numReducers)
+	res.parts = make([]partition, numReducers)
 	emit := output
 	if hasReduce {
 		var values arena
 		emit = func(key string, value []byte) {
-			p := partitionOf(key, numReducers)
 			// Copy the value: mappers commonly reuse buffers between emits.
-			res.parts[p] = append(res.parts[p], kvPair{key: key, value: values.copy(value)})
+			res.parts[partitionOf(key, numReducers)].add(kvPair{key: key, value: values.copy(value)})
 			res.emitted += int64(len(key) + len(value))
 		}
 	}
@@ -546,16 +578,16 @@ func (a *arena) copy(value []byte) []byte {
 	return v
 }
 
-func combinePartition(combine CombineFunc, pairs []kvPair, emitted int64) ([]kvPair, int64) {
+func combinePartition(combine CombineFunc, pairs partition, emitted int64) (partition, int64) {
 	if len(pairs) == 0 {
 		return pairs, emitted
 	}
-	groups, inBytes := groupPairs([][]kvPair{pairs})
+	groups, inBytes := groupPairs(pairs)
 	emitted -= inBytes
-	out := pairs[:0]
+	var out partition
 	for _, g := range groups {
 		for _, v := range combine(g.Key, g.Values) {
-			out = append(out, kvPair{key: g.Key, value: v})
+			out.add(kvPair{key: g.Key, value: v})
 			emitted += int64(len(g.Key) + len(v))
 		}
 	}
@@ -570,9 +602,9 @@ type reduceResult struct {
 
 // runReduceTask reduces partition task of every map task that ran.
 func runReduceTask(job *Job, task int, maps []mapResult, output Emit) (res reduceResult) {
-	parts := make([][]kvPair, len(maps))
+	var parts [][]kvPair // every map task's blocks, in map task order
 	for i := range maps {
-		parts[i] = maps[i].parts[task]
+		parts = append(parts, maps[i].parts[task]...)
 	}
 	var groups []Group
 	groups, res.inBytes = groupPairs(parts)

@@ -230,9 +230,13 @@ func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w 
 // commits to the shard's log and is queued on the surviving replicas, and
 // the dead one is owed the records (hinted handoff); without one there is
 // nothing to hand off from, so loads touching the shard are refused until
-// Revive and the replicas stay exact copies.
+// Revive and the replicas stay exact copies. Until Revive, the replica set's
+// record of shared jobs holds at most one result of each index or table for
+// the dead replica (dgf.SharedJobs.SetDown).
 func (r *Router) Kill(shard, replica int) {
-	r.sets[shard].reps[replica].kill()
+	rep := r.sets[shard].reps[replica]
+	rep.kill()
+	rep.w.DgfJobs.SetDown(true)
 	r.wal.Load().MarkDown(shard, replica)
 }
 
@@ -244,6 +248,7 @@ func (r *Router) Kill(shard, replica int) {
 func (r *Router) Revive(shard, replica int) {
 	rep := r.sets[shard].reps[replica]
 	rep.beginCatchUp()
+	rep.w.DgfJobs.SetDown(false)
 	r.wal.Load().CatchUp(shard, replica, rep.endCatchUp)
 }
 

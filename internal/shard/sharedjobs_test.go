@@ -195,7 +195,7 @@ func TestReplicaSetBuildKilledReplicaBuildsAlone(t *testing.T) {
 // fleet's creation and loads are outside the timer). It also reports
 // retained-B/set, the live heap a replica set holds after the build. It
 // fails unless every shard ran the job once and installed it once, and
-// unless each sibling's files hold their publisher's bytes.
+// unless each sibling's files and GFU pairs are their publisher's bytes.
 func BenchmarkReplicaSetBuild(b *testing.B) {
 	cfg := testMeterConfig()
 	cfg.Users, cfg.ReadingsPerDay = 400, 24
@@ -219,6 +219,7 @@ func BenchmarkReplicaSetBuild(b *testing.B) {
 			}
 		}
 		checkSiblingsShare(b, r, true)
+		checkSiblingsSharePairs(b, r, "meterdata")
 		if b.Failed() {
 			b.FailNow()
 		}
