@@ -45,12 +45,15 @@ import (
 //
 // The record holds one result per generation of an index or table, so a
 // replica may run ahead of a sibling by several loads and appends and the
-// sibling still installs each. It holds only as many as the sibling is known
-// to follow (jobRecord.follows): a few loads, which every live replica
-// applies; the appends those loads run; and one result of each index or
-// table for a sibling that is down (SetDown), so an outage pins no more than
-// that and the sibling writes what it missed itself. An index job that only
-// one replica runs — an append no load led to — is held once.
+// sibling still installs each. It holds no more for a sibling than that
+// sibling can still take (jobRecord.follows): one result of each index or
+// table, plus one for every logged record queued on the sibling's applier,
+// since applying a record starts at most one load and the one append it
+// leads to. The queue is the write-ahead log's: it bounds how far a live
+// sibling falls behind (wal.Options.MaxPendingRows), and it stops growing
+// while the sibling is down, so an outage pins no more than what the sibling
+// had queued when it went down plus one result of each index or table; the
+// sibling writes the rest of what it missed itself.
 
 // SharedJobs is one replica's handle on its replica set's shared record of
 // reorganisation jobs. A nil *SharedJobs is a replica without siblings: every
@@ -61,31 +64,19 @@ type SharedJobs struct {
 }
 
 // NewSharedJobs creates the record of a set of n replicas and returns each
-// replica's handle on it, indexed by replica.
-func NewSharedJobs(n int) []*SharedJobs {
-	rec := &jobRecord{n: n, down: make([]bool, n), indexes: map[jobKey]*indexJobs{}}
+// replica's handle on it, indexed by replica. queued reports how many logged
+// records a replica has yet to apply, the one it is applying included; nil
+// means none are ever queued, as for replicas that are only called directly.
+func NewSharedJobs(n int, queued func(replica int) int) []*SharedJobs {
+	if queued == nil {
+		queued = func(int) int { return 0 }
+	}
+	rec := &jobRecord{n: n, queued: queued, indexes: map[jobKey]*indexJobs{}}
 	out := make([]*SharedJobs, n)
 	for i := range out {
 		out[i] = &SharedJobs{rec: rec, replica: i}
 	}
 	return out
-}
-
-// maxAhead is how many results of one index or table the record holds for a
-// live sibling that has yet to take them: how far a replica may run ahead of
-// its sibling and still have the sibling install what it ran.
-const maxAhead = 4
-
-// SetDown tells the record whether this replica is down. While it is, the
-// record holds at most one result of each index or table for it, the first
-// it will replay. A nil *SharedJobs ignores it.
-func (s *SharedJobs) SetDown(down bool) {
-	if s == nil {
-		return
-	}
-	s.rec.mu.Lock()
-	defer s.rec.mu.Unlock()
-	s.rec.down[s.replica] = down
 }
 
 // Held returns how many reorganisation job results the record keeps,
@@ -146,7 +137,7 @@ func (s *SharedJobs) LoadCounts() (written, installed int) {
 type jobRecord struct {
 	mu      sync.Mutex
 	n       int
-	down    []bool // per replica: down (SetDown)
+	queued  func(replica int) int // logged records a replica has yet to apply
 	indexes map[jobKey]*indexJobs
 
 	ran, installed               int // reorganisation jobs run and installed
@@ -211,6 +202,14 @@ type taskPairs struct {
 // means run alone.
 func (s *SharedJobs) start(key jobKey, gen int, desc [sha256.Size]byte) (publish, install *sharedJob) {
 	rec, me := s.rec, s.replica
+	// Read before the record's lock is taken, so no lock of the siblings'
+	// appliers is ever taken inside it.
+	follows := make([]int, rec.n)
+	for i := range follows {
+		if i != me {
+			follows[i] = rec.follows(i)
+		}
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	ij := rec.indexes[key]
@@ -238,10 +237,10 @@ func (s *SharedJobs) start(key jobKey, gen int, desc [sha256.Size]byte) (publish
 		return nil, install
 	}
 	// Publish only for siblings that have yet to start this generation and
-	// are not already as far behind as the record follows them.
+	// can still take one more result of this index or table.
 	pending, some := make([]bool, rec.n), false
 	for i, g := range ij.began {
-		if i != me && g < gen && ij.pendingFor(i) < rec.follows(key, i) {
+		if i != me && g < gen && ij.pendingFor(i) < follows[i] {
 			pending[i], some = true, true
 		}
 	}
@@ -257,24 +256,11 @@ func (s *SharedJobs) start(key jobKey, gen int, desc [sha256.Size]byte) (publish
 	return j, nil
 }
 
-// follows returns how many results of the index or table key names the
-// record holds for replica r at most: one while r is down; maxAhead loads,
-// which a live replica applies in order; and one job of an index, plus one
-// for each load of its table held for r, since each load applied runs one
-// append. (An index's data directory is its table's directory.)
-func (rec *jobRecord) follows(key jobKey, r int) int {
-	switch {
-	case rec.down[r]:
-		return 1
-	case key.load:
-		return maxAhead
-	}
-	n := 1
-	if loads := rec.indexes[jobKey{load: true, dir: key.dir}]; loads != nil {
-		n += loads.pendingFor(r)
-	}
-	return n
-}
+// follows returns how many results of one index or table the record holds
+// for replica r at most: one for a job no logged record leads to (a build, or
+// a probe's append), and one for each record queued on r, whose apply starts
+// one load and the append it leads to.
+func (rec *jobRecord) follows(r int) int { return 1 + rec.queued(r) }
 
 // pendingFor returns how many held jobs replica r may still install.
 func (ij *indexJobs) pendingFor(r int) int {

@@ -52,7 +52,7 @@ func TestSharedJobsRunOncePerReplicaSet(t *testing.T) {
 	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
 		for _, n := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%v/replicas=%d", format, n), func(t *testing.T) {
-				jobs := NewSharedJobs(n)
+				jobs := NewSharedJobs(n, nil)
 				reps := make([]*goldenReplica, n)
 				for r := range reps {
 					reps[r] = &goldenReplica{fs: goldenInputs(t, format), kv: kvstore.New()}
@@ -114,7 +114,7 @@ func TestSharedJobsFailedRunsStayPerReplica(t *testing.T) {
 	}
 	for _, broken := range []int{0, 1} {
 		t.Run(fmt.Sprintf("broken=replica%d", broken), func(t *testing.T) {
-			jobs := NewSharedJobs(2)
+			jobs := NewSharedJobs(2, nil)
 			reps := []*goldenReplica{{fs: inputs(), kv: kvstore.New()}, {fs: inputs(), kv: kvstore.New()}}
 			if _, errs := runGoldenStage(t, storage.TextFile, reps, jobs, 0); errs[0] != nil || errs[1] != nil {
 				t.Fatal(errs)
@@ -173,7 +173,7 @@ func TestSharedJobsFailedRunsStayPerReplica(t *testing.T) {
 // publishes that for the last. Loads and reorganisation jobs are counted
 // apart, and nothing is held afterwards.
 func TestSharedJobsLoadThreeReplicas(t *testing.T) {
-	jobs := NewSharedJobs(3)
+	jobs := NewSharedJobs(3, nil)
 	fss := []*dfs.FS{dfs.New(1 << 12), dfs.New(1 << 12), dfs.New(1 << 12)}
 	rows := goldenRows(0, 2, 0, 3)
 	load := func(r, gen int, fail bool) error {

@@ -39,7 +39,7 @@ func TestSharedJobsSiblingsShareRun(t *testing.T) {
 	for _, format := range []storage.Format{storage.TextFile, storage.RCFile} {
 		for _, n := range []int{2, 3} {
 			t.Run(fmt.Sprintf("%v/replicas=%d", format, n), func(t *testing.T) {
-				jobs := NewSharedJobs(n)
+				jobs := NewSharedJobs(n, nil)
 				reps := make([]*goldenReplica, n)
 				for r := range reps {
 					reps[r] = &goldenReplica{fs: goldenInputs(t, format), kv: kvstore.New()}
@@ -99,7 +99,7 @@ func TestSharedJobsSiblingWithOtherPairsKeepsItsOwn(t *testing.T) {
 	}
 
 	solo := &goldenReplica{fs: inputs(), kv: kvstore.New()}
-	jobs := NewSharedJobs(2)
+	jobs := NewSharedJobs(2, nil)
 	reps := []*goldenReplica{{fs: inputs(), kv: kvstore.New()}, {fs: inputs(), kv: kvstore.New()}}
 	if _, errs := runGoldenStage(t, storage.TextFile, []*goldenReplica{solo}, []*SharedJobs{nil}, 0); errs[0] != nil {
 		t.Fatal(errs[0])

@@ -155,7 +155,7 @@ func TestLoadRejectedLeavesTableAsBefore(t *testing.T) {
 // replicas do, each with table t created by ddl.
 func replicaPair(t *testing.T, ddl string) ([2]*Warehouse, []*dgf.SharedJobs) {
 	t.Helper()
-	jobs := dgf.NewSharedJobs(2)
+	jobs := dgf.NewSharedJobs(2, nil)
 	var ws [2]*Warehouse
 	for i := range ws {
 		ws[i] = testWarehouse(1 << 14)

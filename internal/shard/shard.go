@@ -175,7 +175,8 @@ type Router struct {
 // (dgf.SharedJobs), so a build or append over the same bytes runs once per
 // shard, and so does the encoding of a load's files; the siblings install
 // the sealed output files into their own filesystems, so the set holds each
-// file's payloads once (dfs.FS.Install).
+// file's payloads once (dfs.FS.Install). The record holds results for a
+// replica by how many records its applier has queued (wal.Engine.Queued).
 // The router starts one applier goroutine per replica; CloseWAL joins them.
 func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
@@ -186,7 +187,7 @@ func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, erro
 		reps := make([]*replica, cfg.replicas())
 		var jobs []*dgf.SharedJobs
 		if len(reps) > 1 {
-			jobs = dgf.NewSharedJobs(len(reps))
+			jobs = dgf.NewSharedJobs(len(reps), func(j int) int { return r.wal.Load().Queued(i, j) })
 		}
 		for j := range reps {
 			w := mk(i, j)
@@ -230,13 +231,9 @@ func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w 
 // commits to the shard's log and is queued on the surviving replicas, and
 // the dead one is owed the records (hinted handoff); without one there is
 // nothing to hand off from, so loads touching the shard are refused until
-// Revive and the replicas stay exact copies. Until Revive, the replica set's
-// record of shared jobs holds at most one result of each index or table for
-// the dead replica (dgf.SharedJobs.SetDown).
+// Revive and the replicas stay exact copies.
 func (r *Router) Kill(shard, replica int) {
-	rep := r.sets[shard].reps[replica]
-	rep.kill()
-	rep.w.DgfJobs.SetDown(true)
+	r.sets[shard].reps[replica].kill()
 	r.wal.Load().MarkDown(shard, replica)
 }
 
@@ -248,7 +245,6 @@ func (r *Router) Kill(shard, replica int) {
 func (r *Router) Revive(shard, replica int) {
 	rep := r.sets[shard].reps[replica]
 	rep.beginCatchUp()
-	rep.w.DgfJobs.SetDown(false)
 	r.wal.Load().CatchUp(shard, replica, rep.endCatchUp)
 }
 

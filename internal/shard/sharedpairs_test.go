@@ -3,10 +3,13 @@ package shard
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // indexedTables are a TEXTFILE and an RCFILE table, each with a DGFIndex.
@@ -113,12 +116,13 @@ func TestReplicaSetSiblingsShareGFUPairs(t *testing.T) {
 // TestReplicaSetSiblingTwoLoadsBehindInstallsEach: one replica applies two
 // loads — each a load and an append of a DGF-indexed table, and a load of an
 // RCFILE table — before its sibling applies either, as an applier that runs
-// ahead does. The record holds every one of them for the sibling, which
-// installs them all: each load and each append is written once, both
-// replicas end with the same files and shared GFU pairs, and the record ends
-// empty.
+// ahead does while its sibling's applier has the four records queued. The
+// record holds every one of them for the sibling, which installs them all:
+// each load and each append is written once, both replicas end with the
+// same files and shared GFU pairs, and the record ends empty.
 func TestReplicaSetSiblingTwoLoadsBehindInstallsEach(t *testing.T) {
-	jobs := dgf.NewSharedJobs(2)
+	queued := make([]int, 2) // each replica's queue of logged records, as its applier counts it
+	jobs := dgf.NewSharedJobs(2, func(j int) int { return queued[j] })
 	ws := []*hive.Warehouse{newShardWarehouse(0, 0), newShardWarehouse(0, 1)}
 	for j, w := range ws {
 		w.DgfJobs = jobs[j]
@@ -133,12 +137,14 @@ func TestReplicaSetSiblingTwoLoadsBehindInstallsEach(t *testing.T) {
 		t.Fatalf("set-up wrote %d loads and installed %d, ran %d jobs and installed %d", written, loadsInstalled, ran, installed)
 	}
 
-	for _, w := range ws {
+	queued[0], queued[1] = 4, 4
+	for j, w := range ws {
 		for day := 20; day < 22; day++ {
 			for _, table := range []string{"meterdata", "rc"} {
 				if err := w.LoadRowsByName(table, lateReadings(day)); err != nil {
 					t.Fatalf("day %d into %s: %v", day, table, err)
 				}
+				queued[j]--
 			}
 		}
 	}
@@ -164,4 +170,69 @@ func TestReplicaSetSiblingTwoLoadsBehindInstallsEach(t *testing.T) {
 	if shared, own := siblingPairs(t, ws[0], ws[1], "meterdata"); own != 0 {
 		t.Errorf("the sibling holds %d GFU pairs of its own beside %d shared", own, shared)
 	}
+}
+
+// TestReplicaSetParkedApplierInstallsEachLoad: on a 1x2 fleet behind a log
+// directory, the applier that applies the first of ten logged loads first
+// parks after it, so its sibling applies the other nine — five into the
+// RCFILE table, four into the DGF-indexed meterdata, each with its append —
+// while the nine records wait in the parked applier's queue. The record
+// holds all nine loads and four appends for the parked replica, as many as
+// its queue says it will start; once released it installs each: every load
+// and every append is written once, the replicas hold the same files, the
+// sibling's GFU pairs are the publisher's, and the record ends empty.
+func TestReplicaSetParkedApplierInstallsEachLoad(t *testing.T) {
+	r := replicatedRouter(t, 1, 2, true)
+	t.Cleanup(func() { r.CloseWAL() })
+	mustExec(t, r, sharedLoadTables[1].ddl)
+	jobs := r.Replica(0, 0).DgfJobs
+	written, loadsInstalled := jobs.LoadCounts()
+	ran, installed := jobs.Counts()
+
+	gate := make(chan struct{})
+	var parked atomic.Bool
+	park := func(string, int) {
+		if parked.CompareAndSwap(false, true) {
+			<-gate
+		}
+	}
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff, OnApply: park}); err != nil {
+		t.Fatal(err)
+	}
+	var released atomic.Bool
+	release := func() {
+		if released.CompareAndSwap(false, true) {
+			close(gate)
+		}
+	}
+	t.Cleanup(release) // runs before CloseWAL, which waits for the parked applier
+
+	for day := 20; day < 25; day++ {
+		for _, table := range []string{"meterdata", "rc"} {
+			if _, err := r.LoadRowsDurable(context.Background(), table, lateReadings(day), false); err != nil {
+				t.Fatalf("day %d into %s: %v", day, table, err)
+			}
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for jobs.HeldLoads() != 9 || jobs.Held() != 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("with one applier parked after the first of ten loads the record holds %d loads and %d appends, want 9 and 4",
+				jobs.HeldLoads(), jobs.Held())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	waitFleetSettled(t, r)
+	if w, i := jobs.LoadCounts(); w-written != 10 || i-loadsInstalled != 10 {
+		t.Errorf("the loads were written %d times and installed %d times, want 10 and 10", w-written, i-loadsInstalled)
+	}
+	if n, in := jobs.Counts(); n-ran != 5 || in-installed != 5 {
+		t.Errorf("the appends ran %d times and were installed %d times, want 5 and 5", n-ran, in-installed)
+	}
+	if held, heldLoads := jobs.Held(), jobs.HeldLoads(); held != 0 || heldLoads != 0 {
+		t.Errorf("the record holds %d jobs and %d loads, want none", held, heldLoads)
+	}
+	checkReplicasIdentical(t, r)
+	checkSiblingsSharePairs(t, r, "meterdata")
 }

@@ -427,6 +427,19 @@ func (e *Engine) MarkDown(shard, replica int) {
 	rw.mu.Unlock()
 }
 
+// Queued returns how many records are queued on a replica and not yet
+// applied, the one its applier is applying included. It stops growing while
+// the replica is down: commits queue nothing on it then.
+func (e *Engine) Queued(shard, replica int) int {
+	rw := e.replica(shard, replica)
+	if rw == nil {
+		return 0
+	}
+	rw.mu.Lock()
+	defer rw.mu.Unlock()
+	return len(rw.pending)
+}
+
 // CatchUp revives a replica by log replay: the records committed while it
 // was down (LSN > its queued cursor) are read from the shard's log into its
 // pending queue, the applier resumes, and onDone fires once the replica's

@@ -387,6 +387,68 @@ func TestWALHintedHandoffAndCatchUp(t *testing.T) {
 	e.Close()
 }
 
+// TestWALQueuedCountsWhatEachReplicaHasYetToApply: Queued counts the records
+// queued on a replica and not yet applied, the one its parked applier holds
+// included; it does not grow while the replica is down, and it returns to 0
+// once catch-up has applied what the replica missed.
+func TestWALQueuedCountsWhatEachReplicaHasYetToApply(t *testing.T) {
+	gate := make(chan struct{})
+	stores := []*memStore{{}, {gate: gate}}
+	e, err := Open(Options{Dir: t.TempDir(), Fsync: PolicyOff}, [][]Store{{stores[0], stores[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var release sync.Once
+	unblock := func() { release.Do(func() { close(gate) }) }
+	defer unblock() // before Close, which waits for the parked applier
+	ctx := context.Background()
+	commit := func(base int) {
+		t.Helper()
+		if _, err := e.Commit(ctx, 0, "meter", testRows(base, 2)); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+	}
+	waitQueued := func(replica, want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for e.Queued(0, replica) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d has %d records queued, want %d", replica, e.Queued(0, replica), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		commit(i * 10)
+	}
+	waitQueued(0, 0)
+	if n := e.Queued(0, 1); n != 3 {
+		t.Fatalf("the parked replica has %d records queued, want 3", n)
+	}
+	e.MarkDown(0, 1)
+	commit(100)
+	commit(200)
+	if n := e.Queued(0, 1); n != 3 {
+		t.Fatalf("the down replica has %d records queued, want the 3 it had", n)
+	}
+	unblock() // the apply in progress completes; the rest wait for catch-up
+	waitQueued(1, 2)
+	done := make(chan struct{})
+	e.CatchUp(0, 1, func() { close(done) })
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("catch-up never completed")
+	}
+	if n := e.Queued(0, 1); n != 0 {
+		t.Fatalf("after catch-up the replica has %d records queued", n)
+	}
+	if n := e.Queued(1, 0) + e.Queued(0, 2); n != 0 {
+		t.Fatalf("a replica that does not exist has %d records queued", n)
+	}
+}
+
 func TestWALCommitFailsWithNoLiveReplica(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openTestEngine(t, dir, 1, 2, Options{Fsync: PolicyOff})
