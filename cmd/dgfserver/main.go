@@ -1,7 +1,7 @@
 // Command dgfserver runs DGFServe: the concurrent HTTP query service over a
-// fleet of -shards x -replicas in-process warehouses behind the
-// scatter-gather router (the default 1x1 fleet is a single warehouse the
-// router passes through to) — modelling the State Grid deployment where many
+// fleet of -shards in-process warehouses, each served by -replicas
+// executors, behind the scatter-gather router (the default 1x1 fleet is a
+// single warehouse the router passes through to) — modelling the State Grid deployment where many
 // operators share one Hive+DGFIndex cluster.
 //
 // Start it with a generated month of smart-meter data and a DGFIndex:
@@ -61,11 +61,11 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache payload budget in bytes (0 = uncapped)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout")
 	shards := flag.Int("shards", 1, "warehouse shards behind the server (1 = unsharded)")
-	replicas := flag.Int("replicas", 1, "warehouse replicas per shard (reads fail over, writes go to all)")
+	replicas := flag.Int("replicas", 1, "executors per shard over its one warehouse (reads fail over between them)")
 	shardKey := flag.String("shard-key", "userId", "routing column when -shards > 1")
 	shardStrategy := flag.String("shard-strategy", "hash", "shard routing: hash or range")
 	shardBounds := flag.String("shard-bounds", "", "comma-separated ascending split points for range routing (shards-1 values; -demo derives them when omitted)")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: loads survive restarts and ack once logged, a down replica is owed what it misses and catches up by log replay (empty: nothing is stored, an ack means applied, a shard with a replica down refuses loads)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory: loads survive restarts and ack once logged (empty: nothing is stored, an ack means applied)")
 	fsync := flag.String("fsync", "interval", "WAL append durability: always, interval, or off (acts on -wal-dir's logs)")
 	maxLoadBytes := flag.Int64("max-load-bytes", 32<<20, "largest accepted POST /load body in bytes (negative = unlimited)")
 	demo := flag.Bool("demo", false, "preload generated meter data with a DGFIndex")

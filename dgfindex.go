@@ -157,14 +157,15 @@ var NewServerWithBackend = server.NewWithBackend
 
 // Sharding layer: a router that partitions tables across N independent
 // warehouses and executes SELECTs by scatter-gather over mergeable partial
-// aggregates; a 1x1 router passes statements through bit-identically. Every
-// load commits to the router's engine — one LSN sequence and one log per
-// shard, one applier per replica — and each replica's applier writes its
-// warehouse one logged record at a time, in LSN order. Given a directory
-// (ServerConfig.WALDir) the logs are files: loads survive restarts, ack once
-// appended to the shard's log and queued on its live replicas, and a revived
-// replica catches up by replaying what it missed.
-// Without one an ack means applied. See internal/shard and internal/wal.
+// aggregates; a 1x1 router passes statements through bit-identically. A
+// shard is one warehouse, and its replicas are executors over it: each has
+// its own liveness and kill switch, and reads fail over between them. Every
+// load commits to the router's engine — one LSN sequence, one log and one
+// applier per shard — and the applier writes the shard's warehouse one
+// logged record at a time, in LSN order. Given a directory
+// (ServerConfig.WALDir) the logs are files: loads survive restarts and ack
+// once appended to the shard's log. Without one an ack means applied. See
+// internal/shard and internal/wal.
 type (
 	// ShardRouter fans statements out across shard warehouses.
 	ShardRouter = shard.Router
@@ -182,23 +183,21 @@ const (
 // ParseShardStrategy reads "hash" or "range" (CLI flags).
 var ParseShardStrategy = shard.ParseStrategy
 
-// NewSharded creates a shard router over cfg.Shards shards of cfg.Replicas
-// fresh in-memory warehouses each, every one with the default cluster model
-// and block size (the sharded sibling of New).
+// NewSharded creates a shard router over cfg.Shards fresh in-memory
+// warehouses, one per shard and each served by cfg.Replicas executors, every
+// one with the default cluster model and block size (the sharded sibling of
+// New).
 func NewSharded(cfg ShardConfig) (*ShardRouter, error) {
-	return shard.New(cfg, func(int, int) *Warehouse { return New() })
+	return shard.New(cfg, func(int) *Warehouse { return New() })
 }
 
 // NewShardedWithConfig creates a shard router whose warehouses share a
 // cluster model and block size (the sharded sibling of NewWithConfig). Each
-// shard — and each replica of each shard — still gets its own filesystem:
-// namespaces, key-value stores and file lifetimes are per replica. The
-// replicas of a shard share a record of DGFIndex jobs and loads, so a build
-// or a load's encoding runs on one of them; the others install its sealed
-// output files into their own filesystems, holding the same payloads rather
-// than copies, and merge its pairs into their own key-value stores.
+// shard gets one warehouse with its own filesystem and key-value stores; the
+// shard's replicas execute over it, so every build, load and file happens
+// once per shard.
 func NewShardedWithConfig(cfg ShardConfig, cc *ClusterConfig, blockSize int64) (*ShardRouter, error) {
-	return shard.New(cfg, func(int, int) *Warehouse {
+	return shard.New(cfg, func(int) *Warehouse {
 		return hive.NewWarehouse(dfs.New(blockSize), cc, "/warehouse")
 	})
 }

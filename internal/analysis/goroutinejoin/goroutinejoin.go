@@ -93,7 +93,7 @@ func intersects(a, b map[string]bool) bool {
 
 type funcFacts struct {
 	hasWait    bool
-	hasAdd     bool // an X.Add(...) call positioned before the go statement
+	hasAdd     bool            // an X.Add(...) call positioned before the go statement
 	closed     map[string]bool // channels closed outside the goroutine under test
 	received   map[string]bool // channels received/selected on outside the goroutine
 	ctxCreated map[string]bool // idents assigned from context.With*(...)

@@ -32,9 +32,9 @@ func Write(p *trace.PromWriter, shard int, qps float64) {
 	p.CounterVec("dgf_queries_total", "Queries.", "shard", map[string]float64{"a": qps}) // ok
 	p.CounterVec("dgf_queries_total", "Queries.", "user", nil)                           // want `label name "user" is not in the dgflint:metric-labels const set`
 
-	p.GaugeRow("dgf_up", shardLabels(shard), 1)                // ok: local helper returning registered keys
-	p.GaugeRow("dgf_up", map[string]string{"shard": "0"}, 1)   // ok: literal registered key
-	p.GaugeRow("dgf_up", map[string]string{"user": "bob"}, 1)  // want `label name "user" is not in the dgflint:metric-labels const set`
+	p.GaugeRow("dgf_up", shardLabels(shard), 1)               // ok: local helper returning registered keys
+	p.GaugeRow("dgf_up", map[string]string{"shard": "0"}, 1)  // ok: literal registered key
+	p.GaugeRow("dgf_up", map[string]string{"user": "bob"}, 1) // want `label name "user" is not in the dgflint:metric-labels const set`
 }
 
 func shardLabels(shard int) map[string]string {

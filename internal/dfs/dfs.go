@@ -15,14 +15,10 @@
 // memory; at the scales the benchmarks use (hundreds of MB) this is both the
 // fastest and the simplest faithful substitute for a real HDFS cluster.
 //
-// Files are write-once, as in HDFS. Closing a file's writer seals the file,
-// and nothing in this package writes into a sealed file's blocks again: Write
-// refuses a sealed file, WriteFile replaces the node rather than rewriting
-// it, RemoveAll drops nodes, and reads copy bytes out. So a sealed file's
-// payloads may be held by more than one filesystem: Sealed hands them out as
-// a value, and Install creates a file from one without copying them when
-// the two filesystems' block sizes agree. Every file still has its own node
-// and block list; only the payloads are shared.
+// Files are write-once, as in HDFS. Closing a file's writer seals the file:
+// Write refuses a sealed file, and WriteFile replaces the node rather than
+// rewriting it. A shard's replicas are executors over one filesystem, as
+// Hive servers are over one HDFS, so every file is held once.
 package dfs
 
 import (
@@ -46,12 +42,11 @@ const NameNodeBytesPerObject = 150
 
 // Common errors returned by the filesystem.
 var (
-	ErrNotExist  = errors.New("dfs: no such file or directory")
-	ErrExist     = errors.New("dfs: file already exists")
-	ErrIsDir     = errors.New("dfs: is a directory")
-	ErrNotDir    = errors.New("dfs: not a directory")
-	ErrNotEmpty  = errors.New("dfs: directory not empty")
-	ErrNotSealed = errors.New("dfs: file is still open for writing")
+	ErrNotExist = errors.New("dfs: no such file or directory")
+	ErrExist    = errors.New("dfs: file already exists")
+	ErrIsDir    = errors.New("dfs: is a directory")
+	ErrNotDir   = errors.New("dfs: not a directory")
+	ErrNotEmpty = errors.New("dfs: directory not empty")
 )
 
 // FS is an in-process model of an HDFS namespace plus datanode storage.
@@ -432,98 +427,6 @@ func (w *FileWriter) Close() error {
 		}
 	}
 	return nil
-}
-
-// SealedFile is the contents of a sealed file as an immutable value: its
-// block payloads, its size and the block size they were cut at. It holds the
-// payloads themselves, not a copy; its fields are unexported, so no caller
-// can write into them.
-type SealedFile struct {
-	blocks    [][]byte
-	size      int64
-	blockSize int64
-}
-
-// Shares reports whether f and g hold their bytes in the same memory: the
-// same number of blocks, each the same payload. Two files one of which was
-// installed from the other share; two files written apart do not.
-func (f SealedFile) Shares(g SealedFile) bool {
-	if len(f.blocks) != len(g.blocks) {
-		return false
-	}
-	for i, b := range f.blocks {
-		if len(b) != len(g.blocks[i]) || len(b) > 0 && &b[0] != &g.blocks[i][0] {
-			return false
-		}
-	}
-	return true
-}
-
-// Sealed returns the contents of the file at p, whose writer must have
-// closed (else ErrNotSealed).
-func (fs *FS) Sealed(p string) (SealedFile, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	n, err := fs.lookup(p)
-	switch {
-	case err != nil:
-		return SealedFile{}, err
-	case n.dir:
-		return SealedFile{}, fmt.Errorf("%w: %s", ErrIsDir, p)
-	case !n.sealed:
-		return SealedFile{}, fmt.Errorf("%w: %s", ErrNotSealed, p)
-	}
-	return SealedFile{blocks: n.blocks, size: n.size, blockSize: fs.blockSize}, nil
-}
-
-// Install creates the sealed file p with f's contents. Like Create, it makes
-// missing parents and fails if p exists. The file appears whole: a
-// concurrent List or Stat sees no file or all of it. The new file gets its
-// own block list; when fs has f's block size the blocks are f's payloads,
-// not copies, else the bytes are copied into blocks of fs's size.
-// BytesWritten grows by the file's size, as it does for a written file.
-func (fs *FS) Install(p string, f SealedFile) error {
-	dir, base := path.Split(path.Clean("/" + p))
-	if base == "" {
-		return fmt.Errorf("%w: empty file name", ErrNotExist)
-	}
-	n := &node{name: base, size: f.size, sealed: true, blocks: f.blocksAt(fs.blockSize)}
-	if err := fs.MkdirAll(dir); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parent, err := fs.lookup(dir)
-	if err != nil {
-		return err
-	}
-	if _, ok := parent.children[base]; ok {
-		return fmt.Errorf("%w: %s", ErrExist, p)
-	}
-	parent.children[base] = n
-	fs.bytesWritten.Add(f.size)
-	return nil
-}
-
-// blocksAt returns a new block list over f's bytes cut at block size bs: f's
-// payloads when f was cut at bs, else one copy of the bytes.
-func (f SealedFile) blocksAt(bs int64) [][]byte {
-	if f.size == 0 {
-		return nil
-	}
-	if f.blockSize == bs {
-		return append([][]byte(nil), f.blocks...)
-	}
-	data := make([]byte, 0, f.size)
-	for _, b := range f.blocks {
-		data = append(data, b...)
-	}
-	blocks := make([][]byte, 0, (f.size+bs-1)/bs)
-	for off := int64(0); off < f.size; off += bs {
-		end := min(off+bs, f.size)
-		blocks = append(blocks, data[off:end:end])
-	}
-	return blocks
 }
 
 // Open returns a reader positioned at the start of file p.

@@ -44,10 +44,6 @@ type Source struct {
 	// GroupRows sizes the reorganised data's RCFile row groups (<= 0
 	// selects storage.DefaultRowGroupRows). Ignored for TextFile.
 	GroupRows int
-	// Jobs, when set, is this replica's handle on its replica set's shared
-	// record of reorganisation jobs: the built index keeps it, so this build
-	// and every later Append run once per set (see SharedJobs).
-	Jobs *SharedJobs
 }
 
 // Build constructs a DGFIndex over the table described by src, reorganising
@@ -85,7 +81,6 @@ func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 		DataDir:   dataDir,
 		Format:    src.Format,
 		GroupRows: src.GroupRows,
-		shared:    src.Jobs,
 		minCell:   make([]int64, len(spec.Policy.Dims)),
 		maxCell:   make([]int64, len(spec.Policy.Dims)),
 	}
@@ -158,33 +153,8 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 	}
 	ix.KV.Put(metaGen, []byte(strconv.Itoa(gen+1)))
 
-	// A replica with siblings installs the output of a job one of them ran
-	// with the same description instead of running it (see SharedJobs), and
-	// publishes its own run's output when a sibling may still install it.
-	var publish *sharedJob
-	if ix.shared != nil {
-		desc, err := ix.describeJob(cfg, input, numReducers, gen)
-		if err != nil {
-			return nil, err
-		}
-		var install *sharedJob
-		publish, install = ix.shared.start(jobKey{dir: ix.DataDir}, gen, desc)
-		if install != nil {
-			<-install.done
-			if install.out != nil {
-				ix.shared.count(true)
-				return ix.installJob(cfg, gen, numReducers, fresh, install.out, kvBefore)
-			}
-		}
-		if publish != nil {
-			defer ix.shared.finish(jobKey{dir: ix.DataDir}, publish, nil) // a no-op once published
-		}
-		ix.shared.count(false)
-	}
-
-	var mu sync.Mutex // guards what reduce tasks report: merged, tasks and the job's bounds
+	var mu sync.Mutex // guards what reduce tasks report: merged and the job's bounds
 	var merged []mergedPairs
-	var tasks []taskPairs
 	var lo, hi []int64
 
 	// What the reducer parses of a shuffled line: the dimensions of one line
@@ -253,9 +223,6 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 			mu.Lock()
 			defer mu.Unlock()
 			merged = append(merged, m)
-			if publish != nil {
-				tasks = append(tasks, taskPairs{task: task, pairs: pairs})
-			}
 			lo, hi = extendBounds(lo, hi, taskLo)
 			extendBounds(lo, hi, taskHi)
 			return nil
@@ -267,15 +234,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 		return nil, err
 	}
 	ix.extendCellBounds(fresh, lo, hi)
-	stats, run := ix.commitRun(cfg, *jobStats, merged, nil, kvBefore)
-	if publish != nil {
-		// A run whose output cannot be read back still succeeded here; the
-		// deferred finish then tells the siblings to run the job themselves.
-		if out, err := ix.collectOutput(gen, tasks, run, lo, hi, *jobStats); err == nil {
-			ix.shared.finish(jobKey{dir: ix.DataDir}, publish, out)
-		}
-	}
-	return stats, nil
+	return ix.commitRun(cfg, *jobStats, merged, kvBefore), nil
 }
 
 // removeRun deletes what a failed run of generation gen wrote: the files its
@@ -304,28 +263,17 @@ func (ix *Index) extendCellBounds(fresh bool, lo, hi []int64) {
 }
 
 // commitRun puts a successful run's merged pairs into the store — only now,
-// so a failed run leaves every GFU pair as it was — saves the metadata and
-// reports the run's cost. The pairs go in as one kvstore.Run, in task order:
-// published, a sibling's run of the same job, when it holds exactly these
-// pairs (the store then shares its bytes), and one encoded here otherwise.
-// commitRun returns the run it put.
-func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, published *kvstore.Run, kvBefore kvstore.Stats) (*BuildStats, *kvstore.Run) {
+// so a failed run leaves every GFU pair as it was — in task order, saves the
+// metadata and reports the run's cost.
+func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, kvBefore kvstore.Stats) *BuildStats {
 	sort.Slice(merged, func(a, b int) bool { return merged[a].task < merged[b].task })
 	entries := 0
 	for _, m := range merged {
-		entries += len(m.pairs)
-	}
-	pairs := make([]kvstore.Pair, 0, entries)
-	for _, m := range merged {
-		pairs = append(pairs, m.pairs...)
+		ix.KV.PutBatch(m.pairs)
 		ix.gfuBytes.Add(m.grownBytes)
 		ix.gfuEntries.Add(m.fresh)
+		entries += len(m.pairs)
 	}
-	run := published
-	if run == nil || !run.Equal(pairs) {
-		run = kvstore.NewRun(pairs)
-	}
-	ix.KV.PutRun(run)
 	ix.saveMeta()
 	kvDelta := ix.KV.Stats().Sub(kvBefore)
 	return &BuildStats{
@@ -333,7 +281,7 @@ func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []me
 		Entries:      entries,
 		IndexBytes:   ix.SizeBytes(),
 		KVSimSeconds: kvDelta.SimSeconds(cfg),
-	}, run
+	}
 }
 
 // stackDims is how many cell coordinates the per-record scratch slices hold

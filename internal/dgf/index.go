@@ -238,7 +238,6 @@ type Index struct {
 	maxCell    []int64
 	gfuBytes   atomic.Int64 // SizeBytes: key and value bytes of every GFU pair
 	gfuEntries atomic.Int64 // Entries: number of GFU pairs
-	shared     *SharedJobs  // the replica set's record of build jobs; nil without siblings
 
 	filesMu sync.RWMutex
 	files   map[[2]int64]string // partFile: (generation, task) → data file path

@@ -2,15 +2,12 @@ package hive
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
-	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -148,134 +145,5 @@ func TestLoadRejectedLeavesTableAsBefore(t *testing.T) {
 				t.Errorf("%s: a load with a %s changed the files:\n%s", ddl, name, d)
 			}
 		}
-	}
-}
-
-// replicaPair is two warehouses sharing one record of jobs, as a shard's two
-// replicas do, each with table t created by ddl.
-func replicaPair(t *testing.T, ddl string) ([2]*Warehouse, []*dgf.SharedJobs) {
-	t.Helper()
-	jobs := dgf.NewSharedJobs(2, nil)
-	var ws [2]*Warehouse
-	for i := range ws {
-		ws[i] = testWarehouse(1 << 14)
-		ws[i].DgfJobs = jobs[i]
-		mustExec(t, ws[i], ddl)
-	}
-	return ws, jobs
-}
-
-// checkLoads requires the record to count written loads and installed ones
-// and to hold none.
-func checkLoads(t *testing.T, jobs *dgf.SharedJobs, wantWritten, wantInstalled int) {
-	t.Helper()
-	if written, installed := jobs.LoadCounts(); written != wantWritten || installed != wantInstalled {
-		t.Errorf("%d loads written and %d installed, want %d and %d", written, installed, wantWritten, wantInstalled)
-	}
-	if held := jobs.HeldLoads(); held != 0 {
-		t.Errorf("the record holds %d loads, want none", held)
-	}
-}
-
-// TestReplicaSetLoadSiblingWithOtherRowsOrSettingsWritesItsOwn: a sibling
-// installs its publisher's files only for the same rows into the same table
-// settings: the same cells, shared or copied. With one cell's bits changed
-// (−0 for +0), or a table whose row groups are sized otherwise, it writes its
-// own file, which is what a warehouse without siblings writes.
-func TestReplicaSetLoadSiblingWithOtherRowsOrSettingsWritesItsOwn(t *testing.T) {
-	const ddl = `CREATE TABLE t ` + meterColumns + ` STORED AS RCFILE`
-	rows := meterRows(40, 4, 30)
-	rows[500][3] = storage.Float64(0)
-	for _, tc := range []struct {
-		name     string
-		installs bool
-		sibling  func(w *Warehouse) []storage.Row
-	}{
-		{"same", true, func(*Warehouse) []storage.Row { return rows }},
-		{"same cells, own copy", true, func(*Warehouse) []storage.Row {
-			own := make([]storage.Row, len(rows))
-			for i, r := range rows {
-				own[i] = append(storage.Row(nil), r...)
-			}
-			return own
-		}},
-		{"negative zero", false, func(*Warehouse) []storage.Row {
-			own := append([]storage.Row(nil), rows...)
-			own[500] = append(storage.Row(nil), own[500]...)
-			own[500][3] = storage.Float64(math.Copysign(0, -1))
-			return own
-		}},
-		{"row group size", false, func(w *Warehouse) []storage.Row {
-			tbl, err := w.Table("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl.RowGroupRows = 100
-			return rows
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ws, jobs := replicaPair(t, ddl)
-			sibRows := tc.sibling(ws[1])
-			ref := testWarehouse(1 << 14)
-			mustExec(t, ref, ddl)
-			refTbl, _ := ref.Table("t")
-			sibTbl, _ := ws[1].Table("t")
-			refTbl.RowGroupRows = sibTbl.RowGroupRows
-			if err := ref.LoadRowsByName("t", sibRows); err != nil {
-				t.Fatal(err)
-			}
-			if err := ws[0].LoadRowsByName("t", rows); err != nil {
-				t.Fatal(err)
-			}
-			if err := ws[1].LoadRowsByName("t", sibRows); err != nil {
-				t.Fatal(err)
-			}
-			if tc.installs {
-				checkLoads(t, jobs[0], 1, 1)
-			} else {
-				checkLoads(t, jobs[0], 2, 0)
-			}
-			if d := diffTrees(fsTree(t, ref.FS, "/warehouse"), fsTree(t, ws[1].FS, "/warehouse")); d != "" {
-				t.Errorf("the sibling's files differ from a warehouse's without siblings:\n%s", d)
-			}
-		})
-	}
-}
-
-// TestReplicaSetLoadFailedPublisherLeavesSiblingsToWrite: the replica that
-// applies a load first fails half-way — its data file is written, its column
-// statistics cannot be — so it publishes nothing and removes the file it
-// wrote; its sibling then writes its own files, as a warehouse without
-// siblings does, and the record holds nothing.
-func TestReplicaSetLoadFailedPublisherLeavesSiblingsToWrite(t *testing.T) {
-	const ddl = `CREATE TABLE t ` + meterColumns + ` STORED AS RCFILE`
-	rows := meterRows(40, 4, 30)
-	ws, jobs := replicaPair(t, ddl)
-	// A file where the column statistics directory goes.
-	if err := ws[0].FS.WriteFile("/warehouse/t/_colstats", nil); err != nil {
-		t.Fatal(err)
-	}
-	err := ws[0].LoadRowsByName("t", rows)
-	if !errors.Is(err, dfs.ErrNotDir) {
-		t.Fatalf("load on the publisher: %v, want %v", err, dfs.ErrNotDir)
-	}
-	if files := fsTree(t, ws[0].FS, "/warehouse"); len(files) != 1 {
-		t.Errorf("the failed load left files behind: %v", files)
-	}
-	if err := ws[1].LoadRowsByName("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	checkLoads(t, jobs[0], 2, 0)
-	ref := testWarehouse(1 << 14)
-	mustExec(t, ref, ddl)
-	if err := ref.LoadRowsByName("t", rows); err != nil {
-		t.Fatal(err)
-	}
-	if d := diffTrees(fsTree(t, ref.FS, "/warehouse"), fsTree(t, ws[1].FS, "/warehouse")); d != "" {
-		t.Errorf("the sibling's files differ from a warehouse's without siblings:\n%s", d)
-	}
-	if got, want := tableAnswers(t, ws[1], "t"), tableAnswers(t, ref, "t"); got != want {
-		t.Errorf("the sibling answers\n%s\nwant\n%s", got, want)
 	}
 }

@@ -32,12 +32,6 @@ type Warehouse struct {
 	Cluster *cluster.Config
 	// Root is the warehouse directory ("/warehouse").
 	Root string
-	// DgfJobs, when set, is this warehouse's handle on its replica set's
-	// shared record of DGFIndex reorganisation jobs: a replica whose sibling
-	// already ran a build or append over the same bytes installs that job's
-	// output instead of running it again. Set it before the warehouse is
-	// used; nil (a bare warehouse, or one without siblings) runs every job.
-	DgfJobs *dgf.SharedJobs
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -258,11 +252,6 @@ func (w *Warehouse) tableNamesLocked() []string {
 // checked (storage.CheckRows) before any file is created, and a load that
 // fails removes every file it created: the table answers as it did before
 // (its version still moves).
-//
-// With DgfJobs set, the load's files are written once per replica set: the
-// first replica to apply a load encodes them, and a sibling applying the
-// same rows installs them, sharing their sealed payloads (see
-// dgf.SharedJobs.Load).
 func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -282,42 +271,24 @@ func (w *Warehouse) loadRowsLocked(t *Table, rows []storage.Row) error {
 		return err
 	}
 	w.bumpLocked(strings.ToLower(t.Name))
-	gen := t.fileSeq
 	t.fileSeq += len(files)
+	if err := storage.CheckRows(t.Schema, rows); err != nil {
+		return fmt.Errorf("hive: load into %q: %w", t.Name, err)
+	}
 	// An indexed table's load stages its rows as text for the index append.
 	rc := t.Format == hiveindex.RCFile && t.Dgf == nil
-	var paths []string
 	for _, f := range files {
-		paths = append(paths, f.path)
+		var err error
 		if rc {
-			paths = append(paths, storage.ColStatsPath(f.path))
+			_, err = storage.WriteRCRowsOpts(w.FS, f.path, t.Schema, f.rows, t.RowGroupRows,
+				storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
+		} else {
+			err = storage.WriteTextRows(w.FS, f.path, f.rows)
 		}
-	}
-	desc := fmt.Sprintf("%s\x00%d\x00%s\x00%d\x00%t\x00%s", t.Dir, t.Format, t.Schema,
-		t.RowGroupRows, t.DisableEncoding, t.PartitionBy)
-	err = w.DgfJobs.Load(w.FS, t.Dir, gen, desc, rows, paths, func() error {
-		// Checked by the replica that writes the files: a sibling installs
-		// them only for rows equal to these.
-		if err := storage.CheckRows(t.Schema, rows); err != nil {
-			return fmt.Errorf("hive: load into %q: %w", t.Name, err)
+		if err != nil {
+			w.removeLoadLocked(t, files, rc)
+			return err
 		}
-		for _, f := range files {
-			var err error
-			if rc {
-				_, err = storage.WriteRCRowsOpts(w.FS, f.path, t.Schema, f.rows, t.RowGroupRows,
-					storage.RCWriteOptions{DisableEncoding: t.DisableEncoding})
-			} else {
-				err = storage.WriteTextRows(w.FS, f.path, f.rows)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		w.removeLoadLocked(t, paths)
-		return err
 	}
 	if t.Dgf == nil {
 		return nil
@@ -342,8 +313,7 @@ type loadFile struct {
 // loadFilesLocked names the files a load of rows into t writes, numbered
 // from t.fileSeq: one data file, a staging file for a DGF-indexed table's
 // append, or one data file per touched partition in the partitions' sorted
-// order — so every run, and every replica of a shard, gives a partition the
-// same file.
+// order — so every run gives a partition the same file.
 func (w *Warehouse) loadFilesLocked(t *Table, rows []storage.Row) ([]loadFile, error) {
 	switch {
 	case t.PartitionBy != "":
@@ -380,12 +350,16 @@ func (w *Warehouse) loadFilesLocked(t *Table, rows []storage.Row) ([]loadFile, e
 }
 
 // removeLoadLocked deletes the files a failed load may have created — names
-// at sequence numbers no earlier load used — and a partition directory that
-// leaves empty: it would still count as a partition.
-func (w *Warehouse) removeLoadLocked(t *Table, paths []string) {
-	for _, p := range paths {
-		w.FS.RemoveAll(p)
-		for dir := path.Dir(p); t.PartitionBy != "" && dir != t.Dir; dir = path.Dir(dir) {
+// at sequence numbers no earlier load used, and for RCFile their `_colstats`
+// side files — and a partition directory that leaves empty: it would still
+// count as a partition.
+func (w *Warehouse) removeLoadLocked(t *Table, files []loadFile, rc bool) {
+	for _, f := range files {
+		w.FS.RemoveAll(f.path)
+		if rc {
+			w.FS.RemoveAll(storage.ColStatsPath(f.path))
+		}
+		for dir := path.Dir(f.path); t.PartitionBy != "" && dir != t.Dir; dir = path.Dir(dir) {
 			if fis, err := w.FS.List(dir); err != nil || len(fis) > 0 {
 				break
 			}
@@ -486,7 +460,7 @@ func (w *Warehouse) buildDgfIndexLocked(t *Table, spec dgf.Spec) (*dgf.BuildStat
 	// row-group-granular slices and its reads push column projections down.
 	kv := kvstore.New()
 	dataDir := t.Dir + "_dgf"
-	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows, Jobs: w.DgfJobs}
+	src := dgf.Source{Dir: t.Dir, Format: t.Format, GroupRows: t.RowGroupRows}
 	ix, stats, err := dgf.Build(w.Cluster, w.FS, kv, spec, t.Schema, src, dataDir)
 	if err != nil {
 		return nil, err

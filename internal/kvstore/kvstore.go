@@ -19,32 +19,22 @@
 // without reading the arena. Keys are kept once, in the arena; there is no
 // per-pair allocation.
 //
-// Runs. A Run is records encoded once, outside any store, in chunks of at
-// most 64 KiB sized exactly to them. PutRun adds a run's chunks to the
-// store's chunk list by reference and points one slot at each record, so
-// several stores — the replicas of one shard, in the paper's HBase the
-// readers of one store file — hold one copy of the same pairs. Nothing
-// appends into a run's chunk: its capacity ends at its length.
-//
 // Views. Get, MultiGet and ScanPrefix return values as views into the arena,
 // not copies, with capacity clipped to length: a caller may read them for as
 // long as it likes, but must not write them, and an append to one copies.
-// Put and PutBatch copy the caller's bytes, so a caller may reuse its buffer;
-// PutRun copies nothing, which is safe because a run never changes. Written
-// bytes never change: an overwrite appends a new record and repoints the
-// key's slot, leaving the old record — and any view of it — intact.
+// Put and PutBatch copy the caller's bytes, so a caller may reuse its buffer.
+// Written bytes never change: an overwrite appends a new record and repoints
+// the key's slot, leaving the old record — and any view of it — intact.
 //
 // Compaction. The bytes of overwritten records are dead. Once they exceed
 // the live records' bytes by more than a chunk, the store copies its live
-// records, a run's included, into fresh chunks of its own, in arena order,
-// and drops the old chunks; the garbage collector frees them when the last
-// view into them, and the last store holding the run, is gone. A store that
-// takes overwrites all day therefore stays within about twice its live
-// bytes.
+// records into fresh chunks, in arena order, and drops the old chunks; the
+// garbage collector frees them when the last view into them is gone. A
+// store that takes overwrites all day therefore stays within about twice its
+// live bytes.
 package kvstore
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"hash/maphash"
@@ -52,7 +42,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 )
@@ -224,7 +213,7 @@ func (s *Store) find(key string, h uint64) (int, []byte) {
 
 func (s *Store) putLocked(key string, value []byte, h uint64) {
 	if (s.n+1)*4 > len(s.slots)*3 {
-		s.growSlots(2 * len(s.slots))
+		s.growSlots()
 	}
 	i, prev := s.find(key, h)
 	if prev != nil {
@@ -246,61 +235,10 @@ func (s *Store) putLocked(key string, value []byte, h uint64) {
 	}
 }
 
-// PutRun stores every record of run r, in order, without copying it: the
-// store's slots point into the run's chunks, which it shares with every other
-// store that put r. It counts and accounts exactly as PutBatch of the same
-// pairs does, so SizeBytes, Stats and the compactions that follow them come
-// out the same; it grows the slot table once, to its final size.
-func (s *Store) PutRun(r *Run) {
-	s.mu.Lock()
-	if (s.n+r.n)*4 > len(s.slots)*3 {
-		// Grow once, to the size the run's fresh keys need.
-		fresh := 0
-		r.each(func(_, _ int, key string, _ []byte) bool {
-			if _, prev := s.find(key, s.hash(key)); prev == nil {
-				fresh++
-			}
-			return true
-		})
-		size := len(s.slots)
-		for (s.n+fresh)*4 > size*3 {
-			size *= 2
-		}
-		s.growSlots(size)
-	}
-	base := s.arena.adopt(r.chunks)
-	r.each(func(c, off int, key string, value []byte) bool {
-		h := s.hash(key)
-		i, prev := s.find(key, h)
-		if prev != nil {
-			n := recordSize(len(key), len(prev))
-			s.live -= n
-			s.dead += n
-			s.size -= int64(len(prev))
-		} else {
-			s.n++
-			s.size += int64(len(key))
-		}
-		s.slots[i] = tagOf(h) | uint64(base+c)<<offBits | uint64(off)
-		s.size += int64(len(value))
-		s.live += recordSize(len(key), len(value))
-		if s.dead > s.live+chunkSize {
-			// As in PutBatch, the check follows every record. The
-			// compaction copied the records put so far; the rest are read
-			// from the run's chunks, which go back on the list.
-			s.compact()
-			base = s.arena.adopt(r.chunks[c:]) - c
-		}
-		return true
-	})
-	s.mu.Unlock()
-	s.puts.Add(int64(r.n))
-}
-
-// growSlots moves every record into a slot table of the given size.
-func (s *Store) growSlots(size int) {
+// growSlots doubles the slot table and reinserts every record.
+func (s *Store) growSlots() {
 	old := s.slots
-	s.slots = make([]uint64, size)
+	s.slots = make([]uint64, 2*len(old))
 	for _, sl := range old {
 		if sl != 0 {
 			k, _ := s.arena.record(sl)
@@ -364,23 +302,11 @@ func appendRecord(dst []byte, key string, value []byte) []byte {
 	return append(dst, value...)
 }
 
-// arena is an append-only sequence of records in chunks: the store's own,
-// which it fills, and those of the runs it put, which it only reads.
+// arena is an append-only sequence of records in chunks.
 type arena struct {
 	chunks [][]byte // each chunk's length is the bytes written to it
 	fill   int      // the chunk that takes the next record that fits one
-	next   int      // the size of the next chunk of the store's own
-}
-
-// adopt appends chunks a store only reads to the chunk list and returns the
-// number of the first.
-func (a *arena) adopt(chunks [][]byte) int {
-	base := len(a.chunks)
-	if base+len(chunks) > 1<<chunkBits {
-		panic("kvstore: arena is out of chunk numbers")
-	}
-	a.chunks = append(a.chunks, chunks...)
-	return base
+	next   int      // the size of the next chunk
 }
 
 // alloc reserves n bytes and returns their location and the bytes to fill.
@@ -441,71 +367,6 @@ func (a *arena) raw(sl uint64) []byte {
 	loc := sl & locMask
 	off := loc & (chunkSize - 1)
 	return a.chunks[loc>>offBits][off : off+uint64(recordSize(len(k), len(v)))]
-}
-
-// Run is an immutable sequence of encoded records that stores put by
-// reference (PutRun). Its records are laid out as a store's own: each chunk
-// holds whole records, at most chunkSize bytes of them unless it holds one
-// larger record alone, and is sized exactly, its capacity ending at its
-// length.
-type Run struct {
-	chunks [][]byte
-	n      int // records
-}
-
-// NewRun encodes pairs, in order, into a run. A key given twice keeps, in a
-// store that puts the run, its last value, as PutBatch does.
-func NewRun(pairs []Pair) *Run {
-	r := &Run{n: len(pairs)}
-	for i := 0; i < len(pairs); {
-		// Records i..j-1 fill the next chunk.
-		size, j := 0, i
-		for ; j < len(pairs); j++ {
-			n := int(recordSize(len(pairs[j].Key), len(pairs[j].Value)))
-			if j > i && size+n > chunkSize {
-				break
-			}
-			size += n
-		}
-		chunk := make([]byte, 0, size)
-		for _, p := range pairs[i:j] {
-			chunk = appendRecord(chunk, p.Key, p.Value)
-		}
-		r.chunks = append(r.chunks, chunk)
-		i = j
-	}
-	return r
-}
-
-// Equal reports whether the run holds exactly pairs, in order: the same keys
-// with the same value bytes.
-func (r *Run) Equal(pairs []Pair) bool {
-	if r.n != len(pairs) {
-		return false
-	}
-	i := 0
-	return r.each(func(_, _ int, key string, value []byte) bool {
-		p := pairs[i]
-		i++
-		return key == p.Key && bytes.Equal(value, p.Value)
-	})
-}
-
-// each calls f with the chunk, offset, key and value of every record of the
-// run, in order, until f returns false; it reports whether none did. The key
-// is a string over the run's bytes, which never change.
-func (r *Run) each(f func(c, off int, key string, value []byte) bool) bool {
-	for c, chunk := range r.chunks {
-		for off := 0; off < len(chunk); {
-			k, rest := field(chunk[off:])
-			v, _ := field(rest)
-			if !f(c, off, unsafe.String(unsafe.SliceData(k), len(k)), v) {
-				return false
-			}
-			off += int(recordSize(len(k), len(v)))
-		}
-	}
-	return true
 }
 
 // Stats is a snapshot of the operation counters.

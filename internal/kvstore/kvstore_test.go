@@ -417,3 +417,26 @@ func TestViewsAreReadOnlySnapshots(t *testing.T) {
 		t.Errorf("%d chunks after the compaction, were %d", len(s.arena.chunks), chunks)
 	}
 }
+
+// A store's own chunks start small and double up to a full chunk, so a store
+// of a few metadata keys holds about a kilobyte, not 64 KiB.
+func TestStoreChunksGrow(t *testing.T) {
+	s := New()
+	s.Put("m/gen", []byte("1"))
+	if c := cap(s.arena.chunks[0]); c != minChunk {
+		t.Errorf("a one-key store's chunk holds %d bytes, want %d", c, minChunk)
+	}
+	for i := 0; i < 20000; i++ {
+		s.Put(fmt.Sprintf("k/%06d", i), []byte("0123456789"))
+	}
+	size := minChunk
+	for i, c := range s.arena.chunks {
+		if cap(c) != size {
+			t.Fatalf("chunk %d holds %d bytes, want %d", i, cap(c), size)
+		}
+		size = min(2*size, chunkSize)
+	}
+	if size != chunkSize {
+		t.Errorf("the chunks never reached %d bytes", chunkSize)
+	}
+}

@@ -135,13 +135,12 @@ type cachedResult struct {
 // in /stats. Entries are accounted by approximate row-payload bytes so the
 // cache can hold a memory budget rather than an entry count.
 //
-// A key's versions are the max across replicas, but the query may have read
-// a replica that had not applied yet, whose apply-time invalidation can run
-// before the result is stored. Every invalidation therefore bumps its
-// tables' epochs, and put refuses a result whose tables were invalidated
-// since its query started executing: an invalidation either evicts the
-// entry or prevents it. mu orders the two (held across the epoch step and
-// the lru step of both).
+// An apply can land, and its apply-time invalidation run, while a query is
+// in flight, after its key was built and before its result is stored.
+// Every invalidation therefore bumps its tables' epochs, and put refuses a
+// result whose tables were invalidated since its query started executing:
+// an invalidation either evicts the entry or prevents it. mu orders the two
+// (held across the epoch step and the lru step of both).
 type resultCache struct {
 	lru           *lru[cachedResult]
 	mu            sync.Mutex

@@ -31,7 +31,7 @@ func equivalenceServers(t *testing.T) (bare, routed *httptest.Server) {
 
 	cc := cluster.Default()
 	cc.Workers = 4
-	r, err := shard.New(shard.Config{Shards: 1, Key: "userId"}, func(int, int) *hive.Warehouse {
+	r, err := shard.New(shard.Config{Shards: 1, Key: "userId"}, func(int) *hive.Warehouse {
 		return hive.NewWarehouse(dfs.New(1<<20), cc, "/warehouse")
 	})
 	if err != nil {

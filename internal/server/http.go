@@ -17,6 +17,7 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // queryRequest is the JSON body of POST /query. GET /query accepts the same
@@ -345,9 +346,10 @@ func httpStatusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed), errors.Is(err, shard.ErrReplicaDown):
-		// Draining, or a shard with no live replica left: an availability
-		// failure the client can retry elsewhere or later, not a bad request.
+	case errors.Is(err, ErrClosed), errors.Is(err, shard.ErrReplicaDown), errors.Is(err, wal.ErrNoLiveReplica):
+		// Draining, a shard with no live replica left, or a shard log that
+		// refuses appends: an availability failure the client can retry
+		// elsewhere or later, not a bad request.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueryTimeout):
 		return http.StatusGatewayTimeout
@@ -553,50 +555,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // shards with no replica left at all — those fail scatters, so the endpoint
 // reports 503 "degraded" and a load balancer can stop routing here until
 // they recover.
-// A shard whose only unavailable replicas are replaying missed WAL records
-// is listed in CatchingUpShards instead: it is repairing, not dead, and the
-// status is "catching_up" (still 503 when no replica can serve reads, so
-// balancers hold traffic, but operators see recovery is in progress).
 type healthzResponse struct {
-	Status           string `json:"status"`
-	Shards           int    `json:"shards,omitempty"`
-	Replicas         int    `json:"replicas,omitempty"`
-	LiveByShard      []int  `json:"live_by_shard,omitempty"`
-	CatchingUp       int    `json:"catching_up,omitempty"`
-	CatchingUpShards []int  `json:"catching_up_shards,omitempty"`
-	DeadShards       []int  `json:"dead_shards,omitempty"`
+	Status      string `json:"status"`
+	Shards      int    `json:"shards,omitempty"`
+	Replicas    int    `json:"replicas,omitempty"`
+	LiveByShard []int  `json:"live_by_shard,omitempty"`
+	DeadShards  []int  `json:"dead_shards,omitempty"`
 }
 
 // buildHealthz classifies a fleet health snapshot into the /healthz body
-// and its HTTP status. Pure so the catching_up-versus-dead distinction is
-// unit-testable without racing a live catch-up.
+// and its HTTP status.
 func buildHealthz(health []shard.SetHealth) (healthzResponse, int) {
 	resp := healthzResponse{Status: "ok"}
 	resp.Shards = len(health)
-	unservable := false
 	for _, sh := range health {
 		if sh.Replicas > resp.Replicas {
 			resp.Replicas = sh.Replicas
 		}
 		resp.LiveByShard = append(resp.LiveByShard, sh.Live)
-		resp.CatchingUp += sh.CatchingUp
-		if sh.Live > 0 {
-			continue
-		}
-		unservable = true
-		if sh.CatchingUp > 0 {
-			resp.CatchingUpShards = append(resp.CatchingUpShards, sh.Shard)
-		} else {
+		if sh.Live == 0 {
 			resp.DeadShards = append(resp.DeadShards, sh.Shard)
 		}
 	}
-	switch {
-	case len(resp.DeadShards) > 0:
+	if len(resp.DeadShards) > 0 {
 		resp.Status = "degraded"
-	case unservable:
-		resp.Status = "catching_up"
-	}
-	if unservable {
 		return resp, http.StatusServiceUnavailable
 	}
 	return resp, http.StatusOK

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -217,10 +216,10 @@ func TestCacheInvalidationAtApplyTime(t *testing.T) {
 }
 
 // gatedFleet is a real router with two injection points: every apply-time
-// hook parks until released (an apply barrier: rows have landed on that
-// replica, its invalidation has not fired, and its applier cannot take the
-// next batch), and afterExec runs after a query's scatter has read its
-// replicas but before the server sees the result.
+// hook parks until released (an apply barrier: rows have landed on the
+// shard, its invalidation has not fired, and its applier cannot take the
+// next batch), and afterExec runs after a query's scatter has read the
+// shards but before the server sees the result.
 type gatedFleet struct {
 	*shard.Router
 	entered   chan struct{} // one token per OnApply that parked
@@ -250,17 +249,15 @@ func (g *gatedFleet) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts
 }
 
 // TestCacheInvalidationOvertakenPut pins the stale-put race down with an
-// apply barrier instead of waiting for it: the cache key is built from
-// versions that are already final (one replica applied the batch), the
-// scatter reads the replica that has not, that replica's apply and its
-// invalidation fire while the query is still in flight, and only then does
-// the server store the result. Nothing would evict that entry afterwards, so
-// the put itself must be refused: the next query has to miss and count the
-// new rows.
+// apply barrier instead of waiting for it: the cache key is built and the
+// query reads the shard with one batch applied and the next one logged, the
+// next batch's apply and its invalidation fire while the query is still in
+// flight, and only then does the server store the result. The next query
+// has to miss and count the new rows.
 func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	cc := cluster.Default()
 	cc.Workers = 4
-	r, err := shard.New(shard.Config{Shards: 1, Replicas: 2, Key: "userId"}, func(int, int) *hive.Warehouse {
+	r, err := shard.New(shard.Config{Shards: 1, Replicas: 2, Key: "userId"}, func(int) *hive.Warehouse {
 		return hive.NewWarehouse(dfs.New(1<<14), cc, "/warehouse")
 	})
 	if err != nil {
@@ -274,7 +271,7 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	}
 	g := &gatedFleet{
 		Router:  r,
-		entered: make(chan struct{}, 8), // the test sees four applies in all
+		entered: make(chan struct{}, 8), // the test sees two applies in all
 		release: make(chan struct{}),
 		done:    make(chan struct{}, 8),
 	}
@@ -314,34 +311,18 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	}
 	base, _ := count()
 
-	// Batch 1 lands on both replicas; both appliers park in its OnApply.
+	// Batch 1 lands; the shard's applier parks in its OnApply.
 	load(700)
-	await(g.entered, "replica A to apply batch 1")
-	await(g.entered, "replica B to apply batch 1")
-	// Batch 2 is logged on both but cannot apply while the appliers park.
+	await(g.entered, "the applier to apply batch 1")
+	// Batch 2 is logged but cannot apply while the applier parks.
 	load(800)
-	// One replica is let go: it applies batch 2 and parks again. The other
-	// still lacks batch 2, yet the table's version (max across replicas) is
-	// now final.
-	g.release <- struct{}{}
-	await(g.done, "the released replica's batch 1 invalidation")
-	await(g.entered, "the released replica to apply batch 2")
-	version := func(j int) uint64 { return r.Replica(0, j).TableVersions("meterdata")["meterdata"] }
-	ahead := 0
-	if version(1) > version(0) {
-		ahead = 1
-	}
-	if version(ahead) == version(1-ahead) {
-		t.Fatalf("both replicas at version %d: no replica lags", version(0))
-	}
-	r.Kill(0, ahead) // steer the read to the lagging replica
 
-	// The query reads the lagging replica; before the server gets the
-	// result, every parked hook is released, so the lagging replica applies
-	// batch 2 and its invalidation runs: three hooks finish in all.
+	// The query reads batch 1 only; before the server gets the result,
+	// every parked hook is released, so batch 1's invalidation runs, batch 2
+	// applies and its invalidation runs: two hooks finish in all.
 	g.afterExec = func() { // on the server's worker goroutine: no t.Fatal
 		close(g.release)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 2; i++ {
 			if !arrived(g.done) {
 				t.Error("timed out waiting for the apply-time invalidations")
 				return
@@ -349,7 +330,7 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 		}
 	}
 	if got, _ := count(); got != base+5 {
-		t.Fatalf("query on the lagging replica counted %v, want %v (batch 1 only)", got, base+5)
+		t.Fatalf("query before batch 2's apply counted %v, want %v (batch 1 only)", got, base+5)
 	}
 	got, cached := count()
 	if cached || got != base+10 {
@@ -357,48 +338,35 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	}
 }
 
-// TestBuildHealthz: the pure classifier behind /healthz. A shard with no
-// readable replica is "catching_up" (repairing) when its missing replicas
-// are replaying the WAL, and "degraded" (dead) only when they are not.
+// TestBuildHealthz: the pure classifier behind /healthz. A shard with a
+// live replica keeps the fleet "ok"; a shard with none is "degraded" (503),
+// named in DeadShards.
 func TestBuildHealthz(t *testing.T) {
-	set := func(shardID, replicas, live, catching int) shard.SetHealth {
-		return shard.SetHealth{Shard: shardID, Replicas: replicas, Live: live, CatchingUp: catching}
+	set := func(shardID, replicas, live int) shard.SetHealth {
+		return shard.SetHealth{Shard: shardID, Replicas: replicas, Live: live}
 	}
 	cases := []struct {
-		name       string
-		health     []shard.SetHealth
-		status     string
-		code       int
-		dead       []int
-		catchingUp []int
+		name   string
+		health []shard.SetHealth
+		status string
+		code   int
+		dead   []int
 	}{
 		{
 			name:   "all live",
-			health: []shard.SetHealth{set(0, 2, 2, 0), set(1, 2, 2, 0)},
+			health: []shard.SetHealth{set(0, 2, 2), set(1, 2, 2)},
 			status: "ok", code: http.StatusOK,
 		},
 		{
-			name:   "one replica catching up, shard still readable",
-			health: []shard.SetHealth{set(0, 2, 1, 1), set(1, 2, 2, 0)},
+			name:   "one replica down, shard still readable",
+			health: []shard.SetHealth{set(0, 2, 1), set(1, 2, 2)},
 			status: "ok", code: http.StatusOK,
-		},
-		{
-			name:   "whole shard catching up",
-			health: []shard.SetHealth{set(0, 2, 0, 2), set(1, 2, 2, 0)},
-			status: "catching_up", code: http.StatusServiceUnavailable,
-			catchingUp: []int{0},
 		},
 		{
 			name:   "whole shard dead",
-			health: []shard.SetHealth{set(0, 2, 0, 0), set(1, 2, 2, 0)},
+			health: []shard.SetHealth{set(0, 2, 0), set(1, 2, 2)},
 			status: "degraded", code: http.StatusServiceUnavailable,
 			dead: []int{0},
-		},
-		{
-			name:   "dead shard outranks catching-up shard",
-			health: []shard.SetHealth{set(0, 2, 0, 1), set(1, 2, 0, 0)},
-			status: "degraded", code: http.StatusServiceUnavailable,
-			dead: []int{1}, catchingUp: []int{0},
 		},
 	}
 	for _, tc := range cases {
@@ -410,17 +378,15 @@ func TestBuildHealthz(t *testing.T) {
 			if fmt.Sprint(resp.DeadShards) != fmt.Sprint(tc.dead) && (len(resp.DeadShards) != 0 || len(tc.dead) != 0) {
 				t.Fatalf("DeadShards = %v, want %v", resp.DeadShards, tc.dead)
 			}
-			if fmt.Sprint(resp.CatchingUpShards) != fmt.Sprint(tc.catchingUp) && (len(resp.CatchingUpShards) != 0 || len(tc.catchingUp) != 0) {
-				t.Fatalf("CatchingUpShards = %v, want %v", resp.CatchingUpShards, tc.catchingUp)
-			}
 		})
 	}
 }
 
-// TestHealthzCatchingUpEndToEnd: kill a replica on a WAL fleet, revive it,
-// and confirm /healthz never calls the fleet dead while its only
-// unavailable replicas are repairing.
-func TestHealthzCatchingUpEndToEnd(t *testing.T) {
+// TestHealthzKillReviveEndToEnd: on a WAL fleet, /healthz stays ok with one
+// replica of a shard killed — and a load goes on — is ok again the moment
+// the replica is revived, and reports the shard dead, with 503, only while
+// both its replicas are down.
+func TestHealthzKillReviveEndToEnd(t *testing.T) {
 	s, r := walServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -442,31 +408,21 @@ func TestHealthzCatchingUpEndToEnd(t *testing.T) {
 	if code, out := get(); code != http.StatusOK || out.Status != "ok" {
 		t.Fatalf("healthy fleet: %d %+v", code, out)
 	}
-
 	r.Kill(1, 0)
-	if code, out := get(); code != http.StatusOK {
+	if code, out := get(); code != http.StatusOK || fmt.Sprint(out.LiveByShard) != "[2 1 2 2]" {
 		t.Fatalf("one dead replica of two should stay ok: %d %+v", code, out)
 	}
 	if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(800, 8, 4, 1), false); err != nil {
-		t.Fatalf("load with a dead replica should hint, not fail: %v", err)
+		t.Fatalf("load with a dead replica: %v", err)
+	}
+	r.Kill(1, 1)
+	if code, out := get(); code != http.StatusServiceUnavailable || out.Status != "degraded" || fmt.Sprint(out.DeadShards) != "[1]" {
+		t.Fatalf("a shard with both replicas down: %d %+v, want 503 degraded naming shard 1", code, out)
 	}
 	r.Revive(1, 0)
-
-	// While (and after) catch-up, the fleet must never classify shard 1 as
-	// dead: its second replica is live the whole time.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		code, out := get()
-		if len(out.DeadShards) > 0 {
-			t.Fatalf("shard listed dead during catch-up: %d %+v", code, out)
-		}
-		if code == http.StatusOK && out.CatchingUp == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("catch-up never settled: %d %+v", code, out)
-		}
-		time.Sleep(10 * time.Millisecond)
+	r.Revive(1, 1)
+	if code, out := get(); code != http.StatusOK || out.Status != "ok" {
+		t.Fatalf("revived fleet: %d %+v", code, out)
 	}
 }
 
@@ -505,8 +461,8 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 			}
 			var committed uint64
 			for _, sh := range snap.WAL {
-				if len(sh.Replicas) != 2 {
-					t.Fatalf("shard %d has %d replica entries, want 2", sh.Shard, len(sh.Replicas))
+				if len(sh.Replicas) != 1 {
+					t.Fatalf("shard %d has %d applier entries, want its one", sh.Shard, len(sh.Replicas))
 				}
 				committed += sh.NextLSN - 1
 				for _, rep := range sh.Replicas {
@@ -518,10 +474,9 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 			if committed == 0 {
 				t.Fatal("no shard committed any WAL record")
 			}
-			// OnApply fires once per replica apply, so each row counts once per
-			// replica that applied it.
-			if snap.RowsApplied != 24 {
-				t.Fatalf("rows_applied = %d, want 24 (12 rows x 2 replicas)", snap.RowsApplied)
+			// OnApply fires once per shard apply, so each row counts once.
+			if snap.RowsApplied != 12 {
+				t.Fatalf("rows_applied = %d, want 12 (each row applied once)", snap.RowsApplied)
 			}
 
 			resp, err := http.Get(ts.URL + "/metrics")
@@ -537,13 +492,13 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 			if got := famValue(t, fams, "dgf_wal_rows_applied_total"); got != float64(snap.RowsApplied) {
 				t.Fatalf("dgf_wal_rows_applied_total = %v, /stats says %v", got, snap.RowsApplied)
 			}
-			for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_owed_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn", "dgf_wal_replica_catching_up"} {
+			for _, name := range []string{"dgf_wal_pending_records", "dgf_wal_last_lsn", "dgf_wal_applied_lsn"} {
 				fam := fams[name]
 				if fam == nil {
 					t.Fatalf("metric family %s missing", name)
 				}
-				if len(fam.Samples) != 8 {
-					t.Fatalf("%s has %d samples, want 8 (4 shards x 2 replicas)", name, len(fam.Samples))
+				if len(fam.Samples) != 4 {
+					t.Fatalf("%s has %d samples, want 4 (one per shard)", name, len(fam.Samples))
 				}
 				for _, sm := range fam.Samples {
 					if sm.Labels["shard"] == "" || sm.Labels["replica"] == "" {
@@ -558,58 +513,6 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMetricsOwedRecordsGauge: dgf_wal_owed_records is a per-replica gauge
-// of what a down replica is owed from its shard's log — N after N commits to
-// the shard while it was down — and drops to 0 when it catches up.
-func TestMetricsOwedRecordsGauge(t *testing.T) {
-	s, r := walServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	owed := func() float64 {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		fams, err := trace.ParseMetrics(string(body))
-		if err != nil {
-			t.Fatalf("/metrics is not valid Prometheus exposition: %v", err)
-		}
-		if fam := fams["dgf_wal_owed_records"]; fam != nil && fam.Type == "gauge" {
-			for _, sm := range fam.Samples {
-				if sm.Labels["shard"] == "0" && sm.Labels["replica"] == "1" {
-					return sm.Value
-				}
-			}
-		}
-		t.Fatalf("no dgf_wal_owed_records gauge for shard 0 replica 1:\n%s", body)
-		return 0
-	}
-
-	mustQuery(t, s, `SELECT count(*) FROM meterdata`) // the parser rejects a per-path family with no samples
-	ctx := context.Background()
-	r.Kill(0, 1)
-	from := r.WALStats()[0].NextLSN
-	for i := 0; i < 3; i++ {
-		if _, err := s.LoadRowsCtx(ctx, "meterdata", meterRows(2000+100*i, 40, 4, 1), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := r.WALStats()[0].NextLSN - from
-	if n == 0 {
-		t.Fatal("no load reached shard 0")
-	}
-	if got := owed(); got != float64(n) {
-		t.Fatalf("owed records while down = %v, want %d", got, n)
-	}
-	r.Revive(0, 1)
-	if got := owed(); got != 0 {
-		t.Fatalf("owed records after catch-up = %v, want 0", got)
 	}
 }
 
@@ -692,9 +595,9 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 }
 
 // TestDeadShardIs503: once every replica of one shard is down, a query that
-// must read that shard and a load that must write it fail as availability
-// errors — 503, not 400 — with and without a WAL (the WAL's "no live replica
-// log accepted the record" wraps the same shard.ErrReplicaDown sentinel).
+// must read that shard fails as an availability error — 503, not 400 — with
+// and without a WAL, while a load into it still applies: the shard's
+// warehouse outlives its replicas.
 func TestDeadShardIs503(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -722,11 +625,11 @@ func TestDeadShardIs503(t *testing.T) {
 			}
 			// 40 consecutive user ids hash across all four shards.
 			code, out := postLoad(t, ts.URL+"/load", "application/json", jsonLoadBody(t, 600, 40))
-			if code != http.StatusServiceUnavailable {
-				t.Fatalf("/load over a dead shard: status %d, want 503: %v", code, out)
+			if code != http.StatusOK {
+				t.Fatalf("/load over a dead shard: status %d, want 200: %v", code, out)
 			}
-			if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(600, 40, 4, 1), false); !errors.Is(err, shard.ErrReplicaDown) {
-				t.Fatalf("load error %v does not match shard.ErrReplicaDown", err)
+			if _, err := s.LoadRowsCtx(context.Background(), "meterdata", meterRows(700, 40, 4, 1), false); err != nil {
+				t.Fatalf("load over a dead shard: %v", err)
 			}
 			// A bad request is still a 400 on the degraded fleet.
 			if code, _ := postLoad(t, ts.URL+"/load", "application/json", []byte(`{"table":"nosuch","rows":[[1]]}`)); code != http.StatusBadRequest {

@@ -307,7 +307,7 @@ func shardedServer(t *testing.T, cfg Config) (*Server, *shard.Router) {
 	t.Helper()
 	cc := cluster.Default()
 	cc.Workers = 4
-	r, err := shard.New(shard.Config{Shards: 4, Replicas: 2, Key: "userId"}, func(int, int) *hive.Warehouse {
+	r, err := shard.New(shard.Config{Shards: 4, Replicas: 2, Key: "userId"}, func(int) *hive.Warehouse {
 		return hive.NewWarehouse(dfs.New(1<<14), cc, "/warehouse")
 	})
 	if err != nil {

@@ -63,7 +63,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 		for _, sh := range snap.Shards {
 			p.GaugeRow("dgf_shard_live_replicas", map[string]string{"shard": strconv.Itoa(sh.Shard)}, float64(sh.Live))
 		}
-		p.GaugeHead("dgf_replica_live", "1 when the replica is live (healthy, not ejected).")
+		p.GaugeHead("dgf_replica_live", "1 when the replica is live (not killed).")
 		for _, sh := range snap.Shards {
 			for _, rep := range sh.Detail {
 				p.GaugeRow("dgf_replica_live", replicaLabels(sh.Shard, rep.Replica), boolGauge(rep.Live))
@@ -75,33 +75,21 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 				p.GaugeRow("dgf_replica_inflight", replicaLabels(sh.Shard, rep.Replica), float64(rep.Inflight))
 			}
 		}
-		p.GaugeHead("dgf_replica_consecutive_failures", "Consecutive failures recorded against the replica.")
-		for _, sh := range snap.Shards {
-			for _, rep := range sh.Detail {
-				p.GaugeRow("dgf_replica_consecutive_failures", replicaLabels(sh.Shard, rep.Replica), float64(rep.ConsecutiveFailures))
-			}
-		}
 	}
 
-	p.Counter("dgf_wal_rows_applied_total", "Rows the load engine's appliers wrote into the warehouses, counted once per replica that applied them (R times the loaded rows on an R-replica fleet).", nil, float64(snap.RowsApplied))
+	p.Counter("dgf_wal_rows_applied_total", "Rows the load engine's appliers wrote into the shards' warehouses.", nil, float64(snap.RowsApplied))
 	var replayed float64
 	for _, sh := range snap.WAL {
 		for _, rep := range sh.Replicas {
 			replayed += float64(rep.ReplayedRows)
 		}
 	}
-	p.Counter("dgf_wal_replayed_rows_total", "Rows replayed into replicas by catch-up after an outage.", nil, replayed)
+	p.Counter("dgf_wal_replayed_rows_total", "Rows replayed into the warehouses from the logs at recovery.", nil, replayed)
 
-	p.GaugeHead("dgf_wal_pending_records", "Committed records not yet applied on the replica (ingest backlog depth).")
+	p.GaugeHead("dgf_wal_pending_records", "Committed records not yet applied on the shard (ingest backlog depth).")
 	for _, sh := range snap.WAL {
 		for _, rep := range sh.Replicas {
 			p.GaugeRow("dgf_wal_pending_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.PendingRecords))
-		}
-	}
-	p.GaugeHead("dgf_wal_owed_records", "Records the shard's log took while the replica was down, replayed into it on revive (0 while live).")
-	for _, sh := range snap.WAL {
-		for _, rep := range sh.Replicas {
-			p.GaugeRow("dgf_wal_owed_records", replicaLabels(sh.Shard, rep.Replica), float64(rep.HintedRecords))
 		}
 	}
 	p.GaugeHead("dgf_wal_last_lsn", "Highest log sequence number appended to the shard's log.")
@@ -110,16 +98,10 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 			p.GaugeRow("dgf_wal_last_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.LastLSN))
 		}
 	}
-	p.GaugeHead("dgf_wal_applied_lsn", "Highest log sequence number applied on the replica (lag = last_lsn - applied_lsn).")
+	p.GaugeHead("dgf_wal_applied_lsn", "Highest log sequence number applied on the shard (lag = last_lsn - applied_lsn).")
 	for _, sh := range snap.WAL {
 		for _, rep := range sh.Replicas {
 			p.GaugeRow("dgf_wal_applied_lsn", replicaLabels(sh.Shard, rep.Replica), float64(rep.AppliedLSN))
-		}
-	}
-	p.GaugeHead("dgf_wal_replica_catching_up", "1 while the replica is replaying missed records after a revive.")
-	for _, sh := range snap.WAL {
-		for _, rep := range sh.Replicas {
-			p.GaugeRow("dgf_wal_replica_catching_up", replicaLabels(sh.Shard, rep.Replica), boolGauge(rep.CatchingUp))
 		}
 	}
 	return p.Err()

@@ -65,7 +65,7 @@ type Backend interface {
 	TableSchema(name string) (*storage.Schema, error)
 	// TableInfos snapshots the catalog for /tables.
 	TableInfos() []hive.TableInfo
-	// Health snapshots per-shard replica-set health for /stats and /healthz.
+	// Health snapshots per-shard replica health for /stats and /healthz.
 	Health() []shard.SetHealth
 	// EnableWAL, WALStats, DrainWAL and CloseWAL are the engine's lifecycle:
 	// the server opens it with its hooks (over Config.WALDir, if set), reads
@@ -121,10 +121,9 @@ type Config struct {
 	TraceRingSize int
 	// WALDir gives the write path a log directory: loads append to one
 	// write-ahead log per shard under it before they are acknowledged, so
-	// they survive a restart, acks need not wait for the apply, and a down
-	// replica is owed what it misses. Empty runs the same commit → apply
-	// pipeline with nothing stored: an ack means applied, and a shard with a
-	// replica down refuses loads.
+	// they survive a restart and acks need not wait for the apply. Empty
+	// runs the same commit → apply pipeline with nothing stored: an ack
+	// means applied.
 	WALDir string
 	// FsyncPolicy selects WAL append durability: "always", "interval"
 	// (default), or "off". It is validated at boot either way and has
@@ -257,7 +256,7 @@ type Server struct {
 // server's back are only reflected in cache keys (via table versions), not
 // in the server's load metrics.
 func New(w *hive.Warehouse, cfg Config) *Server {
-	r, err := shard.New(shard.Config{Shards: 1}, func(int, int) *hive.Warehouse { return w })
+	r, err := shard.New(shard.Config{Shards: 1}, func(int) *hive.Warehouse { return w })
 	if err != nil {
 		panic(err) // a 1x1 config is valid; only a nil warehouse gets here
 	}
@@ -310,7 +309,7 @@ func (s *Server) enableWAL() error {
 // failure: loads will refuse rather than degrade to non-durable.
 func (s *Server) WALError() error { return s.walErr }
 
-// WALStats snapshots the engine's per-shard per-replica positions.
+// WALStats snapshots the engine's per-shard positions.
 func (s *Server) WALStats() []wal.ShardStats { return s.b.WALStats() }
 
 // maxSessions bounds the session map: ids arrive from untrusted HTTP
@@ -525,8 +524,8 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 		if hit {
 			return reply(res, true, nil)
 		}
-		// Taken before execution starts: any apply that lands after a
-		// replica was read invalidates after this point.
+		// Taken before execution starts: any apply that lands while the
+		// query runs invalidates after this point.
 		epochs = s.results.snapshot(tables)
 	}
 
@@ -765,9 +764,9 @@ type LoadResult struct {
 // evicting dependent cache entries eagerly. (Loads made directly on the
 // router stay correct — version-qualified keys can never serve stale data —
 // but bypass both.) Behind a log directory the call returns once the rows
-// are logged on every live replica (sync=false) or applied on them
+// are logged in every touched shard's log (sync=false) or applied there
 // (sync=true); without one it always returns once they are applied. ctx
-// bounds both waits, and the wait for room in a backlogged replica's queue.
+// bounds both waits, and the wait for room in a backlogged shard's queue.
 func (s *Server) LoadRowsCtx(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadResult, error) {
 	if s.walErr != nil {
 		return LoadResult{}, fmt.Errorf("server: durable ingest unavailable: %w", s.walErr)
@@ -867,18 +866,15 @@ type Snapshot struct {
 	Server        MetricsSnapshot            `json:"server"`
 	Sessions      map[string]MetricsSnapshot `json:"sessions"`
 	ResultCache   CacheStats                 `json:"result_cache"`
-	// Shards reports per-shard replica-set health: replicas per shard, how
-	// many are live, and each replica's failure/ejection record. A
-	// single-warehouse server reports its one shard with one replica.
+	// Shards reports per-shard replica health: replicas per shard, how many
+	// are live, and each replica's in-flight count. A single-warehouse
+	// server reports its one shard with one replica.
 	Shards []shard.SetHealth `json:"shards,omitempty"`
-	// RowsApplied counts per-replica applies: every row the engine's
-	// appliers wrote into a warehouse, once for each replica that applied
-	// it. On an R-replica fleet it therefore reads R times the loaded rows
-	// (less whatever a down replica still owes); compare it with
-	// RowsLoaded × R, not with RowsLoaded.
+	// RowsApplied counts every row the engine's appliers wrote into a
+	// shard's warehouse, once.
 	RowsApplied int64 `json:"rows_applied"`
-	// WAL reports per-shard per-replica engine positions — queue depth,
-	// applied LSN lag, hinted and replayed records.
+	// WAL reports per-shard engine positions — queue depth, applied LSN
+	// lag, rows replayed at recovery.
 	WAL []wal.ShardStats `json:"wal"`
 }
 

@@ -256,7 +256,7 @@ func TestQueryTimeoutDuringExecution(t *testing.T) {
 	// The backend outlives any deadline, so the timeout fires mid-execution
 	// deterministically.
 	w := testWarehouse(t)
-	r, err := shard.New(shard.Config{Shards: 1}, func(int, int) *hive.Warehouse { return w })
+	r, err := shard.New(shard.Config{Shards: 1}, func(int) *hive.Warehouse { return w })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestShardExplainTruthful(t *testing.T) {
 		setupMeter(t, r1, testMeterConfig(), true)
 		return r1
 	}()
-	bare := newShardWarehouse(0, 0)
+	bare := newShardWarehouse(0)
 	setupMeter(t, bare, testMeterConfig(), true)
 	sql := `EXPLAIN SELECT sum(powerConsumed) FROM meterdata WHERE userId>=2 AND userId<=9`
 	viaRouter := mustExec(t, one, sql)

@@ -2,20 +2,18 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
-// stores lists the fleet's warehouses as the engine's apply targets.
+// stores lists the fleet's warehouses as the engine's apply targets: one
+// per shard.
 func (r *Router) stores() [][]wal.Store {
 	stores := make([][]wal.Store, len(r.sets))
 	for i, rs := range r.sets {
-		for _, rep := range rs.reps {
-			stores[i] = append(stores[i], rep.w)
-		}
+		stores[i] = []wal.Store{rs.w}
 	}
 	return stores
 }
@@ -25,12 +23,10 @@ func (r *Router) stores() [][]wal.Store {
 // whatever the old engine still has queued is applied, it is closed, and
 // every later load commits to the new one. With opts.Dir set that makes
 // ingest durable: a load appends a checksummed record to each touched
-// shard's one log before it is acknowledged, the ack no longer waits for the
-// apply unless asked to, and Kill/Revive turn from "a down replica refuses
-// loads" into hinted handoff: the revived replica replays what it missed
-// from the shard's log. Without a Dir it only
-// installs opts' hooks and tuning. A router takes one directory: enabling
-// again over a durable engine is an error.
+// shard's one log before it is acknowledged, and the ack no longer waits for
+// the apply unless asked to. Without a Dir it only installs opts' hooks and
+// tuning. A router takes one directory: enabling again over a durable engine
+// is an error.
 //
 // Call it at a quiet point after the fleet's tables exist: a load racing the
 // swap may be refused, and the catalog (DDL) is not logged, so on restart
@@ -41,15 +37,6 @@ func (r *Router) EnableWAL(opts wal.Options) error {
 	old := r.wal.Load()
 	if old.Durable() {
 		return fmt.Errorf("shard: WAL already enabled")
-	}
-	for _, rs := range r.sets {
-		for _, rep := range rs.reps {
-			if rep.isKilled() {
-				// What is queued for it exists nowhere else, and the new
-				// engine would not know it is down.
-				return fmt.Errorf("shard: cannot replace the load engine: %w", rep.downErr())
-			}
-		}
 	}
 	//dgflint:ignore ctxflow construction-time call with no caller context; the queue of an engine without a log holds only loads that are themselves waiting on it
 	if err := old.Drain(context.Background()); err != nil {
@@ -74,9 +61,9 @@ type LoadAck struct {
 	// Durable is true when the engine that took the load has a directory:
 	// the rows are in the log of every shard they touched.
 	Durable bool
-	// Applied is true when the rows were confirmed applied on every live
-	// replica of every shard they touched: sync acks, and every ack of a
-	// fleet without a log directory; false means logged-but-pending.
+	// Applied is true when the rows were confirmed applied on every shard
+	// they touched: sync acks, and every ack of a fleet without a log
+	// directory; false means logged-but-pending.
 	Applied bool
 	// Shards is how many shards received a non-empty slice of the load.
 	Shards int
@@ -84,55 +71,18 @@ type LoadAck struct {
 
 // LoadRowsDurable is the fleet's one load call: rows route to their shards,
 // each shard's slice commits to the engine — appended to the shard's log and
-// queued for its live replicas' appliers — and the call acks. A durable
-// engine acks at log speed (dead replicas are owed the records and replay
-// them from the shard's log on revive);
-// with sync=true it additionally waits — context-bounded — until every live
-// replica of each touched shard has applied its slice. An engine without a
-// directory has only the queue, so its ack always waits for the apply, and
-// it refuses a shard's slice while one of the shard's replicas is down. ctx
-// bounds the waits, not the work: a record that was queued is applied even
-// if its load gave up waiting.
+// queued for the shard's applier — and the call acks. A durable engine acks
+// at log speed; with sync=true it additionally waits — context-bounded —
+// until each touched shard has applied its slice. An engine without a
+// directory has only the queue, so its ack always waits for the apply. A
+// shard takes its slice whether or not its replicas are live: the warehouse
+// outlives them. ctx bounds the waits, not the work: a record that was
+// queued is applied even if its load gave up waiting.
 func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []storage.Row, sync bool) (LoadAck, error) {
-	// Validate before writing or logging: a row the table's encoding cannot
-	// carry would poison every later read, and a logged record that can
-	// never apply would stall its replica's applier forever.
-	schema, err := r.TableSchema(table)
+	e, ack, lsns, outcome, err := r.commitLoad(ctx, table, rows)
 	if err != nil {
-		return LoadAck{}, err
+		return ack, err
 	}
-	if err := storage.CheckIngestRows(schema, rows); err != nil {
-		return LoadAck{}, fmt.Errorf("shard: load into %q: %w", table, err)
-	}
-	batches, err := r.loadBatches(table, rows)
-	if err != nil {
-		return LoadAck{}, err
-	}
-	e := r.wal.Load()
-	ack := LoadAck{Durable: e.Durable()}
-	lsns := make([]uint64, len(batches))
-	errs := make([]error, len(batches))
-	for si, batch := range batches {
-		if len(batch) == 0 {
-			continue
-		}
-		ack.Shards++
-		lsn, err := e.Commit(ctx, si, table, batch)
-		if errors.Is(err, wal.ErrNoLiveReplica) {
-			// The same availability failure a read of a fully-dead shard
-			// reports, so callers match one sentinel for both.
-			err = fmt.Errorf("%w: %w", ErrReplicaDown, err)
-		}
-		if err != nil {
-			errs[si] = err
-			continue
-		}
-		lsns[si] = lsn
-		if lsn > ack.MaxLSN {
-			ack.MaxLSN = lsn
-		}
-	}
-	outcome := fleetOutcome("load", 1, errs)
 	if sync || !ack.Durable {
 		// Also after a partial failure: the outcome names the shards that
 		// applied, and for those it must be true.
@@ -149,12 +99,55 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 	return ack, outcome
 }
 
-// WALStats snapshots the engine's per-shard log tails and per-replica
-// positions.
+// commitLoad checks a load and commits each shard's slice to the engine,
+// returning the engine, the LSN each shard's slice got (0 for none) and the
+// folded per-shard outcome; err is a check that failed before anything was
+// logged. It holds writes shared, so no DDL runs between the check and the
+// commits.
+func (r *Router) commitLoad(ctx context.Context, table string, rows []storage.Row) (e *wal.Engine, ack LoadAck, lsns []uint64, outcome, err error) {
+	r.writes.RLock()
+	defer r.writes.RUnlock()
+	// Validate before writing or logging: a row the table's encoding cannot
+	// carry would poison every later read, and a logged record that can
+	// never apply would stall its shard's applier forever.
+	schema, err := r.TableSchema(table)
+	if err != nil {
+		return nil, ack, nil, nil, err
+	}
+	if err := storage.CheckIngestRows(schema, rows); err != nil {
+		return nil, ack, nil, nil, fmt.Errorf("shard: load into %q: %w", table, err)
+	}
+	batches, err := r.loadBatches(table, rows)
+	if err != nil {
+		return nil, ack, nil, nil, err
+	}
+	e = r.wal.Load()
+	ack.Durable = e.Durable()
+	lsns = make([]uint64, len(batches))
+	errs := make([]error, len(batches))
+	for si, batch := range batches {
+		if len(batch) == 0 {
+			continue
+		}
+		ack.Shards++
+		lsn, err := e.Commit(ctx, si, table, batch)
+		if err != nil {
+			errs[si] = err
+			continue
+		}
+		lsns[si] = lsn
+		if lsn > ack.MaxLSN {
+			ack.MaxLSN = lsn
+		}
+	}
+	return e, ack, lsns, fleetOutcome("load", errs), nil
+}
+
+// WALStats snapshots the engine's per-shard log tails and apply positions.
 func (r *Router) WALStats() []wal.ShardStats { return r.wal.Load().Stats() }
 
-// DrainWAL blocks until every live replica has applied everything
-// committed so far, then flushes the logs.
+// DrainWAL blocks until every shard has applied everything committed so
+// far, then flushes the logs.
 func (r *Router) DrainWAL(ctx context.Context) error { return r.wal.Load().Drain(ctx) }
 
 // CloseWAL stops the appliers, flushes, and closes the logs; it is how a

@@ -77,29 +77,10 @@ func runSuiteWarehouse(t *testing.T, w *hive.Warehouse) map[string]string {
 	return out
 }
 
-// waitFleetSettled polls until no replica is catching up, then drains the
-// WAL so every logged record is applied.
+// waitFleetSettled drains the WAL so every logged record is applied.
 func waitFleetSettled(t *testing.T, r *Router) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		catching := 0
-		for _, sh := range r.Health() {
-			catching += sh.CatchingUp
-		}
-		if catching == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("catch-up never completed: %+v", r.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.DrainWAL(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	drainFleet(t, r)
 }
 
 func enableTestWAL(t *testing.T, r *Router, dir string) {
@@ -111,9 +92,9 @@ func enableTestWAL(t *testing.T, r *Router, dir string) {
 
 // TestIngestChaosKillLoadReviveCatchUp is the acceptance chaos test: with
 // Replicas:2 and the WAL on, kill a replica, keep loading (every load
-// succeeds — hinted handoff), revive it, and after catch-up both replicas
-// of every shard answer the full query suite bit-identically: no
-// duplicated and no dropped rows.
+// succeeds and applies to the shard's warehouse), revive it, and with its
+// sibling killed the revived replica answers the full query suite as the
+// fleet did before: no duplicated and no dropped rows.
 func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 	r := replicatedRouter(t, 4, 2, true)
 	t.Cleanup(func() { r.CloseWAL() })
@@ -138,35 +119,25 @@ func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 	if _, err := exec(r, `SELECT count(*) FROM meterdata`); err != nil {
 		t.Fatalf("query during outage: %v", err)
 	}
-	// The dead replica is owed records in the hint queue.
-	hinted := int64(0)
-	for _, ss := range r.WALStats() {
-		for _, rs := range ss.Replicas {
-			hinted += rs.HintedRecords
-		}
-	}
-	if hinted == 0 {
-		t.Fatal("no hinted records while a replica was dead")
-	}
 
 	r.Revive(1, 0)
 	for b := 6; b <= 8; b++ {
-		load(b) // loads during catch-up commit to the revived log too
+		load(b)
 	}
 	waitFleetSettled(t, r)
-
 	for _, sh := range r.Health() {
 		if sh.Live != 2 {
-			t.Fatalf("shard %d not fully live after catch-up: %+v", sh.Shard, sh)
+			t.Fatalf("shard %d not fully live after revive: %+v", sh.Shard, sh)
 		}
 	}
-	for si := 0; si < r.NumShards(); si++ {
-		want := runSuiteWarehouse(t, r.Replica(si, 0))
-		got := runSuiteWarehouse(t, r.Replica(si, 1))
-		for q, w := range want {
-			if got[q] != w {
-				t.Fatalf("shard %d replicas diverged on %q:\nreplica 0: %s\nreplica 1: %s", si, q, w, got[q])
-			}
+	want := runSuite(t, r)
+
+	// The revived replica answers shard 1 alone.
+	r.Kill(1, 1)
+	got := runSuite(t, r)
+	for q, w := range want {
+		if got[q] != w {
+			t.Fatalf("the revived replica answers %q differently:\nfleet:   %s\nrevived: %s", q, w, got[q])
 		}
 	}
 	// No dropped or duplicated rows fleet-wide.
@@ -175,15 +146,11 @@ func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 	if total != base+float64(loaded) {
 		t.Fatalf("count(*) = %v, want %v base + %d loaded", total, base, loaded)
 	}
-	st := r.WALStats()
-	if rep := st[1].Replicas[0]; rep.ReplayedRows == 0 {
-		t.Fatalf("revived replica replayed nothing: %+v", rep)
-	}
 }
 
 // TestIngestWALFailoverSuiteGreen re-runs the kill/revive failover shape
 // with the WAL enabled: queries stay bit-identical with a replica down,
-// and after revive + catch-up the whole fleet matches the healthy suite.
+// and after revive the whole fleet matches the healthy suite.
 func TestIngestWALFailoverSuiteGreen(t *testing.T) {
 	r := replicatedRouter(t, 4, 2, true)
 	t.Cleanup(func() { r.CloseWAL() })
@@ -244,8 +211,8 @@ func TestIngestSyncAckVisibility(t *testing.T) {
 }
 
 // TestIngestConcurrentLoadersWithKill hammers the WAL from concurrent
-// loaders while a replica dies and revives mid-stream; afterwards both
-// replicas of every shard agree on count and sum.
+// loaders while a replica dies and revives mid-stream; afterwards the fleet
+// holds every loaded row once.
 func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 	r := replicatedRouter(t, 2, 2, false)
 	t.Cleanup(func() { r.CloseWAL() })
@@ -282,19 +249,6 @@ func TestIngestConcurrentLoadersWithKill(t *testing.T) {
 	want := base + float64(loaders*batches*rowsPer)
 	if got := mustExec(t, r, `SELECT count(*) FROM meterdata`).Rows[0][0].AsFloat(); got != want {
 		t.Fatalf("count(*) = %v, want %v", got, want)
-	}
-	for si := 0; si < r.NumShards(); si++ {
-		var counts [2]string
-		for ri := 0; ri < 2; ri++ {
-			res, err := r.Replica(si, ri).ExecContext(context.Background(), `SELECT count(*), sum(powerConsumed) FROM meterdata`, hive.ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[ri] = strings.Join(renderRows(res.Rows), "|")
-		}
-		if counts[0] != counts[1] {
-			t.Fatalf("shard %d replicas disagree: %s vs %s", si, counts[0], counts[1])
-		}
 	}
 }
 
@@ -380,49 +334,55 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 }
 
 // TestEachShardLoadErrorEnumeratesShards is the regression test for the
-// load path's error accounting: a load that fails on one shard names that
-// shard and enumerates the shards that applied, the way broadcast DDL
-// already does, with the root cause still reachable via errors.Is.
+// load path's error accounting: a load that fails on one shard (its log
+// refused the record) names that shard and enumerates the shards that
+// applied, the way broadcast DDL does, with the root cause still reachable
+// via errors.Is; a load that failed everywhere says no shard applied.
 func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
-	r := replicatedRouter(t, 4, 2, false)
-	r.Kill(2, 0)
-	err := loadRows(r, "meterdata", extraMeterRows(0, 40))
+	refused := fmt.Errorf("wal: shard 2: %w", wal.ErrNoLiveReplica)
+	err := fleetOutcome("load", []error{nil, nil, refused, nil})
 	if err == nil {
-		t.Fatal("load with a dead replica succeeded without a WAL")
+		t.Fatal("a load one shard refused folded to success")
 	}
 	for _, want := range []string{"shard 2/4 failed", "shards 0,1,3 applied"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not contain %q", err, want)
 		}
 	}
-	if !errors.Is(err, ErrReplicaDown) {
+	if !errors.Is(err, wal.ErrNoLiveReplica) {
 		t.Fatalf("root cause lost: %v", err)
 	}
-
-	// Kill the other shards too: the fold must say no shard applied.
-	for si := 0; si < 4; si++ {
-		r.Kill(si, 1)
-	}
-	err = loadRows(r, "meterdata", extraMeterRows(1, 40))
+	err = fleetOutcome("load", []error{refused, refused, refused, refused})
 	if err == nil || !strings.Contains(err.Error(), "no shard applied") {
 		t.Fatalf("fully-failed load error = %v, want 'no shard applied'", err)
 	}
+	if err := fleetOutcome("load", []error{refused}); err != refused {
+		t.Fatalf("a one-shard fleet's error = %v, want the shard's own", err)
+	}
 }
 
-// TestIngestLoadFailsWhenWholeShardDead: hinted handoff still refuses a
-// load no replica can log.
-func TestIngestLoadFailsWhenWholeShardDead(t *testing.T) {
-	r := replicatedRouter(t, 2, 2, false)
-	t.Cleanup(func() { r.CloseWAL() })
-	enableTestWAL(t, r, t.TempDir())
-	r.Kill(0, 0)
-	r.Kill(0, 1)
-	err := loadRows(r, "meterdata", extraMeterRows(0, 40))
-	if err == nil || !strings.Contains(err.Error(), "no live replica") {
-		t.Fatalf("err = %v, want no-live-replica commit failure", err)
-	}
-	if !errors.Is(err, ErrReplicaDown) {
-		t.Fatalf("a load no replica could log must match ErrReplicaDown, like a read of a dead shard: %v", err)
+// TestIngestLoadAppliesWhenWholeShardDead: behind a log directory and
+// without one, a load into a shard whose replicas are all down applies to
+// the shard's warehouse, which outlives them, and a revived replica answers
+// with its rows.
+func TestIngestLoadAppliesWhenWholeShardDead(t *testing.T) {
+	for _, logged := range []bool{false, true} {
+		r := replicatedRouter(t, 2, 2, false)
+		t.Cleanup(func() { r.CloseWAL() })
+		if logged {
+			enableTestWAL(t, r, t.TempDir())
+		}
+		r.Kill(0, 0)
+		r.Kill(0, 1)
+		rows := extraMeterRows(0, 40)
+		if _, err := r.LoadRowsDurable(context.Background(), "meterdata", rows, true); err != nil {
+			t.Fatalf("wal=%t: load with shard 0 down: %v", logged, err)
+		}
+		r.Revive(0, 1)
+		want := float64(testMeterConfig().Rows() + len(rows))
+		if got := mustExec(t, r, `SELECT count(*) FROM meterdata`).Rows[0][0].AsFloat(); got != want {
+			t.Fatalf("wal=%t: count(*) = %v, want %v", logged, got, want)
+		}
 	}
 }
 
@@ -582,12 +542,13 @@ func (g *applyGate) release() {
 
 // TestLoadPathOutage: what a fleet without a log directory does around a
 // dead replica, now that it runs the engine's commit → apply pipeline. A
-// load touching the degraded shard is refused before anything is queued, so
-// the surviving sibling stays an exact copy; a record queued before the kill
-// is applied exactly once after the revive, with health passing through
-// catching_up; a cancelled ctx releases a load from the apply wait and from
-// backpressure (the old path took no ctx); and EnableWAL with a directory
-// afterwards keeps every row and can be done once.
+// cancelled ctx releases a load from the apply wait and from backpressure
+// (the old path took no ctx). A replica killed with records queued takes
+// nothing with it: the shard's applier applies them, loads during the
+// outage — even with every replica of the shard down — commit and apply,
+// and a revived replica is live at once with every record applied exactly
+// once. EnableWAL with a directory afterwards keeps every row and can be
+// done once.
 func TestLoadPathOutage(t *testing.T) {
 	r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
 	if err != nil {
@@ -614,38 +575,32 @@ func TestLoadPathOutage(t *testing.T) {
 		}
 		return out
 	}
-	count := func(si, ri int) float64 {
+	count := func(si int) float64 {
 		t.Helper()
-		res, err := r.Replica(si, ri).ExecContext(ctx, `SELECT count(*) FROM late`, hive.ExecOptions{})
+		res, err := r.Shard(si).ExecContext(ctx, `SELECT count(*) FROM late`, hive.ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rows[0][0].AsFloat()
 	}
-	parked := func(n int, what string) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			select {
-			case <-gate.entered:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
-	pendingRows := func(si, ri int) int { return r.WALStats()[si].Replicas[ri].PendingRows }
+	pendingRows := func(si int) int { return r.WALStats()[si].Replicas[0].PendingRows }
 	short := func() (context.Context, context.CancelFunc) {
 		return context.WithTimeout(ctx, 30*time.Millisecond)
 	}
 
-	// Park shard 0's two appliers behind a first load.
+	// Park shard 0's applier behind a first load.
 	gate.park()
 	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 2), false); err != nil || !ack.Applied || ack.Durable {
 		t.Fatalf("load without a directory: ack %+v, err %v; want applied, not durable", ack, err)
 	}
-	parked(2, "shard 0's appliers to park")
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for shard 0's applier to park")
+	}
 
-	// A load whose records sit behind the parked appliers waits for them,
-	// and a cancelled ctx lets it go. Its record stays queued.
+	// A load whose record sits behind the parked applier waits for it, and
+	// a cancelled ctx lets it go. Its record stays queued.
 	cctx, cancel := short()
 	_, err = r.LoadRowsDurable(cctx, "late", rowsFor(0, 2), false)
 	cancel()
@@ -657,14 +612,14 @@ func TestLoadPathOutage(t *testing.T) {
 		_, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 6), false)
 		queued <- err
 	}()
-	for deadline := time.Now().Add(10 * time.Second); pendingRows(0, 1) < 8; {
+	for deadline := time.Now().Add(10 * time.Second); pendingRows(0) < 8; {
 		if time.Now().After(deadline) {
 			t.Fatalf("second load never queued: %+v", r.WALStats()[0])
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Eight rows are queued per replica: the next load waits for room, and a
-	// cancelled ctx lets that go too, with nothing queued.
+	// Eight rows are queued: the next load waits for room, and a cancelled
+	// ctx lets that go too, with nothing queued.
 	lsn := r.WALStats()[0].NextLSN
 	cctx, cancel = short()
 	_, err = r.LoadRowsDurable(cctx, "late", rowsFor(0, 1), false)
@@ -676,70 +631,46 @@ func TestLoadPathOutage(t *testing.T) {
 		t.Fatalf("a load that gave up in backpressure consumed an LSN: next %d, was %d", got, lsn)
 	}
 
-	// Replica 1 dies with two records queued; its sibling applies them.
+	// Replica 1 dies with two records queued; the shard's applier applies
+	// them.
 	r.Kill(0, 1)
 	gate.release()
 	if err := <-queued; err != nil {
 		t.Fatalf("load queued before the kill: %v", err)
 	}
-	ctxDrain, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := r.DrainWAL(ctxDrain); err != nil {
-		t.Fatal(err)
-	}
-	if live, dead := count(0, 0), count(0, 1); live != 10 || dead != 2 {
-		t.Fatalf("after the kill: live replica holds %v rows, dead one %v; want 10 and 2", live, dead)
+	drainFleet(t, r)
+	if n := count(0); n != 10 {
+		t.Fatalf("after the kill shard 0 holds %v rows, want 10", n)
 	}
 
-	// During the outage a load touching shard 0 is refused before anything
-	// is queued: the survivor applies nothing.
-	version := r.Replica(0, 0).TableVersions("late")["late"]
-	stats := fmt.Sprint(r.WALStats())
-	_, err = r.LoadRowsDurable(ctx, "late", rowsFor(0, 3), false)
-	if !errors.Is(err, ErrReplicaDown) {
-		t.Fatalf("load during the outage: err = %v, want ErrReplicaDown", err)
+	// During the outage loads commit and apply, one spanning both shards
+	// too, and so does a load into the shard with every replica down.
+	if _, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 3), false); err != nil {
+		t.Fatalf("load during the outage: %v", err)
 	}
-	_, err = r.LoadRowsDurable(ctx, "late", append(rowsFor(0, 1), rowsFor(1, 2)...), false)
-	if !errors.Is(err, ErrReplicaDown) {
-		t.Fatalf("load spanning the degraded shard: err = %v, want ErrReplicaDown", err)
+	if _, err := r.LoadRowsDurable(ctx, "late", append(rowsFor(0, 1), rowsFor(1, 2)...), false); err != nil {
+		t.Fatalf("load spanning the degraded shard: %v", err)
 	}
-	for _, want := range []string{"shard 0/2 failed", "shards 1 applied"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("load spanning the degraded shard: error %q does not contain %q", err, want)
-		}
-	}
-	if a, b := count(1, 0), count(1, 1); a != 2 || b != 2 {
-		t.Fatalf("the healthy shard's slice: replicas hold %v and %v rows, want 2 and 2", a, b)
-	}
-	if got := r.Replica(0, 0).TableVersions("late")["late"]; got != version || count(0, 0) != 10 {
-		t.Fatalf("the survivor applied part of a refused load: version %d → %d, %v rows", version, got, count(0, 0))
-	}
-	if now := fmt.Sprint(r.WALStats()[0]); !strings.Contains(stats, now) {
-		t.Fatalf("a refused load moved shard 0's engine state:\nbefore %s\nafter  %s", stats, now)
-	}
-
-	// Revive: the replica is catching up — out of read selection, not dead —
-	// while its own queue drains (held here after the first of its two
-	// records), then live, with every record applied exactly once.
-	gate.park()
-	r.Revive(0, 1)
-	parked(1, "the revived replica to apply its first queued record")
-	if h := r.Health()[0]; h.CatchingUp != 1 || h.Live != 1 || !h.Detail[1].CatchingUp || h.Detail[1].Killed {
-		t.Fatalf("health while the revived replica drains its queue = %+v, want replica 1 catching up", h)
-	}
-	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 12 {
-		t.Fatalf("count during catch-up = %v, want 12 (served by the sibling)", n)
-	}
-	gate.release()
-	waitFleetSettled(t, r)
-	if h := r.Health()[0]; h.Live != 2 {
-		t.Fatalf("revived replica is not live after catch-up: %+v", h)
-	}
-	if a, b := count(0, 0), count(0, 1); a != 10 || b != 10 {
-		t.Fatalf("after catch-up the replicas hold %v and %v rows, want 10 and 10", a, b)
+	r.Kill(0, 0)
+	if _, err := exec(r, `SELECT count(*) FROM late`); !errors.Is(err, ErrReplicaDown) {
+		t.Fatalf("query over a shard with every replica down: err = %v, want ErrReplicaDown", err)
 	}
 	if _, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 1), false); err != nil {
-		t.Fatalf("load after the revive: %v", err)
+		t.Fatalf("load into a shard with every replica down: %v", err)
+	}
+	if a, b := count(0), count(1); a != 15 || b != 2 {
+		t.Fatalf("shards hold %v and %v rows, want 15 and 2", a, b)
+	}
+
+	// Revive: the replicas are live at once, with every record applied
+	// exactly once.
+	r.Revive(0, 0)
+	r.Revive(0, 1)
+	if h := r.Health()[0]; h.Live != 2 {
+		t.Fatalf("revived replicas are not live: %+v", h)
+	}
+	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 17 {
+		t.Fatalf("count after the revive = %v, want 17", n)
 	}
 
 	// A directory, given now, keeps every row; there is no second one.
@@ -749,8 +680,8 @@ func TestLoadPathOutage(t *testing.T) {
 	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(1, 1), true); err != nil || !ack.Durable || !ack.Applied {
 		t.Fatalf("load behind the directory: ack %+v, err %v; want durable and applied", ack, err)
 	}
-	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 14 {
-		t.Fatalf("count behind the directory = %v, want 14", n)
+	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 18 {
+		t.Fatalf("count behind the directory = %v, want 18", n)
 	}
 	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err == nil || !strings.Contains(err.Error(), "already enabled") {
 		t.Fatalf("second EnableWAL = %v, want an already-enabled error", err)

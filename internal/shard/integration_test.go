@@ -34,7 +34,7 @@ func itMeterConfig() workload.MeterConfig {
 	return cfg
 }
 
-func itWarehouse(int, int) *hive.Warehouse {
+func itWarehouse(int) *hive.Warehouse {
 	cc := cluster.Default()
 	cc.Workers = 4
 	return hive.NewWarehouse(dfs.New(1<<20), cc, "/warehouse")
@@ -181,7 +181,7 @@ func TestServerReplicaHealthSurfaces(t *testing.T) {
 	}
 
 	// A single warehouse is one shard with one live replica.
-	bare := server.New(itWarehouse(0, 0), server.Config{})
+	bare := server.New(itWarehouse(0), server.Config{})
 	if snap := bare.Stats(); len(snap.Shards) != 1 || snap.Shards[0].Replicas != 1 || snap.Shards[0].Live != 1 {
 		t.Fatalf("single-warehouse server shard health = %+v, want one shard, 1 live of 1", snap.Shards)
 	}

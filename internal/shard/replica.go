@@ -1,20 +1,20 @@
-// Per-shard replica sets: each shard of the fleet is R identical warehouse
-// copies instead of one. Writes (DDL broadcast, routed loads) apply to every
-// replica so the copies never diverge; reads pick one live replica per shard
-// — least-loaded first, round-robin among ties — and fail over to the next
-// replica when the chosen one errors, so a down replica degrades a shard's
-// read capacity instead of failing the whole scatter. Every read — a
-// partial, a pass-through statement, a plan, a cursor's stream — is one
-// withFailover call: the only loop over pick, running each attempt under
-// replica.do's kill supervision.
+// Executors: each shard of the fleet is one warehouse — one dfs, one
+// key-value store, one applier on the shard's log — served by R replicas.
+// The paper's deployment holds state once: HDFS replicates blocks beneath
+// stateless Hive servers, and HBase holds each GFU pair once. So a replica
+// here is an executor, not a store: it runs reads against its shard's
+// warehouse and has its own liveness, in-flight count and kill switch.
 //
-// Health is tracked per replica: consecutive failures past a threshold eject
-// the replica from selection, and a timed re-probe lets it earn its way back
-// (one trial request after the re-probe interval; success resets the
-// failure count, failure re-ejects). Kill/Revive inject the failure mode the
-// P2P overlay literature calls node churn: a killed replica refuses new
-// requests and aborts in-flight ones, exactly what a crashed store looks
-// like to the router.
+// Kill/Revive inject the failure mode the P2P overlay literature calls node
+// churn. A killed replica refuses new reads and aborts its in-flight ones,
+// exactly what a crashed server looks like to the router; applies, loads and
+// DDL go on, because the storage they write outlives the server. Reads pick
+// one live replica per shard — least-loaded first, round-robin among ties —
+// and retry on a sibling only when the chosen one went down (ErrReplicaDown):
+// any other error is the statement's own, since a sibling reads the same
+// warehouse. Every read — a partial, a pass-through statement, a plan, a
+// cursor's stream — is one withFailover call: the only loop over pick,
+// running each attempt under replica.do's kill supervision.
 package shard
 
 import (
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
@@ -32,36 +31,26 @@ import (
 // ErrReplicaDown marks a request that failed because the chosen replica is
 // down (killed, or aborted mid-request by a kill). The router retries such
 // failures on the shard's surviving replicas; it only surfaces once a
-// shard's replicas are all exhausted.
+// shard's replicas are all down.
 var ErrReplicaDown = errors.New("shard: replica down")
 
-// replica is one warehouse copy of one shard, with health accounting and the
-// kill switch the failover tests (and operators simulating an outage) use.
+// replica is one executor of one shard, with the kill switch the failover
+// tests (and operators simulating an outage) use.
 type replica struct {
 	shard, idx int
-	w          *hive.Warehouse
 
 	// inflight counts requests currently executing on this replica; the
 	// picker prefers the least-loaded live replica.
 	inflight atomic.Int64
 
-	mu           sync.Mutex
-	fails        int       // consecutive failures
-	ejectedUntil time.Time // zero when not ejected
-	killed       bool
-	killCh       chan struct{} // closed while killed; replaced on Revive
-	// catchingUp: revived but still applying the records it is behind by.
-	// Excluded from read selection (its data is stale) yet distinct from
-	// killed in health reporting — the replica is repairing, not dead.
-	catchingUp bool
+	mu     sync.Mutex
+	killed bool
+	killCh chan struct{} // closed while killed; replaced on Revive
 }
 
-func newReplica(shard, idx int, w *hive.Warehouse) *replica {
-	return &replica{shard: shard, idx: idx, w: w, killCh: make(chan struct{})}
+func newReplica(shard, idx int) *replica {
+	return &replica{shard: shard, idx: idx, killCh: make(chan struct{})}
 }
-
-// Warehouse returns the replica's underlying warehouse (tests and tooling).
-func (rep *replica) Warehouse() *hive.Warehouse { return rep.w }
 
 // kill marks the replica down: new requests fail immediately and in-flight
 // requests are aborted at their next split boundary.
@@ -72,7 +61,16 @@ func (rep *replica) kill() {
 		rep.killed = true
 		close(rep.killCh)
 	}
-	rep.catchingUp = false // dead trumps repairing
+}
+
+// revive makes a killed replica live again.
+func (rep *replica) revive() {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if rep.killed {
+		rep.killed = false
+		rep.killCh = make(chan struct{})
+	}
 }
 
 func (rep *replica) isKilled() bool {
@@ -81,30 +79,8 @@ func (rep *replica) isKilled() bool {
 	return rep.killed
 }
 
-// beginCatchUp revives the replica into the catching-up state with a clean
-// health record: back in the fleet (commits append to its log again) but
-// excluded from reads until the engine reports it caught up.
-func (rep *replica) beginCatchUp() {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.killed {
-		rep.killed = false
-		rep.killCh = make(chan struct{})
-	}
-	rep.fails = 0
-	rep.ejectedUntil = time.Time{}
-	rep.catchingUp = true
-}
-
-// endCatchUp returns the replica to full read eligibility.
-func (rep *replica) endCatchUp() {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	rep.catchingUp = false
-}
-
 // downErr is the immediate failure a killed replica returns without touching
-// its warehouse (the "connection refused" of the model).
+// the warehouse (the "connection refused" of the model).
 func (rep *replica) downErr() error {
 	return fmt.Errorf("%w (shard %d replica %d)", ErrReplicaDown, rep.shard, rep.idx)
 }
@@ -156,9 +132,7 @@ func (rep *replica) classify(parent context.Context, killCh <-chan struct{}, err
 	return err
 }
 
-// do runs one read request against the replica under kill supervision.
-// Success resets the health record; failures are counted by the caller
-// (replicaSet.noteFailure), which owns the ejection policy.
+// do runs one read request on the replica under kill supervision.
 func (rep *replica) do(parent context.Context, fn func(ctx context.Context) error) error {
 	if rep.isKilled() {
 		return rep.downErr()
@@ -166,19 +140,8 @@ func (rep *replica) do(parent context.Context, fn func(ctx context.Context) erro
 	kctx, cancel, killCh := rep.watchCtx(parent)
 	defer cancel()
 	rep.inflight.Add(1)
-	err := rep.classify(parent, killCh, fn(kctx))
-	rep.inflight.Add(-1)
-	if err == nil {
-		rep.noteSuccess()
-	}
-	return err
-}
-
-func (rep *replica) noteSuccess() {
-	rep.mu.Lock()
-	rep.fails = 0
-	rep.ejectedUntil = time.Time{}
-	rep.mu.Unlock()
+	defer rep.inflight.Add(-1)
+	return rep.classify(parent, killCh, fn(kctx))
 }
 
 // isCtxErr reports whether err is a context termination (cancel or deadline).
@@ -186,126 +149,51 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// replicaSet is one shard's R replicas plus the selection state.
+// replicaSet is one shard: its warehouse, its R replicas and the selection
+// state.
 type replicaSet struct {
-	shard      int
-	reps       []*replica
-	next       atomic.Uint64 // round-robin tie-break cursor
-	ejectAfter int
-	reprobe    time.Duration
+	shard int
+	w     *hive.Warehouse
+	reps  []*replica
+	next  atomic.Uint64 // round-robin tie-break cursor
 }
 
-func newReplicaSet(shard int, ejectAfter int, reprobe time.Duration, reps []*replica) *replicaSet {
-	return &replicaSet{shard: shard, reps: reps, ejectAfter: ejectAfter, reprobe: reprobe}
-}
-
-// noteFailure records one failure on rep under this set's ejection policy,
-// reporting whether this strike ejected it (so callers can annotate the
-// query's trace with the health consequence of its failures).
-func (rs *replicaSet) noteFailure(rep *replica) bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	rep.fails++
-	if rep.fails >= rs.ejectAfter {
-		ejected := rep.ejectedUntil.IsZero()
-		rep.ejectedUntil = time.Now().Add(rs.reprobe)
-		return ejected
+func newReplicaSet(shard, replicas int, w *hive.Warehouse) *replicaSet {
+	rs := &replicaSet{shard: shard, w: w}
+	for j := 0; j < replicas; j++ {
+		rs.reps = append(rs.reps, newReplica(shard, j))
 	}
-	return false
+	return rs
 }
 
-// live reports whether rep is currently eligible for selection (healthy,
-// not ejected, not replaying missed WAL records).
-func (rs *replicaSet) live(rep *replica) bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.ejectedUntil.IsZero() && !rep.catchingUp
-}
-
-// tryClaimProbe claims rep's re-probe if its ejection window has elapsed:
-// claiming pushes the window forward by one re-probe interval under the
-// lock, so of any number of concurrent picks exactly one sends the trial
-// request and the rest keep using the healthy replicas — a still-dead
-// replica costs one failed request per interval, not a thundering probe.
-func (rep *replica) tryClaimProbe(reprobe time.Duration) bool {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.ejectedUntil.IsZero() || time.Now().Before(rep.ejectedUntil) {
-		return false
-	}
-	rep.ejectedUntil = time.Now().Add(reprobe)
-	return true
-}
-
-// pick chooses the next replica to try, skipping the already-tried set: a
-// due re-probe wins first (single-flight — see tryClaimProbe), then the
-// least-loaded healthy replica (round-robin among ties); with no healthy
-// candidate left the least-recently-ejected one is probed anyway — refusing
-// to try at all would fail queries a recovered replica could serve. It
-// returns nil once every replica has been tried.
-func (rs *replicaSet) pick(tried []bool) *replica {
-	for i, rep := range rs.reps {
-		if !tried[i] && rep.tryClaimProbe(rs.reprobe) {
-			return rep
-		}
-	}
+// pick chooses the least-loaded live replica not yet tried (round-robin
+// among ties), or nil when there is none. last reports that no other live
+// replica is left untried, so no retry can follow this attempt.
+func (rs *replicaSet) pick(tried []bool) (best *replica, last bool) {
 	start := int(rs.next.Add(1) - 1)
-	var best *replica
 	var bestLoad int64
+	live := 0
 	for off := 0; off < len(rs.reps); off++ {
-		i := (start + off) % len(rs.reps)
-		rep := rs.reps[i]
-		if tried[i] || !rs.live(rep) {
+		rep := rs.reps[(start+off)%len(rs.reps)]
+		if tried[rep.idx] || rep.isKilled() {
 			continue
 		}
+		live++
 		if load := rep.inflight.Load(); best == nil || load < bestLoad {
 			best, bestLoad = rep, load
 		}
 	}
-	if best != nil {
-		return best
-	}
-	// Every untried replica is ejected and not yet due: probe the one due
-	// back soonest. A catching-up replica is never probed — it would answer
-	// from stale data, not fail.
-	var when time.Time
-	for i, rep := range rs.reps {
-		if tried[i] {
-			continue
-		}
-		rep.mu.Lock()
-		until := rep.ejectedUntil
-		catching := rep.catchingUp
-		rep.mu.Unlock()
-		if catching {
-			continue
-		}
-		if best == nil || until.Before(when) {
-			best, when = rep, until
-		}
-	}
-	return best
+	return best, live <= 1
 }
 
-// index returns rep's position in the set.
-func (rs *replicaSet) index(rep *replica) int {
-	for i, r := range rs.reps {
-		if r == rep {
-			return i
-		}
-	}
-	return -1
-}
-
-// exhaustedErr wraps the last failure once every replica of the shard has
-// been tried: the root cause the scatter surfaces for a fully-dead shard.
-// An unreplicated shard returns the failure untouched, keeping a Replicas:1
-// router's errors identical to an unreplicated one's.
+// exhaustedErr is the root cause the scatter surfaces for a shard with no
+// live replica left: the last replica's failure, or a down error when every
+// replica was down before the read started. An unreplicated shard returns
+// it untouched, keeping a Replicas:1 router's errors identical to an
+// unreplicated one's.
 func (rs *replicaSet) exhaustedErr(last error) error {
 	if last == nil {
-		// Nothing was even tried: every replica is excluded from selection
-		// without failing (all catching up after a revive).
-		return fmt.Errorf("shard %d: no readable replica: replicas are catching up", rs.shard)
+		last = fmt.Errorf("%w (shard %d)", ErrReplicaDown, rs.shard)
 	}
 	if len(rs.reps) == 1 {
 		return last
@@ -314,57 +202,28 @@ func (rs *replicaSet) exhaustedErr(last error) error {
 }
 
 // withFailover is the one loop over a shard's replicas: it runs fn under
-// replica.do's kill supervision against replicas of the shard until one
-// succeeds. A replica failure (including a kill that aborted the request in
-// flight) moves on to the next live replica; a caller cancellation
-// propagates immediately; exhausting every replica returns the last root
-// cause. fn learns whether its replica is the shard's last candidate, after
-// which no retry can follow.
-//
-// Health penalties wait until the query proves a sibling could serve it: a
-// replica that fails where another then succeeds earns its strike, while a
-// query that fails on every replica penalizes no one — the query itself is
-// bad (unknown table, bad column), and ejecting healthy replicas over user
-// errors would flip /healthz to degraded on a healthy fleet. A down replica
-// (ErrReplicaDown) is penalized immediately: refusing requests is never the
-// query's fault.
+// replica.do's kill supervision on a live replica, and again on the next
+// one only when the attempt failed because its replica went down
+// (ErrReplicaDown, a kill that aborted the request in flight included).
+// Success, a caller cancellation and the statement's own errors return at
+// once: every replica reads the same warehouse, so a sibling would fail the
+// same way. fn learns whether its replica is the shard's last candidate,
+// after which no retry can follow.
 func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica, last bool) error) error {
 	tried := make([]bool, len(rs.reps))
-	untried := len(rs.reps)
-	var deferred []*replica
 	sp := trace.FromContext(ctx)
-	strike := func(rep *replica) {
-		if rs.noteFailure(rep) {
-			sp.Eventf("replica %d ejected", rep.idx)
-		}
-	}
-	var last error
+	var err error
 	for {
-		rep := rs.pick(tried)
+		rep, last := rs.pick(tried)
 		if rep == nil {
-			return rs.exhaustedErr(last)
+			return rs.exhaustedErr(err)
 		}
-		tried[rs.index(rep)] = true
-		untried--
-		err := rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep, untried == 0) })
-		switch {
-		case err == nil:
-			for _, failed := range deferred {
-				strike(failed)
-			}
-			return nil
-		case isCtxErr(err):
-			// The caller's own cancellation (do already reclassified a kill
-			// as ErrReplicaDown): not a replica failure, nothing to retry.
+		tried[rep.idx] = true
+		err = rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep, last) })
+		if !errors.Is(err, ErrReplicaDown) {
 			return err
 		}
 		sp.Eventf("replica %d failed: %v", rep.idx, err)
-		if errors.Is(err, ErrReplicaDown) {
-			strike(rep)
-		} else {
-			deferred = append(deferred, rep)
-		}
-		last = err
 	}
 }
 
@@ -373,7 +232,7 @@ func (rs *replicaSet) execPartial(ctx context.Context, s *hive.SelectStmt, opts 
 	var part *hive.PartialResult
 	chosen := -1
 	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
-		p, err := rep.w.SelectPartialContext(kctx, s, opts)
+		p, err := rs.w.SelectPartialContext(kctx, s, opts)
 		if err != nil {
 			return err
 		}
@@ -387,8 +246,8 @@ func (rs *replicaSet) execPartial(ctx context.Context, s *hive.SelectStmt, opts 
 // pass-through and catalog paths).
 func (rs *replicaSet) execStmt(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
 	var res *hive.Result
-	err := rs.withFailover(ctx, func(kctx context.Context, rep *replica, _ bool) error {
-		r, err := rep.w.ExecParsedContext(kctx, stmt, opts)
+	err := rs.withFailover(ctx, func(kctx context.Context, _ *replica, _ bool) error {
+		r, err := rs.w.ExecParsedContext(kctx, stmt, opts)
 		if err != nil {
 			return err
 		}
@@ -404,7 +263,7 @@ func (rs *replicaSet) explain(ctx context.Context, s *hive.SelectStmt, opts hive
 	var plan *hive.ExplainPlan
 	chosen := -1
 	err := rs.withFailover(ctx, func(_ context.Context, rep *replica, _ bool) error {
-		p, err := rep.w.Explain(s, opts)
+		p, err := rs.w.Explain(s, opts)
 		if err != nil {
 			return err
 		}
@@ -418,56 +277,29 @@ func (rs *replicaSet) explain(ctx context.Context, s *hive.SelectStmt, opts hive
 // Router.Health, the server's /stats, and /healthz.
 type ReplicaHealth struct {
 	Replica int `json:"replica"`
-	// Live: eligible for selection (not killed and not currently ejected).
+	// Live: eligible for selection (not killed).
 	Live bool `json:"live"`
-	// Killed: down via Kill (operator- or test-injected outage).
-	Killed bool `json:"killed,omitempty"`
-	// CatchingUp: revived and replaying missed WAL records; excluded from
-	// reads until the replay completes, but repairing rather than dead.
-	CatchingUp bool `json:"catching_up,omitempty"`
-	// ConsecutiveFailures since the last success.
-	ConsecutiveFailures int `json:"consecutive_failures,omitempty"`
-	// EjectedForMs is how long until the next re-probe (0 when not ejected).
-	EjectedForMs int64 `json:"ejected_for_ms,omitempty"`
 	// Inflight requests currently executing on the replica.
 	Inflight int64 `json:"inflight,omitempty"`
 }
 
-// SetHealth is one shard's replica-set health summary.
+// SetHealth is one shard's replica health summary.
 type SetHealth struct {
 	Shard    int `json:"shard"`
 	Replicas int `json:"replicas"`
 	// Live counts replicas currently eligible for reads; 0 means the shard
 	// cannot answer and scatters over it will fail.
-	Live int `json:"live"`
-	// CatchingUp counts replicas replaying missed WAL records.
-	CatchingUp int             `json:"catching_up,omitempty"`
-	Detail     []ReplicaHealth `json:"detail"`
+	Live   int             `json:"live"`
+	Detail []ReplicaHealth `json:"detail"`
 }
 
 // health snapshots the set.
 func (rs *replicaSet) health() SetHealth {
 	sh := SetHealth{Shard: rs.shard, Replicas: len(rs.reps)}
-	now := time.Now()
-	for i, rep := range rs.reps {
-		rep.mu.Lock()
-		h := ReplicaHealth{
-			Replica:             i,
-			Killed:              rep.killed,
-			CatchingUp:          rep.catchingUp,
-			ConsecutiveFailures: rep.fails,
-			Inflight:            rep.inflight.Load(),
-		}
-		if !rep.ejectedUntil.IsZero() && now.Before(rep.ejectedUntil) {
-			h.EjectedForMs = rep.ejectedUntil.Sub(now).Milliseconds()
-		}
-		h.Live = !rep.killed && !rep.catchingUp && h.EjectedForMs == 0
-		rep.mu.Unlock()
+	for _, rep := range rs.reps {
+		h := ReplicaHealth{Replica: rep.idx, Live: !rep.isKilled(), Inflight: rep.inflight.Load()}
 		if h.Live {
 			sh.Live++
-		}
-		if h.CatchingUp {
-			sh.CatchingUp++
 		}
 		sh.Detail = append(sh.Detail, h)
 	}

@@ -3,7 +3,9 @@
 // route row-by-row on a configurable key (hash on meter/user id, or ranges
 // on region), and SELECTs fan out concurrently to the shards the predicate
 // can reach, each returning mergeable partial-aggregation state that the
-// router combines and finalizes once.
+// router combines and finalizes once. A shard is one warehouse served by R
+// replicas, which are executors over it rather than copies of it (see
+// replica.go).
 //
 // The paper's deployment indexes billions of readings from ~17M meters; one
 // in-process Warehouse cannot scale to that. Distributed partial
@@ -28,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -72,9 +73,9 @@ func ParseStrategy(s string) (Strategy, error) {
 type Config struct {
 	// Shards is the number of logical shards (>= 1).
 	Shards int
-	// Replicas is how many identical warehouse copies each shard keeps
-	// (0 or 1 = unreplicated). Writes apply to every replica; reads pick one
-	// and fail over to the others on error.
+	// Replicas is how many executors serve each shard's one warehouse
+	// (0 or 1 = unreplicated). Reads pick a live one and fail over to the
+	// others when it goes down; writes apply to the warehouse once.
 	Replicas int
 	// Key names the routing column (case-insensitive). Tables whose schema
 	// lacks the column replicate to every shard instead — which keeps
@@ -86,34 +87,14 @@ type Config struct {
 	// Bounds holds Shards-1 ascending split points for RangeKey: shard i
 	// covers key values in [Bounds[i-1], Bounds[i]). Ignored for HashKey.
 	Bounds []float64
-	// EjectAfter is how many consecutive failures remove a replica from read
-	// selection (default 3).
-	EjectAfter int
-	// Reprobe is how long an ejected replica sits out before the router
-	// probes it with one trial request (default 2s).
-	Reprobe time.Duration
 }
 
-// replicas returns the effective copies per shard (>= 1).
+// replicas returns the effective executors per shard (>= 1).
 func (c Config) replicas() int {
 	if c.Replicas < 1 {
 		return 1
 	}
 	return c.Replicas
-}
-
-func (c Config) ejectAfter() int {
-	if c.EjectAfter < 1 {
-		return 3
-	}
-	return c.EjectAfter
-}
-
-func (c Config) reprobe() time.Duration {
-	if c.Reprobe <= 0 {
-		return 2 * time.Second
-	}
-	return c.Reprobe
 }
 
 func (c Config) validate() error {
@@ -151,7 +132,7 @@ type tableMeta struct {
 // Router partitions tables across shards and executes statements by
 // broadcast (DDL), routed append (loads) or scatter-gather (SELECT). It
 // implements the serving layer's Backend interface; all methods are safe
-// for concurrent use — each shard warehouse carries its own locking, and
+// for concurrent use — each shard's warehouse carries its own locking, and
 // the router itself only guards its table records.
 type Router struct {
 	cfg  Config
@@ -162,44 +143,31 @@ type Router struct {
 	// by EnableWAL, never nil.
 	wal atomic.Pointer[wal.Engine]
 
+	// writes orders DDL after the loads acked before it: a load holds it
+	// shared from its table check through its commits, DDL exclusively (see
+	// ddl).
+	writes sync.RWMutex
+
 	mu     sync.RWMutex
 	tables map[string]*tableMeta
 }
 
-// New builds a router over cfg.Shards shards of cfg.Replicas fresh
-// warehouses each, produced by mk (called once per (shard, replica) pair).
-// Every warehouse must get its own filesystem: shards are independent
-// stores, not views of one, and each replica of a shard has its own
-// namespace, key-value store and file lifetimes. The replicas of a shard
-// share one record of DGFIndex reorganisation jobs and loads
-// (dgf.SharedJobs), so a build or append over the same bytes runs once per
-// shard, and so does the encoding of a load's files; the siblings install
-// the sealed output files into their own filesystems, so the set holds each
-// file's payloads once (dfs.FS.Install). The record holds results for a
-// replica by how many records its applier has queued (wal.Engine.Queued).
-// The router starts one applier goroutine per replica; CloseWAL joins them.
-func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, error) {
+// New builds a router over cfg.Shards shards, each one fresh warehouse
+// produced by mk (called once per shard) and served by cfg.Replicas
+// executors. Every warehouse must get its own filesystem: shards are
+// independent stores, not views of one. The router starts one applier
+// goroutine per shard; CloseWAL joins them.
+func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	r := &Router{cfg: cfg, tables: map[string]*tableMeta{}}
 	for i := 0; i < cfg.Shards; i++ {
-		reps := make([]*replica, cfg.replicas())
-		var jobs []*dgf.SharedJobs
-		if len(reps) > 1 {
-			jobs = dgf.NewSharedJobs(len(reps), func(j int) int { return r.wal.Load().Queued(i, j) })
+		w := mk(i)
+		if w == nil {
+			return nil, fmt.Errorf("shard: nil warehouse for shard %d", i)
 		}
-		for j := range reps {
-			w := mk(i, j)
-			if w == nil {
-				return nil, fmt.Errorf("shard: nil warehouse for shard %d replica %d", i, j)
-			}
-			if jobs != nil {
-				w.DgfJobs = jobs[j]
-			}
-			reps[j] = newReplica(i, j, w)
-		}
-		r.sets = append(r.sets, newReplicaSet(i, cfg.ejectAfter(), cfg.reprobe(), reps))
+		r.sets = append(r.sets, newReplicaSet(i, cfg.replicas(), w))
 	}
 	e, err := wal.Open(wal.Options{}, r.stores())
 	if err != nil {
@@ -212,44 +180,28 @@ func New(cfg Config, mk func(shard, replica int) *hive.Warehouse) (*Router, erro
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.sets) }
 
-// NumReplicas returns the copies per shard.
+// NumReplicas returns the executors per shard.
 func (r *Router) NumReplicas() int { return r.cfg.replicas() }
 
-// Shard returns the i-th shard's first replica warehouse (for tests and
-// tooling; replicas hold identical data, so any one represents the shard).
-func (r *Router) Shard(i int) *hive.Warehouse { return r.sets[i].reps[0].w }
+// Shard returns the i-th shard's warehouse (for tests and tooling).
+func (r *Router) Shard(i int) *hive.Warehouse { return r.sets[i].w }
 
-// Replica returns the j-th replica warehouse of shard i.
-func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].reps[j].w }
+// Replica returns the warehouse replica j of shard i executes over: the
+// shard's one warehouse, for every j.
+func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].w }
 
-// Kill marks one replica down, as if the store crashed: new requests to it
-// fail immediately, in-flight reads abort at their next split boundary (DDL
-// already running, an index build included, runs to completion), and its
-// applier pauses — a batch it is already writing runs to
-// completion, what is queued behind it waits for Revive. Reads fail over to
-// the shard's surviving replicas. Writes: behind a log directory the load
-// commits to the shard's log and is queued on the surviving replicas, and
-// the dead one is owed the records (hinted handoff); without one there is
-// nothing to hand off from, so loads touching the shard are refused until
-// Revive and the replicas stay exact copies.
-func (r *Router) Kill(shard, replica int) {
-	r.sets[shard].reps[replica].kill()
-	r.wal.Load().MarkDown(shard, replica)
-}
+// Kill marks one replica down, as if its server crashed: new reads on it
+// fail immediately, in-flight reads abort at their next split boundary, and
+// reads fail over to the shard's surviving replicas. Applies, loads and DDL
+// go on, since the shard's warehouse outlives the replica.
+func (r *Router) Kill(shard, replica int) { r.sets[shard].reps[replica].kill() }
 
-// Revive brings a killed replica back with a clean health record. It first
-// applies what it is behind by — whatever was queued for it when it died,
-// then the records the shard's log took while it was down, read from that
-// log — and health reports it catching_up, not live, until then. A replica
-// that is behind by nothing is live when Revive returns.
-func (r *Router) Revive(shard, replica int) {
-	rep := r.sets[shard].reps[replica]
-	rep.beginCatchUp()
-	r.wal.Load().CatchUp(shard, replica, rep.endCatchUp)
-}
+// Revive makes a killed replica live again at once: it serves the same
+// warehouse its siblings do, so it is behind by nothing.
+func (r *Router) Revive(shard, replica int) { r.sets[shard].reps[replica].revive() }
 
-// Health snapshots every shard's replica-set health (the serving layer's
-// /stats and /healthz surface this).
+// Health snapshots every shard's replica health (the serving layer's /stats
+// and /healthz surface this).
 func (r *Router) Health() []SetHealth {
 	out := make([]SetHealth, len(r.sets))
 	for i, rs := range r.sets {
@@ -299,104 +251,88 @@ func (r *Router) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hiv
 			return r.execSelect(ctx, s.Select, opts)
 		})
 	case *hive.ShowTablesStmt, *hive.DescribeStmt:
-		// Catalog reads: any replica of shard 0 answers (identical catalogs
-		// everywhere by DDL broadcast), with failover.
+		// Catalog reads: shard 0 answers (identical catalogs everywhere by
+		// DDL broadcast), with failover.
 		return r.sets[0].execStmt(ctx, stmt, opts)
-	case *hive.CreateTableStmt:
-		res, err := r.broadcast(ctx, stmt, opts)
-		if err != nil {
-			return nil, err
-		}
-		schema := storage.NewSchema(s.Cols...)
-		r.mu.Lock()
-		r.tables[strings.ToLower(s.Name)] = &tableMeta{schema: schema, keyIdx: schema.ColIndex(r.cfg.Key)}
-		r.mu.Unlock()
-		return res, nil
-	case *hive.DropTableStmt:
-		res, err := r.broadcast(ctx, stmt, opts)
-		if err != nil {
-			return nil, err
-		}
-		r.mu.Lock()
-		delete(r.tables, strings.ToLower(s.Name))
-		r.mu.Unlock()
-		return res, nil
 	default:
-		// CREATE INDEX and future DDL: every shard indexes its own slice.
-		return r.broadcast(ctx, stmt, opts)
+		// CREATE/DROP TABLE, CREATE INDEX and future DDL: every shard runs
+		// it on its own slice.
+		return r.ddl(ctx, stmt, opts)
 	}
 }
 
-// broadcast runs one statement on every warehouse of the fleet (all
-// replicas of all shards) concurrently and returns shard 0 replica 0's
-// result. On error the fleet may diverge (some stores applied the DDL, some
-// did not); the returned error enumerates every store's outcome — which
-// shard/replica failed and why, and which shards applied the statement — so
-// an operator knows exactly what needs repair instead of seeing one error
-// and guessing.
+// ddl broadcasts one DDL statement once every load acked before it has
+// applied, holding writes so that no load commits meanwhile, and records a
+// created or dropped table. So every shard applies loads and DDL in the
+// order they were acked: no logged record applies to a table a later DROP
+// removed — its applier would retry it forever — or into a later table of
+// the same name.
+func (r *Router) ddl(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
+	r.writes.Lock()
+	defer r.writes.Unlock()
+	if err := r.wal.Load().Drain(ctx); err != nil {
+		return nil, fmt.Errorf("shard: DDL waits for the loads acked before it: %w", err)
+	}
+	res, err := r.broadcast(ctx, stmt, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch s := stmt.(type) {
+	case *hive.CreateTableStmt:
+		schema := storage.NewSchema(s.Cols...)
+		r.tables[strings.ToLower(s.Name)] = &tableMeta{schema: schema, keyIdx: schema.ColIndex(r.cfg.Key)}
+	case *hive.DropTableStmt:
+		delete(r.tables, strings.ToLower(s.Name))
+	}
+	return res, nil
+}
+
+// broadcast runs one statement on every shard's warehouse concurrently and
+// returns shard 0's result. It runs whether or not the shard's replicas are
+// live: the warehouse, not a replica, holds the catalog. On error the fleet
+// may diverge (some shards applied the DDL, some did not); the returned
+// error enumerates every shard's outcome — which shard failed and why, and
+// which shards applied the statement — so an operator knows exactly what
+// needs repair instead of seeing one error and guessing.
 func (r *Router) broadcast(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
-	nr := r.cfg.replicas()
-	results := make([]*hive.Result, len(r.sets)*nr)
-	errs := make([]error, len(r.sets)*nr)
+	results := make([]*hive.Result, len(r.sets))
+	errs := make([]error, len(r.sets))
 	var wg sync.WaitGroup
 	for i, rs := range r.sets {
-		for j, rep := range rs.reps {
-			wg.Add(1)
-			go func(slot int, rep *replica) {
-				defer wg.Done()
-				// The same kill supervision the read paths get via do(): a
-				// replica killed before the statement starts refuses it, and
-				// the outcome names the dead store. One killed mid-statement
-				// gets no abort: DDL only checks its context on entry, and an
-				// index build runs to completion (aborting one would leave a
-				// half-reorganised table), so the replica reports success.
-				errs[slot] = rep.do(ctx, func(kctx context.Context) error {
-					res, err := rep.w.ExecParsedContext(kctx, stmt, opts)
-					results[slot] = res
-					return err
-				})
-			}(i*nr+j, rep)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = rs.w.ExecParsedContext(ctx, stmt, opts)
+		}()
 	}
 	wg.Wait()
-	if err := fleetOutcome("broadcast", nr, errs); err != nil {
+	if err := fleetOutcome("broadcast", errs); err != nil {
 		return nil, err
 	}
 	return results[0], nil
 }
 
-// fleetOutcome folds the per-store errors of one fleet-wide write — a DDL
-// broadcast (perShard stores per shard, shard-major) or a routed load (one
-// outcome per shard) — into a single error that names every failed store and
-// the shards that applied, so an operator knows exactly what needs repair
-// (nil when everything applied). A single store passes its error through
-// untouched, keeping a one-store router's errors identical to a bare
+// fleetOutcome folds the per-shard errors of one fleet-wide write — a DDL
+// broadcast or a routed load — into a single error that names every failed
+// shard and the shards that applied, so an operator knows exactly what needs
+// repair (nil when everything applied). A single shard passes its error
+// through untouched, keeping a one-shard router's errors identical to a bare
 // warehouse's.
-func fleetOutcome(op string, perShard int, errs []error) error {
+func fleetOutcome(op string, errs []error) error {
 	if len(errs) == 1 {
 		return errs[0]
 	}
-	shards := len(errs) / perShard
 	var failed, applied []string
 	var causes []error
-	for i := 0; i < shards; i++ {
-		ok := true
-		for j := 0; j < perShard; j++ {
-			err := errs[i*perShard+j]
-			if err == nil {
-				continue
-			}
-			ok = false
-			causes = append(causes, err)
-			if perShard > 1 {
-				failed = append(failed, fmt.Sprintf("shard %d/%d replica %d failed: %v", i, shards, j, err))
-			} else {
-				failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, shards, err))
-			}
-		}
-		if ok {
+	for i, err := range errs {
+		if err == nil {
 			applied = append(applied, strconv.Itoa(i))
+			continue
 		}
+		causes = append(causes, err)
+		failed = append(failed, fmt.Sprintf("shard %d/%d failed: %v", i, len(errs), err))
 	}
 	if failed == nil {
 		return nil
@@ -410,7 +346,7 @@ func fleetOutcome(op string, perShard int, errs []error) error {
 	return &fleetError{msg: "shard: " + op + " diverged the fleet: " + msg, causes: causes}
 }
 
-// fleetError enumerates a partially-applied fleet write's per-store failures
+// fleetError enumerates a partially-applied fleet write's per-shard failures
 // while keeping every cause reachable through errors.Is/As.
 type fleetError struct {
 	msg    string
@@ -435,13 +371,12 @@ func (e *fleetError) Unwrap() []error { return e.causes }
 // side, so a full fan-out counts every match exactly once, while shard 0
 // alone would silently drop the other shards' join rows.
 func (r *Router) routeSelect(s *hive.SelectStmt) (targets []int, passthrough bool, err error) {
-	// A directory sink writes into whichever store executes it: on a
-	// sharded fleet the shards' outputs would land in different
-	// filesystems, and on a replicated one only the chosen replica would
-	// hold the files — silently diverging the copies. Only a 1-shard,
-	// 1-replica router (true pass-through) can support it.
-	if s.InsertDir != "" && (len(r.sets) > 1 || r.cfg.replicas() > 1) {
-		return nil, false, fmt.Errorf("shard: INSERT OVERWRITE DIRECTORY is not supported on a sharded or replicated backend")
+	// A directory sink writes into the filesystem of the shard that
+	// executes it: on a sharded fleet the shards' outputs would land in
+	// different filesystems. Only a 1-shard router (true pass-through) can
+	// support it.
+	if s.InsertDir != "" && len(r.sets) > 1 {
+		return nil, false, fmt.Errorf("shard: INSERT OVERWRITE DIRECTORY is not supported on a sharded backend")
 	}
 	if len(r.sets) == 1 {
 		return nil, true, nil
@@ -480,9 +415,10 @@ func (r *Router) execSelect(ctx context.Context, s *hive.SelectStmt, opts hive.E
 
 // fanOut is the one per-shard scatter: it runs fn for every target on its
 // own goroutine under a cancellable child of ctx (i is the target's
-// position, si its shard). A replica error inside one shard does not touch
-// its siblings — fn fails over within the shard — and only a non-context
-// error, a shard whose replicas are all exhausted, cancels the group: the
+// position, si its shard). A replica going down inside one shard does not
+// touch its siblings — fn fails over within the shard — and only a
+// non-context error, the statement's own or a shard with no live replica
+// left, cancels the group: the
 // sibling scans then abort at their next split boundary instead of running
 // to completion. Every goroutine is joined before fanOut returns. The error
 // is the root cause: the first real failure in target order outranks the
@@ -811,23 +747,13 @@ func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row,
 	return batches, nil
 }
 
-// TableVersions sums the shards' per-table mutation counters. A shard's
-// counter is the max across its replicas (replicas apply every write, so
-// the copies agree; max keeps the value monotone even mid-broadcast). Each
-// counter only grows, so the sum only grows — the monotonicity the serving
-// layer's version-keyed result cache relies on.
+// TableVersions sums the shards' per-table mutation counters. Each counter
+// only grows, so the sum only grows — the monotonicity the serving layer's
+// version-keyed result cache relies on.
 func (r *Router) TableVersions(names ...string) map[string]uint64 {
 	out := make(map[string]uint64, len(names))
 	for _, rs := range r.sets {
-		shardMax := make(map[string]uint64, len(names))
-		for _, rep := range rs.reps {
-			for k, v := range rep.w.TableVersions(names...) {
-				if v > shardMax[k] {
-					shardMax[k] = v
-				}
-			}
-		}
-		for k, v := range shardMax {
+		for k, v := range rs.w.TableVersions(names...) {
 			out[k] += v
 		}
 	}
@@ -840,7 +766,7 @@ func (r *Router) TableSchema(name string) (*storage.Schema, error) {
 	if m := r.meta(name); m != nil {
 		return m.schema, nil
 	}
-	return r.sets[0].reps[0].w.TableSchema(name)
+	return r.sets[0].w.TableSchema(name)
 }
 
 // TableInfos merges the shards' catalog snapshots: partitioned tables sum
@@ -853,10 +779,10 @@ func (r *Router) TableSchema(name string) (*storage.Schema, error) {
 // disagree. The rest (schema, format, indexes) is identical everywhere by
 // DDL broadcast.
 func (r *Router) TableInfos() []hive.TableInfo {
-	infos := r.sets[0].reps[0].w.TableInfos()
+	infos := r.sets[0].w.TableInfos()
 	for _, rs := range r.sets[1:] {
 		byName := map[string]hive.TableInfo{}
-		for _, o := range rs.reps[0].w.TableInfos() {
+		for _, o := range rs.w.TableInfos() {
 			byName[o.Name] = o
 		}
 		for i := range infos {
@@ -882,12 +808,12 @@ func (r *Router) TableInfos() []hive.TableInfo {
 	return infos
 }
 
-// ShardSizes reports each shard's byte size of the named table (replica 0's
-// copy), for balance inspection in tests and tooling.
+// ShardSizes reports each shard's byte size of the named table, for balance
+// inspection in tests and tooling.
 func (r *Router) ShardSizes(table string) []int64 {
 	out := make([]int64, len(r.sets))
 	for i, rs := range r.sets {
-		w := rs.reps[0].w
+		w := rs.w
 		t, err := w.Table(table)
 		if err != nil {
 			continue

@@ -26,7 +26,7 @@ func testMeterConfig() workload.MeterConfig {
 	return cfg
 }
 
-func newShardWarehouse(int, int) *hive.Warehouse {
+func newShardWarehouse(int) *hive.Warehouse {
 	cc := cluster.Default()
 	cc.Workers = 4
 	return hive.NewWarehouse(dfs.New(1<<20), cc, "/warehouse")
@@ -132,7 +132,7 @@ func renderRows(rows []storage.Row) []string {
 // full meter workload, access path and cost model included.
 func TestShardSingleShardByteIdentical(t *testing.T) {
 	cfg := testMeterConfig()
-	direct := newShardWarehouse(0, 0)
+	direct := newShardWarehouse(0)
 	setupMeter(t, direct, cfg, true)
 	router, err := New(Config{Shards: 1, Key: "userId"}, newShardWarehouse)
 	if err != nil {
@@ -199,7 +199,7 @@ func closeRows(want, got []storage.Row) error {
 // n-shard router and requires matching results.
 func runEquivalence(t *testing.T, cfg workload.MeterConfig, router *Router, withIndex bool) {
 	t.Helper()
-	direct := newShardWarehouse(0, 0)
+	direct := newShardWarehouse(0)
 	setupMeter(t, direct, cfg, withIndex)
 	setupMeter(t, router, cfg, withIndex)
 
@@ -489,7 +489,7 @@ func TestShardReplicatedTables(t *testing.T) {
 // shard 0 alone would silently drop the other shards' join rows.
 func TestShardReplicatedJoinShardedTable(t *testing.T) {
 	cfg := testMeterConfig()
-	direct := newShardWarehouse(0, 0)
+	direct := newShardWarehouse(0)
 	router, err := New(Config{Shards: 4, Key: "userId"}, newShardWarehouse)
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +614,7 @@ func TestShardingCutsSimulatedTime(t *testing.T) {
 	}
 	cc := cluster.Default().Scaled(800000)
 	run := func(shards int) (answers []*hive.Result, simSec float64) {
-		r, err := New(Config{Shards: shards, Key: "userId"}, func(int, int) *hive.Warehouse {
+		r, err := New(Config{Shards: shards, Key: "userId"}, func(int) *hive.Warehouse {
 			return hive.NewWarehouse(dfs.New(2<<20), cc, "/warehouse")
 		})
 		if err != nil {
@@ -650,7 +650,7 @@ func TestShardingCutsSimulatedTime(t *testing.T) {
 // rejected, as it is next to an aggregate.
 func TestGroupByWithoutAggregateAnswersGroups(t *testing.T) {
 	cfg := testMeterConfig()
-	w := newShardWarehouse(0, 0)
+	w := newShardWarehouse(0)
 	setupMeter(t, w, cfg, false)
 	r := testRouter(t, 4, HashKey, false)
 

@@ -4,9 +4,9 @@
 // the scatter-gather and pushes its finalized rows; any other SELECT streams
 // every target shard through fanOut into the cursor's one sink. Each shard's
 // stream is one withFailover call, the same loop every other read uses: its
-// attempt runs the replica's Warehouse.SelectStream inline under kill
-// supervision, so no router code opens a warehouse cursor and no row
-// crosses a second channel.
+// attempt runs the shard's Warehouse.SelectStream inline under the chosen
+// replica's kill supervision, so no router code opens a warehouse cursor and
+// no row crosses a second channel.
 package shard
 
 import (
@@ -83,18 +83,19 @@ func (r *Router) streamScatter(ctx context.Context, s *hive.SelectStmt, opts hiv
 }
 
 // streamShard streams one shard's rows into sink: one withFailover call
-// whose attempt runs SelectStream on the chosen replica. While the shard has
-// another candidate, the attempt buffers its rows and they reach sink only
-// once its scan completed cleanly, so a replica that dies mid-scan replays
-// on a sibling without duplicating a row already delivered (a warehouse's
-// row order is split-completion order, so skipping the rows already
-// delivered would be unsound). The shard's last candidate (always, when
-// Replicas is 1) pushes rows the moment they arrive. The stats are those of
-// the attempt that delivered the rows.
+// whose attempt runs SelectStream under the chosen replica. While the shard
+// has another live candidate, the attempt buffers its rows and they reach
+// sink only once its scan completed cleanly, so a replica that dies mid-scan
+// replays on a sibling without duplicating a row already delivered (a
+// warehouse's row order is split-completion order, so skipping the rows
+// already delivered would be unsound). The shard's last candidate (always,
+// when Replicas is 1) pushes rows the moment they arrive. The stats are
+// those of the attempt that delivered the rows.
 func (r *Router) streamShard(ctx context.Context, si int, s *hive.SelectStmt, opts hive.ExecOptions, cols func([]string), sink func(storage.Row) bool) (hive.QueryStats, error) {
 	var stats hive.QueryStats
 	var buf []storage.Row
-	err := r.sets[si].withFailover(ctx, func(kctx context.Context, rep *replica, last bool) (err error) {
+	rs := r.sets[si]
+	err := rs.withFailover(ctx, func(kctx context.Context, _ *replica, last bool) (err error) {
 		buf = buf[:0]
 		put := sink
 		if !last {
@@ -103,7 +104,7 @@ func (r *Router) streamShard(ctx context.Context, si int, s *hive.SelectStmt, op
 				return s.Limit <= 0 || len(buf) < s.Limit
 			}
 		}
-		stats, err = rep.w.SelectStream(kctx, s, opts, cols, put)
+		stats, err = rs.w.SelectStream(kctx, s, opts, cols, put)
 		return err
 	})
 	if err != nil {

@@ -17,7 +17,7 @@ func TestCursorRowsOutCountsDelivered(t *testing.T) {
 	type opener interface {
 		SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions) (hive.Cursor, error)
 	}
-	w := newShardWarehouse(0, 0)
+	w := newShardWarehouse(0)
 	setupMeter(t, w, testMeterConfig(), false)
 	stores := []struct {
 		name string

@@ -53,7 +53,7 @@ func TestShardVectorisedFleetEquivalence(t *testing.T) {
 	}
 	setupVectorFleetTable(t, router, fleet, cfg)
 
-	direct := newShardWarehouse(0, 0)
+	direct := newShardWarehouse(0)
 	setupVectorFleetTable(t, direct, []*hive.Warehouse{direct}, cfg)
 
 	// Scatter must survive a dead replica.

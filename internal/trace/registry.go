@@ -40,18 +40,15 @@ const (
 	MetricShardLiveReplicas    = "dgf_shard_live_replicas"
 	MetricReplicaLive          = "dgf_replica_live"
 	MetricReplicaInflight      = "dgf_replica_inflight"
-	MetricReplicaConsecFails   = "dgf_replica_consecutive_failures"
 	MetricPathQueriesTotal     = "dgf_path_queries_total"
 	MetricPathRecordsRead      = "dgf_path_records_read_total"
 	MetricPathBytesRead        = "dgf_path_bytes_read_total"
 	MetricPathSimSeconds       = "dgf_path_sim_seconds_total"
 	MetricWALRowsApplied       = "dgf_wal_rows_applied_total"
 	MetricWALReplayedRows      = "dgf_wal_replayed_rows_total"
-	MetricWALOwedRecords       = "dgf_wal_owed_records"
 	MetricWALPendingRecords    = "dgf_wal_pending_records"
 	MetricWALLastLSN           = "dgf_wal_last_lsn"
 	MetricWALAppliedLSN        = "dgf_wal_applied_lsn"
-	MetricWALReplicaCatchingUp = "dgf_wal_replica_catching_up"
 )
 
 // Label names every emitter must draw from. Three labels, all with

@@ -32,8 +32,8 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Event is one timestamped annotation (a failover retry, a replica
-// ejection, a split completion).
+// Event is one timestamped annotation (a failover retry, a split
+// completion).
 type Event struct {
 	At  time.Time
 	Msg string

@@ -13,41 +13,39 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
 
-// Store is the apply target for one replica — in production the replica's
+// Store is an apply target of one shard — in production the shard's one
 // *hive.Warehouse, whose LoadRowsByName already bumps table versions and
 // runs incremental DGF index maintenance (dgf.Append) per batch. A store only
-// reads the rows it is given: every replica of a shard may be handed the
-// same record's rows.
+// reads the rows it is given: every store of a shard is handed the same
+// record's rows.
 type Store interface {
 	LoadRowsByName(table string, rows []storage.Row) error
 }
 
-// ErrNoLiveReplica fails a Commit the shard cannot take: every replica is
-// down, the shard's log refused the append — or, on an engine without a
-// directory, any replica is down (see Commit). Nothing was queued and no LSN
-// was consumed.
+// ErrNoLiveReplica fails a Commit the shard's log refused (see Log.Append:
+// a failed append or fsync makes the log refuse every later one). Nothing was
+// queued and no LSN was consumed.
 var ErrNoLiveReplica = errors.New("no live replica log accepted the record")
 
 // Options configures an Engine.
 type Options struct {
 	// Dir is the WAL root; each shard's one log lives at
-	// Dir/shard-NNN/replica-0.wal (see shardLogName), shared by all its
-	// replicas. Empty runs the same engine over logs that store nothing:
-	// records live only in the apply queues, so nothing survives a restart
-	// and there is no hinted handoff (see Commit).
+	// Dir/shard-NNN/replica-0.wal (see shardLogName). Empty runs the same
+	// engine over logs that store nothing: records live only in the apply
+	// queues, so nothing survives a restart.
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
-	// MaxPendingRows is the per-replica backpressure bound: commits block
-	// (context-aware) while a live replica has this many unapplied rows.
+	// MaxPendingRows is the per-applier backpressure bound: commits block
+	// (context-aware) while an applier has this many unapplied rows.
 	// Default 1<<20.
 	MaxPendingRows int
 	// OnApply, when set, runs after every applied record — the
 	// server hooks result-cache invalidation here so cached answers are
 	// evicted when rows land, not when they are enqueued.
 	OnApply func(table string, rows int)
-	// Recorder, when set, receives apply/catchup trace spans (slow or
-	// errored applies; every catch-up).
+	// Recorder, when set, receives the trace spans of slow or errored
+	// applies.
 	Recorder *trace.Recorder
 }
 
@@ -60,7 +58,7 @@ const (
 	// syncEvery is the PolicyInterval flush period.
 	syncEvery = 25 * time.Millisecond
 	// slowApply is the apply wall time past which the flight recorder keeps
-	// the apply's span (errored applies and catch-ups are always kept).
+	// the apply's span (errored applies are always kept).
 	slowApply = 500 * time.Millisecond
 )
 
@@ -72,7 +70,7 @@ func (o Options) withDefaults() Options {
 }
 
 // Engine owns the logs and appliers for a whole fleet: one log and LSN
-// sequencer per shard, one pending queue + applier goroutine per replica.
+// sequencer per shard, one pending queue + applier goroutine per store.
 type Engine struct {
 	opts   Options
 	shards []*shardWAL
@@ -84,19 +82,18 @@ type Engine struct {
 	closed bool
 }
 
-// shardWAL sequences commits for one shard into its one log. Every replica
-// applies that log's records in LSN order; a down replica's queue stops at
-// its queued cursor, and catch-up reads the rest from the log.
+// shardWAL sequences commits for one shard into its one log. Every store of
+// the shard applies that log's records in LSN order.
 type shardWAL struct {
 	idx  int
-	mu   sync.Mutex // serialises commit + catch-up's read of the log
+	mu   sync.Mutex // serialises commits
 	log  *Log
 	next uint64 // next LSN to assign (1-based)
-	reps []*replicaWAL
+	reps []*applier
 }
 
-// replicaWAL is one replica's pending queue and applier state.
-type replicaWAL struct {
+// applier is one store's pending queue and applier state.
+type applier struct {
 	eng   *Engine
 	shard int
 	idx   int
@@ -107,24 +104,22 @@ type replicaWAL struct {
 	pending      []Record
 	pendingRows  int
 	applied      uint64 // LSN high-water mark: everything <= is in the store
-	queued       uint64 // highest LSN ever queued: everything <= is applied or pending
-	replayTarget uint64 // records <= this were recovered or caught up, not live commits
-	active       bool   // false while the replica is down: no appends, no applies
-	catchingUp   bool
+	replayTarget uint64 // records <= this were recovered from the log, not live commits
 	closed       bool
-	replayedRows int64 // rows applied via recovery or catch-up replay
+	replayedRows int64 // rows applied by recovery replay
 	batches      int64 // applied records
 	stalled      string
 }
 
 // Open recovers (or initialises) the WAL under opts.Dir for a fleet shaped
-// like stores: stores[shard][replica]; without a Dir every log is one with
-// no file and there is nothing to recover. Each shard has one log, and every
-// record recovered from it is queued on every replica — the stores are
-// in-memory, so a process restart means every logged record replays from
-// LSN 1. A shard directory holding any other *.wal (a per-replica log from an
-// older layout, whose copies may differ in length) fails the open before any
-// file is touched.
+// like stores: stores[shard] lists the shard's apply targets, one applier
+// each (a router passes its one warehouse per shard); without a Dir every log
+// is one with no file and there is nothing to recover. Each shard has one
+// log, and every record recovered from it is queued on every store of the
+// shard — the stores are in-memory, so a process restart means every logged
+// record replays from LSN 1. A shard directory holding any other *.wal (a
+// per-replica log from an older layout, whose copies may differ in length)
+// fails the open before any file is touched.
 func Open(opts Options, stores [][]Store) (*Engine, error) {
 	opts = opts.withDefaults()
 	paths := make([]string, len(stores))
@@ -146,8 +141,8 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 		last := l.LastLSN()
 		sw := &shardWAL{idx: si, log: l, next: last + 1}
 		for ri, st := range reps {
-			rw := &replicaWAL{eng: e, shard: si, idx: ri, store: st, active: true,
-				pending: slices.Clone(recs), pendingRows: recordRows(recs), queued: last, replayTarget: last}
+			rw := &applier{eng: e, shard: si, idx: ri, store: st,
+				pending: slices.Clone(recs), pendingRows: recordRows(recs), replayTarget: last}
 			rw.cond = sync.NewCond(&rw.mu)
 			sw.reps = append(sw.reps, rw)
 		}
@@ -206,19 +201,15 @@ func (e *Engine) syncLoop() {
 
 // Commit logs one shard's slice of a load and queues it for apply,
 // returning the assigned LSN. The record is appended to the shard's log
-// once and queued on every live replica; a replica marked down is skipped
-// and catches up from the log (hinted handoff). If no replica is live, or
-// the log refuses the append, the commit fails with nothing logged or
-// queued. An engine without a directory has no log to catch up from: it
-// refuses the commit while any replica of the shard is down, before
-// anything is queued, and the replicas stay exact copies. ctx gates only the
+// once and queued on every applier of the shard. If the log refuses the
+// append, the commit fails with nothing logged or queued. ctx gates only the
 // backpressure wait — once appending starts the commit always completes.
 func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []storage.Row) (uint64, error) {
 	if shard < 0 || shard >= len(e.shards) {
 		return 0, fmt.Errorf("wal: commit to unknown shard %d", shard)
 	}
 	sw := e.shards[shard]
-	// Backpressure before taking the commit lock: a replica drowning in
+	// Backpressure before taking the commit lock: an applier drowning in
 	// unapplied rows should slow producers, not grow without bound.
 	for _, rw := range sw.reps {
 		if err := rw.waitCapacity(ctx, e.opts.MaxPendingRows); err != nil {
@@ -240,21 +231,6 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 	}
 	e.mu.Unlock()
 
-	durable := e.opts.Dir != ""
-	live := 0
-	for _, rw := range sw.reps {
-		rw.mu.Lock()
-		up := rw.active
-		rw.mu.Unlock()
-		if up {
-			live++
-		} else if !durable {
-			return 0, fmt.Errorf("wal: shard %d: replica %d is down and there is no log to hand the record off from: %w", shard, rw.idx, ErrNoLiveReplica)
-		}
-	}
-	if live == 0 {
-		return 0, fmt.Errorf("wal: shard %d: %w", shard, ErrNoLiveReplica)
-	}
 	rec := Record{LSN: sw.next, Table: table, Rows: rows}
 	if err := sw.log.Append(rec, e.opts.Fsync); err != nil {
 		return 0, fmt.Errorf("wal: shard %d: %w: %w", shard, ErrNoLiveReplica, err)
@@ -262,37 +238,30 @@ func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []sto
 	sw.next++
 	for _, rw := range sw.reps {
 		rw.mu.Lock()
-		// Without a log a replica that went down since the check above
-		// still needs the record: nothing else could give it back.
-		if rw.active || !durable {
-			rw.pending = append(rw.pending, rec)
-			rw.pendingRows += len(rows)
-			rw.queued = rec.LSN
-			rw.cond.Broadcast()
-		}
+		rw.pending = append(rw.pending, rec)
+		rw.pendingRows += len(rows)
+		rw.cond.Broadcast()
 		rw.mu.Unlock()
 	}
 	if span != nil {
 		span.Set("shard", shard)
 		span.Set("lsn", rec.LSN)
 		span.Set("rows", len(rows))
-		span.Set("replicas_live", live)
 		span.Set("fsync", e.opts.Fsync.String())
 	}
 	return rec.LSN, nil
 }
 
-// waitCapacity blocks while the replica is live and over the pending-rows
-// bound. Down replicas don't exert backpressure (they aren't applying).
-func (rw *replicaWAL) waitCapacity(ctx context.Context, maxRows int) error {
+// waitCapacity blocks while the applier is over the pending-rows bound.
+func (rw *applier) waitCapacity(ctx context.Context, maxRows int) error {
 	rw.mu.Lock()
 	defer rw.mu.Unlock()
-	if rw.pendingRows < maxRows || !rw.active || rw.closed {
+	if rw.pendingRows < maxRows || rw.closed {
 		return nil
 	}
 	stop := watchCtx(ctx, rw.cond)
 	defer stop()
-	for rw.pendingRows >= maxRows && rw.active && !rw.closed {
+	for rw.pendingRows >= maxRows && !rw.closed {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("wal: backpressure wait: %w", err)
 		}
@@ -322,17 +291,17 @@ func watchCtx(ctx context.Context, cond *sync.Cond) func() {
 	return func() { close(quit) }
 }
 
-// run is the per-replica applier: it applies pending records in LSN order,
-// one logged record per store call, passing the record's rows as they are
-// (a Store only reads them). Every replica of a shard therefore makes the
-// same loads in the same order, live, recovered or caught up, so its part
-// files, and therefore scan row order, depend only on the log.
-func (rw *replicaWAL) run() {
+// run is the store's applier: it applies pending records in LSN order, one
+// logged record per store call, passing the record's rows as they are (a
+// Store only reads them). A store therefore makes the same loads in the same
+// order, live or recovered, so its part files, and therefore scan row order,
+// depend only on the log.
+func (rw *applier) run() {
 	defer rw.eng.wg.Done()
 	backoff := 10 * time.Millisecond
 	for {
 		rw.mu.Lock()
-		for !rw.closed && (!rw.active || len(rw.pending) == 0) {
+		for !rw.closed && len(rw.pending) == 0 {
 			rw.cond.Wait()
 		}
 		if rw.closed {
@@ -345,7 +314,6 @@ func (rw *replicaWAL) run() {
 
 		span := trace.New("apply")
 		span.Set("shard", rw.shard)
-		span.Set("replica", rw.idx)
 		span.Set("table", rec.Table)
 		span.Set("rows", len(rec.Rows))
 		span.Set("lsn", rec.LSN)
@@ -359,7 +327,7 @@ func (rw *replicaWAL) run() {
 			rw.mu.Lock()
 			rw.stalled = err.Error()
 			rw.mu.Unlock()
-			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, rec.Table), err)
+			rw.record(span, fmt.Sprintf("WAL apply shard %d table %s", rw.shard, rec.Table), err)
 			time.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2
@@ -388,12 +356,12 @@ func (rw *replicaWAL) run() {
 			cb(rec.Table, len(rec.Rows))
 		}
 		if span.Wall() >= slowApply {
-			rw.record(span, fmt.Sprintf("WAL apply shard %d replica %d table %s", rw.shard, rw.idx, rec.Table), nil)
+			rw.record(span, fmt.Sprintf("WAL apply shard %d table %s", rw.shard, rec.Table), nil)
 		}
 	}
 }
 
-func (rw *replicaWAL) record(span *trace.Span, what string, err error) {
+func (rw *applier) record(span *trace.Span, what string, err error) {
 	rec := rw.eng.opts.Recorder
 	if rec == nil {
 		return
@@ -412,132 +380,8 @@ func (rw *replicaWAL) record(span *trace.Span, what string, err error) {
 	rec.Add(tr)
 }
 
-// MarkDown pauses a replica: commits stop queueing records on it (it is
-// owed them from the shard's log) and its applier idles. Pending records
-// stay queued so an in-process revive never replays a record twice.
-func (e *Engine) MarkDown(shard, replica int) {
-	rw := e.replica(shard, replica)
-	if rw == nil {
-		return
-	}
-	rw.mu.Lock()
-	rw.active = false
-	rw.catchingUp = false
-	rw.cond.Broadcast()
-	rw.mu.Unlock()
-}
-
-// Queued returns how many records are queued on a replica and not yet
-// applied, the one its applier is applying included. It stops growing while
-// the replica is down: commits queue nothing on it then.
-func (e *Engine) Queued(shard, replica int) int {
-	rw := e.replica(shard, replica)
-	if rw == nil {
-		return 0
-	}
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	return len(rw.pending)
-}
-
-// CatchUp revives a replica by log replay: the records committed while it
-// was down (LSN > its queued cursor) are read from the shard's log into its
-// pending queue, the applier resumes, and onDone fires once the replica's
-// applied high-water mark reaches the last of them. The read runs before
-// CatchUp returns; the wait for the applier runs in the background, and its
-// window is observable via Stats (CatchingUp=true). A replica that missed
-// nothing and has nothing queued is back by the time CatchUp returns. If the
-// log cannot be read the replica stays down, with the error in Stats.
-func (e *Engine) CatchUp(shard, replica int, onDone func()) {
-	rw := e.replica(shard, replica)
-	if rw == nil {
-		if onDone != nil {
-			onDone()
-		}
-		return
-	}
-	sw := e.shards[shard]
-	span := trace.New("catchup")
-	span.Set("shard", shard)
-	span.Set("replica", replica)
-
-	// Under the shard commit lock: no commit lands between the read of the
-	// log and the replica going live, so it misses nothing.
-	sw.mu.Lock()
-	rw.mu.Lock()
-	from := rw.queued
-	rw.mu.Unlock()
-	var missed []Record
-	var scanErr error
-	if from < sw.log.LastLSN() {
-		missed, scanErr = sw.log.ScanFrom(from)
-	}
-	rw.mu.Lock()
-	target := from
-	if scanErr != nil {
-		rw.stalled = scanErr.Error()
-	} else {
-		for _, rec := range missed {
-			rw.pending = append(rw.pending, rec)
-			rw.pendingRows += len(rec.Rows)
-		}
-		if n := len(missed); n > 0 {
-			target = missed[n-1].LSN
-		}
-		rw.queued = target
-		if target > rw.replayTarget {
-			rw.replayTarget = target
-		}
-		rw.active = true
-		rw.catchingUp = true
-	}
-	caughtUp := rw.applied >= target
-	rw.cond.Broadcast()
-	rw.mu.Unlock()
-	sw.mu.Unlock()
-
-	span.Set("from_lsn", from)
-	span.Set("to_lsn", target)
-	span.Set("records", len(missed))
-	span.Set("rows", recordRows(missed))
-	if scanErr != nil {
-		span.Eventf("log read failed: %v", scanErr)
-		span.Finish()
-		rw.record(span, fmt.Sprintf("WAL catchup shard %d replica %d", shard, replica), scanErr)
-		return
-	}
-
-	// Wait until the replica has applied everything it was owed (or went
-	// down / closed again first).
-	wait := func() {
-		rw.mu.Lock()
-		for rw.applied < target && rw.active && !rw.closed {
-			rw.cond.Wait()
-		}
-		reached := rw.applied >= target
-		if reached {
-			rw.catchingUp = false
-		}
-		rw.mu.Unlock()
-		span.Finish()
-		rw.record(span, fmt.Sprintf("WAL catchup shard %d replica %d", shard, replica), nil)
-		if reached && onDone != nil {
-			onDone()
-		}
-	}
-	if caughtUp {
-		wait()
-		return
-	}
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		wait()
-	}()
-}
-
-// WaitApplied blocks until every live replica of shard has applied through
-// lsn; it fails if the context expires or the engine closes first. Used for
+// WaitApplied blocks until every applier of shard has applied through lsn;
+// it fails if the context expires or the engine closes first. Used for
 // ?sync=1 acks, and for every ack of an engine without a directory.
 func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	if shard < 0 || shard >= len(e.shards) {
@@ -546,12 +390,12 @@ func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	for _, rw := range e.shards[shard].reps {
 		rw.mu.Lock()
 		stop := watchCtx(ctx, rw.cond)
-		for rw.applied < lsn && rw.active && !rw.closed && ctx.Err() == nil {
+		for rw.applied < lsn && !rw.closed && ctx.Err() == nil {
 			rw.cond.Wait()
 		}
 		err := ctx.Err()
-		if err == nil && rw.closed && rw.active && rw.applied < lsn {
-			err = fmt.Errorf("engine closed with shard %d replica %d applied through lsn %d of %d", shard, rw.idx, rw.applied, lsn)
+		if err == nil && rw.applied < lsn {
+			err = fmt.Errorf("engine closed with shard %d applied through lsn %d of %d", shard, rw.applied, lsn)
 		}
 		rw.mu.Unlock()
 		stop()
@@ -562,8 +406,8 @@ func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	return nil
 }
 
-// Drain blocks until every live replica has applied everything committed
-// so far (ctx-bounded), then flushes the logs.
+// Drain blocks until every applier has applied everything committed so far
+// (ctx-bounded), then flushes the logs.
 func (e *Engine) Drain(ctx context.Context) error {
 	for _, sw := range e.shards {
 		sw.mu.Lock()
@@ -588,8 +432,7 @@ func (e *Engine) SyncAll() error {
 }
 
 // Durable reports whether the engine was opened over a directory: its
-// records survive a restart, a down replica is owed what it misses, and an
-// ack need not wait for the apply.
+// records survive a restart, and an ack need not wait for the apply.
 func (e *Engine) Durable() bool { return e.opts.Dir != "" }
 
 // Close stops appliers and the fsync ticker, flushes, and closes the logs.
@@ -637,31 +480,16 @@ func (e *Engine) shutdown(flush bool) error {
 	return first
 }
 
-func (e *Engine) replica(shard, rep int) *replicaWAL {
-	if shard < 0 || shard >= len(e.shards) {
-		return nil
-	}
-	sw := e.shards[shard]
-	if rep < 0 || rep >= len(sw.reps) {
-		return nil
-	}
-	return sw.reps[rep]
-}
-
-// ReplicaStats is one replica's WAL position for /stats and /metrics.
-// LastLSN is the shard log's tail, the same for every replica of a shard;
-// HintedRecords is what a down replica is owed from it (tail − queued
-// cursor), 0 for a live one. AppliedBatches counts the records the replica
-// has applied, one store call each.
+// ReplicaStats is one applier's WAL position for /stats and /metrics: a
+// router's shard has one, whose Replica is 0. LastLSN is the shard log's
+// tail. AppliedBatches counts the records the applier has applied, one store
+// call each; ReplayedRows the rows it applied by recovery replay.
 type ReplicaStats struct {
 	Replica        int    `json:"replica"`
 	LastLSN        uint64 `json:"last_lsn"`
 	AppliedLSN     uint64 `json:"applied_lsn"`
 	PendingRecords int    `json:"pending_records"`
 	PendingRows    int    `json:"pending_rows"`
-	Active         bool   `json:"active"`
-	CatchingUp     bool   `json:"catching_up,omitempty"`
-	HintedRecords  int64  `json:"hinted_records,omitempty"`
 	ReplayedRows   int64  `json:"replayed_rows,omitempty"`
 	AppliedBatches int64  `json:"applied_batches"`
 	Stalled        string `json:"stalled,omitempty"`
@@ -684,19 +512,12 @@ func (e *Engine) Stats() []ShardStats {
 		sw.mu.Unlock()
 		for _, rw := range sw.reps {
 			rw.mu.Lock()
-			var owed int64
-			if !rw.active && rw.queued < tail {
-				owed = int64(tail - rw.queued)
-			}
 			ss.Replicas = append(ss.Replicas, ReplicaStats{
 				Replica:        rw.idx,
 				LastLSN:        tail,
 				AppliedLSN:     rw.applied,
 				PendingRecords: len(rw.pending),
 				PendingRows:    rw.pendingRows,
-				Active:         rw.active,
-				CatchingUp:     rw.catchingUp,
-				HintedRecords:  owed,
 				ReplayedRows:   rw.replayedRows,
 				AppliedBatches: rw.batches,
 				Stalled:        rw.stalled,

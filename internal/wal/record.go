@@ -1,14 +1,13 @@
 // Package wal implements durable streaming ingest: one append-only
-// write-ahead log per shard plus an applier per replica that applies the
-// log's records one at a time, in LSN order.
+// write-ahead log per shard plus an applier that applies the log's records
+// to the shard's store one at a time, in LSN order.
 //
 // A load is acknowledged once its record — a monotonic LSN, the target
 // table, and the encoded rows — is appended (and, policy permitting,
 // fsynced) to the log of each shard it touches and queued on the shard's
-// live replicas. Background appliers drain the queues into the warehouses
+// applier. Background appliers drain the queues into the warehouses
 // afterwards, so acks run at log-durability speed while index maintenance
-// happens at apply time. A replica that was down during a commit replays
-// what it missed from the shard's log (hinted handoff): see Engine.CatchUp.
+// happens at apply time.
 package wal
 
 import (
@@ -22,8 +21,8 @@ import (
 )
 
 // Record is one durable ingest unit: every row of one load that routed to
-// one shard, stamped with that shard's next log sequence number. All
-// replicas of a shard apply the one LSN sequence of the shard's log.
+// one shard, stamped with that shard's next log sequence number. A shard's
+// store applies the one LSN sequence of the shard's log.
 type Record struct {
 	LSN   uint64
 	Table string

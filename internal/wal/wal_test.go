@@ -343,123 +343,6 @@ func TestWALAppliesOneRecordPerCall(t *testing.T) {
 	}
 }
 
-func TestWALHintedHandoffAndCatchUp(t *testing.T) {
-	dir := t.TempDir()
-	e, stores := openTestEngine(t, dir, 1, 2, Options{Fsync: PolicyOff})
-	ctx := context.Background()
-	commit := func(base int) {
-		t.Helper()
-		if _, err := e.Commit(ctx, 0, "meter", testRows(base, 2)); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-	}
-	commit(0)
-	if err := e.WaitApplied(ctx, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	e.MarkDown(0, 1)
-	commit(100)
-	commit(200)
-	st := e.Stats()
-	if h := st[0].Replicas[1].HintedRecords; h != 2 {
-		t.Fatalf("hinted = %d, want 2", h)
-	}
-	done := make(chan struct{})
-	e.CatchUp(0, 1, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("catch-up never completed")
-	}
-	commit(300)
-	if err := e.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	a, b := stores[0][0].snapshot(), stores[0][1].snapshot()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("replicas diverged after catch-up: %d vs %d rows", len(a), len(b))
-	}
-	st = e.Stats()
-	r1 := st[0].Replicas[1]
-	if r1.CatchingUp || r1.ReplayedRows != 4 || r1.HintedRecords != 0 {
-		t.Fatalf("post-catchup stats: %+v", r1)
-	}
-	e.Close()
-}
-
-// TestWALQueuedCountsWhatEachReplicaHasYetToApply: Queued counts the records
-// queued on a replica and not yet applied, the one its parked applier holds
-// included; it does not grow while the replica is down, and it returns to 0
-// once catch-up has applied what the replica missed.
-func TestWALQueuedCountsWhatEachReplicaHasYetToApply(t *testing.T) {
-	gate := make(chan struct{})
-	stores := []*memStore{{}, {gate: gate}}
-	e, err := Open(Options{Dir: t.TempDir(), Fsync: PolicyOff}, [][]Store{{stores[0], stores[1]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	var release sync.Once
-	unblock := func() { release.Do(func() { close(gate) }) }
-	defer unblock() // before Close, which waits for the parked applier
-	ctx := context.Background()
-	commit := func(base int) {
-		t.Helper()
-		if _, err := e.Commit(ctx, 0, "meter", testRows(base, 2)); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-	}
-	waitQueued := func(replica, want int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for e.Queued(0, replica) != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("replica %d has %d records queued, want %d", replica, e.Queued(0, replica), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		commit(i * 10)
-	}
-	waitQueued(0, 0)
-	if n := e.Queued(0, 1); n != 3 {
-		t.Fatalf("the parked replica has %d records queued, want 3", n)
-	}
-	e.MarkDown(0, 1)
-	commit(100)
-	commit(200)
-	if n := e.Queued(0, 1); n != 3 {
-		t.Fatalf("the down replica has %d records queued, want the 3 it had", n)
-	}
-	unblock() // the apply in progress completes; the rest wait for catch-up
-	waitQueued(1, 2)
-	done := make(chan struct{})
-	e.CatchUp(0, 1, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("catch-up never completed")
-	}
-	if n := e.Queued(0, 1); n != 0 {
-		t.Fatalf("after catch-up the replica has %d records queued", n)
-	}
-	if n := e.Queued(1, 0) + e.Queued(0, 2); n != 0 {
-		t.Fatalf("a replica that does not exist has %d records queued", n)
-	}
-}
-
-func TestWALCommitFailsWithNoLiveReplica(t *testing.T) {
-	dir := t.TempDir()
-	e, _ := openTestEngine(t, dir, 1, 2, Options{Fsync: PolicyOff})
-	e.MarkDown(0, 0)
-	e.MarkDown(0, 1)
-	if _, err := e.Commit(context.Background(), 0, "meter", testRows(0, 1)); err == nil {
-		t.Fatal("commit with every replica down should fail")
-	}
-	e.Close()
-}
-
 func TestWALRecoveryReplaysLoggedRecords(t *testing.T) {
 	dir := t.TempDir()
 	e, _ := openTestEngine(t, dir, 2, 2, Options{Fsync: PolicyAlways})
@@ -502,34 +385,14 @@ func TestWALRecoveryReplaysLoggedRecords(t *testing.T) {
 }
 
 // TestWALOneLogPerShard: behind a directory each shard keeps one log, and a
-// commit writes its frame once whatever the replica count. A replica that
-// was down replays what it missed from that log, so after catch-up the
-// three stores are identical.
+// commit writes its frame once whatever the number of stores the shard
+// applies it to; every store of a shard ends identical.
 func TestWALOneLogPerShard(t *testing.T) {
 	dir := t.TempDir()
 	e, stores := openTestEngine(t, dir, 2, 3, Options{Fsync: PolicyOff})
 	ctx := context.Background()
 	var frames [2]int
-	missedRows := 0
 	for i := 1; i <= 10; i++ {
-		if i == 4 {
-			if err := e.WaitApplied(ctx, 0, 3); err != nil {
-				t.Fatal(err)
-			}
-			e.MarkDown(0, 2)
-		}
-		if i == 8 {
-			if h := e.Stats()[0].Replicas[2].HintedRecords; h != 4 {
-				t.Fatalf("replica 2 is owed %d records, want 4", h)
-			}
-			done := make(chan struct{})
-			e.CatchUp(0, 2, func() { close(done) })
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("catch-up never completed: %+v", e.Stats()[0])
-			}
-		}
 		for si := range frames {
 			rows := testRows(si*1000+i*10, 1+i%3)
 			lsn, err := e.Commit(ctx, si, "meter", rows)
@@ -537,9 +400,6 @@ func TestWALOneLogPerShard(t *testing.T) {
 				t.Fatalf("shard %d commit %d: %v", si, i, err)
 			}
 			frames[si] += len(encodeFrame(nil, Record{LSN: lsn, Table: "meter", Rows: rows}))
-			if si == 0 && i >= 4 && i <= 7 {
-				missedRows += len(rows)
-			}
 		}
 	}
 	if err := e.Drain(ctx); err != nil {
@@ -559,12 +419,9 @@ func TestWALOneLogPerShard(t *testing.T) {
 		}
 		for ri, ms := range stores[si][1:] {
 			if !reflect.DeepEqual(ms.snapshot(), stores[si][0].snapshot()) {
-				t.Fatalf("shard %d replica %d differs from replica 0 after catch-up", si, ri+1)
+				t.Fatalf("shard %d store %d differs from store 0", si, ri+1)
 			}
 		}
-	}
-	if r2 := e.Stats()[0].Replicas[2]; r2.ReplayedRows != int64(missedRows) || r2.HintedRecords != 0 {
-		t.Fatalf("caught-up replica: %+v; want %d replayed rows and nothing owed", r2, missedRows)
 	}
 	e.Close()
 }
@@ -726,7 +583,6 @@ func TestWALSyncAckWaitsForApply(t *testing.T) {
 		}
 	}
 	// A cancelled context must abort the wait, not hang.
-	e.MarkDown(0, 1)
 	stores[0][0].setFail(true)
 	if _, err := e.Commit(ctx, 0, "meter", testRows(10, 1)); err != nil {
 		t.Fatal(err)
@@ -804,10 +660,9 @@ func TestWALApplierReleasesAppliedRows(t *testing.T) {
 }
 
 // TestWALWithoutDirectory: Options.Dir == "" is the same engine over logs
-// that store nothing. Sequencing, appliers, WaitApplied, MarkDown/CatchUp and
-// Stats behave as behind a directory; the two consequences of having no log
-// are that a commit is refused — before anything is queued — while a replica
-// of the shard is down, and that records die with the engine.
+// that store nothing: sequencing, appliers, WaitApplied and Stats behave as
+// behind a directory — a store that fails holds its record until it takes
+// it, once — and records die with the engine.
 func TestWALWithoutDirectory(t *testing.T) {
 	stores := [][]*memStore{{{}, {}}}
 	e, err := Open(Options{}, [][]Store{{stores[0][0], stores[0][1]}})
@@ -826,48 +681,26 @@ func TestWALWithoutDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A record queued on a replica that then goes down waits for it.
+	// A record queued on a failing store waits for it, and applies once.
 	stores[0][1].setFail(true)
 	if lsn, err = e.Commit(ctx, 0, "meter", testRows(10, 2)); err != nil {
 		t.Fatal(err)
 	}
-	e.MarkDown(0, 1)
+	cctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	err = e.WaitApplied(cctx, 0, lsn)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wait on a failing store = %v, want the ctx deadline", err)
+	}
+	if st := e.Stats()[0].Replicas[1]; st.Stalled == "" || st.PendingRecords != 1 {
+		t.Fatalf("failing store's applier: %+v, want stalled with its record pending", st)
+	}
 	stores[0][1].setFail(false)
-	if err := e.WaitApplied(ctx, 0, lsn); err != nil { // the live replica applied it
+	if err := e.WaitApplied(ctx, 0, lsn); err != nil {
 		t.Fatal(err)
 	}
-
-	// While it is down there is no log to owe it records from: refused, with
-	// nothing queued on the survivor and no LSN consumed.
-	before := e.Stats()[0]
-	if _, err := e.Commit(ctx, 0, "meter", testRows(20, 1)); !errors.Is(err, ErrNoLiveReplica) {
-		t.Fatalf("commit with a replica down = %v, want ErrNoLiveReplica", err)
-	}
-	if after := e.Stats()[0]; !reflect.DeepEqual(after, before) {
-		t.Fatalf("a refused commit moved the engine:\nbefore %+v\nafter  %+v", before, after)
-	}
-	if got := len(stores[0][0].snapshot()); got != 5 {
-		t.Fatalf("survivor holds %d rows, want 5", got)
-	}
-
-	// Catch-up has nothing to copy; it ends when the replica's own queue
-	// has drained, and the record applies exactly once.
-	done := make(chan struct{})
-	e.CatchUp(0, 1, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("catch-up never finished: %+v", e.Stats())
-	}
-	if got := stores[0][1].snapshot(); !reflect.DeepEqual(got, stores[0][0].snapshot()) {
-		t.Fatalf("revived replica holds %d rows, survivor %d", len(got), len(stores[0][0].snapshot()))
-	}
-	// A replica that is behind by nothing is back before CatchUp returns.
-	e.MarkDown(0, 0)
-	back := false
-	e.CatchUp(0, 0, func() { back = true })
-	if !back {
-		t.Fatal("catch-up of a replica with nothing missed and nothing queued did not finish inline")
+	if a, b := stores[0][0].snapshot(), stores[0][1].snapshot(); len(a) != 5 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("stores hold %d and %d rows, want 5 each, identical", len(a), len(b))
 	}
 
 	// A record the engine closes over is gone, and its waiter is told so.
