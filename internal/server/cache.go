@@ -135,23 +135,22 @@ type cachedResult struct {
 // in /stats. Entries are accounted by approximate row-payload bytes so the
 // cache can hold a memory budget rather than an entry count.
 //
-// An apply can land, and its apply-time invalidation run, while a query is
-// in flight, after its key was built and before its result is stored.
-// Every invalidation therefore bumps its tables' epochs, and put refuses a
-// result whose tables were invalidated since its query started executing:
-// an invalidation either evicts the entry or prevents it. mu orders the two
-// (held across the epoch step and the lru step of both).
+// A key's versions are read before its query executes, and a shard's table
+// versions move under the same lock as its data, so a result is never older
+// than its key: an apply that overtakes a running query only makes the
+// stored result newer than its key says, and no later query builds that
+// key again. put therefore needs no check against invalidations that ran
+// while the query was in flight.
 type resultCache struct {
 	lru           *lru[cachedResult]
-	mu            sync.Mutex
-	epochs        map[string]uint64 // per table, bumped by invalidateTables
+	mu            sync.Mutex // guards invalidations
 	invalidations int64
 }
 
 func newResultCache(max int, maxBytes int64) *resultCache {
 	l := newLRU[cachedResult](max)
 	l.maxBytes = maxBytes
-	return &resultCache{lru: l, epochs: map[string]uint64{}}
+	return &resultCache{lru: l}
 }
 
 func (c *resultCache) get(key string) (*hive.Result, bool) {
@@ -162,28 +161,8 @@ func (c *resultCache) get(key string) (*hive.Result, bool) {
 	return e.res, true
 }
 
-// snapshot returns the tables' invalidation epochs; take it before the query
-// executes and hand it to put.
-func (c *resultCache) snapshot(tables []string) []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]uint64, len(tables))
-	for i, t := range tables {
-		out[i] = c.epochs[t]
-	}
-	return out
-}
-
-// put stores res unless one of its tables was invalidated since epochs was
-// snapshotted (the result may predate the rows that invalidation announced).
-func (c *resultCache) put(key string, tables []string, epochs []uint64, res *hive.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, t := range tables {
-		if c.epochs[t] != epochs[i] {
-			return
-		}
-	}
+// put stores res under key, remembering the tables it read.
+func (c *resultCache) put(key string, tables []string, res *hive.Result) {
 	c.lru.putSized(key, cachedResult{tables: tables, res: res}, resultSizeBytes(key, res))
 }
 
@@ -212,11 +191,8 @@ func (c *resultCache) invalidateTables(names []string) {
 		return
 	}
 	doomed := map[string]bool{}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, n := range names {
 		doomed[n] = true
-		c.epochs[n]++
 	}
 	n := c.lru.removeIf(func(e cachedResult) bool {
 		for _, t := range e.tables {
@@ -226,7 +202,9 @@ func (c *resultCache) invalidateTables(names []string) {
 		}
 		return false
 	})
+	c.mu.Lock()
 	c.invalidations += int64(n)
+	c.mu.Unlock()
 }
 
 // CacheStats is the JSON-ready counter snapshot of one cache.

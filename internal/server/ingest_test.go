@@ -253,7 +253,8 @@ func (g *gatedFleet) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts
 // query reads the shard with one batch applied and the next one logged, the
 // next batch's apply and its invalidation fire while the query is still in
 // flight, and only then does the server store the result. The next query
-// has to miss and count the new rows.
+// has to miss and count the new rows: the apply moved the table's version,
+// so the stored result sits under a key no later query builds.
 func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	cc := cluster.Default()
 	cc.Workers = 4

@@ -510,11 +510,9 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 
 	// Result cache. The key carries the read tables' versions as of *before*
 	// execution: versions only grow, so a hit proves no mutation happened
-	// between key construction and lookup and the entry is exact. On a miss
-	// the invalidation epochs are snapshotted too, so put can refuse a
-	// result that an apply-time invalidation overtook (see resultCache).
+	// between key construction and lookup and the entry is exact; a result
+	// is never older than its key (see resultCache).
 	var key string
-	var epochs []uint64
 	if cacheable {
 		csp := c.root.Child("result_cache")
 		key = cacheKey(norm, tables, s.b.TableVersions(tables...))
@@ -524,9 +522,6 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 		if hit {
 			return reply(res, true, nil)
 		}
-		// Taken before execution starts: any apply that lands while the
-		// query runs invalidates after this point.
-		epochs = s.results.snapshot(tables)
 	}
 
 	ctx, cancel, err := c.acquire(ctx, req.Timeout)
@@ -564,7 +559,7 @@ func (s *Server) Query(ctx context.Context, req Request) (*Response, error) {
 			return reply(nil, false, out.err)
 		}
 		if cacheable {
-			s.results.put(key, tables, epochs, out.res)
+			s.results.put(key, tables, out.res)
 		}
 		if !readOnly {
 			s.results.invalidateTables(tables)

@@ -100,28 +100,66 @@ func TestFailoverExecKilledReplica(t *testing.T) {
 	}
 }
 
-// TestFailoverPickSkipsKilledReplicas: pick never offers a killed replica,
-// prefers the least-loaded live one, and reports the last live candidate of
-// the shard; with every replica killed or tried it offers none.
+// TestFailoverPickSkipsKilledReplicas: pick never offers a killed replica
+// and prefers the least-loaded live one; with every replica killed or tried
+// it offers none, and a revived replica is offered at once.
 func TestFailoverPickSkipsKilledReplicas(t *testing.T) {
 	rs := newReplicaSet(0, 3, newShardWarehouse(0))
 	rs.reps[0].kill()
 	rs.reps[2].inflight.Add(1)
 	for i := 0; i < 10; i++ {
-		rep, last := rs.pick(make([]bool, 3))
-		if rep != rs.reps[1] || last {
-			t.Fatalf("pick %d: replica %v (last %v), want the least-loaded live replica 1 with a sibling left", i, rep, last)
+		if rep := rs.pick(make([]bool, 3)); rep != rs.reps[1] {
+			t.Fatalf("pick %d: replica %v, want the least-loaded live replica 1", i, rep)
 		}
 	}
-	if rep, last := rs.pick([]bool{false, true, false}); rep != rs.reps[2] || !last {
-		t.Fatalf("with replica 1 tried: replica %v (last %v), want replica 2, the last live one", rep, last)
+	if rep := rs.pick([]bool{false, true, false}); rep != rs.reps[2] {
+		t.Fatalf("with replica 1 tried: replica %v, want replica 2, the last live one", rep)
 	}
-	if rep, _ := rs.pick([]bool{false, true, true}); rep != nil {
+	if rep := rs.pick([]bool{false, true, true}); rep != nil {
 		t.Fatalf("pick offered killed replica %d", rep.idx)
 	}
 	rs.reps[0].revive()
-	if rep, last := rs.pick([]bool{false, true, true}); rep != rs.reps[0] || !last {
-		t.Fatalf("after revive: replica %v (last %v), want replica 0", rep, last)
+	if rep := rs.pick([]bool{false, true, true}); rep != rs.reps[0] {
+		t.Fatalf("after revive: replica %v, want replica 0", rep)
+	}
+}
+
+// TestFailoverCursorReviveThenKillNoDuplicates: a cursor that starts
+// streaming while its shard's only other replica is killed must not hand
+// out rows it cannot take back. The sibling is revived and the streaming
+// replica killed mid-stream, so the read fails over to the revived sibling
+// and scans the shard again; every row must still arrive exactly once.
+func TestFailoverCursorReviveThenKillNoDuplicates(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%dx2", shards), func(t *testing.T) {
+			r := replicatedRouter(t, shards, 2, false)
+			sql := `SELECT userId, powerConsumed FROM meterdata`
+			want := rowMultiset(t, r, sql, 0)
+
+			r.Kill(0, 1)
+			cur, err := r.SelectCursor(context.Background(), mustParseSelect(t, sql), hive.ExecOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			got := map[string]int{}
+			for cur.Next() {
+				got[renderRows([]storage.Row{cur.Row()})[0]]++
+				if len(got) == 1 {
+					// Rows are flowing from shard 0's replica 0, or from a
+					// sibling shard while shard 0 still scans.
+					r.Revive(0, 1)
+					r.Kill(0, 0)
+				}
+			}
+			r.Revive(0, 0)
+			if err := cur.Err(); err != nil {
+				t.Fatalf("cursor err %v", err)
+			}
+			if err := multisetEqual(want, got); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/wal"
@@ -102,11 +103,14 @@ func (r *Router) LoadRowsDurable(ctx context.Context, table string, rows []stora
 // commitLoad checks a load and commits each shard's slice to the engine,
 // returning the engine, the LSN each shard's slice got (0 for none) and the
 // folded per-shard outcome; err is a check that failed before anything was
-// logged. It holds writes shared, so no DDL runs between the check and the
-// commits.
+// logged. It holds the drop gate's load side, so no DROP TABLE runs between
+// the check and the commits; it waits for a running drop only until ctx
+// ends.
 func (r *Router) commitLoad(ctx context.Context, table string, rows []storage.Row) (e *wal.Engine, ack LoadAck, lsns []uint64, outcome, err error) {
-	r.writes.RLock()
-	defer r.writes.RUnlock()
+	if err := r.drops.enterLoad(ctx); err != nil {
+		return nil, ack, nil, nil, fmt.Errorf("shard: load into %q waits for a DROP TABLE: %w", table, err)
+	}
+	defer r.drops.exitLoad()
 	// Validate before writing or logging: a row the table's encoding cannot
 	// carry would poison every later read, and a logged record that can
 	// never apply would stall its shard's applier forever.
@@ -159,3 +163,80 @@ func (r *Router) CloseWAL() error { return r.wal.Load().Close() }
 // AbortWAL hard-stops the engine without the final flush — the crash model
 // for recovery tests.
 func (r *Router) AbortWAL() { r.wal.Load().Abort() }
+
+// dropGate lets any number of loads through at once, or one DROP TABLE —
+// sync.RWMutex's shape, except that both sides wait under a context: a load
+// stuck behind a drain must still honour its deadline. A waiting drop holds
+// off new loads, so a stream of loads cannot starve it.
+type dropGate struct {
+	mu       sync.Mutex
+	loads    int           // loads between their table check and their commits' end
+	dropping bool          // a drop holds the gate or waits for loads to leave
+	changed  chan struct{} // closed whenever loads or dropping change; made by the next waiter
+}
+
+// await returns with g.mu held once ready holds, or without it and with
+// ctx's error once ctx ends first.
+func (g *dropGate) await(ctx context.Context, ready func() bool) error {
+	g.mu.Lock()
+	for !ready() {
+		if g.changed == nil {
+			g.changed = make(chan struct{})
+		}
+		changed := g.changed
+		g.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		g.mu.Lock()
+	}
+	return nil
+}
+
+// signal wakes every waiter; g.mu is held.
+func (g *dropGate) signal() {
+	if g.changed != nil {
+		close(g.changed)
+		g.changed = nil
+	}
+}
+
+func (g *dropGate) enterLoad(ctx context.Context) error {
+	if err := g.await(ctx, func() bool { return !g.dropping }); err != nil {
+		return err
+	}
+	g.loads++
+	g.mu.Unlock()
+	return nil
+}
+
+func (g *dropGate) exitLoad() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.loads--; g.loads == 0 {
+		g.signal()
+	}
+}
+
+func (g *dropGate) enterDrop(ctx context.Context) error {
+	if err := g.await(ctx, func() bool { return !g.dropping }); err != nil {
+		return err
+	}
+	g.dropping = true
+	g.mu.Unlock()
+	if err := g.await(ctx, func() bool { return g.loads == 0 }); err != nil {
+		g.exitDrop()
+		return err
+	}
+	g.mu.Unlock()
+	return nil
+}
+
+func (g *dropGate) exitDrop() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.dropping = false
+	g.signal()
+}

@@ -687,3 +687,159 @@ func TestLoadPathOutage(t *testing.T) {
 		t.Fatalf("second EnableWAL = %v, want an already-enabled error", err)
 	}
 }
+
+// TestDropTableWaitsForLoadsLoadsKeepDeadlines: a DROP TABLE waits for the
+// loads acked before it to apply, and while it waits a load keeps its own
+// deadline and a CREATE TABLE runs. A durable fleet's applier is parked with
+// a second record queued behind it; the drop waits on the queue, a load
+// with a 30ms deadline gives up with its ctx's error instead of waiting out
+// the drop, and a CREATE TABLE answers at once. Released, the drop applies
+// after both records.
+func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
+	r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &applyGate{entered: make(chan struct{}, 16)}
+	t.Cleanup(func() {
+		gate.release()
+		r.CloseWAL()
+	})
+	mustExec(t, r, `CREATE TABLE a (userId bigint, v double)`)
+	mustExec(t, r, `CREATE TABLE b (userId bigint, v double)`)
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff, OnApply: gate.hook}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	row := func(u int64) []storage.Row { return []storage.Row{{storage.Int64(u), storage.Float64(1)}} }
+	gate.park()
+	if _, err := r.LoadRowsDurable(ctx, "b", row(1), false); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the applier to park")
+	}
+	// Logged to the same shard as the first row, so it queues behind the
+	// parked applier.
+	if _, err := r.LoadRowsDurable(ctx, "b", row(1), false); err != nil {
+		t.Fatal(err)
+	}
+
+	dropped := make(chan error, 1)
+	go func() {
+		_, err := exec(r, `DROP TABLE b`)
+		dropped <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		r.drops.mu.Lock()
+		dropping := r.drops.dropping
+		r.drops.mu.Unlock()
+		if dropping {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("DROP TABLE never took the drop gate")
+		}
+	}
+
+	lctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
+	start := time.Now()
+	_, err = r.LoadRowsDurable(lctx, "a", row(2), false)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("load during a waiting DROP TABLE: err = %v, want its ctx deadline", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("load with a 30ms deadline waited %v", waited)
+	}
+	mustExec(t, r, `CREATE TABLE c (userId bigint, v double)`)
+	select {
+	case err := <-dropped:
+		t.Fatalf("DROP TABLE returned (%v) with a load still queued", err)
+	default:
+	}
+
+	gate.release()
+	if err := <-dropped; err != nil {
+		t.Fatalf("DROP TABLE: %v", err)
+	}
+	if _, err := r.TableSchema("b"); err == nil {
+		t.Fatal("table b outlived its DROP")
+	}
+	for _, ss := range r.WALStats() {
+		for _, rs := range ss.Replicas {
+			if rs.Stalled != "" || rs.PendingRecords != 0 {
+				t.Fatalf("shard %d applier after the drop: %+v", ss.Shard, rs)
+			}
+		}
+	}
+	if ack, err := r.LoadRowsDurable(ctx, "a", row(3), true); err != nil || !ack.Applied {
+		t.Fatalf("load after the drop: ack %+v, err %v", ack, err)
+	}
+}
+
+// TestDropTableFailsFastOnStalledApplier: records replayed from a log whose
+// table was not recreated stall their applier. A DROP TABLE then fails at
+// once, naming the stalled shard and record, rather than waiting for a
+// drain that cannot finish; a CREATE TABLE of the missing table is not held
+// up, and lets the applier's retry apply the records.
+func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *Router {
+		t.Helper()
+		r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, r, `CREATE TABLE other (userId bigint, v double)`)
+		return r
+	}
+	first := mk()
+	mustExec(t, first, `CREATE TABLE late (userId bigint, v double)`)
+	enableTestWAL(t, first, dir)
+	rows := make([]storage.Row, 20)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
+	}
+	if _, err := first.LoadRowsDurable(context.Background(), "late", rows, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mk() // "late" is not recreated before the replay
+	enableTestWAL(t, r, dir)
+	t.Cleanup(func() { r.CloseWAL() })
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if stalled := slices.ContainsFunc(r.WALStats(), func(ss wal.ShardStats) bool { return ss.Replicas[0].Stalled != "" }); stalled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed records of a missing table never stalled: %+v", r.WALStats())
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := r.ExecContext(ctx, `DROP TABLE other`, hive.ExecOptions{})
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "stalled on lsn 1") {
+		t.Fatalf("DROP TABLE behind a stalled applier: err = %v, want a refusal naming the stalled record", err)
+	}
+	if _, err := r.TableSchema("other"); err != nil {
+		t.Fatalf("a refused DROP TABLE removed the table: %v", err)
+	}
+
+	if _, err := r.ExecContext(ctx, `CREATE TABLE late (userId bigint, v double)`, hive.ExecOptions{}); err != nil {
+		t.Fatalf("CREATE TABLE behind a stalled applier: %v", err)
+	}
+	if err := r.DrainWAL(ctx); err != nil {
+		t.Fatalf("drain once the table exists: %v", err)
+	}
+	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 20 {
+		t.Fatalf("count after the replay = %v, want 20", n)
+	}
+	mustExec(t, r, `DROP TABLE other`)
+}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -167,23 +168,21 @@ func newReplicaSet(shard, replicas int, w *hive.Warehouse) *replicaSet {
 }
 
 // pick chooses the least-loaded live replica not yet tried (round-robin
-// among ties), or nil when there is none. last reports that no other live
-// replica is left untried, so no retry can follow this attempt.
-func (rs *replicaSet) pick(tried []bool) (best *replica, last bool) {
+// among ties), or nil when there is none.
+func (rs *replicaSet) pick(tried []bool) *replica {
 	start := int(rs.next.Add(1) - 1)
+	var best *replica
 	var bestLoad int64
-	live := 0
 	for off := 0; off < len(rs.reps); off++ {
 		rep := rs.reps[(start+off)%len(rs.reps)]
 		if tried[rep.idx] || rep.isKilled() {
 			continue
 		}
-		live++
 		if load := rep.inflight.Load(); best == nil || load < bestLoad {
 			best, bestLoad = rep, load
 		}
 	}
-	return best, live <= 1
+	return best
 }
 
 // exhaustedErr is the root cause the scatter surfaces for a shard with no
@@ -207,18 +206,20 @@ func (rs *replicaSet) exhaustedErr(last error) error {
 // (ErrReplicaDown, a kill that aborted the request in flight included).
 // Success, a caller cancellation and the statement's own errors return at
 // once: every replica reads the same warehouse, so a sibling would fail the
-// same way. fn learns whether its replica is the shard's last candidate,
-// after which no retry can follow.
+// same way. fn learns whether its replica is the shard's last candidate:
+// every other replica was tried already, killed ones included, so no retry
+// can follow — not even on a replica revived while the attempt runs.
 func (rs *replicaSet) withFailover(ctx context.Context, fn func(ctx context.Context, rep *replica, last bool) error) error {
 	tried := make([]bool, len(rs.reps))
 	sp := trace.FromContext(ctx)
 	var err error
 	for {
-		rep, last := rs.pick(tried)
+		rep := rs.pick(tried)
 		if rep == nil {
 			return rs.exhaustedErr(err)
 		}
 		tried[rep.idx] = true
+		last := !slices.Contains(tried, false)
 		err = rep.do(ctx, func(kctx context.Context) error { return fn(kctx, rep, last) })
 		if !errors.Is(err, ErrReplicaDown) {
 			return err

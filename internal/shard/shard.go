@@ -143,10 +143,9 @@ type Router struct {
 	// by EnableWAL, never nil.
 	wal atomic.Pointer[wal.Engine]
 
-	// writes orders DDL after the loads acked before it: a load holds it
-	// shared from its table check through its commits, DDL exclusively (see
-	// ddl).
-	writes sync.RWMutex
+	// drops orders DROP TABLE after the loads acked before it (see
+	// dropTable).
+	drops dropGate
 
 	mu     sync.RWMutex
 	tables map[string]*tableMeta
@@ -261,17 +260,17 @@ func (r *Router) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hiv
 	}
 }
 
-// ddl broadcasts one DDL statement once every load acked before it has
-// applied, holding writes so that no load commits meanwhile, and records a
-// created or dropped table. So every shard applies loads and DDL in the
-// order they were acked: no logged record applies to a table a later DROP
-// removed — its applier would retry it forever — or into a later table of
-// the same name.
+// ddl broadcasts one DDL statement and records a created or dropped table.
+// Only DROP TABLE waits for the loads acked before it (see dropTable): a
+// logged record applies the same way before or after a CREATE INDEX, and a
+// CREATE TABLE is what a record replayed ahead of its table waits for.
 func (r *Router) ddl(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
-	r.writes.Lock()
-	defer r.writes.Unlock()
-	if err := r.wal.Load().Drain(ctx); err != nil {
-		return nil, fmt.Errorf("shard: DDL waits for the loads acked before it: %w", err)
+	drop, isDrop := stmt.(*hive.DropTableStmt)
+	if isDrop {
+		if err := r.enterDrop(ctx); err != nil {
+			return nil, err
+		}
+		defer r.drops.exitDrop()
 	}
 	res, err := r.broadcast(ctx, stmt, opts)
 	if err != nil {
@@ -279,14 +278,39 @@ func (r *Router) ddl(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch s := stmt.(type) {
-	case *hive.CreateTableStmt:
+	if isDrop {
+		delete(r.tables, strings.ToLower(drop.Name))
+	} else if s, ok := stmt.(*hive.CreateTableStmt); ok {
 		schema := storage.NewSchema(s.Cols...)
 		r.tables[strings.ToLower(s.Name)] = &tableMeta{schema: schema, keyIdx: schema.ColIndex(r.cfg.Key)}
-	case *hive.DropTableStmt:
-		delete(r.tables, strings.ToLower(s.Name))
 	}
 	return res, nil
+}
+
+// enterDrop takes the drop gate — no load commits until the caller's
+// exitDrop — and waits until every load acked before it has applied, so no
+// logged record is left to apply to the dropped table (its applier would
+// retry it forever) or into a later table of the same name. A stalled
+// applier fails the drop at once, naming the record it is stuck on: the
+// drain would only wait out ctx behind it.
+func (r *Router) enterDrop(ctx context.Context) error {
+	if err := r.drops.enterDrop(ctx); err != nil {
+		return fmt.Errorf("shard: DROP TABLE waits for the loads committing before it: %w", err)
+	}
+	e := r.wal.Load()
+	for _, ss := range e.Stats() {
+		for _, rs := range ss.Replicas {
+			if rs.Stalled != "" {
+				r.drops.exitDrop()
+				return fmt.Errorf("shard: DROP TABLE refused: shard %d's applier is stalled on lsn %d: %s", ss.Shard, rs.AppliedLSN+1, rs.Stalled)
+			}
+		}
+	}
+	if err := e.Drain(ctx); err != nil {
+		r.drops.exitDrop()
+		return fmt.Errorf("shard: DROP TABLE waits for the loads acked before it: %w", err)
+	}
+	return nil
 }
 
 // broadcast runs one statement on every shard's warehouse concurrently and

@@ -84,12 +84,13 @@ func (r *Router) streamScatter(ctx context.Context, s *hive.SelectStmt, opts hiv
 
 // streamShard streams one shard's rows into sink: one withFailover call
 // whose attempt runs SelectStream under the chosen replica. While the shard
-// has another live candidate, the attempt buffers its rows and they reach
-// sink only once its scan completed cleanly, so a replica that dies mid-scan
+// has another untried replica — a killed one too, since a revive can make
+// it a candidate mid-scan — the attempt buffers its rows and they reach sink
+// only once its scan completed cleanly, so a replica that dies mid-scan
 // replays on a sibling without duplicating a row already delivered (a
 // warehouse's row order is split-completion order, so skipping the rows
-// already delivered would be unsound). The shard's last candidate (always,
-// when Replicas is 1) pushes rows the moment they arrive. The stats are
+// already delivered would be unsound). The shard's last untried replica
+// (always, when Replicas is 1) pushes rows the moment they arrive. The stats are
 // those of the attempt that delivered the rows.
 func (r *Router) streamShard(ctx context.Context, si int, s *hive.SelectStmt, opts hive.ExecOptions, cols func([]string), sink func(storage.Row) bool) (hive.QueryStats, error) {
 	var stats hive.QueryStats
