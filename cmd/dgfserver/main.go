@@ -9,7 +9,8 @@
 //	dgfserver -demo -addr :8080
 //	dgfserver -demo -shards 4 -shard-key userId -addr :8080
 //	dgfserver -demo -shards 4 -replicas 2 -addr :8080   # per-shard failover
-//	dgfserver -demo -shards 4 -replicas 2 -wal-dir /tmp/dgf-wal -fsync interval   # loads survive restarts
+//	dgfserver -demo -shards 4 -replicas 2 -wal-dir /tmp/dgf-wal -fsync interval   # tables and loads survive restarts
+//	dgfserver -shards 4 -replicas 2 -wal-dir /tmp/dgf-wal   # reboot from the log alone
 //
 // then query it:
 //
@@ -25,11 +26,14 @@
 //	curl -s 'localhost:8080/load' --data '{"table":"meterdata",
 //	  "rows":[[17,1,"2013-01-01 00:15:00",1.25]]}'
 //
-// Loads take one path — commit to the fleet's engine, apply in the
+// Loads and DDL take one path — commit to the fleet's engine, apply in the
 // background. With -wal-dir set the engine logs to disk and /load acks once
 // the rows are in each touched shard's log ("durability":"logged"); add
-// ?sync=1 to wait until they are applied and queryable. Without it nothing
-// is stored and every ack waits for the apply ("durability":"applied").
+// ?sync=1 to wait until they are applied and queryable. DDL is logged too,
+// so a restart over the same -wal-dir replays tables and rows before it
+// serves, and -demo loads its data only into a log that does not hold it.
+// Without -wal-dir nothing is stored and every ack waits for the apply
+// ("durability":"applied").
 //
 // SIGINT/SIGTERM drains in-flight queries before exiting; SIGQUIT dumps the
 // slow-query flight recorder to the log and keeps serving.
@@ -68,7 +72,7 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: loads survive restarts and ack once logged (empty: nothing is stored, an ack means applied)")
 	fsync := flag.String("fsync", "interval", "WAL append durability: always, interval, or off (acts on -wal-dir's logs)")
 	maxLoadBytes := flag.Int64("max-load-bytes", 32<<20, "largest accepted POST /load body in bytes (negative = unlimited)")
-	demo := flag.Bool("demo", false, "preload generated meter data with a DGFIndex")
+	demo := flag.Bool("demo", false, "preload generated meter data with a DGFIndex (with -wal-dir: logged, and skipped when the log already holds it)")
 	demoUsers := flag.Int("demo-users", 2000, "users in the demo dataset")
 	drainWait := flag.Duration("drain", 30*time.Second, "max wait for in-flight queries on shutdown")
 	slowMs := flag.Int("slow-ms", 500, "flight-recorder slow-query threshold in ms (negative records errors only)")
@@ -90,11 +94,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *demo {
-		if err := loadDemo(router, *demoUsers); err != nil {
-			log.Fatal(err)
-		}
-	}
 
 	srv := dgfindex.NewServerWithBackend(router, dgfindex.ServerConfig{
 		MaxConcurrent:  *workers,
@@ -112,9 +111,17 @@ func main() {
 		log.Fatal(err)
 	}
 	if *walDir != "" {
-		log.Printf("write path: logging to wal-dir=%s fsync=%s (logged records replayed on boot)", *walDir, *fsync)
+		if err := router.DrainWAL(context.Background()); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("write path: logging to wal-dir=%s fsync=%s (replayed %d tables from the log)", *walDir, *fsync, len(router.TableInfos()))
 	} else {
-		log.Printf("write path: no -wal-dir, loads ack once applied and do not survive a restart")
+		log.Printf("write path: no -wal-dir, loads and DDL ack once applied and do not survive a restart")
+	}
+	if *demo {
+		if err := loadDemo(router, *demoUsers); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// SIGQUIT dumps the slow-query flight recorder and keeps serving (this
@@ -192,6 +199,19 @@ func rangeBounds(spec string, shards int, demo bool, demoUsers int) ([]float64, 
 }
 
 func loadDemo(r *dgfindex.ShardRouter, users int) error {
+	// A replayed log may hold the demo already: its last step, meterdata's
+	// DGFIndex, marks it whole. Part of it (a run cut short) is refused
+	// rather than served.
+	for _, info := range r.TableInfos() {
+		switch {
+		case !strings.EqualFold(info.Name, "meterdata"):
+		case info.HasDgfIndex:
+			log.Printf("demo: the log already holds it")
+			return nil
+		default:
+			return fmt.Errorf("-demo: the log holds part of the demo (meterdata without its DGFIndex, from a run cut short); start over with an empty -wal-dir")
+		}
+	}
 	ctx := context.Background()
 	cfg := dgfindex.DefaultMeterConfig()
 	cfg.Users = users

@@ -160,12 +160,12 @@ var NewServerWithBackend = server.NewWithBackend
 // aggregates; a 1x1 router passes statements through bit-identically. A
 // shard is one warehouse, and its replicas are executors over it: each has
 // its own liveness and kill switch, and reads fail over between them. Every
-// load commits to the router's engine — one LSN sequence, one log and one
-// applier per shard — and the applier writes the shard's warehouse one
-// logged record at a time, in LSN order. Given a directory
-// (ServerConfig.WALDir) the logs are files: loads survive restarts and ack
-// once appended to the shard's log. Without one an ack means applied. See
-// internal/shard and internal/wal.
+// load and DDL statement commits to the router's engine — one LSN sequence,
+// one log and one applier per shard — and the applier writes the shard's
+// warehouse one logged record at a time, in LSN order. Given a directory
+// (ServerConfig.WALDir) the logs are files: tables and loads survive
+// restarts, and a load acks once appended to the shard's log. Without one
+// an ack means applied. See internal/shard and internal/wal.
 type (
 	// ShardRouter fans statements out across shard warehouses.
 	ShardRouter = shard.Router

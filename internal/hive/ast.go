@@ -18,6 +18,7 @@ type CreateTableStmt struct {
 	// value; unlike Hive, the column also appears in the column list).
 	PartitionBy string
 	Stored      string // "TEXTFILE" (default) or "RCFILE"
+	Text        string // the statement as the parser read it (see DDL)
 }
 
 // CreateIndexStmt is the paper's Listing 3 shape:
@@ -28,10 +29,14 @@ type CreateIndexStmt struct {
 	Cols    []string
 	Handler string
 	Props   map[string]string
+	Text    string // the statement as the parser read it (see DDL)
 }
 
 // DropTableStmt is DROP TABLE name.
-type DropTableStmt struct{ Name string }
+type DropTableStmt struct {
+	Name string
+	Text string // the statement as the parser read it (see DDL)
+}
 
 // ShowTablesStmt is SHOW TABLES.
 type ShowTablesStmt struct{}
@@ -142,6 +147,21 @@ type Comparison struct {
 	Op   string
 	Val  storage.Value
 	Vals []storage.Value
+}
+
+// DDL reports a DDL statement's table and source text — what a shard's log
+// records, and Warehouse.ApplyDDL parses again; ok is false for any other
+// statement. Only the parser builds DDL nodes, so each carries its text.
+func DDL(stmt Stmt) (table, text string, ok bool) {
+	switch s := stmt.(type) {
+	case *CreateTableStmt:
+		return s.Name, s.Text, true
+	case *DropTableStmt:
+		return s.Name, s.Text, true
+	case *CreateIndexStmt:
+		return s.Table, s.Text, true
+	}
+	return "", "", false
 }
 
 func (CreateTableStmt) stmt() {}

@@ -138,18 +138,37 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 			res.Rows = append(res.Rows, storage.Row{storage.Str(c.Name), storage.Str(c.Kind.String())})
 		}
 		return res, nil
+	default:
+		return w.execDDL(stmt)
+	}
+}
+
+// ApplyDDL runs a logged DDL statement's text (DDL) as ExecParsedContext
+// would and returns its message: a shard's applier calls it (wal.DDLStore).
+func (w *Warehouse) ApplyDDL(text string) (string, error) {
+	stmt, err := Parse(text)
+	if err != nil {
+		return "", err
+	}
+	res, err := w.execDDL(stmt)
+	if err != nil {
+		return "", err
+	}
+	return res.Message, nil
+}
+
+// execDDL runs one CREATE TABLE, DROP TABLE or CREATE INDEX under the
+// catalog write lock (the parser refuses a partition column not listed).
+func (w *Warehouse) execDDL(stmt Stmt) (*Result, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch s := stmt.(type) {
 	case *CreateTableStmt:
-		w.mu.Lock()
-		defer w.mu.Unlock()
 		format := hiveindex.TextFile
 		if s.Stored == "RCFILE" {
 			format = hiveindex.RCFile
 		}
-		schema := storage.NewSchema(s.Cols...)
-		if s.PartitionBy != "" && schema.ColIndex(s.PartitionBy) < 0 {
-			return nil, fmt.Errorf("hive: partition column %q not in column list", s.PartitionBy)
-		}
-		t, err := w.createTableLocked(s.Name, schema, format)
+		t, err := w.createTableLocked(s.Name, storage.NewSchema(s.Cols...), format)
 		if err != nil {
 			return nil, err
 		}
@@ -160,15 +179,11 @@ func (w *Warehouse) ExecParsedContext(ctx context.Context, stmt Stmt, opts ExecO
 		}
 		return &Result{Message: msg}, nil
 	case *DropTableStmt:
-		w.mu.Lock()
-		defer w.mu.Unlock()
 		if err := w.dropTableLocked(s.Name); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "dropped table " + s.Name}, nil
 	case *CreateIndexStmt:
-		w.mu.Lock()
-		defer w.mu.Unlock()
 		return w.execCreateIndexLocked(s)
 	default:
 		return nil, fmt.Errorf("hive: unsupported statement %T", stmt)

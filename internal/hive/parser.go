@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,8 +39,9 @@ type parser struct {
 // of exhausting the stack. Real queries in the paper's listings nest twice.
 const maxExprDepth = 200
 
-func (p *parser) cur() token  { return p.tokens[p.pos] }
-func (p *parser) next() token { t := p.tokens[p.pos]; p.pos++; return t }
+func (p *parser) cur() token   { return p.tokens[p.pos] }
+func (p *parser) text() string { return strings.TrimSpace(p.src) } // a DDL node's Text
+func (p *parser) next() token  { t := p.tokens[p.pos]; p.pos++; return t }
 
 func (p *parser) at(kind tokenKind, text string) bool {
 	t := p.cur()
@@ -85,7 +87,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DropTableStmt{Name: name}, nil
+		return &DropTableStmt{Name: name, Text: p.text()}, nil
 	case p.at(tokKeyword, "SHOW"):
 		p.next()
 		if _, err := p.expect(tokKeyword, "TABLES"); err != nil {
@@ -202,6 +204,9 @@ func (p *parser) parseCreateTable() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !slices.ContainsFunc(cols, func(c storage.Column) bool { return strings.EqualFold(c.Name, pc) }) {
+			return nil, p.errf("partition column %q not in column list", pc)
+		}
 		partitionBy = pc
 		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
@@ -222,7 +227,7 @@ func (p *parser) parseCreateTable() (Stmt, error) {
 			return nil, p.errf("unsupported format %q (TEXTFILE or RCFILE)", t.text)
 		}
 	}
-	return &CreateTableStmt{Name: name, Cols: cols, PartitionBy: partitionBy, Stored: stored}, nil
+	return &CreateTableStmt{Name: name, Cols: cols, PartitionBy: partitionBy, Stored: stored, Text: p.text()}, nil
 }
 
 func (p *parser) parseCreateIndex() (Stmt, error) {
@@ -304,7 +309,7 @@ func (p *parser) parseCreateIndex() (Stmt, error) {
 			return nil, err
 		}
 	}
-	return &CreateIndexStmt{Name: name, Table: table, Cols: cols, Handler: handler.text, Props: props}, nil
+	return &CreateIndexStmt{Name: name, Table: table, Cols: cols, Handler: handler.text, Props: props, Text: p.text()}, nil
 }
 
 func (p *parser) parseSelectBody() (*SelectStmt, error) {

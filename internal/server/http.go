@@ -346,7 +346,7 @@ func httpStatusOf(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed), errors.Is(err, shard.ErrReplicaDown), errors.Is(err, wal.ErrNoLiveReplica):
+	case errors.Is(err, ErrClosed), errors.Is(err, shard.ErrReplicaDown), errors.Is(err, wal.ErrLogRefused):
 		// Draining, a shard with no live replica left, or a shard log that
 		// refuses appends: an availability failure the client can retry
 		// elsewhere or later, not a bad request.

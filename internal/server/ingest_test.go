@@ -568,8 +568,11 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 		t.Fatalf("WALStats after Close = %+v, want everything through lsn %d applied", st, logged.LSN)
 	}
 
-	// Restart: the catalog is not logged, so the boot recreates the table
-	// and its base rows; the log then replays both acknowledged loads.
+	// Restart: the table and its base rows came with the warehouse, before
+	// the log existed, so the boot brings them again (the router takes the
+	// table from the warehouse's catalog); the log then replays both
+	// acknowledged loads. DDL issued through a logged server needs no such
+	// step: it replays with the loads.
 	s2 := New(testWarehouse(t), Config{WALDir: dir, FsyncPolicy: "off"})
 	if err := s2.WALError(); err != nil {
 		t.Fatal(err)

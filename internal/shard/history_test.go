@@ -12,6 +12,7 @@ import (
 
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // historySeeds are the seeds TestFleetHistories replays on every fleet
@@ -26,7 +27,8 @@ const historyOps = 80
 // ack order. On 2x2 and 4x2 fleets, with and without a log directory, each
 // seed generates CREATE and DROP TABLE (TEXTFILE or RCFILE, partitioned or
 // not), CREATE INDEX … AS 'dgf', sync and async loads, drains, Kill and
-// Revive of any replica, and queries through execution and the cursor.
+// Revive of any replica, and queries through execution and the cursor; a
+// logged fleet also restarts, rebooting from its logs alone.
 // Every statement must succeed or fail as the oracle's does, a query may
 // fail only when one of the fleet's shards has no live replica, and after
 // every drain each answer must equal the oracle's. A failure names the seed
@@ -52,7 +54,8 @@ type history struct {
 	fleet, oracle  *Router
 	tables         map[string]bool // the tables that exist
 	killed         [][]bool
-	pending        bool // an async load was acked since the last drain
+	pending        bool   // an async load was acked since the last drain
+	dir            string // the fleet's log directory, if it has one
 	log            []string
 	shards, logged string
 }
@@ -70,9 +73,6 @@ func runHistory(t *testing.T, seed uint64, shards int, logged bool) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { oracle.CloseWAL() })
-	if logged {
-		enableTestWAL(t, fleet, t.TempDir())
-	}
 	h := &history{
 		t: t, rng: rand.New(rand.NewPCG(seed, seed)), seed: seed,
 		fleet: fleet, oracle: oracle, tables: map[string]bool{},
@@ -81,6 +81,10 @@ func runHistory(t *testing.T, seed uint64, shards int, logged bool) {
 	}
 	for i := range h.killed {
 		h.killed[i] = make([]bool, 2)
+	}
+	if logged {
+		h.dir = t.TempDir()
+		enableTestWAL(t, fleet, h.dir)
 	}
 	for i := 0; i < historyOps; i++ {
 		h.step()
@@ -132,6 +136,8 @@ func (h *history) step() {
 		h.kill()
 	case n < 64:
 		h.revive()
+	case n < 66 && h.dir != "":
+		h.restart()
 	default:
 		h.query(h.pick(h.rng.IntN(10) > 0))
 	}
@@ -213,6 +219,29 @@ func (h *history) drain() {
 			h.compare(fmt.Sprintf("SELECT count(*), sum(powerConsumed) FROM %s", name))
 		}
 	}
+}
+
+// restart closes the fleet's log and boots a fresh router of the same shape
+// over the same directory, issuing no DDL: after a drain, every table and
+// row must be back, from the logs alone.
+func (h *history) restart() {
+	h.record("restart")
+	if err := h.fleet.CloseWAL(); err != nil {
+		h.fail("close the log: %v", err)
+	}
+	fleet, err := New(Config{Shards: len(h.killed), Replicas: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.t.Cleanup(func() { fleet.CloseWAL() })
+	if err := fleet.EnableWAL(wal.Options{Dir: h.dir, Fsync: wal.PolicyOff}); err != nil {
+		h.fail("reopen the log: %v", err)
+	}
+	h.fleet = fleet
+	for _, reps := range h.killed {
+		reps[0], reps[1] = false, false
+	}
+	h.drain()
 }
 
 func (h *history) kill() {

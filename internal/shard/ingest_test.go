@@ -339,7 +339,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 // applied, the way broadcast DDL does, with the root cause still reachable
 // via errors.Is; a load that failed everywhere says no shard applied.
 func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
-	refused := fmt.Errorf("wal: shard 2: %w", wal.ErrNoLiveReplica)
+	refused := fmt.Errorf("wal: shard 2: %w", wal.ErrLogRefused)
 	err := fleetOutcome("load", []error{nil, nil, refused, nil})
 	if err == nil {
 		t.Fatal("a load one shard refused folded to success")
@@ -349,7 +349,7 @@ func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
 			t.Fatalf("error %q does not contain %q", err, want)
 		}
 	}
-	if !errors.Is(err, wal.ErrNoLiveReplica) {
+	if !errors.Is(err, wal.ErrLogRefused) {
 		t.Fatalf("root cause lost: %v", err)
 	}
 	err = fleetOutcome("load", []error{refused, refused, refused, refused})
@@ -507,8 +507,9 @@ func TestProjectDelimiterCellSharded(t *testing.T) {
 }
 
 // applyGate is an OnApply hook that parks appliers: while held, every applier
-// stops after its next apply — the rows have landed and the watermark has
-// moved, but it cannot take its next batch — until released.
+// stops inside its next apply — the record has reached the warehouse, but
+// the watermark has not moved, so no wait for it returns and the applier
+// cannot take its next record — until released.
 type applyGate struct {
 	mu      sync.Mutex
 	hold    chan struct{}
@@ -588,11 +589,16 @@ func TestLoadPathOutage(t *testing.T) {
 		return context.WithTimeout(ctx, 30*time.Millisecond)
 	}
 
-	// Park shard 0's applier behind a first load.
+	// Park shard 0's applier in a first load, whose ack waits for it.
 	gate.park()
-	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 2), false); err != nil || !ack.Applied || ack.Durable {
-		t.Fatalf("load without a directory: ack %+v, err %v; want applied, not durable", ack, err)
-	}
+	first := make(chan error, 1)
+	go func() {
+		ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(0, 2), false)
+		if err == nil && (!ack.Applied || ack.Durable) {
+			err = fmt.Errorf("ack %+v, want applied, not durable", ack)
+		}
+		first <- err
+	}()
 	select {
 	case <-gate.entered:
 	case <-time.After(10 * time.Second):
@@ -631,10 +637,13 @@ func TestLoadPathOutage(t *testing.T) {
 		t.Fatalf("a load that gave up in backpressure consumed an LSN: next %d, was %d", got, lsn)
 	}
 
-	// Replica 1 dies with two records queued; the shard's applier applies
-	// them.
+	// Replica 1 dies with three records queued; the shard's applier
+	// applies them.
 	r.Kill(0, 1)
 	gate.release()
+	if err := <-first; err != nil {
+		t.Fatalf("load without a directory: %v", err)
+	}
 	if err := <-queued; err != nil {
 		t.Fatalf("load queued before the kill: %v", err)
 	}
@@ -688,13 +697,16 @@ func TestLoadPathOutage(t *testing.T) {
 	}
 }
 
-// TestDropTableWaitsForLoadsLoadsKeepDeadlines: a DROP TABLE waits for the
-// loads acked before it to apply, and while it waits a load keeps its own
-// deadline and a CREATE TABLE runs. A durable fleet's applier is parked with
-// a second record queued behind it; the drop waits on the queue, a load
-// with a 30ms deadline gives up with its ctx's error instead of waiting out
-// the drop, and a CREATE TABLE answers at once. Released, the drop applies
-// after both records.
+// TestDropTableWaitsForLoadsLoadsKeepDeadlines: a DROP TABLE is logged in
+// every shard's log behind the loads acked before it and returns once every
+// shard has applied it; while it waits it blocks no load and no CREATE
+// TABLE, and a load keeps its own deadline. A durable fleet's appliers are
+// parked in a first load with a second queued behind it: the drop is logged
+// (the catalog loses the table at once), a load into another table acks, a
+// sync load with a 30ms deadline gives up with its ctx's error, a load into
+// the dropped table is refused, and a CREATE TABLE is logged and takes
+// loads while both statements wait. Released, each shard applies the loads,
+// then the drop, then the create.
 func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 	r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
 	if err != nil {
@@ -705,11 +717,11 @@ func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 		gate.release()
 		r.CloseWAL()
 	})
-	mustExec(t, r, `CREATE TABLE a (userId bigint, v double)`)
-	mustExec(t, r, `CREATE TABLE b (userId bigint, v double)`)
 	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff, OnApply: gate.hook}); err != nil {
 		t.Fatal(err)
 	}
+	mustExec(t, r, `CREATE TABLE a (userId bigint, v double)`)
+	mustExec(t, r, `CREATE TABLE b (userId bigint, v double)`)
 	ctx := context.Background()
 	row := func(u int64) []storage.Row { return []storage.Row{{storage.Int64(u), storage.Float64(1)}} }
 	gate.park()
@@ -727,37 +739,51 @@ func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dropped := make(chan error, 1)
-	go func() {
-		_, err := exec(r, `DROP TABLE b`)
-		dropped <- err
-	}()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		r.drops.mu.Lock()
-		dropping := r.drops.dropping
-		r.drops.mu.Unlock()
-		if dropping {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("DROP TABLE never took the drop gate")
+	statement := func(sql string) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := exec(r, sql)
+			done <- err
+		}()
+		return done
+	}
+	logged := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s was never logged", what)
+			}
 		}
 	}
+	dropped := statement(`DROP TABLE b`)
+	logged("DROP TABLE b", func() bool { _, err := r.TableSchema("b"); return err != nil })
 
+	if _, err := r.LoadRowsDurable(ctx, "a", row(2), false); err != nil {
+		t.Fatalf("load during a waiting DROP TABLE: %v", err)
+	}
 	lctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	start := time.Now()
-	_, err = r.LoadRowsDurable(lctx, "a", row(2), false)
+	_, err = r.LoadRowsDurable(lctx, "a", row(3), true)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("load during a waiting DROP TABLE: err = %v, want its ctx deadline", err)
+		t.Fatalf("sync load during a waiting DROP TABLE: err = %v, want its ctx deadline", err)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("load with a 30ms deadline waited %v", waited)
 	}
-	mustExec(t, r, `CREATE TABLE c (userId bigint, v double)`)
+	if _, err := r.LoadRowsDurable(ctx, "b", row(4), false); err == nil || !strings.Contains(err.Error(), "does not exist") {
+		t.Fatalf("load into a dropped table: err = %v, want a refusal", err)
+	}
+	created := statement(`CREATE TABLE c (userId bigint, v double)`)
+	logged("CREATE TABLE c", func() bool { _, err := r.TableSchema("c"); return err == nil })
+	if _, err := r.LoadRowsDurable(ctx, "c", row(5), false); err != nil {
+		t.Fatalf("load into a table whose CREATE is waiting for its apply: %v", err)
+	}
 	select {
 	case err := <-dropped:
-		t.Fatalf("DROP TABLE returned (%v) with a load still queued", err)
+		t.Fatalf("DROP TABLE returned (%v) before its shards applied it", err)
+	case err := <-created:
+		t.Fatalf("CREATE TABLE returned (%v) before its shards applied it", err)
 	default:
 	}
 
@@ -765,9 +791,10 @@ func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 	if err := <-dropped; err != nil {
 		t.Fatalf("DROP TABLE: %v", err)
 	}
-	if _, err := r.TableSchema("b"); err == nil {
-		t.Fatal("table b outlived its DROP")
+	if err := <-created; err != nil {
+		t.Fatalf("CREATE TABLE: %v", err)
 	}
+	drainFleet(t, r)
 	for _, ss := range r.WALStats() {
 		for _, rs := range ss.Replicas {
 			if rs.Stalled != "" || rs.PendingRecords != 0 {
@@ -775,30 +802,38 @@ func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 			}
 		}
 	}
-	if ack, err := r.LoadRowsDurable(ctx, "a", row(3), true); err != nil || !ack.Applied {
-		t.Fatalf("load after the drop: ack %+v, err %v", ack, err)
+	if got := renderRows(mustExec(t, r, `SHOW TABLES`).Rows); !slices.Equal(got, []string{"a", "c"}) {
+		t.Fatalf("SHOW TABLES = %v, want [a c]", got)
+	}
+	for table, want := range map[string]float64{"a": 2, "c": 1} {
+		if n := mustExec(t, r, `SELECT count(*) FROM `+table).Rows[0][0].AsFloat(); n != want {
+			t.Fatalf("%s holds %v rows, want %v", table, n, want)
+		}
 	}
 }
 
 // TestDropTableFailsFastOnStalledApplier: records replayed from a log whose
-// table was not recreated stall their applier. A DROP TABLE then fails at
-// once, naming the stalled shard and record, rather than waiting for a
-// drain that cannot finish; a CREATE TABLE of the missing table is not held
-// up, and lets the applier's retry apply the records.
+// table was created before the log stall their applier when the table is
+// not created again. A DDL statement then fails at once, naming the stalled
+// shard and record, rather than queueing behind it: a DROP TABLE, and a
+// CREATE TABLE of the missing table too. The stall clears on a restart that
+// creates the table before EnableWAL.
 func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
 	dir := t.TempDir()
-	mk := func() *Router {
+	mk := func(late bool) *Router {
 		t.Helper()
 		r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustExec(t, r, `CREATE TABLE other (userId bigint, v double)`)
+		if late {
+			mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
+		}
+		enableTestWAL(t, r, dir)
 		return r
 	}
-	first := mk()
-	mustExec(t, first, `CREATE TABLE late (userId bigint, v double)`)
-	enableTestWAL(t, first, dir)
+	first := mk(true)
 	rows := make([]storage.Row, 20)
 	for i := range rows {
 		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
@@ -810,9 +845,7 @@ func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := mk() // "late" is not recreated before the replay
-	enableTestWAL(t, r, dir)
-	t.Cleanup(func() { r.CloseWAL() })
+	r := mk(false) // "late" is not created again before the replay
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if stalled := slices.ContainsFunc(r.WALStats(), func(ss wal.ShardStats) bool { return ss.Replicas[0].Stalled != "" }); stalled {
 			break
@@ -821,25 +854,211 @@ func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
 			t.Fatalf("replayed records of a missing table never stalled: %+v", r.WALStats())
 		}
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err := r.ExecContext(ctx, `DROP TABLE other`, hive.ExecOptions{})
-	if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "stalled on lsn 1") {
-		t.Fatalf("DROP TABLE behind a stalled applier: err = %v, want a refusal naming the stalled record", err)
+	for _, sql := range []string{`DROP TABLE other`, `CREATE TABLE late (userId bigint, v double)`} {
+		_, err := r.ExecContext(ctx, sql, hive.ExecOptions{})
+		if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "stalled on lsn 1") {
+			t.Fatalf("%s behind a stalled applier: err = %v, want a refusal naming the stalled record", sql, err)
+		}
 	}
 	if _, err := r.TableSchema("other"); err != nil {
 		t.Fatalf("a refused DROP TABLE removed the table: %v", err)
 	}
+	if _, err := r.TableSchema("late"); err == nil {
+		t.Fatal("a refused CREATE TABLE added the table")
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
 
-	if _, err := r.ExecContext(ctx, `CREATE TABLE late (userId bigint, v double)`, hive.ExecOptions{}); err != nil {
-		t.Fatalf("CREATE TABLE behind a stalled applier: %v", err)
+	again := mk(true)
+	t.Cleanup(func() { again.CloseWAL() })
+	if err := again.DrainWAL(ctx); err != nil {
+		t.Fatalf("drain once the table exists before the log: %v", err)
 	}
-	if err := r.DrainWAL(ctx); err != nil {
-		t.Fatalf("drain once the table exists: %v", err)
-	}
-	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 20 {
+	if n := mustExec(t, again, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 20 {
 		t.Fatalf("count after the replay = %v, want 20", n)
 	}
-	mustExec(t, r, `DROP TABLE other`)
+	mustExec(t, again, `DROP TABLE other`)
+}
+
+// TestSelectRefusedUntilEveryShardAppliedDDL: the catalog changes when a
+// DDL statement is logged, the shards' tables when their appliers reach it.
+// In between, a SELECT on the table is refused rather than answered from
+// shards whose catalogs differ: after a logged DROP TABLE it must not get
+// shard 0's copy back as the whole answer, and after a re-CREATE of the name
+// with the routing key it must not count the old replicated copies once per
+// shard.
+func TestSelectRefusedUntilEveryShardAppliedDDL(t *testing.T) {
+	r, err := New(Config{Shards: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &applyGate{entered: make(chan struct{}, 16)}
+	t.Cleanup(func() {
+		gate.release()
+		r.CloseWAL()
+	})
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff, OnApply: gate.hook}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, r, `CREATE TABLE a (userId bigint, v double)`)
+	mustExec(t, r, `CREATE TABLE x (regionId bigint, v double)`) // replicated: no userId
+	ctx := context.Background()
+	if _, err := r.LoadRowsDurable(ctx, "x", []storage.Row{
+		{storage.Int64(1), storage.Float64(1)}, {storage.Int64(2), storage.Float64(2)}, {storage.Int64(3), storage.Float64(3)},
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	if n := mustExec(t, r, `SELECT count(*) FROM x`).Rows[0][0].AsFloat(); n != 3 {
+		t.Fatalf("count before the DROP = %v, want 3", n)
+	}
+	gate.park()
+	if _, err := r.LoadRowsDurable(ctx, "a", []storage.Row{{storage.Int64(1), storage.Float64(1)}}, false); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the applier to park")
+	}
+	statement := func(sql string, logged func() bool) chan error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := exec(r, sql)
+			done <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); !logged(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s was never logged", sql)
+			}
+		}
+		return done
+	}
+	refused := func(want string) {
+		t.Helper()
+		for _, sql := range []string{`SELECT count(*) FROM x`, `EXPLAIN SELECT count(*) FROM x`} {
+			if res, err := exec(r, sql); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s before every shard applied the DDL: res = %v, err = %v; want an error containing %q", sql, res, err, want)
+			}
+		}
+		if _, err := r.SelectCursor(ctx, mustParseSelect(t, `SELECT v FROM x`), hive.ExecOptions{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("cursor before every shard applied the DDL: err = %v, want %q", err, want)
+		}
+	}
+
+	dropped := statement(`DROP TABLE x`, func() bool { _, err := r.TableSchema("x"); return err != nil })
+	refused(`table "x" does not exist`)
+	created := statement(`CREATE TABLE x (userId bigint, v double)`, func() bool { _, err := r.TableSchema("x"); return err == nil })
+	refused(`table "x" is not queryable yet`)
+	if _, err := r.LoadRowsDurable(ctx, "x", []storage.Row{{storage.Int64(7), storage.Float64(7)}}, false); err != nil {
+		t.Fatalf("load into the re-created table: %v", err)
+	}
+
+	gate.release()
+	for _, done := range []chan error{dropped, created} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainFleet(t, r)
+	if n := mustExec(t, r, `SELECT count(*) FROM x`).Rows[0][0].AsFloat(); n != 1 {
+		t.Fatalf("count of the re-created table = %v, want 1", n)
+	}
+}
+
+// TestDDLRefusedWhileLoadWaitsOnBackpressure: a load waiting for its
+// shard's backpressure holds no lock a DDL statement needs. With every
+// applier stalled past MaxPendingRows and one load parked in the wait, a
+// DDL statement is still refused at once, naming the stall, and another
+// load keeps its deadline.
+func TestDDLRefusedWhileLoadWaitsOnBackpressure(t *testing.T) {
+	dir := t.TempDir()
+	mk := func(late bool) *Router {
+		t.Helper()
+		r, err := New(Config{Shards: 2, Key: "userId"}, newShardWarehouse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, r, `CREATE TABLE other (userId bigint, v double)`)
+		if late {
+			mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
+		}
+		if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxPendingRows: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rows := make([]storage.Row, 20)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
+	}
+	first := mk(true)
+	if _, err := first.LoadRowsDurable(context.Background(), "late", rows, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mk(false) // "late" is missing, so both appliers stall on its replay
+	t.Cleanup(func() { r.CloseWAL() })
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		stalled := 0
+		for _, ss := range r.WALStats() {
+			if ss.Replicas[0].Stalled != "" {
+				stalled++
+			}
+		}
+		if stalled == r.NumShards() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replayed records of a missing table never stalled every shard: %+v", r.WALStats())
+		}
+	}
+	parkedCtx, cancelParked := context.WithCancel(context.Background())
+	parked := make(chan error, 1)
+	go func() {
+		_, err := r.LoadRowsDurable(parkedCtx, "other", rows[:1], false)
+		parked <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // let it reach the backpressure wait
+
+	ddl := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, err := r.ExecContext(ctx, `CREATE TABLE late (userId bigint, v double)`, hive.ExecOptions{})
+		ddl <- err
+	}()
+	select {
+	case err := <-ddl:
+		if err == nil || !strings.Contains(err.Error(), "stalled on lsn 1") {
+			t.Fatalf("DDL behind stalled appliers: err = %v, want a refusal naming the stalled record", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a DDL statement waited behind a load parked in backpressure")
+	}
+	lctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := r.LoadRowsDurable(lctx, "other", rows[1:2], false)
+		loaded <- err
+	}()
+	select {
+	case err := <-loaded:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("load into a stalled shard: err = %v, want its ctx deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a load with a 30ms deadline did not return")
+	}
+	cancelParked()
+	if err := <-parked; !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked load: err = %v, want its cancellation", err)
+	}
 }

@@ -1,8 +1,8 @@
 // Package shard partitions tables across N independent warehouses and
-// executes queries by scatter-gather: DDL broadcasts to every shard, loads
+// executes queries by scatter-gather: DDL is logged to every shard, loads
 // route row-by-row on a configurable key (hash on meter/user id, or ranges
-// on region), and SELECTs fan out concurrently to the shards the predicate
-// can reach, each returning mergeable partial-aggregation state that the
+// on region) into the same logs (see ingest.go), and SELECTs fan out
+// concurrently to the shards the predicate can reach, each returning mergeable partial-aggregation state that the
 // router combines and finalizes once. A shard is one warehouse served by R
 // replicas, which are executors over it rather than copies of it (see
 // replica.go).
@@ -127,35 +127,49 @@ type tableMeta struct {
 	// keyIdx is the routing column's position in the schema; -1 marks a
 	// replicated table (no routing column).
 	keyIdx int
+	// created is where the table's CREATE sits in the logs, until every
+	// shard is known to have applied it (see queryable).
+	created atomic.Pointer[loggedDDL]
+}
+
+// loggedDDL is where a DDL statement sits in the logs of engine e: shard i
+// has applied it once its applier is through lsns[i].
+type loggedDDL struct {
+	e    *wal.Engine
+	lsns []uint64
 }
 
 // Router partitions tables across shards and executes statements by
-// broadcast (DDL), routed append (loads) or scatter-gather (SELECT). It
+// logged DDL, routed append (loads) or scatter-gather (SELECT). It
 // implements the serving layer's Backend interface; all methods are safe
 // for concurrent use — each shard's warehouse carries its own locking, and
-// the router itself only guards its table records.
+// the router itself only guards its table records and the order of its
+// writes.
 type Router struct {
 	cfg  Config
 	sets []*replicaSet
 
-	// wal is the engine every load commits to and whose appliers write the
-	// warehouses (see ingest.go): opened without a directory by New, swapped
-	// by EnableWAL, never nil.
+	// wal is the engine every load and DDL statement commits to and whose
+	// appliers write the warehouses (see ingest.go): opened without a
+	// directory by New, swapped by EnableWAL, never nil.
 	wal atomic.Pointer[wal.Engine]
 
-	// drops orders DROP TABLE after the loads acked before it (see
-	// dropTable).
-	drops dropGate
+	// order puts every shard's loads and DDL in one order: a load holds it
+	// shared from its table check through its commits, a DDL statement
+	// exclusively over its catalog check and its appends (see ddl).
+	order sync.RWMutex
 
+	// tables is the fleet's catalog: every shard's warehouse holds these
+	// tables once it has applied its log.
 	mu     sync.RWMutex
 	tables map[string]*tableMeta
 }
 
-// New builds a router over cfg.Shards shards, each one fresh warehouse
-// produced by mk (called once per shard) and served by cfg.Replicas
-// executors. Every warehouse must get its own filesystem: shards are
-// independent stores, not views of one. The router starts one applier
-// goroutine per shard; CloseWAL joins them.
+// New builds a router over cfg.Shards shards, each one warehouse with its
+// own filesystem produced by mk (called once per shard) and served by
+// cfg.Replicas executors. The tables shard 0's warehouse already holds start
+// the catalog (a one-shard server may wrap a populated warehouse). The
+// router starts one applier goroutine per shard; CloseWAL joins them.
 func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -167,6 +181,11 @@ func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 			return nil, fmt.Errorf("shard: nil warehouse for shard %d", i)
 		}
 		r.sets = append(r.sets, newReplicaSet(i, cfg.replicas(), w))
+	}
+	for _, info := range r.sets[0].w.TableInfos() {
+		if schema, err := r.sets[0].w.TableSchema(info.Name); err == nil {
+			r.addTable(info.Name, schema)
+		}
 	}
 	e, err := wal.Open(wal.Options{}, r.stores())
 	if err != nil {
@@ -209,8 +228,7 @@ func (r *Router) Health() []SetHealth {
 	return out
 }
 
-// meta looks up the router's record of a table (nil if the table was not
-// created through the router).
+// meta looks up a table in the catalog (nil if it is not there).
 func (r *Router) meta(table string) *tableMeta {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -230,7 +248,7 @@ func (r *Router) ExecContext(ctx context.Context, sql string, opts hive.ExecOpti
 
 // ExecParsedContext executes an already-parsed statement: SELECTs
 // scatter-gather under a cancellable group, catalog reads go to shard 0
-// (every shard holds the same catalog), and DDL broadcasts to all shards.
+// (every shard holds the same catalog), and DDL is logged to every shard.
 func (r *Router) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
 	switch s := stmt.(type) {
 	case *hive.SelectStmt:
@@ -250,96 +268,127 @@ func (r *Router) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts hiv
 			return r.execSelect(ctx, s.Select, opts)
 		})
 	case *hive.ShowTablesStmt, *hive.DescribeStmt:
-		// Catalog reads: shard 0 answers (identical catalogs everywhere by
-		// DDL broadcast), with failover.
+		// Catalog reads: shard 0 answers, with failover.
 		return r.sets[0].execStmt(ctx, stmt, opts)
 	default:
-		// CREATE/DROP TABLE, CREATE INDEX and future DDL: every shard runs
-		// it on its own slice.
-		return r.ddl(ctx, stmt, opts)
+		return r.ddl(ctx, stmt)
 	}
 }
 
-// ddl broadcasts one DDL statement and records a created or dropped table.
-// Only DROP TABLE waits for the loads acked before it (see dropTable): a
-// logged record applies the same way before or after a CREATE INDEX, and a
-// CREATE TABLE is what a record replayed ahead of its table waits for.
-func (r *Router) ddl(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
-	drop, isDrop := stmt.(*hive.DropTableStmt)
-	if isDrop {
-		if err := r.enterDrop(ctx); err != nil {
-			return nil, err
-		}
-		defer r.drops.exitDrop()
+// ddl logs one DDL statement in every shard's log and returns once every
+// shard has applied it, with shard 0's message. It holds the ordering lock
+// exclusively over its checks and appends only, so each load is logged
+// wholly before or after it; the catalog changes at commit. A stalled
+// applier refuses it at once. ctx bounds only the wait.
+func (r *Router) ddl(ctx context.Context, stmt hive.Stmt) (*hive.Result, error) {
+	table, text, ok := hive.DDL(stmt)
+	if !ok {
+		return nil, fmt.Errorf("shard: unsupported statement %T", stmt)
 	}
-	res, err := r.broadcast(ctx, stmt, opts)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("shard: statement not started: %w", err)
+	}
+	done := make([]<-chan wal.DDLResult, len(r.sets))
+	errs := make([]error, len(r.sets))
+	r.order.Lock()
+	e := r.wal.Load()
+	at := &loggedDDL{e: e, lsns: make([]uint64, len(r.sets))}
+	err := r.checkDDL(stmt)
+	for _, ss := range e.Stats() {
+		if rs := ss.Replicas[0]; rs.Stalled != "" {
+			err = fmt.Errorf("shard: DDL refused: shard %d's applier is stalled on lsn %d: %s", ss.Shard, rs.AppliedLSN+1, rs.Stalled)
+		}
+	}
+	logged := false
+	for si := 0; err == nil && si < len(r.sets); si++ {
+		at.lsns[si], done[si], errs[si] = e.Append(ctx, si, wal.Record{Table: table, DDL: text})
+		logged = logged || errs[si] == nil
+	}
+	if logged { // the catalog follows the logs, which roll it forward
+		r.catalogDDL(stmt, at)
+	}
+	r.order.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if isDrop {
-		delete(r.tables, strings.ToLower(drop.Name))
-	} else if s, ok := stmt.(*hive.CreateTableStmt); ok {
-		schema := storage.NewSchema(s.Cols...)
-		r.tables[strings.ToLower(s.Name)] = &tableMeta{schema: schema, keyIdx: schema.ColIndex(r.cfg.Key)}
-	}
-	return res, nil
-}
-
-// enterDrop takes the drop gate — no load commits until the caller's
-// exitDrop — and waits until every load acked before it has applied, so no
-// logged record is left to apply to the dropped table (its applier would
-// retry it forever) or into a later table of the same name. A stalled
-// applier fails the drop at once, naming the record it is stuck on: the
-// drain would only wait out ctx behind it.
-func (r *Router) enterDrop(ctx context.Context) error {
-	if err := r.drops.enterDrop(ctx); err != nil {
-		return fmt.Errorf("shard: DROP TABLE waits for the loads committing before it: %w", err)
-	}
-	e := r.wal.Load()
-	for _, ss := range e.Stats() {
-		for _, rs := range ss.Replicas {
-			if rs.Stalled != "" {
-				r.drops.exitDrop()
-				return fmt.Errorf("shard: DROP TABLE refused: shard %d's applier is stalled on lsn %d: %s", ss.Shard, rs.AppliedLSN+1, rs.Stalled)
-			}
+	msgs := make([]string, len(r.sets))
+	for si, ch := range done {
+		if ch == nil {
+			continue
+		}
+		select {
+		case res := <-ch:
+			msgs[si], errs[si] = res.Message, res.Err
+		case <-ctx.Done():
+			return nil, fmt.Errorf("shard: %s is logged, waiting for shard %d to apply it: %w", text, si, ctx.Err())
 		}
 	}
-	if err := e.Drain(ctx); err != nil {
-		r.drops.exitDrop()
-		return fmt.Errorf("shard: DROP TABLE waits for the loads acked before it: %w", err)
+	if err := fleetOutcome("DDL", errs); err != nil {
+		return nil, err
+	}
+	return &hive.Result{Message: msgs[0]}, nil
+}
+
+// checkDDL refuses, with the warehouse's own error, CREATE TABLE of a table
+// the catalog holds, and DROP TABLE or CREATE INDEX of one it does not. A
+// live statement and a recovered one (openWAL) take it, then catalogDDL.
+func (r *Router) checkDDL(stmt hive.Stmt) error {
+	table, _, _ := hive.DDL(stmt)
+	_, create := stmt.(*hive.CreateTableStmt)
+	switch exists := r.meta(table) != nil; {
+	case create && exists:
+		return fmt.Errorf("hive: table %q already exists", table)
+	case !create && !exists:
+		return fmt.Errorf("hive: table %q does not exist", table)
 	}
 	return nil
 }
 
-// broadcast runs one statement on every shard's warehouse concurrently and
-// returns shard 0's result. It runs whether or not the shard's replicas are
-// live: the warehouse, not a replica, holds the catalog. On error the fleet
-// may diverge (some shards applied the DDL, some did not); the returned
-// error enumerates every shard's outcome — which shard failed and why, and
-// which shards applied the statement — so an operator knows exactly what
-// needs repair instead of seeing one error and guessing.
-func (r *Router) broadcast(ctx context.Context, stmt hive.Stmt, opts hive.ExecOptions) (*hive.Result, error) {
-	results := make([]*hive.Result, len(r.sets))
-	errs := make([]error, len(r.sets))
-	var wg sync.WaitGroup
-	for i, rs := range r.sets {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = rs.w.ExecParsedContext(ctx, stmt, opts)
-		}()
+// catalogDDL records a logged statement's effect on the catalog; a created
+// table is queryable once every shard has applied it (at).
+func (r *Router) catalogDDL(stmt hive.Stmt, at *loggedDDL) {
+	switch s := stmt.(type) {
+	case *hive.CreateTableStmt:
+		r.addTable(s.Name, storage.NewSchema(s.Cols...)).created.Store(at)
+	case *hive.DropTableStmt:
+		r.mu.Lock()
+		delete(r.tables, strings.ToLower(s.Name))
+		r.mu.Unlock()
 	}
-	wg.Wait()
-	if err := fleetOutcome("broadcast", errs); err != nil {
-		return nil, err
+}
+
+func (r *Router) addTable(name string, schema *storage.Schema) *tableMeta {
+	m := &tableMeta{schema: schema, keyIdx: schema.ColIndex(r.cfg.Key)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.tables[strings.ToLower(name)] = m
+	return m
+}
+
+// queryable returns a table a SELECT may scatter over: one in the catalog
+// whose CREATE every shard has applied. Until then the shards answer from
+// different catalogs — a dropped table's rows, or a re-created one routed by
+// its new key over the old copies — so the SELECT is refused. (A CREATE
+// INDEX changes no answer, and a DROP takes the table out of the catalog.)
+func (r *Router) queryable(table string) (*tableMeta, error) {
+	m := r.meta(table)
+	if m == nil {
+		return nil, fmt.Errorf("hive: table %q does not exist", table)
 	}
-	return results[0], nil
+	if at := m.created.Load(); at != nil {
+		for _, ss := range at.e.Stats() {
+			if applied := ss.Replicas[0].AppliedLSN; applied < at.lsns[ss.Shard] {
+				return nil, fmt.Errorf("shard: table %q is not queryable yet: shard %d has applied its log through lsn %d, the table's CREATE is at lsn %d",
+					table, ss.Shard, applied, at.lsns[ss.Shard])
+			}
+		}
+		m.created.CompareAndSwap(at, nil)
+	}
+	return m, nil
 }
 
 // fleetOutcome folds the per-shard errors of one fleet-wide write — a DDL
-// broadcast or a routed load — into a single error that names every failed
+// statement or a routed load — into a single error that names every failed
 // shard and the shards that applied, so an operator knows exactly what needs
 // repair (nil when everything applied). A single shard passes its error
 // through untouched, keeping a one-shard router's errors identical to a bare
@@ -388,8 +437,8 @@ func (e *fleetError) Unwrap() []error { return e.causes }
 //
 // passthrough=true names the single answering warehouse (always shard 0):
 // a one-shard fleet (bit-identical to a bare warehouse — stats and access
-// path included), a table created behind the router (only shard 0 holds
-// it), or a replicated FROM table (every shard holds a full copy). The one
+// path included), or a replicated FROM table (every shard holds a full
+// copy). On a sharded fleet every table must be queryable. The one
 // replicated-FROM exception is a join against a partitioned table: every
 // shard then holds the full FROM copy plus a disjoint slice of the join
 // side, so a full fan-out counts every match exactly once, while shard 0
@@ -405,19 +454,23 @@ func (r *Router) routeSelect(s *hive.SelectStmt) (targets []int, passthrough boo
 	if len(r.sets) == 1 {
 		return nil, true, nil
 	}
-	m := r.meta(s.From.Table)
-	if m == nil {
-		return nil, true, nil
+	m, err := r.queryable(s.From.Table)
+	if err != nil {
+		return nil, false, err
+	}
+	var jm *tableMeta
+	if s.Join != nil {
+		if jm, err = r.queryable(s.Join.Table.Table); err != nil {
+			return nil, false, err
+		}
 	}
 	if m.keyIdx < 0 {
-		if s.Join != nil {
-			if jm := r.meta(s.Join.Table.Table); jm != nil && jm.keyIdx >= 0 {
-				return r.allShards(), false, nil
-			}
+		if jm != nil && jm.keyIdx >= 0 {
+			return r.allShards(), false, nil
 		}
 		return nil, true, nil
 	}
-	if err := r.checkJoin(s); err != nil {
+	if err := r.checkJoin(s, jm); err != nil {
 		return nil, false, err
 	}
 	return r.targetShards(s, m), false, nil
@@ -607,18 +660,12 @@ func mergeStats(dst *hive.QueryStats, s hive.QueryStats) {
 	}
 }
 
-// checkJoin verifies a join is answerable shard-locally: the right table is
-// replicated on every shard, or both join columns are the routing key (the
-// tables are then co-partitioned and matching rows share a shard).
-func (r *Router) checkJoin(s *hive.SelectStmt) error {
-	if s.Join == nil {
-		return nil
-	}
-	rm := r.meta(s.Join.Table.Table)
-	if rm == nil || rm.keyIdx < 0 {
-		return nil
-	}
-	if strings.EqualFold(s.Join.Left.Name, r.cfg.Key) && strings.EqualFold(s.Join.Right.Name, r.cfg.Key) {
+// checkJoin verifies a join is answerable shard-locally: the right table
+// (jm, nil without a join) is replicated on every shard, or both join
+// columns are the routing key (the tables are then co-partitioned and
+// matching rows share a shard).
+func (r *Router) checkJoin(s *hive.SelectStmt, jm *tableMeta) error {
+	if jm == nil || jm.keyIdx < 0 || strings.EqualFold(s.Join.Left.Name, r.cfg.Key) && strings.EqualFold(s.Join.Right.Name, r.cfg.Key) {
 		return nil
 	}
 	return fmt.Errorf("shard: join with %q must be on the shard key %q (co-partitioned); join on other columns needs a replicated table (one without the key column)",
@@ -734,16 +781,14 @@ func coerceKey(v storage.Value, kind storage.Kind) storage.Value {
 }
 
 // loadBatches routes rows into per-shard batches by the key column, each in
-// load order and allocated at its size. An unrouted table (created behind
-// the router) batches everything to shard 0; a table without the key column
+// load order and allocated at its size. A table without the key column
 // replicates the full batch to every shard.
 func (r *Router) loadBatches(table string, rows []storage.Row) ([][]storage.Row, error) {
 	batches := make([][]storage.Row, len(r.sets))
 	m := r.meta(table)
 	switch {
 	case m == nil:
-		batches[0] = rows
-		return batches, nil
+		return nil, fmt.Errorf("hive: table %q does not exist", table)
 	case m.keyIdx < 0:
 		for i := range batches {
 			batches[i] = rows
@@ -784,24 +829,20 @@ func (r *Router) TableVersions(names ...string) map[string]uint64 {
 	return out
 }
 
-// TableSchema returns the named table's schema (identical on every shard by
-// DDL broadcast).
+// TableSchema returns the named table's schema from the catalog: the one
+// every shard applies, and the one loads are checked against.
 func (r *Router) TableSchema(name string) (*storage.Schema, error) {
 	if m := r.meta(name); m != nil {
 		return m.schema, nil
 	}
-	return r.sets[0].w.TableSchema(name)
+	return nil, fmt.Errorf("hive: table %q does not exist", name)
 }
 
 // TableInfos merges the shards' catalog snapshots: partitioned tables sum
 // sizes — data and DGFIndex — across shards; replicated tables report shard
-// 0's (each shard holds a full copy — summing would overstate the logical
-// table N-fold).
-// Every table's Version is the same summed counter TableVersions reports —
-// replicated tables included — so the version /tables shows is exactly the
-// version the serving layer's result-cache keys carry; the two views cannot
-// disagree. The rest (schema, format, indexes) is identical everywhere by
-// DDL broadcast.
+// 0's, as each shard holds a full copy. Every Version is the summed counter
+// TableVersions reports, the one the result-cache keys carry. The rest is
+// identical everywhere: every shard applies the same DDL.
 func (r *Router) TableInfos() []hive.TableInfo {
 	infos := r.sets[0].w.TableInfos()
 	for _, rs := range r.sets[1:] {
@@ -830,19 +871,4 @@ func (r *Router) TableInfos() []hive.TableInfo {
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
-}
-
-// ShardSizes reports each shard's byte size of the named table, for balance
-// inspection in tests and tooling.
-func (r *Router) ShardSizes(table string) []int64 {
-	out := make([]int64, len(r.sets))
-	for i, rs := range r.sets {
-		w := rs.w
-		t, err := w.Table(table)
-		if err != nil {
-			continue
-		}
-		out[i] = w.TableSizeBytes(t)
-	}
-	return out
 }

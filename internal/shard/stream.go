@@ -49,8 +49,9 @@ func (r *Router) SelectCursor(ctx context.Context, s *hive.SelectStmt, opts hive
 
 // streamScatter streams every target shard into sink through fanOut. cols
 // is called once every target has planned, so a dead shard fails the open;
-// a shard that planned waits for its siblings before its rows flow, so no
-// row can fill the cursor's buffer before the cursor exists.
+// a shard that planned waits for its siblings before its rows flow, and
+// sends none if one of them failed instead, so no row can fill the cursor's
+// buffer before the cursor exists (the shard would block on it for good).
 func (r *Router) streamScatter(ctx context.Context, s *hive.SelectStmt, opts hive.ExecOptions, targets []int, cols func([]string), sink func(storage.Row) bool) (hive.QueryStats, error) {
 	var unplanned atomic.Int64
 	unplanned.Store(int64(len(targets)))
@@ -71,7 +72,15 @@ func (r *Router) streamScatter(ctx context.Context, s *hive.SelectStmt, opts hiv
 			case <-ctx.Done():
 			}
 		}
-		stats[i], err = r.streamShard(ctx, si, s, opts, shardCols, sink)
+		shardSink := func(row storage.Row) bool {
+			select {
+			case <-planned:
+				return sink(row)
+			default:
+				return false
+			}
+		}
+		stats[i], err = r.streamShard(ctx, si, s, opts, shardCols, shardSink)
 		return err
 	})
 	merged := stats[0]

@@ -77,9 +77,9 @@ func BenchmarkLogAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkCommit: Engine.Commit of one meter record on a two-replica shard
-// over stores that drop the rows — the log's share of an ack: one frame
-// appended to the shard's one log, queued on both replicas.
+// BenchmarkCommit: Engine.Commit of one meter record on a shard of two
+// stores that drop the rows — the log's share of an ack: one frame appended
+// to the shard's one log, queued once for the shard's applier.
 func BenchmarkCommit(b *testing.B) {
 	dir := b.TempDir()
 	e, err := Open(Options{Dir: dir, Fsync: PolicyOff}, [][]Store{{discardStore{}, discardStore{}}})
@@ -104,7 +104,7 @@ func BenchmarkCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(fileSize(b, filepath.Join(dir, "shard-000", shardLogName)))/float64(b.N*benchRecordRows), "bytes/row")
-	// With the appliers parked on their first batch, a commit allocates
+	// With the applier parked on its first batch, a commit allocates
 	// nothing of its own: one frame, encoded into the shard log's buffer.
 	gate := make(chan struct{})
 	parked, err := Open(Options{Dir: b.TempDir(), Fsync: PolicyOff}, [][]Store{{dropStore{gate}, dropStore{gate}}})

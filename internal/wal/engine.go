@@ -1,11 +1,11 @@
 package wal
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
@@ -13,19 +13,29 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
 
-// Store is an apply target of one shard — in production the shard's one
-// *hive.Warehouse, whose LoadRowsByName already bumps table versions and
-// runs incremental DGF index maintenance (dgf.Append) per batch. A store only
-// reads the rows it is given: every store of a shard is handed the same
-// record's rows.
+// Store is an apply target of one shard — in production its one
+// *hive.Warehouse, whose loads bump table versions and maintain the DGF
+// index. A store only reads the rows it is handed.
 type Store interface {
 	LoadRowsByName(table string, rows []storage.Row) error
 }
 
-// ErrNoLiveReplica fails a Commit the shard's log refused (see Log.Append:
-// a failed append or fsync makes the log refuse every later one). Nothing was
-// queued and no LSN was consumed.
-var ErrNoLiveReplica = errors.New("no live replica log accepted the record")
+// DDLStore is a Store that also applies DDL records (*hive.Warehouse): a
+// DDL record fails on a store that is not one.
+type DDLStore interface {
+	Store
+	ApplyDDL(text string) (string, error)
+}
+
+// DDLResult is a DDL record's outcome on its shard.
+type DDLResult struct {
+	Message string
+	Err     error
+}
+
+// ErrLogRefused fails a commit the shard's log refused (see Log): nothing
+// was queued and no LSN was consumed.
+var ErrLogRefused = errors.New("the shard's log refused the record")
 
 // Options configures an Engine.
 type Options struct {
@@ -36,16 +46,15 @@ type Options struct {
 	Dir string
 	// Fsync selects the durability/latency trade-off for appends.
 	Fsync Policy
-	// MaxPendingRows is the per-applier backpressure bound: commits block
-	// (context-aware) while an applier has this many unapplied rows.
-	// Default 1<<20.
+	// MaxPendingRows is the per-shard backpressure bound: load commits
+	// block (context-aware) while the shard's applier has this many
+	// unapplied rows. Default 1<<20.
 	MaxPendingRows int
-	// OnApply, when set, runs after every applied record — the
-	// server hooks result-cache invalidation here so cached answers are
-	// evicted when rows land, not when they are enqueued.
+	// OnApply, when set, runs for every applied record (rows 0 for DDL)
+	// before it counts as applied, so a sync ack or a drain returns after
+	// it: the server evicts cached answers here, when rows land.
 	OnApply func(table string, rows int)
-	// Recorder, when set, receives the trace spans of slow or errored
-	// applies.
+	// Recorder, when set, receives the spans of slow or errored applies.
 	Recorder *trace.Recorder
 }
 
@@ -69,11 +78,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine owns the logs and appliers for a whole fleet: one log and LSN
-// sequencer per shard, one pending queue + applier goroutine per store.
+// Engine owns the logs and appliers for a whole fleet: one log, one LSN
+// sequencer and one applier per shard.
 type Engine struct {
 	opts   Options
 	shards []*shardWAL
+	ddl    []string // the DDL texts the logs held at Open, in log order
 
 	stopSync chan struct{}
 	wg       sync.WaitGroup
@@ -82,28 +92,21 @@ type Engine struct {
 	closed bool
 }
 
-// shardWAL sequences commits for one shard into its one log. Every store of
-// the shard applies that log's records in LSN order.
+// shardWAL is one shard's log, LSN sequencer and applier (run).
 type shardWAL struct {
-	idx  int
-	mu   sync.Mutex // serialises commits
-	log  *Log
-	next uint64 // next LSN to assign (1-based)
-	reps []*applier
-}
+	eng    *Engine
+	idx    int
+	stores []Store
+	mu     sync.Mutex // serialises commits
+	log    *Log
+	next   uint64 // next LSN to assign (1-based)
+	loaded int    // the stores that have loaded pending[0]; run's own
 
-// applier is one store's pending queue and applier state.
-type applier struct {
-	eng   *Engine
-	shard int
-	idx   int
-	store Store
-
-	mu           sync.Mutex
+	qmu          sync.Mutex // guards the queue and the apply state below
 	cond         *sync.Cond
-	pending      []Record
+	pending      []queued
 	pendingRows  int
-	applied      uint64 // LSN high-water mark: everything <= is in the store
+	applied      uint64 // LSN high-water mark: everything <= is in the stores
 	replayTarget uint64 // records <= this were recovered from the log, not live commits
 	closed       bool
 	replayedRows int64 // rows applied by recovery replay
@@ -111,15 +114,18 @@ type applier struct {
 	stalled      string
 }
 
+// queued is a record awaiting its apply; done gets a live DDL's outcome.
+type queued struct {
+	Record
+	done chan DDLResult
+}
+
 // Open recovers (or initialises) the WAL under opts.Dir for a fleet shaped
-// like stores: stores[shard] lists the shard's apply targets, one applier
-// each (a router passes its one warehouse per shard); without a Dir every log
-// is one with no file and there is nothing to recover. Each shard has one
-// log, and every record recovered from it is queued on every store of the
-// shard — the stores are in-memory, so a process restart means every logged
-// record replays from LSN 1. A shard directory holding any other *.wal (a
-// per-replica log from an older layout, whose copies may differ in length)
-// fails the open before any file is touched.
+// like stores: stores[shard] lists the apply targets the shard's applier
+// hands each record to, in order. The stores are in-memory, so every logged
+// record, DDL included, replays from LSN 1 (after rollForwardDDL); without
+// a Dir there is nothing to recover. A shard directory holding any other
+// *.wal (an older per-replica layout) fails the open, touching nothing.
 func Open(opts Options, stores [][]Store) (*Engine, error) {
 	opts = opts.withDefaults()
 	paths := make([]string, len(stores))
@@ -132,27 +138,30 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 		}
 	}
 	e := &Engine{opts: opts, stopSync: make(chan struct{})}
-	for si, reps := range stores {
+	recovered := make([][]Record, len(stores))
+	for si := range stores {
 		l, recs, err := OpenLog(paths[si])
 		if err != nil {
 			e.closeLogs()
 			return nil, err
 		}
-		last := l.LastLSN()
-		sw := &shardWAL{idx: si, log: l, next: last + 1}
-		for ri, st := range reps {
-			rw := &applier{eng: e, shard: si, idx: ri, store: st,
-				pending: slices.Clone(recs), pendingRows: recordRows(recs), replayTarget: last}
-			rw.cond = sync.NewCond(&rw.mu)
-			sw.reps = append(sw.reps, rw)
-		}
+		sw := &shardWAL{eng: e, idx: si, stores: stores[si], log: l, next: l.LastLSN() + 1}
+		sw.cond = sync.NewCond(&sw.qmu)
 		e.shards = append(e.shards, sw)
+		recovered[si] = recs
 	}
-	for _, sw := range e.shards {
-		for _, rw := range sw.reps {
-			e.wg.Add(1)
-			go rw.run()
+	if err := e.rollForwardDDL(recovered); err != nil {
+		e.closeLogs()
+		return nil, err
+	}
+	for si, sw := range e.shards {
+		for _, rec := range recovered[si] {
+			sw.pending = append(sw.pending, queued{Record: rec})
+			sw.pendingRows += len(rec.Rows)
 		}
+		sw.replayTarget = sw.next - 1
+		e.wg.Add(1)
+		go sw.run()
 	}
 	if opts.Fsync == PolicyInterval && opts.Dir != "" {
 		e.wg.Add(1)
@@ -160,6 +169,52 @@ func Open(opts Options, stores [][]Store) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// rollForwardDDL makes every shard's log hold the same DDL records, their
+// texts e.ddl. A statement is appended to the logs one after another with no
+// commit between, and a crash cuts a log only at its tail, so one a crash
+// left in some logs only follows every DDL record the rest kept: it is
+// appended to them. Logs whose DDL differs otherwise fail the open, naming
+// the shard: shards never boot with different catalogs.
+func (e *Engine) rollForwardDDL(recovered [][]Record) error {
+	ddl := make([][]Record, len(recovered))
+	longest := 0
+	for si, recs := range recovered {
+		for _, rec := range recs {
+			if rec.DDL != "" {
+				ddl[si] = append(ddl[si], rec)
+			}
+		}
+		if len(ddl[si]) > len(ddl[longest]) {
+			longest = si
+		}
+	}
+	for si, own := range ddl {
+		for i, rec := range own {
+			if want := ddl[longest][i]; rec.DDL != want.DDL {
+				return fmt.Errorf("wal: shard %d's log holds %q at lsn %d where shard %d's holds %q: the logs disagree on the catalog",
+					si, rec.DDL, rec.LSN, longest, want.DDL)
+			}
+		}
+		sw := e.shards[si]
+		for _, rec := range ddl[longest][len(own):] {
+			rec.LSN = sw.next
+			if err := sw.log.Append(rec, e.opts.Fsync); err != nil {
+				return fmt.Errorf("wal: shard %d: roll %q forward: %w", si, rec.DDL, err)
+			}
+			sw.next++
+			recovered[si] = append(recovered[si], rec)
+		}
+	}
+	for _, rec := range ddl[longest] {
+		e.ddl = append(e.ddl, rec.DDL)
+	}
+	return nil
+}
+
+// RecoveredDDL lists the DDL statements every shard's log held at Open, in
+// log order.
+func (e *Engine) RecoveredDDL() []string { return e.ddl }
 
 // refuseStrayLogs fails when the directory of a shard log holds any other
 // *.wal file, naming it: only the shard log is read, so another log's records
@@ -200,74 +255,98 @@ func (e *Engine) syncLoop() {
 }
 
 // Commit logs one shard's slice of a load and queues it for apply,
-// returning the assigned LSN. The record is appended to the shard's log
-// once and queued on every applier of the shard. If the log refuses the
-// append, the commit fails with nothing logged or queued. ctx gates only the
-// backpressure wait — once appending starts the commit always completes.
+// returning the assigned LSN: WaitCapacity, then Append. If the log refuses
+// the append, the commit fails with ErrLogRefused and nothing logged or
+// queued. ctx gates only the backpressure wait — once appending starts the
+// commit always completes.
 func (e *Engine) Commit(ctx context.Context, shard int, table string, rows []storage.Row) (uint64, error) {
-	if shard < 0 || shard >= len(e.shards) {
-		return 0, fmt.Errorf("wal: commit to unknown shard %d", shard)
+	if err := e.WaitCapacity(ctx, shard); err != nil {
+		return 0, err
 	}
-	sw := e.shards[shard]
-	// Backpressure before taking the commit lock: an applier drowning in
-	// unapplied rows should slow producers, not grow without bound.
-	for _, rw := range sw.reps {
-		if err := rw.waitCapacity(ctx, e.opts.MaxPendingRows); err != nil {
-			return 0, err
+	lsn, _, err := e.Append(ctx, shard, Record{Table: table, Rows: rows})
+	return lsn, err
+}
+
+// WaitCapacity blocks while the shard's applier has MaxPendingRows or more
+// unapplied rows, until ctx ends: an applier drowning in unapplied rows
+// should slow producers, not grow without bound.
+func (e *Engine) WaitCapacity(ctx context.Context, shard int) error {
+	if shard < 0 || shard >= len(e.shards) {
+		return fmt.Errorf("wal: commit to unknown shard %d", shard)
+	}
+	sw, maxRows := e.shards[shard], e.opts.MaxPendingRows
+	sw.qmu.Lock()
+	defer sw.qmu.Unlock()
+	if sw.pendingRows < maxRows || sw.closed {
+		return nil
+	}
+	stop := watchCtx(ctx, sw.cond)
+	defer stop()
+	for sw.pendingRows >= maxRows && !sw.closed {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("wal: backpressure wait: %w", err)
 		}
+		sw.cond.Wait()
+	}
+	return nil
+}
+
+// Append is Commit without the backpressure wait, for a caller that waited
+// in WaitCapacity before taking a lock of its own: it logs rec (a load's
+// rows, or a DDL statement's text naming rec.Table) at the shard's next LSN
+// and queues it. For a DDL record the channel receives the statement's
+// outcome on the shard once applied, or an error if the engine closes
+// first. ctx only carries the trace the append's span joins.
+func (e *Engine) Append(ctx context.Context, shard int, rec Record) (uint64, <-chan DDLResult, error) {
+	if shard < 0 || shard >= len(e.shards) {
+		return 0, nil, fmt.Errorf("wal: commit to unknown shard %d", shard)
+	}
+	var done chan DDLResult
+	if rec.DDL != "" {
+		done = make(chan DDLResult, 1)
 	}
 	var span *trace.Span
 	if parent := trace.FromContext(ctx); parent != nil {
 		span = parent.Child("wal_append")
 		defer span.Finish()
 	}
-
+	sw := e.shards[shard]
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return 0, fmt.Errorf("wal: engine closed")
-	}
+	closed := e.closed
 	e.mu.Unlock()
-
-	rec := Record{LSN: sw.next, Table: table, Rows: rows}
+	if closed {
+		return 0, nil, fmt.Errorf("wal: engine closed")
+	}
+	rec.LSN = sw.next
 	if err := sw.log.Append(rec, e.opts.Fsync); err != nil {
-		return 0, fmt.Errorf("wal: shard %d: %w: %w", shard, ErrNoLiveReplica, err)
+		return 0, nil, fmt.Errorf("wal: shard %d: %w: %w", shard, ErrLogRefused, err)
 	}
 	sw.next++
-	for _, rw := range sw.reps {
-		rw.mu.Lock()
-		rw.pending = append(rw.pending, rec)
-		rw.pendingRows += len(rows)
-		rw.cond.Broadcast()
-		rw.mu.Unlock()
+	sw.qmu.Lock()
+	if sw.closed {
+		sw.tellClosed(queued{rec, done})
+	} else {
+		sw.pending = append(sw.pending, queued{rec, done})
+		sw.pendingRows += len(rec.Rows)
+		sw.cond.Broadcast()
 	}
+	sw.qmu.Unlock()
 	if span != nil {
 		span.Set("shard", shard)
 		span.Set("lsn", rec.LSN)
-		span.Set("rows", len(rows))
+		span.Set("rows", len(rec.Rows))
 		span.Set("fsync", e.opts.Fsync.String())
 	}
-	return rec.LSN, nil
+	return rec.LSN, done, nil
 }
 
-// waitCapacity blocks while the applier is over the pending-rows bound.
-func (rw *applier) waitCapacity(ctx context.Context, maxRows int) error {
-	rw.mu.Lock()
-	defer rw.mu.Unlock()
-	if rw.pendingRows < maxRows || rw.closed {
-		return nil
+// tellClosed answers a DDL record the closed engine will not apply.
+func (sw *shardWAL) tellClosed(q queued) {
+	if q.done != nil {
+		q.done <- DDLResult{Err: fmt.Errorf("wal: engine closed before shard %d applied lsn %d", sw.idx, q.LSN)}
 	}
-	stop := watchCtx(ctx, rw.cond)
-	defer stop()
-	for rw.pendingRows >= maxRows && !rw.closed {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("wal: backpressure wait: %w", err)
-		}
-		rw.cond.Wait()
-	}
-	return nil
 }
 
 // watchCtx broadcasts on cond when ctx is cancelled so cond.Wait loops can
@@ -291,43 +370,42 @@ func watchCtx(ctx context.Context, cond *sync.Cond) func() {
 	return func() { close(quit) }
 }
 
-// run is the store's applier: it applies pending records in LSN order, one
-// logged record per store call, passing the record's rows as they are (a
-// Store only reads them). A store therefore makes the same loads in the same
-// order, live or recovered, so its part files, and therefore scan row order,
-// depend only on the log.
-func (rw *applier) run() {
-	defer rw.eng.wg.Done()
+// run is the shard's applier: it applies pending records in LSN order, one
+// record per store call, passing a load's rows as they are, so the stores'
+// files, and scan row order, depend only on the log. A failed load is
+// retried until it applies; a failed DDL record is answered with its error.
+func (sw *shardWAL) run() {
+	defer sw.eng.wg.Done()
 	backoff := 10 * time.Millisecond
 	for {
-		rw.mu.Lock()
-		for !rw.closed && len(rw.pending) == 0 {
-			rw.cond.Wait()
+		sw.qmu.Lock()
+		for !sw.closed && len(sw.pending) == 0 {
+			sw.cond.Wait()
 		}
-		if rw.closed {
-			rw.mu.Unlock()
+		if sw.closed {
+			sw.qmu.Unlock()
 			return
 		}
-		rec := rw.pending[0]
-		replay := rec.LSN <= rw.replayTarget
-		rw.mu.Unlock()
+		q := sw.pending[0]
+		replay := q.LSN <= sw.replayTarget
+		sw.qmu.Unlock()
 
 		span := trace.New("apply")
-		span.Set("shard", rw.shard)
-		span.Set("table", rec.Table)
-		span.Set("rows", len(rec.Rows))
-		span.Set("lsn", rec.LSN)
-		err := rw.store.LoadRowsByName(rec.Table, rec.Rows)
+		span.Set("shard", sw.idx)
+		span.Set("table", q.Table)
+		span.Set("rows", len(q.Rows))
+		span.Set("lsn", q.LSN)
+		msg, err := sw.apply(q.Record)
 		span.Finish()
-
-		if err != nil {
-			// Never drop a logged record: surface the stall, back off, and
+		what := fmt.Sprintf("WAL apply shard %d table %s", sw.idx, q.Table)
+		if err != nil && q.DDL == "" {
+			// Never drop a logged load: surface the stall, back off, and
 			// retry. The record is durable; the operator can see the error
 			// in /stats and the flight recorder.
-			rw.mu.Lock()
-			rw.stalled = err.Error()
-			rw.mu.Unlock()
-			rw.record(span, fmt.Sprintf("WAL apply shard %d table %s", rw.shard, rec.Table), err)
+			sw.qmu.Lock()
+			sw.stalled = err.Error()
+			sw.qmu.Unlock()
+			sw.record(span, what, err)
 			time.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2
@@ -335,34 +413,62 @@ func (rw *applier) run() {
 			continue
 		}
 		backoff = 10 * time.Millisecond
+		if cb := sw.eng.opts.OnApply; cb != nil {
+			cb(q.Table, len(q.Rows))
+		}
 
-		rw.mu.Lock()
+		sw.qmu.Lock()
 		// Zero the consumed record before reslicing: the backing array
 		// outlives it, and through Record.Rows it would keep every applied
 		// record reachable until a later append happened to reallocate it.
-		rw.pending[0] = Record{}
-		rw.pending = rw.pending[1:]
-		rw.pendingRows -= len(rec.Rows)
-		rw.applied = rec.LSN
-		rw.batches++
+		sw.pending[0] = queued{}
+		sw.pending = sw.pending[1:]
+		sw.pendingRows -= len(q.Rows)
+		sw.applied = q.LSN
+		sw.batches++
 		if replay {
-			rw.replayedRows += int64(len(rec.Rows))
+			sw.replayedRows += int64(len(q.Rows))
 		}
-		rw.stalled = ""
-		rw.cond.Broadcast()
-		rw.mu.Unlock()
+		sw.stalled = ""
+		sw.cond.Broadcast()
+		sw.qmu.Unlock()
 
-		if cb := rw.eng.opts.OnApply; cb != nil {
-			cb(rec.Table, len(rec.Rows))
+		if q.done != nil {
+			q.done <- DDLResult{Message: msg, Err: err}
 		}
-		if span.Wall() >= slowApply {
-			rw.record(span, fmt.Sprintf("WAL apply shard %d table %s", rw.shard, rec.Table), nil)
+		if err != nil || span.Wall() >= slowApply {
+			sw.record(span, what, err)
 		}
 	}
 }
 
-func (rw *applier) record(span *trace.Span, what string, err error) {
-	rec := rw.eng.opts.Recorder
+// apply hands rec to the shard's stores in order. A load resumes at the
+// first store that has not taken it, so a retry loads no store twice. A DDL
+// record runs once on every store and reports the first message and error.
+func (sw *shardWAL) apply(rec Record) (string, error) {
+	if rec.DDL == "" {
+		for ; sw.loaded < len(sw.stores); sw.loaded++ {
+			if err := sw.stores[sw.loaded].LoadRowsByName(rec.Table, rec.Rows); err != nil {
+				return "", err
+			}
+		}
+		sw.loaded = 0
+		return "", nil
+	}
+	var msg string
+	var first error
+	for i, st := range sw.stores {
+		m, err := "", fmt.Errorf("wal: store %d of shard %d cannot apply DDL", i, sw.idx)
+		if ds, ok := st.(DDLStore); ok {
+			m, err = ds.ApplyDDL(rec.DDL)
+		}
+		msg, first = cmp.Or(msg, m), cmp.Or(first, err)
+	}
+	return msg, first
+}
+
+func (sw *shardWAL) record(span *trace.Span, what string, err error) {
+	rec := sw.eng.opts.Recorder
 	if rec == nil {
 		return
 	}
@@ -380,34 +486,32 @@ func (rw *applier) record(span *trace.Span, what string, err error) {
 	rec.Add(tr)
 }
 
-// WaitApplied blocks until every applier of shard has applied through lsn;
-// it fails if the context expires or the engine closes first. Used for
-// ?sync=1 acks, and for every ack of an engine without a directory.
+// WaitApplied blocks until shard's applier has applied through lsn, or
+// fails when ctx ends or the engine closes first (sync acks use it).
 func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("wal: wait on unknown shard %d", shard)
 	}
-	for _, rw := range e.shards[shard].reps {
-		rw.mu.Lock()
-		stop := watchCtx(ctx, rw.cond)
-		for rw.applied < lsn && !rw.closed && ctx.Err() == nil {
-			rw.cond.Wait()
-		}
-		err := ctx.Err()
-		if err == nil && rw.applied < lsn {
-			err = fmt.Errorf("engine closed with shard %d applied through lsn %d of %d", shard, rw.applied, lsn)
-		}
-		rw.mu.Unlock()
-		stop()
-		if err != nil {
-			return fmt.Errorf("wal: sync ack wait: %w", err)
-		}
+	sw := e.shards[shard]
+	sw.qmu.Lock()
+	defer sw.qmu.Unlock()
+	stop := watchCtx(ctx, sw.cond)
+	defer stop()
+	for sw.applied < lsn && !sw.closed && ctx.Err() == nil {
+		sw.cond.Wait()
+	}
+	err := ctx.Err()
+	if err == nil && sw.applied < lsn {
+		err = fmt.Errorf("engine closed with shard %d applied through lsn %d of %d", shard, sw.applied, lsn)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: sync ack wait: %w", err)
 	}
 	return nil
 }
 
-// Drain blocks until every applier has applied everything committed so far
-// (ctx-bounded), then flushes the logs.
+// Drain blocks until every shard's applier has applied everything committed
+// so far (ctx-bounded), then flushes the logs.
 func (e *Engine) Drain(ctx context.Context) error {
 	for _, sw := range e.shards {
 		sw.mu.Lock()
@@ -417,11 +521,6 @@ func (e *Engine) Drain(ctx context.Context) error {
 			return err
 		}
 	}
-	return e.SyncAll()
-}
-
-// SyncAll fsyncs every log (no-op per log when clean).
-func (e *Engine) SyncAll() error {
 	var first error
 	for _, sw := range e.shards {
 		if err := sw.log.Sync(); err != nil && first == nil {
@@ -436,8 +535,8 @@ func (e *Engine) SyncAll() error {
 func (e *Engine) Durable() bool { return e.opts.Dir != "" }
 
 // Close stops appliers and the fsync ticker, flushes, and closes the logs.
-// Pending-but-unapplied records stay in the logs and replay on next Open
-// (without a directory they are dropped, and their WaitApplied fails).
+// Unapplied records replay on the next Open (without a directory they are
+// dropped: their waits fail).
 func (e *Engine) Close() error {
 	return e.shutdown(true)
 }
@@ -459,14 +558,19 @@ func (e *Engine) shutdown(flush bool) error {
 	e.mu.Unlock()
 	close(e.stopSync)
 	for _, sw := range e.shards {
-		for _, rw := range sw.reps {
-			rw.mu.Lock()
-			rw.closed = true
-			rw.cond.Broadcast()
-			rw.mu.Unlock()
-		}
+		sw.qmu.Lock()
+		sw.closed = true
+		sw.cond.Broadcast()
+		sw.qmu.Unlock()
 	}
 	e.wg.Wait()
+	for _, sw := range e.shards {
+		sw.qmu.Lock()
+		for _, q := range sw.pending {
+			sw.tellClosed(q)
+		}
+		sw.qmu.Unlock()
+	}
 	var first error
 	policy := e.opts.Fsync
 	if !flush {
@@ -480,10 +584,9 @@ func (e *Engine) shutdown(flush bool) error {
 	return first
 }
 
-// ReplicaStats is one applier's WAL position for /stats and /metrics: a
-// router's shard has one, whose Replica is 0. LastLSN is the shard log's
-// tail. AppliedBatches counts the records the applier has applied, one store
-// call each; ReplayedRows the rows it applied by recovery replay.
+// ReplicaStats is a shard applier's WAL position for /stats and /metrics
+// (Replica is 0: a shard has one). AppliedBatches counts applied records;
+// ReplayedRows the rows applied by recovery replay.
 type ReplicaStats struct {
 	Replica        int    `json:"replica"`
 	LastLSN        uint64 `json:"last_lsn"`
@@ -510,20 +613,17 @@ func (e *Engine) Stats() []ShardStats {
 		ss := ShardStats{Shard: sw.idx, NextLSN: sw.next}
 		tail := sw.log.LastLSN()
 		sw.mu.Unlock()
-		for _, rw := range sw.reps {
-			rw.mu.Lock()
-			ss.Replicas = append(ss.Replicas, ReplicaStats{
-				Replica:        rw.idx,
-				LastLSN:        tail,
-				AppliedLSN:     rw.applied,
-				PendingRecords: len(rw.pending),
-				PendingRows:    rw.pendingRows,
-				ReplayedRows:   rw.replayedRows,
-				AppliedBatches: rw.batches,
-				Stalled:        rw.stalled,
-			})
-			rw.mu.Unlock()
-		}
+		sw.qmu.Lock()
+		ss.Replicas = []ReplicaStats{{
+			LastLSN:        tail,
+			AppliedLSN:     sw.applied,
+			PendingRecords: len(sw.pending),
+			PendingRows:    sw.pendingRows,
+			ReplayedRows:   sw.replayedRows,
+			AppliedBatches: sw.batches,
+			Stalled:        sw.stalled,
+		}}
+		sw.qmu.Unlock()
 		out = append(out, ss)
 	}
 	return out

@@ -31,6 +31,14 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(encodeFrame(nil, sample))
 	f.Add(encodePayload(nil, Record{LSN: 1, Table: "empty"}))
 	f.Add(encodePayload(nil, Record{LSN: 2, Table: "meterdata", Rows: meterRows(20)}))
+	// DDL records: one whole, framed, and three that must not decode — a
+	// zero-row record with empty text, text cut short, bytes after the text.
+	ddl := encodePayload(nil, Record{LSN: 3, Table: "t", DDL: "CREATE TABLE t (userId bigint, v double) STORED AS RCFILE"})
+	f.Add(ddl)
+	f.Add(encodeFrame(nil, Record{LSN: 4, Table: "t", DDL: "DROP TABLE t"}))
+	f.Add(append(encodePayload(nil, Record{LSN: 5, Table: "t"}), 0))
+	f.Add(ddl[:len(ddl)-4])
+	f.Add(append(ddl, 'x'))
 	// A frame whose header claims far more payload than follows (torn tail).
 	torn := encodeFrame(nil, sample)
 	f.Add(torn[:len(torn)-5])

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,8 +51,7 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Log is one shard's append-only record file. Appends are serialised by
-// an internal mutex; reads of historical records (ScanFrom) open their own
-// descriptor so they never disturb the append offset.
+// an internal mutex.
 //
 // A failed write or fsync is sticky: it may have left a partial frame at the
 // tail, and a record appended behind that frame would be cut off with it
@@ -61,7 +59,7 @@ func ParsePolicy(s string) (Policy, error) {
 // Append returns that error until the log is reopened.
 //
 // A Log opened with an empty path has no file: it keeps the sequence (Append
-// advances LastLSN) and stores nothing, so there is nothing to sync, scan or
+// advances LastLSN) and stores nothing, so there is nothing to sync or
 // close. An Engine opened without a directory runs over such logs.
 type Log struct {
 	path string // "" for a log with no file
@@ -78,7 +76,7 @@ type Log struct {
 // record, truncates any torn tail, and returns the log positioned for
 // appends plus every intact record in LSN order. An empty path opens a log
 // with no file. A checksummed frame that does not decode fails the open and
-// leaves the file as it was (see scanFrom).
+// leaves the file as it was (see scanRecords).
 func OpenLog(path string) (*Log, []Record, error) {
 	if path == "" {
 		return &Log{}, nil, nil
@@ -114,17 +112,14 @@ func OpenLog(path string) (*Log, []Record, error) {
 	return l, recs, nil
 }
 
-// scanRecords reads every record of a log stream: scanFrom(r, 0).
-func scanRecords(r io.Reader) ([]Record, int64, error) { return scanFrom(r, 0) }
-
-// scanFrom reads the frames of a log stream from its start and decodes
-// those whose LSN is at least from. It stops at the first frame that is
-// short, oversized, or fails its checksum — a torn write — and returns the
-// decoded records and the byte offset just past the last good frame. A
+// scanRecords reads and decodes the frames of a log stream from its start.
+// It stops at the first frame that is short, oversized, or fails its
+// checksum — a torn write — and returns the decoded records and the byte
+// offset just past the last good frame. A
 // frame that passes its checksum but does not decode is a format mismatch
 // or a bug, not a torn write: that is an error naming the frame's offset
 // and LSN, so recovery never cuts acknowledged records off behind it.
-func scanFrom(r io.Reader, from uint64) ([]Record, int64, error) {
+func scanRecords(r io.Reader) ([]Record, int64, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var recs []Record
 	var off int64
@@ -146,13 +141,11 @@ func scanFrom(r io.Reader, from uint64) ([]Record, int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, off, nil // corrupt frame
 		}
-		if len(payload) < 8 || binary.LittleEndian.Uint64(payload) >= from {
-			rec, err := decodePayload(payload)
-			if err != nil {
-				return recs, off, fmt.Errorf("record at byte %d (lsn %d) passes its checksum but does not decode: %w", off, rec.LSN, err)
-			}
-			recs = append(recs, rec)
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return recs, off, fmt.Errorf("record at byte %d (lsn %d) passes its checksum but does not decode: %w", off, rec.LSN, err)
 		}
+		recs = append(recs, rec)
 		off += frameHeaderLen + int64(n)
 	}
 }
@@ -229,27 +222,6 @@ func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastLSN
-}
-
-// ScanFrom re-reads the log from disk and returns every intact record with
-// LSN > after; frames at or below it are checksummed but not decoded. It
-// opens a private descriptor, so concurrent appends to the same *Log are
-// safe (callers serialise against commits at a higher level to get a stable
-// upper bound).
-func (l *Log) ScanFrom(after uint64) ([]Record, error) {
-	if l.path == "" || after == math.MaxUint64 {
-		return nil, nil
-	}
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: reopen for replay: %w", err)
-	}
-	defer f.Close()
-	recs, _, err := scanFrom(f, after+1)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %s: %w", l.path, err)
-	}
-	return recs, nil
 }
 
 // Close fsyncs pending bytes (unless the policy is off) and releases the

@@ -1,13 +1,11 @@
-// Package wal implements durable streaming ingest: one append-only
-// write-ahead log per shard plus an applier that applies the log's records
-// to the shard's store one at a time, in LSN order.
-//
-// A load is acknowledged once its record — a monotonic LSN, the target
-// table, and the encoded rows — is appended (and, policy permitting,
-// fsynced) to the log of each shard it touches and queued on the shard's
-// applier. Background appliers drain the queues into the warehouses
-// afterwards, so acks run at log-durability speed while index maintenance
-// happens at apply time.
+// Package wal implements the fleet's one write path: one append-only
+// write-ahead log per shard plus one applier that applies the log's records
+// to the shard's stores one at a time, in LSN order. A record holds the rows
+// of one load that routed to the shard, or one DDL statement's text, which
+// every shard's log carries in its LSN sequence. A load acks once its
+// records are appended (and, policy permitting, fsynced) and queued, so
+// acks run at log speed while index maintenance happens at apply time; a
+// restart rebuilds every shard, catalog included, from its log alone.
 package wal
 
 import (
@@ -20,22 +18,17 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-// Record is one durable ingest unit: every row of one load that routed to
-// one shard, stamped with that shard's next log sequence number. A shard's
-// store applies the one LSN sequence of the shard's log.
+// Record is one durable unit of a shard's log, stamped with the shard's next
+// log sequence number: every row of one load that routed to the shard, or
+// one DDL statement. A shard's stores apply the one LSN sequence of the
+// shard's log.
 type Record struct {
 	LSN   uint64
 	Table string
 	Rows  []storage.Row
-}
-
-// rowCount is a small helper used by batching and stats paths.
-func recordRows(recs []Record) int {
-	n := 0
-	for _, r := range recs {
-		n += len(r.Rows)
-	}
-	return n
+	// DDL is a DDL record's statement text (see hive.DDL), the table it
+	// names in Table; a DDL record has no rows. Empty for a load.
+	DDL string
 }
 
 // On-disk framing: u32 payload length | u32 CRC-32 (IEEE) of payload |
@@ -43,7 +36,9 @@ func recordRows(recs []Record) int {
 //
 //	u64   LSN (little-endian)
 //	uvar  len(table) | table bytes
-//	uvar  row count; when it is not zero:
+//	uvar  row count; when it is zero, a DDL record continues with
+//	uvar  len(text) | text bytes (never empty); a load record ends here.
+//	      When the row count is not zero:
 //	uvar  column count: the widest row's cell count
 //	byte  shapeFull: every row has every column; or shapeRagged: a uvar
 //	      width per row follows
@@ -69,7 +64,7 @@ func recordRows(recs []Record) int {
 // A torn tail (partial header, short payload, or CRC mismatch) marks the
 // end of the recoverable log; OpenLog truncates it away. A frame that
 // passes its CRC but does not decode is not a torn write, and recovery
-// refuses the log instead (see scanFrom).
+// refuses the log instead (see scanRecords).
 const frameHeaderLen = 8
 
 // maxPayloadLen guards recovery against a torn header that happens to
@@ -116,6 +111,10 @@ func appendBody(dst []byte, rec Record, runs bool) ([]byte, int) {
 	dst = append(dst, rec.Table...)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Rows)))
 	if len(rec.Rows) == 0 {
+		if rec.DDL != "" {
+			dst = binary.AppendUvarint(dst, uint64(len(rec.DDL)))
+			dst = append(dst, rec.DDL...)
+		}
 		return dst, 0
 	}
 	// One pass over the rows summarises every column, so each row is read
@@ -332,6 +331,11 @@ func decodePayload(buf []byte) (Record, error) {
 	limit := maxCellsPerByte * len(buf)
 	rec.Table = string(d.next(d.count("table name length", len(buf))))
 	rows := d.count("row count", limit)
+	if d.err == nil && rows == 0 && d.off < len(buf) {
+		if rec.DDL = string(d.next(d.count("DDL text length", len(buf)))); d.err == nil && rec.DDL == "" {
+			d.fail("DDL record with empty text")
+		}
+	}
 	if d.err != nil || rows == 0 {
 		return rec, d.finish()
 	}

@@ -183,15 +183,6 @@ func TestWALUndecodableRecordRefusesLog(t *testing.T) {
 		t.Fatalf("refused log was rewritten: %d bytes, want %d (%v)", len(after), len(data), err)
 	}
 
-	// ScanFrom decodes only the records it returns: from past record 2 the
-	// log reads on, from before it the same refusal.
-	lg := &Log{path: path}
-	if tail, err := lg.ScanFrom(2); err != nil || len(tail) != 1 || tail[0].LSN != 3 {
-		t.Fatalf("ScanFrom(2) = %d records, %v; want record 3", len(tail), err)
-	}
-	if _, err := lg.ScanFrom(1); err == nil || !strings.Contains(err.Error(), "lsn 2") {
-		t.Fatalf("ScanFrom(1) = %v, want the undecodable record 2", err)
-	}
 }
 
 func TestParsePolicy(t *testing.T) {
@@ -296,10 +287,11 @@ func TestWALEngineAppliesInOrder(t *testing.T) {
 	}
 }
 
-// TestWALAppliesOneRecordPerCall: an applier hands each logged record to its
-// store in its own call, in LSN order, with the committed rows slice as it
-// is, even when several records of one table are queued behind a parked
-// apply. Replicas therefore make the same loads whatever their timing.
+// TestWALAppliesOneRecordPerCall: a shard's applier hands each logged record
+// to each of its stores in its own call, in LSN order, with the committed
+// rows slice as it is, even when several records of one table are queued
+// behind an apply parked in the shard's second store. The stores therefore
+// make the same loads whatever their timing.
 func TestWALAppliesOneRecordPerCall(t *testing.T) {
 	gate := make(chan struct{})
 	stores := []*memStore{{}, {gate: gate}}
@@ -337,9 +329,9 @@ func TestWALAppliesOneRecordPerCall(t *testing.T) {
 				t.Errorf("replica %d call %d: got %d rows, not record %d's own rows slice", ri, i, len(got), i+1)
 			}
 		}
-		if n := e.Stats()[0].Replicas[ri].AppliedBatches; n != 3 {
-			t.Errorf("replica %d: AppliedBatches = %d, want 3", ri, n)
-		}
+	}
+	if n := e.Stats()[0].Replicas[0].AppliedBatches; n != 3 {
+		t.Errorf("AppliedBatches = %d, want 3", n)
 	}
 }
 
@@ -427,7 +419,7 @@ func TestWALOneLogPerShard(t *testing.T) {
 }
 
 // TestWALLogFailureIsSticky: a write the shard log refuses fails the commit
-// with ErrNoLiveReplica, consumes no LSN and queues nothing, and the log
+// with ErrLogRefused, consumes no LSN and queues nothing, and the log
 // refuses every later append — even once its file could take writes again —
 // so no acknowledged record lands behind a partial frame. A reopen holds
 // exactly the acknowledged records.
@@ -454,8 +446,8 @@ func TestWALLogFailureIsSticky(t *testing.T) {
 	l.mu.Unlock()
 
 	before := e.Stats()[0]
-	if _, err := e.Commit(ctx, 0, "meter", testRows(100, 1)); !errors.Is(err, ErrNoLiveReplica) {
-		t.Fatalf("commit onto a failed log = %v, want ErrNoLiveReplica", err)
+	if _, err := e.Commit(ctx, 0, "meter", testRows(100, 1)); !errors.Is(err, ErrLogRefused) {
+		t.Fatalf("commit onto a failed log = %v, want ErrLogRefused", err)
 	}
 	// Give the log a working descriptor: it must still refuse.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -465,8 +457,8 @@ func TestWALLogFailureIsSticky(t *testing.T) {
 	l.mu.Lock()
 	l.f = f
 	l.mu.Unlock()
-	if _, err := e.Commit(ctx, 0, "meter", testRows(200, 1)); !errors.Is(err, ErrNoLiveReplica) {
-		t.Fatalf("commit after a log failure = %v, want ErrNoLiveReplica", err)
+	if _, err := e.Commit(ctx, 0, "meter", testRows(200, 1)); !errors.Is(err, ErrLogRefused) {
+		t.Fatalf("commit after a log failure = %v, want ErrLogRefused", err)
 	}
 	if after := e.Stats()[0]; !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused commit moved the engine:\nbefore %+v\nafter  %+v", before, after)
@@ -660,9 +652,10 @@ func TestWALApplierReleasesAppliedRows(t *testing.T) {
 }
 
 // TestWALWithoutDirectory: Options.Dir == "" is the same engine over logs
-// that store nothing: sequencing, appliers, WaitApplied and Stats behave as
-// behind a directory — a store that fails holds its record until it takes
-// it, once — and records die with the engine.
+// that store nothing: sequencing, the applier, WaitApplied and Stats behave
+// as behind a directory — a store that fails holds the shard's record until
+// it takes it, and no store takes it twice — and records die with the
+// engine.
 func TestWALWithoutDirectory(t *testing.T) {
 	stores := [][]*memStore{{{}, {}}}
 	e, err := Open(Options{}, [][]Store{{stores[0][0], stores[0][1]}})
@@ -692,8 +685,8 @@ func TestWALWithoutDirectory(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait on a failing store = %v, want the ctx deadline", err)
 	}
-	if st := e.Stats()[0].Replicas[1]; st.Stalled == "" || st.PendingRecords != 1 {
-		t.Fatalf("failing store's applier: %+v, want stalled with its record pending", st)
+	if st := e.Stats()[0].Replicas[0]; st.Stalled == "" || st.PendingRecords != 1 {
+		t.Fatalf("the shard's applier: %+v, want stalled on the failing store with its record pending", st)
 	}
 	stores[0][1].setFail(false)
 	if err := e.WaitApplied(ctx, 0, lsn); err != nil {
