@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -28,7 +30,8 @@ const historyOps = 80
 // seed generates CREATE and DROP TABLE (TEXTFILE or RCFILE, partitioned or
 // not), CREATE INDEX … AS 'dgf', sync and async loads, drains, Kill and
 // Revive of any replica, and queries through execution and the cursor; a
-// logged fleet also restarts, rebooting from its logs alone.
+// logged fleet also restarts and crashes (a torn append left in one
+// shard's log), rebooting from its logs alone.
 // Every statement must succeed or fail as the oracle's does, a query may
 // fail only when one of the fleet's shards has no live replica, and after
 // every drain each answer must equal the oracle's. A failure names the seed
@@ -138,6 +141,8 @@ func (h *history) step() {
 		h.revive()
 	case n < 66 && h.dir != "":
 		h.restart()
+	case n < 68 && h.dir != "":
+		h.crash()
 	default:
 		h.query(h.pick(h.rng.IntN(10) > 0))
 	}
@@ -221,14 +226,57 @@ func (h *history) drain() {
 	}
 }
 
-// restart closes the fleet's log and boots a fresh router of the same shape
-// over the same directory, issuing no DDL: after a drain, every table and
-// row must be back, from the logs alone.
+// restart closes the fleet's log and reboots it.
 func (h *history) restart() {
 	h.record("restart")
 	if err := h.fleet.CloseWAL(); err != nil {
 		h.fail("close the log: %v", err)
 	}
+	h.reboot()
+}
+
+// crash stops the fleet's log without its final flush, as a killed
+// process would, and leaves a torn append in one shard's log: a strict
+// prefix of the last frame it holds. The reboot must cut those bytes away
+// (the log is back at its length before the tear) and lose no acked load.
+func (h *history) crash() {
+	s := h.rng.IntN(len(h.killed))
+	h.fleet.AbortWAL()
+	path := filepath.Join(h.dir, fmt.Sprintf("shard-%03d", s), "replica-0.wal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	at, n := lastFrame(data)
+	if at < 0 {
+		h.record("crash (shard %d's log holds no frame to tear)", s)
+		h.reboot()
+		return
+	}
+	cut := 1 + h.rng.IntN(n-1)
+	h.record("crash, %d bytes of a %d-byte frame torn onto shard %d's log", cut, n, s)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if _, err := f.Write(data[at : at+cut]); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		h.t.Fatal(err)
+	}
+	h.reboot()
+	if fi, err := os.Stat(path); err != nil {
+		h.t.Fatal(err)
+	} else if fi.Size() != int64(len(data)) {
+		h.fail("shard %d's log is %d bytes after the reboot, want the %d before the tear", s, fi.Size(), len(data))
+	}
+}
+
+// reboot boots a fresh router of the same shape over the fleet's log
+// directory, issuing no DDL: after a drain, every table and row must be
+// back, from the logs alone.
+func (h *history) reboot() {
 	fleet, err := New(Config{Shards: len(h.killed), Replicas: 2, Key: "userId"}, newShardWarehouse)
 	if err != nil {
 		h.t.Fatal(err)

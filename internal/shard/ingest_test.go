@@ -28,21 +28,27 @@ func tearLastRecord(t *testing.T, dir string, shard, keep int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, last := 0, -1
-	for off+8 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+8+n > len(data) {
-			break
-		}
-		last = off
-		off += 8 + n
-	}
+	last, _ := lastFrame(data)
 	if last < 0 {
 		t.Fatalf("no complete record in %s", path)
 	}
 	if err := os.Truncate(path, int64(last+8+keep)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lastFrame returns the offset and length (header included) of the last
+// whole frame of a shard log's bytes; at is -1 when it holds none.
+func lastFrame(data []byte) (at, n int) {
+	at = -1
+	for off := 0; off+8 <= len(data); off += n {
+		size := 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		if off+size > len(data) {
+			break
+		}
+		at, n = off, size
+	}
+	return at, n
 }
 
 // extraMeterRows builds a deterministic batch of meterdata rows beyond the

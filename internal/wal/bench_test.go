@@ -14,6 +14,12 @@ import (
 // 4-shard fleet.
 const benchRecordRows = 500
 
+// maxMeterBytesPerRow is the most a row of a benchRecordRows meter record
+// may cost in the log (about 4.1 bytes: 11 bits of user, 4 of region, 17
+// of reading and the timestamp's one run). TestRecordColumnLayouts holds
+// the payload to it and BenchmarkLogAppend the framed log.
+const maxMeterBytesPerRow = 4.3
+
 // meterRows returns n rows shaped like one shard's slice of a meter load:
 // distinct users from one 2,000-user block in arrival order, each user's
 // region, the batch's one timestamp, and a reading at 0.01 resolution.
@@ -66,7 +72,11 @@ func BenchmarkLogAppend(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(fileSize(b, path))/float64(b.N*benchRecordRows), "bytes/row")
+	perRow := float64(fileSize(b, path)) / float64(b.N*benchRecordRows)
+	b.ReportMetric(perRow, "bytes/row")
+	if perRow > maxMeterBytesPerRow {
+		b.Fatalf("a logged meter row costs %.3f bytes, budget %.1f", perRow, maxMeterBytesPerRow)
+	}
 	if a := testing.AllocsPerRun(20, func() {
 		rec.LSN++
 		if err := l.Append(rec, PolicyOff); err != nil {

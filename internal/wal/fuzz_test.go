@@ -39,6 +39,11 @@ func FuzzWALRecordDecode(f *testing.F) {
 	f.Add(append(encodePayload(nil, Record{LSN: 5, Table: "t"}), 0))
 	f.Add(ddl[:len(ddl)-4])
 	f.Add(append(ddl, 'x'))
+	// Packed columns at widths 1, 7, 8, 63 and 64 and a decimal one at
+	// e = 18.
+	for _, s := range packedSeeds {
+		f.Add(encodePayload(nil, s.rec))
+	}
 	// A frame whose header claims far more payload than follows (torn tail).
 	torn := encodeFrame(nil, sample)
 	f.Add(torn[:len(torn)-5])

@@ -44,20 +44,29 @@ type Record struct {
 //	      width per row follows
 //	cols  column c holds cell c of every row that has one, in row order,
 //	      behind a tag byte naming its layout:
-//	      tagOffsets  kind byte, svar min, per cell uvar (v − min)
+//	      tagOffsets  kind byte, svar min, byte w, then each cell's offset
+//	                  v − min, packed at w bits
 //	      tagRuns     kind byte, svar min, uvar run count, per run
 //	                  uvar (v − min) and uvar length
-//	      tagDecimal  byte e, per cell svar m: the double float64(m)/10^e
+//	      tagDecimal  byte e, svar min, byte w, then each cell's mantissa
+//	                  m (the double float64(m)/10^e) as m − min, packed
+//	                  at w bits
 //	      tagFloat    per cell the 8-byte LE bits
 //	      tagString   per cell uvar length + bytes
 //	      tagMixed    per cell a kind byte and its plain value: svar for
 //	                  int64, time and any other kind, 8-byte LE bits for
 //	                  double, uvar length + bytes for string
 //
+// A packed column of n cells takes ⌈n·w/8⌉ bytes: cell i's offset fills
+// bits i·w to i·w+w−1, counting each byte from its low bit, and the bits
+// after the last cell are zero. min is the column's least value and w the
+// fewest bits that hold its greatest offset, at least 1; the decoder
+// refuses any other min, w or padding, so a record has one spelling.
+//
 // Int64 and time columns (and any kind other than double and string) take
-// tagOffsets or tagRuns, whichever is smaller. A double column takes
+// tagOffsets or tagRuns, whichever is fewer bytes. A double column takes
 // tagDecimal when one e makes every cell bit-identical through the integer
-// written — meter readings at 0.01 resolution cost two or three bytes — and
+// written — meter readings at 0.01 resolution cost about two bytes — and
 // tagFloat otherwise (−0.0, NaN, ±Inf, subnormals, most random doubles). A
 // column whose cells differ in kind is tagMixed.
 //
@@ -72,9 +81,13 @@ const frameHeaderLen = 8
 const maxPayloadLen = 1 << 30
 
 // maxCellsPerByte bounds rows + cells of a record by its payload length,
-// so a decoder sizes nothing it was not given bytes for. Runs can beat the
-// bound (a column of one repeated value costs a few bytes); encodePayload
-// then encodes without runs, where every cell and row costs a byte.
+// so a decoder sizes nothing it was not given bytes for. Without runs a
+// column of n cells costs at least ⌈n/8⌉ bytes (a packed cell at least a
+// bit, a cell of any other layout at least a byte), and a ragged record a
+// byte a row besides, so k ≥ 1 full columns hold (1+k)·rows ≤ 16·k·rows/8:
+// the bound is met exactly by one column of one-bit cells. Runs can beat
+// it (a column of one repeated value costs a few bytes); encodePayload
+// then encodes without runs.
 const maxCellsPerByte = 16
 
 // Row shapes.
@@ -194,10 +207,15 @@ func appendColumn(dst []byte, rows []storage.Row, c int, st colStats, runs bool)
 		}
 		return dst
 	}
-	lo := st.lo
-	if runs && runsSmaller(rows, c, st) {
+	// Runs are chosen against packing by their exact byte count. A run
+	// costs at least two bytes (first offset and length), so a column with
+	// more runs than that affords is packed without trying them.
+	lo, w := st.lo, packWidth(uint64(st.hi)-uint64(st.lo))
+	packed, start := 1+packedLen(st.n, w), len(dst)
+	if runs && 2*st.nruns < packed {
 		dst = append(dst, tagRuns, byte(st.kind))
 		dst = binary.AppendVarint(dst, lo)
+		body := len(dst)
 		dst = binary.AppendUvarint(dst, uint64(st.nruns))
 		var prev int64
 		length := 0
@@ -214,74 +232,99 @@ func appendColumn(dst []byte, rows []storage.Row, c int, st colStats, runs bool)
 			}
 			length++
 		}
-		return binary.AppendUvarint(dst, uint64(length))
+		if dst = binary.AppendUvarint(dst, uint64(length)); len(dst)-body < packed {
+			return dst
+		}
+		dst = dst[:start]
 	}
 	dst = append(dst, tagOffsets, byte(st.kind))
 	dst = binary.AppendVarint(dst, lo)
+	dst = append(dst, byte(w))
+	p := packer{w: uint(w)}
 	for _, row := range rows {
 		if c < len(row) {
-			dst = binary.AppendUvarint(dst, uint64(row[c].I)-uint64(lo))
+			dst = p.put(dst, uint64(row[c].I)-uint64(lo))
 		}
+	}
+	return p.flush(dst)
+}
+
+// packWidth is the packed width of a column whose greatest offset is span:
+// the fewest bits that hold it, at least 1.
+func packWidth(span uint64) int { return max(1, bits.Len64(span)) }
+
+// packedLen is the byte length of n cells packed at w bits.
+func packedLen(n, w int) int { return (n*w + 7) / 8 }
+
+// packer appends offsets packed at w bits, LSB first.
+type packer struct {
+	acc  uint64 // the packed bits not yet appended, from bit 0
+	n, w uint   // len(acc) in bits; the width
+}
+
+// put packs v, which must fit in w bits.
+func (p *packer) put(dst []byte, v uint64) []byte {
+	p.acc |= v << p.n
+	if p.n += p.w; p.n < 64 {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, p.acc)
+	p.n -= 64
+	p.acc = v >> (p.w - p.n) // 0 when v ended exactly at the word's end
+	return dst
+}
+
+// flush appends the bits put has not, zero-padded to a byte.
+func (p *packer) flush(dst []byte) []byte {
+	for i := uint(0); i < p.n; i += 8 {
+		dst = append(dst, byte(p.acc>>i))
 	}
 	return dst
 }
 
-// runsSmaller reports whether integer column c costs fewer bytes as runs
-// than as one offset per cell. With n cells in nruns runs, an offset costs
-// 1 to w bytes, and a run its first offset plus 1 to uvarintLen(n) bytes of
-// length, so runs save at most (n−nruns)·w − nruns bytes and cost at most
-// nruns·(w+uvarintLen(n)): the bounds settle most columns (keys, regions,
-// one timestamp) without another pass.
-func runsSmaller(rows []storage.Row, c int, st colStats) bool {
-	n, nruns, lo := st.n, st.nruns, st.lo
-	w := uvarintLen(uint64(st.hi) - uint64(lo))
-	switch {
-	case nruns >= (n-nruns)*w:
-		return false
-	case uvarintLen(uint64(nruns))+nruns*(w+uvarintLen(uint64(n))) < n:
-		return true
-	}
-	offsets, runs := 0, uvarintLen(uint64(nruns))
-	var prev int64
-	length := 0
-	for _, row := range rows {
-		if c >= len(row) {
-			continue
-		}
-		v := row[c].I
-		l := uvarintLen(uint64(v) - uint64(lo))
-		offsets += l
-		if length == 0 || v != prev {
-			if length > 0 {
-				runs += uvarintLen(uint64(length))
+// appendFloats appends double column c: its mantissas packed at the
+// smallest e that carries every cell (see decimalRange), or else raw bits.
+func appendFloats(dst []byte, rows []storage.Row, c int) []byte {
+	e, lo, hi := decimalRange(rows, c)
+	if e < 0 {
+		dst = append(dst, tagFloat)
+		for _, row := range rows {
+			if c < len(row) {
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(row[c].F))
 			}
-			runs += l
-			prev, length = v, 0
 		}
-		length++
+		return dst
 	}
-	return runs+uvarintLen(uint64(length)) < offsets
+	w := packWidth(uint64(hi) - uint64(lo))
+	dst = append(dst, tagDecimal, byte(e))
+	dst = binary.AppendVarint(dst, lo)
+	dst = append(dst, byte(w))
+	p := packer{w: uint(w)}
+	for _, row := range rows {
+		if c < len(row) {
+			m, _ := storage.Decimal(row[c].F, e)
+			dst = p.put(dst, uint64(m)-uint64(lo))
+		}
+	}
+	return p.flush(dst)
 }
 
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// appendFloats appends double column c in one pass: the exponent e is
-// guessed from the first cell, and every cell is checked through the
-// integer actually written. A cell that needs a larger e restarts the
-// column with it; a cell no e up to storage.MaxDecimalExp carries makes the
-// column raw bits.
-func appendFloats(dst []byte, rows []storage.Row, c int) []byte {
-	start := len(dst)
-	e := -1
+// decimalRange returns the exponent e of double column c and its least and
+// greatest mantissa. e is guessed from the first cell, and every cell is
+// checked through the integer it would be written as; a cell that needs a
+// larger e restarts the column with it. e is −1 when some cell no e up to
+// storage.MaxDecimalExp carries.
+func decimalRange(rows []storage.Row, c int) (e int, lo, hi int64) {
+	e = -1
 	for _, row := range rows {
 		if c < len(row) {
 			e = storage.DecimalExp(row[c].F, 0)
 			break
 		}
 	}
-encode:
+scan:
 	for e >= 0 {
-		dst = append(dst[:start], tagDecimal, byte(e))
+		lo, hi = math.MaxInt64, math.MinInt64
 		for _, row := range rows {
 			if c >= len(row) {
 				continue
@@ -289,19 +332,13 @@ encode:
 			m, ok := storage.Decimal(row[c].F, e)
 			if !ok {
 				e = storage.DecimalExp(row[c].F, e+1)
-				continue encode
+				continue scan
 			}
-			dst = binary.AppendVarint(dst, m)
+			lo, hi = min(lo, m), max(hi, m)
 		}
-		return dst
+		return e, lo, hi
 	}
-	dst = append(dst[:start], tagFloat)
-	for _, row := range rows {
-		if c < len(row) {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(row[c].F))
-		}
-	}
-	return dst
+	return -1, 0, 0
 }
 
 // appendCell appends one cell of a tagMixed column.
@@ -469,26 +506,23 @@ func (d *decoder) column(rows []storage.Row, c int) {
 			d.fail("column %d: integer layout for %v cells", c, kind)
 			return
 		}
-		lo := uint64(d.varint())
 		if tag == tagOffsets {
-			for _, row := range rows {
-				if c < len(row) {
-					row[c] = storage.Value{Kind: kind, I: int64(lo + d.uvarint())}
-				}
-			}
+			d.packed(rows, c, kind)
 			return
 		}
-		d.runs(rows, c, kind, lo)
+		d.runs(rows, c, kind, uint64(d.varint()))
 	case tagDecimal:
 		e := d.u8()
 		if e > storage.MaxDecimalExp {
 			d.fail("column %d: decimal exponent %d exceeds %d", c, e, storage.MaxDecimalExp)
 			return
 		}
+		d.packed(rows, c, storage.KindFloat64)
 		p := storage.Pow10(int(e))
 		for _, row := range rows {
 			if c < len(row) {
-				row[c] = storage.Float64(float64(d.varint()) / p)
+				v := &row[c]
+				v.I, v.F = 0, float64(v.I)/p
 			}
 		}
 	case tagFloat:
@@ -529,7 +563,84 @@ func (d *decoder) column(rows []storage.Row, c int) {
 	}
 }
 
-// runs fills integer column c from its runs.
+// packed fills cell c of every row that has one from a svar min, a width
+// byte and the cells' offsets packed at that width: it sets the cell's
+// kind and its I to min + the offset. (The cells are zero; writing whole
+// Values would also write their strings, behind a GC write barrier while
+// the collector runs.) It refuses every spelling but the encoder's: a
+// width outside 1..64 or wider than the offsets need, a min no cell has,
+// a min + offset past math.MaxInt64, a padding bit set.
+func (d *decoder) packed(rows []storage.Row, c int, kind storage.Kind) {
+	lo, w := uint64(d.varint()), int(d.u8())
+	if d.err == nil && (w == 0 || w > 64) {
+		d.fail("column %d: packed width %d outside 1..64", c, w)
+	}
+	n := 0
+	for _, row := range rows {
+		if c < len(row) {
+			n++
+		}
+	}
+	body := d.next(packedLen(n, w))
+	if d.err != nil {
+		return
+	}
+	if tail := n * w % 8; tail != 0 && body[len(body)-1]>>tail != 0 {
+		d.fail("column %d: padding bits set after the last cell", c)
+		return
+	}
+	u := unpacker{buf: body, w: uint(w), mask: ^uint64(0) >> (64 - w)}
+	least, most := ^uint64(0), uint64(0)
+	for _, row := range rows {
+		if c < len(row) {
+			off := u.get()
+			least, most = min(least, off), max(most, off)
+			row[c].Kind, row[c].I = kind, int64(lo+off)
+		}
+	}
+	switch {
+	case least != 0:
+		d.fail("column %d: min %d is below every cell", c, int64(lo))
+	case most > math.MaxInt64-lo:
+		d.fail("column %d: min %d + offset %d overflows int64", c, int64(lo), most)
+	case packWidth(most) != w:
+		d.fail("column %d: width %d, its offsets need %d", c, w, packWidth(most))
+	}
+}
+
+// unpacker reads offsets packed at w bits, LSB first.
+type unpacker struct {
+	buf  []byte // the bytes not yet loaded into acc
+	acc  uint64 // loaded bits not yet read, from bit 0
+	n, w uint   // len(acc) in bits; the width
+	mask uint64 // the low w bits
+}
+
+func (u *unpacker) get() uint64 {
+	if u.n >= u.w {
+		v := u.acc & u.mask
+		u.acc >>= u.w
+		u.n -= u.w
+		return v
+	}
+	var next uint64
+	k := uint(64)
+	if len(u.buf) >= 8 {
+		next, u.buf = binary.LittleEndian.Uint64(u.buf), u.buf[8:]
+	} else {
+		for i, b := range u.buf {
+			next |= uint64(b) << (8 * i)
+		}
+		k, u.buf = uint(8*len(u.buf)), nil
+	}
+	v := (u.acc | next<<u.n) & u.mask
+	used := u.w - u.n
+	u.acc, u.n = next>>used, k-used
+	return v
+}
+
+// runs fills integer column c from its runs, setting each cell's kind and
+// I as packed does.
 func (d *decoder) runs(rows []storage.Row, c int, kind storage.Kind, lo uint64) {
 	nruns := d.uvarint()
 	r := 0
@@ -547,7 +658,7 @@ func (d *decoder) runs(rows []storage.Row, c int, kind storage.Kind, lo uint64) 
 				d.fail("column %d: runs cover more cells than the column has", c)
 				return
 			}
-			rows[r][c] = storage.Value{Kind: kind, I: v}
+			rows[r][c].Kind, rows[r][c].I = kind, v
 			r++
 		}
 	}

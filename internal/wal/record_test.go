@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -180,13 +184,14 @@ func layouts(t *testing.T, p []byte) [][2]byte {
 }
 
 // TestRecordColumnLayouts: a meter record takes the layouts the format is
-// built for — offsets for users and regions, one run for the batch's
-// timestamp, readings as two-decimal integers — at about six bytes a row.
+// built for — packed offsets for users and regions, one run for the
+// batch's timestamp, readings as packed two-decimal integers — at about
+// four bytes a row.
 func TestRecordColumnLayouts(t *testing.T) {
 	rows := meterRows(benchRecordRows)
 	p := roundTrip(t, "meter record", Record{LSN: 9, Table: "meterdata", Rows: rows})
-	if perRow := float64(len(p)) / float64(len(rows)); perRow > 6.5 {
-		t.Fatalf("a meter row costs %.2f payload bytes, want ≤ 6.5", perRow)
+	if perRow := float64(len(p)) / float64(len(rows)); perRow > maxMeterBytesPerRow {
+		t.Fatalf("a meter row costs %.2f payload bytes, want ≤ %.1f", perRow, maxMeterBytesPerRow)
 	}
 	want := [][2]byte{{tagOffsets, byte(storage.KindInt64)}, {tagOffsets, byte(storage.KindInt64)}, {tagRuns, byte(storage.KindTime)}, {tagDecimal, 2}}
 	if got := layouts(t, p); !reflect.DeepEqual(got, want) {
@@ -212,6 +217,130 @@ func TestRecordColumnLayouts(t *testing.T) {
 		got := layouts(t, p)[0]
 		if got[0] != tc.layout[0] || (got[0] == tagDecimal && got[1] != tc.layout[1]) {
 			t.Fatalf("%s column: layout %v, want %v", tc.name, got, tc.layout)
+		}
+	}
+}
+
+// packedColumn is the payload of a one-column record of n cells whose
+// column is packed: head is its tag and the kind (tagOffsets) or e
+// (tagDecimal), then min lo, w and body as given, spelled right or not.
+func packedColumn(n int, head [2]byte, lo int64, w byte, body []byte) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, 1)
+	p = append(p, 1, 't')
+	p = binary.AppendUvarint(p, uint64(n))
+	p = append(p, 1, shapeFull, head[0], head[1])
+	p = binary.AppendVarint(p, lo)
+	return append(append(p, w), body...)
+}
+
+// pack packs offs at w bits as the encoder does.
+func pack(w int, offs ...uint64) []byte {
+	p := packer{w: uint(w)}
+	var dst []byte
+	for _, o := range offs {
+		dst = p.put(dst, o)
+	}
+	return p.flush(dst)
+}
+
+// TestRecordPackedRefusesOtherSpellings: decodePayload accepts a packed
+// column only as encodePayload writes it — the least cell as min, the
+// fewest bits that hold the greatest offset, zero padding — so decoding
+// and encoding again gives back the bytes read.
+func TestRecordPackedRefusesOtherSpellings(t *testing.T) {
+	ints := [2]byte{tagOffsets, byte(storage.KindInt64)}
+	cents := [2]byte{tagDecimal, 2}
+	padded := pack(3, 0, 2, 7) // 9 bits: 7 padding bits in the second byte
+	padded[1] |= 0x80
+
+	// The cells 3, 5, 10 (and 0.03, 0.05, 0.10): min 3, offsets 0, 2, 7 at
+	// 3 bits.
+	for _, tc := range []struct {
+		name string
+		p    []byte
+		want string // "" for the one right spelling
+	}{
+		{"int64 as written", packedColumn(3, ints, 3, 3, pack(3, 0, 2, 7)), ""},
+		{"decimal as written", packedColumn(3, cents, 3, 3, pack(3, 0, 2, 7)), ""},
+		{"width wider than the offsets need", packedColumn(3, ints, 3, 4, pack(4, 0, 2, 7)), "need 3"},
+		{"decimal width wider than needed", packedColumn(3, cents, 3, 64, pack(64, 0, 2, 7)), "need 3"},
+		{"min below every cell", packedColumn(3, ints, 2, 4, pack(4, 1, 3, 8)), "below every cell"},
+		{"decimal min below every cell", packedColumn(3, cents, 2, 4, pack(4, 1, 3, 8)), "below every cell"},
+		{"padding bit set", packedColumn(3, ints, 3, 3, padded), "padding"},
+		{"width 0", packedColumn(3, ints, 3, 0, nil), "outside 1..64"},
+		{"width 65", packedColumn(3, ints, 3, 65, make([]byte, 25)), "outside 1..64"},
+		{"body cut short", packedColumn(3, ints, 3, 3, pack(3, 0, 2, 7)[:1]), "truncated"},
+		{"body cut to nothing", packedColumn(3, ints, 3, 3, nil), "truncated"},
+		{"min + offset past MaxInt64", packedColumn(2, ints, math.MaxInt64-1, 2, pack(2, 0, 2)), "overflows"},
+	} {
+		rec, err := decodePayload(tc.p)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.want == "":
+			if p := encodePayload(nil, rec); !bytes.Equal(p, tc.p) {
+				t.Fatalf("%s: re-encodes as %x, not %x", tc.name, p, tc.p)
+			}
+		case err == nil:
+			t.Fatalf("%s: decodes as %v", tc.name, rec.Rows)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Fatalf("%s: error %q, want it to say %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// packedSeeds are records whose one column packs at each width the
+// unpacker treats apart — one bit, under and at a byte, one below and at a
+// whole word (int64's full range) — and a decimal column at the largest e.
+// FuzzWALRecordDecode starts from them.
+var packedSeeds = []struct {
+	rec  Record
+	head [2]byte
+	w    int
+}{
+	{oneColumn(ints(storage.KindInt64, 5, 6, 5)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 1},
+	{oneColumn(ints(storage.KindInt64, -3, 124, 0)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 7},
+	{oneColumn(ints(storage.KindTime, 1356998400, 1356998655)...), [2]byte{tagOffsets, byte(storage.KindTime)}, 8},
+	// Offsets of nine or ten varint bytes, so runs cost more than packing.
+	{oneColumn(ints(storage.KindInt64, 0, math.MaxInt64, 1<<62, math.MaxInt64-1, 1<<62+1, math.MaxInt64-2, 1<<62+2, math.MaxInt64-3)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 63},
+	{oneColumn(ints(storage.KindInt64, math.MinInt64, math.MaxInt64, -1, math.MaxInt64-1, 1, math.MaxInt64-2, 2, math.MaxInt64-3)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 64},
+	{oneColumn(storage.Float64(1e-18), storage.Float64(2.5e-17), storage.Float64(0)), [2]byte{tagDecimal, 18}, 5},
+}
+
+func ints(kind storage.Kind, vals ...int64) []storage.Value {
+	out := make([]storage.Value, len(vals))
+	for i, v := range vals {
+		out[i] = storage.Value{Kind: kind, I: v}
+	}
+	return out
+}
+
+func oneColumn(vals ...storage.Value) Record {
+	rows := make([]storage.Row, len(vals))
+	for i, v := range vals {
+		rows[i] = storage.Row{v}
+	}
+	return Record{LSN: 1, Table: "t", Rows: rows}
+}
+
+// TestRecordPackedSeeds: each packed seed takes the layout and width it
+// stands for and round-trips bit for bit.
+func TestRecordPackedSeeds(t *testing.T) {
+	for _, s := range packedSeeds {
+		p := roundTrip(t, fmt.Sprintf("width %d", s.w), s.rec)
+		if got := layouts(t, p)[0]; got != s.head {
+			t.Fatalf("width %d seed: layout %v, want %v", s.w, got, s.head)
+		}
+		// Past LSN, table, row count, column count, shape, tag, kind or e
+		// and min, the width byte.
+		d := decoder{buf: p, off: 8}
+		d.next(d.count("table name length", len(p)))
+		d.uvarint()
+		d.uvarint()
+		d.next(3)
+		d.varint()
+		if w := int(d.u8()); w != s.w {
+			t.Fatalf("%v packs at %d bits, want %d", s.rec.Rows, w, s.w)
 		}
 	}
 }

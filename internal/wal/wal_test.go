@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -183,6 +184,32 @@ func TestWALUndecodableRecordRefusesLog(t *testing.T) {
 		t.Fatalf("refused log was rewritten: %d bytes, want %d (%v)", len(after), len(data), err)
 	}
 
+}
+
+// TestWALVarintColumnLogRefused: a log written before integer and decimal
+// columns were bit-packed (one varint a cell) is not readable as packed
+// columns, and it is refused like any undecodable frame, not cut away as a
+// torn tail. The payload is meterRows(6) as that encoder wrote it.
+func TestWALVarintColumnLogRefused(t *testing.T) {
+	payload, err := hex.DecodeString("0100000000000000096d65746572646174610604000000da018e0db0098605f7010046000002050007040a030103809c918e0a0100060202c28602f48b0bdaa204e0c709f69a0af6f101")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	data := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+	data = append(data, payload...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := OpenLog(path); err == nil {
+		t.Fatalf("OpenLog read a varint-column log as %d records", len(recs))
+	} else if !strings.Contains(err.Error(), "byte 0 (lsn 1)") {
+		t.Fatalf("error %q does not name the frame", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("refused log was rewritten: %d bytes, want %d (%v)", len(after), len(data), err)
+	}
 }
 
 func TestParsePolicy(t *testing.T) {
