@@ -44,18 +44,18 @@ type Record struct {
 //	      width per row follows
 //	cols  column c holds cell c of every row that has one, in row order,
 //	      behind a tag byte naming its layout:
-//	      tagOffsets  kind byte, svar min, byte w, then each cell's offset
-//	                  v − min, packed at w bits
-//	      tagRuns     kind byte, svar min, uvar run count, per run
-//	                  uvar (v − min) and uvar length
-//	      tagDecimal  byte e, svar min, byte w, then each cell's mantissa
-//	                  m (the double float64(m)/10^e) as m − min, packed
-//	                  at w bits
-//	      tagFloat    per cell the 8-byte LE bits
-//	      tagString   per cell uvar length + bytes
-//	      tagMixed    per cell a kind byte and its plain value: svar for
-//	                  int64, time and any other kind, 8-byte LE bits for
-//	                  double, uvar length + bytes for string
+//	      tagRuns           kind byte, svar min, uvar run count, per run
+//	                        uvar (v − min) and uvar length
+//	      tagFloat          per cell the 8-byte LE bits
+//	      tagString         per cell uvar length + bytes
+//	      tagMixed          per cell a kind byte and its plain value: svar
+//	                        for int64, time and any other kind, 8-byte LE
+//	                        bits for double, uvar length + bytes for string
+//	      tagPacked         kind byte, svar min, byte w, then each cell's
+//	                        offset v − min, packed at w bits
+//	      tagPackedDecimal  byte e, svar min, byte w, then each cell's
+//	                        mantissa m (the double float64(m)/10^e) as
+//	                        m − min, packed at w bits
 //
 // A packed column of n cells takes ⌈n·w/8⌉ bytes: cell i's offset fills
 // bits i·w to i·w+w−1, counting each byte from its low bit, and the bits
@@ -64,11 +64,11 @@ type Record struct {
 // refuses any other min, w or padding, so a record has one spelling.
 //
 // Int64 and time columns (and any kind other than double and string) take
-// tagOffsets or tagRuns, whichever is fewer bytes. A double column takes
-// tagDecimal when one e makes every cell bit-identical through the integer
-// written — meter readings at 0.01 resolution cost about two bytes — and
-// tagFloat otherwise (−0.0, NaN, ±Inf, subnormals, most random doubles). A
-// column whose cells differ in kind is tagMixed.
+// tagPacked or tagRuns, whichever is fewer bytes. A double column takes
+// tagPackedDecimal when one e makes every cell bit-identical through the
+// integer written — meter readings at 0.01 resolution cost about two
+// bytes — and tagFloat otherwise (−0.0, NaN, ±Inf, subnormals, most
+// random doubles). A column whose cells differ in kind is tagMixed.
 //
 // A torn tail (partial header, short payload, or CRC mismatch) marks the
 // end of the recoverable log; OpenLog truncates it away. A frame that
@@ -96,14 +96,19 @@ const (
 	shapeRagged
 )
 
-// Column layouts.
+// Column layouts. Tags 0 and 2 named the varint layouts that integer and
+// decimal columns took before they were bit-packed; the packed layouts
+// take new tags so that no such column decodes as a packed one, and the
+// decoder refuses 0 and 2.
 const (
-	tagOffsets byte = iota
+	tagVarintOffsets byte = iota
 	tagRuns
-	tagDecimal
+	tagVarintDecimal
 	tagFloat
 	tagString
 	tagMixed
+	tagPacked
+	tagPackedDecimal
 )
 
 // encodePayload renders rec's payload (without framing) into dst.
@@ -237,7 +242,7 @@ func appendColumn(dst []byte, rows []storage.Row, c int, st colStats, runs bool)
 		}
 		dst = dst[:start]
 	}
-	dst = append(dst, tagOffsets, byte(st.kind))
+	dst = append(dst, tagPacked, byte(st.kind))
 	dst = binary.AppendVarint(dst, lo)
 	dst = append(dst, byte(w))
 	p := packer{w: uint(w)}
@@ -296,7 +301,7 @@ func appendFloats(dst []byte, rows []storage.Row, c int) []byte {
 		return dst
 	}
 	w := packWidth(uint64(hi) - uint64(lo))
-	dst = append(dst, tagDecimal, byte(e))
+	dst = append(dst, tagPackedDecimal, byte(e))
 	dst = binary.AppendVarint(dst, lo)
 	dst = append(dst, byte(w))
 	p := packer{w: uint(w)}
@@ -500,18 +505,20 @@ func (d *decoder) count(what string, limit int) int {
 // column fills cell c of every row that has one.
 func (d *decoder) column(rows []storage.Row, c int) {
 	switch tag := d.u8(); tag {
-	case tagOffsets, tagRuns:
+	case tagVarintOffsets, tagVarintDecimal:
+		d.fail("column %d: layout %d is a varint column, written before columns were bit-packed", c, tag)
+	case tagPacked, tagRuns:
 		kind := storage.Kind(d.u8())
 		if kind == storage.KindFloat64 || kind == storage.KindString {
 			d.fail("column %d: integer layout for %v cells", c, kind)
 			return
 		}
-		if tag == tagOffsets {
+		if tag == tagPacked {
 			d.packed(rows, c, kind)
 			return
 		}
 		d.runs(rows, c, kind, uint64(d.varint()))
-	case tagDecimal:
+	case tagPackedDecimal:
 		e := d.u8()
 		if e > storage.MaxDecimalExp {
 			d.fail("column %d: decimal exponent %d exceeds %d", c, e, storage.MaxDecimalExp)

@@ -193,7 +193,7 @@ func TestRecordColumnLayouts(t *testing.T) {
 	if perRow := float64(len(p)) / float64(len(rows)); perRow > maxMeterBytesPerRow {
 		t.Fatalf("a meter row costs %.2f payload bytes, want ≤ %.1f", perRow, maxMeterBytesPerRow)
 	}
-	want := [][2]byte{{tagOffsets, byte(storage.KindInt64)}, {tagOffsets, byte(storage.KindInt64)}, {tagRuns, byte(storage.KindTime)}, {tagDecimal, 2}}
+	want := [][2]byte{{tagPacked, byte(storage.KindInt64)}, {tagPacked, byte(storage.KindInt64)}, {tagRuns, byte(storage.KindTime)}, {tagPackedDecimal, 2}}
 	if got := layouts(t, p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("meter column layouts %v, want %v", got, want)
 	}
@@ -205,7 +205,7 @@ func TestRecordColumnLayouts(t *testing.T) {
 		vals   []float64
 		layout [2]byte
 	}{
-		{"restarted", []float64{12.3, 12.34, 0.001}, [2]byte{tagDecimal, 3}},
+		{"restarted", []float64{12.3, 12.34, 0.001}, [2]byte{tagPackedDecimal, 3}},
 		{"17 digits", []float64{12.3, math.Nextafter(0.3, 1)}, [2]byte{tagFloat}},
 		{"negative zero", []float64{1, math.Copysign(0, -1)}, [2]byte{tagFloat}},
 	} {
@@ -215,15 +215,16 @@ func TestRecordColumnLayouts(t *testing.T) {
 		}
 		p := roundTrip(t, tc.name, Record{Rows: rows})
 		got := layouts(t, p)[0]
-		if got[0] != tc.layout[0] || (got[0] == tagDecimal && got[1] != tc.layout[1]) {
+		if got[0] != tc.layout[0] || (got[0] == tagPackedDecimal && got[1] != tc.layout[1]) {
 			t.Fatalf("%s column: layout %v, want %v", tc.name, got, tc.layout)
 		}
 	}
 }
 
 // packedColumn is the payload of a one-column record of n cells whose
-// column is packed: head is its tag and the kind (tagOffsets) or e
-// (tagDecimal), then min lo, w and body as given, spelled right or not.
+// column is packed: head is its tag and the kind (tagPacked) or e
+// (tagPackedDecimal), then min lo, w and body as given, spelled right or
+// not.
 func packedColumn(n int, head [2]byte, lo int64, w byte, body []byte) []byte {
 	p := binary.LittleEndian.AppendUint64(nil, 1)
 	p = append(p, 1, 't')
@@ -248,8 +249,8 @@ func pack(w int, offs ...uint64) []byte {
 // fewest bits that hold the greatest offset, zero padding — so decoding
 // and encoding again gives back the bytes read.
 func TestRecordPackedRefusesOtherSpellings(t *testing.T) {
-	ints := [2]byte{tagOffsets, byte(storage.KindInt64)}
-	cents := [2]byte{tagDecimal, 2}
+	ints := [2]byte{tagPacked, byte(storage.KindInt64)}
+	cents := [2]byte{tagPackedDecimal, 2}
 	padded := pack(3, 0, 2, 7) // 9 bits: 7 padding bits in the second byte
 	padded[1] |= 0x80
 
@@ -298,13 +299,13 @@ var packedSeeds = []struct {
 	head [2]byte
 	w    int
 }{
-	{oneColumn(ints(storage.KindInt64, 5, 6, 5)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 1},
-	{oneColumn(ints(storage.KindInt64, -3, 124, 0)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 7},
-	{oneColumn(ints(storage.KindTime, 1356998400, 1356998655)...), [2]byte{tagOffsets, byte(storage.KindTime)}, 8},
+	{oneColumn(ints(storage.KindInt64, 5, 6, 5)...), [2]byte{tagPacked, byte(storage.KindInt64)}, 1},
+	{oneColumn(ints(storage.KindInt64, -3, 124, 0)...), [2]byte{tagPacked, byte(storage.KindInt64)}, 7},
+	{oneColumn(ints(storage.KindTime, 1356998400, 1356998655)...), [2]byte{tagPacked, byte(storage.KindTime)}, 8},
 	// Offsets of nine or ten varint bytes, so runs cost more than packing.
-	{oneColumn(ints(storage.KindInt64, 0, math.MaxInt64, 1<<62, math.MaxInt64-1, 1<<62+1, math.MaxInt64-2, 1<<62+2, math.MaxInt64-3)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 63},
-	{oneColumn(ints(storage.KindInt64, math.MinInt64, math.MaxInt64, -1, math.MaxInt64-1, 1, math.MaxInt64-2, 2, math.MaxInt64-3)...), [2]byte{tagOffsets, byte(storage.KindInt64)}, 64},
-	{oneColumn(storage.Float64(1e-18), storage.Float64(2.5e-17), storage.Float64(0)), [2]byte{tagDecimal, 18}, 5},
+	{oneColumn(ints(storage.KindInt64, 0, math.MaxInt64, 1<<62, math.MaxInt64-1, 1<<62+1, math.MaxInt64-2, 1<<62+2, math.MaxInt64-3)...), [2]byte{tagPacked, byte(storage.KindInt64)}, 63},
+	{oneColumn(ints(storage.KindInt64, math.MinInt64, math.MaxInt64, -1, math.MaxInt64-1, 1, math.MaxInt64-2, 2, math.MaxInt64-3)...), [2]byte{tagPacked, byte(storage.KindInt64)}, 64},
+	{oneColumn(storage.Float64(1e-18), storage.Float64(2.5e-17), storage.Float64(0)), [2]byte{tagPackedDecimal, 18}, 5},
 }
 
 func ints(kind storage.Kind, vals ...int64) []storage.Value {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,26 +190,57 @@ func TestWALUndecodableRecordRefusesLog(t *testing.T) {
 // TestWALVarintColumnLogRefused: a log written before integer and decimal
 // columns were bit-packed (one varint a cell) is not readable as packed
 // columns, and it is refused like any undecodable frame, not cut away as a
-// torn tail. The payload is meterRows(6) as that encoder wrote it.
+// torn tail. Each payload is a record as that encoder wrote it: meterRows(6);
+// an int64 column {6, 5}, whose varint bytes (min 5, offsets 1 and 0) would
+// read as a well-formed packed column {5, 5} had the packed layouts kept
+// the varint layouts' tags; and a decimal column {0.06, 0.05}.
 func TestWALVarintColumnLogRefused(t *testing.T) {
-	payload, err := hex.DecodeString("0100000000000000096d65746572646174610604000000da018e0db0098605f7010046000002050007040a030103809c918e0a0100060202c28602f48b0bdaa204e0c709f69a0af6f101")
+	for name, h := range map[string]string{
+		"meterRows(6)":  "0100000000000000096d65746572646174610604000000da018e0db0098605f7010046000002050007040a030103809c918e0a0100060202c28602f48b0bdaa204e0c709f69a0af6f101",
+		"int64 {6, 5}":  "0100000000000000017402010000000a0100",
+		"decimal cents": "0100000000000000017402010002020c0a",
+	} {
+		payload, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "wal.log")
+		data := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+		data = append(data, payload...)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, recs, err := OpenLog(path); err == nil {
+			t.Fatalf("%s: OpenLog read a varint-column log as %v", name, recs)
+		} else if !strings.Contains(err.Error(), "byte 0 (lsn 1)") || !strings.Contains(err.Error(), "varint column") {
+			t.Fatalf("%s: error %q does not name the frame and the varint layout", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("%s: refused log was rewritten: %d bytes, want %d (%v)", name, len(after), len(data), err)
+		}
+	}
+}
+
+// TestWALVarintEraRunsRecordReads: the layouts bit packing left alone —
+// runs, floats, strings — kept their tags, so a record the varint build
+// wrote with only those columns reads back the rows it was written from.
+func TestWALVarintEraRunsRecordReads(t *testing.T) {
+	payload, err := hex.DecodeString("0200000000000000017406040001000e01000603000000000000f07f000000000000f07f000000000000f07f000000000000f07f000000000000f07f000000000000f83f040261620261620261620261620261620261620100000200030103")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "wal.log")
-	data := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
-	data = append(data, payload...)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	var want []storage.Row
+	for i := 0; i < 6; i++ {
+		want = append(want, storage.Row{storage.Int64(7), storage.Float64(math.Inf(1)), storage.Str("ab"), storage.Int64(int64(i / 3))})
+	}
+	want[5][1] = storage.Float64(1.5)
+	rec, err := decodePayload(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, recs, err := OpenLog(path); err == nil {
-		t.Fatalf("OpenLog read a varint-column log as %d records", len(recs))
-	} else if !strings.Contains(err.Error(), "byte 0 (lsn 1)") {
-		t.Fatalf("error %q does not name the frame", err)
-	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
-		t.Fatalf("refused log was rewritten: %d bytes, want %d (%v)", len(after), len(data), err)
+	if rec.LSN != 2 || rec.Table != "t" || !reflect.DeepEqual(rec.Rows, want) {
+		t.Fatalf("decoded %d %q %v, want 2 \"t\" %v", rec.LSN, rec.Table, rec.Rows, want)
 	}
 }
 
