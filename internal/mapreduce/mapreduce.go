@@ -22,9 +22,15 @@
 // The shuffle's ordering contract: a reduce task is handed its keys in
 // ascending order and each key's values in ascending byte order, duplicates
 // kept; a combiner sees the same order over one map task's output. The order
-// never depends on which map task finished first. The engine groups pairs by
-// key through a hash map and sorts the distinct keys and each group's values
-// (groupPairs); values of different keys are never compared.
+// never depends on which map task finished first. A map task buffers its
+// output without pointers: it interns each distinct key once (its partition
+// is computed then, not per pair), copies each value into byte chunks that
+// never move, and records each pair as a 16-byte ref — key id, chunk,
+// offset, length — in its partition (shuffleBuf). A reduce task resolves
+// each map task's keys to its groups with one hash lookup per distinct key,
+// not per pair, then sorts the distinct keys and each group's values
+// (groupPairs); values of different keys are never compared. A combiner's
+// output is buffered the same way.
 //
 // A mapper may be scoped to its map task (Job.NewMapper): it sees its split's
 // records in order and emits what it holds when the split ends. That is how a
@@ -210,54 +216,134 @@ func (s *Stats) Add(other Stats) {
 	s.Wall += other.Wall
 }
 
-type kvPair struct {
-	key   string
-	value []byte
+// pairRef is one buffered pair: its key's id and where its value lies in
+// its map task's chunks. It holds no pointer, so the collector never scans
+// the refs and storing one needs no write barrier.
+type pairRef struct {
+	key, chunk, off, len uint32
 }
 
-// partition is one map task's pairs for one reduce task, in arrival order, in
-// blocks that are filled and never copied or grown: the first holds
-// minBlock pairs, each later one twice as many as the one before, up to
-// maxBlock. The reduce task reads the blocks in place (groupPairs).
-type partition [][]kvPair
+// partition is one map task's pairs for one reduce task: the distinct keys,
+// in the order of their first pair, and each pair's ref, in arrival order,
+// naming its key by its index in keys. Every key has at least one pair.
+type partition struct {
+	keys []string
+	refs []pairRef
+}
+
+// shuffleBuf is one map task's output for the shuffle. Each distinct key is
+// interned once — its partition computed and an id assigned at its first
+// pair — and each value is copied into the chunks, which are filled and
+// never moved: the first holds minChunk bytes, each later one twice as many
+// as the one before up to maxChunk, and a longer value gets a chunk of its
+// own. While the task runs its refs are kept in arrival order in blocks
+// that are filled and never copied or grown (the first holds minRefs refs,
+// each later one twice as many up to maxRefs); finish deals them out to
+// their partitions, which the reduce tasks read in place (groupPairs).
+type shuffleBuf struct {
+	parts   []partition // per reduce task, once finished
+	chunks  [][]byte
+	used    int   // bytes of the last chunk filled
+	emitted int64 // key+value bytes of the buffered pairs
+
+	ids     map[string]uint32 // key → id in keys (nil where keys are distinct by construction)
+	keys    []taskKey
+	pending [][]pairRef // by task-wide key id
+	npairs  int
+}
+
+// taskKey is an interned key and its partition.
+type taskKey struct {
+	key  string
+	part int
+}
 
 const (
-	minBlock = 16
-	maxBlock = 1024
+	minChunk = 1 << 10
+	maxChunk = 1 << 20
+	minRefs  = 1 << 6
+	maxRefs  = 1 << 12
 )
 
-func (p *partition) add(kv kvPair) {
-	n := len(*p)
-	if n == 0 || len((*p)[n-1]) == cap((*p)[n-1]) {
-		size := minBlock
-		if n > 0 {
-			size = min(2*cap((*p)[n-1]), maxBlock)
-		}
-		*p = append(*p, make([]kvPair, 0, size))
-		n++
+// emit buffers one pair, copying the value: mappers commonly reuse buffers
+// between emits.
+func (b *shuffleBuf) emit(key string, value []byte) {
+	id, ok := b.ids[key]
+	if !ok {
+		id = b.intern(key, partitionOf(key, len(b.parts)))
+		b.ids[key] = id
 	}
-	(*p)[n-1] = append((*p)[n-1], kv)
+	b.add(id, value)
 }
 
-// pairs returns how many pairs the partition holds.
-func (p partition) pairs() int {
-	n := 0
-	for _, b := range p {
-		n += len(b)
+// intern assigns key, of partition part, the next id.
+func (b *shuffleBuf) intern(key string, part int) uint32 {
+	b.keys = append(b.keys, taskKey{key: key, part: part})
+	return uint32(len(b.keys) - 1)
+}
+
+// add buffers a value of the key with id id.
+func (b *shuffleBuf) add(id uint32, value []byte) {
+	n := len(value)
+	last := len(b.chunks) - 1
+	if last < 0 || n > len(b.chunks[last])-b.used {
+		size := max(n, min(minChunk<<len(b.chunks), maxChunk))
+		b.chunks = append(b.chunks, make([]byte, size))
+		last, b.used = last+1, 0
 	}
-	return n
+	copy(b.chunks[last][b.used:], value)
+	blk := len(b.pending) - 1
+	if blk < 0 || len(b.pending[blk]) == cap(b.pending[blk]) {
+		b.pending = append(b.pending, make([]pairRef, 0, min(minRefs<<len(b.pending), maxRefs)))
+		blk++
+	}
+	b.pending[blk] = append(b.pending[blk], pairRef{key: id, chunk: uint32(last), off: uint32(b.used), len: uint32(n)})
+	b.npairs++
+	b.used += n
+	b.emitted += int64(len(b.keys[id].key) + n)
+}
+
+// finish deals the pending refs out to their partitions, keeping arrival
+// order, and renumbers each partition's keys from 0 in first-pair order.
+func (b *shuffleBuf) finish() {
+	nkeys, nrefs := make([]int, len(b.parts)), make([]int, len(b.parts))
+	local := make([]uint32, len(b.keys))
+	for id, k := range b.keys {
+		local[id] = uint32(nkeys[k.part])
+		nkeys[k.part]++
+	}
+	for _, blk := range b.pending {
+		for _, r := range blk {
+			nrefs[b.keys[r.key].part]++
+		}
+	}
+	keys, refs := make([]string, len(b.keys)), make([]pairRef, b.npairs)
+	for p := range b.parts {
+		b.parts[p] = partition{keys: keys[:0:nkeys[p]], refs: refs[:0:nrefs[p]]}
+		keys, refs = keys[nkeys[p]:], refs[nrefs[p]:]
+	}
+	for _, k := range b.keys {
+		b.parts[k.part].keys = append(b.parts[k.part].keys, k.key)
+	}
+	for _, blk := range b.pending {
+		for _, r := range blk {
+			p := b.keys[r.key].part
+			r.key = local[r.key]
+			b.parts[p].refs = append(b.parts[p].refs, r)
+		}
+	}
+	b.ids, b.keys, b.pending = nil, nil, nil
 }
 
 // mapResult is one split's map-task outcome. ran distinguishes a processed
 // split from one skipped by cancellation or StopEarly (whose zero value must
 // stay out of the job accounting).
 type mapResult struct {
-	parts   []partition // per reduce task
+	shuffle *shuffleBuf // nil for a map-only job
 	bytes   int64
 	records int64
 	seeks   int64
 	skips   int64 // row groups pruned before reading
-	emitted int64 // shuffle bytes from this task
 	err     error
 	ran     bool
 }
@@ -378,7 +464,9 @@ feed:
 		stats.InputRecords += r.records
 		stats.Seeks += r.seeks
 		stats.GroupsSkipped += r.skips
-		stats.ShuffleBytes += r.emitted
+		if r.shuffle != nil {
+			stats.ShuffleBytes += r.shuffle.emitted
+		}
 		if r.skips > 0 {
 			sp.Eventf("split %s: %d records, %d bytes, %d groups skipped", splits[i].Label(), r.records, r.bytes, r.skips)
 		} else {
@@ -413,13 +501,11 @@ feed:
 
 	// ---- Shuffle: each reducer groups the map tasks' buffers in place ----
 	stats.SimShuffleSec = cfg.ScaledShuffleSeconds(stats.ShuffleBytes)
-	var ran []mapResult
+	var ran []*shuffleBuf
 	for _, r := range results {
 		if r.ran {
-			ran = append(ran, r)
-			for _, part := range r.parts {
-				stats.ShufflePairs += int64(part.pairs())
-			}
+			ran = append(ran, r.shuffle)
+			stats.ShufflePairs += int64(r.shuffle.npairs)
 		}
 	}
 
@@ -488,15 +574,10 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 		res.err = err
 		return res
 	}
-	res.parts = make([]partition, numReducers)
 	emit := output
 	if hasReduce {
-		var values arena
-		emit = func(key string, value []byte) {
-			// Copy the value: mappers commonly reuse buffers between emits.
-			res.parts[partitionOf(key, numReducers)].add(kvPair{key: key, value: values.copy(value)})
-			res.emitted += int64(len(key) + len(value))
-		}
+		res.shuffle = &shuffleBuf{parts: make([]partition, numReducers), ids: make(map[string]uint32)}
+		emit = res.shuffle.emit
 	}
 	mapRec := job.Map
 	var mapper TaskMapper
@@ -534,64 +615,34 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 	if fr, ok := reader.(*fileReader); ok {
 		res.skips = fr.skips
 	}
-	if hasReduce && job.Combine != nil {
-		for p := range res.parts {
-			res.parts[p], res.emitted = combinePartition(job.Combine, res.parts[p], res.emitted)
+	if hasReduce {
+		res.shuffle.finish()
+		if job.Combine != nil {
+			res.shuffle = combineBuf(job.Combine, res.shuffle)
 		}
 	}
 	return res
 }
 
-// arena hands out copies of emitted values from a few large chunks, so a map
-// task pays one allocation per chunk instead of one per pair. Chunks double
-// up to arenaMaxChunk; a job that emits a handful of pairs stays small.
-type arena struct {
-	free []byte
-	next int // size of the next chunk
-}
-
-const (
-	arenaMinChunk = 1 << 10
-	arenaMaxChunk = 1 << 20
-)
-
-func (a *arena) copy(value []byte) []byte {
-	n := len(value)
-	if n > len(a.free) {
-		if a.next < arenaMinChunk {
-			a.next = arenaMinChunk
-		}
-		size := a.next
-		if a.next < arenaMaxChunk {
-			a.next *= 2
-		}
-		if n > size {
-			size = n
-		}
-		a.free = make([]byte, size)
-	}
-	// The capacity stops at the copy's end, so appending to a delivered value
-	// cannot run into its neighbour.
-	v := a.free[:n:n]
-	a.free = a.free[n:]
-	copy(v, value)
-	return v
-}
-
-func combinePartition(combine CombineFunc, pairs partition, emitted int64) (partition, int64) {
-	if len(pairs) == 0 {
-		return pairs, emitted
-	}
-	groups, inBytes := groupPairs(pairs)
-	emitted -= inBytes
-	var out partition
-	for _, g := range groups {
-		for _, v := range combine(g.Key, g.Values) {
-			out.add(kvPair{key: g.Key, value: v})
-			emitted += int64(len(g.Key) + len(v))
+// combineBuf runs the combiner over each partition of one map task's output
+// and returns a buffer holding only what it handed back.
+func combineBuf(combine CombineFunc, in *shuffleBuf) *shuffleBuf {
+	out := &shuffleBuf{parts: make([]partition, len(in.parts))}
+	for p := range in.parts {
+		groups, _ := groupPairs([]*shuffleBuf{in}, p)
+		for _, g := range groups {
+			values := combine(g.Key, g.Values)
+			if len(values) == 0 {
+				continue
+			}
+			id := out.intern(g.Key, p)
+			for _, v := range values {
+				out.add(id, v)
+			}
 		}
 	}
-	return out, emitted
+	out.finish()
+	return out
 }
 
 type reduceResult struct {
@@ -601,13 +652,9 @@ type reduceResult struct {
 }
 
 // runReduceTask reduces partition task of every map task that ran.
-func runReduceTask(job *Job, task int, maps []mapResult, output Emit) (res reduceResult) {
-	var parts [][]kvPair // every map task's blocks, in map task order
-	for i := range maps {
-		parts = append(parts, maps[i].parts[task]...)
-	}
+func runReduceTask(job *Job, task int, maps []*shuffleBuf, output Emit) (res reduceResult) {
 	var groups []Group
-	groups, res.inBytes = groupPairs(parts)
+	groups, res.inBytes = groupPairs(maps, task)
 	res.groups = int64(len(groups))
 	if job.ReduceTask != nil {
 		res.err = job.ReduceTask(task, groups, output)
@@ -623,55 +670,72 @@ func runReduceTask(job *Job, task int, maps []mapResult, output Emit) (res reduc
 }
 
 // groupPairs is the shuffle's one ordering step, shared by combiners and
-// reducers. It groups the pairs of the given buffers by key through a hash
-// map, then sorts the distinct keys and each group's values, so the delivered
-// order — keys ascending, values ascending by bytes — does not depend on
-// which map task finished first, while only values of one key are ever
-// compared with each other. The buffers are read in place. The second result
-// is the key+value byte volume of all pairs.
-func groupPairs(parts [][]kvPair) ([]Group, int64) {
-	total := 0
-	for _, part := range parts {
-		total += len(part)
+// reducers. It groups partition p of the given map tasks' buffers by key —
+// one hash lookup per distinct key of each buffer, none per pair — then
+// sorts the distinct keys and each group's values, so the delivered order —
+// keys ascending, values ascending by bytes — does not depend on which map
+// task finished first, while only values of one key are ever compared with
+// each other. The values are read in place. The second result is the
+// key+value byte volume of all pairs.
+func groupPairs(bufs []*shuffleBuf, p int) ([]Group, int64) {
+	total, keys := 0, 0
+	for _, b := range bufs {
+		total += len(b.parts[p].refs)
+		keys += len(b.parts[p].keys)
 	}
 	if total == 0 {
 		return nil, 0
 	}
-	// First pass: number the distinct keys in arrival order and count their
-	// values, remembering each pair's group so the second pass needs no
-	// lookups.
-	index := make(map[string]int32)
-	groupOf := make([]int32, 0, total)
+	// Number the distinct keys in order of appearance, remembering each
+	// buffer's key ids' groups. One buffer's keys are distinct already, so
+	// only several buffers need the index.
+	var index map[string]int32
+	if len(bufs) > 1 {
+		index = make(map[string]int32)
+	}
+	groupOf := make([]int32, 0, keys) // buffer after buffer, by key id
 	var groups []Group
-	var counts []int
-	var volume int64
-	for _, part := range parts {
-		for _, kv := range part {
-			g, ok := index[kv.key]
+	for _, b := range bufs {
+		for _, key := range b.parts[p].keys {
+			g, ok := index[key]
 			if !ok {
 				g = int32(len(groups))
-				index[kv.key] = g
-				groups = append(groups, Group{Key: kv.key})
-				counts = append(counts, 0)
+				if index != nil {
+					index[key] = g
+				}
+				groups = append(groups, Group{Key: key})
 			}
-			counts[g]++
 			groupOf = append(groupOf, g)
-			volume += int64(len(kv.key) + len(kv.value))
 		}
 	}
-	// Second pass: one backing array for every group's values.
+	// Count each group's values, then deal them out of one backing array.
+	counts := make([]int, len(groups))
+	var volume int64
+	local := groupOf
+	for _, b := range bufs {
+		part := &b.parts[p]
+		for _, r := range part.refs {
+			counts[local[r.key]]++
+			volume += int64(r.len)
+		}
+		local = local[len(part.keys):]
+	}
 	backing := make([][]byte, total)
 	for g := range groups {
+		volume += int64(len(groups[g].Key) * counts[g])
 		groups[g].Values = backing[:0:counts[g]]
 		backing = backing[counts[g]:]
 	}
-	i := 0
-	for _, part := range parts {
-		for _, kv := range part {
-			g := groupOf[i]
-			groups[g].Values = append(groups[g].Values, kv.value)
-			i++
+	local = groupOf
+	for _, b := range bufs {
+		part := &b.parts[p]
+		for _, r := range part.refs {
+			g := &groups[local[r.key]]
+			// The capacity stops at the value's end, so appending to a
+			// delivered value cannot run into its neighbour.
+			g.Values = append(g.Values, b.chunks[r.chunk][r.off:r.off+r.len:r.off+r.len])
 		}
+		local = local[len(part.keys):]
 	}
 	slices.SortFunc(groups, func(a, b Group) int { return strings.Compare(a.Key, b.Key) })
 	for _, g := range groups {

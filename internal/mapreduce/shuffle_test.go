@@ -2,9 +2,11 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -249,5 +251,230 @@ func TestPartitionOfIsFNV1a(t *testing.T) {
 				t.Errorf("key %d: partitionOf(%q, %d) = %d, want %d", i, key, n, got, want)
 			}
 		}
+	}
+}
+
+// pairInput is an in-memory InputFormat whose map task s emits splits[s]'s
+// pairs in order (pairMapper), each from a buffer it then overwrites.
+type pairInput struct{ splits [][]pair }
+
+func (in *pairInput) Splits() ([]InputSplit, error) {
+	out := make([]InputSplit, len(in.splits))
+	for i := range out {
+		out[i] = memSplit(i)
+	}
+	return out, nil
+}
+
+func (in *pairInput) Open(split InputSplit) (RecordReader, error) {
+	i := int(split.(memSplit))
+	return &memReader{lines: make([]string, len(in.splits[i])), path: strconv.Itoa(i)}, nil
+}
+
+// pairMapper is one map task of a pairInput job.
+type pairMapper struct {
+	in  *pairInput
+	buf []byte
+}
+
+func (in *pairInput) newMapper() TaskMapper { return &pairMapper{in: in} }
+
+func (m *pairMapper) Map(rec Record, emit Emit) error {
+	s, _ := strconv.Atoi(rec.Path)
+	p := m.in.splits[s][rec.Offset]
+	m.buf = append(m.buf[:0], p.Value...)
+	emit(p.Key, m.buf)
+	for i := range m.buf {
+		m.buf[i] = '!'
+	}
+	return nil
+}
+
+func (m *pairMapper) Close(Emit) error { return nil }
+
+// combined is what a combiner makes of each map task's pairs: per key, the
+// values ascending by bytes handed to combine, and its outputs kept.
+func combined(splits [][]pair, combine CombineFunc) [][]pair {
+	out := make([][]pair, len(splits))
+	for s, ps := range splits {
+		byKey := map[string][][]byte{}
+		for _, p := range ps {
+			byKey[p.Key] = append(byKey[p.Key], bytes.Clone(p.Value))
+		}
+		for _, key := range slices.Sorted(maps.Keys(byKey)) {
+			values := byKey[key]
+			slices.SortFunc(values, bytes.Compare)
+			for _, v := range combine(key, values) {
+				out[s] = append(out[s], pair{Key: key, Value: bytes.Clone(v)})
+			}
+		}
+	}
+	return out
+}
+
+// referenceGroups sorts every pair of partition part by key, then value, and
+// groups them: what a reduce task must be handed.
+func referenceGroups(splits [][]pair, reducers, part int) []Group {
+	var kept []pair
+	for _, ps := range splits {
+		for _, p := range ps {
+			if partitionOf(p.Key, reducers) == part {
+				kept = append(kept, p)
+			}
+		}
+	}
+	slices.SortFunc(kept, func(a, b pair) int {
+		return cmp.Or(strings.Compare(a.Key, b.Key), bytes.Compare(a.Value, b.Value))
+	})
+	var out []Group
+	for _, p := range kept {
+		if len(out) == 0 || out[len(out)-1].Key != p.Key {
+			out = append(out, Group{Key: p.Key})
+		}
+		out[len(out)-1].Values = append(out[len(out)-1].Values, p.Value)
+	}
+	return out
+}
+
+type shuffleCase struct {
+	name    string
+	splits  [][]pair
+	combine CombineFunc
+}
+
+// shuffleCases are map outputs the flat buffers must carry whole: a value
+// longer than the largest chunk between empty ones, one key emitted by every
+// map task between the others, and a combiner whose outputs outgrow its
+// inputs (and which drops some keys altogether).
+func shuffleCases() []shuffleCase {
+	long := bytes.Repeat([]byte("0123456789abcdef"), maxChunk/16+3)
+	long[len(long)-1] = 'z'
+	var interleaved [][]pair
+	for s := 0; s < 5; s++ {
+		var ps []pair
+		for i := 0; i < 400; i++ {
+			ps = append(ps, pair{Key: fmt.Sprintf("k%d", (i*7+s)%37), Value: []byte(fmt.Sprintf("%d/%d", s, i%13))})
+			if i%3 == 0 {
+				ps = append(ps, pair{Key: "every", Value: []byte(fmt.Sprintf("%03d", (i*s)%50))})
+			}
+		}
+		interleaved = append(interleaved, ps)
+	}
+	grow := func(key string, values [][]byte) [][]byte {
+		if strings.HasSuffix(key, "3") {
+			return nil
+		}
+		joined := bytes.Join(values, []byte(","))
+		return [][]byte{append(joined, joined...), bytes.Repeat([]byte{'#'}, 3*len(values)), {}}
+	}
+	return []shuffleCase{
+		{"long and empty values", [][]pair{
+			{{"a", nil}, {"b", []byte("x")}, {"a", long}, {"a", []byte{}}, {"c", long[:maxChunk]}},
+			{{"a", long[1:]}, {"b", nil}, {"c", []byte("after")}, {"c", long[:maxChunk+1]}},
+			{{"b", []byte("y")}, {"a", []byte("tail")}},
+		}, nil},
+		{"one key in every map task", interleaved, nil},
+		{"combiner outgrows its input", interleaved, grow},
+		{"combiner over long values", [][]pair{
+			{{"k3", long}, {"k1", long[:100]}, {"k1", nil}, {"k2", long}},
+			{{"k1", long}, {"k2", []byte("v")}},
+		}, grow},
+	}
+}
+
+// TestShuffleCarriesValuesWhole: whatever the buffers' chunking, a reducer
+// is handed exactly the pairs the map tasks emitted (or their combiners
+// handed back), in the contract's order.
+func TestShuffleCarriesValuesWhole(t *testing.T) {
+	const reducers = 4
+	for _, tc := range shuffleCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &pairInput{splits: tc.splits}
+			want := tc.splits
+			if tc.combine != nil {
+				want = combined(tc.splits, tc.combine)
+			}
+			var mu sync.Mutex
+			got := make([][]Group, reducers)
+			_, err := RunContext(context.Background(), testCfg(), &Job{Name: "whole", Input: in, NewMapper: in.newMapper, Combine: tc.combine, NumReducers: reducers,
+				ReduceTask: func(task int, groups []Group, emit Emit) error {
+					mu.Lock()
+					defer mu.Unlock()
+					for _, g := range groups {
+						got[task] = append(got[task], Group{Key: g.Key, Values: slices.Clone(g.Values)})
+					}
+					return nil
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < reducers; p++ {
+				ref := referenceGroups(want, reducers, p)
+				if len(got[p]) != len(ref) {
+					t.Fatalf("partition %d: %d groups, want %d", p, len(got[p]), len(ref))
+				}
+				for i, g := range ref {
+					if got[p][i].Key != g.Key || !slices.EqualFunc(got[p][i].Values, g.Values, bytes.Equal) {
+						t.Fatalf("partition %d, group %d: key %q with %d values, want key %q with %d values", p, i, got[p][i].Key, len(got[p][i].Values), g.Key, len(g.Values))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShuffleAccounting holds the volumes the cost model reads — ShuffleBytes,
+// ShufflePairs, and each reduce task's input bytes and groups — to sums over
+// the pairs that cross the shuffle, computed naively.
+func TestShuffleAccounting(t *testing.T) {
+	const reducers = 3
+	for _, tc := range shuffleCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &pairInput{splits: tc.splits}
+			job := &Job{Name: "accounting", Input: in, NewMapper: in.newMapper, Combine: tc.combine, NumReducers: reducers,
+				Reduce: func(string, [][]byte, Emit) error { return nil }}
+			crossing := tc.splits
+			if tc.combine != nil {
+				crossing = combined(tc.splits, tc.combine)
+			}
+			var wantBytes, wantPairs int64
+			partBytes := make([]int64, reducers)
+			partKeys := make([]map[string]bool, reducers)
+			for p := range partKeys {
+				partKeys[p] = map[string]bool{}
+			}
+			for _, ps := range crossing {
+				for _, pr := range ps {
+					p := partitionOf(pr.Key, reducers)
+					n := int64(len(pr.Key) + len(pr.Value))
+					wantBytes += n
+					wantPairs++
+					partBytes[p] += n
+					partKeys[p][pr.Key] = true
+				}
+			}
+
+			stats, err := RunContext(context.Background(), testCfg(), job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.ShuffleBytes != wantBytes || stats.ShufflePairs != wantPairs {
+				t.Fatalf("shuffle bytes, pairs = %d, %d; want %d, %d", stats.ShuffleBytes, stats.ShufflePairs, wantBytes, wantPairs)
+			}
+			bufs := make([]*shuffleBuf, len(tc.splits))
+			for s := range tc.splits {
+				r := runMapTask(job, memSplit(s), reducers, true, nil)
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				bufs[s] = r.shuffle
+			}
+			for p := 0; p < reducers; p++ {
+				r := runReduceTask(job, p, bufs, nil)
+				if r.err != nil || r.inBytes != partBytes[p] || r.groups != int64(len(partKeys[p])) {
+					t.Fatalf("reduce task %d: %d input bytes, %d groups, %v; want %d, %d", p, r.inBytes, r.groups, r.err, partBytes[p], len(partKeys[p]))
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package storage
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"strconv"
+)
 
 // Doubles written as decimals: a reading at 0.01 resolution is the integer
 // m with m/10^2 bit-identical to it, which varint-codes in two or three
@@ -42,4 +46,55 @@ func DecimalExp(f float64, from int) int {
 		}
 	}
 	return -1
+}
+
+// parseDouble is strconv.ParseFloat(field, 64), its error wrapped as the
+// decoders report it. A plain decimal — an optional '-', digits and an
+// optional '.' followed by digits, at most 15 digits in all — is
+// float64(m)/10^k for its digits m and its k fraction digits: m < 2^53 and
+// 10^k ≤ 10^15 are exact, so the one IEEE division rounds correctly and
+// gives strconv's value (Clinger's fast path). Anything else — a sign of
+// '+', an exponent, a 16th digit, Inf, NaN — goes to strconv.
+func parseDouble[T string | []byte](field T) (float64, error) {
+	if f, ok := parseDecimal(field); ok {
+		return f, nil
+	}
+	f, err := strconv.ParseFloat(string(field), 64)
+	if err != nil {
+		return 0, fmt.Errorf("storage: parse double %q: %w", field, err)
+	}
+	return f, nil
+}
+
+// parseDecimal is parseDouble's fast path; ok is false where it does not
+// apply.
+func parseDecimal[T string | []byte](field T) (float64, bool) {
+	i, neg := 0, len(field) > 0 && field[0] == '-'
+	if neg {
+		i++
+	}
+	var m uint64
+	digits, point := 0, -1
+	for ; i < len(field); i++ {
+		switch d := field[i]; {
+		case d >= '0' && d <= '9':
+			m = m*10 + uint64(d-'0')
+			digits++
+		case d == '.' && point < 0 && digits > 0:
+			point = digits
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 || digits > 15 || point == digits {
+		return 0, false
+	}
+	f := float64(m)
+	if point >= 0 {
+		f /= pow10[digits-point]
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
 }

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"math"
+	"strconv"
 	"testing"
+	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
@@ -106,4 +109,56 @@ func textCarries(rows []Row) bool {
 		}
 	}
 	return true
+}
+
+// FuzzParseCell holds parseCell over the string and the byte view of a
+// field to strconv and time: a bigint is strconv.ParseInt's, a double
+// strconv.ParseFloat's bit for bit, a timestamp the first of the two
+// layouts time.ParseInLocation accepts or else raw Unix seconds — and each
+// is refused exactly where they refuse it.
+func FuzzParseCell(f *testing.F) {
+	for _, s := range []string{"0", "-0", "12.34", "-0.01", ".5", "5.", "+5", "1e3", "123456789012345",
+		"1234567890123456", "9007199254740993", "Inf", "NaN", "", "9223372036854775808",
+		"2012-12-30", "2012-12-30 23:59:59", "2012-02-30", "2000-02-29", "2100-02-29", "0000-01-01",
+		"2012-12-30 24:00:00", "1356825600"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, kind := range []Kind{KindInt64, KindFloat64, KindTime} {
+			var want Value
+			var werr error
+			switch kind {
+			case KindInt64:
+				var n int64
+				n, werr = strconv.ParseInt(s, 10, 64)
+				want = Int64(n)
+			case KindFloat64:
+				var x float64
+				x, werr = strconv.ParseFloat(s, 64)
+				want = Float64(x)
+			default:
+				if tm, err := time.ParseInLocation("2006-01-02", s, time.UTC); err == nil {
+					want = Time(tm)
+				} else if tm, err := time.ParseInLocation("2006-01-02 15:04:05", s, time.UTC); err == nil {
+					want = Time(tm)
+				} else {
+					var sec int64
+					sec, werr = strconv.ParseInt(s, 10, 64)
+					want = TimeUnix(sec)
+				}
+			}
+			for view, parse := range map[string]func() (Value, error){
+				"string": func() (Value, error) { return parseCell(kind, s) },
+				"bytes":  func() (Value, error) { return parseCell(kind, []byte(s)) },
+			} {
+				got, err := parse()
+				if (err != nil) != (werr != nil) {
+					t.Fatalf("parseCell(%v, %s %q): error %v, reference error %v", kind, view, s, err, werr)
+				}
+				if werr == nil && (got.Kind != want.Kind || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F)) {
+					t.Fatalf("parseCell(%v, %s %q) = %#v, reference %#v", kind, view, s, got, want)
+				}
+			}
+		}
+	})
 }

@@ -245,8 +245,10 @@ func civilFromDays(z int64) (year, month, day int64) {
 func ParseValue(kind Kind, s string) (Value, error) { return parseCell(kind, s) }
 
 // parseCell is ParseValue over a field held as a string or as bytes: the
-// layouts the writers emit parse where they lie, and only a string cell, or
-// a field the fast paths turn down, converts the bytes.
+// layouts the writers emit — plain integers, decimals of up to 15 digits,
+// the two timestamp layouts — parse where they lie through exact fast paths
+// (parseIntStr, parseDouble, parseTimeStr), and only a string cell, or a
+// field the fast paths turn down, converts the bytes.
 func parseCell[T string | []byte](kind Kind, field T) (Value, error) {
 	switch kind {
 	case KindInt64:
@@ -259,9 +261,9 @@ func parseCell[T string | []byte](kind Kind, field T) (Value, error) {
 		}
 		return Int64(i), nil
 	case KindFloat64:
-		f, err := strconv.ParseFloat(string(field), 64)
+		f, err := parseDouble(field)
 		if err != nil {
-			return Value{}, fmt.Errorf("storage: parse double %q: %w", field, err)
+			return Value{}, err
 		}
 		return Float64(f), nil
 	case KindTime:
@@ -289,24 +291,25 @@ func ParseTime(s string) (Value, error) {
 }
 
 // parseTimeStr parses the two layouts the writer emits ("2006-01-02" and
-// "2006-01-02 15:04:05") without going through time.Parse, whose failed
-// layout attempts allocate an error per call — that error was the dominant
-// per-cell allocation when decoding timestamp columns. ok is false for
-// anything the fast path cannot prove equivalent (wrong shape, invalid
-// calendar date); callers fall back to ParseTime, which keeps its exact
-// semantics for arbitrary input.
+// "2006-01-02 15:04:05") where they lie, without time.Parse, whose failed
+// layout attempts allocate an error per call, or time.Date: the seconds
+// are days-from-civil arithmetic. ok is false for anything that is not one
+// of the layouts or not a calendar date and time (month 13, Feb 30, hour
+// 24, second 60) — exactly the strings of those lengths that
+// time.ParseInLocation refuses; callers fall back to ParseTime, which keeps
+// its semantics for arbitrary input.
 func parseTimeStr[T string | []byte](s T) (int64, bool) {
 	if len(s) != len(dateLayout) && len(s) != len(dateTimeLayout) {
 		return 0, false
 	}
-	digits := func(from, to int) (int, bool) {
-		n := 0
+	digits := func(from, to int) (int64, bool) {
+		n := int64(0)
 		for i := from; i < to; i++ {
 			d := s[i]
 			if d < '0' || d > '9' {
 				return 0, false
 			}
-			n = n*10 + int(d-'0')
+			n = n*10 + int64(d-'0')
 		}
 		return n, true
 	}
@@ -316,10 +319,10 @@ func parseTimeStr[T string | []byte](s T) (int64, bool) {
 	year, okY := digits(0, 4)
 	month, okM := digits(5, 7)
 	day, okD := digits(8, 10)
-	if !okY || !okM || !okD || month < 1 || month > 12 {
+	if !okY || !okM || !okD || month < 1 || month > 12 || day < 1 || day > daysIn(year, month) {
 		return 0, false
 	}
-	var hour, min, sec int
+	var hour, min, sec int64
 	if len(s) == len(dateTimeLayout) {
 		if s[10] != ' ' || s[13] != ':' || s[16] != ':' {
 			return 0, false
@@ -332,13 +335,35 @@ func parseTimeStr[T string | []byte](s T) (int64, bool) {
 			return 0, false
 		}
 	}
-	t := time.Date(year, time.Month(month), day, hour, min, sec, 0, time.UTC)
-	if t.Day() != day {
-		// time.Date normalises impossible dates (Feb 30 → Mar 2) where
-		// time.Parse rejects them; defer those to the strict parser.
-		return 0, false
+	return daysFromCivil(year, month, day)*secondsPerDay + hour*3600 + min*60 + sec, true
+}
+
+// daysIn is the number of days of a month of the proleptic Gregorian
+// calendar.
+func daysIn(year, month int64) int64 {
+	if month == 2 {
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
 	}
-	return t.Unix(), true
+	return 30 + (month+month/8)%2
+}
+
+// daysFromCivil is civilFromDays' inverse: the days since 1970-01-01 of a
+// proleptic Gregorian date.
+func daysFromCivil(year, month, day int64) int64 {
+	if month <= 2 {
+		year--
+	}
+	era := year / 400
+	if year < 0 {
+		era = (year - 399) / 400
+	}
+	yoe := year - era*400                     // [0, 399]
+	doy := (153*((month+9)%12)+2)/5 + day - 1 // [0, 365]
+	doe := yoe*365 + yoe/4 - yoe/100 + doy    // [0, 146096]
+	return era*146097 + doe - 719468
 }
 
 // Compare orders two values of the same kind: -1, 0 or +1. Comparing values

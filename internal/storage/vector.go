@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -351,9 +350,9 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 	switch v.Kind {
 	case KindFloat64:
 		return forEachField(text, rows, func(r int, field string) error {
-			f, err := strconv.ParseFloat(field, 64)
+			f, err := parseDouble(field)
 			if err != nil {
-				return fmt.Errorf("storage: parse double %q: %w", field, err)
+				return err
 			}
 			v.Floats[r] = f
 			return nil
@@ -416,9 +415,9 @@ func (v *ColumnVector) decodeRLE(text string, rows int) error {
 		}
 		switch v.Kind {
 		case KindFloat64:
-			f, err := strconv.ParseFloat(val, 64)
+			f, err := parseDouble(val)
 			if err != nil {
-				return fmt.Errorf("storage: parse double %q: %w", val, err)
+				return err
 			}
 			for ; r < end; r++ {
 				v.Floats[r] = f

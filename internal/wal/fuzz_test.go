@@ -44,6 +44,10 @@ func FuzzWALRecordDecode(f *testing.F) {
 	for _, s := range packedSeeds {
 		f.Add(encodePayload(nil, s.rec))
 	}
+	// A runs column as written and the spellings of it the decoder refuses.
+	for _, s := range runsSeeds {
+		f.Add(s.p)
+	}
 	// A frame whose header claims far more payload than follows (torn tail).
 	torn := encodeFrame(nil, sample)
 	f.Add(torn[:len(torn)-5])

@@ -61,7 +61,11 @@ type Record struct {
 // bits i·w to i·w+w−1, counting each byte from its low bit, and the bits
 // after the last cell are zero. min is the column's least value and w the
 // fewest bits that hold its greatest offset, at least 1; the decoder
-// refuses any other min, w or padding, so a record has one spelling.
+// refuses any other min, w or padding. A runs column likewise has the
+// column's least value as min and never two adjacent runs of one value, so
+// a record has one spelling — but for one freedom kept for logs written
+// before bit packing: the encoder writes runs only where they are shorter
+// than packing (below), while the decoder reads runs either way.
 //
 // Int64 and time columns (and any kind other than double and string) take
 // tagPacked or tagRuns, whichever is fewer bytes. A double column takes
@@ -647,16 +651,25 @@ func (u *unpacker) get() uint64 {
 }
 
 // runs fills integer column c from its runs, setting each cell's kind and
-// I as packed does.
+// I as packed does. It refuses a min no run has, a min + offset past
+// math.MaxInt64 and two adjacent runs of one value. It reads runs where
+// packing would be shorter, which the encoder never writes: a log written
+// before columns were bit-packed holds such columns (runs were then chosen
+// against one varint offset a cell) and must still replay.
 func (d *decoder) runs(rows []storage.Row, c int, kind storage.Kind, lo uint64) {
 	nruns := d.uvarint()
 	r := 0
-	for ; nruns > 0 && d.err == nil; nruns-- {
-		v := int64(lo + d.uvarint())
+	least, most, prev := ^uint64(0), uint64(0), uint64(0)
+	for i := uint64(0); i < nruns && d.err == nil; i++ {
+		off := d.uvarint()
 		length := d.uvarint()
-		if length == 0 {
+		switch {
+		case length == 0:
 			d.fail("column %d: empty run", c)
+		case i > 0 && off == prev:
+			d.fail("column %d: two adjacent runs of one value", c)
 		}
+		least, most, prev = min(least, off), max(most, off), off
 		for ; length > 0 && d.err == nil; length-- {
 			for r < len(rows) && c >= len(rows[r]) {
 				r++
@@ -665,7 +678,7 @@ func (d *decoder) runs(rows []storage.Row, c int, kind storage.Kind, lo uint64) 
 				d.fail("column %d: runs cover more cells than the column has", c)
 				return
 			}
-			rows[r][c].Kind, rows[r][c].I = kind, v
+			rows[r][c].Kind, rows[r][c].I = kind, int64(lo+off)
 			r++
 		}
 	}
@@ -673,6 +686,13 @@ func (d *decoder) runs(rows []storage.Row, c int, kind storage.Kind, lo uint64) 
 		if c < len(rows[r]) {
 			d.fail("column %d: runs cover fewer cells than the column has", c)
 		}
+	}
+	switch {
+	case d.err != nil:
+	case least != 0:
+		d.fail("column %d: min %d is below every run", c, int64(lo))
+	case most > math.MaxInt64-lo:
+		d.fail("column %d: min %d + offset %d overflows int64", c, int64(lo), most)
 	}
 }
 

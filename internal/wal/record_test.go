@@ -290,6 +290,61 @@ func TestRecordPackedRefusesOtherSpellings(t *testing.T) {
 	}
 }
 
+// runsColumn is the payload of a one-column record of n int64 cells
+// spelled as min lo and the given (offset, length) runs.
+func runsColumn(n int, lo int64, runs ...[2]uint64) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, 1)
+	p = append(p, 1, 't')
+	p = binary.AppendUvarint(p, uint64(n))
+	p = append(p, 1, shapeFull, tagRuns, byte(storage.KindInt64))
+	p = binary.AppendVarint(p, lo)
+	p = binary.AppendUvarint(p, uint64(len(runs)))
+	for _, r := range runs {
+		p = binary.AppendUvarint(binary.AppendUvarint(p, r[0]), r[1])
+	}
+	return p
+}
+
+// runsSeeds are runs columns, one as encodePayload writes it and the rest
+// spellings decodePayload refuses: the 40 cells 3, 3, …, 3 as min 2 and
+// as two runs of 20, twenty 0s and twenty MaxInt64s from a min past the
+// range, and runs that cover too few or too many cells. FuzzWALRecordDecode
+// starts from them.
+var runsSeeds = []struct {
+	name string
+	p    []byte
+	want string // "" for the one right spelling
+}{
+	{"as written", runsColumn(40, 3, [2]uint64{0, 40}), ""},
+	{"min below every run", runsColumn(40, 2, [2]uint64{1, 40}), "below every run"},
+	{"two adjacent runs of one value", runsColumn(40, 3, [2]uint64{0, 20}, [2]uint64{0, 20}), "two adjacent runs"},
+	{"min + offset past MaxInt64", runsColumn(40, math.MaxInt64-1, [2]uint64{0, 20}, [2]uint64{2, 20}), "overflows"},
+	{"empty run", runsColumn(40, 3, [2]uint64{0, 40}, [2]uint64{1, 0}), "empty run"},
+	{"too few cells", runsColumn(40, 3, [2]uint64{0, 39}), "fewer cells"},
+	{"too many cells", runsColumn(40, 3, [2]uint64{0, 41}), "more cells"},
+}
+
+// TestRecordRunsRefusesOtherSpellings: decodePayload accepts a runs column
+// only with the column's least value as min and without two adjacent runs
+// of one value, so decoding and encoding again gives back the bytes read.
+func TestRecordRunsRefusesOtherSpellings(t *testing.T) {
+	for _, tc := range runsSeeds {
+		rec, err := decodePayload(tc.p)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.want == "":
+			if p := encodePayload(nil, rec); !bytes.Equal(p, tc.p) {
+				t.Fatalf("%s: re-encodes as %x, not %x", tc.name, p, tc.p)
+			}
+		case err == nil:
+			t.Fatalf("%s: decodes as %v", tc.name, rec.Rows)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Fatalf("%s: error %q, want it to say %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // packedSeeds are records whose one column packs at each width the
 // unpacker treats apart — one bit, under and at a byte, one below and at a
 // whole word (int64's full range) — and a decimal column at the largest e.
