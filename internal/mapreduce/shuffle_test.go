@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -344,11 +345,17 @@ type shuffleCase struct {
 
 // shuffleCases are map outputs the flat buffers must carry whole: a value
 // longer than the largest chunk between empty ones, one key emitted by every
-// map task between the others, and a combiner whose outputs outgrow its
-// inputs (and which drops some keys altogether).
+// map task between the others, a combiner whose outputs outgrow its inputs
+// (and which drops some keys altogether), and one map task of 300,000
+// one-byte values, far past the point where the ref blocks stop growing.
 func shuffleCases() []shuffleCase {
 	long := bytes.Repeat([]byte("0123456789abcdef"), maxChunk/16+3)
 	long[len(long)-1] = 'z'
+	var flood []pair
+	for i := 0; i < 300_000; i++ {
+		flood = append(flood, pair{Key: "f" + strconv.Itoa(i%7), Value: long[i%10 : i%10+1]})
+	}
+	flood = append(flood, pair{"f1", long[:5]}, pair{"f2", nil}, pair{"f8", long})
 	var interleaved [][]pair
 	for s := 0; s < 5; s++ {
 		var ps []pair
@@ -379,6 +386,7 @@ func shuffleCases() []shuffleCase {
 			{{"k3", long}, {"k1", long[:100]}, {"k1", nil}, {"k2", long}},
 			{{"k1", long}, {"k2", []byte("v")}},
 		}, grow},
+		{"one long map task", [][]pair{flood, {{"f3", []byte("other")}}}, nil},
 	}
 }
 
@@ -476,5 +484,40 @@ func TestShuffleAccounting(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShuffleChunksStopGrowing: past 64 MiB of values in one map task, the
+// chunks are still maxChunk long — none sized by an overflowed doubling —
+// and every value comes back whole.
+func TestShuffleChunksStopGrowing(t *testing.T) {
+	long := bytes.Repeat([]byte("0123456789abcdef"), maxChunk/16+4)
+	b := &shuffleBuf{parts: make([]partition, 1), ids: make(map[string]uint32)}
+	var want [][]byte
+	for i := 0; i < 65; i++ {
+		want = append(want, long[i%50:i%50+maxChunk-i])
+	}
+	for i := 0; i < 20; i++ {
+		want = append(want, long[i:i+i%3])
+	}
+	for _, v := range want {
+		b.emit("k", v)
+	}
+	// Sizes double from minChunk to maxChunk, so only the first few chunks
+	// are shorter than maxChunk, however many follow.
+	short := 0
+	for _, c := range b.chunks {
+		if len(c) < maxChunk {
+			short++
+		}
+	}
+	if limit := bits.Len(maxChunk/minChunk) - 1; short > limit {
+		t.Fatalf("%d of %d chunks shorter than %d bytes, want at most %d", short, len(b.chunks), maxChunk, limit)
+	}
+	b.finish()
+	groups, _ := groupPairs([]*shuffleBuf{b}, 0)
+	slices.SortFunc(want, bytes.Compare)
+	if len(groups) != 1 || !slices.EqualFunc(groups[0].Values, want, bytes.Equal) {
+		t.Fatalf("values not carried whole: %d groups", len(groups))
 	}
 }
