@@ -152,7 +152,10 @@ type (
 	TraceSpan = trace.SpanSnapshot
 )
 
-// NewServerWithBackend wraps a ShardRouter in a concurrent query service.
+// NewServerWithBackend wraps a ShardRouter in a concurrent query service and
+// opens the router's engine, so hand it a router that has run no statement
+// yet: once anything has committed the engine cannot be replaced, and the
+// server reports that in WALError.
 var NewServerWithBackend = server.NewWithBackend
 
 // Sharding layer: a router that partitions tables across N independent

@@ -352,26 +352,6 @@ func TestAppendRefusesUnreadablePair(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsCorruptBounds: the stored per-dimension bounds complete
-// partially specified queries (Plan step 1); a bound that does not parse used
-// to open as cell 0 and silently plan the wrong region.
-func TestOpenRejectsCorruptBounds(t *testing.T) {
-	ix, _, _ := buildPaperIndex(t, 1<<20)
-	for _, key := range []string{metaMinPrefix + "0", metaMaxPrefix + "1"} {
-		good, _ := ix.KV.Get(key)
-		for _, bad := range []string{"", "3x", "9223372036854775808"} {
-			ix.KV.Put(key, []byte(bad))
-			if _, err := Open(ix.FS, ix.KV, ix.Spec.Name, ix.Schema); err == nil || !strings.Contains(err.Error(), "corrupt bounds") {
-				t.Errorf("%s = %q: Open err = %v", key, bad, err)
-			}
-		}
-		ix.KV.Put(key, good)
-	}
-	if _, err := Open(ix.FS, ix.KV, ix.Spec.Name, ix.Schema); err != nil {
-		t.Fatalf("with the bounds restored: %v", err)
-	}
-}
-
 // planBenchIndex is the golden table (24,000 readings, 12 x 10 x 10 cells)
 // after its build and a late load into the third day's cells, with a range on
 // each of the three dimensions as in the paper's MDRQ.

@@ -288,30 +288,6 @@ func TestCanPrecompute(t *testing.T) {
 	}
 }
 
-func TestOpenRoundTrip(t *testing.T) {
-	ix, _, _ := buildPaperIndex(t, 1<<20)
-	reopened, err := Open(ix.FS, ix.KV, ix.Spec.Name, ix.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.DataDir != ix.DataDir {
-		t.Errorf("DataDir = %q, want %q", reopened.DataDir, ix.DataDir)
-	}
-	if len(reopened.Spec.Policy.Dims) != 2 || reopened.Spec.Policy.Dims[0].Name != "A" {
-		t.Errorf("policy = %+v", reopened.Spec.Policy)
-	}
-	if len(reopened.Spec.Precompute) != 1 || reopened.Spec.Precompute[0].Key() != "sum(c)" {
-		t.Errorf("precompute = %v", reopened.Spec.Precompute)
-	}
-	lo, hi := reopened.Bounds()
-	wantLo, wantHi := ix.Bounds()
-	for i := range lo {
-		if lo[i] != wantLo[i] || hi[i] != wantHi[i] {
-			t.Errorf("bounds dim %d: [%d,%d] want [%d,%d]", i, lo[i], hi[i], wantLo[i], wantHi[i])
-		}
-	}
-}
-
 func TestAppendExtendsIndex(t *testing.T) {
 	ix, _, fs := buildPaperIndex(t, 1<<20)
 	before := ix.Entries()
@@ -968,8 +944,7 @@ func TestBuildAllocBudget(t *testing.T) {
 // TestAppendKeepsSizeWithoutScanning: SizeBytes is a running total, so an
 // Append costs no scan of the key-value store, and after a build, three
 // appends (fresh cells, existing cells, existing cells again) and an added
-// pre-compute the total still equals a full recount — also for a reopened
-// index.
+// pre-compute the total still equals a full recount.
 func TestAppendKeepsSizeWithoutScanning(t *testing.T) {
 	ix, stats, fs := buildPaperIndex(t, 1<<20)
 	// check holds the running totals to a recount of the store (which scans,
@@ -1011,13 +986,6 @@ func TestAppendKeepsSizeWithoutScanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after AddPrecompute", ix.SizeBytes())
-	again, err := Open(fs, ix.KV, ix.Spec.Name, ix.Schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.SizeBytes() != ix.SizeBytes() || again.Entries() != ix.Entries() {
-		t.Errorf("reopened index: SizeBytes %d, Entries %d, want %d and %d", again.SizeBytes(), again.Entries(), ix.SizeBytes(), ix.Entries())
-	}
 }
 
 // wideSchema is a four-column table whose last column is a fat string

@@ -304,26 +304,6 @@ func encodePolicy(p gridfile.Policy) []byte {
 	return []byte(b.String())
 }
 
-func decodePolicy(data []byte) (gridfile.Policy, error) {
-	var p gridfile.Policy
-	for _, line := range strings.Split(string(data), "\n") {
-		parts := strings.Split(line, "\x01")
-		if len(parts) != 3 {
-			return p, fmt.Errorf("dgf: bad policy line %q", line)
-		}
-		kind, err := storage.ParseKind(parts[1])
-		if err != nil {
-			return p, err
-		}
-		d, err := gridfile.ParseDimension(parts[0], kind, parts[2])
-		if err != nil {
-			return p, err
-		}
-		p.Dims = append(p.Dims, d)
-	}
-	return p, nil
-}
-
 func encodeSpecs(specs []AggSpec) []byte {
 	parts := make([]string, len(specs))
 	for i, s := range specs {
@@ -332,7 +312,10 @@ func encodeSpecs(specs []AggSpec) []byte {
 	return []byte(strings.Join(parts, ";"))
 }
 
-// saveMeta persists the index description and data bounds.
+// saveMeta persists the index description and data bounds, as the paper
+// keeps them in HBase. Nothing reopens an index from them (a rebooted fleet
+// re-runs its CREATE INDEX from the log); Plan reads the bounds to charge the
+// round trip.
 func (ix *Index) saveMeta() {
 	ix.KV.Put(metaPolicy, encodePolicy(ix.Spec.Policy))
 	ix.KV.Put(metaPrecomp, encodeSpecs(ix.Spec.Precompute))
@@ -343,64 +326,6 @@ func (ix *Index) saveMeta() {
 		ix.KV.Put(metaMinPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.minCell[i], 10)))
 		ix.KV.Put(metaMaxPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.maxCell[i], 10)))
 	}
-}
-
-// Open loads an existing index from its key-value store.
-func Open(fs *dfs.FS, kv *kvstore.Store, name string, schema *storage.Schema) (*Index, error) {
-	polData, ok := kv.Get(metaPolicy)
-	if !ok {
-		return nil, fmt.Errorf("dgf: index %q has no metadata", name)
-	}
-	policy, err := decodePolicy(polData)
-	if err != nil {
-		return nil, err
-	}
-	preData, _ := kv.Get(metaPrecomp)
-	specs, err := ParseAggSpecs(string(preData))
-	if err != nil {
-		return nil, err
-	}
-	dirData, _ := kv.Get(metaDataDir)
-	ix := &Index{
-		FS:      fs,
-		KV:      kv,
-		Spec:    Spec{Name: name, Policy: policy, Precompute: specs},
-		Schema:  schema,
-		DataDir: string(dirData),
-		minCell: make([]int64, len(policy.Dims)),
-		maxCell: make([]int64, len(policy.Dims)),
-	}
-	if fData, ok := kv.Get(metaFormat); ok {
-		f, err := storage.ParseFormat(string(fData))
-		if err != nil {
-			return nil, err
-		}
-		ix.Format = f
-	}
-	if gData, ok := kv.Get(metaGroupRows); ok {
-		ix.GroupRows, err = strconv.Atoi(string(gData))
-		if err != nil {
-			return nil, fmt.Errorf("dgf: index %q has corrupt group-rows metadata %q", name, gData)
-		}
-	}
-	for i := range policy.Dims {
-		lo, ok1 := kv.Get(metaMinPrefix + strconv.Itoa(i))
-		hi, ok2 := kv.Get(metaMaxPrefix + strconv.Itoa(i))
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("dgf: index %q missing bounds for dimension %d", name, i)
-		}
-		var errLo, errHi error
-		ix.minCell[i], errLo = strconv.ParseInt(string(lo), 10, 64)
-		ix.maxCell[i], errHi = strconv.ParseInt(string(hi), 10, 64)
-		if errLo != nil || errHi != nil {
-			return nil, fmt.Errorf("dgf: index %q has corrupt bounds [%q, %q] for dimension %d", name, lo, hi, i)
-		}
-	}
-	if err := ix.resolveColumns(); err != nil {
-		return nil, err
-	}
-	ix.recountGFUs()
-	return ix, nil
 }
 
 // Entries returns the number of GFU pairs (the paper's index-record count).

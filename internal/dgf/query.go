@@ -154,8 +154,8 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 			full[i] = r
 		} else {
 			// Missing dimension: fetch min/max standardised values from the
-			// store, as the paper does. (Open reads them into ix at load
-			// time; the lookups here model the HBase round trip.)
+			// store, as the paper does. (The build keeps them in ix too; the
+			// lookups here model the HBase round trip.)
 			ix.KV.Get(metaMinPrefix + fmt.Sprint(i))
 			ix.KV.Get(metaMaxPrefix + fmt.Sprint(i))
 			kvOps.Gets += 2

@@ -3,6 +3,8 @@ package hive
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -280,12 +282,18 @@ func TestTableVersions(t *testing.T) {
 	}
 }
 
+// normalize is ParseNormal's normal form, or its error.
+func normalize(sql string) (string, error) {
+	_, norm, err := ParseNormal(sql)
+	return norm, err
+}
+
 func TestNormalize(t *testing.T) {
-	a, err := Normalize("select  Sum(powerConsumed)\nFROM MeterData -- comment\nwhere USERID >= 3")
+	a, err := normalize("select  Sum(powerConsumed)\nFROM MeterData -- comment\nwhere USERID >= 3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Normalize("SELECT sum(powerconsumed) FROM meterdata WHERE userid>=3")
+	b, err := normalize("SELECT sum(powerconsumed) FROM meterdata WHERE userid>=3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +301,71 @@ func TestNormalize(t *testing.T) {
 		t.Fatalf("normal forms differ:\n%q\n%q", a, b)
 	}
 	// String literal case is semantic and must survive normalization.
-	c, _ := Normalize("SELECT * FROM t WHERE city = 'Beijing'")
-	d, _ := Normalize("SELECT * FROM t WHERE city = 'beijing'")
+	c, _ := normalize("SELECT * FROM t WHERE city = 'Beijing'")
+	d, _ := normalize("SELECT * FROM t WHERE city = 'beijing'")
 	if c == d {
 		t.Fatal("string literal case was folded")
 	}
-	if _, err := Normalize("SELECT \x00"); err == nil {
+	if _, err := normalize("SELECT \x00"); err == nil {
 		t.Fatal("want lex error")
+	}
+}
+
+// renderTokens is the normal form as a separate pass over its own lex
+// rendered it before ParseNormal took the parse's token stream: the
+// reference TestParseNormalKeysUnchanged holds the cache keys to.
+func renderTokens(sql string) (string, error) {
+	toks, err := lex(sql)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, t := range toks {
+		if t.kind == tokEOF {
+			break
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch t.kind {
+		case tokIdent:
+			b.WriteString(strings.ToLower(t.text))
+		case tokString:
+			b.WriteString("'" + strings.ReplaceAll(t.text, "'", "''") + "'")
+		default:
+			b.WriteString(t.text)
+		}
+	}
+	return b.String(), nil
+}
+
+// TestParseNormalKeysUnchanged: over the parser's test statements, ParseNormal
+// returns Parse's statement and a normal form byte-identical to the
+// separately lexed rendering, so no result-cache key moved when the two
+// passes became one; a statement Parse refuses gets no key.
+func TestParseNormalKeysUnchanged(t *testing.T) {
+	var sqls []string
+	sqls = append(sqls, parserListings...)
+	sqls = append(sqls, parserSeeds...)
+	sqls = append(sqls, parserErrors...)
+	for _, sql := range sqls {
+		stmt, norm, err := ParseNormal(sql)
+		want, perr := Parse(sql)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("%q: ParseNormal err %v, Parse err %v", sql, err, perr)
+		}
+		if err != nil {
+			if norm != "" || stmt != nil {
+				t.Errorf("%q: refused with %v, yet keyed %q", sql, err, norm)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(stmt, want) {
+			t.Errorf("%q: ParseNormal's statement differs from Parse's", sql)
+		}
+		if ref, _ := renderTokens(sql); norm != ref {
+			t.Errorf("%q: key %q, want %q", sql, norm, ref)
+		}
 	}
 }
 

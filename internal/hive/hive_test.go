@@ -69,53 +69,56 @@ func createDgf(t *testing.T, w *Warehouse) {
 		               'precompute'='sum(powerConsumed);count(*)')`)
 }
 
+// parserListings are the paper's query listings; they must all parse.
+var parserListings = []string{
+	// Listing 2
+	`SELECT SUM(C) FROM T WHERE A>=5 AND A<12 AND B>=12 AND B<16;`,
+	// Listing 3
+	`CREATE INDEX idx_a_b ON TABLE T(A,B) AS 'org.dgf.DgfIndexHandler'
+	 IDXPROPERTIES ('A'='1_3', 'B'='11_2', 'precompute'='sum(C)')`,
+	// Listing 4
+	`SELECT sum(powerConsumed) FROM meterdata
+	 WHERE regionId>1 and regionId<5 and userId>10 and userId<400 and ts>'2012-12-02' and ts<'2012-12-20'`,
+	// Listing 5
+	`SELECT ts,sum(powerConsumed) FROM meterdata
+	 WHERE regionId>1 and regionId<5 GROUP BY ts`,
+	// Listing 6
+	`INSERT OVERWRITE DIRECTORY '/tmp/result'
+	 SELECT t2.userName,t1.powerConsumed FROM meterdata t1 JOIN userInfo t2
+	 ON t1.userId=t2.userId WHERE t1.regionId>1 AND t1.regionId<5`,
+	// Listing 7
+	`SELECT SUM(powerConsumed) FROM meterdata WHERE regionId=11 AND ts='2012-12-30'`,
+	// TPC-H Q6
+	`SELECT sum(l_extendedprice*l_discount) FROM lineitem
+	 WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
+	 AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`,
+}
+
 func TestParserListings(t *testing.T) {
-	// The paper's query listings must all parse.
-	listings := []string{
-		// Listing 2
-		`SELECT SUM(C) FROM T WHERE A>=5 AND A<12 AND B>=12 AND B<16;`,
-		// Listing 3
-		`CREATE INDEX idx_a_b ON TABLE T(A,B) AS 'org.dgf.DgfIndexHandler'
-		 IDXPROPERTIES ('A'='1_3', 'B'='11_2', 'precompute'='sum(C)')`,
-		// Listing 4
-		`SELECT sum(powerConsumed) FROM meterdata
-		 WHERE regionId>1 and regionId<5 and userId>10 and userId<400 and ts>'2012-12-02' and ts<'2012-12-20'`,
-		// Listing 5
-		`SELECT ts,sum(powerConsumed) FROM meterdata
-		 WHERE regionId>1 and regionId<5 GROUP BY ts`,
-		// Listing 6
-		`INSERT OVERWRITE DIRECTORY '/tmp/result'
-		 SELECT t2.userName,t1.powerConsumed FROM meterdata t1 JOIN userInfo t2
-		 ON t1.userId=t2.userId WHERE t1.regionId>1 AND t1.regionId<5`,
-		// Listing 7
-		`SELECT SUM(powerConsumed) FROM meterdata WHERE regionId=11 AND ts='2012-12-30'`,
-		// TPC-H Q6
-		`SELECT sum(l_extendedprice*l_discount) FROM lineitem
-		 WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
-		 AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`,
-	}
-	for _, sql := range listings {
+	for _, sql := range parserListings {
 		if _, err := Parse(sql); err != nil {
 			t.Errorf("Parse(%q): %v", sql, err)
 		}
 	}
 }
 
+// parserErrors are statements the parser refuses.
+var parserErrors = []string{
+	"",
+	"SELEC x FROM t",
+	"SELECT FROM t",
+	"SELECT x t",                 // missing FROM
+	"CREATE VIEW v AS SELECT 1",  // unsupported
+	"SELECT x FROM t WHERE x >",  // missing literal
+	"SELECT x FROM t LIMIT huh",  // bad limit
+	"SELECT x FROM t GROUP BY",   // missing col
+	"SELECT sum(x FROM t",        // unbalanced
+	"SELECT x FROM t; SELECT y",  // trailing statement
+	"CREATE TABLE t (x blobbby)", // bad type
+}
+
 func TestParserErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELEC x FROM t",
-		"SELECT FROM t",
-		"SELECT x t",                 // missing FROM
-		"CREATE VIEW v AS SELECT 1",  // unsupported
-		"SELECT x FROM t WHERE x >",  // missing literal
-		"SELECT x FROM t LIMIT huh",  // bad limit
-		"SELECT x FROM t GROUP BY",   // missing col
-		"SELECT sum(x FROM t",        // unbalanced
-		"SELECT x FROM t; SELECT y",  // trailing statement
-		"CREATE TABLE t (x blobbby)", // bad type
-	}
-	for _, sql := range bad {
+	for _, sql := range parserErrors {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", sql)
 		}

@@ -147,3 +147,24 @@ func TestLoadRejectedLeavesTableAsBefore(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsGroupKeySeparatorDirect: a multi-column GROUP BY key joins
+// its cells' text with \x01 and splits it back, so a string cell holding that
+// byte answers wrong: ("a\x01b", 1) and ("a\x01c", 2) came back from a GROUP
+// BY k as ("a", 1) and ("a", 2). A direct load refuses such a cell, as the
+// fleet's load path does, and leaves the table as it was.
+func TestLoadRejectsGroupKeySeparatorDirect(t *testing.T) {
+	w := testWarehouse(1 << 12)
+	mustExec(t, w, `CREATE TABLE t (k string, v bigint)`)
+	rows := []storage.Row{
+		{storage.Str("a\x01b"), storage.Int64(1)},
+		{storage.Str("a\x01c"), storage.Int64(2)},
+	}
+	err := w.LoadRowsByName("t", rows)
+	if err == nil || !strings.Contains(err.Error(), "row 0") || !strings.Contains(err.Error(), "group-key separator") {
+		t.Fatalf("load of a \\x01 cell: %v, want row 0 refused for the group-key separator", err)
+	}
+	if got := mustExec(t, w, `SELECT k, sum(v) FROM t GROUP BY k`).Rows; len(got) != 0 {
+		t.Errorf("after the refused load GROUP BY k answers %v, want no groups", got)
+	}
+}

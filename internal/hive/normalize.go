@@ -2,17 +2,21 @@ package hive
 
 import "strings"
 
-// Normalize renders sql in a canonical single-line form for use as a cache
-// key: comments and whitespace runs collapse, keywords become upper case,
+// ParseNormal parses sql as Parse does and also renders, from the same
+// token stream, its canonical single-line form for use as a cache key:
+// comments and whitespace runs collapse, keywords become upper case,
 // identifiers become lower case, and string literals are re-quoted verbatim
 // (their case is preserved — 'Beijing' and 'beijing' are different values).
 // Two statements normalize equal iff they lex into the same token stream, so
 // formatting differences never fragment the cache and semantic differences
 // never collide.
-func Normalize(sql string) (string, error) {
+func ParseNormal(sql string) (stmt Stmt, norm string, err error) {
 	toks, err := lex(sql)
 	if err != nil {
-		return "", err
+		return nil, "", err
+	}
+	if stmt, err = parseTokens(sql, toks); err != nil {
+		return nil, "", err
 	}
 	var b strings.Builder
 	for _, t := range toks {
@@ -35,7 +39,7 @@ func Normalize(sql string) (string, error) {
 			b.WriteString(t.text)
 		}
 	}
-	return b.String(), nil
+	return stmt, b.String(), nil
 }
 
 // StatementTables returns the lower-cased names of the tables a statement

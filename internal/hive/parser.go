@@ -15,6 +15,11 @@ func Parse(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(src, tokens)
+}
+
+// parseTokens parses one statement from src's tokens.
+func parseTokens(src string, tokens []token) (Stmt, error) {
 	p := &parser{tokens: tokens, src: src}
 	stmt, err := p.parseStmt()
 	if err != nil {

@@ -206,19 +206,6 @@ func (w *Warehouse) tableLocked(name string) (*Table, error) {
 	return t, nil
 }
 
-// TableSchema returns the named table's schema. Schemas are immutable once
-// created, so the returned pointer is safe to use without the lock (the
-// serving layer's /load endpoint decodes incoming rows against it).
-func (w *Warehouse) TableSchema(name string) (*storage.Schema, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	t, err := w.tableLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.Schema, nil
-}
-
 func (w *Warehouse) dropTableLocked(name string) error {
 	key := strings.ToLower(name)
 	t, ok := w.tables[key]

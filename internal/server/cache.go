@@ -2,138 +2,19 @@ package server
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 )
 
-// lru is a minimal mutex-guarded LRU map; the serving layer's result cache
-// is built on it. Entries may carry a byte
-// size; when maxBytes > 0 the cache also evicts oldest-first until the
-// total size fits the budget.
-type lru[V any] struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
-
-	maxBytes, curBytes      int64
-	hits, misses, evictions int64
-}
-
-type lruEntry[V any] struct {
-	key  string
-	val  V
-	size int64
-}
-
-func newLRU[V any](max int) *lru[V] {
-	return &lru[V]{max: max, ll: list.New(), entries: map[string]*list.Element{}}
-}
-
-func (c *lru[V]) get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var zero V
-	if c.max <= 0 {
-		c.misses++
-		return zero, false
-	}
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return zero, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry[V]).val, true
-}
-
-// putSized inserts val accounting size bytes against the cache's byte
-// budget. A value larger than the whole budget is not cached at all (it
-// would only evict everything else on its way in and out).
-func (c *lru[V]) putSized(key string, val V, size int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max <= 0 {
-		return
-	}
-	if c.maxBytes > 0 && size > c.maxBytes {
-		return
-	}
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*lruEntry[V])
-		c.curBytes += size - e.size
-		e.val, e.size = val, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val, size: size})
-		c.curBytes += size
-	}
-	for c.ll.Len() > c.max || (c.maxBytes > 0 && c.curBytes > c.maxBytes) {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*lruEntry[V])
-		if e.key == key && c.ll.Len() == 1 {
-			break
-		}
-		c.ll.Remove(oldest)
-		delete(c.entries, e.key)
-		c.curBytes -= e.size
-		c.evictions++
-	}
-}
-
-// removeIf deletes every entry whose value matches pred and returns how many
-// were removed.
-func (c *lru[V]) removeIf(pred func(V) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var doomed []*list.Element
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if pred(el.Value.(*lruEntry[V]).val) {
-			doomed = append(doomed, el)
-		}
-	}
-	for _, el := range doomed {
-		e := el.Value.(*lruEntry[V])
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-		c.curBytes -= e.size
-	}
-	return len(doomed)
-}
-
-func (c *lru[V]) sizeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.curBytes
-}
-
-func (c *lru[V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *lru[V]) stats() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
-}
-
-// cachedResult is one result-cache entry: the finished Result plus the
-// tables it read (invalidation scans match on these).
-type cachedResult struct {
-	tables []string
-	res    *hive.Result
-}
-
 // resultCache caches SELECT results keyed by normalized SQL plus the read
-// tables' version counters. Version-qualified keys make stale entries
-// unreachable the moment a table mutates; invalidation additionally evicts
-// them eagerly so memory is returned and the invalidation counter surfaces
-// in /stats. Entries are accounted by approximate row-payload bytes so the
-// cache can hold a memory budget rather than an entry count.
+// tables' version counters: an LRU map under one mutex, which also guards
+// the byte budget and the counters. Version-qualified keys make stale
+// entries unreachable the moment a table mutates; invalidation additionally
+// evicts them eagerly so memory is returned and the invalidation counter
+// surfaces in /stats. Entries are accounted by approximate row-payload bytes
+// so the cache can hold a memory budget rather than an entry count.
 //
 // A key's versions are read before its query executes, and a shard's table
 // versions move under the same lock as its data, so a result is never older
@@ -142,28 +23,76 @@ type cachedResult struct {
 // key again. put therefore needs no check against invalidations that ran
 // while the query was in flight.
 type resultCache struct {
-	lru           *lru[cachedResult]
-	mu            sync.Mutex // guards invalidations
-	invalidations int64
+	mu      sync.Mutex
+	max     int
+	ll      *list.List // of *cachedResult; front = most recently used
+	entries map[string]*list.Element
+
+	maxBytes, curBytes                     int64
+	hits, misses, evictions, invalidations int64
+}
+
+// cachedResult is one result-cache entry: the finished Result, the tables it
+// read (invalidation matches on these) and its estimated size.
+type cachedResult struct {
+	key    string
+	tables []string
+	res    *hive.Result
+	size   int64
 }
 
 func newResultCache(max int, maxBytes int64) *resultCache {
-	l := newLRU[cachedResult](max)
-	l.maxBytes = maxBytes
-	return &resultCache{lru: l}
+	return &resultCache{max: max, maxBytes: maxBytes, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
 func (c *resultCache) get(key string) (*hive.Result, bool) {
-	e, ok := c.lru.get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
+		c.misses++
 		return nil, false
 	}
-	return e.res, true
+	c.hits++
+	c.ll.MoveToFront(el)
+	return el.Value.(*cachedResult).res, true
 }
 
-// put stores res under key, remembering the tables it read.
+// put stores res under key, remembering the tables it read, and evicts the
+// least recently used entries until the cache fits its entry cap and byte
+// budget. A result larger than the whole budget is not cached at all (it
+// would only evict everything else on its way in and out).
 func (c *resultCache) put(key string, tables []string, res *hive.Result) {
-	c.lru.putSized(key, cachedResult{tables: tables, res: res}, resultSizeBytes(key, res))
+	size := resultSizeBytes(key, res)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.max <= 0 || c.maxBytes > 0 && size > c.maxBytes {
+		return
+	}
+	if el, ok := c.entries[key]; ok {
+		e := el.Value.(*cachedResult)
+		c.curBytes += size - e.size
+		e.tables, e.res, e.size = tables, res, size
+		c.ll.MoveToFront(el)
+	} else {
+		c.entries[key] = c.ll.PushFront(&cachedResult{key: key, tables: tables, res: res, size: size})
+		c.curBytes += size
+	}
+	for c.ll.Len() > c.max || (c.maxBytes > 0 && c.curBytes > c.maxBytes) {
+		oldest := c.ll.Back()
+		if oldest.Value.(*cachedResult).key == key && c.ll.Len() == 1 {
+			break
+		}
+		c.remove(oldest)
+		c.evictions++
+	}
+}
+
+// remove drops one entry; c.mu is held.
+func (c *resultCache) remove(el *list.Element) {
+	e := c.ll.Remove(el).(*cachedResult)
+	delete(c.entries, e.key)
+	c.curBytes -= e.size
 }
 
 // resultSizeBytes estimates the resident size of one cached result: the
@@ -190,21 +119,19 @@ func (c *resultCache) invalidateTables(names []string) {
 	if len(names) == 0 {
 		return
 	}
-	doomed := map[string]bool{}
-	for _, n := range names {
-		doomed[n] = true
-	}
-	n := c.lru.removeIf(func(e cachedResult) bool {
-		for _, t := range e.tables {
-			if doomed[t] {
-				return true
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		for _, t := range el.Value.(*cachedResult).tables {
+			if slices.Contains(names, t) {
+				c.remove(el)
+				c.invalidations++
+				break
 			}
 		}
-		return false
-	})
-	c.mu.Lock()
-	c.invalidations += int64(n)
-	c.mu.Unlock()
+		el = next
+	}
 }
 
 // CacheStats is the JSON-ready counter snapshot of one cache.
@@ -221,12 +148,10 @@ type CacheStats struct {
 }
 
 func (c *resultCache) stats() CacheStats {
-	h, m, e := c.lru.stats()
 	c.mu.Lock()
-	inv := c.invalidations
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	return CacheStats{
-		Entries: c.lru.len(), Hits: h, Misses: m, Evictions: e, Invalidations: inv,
-		SizeBytes: c.lru.sizeBytes(), MaxBytes: c.lru.maxBytes,
+		Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+		Invalidations: c.invalidations, SizeBytes: c.curBytes, MaxBytes: c.maxBytes,
 	}
 }

@@ -10,11 +10,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/smartgrid-oss/dgfindex/internal/cluster"
-	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -71,7 +70,7 @@ func csvLoadBody(firstUser, n int) []byte {
 // 413 and a clear error on both the JSON and CSV paths — never silently
 // truncated to a loadable prefix.
 func TestLoadBodyTooLarge(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxLoadBytes: 512})
+	s, _ := testServer(t, Config{MaxLoadBytes: 512})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -126,9 +125,6 @@ func walServer(t *testing.T, cfg Config) (*Server, *shard.Router) {
 		cfg.FsyncPolicy = "off"
 	}
 	s, r := shardedServer(t, cfg)
-	if err := s.WALError(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -215,13 +211,14 @@ func TestCacheInvalidationAtApplyTime(t *testing.T) {
 	}
 }
 
-// gatedFleet is a real router with two injection points: every apply-time
-// hook parks until released (an apply barrier: rows have landed on the
-// shard, its invalidation has not fired, and its applier cannot take the
-// next batch), and afterExec runs after a query's scatter has read the
-// shards but before the server sees the result.
+// gatedFleet is a real router with two injection points: once gated is
+// set, every apply-time hook parks until released (an apply barrier: rows
+// have landed on the shard, its invalidation has not fired, and its applier
+// cannot take the next batch), and afterExec runs after a query's scatter
+// has read the shards but before the server sees the result.
 type gatedFleet struct {
 	*shard.Router
+	gated     atomic.Bool
 	entered   chan struct{} // one token per OnApply that parked
 	release   chan struct{} // one token (or close) lets a parked OnApply run
 	done      chan struct{} // one token per OnApply that finished
@@ -231,6 +228,10 @@ type gatedFleet struct {
 func (g *gatedFleet) EnableWAL(cfg wal.Options) error {
 	onApply := cfg.OnApply
 	cfg.OnApply = func(table string, rows int) {
+		if !g.gated.Load() {
+			onApply(table, rows)
+			return
+		}
 		g.entered <- struct{}{}
 		<-g.release
 		onApply(table, rows)
@@ -256,20 +257,7 @@ func (g *gatedFleet) ExecParsedContext(ctx context.Context, stmt hive.Stmt, opts
 // has to miss and count the new rows: the apply moved the table's version,
 // so the stored result sits under a key no later query builds.
 func TestCacheInvalidationOvertakenPut(t *testing.T) {
-	cc := cluster.Default()
-	cc.Workers = 4
-	r, err := shard.New(shard.Config{Shards: 1, Replicas: 2, Key: "userId"}, func(int) *hive.Warehouse {
-		return hive.NewWarehouse(dfs.New(1<<14), cc, "/warehouse")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", meterRows(1, 20, 4, 2), false); err != nil {
-		t.Fatal(err)
-	}
+	r := testRouter(t, shard.Config{Shards: 1, Replicas: 2, Key: "userId"}, 1<<14)
 	g := &gatedFleet{
 		Router:  r,
 		entered: make(chan struct{}, 8), // the test sees two applies in all
@@ -280,6 +268,8 @@ func TestCacheInvalidationOvertakenPut(t *testing.T) {
 	if err := s.WALError(); err != nil {
 		t.Fatal(err)
 	}
+	loadMeterdata(t, r, meterRows(1, 20, 4, 2))
+	g.gated.Store(true)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -475,9 +465,11 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 			if committed == 0 {
 				t.Fatal("no shard committed any WAL record")
 			}
-			// OnApply fires once per shard apply, so each row counts once.
-			if snap.RowsApplied != 12 {
-				t.Fatalf("rows_applied = %d, want 12 (each row applied once)", snap.RowsApplied)
+			// OnApply fires once per shard apply, so each row counts once:
+			// shardedServer's 480 base rows, loaded through the engine, and
+			// these 12.
+			if snap.RowsApplied != 480+12 {
+				t.Fatalf("rows_applied = %d, want 492 (each row applied once)", snap.RowsApplied)
 			}
 
 			resp, err := http.Get(ts.URL + "/metrics")
@@ -517,11 +509,12 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	}
 }
 
-// TestWALBehindWarehouseServer: Config.WALDir works behind server.New — the
-// single warehouse is a 1x1 fleet, so its loads are logged and applied like
-// any fleet's, and after Close a fresh warehouse and server over the same
-// directory replay every acknowledged row. A WAL that cannot be enabled is
-// still a deferred boot error that refuses loads.
+// TestWALBehindWarehouseServer: Config.WALDir works behind a server over
+// one warehouse — a 1x1 fleet — so its loads are logged and applied like any
+// fleet's, and after Close a server over a fresh warehouse and the same
+// directory replays the table, its base rows and every acknowledged load. A
+// WAL that cannot be enabled is still a deferred boot error that refuses
+// loads.
 func TestWALBehindWarehouseServer(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -535,7 +528,7 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 		return resp.Result.Rows[0][0].AsFloat()
 	}
 
-	s := New(testWarehouse(t), Config{WALDir: dir, FsyncPolicy: "always"})
+	s, _ := testServer(t, Config{WALDir: dir, FsyncPolicy: "always"})
 	if err := s.WALError(); err != nil {
 		t.Fatalf("WAL behind a single-warehouse server: %v", err)
 	}
@@ -568,12 +561,9 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 		t.Fatalf("WALStats after Close = %+v, want everything through lsn %d applied", st, logged.LSN)
 	}
 
-	// Restart: the table and its base rows came with the warehouse, before
-	// the log existed, so the boot brings them again (the router takes the
-	// table from the warehouse's catalog); the log then replays both
-	// acknowledged loads. DDL issued through a logged server needs no such
-	// step: it replays with the loads.
-	s2 := New(testWarehouse(t), Config{WALDir: dir, FsyncPolicy: "off"})
+	// Restart over an empty warehouse: the log replays the table, its base
+	// rows and both acknowledged loads.
+	s2 := NewWithBackend(testRouter(t, shard.Config{Shards: 1}, 1<<20), Config{WALDir: dir, FsyncPolicy: "off"})
 	if err := s2.WALError(); err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +579,7 @@ func TestWALBehindWarehouseServer(t *testing.T) {
 
 	// A bad fsync policy is a boot error behind any server, and loads refuse
 	// instead of degrading to non-durable.
-	s3 := New(testWarehouse(t), Config{WALDir: t.TempDir(), FsyncPolicy: "sometimes"})
+	s3 := NewWithBackend(testRouter(t, shard.Config{Shards: 1}, 1<<20), Config{WALDir: t.TempDir(), FsyncPolicy: "sometimes"})
 	if err := s3.WALError(); err == nil || !strings.Contains(err.Error(), "sometimes") {
 		t.Fatalf("WALError = %v, want bad-policy complaint", err)
 	}

@@ -14,9 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/smartgrid-oss/dgfindex/internal/cluster"
-	"github.com/smartgrid-oss/dgfindex/internal/dfs"
-	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/shard"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
 )
@@ -67,7 +64,7 @@ func TestQuantileFallback(t *testing.T) {
 // reported on its own so admission pressure is distinguishable from slow
 // execution.
 func TestAdmissionWaitSeparateFromWall(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1})
 	s.sem <- struct{}{} // occupy the only worker slot
 	done := make(chan error, 1)
 	go func() {
@@ -101,7 +98,7 @@ func TestAdmissionWaitSeparateFromWall(t *testing.T) {
 // counters stay coherent: queries == successes + errors as counted by the
 // callers, and the latency histogram holds exactly one observation per query.
 func TestMetricsCoherenceUnderConcurrency(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 4})
+	s, _ := testServer(t, Config{MaxConcurrent: 4})
 	var ok, errs atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -180,7 +177,7 @@ func famValue(t *testing.T, fams map[string]*trace.MetricFamily, name string) fl
 // enforces TYPE lines, label syntax, and histogram invariants), and checks
 // the exposed counters agree with the /stats snapshot.
 func TestMetricsEndpointMatchesStats(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -265,7 +262,7 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 // TestFlightRecorderEndpoint: errored queries always land in the recorder;
 // GET /debug/slow serves them newest-first with their span trees.
 func TestFlightRecorderEndpoint(t *testing.T) {
-	s := New(testWarehouse(t), Config{TraceRingSize: 4})
+	s, _ := testServer(t, Config{TraceRingSize: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -302,24 +299,14 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 
 // shardedServer builds a Server over a 4-shard, 2-replica fleet loaded with
 // the meter workload (small blocks, so scans cross many split boundaries and
-// a mid-query kill has a window to land in).
+// a mid-query kill has a window to land in). The server opens the fleet's
+// engine before the base data, so its 1,920 rows are in the engine's logs.
 func shardedServer(t *testing.T, cfg Config) (*Server, *shard.Router) {
 	t.Helper()
-	cc := cluster.Default()
-	cc.Workers = 4
-	r, err := shard.New(shard.Config{Shards: 4, Replicas: 2, Key: "userId"}, func(int) *hive.Warehouse {
-		return hive.NewWarehouse(dfs.New(1<<14), cc, "/warehouse")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", meterRows(1, 80, 4, 6), false); err != nil {
-		t.Fatal(err)
-	}
-	return NewWithBackend(r, cfg), r
+	r := testRouter(t, shard.Config{Shards: 4, Replicas: 2, Key: "userId"}, 1<<14)
+	s := NewWithBackend(r, cfg)
+	loadMeterdata(t, r, meterRows(1, 80, 4, 6))
+	return s, r
 }
 
 // TestTraceEndToEndSharded is the span-tree acceptance check on a replicated
@@ -444,7 +431,7 @@ func TestTraceFailoverEventOnReplicaKill(t *testing.T) {
 // TestTraceOverHTTP: the trace=1 query parameter returns the span tree in
 // the JSON response; without it the field is absent.
 func TestTraceOverHTTP(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

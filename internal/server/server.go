@@ -3,10 +3,12 @@
 // for the State Grid's online analytics, where many operators issue
 // multidimensional range queries against one shared meter table at once.
 //
-// A Server always fronts a shard router — one warehouse is the 1x1 fleet New
-// builds, which passes statements through bit-identically — so there is one
+// A Server always fronts a shard router — one warehouse is a 1x1 fleet,
+// which passes statements through bit-identically — so there is one
 // deployment shape: health, the write path and streaming are the same behind
-// every server. On top of the router the server adds three things:
+// every server. The router is handed over empty: the server opens its engine
+// before the first statement, so everything the fleet holds went through
+// that engine's logs. On top of the router the server adds three things:
 //
 //   - admission control: a bounded worker pool executes queries with a
 //     configurable parallelism, a bounded wait queue sheds overload, and
@@ -68,8 +70,9 @@ type Backend interface {
 	// Health snapshots per-shard replica health for /stats and /healthz.
 	Health() []shard.SetHealth
 	// EnableWAL, WALStats, DrainWAL and CloseWAL are the engine's lifecycle:
-	// the server opens it with its hooks (over Config.WALDir, if set), reads
-	// its positions for /stats, and drains and closes it in Close.
+	// the server opens it with its hooks (over Config.WALDir, if set) before
+	// anything has committed — it is refused after — reads its positions for
+	// /stats, and drains and closes it in Close.
 	EnableWAL(opts wal.Options) error
 	WALStats() []wal.ShardStats
 	DrainWAL(ctx context.Context) error
@@ -249,25 +252,12 @@ type Server struct {
 	rowsApplied atomic.Int64 // rows the engine's appliers wrote into warehouses
 }
 
-// New wraps one warehouse in a server, as the 1x1 fleet: a single-shard,
-// single-replica router passes every statement, cursor and load through to
-// the warehouse bit-identically. The warehouse stays usable directly — its
-// own locking keeps direct access safe — but loads performed behind the
-// server's back are only reflected in cache keys (via table versions), not
-// in the server's load metrics.
-func New(w *hive.Warehouse, cfg Config) *Server {
-	r, err := shard.New(shard.Config{Shards: 1}, func(int) *hive.Warehouse { return w })
-	if err != nil {
-		panic(err) // a 1x1 config is valid; only a nil warehouse gets here
-	}
-	return NewWithBackend(r, cfg)
-}
-
 // NewWithBackend wraps a shard router in a server and opens the router's
-// load engine with the server's hooks — over Config.WALDir when set. A
-// failure to do so is deferred into WALError (and every load) rather than
-// panicking, because construction has no error return. Close releases the
-// engine's goroutines.
+// load engine with the server's hooks — over Config.WALDir when set — so the
+// router must not have committed anything yet. A failure to open it (a log
+// that will not open, or a router that has already committed) is deferred
+// into WALError (and every load) rather than panicking, because
+// construction has no error return. Close releases the engine's goroutines.
 func NewWithBackend(b Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -403,15 +393,8 @@ func (s *Server) begin(name string, sess *Session, sql string, traced bool) (*ca
 func (c *call) plan() (norm string, stmt hive.Stmt, err error) {
 	psp := c.root.Child("plan")
 	defer psp.Finish()
-	norm, err = hive.Normalize(c.sql)
-	if err != nil {
-		return "", nil, err
-	}
-	stmt, err = hive.Parse(c.sql)
-	if err != nil {
-		return "", nil, err
-	}
-	return norm, stmt, nil
+	stmt, norm, err = hive.ParseNormal(c.sql)
+	return norm, stmt, err
 }
 
 // acquire bounds the call with its deadline (timeout, else

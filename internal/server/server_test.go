@@ -23,18 +23,44 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
-func testWarehouse(t *testing.T) *hive.Warehouse {
+// testRouter builds an empty fleet shaped by cfg over warehouses with four
+// workers and blockSize-byte blocks.
+func testRouter(t *testing.T, cfg shard.Config, blockSize int64) *shard.Router {
 	t.Helper()
-	cfg := cluster.Default()
-	cfg.Workers = 4
-	w := hive.NewWarehouse(dfs.New(1<<20), cfg, "/warehouse")
-	if _, err := w.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
+	cc := cluster.Default()
+	cc.Workers = 4
+	r, err := shard.New(cfg, func(int) *hive.Warehouse {
+		return hive.NewWarehouse(dfs.New(blockSize), cc, "/warehouse")
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.LoadRowsByName("meterdata", meterRows(1, 60, 4, 4)); err != nil {
+	return r
+}
+
+// loadMeterdata creates meterdata through r and loads rows into it, applied
+// when it returns.
+func loadMeterdata(t *testing.T, r *shard.Router, rows []storage.Row) {
+	t.Helper()
+	if _, err := r.ExecContext(context.Background(), `CREATE TABLE meterdata (userId bigint, regionId bigint, ts timestamp, powerConsumed double)`, hive.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	return w
+	if _, err := r.LoadRowsDurable(context.Background(), "meterdata", rows, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// testServer serves a 1x1 fleet under cfg holding meterdata's 240 base rows.
+// The server opens the fleet's engine first, so the base data is in its log.
+func testServer(t *testing.T, cfg Config) (*Server, *shard.Router) {
+	t.Helper()
+	r := testRouter(t, shard.Config{Shards: 1}, 1<<20)
+	s := NewWithBackend(r, cfg)
+	if err := s.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	loadMeterdata(t, r, meterRows(1, 60, 4, 4))
+	return s, r
 }
 
 // meterRows builds deterministic readings; user ids start at firstUser.
@@ -69,7 +95,7 @@ func mustQuery(t *testing.T, s *Server, sql string) *Response {
 // must always sit on a batch boundary (no torn reads) and the cache must
 // never serve a pre-load result after the load.
 func TestConcurrentQueriesWithLoads(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 4})
+	s, _ := testServer(t, Config{MaxConcurrent: 4})
 	const perBatch = 60 * 4 // users * days per load batch
 	valid := map[int64]bool{}
 	for k := 1; k <= 4; k++ {
@@ -124,7 +150,7 @@ func TestConcurrentQueriesWithLoads(t *testing.T) {
 // cache and return identical rows; a LOAD must invalidate so the next run
 // reflects the new data.
 func TestResultCacheHitAndInvalidation(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	const q = `SELECT sum(powerConsumed) FROM meterdata WHERE userId >= 10 AND userId <= 50`
 
 	first := mustQuery(t, s, q)
@@ -176,8 +202,8 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 // the server's back bumps table versions, so version-qualified keys make the
 // stale entry unreachable even without explicit invalidation.
 func TestDirectLoadCannotServeStale(t *testing.T) {
-	w := testWarehouse(t)
-	s := New(w, Config{})
+	s, r := testServer(t, Config{})
+	w := r.Shard(0)
 	const q = `SELECT count(*) FROM meterdata`
 	before := mustQuery(t, s, q)
 	if err := w.LoadRowsByName("meterdata", meterRows(500, 10, 4, 4)); err != nil {
@@ -196,7 +222,7 @@ func TestDirectLoadCannotServeStale(t *testing.T) {
 // table, so a cached copy could go stale across CREATE TABLE. It must bypass
 // the result cache and always reflect the live catalog.
 func TestCatalogStatementsNeverCached(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	before := mustQuery(t, s, `SHOW TABLES`)
 	if len(before.Result.Rows) != 1 {
 		t.Fatalf("want 1 table, got %d", len(before.Result.Rows))
@@ -212,7 +238,7 @@ func TestCatalogStatementsNeverCached(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1, MaxQueue: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1, MaxQueue: 1})
 	// Occupy the only worker slot and the only queue slot.
 	s.sem <- struct{}{}
 	if err := s.admit(); err != nil {
@@ -255,13 +281,10 @@ func (stalledFleet) ExecParsedContext(ctx context.Context, _ hive.Stmt, _ hive.E
 func TestQueryTimeoutDuringExecution(t *testing.T) {
 	// The backend outlives any deadline, so the timeout fires mid-execution
 	// deterministically.
-	w := testWarehouse(t)
-	r, err := shard.New(shard.Config{Shards: 1}, func(int) *hive.Warehouse { return w })
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testRouter(t, shard.Config{Shards: 1}, 1<<20)
 	s := NewWithBackend(stalledFleet{r}, Config{})
-	_, err = s.Query(context.Background(), Request{
+	loadMeterdata(t, r, meterRows(1, 60, 4, 4))
+	_, err := s.Query(context.Background(), Request{
 		SQL:     `SELECT sum(powerConsumed) FROM meterdata`,
 		Timeout: 30 * time.Millisecond,
 	})
@@ -284,7 +307,7 @@ func TestQueryTimeoutDuringExecution(t *testing.T) {
 // TestCancellationIsNotTimeout: a caller-side cancel (client disconnect)
 // must not inflate the timeout counter or map to ErrQueryTimeout.
 func TestCancellationIsNotTimeout(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1})
 	s.sem <- struct{}{} // occupy the only slot so the query waits
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -305,7 +328,7 @@ func TestCancellationIsNotTimeout(t *testing.T) {
 // TestSessionOverflow: untrusted session ids must not grow the session map
 // past the cap; the surplus pools into "overflow".
 func TestSessionOverflow(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	for i := 0; i < maxSessions+50; i++ {
 		s.Session(fmt.Sprintf("sess-%d", i))
 	}
@@ -321,14 +344,14 @@ func TestSessionOverflow(t *testing.T) {
 // TestLoadRowsMissingTable: the atomic by-name load surfaces a catalog
 // error instead of writing anywhere.
 func TestLoadRowsMissingTable(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	if _, err := s.LoadRowsCtx(context.Background(), "nosuch", meterRows(1, 1, 4, 1), false); err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("want missing-table error, got %v", err)
 	}
 }
 
 func TestGracefulDrain(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 2})
+	s, _ := testServer(t, Config{MaxConcurrent: 2})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -352,7 +375,7 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 func TestDDLThroughServerInvalidates(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	mustQuery(t, s, `SELECT count(*) FROM meterdata`)
 	if n := s.Stats().ResultCache.Entries; n != 1 {
 		t.Fatalf("cache entries = %d, want 1", n)
@@ -371,7 +394,7 @@ func TestDDLThroughServerInvalidates(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -493,7 +516,7 @@ func TestHTTPEndpoints(t *testing.T) {
 // streamed — instead of a 200 with an empty body, and a grouped aggregate
 // over no rows is an empty result.
 func TestHTTPAggregatesOverEmptySelection(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	get := func(sql, stream string) string {
@@ -562,7 +585,7 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 // entry count, and a single result bigger than the whole budget is never
 // cached.
 func TestResultCacheByteBudget(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxResultBytes: 2000})
+	s, _ := testServer(t, Config{MaxResultBytes: 2000})
 	// Each per-user query returns 4 rows (~750 bytes with key overhead):
 	// two fit the budget, more force evictions.
 	for u := 1; u <= 6; u++ {
@@ -594,7 +617,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 // CSV; rows decode against the table schema, route through LoadRows, and
 // the response reports the invalidation churn.
 func TestLoadEndpoint(t *testing.T) {
-	s := New(testWarehouse(t), Config{})
+	s, _ := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

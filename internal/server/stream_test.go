@@ -16,7 +16,7 @@ import (
 // same row count as Query, holds a worker slot only while open, and records
 // the query in the metrics at Close.
 func TestQueryStreamDeliversRows(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 2})
+	s, _ := testServer(t, Config{MaxConcurrent: 2})
 	want := mustQuery(t, s, `SELECT userId, powerConsumed FROM meterdata`)
 
 	st, err := s.QueryStream(context.Background(), Request{SQL: `SELECT userId, powerConsumed FROM meterdata`})
@@ -48,7 +48,7 @@ func TestQueryStreamDeliversRows(t *testing.T) {
 // TestQueryStreamOnlySelect: non-SELECT statements cannot stream and the
 // admission slot is returned.
 func TestQueryStreamOnlySelect(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1})
 	if _, err := s.QueryStream(context.Background(), Request{SQL: `SHOW TABLES`}); err == nil {
 		t.Fatal("streaming SHOW TABLES succeeded")
 	}
@@ -63,7 +63,7 @@ func TestQueryStreamOnlySelect(t *testing.T) {
 // ErrQueryTimeout no matter where it catches the query (admission wait or
 // mid-scan abort), and the metrics count it as a timeout.
 func TestQueryDeadlineMapsToTimeout(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 2})
+	s, _ := testServer(t, Config{MaxConcurrent: 2})
 	_, err := s.Query(context.Background(), Request{
 		SQL:     `SELECT count(*) FROM meterdata`,
 		Timeout: time.Nanosecond,
@@ -90,7 +90,7 @@ func TestQueryDeadlineMapsToTimeout(t *testing.T) {
 // TestHTTPStreamNDJSON: /query?stream=ndjson frames the result as one
 // header line, one line per row, and a trailer carrying done + final stats.
 func TestHTTPStreamNDJSON(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 2})
+	s, _ := testServer(t, Config{MaxConcurrent: 2})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -163,7 +163,7 @@ func TestHTTPStreamNDJSON(t *testing.T) {
 // TestHTTPStreamClientDisconnect: a client that walks away mid-stream
 // cancels the scan; the server releases the slot and keeps serving.
 func TestHTTPStreamClientDisconnect(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -198,7 +198,7 @@ func TestHTTPStreamClientDisconnect(t *testing.T) {
 // and JSON error body the non-streaming /query gives the same statement,
 // not a 200 header followed by an error trailer.
 func TestHTTPStreamPlanErrorFailsAtOpen(t *testing.T) {
-	s := New(testWarehouse(t), Config{MaxConcurrent: 1})
+	s, _ := testServer(t, Config{MaxConcurrent: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -13,17 +13,29 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 	"github.com/smartgrid-oss/dgfindex/internal/trace"
+	"github.com/smartgrid-oss/dgfindex/internal/wal"
 )
 
 // replicatedRouter builds a Shards x Replicas fleet loaded with the meter
 // workload.
 func replicatedRouter(t *testing.T, shards, replicas int, withIndex bool) *Router {
 	t.Helper()
+	return loggedRouter(t, shards, replicas, withIndex, wal.Options{})
+}
+
+// loggedRouter is replicatedRouter behind an engine opened with opts before
+// the base data, which is applied when it returns.
+func loggedRouter(t *testing.T, shards, replicas int, withIndex bool, opts wal.Options) *Router {
+	t.Helper()
 	r, err := New(Config{Shards: shards, Replicas: replicas, Key: "userId"}, newShardWarehouse)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := r.EnableWAL(opts); err != nil {
+		t.Fatal(err)
+	}
 	setupMeter(t, r, testMeterConfig(), withIndex)
+	drainFleet(t, r)
 	return r
 }
 

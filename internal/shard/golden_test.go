@@ -28,9 +28,9 @@ import (
 // query answers (rows and QueryStats) that commit 433a837 — the parent of the
 // single write path, where such a fleet wrote its replicas synchronously,
 // without an engine — produced. The hashes below were recorded there, before any source changed.
-// The same sequence behind EnableWAL(Fsync: off) must reproduce them too, at
-// that commit and at every later one: which engine carries a load decides
-// nothing a reader can see.
+// The same sequence behind EnableWAL(Fsync: off), opened before the base
+// data, must reproduce them too: which engine carries a load decides nothing
+// a reader can see.
 
 // goldenLoads is the sequence after the index exists, so every meterdata
 // load runs dgf.Append at apply: one user's readings on a day past the base
@@ -304,9 +304,9 @@ func goldenHash(lines []string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenRun builds one fleet, runs the load sequence (behind a WAL opened
-// after the base data, as everywhere in this suite, when withWAL is set) and
-// digests every replica; withoutGroupHeaders is passed to
+// goldenRun builds one fleet, runs the base data and the load sequence
+// (behind a WAL opened before them when withWAL is set) and digests every
+// replica; withoutGroupHeaders is passed to
 // goldenReplicaAnswers. It also returns the rendered lines for a failing
 // comparison to print.
 func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, withoutGroupHeaders bool) (goldenFleetState, map[string][]string) {
@@ -317,12 +317,12 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, witho
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.CloseWAL() })
-	setupMeterStored(t, r, cfg, true, stored)
 	if withWAL {
 		if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	setupMeterStored(t, r, cfg, true, stored)
 	for i, l := range goldenLoads(cfg) {
 		ack, err := r.LoadRowsDurable(context.Background(), l.table, l.rows, true)
 		if err != nil {
@@ -337,7 +337,7 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, witho
 	for si := 0; si < shards; si++ {
 		var first []string
 		for ri := 0; ri < replicas; ri++ {
-			w := r.Replica(si, ri)
+			w := r.Shard(si)
 			head := fmt.Sprintf("shard %d replica %d", si, ri)
 			tree := goldenReplicaTree(t, w)
 			files := goldenFileLines(tree)

@@ -19,44 +19,41 @@ func (r *Router) stores() [][]wal.Store {
 }
 
 // EnableWAL replaces the engine New opened — the same commit → apply
-// pipeline over a log that stores nothing — with one opened from opts, once
-// the old one has applied its queue. With opts.Dir set the fleet is durable:
-// a load acks once its records are in the touched shards' logs (and waits
-// for the apply only when asked to), and a DDL statement is logged in every
-// shard's log. Without a Dir it only installs opts' hooks and tuning; a
-// router takes one directory. The logs replay into the (fresh, in-memory)
-// warehouses in log order, and the catalog is rebuilt from their DDL before
-// anything new commits, so a router that issues no DDL reboots the fleet
-// from its logs alone. Nothing committed before EnableWAL is logged: a table
-// created before it must be created before it on every restart, or the
-// replay of its loads stalls. Call it at a quiet point.
+// pipeline over a log that stores nothing — with one opened from opts, and
+// only while the old one is empty: once any shard has committed a load or a
+// DDL statement it is refused, naming the shard and its next LSN, and the
+// router goes on with its engine. Open the log before the first commit.
+// With opts.Dir set the fleet is durable: a load acks once its records are
+// in the touched shards' logs (and waits for the apply only when asked to),
+// and a DDL statement is logged in every shard's log. Without a Dir it only
+// installs opts' hooks and tuning; a router takes one directory. The logs
+// replay into the (empty, in-memory) warehouses in log order, and the
+// catalog is rebuilt from their DDL before anything new commits, so the
+// fleet's tables, rows and indexes are exactly what its logs hold.
 func (r *Router) EnableWAL(opts wal.Options) error {
+	r.order.Lock()
+	defer r.order.Unlock()
 	old := r.wal.Load()
 	if old.Durable() {
 		return fmt.Errorf("shard: WAL already enabled")
 	}
-	//dgflint:ignore ctxflow construction-time call with no caller context; the queue of an engine without a log holds only writes that are themselves waiting on it
-	if err := old.Drain(context.Background()); err != nil {
-		return err
-	}
-	r.order.Lock()
-	err := r.openWAL(old, opts)
-	r.order.Unlock()
-	if err != nil {
-		return err
-	}
-	return old.Close()
-}
-
-// openWAL swaps in an engine opened over opts once the catalog holds its
-// logs' DDL, checked and recorded as a live statement is.
-func (r *Router) openWAL(old *wal.Engine, opts wal.Options) error {
-	if r.wal.Load() != old {
-		return fmt.Errorf("shard: WAL already enabled")
+	for _, ss := range old.Stats() {
+		if ss.NextLSN > 1 {
+			return fmt.Errorf("shard: WAL refused: shard %d has committed (next lsn %d); the log opens before the first load or DDL statement", ss.Shard, ss.NextLSN)
+		}
 	}
 	e, err := wal.Open(opts, r.stores())
 	if err != nil {
 		return err
+	}
+	var stmts []hive.Stmt
+	for _, text := range e.RecoveredDDL() {
+		stmt, err := hive.Parse(text)
+		if err != nil {
+			e.Close()
+			return fmt.Errorf("shard: logged DDL %q: %w", text, err)
+		}
+		stmts = append(stmts, stmt)
 	}
 	// The replay applies the logged DDL in the background: its tables are
 	// not queryable until every shard has replayed its whole log.
@@ -64,18 +61,13 @@ func (r *Router) openWAL(old *wal.Engine, opts wal.Options) error {
 	for _, ss := range e.Stats() {
 		at.lsns = append(at.lsns, ss.NextLSN-1)
 	}
-	for _, text := range e.RecoveredDDL() {
-		stmt, err := hive.Parse(text)
-		if err != nil {
-			e.Close()
-			return fmt.Errorf("shard: logged DDL %q: %w", text, err)
-		}
+	for _, stmt := range stmts {
 		if r.checkDDL(stmt) == nil {
 			r.catalogDDL(stmt, at)
 		}
 	}
 	r.wal.Store(e)
-	return nil
+	return old.Close()
 }
 
 // LoadAck describes an acknowledged load.
@@ -140,7 +132,7 @@ func (r *Router) commitLoad(ctx context.Context, table string, rows []storage.Ro
 		// Validate before writing or logging: a row the table's encoding
 		// cannot carry would poison every later read, and a logged record
 		// that can never apply would stall its shard's applier forever.
-		if err := storage.CheckIngestRows(m.schema, rows); err != nil {
+		if err := storage.CheckRows(m.schema, rows); err != nil {
 			return nil, ack, nil, nil, fmt.Errorf("shard: load into %q: %w", table, err)
 		}
 		batches, err := r.loadBatches(table, rows)

@@ -96,15 +96,23 @@ func enableTestWAL(t *testing.T, r *Router, dir string) {
 	}
 }
 
+// testWALOptions are the options of an engine over a fresh log directory
+// (fsync off) when logged is set, and of one without a directory otherwise.
+func testWALOptions(t *testing.T, logged bool) wal.Options {
+	if !logged {
+		return wal.Options{}
+	}
+	return wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}
+}
+
 // TestIngestChaosKillLoadReviveCatchUp is the acceptance chaos test: with
 // Replicas:2 and the WAL on, kill a replica, keep loading (every load
 // succeeds and applies to the shard's warehouse), revive it, and with its
 // sibling killed the revived replica answers the full query suite as the
 // fleet did before: no duplicated and no dropped rows.
 func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
-	r := replicatedRouter(t, 4, 2, true)
+	r := loggedRouter(t, 4, 2, true, wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff})
 	t.Cleanup(func() { r.CloseWAL() })
-	enableTestWAL(t, r, t.TempDir())
 
 	loaded := 0
 	load := func(batch int) {
@@ -158,9 +166,8 @@ func TestIngestChaosKillLoadReviveCatchUp(t *testing.T) {
 // with the WAL enabled: queries stay bit-identical with a replica down,
 // and after revive the whole fleet matches the healthy suite.
 func TestIngestWALFailoverSuiteGreen(t *testing.T) {
-	r := replicatedRouter(t, 4, 2, true)
+	r := loggedRouter(t, 4, 2, true, wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff})
 	t.Cleanup(func() { r.CloseWAL() })
-	enableTestWAL(t, r, t.TempDir())
 	healthy := runSuite(t, r)
 
 	for si := 0; si < r.NumShards(); si++ {
@@ -187,9 +194,8 @@ func TestIngestWALFailoverSuiteGreen(t *testing.T) {
 // TestIngestSyncAckVisibility: a sync load is queryable the moment the call
 // returns; an async load is durable immediately and visible after drain.
 func TestIngestSyncAckVisibility(t *testing.T) {
-	r := replicatedRouter(t, 2, 2, false)
+	r := loggedRouter(t, 2, 2, false, wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff})
 	t.Cleanup(func() { r.CloseWAL() })
-	enableTestWAL(t, r, t.TempDir())
 	before := mustExec(t, r, `SELECT count(*) FROM meterdata`).Rows[0][0].AsFloat()
 
 	ack, err := r.LoadRowsDurable(context.Background(), "meterdata", extraMeterRows(0, 8), true)
@@ -220,11 +226,8 @@ func TestIngestSyncAckVisibility(t *testing.T) {
 // loaders while a replica dies and revives mid-stream; afterwards the fleet
 // holds every loaded row once.
 func TestIngestConcurrentLoadersWithKill(t *testing.T) {
-	r := replicatedRouter(t, 2, 2, false)
+	r := loggedRouter(t, 2, 2, false, wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff})
 	t.Cleanup(func() { r.CloseWAL() })
-	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
-		t.Fatal(err)
-	}
 	const loaders, batches, rowsPer = 4, 10, 5
 	var wg sync.WaitGroup
 	errCh := make(chan error, loaders)
@@ -273,16 +276,16 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setupMeter(t, r, cfg, true)
 		return r
 	}
 
-	// Fleet 1: WAL on (fsync always — every batch durable), load batches,
-	// crash without draining.
+	// Fleet 1: WAL on (fsync always — every batch durable) before the base
+	// data, load batches, crash without draining.
 	r1 := mkFleet()
 	if err := r1.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyAlways}); err != nil {
 		t.Fatal(err)
 	}
+	setupMeter(t, r1, cfg, true)
 	var durable [][]storage.Row
 	for b := 0; b < 6; b++ {
 		rows := extraMeterRows(b, 5)
@@ -305,7 +308,8 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 	// as a crash mid-append would.
 	tearLastRecord(t, dir, doomedShard, 3)
 
-	// Fleet 2: fresh (empty) warehouses, same DDL, same WAL dir — replay.
+	// Fleet 2: fresh (empty) warehouses over the same WAL dir — the replay
+	// brings the DDL, the base data and the durable batches.
 	r2 := mkFleet()
 	t.Cleanup(func() { r2.CloseWAL() })
 	if err := r2.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff}); err != nil {
@@ -315,6 +319,7 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 
 	// Baseline: synchronous loads of exactly the durable batches.
 	baseline := mkFleet()
+	setupMeter(t, baseline, cfg, true)
 	for _, rows := range durable {
 		if err := loadRows(baseline, "meterdata", rows); err != nil {
 			t.Fatal(err)
@@ -328,12 +333,13 @@ func TestIngestCrashRecoveryBitIdentical(t *testing.T) {
 			t.Fatalf("replayed fleet diverged on %q:\nbaseline: %s\nreplayed: %s", q, w, got[q])
 		}
 	}
+	// Shard by shard too: each replayed warehouse answers as the baseline's.
 	for si := 0; si < r2.NumShards(); si++ {
-		a := runSuiteWarehouse(t, r2.Replica(si, 0))
-		b := runSuiteWarehouse(t, r2.Replica(si, 1))
+		a := runSuiteWarehouse(t, baseline.Shard(si))
+		b := runSuiteWarehouse(t, r2.Shard(si))
 		for q, w := range a {
 			if b[q] != w {
-				t.Fatalf("shard %d replicas diverged after replay on %q", si, q)
+				t.Fatalf("shard %d diverged from the baseline's after replay on %q:\nbaseline: %s\nreplayed: %s", si, q, w, b[q])
 			}
 		}
 	}
@@ -373,11 +379,8 @@ func TestEachShardLoadErrorEnumeratesShards(t *testing.T) {
 // with its rows.
 func TestIngestLoadAppliesWhenWholeShardDead(t *testing.T) {
 	for _, logged := range []bool{false, true} {
-		r := replicatedRouter(t, 2, 2, false)
+		r := loggedRouter(t, 2, 2, false, testWALOptions(t, logged))
 		t.Cleanup(func() { r.CloseWAL() })
-		if logged {
-			enableTestWAL(t, r, t.TempDir())
-		}
 		r.Kill(0, 0)
 		r.Kill(0, 1)
 		rows := extraMeterRows(0, 40)
@@ -395,9 +398,9 @@ func TestIngestLoadAppliesWhenWholeShardDead(t *testing.T) {
 // TestIngestValidatesRowShapeBeforeLogging: a malformed row is rejected at
 // the ack, not logged to stall the applier forever.
 func TestIngestValidatesRowShapeBeforeLogging(t *testing.T) {
-	r := replicatedRouter(t, 2, 1, false)
+	r := loggedRouter(t, 2, 1, false, wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff})
 	t.Cleanup(func() { r.CloseWAL() })
-	enableTestWAL(t, r, t.TempDir())
+	before := r.WALStats()
 	_, err := r.LoadRowsDurable(context.Background(), "meterdata",
 		[]storage.Row{{storage.Int64(1)}}, false)
 	if err == nil || !strings.Contains(err.Error(), "columns") {
@@ -406,10 +409,9 @@ func TestIngestValidatesRowShapeBeforeLogging(t *testing.T) {
 	if _, err := r.LoadRowsDurable(context.Background(), "nosuch", extraMeterRows(0, 1), false); err == nil {
 		t.Fatal("load into unknown table accepted")
 	}
-	st := r.WALStats()
-	for _, ss := range st {
-		if ss.NextLSN != 1 {
-			t.Fatalf("invalid load consumed an LSN: %+v", ss)
+	for i, ss := range r.WALStats() {
+		if ss.NextLSN != before[i].NextLSN {
+			t.Fatalf("invalid load consumed an LSN: %+v, before it %+v", ss, before[i])
 		}
 	}
 }
@@ -554,8 +556,8 @@ func (g *applyGate) release() {
 // nothing with it: the shard's applier applies them, loads during the
 // outage — even with every replica of the shard down — commit and apply,
 // and a revived replica is live at once with every record applied exactly
-// once. EnableWAL with a directory afterwards keeps every row and can be
-// done once.
+// once. EnableWAL with a directory afterwards is refused, and the fleet goes
+// on with its engine.
 func TestLoadPathOutage(t *testing.T) {
 	r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
 	if err != nil {
@@ -566,10 +568,10 @@ func TestLoadPathOutage(t *testing.T) {
 		gate.release()
 		r.CloseWAL()
 	})
-	mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
 	if err := r.EnableWAL(wal.Options{MaxPendingRows: 8, OnApply: gate.hook}); err != nil {
 		t.Fatal(err)
 	}
+	mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
 	ctx := context.Background()
 	next := [2]int64{}
 	rowsFor := func(shard, n int) []storage.Row { // n fresh rows that route to shard
@@ -688,18 +690,16 @@ func TestLoadPathOutage(t *testing.T) {
 		t.Fatalf("count after the revive = %v, want 17", n)
 	}
 
-	// A directory, given now, keeps every row; there is no second one.
-	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err != nil {
-		t.Fatal(err)
+	// A directory given now is refused: the engine has committed. Loads go
+	// on through it.
+	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("EnableWAL after commits = %v, want a refusal", err)
 	}
-	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(1, 1), true); err != nil || !ack.Durable || !ack.Applied {
-		t.Fatalf("load behind the directory: ack %+v, err %v; want durable and applied", ack, err)
+	if ack, err := r.LoadRowsDurable(ctx, "late", rowsFor(1, 1), true); err != nil || ack.Durable || !ack.Applied {
+		t.Fatalf("load after the refusal: ack %+v, err %v; want applied, not durable", ack, err)
 	}
 	if n := mustExec(t, r, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 18 {
-		t.Fatalf("count behind the directory = %v, want 18", n)
-	}
-	if err := r.EnableWAL(wal.Options{Dir: t.TempDir(), Fsync: wal.PolicyOff}); err == nil || !strings.Contains(err.Error(), "already enabled") {
-		t.Fatalf("second EnableWAL = %v, want an already-enabled error", err)
+		t.Fatalf("count after the refusal = %v, want 18", n)
 	}
 }
 
@@ -818,40 +818,55 @@ func TestDropTableWaitsForLoadsLoadsKeepDeadlines(t *testing.T) {
 	}
 }
 
-// TestDropTableFailsFastOnStalledApplier: records replayed from a log whose
-// table was created before the log stall their applier when the table is
-// not created again. A DDL statement then fails at once, naming the stalled
-// shard and record, rather than queueing behind it: a DROP TABLE, and a
-// CREATE TABLE of the missing table too. The stall clears on a restart that
-// creates the table before EnableWAL.
+// stalledLogs writes by hand the logs of a two-shard fleet whose appliers
+// stall on replay: each shard's log holds a load of rows into "late", which
+// no DDL record creates, then a CREATE TABLE of "other". It returns the rows.
+func stalledLogs(t *testing.T, dir string) []storage.Row {
+	t.Helper()
+	rows := make([]storage.Row, 20)
+	for i := range rows {
+		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
+	}
+	for si := 0; si < 2; si++ {
+		l, _, err := wal.OpenLog(filepath.Join(dir, fmt.Sprintf("shard-%03d", si), "replica-0.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range []wal.Record{
+			{LSN: 1, Table: "late", Rows: rows},
+			{LSN: 2, Table: "other", DDL: `CREATE TABLE other (userId bigint, v double)`},
+		} {
+			if err := l.Append(rec, wal.PolicyOff); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(wal.PolicyAlways); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows
+}
+
+// TestDropTableFailsFastOnStalledApplier: records replayed from a log that
+// loads a table no DDL record creates stall their applier. A DDL statement
+// then fails at once, naming the stalled shard and record, rather than
+// queueing behind it: a DROP TABLE, and a CREATE TABLE of the missing table
+// too. A restart cannot create the table ahead of the log to get past the
+// stall: its EnableWAL is refused, since the engine opens only before the
+// first commit.
 func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
 	dir := t.TempDir()
-	mk := func(late bool) *Router {
+	stalledLogs(t, dir)
+	mk := func() *Router {
 		t.Helper()
 		r, err := New(Config{Shards: 2, Replicas: 2, Key: "userId"}, newShardWarehouse)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustExec(t, r, `CREATE TABLE other (userId bigint, v double)`)
-		if late {
-			mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
-		}
-		enableTestWAL(t, r, dir)
 		return r
 	}
-	first := mk(true)
-	rows := make([]storage.Row, 20)
-	for i := range rows {
-		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
-	}
-	if _, err := first.LoadRowsDurable(context.Background(), "late", rows, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := mk(false) // "late" is not created again before the replay
+	r := mk()
+	enableTestWAL(t, r, dir)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if stalled := slices.ContainsFunc(r.WALStats(), func(ss wal.ShardStats) bool { return ss.Replicas[0].Stalled != "" }); stalled {
 			break
@@ -878,15 +893,13 @@ func TestDropTableFailsFastOnStalledApplier(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	again := mk(true)
+	again := mk()
 	t.Cleanup(func() { again.CloseWAL() })
-	if err := again.DrainWAL(ctx); err != nil {
-		t.Fatalf("drain once the table exists before the log: %v", err)
+	mustExec(t, again, `CREATE TABLE late (userId bigint, v double)`)
+	if err := again.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff}); err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "next lsn 2") {
+		t.Fatalf("EnableWAL after a CREATE TABLE = %v, want a refusal naming shard 0 and its next lsn 2", err)
 	}
-	if n := mustExec(t, again, `SELECT count(*) FROM late`).Rows[0][0].AsFloat(); n != 20 {
-		t.Fatalf("count after the replay = %v, want 20", n)
-	}
-	mustExec(t, again, `DROP TABLE other`)
+	mustExec(t, again, `DROP TABLE late`)
 }
 
 // TestSelectRefusedUntilEveryShardAppliedDDL: the catalog changes when a
@@ -982,35 +995,15 @@ func TestSelectRefusedUntilEveryShardAppliedDDL(t *testing.T) {
 // load keeps its deadline.
 func TestDDLRefusedWhileLoadWaitsOnBackpressure(t *testing.T) {
 	dir := t.TempDir()
-	mk := func(late bool) *Router {
-		t.Helper()
-		r, err := New(Config{Shards: 2, Key: "userId"}, newShardWarehouse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, r, `CREATE TABLE other (userId bigint, v double)`)
-		if late {
-			mustExec(t, r, `CREATE TABLE late (userId bigint, v double)`)
-		}
-		if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxPendingRows: 1}); err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	rows := make([]storage.Row, 20)
-	for i := range rows {
-		rows[i] = storage.Row{storage.Int64(int64(i)), storage.Float64(float64(i))}
-	}
-	first := mk(true)
-	if _, err := first.LoadRowsDurable(context.Background(), "late", rows, true); err != nil {
+	rows := stalledLogs(t, dir)
+	r, err := New(Config{Shards: 2, Key: "userId"}, newShardWarehouse)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := first.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := mk(false) // "late" is missing, so both appliers stall on its replay
 	t.Cleanup(func() { r.CloseWAL() })
+	if err := r.EnableWAL(wal.Options{Dir: dir, Fsync: wal.PolicyOff, MaxPendingRows: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		stalled := 0
 		for _, ss := range r.WALStats() {

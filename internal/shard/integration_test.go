@@ -65,8 +65,8 @@ func TestShardServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itSetup(t, router, cfg, true)
 	srv := server.NewWithBackend(router, server.Config{MaxConcurrent: 4})
+	itSetup(t, router, cfg, true)
 
 	const q = `SELECT sum(powerConsumed) FROM meterdata WHERE userId>=5 AND userId<=30`
 	first, err := srv.Query(context.Background(), server.Request{SQL: q})
@@ -121,8 +121,8 @@ func TestServerReplicaHealthSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itSetup(t, router, cfg, false)
 	srv := server.NewWithBackend(router, server.Config{MaxConcurrent: 2})
+	itSetup(t, router, cfg, false)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -181,7 +181,11 @@ func TestServerReplicaHealthSurfaces(t *testing.T) {
 	}
 
 	// A single warehouse is one shard with one live replica.
-	bare := server.New(itWarehouse(0), server.Config{})
+	one, err := shard.New(shard.Config{Shards: 1}, itWarehouse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := server.NewWithBackend(one, server.Config{})
 	if snap := bare.Stats(); len(snap.Shards) != 1 || snap.Shards[0].Replicas != 1 || snap.Shards[0].Live != 1 {
 		t.Fatalf("single-warehouse server shard health = %+v, want one shard, 1 live of 1", snap.Shards)
 	}

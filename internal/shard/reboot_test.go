@@ -172,7 +172,7 @@ func TestDDLRolledForwardOntoCutLog(t *testing.T) {
 		r := mk()
 		drainFleet(t, r)
 		for i := range r.NumShards() {
-			if _, err := r.Shard(i).TableSchema("u"); err != nil {
+			if _, err := r.Shard(i).Table("u"); err != nil {
 				t.Fatalf("boot %d: shard %d: %v", boot, i, err)
 			}
 		}

@@ -151,7 +151,7 @@ type Router struct {
 
 	// wal is the engine every load and DDL statement commits to and whose
 	// appliers write the warehouses (see ingest.go): opened without a
-	// directory by New, swapped by EnableWAL, never nil.
+	// directory by New, replaced by EnableWAL while it is empty, never nil.
 	wal atomic.Pointer[wal.Engine]
 
 	// order puts every shard's loads and DDL in one order: a load holds it
@@ -165,10 +165,10 @@ type Router struct {
 	tables map[string]*tableMeta
 }
 
-// New builds a router over cfg.Shards shards, each one warehouse with its
-// own filesystem produced by mk (called once per shard) and served by
-// cfg.Replicas executors. The tables shard 0's warehouse already holds start
-// the catalog (a one-shard server may wrap a populated warehouse). The
+// New builds a router over cfg.Shards shards, each one empty warehouse with
+// its own filesystem produced by mk (called once per shard) and served by
+// cfg.Replicas executors. A warehouse that already holds a table is refused:
+// a fleet's tables, rows and indexes are exactly what its logs hold. The
 // router starts one applier goroutine per shard; CloseWAL joins them.
 func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 	if err := cfg.validate(); err != nil {
@@ -180,12 +180,10 @@ func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 		if w == nil {
 			return nil, fmt.Errorf("shard: nil warehouse for shard %d", i)
 		}
-		r.sets = append(r.sets, newReplicaSet(i, cfg.replicas(), w))
-	}
-	for _, info := range r.sets[0].w.TableInfos() {
-		if schema, err := r.sets[0].w.TableSchema(info.Name); err == nil {
-			r.addTable(info.Name, schema)
+		if infos := w.TableInfos(); len(infos) > 0 {
+			return nil, fmt.Errorf("shard: shard %d's warehouse already holds table %q; a fleet's tables come from its logs", i, infos[0].Name)
 		}
+		r.sets = append(r.sets, newReplicaSet(i, cfg.replicas(), w))
 	}
 	e, err := wal.Open(wal.Options{}, r.stores())
 	if err != nil {
@@ -198,15 +196,8 @@ func New(cfg Config, mk func(shard int) *hive.Warehouse) (*Router, error) {
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.sets) }
 
-// NumReplicas returns the executors per shard.
-func (r *Router) NumReplicas() int { return r.cfg.replicas() }
-
 // Shard returns the i-th shard's warehouse (for tests and tooling).
 func (r *Router) Shard(i int) *hive.Warehouse { return r.sets[i].w }
-
-// Replica returns the warehouse replica j of shard i executes over: the
-// shard's one warehouse, for every j.
-func (r *Router) Replica(i, j int) *hive.Warehouse { return r.sets[i].w }
 
 // Kill marks one replica down, as if its server crashed: new reads on it
 // fail immediately, in-flight reads abort at their next split boundary, and
@@ -331,7 +322,7 @@ func (r *Router) ddl(ctx context.Context, stmt hive.Stmt) (*hive.Result, error) 
 
 // checkDDL refuses, with the warehouse's own error, CREATE TABLE of a table
 // the catalog holds, and DROP TABLE or CREATE INDEX of one it does not. A
-// live statement and a recovered one (openWAL) take it, then catalogDDL.
+// live statement and a recovered one (EnableWAL) take it, then catalogDDL.
 func (r *Router) checkDDL(stmt hive.Stmt) error {
 	table, _, _ := hive.DDL(stmt)
 	_, create := stmt.(*hive.CreateTableStmt)

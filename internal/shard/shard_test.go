@@ -348,7 +348,7 @@ func TestTableInfosReportDgfIndex(t *testing.T) {
 		t.Helper()
 		var wantBytes, wantEntries int64
 		for si := 0; si < 4; si++ {
-			tbl, err := router.Replica(si, 0).Table("meterdata")
+			tbl, err := router.Shard(si).Table("meterdata")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,9 +47,7 @@ func TestShardVectorisedFleetEquivalence(t *testing.T) {
 	}
 	var fleet []*hive.Warehouse
 	for i := 0; i < router.NumShards(); i++ {
-		for j := 0; j < router.NumReplicas(); j++ {
-			fleet = append(fleet, router.Replica(i, j))
-		}
+		fleet = append(fleet, router.Shard(i))
 	}
 	setupVectorFleetTable(t, router, fleet, cfg)
 

@@ -51,10 +51,7 @@ func AppendTextRow(dst []byte, row Row) []byte {
 // And it refuses a timestamp outside the years 0000-9999: the text renders
 // such a year with more than four digits ("10000-01-01"), which no decode
 // reads back.
-func CheckTextRow(row Row) error { return checkTextRow(row, true) }
-
-// checkTextRow is CheckTextRow; keySep selects its group-key separator rule.
-func checkTextRow(row Row, keySep bool) error {
+func CheckTextRow(row Row) error {
 	for i, v := range row {
 		if v.Kind == KindTime && (v.I < minLayoutUnix || v.I > maxLayoutUnix) {
 			return fmt.Errorf("storage: column %d: timestamp %d (Unix seconds) is outside the years 0000-9999 the text format can carry", i+1, v.I)
@@ -65,7 +62,7 @@ func checkTextRow(row Row, keySep bool) error {
 		if strings.IndexByte(v.S, '\n') >= 0 {
 			return fmt.Errorf("storage: column %d: string cell %q holds a newline", i+1, v.S)
 		}
-		if keySep && strings.IndexByte(v.S, '\x01') >= 0 {
+		if strings.IndexByte(v.S, '\x01') >= 0 {
 			return fmt.Errorf("storage: column %d: string cell %q holds the group-key separator \\x01", i+1, v.S)
 		}
 		if i < len(row)-1 && strings.IndexByte(v.S, TextDelim) >= 0 {
@@ -75,24 +72,17 @@ func checkTextRow(row Row, keySep bool) error {
 	return nil
 }
 
-// CheckRows is the check a warehouse load makes before it creates any file:
-// each row has the schema's arity and only cells the text encoding can carry
-// (CheckTextRow, less the group-key separator rule, which guards GROUP BY
-// answers rather than files). A row that fails it would be written without
+// CheckRows is the check every load makes before it logs a record or
+// creates a file: each row has the schema's arity and only cells
+// CheckTextRow admits. A row that fails it would be written without
 // complaint by the text writer, or half-way by the RCFile writer, and then
-// fail every later read of its table.
-func CheckRows(schema *Schema, rows []Row) error { return checkRows(schema, rows, false) }
-
-// CheckIngestRows is CheckRows with CheckTextRow's group-key separator rule
-// too: the check the fleet's load path makes before it logs a record.
-func CheckIngestRows(schema *Schema, rows []Row) error { return checkRows(schema, rows, true) }
-
-func checkRows(schema *Schema, rows []Row, keySep bool) error {
+// fail every later read of its table, or answer a GROUP BY wrong.
+func CheckRows(schema *Schema, rows []Row) error {
 	for i, row := range rows {
 		if len(row) != schema.Len() {
 			return fmt.Errorf("row %d has %d columns, the table has %d", i, len(row), schema.Len())
 		}
-		if err := checkTextRow(row, keySep); err != nil {
+		if err := CheckTextRow(row); err != nil {
 			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
