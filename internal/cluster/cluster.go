@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -251,16 +252,9 @@ func Makespan(taskSeconds []float64, slots int) float64 {
 		slots = 1
 	}
 	if slots >= len(taskSeconds) {
-		max := 0.0
-		for _, t := range taskSeconds {
-			if t > max {
-				max = t
-			}
-		}
-		return max
+		return slices.Max(taskSeconds)
 	}
-	sorted := make([]float64, len(taskSeconds))
-	copy(sorted, taskSeconds)
+	sorted := slices.Clone(taskSeconds)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	loads := make([]float64, slots)
 	for _, t := range sorted {
@@ -274,11 +268,5 @@ func Makespan(taskSeconds []float64, slots int) float64 {
 		}
 		loads[min] += t
 	}
-	max := 0.0
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+	return slices.Max(loads)
 }

@@ -1,9 +1,11 @@
 package dgf
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -430,7 +432,9 @@ func setValues(pairs []kvstore.Pair, enc []byte, ends []int) {
 // AddPrecompute registers additional pre-computed aggregations on a live
 // index ("users can still add more UDFs dynamically to DGFIndex on demand",
 // Section 4.1). It runs one map-only job over the reorganised data,
-// recomputing the extended header of every GFU.
+// recomputing the extended header of every GFU. It changes the index outside
+// any log — no record describes it, so a fleet rebuilt from its logs lacks
+// the new aggregations — and takes no warehouse lock; only tests call it.
 func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapreduce.Stats, error) {
 	for _, s := range newSpecs {
 		for _, factor := range s.Factors() {
@@ -446,41 +450,45 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	}
 	extended := append(append([]AggSpec{}, ix.Spec.Precompute...), newSpecs...)
 
-	// Recompute every header in one pass over the reorganised data: map
-	// standardises records back to their GFUKey and folds the new columns.
+	// Recompute every header in one pass over the reorganised data: each map
+	// task standardises its split's records back to their GFUKey and folds
+	// them into headers of its own, and the tasks' headers merge in split
+	// order once the job ends, so a SUM header does not depend on which task
+	// finished first.
 	next := &Index{FS: ix.FS, KV: ix.KV, Spec: Spec{Name: ix.Spec.Name, Policy: ix.Spec.Policy, Precompute: extended}, Schema: ix.Schema, DataDir: ix.DataDir}
 	if err := next.resolveColumns(); err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
-	headers := map[string]Header{}
+	var folds []*headerFold
 	job := &mapreduce.Job{
 		Name: "dgf-addudf-" + ix.Spec.Name,
 		Input: &mapreduce.FileInput{FS: ix.FS, Dir: ix.DataDir, Format: ix.Format, Schema: ix.Schema,
 			Project: next.readColumns(ix.Format, append([][]int{next.dimCols}, next.aggCols...)...)},
-		Map: func(rec mapreduce.Record, emit mapreduce.Emit) error {
-			b := rec.Batch
-			cells := make([]int64, 0, stackDims)
-			for _, ri := range b.Sel() {
-				row := b.MaterialiseRow(ri)
-				cells = next.cellsOfRow(row, cells[:0])
-				key := next.Spec.Policy.Key(cells)
-				h := NewHeader(extended)
-				next.foldRow(row, h)
-				mu.Lock()
-				if prev, ok := headers[key]; ok {
-					prev.Merge(h)
-				} else {
-					headers[key] = h
-				}
-				mu.Unlock()
-			}
-			return nil
+		NewMapper: func() mapreduce.TaskMapper {
+			f := &headerFold{ix: next}
+			mu.Lock()
+			folds = append(folds, f)
+			mu.Unlock()
+			return f
 		},
 	}
 	stats, err := mapreduce.RunContext(context.Background(), cfg, job)
 	if err != nil {
 		return nil, err
+	}
+	slices.SortFunc(folds, func(a, b *headerFold) int {
+		return cmp.Or(strings.Compare(a.path, b.path), cmp.Compare(a.off, b.off))
+	})
+	headers := map[string]Header{}
+	for _, f := range folds {
+		for key, h := range f.headers {
+			if prev, ok := headers[key]; ok {
+				prev.Merge(h)
+			} else {
+				headers[key] = h
+			}
+		}
 	}
 	// Rewrite the stored pairs with extended headers, keeping locations.
 	pairs := ix.KV.ScanPrefix(gfuPrefix)
@@ -513,6 +521,38 @@ func (ix *Index) AddPrecompute(cfg *cluster.Config, newSpecs []AggSpec) (*mapred
 	ix.saveMeta()
 	return stats, nil
 }
+
+// headerFold is one AddPrecompute map task: it folds its split's records
+// into headers of its own, keyed by GFUKey, and notes where the split starts
+// (its first record's file and offset), which orders the tasks' merge.
+type headerFold struct {
+	ix      *Index
+	path    string
+	off     int64
+	headers map[string]Header
+	cells   []int64
+}
+
+func (f *headerFold) Map(rec mapreduce.Record, _ mapreduce.Emit) error {
+	if f.headers == nil {
+		f.path, f.off, f.headers = rec.Path, rec.Offset, map[string]Header{}
+	}
+	b := rec.Batch
+	for _, ri := range b.Sel() {
+		row := b.MaterialiseRow(ri)
+		f.cells = f.ix.cellsOfRow(row, f.cells[:0])
+		key := f.ix.Spec.Policy.Key(f.cells)
+		h, ok := f.headers[key]
+		if !ok {
+			h = NewHeader(f.ix.Spec.Precompute)
+			f.headers[key] = h
+		}
+		f.ix.foldRow(row, h)
+	}
+	return nil
+}
+
+func (f *headerFold) Close(mapreduce.Emit) error { return nil }
 
 // ParseIdxProperties translates the paper's Listing 3 CREATE INDEX property
 // map into a Spec: one 'col'='min_interval' entry per dimension (ordered by

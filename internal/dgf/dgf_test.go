@@ -1,9 +1,11 @@
 package dgf
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -398,6 +400,57 @@ func TestAddPrecompute(t *testing.T) {
 			if h[i] != rc[key][i] {
 				t.Errorf("%s cell %d: TextFile %+v, RCFile %+v", key, i, h[i], rc[key][i])
 			}
+		}
+	}
+}
+
+// TestAddPrecomputeFoldsInFixedOrder: two AddPrecompute runs over one index
+// — the second over a copy of its store as it stood before the first — write
+// bit-identical pairs. The data is cut into small splits, so most cells'
+// records are read by more than one map task, and its values are not exact
+// binary fractions, so their sums depend on the order they fold in.
+func TestAddPrecomputeFoldsInFixedOrder(t *testing.T) {
+	fs := dfs.New(1 << 9)
+	rows := wideRows(400)
+	for i := range rows {
+		rows[i][2] = storage.Float64(float64(i%97) / 7)
+	}
+	if err := storage.WriteTextRows(fs, "/tbl/data", rows); err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err := Build(testCfg(), fs, kvstore.New(), wideSpec(), wideSchema(), Source{Dir: "/tbl"}, "/tbl_dgf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := ix.KV.ScanPrefix("")
+	for i := range before {
+		before[i].Value = slices.Clone(before[i].Value)
+	}
+	twin := &Index{FS: ix.FS, KV: kvstore.New(), Spec: ix.Spec, Schema: ix.Schema, DataDir: ix.DataDir, Format: ix.Format, GroupRows: ix.GroupRows,
+		minCell: ix.minCell, maxCell: ix.maxCell}
+	twin.KV.PutBatch(before)
+	if err := twin.resolveColumns(); err != nil {
+		t.Fatal(err)
+	}
+	added := []AggSpec{{Func: AggSum, Col: "A*C"}, {Func: AggMax, Col: "C"}, {Func: AggCount}}
+	pairs := make([][]kvstore.Pair, 2)
+	for run, x := range []*Index{ix, twin} {
+		stats, err := x.AddPrecompute(testCfg(), added)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Splits < 8 {
+			t.Fatalf("%d splits, want the records spread over many", stats.Splits)
+		}
+		pairs[run] = x.KV.ScanPrefix(gfuPrefix)
+		slices.SortFunc(pairs[run], func(a, b kvstore.Pair) int { return strings.Compare(a.Key, b.Key) })
+	}
+	if len(pairs[0]) < 10 || len(pairs[0]) != len(pairs[1]) {
+		t.Fatalf("%d and %d GFU pairs: want the same, and several", len(pairs[0]), len(pairs[1]))
+	}
+	for i, p := range pairs[0] {
+		if q := pairs[1][i]; p.Key != q.Key || !bytes.Equal(p.Value, q.Value) {
+			t.Errorf("%s: the runs wrote different pairs\n%x\n%x", p.Key, p.Value, q.Value)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -52,8 +51,9 @@ type QueryStats struct {
 	// aggregate-index rewrite).
 	Vectorized bool
 	// ShufflePairs and ShuffleBytes are the intermediate pairs (and their
-	// key+value bytes) the scan job's map tasks handed to its reducers: one
-	// per group per split for an aggregate, zero for a projection (map-only).
+	// key+value bytes) of the shuffle Hive would run after the scan job's
+	// map tasks, priced from their group tables: one per group per split for
+	// an aggregate, zero for a projection.
 	ShufflePairs int64
 	ShuffleBytes int64
 	RowsOut      int
@@ -700,30 +700,24 @@ func (q *compiledQuery) groupByNames() []string {
 
 // runQueryJob executes the main MapReduce job of the query and returns its
 // output in mergeable form: plain rows for projections, partial accumulator
-// state for aggregations. Both arrive typed — the projector hands over rows,
-// the reducers fold accumulators — so nothing is printed to be parsed back.
-// A non-nil stream (plain projections only) receives each output row as its
-// batch is projected instead of the rows being collected, and a false return
-// stops split consumption early. On a cancelled ctx the returned stats are
-// non-nil partial progress alongside the error.
+// state for aggregations. The job is map-only and both arrive typed — the
+// projector hands over rows, the split folds their group tables — so nothing
+// is printed to be parsed back. A non-nil stream (plain projections only)
+// receives each output row as its batch is projected instead of the rows
+// being collected, and a false return stops split consumption early. On a
+// cancelled ctx the returned stats are non-nil partial progress alongside
+// the error.
 func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(storage.Row) bool) (*mapreduce.Stats, []storage.Row, *PartialAgg, error) {
 	q, joinMap := p.q, p.joinMap
 	job := &mapreduce.Job{Name: "query-" + q.left.Name, Input: p.input}
 	// The one map task shape: the left-side kernels shrink the batch's
 	// selection vector, the join (if any) expands it to pairs, and the task's
 	// mapper projects the pairs or folds them (fold.go).
-	var agg *PartialAgg
+	var tables *groupTables
 	var out *projection
 	if q.isAgg {
-		// Map-side aggregation, Hive style: each map task folds its split
-		// into one partial per group, reducers merge them per group.
-		agg = q.layout().NewPartial()
-		job.NewMapper = func() mapreduce.TaskMapper { return q.newSplitFold(joinMap) }
-		job.Reduce = q.reduceInto(agg)
-		job.NumReducers = 1
-		if len(q.groupBy) > 0 {
-			job.NumReducers = 4
-		}
+		tables = &groupTables{}
+		job.NewMapper = func() mapreduce.TaskMapper { return q.newSplitFold(joinMap, tables) }
 	} else {
 		out = &projection{stream: stream}
 		job.NewMapper = func() mapreduce.TaskMapper { return q.newProjector(joinMap, out) }
@@ -736,11 +730,19 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(
 		return jobStats, nil, nil, err
 	}
 	switch {
-	case agg != nil:
-		// Fold in the pre-computed inner result, one entry per group.
+	case tables != nil:
+		// Merge the splits' tables and price the shuffle Hive would run over
+		// them: one reducer for a scalar aggregate, four for a GROUP BY.
+		// Then fold in the pre-computed inner result, one entry per group.
 		// Finalization (group sort, AVG division, scalar empty-input row)
 		// happens later through PartialAgg.Finalize, shared with the shard
 		// router's merge path.
+		agg := q.layout().NewPartial()
+		reducers := 1
+		if len(q.groupBy) > 0 {
+			reducers = 4
+		}
+		tables.merge(agg, reducers).Price(w.Cluster, jobStats)
 		agg.foldPrecomputed(p.plan)
 		return jobStats, nil, agg, nil
 	case stream != nil:
@@ -816,10 +818,10 @@ func (w *Warehouse) readJoinMap(ctx context.Context, p *selectPlan) (map[string]
 
 // --- aggregation pipeline ---
 
-// appendPartials renders one accumulator vector as a shuffle value: one
-// value:count cell per slot, "-" for an empty one, joined by commas. The
-// shuffle is the one place partials are text: its bytes are what the cost
-// model charges.
+// appendPartials renders one accumulator vector as the shuffle value Hive
+// would move for it: one value:count cell per slot, "-" for an empty one,
+// joined by commas. Nothing is shuffled: the length of this rendering, with
+// its key's, is what the cost model charges per pair (groupTables.merge).
 func appendPartials(dst []byte, accs []dgf.Accumulator) []byte {
 	for i, a := range accs {
 		if i > 0 {
@@ -834,68 +836,4 @@ func appendPartials(dst []byte, accs []dgf.Accumulator) []byte {
 		dst = strconv.AppendInt(dst, a.N, 10)
 	}
 	return dst
-}
-
-func decodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error) {
-	if len(funcs) == 0 && len(data) == 0 {
-		// A GROUP BY without aggregates: the shuffle key is the whole partial.
-		return nil, nil
-	}
-	parts := strings.Split(string(data), ",")
-	if len(parts) != len(funcs) {
-		return nil, fmt.Errorf("hive: partial has %d slots, want %d", len(parts), len(funcs))
-	}
-	accs := make([]dgf.Accumulator, len(funcs))
-	for i, p := range parts {
-		accs[i].Func = funcs[i]
-		if p == "-" {
-			continue
-		}
-		j := strings.IndexByte(p, ':')
-		if j < 0 {
-			return nil, fmt.Errorf("hive: bad partial %q", p)
-		}
-		v, err1 := strconv.ParseFloat(p[:j], 64)
-		n, err2 := strconv.ParseInt(p[j+1:], 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("hive: bad partial %q", p)
-		}
-		accs[i].Value, accs[i].N = v, n
-	}
-	return accs, nil
-}
-
-// reduceInto returns the aggregate job's reducer: it merges one group's
-// shuffled partials and folds the result into agg. Reduce tasks run
-// concurrently, hence the mutex; each key reaches exactly one of them, so
-// every group's floats sum in the order the shuffle hands them over.
-func (q *compiledQuery) reduceInto(agg *PartialAgg) mapreduce.ReduceFunc {
-	var mu sync.Mutex
-	return func(key string, values [][]byte, _ mapreduce.Emit) error {
-		merged, err := q.mergeValues(values)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		agg.fold(key, merged)
-		mu.Unlock()
-		return nil
-	}
-}
-
-func (q *compiledQuery) mergeValues(values [][]byte) ([]dgf.Accumulator, error) {
-	merged := make([]dgf.Accumulator, len(q.slotFuncs))
-	for i, f := range q.slotFuncs {
-		merged[i].Func = f
-	}
-	for _, v := range values {
-		accs, err := decodePartials(q.slotFuncs, v)
-		if err != nil {
-			return nil, err
-		}
-		for i := range merged {
-			merged[i].Merge(accs[i])
-		}
-	}
-	return merged, nil
 }

@@ -15,21 +15,22 @@ import (
 // This file holds the query job's two map-task mappers. Both start from the
 // same thing — the positions of a batch the left-side kernels keep, expanded
 // to (position, broadcast row) pairs when the query joins — and differ in
-// what they do with it. A projection is map-only: it evaluates each pair into
-// a fresh typed row and hands the batch's rows to the query's projection,
-// with no text in between. An aggregate never builds a row for a pair it can
-// read from the vectors: it folds the pairs into a task-local group table of
-// typed accumulators and emits one partial per group when its split is
-// exhausted (Hive's map-side hash aggregation), so the shuffle carries
-// splits × groups pairs, not one per qualifying row; the reducers fold the
-// merged partials into the query's PartialAgg.
+// what they do with it. A projection evaluates each pair into a fresh typed
+// row and hands the batch's rows to the query's projection. An aggregate
+// never builds a row for a pair it can read from the vectors: it folds the
+// pairs into a task-local group table of typed accumulators (Hive's map-side
+// hash aggregation) and hands the table over when its split is exhausted.
+// Both jobs are map-only, with no text in between: once the job ends, the
+// tables merge into the query's PartialAgg, and the shuffle and reduce phase
+// Hive would run over them — one pair per group per split — are priced from
+// the same tables, not performed.
 //
 // Inside a split the table is keyed by what the batch already holds: nothing
 // for a scalar aggregate, the int64 of a single bigint or timestamp key, the
 // dictionary code of a dictionary-encoded string key (the code → group table
 // is refreshed per batch, one string lookup per distinct code), one lookup
 // per run of a run-length key, and a rendered string only for multi-column
-// keys, double keys and keys of the join side. Every group carries its shuffle
+// keys, double keys and keys of the join side. Every group carries its group
 // key — its key cells' text joined by \x01 — rendered once, when the group is
 // created, so merged output is keyed exactly as rendering the key of every row
 // would key it. Within a group, values fold in row order.
@@ -180,25 +181,63 @@ func (s *projection) sorted() []storage.Row {
 	return out
 }
 
+// groupTables is where an aggregate's map tasks hand over their group
+// tables, one per split. Map tasks run concurrently, so they hand over under
+// mu; merge runs once the job has ended.
+type groupTables struct {
+	mu     sync.Mutex
+	tables []*splitFold
+}
+
+// merge folds the tables into agg and returns the shuffle Hive would run
+// over them on reducers reduce tasks: one pair per group per split, its key
+// the group key and its value the group's partials as appendPartials prints
+// them. A group's partials fold in the order that shuffle hands a reducer a
+// key's values — ascending by those bytes — so every float sums in one order
+// whichever split finished first, and the answer is the one the text
+// shuffle gave.
+func (c *groupTables) merge(agg *PartialAgg, reducers int) mapreduce.Shuffle {
+	type pair struct {
+		key, value string
+		accs       []dgf.Accumulator
+	}
+	n := len(agg.Layout.SlotFuncs)
+	var pairs []pair
+	for _, f := range c.tables {
+		for g, key := range f.keys {
+			accs := f.accs[g*n : (g+1)*n]
+			pairs = append(pairs, pair{key, string(appendPartials(nil, accs)), accs})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Or(strings.Compare(a.key, b.key), strings.Compare(a.value, b.value)) })
+	shuffle := make(mapreduce.Shuffle, reducers)
+	for i, p := range pairs {
+		shuffle.Add(p.key, len(p.value), i == 0 || p.key != pairs[i-1].key)
+		agg.fold(p.key, p.accs)
+	}
+	return shuffle
+}
+
 // splitFold is the mapper of an aggregate: one group table per map task.
 type splitFold struct {
 	splitTask
+	out    *groupTables
 	nslots int
-	keys   []string          // group → its shuffle key
+	keys   []string          // group → its group key
 	accs   []dgf.Accumulator // group g's vector is accs[g*nslots:(g+1)*nslots]
 	byInt  map[int64]int32
 	byStr  map[string]int32
 	// Per-batch scratch: the group of each pair, the dictionary code → group
-	// table, one argument vector per aggregate, and the partial encoding.
+	// table and one argument vector per aggregate.
 	gids  []int32
 	codes []int32
 	vals  [][]float64
-	enc   []byte
 }
 
-func (q *compiledQuery) newSplitFold(joinMap map[string][]storage.Row) *splitFold {
+func (q *compiledQuery) newSplitFold(joinMap map[string][]storage.Row, out *groupTables) *splitFold {
 	return &splitFold{
 		splitTask: splitTask{q: q, joinMap: joinMap},
+		out:       out,
 		nslots:    len(q.slotFuncs),
 		byInt:     map[int64]int32{},
 		byStr:     map[string]int32{},
@@ -425,12 +464,10 @@ func (f *splitFold) foldSlot(slot int, gids []int32, vals []float64, n int) {
 	}
 }
 
-// Close emits the split's partials, one pair per group, in the order the
-// groups first appeared.
-func (f *splitFold) Close(emit mapreduce.Emit) error {
-	for g, key := range f.keys {
-		f.enc = appendPartials(f.enc[:0], f.accs[g*f.nslots:(g+1)*f.nslots])
-		emit(key, f.enc)
-	}
+// Close hands the split's group table over; it emits nothing.
+func (f *splitFold) Close(mapreduce.Emit) error {
+	f.out.mu.Lock()
+	defer f.out.mu.Unlock()
+	f.out.tables = append(f.out.tables, f)
 	return nil
 }

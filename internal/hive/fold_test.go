@@ -227,7 +227,7 @@ func scanAggWarehouse(t testing.TB, scale int) (*Warehouse, int) {
 
 const scanAggGroupBy = `SELECT regionId, count(*), sum(powerConsumed) FROM scanlog GROUP BY regionId`
 
-// TestFoldShuffleBudget: a full-table GROUP BY hands its reducers at most one
+// TestFoldShuffleBudget: a full-table GROUP BY is charged at most one shuffle
 // pair per group per split, and building that answer allocates per batch and
 // per group, not per qualifying row — four times the rows in the same number
 // of row groups, splits and groups cost the same allocations (within 10 %).

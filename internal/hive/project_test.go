@@ -206,3 +206,49 @@ func TestAggregateIndexCountsRows(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinKeysMatchAsText pins today's join-key rule: the broadcast side is
+// keyed by its cells' text and probed with the scanned cells' text, so keys of
+// different kinds match when they print alike. A bigint 5 matches the double
+// 5.0 and the string '5', and not '05', '5.0', ' 5' or '+5'; a double that is
+// not a whole number matches no bigint. Either side may be the bigint, and an
+// aggregate over the join pairs as a projection does, in both formats.
+func TestJoinKeysMatchAsText(t *testing.T) {
+	for _, stored := range []string{"TEXTFILE", "RCFILE"} {
+		w := testWarehouse(1 << 12)
+		mustExec(t, w, `CREATE TABLE l (k bigint, v bigint) STORED AS `+stored)
+		mustExec(t, w, `CREATE TABLE rd (k double, tag string) STORED AS `+stored)
+		mustExec(t, w, `CREATE TABLE rs (k string, tag string) STORED AS `+stored)
+		for table, rows := range map[string][]storage.Row{
+			"l": {{storage.Int64(5), storage.Int64(1)}, {storage.Int64(7), storage.Int64(2)}, {storage.Int64(50), storage.Int64(3)}, {storage.Int64(-5), storage.Int64(4)}},
+			"rd": {{storage.Float64(5.0), storage.Str("d5.0")}, {storage.Float64(5.5), storage.Str("d5.5")}, {storage.Float64(50), storage.Str("d50")},
+				{storage.Float64(7.000000000000001), storage.Str("d7+")}, {storage.Float64(-5), storage.Str("d-5")}},
+			"rs": {{storage.Str("5"), storage.Str("s5")}, {storage.Str("05"), storage.Str("s05")}, {storage.Str("5.0"), storage.Str("s5.0")}, {storage.Str(" 5"), storage.Str("s 5")},
+				{storage.Str("+5"), storage.Str("s+5")}, {storage.Str("7"), storage.Str("s7")}, {storage.Str("-5"), storage.Str("s-5")}},
+		} {
+			if err := w.LoadRowsByName(table, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct{ sql, want string }{
+			{`SELECT t1.k, t2.tag FROM l t1 JOIN rd t2 ON t1.k=t2.k`, "5 d5.0;50 d50;-5 d-5"},
+			{`SELECT t1.k, t2.tag FROM l t1 JOIN rs t2 ON t1.k=t2.k`, "5 s5;7 s7;-5 s-5"},
+			{`SELECT t1.tag, t2.v FROM rd t1 JOIN l t2 ON t1.k=t2.k`, "d5.0 1;d50 3;d-5 4"},
+			{`SELECT t1.tag, t2.v FROM rs t1 JOIN l t2 ON t1.k=t2.k`, "s5 1;s7 2;s-5 4"},
+			{`SELECT t2.tag, count(*), sum(t1.v) FROM l t1 JOIN rs t2 ON t1.k=t2.k GROUP BY t2.tag`, "s-5 1 4;s5 1 1;s7 1 2"},
+			{`SELECT count(*), sum(t1.v) FROM l t1 JOIN rd t2 ON t1.k=t2.k`, "3 8"},
+		} {
+			var got []string
+			for _, row := range mustExec(t, w, c.sql).Rows {
+				cells := make([]string, len(row))
+				for i, v := range row {
+					cells[i] = v.String()
+				}
+				got = append(got, strings.Join(cells, " "))
+			}
+			if strings.Join(got, ";") != c.want {
+				t.Errorf("%s: %q joins %q, want %q", stored, c.sql, strings.Join(got, ";"), c.want)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +24,11 @@ import (
 // evaluates WHERE with storage.Compare per cell (its own compilation of the
 // statement, no kernels), probes an unfiltered join map, renders a group key
 // and folds a string-keyed accumulator map per qualifying row, projects each
-// qualifying pair into a row of its own and orders the rows itself. It shares
-// only the compiled SELECT-list expressions and the aggregate reducer with
+// qualifying pair into a row of its own and orders the rows itself. Its
+// aggregates still run the shuffle the production job only prices: each split
+// emits its partials as appendPartials prints them, the engine groups and
+// sorts them, and reducers parse them back and merge them (refReduceInto). It
+// shares only the compiled SELECT-list expressions and appendPartials with
 // production.
 
 // refRowFilter is one WHERE comparison over a (left, right) row pair.
@@ -123,25 +127,27 @@ func refUnprunedInput(in mapreduce.InputFormat) (mapreduce.InputFormat, storage.
 // the access path and the volumes of the unpruned read.
 func refExec(t *testing.T, w *Warehouse, sql string, opts ExecOptions) *Result {
 	t.Helper()
-	res, err := refSelect(w, mustParseSelect(t, sql), opts)
+	res, _, err := refSelect(w, mustParseSelect(t, sql), opts)
 	if err != nil {
 		t.Fatalf("reference %q: %v", sql, err)
 	}
 	return res
 }
 
-func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
+// refSelect answers a SELECT through the reference evaluator and returns the
+// stats of its job too (nil when the plan answered without one).
+func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, *mapreduce.Stats, error) {
 	p, err := prepareSelect(w, stmt, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.done {
-		return p.pr.Finalize(stmt.Limit), nil
+		return p.pr.Finalize(stmt.Limit), nil, nil
 	}
 	q := p.q
 	filters, err := refCompile(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	joinMap := map[string][]storage.Row{}
@@ -150,24 +156,24 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 		side := &mapreduce.FileInput{FS: w.FS, Paths: p.sideFiles, Format: q.right.Format, Schema: q.right.Schema}
 		splits, err := side.Splits()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, split := range splits {
 			r, err := side.Open(split)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for {
 				rec, ok, err := r.Next()
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				if !ok {
 					break
 				}
 				rows, err := refRows(w.FS, q.right.Format, q.right.Schema, rec)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				for _, row := range rows {
 					key := row[q.joinRight].String()
@@ -194,12 +200,15 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 		},
 	}
 	if q.isAgg {
-		job.Reduce = q.reduceInto(agg)
-		job.NumReducers = 4
+		job.Reduce = refReduceInto(q, agg)
+		job.NumReducers = 1
+		if len(q.groupBy) > 0 {
+			job.NumReducers = 4
+		}
 	}
 	jobStats, err := mapreduce.RunContext(context.Background(), w.Cluster, job)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pr := &PartialResult{Columns: p.pr.Columns}
 	if q.isAgg {
@@ -221,7 +230,7 @@ func refSelect(w *Warehouse, stmt *SelectStmt, opts ExecOptions) (*Result, error
 	res.Stats.RecordsRead = jobStats.InputRecords
 	res.Stats.BytesRead = jobStats.InputBytes
 	res.Stats.GroupsSkipped = jobStats.GroupsSkipped
-	return res, nil
+	return res, jobStats, nil
 }
 
 // refOut is one projected row of the reference and the row it came from.
@@ -312,4 +321,58 @@ func (m *refMapper) Close(emit mapreduce.Emit) error {
 		emit(key, appendPartials(nil, m.groups[key]))
 	}
 	return nil
+}
+
+// refReduceInto is the reference's reducer: it parses one group's shuffled
+// partials back, merges them in the order the shuffle hands them over (by
+// bytes) and folds the result into agg. Reduce tasks run concurrently, hence
+// the mutex; each key reaches exactly one of them.
+func refReduceInto(q *compiledQuery, agg *PartialAgg) mapreduce.ReduceFunc {
+	var mu sync.Mutex
+	return func(key string, values [][]byte, _ mapreduce.Emit) error {
+		merged := q.layout().newAccs()
+		for _, v := range values {
+			accs, err := refDecodePartials(q.slotFuncs, v)
+			if err != nil {
+				return err
+			}
+			for i := range merged {
+				merged[i].Merge(accs[i])
+			}
+		}
+		mu.Lock()
+		agg.fold(key, merged)
+		mu.Unlock()
+		return nil
+	}
+}
+
+// refDecodePartials parses what appendPartials printed.
+func refDecodePartials(funcs []dgf.AggFunc, data []byte) ([]dgf.Accumulator, error) {
+	if len(funcs) == 0 && len(data) == 0 {
+		// A GROUP BY without aggregates: the shuffle key is the whole partial.
+		return nil, nil
+	}
+	parts := strings.Split(string(data), ",")
+	if len(parts) != len(funcs) {
+		return nil, fmt.Errorf("reference: partial has %d slots, want %d", len(parts), len(funcs))
+	}
+	accs := make([]dgf.Accumulator, len(funcs))
+	for i, p := range parts {
+		accs[i].Func = funcs[i]
+		if p == "-" {
+			continue
+		}
+		j := strings.IndexByte(p, ':')
+		if j < 0 {
+			return nil, fmt.Errorf("reference: bad partial %q", p)
+		}
+		v, err1 := strconv.ParseFloat(p[:j], 64)
+		n, err2 := strconv.ParseInt(p[j+1:], 10, 64)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("reference: bad partial %q", p)
+		}
+		accs[i].Value, accs[i].N = v, n
+	}
+	return accs, nil
 }

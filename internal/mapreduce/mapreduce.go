@@ -33,21 +33,22 @@
 // output is buffered the same way.
 //
 // A mapper may be scoped to its map task (Job.NewMapper): it sees its split's
-// records in order and emits what it holds when the split ends. That is how a
-// query aggregates where the rows are — one pair per group per split reaches
-// the shuffle instead of one per record — and the volumes the cost model reads
-// (ShuffleBytes, ShufflePairs, reduce input) are what such a mapper emitted.
+// records in order and hands over what it holds when the split ends. One
+// Shuffle.Price charges a shuffle from its volume per reduce task: RunContext
+// measures that volume from what its reducers are handed, and a map-only job
+// that merges its tasks' output itself (a query's aggregate) declares the
+// shuffle Hive would run instead (Shuffle.Add), moving no byte.
 //
 // Bytes only where the shuffle needs them: a reader hands a mapper decoded
 // column vectors — and, for the index builds that shuffle text, each row's
 // line, which is the text as stored (a TextFile's line, or an RCFile group's
 // cells joined) and never a rendering of decoded values — and a record
-// crosses the shuffle as the bytes the mapper emitted; a reducer that needs
-// typed values decodes a value once, from the bytes where they lie. What a job hands back
-// to its driver need not be bytes at all: a query's map-only projection and
-// its aggregate reducers deliver typed rows and accumulators to a sink the
-// driver owns, and Output — the pairs a job emits after its last stage — is
-// for jobs that want them.
+// crosses the shuffle as the bytes the mapper emitted; a reducer decodes a
+// value once, from the bytes where they lie. The index builds are the only
+// jobs with a reduce phase. What a job hands back to its driver need not be
+// bytes at all: a query's map tasks deliver typed rows and group tables to a
+// sink the driver owns, and Output — the pairs a job emits after its last
+// stage — is for jobs that want them.
 package mapreduce
 
 import (
@@ -248,10 +249,9 @@ type partition struct {
 // job) 72.6 against 34.9 MB/op. Dealing out at the end allocates each
 // task's keys and refs once, at their exact size.
 type shuffleBuf struct {
-	parts   []partition // per reduce task, once finished
-	chunks  [][]byte
-	used    int   // bytes of the last chunk filled
-	emitted int64 // key+value bytes of the buffered pairs
+	parts  []partition // per reduce task, once finished
+	chunks [][]byte
+	used   int // bytes of the last chunk filled
 
 	ids     map[string]uint32 // key → id in keys (nil where keys are distinct by construction)
 	keys    []taskKey
@@ -314,7 +314,6 @@ func (b *shuffleBuf) add(id uint32, value []byte) {
 	b.pending[blk] = append(b.pending[blk], pairRef{key: id, chunk: uint32(last), off: uint32(b.used), len: uint32(n)})
 	b.npairs++
 	b.used += n
-	b.emitted += int64(len(b.keys[id].key) + n)
 }
 
 // finish deals the pending refs out to their partitions, keeping arrival
@@ -395,7 +394,7 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 		numReducers = 1
 	}
 
-	stats := &Stats{Splits: len(splits), MapTasks: len(splits), ReduceTasks: numReducers}
+	stats := &Stats{Splits: len(splits), MapTasks: len(splits)}
 	stats.SimStartupSec = cfg.JobStartupSec
 
 	sp := trace.FromContext(ctx).ChildAt("mapreduce", start)
@@ -421,13 +420,7 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 
 	// ---- Map phase ----
 	results := make([]mapResult, len(splits))
-	pool := runtime.GOMAXPROCS(0)
-	if pool > len(splits) {
-		pool = len(splits)
-	}
-	if pool < 1 {
-		pool = 1
-	}
+	pool := max(1, min(runtime.GOMAXPROCS(0), len(splits)))
 	stopped := func() bool {
 		return ctx.Err() != nil || (job.StopEarly != nil && job.StopEarly())
 	}
@@ -478,9 +471,6 @@ feed:
 		stats.InputRecords += r.records
 		stats.Seeks += r.seeks
 		stats.GroupsSkipped += r.skips
-		if r.shuffle != nil {
-			stats.ShuffleBytes += r.shuffle.emitted
-		}
 		if r.skips > 0 {
 			sp.Eventf("split %s: %d records, %d bytes, %d groups skipped", splits[i].Label(), r.records, r.bytes, r.skips)
 		} else {
@@ -514,24 +504,16 @@ feed:
 	}
 
 	// ---- Shuffle: each reducer groups the map tasks' buffers in place ----
-	stats.SimShuffleSec = cfg.ScaledShuffleSeconds(stats.ShuffleBytes)
 	var ran []*shuffleBuf
 	for _, r := range results {
 		if r.ran {
 			ran = append(ran, r.shuffle)
-			stats.ShufflePairs += int64(r.shuffle.npairs)
 		}
 	}
 
 	// ---- Reduce phase ----
 	rResults := make([]reduceResult, numReducers)
-	rPool := runtime.GOMAXPROCS(0)
-	if rPool > numReducers {
-		rPool = numReducers
-	}
-	if rPool < 1 {
-		rPool = 1
-	}
+	rPool := max(1, min(runtime.GOMAXPROCS(0), numReducers))
 	taskCh := make(chan int)
 	var rwg sync.WaitGroup
 	for w := 0; w < rPool; w++ {
@@ -562,21 +544,14 @@ rfeed:
 		return stats, fmt.Errorf("mapreduce: job %q canceled in reduce phase: %w", job.Name, err)
 	}
 
-	reduceTimes := make([]float64, 0, numReducers)
-	var reduceBytes, reduceGroups int64
+	shuffle := make(Shuffle, numReducers)
 	for p, r := range rResults {
 		if r.err != nil {
 			return nil, fmt.Errorf("mapreduce: job %q: reduce task %d: %w", job.Name, p, r.err)
 		}
-		reduceTimes = append(reduceTimes, cfg.ReduceTaskSeconds(r.inBytes, r.groups))
-		reduceBytes += r.inBytes
-		reduceGroups += r.groups
+		shuffle[p] = r.in
 	}
-	if cfg.ScaleFactor > 1 {
-		stats.SimReduceSec = cfg.ScaledReduceSeconds(reduceBytes, reduceGroups, numReducers)
-	} else {
-		stats.SimReduceSec = cluster.Makespan(reduceTimes, cfg.ReduceSlots())
-	}
+	shuffle.Price(cfg, stats)
 	stats.OutputPairs = outPairs
 	stats.Wall = time.Since(start)
 	return stats, nil
@@ -660,16 +635,14 @@ func combineBuf(combine CombineFunc, in *shuffleBuf) *shuffleBuf {
 }
 
 type reduceResult struct {
-	inBytes int64
-	groups  int64
-	err     error
+	in  ReduceInput
+	err error
 }
 
 // runReduceTask reduces partition task of every map task that ran.
 func runReduceTask(job *Job, task int, maps []*shuffleBuf, output Emit) (res reduceResult) {
 	var groups []Group
-	groups, res.inBytes = groupPairs(maps, task)
-	res.groups = int64(len(groups))
+	groups, res.in = groupPairs(maps, task)
 	if job.ReduceTask != nil {
 		res.err = job.ReduceTask(task, groups, output)
 		return res
@@ -690,15 +663,15 @@ func runReduceTask(job *Job, task int, maps []*shuffleBuf, output Emit) (res red
 // keys ascending, values ascending by bytes — does not depend on which map
 // task finished first, while only values of one key are ever compared with
 // each other. The values are read in place. The second result is the
-// key+value byte volume of all pairs.
-func groupPairs(bufs []*shuffleBuf, p int) ([]Group, int64) {
+// partition's volume: its pairs, their key+value bytes and its groups.
+func groupPairs(bufs []*shuffleBuf, p int) ([]Group, ReduceInput) {
 	total, keys := 0, 0
 	for _, b := range bufs {
 		total += len(b.parts[p].refs)
 		keys += len(b.parts[p].keys)
 	}
 	if total == 0 {
-		return nil, 0
+		return nil, ReduceInput{}
 	}
 	// Number the distinct keys in order of appearance, remembering each
 	// buffer's key ids' groups. One buffer's keys are distinct already, so
@@ -755,7 +728,47 @@ func groupPairs(bufs []*shuffleBuf, p int) ([]Group, int64) {
 	for _, g := range groups {
 		slices.SortFunc(g.Values, bytes.Compare)
 	}
-	return groups, volume
+	return groups, ReduceInput{Pairs: int64(total), Bytes: volume, Groups: int64(len(groups))}
+}
+
+// ReduceInput is what one reduce task is handed: its pairs, their key+value
+// bytes, and its distinct keys, the groups it reduces.
+type ReduceInput struct {
+	Pairs, Bytes, Groups int64
+}
+
+// Shuffle is the volume of a shuffle, one ReduceInput per reduce task.
+type Shuffle []ReduceInput
+
+// Add declares one pair: its key, its value's length, and whether no earlier
+// pair had its key. It goes to its key's partition, as an emitted pair would.
+func (s Shuffle) Add(key string, valueLen int, firstOfKey bool) {
+	r := &s[partitionOf(key, len(s))]
+	r.Pairs++
+	r.Bytes += int64(len(key) + valueLen)
+	if firstOfKey {
+		r.Groups++
+	}
+}
+
+// Price sets st's shuffle and reduce fields from the volume, every reduce
+// task charged, an empty one included.
+func (s Shuffle) Price(cfg *cluster.Config, st *Stats) {
+	var groups int64
+	st.ReduceTasks, st.ShufflePairs, st.ShuffleBytes = len(s), 0, 0
+	times := make([]float64, len(s))
+	for p, r := range s {
+		st.ShufflePairs += r.Pairs
+		st.ShuffleBytes += r.Bytes
+		groups += r.Groups
+		times[p] = cfg.ReduceTaskSeconds(r.Bytes, r.Groups)
+	}
+	st.SimShuffleSec = cfg.ScaledShuffleSeconds(st.ShuffleBytes)
+	if cfg.ScaleFactor > 1 {
+		st.SimReduceSec = cfg.ScaledReduceSeconds(st.ShuffleBytes, groups, len(s))
+	} else {
+		st.SimReduceSec = cluster.Makespan(times, cfg.ReduceSlots())
+	}
 }
 
 // partitionOf assigns a key to a reduce partition by its FNV-1a hash.

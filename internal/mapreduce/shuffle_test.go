@@ -479,11 +479,59 @@ func TestShuffleAccounting(t *testing.T) {
 			}
 			for p := 0; p < reducers; p++ {
 				r := runReduceTask(job, p, bufs, nil)
-				if r.err != nil || r.inBytes != partBytes[p] || r.groups != int64(len(partKeys[p])) {
-					t.Fatalf("reduce task %d: %d input bytes, %d groups, %v; want %d, %d", p, r.inBytes, r.groups, r.err, partBytes[p], len(partKeys[p]))
+				if r.err != nil || r.in.Bytes != partBytes[p] || r.in.Groups != int64(len(partKeys[p])) {
+					t.Fatalf("reduce task %d: %d input bytes, %d groups, %v; want %d, %d", p, r.in.Bytes, r.in.Groups, r.err, partBytes[p], len(partKeys[p]))
 				}
 			}
 		})
+	}
+}
+
+// TestShufflePricedAsRun holds the two ways a shuffle is charged to one
+// price: the pairs a job emits, run through RunContext's shuffle, and the same
+// pairs declared one by one (Shuffle.Add) and priced, as a job that merges
+// its map output itself declares them. Pairs, bytes, reduce tasks and the
+// simulated shuffle and reduce seconds must be identical, at scale factor 1
+// and above, also for jobs that shuffle no pair.
+func TestShufflePricedAsRun(t *testing.T) {
+	const reducers = 3
+	cases := append(shuffleCases(),
+		shuffleCase{name: "splits without pairs", splits: [][]pair{{}, {}}},
+		shuffleCase{name: "no splits"})
+	for _, scale := range []float64{1, 25} {
+		cfg := testCfg().Scaled(scale)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("x%g/%s", scale, tc.name), func(t *testing.T) {
+				in := &pairInput{splits: tc.splits}
+				run, err := RunContext(context.Background(), cfg, &Job{Name: "priced", Input: in, NewMapper: in.newMapper, Combine: tc.combine, NumReducers: reducers,
+					Reduce: func(string, [][]byte, Emit) error { return nil }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				crossing := tc.splits
+				if tc.combine != nil {
+					crossing = combined(tc.splits, tc.combine)
+				}
+				declared, seen := make(Shuffle, reducers), map[string]bool{}
+				for _, ps := range crossing {
+					for _, pr := range ps {
+						declared.Add(pr.Key, len(pr.Value), !seen[pr.Key])
+						seen[pr.Key] = true
+					}
+				}
+				priced := &Stats{}
+				declared.Price(cfg, priced)
+				if run.ShufflePairs != priced.ShufflePairs || run.ShuffleBytes != priced.ShuffleBytes || run.ReduceTasks != priced.ReduceTasks ||
+					run.SimShuffleSec != priced.SimShuffleSec || run.SimReduceSec != priced.SimReduceSec {
+					t.Fatalf("run: %d pairs, %d bytes, %d reducers, %v s shuffle, %v s reduce; priced: %d, %d, %d, %v s, %v s",
+						run.ShufflePairs, run.ShuffleBytes, run.ReduceTasks, run.SimShuffleSec, run.SimReduceSec,
+						priced.ShufflePairs, priced.ShuffleBytes, priced.ReduceTasks, priced.SimShuffleSec, priced.SimReduceSec)
+				}
+				if run.ReduceTasks != reducers || run.SimReduceSec <= 0 {
+					t.Fatalf("%d reduce tasks costing %v s, want %d, every one charged", run.ReduceTasks, run.SimReduceSec, reducers)
+				}
+			})
+		}
 	}
 }
 

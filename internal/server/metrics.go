@@ -57,8 +57,8 @@ type metricSet struct {
 	recordsRead int64
 	bytesRead   int64
 	rowsOut     int64
-	// shufflePairs/shuffleBytes sum what executed scan jobs handed their
-	// reducers; over queries it reads as shuffle pairs per statement.
+	// shufflePairs/shuffleBytes sum the shuffle executed scan jobs were
+	// charged for; over queries it reads as shuffle pairs per statement.
 	shufflePairs int64
 	shuffleBytes int64
 	simSeconds   float64
@@ -163,8 +163,8 @@ type MetricsSnapshot struct {
 	RecordsRead int64 `json:"records_read"`
 	BytesRead   int64 `json:"bytes_read"`
 	RowsOut     int64 `json:"rows_out"`
-	// ShufflePairs and ShuffleBytes total the map-to-reduce volume of the
-	// executed scan jobs (cache hits excluded).
+	// ShufflePairs and ShuffleBytes total the map-to-reduce volume the
+	// executed scan jobs were charged for (cache hits excluded).
 	ShufflePairs int64 `json:"shuffle_pairs"`
 	ShuffleBytes int64 `json:"shuffle_bytes"`
 	// SimClusterSeconds is the paper's currency: total simulated cluster

@@ -224,8 +224,8 @@ func TestMetricsEndpointMatchesStats(t *testing.T) {
 		}
 	}
 
-	// One aggregate ran (the repeat was a cache hit): its map tasks handed
-	// the reducer one pair per split.
+	// One aggregate ran (the repeat was a cache hit): it was charged one
+	// shuffle pair per split.
 	if m.ShufflePairs <= 0 || m.ShuffleBytes <= 0 {
 		t.Errorf("shuffle totals %d pairs, %d bytes after an executed aggregate", m.ShufflePairs, m.ShuffleBytes)
 	}

@@ -38,7 +38,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	p.Counter("dgf_cache_hits_total", "Queries served from the result cache.", nil, float64(m.CacheHits))
 	p.Counter("dgf_records_read_total", "Records scanned by executed queries (cache hits excluded).", nil, float64(m.RecordsRead))
 	p.Counter("dgf_bytes_read_total", "Bytes read by executed queries (cache hits excluded).", nil, float64(m.BytesRead))
-	p.Counter("dgf_shuffle_pairs_total", "Intermediate pairs executed scan jobs handed their reducers (cache hits excluded).", nil, float64(m.ShufflePairs))
+	p.Counter("dgf_shuffle_pairs_total", "Shuffle pairs executed scan jobs were charged for (cache hits excluded).", nil, float64(m.ShufflePairs))
 	p.Counter("dgf_shuffle_bytes_total", "Key and value bytes of those pairs.", nil, float64(m.ShuffleBytes))
 	p.Counter("dgf_rows_out_total", "Result rows returned to clients.", nil, float64(m.RowsOut))
 	p.Counter("dgf_sim_cluster_seconds_total", "Simulated cluster seconds spent executing queries.", nil, m.SimClusterSeconds)

@@ -44,13 +44,23 @@ type replica struct {
 	// picker prefers the least-loaded live replica.
 	inflight atomic.Int64
 
-	mu     sync.Mutex
-	killed bool
-	killCh chan struct{} // closed while killed; replaced on Revive
+	// life is the current kill generation: kill ends it, and revive starts
+	// the next one. Its Err is non-nil while the replica is killed.
+	mu   sync.Mutex
+	life context.Context
+	end  context.CancelFunc
 }
 
 func newReplica(shard, idx int) *replica {
-	return &replica{shard: shard, idx: idx, killCh: make(chan struct{})}
+	rep := &replica{shard: shard, idx: idx}
+	rep.begin()
+	return rep
+}
+
+// begin starts a kill generation.
+func (rep *replica) begin() {
+	//dgflint:ignore ctxflow a kill generation belongs to the replica and outlives every request, so no caller's ctx is its parent
+	rep.life, rep.end = context.WithCancel(context.Background())
 }
 
 // kill marks the replica down: new requests fail immediately and in-flight
@@ -58,27 +68,26 @@ func newReplica(shard, idx int) *replica {
 func (rep *replica) kill() {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if !rep.killed {
-		rep.killed = true
-		close(rep.killCh)
-	}
+	rep.end()
 }
 
 // revive makes a killed replica live again.
 func (rep *replica) revive() {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.killed {
-		rep.killed = false
-		rep.killCh = make(chan struct{})
+	if rep.life.Err() != nil {
+		rep.begin()
 	}
 }
 
-func (rep *replica) isKilled() bool {
+// generation returns the current kill generation.
+func (rep *replica) generation() context.Context {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	return rep.killed
+	return rep.life
 }
+
+func (rep *replica) isKilled() bool { return rep.generation().Err() != nil }
 
 // downErr is the immediate failure a killed replica returns without touching
 // the warehouse (the "connection refused" of the model).
@@ -86,43 +95,18 @@ func (rep *replica) downErr() error {
 	return fmt.Errorf("%w (shard %d replica %d)", ErrReplicaDown, rep.shard, rep.idx)
 }
 
-// watchCtx derives a context that additionally ends when the replica is
-// killed, so a kill aborts in-flight work on this replica without touching
-// its siblings. It returns this request's kill-generation channel: classify
-// consults the generation, not the current killed flag, so a Revive racing
-// the aborted request cannot disguise the kill as a caller cancellation.
-// The caller must call the returned cancel.
-func (rep *replica) watchCtx(parent context.Context) (context.Context, context.CancelFunc, <-chan struct{}) {
-	rep.mu.Lock()
-	killCh := rep.killCh
-	rep.mu.Unlock()
-	kctx, cancel := context.WithCancel(parent)
-	go func() {
-		select {
-		case <-killCh:
-			cancel()
-		case <-kctx.Done():
-		}
-	}()
-	return kctx, cancel, killCh
-}
-
 // classify maps one request outcome on this replica onto failover semantics:
 // a context error while the scatter itself is still live and this request's
-// kill generation fired means the replica was killed under the request (a
-// replica failure, retryable), not that the caller cancelled. Real errors
-// pass through; caller cancellations stay cancellations.
-func (rep *replica) classify(parent context.Context, killCh <-chan struct{}, err error) error {
+// kill generation ended means the replica was killed under the request (a
+// replica failure, retryable), not that the caller cancelled. It reads the
+// generation the request started in, not the current one, so a Revive racing
+// the aborted request cannot disguise the kill as a caller cancellation.
+// Real errors pass through; caller cancellations stay cancellations.
+func (rep *replica) classify(parent, life context.Context, err error) error {
 	if err == nil {
 		return nil
 	}
-	killed := false
-	select {
-	case <-killCh:
-		killed = true
-	default:
-	}
-	if killed && isCtxErr(err) && parent.Err() == nil {
+	if life.Err() != nil && isCtxErr(err) && parent.Err() == nil {
 		// The context error is deliberately flattened: the caller's ctx is
 		// still live (parent.Err() == nil), so surfacing a wrapped
 		// cancellation would make the router misclassify a replica kill as
@@ -133,16 +117,21 @@ func (rep *replica) classify(parent context.Context, killCh <-chan struct{}, err
 	return err
 }
 
-// do runs one read request on the replica under kill supervision.
+// do runs one read request on the replica under kill supervision: the
+// request's context also ends when its kill generation does, through a
+// callback the generation runs, not a goroutine per request.
 func (rep *replica) do(parent context.Context, fn func(ctx context.Context) error) error {
-	if rep.isKilled() {
+	life := rep.generation()
+	if life.Err() != nil {
 		return rep.downErr()
 	}
-	kctx, cancel, killCh := rep.watchCtx(parent)
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
+	stop := context.AfterFunc(life, cancel)
+	defer stop()
 	rep.inflight.Add(1)
 	defer rep.inflight.Add(-1)
-	return rep.classify(parent, killCh, fn(kctx))
+	return rep.classify(parent, life, fn(ctx))
 }
 
 // isCtxErr reports whether err is a context termination (cancel or deadline).
