@@ -3,9 +3,8 @@
 // the stdlib-only framework in internal/analysis so the module stays
 // dependency-free. It type-checks every package in the module (test
 // files excluded — tests are entry points and may mint contexts) and
-// runs the analyzers that encode contracts earlier PRs established in
-// prose: ctxflow, lockedcalls, errwrap, goroutinejoin, promlabels, and
-// shadow.
+// runs the analyzers that encode contracts the codebase states in
+// prose: ctxflow, lockedcalls, errwrap, goroutinejoin and shadow.
 //
 // Usage:
 //
@@ -32,7 +31,6 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/analysis/errwrap"
 	"github.com/smartgrid-oss/dgfindex/internal/analysis/goroutinejoin"
 	"github.com/smartgrid-oss/dgfindex/internal/analysis/lockedcalls"
-	"github.com/smartgrid-oss/dgfindex/internal/analysis/promlabels"
 	"github.com/smartgrid-oss/dgfindex/internal/analysis/shadow"
 )
 
@@ -41,7 +39,6 @@ var all = []*analysis.Analyzer{
 	lockedcalls.Analyzer,
 	errwrap.Analyzer,
 	goroutinejoin.Analyzer,
-	promlabels.Analyzer,
 	shadow.Analyzer,
 }
 

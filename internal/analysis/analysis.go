@@ -1,7 +1,7 @@
 // Package analysis is a stdlib-only static-analysis framework shaped
 // after golang.org/x/tools/go/analysis, hosting the dgflint analyzers
-// that mechanically enforce this codebase's concurrency, context, and
-// observability invariants.
+// that mechanically enforce this codebase's concurrency, context and
+// error-wrapping invariants.
 //
 // Why not x/tools itself: the main module is deliberately
 // dependency-free (every subsystem from the Prometheus writer to the
@@ -44,10 +44,6 @@ type Pass struct {
 	// suffixes are what scope checks match on).
 	PkgPath   string
 	TypesInfo *types.Info
-	// World holds cross-package state gathered by the driver's prescan:
-	// the metric-name registry and every loaded package (for one-level
-	// helper resolution).
-	World *World
 	// Report records one finding. The driver applies suppression
 	// directives afterwards, so analyzers always report.
 	Report func(Diagnostic)
@@ -62,21 +58,6 @@ type Diagnostic struct {
 // Reportf formats and reports a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// World is the cross-package state shared by every pass of one run.
-// It is assembled by the driver before any analyzer runs, so analyzers
-// never depend on package visit order.
-type World struct {
-	// MetricFamilies is the closed set of Prometheus family names
-	// declared in const blocks marked "//dgflint:metric-registry".
-	MetricFamilies map[string]bool
-	// MetricLabels is the closed set of Prometheus label names declared
-	// in const blocks marked "//dgflint:metric-labels".
-	MetricLabels map[string]bool
-	// Packages maps import path to the loaded package, letting
-	// analyzers resolve one-level helper functions cross-package.
-	Packages map[string]*Package
 }
 
 // FuncFor returns the *types.Func for a call's callee, unwrapping

@@ -2,10 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
-	"go/constant"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -31,11 +28,7 @@ type suppression struct {
 	analyzer string // "all" matches every analyzer
 }
 
-const (
-	directiveIgnore   = "dgflint:ignore"
-	directiveRegistry = "dgflint:metric-registry"
-	directiveLabels   = "dgflint:metric-labels"
-)
+const directiveIgnore = "dgflint:ignore"
 
 // Run executes every analyzer over every package, applies suppression
 // directives, and returns the surviving findings sorted by position.
@@ -43,7 +36,6 @@ const (
 // findings: unexplained suppressions defeat the point of machine-checked
 // invariants.
 func Run(analyzers []*Analyzer, fset *token.FileSet, pkgs []*Package) ([]Finding, error) {
-	world := buildWorld(pkgs)
 	var sups []suppression
 	var findings []Finding
 	for _, pkg := range pkgs {
@@ -60,7 +52,6 @@ func Run(analyzers []*Analyzer, fset *token.FileSet, pkgs []*Package) ([]Finding
 				Pkg:       pkg.Types,
 				PkgPath:   pkg.Path,
 				TypesInfo: pkg.Info,
-				World:     world,
 			}
 			pass.Report = func(d Diagnostic) {
 				pos := fset.Position(d.Pos)
@@ -99,59 +90,6 @@ func suppressed(sups []suppression, analyzer string, pos token.Position) bool {
 			continue
 		}
 		if s.analyzer == "all" || s.analyzer == analyzer {
-			return true
-		}
-	}
-	return false
-}
-
-// buildWorld assembles the cross-package state every pass shares: the
-// metric registries and the package map.
-func buildWorld(pkgs []*Package) *World {
-	w := &World{
-		MetricFamilies: map[string]bool{},
-		MetricLabels:   map[string]bool{},
-		Packages:       map[string]*Package{},
-	}
-	for _, pkg := range pkgs {
-		w.Packages[pkg.Path] = pkg
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				d, ok := decl.(*ast.GenDecl)
-				if !ok || d.Tok != token.CONST {
-					continue
-				}
-				into := w.MetricFamilies
-				if hasDirective(d.Doc, directiveLabels) {
-					into = w.MetricLabels
-				} else if !hasDirective(d.Doc, directiveRegistry) {
-					continue
-				}
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for _, name := range vs.Names {
-						c, ok := pkg.Info.Defs[name].(*types.Const)
-						if ok && c.Val().Kind() == constant.String {
-							into[constant.StringVal(c.Val())] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return w
-}
-
-// hasDirective reports whether a comment group carries the given directive.
-func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), directive) {
 			return true
 		}
 	}

@@ -541,6 +541,7 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *selectPlan, stream
 	q, pr, sp := p.q, p.pr, p.span
 	stats := &pr.Stats
 	defer func() {
+		stats.Wall = time.Since(p.start)
 		sp.Set("records_read", stats.RecordsRead)
 		sp.Set("bytes_read", stats.BytesRead)
 		sp.Set("splits", stats.Splits)
@@ -560,36 +561,27 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *selectPlan, stream
 		sp.Finish()
 	}()
 	if p.done {
-		stats.Wall = time.Since(p.start)
 		return pr, nil
 	}
 	ctx = trace.NewContext(ctx, sp)
 	jobStats, rows, agg, err := w.runQueryJob(ctx, p, stream)
+	// A cancelled scan still reports how far it got (cursors surface this as
+	// partial stats); the result itself is then the error.
+	if jobStats != nil {
+		stats.RecordsRead = jobStats.InputRecords
+		stats.BytesRead = jobStats.InputBytes
+		stats.Splits = jobStats.Splits
+		stats.Seeks = jobStats.Seeks
+		stats.GroupsSkipped = jobStats.GroupsSkipped
+	}
+	stats.DictProbes = q.vecStats.dictProbes.Load()
+	stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 	if err != nil {
-		// A cancelled scan still reports how far it got (cursors surface
-		// this as partial stats); the result itself is the error.
-		if jobStats != nil {
-			stats.RecordsRead = jobStats.InputRecords
-			stats.BytesRead = jobStats.InputBytes
-			stats.Splits = jobStats.Splits
-			stats.Seeks = jobStats.Seeks
-			stats.GroupsSkipped = jobStats.GroupsSkipped
-			stats.Wall = time.Since(p.start)
-		}
-		stats.DictProbes = q.vecStats.dictProbes.Load()
-		stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 		return pr, err
 	}
 	pr.Rows, pr.Agg = rows, agg
-	stats.RecordsRead = jobStats.InputRecords
-	stats.BytesRead = jobStats.InputBytes
-	stats.Splits = jobStats.Splits
-	stats.Seeks = jobStats.Seeks
-	stats.GroupsSkipped = jobStats.GroupsSkipped
 	stats.ShufflePairs = jobStats.ShufflePairs
 	stats.ShuffleBytes = jobStats.ShuffleBytes
-	stats.DictProbes = q.vecStats.dictProbes.Load()
-	stats.RunsSkipped = q.vecStats.runsSkipped.Load()
 	// The paper's stacked bars: job startup counts as "index and other".
 	stats.IndexSimSec += jobStats.SimStartupSec
 	stats.DataSimSec += jobStats.SimTotalSec() - jobStats.SimStartupSec
@@ -599,7 +591,6 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *selectPlan, stream
 		stats.DataSimSec += float64(p.sideBytes) / (w.Cluster.MapperMBps() * (1 << 20))
 		stats.BytesRead += p.sideBytes
 	}
-	stats.Wall = time.Since(p.start)
 	return pr, nil
 }
 

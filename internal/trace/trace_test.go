@@ -161,13 +161,14 @@ func TestRecorderDisabled(t *testing.T) {
 func TestPromWriterRoundTrip(t *testing.T) {
 	var b strings.Builder
 	w := NewPromWriter(&b)
-	w.Counter("dgf_queries_total", "Total queries.", nil, 42)
-	w.Gauge("dgf_in_flight", "Queries executing now.", nil, 3)
-	w.CounterVec("dgf_path_queries_total", "Queries by access path.", "path",
-		map[string]float64{"dgfindex": 10, "scan": 2})
-	w.GaugeHead("dgf_replica_live", "Replica liveness.")
-	w.GaugeRow("dgf_replica_live", map[string]string{"shard": "0", "replica": "1"}, 1)
-	w.Histogram("dgf_query_latency_ms", "Latency.", []float64{1, 5}, []int64{2, 1, 4}, 123.5)
+	w.Scalar(MetricQueriesTotal, 42)
+	w.Scalar(MetricInFlight, 3)
+	w.Open(MetricPathQueriesTotal)
+	w.Sample(map[Label]string{LabelPath: "dgfindex"}, 10)
+	w.Sample(map[Label]string{LabelPath: "scan"}, 2)
+	w.Open(MetricReplicaLive)
+	w.Sample(map[Label]string{LabelShard: "0", LabelReplica: "1"}, 1)
+	w.Histogram(MetricQueryLatencyMs, []float64{1, 5}, []int64{2, 1, 4}, 123.5)
 	if w.Err() != nil {
 		t.Fatalf("writer error: %v", w.Err())
 	}
@@ -202,8 +203,8 @@ func TestPromWriterRoundTrip(t *testing.T) {
 func TestPromWriterEscaping(t *testing.T) {
 	var b strings.Builder
 	w := NewPromWriter(&b)
-	w.Counter("dgf_x_total", "Help with\nnewline and \\ slash.",
-		map[string]string{"sql": "SELECT \"a\\b\"\nFROM t"}, 1)
+	w.Open(counter("dgf_x_total", "Help with\nnewline and \\ slash."))
+	w.Sample(map[Label]string{{"sql"}: "SELECT \"a\\b\"\nFROM t"}, 1)
 	if w.Err() != nil {
 		t.Fatalf("writer error: %v", w.Err())
 	}
@@ -214,6 +215,42 @@ func TestPromWriterEscaping(t *testing.T) {
 	got := fams["dgf_x_total"].Samples[0].Labels["sql"]
 	if got != "SELECT \"a\\b\"\nFROM t" {
 		t.Fatalf("label round trip = %q", got)
+	}
+}
+
+// TestPromWriterRefusesMisuse: a zero Family or Label, a Sample with no open
+// family and a family written as the wrong type are refused. Err reports
+// it, and the error is sticky: nothing is written after it.
+func TestPromWriterRefusesMisuse(t *testing.T) {
+	cases := map[string]func(w *PromWriter){
+		"zero family scalar":    func(w *PromWriter) { w.Scalar(Family{}, 1) },
+		"zero family open":      func(w *PromWriter) { w.Open(Family{}) },
+		"zero family histogram": func(w *PromWriter) { w.Histogram(Family{}, nil, nil, 0) },
+		"sample with no family": func(w *PromWriter) { w.Sample(nil, 1) },
+		"sample after scalar": func(w *PromWriter) {
+			w.Scalar(MetricInFlight, 1)
+			w.Sample(nil, 1)
+		},
+		"zero label": func(w *PromWriter) {
+			w.Open(MetricReplicaLive)
+			w.Sample(map[Label]string{LabelShard: "0", {}: "1"}, 1)
+		},
+		"histogram as scalar":  func(w *PromWriter) { w.Scalar(MetricQueryLatencyMs, 1) },
+		"counter as histogram": func(w *PromWriter) { w.Histogram(MetricQueriesTotal, nil, nil, 0) },
+	}
+	for name, misuse := range cases {
+		var b strings.Builder
+		w := NewPromWriter(&b)
+		misuse(w)
+		if w.Err() == nil {
+			t.Errorf("%s: no error", name)
+			continue
+		}
+		before := b.String()
+		w.Scalar(MetricQueriesTotal, 1)
+		if b.String() != before {
+			t.Errorf("%s: wrote after the error:\n%s", name, b.String())
+		}
 	}
 }
 

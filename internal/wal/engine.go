@@ -280,7 +280,7 @@ func (e *Engine) WaitCapacity(ctx context.Context, shard int) error {
 	if sw.pendingRows < maxRows || sw.closed {
 		return nil
 	}
-	stop := watchCtx(ctx, sw.cond)
+	stop := broadcastOnDone(ctx, sw.cond)
 	defer stop()
 	for sw.pendingRows >= maxRows && !sw.closed {
 		if err := ctx.Err(); err != nil {
@@ -349,25 +349,15 @@ func (sw *shardWAL) tellClosed(q queued) {
 	}
 }
 
-// watchCtx broadcasts on cond when ctx is cancelled so cond.Wait loops can
-// observe the cancellation. Returns a stop func; no-op for contexts that
-// can never be cancelled.
-func watchCtx(ctx context.Context, cond *sync.Cond) func() {
-	done := ctx.Done()
-	if done == nil {
-		return func() {}
-	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			cond.L.Lock()
-			cond.Broadcast()
-			cond.L.Unlock()
-		case <-quit:
-		}
-	}()
-	return func() { close(quit) }
+// broadcastOnDone broadcasts on cond when ctx ends, so cond.Wait loops see
+// the cancellation. The context runs the callback; no goroutine of ours
+// waits on ctx. The returned func stops it.
+func broadcastOnDone(ctx context.Context, cond *sync.Cond) func() bool {
+	return context.AfterFunc(ctx, func() {
+		cond.L.Lock()
+		cond.Broadcast()
+		cond.L.Unlock()
+	})
 }
 
 // run is the shard's applier: it applies pending records in LSN order, one
@@ -495,7 +485,7 @@ func (e *Engine) WaitApplied(ctx context.Context, shard int, lsn uint64) error {
 	sw := e.shards[shard]
 	sw.qmu.Lock()
 	defer sw.qmu.Unlock()
-	stop := watchCtx(ctx, sw.cond)
+	stop := broadcastOnDone(ctx, sw.cond)
 	defer stop()
 	for sw.applied < lsn && !sw.closed && ctx.Err() == nil {
 		sw.cond.Wait()
