@@ -220,6 +220,20 @@ func NewHeader(specs []AggSpec) Header {
 	return h
 }
 
+// newHeaders returns n empty headers for specs, cut from one allocation.
+func newHeaders(specs []AggSpec, n int) []Header {
+	accs := make([]Accumulator, n*len(specs))
+	headers := make([]Header, n)
+	for i := range headers {
+		h := Header(accs[i*len(specs) : (i+1)*len(specs) : (i+1)*len(specs)])
+		for j, s := range specs {
+			h[j].Func = s.Func
+		}
+		headers[i] = h
+	}
+	return headers
+}
+
 // Merge folds other into h (both must share the same spec list).
 func (h Header) Merge(other Header) {
 	for i := range h {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -62,14 +63,16 @@ type Source struct {
 //
 // Each stage does a record's text work once. Map computes the cell
 // coordinates a dimension vector at a time from the column batch the reader
-// decoded — for a TextFile source only those columns are parsed — shuffles
-// each row's text line as stored (ColumnBatch.Line: a TextFile's line, an
-// RCFile group's cells), and renders a GFUKey once per distinct cell it
-// meets. Reduce parses each line once, from the shuffled bytes, into a row
-// that feeds the header and, for RCFile, the row group's zone map; both
-// writers store the line's text as it is — a TextFile index parses only the
-// pre-compute factor fields. Each reduce task encodes its GFUValues back to
-// back into one buffer, which the store copies.
+// decoded — for a TextFile source only those columns are parsed — and
+// shuffles each row's text line as stored (ColumnBatch.Line: a TextFile's
+// line, an RCFile group's cells) under its cell's key, found with one lookup
+// by the coordinates; a map task renders and interns a GFUKey once per
+// distinct cell it meets (buildMapper). Reduce parses each line once, from
+// the shuffled bytes, into a row that feeds the header and, for RCFile, the
+// row group's zone map; both writers store the line's text as it is — a
+// TextFile index parses only the pre-compute factor fields. Each reduce
+// task encodes its GFUValues back to back into one buffer, which the store
+// copies.
 func Build(cfg *cluster.Config, fs *dfs.FS, kv *kvstore.Store, spec Spec,
 	schema *storage.Schema, src Source, dataDir string) (*Index, *BuildStats, error) {
 	if err := spec.Validate(schema); err != nil {
@@ -165,11 +168,9 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 	dims := ix.readColumns(storage.TextFile, ix.dimCols)
 	fold := ix.readColumns(ix.Format, ix.aggCols...)
 	job := &mapreduce.Job{
-		Name:  "dgf-build-" + ix.Spec.Name,
-		Input: input,
-		NewMapper: func() mapreduce.TaskMapper {
-			return &buildMapper{ix: ix, cell: make([]int64, len(ix.dimCols)), keys: map[string]string{}}
-		},
+		Name:        "dgf-build-" + ix.Spec.Name,
+		Input:       input,
+		NewMapper:   func() mapreduce.TaskMapper { return newBuildMapper(ix) },
 		NumReducers: numReducers,
 		ReduceTask: func(task int, groups []mapreduce.Group, emit mapreduce.Emit) error {
 			if len(groups) == 0 {
@@ -181,19 +182,20 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 				return err
 			}
 			pairs := make([]gfuPair, 0, len(groups))
+			headers := newHeaders(ix.Spec.Precompute, len(groups))
 			// Observed bounds (for ClampRead and partial queries) are kept per
 			// task, from one record of every group, and merged once below.
 			var taskLo, taskHi []int64
 			row := make(storage.Row, ix.Schema.Len()) // the task's one decoded record
 			cells := make([]int64, 0, stackDims)
-			for _, g := range groups {
+			for gi, g := range groups {
 				// Every record of a group standardises to the same cell.
 				if err := storage.DecodeTextLineInto(ix.Schema, g.Values[0], dims, row); err != nil {
 					return err
 				}
 				cells = ix.cellsOfRow(row, cells[:0])
 				start := sw.Offset()
-				header := NewHeader(ix.Spec.Precompute)
+				header := headers[gi]
 				for _, line := range g.Values {
 					// One decode per record feeds the header and, for
 					// RCFile, the row group's zone map; both writers store
@@ -308,19 +310,31 @@ func extendBounds(lo, hi, cells []int64) ([]int64, []int64) {
 }
 
 // buildMapper is one map task of a build job: it standardises each row of a
-// batch to its GFU cell and emits <GFUKey, line>. Cell coordinates are
-// computed a column at a time, and the task renders the GFUKey of each
-// distinct cell it meets once, keeping it in its own cache, so map tasks
-// share nothing and all pairs of a cell from one task share one string.
+// batch to its GFU cell and emits <GFUKey, line> by the key's shuffle id
+// (mapreduce.KeyedMapper). Cell coordinates are computed a column at a time,
+// and each row's key id is found with one lookup keyed by its coordinates
+// (cellIDs), which builds nothing per row. The task renders the GFUKey of
+// each distinct cell it meets, and interns it in the shuffle, once; so map
+// tasks share nothing, and the shuffle hashes a key once per task.
 type buildMapper struct {
 	ix    *Index
-	cells []int64           // the batch's coordinates, dimension-major
-	cell  []int64           // the current row's coordinates
-	raw   []byte            // the current cell as a cache key
-	keys  map[string]string // raw cell coordinates → GFUKey
+	keys  mapreduce.Keys
+	cells []int64 // the batch's coordinates, dimension-major
+	cell  []int64 // the current row's coordinates
+	ids   cellIDs // cell coordinates → shuffle key id
+	key   []byte  // scratch a GFUKey is rendered in
 }
 
-func (m *buildMapper) Map(rec mapreduce.Record, emit mapreduce.Emit) error {
+// newBuildMapper makes one map task's mapper for a build job over ix. It is
+// a variable so that a test can build with the string-keyed mapper this one
+// replaced and compare what the two write.
+var newBuildMapper = func(ix *Index) mapreduce.TaskMapper {
+	return &buildMapper{ix: ix, cell: make([]int64, len(ix.dimCols)), ids: cellIDs{dims: len(ix.dimCols)}}
+}
+
+func (m *buildMapper) UseKeys(keys mapreduce.Keys) { m.keys = keys }
+
+func (m *buildMapper) Map(rec mapreduce.Record, _ mapreduce.Emit) error {
 	b := rec.Batch
 	sel := b.Sel()
 	if n := len(m.ix.dimCols) * len(sel); cap(m.cells) < n {
@@ -334,26 +348,86 @@ func (m *buildMapper) Map(rec mapreduce.Record, emit mapreduce.Emit) error {
 		for d := range m.cell {
 			m.cell[d] = m.cells[d*len(sel)+k]
 		}
-		emit(m.key(), b.Line(ri))
+		m.keys.Emit(m.id(), b.Line(ri))
 	}
 	return nil
 }
 
-// key returns the GFUKey of the current cell, rendering it on a miss.
-func (m *buildMapper) key() string {
-	m.raw = m.raw[:0]
-	for _, c := range m.cell {
-		m.raw = binary.LittleEndian.AppendUint64(m.raw, uint64(c))
-	}
-	key, ok := m.keys[string(m.raw)]
+// id returns the current cell's shuffle key id, rendering and interning its
+// GFUKey at the cell's first row.
+func (m *buildMapper) id() uint32 {
+	id, slot, ok := m.ids.find(m.cell)
 	if !ok {
-		key = m.ix.Spec.Policy.Key(m.cell)
-		m.keys[string(m.raw)] = key
+		m.key = m.ix.Spec.Policy.AppendKey(m.key[:0], m.cell)
+		id = m.keys.Intern(string(m.key))
+		m.ids.insert(slot, m.cell, id)
 	}
-	return key
+	return id
 }
 
 func (m *buildMapper) Close(mapreduce.Emit) error { return nil }
+
+// cellIDs maps cell coordinates to ids: an open-addressed table of entry
+// numbers, with every entry's coordinates stored flat. A lookup hashes the
+// coordinates where they lie and compares them in place, for any number of
+// dimensions and any coordinates.
+type cellIDs struct {
+	dims   int
+	slots  []uint32 // entry number + 1, or 0 for an empty slot; a power of two long
+	coords []int64  // entry e's coordinates at [e*dims, (e+1)*dims)
+	ids    []uint32 // entry e's id
+}
+
+// find returns cell's id, or false and the slot insert puts it in.
+func (t *cellIDs) find(cell []int64) (id uint32, slot int, ok bool) {
+	if len(t.slots) == 0 {
+		return 0, 0, false
+	}
+	mask := len(t.slots) - 1
+	for i := int(hashCell(cell)) & mask; ; i = (i + 1) & mask {
+		e := int(t.slots[i]) - 1
+		if e < 0 {
+			return 0, i, false
+		}
+		if slices.Equal(t.coords[e*t.dims:(e+1)*t.dims], cell) {
+			return t.ids[e], i, true
+		}
+	}
+}
+
+// insert adds cell, which find did not find and placed at slot, with id.
+func (t *cellIDs) insert(slot int, cell []int64, id uint32) {
+	if 4*(len(t.ids)+1) > 3*len(t.slots) {
+		t.grow()
+		_, slot, _ = t.find(cell)
+	}
+	t.coords = append(t.coords, cell...)
+	t.ids = append(t.ids, id)
+	t.slots[slot] = uint32(len(t.ids))
+}
+
+// grow doubles the slots (64 at first) and places every entry again.
+func (t *cellIDs) grow() {
+	t.slots = make([]uint32, max(64, 2*len(t.slots)))
+	mask := len(t.slots) - 1
+	for e := range t.ids {
+		i := int(hashCell(t.coords[e*t.dims:(e+1)*t.dims])) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = uint32(e + 1)
+	}
+}
+
+// hashCell mixes every coordinate into a hash whose low bits vary with all
+// of them.
+func hashCell(cell []int64) uint64 {
+	var h uint64
+	for _, c := range cell {
+		h = bits.RotateLeft64((h^uint64(c))*0x9e3779b97f4a7c15, 31)
+	}
+	return h
+}
 
 // gfuPair is one freshly built <GFUKey, GFUValue> pair: the header and the one
 // Slice the reduce task wrote for the cell.
@@ -377,9 +451,22 @@ type mergedPairs struct {
 // earlier Slices from every later query. The task's groups arrive in key
 // order, so the pairs leave in it.
 func (ix *Index) mergePairs(gen, task int, pairs []gfuPair) (mergedPairs, error) {
+	// The store copies what it keeps, so every key is cut from one string.
+	size := 0
+	for _, p := range pairs {
+		size += len(gfuPrefix) + len(p.key)
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, p := range pairs {
+		all.WriteString(gfuPrefix)
+		all.WriteString(p.key)
+	}
 	keys := make([]string, len(pairs))
+	joined, off := all.String(), 0
 	for i, p := range pairs {
-		keys[i] = gfuPrefix + p.key
+		n := len(gfuPrefix) + len(p.key)
+		keys[i], off = joined[off:off+n], off+n
 	}
 	m := mergedPairs{task: task, pairs: make([]kvstore.Pair, len(pairs))}
 	var enc []byte // every encoded value, back to back

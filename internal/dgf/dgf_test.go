@@ -967,21 +967,24 @@ func BenchmarkBuildSmallRCFile(b *testing.B) { benchmarkBuildSmall(b, storage.RC
 
 // TestBuildAllocBudget keeps per-record allocations out of the build job:
 // writing the source table and building the index over it may cost at most
-// 0.85 allocations per record over TextFile and 1.8 over RCFile. They
-// measure 0.67 and 1.64, the rest being per-group and per-task work. RCFile
-// measured 1.82 (budget 2.1) while every group's zone bounds were rendered
-// as text, eight strings a group. They measured
-// 1.7 and 2.86 when the reducer copied every shuffled line into a string to
-// parse it, the RCFile writer rendered every cell again, an RCFile source
-// rendered every line from decoded values and map tasks shared one locked
-// GFUKey cache (and 6.3 over TextFile before the shuffle copied values into
+// 0.6 allocations per record over TextFile and 1.4 over RCFile. They
+// measure 0.47 and 1.15, the rest being per-group and per-task work. They
+// measured 0.61 and 1.42 (budgets 0.85 and 1.8) while every GFUKey was
+// rendered into a freshly grown buffer and every reduce group allocated its
+// header, its store key, and for RCFile its column sizes, encoding tags and
+// encoded bodies. RCFile measured 1.82 (budget 2.1) while every group's zone
+// bounds were rendered as text, eight strings a group. They measured 1.7 and
+// 2.86 when the reducer copied every shuffled line into a string to parse
+// it, the RCFile writer rendered every cell again, an RCFile source rendered
+// every line from decoded values and map tasks shared one locked GFUKey
+// cache (and 6.3 over TextFile before the shuffle copied values into
 // per-task arenas and GFUKeys were memoised per cell).
 func TestBuildAllocBudget(t *testing.T) {
 	rows, run := smallBuild()
 	for _, tc := range []struct {
 		format storage.Format
 		budget float64
-	}{{storage.TextFile, 0.85}, {storage.RCFile, 1.8}} {
+	}{{storage.TextFile, 0.6}, {storage.RCFile, 1.4}} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if err := run(tc.format); err != nil {
 				t.Fatal(err)

@@ -26,7 +26,9 @@
 // output without pointers: it interns each distinct key once (its partition
 // is computed then, not per pair), copies each value into byte chunks that
 // never move, and records each pair as a 16-byte ref — key id, chunk,
-// offset, length — in its partition (shuffleBuf). A reduce task resolves
+// offset, length — in its partition (shuffleBuf). A KeyedMapper interns its
+// keys itself and emits by id, so the task hashes a key once, not once per
+// pair. A reduce task resolves
 // each map task's keys to its groups with one hash lookup per distinct key,
 // not per pair, then sorts the distinct keys and each group's values
 // (groupPairs); values of different keys are never compared. A combiner's
@@ -97,6 +99,28 @@ type TaskMapper interface {
 	Map(rec Record, emit Emit) error
 	Close(emit Emit) error
 }
+
+// KeyedMapper is a TaskMapper that emits by key id. Before its first record
+// the map task hands it the task's shuffle Keys, and it emits through them
+// rather than through Map's emit. A mapper that meets each key on many
+// records (an index build's, one key per grid cell) interns a key once, so
+// the shuffle hashes the key once per map task instead of once per pair. A
+// KeyedMapper needs a reduce phase: a map-only job refuses one.
+type KeyedMapper interface {
+	TaskMapper
+	UseKeys(Keys)
+}
+
+// Keys is one map task's shuffle key table, for a KeyedMapper.
+type Keys struct{ b *shuffleBuf }
+
+// Intern returns key's id in the map task. The key's first Intern assigns
+// the next id and computes the key's partition; later ones look it up.
+func (k Keys) Intern(key string) uint32 { return k.b.id(key) }
+
+// Emit buffers one pair of the key with id, copying the value: the pair the
+// map task's emit would buffer for the key.
+func (k Keys) Emit(id uint32, value []byte) { k.b.add(id, value) }
 
 // ReduceFunc processes one key group.
 type ReduceFunc func(key string, values [][]byte, emit Emit) error
@@ -274,13 +298,16 @@ const (
 
 // emit buffers one pair, copying the value: mappers commonly reuse buffers
 // between emits.
-func (b *shuffleBuf) emit(key string, value []byte) {
+func (b *shuffleBuf) emit(key string, value []byte) { b.add(b.id(key), value) }
+
+// id returns key's id, interning it at its first pair.
+func (b *shuffleBuf) id(key string) uint32 {
 	id, ok := b.ids[key]
 	if !ok {
 		id = b.intern(key, partitionOf(key, len(b.parts)))
 		b.ids[key] = id
 	}
-	b.add(id, value)
+	return id
 }
 
 // intern assigns key, of partition part, the next id.
@@ -573,6 +600,13 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 	if job.NewMapper != nil {
 		mapper = job.NewMapper()
 		mapRec = mapper.Map
+		if km, ok := mapper.(KeyedMapper); ok {
+			if !hasReduce {
+				res.err = fmt.Errorf("%T emits by key id, which needs a reduce phase", mapper)
+				return res
+			}
+			km.UseKeys(Keys{res.shuffle})
+		}
 	}
 	for {
 		rec, ok, err := reader.Next()

@@ -293,6 +293,31 @@ func (m *pairMapper) Map(rec Record, emit Emit) error {
 
 func (m *pairMapper) Close(Emit) error { return nil }
 
+// keyedPairMapper is pairMapper emitting by key id: it interns each key at
+// its first pair in the task and emits every pair through the task's Keys.
+type keyedPairMapper struct {
+	pairMapper
+	keys Keys
+	ids  map[string]uint32
+}
+
+func (in *pairInput) newKeyedMapper() TaskMapper {
+	return &keyedPairMapper{pairMapper: pairMapper{in: in}, ids: map[string]uint32{}}
+}
+
+func (m *keyedPairMapper) UseKeys(keys Keys) { m.keys = keys }
+
+func (m *keyedPairMapper) Map(rec Record, _ Emit) error {
+	return m.pairMapper.Map(rec, func(key string, value []byte) {
+		id, ok := m.ids[key]
+		if !ok {
+			id = m.keys.Intern(key)
+			m.ids[key] = id
+		}
+		m.keys.Emit(id, value)
+	})
+}
+
 // combined is what a combiner makes of each map task's pairs: per key, the
 // values ascending by bytes handed to combine, and its outputs kept.
 func combined(splits [][]pair, combine CombineFunc) [][]pair {
@@ -484,6 +509,53 @@ func TestShuffleAccounting(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKeyedMapperShufflesAsEmit: a mapper that emits by key id hands every
+// reduce task the groups, and the job the accounting, that emitting under
+// the key gives; a map-only job refuses it.
+func TestKeyedMapperShufflesAsEmit(t *testing.T) {
+	const reducers = 3
+	run := func(in *pairInput, tc shuffleCase, newMapper func() TaskMapper) ([][]Group, *Stats) {
+		var mu sync.Mutex
+		got := make([][]Group, reducers)
+		stats, err := RunContext(context.Background(), testCfg(), &Job{Name: "keyed", Input: in, NewMapper: newMapper, Combine: tc.combine, NumReducers: reducers,
+			ReduceTask: func(task int, groups []Group, emit Emit) error {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, g := range groups {
+					got[task] = append(got[task], Group{Key: g.Key, Values: slices.Clone(g.Values)})
+				}
+				return nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Wall = 0
+		return got, stats
+	}
+	for _, tc := range shuffleCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &pairInput{splits: tc.splits}
+			want, wantStats := run(in, tc, in.newMapper)
+			got, stats := run(in, tc, in.newKeyedMapper)
+			if *stats != *wantStats {
+				t.Errorf("stats %+v, emitting under the key %+v", *stats, *wantStats)
+			}
+			for p := range want {
+				if !slices.EqualFunc(got[p], want[p], func(a, b Group) bool {
+					return a.Key == b.Key && slices.EqualFunc(a.Values, b.Values, bytes.Equal)
+				}) {
+					t.Fatalf("partition %d: %d groups differ from the %d emitting under the key gives", p, len(got[p]), len(want[p]))
+				}
+			}
+		})
+	}
+	in := &pairInput{splits: [][]pair{{{"k", []byte("v")}}}}
+	_, err := RunContext(context.Background(), testCfg(), &Job{Name: "keyed-map-only", Input: in, NewMapper: in.newKeyedMapper})
+	if err == nil || !strings.Contains(err.Error(), "needs a reduce phase") {
+		t.Fatalf("map-only job with a keyed mapper: err %v, want one naming the reduce phase it needs", err)
 	}
 }
 

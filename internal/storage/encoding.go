@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -81,8 +82,10 @@ type rawRun struct {
 // EncPlain). Sizes compare encoded bodies only; the one-byte tag is paid by
 // every column of an encoded group alike, so it cancels out of the choice.
 // runs is scratch the caller keeps between calls (an indexed file flushes one
-// small group per GFU); the possibly grown slice is handed back.
-func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs []rawRun) (byte, []byte, []rawRun) {
+// small group per GFU); the possibly grown slice is handed back. An encoded
+// body is built in dst's storage, which the caller may reuse once it has
+// copied the body out.
+func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs []rawRun, dst []byte) (byte, []byte, []rawRun) {
 	if rows == 0 {
 		return EncPlain, payload, runs
 	}
@@ -157,7 +160,7 @@ func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs
 	}
 	switch best {
 	case EncRLE:
-		body := make([]byte, 0, bestSize)
+		body := slices.Grow(dst[:0], int(bestSize))
 		for _, r := range runs {
 			body = putUv(body, uint64(r.count))
 			body = putUv(body, uint64(r.cell.len))
@@ -165,7 +168,7 @@ func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs
 		}
 		return EncRLE, body, runs
 	case EncDict:
-		body := make([]byte, 0, bestSize)
+		body := slices.Grow(dst[:0], int(bestSize))
 		body = putUv(body, uint64(len(entries)))
 		for _, e := range entries {
 			body = putUv(body, uint64(len(e)))

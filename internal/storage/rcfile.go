@@ -38,6 +38,15 @@ const rcMagic = 'R'
 const maxGroupRows = 1 << 20
 
 // RCWriter writes rows to a dfs file in the RCFile model format.
+//
+// A row is buffered cell by cell into its group's column payloads and folded
+// into the group's zone map in its column's kind (zoneAcc): no cell is
+// copied or sent through Compare unless it, or a bound, is of another kind.
+// A full group is encoded into the writer's batch, which is handed to the
+// file in writes of about rcWriteBatch bytes and at Close: an indexed file
+// flushes one small group per GFU, and every dfs write takes the
+// filesystem's lock. Offset and GroupOffsets count the groups flushed, not
+// the bytes the file holds yet.
 type RCWriter struct {
 	w            *dfs.FileWriter
 	schema       *Schema
@@ -48,29 +57,46 @@ type RCWriter struct {
 	groupOffsets []int64
 	groupStats   []GroupStat
 	zones        *zoneMaps // the flushed groups' zone maps
-	mins, maxs   []Value   // running per-column min/max of the pending group
-	statsInit    bool
+	acc          []zoneAcc // the pending group's per-column bounds
 	noEncode     bool
 	cellScratch  []rawCell
 	runScratch   []rawRun
 	bodyScratch  [][]byte
-	outScratch   []byte
+	encScratch   [][]byte // per column, the storage its encoded bodies are built in
+	tagScratch   []byte
+	lens         []int64 // storage the ColLens of groups to come are cut from
+	encs         []byte  // storage the Encs of groups to come are cut from
+	batch        []byte  // flushed groups not yet written to the file
 }
+
+// rcStatGroups is how many groups' ColLens and Encs an RCWriter allocates at
+// once: a DGF build flushes a small group per cell.
+const rcStatGroups = 128
+
+// rcWriteBatch is the size of the batch in which an RCWriter hands its
+// flushed groups to the file (a larger group gets a batch of its own size).
+const rcWriteBatch = 64 << 10
 
 // NewRCWriter creates a writer; groupRows <= 0 selects DefaultRowGroupRows.
 func NewRCWriter(w *dfs.FileWriter, schema *Schema, groupRows int) *RCWriter {
 	if groupRows <= 0 {
 		groupRows = DefaultRowGroupRows
 	}
+	kinds := kindsOf(schema)
+	acc := make([]zoneAcc, len(kinds))
+	for i, k := range kinds {
+		acc[i].kind = k
+	}
 	return &RCWriter{
 		w:           w,
 		schema:      schema,
-		zones:       newZoneMaps(kindsOf(schema)),
+		zones:       newZoneMaps(kinds),
 		groupRows:   groupRows,
 		cols:        make([][]byte, schema.Len()),
 		bodyScratch: make([][]byte, schema.Len()),
-		mins:        make([]Value, schema.Len()),
-		maxs:        make([]Value, schema.Len()),
+		encScratch:  make([][]byte, schema.Len()),
+		tagScratch:  make([]byte, schema.Len()),
+		acc:         acc,
 		off:         w.Size(),
 	}
 }
@@ -127,17 +153,45 @@ func (w *RCWriter) WriteRowText(line []byte, row Row) error {
 // rowDone folds a buffered row into the pending group's zone map and flushes
 // the group once it is full.
 func (w *RCWriter) rowDone(row Row) error {
-	if !w.statsInit {
-		copy(w.mins, row)
-		copy(w.maxs, row)
-		w.statsInit = true
+	if w.pending == 0 {
+		for i := range row {
+			w.acc[i].start(&row[i])
+		}
 	} else {
-		for i, v := range row {
-			if Compare(v, w.mins[i]) < 0 {
-				w.mins[i] = v
+		for i := range row {
+			a, v := &w.acc[i], &row[i]
+			if !a.typed || v.Kind != a.kind {
+				a.addMixed(v)
+				continue
 			}
-			if Compare(v, w.maxs[i]) > 0 {
-				w.maxs[i] = v
+			// Compare's order, in the column's kind: bigint and timestamp
+			// cells compare as doubles, a NaN never orders before or after
+			// anything, strings compare bytewise.
+			switch a.kind {
+			case KindInt64, KindTime:
+				f := float64(v.I)
+				if f < float64(a.lo.I) {
+					a.lo.I = v.I
+				}
+				if f > float64(a.hi.I) {
+					a.hi.I = v.I
+				}
+			case KindFloat64:
+				if v.F < a.lo.F {
+					a.lo.F = v.F
+				}
+				if v.F > a.hi.F {
+					a.hi.F = v.F
+				}
+			case KindString:
+				if v.S < a.lo.S {
+					a.lo.S = v.S
+				}
+				if v.S > a.hi.S {
+					a.hi.S = v.S
+				}
+			default:
+				a.addMixed(v)
 			}
 		}
 	}
@@ -148,6 +202,33 @@ func (w *RCWriter) rowDone(row Row) error {
 	return nil
 }
 
+// zoneAcc is one column's least and greatest cell by Compare over the
+// pending group. While typed — both bounds of the column's kind — a cell of
+// that kind moves a bound by its one field (rowDone); any other cell goes
+// through Compare.
+type zoneAcc struct {
+	kind   Kind
+	typed  bool
+	lo, hi Value
+}
+
+// start makes v both bounds: the group's first cell.
+func (a *zoneAcc) start(v *Value) {
+	a.lo, a.hi = *v, *v
+	a.typed = v.Kind == a.kind
+}
+
+// addMixed folds v in by Compare.
+func (a *zoneAcc) addMixed(v *Value) {
+	if Compare(*v, a.lo) < 0 {
+		a.lo = *v
+	}
+	if Compare(*v, a.hi) > 0 {
+		a.hi = *v
+	}
+	a.typed = a.lo.Kind == a.kind && a.hi.Kind == a.kind
+}
+
 func (w *RCWriter) flushGroup() error {
 	if w.pending == 0 {
 		return nil
@@ -156,22 +237,55 @@ func (w *RCWriter) flushGroup() error {
 	// legacy 'R' layout (no tags) when every column is plain, so data the
 	// encodings cannot compress round-trips bit-identically with files
 	// written before encodings existed.
-	tags := make([]byte, len(w.cols))
-	bodies := w.bodyScratch
+	tags, bodies := w.tagScratch, w.bodyScratch
 	encoded := false
 	for i := range w.cols {
 		tags[i], bodies[i] = EncPlain, w.cols[i]
 		if !w.noEncode {
 			w.cellScratch = splitRawCells(w.cols[i], w.pending, w.cellScratch)
-			tags[i], bodies[i], w.runScratch = encodeColumnBody(w.schema.Col(i).Kind, w.cols[i], w.pending, w.cellScratch, w.runScratch)
+			tags[i], bodies[i], w.runScratch = encodeColumnBody(w.schema.Col(i).Kind, w.cols[i], w.pending, w.cellScratch, w.runScratch, w.encScratch[i])
 			if tags[i] != EncPlain {
+				w.encScratch[i] = bodies[i]
 				encoded = true
 			}
 		}
 	}
-	// The group is assembled in scratch the writer keeps: an indexed file
-	// flushes one small group per GFU, and the file writer copies.
-	buf := w.outScratch[:0]
+	n := len(w.cols)
+	if len(w.lens) < n {
+		w.lens = make([]int64, rcStatGroups*n)
+	}
+	stat := GroupStat{
+		Rows:    w.pending,
+		ColLens: w.lens[:n:n],
+		zones:   w.zones,
+		zone:    w.zones.add(),
+	}
+	w.lens = w.lens[n:]
+	if encoded {
+		if len(w.encs) < n {
+			w.encs = make([]byte, rcStatGroups*n)
+		}
+		stat.Encs, w.encs = w.encs[:n:n], w.encs[n:]
+		copy(stat.Encs, tags)
+	}
+	for i, body := range bodies {
+		stat.ColLens[i] = int64(len(body))
+		if encoded {
+			stat.ColLens[i]++ // the encoding tag byte is part of the payload
+		}
+	}
+	// The group goes into the batch whole; a batch without room for it is
+	// written first.
+	size := int(stat.EncodedSize())
+	if len(w.batch)+size > cap(w.batch) {
+		if err := w.writeBatch(); err != nil {
+			return err
+		}
+		if size > cap(w.batch) {
+			w.batch = make([]byte, 0, max(size, rcWriteBatch))
+		}
+	}
+	buf := w.batch
 	if encoded {
 		buf = append(buf, rcEncodedMagic)
 	} else {
@@ -179,46 +293,40 @@ func (w *RCWriter) flushGroup() error {
 	}
 	buf = binary.AppendUvarint(buf, uint64(w.pending))
 	buf = binary.AppendUvarint(buf, uint64(len(w.cols)))
-	stat := GroupStat{
-		Rows:    w.pending,
-		ColLens: make([]int64, len(w.cols)),
-		zones:   w.zones,
-		zone:    w.zones.add(),
-	}
-	if encoded {
-		stat.Encs = tags
-	}
 	for i := range w.cols {
-		plen := len(bodies[i])
-		if encoded {
-			plen++ // the encoding tag byte is part of the payload
-		}
-		buf = binary.AppendUvarint(buf, uint64(plen))
+		buf = binary.AppendUvarint(buf, uint64(stat.ColLens[i]))
 		if encoded {
 			buf = append(buf, tags[i])
 		}
 		buf = append(buf, bodies[i]...)
-		stat.ColLens[i] = int64(plen)
-		if lo, hi, ok := zoneOf(w.schema.Col(i).Kind, w.mins[i], w.maxs[i]); ok {
+		a := &w.acc[i]
+		if lo, hi, ok := zoneOf(a.kind, a.lo, a.hi); ok {
 			w.zones.set(stat.zone, i, lo, hi)
 		}
 		w.cols[i] = w.cols[i][:0]
 	}
-	w.outScratch = buf
+	w.batch = buf
 	w.groupOffsets = append(w.groupOffsets, w.off)
 	w.groupStats = append(w.groupStats, stat)
-	if _, err := w.w.Write(buf); err != nil {
-		return err
-	}
-	w.off += int64(len(buf))
+	w.off += int64(size)
 	w.pending = 0
-	w.statsInit = false
 	return nil
+}
+
+// writeBatch hands the flushed groups the file does not hold yet to it.
+func (w *RCWriter) writeBatch() error {
+	if len(w.batch) == 0 {
+		return nil
+	}
+	_, err := w.w.Write(w.batch)
+	w.batch = w.batch[:0]
+	return err
 }
 
 // Flush ends the current row group so that the next written row starts a new
 // one; a writer with no buffered rows is left untouched. Index builders call
-// this at slice boundaries so that every slice covers whole row groups.
+// this at slice boundaries so that every slice covers whole row groups. The
+// group reaches the file with its batch, by Close at the latest.
 func (w *RCWriter) Flush() error { return w.flushGroup() }
 
 // GroupOffsets returns the start offsets of the groups flushed so far.
@@ -228,11 +336,16 @@ func (w *RCWriter) GroupOffsets() []int64 { return w.groupOffsets }
 // encoding tags and zone maps of the groups flushed so far.
 func (w *RCWriter) GroupStats() []GroupStat { return w.groupStats }
 
-// Close flushes the final partial group and closes the file.
+// Close flushes the final partial group, writes what the file does not hold
+// yet and closes it.
 func (w *RCWriter) Close() error {
 	if err := w.flushGroup(); err != nil {
 		return err
 	}
+	if err := w.writeBatch(); err != nil {
+		return err
+	}
+	w.batch = nil
 	return w.w.Close()
 }
 

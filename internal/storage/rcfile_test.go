@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -285,5 +287,69 @@ func TestWriteRowTextStoresWhatWriteRowRenders(t *testing.T) {
 	}
 	if err := NewRCWriter(w, s, 8).WriteRowText([]byte("1,2,2012-12-01,0.5"), rows[0]); err == nil {
 		t.Error("a line of four fields was accepted for a five-column schema")
+	}
+}
+
+// TestRCWriterBatchesWholeGroups: the writer hands the file whole groups in
+// batches of about rcWriteBatch bytes (a group larger than that in a batch of
+// its own), so the file only ever ends at a group boundary, and by Close it
+// holds every group at its recorded offset and reads back every row.
+func TestRCWriterBatchesWholeGroups(t *testing.T) {
+	s := NewSchema(Column{"id", KindInt64}, Column{"note", KindString})
+	var rows []Row
+	for i := 0; i < 3000; i++ {
+		note := strings.Repeat(string(rune('a'+i%26)), 1+i%97)
+		if i == 700 || i == 2100 {
+			note = strings.Repeat("x", 3*rcWriteBatch) // a group larger than a batch
+		}
+		rows = append(rows, Row{Int64(int64(i)), Str(note)})
+	}
+	fs := dfs.New(1 << 16)
+	fw, err := fs.Create("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw := NewRCWriter(fw, s, 40)
+	for i, row := range rows {
+		if err := rw.WriteRow(row); err != nil {
+			t.Fatal(err)
+		}
+		if i%333 == 0 {
+			if err := rw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size := fw.Size()
+		if !slices.Contains(rw.GroupOffsets(), size) && size != rw.Offset() {
+			t.Fatalf("after row %d the file ends at %d, no group boundary", i, size)
+		}
+	}
+	if fw.Size() == 0 || fw.Size() == rw.Offset() {
+		t.Fatalf("the file holds %d of %d bytes before Close: no batching seen", fw.Size(), rw.Offset())
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for g, st := range rw.GroupStats() {
+		if rw.GroupOffsets()[g] != sum {
+			t.Fatalf("group %d recorded at %d, the groups before it end at %d", g, rw.GroupOffsets()[g], sum)
+		}
+		sum += st.EncodedSize()
+	}
+	if fw.Size() != sum || rw.Offset() != sum {
+		t.Fatalf("file %d bytes, writer offset %d, groups %d", fw.Size(), rw.Offset(), sum)
+	}
+	got, err := readRCRows(fs, "/f", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows) {
+		t.Fatalf("read %d rows, wrote %d", len(got), len(rows))
+	}
+	for i := range rows {
+		if got[i][0].I != rows[i][0].I || got[i][1].S != rows[i][1].S {
+			t.Fatalf("row %d reads back as %v", i, got[i])
+		}
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
@@ -287,17 +288,21 @@ func (lr *LineReader) fill() bool {
 	if want <= 0 {
 		return false
 	}
-	chunk := make([]byte, want)
-	n, err := lr.r.ReadAt(chunk, lr.pos)
+	// The lines already returned are dropped: the unscanned tail moves to
+	// the front and the file's bytes land right after it, so the buffer
+	// holds one partial line and one fetch.
+	if lr.scan > 0 {
+		lr.bufStart += int64(lr.scan)
+		lr.buf = lr.buf[:copy(lr.buf, lr.buf[lr.scan:])]
+		lr.scan = 0
+	}
+	have := len(lr.buf)
+	lr.buf = slices.Grow(lr.buf, int(want))
+	n, err := lr.r.ReadAt(lr.buf[have:have+int(want)], lr.pos)
+	lr.buf = lr.buf[:have+n]
 	if n == 0 && err != nil {
 		return false
 	}
-	if lr.scan == len(lr.buf) && lr.scan > 0 {
-		lr.bufStart += int64(lr.scan)
-		lr.buf = lr.buf[:0]
-		lr.scan = 0
-	}
-	lr.buf = append(lr.buf, chunk[:n]...)
 	lr.pos += int64(n)
 	lr.bytesRead += int64(n)
 	return true

@@ -73,11 +73,14 @@ func BenchmarkTextWrite(b *testing.B) {
 
 // BenchmarkRCWrite is the RCFile writer's layer number: one WriteRCRowsOpts
 // of 5,000 meter rows in default row groups, column statistics included. It
-// measures about 0.04 allocs/row (per group: column buffers, encodings and
-// zone bounds; 470 ns/row on 2 cores, 600 before the whole-cent fast path)
-// and fails above 0.08.
+// measures about 0.036 allocs/row (per file: column buffers, the write batch
+// and the zone maps; 0.039 while each group allocated its column sizes and
+// encoded bodies) and about 230 ns/row on 2 cores (320 in the same session
+// while zone bounds went through Compare and each group was its own file
+// write; 470 and 600 in earlier sessions, before and after the whole-cent
+// fast path), and fails above 0.05.
 func BenchmarkRCWrite(b *testing.B) {
-	benchmarkWrite(b, 0.08, func(fs *dfs.FS, s *Schema, rows []Row) error {
+	benchmarkWrite(b, 0.05, func(fs *dfs.FS, s *Schema, rows []Row) error {
 		_, err := WriteRCRowsOpts(fs, "/bench/part-00000", s, rows, DefaultRowGroupRows, RCWriteOptions{})
 		return err
 	})
