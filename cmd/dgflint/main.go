@@ -9,12 +9,14 @@
 // Usage:
 //
 //	go run ./cmd/dgflint ./...          # check the whole module
-//	go run ./cmd/dgflint -only errwrap  # run a subset
+//	go run ./cmd/dgflint -only errwrap  # report a subset's findings
 //	go run ./cmd/dgflint -list          # describe the analyzers
 //
 // Suppressions: a finding is silenced by a same-line or line-above
 // comment "//dgflint:ignore <analyzer> <reason>"; the reason is
-// mandatory. It is the only escape hatch, ctxflow's included.
+// mandatory, and a name that is no analyzer (nor "all") is a finding. It
+// is the only escape hatch, ctxflow's included. -only still runs every
+// analyzer, so a directive naming one outside the subset stays known.
 //
 // Exit status is 1 when any finding survives suppression.
 package main
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/smartgrid-oss/dgfindex/internal/analysis"
@@ -54,20 +57,20 @@ func main() {
 		return
 	}
 
-	analyzers := all
+	// report holds the analyzers whose findings are printed, and "dgflint"
+	// for malformed directives.
+	report := map[string]bool{"dgflint": true}
+	for _, a := range all {
+		report[a.Name] = *only == ""
+	}
 	if *only != "" {
-		byName := map[string]*analysis.Analyzer{}
-		for _, a := range all {
-			byName[a.Name] = a
-		}
-		analyzers = nil
 		for _, name := range strings.Split(*only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
+			name = strings.TrimSpace(name)
+			if _, ok := report[name]; !ok || name == "dgflint" {
 				fmt.Fprintf(os.Stderr, "dgflint: unknown analyzer %q\n", name)
 				os.Exit(2)
 			}
-			analyzers = append(analyzers, a)
+			report[name] = true
 		}
 	}
 
@@ -90,11 +93,12 @@ func main() {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings, err := analysis.Run(analyzers, loader.Fset, pkgs)
+	findings, err := analysis.Run(all, loader.Fset, pkgs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgflint:", err)
 		os.Exit(2)
 	}
+	findings = slices.DeleteFunc(findings, func(f analysis.Finding) bool { return !report[f.Analyzer] })
 	for _, f := range findings {
 		rel := f.Pos.Filename
 		if r, err := filepath.Rel(root, rel); err == nil {

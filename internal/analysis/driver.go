@@ -32,14 +32,19 @@ const directiveIgnore = "dgflint:ignore"
 
 // Run executes every analyzer over every package, applies suppression
 // directives, and returns the surviving findings sorted by position.
-// Malformed directives (a dgflint:ignore with no reason) are themselves
-// findings: unexplained suppressions defeat the point of machine-checked
-// invariants.
+// Malformed directives (a dgflint:ignore with no reason, or naming no
+// analyzer of the run but "all") are themselves findings: unexplained
+// suppressions defeat the point of machine-checked invariants, and a
+// mistyped name suppresses nothing.
 func Run(analyzers []*Analyzer, fset *token.FileSet, pkgs []*Package) ([]Finding, error) {
+	known := map[string]bool{"all": true}
+	for _, a := range analyzers {
+		known[a.Name] = true
+	}
 	var sups []suppression
 	var findings []Finding
 	for _, pkg := range pkgs {
-		s, bad := scanDirectives(fset, pkg)
+		s, bad := scanDirectives(fset, pkg, known)
 		sups = append(sups, s...)
 		findings = append(findings, bad...)
 	}
@@ -97,9 +102,9 @@ func suppressed(sups []suppression, analyzer string, pos token.Position) bool {
 }
 
 // scanDirectives collects the suppression directives of one package and
-// flags malformed ones (no analyzer name, or no reason: an unexplained
-// suppression is itself a violation).
-func scanDirectives(fset *token.FileSet, pkg *Package) ([]suppression, []Finding) {
+// flags malformed ones: no analyzer name, or no reason (an unexplained
+// suppression is itself a violation), or a name that is not in known.
+func scanDirectives(fset *token.FileSet, pkg *Package, known map[string]bool) ([]suppression, []Finding) {
 	var sups []suppression
 	var bad []Finding
 	for _, f := range pkg.Files {
@@ -116,6 +121,14 @@ func scanDirectives(fset *token.FileSet, pkg *Package) ([]suppression, []Finding
 						Analyzer: "dgflint",
 						Pos:      fset.Position(c.Pos()),
 						Message:  "dgflint:ignore needs an analyzer name and a reason: //dgflint:ignore <analyzer> <why this is safe>",
+					})
+					continue
+				}
+				if !known[fields[0]] {
+					bad = append(bad, Finding{
+						Analyzer: "dgflint",
+						Pos:      fset.Position(c.Pos()),
+						Message:  fmt.Sprintf("dgflint:ignore names %q, which is no analyzer of this run (nor \"all\")", fields[0]),
 					})
 					continue
 				}

@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,7 +32,7 @@ var b int
 //dgflint:ignore shadow outer err is rewritten on the next line
 var c int
 `)
-	sups, bad := scanDirectives(fset, pkg)
+	sups, bad := scanDirectives(fset, pkg, map[string]bool{"all": true, "errwrap": true, "shadow": true})
 	if len(sups) != 1 {
 		t.Fatalf("suppressions = %d, want 1 (only the directive with a reason counts)", len(sups))
 	}
@@ -47,6 +49,46 @@ var c int
 		if !strings.Contains(f.Message, "reason") {
 			t.Errorf("malformed finding message %q does not mention the missing reason", f.Message)
 		}
+	}
+}
+
+// TestIgnoreNamingNoAnalyzerIsAFinding: a directive whose name is no
+// analyzer of the run, nor "all", is a finding and suppresses nothing — a
+// mistyped name used to be accepted silently — while "all" and the run's
+// own analyzers' names still suppress.
+func TestIgnoreNamingNoAnalyzerIsAFinding(t *testing.T) {
+	fset, pkg := parseOne(t, `package fixture
+
+//dgflint:ignore errwarp the analyzer's name is mistyped
+var a int
+
+//dgflint:ignore all every analyzer may skip b
+var b int
+
+//dgflint:ignore errwrap c is a fixture
+var c int
+`)
+	// errwrap reports every variable; the run has no other analyzer.
+	errwrap := &Analyzer{Name: "errwrap", Run: func(pass *Pass) error {
+		for _, d := range pass.Files[0].Decls {
+			pass.Reportf(d.Pos(), "finding")
+		}
+		return nil
+	}}
+	findings, err := Run([]*Analyzer{errwrap}, fset, []*Package{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%d %s: %s", f.Pos.Line, f.Analyzer, f.Message))
+	}
+	want := []string{
+		`3 dgflint: dgflint:ignore names "errwarp", which is no analyzer of this run (nor "all")`,
+		`4 errwrap: finding`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
+	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/localdb"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
@@ -158,24 +160,20 @@ func expAblationKVStore(e *Env) (*Report, error) {
 		t, _ := v.W.Table("meterdata")
 		ixSize := t.Dgf.SizeBytes()
 		entries := int64(t.Dgf.Entries())
+		// The alternative: the pairs stored as a Hive table and scanned in
+		// full, like a Compact index table, before every query — one map
+		// task over the pairs. The pairs are not table data, so their volume
+		// is priced unscaled.
+		scan := &cluster.Ledger{Maps: []cluster.MapTask{{Bytes: ixSize, Records: entries}}}
+		scanSec := v.W.Cluster.Scaled(1).Price(scan).Map
 		for _, k := range []selKind{selPoint, sel5} {
-			q := m.query(k)
-			res, err := v.W.ExecContext(context.Background(), aggSQL(q), hive.ExecOptions{})
+			// The query's key-value component is its plan's ledger entry.
+			plan, err := t.Dgf.Plan(v.W.Cluster, m.query(k).Ranges(), nil, dgf.PlanOptions{})
 			if err != nil {
 				return nil, err
 			}
-			// KV access time is what the planner measured minus the fixed
-			// job overhead it folds in.
-			kvSec := res.Stats.IndexSimSec - v.W.Cluster.JobStartupSec
-			if kvSec < 0 {
-				kvSec = 0
-			}
+			kvSec := v.W.Cluster.Price(&cluster.Ledger{KV: plan.KV}).KV
 			r.AddRow("KV store, DGF-"+v.Name, k.String(), secs(kvSec))
-			// Alternative: the pairs stored as a Hive table, scanned like a
-			// Compact index table before every query.
-			scanSec := v.W.Cluster.TaskStartupSec +
-				float64(ixSize)/(v.W.Cluster.MapperMBps()*(1<<20)) +
-				float64(entries)*v.W.Cluster.RecordCPUUs/1e6
 			r.AddRow("index table scan, DGF-"+v.Name, k.String(), secs(scanSec))
 		}
 	}

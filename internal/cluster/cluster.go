@@ -3,12 +3,16 @@
 // 3 reduce slots per worker, 64 MB HDFS blocks).
 //
 // All experiment code in this repository executes for real, in process, on
-// the local machine; package cluster converts the observed work (bytes read,
-// records processed, tasks launched, shuffle volume, key-value round trips)
-// into *simulated cluster seconds* using a calibrated cost model. The paper's
-// figures report wall-clock seconds on the 29-node cluster; we report the
-// simulated seconds next to local wall time, and compare shapes/ratios rather
-// than absolute values (see EXPERIMENTS.md).
+// the local machine. What Hive would do for a job — each map task's bytes,
+// records and seeks, each reduce task's pairs, bytes and groups, the
+// key-value operations of planning and index builds, a join side's bytes —
+// is recorded in a Ledger where it is observed (mapreduce.RunContext, the
+// query's declared shuffle, dgf.Index.Plan and the index builds), and
+// Config.Price is the one place a ledger becomes *simulated cluster
+// seconds* under a calibrated cost model. The paper's figures report
+// wall-clock seconds on the 29-node cluster; we report the simulated seconds
+// next to local wall time, and compare shapes/ratios rather than absolute
+// values (see EXPERIMENTS.md).
 package cluster
 
 import (
@@ -107,67 +111,6 @@ func (c *Config) Scaled(factor float64) *Config {
 	return &out
 }
 
-// PhaseVolumes aggregates one job phase's work for analytic costing.
-type PhaseVolumes struct {
-	Bytes, Records, Seeks int64
-}
-
-// ScaledMapSeconds prices a map phase analytically from aggregate volumes:
-// the scaled input is chopped into SimBlockMB tasks scheduled in waves onto
-// the map slots. Used when ScaleFactor > 1; at factor 1 the per-task LPT
-// model is preferred.
-func (c *Config) ScaledMapSeconds(v PhaseVolumes) float64 {
-	sf := c.ScaleFactor
-	bytes := float64(v.Bytes) * sf
-	records := float64(v.Records) * sf
-	// Seek counts do NOT scale: the number of Slices a query touches equals
-	// the number of grid cells it overlaps, which depends on the splitting
-	// policy rather than the data volume (at full scale the Slices are
-	// larger, not more numerous).
-	seeks := float64(v.Seeks)
-	if bytes == 0 && records == 0 {
-		return 0
-	}
-	blockBytes := c.SimBlockMB * (1 << 20)
-	nTasks := bytes / blockBytes
-	if nTasks < 1 {
-		nTasks = 1
-	}
-	waves := nTasks / float64(c.MapSlots())
-	if waves < 1 {
-		waves = 1
-	}
-	taskSec := c.TaskStartupSec +
-		(bytes/nTasks)/(c.MapperMBps()*(1<<20)) +
-		(records/nTasks)*c.RecordCPUUs/1e6 +
-		(seeks/nTasks)*c.SeekMs/1e3
-	return waves * taskSec
-}
-
-// ScaledShuffleSeconds prices the shuffle of scaled intermediate bytes.
-func (c *Config) ScaledShuffleSeconds(bytes int64) float64 {
-	return c.ShuffleSeconds(int64(float64(bytes) * c.ScaleFactor))
-}
-
-// ScaledReduceSeconds prices a reduce phase: scaled volume spread over
-// nReducers tasks scheduled in waves onto the reduce slots.
-func (c *Config) ScaledReduceSeconds(bytes, records int64, nReducers int) float64 {
-	if nReducers <= 0 {
-		return 0
-	}
-	sf := c.ScaleFactor
-	b := float64(bytes) * sf
-	r := float64(records) * sf
-	waves := float64(nReducers) / float64(c.ReduceSlots())
-	if waves < 1 {
-		waves = 1
-	}
-	taskSec := c.TaskStartupSec +
-		(b/float64(nReducers))/(c.ReducerMBps()*(1<<20)) +
-		(r/float64(nReducers))*c.RecordCPUUs/1e6
-	return waves * taskSec
-}
-
 // Validate reports whether the configuration is internally consistent.
 func (c *Config) Validate() error {
 	switch {
@@ -191,48 +134,100 @@ func (c *Config) MapSlots() int { return c.Workers * c.MapSlotsPerWorker }
 // ReduceSlots returns the cluster-wide number of concurrent reduce tasks.
 func (c *Config) ReduceSlots() int { return c.Workers * c.ReduceSlotsPerWorker }
 
-// MapperMBps is the effective sequential read bandwidth available to a single
-// map task when all map slots of its worker are busy.
-func (c *Config) MapperMBps() float64 {
-	return c.DiskMBps / float64(c.MapSlotsPerWorker)
+// MapTask is what one map task reads: its input bytes and records, and the
+// random seeks between the slices it reads.
+type MapTask struct{ Bytes, Records, Seeks int64 }
+
+// ReduceTask is what one reduce task is handed: its pairs, their key+value
+// bytes, and its distinct keys, the groups it reduces.
+type ReduceTask struct{ Pairs, Bytes, Groups int64 }
+
+// KVOps counts operations on the key-value store: point gets and puts, and
+// prefix scans with the keys they returned.
+type KVOps struct{ Gets, Puts, Scans, ScannedKeys int64 }
+
+// Ledger is the work Hive would do for one job, with what its caller does
+// around it: the jobs launched, each map task's reads, each reduce task's
+// input (an empty task included), the key-value operations of planning or
+// of an index build, and the bytes of a map-side join's broadcast side.
+// Code records an entry where it observes the volume; Price alone turns
+// entries into seconds. A ledger lives no longer than its job or query.
+type Ledger struct {
+	Jobs      int
+	Maps      []MapTask
+	Reduces   []ReduceTask
+	KV        KVOps
+	SideBytes int64
 }
 
-// ReducerMBps is the effective disk bandwidth available to a single reduce
-// task when all reduce slots of its worker are busy.
-func (c *Config) ReducerMBps() float64 {
-	return c.DiskMBps / float64(c.ReduceSlotsPerWorker)
+// Bill is a priced ledger: simulated seconds per phase.
+type Bill struct {
+	Startup, Map, Shuffle, Reduce float64
+	KV, Side                      float64
 }
 
-// ScanTaskSeconds models one map task that sequentially reads bytes of input
-// containing records records, with nSeeks random seeks interleaved (the
-// slice-skipping reader). It includes the per-task startup overhead.
-func (c *Config) ScanTaskSeconds(bytes, records, nSeeks int64) float64 {
-	mb := float64(bytes) / (1 << 20)
-	return c.TaskStartupSec +
-		mb/c.MapperMBps() +
-		float64(records)*c.RecordCPUUs/1e6 +
-		float64(nSeeks)*c.SeekMs/1e3
+// Price charges the ledger under the model. Each job pays JobStartupSec.
+// A task pays TaskStartupSec, its bytes at its share of its worker's disk,
+// its records' CPU and its seeks. Map tasks run in waves on the map slots and
+// reduce tasks on the reduce slots (LPT makespan). The shuffle moves the
+// reduce input over every worker's network. Key-value operations travel
+// KVBatchSize keys a round trip, a scan one trip. A join side is read once,
+// at one map task's bandwidth.
+func (c *Config) Price(l *Ledger) Bill {
+	mapMBps := c.DiskMBps / float64(c.MapSlotsPerWorker)
+	reduceMBps := c.DiskMBps / float64(c.ReduceSlotsPerWorker)
+	b := Bill{
+		Startup: float64(l.Jobs) * c.JobStartupSec,
+		KV: c.kvSeconds(l.KV.Gets) + c.kvSeconds(l.KV.Puts) +
+			float64(l.KV.Scans)*c.KVBatchRTTMs/1e3 + float64(l.KV.ScannedKeys)*c.KVPerOpUs/1e6,
+		Side: float64(l.SideBytes) / (mapMBps * (1 << 20)),
+	}
+	var read MapTask
+	mapTimes := make([]float64, len(l.Maps))
+	for i, m := range l.Maps {
+		read.Bytes, read.Records, read.Seeks = read.Bytes+m.Bytes, read.Records+m.Records, read.Seeks+m.Seeks
+		mapTimes[i] = c.taskSeconds(float64(m.Bytes), float64(m.Records), float64(m.Seeks), mapMBps)
+	}
+	var in ReduceTask
+	reduceTimes := make([]float64, len(l.Reduces))
+	for i, r := range l.Reduces {
+		in.Bytes, in.Groups = in.Bytes+r.Bytes, in.Groups+r.Groups
+		reduceTimes[i] = c.taskSeconds(float64(r.Bytes), float64(r.Groups), 0, reduceMBps)
+	}
+	sf := c.ScaleFactor
+	b.Shuffle = float64(int64(float64(in.Bytes)*sf)) / (1 << 20) / (c.NetMBps * float64(c.Workers))
+	if sf <= 1 {
+		b.Map, b.Reduce = makespan(mapTimes, c.MapSlots()), makespan(reduceTimes, c.ReduceSlots())
+		return b
+	}
+	// The in-process data is a sample of the modelled deployment's: the
+	// scaled map input is cut into SimBlockMB tasks and the scaled reduce
+	// input spread over the same reduce tasks, each phase run in waves.
+	// Seek counts do NOT scale: the Slices a query touches are the grid
+	// cells it overlaps, which the splitting policy sets, not the data
+	// volume (at full scale the Slices are larger, not more numerous).
+	if read.Bytes != 0 || read.Records != 0 {
+		bytes := float64(read.Bytes) * sf
+		n := max(bytes/(c.SimBlockMB*(1<<20)), 1)
+		b.Map = max(n/float64(c.MapSlots()), 1) *
+			c.taskSeconds(bytes/n, float64(read.Records)*sf/n, float64(read.Seeks)/n, mapMBps)
+	}
+	if n := float64(len(l.Reduces)); n > 0 {
+		b.Reduce = max(n/float64(c.ReduceSlots()), 1) *
+			c.taskSeconds(float64(in.Bytes)*sf/n, float64(in.Groups)*sf/n, 0, reduceMBps)
+	}
+	return b
 }
 
-// ShuffleSeconds models moving bytes of intermediate data across the network
-// during the shuffle, overlapped across all workers.
-func (c *Config) ShuffleSeconds(bytes int64) float64 {
-	mb := float64(bytes) / (1 << 20)
-	return mb / (c.NetMBps * float64(c.Workers))
+// taskSeconds models one task: its startup, its bytes read or written at
+// mbps, its records' CPU and its random seeks.
+func (c *Config) taskSeconds(bytes, records, seeks, mbps float64) float64 {
+	return c.TaskStartupSec + bytes/(1<<20)/mbps + records*c.RecordCPUUs/1e6 + seeks*c.SeekMs/1e3
 }
 
-// ReduceTaskSeconds models one reduce task that materialises bytes of output
-// after processing records grouped records.
-func (c *Config) ReduceTaskSeconds(bytes, records int64) float64 {
-	mb := float64(bytes) / (1 << 20)
-	return c.TaskStartupSec +
-		mb/c.ReducerMBps() +
-		float64(records)*c.RecordCPUUs/1e6
-}
-
-// KVSeconds models nOps point operations against the key-value store,
+// kvSeconds models nOps point operations against the key-value store,
 // batched KVBatchSize keys per round trip.
-func (c *Config) KVSeconds(nOps int64) float64 {
+func (c *Config) kvSeconds(nOps int64) float64 {
 	if nOps <= 0 {
 		return 0
 	}
@@ -240,11 +235,11 @@ func (c *Config) KVSeconds(nOps int64) float64 {
 	return float64(batches)*c.KVBatchRTTMs/1e3 + float64(nOps)*c.KVPerOpUs/1e6
 }
 
-// Makespan computes the completion time of a set of independent tasks
+// makespan computes the completion time of a set of independent tasks
 // scheduled greedily (longest processing time first) onto slots parallel
 // slots. This is the classic LPT approximation of the optimal makespan and
 // models Hadoop's wave-based task scheduling.
-func Makespan(taskSeconds []float64, slots int) float64 {
+func makespan(taskSeconds []float64, slots int) float64 {
 	if len(taskSeconds) == 0 {
 		return 0
 	}

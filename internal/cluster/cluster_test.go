@@ -40,17 +40,20 @@ func TestSlots(t *testing.T) {
 	}
 }
 
+// mapSeconds prices a map phase of the given tasks.
+func mapSeconds(c *Config, tasks ...MapTask) float64 { return c.Price(&Ledger{Maps: tasks}).Map }
+
 func TestScanTaskSecondsComponents(t *testing.T) {
 	c := Default()
-	base := c.ScanTaskSeconds(0, 0, 0)
+	base := mapSeconds(c, MapTask{0, 0, 0})
 	if base != c.TaskStartupSec {
 		t.Errorf("empty task = %v, want startup %v", base, c.TaskStartupSec)
 	}
-	oneMB := c.ScanTaskSeconds(1<<20, 0, 0) - base
-	if want := 1 / c.MapperMBps(); math.Abs(oneMB-want) > 1e-9 {
+	oneMB := mapSeconds(c, MapTask{1 << 20, 0, 0}) - base
+	if want := float64(c.MapSlotsPerWorker) / c.DiskMBps; math.Abs(oneMB-want) > 1e-9 {
 		t.Errorf("1MB read cost = %v, want %v", oneMB, want)
 	}
-	seeks := c.ScanTaskSeconds(0, 0, 10) - base
+	seeks := mapSeconds(c, MapTask{0, 0, 10}) - base
 	if want := 10 * c.SeekMs / 1e3; math.Abs(seeks-want) > 1e-9 {
 		t.Errorf("10 seeks cost = %v, want %v", seeks, want)
 	}
@@ -58,31 +61,31 @@ func TestScanTaskSecondsComponents(t *testing.T) {
 
 func TestKVSeconds(t *testing.T) {
 	c := Default()
-	if got := c.KVSeconds(0); got != 0 {
+	if got := c.kvSeconds(0); got != 0 {
 		t.Errorf("KVSeconds(0) = %v, want 0", got)
 	}
 	// One key: one batch RTT plus one per-op cost.
 	want := c.KVBatchRTTMs/1e3 + c.KVPerOpUs/1e6
-	if got := c.KVSeconds(1); math.Abs(got-want) > 1e-12 {
+	if got := c.kvSeconds(1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("KVSeconds(1) = %v, want %v", got, want)
 	}
 	// Batch boundary: KVBatchSize keys is one batch, +1 key adds a batch.
 	n := int64(c.KVBatchSize)
-	oneBatch := c.KVSeconds(n)
-	twoBatch := c.KVSeconds(n + 1)
+	oneBatch := c.kvSeconds(n)
+	twoBatch := c.kvSeconds(n + 1)
 	if twoBatch <= oneBatch {
 		t.Errorf("expected extra batch RTT: %v then %v", oneBatch, twoBatch)
 	}
 }
 
 func TestMakespanDegenerate(t *testing.T) {
-	if got := Makespan(nil, 4); got != 0 {
-		t.Errorf("Makespan(nil) = %v, want 0", got)
+	if got := makespan(nil, 4); got != 0 {
+		t.Errorf("makespan(nil) = %v, want 0", got)
 	}
-	if got := Makespan([]float64{3, 1, 2}, 10); got != 3 {
+	if got := makespan([]float64{3, 1, 2}, 10); got != 3 {
 		t.Errorf("more slots than tasks: got %v, want max task 3", got)
 	}
-	if got := Makespan([]float64{1, 1, 1, 1}, 1); got != 4 {
+	if got := makespan([]float64{1, 1, 1, 1}, 1); got != 4 {
 		t.Errorf("single slot: got %v, want sum 4", got)
 	}
 }
@@ -93,7 +96,7 @@ func TestMakespanWaves(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = 2.0
 	}
-	if got := Makespan(tasks, 4); got != 6.0 {
+	if got := makespan(tasks, 4); got != 6.0 {
 		t.Errorf("Makespan = %v, want 6.0 (3 waves of 2s)", got)
 	}
 }
@@ -115,7 +118,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 				max = tasks[i]
 			}
 		}
-		m := Makespan(tasks, slots)
+		m := makespan(tasks, slots)
 		lower := total / float64(slots)
 		if max > lower {
 			lower = max
@@ -134,25 +137,25 @@ func TestScaledMapSeconds(t *testing.T) {
 		t.Fatalf("Scaled factor = %v", c.ScaleFactor)
 	}
 	// Empty phase costs nothing.
-	if got := c.ScaledMapSeconds(PhaseVolumes{}); got != 0 {
+	if got := mapSeconds(c, MapTask{}); got != 0 {
 		t.Errorf("empty phase = %v", got)
 	}
 	// One metre of data scaled 1000x: 1 MB -> 1 GB -> ceil(1GB/64MB)=16
 	// tasks in one wave on 140 slots.
-	oneMB := c.ScaledMapSeconds(PhaseVolumes{Bytes: 1 << 20})
-	perTask := c.TaskStartupSec + 64/c.MapperMBps()
+	oneMB := mapSeconds(c, MapTask{Bytes: 1 << 20})
+	perTask := c.TaskStartupSec + 64*float64(c.MapSlotsPerWorker)/c.DiskMBps
 	if math.Abs(oneMB-perTask) > 1e-6 {
 		t.Errorf("1MB scaled phase = %v, want one wave of %v", oneMB, perTask)
 	}
 	// Ten times the data costs about ten times the waves once slots are
 	// saturated.
-	big := c.ScaledMapSeconds(PhaseVolumes{Bytes: 100 << 20})
-	bigger := c.ScaledMapSeconds(PhaseVolumes{Bytes: 1000 << 20})
+	big := mapSeconds(c, MapTask{Bytes: 100 << 20})
+	bigger := mapSeconds(c, MapTask{Bytes: 1000 << 20})
 	if ratio := bigger / big; ratio < 8 || ratio > 12 {
 		t.Errorf("10x data -> %vx time, want ~10x", ratio)
 	}
 	// Seeks are NOT scaled (slice counts are a grid property).
-	withSeeks := c.ScaledMapSeconds(PhaseVolumes{Bytes: 1 << 20, Seeks: 100})
+	withSeeks := mapSeconds(c, MapTask{Bytes: 1 << 20, Seeks: 100})
 	if delta := withSeeks - oneMB; delta > 100*c.SeekMs/1e3+1e-9 {
 		t.Errorf("seek contribution %v exceeds unscaled cost", delta)
 	}
@@ -160,15 +163,15 @@ func TestScaledMapSeconds(t *testing.T) {
 
 func TestScaledReduceAndShuffle(t *testing.T) {
 	c := Default().Scaled(100)
-	if got := c.ScaledReduceSeconds(1<<20, 100, 0); got != 0 {
-		t.Errorf("zero reducers = %v", got)
+	if got := c.Price(&Ledger{}); got.Reduce != 0 || got.Shuffle != 0 {
+		t.Errorf("zero reducers = %+v", got)
 	}
-	one := c.ScaledReduceSeconds(1<<20, 1000, 4)
+	one := c.Price(&Ledger{Reduces: []ReduceTask{{Bytes: 1 << 20, Groups: 1000}, {}, {}, {}}}).Reduce
 	if one <= c.TaskStartupSec {
 		t.Errorf("reduce phase = %v, want above startup", one)
 	}
-	shuffled := c.ScaledShuffleSeconds(1 << 20)
-	plain := c.ShuffleSeconds(100 << 20)
+	shuffled := c.Price(&Ledger{Reduces: []ReduceTask{{Bytes: 1 << 20}}}).Shuffle
+	plain := Default().Price(&Ledger{Reduces: []ReduceTask{{Bytes: 100 << 20}}}).Shuffle
 	if math.Abs(shuffled-plain) > 1e-9 {
 		t.Errorf("scaled shuffle %v != manual %v", shuffled, plain)
 	}
@@ -183,11 +186,12 @@ func TestScaledClampsBelowOne(t *testing.T) {
 
 func TestReduceTaskSeconds(t *testing.T) {
 	c := Default()
-	base := c.ReduceTaskSeconds(0, 0)
+	reduce := func(r ReduceTask) float64 { return c.Price(&Ledger{Reduces: []ReduceTask{r}}).Reduce }
+	base := reduce(ReduceTask{})
 	if base != c.TaskStartupSec {
 		t.Errorf("empty reduce task = %v", base)
 	}
-	if c.ReduceTaskSeconds(1<<20, 1000) <= base {
+	if reduce(ReduceTask{Bytes: 1 << 20, Groups: 1000}) <= base {
 		t.Error("reduce work costs nothing")
 	}
 }
@@ -200,8 +204,8 @@ func TestMakespanMonotoneProperty(t *testing.T) {
 		for i, r := range raw {
 			tasks[i] = float64(r % 500)
 		}
-		before := Makespan(tasks, slots)
-		after := Makespan(append(tasks, float64(extra%500)), slots)
+		before := makespan(tasks, slots)
+		after := makespan(append(tasks, float64(extra%500)), slots)
 		return after >= before-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -146,7 +146,9 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 	if numReducers > 64 {
 		numReducers = 64
 	}
-	kvBefore := ix.KV.Stats()
+	// The run's ledger: the job's work and the run's store operations —
+	// the generation number's get and put here, the rest in commitRun.
+	led := &cluster.Ledger{KV: cluster.KVOps{Gets: 1, Puts: 1}}
 
 	// A distinct file-name generation per build run keeps append output
 	// separate from prior runs.
@@ -172,6 +174,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 		Input:       input,
 		NewMapper:   func() mapreduce.TaskMapper { return newBuildMapper(ix) },
 		NumReducers: numReducers,
+		Ledger:      led,
 		ReduceTask: func(task int, groups []mapreduce.Group, emit mapreduce.Emit) error {
 			if len(groups) == 0 {
 				return nil
@@ -238,7 +241,7 @@ func (ix *Index) runBuildJob(cfg *cluster.Config, input *mapreduce.FileInput, fr
 		return nil, err
 	}
 	ix.extendCellBounds(fresh, lo, hi)
-	return ix.commitRun(cfg, *jobStats, merged, kvBefore), nil
+	return ix.commitRun(cfg, *jobStats, merged, led), nil
 }
 
 // removeRun deletes what a failed run of generation gen wrote: the files its
@@ -268,8 +271,8 @@ func (ix *Index) extendCellBounds(fresh bool, lo, hi []int64) {
 
 // commitRun puts a successful run's merged pairs into the store — only now,
 // so a failed run leaves every GFU pair as it was — in task order, saves the
-// metadata and reports the run's cost.
-func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, kvBefore kvstore.Stats) *BuildStats {
+// metadata and prices the run's ledger.
+func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []mergedPairs, led *cluster.Ledger) *BuildStats {
 	sort.Slice(merged, func(a, b int) bool { return merged[a].task < merged[b].task })
 	entries := 0
 	for _, m := range merged {
@@ -278,13 +281,16 @@ func (ix *Index) commitRun(cfg *cluster.Config, job mapreduce.Stats, merged []me
 		ix.gfuEntries.Add(m.fresh)
 		entries += len(m.pairs)
 	}
-	ix.saveMeta()
-	kvDelta := ix.KV.Stats().Sub(kvBefore)
+	// Each pair was read back by its reduce task (mergePairs) and is put
+	// here, then the metadata.
+	led.KV.Gets += int64(entries)
+	led.KV.Puts += int64(entries) + ix.saveMeta()
+	bill := job.Charge(cfg, led)
 	return &BuildStats{
 		Job:          job,
 		Entries:      entries,
 		IndexBytes:   ix.SizeBytes(),
-		KVSimSeconds: kvDelta.SimSeconds(cfg),
+		KVSimSeconds: bill.KV,
 	}
 }
 

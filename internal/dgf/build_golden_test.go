@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
 	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
@@ -411,11 +412,14 @@ const retiredStatsField = "BitmapDisabled:[]"
 // its whole store cost.
 func renderStatsWithRetiredMeta(t *testing.T, s *BuildStats, run kvstore.Stats) string {
 	t.Helper()
-	if got, want := s.KVSimSeconds, (kvstore.Stats{Gets: run.Gets, Puts: run.Puts}).SimSeconds(testCfg()); got != want {
+	kvSec := func(gets, puts int64) float64 {
+		return testCfg().Price(&cluster.Ledger{KV: cluster.KVOps{Gets: gets, Puts: puts}}).KV
+	}
+	if got, want := s.KVSimSeconds, kvSec(run.Gets, run.Puts); got != want {
 		t.Fatalf("KVSimSeconds %v, but %d gets and %d puts cost %v", got, run.Gets, run.Puts, want)
 	}
 	c := *s
-	c.KVSimSeconds = kvstore.Stats{Gets: run.Gets, Puts: run.Puts + int64(len(retiredMeta))}.SimSeconds(testCfg())
+	c.KVSimSeconds = kvSec(run.Gets, run.Puts+int64(len(retiredMeta)))
 	r := renderStats(&c)
 	return r[:len(r)-1] + " " + retiredStatsField + "}"
 }

@@ -891,8 +891,10 @@ func TestPlanStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.KVSimSeconds <= 0 {
-		t.Error("index access must cost simulated time")
+	// One get per inner and boundary cell, found or missing: the ranges
+	// cover every dimension, so no bound is fetched.
+	if plan.KV != (cluster.KVOps{Gets: plan.InnerCells + plan.BoundaryCells}) {
+		t.Errorf("planning made %+v, want one get for each of %d inner and %d boundary cells", plan.KV, plan.InnerCells, plan.BoundaryCells)
 	}
 	if plan.SliceBytes <= 0 {
 		t.Error("boundary slices must have bytes")

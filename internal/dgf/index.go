@@ -315,17 +315,22 @@ func encodeSpecs(specs []AggSpec) []byte {
 // saveMeta persists the index description and data bounds, as the paper
 // keeps them in HBase. Nothing reopens an index from them (a rebooted fleet
 // re-runs its CREATE INDEX from the log); Plan reads the bounds to charge the
-// round trip.
-func (ix *Index) saveMeta() {
-	ix.KV.Put(metaPolicy, encodePolicy(ix.Spec.Policy))
-	ix.KV.Put(metaPrecomp, encodeSpecs(ix.Spec.Precompute))
-	ix.KV.Put(metaDataDir, []byte(ix.DataDir))
-	ix.KV.Put(metaFormat, []byte(strings.ToLower(ix.Format.String())))
-	ix.KV.Put(metaGroupRows, []byte(strconv.Itoa(ix.GroupRows)))
-	for i := range ix.Spec.Policy.Dims {
-		ix.KV.Put(metaMinPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.minCell[i], 10)))
-		ix.KV.Put(metaMaxPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.maxCell[i], 10)))
+// round trip. It returns the puts it made, for the run's ledger.
+func (ix *Index) saveMeta() (puts int64) {
+	put := func(key string, value []byte) {
+		ix.KV.Put(key, value)
+		puts++
 	}
+	put(metaPolicy, encodePolicy(ix.Spec.Policy))
+	put(metaPrecomp, encodeSpecs(ix.Spec.Precompute))
+	put(metaDataDir, []byte(ix.DataDir))
+	put(metaFormat, []byte(strings.ToLower(ix.Format.String())))
+	put(metaGroupRows, []byte(strconv.Itoa(ix.GroupRows)))
+	for i := range ix.Spec.Policy.Dims {
+		put(metaMinPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.minCell[i], 10)))
+		put(metaMaxPrefix+strconv.Itoa(i), []byte(strconv.FormatInt(ix.maxCell[i], 10)))
+	}
+	return puts
 }
 
 // Entries returns the number of GFU pairs (the paper's index-record count).

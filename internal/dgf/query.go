@@ -10,7 +10,6 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/gridfile"
-	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
 
@@ -77,9 +76,9 @@ type Plan struct {
 	// column statistics, so cost attribution matches the readers byte for
 	// byte.
 	ProjectedBytes int64
-	// KVSimSeconds is the simulated index-access time of planning (the
-	// "read index" part of the paper's stacked bars).
-	KVSimSeconds float64
+	// KV counts the key-value operations planning made: the query's ledger
+	// entry for the "read index" part of the paper's stacked bars.
+	KV cluster.KVOps
 	// DisableSliceSkip propagates the ablation flag to the input format.
 	DisableSliceSkip bool
 	// Project propagates the referenced-column set to the input format.
@@ -140,13 +139,13 @@ func (ix *Index) findSpec(w AggSpec) int {
 // group, its header is merged into that group's PreGroups entry, and only
 // boundary cells are scanned. Any other query scans every cell it reads. The
 // read set comes from PlanReads over the plan's slices, the same planner a
-// full scan uses over whole files. Plan reads no table data.
-func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wantAggs []AggSpec, opts PlanOptions) (*Plan, error) {
-	// kvOps counts this plan's own store operations. Counting locally (not
-	// as a delta of the store's global counters) keeps the attributed
-	// index-access cost exact when several queries plan concurrently.
-	var kvOps kvstore.Stats
-
+// full scan uses over whole files. Plan reads no table data. It prices
+// nothing either: the cluster model is not consulted, and Plan.KV counts
+// this plan's own store operations (not a delta of the store's counters,
+// which several queries planning at once would share) for the query's
+// ledger.
+func (ix *Index) Plan(_ *cluster.Config, ranges map[string]gridfile.Range, wantAggs []AggSpec, opts PlanOptions) (*Plan, error) {
+	plan := &Plan{DisableSliceSkip: opts.DisableSliceSkip}
 	// Step 1: complete the predicate to all index dimensions.
 	full := make([]gridfile.Range, len(ix.Spec.Policy.Dims))
 	for i, d := range ix.Spec.Policy.Dims {
@@ -158,7 +157,7 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 			// lookups here model the HBase round trip.)
 			ix.KV.Get(metaMinPrefix + fmt.Sprint(i))
 			ix.KV.Get(metaMaxPrefix + fmt.Sprint(i))
-			kvOps.Gets += 2
+			plan.KV.Gets += 2
 			full[i] = gridfile.Range{
 				Lo:     d.CellStart(ix.minCell[i]),
 				Hi:     d.CellStart(ix.maxCell[i] + 1),
@@ -172,7 +171,6 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	}
 	dec.ClampRead(ix.minCell, ix.maxCell)
 
-	plan := &Plan{DisableSliceSkip: opts.DisableSliceSkip}
 	groupDims, unit := ix.groupDims(opts.GroupBy)
 	aggregation := !opts.DisablePrecompute && unit && ix.rangesOnDims(ranges) && ix.CanPrecompute(wantAggs) && dec.HasInner()
 	plan.Aggregation = aggregation
@@ -209,7 +207,7 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 		for g := range slot {
 			slot[g] = -1
 		}
-		kvOps.Gets += int64(len(innerKeys))
+		plan.KV.Gets += int64(len(innerKeys))
 		values := ix.KV.MultiGet(innerKeys)
 		i := 0
 		// EachInnerCell enumerates the cells in the order cellKeys rendered
@@ -251,7 +249,7 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 	}
 	scanKeys := ix.cellKeys(scanCells)
 	plan.BoundaryCells = int64(len(scanKeys))
-	kvOps.Gets += int64(len(scanKeys))
+	plan.KV.Gets += int64(len(scanKeys))
 	for i, data := range ix.KV.MultiGet(scanKeys) {
 		if data == nil {
 			plan.MissingCells++
@@ -282,7 +280,6 @@ func (ix *Index) Plan(cfg *cluster.Config, ranges map[string]gridfile.Range, wan
 		return nil, err
 	}
 	plan.ProjectedBytes, plan.GroupsSkipped, plan.SkipGroups = rs.Bytes, rs.GroupsSkipped, rs.SkipGroups
-	plan.KVSimSeconds = kvOps.SimSeconds(cfg)
 	return plan, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hiveindex"
@@ -240,9 +241,18 @@ func (w *Warehouse) createHiveIndexLocked(t *Table, s *CreateIndexStmt, kind hiv
 
 // execSelect runs one SELECT and finalizes its rows. An INSERT OVERWRITE
 // DIRECTORY sink (Listing 6) is the one step of a SELECT that writes: it
-// takes the catalog write lock around the sink write alone.
+// takes the catalog write lock around the sink write alone. The sink
+// replaces its directory's files, so a directory that is the warehouse
+// root, lies inside it or holds it is refused before the query runs: its
+// files are tables'.
 func (w *Warehouse) execSelect(ctx context.Context, stmt *SelectStmt, opts ExecOptions) (*Result, error) {
 	start := time.Now()
+	if stmt.InsertDir != "" {
+		dir, root := path.Clean("/"+stmt.InsertDir), path.Clean("/"+w.Root)
+		if within(dir, root) || within(root, dir) {
+			return nil, fmt.Errorf("hive: INSERT OVERWRITE DIRECTORY %q overlaps the warehouse %s", stmt.InsertDir, root)
+		}
+	}
 	pr, err := w.runSelect(ctx, stmt, opts, nil, nil)
 	if err != nil {
 		return nil, err
@@ -259,6 +269,11 @@ func (w *Warehouse) execSelect(ctx context.Context, stmt *SelectStmt, opts ExecO
 	}
 	res.Stats.Wall = time.Since(start)
 	return res, nil
+}
+
+// within reports whether the clean absolute path p is dir or lies under it.
+func within(p, dir string) bool {
+	return p == dir || dir == "/" || strings.HasPrefix(p, dir+"/")
 }
 
 // SelectPartialContext plans and executes a SELECT under ctx, returning its
@@ -354,6 +369,8 @@ type selectPlan struct {
 	done    bool
 	joinMap map[string][]storage.Row
 	span    *trace.Span
+	// bill is the query's ledger priced, once its job has run.
+	bill cluster.Bill
 }
 
 // planSelect compiles the statement under the catalog read lock and decides
@@ -483,7 +500,6 @@ func (w *Warehouse) bindSelect(ctx context.Context, p *selectPlan) (err error) {
 		p.span.Set("gfu_slices", len(p.plan.Slices))
 		p.span.Set("gfu_cells", p.plan.InnerCells+p.plan.BoundaryCells+p.plan.MissingCells)
 		p.span.Set("projected_bytes", p.plan.ProjectedBytes)
-		stats.IndexSimSec = p.plan.KVSimSeconds
 	case pathHiveIndex:
 		if p.aggRewrite {
 			// Aggregate Index rewrite: covered GROUP BY count queries read
@@ -582,15 +598,13 @@ func (w *Warehouse) runPreparedSelect(ctx context.Context, p *selectPlan, stream
 	pr.Rows, pr.Agg = rows, agg
 	stats.ShufflePairs = jobStats.ShufflePairs
 	stats.ShuffleBytes = jobStats.ShuffleBytes
-	// The paper's stacked bars: job startup counts as "index and other".
-	stats.IndexSimSec += jobStats.SimStartupSec
-	stats.DataSimSec += jobStats.SimTotalSec() - jobStats.SimStartupSec
-
-	// Broadcast side-table read for the map-side join.
-	if q.right != nil {
-		stats.DataSimSec += float64(p.sideBytes) / (w.Cluster.MapperMBps() * (1 << 20))
-		stats.BytesRead += p.sideBytes
-	}
+	// The paper's stacked bars: planning's key-value reads and the job's
+	// startup count as "index and other" (after the index scan a hive index
+	// ran), the job's other phases and the broadcast side's read as "read
+	// data and process".
+	stats.IndexSimSec += p.bill.KV + p.bill.Startup
+	stats.DataSimSec = jobStats.SimTotalSec() - p.bill.Startup + p.bill.Side
+	stats.BytesRead += p.sideBytes
 	return pr, nil
 }
 
@@ -697,10 +711,16 @@ func (q *compiledQuery) groupByNames() []string {
 // receives each output row as its batch is projected instead of the rows
 // being collected, and a false return stops split consumption early. On a
 // cancelled ctx the returned stats are non-nil partial progress alongside
-// the error.
+// the error. Once the job has run, the query's ledger — the job's work, the
+// shuffle the query declares, its plan's key-value reads and its join
+// side's bytes — is priced into the returned stats and p.bill, and dropped.
 func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(storage.Row) bool) (*mapreduce.Stats, []storage.Row, *PartialAgg, error) {
 	q, joinMap := p.q, p.joinMap
-	job := &mapreduce.Job{Name: "query-" + q.left.Name, Input: p.input}
+	led := &cluster.Ledger{SideBytes: p.sideBytes}
+	if p.plan != nil {
+		led.KV = p.plan.KV
+	}
+	job := &mapreduce.Job{Name: "query-" + q.left.Name, Input: p.input, Ledger: led}
 	// The one map task shape: the left-side kernels shrink the batch's
 	// selection vector, the join (if any) expands it to pairs, and the task's
 	// mapper projects the pairs or folds them (fold.go).
@@ -720,21 +740,25 @@ func (w *Warehouse) runQueryJob(ctx context.Context, p *selectPlan, stream func(
 		// jobStats are non-nil partial progress on a mid-scan abort.
 		return jobStats, nil, nil, err
 	}
-	switch {
-	case tables != nil:
-		// Merge the splits' tables and price the shuffle Hive would run over
-		// them: one reducer for a scalar aggregate, four for a GROUP BY.
+	var agg *PartialAgg
+	if tables != nil {
+		// Merge the splits' tables and declare the shuffle Hive would run
+		// over them: one reducer for a scalar aggregate, four for a GROUP BY.
 		// Then fold in the pre-computed inner result, one entry per group.
 		// Finalization (group sort, AVG division, scalar empty-input row)
 		// happens later through PartialAgg.Finalize, shared with the shard
 		// router's merge path.
-		agg := q.layout().NewPartial()
+		agg = q.layout().NewPartial()
 		reducers := 1
 		if len(q.groupBy) > 0 {
 			reducers = 4
 		}
-		tables.merge(agg, reducers).Price(w.Cluster, jobStats)
+		led.Reduces = tables.merge(agg, reducers)
 		agg.foldPrecomputed(p.plan)
+	}
+	p.bill = jobStats.Charge(w.Cluster, led)
+	switch {
+	case agg != nil:
 		return jobStats, nil, agg, nil
 	case stream != nil:
 		// Streamed rows were delivered as their batches were projected.

@@ -2,6 +2,7 @@ package hive
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -109,11 +110,14 @@ func tableAnswers(t *testing.T, w *Warehouse, table string) string {
 // TestLoadRejectedLeavesTableAsBefore: a load holding one row the table's
 // files cannot carry — an empty row, a row short of a column after more
 // than one full row group, a timestamp past the year 9999 — is refused
-// before any file is created, so a TEXTFILE, an RCFILE and a partitioned
-// table answer exactly as they did before it and hold the same files. (The
-// text writer used to write the empty row and fail every later read; the
-// RCFile writer left a data file without its column statistics; a
-// partitioned load kept the partitions it wrote before the bad row.)
+// before anything moves, so a TEXTFILE, an RCFILE and a partitioned table
+// answer exactly as they did before it and hold the same files, and an
+// indexed table still answers through its Compact index. (The text writer
+// used to write the empty row and fail every later read; the RCFile writer
+// left a data file without its column statistics; a partitioned load kept
+// the partitions it wrote before the bad row; a refused load retired every
+// Compact, Aggregate and Bitmap index of its table, so later queries
+// scanned.)
 func TestLoadRejectedLeavesTableAsBefore(t *testing.T) {
 	good := meterRows(40, 4, 80) // 3,200 rows: three full RCFile row groups
 	bad := map[string]storage.Row{
@@ -121,17 +125,25 @@ func TestLoadRejectedLeavesTableAsBefore(t *testing.T) {
 		"short row":      good[0][:3],
 		"year past 9999": {storage.Int64(1), storage.Int64(2), storage.TimeUnix(1 << 40), storage.Float64(1)},
 	}
-	for _, ddl := range []string{
-		`CREATE TABLE t ` + meterColumns,
-		`CREATE TABLE t ` + meterColumns + ` STORED AS RCFILE`,
-		`CREATE TABLE t ` + meterColumns + ` PARTITIONED BY (regionId) STORED AS RCFILE`,
+	for _, tc := range []struct{ ddl, index string }{
+		{ddl: `CREATE TABLE t ` + meterColumns},
+		{ddl: `CREATE TABLE t ` + meterColumns + ` STORED AS RCFILE`},
+		{ddl: `CREATE TABLE t ` + meterColumns + ` PARTITIONED BY (regionId) STORED AS RCFILE`},
+		{ddl: `CREATE TABLE t ` + meterColumns, index: `CREATE INDEX c ON TABLE t(regionId) AS 'compact'`},
 	} {
+		ddl := tc.ddl + " " + tc.index
 		w := testWarehouse(1 << 14)
-		mustExec(t, w, ddl)
+		mustExec(t, w, tc.ddl)
 		if err := w.LoadRowsByName("t", good[:100]); err != nil {
 			t.Fatal(err)
 		}
+		if tc.index != "" {
+			mustExec(t, w, tc.index)
+		}
 		before, files := tableAnswers(t, w, "t"), fsTree(t, w.FS, "/warehouse")
+		if tc.index != "" && !strings.Contains(before, "index:c") {
+			t.Fatalf("%s: no query answers through the index:\n%s", ddl, before)
+		}
 		for name, row := range bad {
 			rows := append(append([]storage.Row(nil), good...), row)
 			err := w.LoadRowsByName("t", rows)
@@ -166,5 +178,36 @@ func TestLoadRejectsGroupKeySeparatorDirect(t *testing.T) {
 	}
 	if got := mustExec(t, w, `SELECT k, sum(v) FROM t GROUP BY k`).Rows; len(got) != 0 {
 		t.Errorf("after the refused load GROUP BY k answers %v, want no groups", got)
+	}
+}
+
+// TestInsertOverwriteDirectoryRefusesWarehouse: the sink replaces its
+// directory's files, so a directory that is the warehouse root, lies inside
+// it or holds it is refused before the query runs, and every table keeps its
+// files and answers. ('/warehouse/m' used to swap table m's data for the
+// query's output; '/warehouse' and '/' deleted every table's files.) A
+// directory outside the warehouse still receives the rows.
+func TestInsertOverwriteDirectoryRefusesWarehouse(t *testing.T) {
+	w := testWarehouse(1 << 14)
+	mustExec(t, w, `CREATE TABLE m `+meterColumns)
+	if err := w.LoadRowsByName("m", meterRows(20, 4, 5)); err != nil {
+		t.Fatal(err)
+	}
+	before, files := tableAnswers(t, w, "m"), fsTree(t, w.FS, "/")
+	for _, dir := range []string{"/warehouse/m", "/warehouse", "/", "warehouse/m", "/warehouse/../warehouse/x"} {
+		_, err := w.ExecContext(context.Background(), `INSERT OVERWRITE DIRECTORY '`+dir+`' SELECT userId FROM m`, ExecOptions{})
+		if err == nil || !strings.Contains(err.Error(), "overlaps the warehouse") {
+			t.Errorf("INSERT OVERWRITE DIRECTORY %q: %v, want it refused", dir, err)
+		}
+		if d := diffTrees(files, fsTree(t, w.FS, "/")); d != "" {
+			t.Fatalf("INSERT OVERWRITE DIRECTORY %q changed the files:\n%s", dir, d)
+		}
+		if got := tableAnswers(t, w, "m"); got != before {
+			t.Fatalf("after INSERT OVERWRITE DIRECTORY %q the table answers\n%s\nwant\n%s", dir, got, before)
+		}
+	}
+	res := mustExec(t, w, `INSERT OVERWRITE DIRECTORY '/tmp/result' SELECT userId FROM m`)
+	if data, err := w.FS.ReadFile("/tmp/result/000000_0"); err != nil || len(res.Rows) != 100 || len(data) == 0 {
+		t.Fatalf("sink outside the warehouse: %d rows, %d bytes written, %v", len(res.Rows), len(data), err)
 	}
 }

@@ -236,9 +236,9 @@ func (w *Warehouse) tableNamesLocked() []string {
 // tables route each row into its partition's directory. The table is
 // resolved and loaded under one write-lock acquisition, so the load can never
 // interleave with a concurrent DROP or CREATE of the same table. Rows are
-// checked (storage.CheckRows) before any file is created, and a load that
-// fails removes every file it created: the table answers as it did before
-// (its version still moves).
+// checked (storage.CheckRows) before anything moves: a refused load leaves
+// the table's files, version and indexes as they were. A load that fails
+// writing removes every file it created.
 func (w *Warehouse) LoadRowsByName(name string, rows []storage.Row) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -253,15 +253,15 @@ func (w *Warehouse) loadRowsLocked(t *Table, rows []storage.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
+	if err := storage.CheckRows(t.Schema, rows); err != nil {
+		return fmt.Errorf("hive: load into %q: %w", t.Name, err)
+	}
 	files, err := w.loadFilesLocked(t, rows)
 	if err != nil {
 		return err
 	}
 	w.bumpLocked(strings.ToLower(t.Name))
 	t.fileSeq += len(files)
-	if err := storage.CheckRows(t.Schema, rows); err != nil {
-		return fmt.Errorf("hive: load into %q: %w", t.Name, err)
-	}
 	// An indexed table's load stages its rows as text for the index append.
 	rc := t.Format == hiveindex.RCFile && t.Dgf == nil
 	for _, f := range files {
@@ -310,10 +310,7 @@ func (w *Warehouse) loadFilesLocked(t *Table, rows []storage.Row) ([]loadFile, e
 		}
 		byPart := map[string][]storage.Row{}
 		for _, r := range rows {
-			var val string
-			if ci < len(r) { // a short row fails the load's check before a file is written
-				val = r[ci].String()
-			}
+			val := r[ci].String() // the load's check refused a short row
 			byPart[val] = append(byPart[val], r)
 		}
 		vals := make([]string, 0, len(byPart))

@@ -6,8 +6,8 @@
 // and a key-ordered ScanPrefix — plus an account of how many round trips a
 // query spends on index access, because the paper's figures break query time
 // into "read index and other" versus "read data and process". The Store
-// executes for real, in memory, and counts operations; cluster.Config
-// converts the counts into simulated seconds.
+// executes for real, in memory, and counts operations; its callers record
+// the operations they make in a cluster.Ledger, which cluster.Config prices.
 //
 // Layout. The paper sizes the index as its key and value bytes, and the
 // store holds a pair in little more than that. Every write appends one record
@@ -42,8 +42,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 )
 
 const (
@@ -382,14 +380,6 @@ func (s *Store) Stats() Stats {
 		ScannedKeys: s.scanned.Load(),
 		Scans:       s.scans.Load(),
 	}
-}
-
-// SimSeconds converts a counter snapshot into simulated store access time
-// under the given cluster model. Reads and writes are batched; scans cost
-// one round trip plus per-key transfer.
-func (st Stats) SimSeconds(cfg *cluster.Config) float64 {
-	return cfg.KVSeconds(st.Gets) + cfg.KVSeconds(st.Puts) +
-		float64(st.Scans)*cfg.KVBatchRTTMs/1e3 + float64(st.ScannedKeys)*cfg.KVPerOpUs/1e6
 }
 
 // Sub returns the counter delta st - prev, for attributing one query's

@@ -3,12 +3,15 @@
 // Compact Index population), table scans, aggregations, group-bys and joins.
 //
 // Jobs execute for real with goroutine parallelism. In addition, every job
-// reports *simulated cluster seconds* under a cluster.Config: map tasks are
-// scheduled in waves onto the configured map slots (LPT makespan), shuffle
-// cost is proportional to intermediate bytes, and reduce tasks are scheduled
-// onto reduce slots. The paper's experiment figures are stated in seconds on
-// a 29-node cluster; the simulated seconds reproduce the shapes of those
-// figures at laptop scale.
+// records in a cluster.Ledger what Hive would do — one startup, each map
+// task's bytes, records and seeks as its reader reports them, each reduce
+// task's pairs, bytes and groups as groupPairs hands them over — and
+// cluster.Config.Price, the only pricer, turns the ledger into *simulated
+// cluster seconds*. RunContext applies no cost formula: it prices a ledger
+// of its own through Stats.Charge, or leaves a caller's ledger (Job.Ledger)
+// to the caller, who adds its own entries first. The paper's experiment
+// figures are stated in seconds on a 29-node cluster; the simulated seconds
+// reproduce the shapes of those figures at laptop scale.
 //
 // File-backed input has one shape and one reader: a FileSplit is an ordered
 // list of byte segments of one file, and FileInput.Open returns the only
@@ -35,11 +38,11 @@
 // output is buffered the same way.
 //
 // A mapper may be scoped to its map task (Job.NewMapper): it sees its split's
-// records in order and hands over what it holds when the split ends. One
-// Shuffle.Price charges a shuffle from its volume per reduce task: RunContext
-// measures that volume from what its reducers are handed, and a map-only job
-// that merges its tasks' output itself (a query's aggregate) declares the
-// shuffle Hive would run instead (Shuffle.Add), moving no byte.
+// records in order and hands over what it holds when the split ends. A
+// shuffle is charged from its volume per reduce task: RunContext records what
+// its reducers are handed, and a map-only job that merges its tasks' output
+// itself (a query's aggregate) declares the shuffle Hive would run instead
+// (Shuffle.Add) into its caller's ledger, moving no byte.
 //
 // Bytes only where the shuffle needs them: a reader hands a mapper decoded
 // column vectors — and, for the index builds that shuffle text, each row's
@@ -192,6 +195,13 @@ type Job struct {
 	// and worker goroutines, so it must be safe for concurrent use (an
 	// atomic.Bool load, typically).
 	StopEarly func() bool
+	// Ledger, if set, is where the job records its work for a caller that
+	// adds entries of its own (a query's declared shuffle, plan and join
+	// side; an index build's key-value operations) and then prices the
+	// whole with Stats.Charge: RunContext leaves the Stats' simulated
+	// seconds and shuffle volumes to that call. If nil, RunContext prices a
+	// ledger of its own.
+	Ledger *cluster.Ledger
 }
 
 // Stats reports the measured work and the simulated cluster time of one job.
@@ -222,23 +232,18 @@ func (s Stats) SimTotalSec() float64 {
 	return s.SimStartupSec + s.SimMapSec + s.SimShuffleSec + s.SimReduceSec
 }
 
-// Add accumulates other into s (multi-job pipelines).
-func (s *Stats) Add(other Stats) {
-	s.Splits += other.Splits
-	s.MapTasks += other.MapTasks
-	s.ReduceTasks += other.ReduceTasks
-	s.InputBytes += other.InputBytes
-	s.InputRecords += other.InputRecords
-	s.Seeks += other.Seeks
-	s.GroupsSkipped += other.GroupsSkipped
-	s.ShuffleBytes += other.ShuffleBytes
-	s.ShufflePairs += other.ShufflePairs
-	s.OutputPairs += other.OutputPairs
-	s.SimStartupSec += other.SimStartupSec
-	s.SimMapSec += other.SimMapSec
-	s.SimShuffleSec += other.SimShuffleSec
-	s.SimReduceSec += other.SimReduceSec
-	s.Wall += other.Wall
+// Charge prices led under cfg into s: the simulated seconds of its job
+// phases, and the reduce tasks and shuffle volume of its reduce input. It
+// returns the bill, whose key-value and join-side seconds s has no field for.
+func (s *Stats) Charge(cfg *cluster.Config, led *cluster.Ledger) cluster.Bill {
+	b := cfg.Price(led)
+	s.SimStartupSec, s.SimMapSec, s.SimShuffleSec, s.SimReduceSec = b.Startup, b.Map, b.Shuffle, b.Reduce
+	s.ReduceTasks, s.ShufflePairs, s.ShuffleBytes = len(led.Reduces), 0, 0
+	for _, r := range led.Reduces {
+		s.ShufflePairs += r.Pairs
+		s.ShuffleBytes += r.Bytes
+	}
+	return b
 }
 
 // pairRef is one buffered pair: its key's id and where its value lies in
@@ -379,11 +384,9 @@ func (b *shuffleBuf) finish() {
 // split from one skipped by cancellation or StopEarly (whose zero value must
 // stay out of the job accounting).
 type mapResult struct {
+	cluster.MapTask
 	shuffle *shuffleBuf // nil for a map-only job
-	bytes   int64
-	records int64
-	seeks   int64
-	skips   int64 // row groups pruned before reading
+	skips   int64       // row groups pruned before reading
 	err     error
 	ran     bool
 }
@@ -422,7 +425,11 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 	}
 
 	stats := &Stats{Splits: len(splits), MapTasks: len(splits)}
-	stats.SimStartupSec = cfg.JobStartupSec
+	led := job.Ledger
+	if led == nil {
+		led = &cluster.Ledger{}
+	}
+	led.Jobs++
 
 	sp := trace.FromContext(ctx).ChildAt("mapreduce", start)
 	sp.Set("job", job.Name)
@@ -430,12 +437,19 @@ func RunContext(ctx context.Context, cfg *cluster.Config, job *Job) (*Stats, err
 		sp.Set("splits", stats.Splits)
 		sp.Set("records", stats.InputRecords)
 		sp.Set("bytes", stats.InputBytes)
-		sp.Set("sim_sec", stats.SimTotalSec())
 		sp.Finish()
 	}()
 
 	var outMu sync.Mutex
 	var outPairs int64
+	finish := func() (*Stats, error) {
+		if job.Ledger == nil {
+			stats.Charge(cfg, led)
+		}
+		stats.OutputPairs = outPairs
+		stats.Wall = time.Since(start)
+		return stats, nil
+	}
 	output := func(key string, value []byte) {
 		outMu.Lock()
 		outPairs++
@@ -484,7 +498,6 @@ feed:
 	wg.Wait()
 
 	processed := 0
-	mapTimes := make([]float64, 0, len(results))
 	for i := range results {
 		r := &results[i]
 		if !r.ran {
@@ -494,16 +507,16 @@ feed:
 			return nil, fmt.Errorf("mapreduce: job %q: map over %s: %w", job.Name, splits[i].Label(), r.err)
 		}
 		processed++
-		stats.InputBytes += r.bytes
-		stats.InputRecords += r.records
-		stats.Seeks += r.seeks
+		stats.InputBytes += r.Bytes
+		stats.InputRecords += r.Records
+		stats.Seeks += r.Seeks
 		stats.GroupsSkipped += r.skips
 		if r.skips > 0 {
-			sp.Eventf("split %s: %d records, %d bytes, %d groups skipped", splits[i].Label(), r.records, r.bytes, r.skips)
+			sp.Eventf("split %s: %d records, %d bytes, %d groups skipped", splits[i].Label(), r.Records, r.Bytes, r.skips)
 		} else {
-			sp.Eventf("split %s: %d records, %d bytes", splits[i].Label(), r.records, r.bytes)
+			sp.Eventf("split %s: %d records, %d bytes", splits[i].Label(), r.Records, r.Bytes)
 		}
-		mapTimes = append(mapTimes, cfg.ScanTaskSeconds(r.bytes, r.records, r.seeks))
+		led.Maps = append(led.Maps, r.MapTask)
 	}
 	// Splits/MapTasks report the splits actually consumed: fewer than
 	// enumerated when a cursor's LIMIT (or a cancel) stopped the scan early.
@@ -514,20 +527,8 @@ feed:
 		return stats, fmt.Errorf("mapreduce: job %q canceled after %d of %d splits: %w",
 			job.Name, processed, len(splits), err)
 	}
-	if cfg.ScaleFactor > 1 {
-		// The in-process data is a sample of the modelled deployment's:
-		// cost the phase analytically from scaled aggregate volumes.
-		stats.SimMapSec = cfg.ScaledMapSeconds(cluster.PhaseVolumes{
-			Bytes: stats.InputBytes, Records: stats.InputRecords, Seeks: stats.Seeks,
-		})
-	} else {
-		stats.SimMapSec = cluster.Makespan(mapTimes, cfg.MapSlots())
-	}
-
 	if !hasReduce {
-		stats.OutputPairs = outPairs
-		stats.Wall = time.Since(start)
-		return stats, nil
+		return finish()
 	}
 
 	// ---- Shuffle: each reducer groups the map tasks' buffers in place ----
@@ -571,17 +572,13 @@ rfeed:
 		return stats, fmt.Errorf("mapreduce: job %q canceled in reduce phase: %w", job.Name, err)
 	}
 
-	shuffle := make(Shuffle, numReducers)
 	for p, r := range rResults {
 		if r.err != nil {
 			return nil, fmt.Errorf("mapreduce: job %q: reduce task %d: %w", job.Name, p, r.err)
 		}
-		shuffle[p] = r.in
+		led.Reduces = append(led.Reduces, r.in)
 	}
-	shuffle.Price(cfg, stats)
-	stats.OutputPairs = outPairs
-	stats.Wall = time.Since(start)
-	return stats, nil
+	return finish()
 }
 
 func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, output Emit) (res mapResult) {
@@ -618,9 +615,9 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 			break
 		}
 		if rec.Batch != nil {
-			res.records += int64(len(rec.Batch.Sel()))
+			res.Records += int64(len(rec.Batch.Sel()))
 		} else {
-			res.records++
+			res.Records++
 		}
 		if err := mapRec(rec, emit); err != nil {
 			res.err = err
@@ -633,8 +630,8 @@ func runMapTask(job *Job, split InputSplit, numReducers int, hasReduce bool, out
 			return res
 		}
 	}
-	res.bytes = reader.BytesRead()
-	res.seeks = reader.Seeks()
+	res.Bytes = reader.BytesRead()
+	res.Seeks = reader.Seeks()
 	if fr, ok := reader.(*fileReader); ok {
 		res.skips = fr.skips
 	}
@@ -669,7 +666,7 @@ func combineBuf(combine CombineFunc, in *shuffleBuf) *shuffleBuf {
 }
 
 type reduceResult struct {
-	in  ReduceInput
+	in  cluster.ReduceTask
 	err error
 }
 
@@ -698,14 +695,14 @@ func runReduceTask(job *Job, task int, maps []*shuffleBuf, output Emit) (res red
 // task finished first, while only values of one key are ever compared with
 // each other. The values are read in place. The second result is the
 // partition's volume: its pairs, their key+value bytes and its groups.
-func groupPairs(bufs []*shuffleBuf, p int) ([]Group, ReduceInput) {
+func groupPairs(bufs []*shuffleBuf, p int) ([]Group, cluster.ReduceTask) {
 	total, keys := 0, 0
 	for _, b := range bufs {
 		total += len(b.parts[p].refs)
 		keys += len(b.parts[p].keys)
 	}
 	if total == 0 {
-		return nil, ReduceInput{}
+		return nil, cluster.ReduceTask{}
 	}
 	// Number the distinct keys in order of appearance, remembering each
 	// buffer's key ids' groups. One buffer's keys are distinct already, so
@@ -762,17 +759,12 @@ func groupPairs(bufs []*shuffleBuf, p int) ([]Group, ReduceInput) {
 	for _, g := range groups {
 		slices.SortFunc(g.Values, bytes.Compare)
 	}
-	return groups, ReduceInput{Pairs: int64(total), Bytes: volume, Groups: int64(len(groups))}
+	return groups, cluster.ReduceTask{Pairs: int64(total), Bytes: volume, Groups: int64(len(groups))}
 }
 
-// ReduceInput is what one reduce task is handed: its pairs, their key+value
-// bytes, and its distinct keys, the groups it reduces.
-type ReduceInput struct {
-	Pairs, Bytes, Groups int64
-}
-
-// Shuffle is the volume of a shuffle, one ReduceInput per reduce task.
-type Shuffle []ReduceInput
+// Shuffle is a shuffle Hive would run, declared pair by pair: one entry per
+// reduce task, for a ledger's Reduces.
+type Shuffle []cluster.ReduceTask
 
 // Add declares one pair: its key, its value's length, and whether no earlier
 // pair had its key. It goes to its key's partition, as an emitted pair would.
@@ -782,26 +774,6 @@ func (s Shuffle) Add(key string, valueLen int, firstOfKey bool) {
 	r.Bytes += int64(len(key) + valueLen)
 	if firstOfKey {
 		r.Groups++
-	}
-}
-
-// Price sets st's shuffle and reduce fields from the volume, every reduce
-// task charged, an empty one included.
-func (s Shuffle) Price(cfg *cluster.Config, st *Stats) {
-	var groups int64
-	st.ReduceTasks, st.ShufflePairs, st.ShuffleBytes = len(s), 0, 0
-	times := make([]float64, len(s))
-	for p, r := range s {
-		st.ShufflePairs += r.Pairs
-		st.ShuffleBytes += r.Bytes
-		groups += r.Groups
-		times[p] = cfg.ReduceTaskSeconds(r.Bytes, r.Groups)
-	}
-	st.SimShuffleSec = cfg.ScaledShuffleSeconds(st.ShuffleBytes)
-	if cfg.ScaleFactor > 1 {
-		st.SimReduceSec = cfg.ScaledReduceSeconds(st.ShuffleBytes, groups, len(s))
-	} else {
-		st.SimReduceSec = cluster.Makespan(times, cfg.ReduceSlots())
 	}
 }
 

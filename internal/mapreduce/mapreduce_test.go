@@ -615,15 +615,6 @@ func TestWordCountProperty(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Splits: 1, InputBytes: 10, SimMapSec: 2}
-	b := Stats{Splits: 2, InputBytes: 5, SimMapSec: 3, SimReduceSec: 1}
-	a.Add(b)
-	if a.Splits != 3 || a.InputBytes != 15 || a.SimTotalSec() != 6 {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
 // TestRunContextCancel: a cancelled ctx stops the scheduler at a split
 // boundary and returns partial stats alongside an error wrapping ctx.Err()
 // that names the abort position.

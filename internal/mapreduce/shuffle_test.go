@@ -14,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/smartgrid-oss/dgfindex/internal/cluster"
 )
 
 // memInput is an in-memory InputFormat: one split per line slice. A record
@@ -559,26 +561,67 @@ func TestKeyedMapperShufflesAsEmit(t *testing.T) {
 	}
 }
 
-// TestShufflePricedAsRun holds the two ways a shuffle is charged to one
-// price: the pairs a job emits, run through RunContext's shuffle, and the same
-// pairs declared one by one (Shuffle.Add) and priced, as a job that merges
-// its map output itself declares them. Pairs, bytes, reduce tasks and the
-// simulated shuffle and reduce seconds must be identical, at scale factor 1
-// and above, also for jobs that shuffle no pair.
-func TestShufflePricedAsRun(t *testing.T) {
+// meteredInput is a pairInput whose map task s reports reading
+// meteredTask(s, n) over its n records, as a slice-skipping file reader
+// reports its bytes and seeks.
+type meteredInput struct{ *pairInput }
+
+func meteredTask(s, records int) cluster.MapTask {
+	return cluster.MapTask{Bytes: int64(700_000*(s+1) + 13*records), Records: int64(records), Seeks: int64(s % 4)}
+}
+
+type meteredReader struct {
+	RecordReader
+	task cluster.MapTask
+}
+
+func (r meteredReader) BytesRead() int64 { return r.task.Bytes }
+func (r meteredReader) Seeks() int64     { return r.task.Seeks }
+
+func (in meteredInput) Open(split InputSplit) (RecordReader, error) {
+	r, err := in.pairInput.Open(split)
+	s := int(split.(memSplit))
+	return meteredReader{r, meteredTask(s, len(in.splits[s]))}, err
+}
+
+// TestLedgerPricesAsRun holds RunContext to the one pricer. A job run
+// through RunContext and the same work declared into a ledger by hand — each
+// map task's bytes, records and seeks, and each reduce task's pairs, bytes
+// and groups (Shuffle.Add, as a job that merges its map output itself
+// declares them) — price to bit-identical phase seconds, shuffle volumes and
+// reduce tasks, at scale factor 1 and above, also for jobs that shuffle no
+// pair and jobs with more map tasks than map slots. A job whose caller keeps
+// the ledger (Job.Ledger) is left unpriced, and with key-value operations and
+// a join side's bytes added the whole prices as the hand-declared ledger
+// does, those two phases included.
+func TestLedgerPricesAsRun(t *testing.T) {
 	const reducers = 3
+	many := make([][]pair, 45)
+	for s := range many {
+		many[s] = []pair{{Key: "m" + strconv.Itoa(s%5), Value: []byte(strconv.Itoa(s))}}
+	}
 	cases := append(shuffleCases(),
 		shuffleCase{name: "splits without pairs", splits: [][]pair{{}, {}}},
-		shuffleCase{name: "no splits"})
+		shuffleCase{name: "no splits"},
+		shuffleCase{name: "more splits than map slots", splits: many})
+	ctx := context.Background()
 	for _, scale := range []float64{1, 25} {
 		cfg := testCfg().Scaled(scale)
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("x%g/%s", scale, tc.name), func(t *testing.T) {
-				in := &pairInput{splits: tc.splits}
-				run, err := RunContext(context.Background(), cfg, &Job{Name: "priced", Input: in, NewMapper: in.newMapper, Combine: tc.combine, NumReducers: reducers,
-					Reduce: func(string, [][]byte, Emit) error { return nil }})
+				in := meteredInput{&pairInput{splits: tc.splits}}
+				job := func(led *cluster.Ledger) *Job {
+					return &Job{Name: "priced", Input: in, NewMapper: in.newMapper, Combine: tc.combine, NumReducers: reducers,
+						Reduce: func(string, [][]byte, Emit) error { return nil }, Ledger: led}
+				}
+				run, err := RunContext(ctx, cfg, job(nil))
 				if err != nil {
 					t.Fatal(err)
+				}
+
+				hand := &cluster.Ledger{Jobs: 1}
+				for s, ps := range tc.splits {
+					hand.Maps = append(hand.Maps, meteredTask(s, len(ps)))
 				}
 				crossing := tc.splits
 				if tc.combine != nil {
@@ -591,16 +634,41 @@ func TestShufflePricedAsRun(t *testing.T) {
 						seen[pr.Key] = true
 					}
 				}
-				priced := &Stats{}
-				declared.Price(cfg, priced)
-				if run.ShufflePairs != priced.ShufflePairs || run.ShuffleBytes != priced.ShuffleBytes || run.ReduceTasks != priced.ReduceTasks ||
-					run.SimShuffleSec != priced.SimShuffleSec || run.SimReduceSec != priced.SimReduceSec {
-					t.Fatalf("run: %d pairs, %d bytes, %d reducers, %v s shuffle, %v s reduce; priced: %d, %d, %d, %v s, %v s",
-						run.ShufflePairs, run.ShuffleBytes, run.ReduceTasks, run.SimShuffleSec, run.SimReduceSec,
-						priced.ShufflePairs, priced.ShuffleBytes, priced.ReduceTasks, priced.SimShuffleSec, priced.SimReduceSec)
+				hand.Reduces = declared
+				var priced Stats
+				priced.Charge(cfg, hand)
+				phases := func(s *Stats) string {
+					return fmt.Sprintf("startup %v map %v shuffle %v reduce %v; %d reduce tasks, %d pairs, %d bytes",
+						s.SimStartupSec, s.SimMapSec, s.SimShuffleSec, s.SimReduceSec, s.ReduceTasks, s.ShufflePairs, s.ShuffleBytes)
 				}
-				if run.ReduceTasks != reducers || run.SimReduceSec <= 0 {
-					t.Fatalf("%d reduce tasks costing %v s, want %d, every one charged", run.ReduceTasks, run.SimReduceSec, reducers)
+				if got, want := phases(run), phases(&priced); got != want {
+					t.Fatalf("run: %s\ndeclared: %s", got, want)
+				}
+				if run.ReduceTasks != reducers || run.SimReduceSec <= 0 || run.SimStartupSec <= 0 {
+					t.Fatalf("%d reduce tasks costing %v s after %v s startup, want %d, every one charged", run.ReduceTasks, run.SimReduceSec, run.SimStartupSec, reducers)
+				}
+				var read cluster.MapTask
+				for _, m := range hand.Maps {
+					read.Bytes, read.Records, read.Seeks = read.Bytes+m.Bytes, read.Records+m.Records, read.Seeks+m.Seeks
+				}
+				if (read != cluster.MapTask{Bytes: run.InputBytes, Records: run.InputRecords, Seeks: run.Seeks}) {
+					t.Fatalf("run read %d bytes, %d records, %d seeks; declared %+v", run.InputBytes, run.InputRecords, run.Seeks, read)
+				}
+
+				led := &cluster.Ledger{KV: cluster.KVOps{Gets: 2345, Puts: 67, Scans: 2, ScannedKeys: 89}, SideBytes: 3 << 20}
+				kept, err := RunContext(ctx, cfg, job(led))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kept.SimTotalSec() != 0 || kept.ReduceTasks != 0 {
+					t.Fatalf("RunContext priced a ledger its caller keeps: %s", phases(kept))
+				}
+				hand.KV, hand.SideBytes = led.KV, led.SideBytes
+				if got, want := kept.Charge(cfg, led), cfg.Price(hand); got != want || got.KV <= 0 || got.Side <= 0 {
+					t.Fatalf("kept ledger prices to %+v, declared %+v", got, want)
+				}
+				if got, want := phases(kept), phases(&priced); got != want {
+					t.Fatalf("kept ledger charged: %s\ndeclared: %s", got, want)
 				}
 			})
 		}
