@@ -194,7 +194,7 @@ func (c *Config) Price(l *Ledger) Bill {
 		in.Bytes, in.Groups = in.Bytes+r.Bytes, in.Groups+r.Groups
 		reduceTimes[i] = c.taskSeconds(float64(r.Bytes), float64(r.Groups), 0, reduceMBps)
 	}
-	sf := c.ScaleFactor
+	sf := max(c.ScaleFactor, 1) // 0 is no scaling, as Scaled has it
 	b.Shuffle = float64(int64(float64(in.Bytes)*sf)) / (1 << 20) / (c.NetMBps * float64(c.Workers))
 	if sf <= 1 {
 		b.Map, b.Reduce = makespan(mapTimes, c.MapSlots()), makespan(reduceTimes, c.ReduceSlots())

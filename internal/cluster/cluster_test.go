@@ -177,6 +177,21 @@ func TestScaledReduceAndShuffle(t *testing.T) {
 	}
 }
 
+// TestPriceScaleFactorZeroIsUnscaled: a ScaleFactor of 0 means no scaling,
+// so one 100 MB reduce task is priced exactly as under ScaleFactor 1 — its
+// shuffle included, which a factor of 0 used to price at 0 s.
+func TestPriceScaleFactorZeroIsUnscaled(t *testing.T) {
+	led := &Ledger{Reduces: []ReduceTask{{Bytes: 100 << 20, Groups: 1000}}}
+	zero, one := Default(), Default()
+	zero.ScaleFactor = 0
+	if got, want := zero.Price(led), one.Price(led); got != want {
+		t.Errorf("ScaleFactor 0 prices %+v, ScaleFactor 1 %+v", got, want)
+	}
+	if one.Price(led).Shuffle <= 0 {
+		t.Error("a 100 MB shuffle costs nothing")
+	}
+}
+
 func TestScaledClampsBelowOne(t *testing.T) {
 	c := Default().Scaled(0.5)
 	if c.ScaleFactor != 1 {

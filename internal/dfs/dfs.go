@@ -115,7 +115,7 @@ func (fs *FS) ResetCounters() {
 // Callers must treat the returned value as immutable — it is shared with
 // every other caller.
 func (fs *FS) CachedParse(p string, parse func() (any, error)) (any, error) {
-	key := path.Clean("/" + p)
+	key := cleanAbs(p)
 	size := int64(-1)
 	if fi, err := fs.Stat(key); err == nil {
 		size = fi.Size
@@ -135,12 +135,12 @@ func (fs *FS) CachedParse(p string, parse func() (any, error)) (any, error) {
 
 // invalidateParse drops the CachedParse entry for p (no-op when absent).
 func (fs *FS) invalidateParse(p string) {
-	fs.parseCache.Delete(path.Clean("/" + p))
+	fs.parseCache.Delete(cleanAbs(p))
 }
 
 // invalidateParseTree drops every CachedParse entry at or under p.
 func (fs *FS) invalidateParseTree(p string) {
-	prefix := path.Clean("/" + p)
+	prefix := cleanAbs(p)
 	fs.parseCache.Range(func(k, _ any) bool {
 		key := k.(string)
 		if key == prefix || strings.HasPrefix(key, prefix+"/") || prefix == "/" {
@@ -150,8 +150,17 @@ func (fs *FS) invalidateParseTree(p string) {
 	})
 }
 
+// cleanAbs returns p as a clean absolute path, without allocating when it
+// already is one.
+func cleanAbs(p string) string {
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
+	}
+	return path.Clean("/" + p)
+}
+
 func splitPath(p string) []string {
-	p = path.Clean("/" + p)
+	p = cleanAbs(p)
 	if p == "/" {
 		return nil
 	}
@@ -161,7 +170,13 @@ func splitPath(p string) []string {
 // lookup walks to the node at p. Caller must hold fs.mu.
 func (fs *FS) lookup(p string) (*node, error) {
 	cur := fs.root
-	for _, part := range splitPath(p) {
+	for rest := cleanAbs(p)[1:]; rest != ""; {
+		part := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			part, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		if !cur.dir {
 			return nil, fmt.Errorf("%w: %s", ErrNotDir, p)
 		}
@@ -195,7 +210,7 @@ func (fs *FS) MkdirAll(p string) error {
 // Create creates a new file at p (parents must exist or are created) and
 // returns a writer. The file must not already exist.
 func (fs *FS) Create(p string) (*FileWriter, error) {
-	dir, base := path.Split(path.Clean("/" + p))
+	dir, base := path.Split(cleanAbs(p))
 	if base == "" {
 		return nil, fmt.Errorf("%w: empty file name", ErrNotExist)
 	}
@@ -213,7 +228,7 @@ func (fs *FS) Create(p string) (*FileWriter, error) {
 	}
 	f := &node{name: base}
 	parent.children[base] = f
-	return &FileWriter{fs: fs, f: f, path: path.Clean("/" + p)}, nil
+	return &FileWriter{fs: fs, f: f, path: cleanAbs(p)}, nil
 }
 
 // FileInfo describes a namespace entry.
@@ -234,7 +249,7 @@ func (fs *FS) Stat(p string) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	return FileInfo{
-		Path:   path.Clean("/" + p),
+		Path:   cleanAbs(p),
 		Name:   n.name,
 		Size:   n.size,
 		IsDir:  n.dir,
@@ -292,7 +307,7 @@ func (fs *FS) ListFiles(p string) ([]FileInfo, error) {
 
 // Remove deletes the file or empty directory at p.
 func (fs *FS) Remove(p string) error {
-	dir, base := path.Split(path.Clean("/" + p))
+	dir, base := path.Split(cleanAbs(p))
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	parent, err := fs.lookup(dir)
@@ -314,7 +329,7 @@ func (fs *FS) Remove(p string) error {
 // RemoveAll deletes the subtree rooted at p. Removing a missing path is not
 // an error, matching os.RemoveAll.
 func (fs *FS) RemoveAll(p string) error {
-	dir, base := path.Split(path.Clean("/" + p))
+	dir, base := path.Split(cleanAbs(p))
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if base == "" { // removing "/" clears the namespace
@@ -440,7 +455,7 @@ func (fs *FS) Open(p string) (*FileReader, error) {
 	if n.dir {
 		return nil, fmt.Errorf("%w: %s", ErrIsDir, p)
 	}
-	return &FileReader{fs: fs, f: n, path: path.Clean("/" + p)}, nil
+	return &FileReader{fs: fs, f: n, path: cleanAbs(p)}, nil
 }
 
 // ReadFile reads the whole file at p.
@@ -484,6 +499,9 @@ type FileReader struct {
 
 // Path returns the file's absolute path.
 func (r *FileReader) Path() string { return r.path }
+
+// FS returns the filesystem the file is read from.
+func (r *FileReader) FS() *FS { return r.fs }
 
 // Size returns the file size in bytes.
 func (r *FileReader) Size() int64 {

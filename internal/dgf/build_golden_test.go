@@ -179,6 +179,38 @@ func withGroupIndexes(t *testing.T, fs *dfs.FS, files map[string][]byte) map[str
 	return files
 }
 
+// hiveFS copies every file under dir into a fresh filesystem, each RCFile
+// data file (every one with a "_colstats" side file) and its side file as
+// storage.HiveRCFile renders them: the files written with no column packed.
+// Every RCFile it renders must be as long as the bytes the meter charges
+// for it.
+func hiveFS(t *testing.T, fs *dfs.FS, dir string) *dfs.FS {
+	t.Helper()
+	files := treeFiles(t, fs, dir)
+	for p := range files {
+		dataDir, base, ok := strings.Cut(p, "/_colstats/")
+		if !ok {
+			continue
+		}
+		dataPath := dataDir + "/" + base
+		data, colstats, err := storage.HiveRCFile(fs, dataPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size, err := storage.DataSize(fs, dataPath, storage.RCFile); err != nil || size != int64(len(data)) {
+			t.Fatalf("%s: charged %d bytes (%v), Hive's RCFile holds %d", dataPath, size, err, len(data))
+		}
+		files[dataPath], files[p] = data, colstats
+	}
+	out := dfs.New(fs.BlockSize())
+	for p, data := range files {
+		if err := out.WriteFile(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // hashKV digests pairs in the order given (a scan's: by key).
 func hashKV(pairs []kvstore.Pair) string {
 	h := sha256.New()
@@ -229,7 +261,10 @@ var goldenStages = [3]string{"build", "append(ts)", "append(new cells)"}
 // recorded before, and TestBuildGoldenColStatsMovedAsDescribed holds the
 // move to the side files' new spelling of the same statistics. When the
 // "_groups" side files were deleted, goldenGroups kept the ones recorded
-// before, and TestBuildGoldenGroupsMovedAsDescribed holds that move.
+// before, and TestBuildGoldenGroupsMovedAsDescribed holds that move. When
+// bigint, timestamp and double columns began to pack, goldenUnpacked kept
+// the ones recorded before, and TestBuildGoldenPackedMovedAsDescribed holds
+// the move to the packed column bodies and their side files.
 var golden = map[storage.Format][3]goldenStage{
 	storage.TextFile: {
 		{"98de789083c0dd254aadc5b1fc43ab078ff0b86f2cc04b8d932cf74d4c819c2a", "012a6b11901ac728978f34dcc56ef363d7dbef5e5f78fbf9cb8a10bf9b573d01", "df9281ff92951a4ac5067093aa61b00af1073188f0f39dfa937d1433ef54a8f4"},
@@ -237,10 +272,18 @@ var golden = map[storage.Format][3]goldenStage{
 		{"f85022300fe458041dc526ba7db7553bee348069617f664699f335b64a16841d", "7f533632bc7c079242aadff56b191b3e55c37dfdeb1c278a4a96a72c010ce6ec", "51e62bfe74353a084b1ed4748a9a0a11a203db330d54fddeb86e8dce87b3ed29"},
 	},
 	storage.RCFile: {
-		{"b73ebd452aa0c984fbaf62b81d2a1d064c5c183203d94af4034cbd9d2eb1ff70", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
-		{"318b84f3dce763288202c332549889df8ab7afdec22f02982534752a9bd084f2", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
-		{"25c5d1947b86942a7a73fbe8ffa86271c604e079ab64becc2ce12bf0faa9e494", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
+		{"2436aeff90a773b4d04f8b4b823c9b2127421023d0c9dfd2c7d4e084abc9ac99", "5fda56345050425761865854b5c3b0e050d671e8a8fe05c0b4efff4fabf74d1a", "9b85930bc91ab15e5460e21c5de4641817b4c6489bd461d52172a94768e49696"},
+		{"f2eb394ce17f460dbc74593d37682b0a8e474f5418ec40a1d4d8838ab5d80f1b", "3b8403fb55c8661bc83f39de20b8a03647acedc1c25dff5a30722e68fb16e629", "4b8e91e3a43dfd5f97a94471b94725f89c811506055af0bc2b5dc6bf93c57306"},
+		{"e39be797cdaa19f2212a817ec5a3438daca3d7aee0f529640ba0d78cec9553ed", "e4fd0ee68511e948ef3ec4f304f8650f01135ecc8f7eb7573647906fc59aace5", "82501e65c555b4e039f93c6bcdc5be93ded84013dfcca663d07d080dfba21096"},
 	},
+}
+
+// goldenUnpacked holds the RCFile files hashes recorded while every column
+// body was text.
+var goldenUnpacked = [3]string{
+	"b73ebd452aa0c984fbaf62b81d2a1d064c5c183203d94af4034cbd9d2eb1ff70",
+	"318b84f3dce763288202c332549889df8ab7afdec22f02982534752a9bd084f2",
+	"25c5d1947b86942a7a73fbe8ffa86271c604e079ab64becc2ce12bf0faa9e494",
 }
 
 // goldenGroups holds the RCFile files hashes recorded while every data file
@@ -508,23 +551,43 @@ func TestBuildGoldenMovedAsDescribed(t *testing.T) {
 	}
 }
 
+// TestBuildGoldenPackedMovedAsDescribed bounds the re-recording of the
+// RCFile files hashes when bigint, timestamp and double columns began to
+// pack. With every RCFile written again with no column packed
+// (storage.HiveRCFile), the trees hash to what was recorded before: so
+// every other byte of every data file, every text body, row count, Hive
+// length, encoding tag and zone bound is what it was, and each file is as
+// long as the bytes the meter charges for it. The kv and stats hashes —
+// every GFU pair, so every slice address, and every simulated second — did
+// not move at all.
+func TestBuildGoldenPackedMovedAsDescribed(t *testing.T) {
+	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
+		if got, want := hashTree(t, hiveFS(t, ix.FS, "/tbl_dgf"), "/tbl_dgf"), goldenUnpacked[i]; got != want {
+			t.Errorf("%s: with no column packed the files hash to %s, they hashed to %s", goldenStages[i], got, want)
+		}
+	})
+}
+
 // TestBuildGoldenColStatsMovedAsDescribed bounds the re-recording of the
 // RCFile files hashes when the column statistics became typed and
-// delta-coded. With every "_colstats" side file read back and written again
-// as the version 3 stream (v3ColStats), and the "_groups" side files written
-// back as TestBuildGoldenGroupsMovedAsDescribed does, the trees hash to what
-// was recorded before: so every data file, group index, row count, column
-// length, encoding tag and zone bound is what it was, and only the side
-// files' spelling moved. The kv and stats hashes did not move at all.
+// delta-coded. With the files written with no column packed as
+// TestBuildGoldenPackedMovedAsDescribed does, every "_colstats" side file
+// read back and written again as the version 3 stream (v3ColStats), and the
+// "_groups" side files written back as TestBuildGoldenGroupsMovedAsDescribed
+// does, the trees hash to what was recorded before: so every data file,
+// group index, row count, column length, encoding tag and zone bound is what
+// it was, and only the side files' spelling moved. The kv and stats hashes
+// did not move at all.
 func TestBuildGoldenColStatsMovedAsDescribed(t *testing.T) {
 	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
-		files := withGroupIndexes(t, ix.FS, treeFiles(t, ix.FS, "/tbl_dgf"))
+		fs := hiveFS(t, ix.FS, "/tbl_dgf")
+		files := withGroupIndexes(t, fs, treeFiles(t, fs, "/tbl_dgf"))
 		for path := range files {
 			dataPath, ok := strings.CutPrefix(path, "/tbl_dgf/_colstats/")
 			if !ok {
 				continue
 			}
-			stats, err := storage.ReadColStats(ix.FS, "/tbl_dgf/"+dataPath)
+			stats, err := storage.ReadColStats(fs, "/tbl_dgf/"+dataPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -543,10 +606,12 @@ func TestBuildGoldenColStatsMovedAsDescribed(t *testing.T) {
 // offsets ReadGroupIndex derives, in the old encoding, the trees hash to
 // what was recorded before: so every data file and every "_colstats" file
 // is what it was, the derived offsets are the ones the deleted files held,
-// and only those files went.
+// and only those files went. The files are those written with no column
+// packed, as TestBuildGoldenPackedMovedAsDescribed has them.
 func TestBuildGoldenGroupsMovedAsDescribed(t *testing.T) {
 	goldenBuild(t, storage.RCFile, func(i int, ix *Index, _ *BuildStats) {
-		if got, want := hashFiles(withGroupIndexes(t, ix.FS, treeFiles(t, ix.FS, "/tbl_dgf"))), goldenGroups[i]; got != want {
+		fs := hiveFS(t, ix.FS, "/tbl_dgf")
+		if got, want := hashFiles(withGroupIndexes(t, fs, treeFiles(t, fs, "/tbl_dgf"))), goldenGroups[i]; got != want {
 			t.Errorf("%s: with the group index files written back the files hash to %s, they hashed to %s", goldenStages[i], got, want)
 		}
 	})

@@ -116,7 +116,7 @@ func checkSliceTiling(t *testing.T, ix *Index) {
 		}
 	}
 	for file, slices := range byFile {
-		fi, err := ix.FS.Stat(file)
+		size, err := storage.DataSize(ix.FS, file, ix.Format)
 		if err != nil {
 			t.Fatalf("slice file %s: %v", file, err)
 		}
@@ -126,12 +126,12 @@ func checkSliceTiling(t *testing.T, ix *Index) {
 			total += s.Len()
 			cover[s.Start] = s.End
 		}
-		if total != fi.Size {
-			t.Errorf("%s: slices cover %d of %d bytes", file, total, fi.Size)
+		if total != size {
+			t.Errorf("%s: slices cover %d of %d bytes", file, total, size)
 		}
 		// Walk the chain from 0 to size.
 		pos := int64(0)
-		for pos < fi.Size {
+		for pos < size {
 			end, ok := cover[pos]
 			if !ok {
 				t.Fatalf("%s: no slice starts at %d", file, pos)

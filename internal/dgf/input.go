@@ -49,7 +49,7 @@ func (in *SliceInput) Splits() ([]mapreduce.InputSplit, error) {
 	}
 	var out []mapreduce.InputSplit
 	for file, slices := range byFile {
-		fileSplits, err := in.FS.Splits(file)
+		fileSplits, err := storage.Splits(in.FS, file, in.Format)
 		if err != nil {
 			return nil, err
 		}

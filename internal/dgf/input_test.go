@@ -31,13 +31,13 @@ func readerRows(n int) []storage.Row {
 // wholeFileSlices is a SliceInput whose plan selects the whole file as one
 // Slice, so Splits clips it at every block boundary.
 func wholeFileSlices(fs *dfs.FS, path string, format storage.Format) *SliceInput {
-	fi, err := fs.Stat(path)
+	size, err := storage.DataSize(fs, path, format)
 	if err != nil {
 		panic(err)
 	}
 	return &SliceInput{
 		FS: fs, Format: format, Schema: readerSchema,
-		Plan: &Plan{Slices: []SliceLoc{{File: path, Start: 0, End: fi.Size}}},
+		Plan: &Plan{Slices: []SliceLoc{{File: path, Start: 0, End: size}}},
 	}
 }
 
@@ -109,10 +109,13 @@ func TestReaderSplitOwnership(t *testing.T) {
 			}
 			want = len(rows)
 		}
-		fi, _ := fs.Stat(path)
+		size, err := storage.DataSize(fs, path, format)
+		if err != nil {
+			t.Fatal(err)
+		}
 		straddles := 0
 		for i, s := range starts {
-			end := fi.Size
+			end := size
 			if i+1 < len(starts) {
 				end = starts[i+1]
 			}
@@ -176,14 +179,17 @@ func TestReaderAccounting(t *testing.T) {
 	if len(offs) != 3 {
 		t.Fatalf("want 3 groups, got %d", len(offs))
 	}
-	fi, _ := fs.Stat(path)
+	size, err := storage.DataSize(fs, path, storage.RCFile)
+	if err != nil {
+		t.Fatal(err)
+	}
 	file := func(in mapreduce.FileInput) *mapreduce.FileInput {
 		in.FS, in.Dir, in.Format, in.Schema = fs, "/rc", storage.RCFile, readerSchema
 		return &in
 	}
 	slices := func(plan Plan) *SliceInput {
 		if plan.Slices == nil {
-			plan.Slices = []SliceLoc{{File: path, Start: 0, End: fi.Size}}
+			plan.Slices = []SliceLoc{{File: path, Start: 0, End: size}}
 		}
 		return &SliceInput{FS: fs, Plan: &plan, Format: storage.RCFile, Schema: readerSchema}
 	}
@@ -224,7 +230,7 @@ func TestReaderAccounting(t *testing.T) {
 		}), records: 20, seeks: 1, skipped: 1},
 		{name: "SliceInput margin", in: slices(Plan{Slices: []SliceLoc{
 			{File: path, Start: offs[0], End: offs[1]},
-			{File: path, Start: offs[2], End: fi.Size},
+			{File: path, Start: offs[2], End: size},
 		}}), records: 20, seeks: 1},
 		{name: "SliceInput adjacent slices", in: slices(Plan{Slices: []SliceLoc{
 			{File: path, Start: offs[0], End: offs[1]},
@@ -233,7 +239,7 @@ func TestReaderAccounting(t *testing.T) {
 		{name: "SliceInput margin and skip", in: slices(Plan{
 			Slices: []SliceLoc{
 				{File: path, Start: offs[0], End: offs[1]},
-				{File: path, Start: offs[2], End: fi.Size},
+				{File: path, Start: offs[2], End: size},
 			},
 			SkipGroups: map[string]map[int64]bool{path: {offs[2]: true}},
 		}), records: 10, seeks: 2, skipped: 1},

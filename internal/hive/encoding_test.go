@@ -3,6 +3,7 @@ package hive
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,17 +122,27 @@ func TestExplainEncodedColumns(t *testing.T) {
 		t.Errorf("DGF EncodedColumns = %v, want city(dict...)", plan.EncodedColumns)
 	}
 
-	// An unencoded table reports no encoded columns.
-	mustExec(t, w, `CREATE TABLE flat (id bigint, note string) STORED AS RCFILE`)
-	var rows []storage.Row
+	// An unencoded table reports no encoded columns, and one whose bigints
+	// pack reports them packed.
+	mustExec(t, w, `CREATE TABLE flat (ratio double, note string) STORED AS RCFILE`)
+	mustExec(t, w, `CREATE TABLE ids (id bigint, note string) STORED AS RCFILE`)
+	var flat, ids []storage.Row
 	for i := 0; i < 50; i++ {
-		rows = append(rows, storage.Row{storage.Int64(int64(i)), storage.Str(fmt.Sprintf("unique-%d", i))})
+		note := storage.Str(fmt.Sprintf("unique-%d", i))
+		flat = append(flat, storage.Row{storage.Float64(float64(i+1) / 3), note})
+		ids = append(ids, storage.Row{storage.Int64(int64(i)), note})
 	}
-	if err := w.LoadRowsByName("flat", rows); err != nil {
+	if err := w.LoadRowsByName("flat", flat); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.LoadRowsByName("ids", ids); err != nil {
 		t.Fatal(err)
 	}
 	if plan := explainOf(t, w, `SELECT count(*) FROM flat`); len(plan.EncodedColumns) != 0 {
 		t.Errorf("unencodable table reports EncodedColumns = %v", plan.EncodedColumns)
+	}
+	if plan := explainOf(t, w, `SELECT count(*) FROM ids`); !slices.Equal(plan.EncodedColumns, []string{"id(packed)"}) {
+		t.Errorf("table of bigint ids reports EncodedColumns = %v, want [id(packed)]", plan.EncodedColumns)
 	}
 }
 

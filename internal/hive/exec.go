@@ -463,7 +463,11 @@ func (w *Warehouse) planSelect(stmt *SelectStmt, opts ExecOptions) (*selectPlan,
 	whole := make([]dgf.SliceLoc, len(files))
 	for i, f := range files {
 		scan.Paths[i] = f.Path
-		whole[i] = dgf.SliceLoc{File: f.Path, End: f.Size}
+		size, err := storage.DataSize(w.FS, f.Path, q.left.Format)
+		if err != nil {
+			return nil, err
+		}
+		whole[i] = dgf.SliceLoc{File: f.Path, End: size}
 	}
 	p.reads, err = dgf.PlanReads(w.FS, q.left.Format, q.left.Schema, whole, scan.Project, q.leftRanges, p.prune)
 	if err != nil {

@@ -226,8 +226,8 @@ func encodedColumnNames(w *Warehouse, files []string, schema *storage.Schema) ([
 			continue
 		}
 		var names []string
-		// Fixed dict-then-rle order keeps the rendering deterministic.
-		for _, enc := range []byte{storage.EncDict, storage.EncRLE} {
+		// Fixed dict, rle, packed order keeps the rendering deterministic.
+		for _, enc := range []byte{storage.EncDict, storage.EncRLE, storage.EncPacked, storage.EncPackedDecimal} {
 			if encs[enc] {
 				names = append(names, storage.EncodingName(enc))
 			}

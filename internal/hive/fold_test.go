@@ -12,15 +12,16 @@ import (
 )
 
 // foldWarehouse holds the golden meter rows (600 of them: a bigint region,
-// day-major timestamps that run-length encode, a five-value vendor that
-// dictionary encodes) in one table of the given storage, plus a join side
-// with a low-cardinality string and a numeric column.
-func foldWarehouse(t *testing.T, stored string, disableEncoding bool) *Warehouse {
+// day-major timestamps that pack, or run-length encode in larger groups, a
+// five-value vendor that dictionary encodes) in one table of the given
+// storage and row-group size, plus a join side with a low-cardinality
+// string and a numeric column.
+func foldWarehouse(t *testing.T, stored string, groupRows int, disableEncoding bool) *Warehouse {
 	t.Helper()
 	w := testWarehouse(1 << 12)
 	mustExec(t, w, `CREATE TABLE m (userId bigint, regionId bigint, ts timestamp, powerConsumed double, vendor string) STORED AS `+stored)
 	tbl, _ := w.Table("m")
-	tbl.RowGroupRows, tbl.DisableEncoding = 16, disableEncoding
+	tbl.RowGroupRows, tbl.DisableEncoding = groupRows, disableEncoding
 	if err := w.LoadRowsByName("m", goldenMeterRows(60, 4, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +108,23 @@ func TestFoldMatchesReference(t *testing.T) {
 		{" WHERE userId>=1000", " WHERE t1.userId>=1000"},
 	}
 	storages := []struct {
-		name, stored string
-		noEncode     bool
-	}{{"text", "TEXTFILE", false}, {"rc", "RCFILE", false}, {"rc-plain", "RCFILE", true}}
+		name, stored     string
+		groupRows        int
+		noEncode         bool
+		tsEnc, vendorEnc byte
+	}{
+		{"text", "TEXTFILE", 16, false, storage.EncPlain, storage.EncPlain},
+		{"rc", "RCFILE", 16, false, storage.EncPacked, storage.EncDict},
+		{"rc-runs", "RCFILE", 64, false, storage.EncRLE, storage.EncDict},
+		{"rc-plain", "RCFILE", 16, true, storage.EncPlain, storage.EncPlain},
+	}
 
 	for _, st := range storages {
-		w := foldWarehouse(t, st.stored, st.noEncode)
+		w := foldWarehouse(t, st.stored, st.groupRows, st.noEncode)
 		// The key forms under test are the ones the batches really carry.
 		tsEnc, vendorEnc := firstBatchEncodings(t, w, "m", 2, 4)
-		if encoded := st.name == "rc"; (tsEnc == storage.EncRLE) != encoded || (vendorEnc == storage.EncDict) != encoded {
-			t.Fatalf("%s: ts encoding %q, vendor encoding %q", st.name, tsEnc, vendorEnc)
+		if tsEnc != st.tsEnc || vendorEnc != st.vendorEnc {
+			t.Fatalf("%s: ts encoding %q, vendor encoding %q, want %q and %q", st.name, tsEnc, vendorEnc, st.tsEnc, st.vendorEnc)
 		}
 		for _, joined := range []bool{false, true} {
 			for _, list := range lists {

@@ -411,7 +411,8 @@ func (w *Warehouse) TableSizeBytes(t *Table) int64 {
 }
 
 // tableFilesLocked lists every data file of the table, across all its
-// partitions, and their total size. Caller holds w.mu (either mode).
+// partitions, and their total size as the model charges it
+// (storage.DataSize). Caller holds w.mu (either mode).
 func (w *Warehouse) tableFilesLocked(t *Table) (files []dfs.FileInfo, size int64, err error) {
 	if t.PartitionBy != "" {
 		files, _, _, err = w.partitionFilesLocked(t, nil)
@@ -419,7 +420,11 @@ func (w *Warehouse) tableFilesLocked(t *Table) (files []dfs.FileInfo, size int64
 		files, err = w.FS.ListFiles(t.Dir)
 	}
 	for _, f := range files {
-		size += f.Size
+		n, serr := storage.DataSize(w.FS, f.Path, t.Format)
+		if serr != nil {
+			return files, size, serr
+		}
+		size += n
 	}
 	return files, size, err
 }

@@ -142,6 +142,31 @@ func digestFiles(files map[string][]byte) string {
 	return goldenHash(parts...)
 }
 
+// unpackedFiles reads every file under dir, each RCFile data file (every
+// one with a "_colstats" side file) and its side file as storage.HiveRCFile
+// renders them: written with no column packed. Every RCFile it renders must
+// be as long as the bytes the meter charges for it.
+func unpackedFiles(t *testing.T, fs *dfs.FS, dir string) map[string][]byte {
+	t.Helper()
+	files := treeFiles(t, fs, dir)
+	for path := range files {
+		dataDir, base, ok := strings.Cut(path, "/_colstats/")
+		if !ok {
+			continue
+		}
+		dataPath := dataDir + "/" + base
+		data, colstats, err := storage.HiveRCFile(fs, dataPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size, err := storage.DataSize(fs, dataPath, RCFile); err != nil || size != int64(len(data)) {
+			t.Fatalf("%s: charged %d bytes (%v), Hive's RCFile holds %d", dataPath, size, err, len(data))
+		}
+		files[dataPath], files[path] = data, colstats
+	}
+	return files
+}
+
 // renderJobStats is the job's Stats with the wall clock zeroed.
 func renderJobStats(s mapreduce.Stats) string {
 	s.Wall = 0
@@ -256,23 +281,36 @@ type hiveGolden struct {
 }
 
 // hiveGoldens is keyed by base format/kind/index-table format. The files
-// digests of the RCFile index tables were re-recorded when their "_groups"
-// side files gave way to "_colstats" ones: hiveGoldenGroups holds the ones
-// recorded before, and TestHiveIndexBuildGoldenGroupsMovedAsDescribed holds
-// that move.
+// digests of the RCFile index tables were re-recorded twice: when their
+// "_groups" side files gave way to "_colstats" ones (hiveGoldenGroups holds
+// the ones recorded before, and TestHiveIndexBuildGoldenGroupsMovedAsDescribed
+// holds that move), and when bigint, timestamp and double columns began to
+// pack (hiveGoldenUnpacked holds the ones recorded before, and
+// TestHiveIndexBuildGoldenPackedMovedAsDescribed holds that move).
 var hiveGoldens = map[string]hiveGolden{
 	"TextFile/compact/TextFile":   {"286a7e16292885b5a5602fbd4a6d37c9faf77675e8791b75c115d7797dd43580", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "016ccfaa2ef80f0652fe64f665e0c20e78ea553279c795668b60b1013fc62e93", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
-	"TextFile/compact/RCFile":     {"c7c51117a219eaa5986d7dc5f0b6e12dab47cf9d21cf984642e08eb8ddfff0dd", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "f21c0d63d136e0db5285123284fbd720fb5cedff38a1983930fbeba5b2f08b3d", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
+	"TextFile/compact/RCFile":     {"e874ac9f00fa9036b3c74e4e7cb9bcc49ada98cf81ff9a6c6b5f02c09696ceb4", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "f21c0d63d136e0db5285123284fbd720fb5cedff38a1983930fbeba5b2f08b3d", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
 	"TextFile/bitmap/TextFile":    {"3e7d4ba9d0dc79c87ec2636b52f43899f672dc778587994dbdeb59ce26724124", "7acac420212cb74ae2c5e1d362d05e9eea547121702fbc72f06308611fd28b1e", "bb3570d39f3909b0aef57798e7d91e590a111ac6e2938146c73a52d2651ad4a0", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
-	"TextFile/bitmap/RCFile":      {"d59828faddefd17e70a01743dd7330f9cefbf1ad43c9bba2daf7781bac88f137", "7acac420212cb74ae2c5e1d362d05e9eea547121702fbc72f06308611fd28b1e", "59eba0ab53264aa913ef1d244f5324146470b5cebe2ead95563d8f95ff029bc9", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
+	"TextFile/bitmap/RCFile":      {"c8400b041af62154226cdac61ee428cfa17ffe9e34cfb0831c3a4aa51d128d33", "7acac420212cb74ae2c5e1d362d05e9eea547121702fbc72f06308611fd28b1e", "59eba0ab53264aa913ef1d244f5324146470b5cebe2ead95563d8f95ff029bc9", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
 	"TextFile/aggregate/TextFile": {"5e68828d2894982af4698d34f71885cd2ea2c796a844b1d4f82d073eb5c44e9d", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "a2676c42931f8b5373a3093fc9bea8cee1b13d0ea97bae9a48a0f79c7cbf7611", "cf914a8ebe84ce3eb44a98e035ca646877c873f58863dd6ee67e7761445f34ac", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
-	"TextFile/aggregate/RCFile":   {"809de0d9b40a1bb3a8361a07a3b20ad708c42b8d25ee4f78d888747bf8142451", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "8561f3a7e88768141ddd1d0c7afe0e20e0de738622169332408543c3c8528afd", "6c1d23b0858c07db1ecbf66fd3326c87fbc028534b8ed7cedb2fae063ceece63", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
+	"TextFile/aggregate/RCFile":   {"0f1fb9dbffa279863deb4838d65be8920a3de0250cea5dda0d2a6675d02b0c02", "f88ad4cb67d0f68be62c7b0d6acc586aa6fd4e322c0df86d78b920b51d51c0e7", "8561f3a7e88768141ddd1d0c7afe0e20e0de738622169332408543c3c8528afd", "6c1d23b0858c07db1ecbf66fd3326c87fbc028534b8ed7cedb2fae063ceece63", "adb136112439d9d91197bd3b146afc05f43c4f4e5da5c5d3932d080f516e06e0"},
 	"RCFile/compact/TextFile":     {"ea37b6ff7a0be4701be952ae4f49791f3682c405d8d7b5521a0cbab17245a1c1", "22c17a5b9873e81cdf05a3b7b252287cee0d595c5f903fccc01abe8ff5ce74df", "88cc08a908dd99f1da464c6deb6961845a2158034de6c912593ac2d32005f48b", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
-	"RCFile/compact/RCFile":       {"7bb0af90e20f3ba8f9e4757a154add7ca3d4f0868e77ad7c7c9ed84183750a32", "22c17a5b9873e81cdf05a3b7b252287cee0d595c5f903fccc01abe8ff5ce74df", "b8d8ba2d34e84de10cedbf049aaccbf21320aca26eb335941ab9413f6dff6492", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
+	"RCFile/compact/RCFile":       {"f984af275a052df0b6d9859a461fd985ff300e4ff53c4857d5bb84fa1e47ad01", "22c17a5b9873e81cdf05a3b7b252287cee0d595c5f903fccc01abe8ff5ce74df", "b8d8ba2d34e84de10cedbf049aaccbf21320aca26eb335941ab9413f6dff6492", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
 	"RCFile/bitmap/TextFile":      {"aea45004fd8ffe6ca663debc189faf52bd08cbe44d137001803f58f52067a7f6", "35c3304f1545936f6f6707ebe71a452dfdb3a64d8129b71516471701997263fd", "7a6c29046b17c78c971a0ef55709c0f627b5d7ecd8b00e450a0734f7de01f42d", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "07be30c33849bc3f54a81a0aec5788fba86a7221e83201f1899add2e0abc959c"},
-	"RCFile/bitmap/RCFile":        {"42bd222fe3858e3fb33bacd7baca762c72b24404cb2e0827c4e18dafe26083e8", "35c3304f1545936f6f6707ebe71a452dfdb3a64d8129b71516471701997263fd", "3e0380a3cd560c04b13559e2fd934a5c5f553a91f1f086041fc00b878f64c168", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "07be30c33849bc3f54a81a0aec5788fba86a7221e83201f1899add2e0abc959c"},
+	"RCFile/bitmap/RCFile":        {"919daafaa73935be4aacf8f76afbc4354bcbcb7e65b625f7e7fa841202ba9d95", "35c3304f1545936f6f6707ebe71a452dfdb3a64d8129b71516471701997263fd", "3e0380a3cd560c04b13559e2fd934a5c5f553a91f1f086041fc00b878f64c168", "7826e612a602c5446376c2e3ec47d9794fe8e40ecb8859a83fb1480a51be2cbf", "07be30c33849bc3f54a81a0aec5788fba86a7221e83201f1899add2e0abc959c"},
 	"RCFile/aggregate/TextFile":   {"11138a8b72fa1843f116bf8ad9e80d82342dba92dcc6eb380eef8ea0386ac823", "560e8dbc0dba34939e071ef91bb0e8a3d2492e2546d3c62df8ab57baee4c14b5", "5a7be5b7402e97befe98fad872ca409a4b5369b8778fbb2c3d4916eb481a0905", "670d59d367f1593ae260ca2ee050bd1d1e1140c0029f73bf1e0e1ea382e2acb9", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
-	"RCFile/aggregate/RCFile":     {"a3ed8ebcfe4bd84c0da15d9f343a05b9d6ba4d3627ebfea6b38f9f4e9d8ed0b0", "560e8dbc0dba34939e071ef91bb0e8a3d2492e2546d3c62df8ab57baee4c14b5", "d1aa3f7504195c60be9e430600216c76bab466a1d71644b804c6fd6aacddc940", "05904a0a53d131cc53fb37ac02fd086de60ad0940e1f56e69993051de87b94b5", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
+	"RCFile/aggregate/RCFile":     {"037e6d93ef8a4b43750cc87c5b442dc86010f8bf8f6fc171ad52806f3f5a213d", "560e8dbc0dba34939e071ef91bb0e8a3d2492e2546d3c62df8ab57baee4c14b5", "d1aa3f7504195c60be9e430600216c76bab466a1d71644b804c6fd6aacddc940", "05904a0a53d131cc53fb37ac02fd086de60ad0940e1f56e69993051de87b94b5", "2c822cc74aebf60884472ecabd6031cd39ae15c98988da3feb96a71f68e4617a"},
+}
+
+// hiveGoldenUnpacked holds the index-table files digests of the RCFile
+// index tables recorded while every column body was text.
+var hiveGoldenUnpacked = map[string]string{
+	"TextFile/compact/RCFile":   "c7c51117a219eaa5986d7dc5f0b6e12dab47cf9d21cf984642e08eb8ddfff0dd",
+	"TextFile/bitmap/RCFile":    "d59828faddefd17e70a01743dd7330f9cefbf1ad43c9bba2daf7781bac88f137",
+	"TextFile/aggregate/RCFile": "809de0d9b40a1bb3a8361a07a3b20ad708c42b8d25ee4f78d888747bf8142451",
+	"RCFile/compact/RCFile":     "7bb0af90e20f3ba8f9e4757a154add7ca3d4f0868e77ad7c7c9ed84183750a32",
+	"RCFile/bitmap/RCFile":      "42bd222fe3858e3fb33bacd7baca762c72b24404cb2e0827c4e18dafe26083e8",
+	"RCFile/aggregate/RCFile":   "a3ed8ebcfe4bd84c0da15d9f343a05b9d6ba4d3627ebfea6b38f9f4e9d8ed0b0",
 }
 
 // hiveGoldenGroups holds the index-table files digests of the RCFile index
@@ -363,21 +401,45 @@ func TestHiveIndexBuildGolden(t *testing.T) {
 	}
 }
 
+// TestHiveIndexBuildGoldenPackedMovedAsDescribed bounds the re-recording of
+// the RCFile index tables' files digests when bigint, timestamp and double
+// columns began to pack. With every index-table file written again with no
+// column packed (storage.HiveRCFile), the index tables hash to what was
+// recorded before: so every text body, row count, Hive length, encoding tag
+// and zone bound is what it was, and each file is as long as the bytes the
+// meter charges for it. TestHiveIndexBuildGolden holds the build Stats, the
+// Filter result, AggregateCounts and the BaseInput rows unmoved.
+func TestHiveIndexBuildGoldenPackedMovedAsDescribed(t *testing.T) {
+	for _, base := range []Format{TextFile, RCFile} {
+		for _, kind := range []Kind{Compact, Bitmap, Aggregate} {
+			name := fmt.Sprintf("%v/%v/%v", base, kind, RCFile)
+			t.Run(name, func(t *testing.T) {
+				fs, _, _ := goldenIndex(t, base, kind, RCFile)
+				if got, want := digestFiles(unpackedFiles(t, fs, "/idx")), hiveGoldenUnpacked[name]; got != want {
+					t.Errorf("index-table files, written with no column packed, hash to %s, they hashed to %s", got, want)
+				}
+			})
+		}
+	}
+}
+
 // TestHiveIndexBuildGoldenGroupsMovedAsDescribed bounds the re-recording of
 // the RCFile index tables' files digests when their "_groups" side files
 // gave way to "_colstats" ones, the side file every other RCFile has. With
-// the "_colstats" files removed and a "_groups/<base>" file written back
-// beside every index-table file, from the offsets ReadGroupIndex derives, in
-// the old encoding, the index tables hash to what was recorded before: so
-// every index-table file is what it was, the derived offsets are the ones
-// the deleted files held, and only the side files changed.
+// the files written with no column packed, as
+// TestHiveIndexBuildGoldenPackedMovedAsDescribed has them, the "_colstats"
+// files removed and a "_groups/<base>" file written back beside every
+// index-table file, from the offsets ReadGroupIndex derives, in the old
+// encoding, the index tables hash to what was recorded before: so every
+// index-table file is what it was, the derived offsets are the ones the
+// deleted files held, and only the side files changed.
 func TestHiveIndexBuildGoldenGroupsMovedAsDescribed(t *testing.T) {
 	for _, base := range []Format{TextFile, RCFile} {
 		for _, kind := range []Kind{Compact, Bitmap, Aggregate} {
 			name := fmt.Sprintf("%v/%v/%v", base, kind, RCFile)
 			t.Run(name, func(t *testing.T) {
 				fs, _, _ := goldenIndex(t, base, kind, RCFile)
-				files := treeFiles(t, fs, "/idx")
+				files := unpackedFiles(t, fs, "/idx")
 				groups := map[string][]byte{}
 				for path := range files {
 					dir, file, ok := strings.Cut(path, "/_colstats/")

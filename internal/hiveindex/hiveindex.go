@@ -350,7 +350,8 @@ func decodeOffsets(s string) ([]int64, error) {
 	return out, nil
 }
 
-// SizeBytes returns the on-disk size of the index table (Tables 2 and 5).
+// SizeBytes returns the size of the index table (Tables 2 and 5), as the
+// model charges it (storage.DataSize).
 func (ix *Index) SizeBytes(fs *dfs.FS) int64 {
 	files, err := fs.ListFiles(ix.IndexDir)
 	if err != nil {
@@ -358,7 +359,11 @@ func (ix *Index) SizeBytes(fs *dfs.FS) int64 {
 	}
 	var n int64
 	for _, f := range files {
-		n += f.Size
+		size, err := storage.DataSize(fs, f.Path, ix.IndexFormat)
+		if err != nil {
+			return 0
+		}
+		n += size
 	}
 	return n
 }

@@ -79,17 +79,24 @@ type FileInput struct {
 	SkipGroup func(path string, offset int64) bool
 }
 
-// Splits implements InputFormat.
+// Splits implements InputFormat: each file's block-sized splits, an
+// RCFile's over its bytes in Hive's RCFile (storage.Splits).
 func (in *FileInput) Splits() ([]InputSplit, error) {
-	var raw []dfs.Split
+	paths := in.Paths
 	if in.Dir != "" {
-		var err error
-		if raw, err = in.FS.DirSplits(in.Dir); err != nil {
+		files, err := in.FS.ListFiles(in.Dir)
+		if err != nil {
 			return nil, err
 		}
+		paths = make([]string, 0, len(files)+len(in.Paths))
+		for _, fi := range files {
+			paths = append(paths, fi.Path)
+		}
+		paths = append(paths, in.Paths...)
 	}
-	for _, p := range in.Paths {
-		s, err := in.FS.Splits(p)
+	var raw []dfs.Split
+	for _, p := range paths {
+		s, err := storage.Splits(in.FS, p, in.Format)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +129,7 @@ func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
 		// but may physically straddle a block boundary. The column
 		// statistics side file (the model's stand-in for RCFile sync
 		// markers) locates the groups.
-		if r.groupOffsets, err = storage.ReadGroupIndex(in.FS, s.Path); err != nil {
+		if r.groups, err = storage.LoadRowGroups(in.FS, s.Path); err != nil {
 			return nil, fmt.Errorf("mapreduce: FileInput: row groups of %s: %w", s.Path, err)
 		}
 		if in.GroupFilter != nil || in.SkipGroup != nil {
@@ -138,13 +145,13 @@ func (in *FileInput) Open(split InputSplit) (RecordReader, error) {
 // since skipping a group forces a reposition) and the groups SkipGroup
 // pruned.
 type fileReader struct {
-	in           *FileInput
-	file         *dfs.FileReader
-	path         string
-	segments     []Segment
-	groupOffsets []int64 // RCFile only
-	skipGroup    func(offset int64) bool
-	batch        *storage.ColumnBatch // shared by the segments
+	in        *FileInput
+	file      *dfs.FileReader
+	path      string
+	segments  []Segment
+	groups    *storage.RowGroups // RCFile only
+	skipGroup func(offset int64) bool
+	batch     *storage.ColumnBatch // shared by the segments
 
 	next      int // next index into segments
 	seg       storage.SegmentReader
@@ -184,7 +191,7 @@ func (r *fileReader) Next() (Record, bool, error) {
 				SkipFirst:    sg.ClipStart,
 				InclusiveEnd: sg.ClipEnd,
 				Project:      in.Project,
-				GroupOffsets: r.groupOffsets,
+				Groups:       r.groups,
 				Batch:        r.batch,
 				SkipGroup:    r.skipGroup,
 			})

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 	"github.com/smartgrid-oss/dgfindex/internal/dgf"
 	"github.com/smartgrid-oss/dgfindex/internal/hive"
 	"github.com/smartgrid-oss/dgfindex/internal/kvstore"
@@ -83,15 +84,47 @@ type goldenFleetState struct {
 	files, kv, answers, kvRetiredMeta, kvAsText string
 }
 
+// goldenUnpacked returns a filesystem holding files, every RCFile data file
+// (every one with a "_colstats" side file) and its side file as
+// storage.HiveRCFile renders the replica's: written with no column packed.
+// Every RCFile it renders must be as long as the bytes the meter charges
+// for it.
+func goldenUnpacked(t *testing.T, w *hive.Warehouse, files map[string][]byte) *dfs.FS {
+	t.Helper()
+	out := dfs.New(w.FS.BlockSize())
+	for path, data := range files {
+		if dir, base, ok := strings.Cut(path, "/_colstats/"); ok {
+			dataPath := dir + "/" + base
+			hive, colstats, err := storage.HiveRCFile(w.FS, dataPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size, err := storage.DataSize(w.FS, dataPath, storage.RCFile); err != nil || size != int64(len(hive)) {
+				t.Fatalf("%s: charged %d bytes (%v), Hive's RCFile holds %d", dataPath, size, err, len(hive))
+			}
+			if err := out.WriteFile(dataPath, hive); err != nil {
+				t.Fatal(err)
+			}
+			data = colstats
+		} else if _, ok := files[storage.ColStatsPath(path)]; ok {
+			continue // written with its side file
+		}
+		if err := out.WriteFile(path, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // goldenColStatsV3 returns files with every "_colstats" side file read back
-// from the replica and written as the version 3 stream.
-func goldenColStatsV3(t *testing.T, w *hive.Warehouse, files map[string][]byte) map[string][]byte {
+// from fs and written as the version 3 stream.
+func goldenColStatsV3(t *testing.T, fs *dfs.FS, files map[string][]byte) map[string][]byte {
 	t.Helper()
 	for path := range files {
 		if !strings.Contains(path, "/_colstats/") {
 			continue
 		}
-		stats, err := storage.ReadColStats(w.FS, strings.Replace(path, "/_colstats/", "/", 1))
+		stats, err := storage.ReadColStats(fs, strings.Replace(path, "/_colstats/", "/", 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +137,7 @@ func goldenColStatsV3(t *testing.T, w *hive.Warehouse, files map[string][]byte) 
 // with a "_colstats" side file), the "_groups/<base>" side file that held
 // its row-group start offsets before they came from the column statistics:
 // each offset as a uvarint. It returns files.
-func goldenGroupIndexes(t *testing.T, w *hive.Warehouse, files map[string][]byte) map[string][]byte {
+func goldenGroupIndexes(t *testing.T, fs *dfs.FS, files map[string][]byte) map[string][]byte {
 	t.Helper()
 	groups := map[string][]byte{}
 	for path := range files {
@@ -112,7 +145,7 @@ func goldenGroupIndexes(t *testing.T, w *hive.Warehouse, files map[string][]byte
 		if !ok {
 			continue
 		}
-		offsets, err := storage.ReadGroupIndex(w.FS, dir+"/"+base)
+		offsets, err := storage.ReadGroupIndex(fs, dir+"/"+base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,10 +200,16 @@ func v3ColStats(t *testing.T, stats []storage.GroupStat) []byte {
 // path.
 func goldenReplicaTree(t testing.TB, w *hive.Warehouse) map[string][]byte {
 	t.Helper()
+	return goldenTree(t, w.FS)
+}
+
+// goldenTree reads every file of fs, keyed by path.
+func goldenTree(t testing.TB, fs *dfs.FS) map[string][]byte {
+	t.Helper()
 	files := map[string][]byte{}
 	var walk func(dir string)
 	walk = func(dir string) {
-		entries, err := w.FS.List(dir)
+		entries, err := fs.List(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +218,7 @@ func goldenReplicaTree(t testing.TB, w *hive.Warehouse) map[string][]byte {
 				walk(e.Path)
 				continue
 			}
-			data, err := w.FS.ReadFile(e.Path)
+			data, err := fs.ReadFile(e.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,9 +381,12 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, witho
 			tree := goldenReplicaTree(t, w)
 			files := goldenFileLines(tree)
 			lines["files"] = append(append(lines["files"], head), files...)
-			tree = goldenGroupIndexes(t, w, tree)
+			unpacked := goldenUnpacked(t, w, tree)
+			tree = goldenTree(t, unpacked)
+			lines["filesUnpacked"] = append(append(lines["filesUnpacked"], head), goldenFileLines(tree)...)
+			tree = goldenGroupIndexes(t, unpacked, tree)
 			lines["filesGroups"] = append(append(lines["filesGroups"], head), goldenFileLines(tree)...)
-			tree = goldenColStatsV3(t, w, tree)
+			tree = goldenColStatsV3(t, unpacked, tree)
 			lines["filesColStatsV3"] = append(append(lines["filesColStatsV3"], head), goldenFileLines(tree)...)
 			kv, kvRetiredMeta, kvAsText := goldenReplicaKV(t, w)
 			lines["kv"] = append(lines["kv"], head+" "+kv)
@@ -370,11 +412,12 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, witho
 
 // loadPathGolden holds the digests recorded at 433a837, keyed
 // "<shards>x<replicas>/<format>". The TextFile files digests are those
-// still; the RCFile ones were re-recorded twice: when the column statistics
-// side files began storing typed, delta-coded zone maps
-// (loadPathGoldenColStatsV3 holds the ones recorded before), and when the
+// still; the RCFile ones were re-recorded three times: when the column
+// statistics side files began storing typed, delta-coded zone maps
+// (loadPathGoldenColStatsV3 holds the ones recorded before), when the
 // "_groups" side files were deleted (loadPathGoldenGroups holds the ones
-// recorded before). The
+// recorded before), and when bigint, timestamp and double columns began to
+// pack (loadPathGoldenUnpacked holds the ones recorded before). The
 // answers digests were re-recorded twice: when aggregates began folding
 // inside their split (sums differ in their last bit, data= in its sixth
 // decimal — hive's TestQueryStatsGoldenMovedAsDescribed bounds the move), and
@@ -391,11 +434,11 @@ func goldenRun(t *testing.T, shards, replicas int, stored string, withWAL, witho
 // else in the store moved.
 var loadPathGolden = map[string]goldenFleetState{
 	"1x1/textfile": {"de03cb02551bfe5c338f5d6bbb6ae3f28325b97306558ecd192246ea4694a546", "58d977326f9cdbf74974967c6f1b4dbb22849690959740d9699d38e7555abbfe", "3646c8ca6e5bc689739187a55756adaa0c68a2617a76c64b363397b29a9c8679", "da116bc9a50c0992b918b95cca15dc1a5e0d1adcb41dbc5fedf49c79bf139e2a", "2557538120b83719fd8a94b9c08d2f0b3cf3263f905b93a32ce0684be19519c8"},
-	"1x1/rcfile":   {"9e1e477af40cee2dddc2620c7677ba191afc08c06b5e149bdee3b34a5b995fbe", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "965230a37654333f19c933a8b7a34e926439d8a2f1505e0d3991caf75ad5bd07", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
+	"1x1/rcfile":   {"f53cc49ab0fe1730ed0c692c690f235453ba8e1077001f90823f3047efaf1ad5", "bff83a0bff68b43aec6acb43cab569d38647847a30e5c744e2f65f44a19501f4", "965230a37654333f19c933a8b7a34e926439d8a2f1505e0d3991caf75ad5bd07", "f4c75f23c9eb182e5c060c0547c53c5bd2a9e130892060d365df2e61c44106ba", "2085007e4282024993fcf5832d1da9ccc1b23372a3e660277f6dcacd482ceebf"},
 	"4x1/textfile": {"afc9688d143d527e41c80d3e7c9e19da5584dd4c2d50dbce7376df67c23b256f", "db26e71d209a92dbf37bfb4272743744bec072dafc735fe346f6f62b14137064", "757e5fd4584c6b8d28ffd41060a9ba28fcd1f79c4667d17c6a3bf559e03c537a", "1fb7b062538eaf14ece676360cff2d8522d961f7a3f614ef9680b995f038e6e4", "d8e5792708d56bd6ae004a8185d9dab0b8ef5165ac7236043bb29b1a2c5db41d"},
-	"4x1/rcfile":   {"6636dc779ac332373e4d39be73f419b5aed1d10191afff2758f2f7f9b022d090", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "01a992db4caefc055da509e4bd563d66665907e26eade2a4b833a71c20eddd9e", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
+	"4x1/rcfile":   {"6f07e9ccc08227dca9330830c64198ce1e43945e703f410904028a67d67dc4d8", "18d8ce220a64912e711290a2d4897b76041e2089fb70bd4ad64684dd2e5a0e77", "01a992db4caefc055da509e4bd563d66665907e26eade2a4b833a71c20eddd9e", "a36aa0ed8e342ddca8ba7edb9184312fdf46729c3d3186ed5f1fa61138e2ce3b", "a481c3e25603e8430ec22d51fd879e7ce75c696a6a2b1a0e15b5d729c36b9178"},
 	"4x2/textfile": {"6013d565a73343e313e4eb2c2eecde879d971c876523155bb14afd0c6c47e70a", "a136a0039f70fbe0f5ce19e89a966b3d2fdb1a2d82e00d839d19be2752e0f0f4", "5343daa5d542084015e41a2ccb1f3b5ba699978d51d5f75916997cfc380ad51b", "7222922d0e90ec32c2bbc0bbffdad12a327d280d7fa467dd1cc8aef16ecc8bd8", "9122e90faeb3c80f758e0573b9436074fcfcc3f75937c9bdbcfc2232e764c36d"},
-	"4x2/rcfile":   {"1eb97797ad2e7df63d1f45cacd2ab57394d881d03aa50ba0e06354ce161ffb5c", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "e7cdaecb13c087d03e833296df494408891eb0f2515746568c25b58e71a9507a", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
+	"4x2/rcfile":   {"6f2b70357a6e60a9d4565ee43626f79b860e15212d7a73620b365f0a6cd7687c", "44ffbe2eea7e0e135808071587ea82bf5d750b861a2c493c785b69aab8a1c261", "e7cdaecb13c087d03e833296df494408891eb0f2515746568c25b58e71a9507a", "bd3212c23070fa5df81c04742417b0cb30dbc77511c7995902e69477c1652185", "6422191fad8db7e1023339cf91301a0d991203fccc2a3bb30edc2d633c7a15b3"},
 }
 
 // loadPathGoldenAnswersBeforeGroupHeaders holds the answers digests recorded
@@ -409,6 +452,14 @@ var loadPathGoldenAnswersBeforeGroupHeaders = map[string]string{
 	"4x1/rcfile":   "13864841faf126c510c537a4e03cafebdaf5ebef36ba909401910e63ac9516d0",
 	"4x2/textfile": "a2869844a130194750c07df7da4d555be804a68187c2aea3c537c8d421e5170d",
 	"4x2/rcfile":   "4583774964e0b7dcbb1d31e403cdad73f26b5bb03b506aaf6675b0fe4489ffbd",
+}
+
+// loadPathGoldenUnpacked holds the RCFile files digests recorded while
+// every column body was text.
+var loadPathGoldenUnpacked = map[string]string{
+	"1x1/rcfile": "9e1e477af40cee2dddc2620c7677ba191afc08c06b5e149bdee3b34a5b995fbe",
+	"4x1/rcfile": "6636dc779ac332373e4d39be73f419b5aed1d10191afff2758f2f7f9b022d090",
+	"4x2/rcfile": "1eb97797ad2e7df63d1f45cacd2ab57394d881d03aa50ba0e06354ce161ffb5c",
 }
 
 // loadPathGoldenGroups holds the RCFile files digests recorded while every
@@ -504,12 +555,35 @@ func TestLoadPathGoldenGroupHeadersMovedAsDescribed(t *testing.T) {
 	}
 }
 
+// TestLoadPathGoldenPackedMovedAsDescribed bounds the re-recording of the
+// RCFile files digests when bigint, timestamp and double columns began to
+// pack. With every RCFile written again with no column packed
+// (storage.HiveRCFile), every replica's files hash to what was recorded
+// before: so every text body, row count, Hive length, encoding tag and zone
+// bound is what it was, every other file did not move, and each RCFile is as
+// long as the bytes the meter charges for it. TestLoadPathGolden holds the
+// kv and answers digests — every GFU pair, so every slice address, and every
+// answer, volume and simulated second — unmoved.
+func TestLoadPathGoldenPackedMovedAsDescribed(t *testing.T) {
+	for _, shape := range []struct{ shards, replicas int }{{1, 1}, {4, 1}, {4, 2}} {
+		key := fmt.Sprintf("%dx%d/rcfile", shape.shards, shape.replicas)
+		t.Run(key, func(t *testing.T) {
+			_, lines := goldenRun(t, shape.shards, shape.replicas, "RCFILE", false, false)
+			if got, want := goldenHash(lines["filesUnpacked"]), loadPathGoldenUnpacked[key]; got != want {
+				t.Errorf("files, written with no column packed, hash to %s, they hashed to %s\n%s",
+					got, want, strings.Join(lines["filesUnpacked"], "\n"))
+			}
+		})
+	}
+}
+
 // TestLoadPathGoldenGroupsMovedAsDescribed bounds the re-recording of the
 // RCFile files digests when the "_groups" side files were deleted and the
 // row-group offsets came from the column statistics instead. With a
 // "_groups/<base>" file written back beside every RCFile data file, from the
 // offsets ReadGroupIndex derives, in the old encoding, every replica's files
-// hash to what was recorded before: so every data file and every
+// — written with no column packed, as TestLoadPathGoldenPackedMovedAsDescribed
+// has them — hash to what was recorded before: so every data file and every
 // "_colstats" file is what it was, the derived offsets are the ones the
 // deleted files held, and only those files went. TestLoadPathGolden holds
 // the kv and answers digests unmoved.
@@ -528,8 +602,9 @@ func TestLoadPathGoldenGroupsMovedAsDescribed(t *testing.T) {
 
 // TestLoadPathGoldenColStatsMovedAsDescribed bounds the re-recording of the
 // RCFile files digests when the column statistics became typed and
-// delta-coded: with every "_colstats" side file read back and written as
-// the version 3 stream, and the "_groups" side files written back as
+// delta-coded: with the files written with no column packed, every
+// "_colstats" side file read back and written as the version 3 stream, and
+// the "_groups" side files written back as
 // TestLoadPathGoldenGroupsMovedAsDescribed does, every replica's files hash
 // to what was recorded before. So every data file, group index, row count,
 // column length, encoding tag and zone bound is what it was; only the side

@@ -17,12 +17,24 @@ import (
 // read exactly computable without touching the data file, and lets planners
 // skip groups whose zone is disjoint from a predicate's range. A group
 // without a zone map is never skipped.
+//
+// A group has two sizes. ColLens are the payloads on disk, which place the
+// file's groups. Charged are the payloads Hive's RCFile would store for the
+// same rows — numbers as text, plain or run-length coded — which every
+// simulated cost and size is charged by (ChargedSize, ProjectedSize); they
+// differ only where a column is packed.
 type GroupStat struct {
 	Rows    int
 	ColLens []int64
 	// Encs holds the group's per-column encoding tags (EncPlain/EncDict/
-	// EncRLE); nil for plain 'R' groups.
+	// EncRLE/EncPacked/EncPackedDecimal); nil for plain 'R' groups.
 	Encs []byte
+	// Charged holds the column payload lengths Hive's RCFile would store;
+	// nil when they are ColLens (no column is packed). hiveEncs holds that
+	// group's tags (EncPlain throughout for a plain 'R' group); set with
+	// Charged.
+	Charged  []int64
+	hiveEncs []byte
 	// zones holds the zone maps of the file's groups, this group's at row
 	// zone; nil for a group without one.
 	zones *zoneMaps
@@ -149,6 +161,17 @@ func zoneBound(kind Kind, v Value) (Value, bool) {
 // HasZone reports whether the group carries a zone map.
 func (g GroupStat) HasZone() bool { return g.zones != nil }
 
+// hiveTagged is 1 when Hive's RCFile would store the group encoded, its
+// payloads behind a tag byte each, and 0 when it would store a plain group.
+func (g GroupStat) hiveTagged() int64 {
+	for _, tag := range g.hiveEncs {
+		if tag != EncPlain {
+			return 1
+		}
+	}
+	return 0
+}
+
 // Enc returns column c's encoding tag (EncPlain when the group is plain).
 func (g GroupStat) Enc(c int) byte {
 	if g.Encs == nil {
@@ -163,20 +186,29 @@ func uvarintLen(v uint64) int64 {
 }
 
 // EncodedSize returns the on-disk byte size of the group.
-func (g GroupStat) EncodedSize() int64 {
-	n := 1 + uvarintLen(uint64(g.Rows)) + uvarintLen(uint64(len(g.ColLens)))
-	for _, l := range g.ColLens {
-		n += uvarintLen(uint64(l)) + l
-	}
-	return n
-}
+func (g GroupStat) EncodedSize() int64 { return groupSize(g.Rows, g.ColLens, nil) }
+
+// ChargedSize returns the byte size of the group in Hive's RCFile: the span
+// its address covers (see ReadGroups).
+func (g GroupStat) ChargedSize() int64 { return g.ProjectedSize(nil) }
 
 // ProjectedSize returns the logical bytes a reader fetching only the flagged
-// columns consumes: the header and every length varint plus the kept
-// payloads. A nil projection keeps everything (== EncodedSize).
+// columns consumes in Hive's RCFile: the header and every length varint plus
+// the kept payloads, all at their charged lengths. A nil projection keeps
+// everything (== ChargedSize).
 func (g GroupStat) ProjectedSize(project []bool) int64 {
-	n := 1 + uvarintLen(uint64(g.Rows)) + uvarintLen(uint64(len(g.ColLens)))
-	for c, l := range g.ColLens {
+	lens := g.ColLens
+	if g.Charged != nil {
+		lens = g.Charged
+	}
+	return groupSize(g.Rows, lens, project)
+}
+
+// groupSize is the size of a group of rows with the given column payload
+// lengths, only the flagged columns' payloads counted (nil counts all).
+func groupSize(rows int, lens []int64, project []bool) int64 {
+	n := 1 + uvarintLen(uint64(rows)) + uvarintLen(uint64(len(lens)))
+	for c, l := range lens {
 		n += uvarintLen(uint64(l))
 		if project == nil || (c < len(project) && project[c]) {
 			n += l
@@ -197,9 +229,14 @@ func ColStatsPath(dataPath string) string {
 //	byte    colStatsMagic, byte colStatsVersion
 //	uvarint n, then n kind bytes
 //	per group:
-//	  uvarint rows, n × uvarint column payload length
+//	  uvarint rows, n × uvarint column payload length; a packed column's
+//	          is twice the payload length Hive's RCFile would store for it
+//	          (tag byte aside), plus one if it would store it run-length
+//	          coded rather than plain
 //	  byte    flags (statZone | statEncs | statUnzoned; other bits zero)
-//	  statEncs:    ⌈n/4⌉ bytes, the encoding tags, two bits a column
+//	  statEncs:    ⌈n/4⌉ bytes, the encoding tags, two bits a column, 3
+//	               for a packed column (EncPacked for bigint and timestamp,
+//	               EncPackedDecimal for double)
 //	  statUnzoned: ⌈n/8⌉ bytes, a bit for each column without a zone
 //	  statZone:    every zoned column's bounds in its kind:
 //	    bigint, timestamp  svarint min − the column's previous min,
@@ -213,6 +250,12 @@ func ColStatsPath(dataPath string) string {
 //	                       and a suffix, then max as a prefix of min and a
 //	                       suffix: uvarint prefix length, uvarint suffix
 //	                       length, suffix bytes
+//	  then, for each packed column whose zone does not give its payload
+//	  length on disk, that length as a uvarint. The zone of a bigint or
+//	  timestamp column with both bounds within ±2^53 gives it
+//	  (packedLenOfZone). A group's charged lengths are Hive's payloads
+//	  (an unpacked column's length on disk, tag byte aside) plus, when any
+//	  column is not plain in Hive's RCFile, a tag byte each.
 //
 // Packed fields fill each byte from its low bits, and bits past the last
 // column are zero. A column's previous min is its min in the last group
@@ -231,6 +274,9 @@ const (
 	statEncs
 	statUnzoned
 )
+
+// statPackedTag is a packed column's two-bit tag.
+const statPackedTag = 3
 
 // rawDouble tags a double zone stored as its bounds' bits.
 const rawDouble = 0xff
@@ -260,10 +306,6 @@ func appendColStats(dst []byte, kinds []Kind, stats []GroupStat) ([]byte, error)
 		if len(g.ColLens) != n {
 			return nil, fmt.Errorf("group %d has %d columns, the file %d", gi, len(g.ColLens), n)
 		}
-		dst = binary.AppendUvarint(dst, uint64(g.Rows))
-		for _, l := range g.ColLens {
-			dst = binary.AppendUvarint(dst, uint64(l))
-		}
 		if g.zones != nil && !slices.Equal(g.zones.kinds, kinds) {
 			return nil, fmt.Errorf("group %d has zones for columns %v, the file %v", gi, g.zones.kinds, kinds)
 		}
@@ -276,17 +318,39 @@ func appendColStats(dst []byte, kinds []Kind, stats []GroupStat) ([]byte, error)
 				}
 			}
 		}
+		packed := false
 		if len(g.Encs) == n && n > 0 {
 			flags |= statEncs
-		}
-		dst = append(dst, flags)
-		if flags&statEncs != 0 {
 			for c, tag := range g.Encs {
-				if tag > 3 {
+				switch {
+				case packedTag(tag):
+					if g.Charged == nil || tag != packedEnc(kinds[c]) || (g.hiveEncs[c] != EncPlain && g.hiveEncs[c] != EncRLE) {
+						return nil, fmt.Errorf("group %d column %d: %s column of kind %v", gi, c, EncodingName(tag), kinds[c])
+					}
+					packed = true
+				case tag > EncRLE:
 					return nil, fmt.Errorf("group %d column %d: encoding tag %d", gi, c, tag)
 				}
 			}
-			dst = appendPacked(dst, n, 2, func(c int) byte { return g.Encs[c] })
+		}
+		if g.Charged != nil && !packed {
+			return nil, fmt.Errorf("group %d has charged lengths and no packed column", gi)
+		}
+		dst = binary.AppendUvarint(dst, uint64(g.Rows))
+		tagged := g.hiveTagged()
+		for c, l := range g.ColLens {
+			if packed && packedTag(g.Encs[c]) {
+				rle := int64(0)
+				if g.hiveEncs[c] == EncRLE {
+					rle = 1
+				}
+				l = (g.Charged[c]-tagged)<<1 | rle
+			}
+			dst = binary.AppendUvarint(dst, uint64(l))
+		}
+		dst = append(dst, flags)
+		if flags&statEncs != 0 {
+			dst = appendPacked(dst, n, 2, func(c int) byte { return min(g.Encs[c], statPackedTag) })
 		}
 		if flags&statUnzoned != 0 {
 			dst = appendPacked(dst, n, 1, func(c int) byte {
@@ -296,16 +360,44 @@ func appendColStats(dst []byte, kinds []Kind, stats []GroupStat) ([]byte, error)
 				return 1
 			})
 		}
-		if flags&statZone == 0 {
+		if flags&statZone != 0 {
+			for c := range kinds {
+				if lo, hi, ok := g.Zone(c); ok {
+					dst = appendZone(dst, lo, hi, &prev[c])
+				}
+			}
+		}
+		if !packed {
 			continue
 		}
-		for c := range kinds {
-			if lo, hi, ok := g.Zone(c); ok {
-				dst = appendZone(dst, lo, hi, &prev[c])
+		for c, tag := range g.Encs {
+			if !packedTag(tag) {
+				continue
+			}
+			lo, hi, ok := g.Zone(c)
+			l, given := packedLenOfZone(kinds[c], g.Rows, lo, hi, ok)
+			switch {
+			case !given:
+				dst = binary.AppendUvarint(dst, uint64(g.ColLens[c]))
+			case l != g.ColLens[c]:
+				return nil, fmt.Errorf("group %d column %d: %d bytes packed, its zone says %d", gi, c, g.ColLens[c], l)
 			}
 		}
 	}
 	return dst, nil
+}
+
+// packedLenOfZone returns the payload length of a packed bigint or
+// timestamp column of rows cells whose zone is [lo, hi] (ok), tag byte
+// included, and whether the zone gives it: it does when the bounds lie
+// within ±2^53, where the zone map's order (through float64) is exact, so
+// they are the column's least and greatest cells.
+func packedLenOfZone(kind Kind, rows int, lo, hi Value, ok bool) (int64, bool) {
+	const exact = 1 << 53
+	if !ok || packedEnc(kind) != EncPacked || lo.I < -exact || hi.I > exact {
+		return 0, false
+	}
+	return 1 + int64(PackedSize(rows, lo.I, hi.I)), true
 }
 
 // appendPacked appends n fields of the given bit width (1 or 2), each byte
@@ -455,6 +547,45 @@ func (r *statsReader) packed(dst []byte, n, width int) []byte {
 	return dst
 }
 
+// packedColumns reads what a group's packed columns add to its statistics.
+// tags are the group's two-bit tags (statPackedTag for a packed column,
+// which it replaces by the column's packed tag) and lens its column lengths
+// as read: a packed column's is twice the length Hive's RCFile would store
+// plus its run-length bit, which it replaces by the length on disk, given
+// by the column's zone or read here. It returns the group's charged
+// lengths and Hive's tags.
+func (r *statsReader) packedColumns(kinds []Kind, g GroupStat, tags []byte, lens []int64) ([]int64, []byte) {
+	charged, hive := make([]int64, len(kinds)), make([]byte, len(kinds))
+	var tagged int64
+	for c, tag := range tags {
+		if tag == statPackedTag {
+			if tags[c] = packedEnc(kinds[c]); tags[c] == EncPlain {
+				r.fail()
+			}
+			charged[c], tag = lens[c]>>1, EncPlain
+			if lens[c]&1 != 0 {
+				tag = EncRLE
+			}
+			lo, hi, ok := g.Zone(c)
+			var given bool
+			if lens[c], given = packedLenOfZone(kinds[c], g.Rows, lo, hi, ok); !given {
+				if lens[c] = int64(r.uvarint()); lens[c] < 0 {
+					r.fail()
+				}
+			}
+		} else if charged[c] = lens[c] - 1; charged[c] < 0 {
+			r.fail()
+		}
+		if hive[c] = tag; tag != EncPlain {
+			tagged = 1
+		}
+	}
+	for c := range charged {
+		charged[c] += tagged
+	}
+	return charged, hive
+}
+
 // shared reads a string written by appendShared against prev.
 func (r *statsReader) shared(prev string) string {
 	p := r.uvarint()
@@ -554,6 +685,7 @@ func decodeColStats(data []byte) ([]Kind, []GroupStat, error) {
 		if rows > maxGroupRows || uint64(len(r.data)) < uint64(n) {
 			return nil, nil, errColStatsCorrupt
 		}
+		at := len(lens)
 		for c := 0; c < n; c++ {
 			l := r.uvarint()
 			if l > math.MaxInt64 {
@@ -565,8 +697,11 @@ func decodeColStats(data []byte) ([]Kind, []GroupStat, error) {
 		if f&^(statZone|statEncs|statUnzoned) != 0 || (n == 0 && f != 0) || (f&statUnzoned != 0 && f&statZone == 0) {
 			r.fail()
 		}
+		var tags []byte
 		if f&statEncs != 0 {
-			encs = r.packed(encs, n, 2)
+			if encs = r.packed(encs, n, 2); !r.bad {
+				tags = encs[len(encs)-n:]
+			}
 		}
 		if f&statUnzoned != 0 {
 			unzoned = r.packed(unzoned[:0], n, 1)
@@ -583,6 +718,9 @@ func decodeColStats(data []byte) ([]Kind, []GroupStat, error) {
 					zones.set(g.zone, c, lo, hi)
 				}
 			}
+		}
+		if !r.bad && slices.Contains(tags, statPackedTag) {
+			g.Charged, g.hiveEncs = r.packedColumns(kinds, g, tags, lens[at:])
 		}
 		if r.bad {
 			return nil, nil, errColStatsCorrupt

@@ -6,34 +6,53 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 )
 
 // Per-column encodings inside an encoded ('E') row group. Smart-grid meter
-// data is massively redundant — low-cardinality dimensions and day-major
-// timestamps — so storing every cell as plain text wastes both bytes and
-// decode work. An encoded group keeps the 'R' layout (magic, uvarint
-// rowCount, uvarint colCount, per-column uvarint payloadLen + payload) but
-// every column payload opens with a one-byte encoding tag:
+// data is massively redundant — low-cardinality dimensions, day-major
+// timestamps, readings at 0.01 resolution — so storing every cell as plain
+// text wastes both bytes and decode work. An encoded group keeps the 'R'
+// layout (magic, uvarint rowCount, uvarint colCount, per-column uvarint
+// payloadLen + payload) but every column payload opens with a one-byte
+// encoding tag:
 //
-//	EncPlain  body = the legacy '\n'-joined text cells
-//	EncDict   body = uvarint nEntries; nEntries × (uvarint len, bytes),
-//	          sorted ascending; rowCount × uvarint code
-//	EncRLE    body = runs of (uvarint runLen, uvarint valLen, valBytes)
-//	          until rowCount cells are covered
+//	EncPlain          body = the legacy '\n'-joined text cells
+//	EncDict           body = uvarint nEntries; nEntries × (uvarint len,
+//	                  bytes), sorted ascending; rowCount × uvarint code
+//	EncRLE            body = runs of (uvarint runLen, uvarint valLen,
+//	                  valBytes) until rowCount cells are covered
+//	EncPacked         body = a packed integer column of the cells (svar min,
+//	                  width byte, offsets at w bits; see pack.go)
+//	EncPackedDecimal  body = a packed decimal column of the cells (exponent
+//	                  byte, svar min, width byte, mantissas at w bits)
 //
-// The writer picks the smallest representation per column and falls back to
-// the legacy 'R' group (no tags at all) when every column stays plain, so
-// incompressible data round-trips bit-identically with pre-encoding files.
-// Recorded column lengths include the tag byte, which keeps the byte
-// accounting of GroupStat.EncodedSize/ProjectedSize exact.
+// The writer picks the smallest text representation per column — what
+// Hive's RCFile would store — and packs a bigint, timestamp or double
+// column instead where that is smaller still and every cell reads back
+// from the packed form as its text did: each cell of the column's kind, its
+// text exactly AppendText's, no timestamp outside years 0000–9999, and, for
+// a double column, one decimal exponent carrying every cell (no −0, NaN or
+// ±Inf). A packed cell renders back to that text (ColumnBatch.Line), so
+// every consumer of a row's text sees the bytes Hive's file would hold.
+// The group stays in the legacy 'R' layout (no tags) when every column
+// stays plain, so incompressible data round-trips bit-identically with
+// pre-encoding files. Recorded column lengths include the tag byte.
+//
+// Packing changes the bytes on disk and nothing the model charges: the
+// writer records, for every packed column, the length Hive's RCFile would
+// have stored (GroupStat.Charged), and every simulated volume, split and
+// size — and every offset above this package — is counted in those bytes.
 //
 // EncDict is restricted to string columns: the dictionary is sorted
 // lexicographically, and only for KindString does that order agree with
 // Compare, letting range kernels order codes instead of values.
 const (
-	EncPlain byte = 0
-	EncDict  byte = 1
-	EncRLE   byte = 2
+	EncPlain         byte = 0
+	EncDict          byte = 1
+	EncRLE           byte = 2
+	EncPacked        byte = 3
+	EncPackedDecimal byte = 4
 )
 
 const rcEncodedMagic = 'E'
@@ -45,8 +64,27 @@ func EncodingName(enc byte) string {
 		return "dict"
 	case EncRLE:
 		return "rle"
+	case EncPacked, EncPackedDecimal:
+		return "packed"
 	default:
 		return "plain"
+	}
+}
+
+// packedTag reports whether tag names a packed layout.
+func packedTag(tag byte) bool { return tag == EncPacked || tag == EncPackedDecimal }
+
+// packedEnc is the packed layout a column of kind takes: EncPackedDecimal
+// for a double, EncPacked for a bigint or timestamp, EncPlain (none) for a
+// string.
+func packedEnc(kind Kind) byte {
+	switch kind {
+	case KindFloat64:
+		return EncPackedDecimal
+	case KindString:
+		return EncPlain
+	default:
+		return EncPacked
 	}
 }
 
@@ -183,6 +221,70 @@ func encodeColumnBody(kind Kind, payload []byte, rows int, cells []rawCell, runs
 	}
 }
 
+// textBody returns the tag and body length encodeColumnBody gives the
+// rendered text of typed cells, whose renderings' lengths textLen tells:
+// plain, or run-length where that is smaller. Cells of a packable column
+// render alike exactly when they are equal (it holds no NaN and no −0), so
+// the runs are the runs of equal values.
+func textBody[T int64 | float64](vals []T, textLen func(T) int64) (byte, int64) {
+	plain, rle := int64(len(vals)-1), int64(0)
+	for r := 0; r < len(vals); {
+		end := r + 1
+		for end < len(vals) && vals[end] == vals[r] {
+			end++
+		}
+		l, count := textLen(vals[r]), end-r
+		plain += int64(count) * l
+		rle += uvarintLen(uint64(count)) + uvarintLen(uint64(l)) + l
+		r = end
+	}
+	if rle < plain {
+		return EncRLE, rle
+	}
+	return EncPlain, plain
+}
+
+// intTextLen is len(Int64(v).AppendText(nil)).
+func intTextLen(v int64) int64 {
+	n, u := int64(1), uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// timeTextLen is len(TimeUnix(v).AppendText(nil)) for v within years
+// 0000–9999: a date at midnight, a date and time otherwise.
+func timeTextLen(v int64) int64 {
+	if v%secondsPerDay == 0 {
+		return int64(len(dateLayout))
+	}
+	return int64(len(dateTimeLayout))
+}
+
+// floatTextLen is len(Float64(f).AppendText(nil)), worked out without
+// rendering for whole cents (appendCents).
+func floatTextLen(f float64) int64 {
+	if f > 0 && f < maxCentsText {
+		if c := int64(f*100 + 0.5); float64(c)/100 == f {
+			n := intTextLen(c / 100)
+			switch frac := c % 100; {
+			case frac == 0:
+			case frac%10 == 0:
+				n += 2
+			default:
+				n += 3
+			}
+			return n
+		}
+	}
+	var buf [32]byte
+	return int64(len(strconv.AppendFloat(buf[:0], f, 'g', -1, 64)))
+}
+
 // uvarintStr decodes a uvarint from s starting at pos without allocating.
 // Returns the value and the number of bytes consumed (0 on corruption).
 func uvarintStr(s string, pos int) (uint64, int) {
@@ -231,13 +333,28 @@ func dictHeader(text string, dst []string) ([]string, int, error) {
 	return dst, pos, nil
 }
 
-// forEachCell walks the logical cells of one column payload body, handed in
-// as a string, under its encoding tag, delivering each cell's stored text in
-// row order; the cells share text's backing. It is the row-at-a-time decode
-// path and how ColumnBatch.Line indexes a numeric column's cells; vectorised
-// decoding has encoding-specific fast paths in decodeColumn.
-func forEachCell(enc byte, text string, rows int, fn func(r int, field string) error) error {
+// forEachCell walks the logical cells of one column payload body of a
+// column of kind, handed in as a string, under its encoding tag, delivering
+// each cell's stored text in row order; the cells share text's backing. A
+// packed cell's text is its rendering, the text it was packed from. It is
+// the row-at-a-time decode path and how ColumnBatch.Line indexes a numeric
+// column's cells; vectorised decoding has encoding-specific fast paths in
+// decodeColumn.
+func forEachCell(kind Kind, enc byte, text string, rows int, fn func(r int, field string) error) error {
 	switch enc {
+	case EncPacked, EncPackedDecimal:
+		v := ColumnVector{Kind: kind, Valid: true}
+		if err := v.unpack(enc, []byte(text), rows); err != nil {
+			return err
+		}
+		var buf []byte
+		for r := 0; r < rows; r++ {
+			buf = v.Value(r).AppendText(buf[:0])
+			if err := fn(r, string(buf)); err != nil {
+				return err
+			}
+		}
+		return nil
 	case EncDict:
 		dict, pos, err := dictHeader(text, nil)
 		if err != nil {

@@ -39,9 +39,12 @@ func encodableRows(n int) []Row {
 	return rows
 }
 
-// TestEncodedGroupsRoundTrip: dictionary and RLE columns decode back to the
-// exact source rows through both the row-at-a-time and the vectorised
-// readers, and the group stats record which encoding each column got.
+// TestEncodedGroupsRoundTrip: dictionary and packed columns decode back to
+// the exact source rows through both the row-at-a-time and the vectorised
+// readers, and the group stats record which encoding each column got. In
+// 16-row groups a day's constant ts packs at one bit a row, 8 bytes against
+// its one run's 12 (TestEncodingShrinksColumns keeps it a run in larger
+// groups).
 func TestEncodedGroupsRoundTrip(t *testing.T) {
 	fs := dfs.New(1 << 20)
 	s := encodableSchema()
@@ -57,15 +60,12 @@ func TestEncodedGroupsRoundTrip(t *testing.T) {
 		t.Fatalf("got %d groups, want 4", len(stats))
 	}
 	for gi, g := range stats {
-		if g.Enc(0) != EncPlain || g.Enc(3) != EncPlain {
-			t.Errorf("group %d: unique columns encoded: id=%s val=%s",
-				gi, EncodingName(g.Enc(0)), EncodingName(g.Enc(3)))
+		if g.Enc(0) != EncPacked || g.Enc(2) != EncPacked || g.Enc(3) != EncPackedDecimal {
+			t.Errorf("group %d: numeric columns id=%d ts=%d val=%d, want packed (%d, %d, %d)",
+				gi, g.Enc(0), g.Enc(2), g.Enc(3), EncPacked, EncPacked, EncPackedDecimal)
 		}
 		if g.Enc(1) != EncDict {
 			t.Errorf("group %d: city encoding = %s, want dict", gi, EncodingName(g.Enc(1)))
-		}
-		if g.Enc(2) != EncRLE {
-			t.Errorf("group %d: ts encoding = %s, want rle", gi, EncodingName(g.Enc(2)))
 		}
 	}
 
@@ -108,14 +108,15 @@ func TestEncodedGroupsRoundTrip(t *testing.T) {
 			}
 		}
 		// The dictionary column decodes into codes + dictionary, not
-		// materialised strings; the RLE column records its run boundaries.
+		// materialised strings; the packed ones straight into their typed
+		// slices.
 		if batch.Cols[1].Enc != EncDict || len(batch.Cols[1].Dict) != len(testCities) || len(batch.Cols[1].Strs) != 0 {
 			t.Errorf("city vector: enc=%s dict=%d strs=%d, want dict/%d/0",
 				EncodingName(batch.Cols[1].Enc), len(batch.Cols[1].Dict), len(batch.Cols[1].Strs), len(testCities))
 		}
-		if batch.Cols[2].Enc != EncRLE || len(batch.Cols[2].RunEnds) != 1 {
-			t.Errorf("ts vector: enc=%s runs=%d, want rle/1",
-				EncodingName(batch.Cols[2].Enc), len(batch.Cols[2].RunEnds))
+		if v := batch.Cols[2]; v.Enc != EncPacked || len(v.Ints) != batch.Rows || len(v.RunEnds) != 0 {
+			t.Errorf("ts vector: enc=%s ints=%d runs=%d, want packed/%d/0",
+				EncodingName(v.Enc), len(v.Ints), len(v.RunEnds), batch.Rows)
 		}
 	}
 	if next != len(rows) {
@@ -158,6 +159,16 @@ func TestEncodingShrinksColumns(t *testing.T) {
 				s.Cols[c].Name, enc[c], plain[c])
 		}
 	}
+	// In 256-row groups a day's one run beats 256 one-bit cells.
+	stats, err := ReadColStats(fs, "/tbl/enc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi, g := range stats {
+		if g.Enc(2) != EncRLE {
+			t.Errorf("group %d: ts encoding = %s, want rle", gi, EncodingName(g.Enc(2)))
+		}
+	}
 	// The unencodable columns must not grow beyond the one tag byte each
 	// column of an encoded ('E') group carries.
 	for _, c := range []int{0, 3} {
@@ -168,13 +179,17 @@ func TestEncodingShrinksColumns(t *testing.T) {
 	}
 }
 
-// TestUnencodableDataBitIdentical: data where plain wins every column (unique
-// strings, unit-run numerics) produces byte-identical files with and without
-// encoding enabled — the legacy 'R' layout is preserved exactly.
+// TestUnencodableDataBitIdentical: data where plain wins every column
+// (unique strings, doubles no decimal exponent carries) produces
+// byte-identical files with and without encoding enabled — the legacy 'R'
+// layout is preserved exactly.
 func TestUnencodableDataBitIdentical(t *testing.T) {
 	fs := dfs.New(1 << 20)
-	s := meterSchema()
-	rows := sampleRows(40)
+	s := NewSchema(Column{"note", KindString}, Column{"ratio", KindFloat64})
+	rows := make([]Row, 40)
+	for i := range rows {
+		rows[i] = Row{Str(fmt.Sprintf("meter-%d", i)), Float64(float64(i+1) / 3)}
+	}
 	if _, err := WriteRCRows(fs, "/tbl/auto", s, rows, 16); err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,16 @@ func FuzzDecodeRowGroup(f *testing.F) {
 	f.Add(rcBytes(f, nil, 0, RCWriteOptions{}), uint8(0))
 	f.Add([]byte{'R', 4, 3}, uint8(2))
 	f.Add([]byte{'E', 1, 1, 2, EncRLE, 0xff}, uint8(0))
+	// Packed groups: bigint and double columns that pack at a few bits a
+	// cell, int64's ends at 64 bits, and a packed payload with a byte after
+	// its cells.
+	var packRows []Row
+	for i := 0; i < 64; i++ {
+		packRows = append(packRows, Row{Int64(int64(1000 + i%9)), Str("cq"), Float64(float64(i%13) / 4)})
+	}
+	f.Add(rcBytes(f, packRows, 16, RCWriteOptions{}), uint8(2))
+	f.Add(rcBytes(f, []Row{{Int64(math.MinInt64), Str("a"), Float64(0.5)}, {Int64(math.MaxInt64), Str("b"), Float64(-0.25)}}, 0, RCWriteOptions{}), uint8(2))
+	f.Add([]byte{'E', 3, 1, 5, EncPacked, 6, 3, 0x90, 0x01, 0}, uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
 		fs := dfs.New(1 << 20)
@@ -70,7 +80,7 @@ func FuzzDecodeRowGroup(f *testing.F) {
 		}
 		schema := fuzzSchema(ncols)
 		for pos := int64(0); pos < r.Size(); {
-			g, _, err := ReadGroupProjected(r, pos, nil)
+			g, err := readGroupAt(r, pos, nil)
 			if err != nil {
 				break
 			}
@@ -93,7 +103,7 @@ func FuzzDecodeRowGroup(f *testing.F) {
 			// past the projection.
 			project := make([]bool, schema.Len())
 			project[0] = true
-			if pg, _, err := ReadGroupProjected(r, g.Offset, project); err == nil {
+			if pg, err := readGroupAt(r, g.Offset, project); err == nil {
 				_, _ = pg.decodeRowsProjected(schema, project)
 			}
 		}

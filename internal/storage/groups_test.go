@@ -10,17 +10,17 @@ import (
 	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
-// TestReadGroupsMatchesWriter: the row-group offsets ReadGroups derives from
-// a file's column statistics are the offsets its writer flushed the groups
-// at, and each group's EncodedSize is exactly what reading the group
-// consumes. The files are random: encoded groups and plain 'R' groups, Flush
+// TestReadGroupsMatchesWriter: the row-group addresses ReadGroups derives
+// from a file's column statistics are the addresses its writer flushed the
+// groups at, each group's EncodedSize is exactly the bytes the group spans on
+// disk, and reading it is charged its ChargedSize. The files are random: encoded groups and plain 'R' groups, Flush
 // at random rows, one-row groups, and an empty file; small blocks make
 // groups straddle block boundaries.
 func TestReadGroupsMatchesWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	s := encodableSchema()
 	base := time.Date(2012, 12, 1, 0, 0, 0, 0, time.UTC)
-	var encoded, plain, oneRow, empty int
+	var encoded, plain, packed, oneRow, empty int
 	for file := 0; file < 120; file++ {
 		fs := dfs.New(1 << 10)
 		path := fmt.Sprintf("/t/f%03d", file)
@@ -90,8 +90,14 @@ func TestReadGroupsMatchesWriter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: group %d at %d: %v", path, g, off, err)
 			}
-			if want := stats[g].EncodedSize(); grp.Size != want || read != want {
-				t.Fatalf("%s: group %d at %d spans %d bytes and reads %d, its EncodedSize is %d", path, g, off, grp.Size, read, want)
+			if grp.Size != stats[g].EncodedSize() || read != stats[g].ChargedSize() {
+				t.Fatalf("%s: group %d at %d spans %d bytes and reads %d, its EncodedSize is %d and its ChargedSize %d", path, g, off, grp.Size, read, stats[g].EncodedSize(), stats[g].ChargedSize())
+			}
+			if g > 0 && off != offsets[g-1]+stats[g-1].ChargedSize() {
+				t.Fatalf("%s: group %d at %d, the one before it ends at %d", path, g, off, offsets[g-1]+stats[g-1].ChargedSize())
+			}
+			if stats[g].Charged != nil {
+				packed++
 			}
 			if stats[g].Encs == nil {
 				plain++
@@ -103,8 +109,8 @@ func TestReadGroupsMatchesWriter(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d encoded groups, %d plain groups, %d one-row groups, %d empty files", encoded, plain, oneRow, empty)
-	if encoded == 0 || plain == 0 || oneRow == 0 || empty == 0 {
+	t.Logf("%d encoded groups (%d packed), %d plain groups, %d one-row groups, %d empty files", encoded, packed, plain, oneRow, empty)
+	if encoded == 0 || packed == 0 || plain == 0 || oneRow == 0 || empty == 0 {
 		t.Fatal("the random files missed a shape")
 	}
 }

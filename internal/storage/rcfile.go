@@ -23,7 +23,10 @@ import (
 //	uvarint colCount
 //	colCount times: uvarint payloadLen, payload
 //
-// where payload is the column's values rendered as text and joined by '\n'.
+// where payload is the column's values rendered as text and joined by '\n'
+// (an encoded 'E' group tags each payload with its encoding instead, see
+// encoding.go). A group is addressed by where it would start in Hive's
+// RCFile, which stores no column packed (see RowGroups).
 
 // DefaultRowGroupRows is the number of rows buffered into one row group.
 // Hive's default RCFile row group is 4 MB; at benchmark scale a row-count
@@ -39,34 +42,53 @@ const maxGroupRows = 1 << 20
 
 // RCWriter writes rows to a dfs file in the RCFile model format.
 //
-// A row is buffered cell by cell into its group's column payloads and folded
-// into the group's zone map in its column's kind (zoneAcc): no cell is
-// copied or sent through Compare unless it, or a bound, is of another kind.
-// A full group is encoded into the writer's batch, which is handed to the
-// file in writes of about rcWriteBatch bytes and at Close: an indexed file
-// flushes one small group per GFU, and every dfs write takes the
-// filesystem's lock. Offset and GroupOffsets count the groups flushed, not
-// the bytes the file holds yet.
+// A row is buffered cell by cell into its group's columns and folded into
+// the group's zone map in its column's kind (zoneAcc): no cell is copied or
+// sent through Compare unless it, or a bound, is of another kind. A bigint,
+// timestamp or double column keeps its cells typed while they are of its
+// kind (numCol), so a group that packs the column never renders them; every
+// other column, and such a column once a cell of another kind arrives,
+// buffers the cells' text. A full group is encoded into the writer's batch,
+// which is handed to the file in writes of about rcWriteBatch bytes and at
+// Close: an indexed file flushes one small group per GFU, and every dfs
+// write takes the filesystem's lock. Offset and GroupOffsets count the
+// groups flushed, not the bytes the file holds yet, and count them in
+// Hive's bytes (GroupStat.ChargedSize): they are the groups' addresses.
 type RCWriter struct {
 	w            *dfs.FileWriter
 	schema       *Schema
 	groupRows    int
-	cols         [][]byte // pending column payloads
+	cols         [][]byte // pending column payloads as text (see numCol)
+	nums         []numCol // pending typed cells, per column
 	pending      int      // rows buffered
-	off          int64    // file offset of the next group to be flushed
+	off          int64    // address of the next group to be flushed
 	groupOffsets []int64
 	groupStats   []GroupStat
 	zones        *zoneMaps // the flushed groups' zone maps
 	acc          []zoneAcc // the pending group's per-column bounds
 	noEncode     bool
+	noPack       bool // HiveRCFile's writer: every column as Hive stores it
 	cellScratch  []rawCell
 	runScratch   []rawRun
 	bodyScratch  [][]byte
 	encScratch   [][]byte // per column, the storage its encoded bodies are built in
 	tagScratch   []byte
-	lens         []int64 // storage the ColLens of groups to come are cut from
-	encs         []byte  // storage the Encs of groups to come are cut from
+	hiveScratch  []byte  // per column, the tag Hive's RCFile would give it
+	hiveLens     []int64 // per column, the body Hive's RCFile would store
+	lens         []int64 // storage the ColLens and Charged of groups to come are cut from
+	encs         []byte  // storage the Encs and hiveEncs of groups to come are cut from
 	batch        []byte  // flushed groups not yet written to the file
+}
+
+// numCol holds the pending cells of a bigint, timestamp or double column in
+// the column's kind. typed says that ints (bigint, timestamp) or floats
+// (double) hold every pending cell, text that the column's text payload
+// does; at least one of them holds. A row written as text keeps its cells'
+// text as given, so a column of such rows is both.
+type numCol struct {
+	typed, text bool
+	ints        []int64
+	floats      []float64
 }
 
 // rcStatGroups is how many groups' ColLens and Encs an RCWriter allocates at
@@ -87,26 +109,49 @@ func NewRCWriter(w *dfs.FileWriter, schema *Schema, groupRows int) *RCWriter {
 	for i, k := range kinds {
 		acc[i].kind = k
 	}
-	return &RCWriter{
+	n := schema.Len()
+	rw := &RCWriter{
 		w:           w,
 		schema:      schema,
 		zones:       newZoneMaps(kinds),
 		groupRows:   groupRows,
-		cols:        make([][]byte, schema.Len()),
-		bodyScratch: make([][]byte, schema.Len()),
-		encScratch:  make([][]byte, schema.Len()),
-		tagScratch:  make([]byte, schema.Len()),
+		cols:        make([][]byte, n),
+		nums:        make([]numCol, n),
+		bodyScratch: make([][]byte, n),
+		encScratch:  make([][]byte, n),
+		tagScratch:  make([]byte, n),
+		hiveScratch: make([]byte, n),
+		hiveLens:    make([]int64, n),
 		acc:         acc,
 		off:         w.Size(),
 	}
+	rw.startGroup()
+	return rw
 }
 
 // DisableEncoding forces every flushed group into the legacy plain-text 'R'
 // layout (benchmark baselines and compatibility tests).
-func (w *RCWriter) DisableEncoding() { w.noEncode = true }
+func (w *RCWriter) DisableEncoding() {
+	w.noEncode = true
+	for i := range w.cols {
+		w.untype(i)
+	}
+}
 
-// Offset returns the file offset of the row group that the *next* written
-// row will belong to. This is the offset Hive's indexes record for a row.
+// startGroup readies the columns for a group's first row: a bigint,
+// timestamp or double column starts typed unless encoding is off.
+func (w *RCWriter) startGroup() {
+	for i := range w.cols {
+		n := &w.nums[i]
+		n.typed = !w.noEncode && !w.noPack && packedEnc(w.acc[i].kind) != EncPlain
+		n.text = !n.typed
+		n.ints, n.floats = n.ints[:0], n.floats[:0]
+		w.cols[i] = w.cols[i][:0]
+	}
+}
+
+// Offset returns the address of the row group that the *next* written row
+// will belong to. This is the offset Hive's indexes record for a row.
 func (w *RCWriter) Offset() int64 { return w.off }
 
 // WriteRow buffers one row, flushing a full row group if needed.
@@ -114,7 +159,16 @@ func (w *RCWriter) WriteRow(row Row) error {
 	if len(row) != w.schema.Len() {
 		return fmt.Errorf("storage: row has %d fields, schema wants %d", len(row), w.schema.Len())
 	}
-	for i, v := range row {
+	for i := range row {
+		v, n := &row[i], &w.nums[i]
+		if n.typed && v.Kind == w.acc[i].kind {
+			n.add(v)
+			if !n.text {
+				continue
+			}
+		} else {
+			w.untype(i)
+		}
 		if w.pending > 0 {
 			w.cols[i] = append(w.cols[i], '\n')
 		}
@@ -126,7 +180,9 @@ func (w *RCWriter) WriteRow(row Row) error {
 // WriteRowText buffers one row whose cells are given as its text line (the
 // row's AppendTextRow rendering without the newline), stored cell by cell as
 // it is, so a row that arrives as text is not rendered again; row, the same
-// record decoded, feeds only the group's zone map.
+// record decoded, feeds the group's zone map and the typed cells a packed
+// column is made of. A column packs only if every cell's text is exactly
+// AppendText's of the typed cell; otherwise the text is stored.
 func (w *RCWriter) WriteRowText(line []byte, row Row) error {
 	if len(row) != w.schema.Len() {
 		return fmt.Errorf("storage: row has %d fields, schema wants %d", len(row), w.schema.Len())
@@ -142,12 +198,57 @@ func (w *RCWriter) WriteRowText(line []byte, row Row) error {
 			}
 			field, rest = rest[:j], rest[j+1:]
 		}
+		n := &w.nums[i]
+		w.toText(i)
 		if w.pending > 0 {
 			w.cols[i] = append(w.cols[i], '\n')
 		}
 		w.cols[i] = append(w.cols[i], field...)
+		if n.typed {
+			if v := &row[i]; v.Kind == w.acc[i].kind {
+				n.add(v)
+			} else {
+				n.typed = false
+			}
+		}
 	}
 	return w.rowDone(row)
+}
+
+// add appends a cell of the column's kind.
+func (n *numCol) add(v *Value) {
+	if v.Kind == KindFloat64 {
+		n.floats = append(n.floats, v.F)
+	} else {
+		n.ints = append(n.ints, v.I)
+	}
+}
+
+// toText renders column i's pending typed cells into its text payload
+// unless that already holds them.
+func (w *RCWriter) toText(i int) {
+	n := &w.nums[i]
+	if n.text {
+		return
+	}
+	kind := w.acc[i].kind
+	for r := 0; r < w.pending; r++ {
+		if r > 0 {
+			w.cols[i] = append(w.cols[i], '\n')
+		}
+		if kind == KindFloat64 {
+			w.cols[i] = Float64(n.floats[r]).AppendText(w.cols[i])
+		} else {
+			w.cols[i] = Value{Kind: kind, I: n.ints[r]}.AppendText(w.cols[i])
+		}
+	}
+	n.text = true
+}
+
+// untype moves column i to text for the rest of the group.
+func (w *RCWriter) untype(i int) {
+	w.toText(i)
+	w.nums[i].typed = false
 }
 
 // rowDone folds a buffered row into the pending group's zone map and flushes
@@ -233,45 +334,60 @@ func (w *RCWriter) flushGroup() error {
 	if w.pending == 0 {
 		return nil
 	}
-	// Pick the cheapest per-column representation. The group stays in the
-	// legacy 'R' layout (no tags) when every column is plain, so data the
-	// encodings cannot compress round-trips bit-identically with files
-	// written before encodings existed.
-	tags, bodies := w.tagScratch, w.bodyScratch
-	encoded := false
+	// Pick the cheapest per-column representation: the text one Hive's
+	// RCFile would store, or a packed one where that is smaller. The group
+	// stays in the legacy 'R' layout (no tags) when every column is plain,
+	// so data the encodings cannot compress round-trips bit-identically
+	// with files written before encodings existed.
+	tags, bodies, hive := w.tagScratch, w.bodyScratch, w.hiveScratch
+	encoded, packed, hiveTagged := false, false, false
 	for i := range w.cols {
+		if w.nums[i].typed {
+			if body, tag, hiveTag, hiveLen, ok := w.pack(i); ok {
+				tags[i], bodies[i], hive[i], w.hiveLens[i] = tag, body, hiveTag, hiveLen
+				w.encScratch[i] = body
+				encoded, packed = true, true
+				hiveTagged = hiveTagged || hiveTag != EncPlain
+				continue
+			}
+			w.toText(i)
+		}
 		tags[i], bodies[i] = EncPlain, w.cols[i]
 		if !w.noEncode {
 			w.cellScratch = splitRawCells(w.cols[i], w.pending, w.cellScratch)
 			tags[i], bodies[i], w.runScratch = encodeColumnBody(w.schema.Col(i).Kind, w.cols[i], w.pending, w.cellScratch, w.runScratch, w.encScratch[i])
 			if tags[i] != EncPlain {
 				w.encScratch[i] = bodies[i]
-				encoded = true
+				encoded, hiveTagged = true, true
 			}
 		}
+		hive[i], w.hiveLens[i] = tags[i], int64(len(bodies[i]))
 	}
 	n := len(w.cols)
-	if len(w.lens) < n {
-		w.lens = make([]int64, rcStatGroups*n)
-	}
 	stat := GroupStat{
 		Rows:    w.pending,
-		ColLens: w.lens[:n:n],
+		ColLens: w.cutLens(n),
 		zones:   w.zones,
 		zone:    w.zones.add(),
 	}
-	w.lens = w.lens[n:]
 	if encoded {
-		if len(w.encs) < n {
-			w.encs = make([]byte, rcStatGroups*n)
-		}
-		stat.Encs, w.encs = w.encs[:n:n], w.encs[n:]
+		stat.Encs = w.cutEncs(n)
 		copy(stat.Encs, tags)
+	}
+	if packed {
+		stat.Charged, stat.hiveEncs = w.cutLens(n), w.cutEncs(n)
+		copy(stat.hiveEncs, hive)
 	}
 	for i, body := range bodies {
 		stat.ColLens[i] = int64(len(body))
 		if encoded {
 			stat.ColLens[i]++ // the encoding tag byte is part of the payload
+		}
+		if packed {
+			stat.Charged[i] = w.hiveLens[i]
+			if hiveTagged {
+				stat.Charged[i]++
+			}
 		}
 	}
 	// The group goes into the batch whole; a batch without room for it is
@@ -303,14 +419,137 @@ func (w *RCWriter) flushGroup() error {
 		if lo, hi, ok := zoneOf(a.kind, a.lo, a.hi); ok {
 			w.zones.set(stat.zone, i, lo, hi)
 		}
-		w.cols[i] = w.cols[i][:0]
 	}
 	w.batch = buf
 	w.groupOffsets = append(w.groupOffsets, w.off)
 	w.groupStats = append(w.groupStats, stat)
-	w.off += int64(size)
+	w.off += stat.ChargedSize()
 	w.pending = 0
+	w.startGroup()
 	return nil
+}
+
+// cutLens returns n lengths from the writer's stat storage.
+func (w *RCWriter) cutLens(n int) []int64 {
+	if len(w.lens) < n {
+		w.lens = make([]int64, rcStatGroups*n)
+	}
+	l := w.lens[:n:n]
+	w.lens = w.lens[n:]
+	return l
+}
+
+// cutEncs returns n tags from the writer's stat storage.
+func (w *RCWriter) cutEncs(n int) []byte {
+	if len(w.encs) < n {
+		w.encs = make([]byte, rcStatGroups*n)
+	}
+	e := w.encs[:n:n]
+	w.encs = w.encs[n:]
+	return e
+}
+
+// pack packs typed column i if it can and that is smaller than the text
+// body Hive's RCFile would store, side file included: it returns the packed
+// body and tag, and the tag and body length Hive's RCFile would have
+// instead (hiveTag, hiveLen).
+func (w *RCWriter) pack(i int) (body []byte, tag, hiveTag byte, hiveLen int64, ok bool) {
+	n, kind := &w.nums[i], w.acc[i].kind
+	var size int
+	var e int
+	var lo, hi int64
+	if kind == KindFloat64 {
+		if e, lo, hi = DecimalRange(n.floats); e < 0 {
+			return nil, 0, 0, 0, false
+		}
+		size = 1 + PackedSize(len(n.floats), lo, hi)
+		hiveTag, hiveLen = textBody(n.floats, floatTextLen)
+	} else {
+		var inRange bool
+		if lo, hi, inRange = intRange(n.ints, kind); !inRange {
+			return nil, 0, 0, 0, false
+		}
+		size = PackedSize(len(n.ints), lo, hi)
+		if kind == KindTime {
+			hiveTag, hiveLen = textBody(n.ints, timeTextLen)
+		} else {
+			hiveTag, hiveLen = textBody(n.ints, intTextLen)
+		}
+	}
+	// The side file records hiveLen (and the tag) in a uvarint: packing
+	// has to save more than that.
+	if int64(size)+uvarintLen(uint64(hiveLen)<<1|1) >= hiveLen || (n.text && !w.textIsRendering(i)) {
+		return nil, 0, 0, 0, false
+	}
+	if kind == KindFloat64 {
+		return AppendPackedDecimal(w.encScratch[i][:0], n.floats, e, lo, hi), EncPackedDecimal, hiveTag, hiveLen, true
+	}
+	return AppendPacked(w.encScratch[i][:0], n.ints, lo, hi), EncPacked, hiveTag, hiveLen, true
+}
+
+// isIntText reports whether text is strconv's rendering of v, digit by
+// digit from the last without rendering it.
+func isIntText(text []byte, v int64) bool {
+	u := uint64(v)
+	if v < 0 {
+		u = -u
+	}
+	i := len(text)
+	for {
+		if i--; i < 0 || text[i] != byte('0'+u%10) {
+			return false
+		}
+		if u /= 10; u == 0 {
+			break
+		}
+	}
+	if v < 0 {
+		i--
+		if i < 0 || text[i] != '-' {
+			return false
+		}
+	}
+	return i == 0
+}
+
+// intRange returns the least and greatest of a bigint or timestamp
+// column's cells; inRange is false for a timestamp outside the years
+// 0000–9999, whose text a reader may not parse back.
+func intRange(vals []int64, kind Kind) (lo, hi int64, inRange bool) {
+	lo, hi = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, hi, kind != KindTime || (lo >= minLayoutUnix && hi <= maxLayoutUnix)
+}
+
+// textIsRendering reports whether typed column i's text payload is exactly
+// its cells' AppendText renderings: the text a packed column renders back.
+func (w *RCWriter) textIsRendering(i int) bool {
+	n, kind := &w.nums[i], w.acc[i].kind
+	var scratch [32]byte
+	text := w.cols[i]
+	for r := 0; r < w.pending; r++ {
+		cell := text
+		if k := bytes.IndexByte(text, '\n'); k >= 0 {
+			cell, text = text[:k], text[k+1:]
+		}
+		switch kind {
+		case KindInt64:
+			if !isIntText(cell, n.ints[r]) {
+				return false
+			}
+		case KindFloat64:
+			if !bytes.Equal(cell, Float64(n.floats[r]).AppendText(scratch[:0])) {
+				return false
+			}
+		default:
+			if !bytes.Equal(cell, appendTimeText(scratch[:0], n.ints[r])) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // writeBatch hands the flushed groups the file does not hold yet to it.
@@ -351,8 +590,8 @@ func (w *RCWriter) Close() error {
 
 // RowGroup is one decoded row group.
 type RowGroup struct {
-	Offset  int64
-	Size    int64 // encoded size in bytes
+	Offset  int64 // the group's address (see RowGroups)
+	Size    int64 // the group's size on disk
 	Rows    int
 	columns [][]byte // raw column payload bodies; values split lazily
 	encs    []byte   // per-column encoding tags; nil for legacy 'R' groups
@@ -364,26 +603,6 @@ func (g *RowGroup) Enc(i int) byte {
 		return EncPlain
 	}
 	return g.encs[i]
-}
-
-// Column returns the text values of column i, one per row. Column panics for
-// a column skipped by a projected read; use DecodeRows instead.
-func (g *RowGroup) Column(i int) []string {
-	if g.Rows == 0 {
-		return nil
-	}
-	if g.columns[i] == nil {
-		panic(fmt.Sprintf("storage: column %d was not read (projected row group)", i))
-	}
-	out := make([]string, 0, g.Rows)
-	err := forEachCell(g.Enc(i), string(g.columns[i]), g.Rows, func(r int, field string) error {
-		out = append(out, field)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // DecodeRows materialises all rows of the group using the schema. Readers
@@ -427,7 +646,18 @@ func (g *RowGroup) decodeRowsProjected(schema *Schema, project []bool) ([]Row, e
 		if g.columns[c] == nil {
 			panic(fmt.Sprintf("storage: column %d was not read (projected row group)", c))
 		}
-		err := forEachCell(g.Enc(c), string(g.columns[c]), g.Rows, func(r int, field string) error {
+		if enc := g.Enc(c); packedTag(enc) {
+			// A packed column holds the typed cells themselves.
+			v := ColumnVector{Kind: kind, Valid: true}
+			if err := v.unpack(enc, g.columns[c], g.Rows); err != nil {
+				return nil, err
+			}
+			for r := range rows {
+				rows[r][c] = v.Value(r)
+			}
+			continue
+		}
+		err := forEachCell(kind, g.Enc(c), string(g.columns[c]), g.Rows, func(r int, field string) error {
 			switch kind {
 			case KindInt64:
 				if n, ok := parseIntStr(field); ok {
@@ -466,12 +696,42 @@ func (g *RowGroup) decodeRowsProjected(schema *Schema, project []bool) ([]Row, e
 	return rows, nil
 }
 
-// ReadGroupProjected decodes the row group starting at offset, fetching only
-// the payloads of the columns whose project flag is set (nil fetches all).
-// The second return value is the logical byte volume the read consumed: the
-// group header and every column's length varint are always paid, skipped
-// payloads are not. With a nil projection it equals the group's encoded size.
+// ReadGroupProjected decodes the row group at address offset (see
+// RowGroups) of the RCFile r reads, fetching only the payloads of the
+// columns whose project flag is set (nil fetches all). The second return
+// value is the logical byte volume the read consumed, counted in Hive's
+// bytes: the group header and every column's length varint are always
+// paid, skipped payloads are not (GroupStat.ProjectedSize). With a nil
+// projection it equals the group's ChargedSize.
 func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGroup, int64, error) {
+	groups, err := LoadRowGroups(r.FS(), r.Path())
+	if err != nil {
+		return nil, 0, err
+	}
+	return groups.read(r, offset, project)
+}
+
+// read reads the group at address offset (ReadGroupProjected).
+func (gs *RowGroups) read(r *dfs.FileReader, offset int64, project []bool) (*RowGroup, int64, error) {
+	i, ok := gs.find(offset)
+	if !ok {
+		return nil, 0, fmt.Errorf("storage: no row group of %s at %d", r.Path(), offset)
+	}
+	g, err := readGroupAt(r, gs.disk[i], project)
+	if err != nil {
+		return nil, 0, err
+	}
+	if st := gs.Stats[i]; g.Rows != st.Rows || len(g.columns) != len(st.ColLens) {
+		return nil, 0, fmt.Errorf("storage: row group of %s at %d holds %d rows of %d columns, its stats %d of %d", r.Path(), offset, g.Rows, len(g.columns), st.Rows, len(st.ColLens))
+	}
+	g.Offset = offset
+	return g, gs.Stats[i].ProjectedSize(project), nil
+}
+
+// readGroupAt decodes the row group stored at byte pos of the file,
+// fetching only the flagged columns' payloads (nil fetches all). The
+// group's Offset is pos until the caller sets its address.
+func readGroupAt(r *dfs.FileReader, offset int64, project []bool) (*RowGroup, error) {
 	// Read the header conservatively, then the column payloads exactly.
 	hdr := make([]byte, 64)
 	n, err := r.ReadAt(hdr, offset)
@@ -479,22 +739,22 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, 0, fmt.Errorf("storage: rcfile header at %d: %w", offset, err)
+		return nil, fmt.Errorf("storage: rcfile header at %d: %w", offset, err)
 	}
 	hdr = hdr[:n]
 	if hdr[0] != rcMagic && hdr[0] != rcEncodedMagic {
-		return nil, 0, fmt.Errorf("storage: bad rcfile magic %q at offset %d", hdr[0], offset)
+		return nil, fmt.Errorf("storage: bad rcfile magic %q at offset %d", hdr[0], offset)
 	}
 	encoded := hdr[0] == rcEncodedMagic
 	p := 1
 	rowCount, w := binary.Uvarint(hdr[p:])
 	if w <= 0 {
-		return nil, 0, fmt.Errorf("storage: bad rcfile rowCount at %d", offset)
+		return nil, fmt.Errorf("storage: bad rcfile rowCount at %d", offset)
 	}
 	p += w
 	colCount, w := binary.Uvarint(hdr[p:])
 	if w <= 0 {
-		return nil, 0, fmt.Errorf("storage: bad rcfile colCount at %d", offset)
+		return nil, fmt.Errorf("storage: bad rcfile colCount at %d", offset)
 	}
 	p += w
 	// Sanity-bound the claimed shape before allocating by it: every column
@@ -502,10 +762,10 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 	// left in the file is corruption, and a row count past maxGroupRows is a
 	// header no writer produces.
 	if rowCount > maxGroupRows {
-		return nil, 0, fmt.Errorf("storage: rcfile rowCount %d at %d exceeds the %d-row group bound", rowCount, offset, maxGroupRows)
+		return nil, fmt.Errorf("storage: rcfile rowCount %d at %d exceeds the %d-row group bound", rowCount, offset, maxGroupRows)
 	}
 	if remaining := r.Size() - offset - int64(p); remaining < 0 || colCount > uint64(remaining) {
-		return nil, 0, fmt.Errorf("storage: rcfile colCount %d at %d exceeds file size", colCount, offset)
+		return nil, fmt.Errorf("storage: rcfile colCount %d at %d exceeds file size", colCount, offset)
 	}
 
 	g := &RowGroup{Offset: offset, Rows: int(rowCount), columns: make([][]byte, colCount)}
@@ -513,23 +773,21 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 		g.encs = make([]byte, colCount)
 	}
 	pos := offset + int64(p)
-	read := int64(p)
 	for c := 0; c < int(colCount); c++ {
 		var lenBuf [binary.MaxVarintLen64]byte
 		n, err := r.ReadAt(lenBuf[:], pos)
 		if n == 0 {
-			return nil, 0, fmt.Errorf("storage: rcfile column %d header: %w", c, err)
+			return nil, fmt.Errorf("storage: rcfile column %d header: %w", c, err)
 		}
 		plen, w := binary.Uvarint(lenBuf[:n])
 		if w <= 0 {
-			return nil, 0, fmt.Errorf("storage: bad rcfile column %d length", c)
+			return nil, fmt.Errorf("storage: bad rcfile column %d length", c)
 		}
 		pos += int64(w)
-		read += int64(w)
 		// A payload cannot extend past the file; reject the claimed length
 		// before it sizes an allocation (or, via int conversion, wraps).
 		if remaining := r.Size() - pos; remaining < 0 || plen > uint64(remaining) {
-			return nil, 0, fmt.Errorf("storage: rcfile column %d payload length %d exceeds file size", c, plen)
+			return nil, fmt.Errorf("storage: rcfile column %d payload length %d exceeds file size", c, plen)
 		}
 		if project != nil && (c >= len(project) || !project[c]) {
 			// Column-projection pushdown: skip the payload entirely; the
@@ -540,23 +798,22 @@ func ReadGroupProjected(r *dfs.FileReader, offset int64, project []bool) (*RowGr
 		payload := make([]byte, plen)
 		if plen > 0 {
 			if _, err := r.ReadAt(payload, pos); err != nil && err != io.EOF {
-				return nil, 0, err
+				return nil, err
 			}
 		}
 		if encoded {
 			// Encoded payloads open with their one-byte encoding tag.
 			if plen == 0 {
-				return nil, 0, fmt.Errorf("storage: encoded rcfile column %d has empty payload", c)
+				return nil, fmt.Errorf("storage: encoded rcfile column %d has empty payload", c)
 			}
 			g.encs[c] = payload[0]
 			payload = payload[1:]
 		}
 		g.columns[c] = payload
 		pos += int64(plen)
-		read += int64(plen)
 	}
 	g.Size = pos - offset
-	return g, read, nil
+	return g, nil
 }
 
 // Real RCFile interleaves sync markers so readers can find row-group

@@ -42,8 +42,12 @@ func TestRCFileEmptyTable(t *testing.T) {
 	if len(stats) != 0 {
 		t.Fatalf("column stats have %d entries", len(stats))
 	}
+	groups, err := LoadRowGroups(fs, "/tbl/empty")
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, _ := fs.Open("/tbl/empty")
-	sr := NewSegmentReader(r, s, RCFile, 0, r.Size(), SegmentOptions{GroupOffsets: idx, Batch: NewColumnBatch(s)})
+	sr := NewSegmentReader(r, s, RCFile, 0, r.Size(), SegmentOptions{Groups: groups, Batch: NewColumnBatch(s)})
 	if _, ok, err := sr.Next(); ok || err != nil {
 		t.Fatalf("reader on empty file: ok=%v err=%v", ok, err)
 	}
@@ -131,8 +135,8 @@ func TestRCFileProjectionReadsFewerBytes(t *testing.T) {
 		}
 		fullBytes += readFull
 		projBytes += readProj
-		if readFull != gFull.Size || readFull != stats[gi].EncodedSize() {
-			t.Fatalf("group %d: full read %d, size %d, stat %d", gi, readFull, gFull.Size, stats[gi].EncodedSize())
+		if gFull.Size != stats[gi].EncodedSize() || readFull != stats[gi].ChargedSize() {
+			t.Fatalf("group %d: full read %d of %d bytes on disk, stat %d charged of %d", gi, readFull, gFull.Size, stats[gi].ChargedSize(), stats[gi].EncodedSize())
 		}
 		if readProj != stats[gi].ProjectedSize(project) {
 			t.Fatalf("group %d: projected read %d, stat predicts %d", gi, readProj, stats[gi].ProjectedSize(project))
@@ -194,12 +198,13 @@ func TestSegmentWriterCutAlignsSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var groupOffsets []int64
+		var groups *RowGroups
 		if format == RCFile {
-			groupOffsets, err = ReadGroupIndex(fs, "/seg/data")
+			groups, err = LoadRowGroups(fs, "/seg/data")
 			if err != nil {
 				t.Fatal(err)
 			}
+			groupOffsets := groups.Offsets
 			// Cut boundaries must coincide with row-group starts.
 			isBoundary := map[int64]bool{}
 			for _, off := range groupOffsets {
@@ -213,7 +218,7 @@ func TestSegmentWriterCutAlignsSlices(t *testing.T) {
 		}
 		r, _ := fs.Open("/seg/data")
 		for bi, sp := range spans {
-			sr := NewSegmentReader(r, s, format, sp.start, sp.end, SegmentOptions{GroupOffsets: groupOffsets, Batch: NewColumnBatch(s)})
+			sr := NewSegmentReader(r, s, format, sp.start, sp.end, SegmentOptions{Groups: groups, Batch: NewColumnBatch(s)})
 			var got []Row
 			for {
 				b, ok, err := sr.Next()
@@ -293,7 +298,8 @@ func TestWriteRowTextStoresWhatWriteRowRenders(t *testing.T) {
 // TestRCWriterBatchesWholeGroups: the writer hands the file whole groups in
 // batches of about rcWriteBatch bytes (a group larger than that in a batch of
 // its own), so the file only ever ends at a group boundary, and by Close it
-// holds every group at its recorded offset and reads back every row.
+// holds every group, at the address the running sum of the groups' charged
+// sizes gives it, and reads back every row.
 func TestRCWriterBatchesWholeGroups(t *testing.T) {
 	s := NewSchema(Column{"id", KindInt64}, Column{"note", KindString})
 	var rows []Row
@@ -319,26 +325,30 @@ func TestRCWriterBatchesWholeGroups(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		size := fw.Size()
-		if !slices.Contains(rw.GroupOffsets(), size) && size != rw.Offset() {
+		size, ends := fw.Size(), diskEnds(rw.GroupStats())
+		if !slices.Contains(ends, size) {
 			t.Fatalf("after row %d the file ends at %d, no group boundary", i, size)
 		}
 	}
-	if fw.Size() == 0 || fw.Size() == rw.Offset() {
-		t.Fatalf("the file holds %d of %d bytes before Close: no batching seen", fw.Size(), rw.Offset())
+	if ends := diskEnds(rw.GroupStats()); fw.Size() == 0 || fw.Size() == ends[len(ends)-1] {
+		t.Fatalf("the file holds %d of %d bytes before Close: no batching seen", fw.Size(), ends[len(ends)-1])
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var sum int64
+	var sum, disk int64
 	for g, st := range rw.GroupStats() {
 		if rw.GroupOffsets()[g] != sum {
 			t.Fatalf("group %d recorded at %d, the groups before it end at %d", g, rw.GroupOffsets()[g], sum)
 		}
-		sum += st.EncodedSize()
+		sum += st.ChargedSize()
+		disk += st.EncodedSize()
 	}
-	if fw.Size() != sum || rw.Offset() != sum {
-		t.Fatalf("file %d bytes, writer offset %d, groups %d", fw.Size(), rw.Offset(), sum)
+	if fw.Size() != disk || rw.Offset() != sum {
+		t.Fatalf("file %d bytes, writer offset %d, groups %d on disk and %d charged", fw.Size(), rw.Offset(), disk, sum)
+	}
+	if err := WriteColStats(fs, "/f", s, rw.GroupStats()); err != nil {
+		t.Fatal(err)
 	}
 	got, err := readRCRows(fs, "/f", s)
 	if err != nil {
@@ -352,4 +362,13 @@ func TestRCWriterBatchesWholeGroups(t *testing.T) {
 			t.Fatalf("row %d reads back as %v", i, got[i])
 		}
 	}
+}
+
+// diskEnds lists 0 and where each group ends on disk.
+func diskEnds(stats []GroupStat) []int64 {
+	ends := []int64{0}
+	for _, st := range stats {
+		ends = append(ends, ends[len(ends)-1]+st.EncodedSize())
+	}
+	return ends
 }

@@ -10,7 +10,8 @@ import (
 // record read and every index build goes through. A "segment" is a byte
 // range of one data file addressed at the format's natural record
 // granularity: the line offset for TextFile, the row-group offset plus
-// in-group row position for RCFile. Index builders write through a
+// in-group row position for RCFile, where offsets count Hive's bytes (the
+// group addresses of RowGroups). Index builders write through a
 // SegmentWriter and record slice boundaries from Offset/Cut. Every read —
 // whole-split table scans, index builds and index-guided slice reads alike —
 // goes through a SegmentReader, opened per segment by mapreduce's one file
@@ -46,10 +47,9 @@ type SegmentOptions struct {
 	// their payloads, TextFile batches parse only their cells (nil keeps
 	// everything).
 	Project []bool
-	// GroupOffsets lists the file's row-group start offsets (RCFile only;
-	// loaded once per file via ReadGroupIndex and shared by the file's
-	// segments).
-	GroupOffsets []int64
+	// Groups locates the file's row groups (RCFile only; loaded once per
+	// file via LoadRowGroups and shared by the file's segments).
+	Groups *RowGroups
 	// Batch is the batch every delivery decodes into (required). A caller
 	// reading several segments in turn shares one batch among them, so
 	// small segments do not each pay for their own vectors.
@@ -68,12 +68,13 @@ func NewSegmentReader(r *dfs.FileReader, schema *Schema, format Format, start, e
 		// Own the groups starting inside [start, end); a clipped edge can
 		// fall mid-group, in which case the group belongs to the segment
 		// that contains its start offset.
-		offs := opts.GroupOffsets
+		offs := opts.Groups.Offsets
 		lo := sort.Search(len(offs), func(i int) bool { return offs[i] >= start })
 		hi := sort.Search(len(offs), func(i int) bool { return offs[i] >= end })
 		return &rcSegmentReader{
 			r:       r,
 			schema:  schema,
+			groups:  opts.Groups,
 			offsets: offs[lo:hi],
 			project: opts.Project,
 			skip:    opts.SkipGroup,
@@ -122,6 +123,7 @@ func (t *textSegmentReader) BytesRead() int64 { return t.lr.BytesRead() }
 type rcSegmentReader struct {
 	r       *dfs.FileReader
 	schema  *Schema
+	groups  *RowGroups
 	offsets []int64
 	project []bool
 	skip    func(offset int64) bool
@@ -138,7 +140,7 @@ func (t *rcSegmentReader) Next() (*ColumnBatch, bool, error) {
 		if t.skip != nil && t.skip(off) {
 			continue
 		}
-		read, err := ReadGroupColumns(t.r, off, t.schema, t.project, t.batch)
+		read, err := t.groups.readColumns(t.r, off, t.schema, t.project, t.batch)
 		if err != nil {
 			return nil, false, err
 		}

@@ -424,14 +424,8 @@ func TestRCReadGroupProjectedFullWidth(t *testing.T) {
 	if decoded[0][0].I != rows[25][0].I {
 		t.Errorf("group 1 first row userId = %d, want %d", decoded[0][0].I, rows[25][0].I)
 	}
-	// Column access matches row-major values.
-	col := g.Column(3)
-	if len(col) != 25 {
-		t.Fatalf("column len = %d", len(col))
-	}
-	f, _ := ParseValue(KindFloat64, col[3])
-	if math.Abs(f.F-rows[28][3].F) > 1e-12 {
-		t.Errorf("column value = %v, want %v", f.F, rows[28][3].F)
+	if f := decoded[3][3].F; math.Abs(f-rows[28][3].F) > 1e-12 {
+		t.Errorf("column value = %v, want %v", f, rows[28][3].F)
 	}
 }
 
@@ -500,16 +494,19 @@ func readTextRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
 	return rows, nil
 }
 
-// readRCRows decodes every row of the RCFile at path, walking its row groups
-// sequentially (each group's encoded size locates the next).
+// readRCRows decodes every row of the RCFile at path, group by group.
 func readRCRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
 	r, err := fs.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	offsets, err := ReadGroupIndex(fs, path)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Row
-	for pos := int64(0); pos < r.Size(); {
-		g, _, err := ReadGroupProjected(r, pos, nil)
+	for _, off := range offsets {
+		g, _, err := ReadGroupProjected(r, off, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -518,7 +515,6 @@ func readRCRows(fs *dfs.FS, path string, schema *Schema) ([]Row, error) {
 			return nil, err
 		}
 		rows = append(rows, rs...)
-		pos += g.Size
 	}
 	return rows, nil
 }

@@ -177,9 +177,17 @@ func TextFieldBytes(line []byte, i int) ([]byte, bool) {
 
 // TextWriter buffers delimited lines into a dfs file.
 type TextWriter struct {
-	w   *dfs.FileWriter
-	buf []byte
-	off int64
+	w     *dfs.FileWriter
+	buf   []byte
+	off   int64
+	times []timeText // per column, the last timestamp WriteRow rendered
+}
+
+// timeText is a timestamp cell's rendering, kept while the next rows repeat
+// it: a day's load holds one date.
+type timeText struct {
+	sec  int64
+	text []byte // nil until a timestamp is rendered
 }
 
 // NewTextWriter wraps a dfs writer. The caller owns Close.
@@ -192,15 +200,38 @@ func NewTextWriter(w *dfs.FileWriter) *TextWriter {
 // record per row.
 func (t *TextWriter) Offset() int64 { return t.off }
 
-// WriteRow appends one encoded row.
+// WriteRow appends one encoded row: AppendTextRow's bytes, a timestamp
+// cell copied from the column's last rendering while its seconds repeat.
 func (t *TextWriter) WriteRow(row Row) error {
 	before := len(t.buf)
-	t.buf = AppendTextRow(t.buf, row)
+	for i := range row {
+		if i > 0 {
+			t.buf = append(t.buf, TextDelim)
+		}
+		if v := &row[i]; v.Kind == KindTime {
+			t.buf = append(t.buf, t.timeText(i, v.I)...)
+		} else {
+			t.buf = v.AppendText(t.buf)
+		}
+	}
+	t.buf = append(t.buf, '\n')
 	t.off += int64(len(t.buf) - before)
 	if len(t.buf) >= 1<<16 {
 		return t.flush()
 	}
 	return nil
+}
+
+// timeText returns the rendering of timestamp sec in column col.
+func (t *TextWriter) timeText(col int, sec int64) []byte {
+	if col >= len(t.times) {
+		t.times = append(t.times, make([]timeText, col+1-len(t.times))...)
+	}
+	c := &t.times[col]
+	if c.text == nil || c.sec != sec {
+		c.sec, c.text = sec, appendTimeText(c.text[:0], sec)
+	}
+	return c.text
 }
 
 // WriteLine appends a raw line (no delimiter re-encoding), adding '\n'.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/smartgrid-oss/dgfindex/internal/dfs"
 )
 
 // refTimeText is the time-package rendering the fixed-layout writer replaced.
@@ -131,5 +133,33 @@ func TestCheckTextRowTimestampBounds(t *testing.T) {
 		if got, err := DecodeTextRow(schema, line); err != nil || got[1] != row[1] {
 			t.Errorf("DecodeTextRow(%q) = %v, %v, want %v", line, got, err, row)
 		}
+	}
+}
+
+// TestTextWriterTimestampsAsRendered: TextWriter copies a timestamp cell
+// from its column's last rendering while the seconds repeat, and the file
+// holds AppendTextRow's bytes whatever the seconds do — repeat, alternate
+// every row, turn midnight, leave years 0000–9999, or move to another
+// column of the same row.
+func TestTextWriterTimestampsAsRendered(t *testing.T) {
+	day := int64(1354320000) // 2012-12-01 00:00:00 UTC
+	secs := []int64{day, day, day + 1, day, day + 1, day + 1, day + 86400, -62167219201, -62167219201, day}
+	var rows []Row
+	var want []byte
+	for i, s := range secs {
+		row := Row{TimeUnix(s), Int64(int64(i)), TimeUnix(secs[len(secs)-1-i]), Float64(0.5)}
+		rows = append(rows, row)
+		want = AppendTextRow(want, row)
+	}
+	fs := dfs.New(1 << 20)
+	if err := WriteTextRows(fs, "/t", rows); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.ReadFile("/t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("TextWriter wrote\n%s\nAppendTextRow renders\n%s", got, want)
 	}
 }

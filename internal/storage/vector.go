@@ -27,7 +27,9 @@ import (
 // codes against one binary search of the dictionary instead of per-row
 // strings. A run-length column (Enc == EncRLE) expands into the typed slice
 // (one parse per run) and additionally records the run boundaries in
-// RunEnds so kernels can accept or reject whole runs.
+// RunEnds so kernels can accept or reject whole runs. A packed column
+// (Enc == EncPacked or EncPackedDecimal) unpacks straight into the typed
+// slice.
 type ColumnVector struct {
 	Kind Kind
 	// Valid is false for columns the projection skipped; their slices are
@@ -170,7 +172,8 @@ func (b *ColumnBatch) MaterialiseRow(ri int) Row {
 
 // Line returns row ri's delimited text without the trailing newline: the
 // stored bytes for a TextFile batch, the row group's stored cell texts joined
-// by TextDelim for an RCFile one. The RCFile writer stores each cell as
+// by TextDelim for an RCFile one, a packed cell rendered (the text it was
+// packed from, byte for byte). The RCFile writer stores each cell as
 // AppendText renders it, so either way the line is the text form of the
 // row's values (AppendTextRow without the newline): the index builds shuffle
 // it, and the RCFile segment writer stores its cells as they are. A cell of
@@ -233,16 +236,17 @@ func (v *ColumnVector) appendCell(dst []byte, ri int) []byte {
 // indexCells points cells at each row's stored text for a plain or
 // run-length numeric column decoded from text, reusing the slice. The decode
 // already checked the payload's shape, so a body that does not split into
-// rows cells leaves cells short and appendCell renders instead.
+// rows cells leaves cells short and appendCell renders instead; so does a
+// packed column, whose cells render as the text it was packed from.
 func (v *ColumnVector) indexCells(rows int) {
 	v.cells = v.cells[:0]
-	if !v.Valid || v.Kind == KindString || v.Enc == EncDict {
+	if !v.Valid || v.Kind == KindString || v.Enc == EncDict || packedTag(v.Enc) {
 		return
 	}
 	if cap(v.cells) < rows {
 		v.cells = make([]string, 0, rows)
 	}
-	_ = forEachCell(v.Enc, v.body, rows, func(r int, field string) error {
+	_ = forEachCell(v.Kind, v.Enc, v.body, rows, func(r int, field string) error {
 		v.cells = append(v.cells, field)
 		return nil
 	})
@@ -316,6 +320,10 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 	v.Valid = true
 	v.Enc = enc
 	v.Dict, v.Codes, v.RunEnds, v.cells = v.Dict[:0], v.Codes[:0], v.RunEnds[:0], v.cells[:0]
+	if packedTag(enc) {
+		v.body = ""
+		return v.unpack(enc, payload, rows)
+	}
 	text := string(payload)
 	v.body = text
 	switch enc {
@@ -391,6 +399,29 @@ func decodeColumn(v *ColumnVector, enc byte, payload []byte, rows int) error {
 	}
 }
 
+// unpack fills the vector's typed slice from a packed body holding
+// exactly rows cells.
+func (v *ColumnVector) unpack(enc byte, body []byte, rows int) error {
+	if enc != packedEnc(v.Kind) {
+		return fmt.Errorf("storage: packed body (tag %d) on a %v column", enc, v.Kind)
+	}
+	v.grow(rows)
+	var n int
+	var err error
+	if enc == EncPackedDecimal {
+		n, err = UnpackDecimals(body, v.Floats)
+	} else {
+		n, err = UnpackInts(body, v.Ints)
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("storage: %w", err)
+	case n != len(body):
+		return fmt.Errorf("storage: %d bytes after a packed column", len(body)-n)
+	}
+	return nil
+}
+
 // decodeRLE expands a run-length body into the vector's typed slice — one
 // parse per run, not per row — and records run boundaries in RunEnds.
 func (v *ColumnVector) decodeRLE(text string, rows int) error {
@@ -454,12 +485,22 @@ func (v *ColumnVector) decodeRLE(text string, rows int) error {
 	return nil
 }
 
-// ReadGroupColumns decodes the row group starting at offset into batch,
+// ReadGroupColumns decodes the row group at address offset into batch,
 // fetching and decoding only the columns whose project flag is set (nil
 // decodes all). The batch's vectors are reused across calls. The returned
 // byte count is the same logical read volume ReadGroupProjected reports.
 func ReadGroupColumns(r *dfs.FileReader, offset int64, schema *Schema, project []bool, batch *ColumnBatch) (int64, error) {
-	g, read, err := ReadGroupProjected(r, offset, project)
+	groups, err := LoadRowGroups(r.FS(), r.Path())
+	if err != nil {
+		return 0, err
+	}
+	return groups.readColumns(r, offset, schema, project, batch)
+}
+
+// readColumns reads the group at address offset into batch
+// (ReadGroupColumns).
+func (gs *RowGroups) readColumns(r *dfs.FileReader, offset int64, schema *Schema, project []bool, batch *ColumnBatch) (int64, error) {
+	g, read, err := gs.read(r, offset, project)
 	if err != nil {
 		return 0, err
 	}

@@ -215,7 +215,15 @@ func TestDecodeRowsProjectedAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReadGroupColumns reports allocs/op for the vectorised decode.
+// maxReadGroupAllocs is BenchmarkReadGroupColumns' allocation budget: the
+// group's header, struct, column and tag slices and one payload per
+// projected column. Each column decoded from text adds its string copy (10
+// a group while the meter's numbers were text).
+const maxReadGroupAllocs = 8
+
+// BenchmarkReadGroupColumns reports allocs/op for the vectorised decode of
+// a 1024-row meter group, its four numeric columns packed, and fails above
+// maxReadGroupAllocs.
 func BenchmarkReadGroupColumns(b *testing.B) {
 	fs := dfs.New(1 << 24)
 	s := meterSchema()
@@ -234,6 +242,14 @@ func BenchmarkReadGroupColumns(b *testing.B) {
 		if _, err := ReadGroupColumns(r, 0, s, project, batch); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	if a := testing.AllocsPerRun(20, func() {
+		if _, err := ReadGroupColumns(r, 0, s, project, batch); err != nil {
+			b.Fatal(err)
+		}
+	}); a > maxReadGroupAllocs {
+		b.Fatalf("ReadGroupColumns allocates %.0f times a group, budget %d", a, maxReadGroupAllocs)
 	}
 }
 

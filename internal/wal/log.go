@@ -125,6 +125,7 @@ func scanRecords(r io.Reader) ([]Record, int64, error) {
 	var off int64
 	header := make([]byte, frameHeaderLen)
 	var payload []byte
+	var cols columnBuf
 	for {
 		if _, err := io.ReadFull(br, header); err != nil {
 			return recs, off, nil // clean EOF or torn header — stop here
@@ -141,7 +142,7 @@ func scanRecords(r io.Reader) ([]Record, int64, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, off, nil // corrupt frame
 		}
-		rec, err := decodePayload(payload)
+		rec, err := cols.decodePayload(payload)
 		if err != nil {
 			return recs, off, fmt.Errorf("record at byte %d (lsn %d) passes its checksum but does not decode: %w", off, rec.LSN, err)
 		}

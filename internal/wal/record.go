@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
+	"slices"
 
 	"github.com/smartgrid-oss/dgfindex/internal/storage"
 )
@@ -219,8 +219,8 @@ func appendColumn(dst []byte, rows []storage.Row, c int, st colStats, runs bool)
 	// Runs are chosen against packing by their exact byte count. A run
 	// costs at least two bytes (first offset and length), so a column with
 	// more runs than that affords is packed without trying them.
-	lo, w := st.lo, packWidth(uint64(st.hi)-uint64(st.lo))
-	packed, start := 1+packedLen(st.n, w), len(dst)
+	lo, w := st.lo, storage.PackWidth(uint64(st.hi)-uint64(st.lo))
+	packed, start := 1+storage.PackedLen(st.n, w), len(dst)
 	if runs && 2*st.nruns < packed {
 		dst = append(dst, tagRuns, byte(st.kind))
 		dst = binary.AppendVarint(dst, lo)
@@ -247,107 +247,42 @@ func appendColumn(dst []byte, rows []storage.Row, c int, st colStats, runs bool)
 		dst = dst[:start]
 	}
 	dst = append(dst, tagPacked, byte(st.kind))
-	dst = binary.AppendVarint(dst, lo)
-	dst = append(dst, byte(w))
-	p := packer{w: uint(w)}
+	var stack [stackCells]int64
+	return storage.AppendPacked(dst, gather(stack[:0], rows, c, func(v *storage.Value) int64 { return v.I }), st.lo, st.hi)
+}
+
+// stackCells is how many cells of a column appendColumn gathers on its
+// stack; a longer column is gathered into a slice of its own. A log keeps
+// no scratch between appends: a large load would leave it holding the
+// load's largest column.
+const stackCells = 1024
+
+// gather appends field(cell c) of every row that has one to dst.
+func gather[T int64 | float64](dst []T, rows []storage.Row, c int, field func(*storage.Value) T) []T {
 	for _, row := range rows {
 		if c < len(row) {
-			dst = p.put(dst, uint64(row[c].I)-uint64(lo))
+			dst = append(dst, field(&row[c]))
 		}
-	}
-	return p.flush(dst)
-}
-
-// packWidth is the packed width of a column whose greatest offset is span:
-// the fewest bits that hold it, at least 1.
-func packWidth(span uint64) int { return max(1, bits.Len64(span)) }
-
-// packedLen is the byte length of n cells packed at w bits.
-func packedLen(n, w int) int { return (n*w + 7) / 8 }
-
-// packer appends offsets packed at w bits, LSB first.
-type packer struct {
-	acc  uint64 // the packed bits not yet appended, from bit 0
-	n, w uint   // len(acc) in bits; the width
-}
-
-// put packs v, which must fit in w bits.
-func (p *packer) put(dst []byte, v uint64) []byte {
-	p.acc |= v << p.n
-	if p.n += p.w; p.n < 64 {
-		return dst
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, p.acc)
-	p.n -= 64
-	p.acc = v >> (p.w - p.n) // 0 when v ended exactly at the word's end
-	return dst
-}
-
-// flush appends the bits put has not, zero-padded to a byte.
-func (p *packer) flush(dst []byte) []byte {
-	for i := uint(0); i < p.n; i += 8 {
-		dst = append(dst, byte(p.acc>>i))
 	}
 	return dst
 }
 
 // appendFloats appends double column c: its mantissas packed at the
-// smallest e that carries every cell (see decimalRange), or else raw bits.
+// smallest e that carries every cell (see storage.DecimalRange), or else
+// raw bits.
 func appendFloats(dst []byte, rows []storage.Row, c int) []byte {
-	e, lo, hi := decimalRange(rows, c)
+	var stack [stackCells]float64
+	vals := gather(stack[:0], rows, c, func(v *storage.Value) float64 { return v.F })
+	e, lo, hi := storage.DecimalRange(vals)
 	if e < 0 {
 		dst = append(dst, tagFloat)
-		for _, row := range rows {
-			if c < len(row) {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(row[c].F))
-			}
+		for _, f := range vals {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 		}
 		return dst
 	}
-	w := packWidth(uint64(hi) - uint64(lo))
-	dst = append(dst, tagPackedDecimal, byte(e))
-	dst = binary.AppendVarint(dst, lo)
-	dst = append(dst, byte(w))
-	p := packer{w: uint(w)}
-	for _, row := range rows {
-		if c < len(row) {
-			m, _ := storage.Decimal(row[c].F, e)
-			dst = p.put(dst, uint64(m)-uint64(lo))
-		}
-	}
-	return p.flush(dst)
-}
-
-// decimalRange returns the exponent e of double column c and its least and
-// greatest mantissa. e is guessed from the first cell, and every cell is
-// checked through the integer it would be written as; a cell that needs a
-// larger e restarts the column with it. e is −1 when some cell no e up to
-// storage.MaxDecimalExp carries.
-func decimalRange(rows []storage.Row, c int) (e int, lo, hi int64) {
-	e = -1
-	for _, row := range rows {
-		if c < len(row) {
-			e = storage.DecimalExp(row[c].F, 0)
-			break
-		}
-	}
-scan:
-	for e >= 0 {
-		lo, hi = math.MaxInt64, math.MinInt64
-		for _, row := range rows {
-			if c >= len(row) {
-				continue
-			}
-			m, ok := storage.Decimal(row[c].F, e)
-			if !ok {
-				e = storage.DecimalExp(row[c].F, e+1)
-				continue scan
-			}
-			lo, hi = min(lo, m), max(hi, m)
-		}
-		return e, lo, hi
-	}
-	return -1, 0, 0
+	dst = append(dst, tagPackedDecimal)
+	return storage.AppendPackedDecimal(dst, vals, e, lo, hi)
 }
 
 // appendCell appends one cell of a tagMixed column.
@@ -364,16 +299,29 @@ func appendCell(dst []byte, v storage.Value) []byte {
 	}
 }
 
+// columnBuf is the typed scratch a record's packed columns unpack into on
+// their way to its rows, kept by a replay across records so that it does
+// not allocate one per record.
+type columnBuf struct {
+	ints   []int64
+	floats []float64
+}
+
 // decodePayload parses one record payload produced by encodePayload. The
 // record's cells share one arena; each row is a full slice of it, so an
 // append to one row never writes into the next.
 func decodePayload(buf []byte) (Record, error) {
+	var b columnBuf
+	return b.decodePayload(buf)
+}
+
+func (b *columnBuf) decodePayload(buf []byte) (Record, error) {
 	var rec Record
 	if len(buf) < 8 {
 		return rec, fmt.Errorf("payload too short for LSN")
 	}
 	rec.LSN = binary.LittleEndian.Uint64(buf)
-	d := decoder{buf: buf, off: 8}
+	d := decoder{buf: buf, off: 8, cols: b}
 	limit := maxCellsPerByte * len(buf)
 	rec.Table = string(d.next(d.count("table name length", len(buf))))
 	rows := d.count("row count", limit)
@@ -434,9 +382,10 @@ func decodePayload(buf []byte) (Record, error) {
 // decoder reads a payload front to back. Its first error sticks: every
 // later read returns zero values, so callers check err once per section.
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	cols *columnBuf
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -523,19 +472,7 @@ func (d *decoder) column(rows []storage.Row, c int) {
 		}
 		d.runs(rows, c, kind, uint64(d.varint()))
 	case tagPackedDecimal:
-		e := d.u8()
-		if e > storage.MaxDecimalExp {
-			d.fail("column %d: decimal exponent %d exceeds %d", c, e, storage.MaxDecimalExp)
-			return
-		}
-		d.packed(rows, c, storage.KindFloat64)
-		p := storage.Pow10(int(e))
-		for _, row := range rows {
-			if c < len(row) {
-				v := &row[c]
-				v.I, v.F = 0, float64(v.I)/p
-			}
-		}
+		d.packedDecimal(rows, c)
 	case tagFloat:
 		for _, row := range rows {
 			if c < len(row) {
@@ -574,80 +511,73 @@ func (d *decoder) column(rows []storage.Row, c int) {
 	}
 }
 
-// packed fills cell c of every row that has one from a svar min, a width
-// byte and the cells' offsets packed at that width: it sets the cell's
-// kind and its I to min + the offset. (The cells are zero; writing whole
-// Values would also write their strings, behind a GC write barrier while
-// the collector runs.) It refuses every spelling but the encoder's: a
-// width outside 1..64 or wider than the offsets need, a min no cell has,
-// a min + offset past math.MaxInt64, a padding bit set.
-func (d *decoder) packed(rows []storage.Row, c int, kind storage.Kind) {
-	lo, w := uint64(d.varint()), int(d.u8())
-	if d.err == nil && (w == 0 || w > 64) {
-		d.fail("column %d: packed width %d outside 1..64", c, w)
+// scratch returns the decoder's column scratch, made on first use for a
+// decoder that was not handed one.
+func (d *decoder) scratch() *columnBuf {
+	if d.cols == nil {
+		d.cols = new(columnBuf)
 	}
+	return d.cols
+}
+
+// cells counts the rows that have a cell c.
+func cells(rows []storage.Row, c int) int {
 	n := 0
 	for _, row := range rows {
 		if c < len(row) {
 			n++
 		}
 	}
-	body := d.next(packedLen(n, w))
+	return n
+}
+
+// packed fills cell c of every row that has one from a packed integer
+// column (storage.UnpackInts, which refuses every spelling but the
+// encoder's): it sets the cell's kind and its I. (The cells are zero;
+// writing whole Values would also write their strings, behind a GC write
+// barrier while the collector runs.)
+func (d *decoder) packed(rows []storage.Row, c int, kind storage.Kind) {
 	if d.err != nil {
 		return
 	}
-	if tail := n * w % 8; tail != 0 && body[len(body)-1]>>tail != 0 {
-		d.fail("column %d: padding bits set after the last cell", c)
+	b := d.scratch()
+	b.ints = slices.Grow(b.ints[:0], cells(rows, c))[:cells(rows, c)]
+	n, err := storage.UnpackInts(d.buf[d.off:], b.ints)
+	if err != nil {
+		d.fail("column %d: %v", c, err)
 		return
 	}
-	u := unpacker{buf: body, w: uint(w), mask: ^uint64(0) >> (64 - w)}
-	least, most := ^uint64(0), uint64(0)
+	d.off += n
+	i := 0
 	for _, row := range rows {
 		if c < len(row) {
-			off := u.get()
-			least, most = min(least, off), max(most, off)
-			row[c].Kind, row[c].I = kind, int64(lo+off)
+			row[c].Kind, row[c].I = kind, b.ints[i]
+			i++
 		}
-	}
-	switch {
-	case least != 0:
-		d.fail("column %d: min %d is below every cell", c, int64(lo))
-	case most > math.MaxInt64-lo:
-		d.fail("column %d: min %d + offset %d overflows int64", c, int64(lo), most)
-	case packWidth(most) != w:
-		d.fail("column %d: width %d, its offsets need %d", c, w, packWidth(most))
 	}
 }
 
-// unpacker reads offsets packed at w bits, LSB first.
-type unpacker struct {
-	buf  []byte // the bytes not yet loaded into acc
-	acc  uint64 // loaded bits not yet read, from bit 0
-	n, w uint   // len(acc) in bits; the width
-	mask uint64 // the low w bits
-}
-
-func (u *unpacker) get() uint64 {
-	if u.n >= u.w {
-		v := u.acc & u.mask
-		u.acc >>= u.w
-		u.n -= u.w
-		return v
+// packedDecimal fills double column c from a packed decimal column
+// (storage.UnpackDecimals), setting each cell's kind and F as packed does.
+func (d *decoder) packedDecimal(rows []storage.Row, c int) {
+	if d.err != nil {
+		return
 	}
-	var next uint64
-	k := uint(64)
-	if len(u.buf) >= 8 {
-		next, u.buf = binary.LittleEndian.Uint64(u.buf), u.buf[8:]
-	} else {
-		for i, b := range u.buf {
-			next |= uint64(b) << (8 * i)
+	b := d.scratch()
+	b.floats = slices.Grow(b.floats[:0], cells(rows, c))[:cells(rows, c)]
+	n, err := storage.UnpackDecimals(d.buf[d.off:], b.floats)
+	if err != nil {
+		d.fail("column %d: %v", c, err)
+		return
+	}
+	d.off += n
+	i := 0
+	for _, row := range rows {
+		if c < len(row) {
+			row[c].Kind, row[c].F = storage.KindFloat64, b.floats[i]
+			i++
 		}
-		k, u.buf = uint(8*len(u.buf)), nil
 	}
-	v := (u.acc | next<<u.n) & u.mask
-	used := u.w - u.n
-	u.acc, u.n = next>>used, k-used
-	return v
 }
 
 // runs fills integer column c from its runs, setting each cell's kind and

@@ -234,14 +234,19 @@ func packedColumn(n int, head [2]byte, lo int64, w byte, body []byte) []byte {
 	return append(append(p, w), body...)
 }
 
-// pack packs offs at w bits as the encoder does.
+// pack packs offs at w bits as the encoder does: offset i fills bits i·w
+// to i·w+w−1, each byte from its low bit, the padding zero.
 func pack(w int, offs ...uint64) []byte {
-	p := packer{w: uint(w)}
-	var dst []byte
-	for _, o := range offs {
-		dst = p.put(dst, o)
+	dst := make([]byte, (len(offs)*w+7)/8)
+	for i, o := range offs {
+		for b := 0; b < w; b++ {
+			if o>>b&1 != 0 {
+				bit := i*w + b
+				dst[bit/8] |= 1 << (bit % 8)
+			}
+		}
 	}
-	return p.flush(dst)
+	return dst
 }
 
 // TestRecordPackedRefusesOtherSpellings: decodePayload accepts a packed
